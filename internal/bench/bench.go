@@ -213,7 +213,7 @@ func (h *Harness) PUDTimeNs(spec workloads.Spec, arch isa.Arch, comp Compiler, v
 	}
 	// Issue streams can run to hundreds of millions of ops on the largest
 	// workloads; feed the engine directly rather than materializing them.
-	sink := func(p dram.Placed) { eng.Issue(p) }
+	sink := issueTo(eng)
 	if comp == Chopper {
 		vircoe.EmitTo(prog, pls, cfg.Mode, timing, sink)
 	} else {
@@ -222,6 +222,14 @@ func (h *Harness) PUDTimeNs(spec workloads.Spec, arch isa.Arch, comp Compiler, v
 	waveNs := eng.Makespan()
 	waves := (tiles + inFlight - 1) / inFlight
 	return waveNs * float64(waves), nil
+}
+
+// issueTo returns the sink that feeds an emitter straight into eng.
+func issueTo(eng *dram.Engine) vircoe.Sink {
+	return func(bank, sub int, op *isa.Op) bool {
+		eng.IssueOp(bank, sub, op.Kind, op.Imm)
+		return true
+	}
 }
 
 // enginePool recycles timing engines across measurements: every sweep cell

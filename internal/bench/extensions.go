@@ -54,7 +54,7 @@ func (h *Harness) EmissionStudy(sel Selection) (*Table, error) {
 				}
 				return dev.Read(slot, start)
 			}
-			feed(func(p dram.Placed) { eng.Issue(p) })
+			feed(issueTo(eng))
 			return eng.Makespan()
 		}
 		vir := measure(func(s vircoe.Sink) { vircoe.EmitTo(prog, pls, cfg.Mode, timing, s) })
@@ -172,7 +172,7 @@ func (h *Harness) pudTimeWithSSD(spec workloads.Spec, comp Compiler, cfg Config,
 		}
 		return dev.Read(slot, start)
 	}
-	sink := func(p dram.Placed) { eng.Issue(p) }
+	sink := issueTo(eng)
 	if comp == Chopper {
 		vircoe.EmitTo(prog, pls, cfg.Mode, timing, sink)
 	} else {

@@ -344,6 +344,31 @@ type EngineStats struct {
 	StallNs float64
 }
 
+// Merge folds the counters of another engine (a further channel shard) into
+// s: counters sum, the makespans (MakespanNs, MaxUnitBusy) take the max —
+// channels run side by side. Merging shards in a fixed order keeps the
+// float sums reproducible.
+func (s *EngineStats) Merge(o EngineStats) {
+	s.Ops += o.Ops
+	s.Transfers += o.Transfers
+	s.ComputeNs += o.ComputeNs
+	s.TransferNs += o.TransferNs
+	s.SSDNs += o.SSDNs
+	s.BusBusyNs += o.BusBusyNs
+	s.SpillIns += o.SpillIns
+	s.SpillOuts += o.SpillOuts
+	s.EnergyPJ += o.EnergyPJ
+	s.UnitBusySum += o.UnitBusySum
+	s.DistinctUnit += o.DistinctUnit
+	s.StallNs += o.StallNs
+	if o.MakespanNs > s.MakespanNs {
+		s.MakespanNs = o.MakespanNs
+	}
+	if o.MaxUnitBusy > s.MaxUnitBusy {
+		s.MaxUnitBusy = o.MaxUnitBusy
+	}
+}
+
 // NewEngine builds an engine for the geometry/timing pair. salp enables
 // Subarray-Level Parallelism.
 func NewEngine(g Geometry, t Timing, salp bool) *Engine {

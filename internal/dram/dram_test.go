@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -303,5 +304,39 @@ func TestChannelCount(t *testing.T) {
 	g.Channels = -1
 	if err := g.Validate(); err == nil {
 		t.Error("negative channel count accepted")
+	}
+}
+
+// EngineStats.Merge must account for every field: a field added to
+// EngineStats without a line in Merge fails here.
+func TestEngineStatsMergeCoversEveryField(t *testing.T) {
+	maxFields := map[string]bool{"MakespanNs": true, "MaxUnitBusy": true}
+	typ := reflect.TypeOf(EngineStats{})
+	for i := 0; i < typ.NumField(); i++ {
+		var one EngineStats
+		f := reflect.ValueOf(&one).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(3)
+		case reflect.Float64:
+			f.SetFloat(3)
+		default:
+			t.Fatalf("field %s has kind %v: teach Merge and this test about it", typ.Field(i).Name, f.Kind())
+		}
+		var sum EngineStats
+		sum.Merge(one)
+		sum.Merge(one)
+		want := one
+		if !maxFields[typ.Field(i).Name] {
+			w := reflect.ValueOf(&want).Elem().Field(i)
+			if w.Kind() == reflect.Int {
+				w.SetInt(6)
+			} else {
+				w.SetFloat(6)
+			}
+		}
+		if sum != want {
+			t.Errorf("field %s: merging it twice gave %+v, want %+v", typ.Field(i).Name, sum, want)
+		}
 	}
 }

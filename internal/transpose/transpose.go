@@ -204,17 +204,32 @@ func ToVerticalWide(elems [][]uint64, width, lanes int) [][]uint64 {
 	if width <= 0 {
 		panic("transpose: non-positive width")
 	}
+	w := Words(lanes)
+	rows := make([][]uint64, width)
+	backing := make([]uint64, width*w)
+	for b := range rows {
+		rows[b], backing = backing[:w:w], backing[w:]
+	}
+	ToVerticalWideInto(rows, elems, width, lanes)
+	return rows
+}
+
+// ToVerticalWideInto is ToVerticalWide writing into caller-allocated rows:
+// dst must hold at least `width` rows of at least Words(lanes) words, and
+// every one of those words is overwritten (lanes beyond `lanes` in the tail
+// word read as zero), so dst may be a recycled buffer.
+func ToVerticalWideInto(dst [][]uint64, elems [][]uint64, width, lanes int) {
+	if width <= 0 {
+		panic("transpose: non-positive width")
+	}
 	if len(elems) < lanes {
 		panic(fmt.Sprintf("transpose: %d elements for %d lanes", len(elems), lanes))
 	}
-	w := Words(lanes)
-	rows := make([][]uint64, width)
-	for b := range rows {
-		rows[b] = make([]uint64, w)
+	if len(dst) < width {
+		panic(fmt.Sprintf("transpose: %d destination rows for width %d", len(dst), width))
 	}
 	limbs := (width + 63) / 64
 	var block [64]uint64
-	scratch := make([]uint64, 64)
 	for limb := 0; limb < limbs; limb++ {
 		lo := limb * 64
 		hi := lo + 64
@@ -226,36 +241,53 @@ func ToVerticalWide(elems [][]uint64, width, lanes int) [][]uint64 {
 			if n > 64 {
 				n = 64
 			}
-			for i := 0; i < 64; i++ {
-				scratch[i] = 0
-			}
 			for i := 0; i < n; i++ {
-				e := elems[base+i]
-				if limb < len(e) {
-					scratch[i] = e[limb]
+				block[i] = 0
+				if e := elems[base+i]; limb < len(e) {
+					block[i] = e[limb]
 				}
 			}
-			copy(block[:], scratch)
+			for i := n; i < 64; i++ {
+				block[i] = 0
+			}
 			Transpose64(&block)
 			word := base / 64
 			for b := lo; b < hi; b++ {
-				rows[b][word] = block[b-lo]
+				dst[b][word] = block[b-lo]
 			}
 		}
 	}
-	return rows
 }
 
 // FromVerticalWide gathers bit-rows back into wide elements of
-// ceil(width/64) limbs each.
+// ceil(width/64) limbs each. The elements share one backing array; each
+// one's capacity is clipped to its own limbs, so appending to one lane
+// reallocates it instead of running into its neighbour.
 func FromVerticalWide(rows [][]uint64, width, lanes int) [][]uint64 {
 	if width <= 0 {
 		panic("transpose: non-positive width")
 	}
-	limbs := (width + 63) / 64
 	elems := make([][]uint64, lanes)
-	for i := range elems {
-		elems[i] = make([]uint64, limbs)
+	FromVerticalWideInto(elems, make([]uint64, lanes*((width+63)/64)), rows, width, lanes)
+	return elems
+}
+
+// FromVerticalWideInto is FromVerticalWide gathering into caller-allocated
+// storage: element l becomes dst[l], carved (capacity-clipped) out of
+// backing, which must hold lanes*ceil(width/64) limbs; every limb is
+// overwritten. The tiled runner gathers each tile straight into its lane
+// range of the final output through it. Rows beyond len(rows), and words
+// beyond a row's length, read as zero.
+func FromVerticalWideInto(dst [][]uint64, backing []uint64, rows [][]uint64, width, lanes int) {
+	if width <= 0 {
+		panic("transpose: non-positive width")
+	}
+	limbs := (width + 63) / 64
+	if len(dst) < lanes || len(backing) < lanes*limbs {
+		panic(fmt.Sprintf("transpose: %d destination elements on %d limbs for %d lanes of %d limbs", len(dst), len(backing), lanes, limbs))
+	}
+	for l := 0; l < lanes; l++ {
+		dst[l], backing = backing[:limbs:limbs], backing[limbs:]
 	}
 	var block [64]uint64
 	for limb := 0; limb < limbs; limb++ {
@@ -280,9 +312,8 @@ func FromVerticalWide(rows [][]uint64, width, lanes int) [][]uint64 {
 			}
 			Transpose64(&block)
 			for i := 0; i < n; i++ {
-				elems[base+i][limb] = block[i]
+				dst[base+i][limb] = block[i]
 			}
 		}
 	}
-	return elems
 }

@@ -273,3 +273,130 @@ func TestFromVerticalOfPastedSpan(t *testing.T) {
 		}
 	}
 }
+
+// randWide returns `lanes` random elements of `width` bits (top limb masked).
+func randWide(rng *rand.Rand, width, lanes int) [][]uint64 {
+	limbs := (width + 63) / 64
+	elems := make([][]uint64, lanes)
+	for i := range elems {
+		elems[i] = make([]uint64, limbs)
+		for j := range elems[i] {
+			elems[i][j] = rng.Uint64()
+		}
+		if r := width % 64; r != 0 {
+			elems[i][limbs-1] &= (uint64(1) << uint(r)) - 1
+		}
+	}
+	return elems
+}
+
+// FromVerticalWide carves every lane's limbs out of one backing array; the
+// capacity of each lane must end at its own limbs, or appending to one lane
+// would overwrite the next.
+func TestFromVerticalWideLanesDoNotAlias(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range []struct{ width, lanes int }{{8, 5}, {64, 70}, {100, 3}} {
+		elems := randWide(rng, tc.width, tc.lanes)
+		back := FromVerticalWide(ToVerticalWide(elems, tc.width, tc.lanes), tc.width, tc.lanes)
+		for l := range back {
+			if len(back[l]) != cap(back[l]) {
+				t.Fatalf("w=%d lane %d: cap %d beyond len %d reaches into the next lane", tc.width, l, cap(back[l]), len(back[l]))
+			}
+		}
+		for l := 0; l+1 < tc.lanes; l++ {
+			back[l] = append(back[l], ^uint64(0))
+			for j, want := range elems[l+1] {
+				if back[l+1][j] != want {
+					t.Fatalf("w=%d: appending to lane %d clobbered lane %d limb %d", tc.width, l, l+1, j)
+				}
+			}
+		}
+	}
+}
+
+// The same holds for the bit-rows ToVerticalWide returns.
+func TestToVerticalWideRowsDoNotAlias(t *testing.T) {
+	elems := randWide(rand.New(rand.NewSource(12)), 9, 130)
+	rows := ToVerticalWide(elems, 9, 130)
+	want := rows[1][0]
+	rows[0] = append(rows[0], ^uint64(0))
+	if rows[1][0] != want {
+		t.Fatal("appending to row 0 clobbered row 1")
+	}
+}
+
+// The Into variants overwrite every word they own, so a recycled, dirty
+// destination gives exactly what the allocating variants give — including
+// a partial last word and elements shorter than the width.
+func TestWideIntoVariantsMatchOnDirtyBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, tc := range []struct{ width, lanes int }{{1, 1}, {16, 64}, {64, 1000}, {65, 70}, {200, 129}} {
+		elems := randWide(rng, tc.width, tc.lanes)
+		elems[0] = elems[0][:len(elems[0])-1] // a short element reads as zero above
+		want := ToVerticalWide(elems, tc.width, tc.lanes)
+
+		w := Words(tc.lanes)
+		rows := make([][]uint64, tc.width+1) // one row more than the width
+		for b := range rows {
+			rows[b] = make([]uint64, w)
+			for i := range rows[b] {
+				rows[b][i] = ^uint64(0)
+			}
+		}
+		ToVerticalWideInto(rows, elems, tc.width, tc.lanes)
+		for b := 0; b < tc.width; b++ {
+			for i := range want[b] {
+				if rows[b][i] != want[b][i] {
+					t.Fatalf("w=%d lanes=%d: row %d word %d = %#x, want %#x", tc.width, tc.lanes, b, i, rows[b][i], want[b][i])
+				}
+			}
+		}
+		for i := range rows[tc.width] {
+			if rows[tc.width][i] != ^uint64(0) {
+				t.Fatalf("w=%d: row beyond the width was written", tc.width)
+			}
+		}
+
+		limbs := (tc.width + 63) / 64
+		backing := make([]uint64, tc.lanes*limbs+1)
+		for i := range backing {
+			backing[i] = ^uint64(0)
+		}
+		got := make([][]uint64, tc.lanes)
+		FromVerticalWideInto(got, backing, want, tc.width, tc.lanes)
+		ref := FromVerticalWide(want, tc.width, tc.lanes)
+		for l := range ref {
+			if len(got[l]) != limbs || cap(got[l]) != limbs {
+				t.Fatalf("w=%d lane %d: len %d cap %d, want both %d", tc.width, l, len(got[l]), cap(got[l]), limbs)
+			}
+			for j := range ref[l] {
+				if got[l][j] != ref[l][j] {
+					t.Fatalf("w=%d lane %d limb %d = %#x, want %#x", tc.width, l, j, got[l][j], ref[l][j])
+				}
+			}
+		}
+		if backing[tc.lanes*limbs] != ^uint64(0) {
+			t.Fatalf("w=%d: limb beyond the lanes was written", tc.width)
+		}
+	}
+}
+
+func TestWideIntoVariantsPanicOnShortDestinations(t *testing.T) {
+	elems := randWide(rand.New(rand.NewSource(14)), 8, 4)
+	rows := ToVerticalWide(elems, 8, 4)
+	for name, f := range map[string]func(){
+		"to: rows":      func() { ToVerticalWideInto(rows[:7], elems, 8, 4) },
+		"to: elements":  func() { ToVerticalWideInto(rows, elems[:3], 8, 4) },
+		"from: lanes":   func() { FromVerticalWideInto(make([][]uint64, 3), make([]uint64, 4), rows, 8, 4) },
+		"from: backing": func() { FromVerticalWideInto(make([][]uint64, 4), make([]uint64, 3), rows, 8, 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}

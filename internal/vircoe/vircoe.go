@@ -84,26 +84,54 @@ type Stats struct {
 	Interleave int // ops emitted out of naive subarray-major order
 }
 
-// Sink consumes placed micro-ops as they are emitted. The streaming (To)
-// emitters exist because a full issue stream for a large program over many
-// subarrays can run to hundreds of millions of ops; the timing engine only
-// needs them one at a time.
-type Sink func(dram.Placed)
+// Merge folds the statistics of another emitter run (a further channel
+// shard) into s: counters sum, SpanNs takes the max. Merging shards in a
+// fixed order keeps the float sums reproducible.
+func (s *Stats) Merge(o Stats) {
+	s.Ops += o.Ops
+	s.Transfers += o.Transfers
+	s.Subarrays += o.Subarrays
+	s.BusBusyNs += o.BusBusyNs
+	s.Interleave += o.Interleave
+	if o.SpanNs > s.SpanNs {
+		s.SpanNs = o.SpanNs
+	}
+}
+
+// Sink consumes micro-ops as they are emitted: op is bound to the subarray
+// (bank, sub) and must not be retained past the call. Returning false stops
+// the emission (a canceled replay). The streaming (To) emitters exist
+// because a full issue stream for a large program over many subarrays can
+// run to hundreds of millions of ops; the timing engine only needs them one
+// at a time.
+type Sink func(bank, sub int, op *isa.Op) bool
+
+// collect returns a Sink that materializes the stream, presized to the
+// emitters' exact output length.
+func collect(stream *[]dram.Placed, prog *isa.Program, placements []Placement) Sink {
+	*stream = make([]dram.Placed, 0, len(prog.Ops)*len(placements))
+	return func(bank, sub int, op *isa.Op) bool {
+		*stream = append(*stream, dram.Placed{Bank: bank, Subarray: sub, Op: *op})
+		return true
+	}
+}
 
 // Serial is the naive broadcast: the whole program for each subarray in
 // turn — the emission order of the baseline methodology and of CHOPPER
 // without VIRCOE.
 func Serial(prog *isa.Program, placements []Placement) []dram.Placed {
-	stream := make([]dram.Placed, 0, len(prog.Ops)*len(placements))
-	SerialTo(prog, placements, func(p dram.Placed) { stream = append(stream, p) })
+	var stream []dram.Placed
+	SerialTo(prog, placements, collect(&stream, prog, placements))
 	return stream
 }
 
 // SerialTo streams the naive broadcast into sink.
 func SerialTo(prog *isa.Program, placements []Placement, sink Sink) {
 	for _, p := range placements {
-		for _, op := range prog.Ops {
-			sink(dram.Placed{Bank: p.Bank, Subarray: p.Subarray, Op: op})
+		for i := range prog.Ops {
+			if !sink(p.Bank, p.Subarray, &prog.Ops[i]) {
+				return
+			}
 		}
 	}
 }
@@ -114,55 +142,69 @@ func SerialTo(prog *isa.Program, placements []Placement, sink Sink) {
 // banks (Table I: all architectures exploit BLP), but transfer phases and
 // compute phases still alternate in lockstep, with no cross-phase overlap.
 func Lockstep(prog *isa.Program, placements []Placement) []dram.Placed {
-	stream := make([]dram.Placed, 0, len(prog.Ops)*len(placements))
-	LockstepTo(prog, placements, func(p dram.Placed) { stream = append(stream, p) })
+	var stream []dram.Placed
+	LockstepTo(prog, placements, collect(&stream, prog, placements))
 	return stream
 }
 
 // LockstepTo streams the lockstep broadcast into sink.
 func LockstepTo(prog *isa.Program, placements []Placement, sink Sink) {
-	for _, op := range prog.Ops {
+	for i := range prog.Ops {
 		for _, p := range placements {
-			sink(dram.Placed{Bank: p.Bank, Subarray: p.Subarray, Op: op})
+			if !sink(p.Bank, p.Subarray, &prog.Ops[i]) {
+				return
+			}
 		}
 	}
 }
 
 // Emit produces the VIRCOE-interleaved issue stream for one program
-// replicated over the placements.
+// replicated over the placements. It materializes the whole stream; the
+// tiled runner streams through EmitTo instead and keeps Emit as its test
+// oracle.
 func Emit(prog *isa.Program, placements []Placement, mode Mode, t dram.Timing) ([]dram.Placed, Stats) {
 	var stream []dram.Placed
-	st := EmitTo(prog, placements, mode, t, func(p dram.Placed) { stream = append(stream, p) })
+	st := EmitTo(prog, placements, mode, t, collect(&stream, prog, placements))
 	return stream, st
 }
 
-// EmitTo streams the VIRCOE-interleaved issue order into sink.
+// EmitTo streams the VIRCOE-interleaved issue order into sink. When sink
+// stops the emission the returned Stats cover the ops emitted so far.
 func EmitTo(prog *isa.Program, placements []Placement, mode Mode, t dram.Timing, sink Sink) Stats {
 	n := len(placements)
 	ops := prog.Ops
 	pcs := make([]int, n)
 	st := Stats{Subarrays: n}
 
-	// Map each placement to a dense unit index (its bank, or its own slot
-	// when subarray-aware) so the inner loop is pure slice arithmetic.
+	// Map each placement to a dense unit index (its bank, or its own
+	// bank x subarray slot when subarray-aware) so the inner loop is pure
+	// slice arithmetic. The index only names a resource slot; emission order
+	// never depends on its value.
+	unitOf := func(p Placement) Placement {
+		if mode != SubarrayAware {
+			p.Subarray = 0 // a bank's subarrays share one unit
+		}
+		return p
+	}
+	var lo, hi Placement
+	if n > 0 {
+		lo, hi = unitOf(placements[0]), unitOf(placements[0])
+	}
+	for _, p := range placements {
+		u := unitOf(p)
+		lo.Bank, hi.Bank = min(lo.Bank, u.Bank), max(hi.Bank, u.Bank)
+		lo.Subarray, hi.Subarray = min(lo.Subarray, u.Subarray), max(hi.Subarray, u.Subarray)
+	}
+	subSpan := hi.Subarray - lo.Subarray + 1
 	unitIdx := make([]int, n)
-	unitIDs := make(map[[2]int]int)
 	for i, p := range placements {
-		key := [2]int{p.Bank, 0}
-		if mode == SubarrayAware {
-			key = [2]int{p.Bank, p.Subarray}
-		}
-		id, ok := unitIDs[key]
-		if !ok {
-			id = len(unitIDs)
-			unitIDs[key] = id
-		}
-		unitIdx[i] = id
+		u := unitOf(p)
+		unitIdx[i] = (u.Bank-lo.Bank)*subSpan + u.Subarray - lo.Subarray
 	}
 
 	// Emitter-internal device model (mirrors the dram engine's resources).
 	var busFree float64
-	unitFree := make([]float64, len(unitIDs))
+	unitFree := make([]float64, (hi.Bank-lo.Bank+1)*subSpan)
 	subSeq := make([]float64, n)
 	var lastStart float64
 	const issueGap = 0.833
@@ -219,11 +261,9 @@ func EmitTo(prog *isa.Program, placements []Placement, mode Mode, t dram.Timing,
 			bestStart = s
 		}
 		pc := pcs[best]
-		sink(dram.Placed{
-			Bank:     placements[best].Bank,
-			Subarray: placements[best].Subarray,
-			Op:       ops[pc],
-		})
+		if !sink(placements[best].Bank, placements[best].Subarray, &ops[pc]) {
+			return st
+		}
 		if lastEmitted >= 0 && best != lastEmitted && pcs[lastEmitted] < len(ops) {
 			st.Interleave++
 		}

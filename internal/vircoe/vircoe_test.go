@@ -1,6 +1,7 @@
 package vircoe
 
 import (
+	"reflect"
 	"testing"
 
 	"chopper/internal/dram"
@@ -299,6 +300,113 @@ func TestEmitHeapMatchesReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// The materializing emitters allocate their stream once, at its exact
+// length, instead of growing it by append.
+func TestMaterializedStreamsArePresized(t *testing.T) {
+	prog := testProgram(5, 2)
+	g := dram.DefaultGeometry()
+	ps := mustPlacements(t, g, 20)
+	want := len(prog.Ops) * len(ps)
+	emitted, _ := Emit(prog, ps, BankAware, dram.TimingFor(isa.Ambit, g))
+	for name, stream := range map[string][]dram.Placed{
+		"Emit": emitted, "Serial": Serial(prog, ps), "Lockstep": Lockstep(prog, ps),
+	} {
+		if len(stream) != want || cap(stream) != want {
+			t.Errorf("%s: len %d cap %d, want both %d", name, len(stream), cap(stream), want)
+		}
+	}
+}
+
+// A sink that reports "stop" ends the emission at once: it is not called
+// again, and the returned stats count the ops it accepted.
+func TestStreamingEmittersStopWhenSinkSaysSo(t *testing.T) {
+	prog := testProgram(6, 3)
+	g := dram.DefaultGeometry()
+	ps := mustPlacements(t, g, 8)
+	tm := dram.TimingFor(isa.Ambit, g)
+	const accept = 37
+	for name, run := range map[string]func(Sink) int{
+		"EmitTo":     func(s Sink) int { return EmitTo(prog, ps, BankAware, tm, s).Ops },
+		"SerialTo":   func(s Sink) int { SerialTo(prog, ps, s); return accept },
+		"LockstepTo": func(s Sink) int { LockstepTo(prog, ps, s); return accept },
+	} {
+		calls := 0
+		ops := run(func(bank, sub int, op *isa.Op) bool {
+			calls++
+			return calls <= accept
+		})
+		if calls != accept+1 {
+			t.Errorf("%s: sink called %d times, want %d (stop not honored)", name, calls, accept+1)
+		}
+		if ops != accept {
+			t.Errorf("%s: stats count %d ops, want the %d accepted", name, ops, accept)
+		}
+	}
+}
+
+// The emitter's resource slots are dense arithmetic on (bank, subarray), so
+// only the placements' relative positions may matter: shifting every
+// placement by a constant, or listing them sparsely and out of order, must
+// emit the same interleaving.
+func TestEmitUnitNumberingIsPositionIndependent(t *testing.T) {
+	prog := testProgram(4, 2)
+	g := dram.DefaultGeometry()
+	tm := dram.TimingFor(isa.Ambit, g)
+	base := []Placement{{2, 1}, {0, 3}, {2, 0}, {1, 1}, {0, 0}, {2, 3}, {1, 0}}
+	shifted := make([]Placement, len(base))
+	for i, p := range base {
+		shifted[i] = Placement{Bank: p.Bank + 5, Subarray: p.Subarray + 9}
+	}
+	for _, mode := range []Mode{BankAware, SubarrayAware} {
+		a, sa := Emit(prog, base, mode, tm)
+		b, sb := Emit(prog, shifted, mode, tm)
+		if sa != sb {
+			t.Fatalf("%v: stats differ under a placement shift: %+v vs %+v", mode, sa, sb)
+		}
+		for i := range a {
+			b[i].Bank -= 5
+			b[i].Subarray -= 9
+			if a[i].Bank != b[i].Bank || a[i].Subarray != b[i].Subarray || a[i].Op.Kind != b[i].Op.Kind {
+				t.Fatalf("%v: op %d differs under a placement shift: %+v vs %+v", mode, i, a[i], b[i])
+			}
+		}
+	}
+}
+
+// Stats.Merge must account for every field: a field added to Stats without
+// a line in Merge fails here.
+func TestStatsMergeCoversEveryField(t *testing.T) {
+	maxFields := map[string]bool{"SpanNs": true}
+	typ := reflect.TypeOf(Stats{})
+	for i := 0; i < typ.NumField(); i++ {
+		var one Stats
+		f := reflect.ValueOf(&one).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(3)
+		case reflect.Float64:
+			f.SetFloat(3)
+		default:
+			t.Fatalf("field %s has kind %v: teach Merge and this test about it", typ.Field(i).Name, f.Kind())
+		}
+		var sum Stats
+		sum.Merge(one)
+		sum.Merge(one)
+		want := one
+		if !maxFields[typ.Field(i).Name] {
+			w := reflect.ValueOf(&want).Elem().Field(i)
+			if w.Kind() == reflect.Int {
+				w.SetInt(6)
+			} else {
+				w.SetFloat(6)
+			}
+		}
+		if sum != want {
+			t.Errorf("field %s: merging it twice gave %+v, want %+v", typ.Field(i).Name, sum, want)
 		}
 	}
 }

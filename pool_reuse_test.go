@@ -1,7 +1,10 @@
 package chopper
 
 import (
+	"context"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -69,6 +72,60 @@ func TestPoolReuseInterleavedFaultyCleanRuns(t *testing.T) {
 		if clean.Faults.Total() != 0 || clean.RecoveryStats != (RecoveryStats{}) {
 			t.Fatalf("round %d: clean run reports fault/recovery activity: %+v %+v",
 				i, clean.Faults, clean.RecoveryStats)
+		}
+	}
+}
+
+// TestPoolReuseTiledAfterMidRunCancel cancels tiled runs from inside, at a
+// sweep of guard checkpoints — between tiles, inside a tile's execution
+// loop, inside a shard's emit+replay — so half-used subarrays, spill
+// stores, row buffers and timing engines go back to their pools. Every
+// canceled run must return ErrCanceled and no result, promptly (a bounded
+// number of checkpoints after the cancel), and the clean run that follows
+// must be bit-identical to the reference.
+func TestPoolReuseTiledAfterMidRunCancel(t *testing.T) {
+	src := "node main(a: u8, b: u8) returns (z: u8, c: u1) let z = a * b; c = a < b; tel"
+	k, err := Compile(src, Options{Target: Ambit, Geometry: shardGeom(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := 6*tinyGeom().Bitlines() - 5
+	in := map[string][][]uint64{"a": make([][]uint64, lanes), "b": make([][]uint64, lanes)}
+	for l := 0; l < lanes; l++ {
+		in["a"][l] = []uint64{uint64(l*7) & 0xFF}
+		in["b"][l] = []uint64{uint64(l*13+5) & 0xFF}
+	}
+	ref, err := k.RunTiled(in, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := &checkCtx{Context: context.Background(), live: 1 << 40}
+	if _, err := k.RunTiledCtx(counter, in, lanes); err != nil {
+		t.Fatal(err)
+	}
+	total := counter.checks.Load()
+	if total < 12 {
+		t.Fatalf("a full run consults only %d checkpoints; the cancel sweep is vacuous", total)
+	}
+	slack := int64(2*runtime.GOMAXPROCS(0) + 2) // each worker's in-flight job and loop check, plus the pool's own
+	for live := int64(0); live < total; live += 1 + total/12 {
+		ctx := &checkCtx{Context: context.Background(), live: live}
+		res, err := k.RunTiledCtx(ctx, in, lanes)
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("cancel after %d checkpoints: error %v does not match ErrCanceled", live, err)
+		}
+		if res != nil {
+			t.Fatalf("cancel after %d checkpoints returned a result", live)
+		}
+		if late := ctx.checks.Load() - live; late > slack {
+			t.Errorf("cancel after %d checkpoints: run consulted %d more before stopping, want <= %d", live, late, slack)
+		}
+		clean, err := k.RunTiled(in, lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(clean, ref) {
+			t.Fatalf("clean run after a cancel at checkpoint %d differs from the reference (pooled state leaked)", live)
 		}
 	}
 }

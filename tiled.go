@@ -7,19 +7,26 @@ import (
 
 	"chopper/internal/dram"
 	"chopper/internal/guard"
+	"chopper/internal/isa"
 	"chopper/internal/pool"
 	"chopper/internal/sim"
 	"chopper/internal/transpose"
 	"chopper/internal/vircoe"
 )
 
-// tileScratch is the per-worker functional state of one tile run: a
-// subarray and a spill store, pooled so repeated RunTiled calls (and the
-// benchmark harness driving them) reuse arenas instead of reallocating
-// them per tile.
+// tileScratch is the per-worker state of one tile run: a subarray, a spill
+// store, and the tile's vertical rows (inputs, outputs, constants) with the
+// HostIO that serves them. It is pooled so repeated RunTiled calls (and the
+// benchmark harness driving them) reuse arenas instead of reallocating them
+// per tile.
 type tileScratch struct {
 	sub   *sim.Subarray
 	spill *sim.SpillStore
+
+	plan *tilePlan   // tag tables of the run in flight
+	buf  []uint64    // backing array of rows
+	rows [][]uint64  // row r of plan's layout, one tile-width slice of buf
+	io   *sim.HostIO // serves rows through plan; built once per scratch
 }
 
 var tileScratchPool sync.Pool
@@ -31,10 +38,127 @@ func getTileScratch(dRows, lanes int) *tileScratch {
 		ts.spill.Reset()
 		return ts
 	}
-	return &tileScratch{sub: sim.NewSubarray(dRows, lanes), spill: sim.NewSpillStore()}
+	ts := &tileScratch{sub: sim.NewSubarray(dRows, lanes), spill: sim.NewSpillStore()}
+	ts.io = &sim.HostIO{
+		WriteData: func(tag int) []uint64 {
+			if r := rowOf(ts.plan.writeRow, tag); r >= 0 {
+				return ts.rows[r]
+			}
+			return nil
+		},
+		ReadSink: func(tag int, data []uint64) {
+			if r := rowOf(ts.plan.readRow, tag); r >= 0 {
+				copy(ts.rows[r], data)
+			}
+		},
+	}
+	return ts
 }
 
-func putTileScratch(ts *tileScratch) { tileScratchPool.Put(ts) }
+func putTileScratch(ts *tileScratch) {
+	ts.plan = nil
+	tileScratchPool.Put(ts)
+}
+
+// bind lays the plan's rows out at `words` words each on the recycled
+// backing array and returns them. Output rows start zeroed (a bit the
+// program never READs reads as zero); input and constant rows are left for
+// the caller to overwrite in full.
+func (ts *tileScratch) bind(p *tilePlan, words int) [][]uint64 {
+	total := p.inRows + p.outRows + len(p.consts)
+	if cap(ts.buf) < total*words {
+		ts.buf = make([]uint64, total*words)
+	}
+	if cap(ts.rows) < total {
+		ts.rows = make([][]uint64, total)
+	}
+	ts.plan, ts.rows = p, ts.rows[:total]
+	buf := ts.buf[:total*words]
+	clear(buf[p.inRows*words : (p.inRows+p.outRows)*words])
+	for r := range ts.rows {
+		ts.rows[r], buf = buf[:words:words], buf[words:]
+	}
+	return ts.rows
+}
+
+// tilePlan is the tile-independent half of a tiled run's host I/O: every
+// tile keeps its vertical rows in one layout (the bit-rows of each input in
+// k.Inputs order, then of each output in k.Outputs order, then one row per
+// constant pattern), so WRITE/READ tags resolve to a row index once per run
+// instead of through a (name, tile) map lookup per transfer.
+type tilePlan struct {
+	inRows, outRows int
+	consts          []uint64 // fill pattern of constant row i
+	writeRow        []int32  // WRITE tag -> row (input bit or constant), -1 if none
+	readRow         []int32  // READ tag -> row (output bit), -1 if none
+}
+
+func rowOf(table []int32, tag int) int32 {
+	if tag < 0 || tag >= len(table) {
+		return -1
+	}
+	return table[tag]
+}
+
+func (k *Kernel) tilePlan() (*tilePlan, error) {
+	p := &tilePlan{}
+	for _, in := range k.Inputs {
+		p.inRows += in.Width
+	}
+	for _, o := range k.Outputs {
+		p.outRows += o.Width
+	}
+	// Constant tags share the WRITE tag space with the input bits.
+	writeTags := 0
+	for tag := range k.constPattern {
+		writeTags = max(writeTags, tag+1)
+	}
+	var err error
+	if p.writeRow, err = tagTable(k.inputTag, k.Inputs, 0, writeTags); err != nil {
+		return nil, err
+	}
+	if p.readRow, err = tagTable(k.outputTag, k.Outputs, p.inRows, 0); err != nil {
+		return nil, err
+	}
+	for tag, pat := range k.constPattern {
+		if tag >= 0 {
+			p.writeRow[tag] = int32(p.inRows + p.outRows + len(p.consts))
+			p.consts = append(p.consts, pat)
+		}
+	}
+	return p, nil
+}
+
+// tagTable resolves the tags of one transfer direction ("name[bit]" -> tag)
+// onto the bit-rows of its operands, laid out in specs order from row
+// `first`. The table holds at least minLen entries.
+func tagTable(tags map[string]int, specs []IOSpec, first, minLen int) ([]int32, error) {
+	type span struct{ first, width int }
+	at := make(map[string]span, len(specs))
+	for _, s := range specs {
+		at[s.Name] = span{first, s.Width}
+		first += s.Width
+	}
+	for _, tag := range tags {
+		minLen = max(minLen, tag+1)
+	}
+	table := make([]int32, minLen)
+	for i := range table {
+		table[i] = -1
+	}
+	for name, tag := range tags {
+		base, bit, err := splitBit(name)
+		if err != nil {
+			return nil, err
+		}
+		sp, ok := at[base]
+		if !ok || bit < 0 || bit >= sp.width || tag < 0 {
+			return nil, fmt.Errorf("chopper: tag %d names bit %q outside the kernel's operands", tag, name)
+		}
+		table[tag] = int32(sp.first + bit)
+	}
+	return table, nil
+}
 
 // tileEnginePool recycles timing engines across shards and across RunTiled
 // calls; Reconfigure reuses the scheduling slices when the unit count is
@@ -89,10 +213,11 @@ type TiledResult struct {
 // RunTiled executes the kernel over a dataset of any number of lanes: the
 // lanes are split into subarray-sized tiles, the tiles are placed across
 // channels and banks (one per bank, wrapping onto further subarrays), the
-// issue stream of each channel is produced by VIRCOE and replayed through
-// that channel's own timing engine, and every tile executes functionally
-// on the simulated device. Inputs and outputs use the wide (limb-slice per
-// lane) representation of RunWide.
+// issue order of each channel is produced by VIRCOE and streamed, command
+// by command, into that channel's own timing engine, and every tile
+// executes functionally on the simulated device. Inputs and outputs use
+// the wide (limb-slice per lane) representation of RunWide; the output
+// lanes of one operand share one backing array.
 //
 // This is the whole-dataset counterpart of RunWide and exercises the same
 // multi-subarray path the benchmark harness measures. The timing replay
@@ -148,104 +273,56 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 		return nil, guard.Check(guard.DimDRAMCommands, maxC, maxC+1)
 	}
 
-	// Transpose each tile of each input independently, tallying the bytes
-	// the host must scatter into the device (the vertical row data).
-	type tileKey struct {
-		name string
-		tile int
+	plan, err := k.tilePlan()
+	if err != nil {
+		return nil, err
 	}
-	tileRows := make(map[tileKey][][]uint64)
 	laneCount := func(tile int) int {
-		n := lanes - tile*tileLanes
-		if n > tileLanes {
-			n = tileLanes
-		}
-		return n
+		return min(lanes-tile*tileLanes, tileLanes)
 	}
-	var inBytes float64
-	for _, in := range k.Inputs {
-		vals := inputs[in.Name]
-		for tl := 0; tl < tiles; tl++ {
-			n := laneCount(tl)
-			seg := vals[tl*tileLanes : tl*tileLanes+n]
-			tileRows[tileKey{in.Name, tl}] = transpose.ToVerticalWide(seg, in.Width, n)
-			inBytes += float64(in.Width * transpose.Words(n) * 8)
-		}
+	// Bytes the host scatters into the device and gathers back (the
+	// vertical row data of every tile).
+	var inBytes, outBytes float64
+	for tl := 0; tl < tiles; tl++ {
+		w := transpose.Words(laneCount(tl))
+		inBytes += float64(plan.inRows * w * 8)
+		outBytes += float64(plan.outRows * w * 8)
 	}
-
-	// Tag lookup tables (mirrors hostIO, but per tile).
-	type bitRef struct {
-		base string
-		bit  int
-	}
-	inByTag := make(map[int]bitRef, len(k.inputTag))
-	for name, tag := range k.inputTag {
-		base, bit, err := splitBit(name)
-		if err != nil {
-			return nil, err
-		}
-		inByTag[tag] = bitRef{base, bit}
-	}
-	outByTag := make(map[int]bitRef, len(k.outputTag))
-	outRows := make(map[tileKey][][]uint64)
-	for name, tag := range k.outputTag {
-		base, bit, err := splitBit(name)
-		if err != nil {
-			return nil, err
-		}
-		outByTag[tag] = bitRef{base, bit}
-	}
-	var outBytes float64
-	for _, o := range k.Outputs {
-		for tl := 0; tl < tiles; tl++ {
-			rows := make([][]uint64, o.Width)
-			for b := range rows {
-				rows[b] = make([]uint64, transpose.Words(laneCount(tl)))
-			}
-			outRows[tileKey{o.Name, tl}] = rows
-			outBytes += float64(o.Width * transpose.Words(laneCount(tl)) * 8)
-		}
+	// Each output is one lane-header slice over one limb backing array;
+	// the tile workers carve their own lane ranges out of both.
+	outs := make([][][]uint64, len(k.Outputs))
+	outLimbs := make([][]uint64, len(k.Outputs))
+	for i, o := range k.Outputs {
+		outs[i] = make([][]uint64, lanes)
+		outLimbs[i] = make([]uint64, lanes*((o.Width+63)/64))
 	}
 
 	// Tiles are independent subarray programs: each runs the same micro-op
 	// sequence over its own rows, so their functional execution fans out
-	// across GOMAXPROCS workers. Tile tl touches only the tileRows/outRows
-	// entries keyed by tl (both maps are fully populated above, so workers
-	// only read the maps), which keeps the fan-out race-free and the
-	// gathered result identical at any worker count.
+	// across GOMAXPROCS workers. A worker owns its tile's lane range end to
+	// end — transpose in, execute, gather out straight into that range of
+	// the final outputs — and shares nothing writable with the other tiles,
+	// which keeps the fan-out race-free and the result identical at any
+	// worker count.
 	d := k.decodedProg()
-	if err := pool.RunCtx(ctx, 0, tiles, func(tl int) error {
+	runTile := func(tl int) error {
+		lo, n := tl*tileLanes, laneCount(tl)
 		ts := getTileScratch(geom.DRows(), tileLanes)
 		defer putTileScratch(ts)
-		// Constant-pattern rows for this tile are built once, not per
-		// WRITE (the simulator copies payloads, so sharing is safe).
-		var constRows map[int][]uint64
-		if len(k.constPattern) > 0 {
-			constRows = make(map[int][]uint64, len(k.constPattern))
-			n := laneCount(tl)
-			for tag, pat := range k.constPattern {
-				row := make([]uint64, transpose.Words(n))
-				for i := range row {
-					row[i] = pat
-				}
-				if r := n % 64; r != 0 {
-					row[len(row)-1] &= (uint64(1) << uint(r)) - 1
-				}
-				constRows[tag] = row
-			}
+		rows := ts.bind(plan, transpose.Words(n))
+		for _, in := range k.Inputs {
+			transpose.ToVerticalWideInto(rows, inputs[in.Name][lo:lo+n], in.Width, n)
+			rows = rows[in.Width:]
 		}
-		io := &sim.HostIO{
-			WriteData: func(tag int) []uint64 {
-				if ref, ok := inByTag[tag]; ok {
-					return tileRows[tileKey{ref.base, tl}][ref.bit]
-				}
-				return constRows[tag]
-			},
-			ReadSink: func(tag int, data []uint64) {
-				if ref, ok := outByTag[tag]; ok {
-					copy(outRows[tileKey{ref.base, tl}][ref.bit], data)
-				}
-			},
+		outRows, constRows := rows[:plan.outRows], rows[plan.outRows:]
+		for i, pat := range plan.consts {
+			row := constRows[i]
+			for w := range row {
+				row[w] = pat
+			}
+			if r := n % 64; r != 0 {
+				row[len(row)-1] &= (uint64(1) << uint(r)) - 1
+			}
 		}
 		for i := 0; i < d.Len(); i++ {
 			if i&255 == 0 {
@@ -253,92 +330,65 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 					return err
 				}
 			}
-			if err := ts.sub.ExecDecoded(d, i, io, ts.spill); err != nil {
+			if err := ts.sub.ExecDecoded(d, i, ts.io, ts.spill); err != nil {
 				return fmt.Errorf("chopper: tile %d op %d: %w", tl, i, err)
 			}
 		}
+		for i, o := range k.Outputs {
+			limbs := (o.Width + 63) / 64
+			transpose.FromVerticalWideInto(outs[i][lo:lo+n], outLimbs[i][lo*limbs:(lo+n)*limbs], outRows, o.Width, n)
+			outRows = outRows[o.Width:]
+		}
 		return nil
-	}); err != nil {
-		return nil, err
 	}
 
 	// The timing model is sharded by memory channel: tiles are dealt
 	// round-robin across the shards, each shard VIRCOE-orders its own
-	// tiles' issue stream and replays it through its own engine (channels
-	// have independent command/data buses, so makespan depends only on
-	// intra-channel issue order and bus contention). Shard results land in
-	// a slice indexed by shard and merge in fixed shard order, so the
-	// result is byte-identical at any worker count — and at Channels=1 the
-	// single shard is exactly the old serial replay.
-	mode := k.Opts.emitterMode()
+	// tiles' issue stream straight into its own engine (channels have
+	// independent command/data buses, so makespan depends only on
+	// intra-channel issue order and bus contention). At Channels=1 the
+	// single shard is exactly a serial replay of the whole stream.
 	timing := dram.TimingFor(k.Opts.Target, geom)
-	shards := channels
-	if shards > tiles {
-		shards = tiles
-	}
+	shards := min(channels, tiles)
 	type shardTiming struct {
-		makespan float64
-		eng      dram.EngineStats
-		emit     vircoe.Stats
+		eng  dram.EngineStats
+		emit vircoe.Stats
+		err  error
 	}
 	shardRes := make([]shardTiming, shards)
-	if err := pool.RunCtx(ctx, 0, shards, func(s int) error {
+
+	// Timing depends on the program and the placements, never on the data,
+	// so the shards join the tiles in one job set — shards first: on a
+	// one-channel device the serial emit+replay starts at once and rides
+	// under the tile fan-out. A shard's error lands in its slot instead of
+	// going to the pool (which skips indices above a failure), so a tile
+	// error outranks a shard error, lowest index first, at any worker count.
+	if err := pool.RunCtx(ctx, 0, shards+tiles, func(j int) error {
+		if j >= shards {
+			return runTile(j - shards)
+		}
 		count := tiles / shards
-		if s < tiles%shards {
+		if j < tiles%shards {
 			count++
 		}
-		pls, err := vircoe.Placements(geom, count)
-		if err != nil {
-			return err // unreachable: the capacity check above bounds count
-		}
-		stream, emitStats := vircoe.Emit(k.prog, pls, mode, timing)
-		eng := getTileEngine(geom, timing, k.Opts.SALP)
-		defer putTileEngine(eng)
-		ns, err := eng.RunCtx(ctx, stream, 0)
-		if err != nil {
-			return err
-		}
-		shardRes[s] = shardTiming{makespan: ns, eng: eng.Stats(), emit: emitStats}
+		r := &shardRes[j]
+		r.eng, r.emit, r.err = k.replayShard(ctx, count, timing)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-
-	var deviceNs float64
+	// Shard results merge in fixed shard order, so the float sums are
+	// byte-identical at any worker count.
 	var engStats dram.EngineStats
 	var emitStats vircoe.Stats
 	for s := range shardRes {
-		r := &shardRes[s]
-		if r.makespan > deviceNs {
-			deviceNs = r.makespan
+		if err := shardRes[s].err; err != nil {
+			return nil, err
 		}
-		engStats.Ops += r.eng.Ops
-		engStats.Transfers += r.eng.Transfers
-		engStats.ComputeNs += r.eng.ComputeNs
-		engStats.TransferNs += r.eng.TransferNs
-		engStats.SSDNs += r.eng.SSDNs
-		engStats.BusBusyNs += r.eng.BusBusyNs
-		engStats.SpillIns += r.eng.SpillIns
-		engStats.SpillOuts += r.eng.SpillOuts
-		engStats.EnergyPJ += r.eng.EnergyPJ
-		engStats.UnitBusySum += r.eng.UnitBusySum
-		engStats.DistinctUnit += r.eng.DistinctUnit
-		engStats.StallNs += r.eng.StallNs
-		if r.eng.MakespanNs > engStats.MakespanNs {
-			engStats.MakespanNs = r.eng.MakespanNs
-		}
-		if r.eng.MaxUnitBusy > engStats.MaxUnitBusy {
-			engStats.MaxUnitBusy = r.eng.MaxUnitBusy
-		}
-		emitStats.Ops += r.emit.Ops
-		emitStats.Transfers += r.emit.Transfers
-		emitStats.Subarrays += r.emit.Subarrays
-		emitStats.Interleave += r.emit.Interleave
-		emitStats.BusBusyNs += r.emit.BusBusyNs
-		if r.emit.SpanNs > emitStats.SpanNs {
-			emitStats.SpanNs = r.emit.SpanNs
-		}
+		engStats.Merge(shardRes[s].eng)
+		emitStats.Merge(shardRes[s].emit)
 	}
+	deviceNs := engStats.MakespanNs
 
 	// Host-transfer accounting: one scatter DMA moves every input tile in,
 	// one gather DMA moves every output tile out, each at the aggregate
@@ -362,7 +412,6 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 	}
 	transferNs := scatterNs + gatherNs
 
-	// Gather tiles back into lane order.
 	res := &TiledResult{
 		Outputs:    make(map[string][][]uint64, len(k.Outputs)),
 		TimeNs:     deviceNs,
@@ -374,13 +423,37 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 		Stats:      engStats,
 		Emit:       emitStats,
 	}
-	for _, o := range k.Outputs {
-		all := make([][]uint64, 0, lanes)
-		for tl := 0; tl < tiles; tl++ {
-			n := laneCount(tl)
-			all = append(all, transpose.FromVerticalWide(outRows[tileKey{o.Name, tl}], o.Width, n)...)
-		}
-		res.Outputs[o.Name] = all
+	for i, o := range k.Outputs {
+		res.Outputs[o.Name] = outs[i]
 	}
 	return res, nil
+}
+
+// replayShard computes the timing of one channel shard of `count` tiles:
+// VIRCOE emits the shard's issue order one command at a time straight into
+// a pooled engine, so the stream is never materialized. ctx is observed
+// every 256 commands, as Engine.RunCtx does, and a stop ends the emission.
+func (k *Kernel) replayShard(ctx context.Context, count int, timing dram.Timing) (dram.EngineStats, vircoe.Stats, error) {
+	geom := k.Opts.Geometry
+	pls, err := vircoe.Placements(geom, count)
+	if err != nil {
+		return dram.EngineStats{}, vircoe.Stats{}, err // unreachable: RunTiledCtx bounds count by the capacity
+	}
+	eng := getTileEngine(geom, timing, k.Opts.SALP)
+	defer putTileEngine(eng)
+	issued := 0
+	emit := vircoe.EmitTo(k.prog, pls, k.Opts.emitterMode(), timing, func(bank, sub int, op *isa.Op) bool {
+		if issued&255 == 0 {
+			if err = guard.Ctx(ctx); err != nil {
+				return false
+			}
+		}
+		issued++
+		eng.IssueOp(bank, sub, op.Kind, op.Imm)
+		return true
+	})
+	if err == nil {
+		err = guard.Ctx(ctx)
+	}
+	return eng.Stats(), emit, err
 }

@@ -173,7 +173,11 @@ func TestRunTiledGoldenSerialEquivalence(t *testing.T) {
 // TestDeterminismRunTiledSharded repeats a Channels=4 tiled run and
 // requires the full result — outputs, device/transfer/end-to-end times,
 // merged engine and emitter stats — to be byte-identical, at any worker
-// count (the CI race job reruns this under -cpu 1,4).
+// count (the CI race job reruns this under -cpu 1,4). The timing shards
+// run in the same job set as the functional tiles, so the test also pins
+// the merged timing to an oracle that involves no pool at all: each
+// shard's stream materialized by vircoe.Emit, replayed by Engine.RunCtx,
+// merged in shard order.
 func TestDeterminismRunTiledSharded(t *testing.T) {
 	src := "node main(a: u8, b: u8) returns (z: u8, c: u1) let z = a + b; c = a < b; tel"
 	k, err := Compile(src, Options{Target: Ambit, Geometry: shardGeom(4), SALP: true})
@@ -209,6 +213,40 @@ func TestDeterminismRunTiledSharded(t *testing.T) {
 	}
 	if r1.EndToEndNs != r1.TimeNs+r1.TransferNs-r1.OverlapNs {
 		t.Fatalf("end-to-end identity broken: %+v", r1)
+	}
+
+	geom := k.Opts.Geometry
+	timing := dram.TimingFor(Ambit, geom)
+	var wantEng dram.EngineStats
+	var wantEmit vircoe.Stats
+	for s := 0; s < 4; s++ {
+		count := r1.Tiles / 4
+		if s < r1.Tiles%4 {
+			count++
+		}
+		pls, err := vircoe.Placements(geom, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, emitStats := vircoe.Emit(k.prog, pls, vircoe.SubarrayAware, timing)
+		eng := dram.NewEngine(geom, timing, true)
+		if _, err := eng.RunCtx(nil, stream, 0); err != nil {
+			t.Fatal(err)
+		}
+		wantEng.Merge(eng.Stats())
+		wantEmit.Merge(emitStats)
+	}
+	for i := 0; i < 8; i++ {
+		r, err := k.RunTiled(in, lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Stats != wantEng || r.Emit != wantEmit || r.TimeNs != wantEng.MakespanNs {
+			t.Fatalf("run %d: overlapped timing diverged from the serial oracle:\n got %+v %+v\nwant %+v %+v", i, r.Stats, r.Emit, wantEng, wantEmit)
+		}
+		if !reflect.DeepEqual(r.Outputs, r1.Outputs) {
+			t.Fatalf("run %d: outputs diverged", i)
+		}
 	}
 }
 
