@@ -198,6 +198,25 @@ func BenchmarkCompileWorkload(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileCold48 is one cycle of the repo benchmark's compile_cold
+// workload per iteration: the 16 Table-II kernels on all three targets,
+// from source, OptFull, no kernel cache. Profile it with -cpuprofile to
+// see where a cold compile's host time goes.
+func BenchmarkCompileCold48(b *testing.B) {
+	specs := workloads.All()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range specs {
+			for _, arch := range isa.AllArchs {
+				if _, _, err := chopper.CompileCtxCached(nil, s.Src, chopper.Options{Target: arch}); err != nil {
+					b.Fatalf("%s/%v: %v", s.Name, arch, err)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkScheduleGates(b *testing.B) {
 	prog, _ := dsl.Parse(benchKernel)
 	ch, _ := typecheck.Check(prog)

@@ -19,7 +19,9 @@ package chopper
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,7 +39,6 @@ import (
 	"chopper/internal/logic"
 	"chopper/internal/narrow"
 	"chopper/internal/obs"
-	"chopper/internal/pool"
 	"chopper/internal/sim"
 	"chopper/internal/transpose"
 	"chopper/internal/typecheck"
@@ -388,13 +389,57 @@ func getMachine(cfg sim.MachineConfig) *sim.Machine {
 
 func putMachine(m *sim.Machine) { machinePool.Put(m) }
 
-// compilePool recycles the code generator's per-compile scratch arena
-// (location tables, CSR use/output indices, the row-allocator free list)
-// across compiles, the same way machinePool recycles simulators. The
-// scratch is reset by Generate on checkout, so no state leaks between
-// kernels; it is returned to the pool only after the last pass that
-// reads it has finished.
-var compilePool = sync.Pool{New: func() any { return new(codegen.Scratch) }}
+// workspace is everything one back-end compile keeps between passes and
+// can hand to the next compile: the logic builder with its interning table
+// and gate buffers, the net-rewrite id maps, the scheduler's tables, and
+// codegen's per-node tables and op staging buffer. Every pass resets what
+// it uses on entry, so a workspace abandoned mid-compile (error, panic,
+// cancellation) is as good as a fresh one.
+type workspace struct {
+	logic logic.Scratch
+	code  codegen.Scratch
+}
+
+// workspaces is the compile path's one free list. Unlike a sync.Pool it
+// survives garbage collection — a cold compile's own garbage triggers
+// dozens of GCs, and a pool emptied by each of them re-grows every table
+// it was meant to keep. Retention is bounded instead by two constants: at
+// most GOMAXPROCS workspaces are kept (more compiles than processors
+// cannot run at once), and one that has grown past workspaceMaxBytes is
+// dropped rather than kept, so a single giant kernel does not pin its
+// tables for the life of the process.
+var workspaces struct {
+	sync.Mutex
+	free []*workspace
+}
+
+// workspaceMaxBytes is about twice what the largest Table-II kernel
+// (WTC-512: 175k gates, 617k micro-ops, 63 MB of tables and staging)
+// leaves behind.
+const workspaceMaxBytes = 128 << 20
+
+func getWorkspace() *workspace {
+	workspaces.Lock()
+	defer workspaces.Unlock()
+	if n := len(workspaces.free); n > 0 {
+		ws := workspaces.free[n-1]
+		workspaces.free[n-1] = nil
+		workspaces.free = workspaces.free[:n-1]
+		return ws
+	}
+	return new(workspace)
+}
+
+func putWorkspace(ws *workspace) {
+	if ws.logic.Bytes()+ws.code.Bytes() > workspaceMaxBytes {
+		return
+	}
+	workspaces.Lock()
+	defer workspaces.Unlock()
+	if len(workspaces.free) < runtime.GOMAXPROCS(0) {
+		workspaces.free = append(workspaces.free, ws)
+	}
+}
 
 // Prog returns the compiled micro-op program.
 func (k *Kernel) Prog() *isa.Program { return k.prog }
@@ -500,9 +545,11 @@ func compileGraph(ctx context.Context, prog *dsl.Program, entry string, graph *d
 		}
 	}
 
+	ws := getWorkspace()
+	defer putWorkspace(ws)
 	report := &DegradationReport{Requested: opt}
 	for lv := opt; ; lv-- {
-		k, err := compileGraphAt(ctx, prog, graph, lower, opts, lv)
+		k, err := compileGraphAt(ctx, ws, prog, graph, lower, opts, lv)
 		if err == nil {
 			report.Effective = lv
 			if report.Degraded() {
@@ -527,28 +574,24 @@ func compileGraph(ctx context.Context, prog *dsl.Program, entry string, graph *d
 }
 
 // compileGraphAt runs the back-end pipeline at one fixed optimization
-// level, with every pass under panic isolation and a structural self-check
-// after each one. Pass panics and check failures come back as *passFailure
-// for the ladder in compileGraph; budget and cancellation checkpoints
-// surface guard errors directly.
+// level on ws, with every pass under panic isolation and one structural
+// self-check per pass boundary. Pass panics and check failures come back
+// as *passFailure for the ladder in compileGraph; budget and cancellation
+// checkpoints surface guard errors directly.
 // graph is the kernel's interface and golden reference; lower is the
 // graph actually lowered (the narrowed graph when precision inference ran,
 // otherwise graph itself).
-func compileGraphAt(ctx context.Context, prog *dsl.Program, graph, lower *dfg.Graph, opts Options, opt OptLevel) (*Kernel, error) {
+func compileGraphAt(ctx context.Context, ws *workspace, prog *dsl.Program, graph, lower *dfg.Graph, opts Options, opt OptLevel) (*Kernel, error) {
 	b := opts.Budget
 
-	// Parallel bit-slicing of independent equations. Kept serial when a
-	// kernel cache absorbs repeat compiles anyway, or when budgets are
-	// set: the guard checkpoints then observe exactly the serial pass
-	// sequence, so truncation points stay reproducible.
-	workers := 1
-	if opts.Cache == nil && b == (Budget{}) {
-		workers = pool.Size(0)
-	}
-
+	// The bit-sliced net lives in the workspace until it is legalized;
+	// bitslice.LowerOn validates it before sweeping it.
 	var net *logic.Net
 	if err := protect("bitslice", func() error {
-		n, err := bitslice.Lower(lower, bitslice.Options{Fold: opt.HasReuse(), Workers: workers})
+		n, err := bitslice.LowerOn(&ws.logic, lower, bitslice.Options{Fold: opt.HasReuse()})
+		if errors.Is(err, bitslice.ErrInvalidNet) {
+			return checkFailure("bitslice", err)
+		}
 		if err != nil {
 			return stage(ErrCodegen, "chopper: bitslice", err)
 		}
@@ -560,29 +603,33 @@ func compileGraphAt(ctx context.Context, prog *dsl.Program, graph, lower *dfg.Gr
 	if err := guard.Check(guard.DimNetGates, b.MaxNetGates, len(net.Gates)); err != nil {
 		return nil, err
 	}
-	if err := net.Validate(); err != nil {
-		return nil, checkFailure("bitslice", err)
-	}
 	if err := guard.Ctx(ctx); err != nil {
 		return nil, err
 	}
 
+	// The legalized net is the kernel's: DCE copies it out of the
+	// workspace at its exact size.
 	var leg *logic.Net
 	if err := protect("legalize", func() error {
-		l, err := logic.Legalize(net, opts.Target, logic.BuilderOptions{Fold: opt.HasReuse(), CSE: true})
+		l, err := ws.logic.Legalize(net, opts.Target, logic.BuilderOptions{Fold: opt.HasReuse(), CSE: true})
 		if err != nil {
 			return stage(ErrCodegen, "chopper: legalize", err)
 		}
-		leg = l.DCE()
+		leg = ws.logic.DCE(l)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
+	if err := leg.Validate(); err != nil {
+		return nil, checkFailure("legalize", err)
+	}
 	if opts.Harden {
+		// TMR checks its input's gate set and validates the net it builds;
+		// either failing is a pass's fault, not the program's.
 		if err := protect("harden", func() error {
-			h, err := logic.TMR(leg, logic.NativeGates(opts.Target))
+			h, err := ws.logic.TMR(leg, logic.NativeGates(opts.Target))
 			if err != nil {
-				return stage(ErrCodegen, "chopper: harden", err)
+				return checkFailure("harden", err)
 			}
 			leg = h
 			return nil
@@ -593,16 +640,14 @@ func compileGraphAt(ctx context.Context, prog *dsl.Program, graph, lower *dfg.Gr
 	if err := guard.Check(guard.DimNetGates, b.MaxNetGates, len(leg.Gates)); err != nil {
 		return nil, err
 	}
-	if err := leg.Validate(); err != nil {
-		return nil, checkFailure("legalize", err)
-	}
 	if err := guard.Ctx(ctx); err != nil {
 		return nil, err
 	}
 
+	// codegen.Generate validates the program it stages (isa.Program.Validate
+	// as the inter-pass invariant): a structurally broken program from a
+	// buggy pass degrades instead of shipping.
 	var code *codegen.Result
-	scratch := compilePool.Get().(*codegen.Scratch)
-	defer compilePool.Put(scratch)
 	if err := protect("codegen", func() error {
 		c, err := codegen.Generate(leg, codegen.Options{
 			Arch:    opts.Target,
@@ -610,11 +655,14 @@ func compileGraphAt(ctx context.Context, prog *dsl.Program, graph, lower *dfg.Gr
 			DRows:   opts.Geometry.DRows(),
 			MaxOps:  b.MaxMicroOps,
 			Ctx:     ctx,
-			Scratch: scratch,
+			Scratch: &ws.code,
 		})
 		if err != nil {
 			if guard.IsGuard(err) {
 				return err
+			}
+			if errors.Is(err, codegen.ErrInvalidProgram) {
+				return checkFailure("codegen", err)
 			}
 			return stage(ErrCodegen, "chopper: codegen", err)
 		}
@@ -622,11 +670,6 @@ func compileGraphAt(ctx context.Context, prog *dsl.Program, graph, lower *dfg.Gr
 		return nil
 	}); err != nil {
 		return nil, err
-	}
-	// isa.Program.Validate as the inter-pass invariant: a structurally
-	// broken program from a buggy pass degrades instead of shipping.
-	if err := code.Prog.Validate(opts.Geometry.DRows()); err != nil {
-		return nil, checkFailure("codegen", err)
 	}
 
 	k := &Kernel{

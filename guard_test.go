@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"chopper/internal/codegen"
+	"chopper/internal/isa"
 	"chopper/internal/obs"
 )
 
@@ -278,6 +280,45 @@ func TestDegradationLadderOnPassPanic(t *testing.T) {
 		}
 	}
 	// The degraded kernel still computes.
+	out, err := k.Run(map[string][]uint64{"a": {3, 200}, "b": {4, 100}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out["s"][0] != 7 || out["s"][1] != (200+100)&0xff {
+		t.Fatalf("degraded kernel miscomputed: %v", out["s"])
+	}
+}
+
+// A pass that returns a structurally broken program is treated like one
+// that panicked: the single isa.Program.Validate at the codegen boundary
+// fails, the failure is classed as a check failure (not an input error),
+// and the ladder retries one level down — here only the OptFull program is
+// broken, so the kernel compiles at OptReuse and still computes.
+func TestDegradationLadderOnBrokenProgram(t *testing.T) {
+	codegen.TestBreakHook = func(v obs.Variant, prog *isa.Program) {
+		if v.HasRename() {
+			prog.Ops[0].Kind = isa.OpKind(99)
+		}
+	}
+	defer func() { codegen.TestBreakHook = nil }()
+
+	k, err := Compile(guardAdderSrc, Options{})
+	if err != nil {
+		t.Fatalf("compile failed instead of degrading: %v", err)
+	}
+	r := k.Degradation
+	if !r.Degraded() || r.Requested != OptFull || r.Effective != OptReuse {
+		t.Fatalf("degradation report %+v, want %v -> %v", r, OptFull, OptReuse)
+	}
+	if len(r.Events) != 1 || r.Events[0].Opt != OptFull || r.Events[0].Stage != "codegen-check" {
+		t.Fatalf("degradation events %+v, want one codegen-check at %v", r.Events, OptFull)
+	}
+	if !strings.Contains(r.Events[0].Reason, "unknown kind 99") {
+		t.Fatalf("event reason %q does not carry the validation failure", r.Events[0].Reason)
+	}
+	if err := k.Prog().Validate(k.Opts.Geometry.DRows()); err != nil {
+		t.Fatalf("degraded kernel ships an invalid program: %v", err)
+	}
 	out, err := k.Run(map[string][]uint64{"a": {3, 200}, "b": {4, 100}}, 2)
 	if err != nil {
 		t.Fatal(err)

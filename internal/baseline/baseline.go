@@ -208,6 +208,7 @@ func Generate(g *dfg.Graph, opts Options) (*Result, error) {
 		}
 	}
 	constWritten := make([]bool, len(g.Values))
+	var ws opScratch
 
 	// Operations in program order; constant rows are CPU-written right
 	// before the first operation consuming them.
@@ -230,7 +231,7 @@ func Generate(g *dfg.Graph, opts Options) (*Result, error) {
 				return nil, err
 			}
 		default:
-			ns, err := emitOp(prog, g, i, locs, opts, poolRows, scratch, nextSlot, st)
+			ns, err := emitOp(&ws, prog, g, i, locs, opts, poolRows, scratch, nextSlot, st)
 			if err != nil {
 				return nil, err
 			}
@@ -307,12 +308,19 @@ func emitRewire(prog *isa.Program, g *dfg.Graph, vi int, locs []valueLoc, stage 
 	return nil
 }
 
+// opScratch is the working storage emitOp's passes reuse from one
+// operation of a Generate call to the next.
+type opScratch struct {
+	logic logic.Scratch
+	code  codegen.Scratch
+}
+
 // emitOp expands one multi-bit operation into its hand-quality micro-op
 // routine by synthesizing the operation's logic net in isolation (operands
 // opaque, so no cross-operand or constant folding — the multi-bit
 // granularity barrier) and generating code with the operands bound to their
 // full-width rows.
-func emitOp(prog *isa.Program, g *dfg.Graph, vi int, locs []valueLoc, opts Options, poolRows, scratch, slotBase int, st *Stats) (int, error) {
+func emitOp(ws *opScratch, prog *isa.Program, g *dfg.Graph, vi int, locs []valueLoc, opts Options, poolRows, scratch, slotBase int, st *Stats) (int, error) {
 	v := &g.Values[vi]
 
 	// Build the single-op graph.
@@ -338,15 +346,15 @@ func emitOp(prog *isa.Program, g *dfg.Graph, vi int, locs []valueLoc, opts Optio
 		return 0, fmt.Errorf("baseline: op %d (%s): %w", vi, v.Kind, err)
 	}
 
-	net, err := bitslice.Lower(sub, bitslice.Options{Fold: true})
+	net, err := bitslice.LowerOn(&ws.logic, sub, bitslice.Options{Fold: true})
 	if err != nil {
 		return 0, err
 	}
-	leg, err := logic.Legalize(net, opts.Arch, logic.BuilderOptions{Fold: true, CSE: true})
+	leg, err := ws.logic.Legalize(net, opts.Arch, logic.BuilderOptions{Fold: true, CSE: true})
 	if err != nil {
 		return 0, err
 	}
-	leg = leg.DCE()
+	leg = ws.logic.DCETemp(leg)
 
 	extOut := make(map[string]codegen.ExtLoc, v.Width)
 	for b := 0; b < v.Width; b++ {
@@ -360,6 +368,7 @@ func emitOp(prog *isa.Program, g *dfg.Graph, vi int, locs []valueLoc, opts Optio
 		SlotBase: slotBase,
 		ExtIn:    extIn,
 		ExtOut:   extOut,
+		Scratch:  &ws.code,
 	})
 	if err != nil {
 		return 0, fmt.Errorf("baseline: op %d (%s): %w", vi, v.Kind, err)

@@ -275,7 +275,7 @@ tel`)
 	firstConstWrite, firstAP := -1, -1
 	for i, op := range res.Prog.Ops {
 		switch {
-		case op.Kind == isa.OpWrite && constTags[op.Tag] && firstConstWrite < 0:
+		case op.Kind == isa.OpWrite && constTags[int(op.Tag)] && firstConstWrite < 0:
 			firstConstWrite = i
 		case op.Kind == isa.OpAP && firstAP < 0:
 			firstAP = i

@@ -261,7 +261,7 @@ func residentProgram(p *isa.Program, constTags map[int]bool) *isa.Program {
 	for i, op := range p.Ops {
 		switch op.Kind {
 		case isa.OpWrite:
-			if !constTags[op.Tag] {
+			if !constTags[int(op.Tag)] {
 				op = isa.NewAAP(isa.C0, op.Dst[0])
 			}
 		case isa.OpRead:

@@ -11,12 +11,12 @@
 package bitslice
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 
 	"chopper/internal/dfg"
 	"chopper/internal/logic"
-	"chopper/internal/pool"
 )
 
 // Options configure the lowering.
@@ -25,36 +25,54 @@ type Options struct {
 	// builder-side half of OBS-2). Off in the CHOPPER-bitslice baseline
 	// variant.
 	Fold bool
-	// Workers > 1 enables parallel lowering: connected components of the
-	// dataflow graph (equations sharing no intermediate value) are
-	// bit-sliced concurrently on private builders, then merged in global
-	// value order, reproducing the serial net byte for byte. Graphs with a
-	// single component, and any worker failure, fall back to the serial
-	// path. 0 and 1 mean serial.
+	// Workers is accepted and ignored: lowering is serial. The field
+	// remains only because the repo benchmark's staged mirror
+	// (benchmark/staged.go) sets it and a change that claims a gain may not
+	// edit the benchmark; the next benchmark-only change should drop the
+	// assignment, and this field with it.
 	Workers int
 }
+
+// ErrInvalidNet marks a Lower failure that is the lowering's own fault:
+// the net it built failed logic.Net.Validate. Callers with a fallback
+// pipeline treat it as a failed self-check, not as a bad input.
+var ErrInvalidNet = errors.New("bitslice: lowered net failed validation")
 
 // Lower converts a dataflow graph into a logic net. Input value "x" of
 // width W produces net inputs "x[0].."x[W-1]"; outputs likewise.
 func Lower(g *dfg.Graph, opts Options) (*logic.Net, error) {
-	if opts.Workers > 1 {
-		if n, ok := lowerParallel(g, opts); ok {
-			return n, nil
-		}
-	}
-	return lowerSerial(g, opts)
+	return LowerOn(new(logic.Scratch), g, opts)
 }
 
-func lowerSerial(g *dfg.Graph, opts Options) (*logic.Net, error) {
-	b := logic.AcquireBuilder(logic.BuilderOptions{Fold: opts.Fold, CSE: true})
-	defer b.Release()
+// LowerOn is Lower on a caller-kept scratch. The result lives in the
+// scratch (logic.Scratch.DCETemp): it is valid until the scratch sweeps
+// another temporary net, which is long enough to legalize it.
+func LowerOn(s *logic.Scratch, g *dfg.Graph, opts Options) (*logic.Net, error) {
+	b := s.Builder(logic.BuilderOptions{Fold: opts.Fold, CSE: true})
+	// Size the interning table to the net about to be built. The Table-II
+	// kernels build 0.8 to 3.1 gates per bit of value width; at 3/2 the
+	// table lands between a quarter and three fifths full on all of them
+	// with no rehash, and a multiplier-heavy graph that outgrows the
+	// estimate rehashes in place.
+	bitsTotal := 0
+	for i := range g.Values {
+		bitsTotal += g.Values[i].Width
+	}
+	b.Grow(bitsTotal * 3 / 2)
 	words := make([]logic.Word, len(g.Values))
 	for i := range g.Values {
 		if err := synthValue(b, g, words, i); err != nil {
 			return nil, err
 		}
 	}
-	return finishNet(b, g, words)
+	for i, o := range g.Outputs {
+		b.OutputWord(g.OutputNames[i], words[o])
+	}
+	n := b.Net()
+	if err := n.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidNet, err)
+	}
+	return s.DCETemp(n), nil
 }
 
 // synthValue lowers value i into gates, leaving its bit vector in
@@ -158,254 +176,10 @@ func synthValue(b *logic.Builder, g *dfg.Graph, words []logic.Word, i int) error
 	return nil
 }
 
-// finishNet registers the outputs and finalizes the builder's net.
-func finishNet(b *logic.Builder, g *dfg.Graph, words []logic.Word) (*logic.Net, error) {
-	for i, o := range g.Outputs {
-		b.OutputWord(g.OutputNames[i], words[o])
-	}
-	n := b.Net()
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	return n.DCE(), nil
-}
-
 func constWord(b *logic.Builder, v *big.Int, w int) logic.Word {
 	word := make(logic.Word, w)
 	for i := 0; i < w; i++ {
 		word[i] = b.Const(v.Bit(i) == 1)
 	}
 	return word
-}
-
-// --- Parallel lowering ---------------------------------------------------
-//
-// Independent equations (connected components of the dataflow graph when
-// inputs and constants are treated as freely shared) can be bit-sliced
-// concurrently: each worker lowers its components on a private builder,
-// recording per-value spans of the gates it created; the merge then
-// replays every span in global value order into one builder, remapping
-// private ids to global ids and re-applying id-order normalization and
-// structural hashing (logic.Builder.Replay). Because the builder's
-// folding and CSE decisions depend only on the set identity of a gate's
-// arguments — never on id order, which the replay re-derives — the merged
-// net is byte-for-byte the net the serial path builds.
-
-// workerOut is one worker's private lowering of its components.
-type workerOut struct {
-	net   *logic.Net
-	words []logic.Word
-	spans [][2]int32 // per value: private gate range created for it
-}
-
-// components partitions computation values into connected components,
-// treating inputs and constants as shared (they never join equations).
-// It returns the per-value component root (-1 for shared values) and the
-// number of components.
-func components(g *dfg.Graph) (root []int32, n int) {
-	parent := make([]int32, len(g.Values))
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	shared := func(id dfg.ValueID) bool {
-		k := g.Values[id].Kind
-		return k == dfg.OpInput || k == dfg.OpConst
-	}
-	for i := range g.Values {
-		v := &g.Values[i]
-		if shared(dfg.ValueID(i)) {
-			continue
-		}
-		for _, a := range v.Args {
-			if !shared(a) {
-				parent[find(int32(i))] = find(int32(a))
-			}
-		}
-	}
-	root = make([]int32, len(g.Values))
-	for i := range g.Values {
-		if shared(dfg.ValueID(i)) {
-			root[i] = -1
-			continue
-		}
-		r := find(int32(i))
-		root[i] = r
-		if int(r) == i {
-			n++
-		}
-	}
-	return root, n
-}
-
-// lowerParallel attempts the parallel path; ok=false means the caller
-// should lower serially (single component, or a worker failed — the
-// serial path then reproduces any error deterministically).
-func lowerParallel(g *dfg.Graph, opts Options) (*logic.Net, bool) {
-	root, ncomps := components(g)
-	if ncomps < 2 {
-		return nil, false
-	}
-	workers := pool.Size(opts.Workers)
-	if workers > ncomps {
-		workers = ncomps
-	}
-	// Deal components to workers round-robin in first-appearance order.
-	owner := make([]int16, len(g.Values))
-	compOwner := make(map[int32]int16, ncomps)
-	next := int16(0)
-	for i := range g.Values {
-		r := root[i]
-		if r < 0 {
-			owner[i] = -1
-			continue
-		}
-		w, ok := compOwner[r]
-		if !ok {
-			w = next
-			compOwner[r] = w
-			next = (next + 1) % int16(workers)
-		}
-		owner[i] = w
-	}
-
-	results := make([]workerOut, workers)
-	err := pool.Run(workers, workers, func(w int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("bitslice: worker %d: %v", w, r)
-			}
-		}()
-		return lowerWorker(g, opts, owner, int16(w), &results[w])
-	})
-	if err != nil {
-		return nil, false
-	}
-	n, merr := mergeWorkers(g, opts, owner, results)
-	if merr != nil {
-		return nil, false
-	}
-	return n, true
-}
-
-// lowerWorker bit-slices the values owned by worker w on a private
-// builder. Shared inputs and constants are materialized privately (their
-// ids are remapped at merge time); values of other components are
-// skipped.
-func lowerWorker(g *dfg.Graph, opts Options, owner []int16, w int16, out *workerOut) error {
-	b := logic.AcquireBuilder(logic.BuilderOptions{Fold: opts.Fold, CSE: true})
-	defer b.Release()
-	words := make([]logic.Word, len(g.Values))
-	spans := make([][2]int32, len(g.Values))
-	for i := range g.Values {
-		switch {
-		case owner[i] == -1:
-			// Shared input/constant: materialize a private copy.
-			if err := synthValue(b, g, words, i); err != nil {
-				return err
-			}
-		case owner[i] == w:
-			start := int32(b.GateCount())
-			if err := synthValue(b, g, words, i); err != nil {
-				return err
-			}
-			spans[i] = [2]int32{start, int32(b.GateCount())}
-		}
-	}
-	out.net = b.Net()
-	out.words = words
-	out.spans = spans
-	return nil
-}
-
-// mergeWorkers replays every worker's spans in global value order into
-// one builder, producing the same net the serial path builds.
-func mergeWorkers(g *dfg.Graph, opts Options, owner []int16, results []workerOut) (*logic.Net, error) {
-	b := logic.AcquireBuilder(logic.BuilderOptions{Fold: opts.Fold, CSE: true})
-	defer b.Release()
-	total := 0
-	for i := range results {
-		total += len(results[i].net.Gates)
-	}
-	b.Grow(total)
-
-	// ptg[w][privateID] is worker w's node in the merged id space.
-	ptg := make([][]logic.NodeID, len(results))
-	for w := range results {
-		m := make([]logic.NodeID, len(results[w].net.Gates))
-		for i := range m {
-			m[i] = logic.None
-		}
-		ptg[w] = m
-	}
-	// mapShared records a shared value's global word into every worker's
-	// remap table (each worker holds its own private copy).
-	mapShared := func(i int, word logic.Word) {
-		for w := range results {
-			pw := results[w].words[i]
-			for k, pid := range pw {
-				ptg[w][pid] = word[k]
-			}
-		}
-	}
-
-	words := make([]logic.Word, len(g.Values))
-	for i := range g.Values {
-		v := &g.Values[i]
-		switch v.Kind {
-		case dfg.OpInput:
-			words[i] = b.InputWord(v.Name, v.Width)
-			mapShared(i, words[i])
-		case dfg.OpConst:
-			words[i] = constWord(b, v.Imm, v.Width)
-			mapShared(i, words[i])
-		default:
-			w := owner[i]
-			r := &results[w]
-			remap := ptg[w]
-			sp := r.spans[i]
-			for k := sp[0]; k < sp[1]; k++ {
-				pg := &r.net.Gates[k]
-				var gid logic.NodeID
-				switch pg.Kind {
-				case logic.GConst0:
-					gid = b.Const(false)
-				case logic.GConst1:
-					gid = b.Const(true)
-				case logic.GInput:
-					return nil, fmt.Errorf("bitslice: input gate inside replay span")
-				default:
-					var args [3]logic.NodeID
-					args[0], args[1], args[2] = logic.None, logic.None, logic.None
-					for a := 0; a < pg.Kind.Arity(); a++ {
-						m := remap[pg.Args[a]]
-						if m == logic.None {
-							return nil, fmt.Errorf("bitslice: unmapped arg in replay of value %d", i)
-						}
-						args[a] = m
-					}
-					gid = b.Replay(pg.Kind, args)
-				}
-				remap[k] = gid
-			}
-			pw := r.words[i]
-			word := make(logic.Word, len(pw))
-			for k, pid := range pw {
-				m := remap[pid]
-				if m == logic.None {
-					return nil, fmt.Errorf("bitslice: unmapped word bit of value %d", i)
-				}
-				word[k] = m
-			}
-			words[i] = word
-		}
-	}
-	return finishNet(b, g, words)
 }

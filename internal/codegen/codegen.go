@@ -22,7 +22,10 @@ package codegen
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"chopper/internal/alloc"
 	"chopper/internal/guard"
@@ -70,8 +73,9 @@ type Options struct {
 }
 
 // Scratch is codegen's per-compile working storage: every per-node table
-// the emitter walks, in dense reusable slices. A zero Scratch is valid;
-// capacity grows to the largest net it has compiled.
+// the emitter walks, the scheduler's tables, and the buffers the op stream
+// and its epoch marks are staged in, all in dense reusable slices. A zero
+// Scratch is valid; capacity grows to the largest net it has compiled.
 type Scratch struct {
 	loc      []location
 	useOff   []int // CSR offsets into useBuf, len = gates+1
@@ -90,6 +94,26 @@ type Scratch struct {
 	resList  []logic.NodeID // nodes resident in D rows, dense iteration
 	resPos   []int          // index into resList, -1 = not resident
 	pool     alloc.RowPool
+	sched    obs.Scratch
+	// ops and marks stage the program being emitted; the Result carries
+	// exact-length copies, so neither a kernel nor a kernel cache holds
+	// the staging capacity.
+	ops   []isa.Op
+	marks []int
+}
+
+// Bytes is the storage the scratch retains, for a workspace's size
+// ceiling.
+func (s *Scratch) Bytes() int {
+	const word = int(unsafe.Sizeof(int(0)))
+	ints := cap(s.useOff) + cap(s.useBuf) + cap(s.useIdx) + cap(s.cur) + cap(s.nodeTag) +
+		cap(s.constTag) + cap(s.slotOf) + cap(s.outOff) + cap(s.outBuf) + cap(s.resPos) + cap(s.marks)
+	bools := cap(s.isConst) + cap(s.isInput) + cap(s.external) + cap(s.outDone)
+	return ints*word + bools +
+		cap(s.loc)*int(unsafe.Sizeof(location{})) +
+		cap(s.resList)*int(unsafe.Sizeof(logic.NodeID(0))) +
+		cap(s.ops)*int(unsafe.Sizeof(isa.Op{})) +
+		s.sched.Bytes()
 }
 
 // prepare sizes and clears the scratch for a net with gates nodes and
@@ -248,7 +272,20 @@ func (e *emitter) setLoc(n logic.NodeID, l location) {
 	e.s.loc[n] = l
 }
 
-// Generate compiles the net into a single-subarray program.
+// ErrInvalidProgram marks a Generate failure that is the generator's own
+// fault: the program it emitted failed isa.Program.Validate. Callers with
+// a fallback pipeline treat it as a failed self-check, not as a bad input.
+var ErrInvalidProgram = errors.New("codegen: generated program failed validation")
+
+// TestBreakHook, when non-nil, is handed every finished program just
+// before Generate validates it. It exists so tests of the compiler's
+// graceful degradation ladder can force a structurally broken program on
+// demand; production code never sets it.
+var TestBreakHook func(variant obs.Variant, prog *isa.Program)
+
+// Generate compiles the net into a single-subarray program. The program
+// is validated (isa.Program.Validate against PoolBase+DRows) before it is
+// returned.
 func Generate(net *logic.Net, opts Options) (*Result, error) {
 	if err := net.CheckGateSet(logic.NativeGates(opts.Arch)); err != nil {
 		return nil, fmt.Errorf("codegen: net not legalized for %v: %w", opts.Arch, err)
@@ -256,12 +293,11 @@ func Generate(net *logic.Net, opts Options) (*Result, error) {
 	if opts.DRows < 4 {
 		return nil, fmt.Errorf("codegen: need at least 4 D-group rows, have %d", opts.DRows)
 	}
-	order := obs.ScheduleGates(net, opts.Variant.HasSchedule())
-
 	s := opts.Scratch
 	if s == nil {
 		s = new(Scratch)
 	}
+	order := s.sched.ScheduleGates(net, opts.Variant.HasSchedule())
 	s.prepare(len(net.Gates), len(net.Outputs))
 	s.pool.Reset(opts.PoolBase, opts.DRows)
 
@@ -276,12 +312,17 @@ func Generate(net *logic.Net, opts Options) (*Result, error) {
 		constPats: make(map[int]uint64),
 		outPos:    len(order),
 	}
-	// Pre-size the op stream: a computation gate expands to at most ~5
-	// micro-ops (three slot fills, the activation, a result store), plus
-	// one read/store per output. The buffer escapes into the returned
-	// Program, so it is sized here rather than pooled.
-	e.prog.Ops = make([]isa.Op, 0, 5*len(order)+2*len(net.Outputs)+8)
-	e.prog.EpochMarks = make([]int, 0, len(order)+1)
+	// The op stream is staged in the scratch. A computation gate expands
+	// to at most ~5 micro-ops (three slot fills, the activation, a result
+	// store), plus one read/store per output; a staging buffer smaller
+	// than that is replaced up front so emission does not regrow it.
+	if est := 5*len(order) + 2*len(net.Outputs) + 8; cap(s.ops) < est {
+		s.ops = make([]isa.Op, 0, est)
+	}
+	if cap(s.marks) < len(order)+1 {
+		s.marks = make([]int, 0, len(order)+1)
+	}
+	e.prog.Ops, e.prog.EpochMarks = s.ops[:0], s.marks[:0]
 	// CSR index of the output positions each node feeds, so results can
 	// be read back eagerly (as soon as final) instead of buffering every
 	// output row until the end of the program.
@@ -427,17 +468,17 @@ func Generate(net *logic.Net, opts Options) (*Result, error) {
 		}
 		if ext, ok := opts.ExtOut[net.OutputNames[i]]; ok {
 			if ext.Spilled {
-				e.prog.Append(isa.NewSpillOut(row, uint64(ext.Slot)))
+				e.emit(isa.NewSpillOut(row, uint64(ext.Slot)))
 				e.stats.SpillOuts++
 			} else {
-				e.prog.Append(isa.NewAAP(row, ext.Row))
+				e.emit(isa.NewCopy(row, ext.Row))
 				e.stats.AAPs++
 			}
 			e.s.outDone[i] = true
 			e.finishOutput(o)
 			continue
 		}
-		e.prog.Append(isa.NewRead(row, i))
+		e.emit(isa.NewRead(row, i))
 		e.stats.Reads++
 		e.s.outDone[i] = true
 		e.finishOutput(o)
@@ -465,13 +506,27 @@ func Generate(net *logic.Net, opts Options) (*Result, error) {
 	}
 	e.prog.SpillSlots = maxSlot
 	res.NextSlot = maxSlot
-	if err := e.prog.Validate(opts.PoolBase + opts.DRows); err != nil {
-		return nil, err
+	// Keep whatever the staging buffers grew to, then validate the staged
+	// program and hand out exact-length copies.
+	s.ops, s.marks = e.prog.Ops[:0], e.prog.EpochMarks[:0]
+	if TestBreakHook != nil {
+		TestBreakHook(opts.Variant, &e.prog)
 	}
-	res.Prog = &e.prog
+	if err := e.prog.Validate(opts.PoolBase + opts.DRows); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidProgram, err)
+	}
+	res.Prog = &isa.Program{
+		Ops:        slices.Clone(e.prog.Ops),
+		DRowsUsed:  e.prog.DRowsUsed,
+		SpillSlots: e.prog.SpillSlots,
+		EpochMarks: slices.Clone(e.prog.EpochMarks),
+	}
 	res.Stats = e.stats
 	return res, nil
 }
+
+// emit appends one micro-op to the staged program.
+func (e *emitter) emit(op isa.Op) { e.prog.Ops = append(e.prog.Ops, op) }
 
 // markEpoch records the current op count as a legal recovery cut point.
 // It is called after each scheduled gate's expansion (and its eager reads)
@@ -520,14 +575,14 @@ func (e *emitter) retireOutputs(n logic.NodeID, pos int) error {
 		}
 		if ext, ok := e.opts.ExtOut[e.net.OutputNames[oi]]; ok {
 			if ext.Spilled {
-				e.prog.Append(isa.NewSpillOut(row, uint64(ext.Slot)))
+				e.emit(isa.NewSpillOut(row, uint64(ext.Slot)))
 				e.stats.SpillOuts++
 			} else {
-				e.prog.Append(isa.NewAAP(row, ext.Row))
+				e.emit(isa.NewCopy(row, ext.Row))
 				e.stats.AAPs++
 			}
 		} else {
-			e.prog.Append(isa.NewRead(row, oi))
+			e.emit(isa.NewRead(row, oi))
 			e.stats.Reads++
 		}
 		e.s.outDone[oi] = true
@@ -652,7 +707,7 @@ func (e *emitter) allocD(pos int) (isa.Row, error) {
 			e.nextSlot++
 			e.s.slotOf[victim] = slot
 		}
-		e.prog.Append(isa.NewSpillOut(row, uint64(slot)))
+		e.emit(isa.NewSpillOut(row, uint64(slot)))
 		e.stats.SpillOuts++
 		e.setLoc(victim, location{kind: locSpilled, slot: slot})
 	}
@@ -681,7 +736,7 @@ func (e *emitter) materialize(n logic.NodeID, pos int) (isa.Row, error) {
 			return isa.RowNone, err
 		}
 		slot := e.s.loc[n].slot
-		e.prog.Append(isa.NewSpillIn(row, uint64(slot)))
+		e.emit(isa.NewSpillIn(row, uint64(slot)))
 		e.stats.SpillIns++
 		e.setLoc(n, location{kind: locDRow, row: row})
 		return row, nil
@@ -711,7 +766,7 @@ func (e *emitter) materialize(n logic.NodeID, pos int) (isa.Row, error) {
 			if err != nil {
 				return isa.RowNone, err
 			}
-			e.prog.Append(isa.NewWrite(row, tag))
+			e.emit(isa.NewWrite(row, tag))
 			e.stats.Writes++
 			e.stats.ConstWrites++
 			e.setLoc(n, location{kind: locDRow, row: row})
@@ -721,7 +776,7 @@ func (e *emitter) materialize(n logic.NodeID, pos int) (isa.Row, error) {
 			if err != nil {
 				return isa.RowNone, err
 			}
-			e.prog.Append(isa.NewWrite(row, e.s.nodeTag[n]))
+			e.emit(isa.NewWrite(row, e.s.nodeTag[n]))
 			e.stats.Writes++
 			e.setLoc(n, location{kind: locDRow, row: row})
 			return row, nil
@@ -754,7 +809,7 @@ func (e *emitter) flushLR(pos int, consumedNow bool) error {
 		if err != nil {
 			return err
 		}
-		e.prog.Append(isa.NewAAP(isa.T0, row))
+		e.emit(isa.NewCopy(isa.T0, row))
 		e.stats.AAPs++
 		e.setLoc(n, location{kind: locDRow, row: row})
 	} else if rem <= 0 && e.s.loc[n].kind == locB && e.opts.Variant.HasRename() {
@@ -796,7 +851,7 @@ func (e *emitter) dccFor(pos int) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		e.prog.Append(isa.NewAAP(e.s.loc[h].row, row))
+		e.emit(isa.NewCopy(e.s.loc[h].row, row))
 		e.stats.AAPs++
 		e.setLoc(h, location{kind: locDRow, row: row})
 	} else {
@@ -824,7 +879,7 @@ func (e *emitter) emitGate(pos int, gid logic.NodeID) error {
 			return err
 		}
 		if chained {
-			e.prog.Append(isa.NewAAP(isa.T0, dccRows[pair][0]))
+			e.emit(isa.NewCopy(isa.T0, dccRows[pair][0]))
 			e.stats.AAPs++
 		} else if err := e.fillSlot(arg, dccRows[pair][0], pos); err != nil {
 			return err
@@ -838,7 +893,7 @@ func (e *emitter) emitGate(pos int, gid logic.NodeID) error {
 			if err != nil {
 				return err
 			}
-			e.prog.Append(isa.NewAAP(dccRows[pair][1], row))
+			e.emit(isa.NewCopy(dccRows[pair][1], row))
 			e.stats.AAPs++
 			e.dccHold[pair] = logic.None
 			e.setLoc(gid, location{kind: locDRow, row: row})
@@ -878,7 +933,7 @@ func (e *emitter) emitGate(pos int, gid logic.NodeID) error {
 		// (the value is in every T row after the previous TRA).
 		for i, s := range slots {
 			if s.node == logic.None {
-				e.prog.Append(isa.NewAAP(s.control, tRows[i]))
+				e.emit(isa.NewCopy(s.control, tRows[i]))
 				e.stats.AAPs++
 				continue
 			}
@@ -891,7 +946,7 @@ func (e *emitter) emitGate(pos int, gid logic.NodeID) error {
 				return err
 			}
 		}
-		e.prog.Append(isa.NewAP(isa.T0, isa.T1, isa.T2))
+		e.emit(isa.NewAP(isa.T0, isa.T1, isa.T2))
 		e.stats.APs++
 		for a := 0; a < g.Kind.Arity(); a++ {
 			e.consume(g.Args[a], pos)
@@ -915,7 +970,7 @@ func (e *emitter) emitGate(pos int, gid logic.NodeID) error {
 // is materialized into an addressable row and copied in with an AAP.
 func (e *emitter) fillSlot(n logic.NodeID, target isa.Row, pos int) error {
 	if e.opts.Variant.HasRename() && e.s.isInput[n] && !e.s.external[n] && e.s.loc[n].kind == locNowhere && e.s.useOff[n+1]-e.s.useOff[n] == 1 {
-		e.prog.Append(isa.NewWrite(target, e.s.nodeTag[n]))
+		e.emit(isa.NewWrite(target, e.s.nodeTag[n]))
 		e.stats.Writes++
 		e.stats.DirectWrites++
 		return nil
@@ -927,7 +982,7 @@ func (e *emitter) fillSlot(n logic.NodeID, target isa.Row, pos int) error {
 	if src.IsCGroup() {
 		e.stats.ConstCopies++
 	}
-	e.prog.Append(isa.NewAAP(src, target))
+	e.emit(isa.NewCopy(src, target))
 	e.stats.AAPs++
 	return nil
 }

@@ -1,8 +1,10 @@
 package codegen
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"chopper/internal/dram"
@@ -298,4 +300,39 @@ func TestNotChains(t *testing.T) {
 	net := b.Net()
 	runOn(t, net, isa.Ambit, obs.Rename, 50, map[string]uint64{"x[0]": 0xF0F0, "y[0]": 0xFF00})
 	runOn(t, net, isa.Ambit, obs.Bitslice, 50, map[string]uint64{"x[0]": 0xF0F0, "y[0]": 0xFF00})
+}
+
+// Every Generate caller gets a validated program, with or without a kept
+// scratch: a program broken before the check comes back as
+// ErrInvalidProgram, never as a Result. The scratch that staged the broken
+// program must emit the intact one on its next use, and the Result's op
+// stream must be its own copy, not the scratch's staging buffer.
+func TestGenerateValidatesStagedProgram(t *testing.T) {
+	net := adderNet(t, 8, isa.Ambit, true)
+	want, err := Generate(net, Options{Arch: isa.Ambit, Variant: obs.Rename, DRows: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc Scratch
+	for _, scratch := range []*Scratch{nil, &sc} {
+		TestBreakHook = func(_ obs.Variant, prog *isa.Program) { prog.Ops[len(prog.Ops)-1].Src = isa.RowNone }
+		res, err := Generate(net, Options{Arch: isa.Ambit, Variant: obs.Rename, DRows: 64, Scratch: scratch})
+		TestBreakHook = nil
+		if res != nil || !errors.Is(err, ErrInvalidProgram) {
+			t.Fatalf("broken program: result %v, error %v; want ErrInvalidProgram", res != nil, err)
+		}
+	}
+	first, err := Generate(net, Options{Arch: isa.Ambit, Variant: obs.Rename, DRows: 64, Scratch: &sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Generate(adderNet(t, 4, isa.Ambit, true), Options{Arch: isa.Ambit, Variant: obs.Bitslice, DRows: 64, Scratch: &sc}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first.Prog, want.Prog) {
+		t.Fatal("program staged on a reused scratch differs, or was overwritten by the scratch's next program")
+	}
+	if got := cap(first.Prog.Ops); got > len(first.Prog.Ops)+len(first.Prog.Ops)/8+16 {
+		t.Fatalf("Result holds %d op slots for %d ops; want an exact-length copy", got, len(first.Prog.Ops))
+	}
 }

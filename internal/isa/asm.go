@@ -49,7 +49,7 @@ func ParseRow(s string) (Row, error) {
 		return RowNone, nil
 	}
 	if strings.HasPrefix(s, "D") {
-		n, err := strconv.Atoi(s[1:])
+		n, err := strconv.ParseInt(s[1:], 10, 32)
 		if err != nil || n < 0 {
 			return RowNone, fmt.Errorf("isa: bad row %q", s)
 		}
@@ -121,7 +121,7 @@ func ParseOp(line string) (Op, error) {
 	case "WRITE":
 		// WRITE -> <dst> (tag N)
 		var dst string
-		var tag int
+		var tag int32
 		if _, err := fmt.Sscanf(line, "WRITE -> %s (tag %d)", &dst, &tag); err != nil {
 			return fail()
 		}
@@ -129,11 +129,11 @@ func ParseOp(line string) (Op, error) {
 		if err != nil {
 			return Op{}, err
 		}
-		return NewWrite(d, tag), nil
+		return NewWrite(d, int(tag)), nil
 
 	case "READ":
 		var src string
-		var tag int
+		var tag int32
 		if _, err := fmt.Sscanf(line, "READ %s (tag %d)", &src, &tag); err != nil {
 			return fail()
 		}
@@ -141,7 +141,7 @@ func ParseOp(line string) (Op, error) {
 		if err != nil {
 			return Op{}, err
 		}
-		return NewRead(s, tag), nil
+		return NewRead(s, int(tag)), nil
 
 	case "SPILL_OUT":
 		var src string

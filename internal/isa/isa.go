@@ -19,8 +19,9 @@ import "fmt"
 
 // Row identifies a row within a subarray. Non-negative values address the
 // D-group (row index within the data region); negative values address the
-// C-group and B-group through the named constants below.
-type Row int
+// C-group and B-group through the named constants below. Four bytes: a
+// subarray has at most a few thousand rows, and an Op carries four of them.
+type Row int32
 
 // Special (non-D-group) row addresses. The numeric values are arbitrary but
 // stable; they only need to be distinct from valid D-group indices (>= 0).
@@ -104,7 +105,7 @@ func (r Row) String() string {
 }
 
 // OpKind enumerates the PUD micro-operations.
-type OpKind int
+type OpKind uint8
 
 const (
 	// OpAAP copies Src into every row listed in Dst (1-3 rows, B-group
@@ -145,17 +146,21 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OP?%d", int(k))
 }
 
-// Op is a single PUD micro-operation targeted at one subarray.
+// Op is a single PUD micro-operation targeted at one subarray. The record
+// is 32 bytes (TestOpSize): programs run to millions of ops and every
+// compile stage and simulator front end strides the stream, so its width
+// is the pipeline's memory traffic. Field order packs it without padding
+// beyond the two bytes after NDst.
 type Op struct {
 	Kind OpKind
-	Src  Row    // source row (AAP, READ, SPILL_OUT)
-	Dst  [3]Ow  // destination rows; see OpKind docs
-	NDst int    // number of valid entries in Dst
-	Imm  uint64 // constant pattern for ROWINIT; spill slot id for spills
+	NDst uint8 // number of valid entries in Dst
+	Src  Row   // source row (AAP, READ, SPILL_OUT)
+	Dst  [3]Ow // destination rows; see OpKind docs
 
 	// Tag carries the host-transfer payload identity (which logical input
 	// row a WRITE carries); used by VIRCOE and the simulator.
-	Tag int
+	Tag int32
+	Imm uint64 // constant pattern for ROWINIT; spill slot id for spills
 }
 
 // Ow is an alias kept distinct to catch accidental misuse in array literals.
@@ -166,10 +171,16 @@ func NewAAP(src Row, dst ...Row) Op {
 	if len(dst) == 0 || len(dst) > 3 {
 		panic(fmt.Sprintf("isa: AAP needs 1-3 destinations, got %d", len(dst)))
 	}
-	op := Op{Kind: OpAAP, Src: src, NDst: len(dst)}
+	op := Op{Kind: OpAAP, Src: src, NDst: uint8(len(dst))}
 	op.Dst = [3]Row{RowNone, RowNone, RowNone}
 	copy(op.Dst[:], dst)
 	return op
+}
+
+// NewCopy is NewAAP with exactly one destination: the row-to-row copy the
+// code generator emits by the million, without the variadic slice.
+func NewCopy(src, dst Row) Op {
+	return Op{Kind: OpAAP, Src: src, Dst: [3]Row{dst, RowNone, RowNone}, NDst: 1}
 }
 
 // NewAP builds a triple-row-activation op over exactly three B-group rows.
@@ -179,12 +190,12 @@ func NewAP(a, b, c Row) Op {
 
 // NewWrite builds a host-to-DRAM row transfer carrying payload tag.
 func NewWrite(dst Row, tag int) Op {
-	return Op{Kind: OpWrite, Src: RowNone, Dst: [3]Row{dst, RowNone, RowNone}, NDst: 1, Tag: tag}
+	return Op{Kind: OpWrite, Src: RowNone, Dst: [3]Row{dst, RowNone, RowNone}, NDst: 1, Tag: int32(tag)}
 }
 
 // NewRead builds a DRAM-to-host row transfer.
 func NewRead(src Row, tag int) Op {
-	return Op{Kind: OpRead, Src: src, Dst: [3]Row{RowNone, RowNone, RowNone}, Tag: tag}
+	return Op{Kind: OpRead, Src: src, Dst: [3]Row{RowNone, RowNone, RowNone}, Tag: int32(tag)}
 }
 
 // NewSpillOut builds a spill-to-SSD op for row src into spill slot.
@@ -326,53 +337,8 @@ func (p *Program) NumTransfers() int {
 // ops carry slot ids below SpillSlots.
 func (p *Program) Validate(dRows int) error {
 	for i := range p.Ops {
-		op := &p.Ops[i]
-		check := func(r Row, what string) error {
-			if r == RowNone {
-				return fmt.Errorf("isa: op %d (%s): missing %s row", i, op, what)
-			}
-			if r.IsDGroup() && int(r) >= dRows {
-				return fmt.Errorf("isa: op %d (%s): %s row %s exceeds D-group size %d", i, op, what, r, dRows)
-			}
-			return nil
-		}
-		switch op.Kind {
-		case OpAAP:
-			if err := check(op.Src, "source"); err != nil {
-				return err
-			}
-			if op.NDst < 1 || op.NDst > 3 {
-				return fmt.Errorf("isa: op %d (%s): AAP with %d destinations", i, op, op.NDst)
-			}
-			for _, d := range op.Dsts() {
-				if err := check(d, "destination"); err != nil {
-					return err
-				}
-				if op.NDst > 1 && !d.IsBGroup() {
-					return fmt.Errorf("isa: op %d (%s): multi-destination AAP outside B-group", i, op)
-				}
-			}
-		case OpAP:
-			for _, d := range op.Dst {
-				if !d.IsBGroup() {
-					return fmt.Errorf("isa: op %d (%s): TRA operand %s outside B-group", i, op, d)
-				}
-			}
-		case OpWrite, OpSpillIn, OpRowInit:
-			if err := check(op.Dst[0], "destination"); err != nil {
-				return err
-			}
-		case OpRead, OpSpillOut:
-			if err := check(op.Src, "source"); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("isa: op %d: unknown kind %d", i, int(op.Kind))
-		}
-		if op.Kind == OpSpillOut || op.Kind == OpSpillIn {
-			if int(op.Imm) >= p.SpillSlots {
-				return fmt.Errorf("isa: op %d (%s): spill slot %d out of range %d", i, op, op.Imm, p.SpillSlots)
-			}
+		if err := p.Ops[i].validate(dRows, p.SpillSlots); err != nil {
+			return fmt.Errorf("isa: op %d (%s): %w", i, p.Ops[i], err)
 		}
 	}
 	prev := 0
@@ -381,6 +347,63 @@ func (p *Program) Validate(dRows int) error {
 			return fmt.Errorf("isa: epoch mark %d not strictly increasing in (0, %d]", m, len(p.Ops))
 		}
 		prev = m
+	}
+	return nil
+}
+
+// rowBad reports whether row operand r is missing or lies beyond the dRows
+// D-group rows an op may address.
+func rowBad(r Row, dRows int) bool {
+	return r == RowNone || r.IsDGroup() && int(r) >= dRows
+}
+
+// rowError words what rowBad found.
+func rowError(r Row, what string, dRows int) error {
+	if r == RowNone {
+		return fmt.Errorf("missing %s row", what)
+	}
+	return fmt.Errorf("%s row %s exceeds D-group size %d", what, r, dRows)
+}
+
+// validate is Validate for one op; the caller adds the op's position.
+func (o *Op) validate(dRows, spillSlots int) error {
+	switch o.Kind {
+	case OpAAP:
+		if rowBad(o.Src, dRows) {
+			return rowError(o.Src, "source", dRows)
+		}
+		if o.NDst < 1 || o.NDst > 3 {
+			return fmt.Errorf("AAP with %d destinations", o.NDst)
+		}
+		for _, d := range o.Dsts() {
+			if rowBad(d, dRows) {
+				return rowError(d, "destination", dRows)
+			}
+			if o.NDst > 1 && !d.IsBGroup() {
+				return fmt.Errorf("multi-destination AAP outside B-group")
+			}
+		}
+	case OpAP:
+		for _, d := range o.Dst {
+			if !d.IsBGroup() {
+				return fmt.Errorf("TRA operand %s outside B-group", d)
+			}
+		}
+	case OpWrite, OpSpillIn, OpRowInit:
+		if rowBad(o.Dst[0], dRows) {
+			return rowError(o.Dst[0], "destination", dRows)
+		}
+	case OpRead, OpSpillOut:
+		if rowBad(o.Src, dRows) {
+			return rowError(o.Src, "source", dRows)
+		}
+	default:
+		return fmt.Errorf("unknown kind %d", int(o.Kind))
+	}
+	if o.Kind == OpSpillOut || o.Kind == OpSpillIn {
+		if int(o.Imm) >= spillSlots {
+			return fmt.Errorf("spill slot %d out of range %d", o.Imm, spillSlots)
+		}
 	}
 	return nil
 }

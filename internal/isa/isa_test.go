@@ -3,7 +3,35 @@ package isa
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestOpSize pins the micro-op record at 32 bytes: the op stream is the
+// widest thing the compiler and the simulators stride, so a field added
+// without thought doubles every stage's memory traffic.
+func TestOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(isa.Op{}) = %d, want 32", got)
+	}
+}
+
+func TestNewCopyIsSingleDestinationAAP(t *testing.T) {
+	if got, want := NewCopy(Row(7), T1), NewAAP(Row(7), T1); got != want {
+		t.Fatalf("NewCopy = %+v, NewAAP = %+v", got, want)
+	}
+}
+
+func TestParseRejectsOutOfRangeOperands(t *testing.T) {
+	for _, line := range []string{
+		"AAP D4294967296 -> T0",
+		"WRITE -> D3 (tag 4294967296)",
+		"READ D3 (tag 2147483648)",
+	} {
+		if op, err := ParseOp(line); err == nil {
+			t.Errorf("ParseOp(%q) = %+v, want an error", line, op)
+		}
+	}
+}
 
 func TestRowClassification(t *testing.T) {
 	cases := []struct {

@@ -3,7 +3,6 @@ package logic
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // BuilderOptions control the local simplifications the Builder applies as
@@ -27,8 +26,9 @@ type BuilderOptions struct {
 
 // Builder constructs Nets incrementally. The structural-hashing and
 // negation caches live in dense, reusable storage (an open-addressed
-// interning table and NodeID-indexed slices) rather than Go maps, so a
-// pooled builder compiles in steady state without per-gate allocation.
+// interning table and NodeID-indexed slices) rather than Go maps, and a
+// Reset keeps every buffer's capacity, so a retained builder (see Scratch)
+// compiles in steady state without per-gate allocation.
 type Builder struct {
 	opts   BuilderOptions
 	net    Net
@@ -43,22 +43,26 @@ type Builder struct {
 }
 
 // internTable is an open-addressed (linear probing, power-of-two sized)
-// hash table interning computation gates for CSE. Slots are stamped with
-// the table's generation, so reset is O(1) — stale slots from earlier
-// nets read as empty without a bulk clear (a pooled builder carries the
-// largest table it ever grew; small compiles must not pay to wipe it).
+// hash table interning computation gates for CSE. A slot is 8 bytes — the
+// node id and half of the gate's hash — and a matching fingerprint is
+// confirmed against the gate itself, so the table holds no copy of the
+// key. len(slots) is the logical size and follows the net being built;
+// cap(slots) is whatever the largest net so far needed and is kept. A
+// retained table must not hash across its high-water capacity: every
+// probe of a sparse table is a cache miss, which is the cost the table
+// exists to avoid.
 type internTable struct {
 	slots []internSlot
 	n     int
-	cur   uint32 // current generation; 0 is never current, so zeroed slots are empty
 }
 
 type internSlot struct {
-	kind GateKind
-	args [3]NodeID
 	idP1 int32  // NodeID + 1; 0 marks an empty slot
-	gen  uint32 // generation the slot was written in
+	fp   uint32 // high half of hashGate(kind, args)
 }
+
+// minInternSlots is the logical size a reset table starts from.
+const minInternSlots = 256
 
 func hashGate(kind GateKind, a [3]NodeID) uint64 {
 	h := uint64(kind) + 1
@@ -71,56 +75,45 @@ func hashGate(kind GateKind, a [3]NodeID) uint64 {
 	return h
 }
 
-// lookup returns the interned id for (kind, args), or None with the probe
-// slot where it belongs.
-func (t *internTable) lookup(kind GateKind, args [3]NodeID) (NodeID, int) {
+// lookup returns the interned id for (kind, args) among gates, or None
+// with the probe slot where it belongs; h is hashGate(kind, args).
+func (t *internTable) lookup(gates []Gate, h uint64, kind GateKind, args [3]NodeID) (NodeID, int) {
+	fp := uint32(h >> 32)
 	mask := uint64(len(t.slots) - 1)
-	i := hashGate(kind, args) & mask
+	i := h & mask
 	for {
-		s := &t.slots[i]
-		if s.idP1 == 0 || s.gen != t.cur {
+		s := t.slots[i]
+		if s.idP1 == 0 {
 			return None, int(i)
 		}
-		if s.kind == kind && s.args == args {
-			return NodeID(s.idP1 - 1), int(i)
+		if s.fp == fp {
+			if g := &gates[s.idP1-1]; g.Kind == kind && g.Args == args {
+				return NodeID(s.idP1 - 1), int(i)
+			}
 		}
 		i = (i + 1) & mask
 	}
 }
 
-// insert stores id at slot (from a preceding lookup miss), growing and
-// rehashing past 3/4 load.
-func (t *internTable) insert(slot int, kind GateKind, args [3]NodeID, id NodeID) {
-	t.slots[slot] = internSlot{kind: kind, args: args, idP1: int32(id) + 1, gen: t.cur}
-	t.n++
-	if t.n*4 >= len(t.slots)*3 {
-		t.grow(len(t.slots) * 2)
+// place stores id under hash h at the first free slot of its probe run.
+func (t *internTable) place(h uint64, id NodeID) {
+	mask := uint64(len(t.slots) - 1)
+	i := h & mask
+	for t.slots[i].idP1 != 0 {
+		i = (i + 1) & mask
 	}
+	t.slots[i] = internSlot{idP1: int32(id) + 1, fp: uint32(h >> 32)}
 }
 
-func (t *internTable) grow(size int) {
-	old := t.slots
-	t.slots = make([]internSlot, size)
-	mask := uint64(size - 1)
-	for _, s := range old {
-		if s.idP1 == 0 || s.gen != t.cur {
-			continue
-		}
-		i := hashGate(s.kind, s.args) & mask
-		for t.slots[i].idP1 != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = s
-	}
-}
-
-// reset empties the table keeping its capacity by advancing the
-// generation (O(1); a full clear happens only on uint32 wraparound).
-func (t *internTable) reset() {
-	t.cur++
-	if t.cur == 0 {
+// resize empties the table at a logical size of size slots (a power of
+// two), reusing retained capacity: only the slots about to be probed are
+// cleared, never the high-water capacity.
+func (t *internTable) resize(size int) {
+	if cap(t.slots) < size {
+		t.slots = make([]internSlot, size)
+	} else {
+		t.slots = t.slots[:size]
 		clear(t.slots)
-		t.cur = 1
 	}
 	t.n = 0
 }
@@ -135,7 +128,6 @@ func nextPow2(n int) int {
 // NewBuilder creates a builder with the given options.
 func NewBuilder(opts BuilderOptions) *Builder {
 	b := &Builder{}
-	b.intern.slots = make([]internSlot, 256)
 	b.Reset(opts)
 	return b
 }
@@ -144,8 +136,8 @@ func NewBuilder(opts BuilderOptions) *Builder {
 func NewOptBuilder() *Builder { return NewBuilder(BuilderOptions{Fold: true, CSE: true}) }
 
 // Reset re-initializes the builder for a fresh net under opts, keeping
-// every internal buffer's capacity (and, when the previous net was not
-// taken with Net(), the net slices' capacity too).
+// every internal buffer's capacity. It invalidates the net a previous
+// Net call returned, which shares those buffers.
 func (b *Builder) Reset(opts BuilderOptions) {
 	b.opts = opts
 	b.net.Gates = b.net.Gates[:0]
@@ -155,14 +147,16 @@ func (b *Builder) Reset(opts BuilderOptions) {
 	b.net.OutputNames = b.net.OutputNames[:0]
 	b.net.inIdx = nil
 	b.net.inDup = ""
-	b.intern.reset()
+	b.intern.resize(minInternSlots)
 	b.zero, b.one = None, None
 	b.nots = b.nots[:0]
 	b.notOf = b.notOf[:0]
 }
 
 // Grow hints the expected gate count, pre-sizing the gate slice and the
-// interning table so steady-state building does not reallocate.
+// interning table so building up to that many gates neither reallocates
+// nor rehashes. The table's logical size follows the hint, not the
+// capacity earlier nets left behind.
 func (b *Builder) Grow(gates int) {
 	if cap(b.net.Gates) < gates {
 		g := make([]Gate, len(b.net.Gates), gates)
@@ -170,7 +164,7 @@ func (b *Builder) Grow(gates int) {
 		b.net.Gates = g
 	}
 	if want := nextPow2(gates * 2); len(b.intern.slots) < want {
-		b.intern.grow(want)
+		b.rehash(want)
 	}
 	if b.opts.Fold && cap(b.nots) < gates {
 		ns := make([]NodeID, len(b.nots), gates)
@@ -182,41 +176,44 @@ func (b *Builder) Grow(gates int) {
 	}
 }
 
-// builderPool recycles Builders across compiles; see AcquireBuilder.
-var builderPool = sync.Pool{New: func() any { return NewBuilder(BuilderOptions{}) }}
-
-// AcquireBuilder returns a pooled builder reset to opts. Release it with
-// Builder.Release once the net has been taken; builders abandoned on
-// panic/error paths may simply be dropped.
-func AcquireBuilder(opts BuilderOptions) *Builder {
-	b := builderPool.Get().(*Builder)
-	b.Reset(opts)
-	return b
-}
-
-// Release returns the builder to the pool. The caller must not use it
-// afterwards. Net slices still held (when Net was never called) are
-// dropped so the pool retains only the dense scratch structures.
-func (b *Builder) Release() {
-	b.net = Net{}
-	b.opts.Target = nil
-	builderPool.Put(b)
-}
-
-func (b *Builder) raw(kind GateKind, args ...NodeID) NodeID {
-	g := Gate{Kind: kind}
-	copy(g.Args[:], args)
-	for i := len(args); i < 3; i++ {
-		g.Args[i] = None
+// rehash rebuilds the interning table at a logical size of size slots.
+// Under CSE the table holds exactly the net's non-input gates, so it is
+// rebuilt from the gate list, in place, with no second table.
+func (b *Builder) rehash(size int) {
+	b.intern.resize(size)
+	if !b.opts.CSE {
+		return
 	}
+	for id := range b.net.Gates {
+		if g := &b.net.Gates[id]; g.Kind != GInput {
+			b.intern.place(hashGate(g.Kind, g.Args), NodeID(id))
+			b.intern.n++
+		}
+	}
+}
+
+var noArgs = [3]NodeID{None, None, None}
+
+// raw appends (or, under CSE, interns) the gate; unused args are None.
+func (b *Builder) raw(kind GateKind, args [3]NodeID) NodeID {
+	g := Gate{Kind: kind, Args: args}
 	if b.opts.CSE && kind != GInput {
-		id, slot := b.intern.lookup(kind, g.Args)
+		h := hashGate(kind, g.Args)
+		id, slot := b.intern.lookup(b.net.Gates, h, kind, g.Args)
 		if id != None {
 			return id
 		}
 		id = NodeID(len(b.net.Gates))
 		b.append(g)
-		b.intern.insert(slot, kind, g.Args, id)
+		// Past 3/4 load the table doubles; the rebuild picks the new gate
+		// up from the gate list.
+		t := &b.intern
+		if (t.n+1)*4 >= len(t.slots)*3 {
+			b.rehash(len(t.slots) * 2)
+		} else {
+			t.slots[slot] = internSlot{idP1: int32(id) + 1, fp: uint32(h >> 32)}
+			t.n++
+		}
 		return id
 	}
 	id := NodeID(len(b.net.Gates))
@@ -235,7 +232,7 @@ func (b *Builder) append(g Gate) {
 
 // Input declares a fresh named input bit.
 func (b *Builder) Input(name string) NodeID {
-	id := b.raw(GInput)
+	id := b.raw(GInput, noArgs)
 	b.net.Inputs = append(b.net.Inputs, id)
 	b.net.InputNames = append(b.net.InputNames, name)
 	return id
@@ -245,12 +242,12 @@ func (b *Builder) Input(name string) NodeID {
 func (b *Builder) Const(v bool) NodeID {
 	if v {
 		if b.one == None {
-			b.one = b.raw(GConst1)
+			b.one = b.raw(GConst1, noArgs)
 		}
 		return b.one
 	}
 	if b.zero == None {
-		b.zero = b.raw(GConst0)
+		b.zero = b.raw(GConst0, noArgs)
 	}
 	return b.zero
 }
@@ -292,7 +289,7 @@ func (b *Builder) Not(x NodeID) NodeID {
 			return n
 		}
 	}
-	id := b.raw(GNot, x)
+	id := b.raw(GNot, [3]NodeID{x, None, None})
 	if b.opts.Fold {
 		b.nots[x] = id
 		b.notOf[id] = x
@@ -331,7 +328,7 @@ func (b *Builder) And(x, y NodeID) NodeID {
 		}
 	}
 	x, y = normalize2(x, y)
-	return b.raw(GAnd, x, y)
+	return b.raw(GAnd, [3]NodeID{x, y, None})
 }
 
 // Or returns x | y.
@@ -357,7 +354,7 @@ func (b *Builder) Or(x, y NodeID) NodeID {
 		}
 	}
 	x, y = normalize2(x, y)
-	return b.raw(GOr, x, y)
+	return b.raw(GOr, [3]NodeID{x, y, None})
 }
 
 // Xor returns x ^ y.
@@ -383,7 +380,7 @@ func (b *Builder) Xor(x, y NodeID) NodeID {
 		}
 	}
 	x, y = normalize2(x, y)
-	return b.raw(GXor, x, y)
+	return b.raw(GXor, [3]NodeID{x, y, None})
 }
 
 // Maj returns the 3-input majority MAJ(x, y, z).
@@ -437,7 +434,7 @@ func (b *Builder) Maj(x, y, z NodeID) NodeID {
 	if y < x {
 		x, y = y, x
 	}
-	return b.raw(GMaj, x, y, z)
+	return b.raw(GMaj, [3]NodeID{x, y, z})
 }
 
 // Mux returns c ? t : f, built from AND/OR/NOT.
@@ -456,36 +453,6 @@ func (b *Builder) Mux(c, t, f NodeID) NodeID {
 	return b.Or(b.And(c, t), b.And(b.Not(c), f))
 }
 
-// Replay appends a computation gate whose folding decisions were already
-// made elsewhere (a worker building a private sub-net), re-applying only
-// the id-order normalization and structural hashing of this builder. The
-// caller passes args already remapped into this builder's id space; the
-// returned id reflects any CSE merge with an existing gate. Constants and
-// inputs are not replayable (use Const and Input, which keep their
-// sharing semantics).
-func (b *Builder) Replay(kind GateKind, args [3]NodeID) NodeID {
-	switch kind {
-	case GNot:
-		return b.raw(GNot, args[0])
-	case GAnd, GOr, GXor:
-		x, y := normalize2(args[0], args[1])
-		return b.raw(kind, x, y)
-	case GMaj:
-		x, y, z := args[0], args[1], args[2]
-		if y < x {
-			x, y = y, x
-		}
-		if z < y {
-			y, z = z, y
-		}
-		if y < x {
-			x, y = y, x
-		}
-		return b.raw(GMaj, x, y, z)
-	}
-	panic(fmt.Sprintf("logic: replay of non-computation gate %v", kind))
-}
-
 // Output registers node id as a named output.
 func (b *Builder) Output(name string, id NodeID) {
 	if id < 0 || int(id) >= len(b.net.Gates) {
@@ -495,16 +462,11 @@ func (b *Builder) Output(name string, id NodeID) {
 	b.net.OutputNames = append(b.net.OutputNames, name)
 }
 
-// GateCount returns the number of gates created so far (the id the next
-// appended gate would get); used to record replayable gate spans.
-func (b *Builder) GateCount() int { return len(b.net.Gates) }
-
 // Net finalizes and returns the constructed net (with its input index
-// precomputed). The builder must not be used for further gate creation
-// afterwards; pooled builders should then be Released.
+// precomputed). The net shares the builder's storage: it stays valid until
+// the builder's next Reset, and the builder must not create further gates.
 func (b *Builder) Net() *Net {
 	n := b.net
-	b.net = Net{}
 	n.buildInputIndex()
 	return &n
 }

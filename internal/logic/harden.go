@@ -1,9 +1,6 @@
 package logic
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // TMR returns a triple-modular-redundancy hardened version of a net that
 // is already legalized for the gate set gs: every computation gate is
@@ -24,7 +21,11 @@ import (
 // final read-out, like any TMR voter, remain single points of failure,
 // and a corrupted shared input row is common-mode (it feeds all three
 // replicas). See docs/RELIABILITY.md for the measured trade-offs.
-func TMR(n *Net, gs GateSet) (*Net, error) {
+func TMR(n *Net, gs GateSet) (*Net, error) { return new(Scratch).TMR(n, gs) }
+
+// TMR is the package-level TMR on the scratch's replica maps; the result
+// is the caller's.
+func (s *Scratch) TMR(n *Net, gs GateSet) (*Net, error) {
 	if err := n.CheckGateSet(gs); err != nil {
 		return nil, fmt.Errorf("logic: TMR input %w", err)
 	}
@@ -45,9 +46,13 @@ func TMR(n *Net, gs GateSet) (*Net, error) {
 
 	// rep[r][old] is replica r's node for the original node old. Shared
 	// nodes (inputs, constants) map to the same id in all three replicas.
-	s := tmrPool.Get().(*tmrScratch)
-	defer tmrPool.Put(s)
-	rep := s.replicas(len(n.Gates))
+	rep := &s.rep
+	for r := range rep {
+		if cap(rep[r]) < len(n.Gates) {
+			rep[r] = make([]NodeID, len(n.Gates))
+		}
+		rep[r] = rep[r][:len(n.Gates)]
+	}
 	for i := range n.Gates {
 		g := &n.Gates[i]
 		switch g.Kind {
@@ -97,21 +102,4 @@ func TMR(n *Net, gs GateSet) (*Net, error) {
 	}
 	out.buildInputIndex()
 	return out, nil
-}
-
-// tmrScratch pools the three replica remap tables TMR builds.
-type tmrScratch struct {
-	rep [3][]NodeID
-}
-
-var tmrPool = sync.Pool{New: func() any { return new(tmrScratch) }}
-
-func (s *tmrScratch) replicas(n int) *[3][]NodeID {
-	for r := range s.rep {
-		if cap(s.rep[r]) < n {
-			s.rep[r] = make([]NodeID, n)
-		}
-		s.rep[r] = s.rep[r][:n]
-	}
-	return &s.rep
 }

@@ -2,7 +2,6 @@ package logic
 
 import (
 	"fmt"
-	"sync"
 
 	"chopper/internal/isa"
 )
@@ -40,37 +39,31 @@ func NativeGates(arch isa.Arch) GateSet {
 // should match the optimization level the net was built with, so the
 // no-optimization compiler variant stays unoptimized).
 func Legalize(n *Net, arch isa.Arch, opts BuilderOptions) (*Net, error) {
-	return legalizeTwoPhase(n, arch, opts)
+	return new(Scratch).Legalize(n, arch, opts)
 }
 
-// remapPool recycles the old-id -> new-id tables legalization (and other
-// net rewrites) walk; buffers come back sized and filled with None.
-var remapPool = sync.Pool{New: func() any { return new([]NodeID) }}
-
-func acquireRemap(n int) *[]NodeID {
-	p := remapPool.Get().(*[]NodeID)
-	if cap(*p) < n {
-		*p = make([]NodeID, n)
+// Legalize is the package-level Legalize on the scratch's builder and id
+// map. The result shares the builder's storage: it stays valid until the
+// next Builder or Legalize call on this scratch. n must not be such a net
+// itself (a DCE or DCETemp copy is fine).
+//
+// The rewrite declares inputs first, so the rebuilt net keeps the original
+// input order and names.
+func (s *Scratch) Legalize(n *Net, arch isa.Arch, opts BuilderOptions) (*Net, error) {
+	gs := NativeGates(arch)
+	opts.Target = &gs
+	b := s.Builder(opts)
+	// A legalized net runs to about 1.9x its source (XOR and MAJ expand on
+	// AND/OR targets); sized to that, the table neither rehashes mid-build
+	// nor spreads over capacity a larger net left behind.
+	b.Grow(2 * len(n.Gates))
+	if cap(s.remap) < len(n.Gates) {
+		s.remap = make([]NodeID, len(n.Gates))
 	}
-	*p = (*p)[:n]
-	remap := *p
+	remap := s.remap[:len(n.Gates)]
 	for i := range remap {
 		remap[i] = None
 	}
-	return p
-}
-
-// legalizeTwoPhase performs the rewrite with inputs declared first so the
-// rebuilt net keeps the original input order and names.
-func legalizeTwoPhase(n *Net, arch isa.Arch, opts BuilderOptions) (*Net, error) {
-	gs := NativeGates(arch)
-	opts.Target = &gs
-	b := AcquireBuilder(opts)
-	defer b.Release()
-	b.Grow(len(n.Gates))
-	remapp := acquireRemap(len(n.Gates))
-	defer remapPool.Put(remapp)
-	remap := *remapp
 	for i, in := range n.Inputs {
 		remap[in] = b.Input(n.InputNames[i])
 	}

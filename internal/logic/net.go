@@ -14,10 +14,7 @@
 //     architecture can execute natively.
 package logic
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // GateKind enumerates gate types.
 type GateKind uint8
@@ -181,15 +178,13 @@ func (n *Net) Validate() error {
 	return nil
 }
 
-// dceScratch pools the liveness mark, remap table, and DFS stack DCE
+// dceScratch holds the liveness mark, remap table, and DFS stack DCE
 // needs, all sized to the gate count of the net being swept.
 type dceScratch struct {
 	live  []bool
 	remap []NodeID
 	stack []NodeID
 }
-
-var dcePool = sync.Pool{New: func() any { return new(dceScratch) }}
 
 func (s *dceScratch) reset(n int) {
 	if cap(s.live) < n {
@@ -204,32 +199,45 @@ func (s *dceScratch) reset(n int) {
 
 // DCE returns a copy of the net with gates unreachable from the outputs
 // removed (inputs are always kept, preserving the input interface).
-func (n *Net) DCE() *Net {
-	s := dcePool.Get().(*dceScratch)
-	defer dcePool.Put(s)
-	s.reset(len(n.Gates))
-	live, remap := s.live, s.remap
-	mark := func(id NodeID) {
-		if live[id] {
-			return
+func (n *Net) DCE() *Net { return new(Scratch).DCE(n) }
+
+// DCE is n.DCE() on the scratch's tables; the result is the caller's.
+func (s *Scratch) DCE(n *Net) *Net { return s.sweep(n, nil) }
+
+// DCETemp is DCE into the scratch's retained gate buffer, for a net that
+// only feeds the next pass: the result is valid until the next DCETemp on
+// this scratch.
+func (s *Scratch) DCETemp(n *Net) *Net {
+	out := s.sweep(n, s.temp[:0])
+	s.temp = out.Gates
+	return out
+}
+
+// sweep copies n's live gates into gates (reallocated when too small).
+func (s *Scratch) sweep(n *Net, gates []Gate) *Net {
+	d := &s.dce
+	d.reset(len(n.Gates))
+	live, remap := d.live, d.remap
+	stack := d.stack
+	for _, o := range n.Outputs {
+		if live[o] {
+			continue
 		}
-		live[id] = true
-		s.stack = append(s.stack, id)
-		for len(s.stack) > 0 {
-			v := s.stack[len(s.stack)-1]
-			s.stack = s.stack[:len(s.stack)-1]
+		live[o] = true
+		stack = append(stack, o)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
 			g := &n.Gates[v]
 			for a := 0; a < g.Kind.Arity(); a++ {
 				if arg := g.Args[a]; !live[arg] {
 					live[arg] = true
-					s.stack = append(s.stack, arg)
+					stack = append(stack, arg)
 				}
 			}
 		}
 	}
-	for _, o := range n.Outputs {
-		mark(o)
-	}
+	d.stack = stack[:0]
 	for _, in := range n.Inputs {
 		live[in] = true
 	}
@@ -239,8 +247,11 @@ func (n *Net) DCE() *Net {
 			kept++
 		}
 	}
+	if cap(gates) < kept {
+		gates = make([]Gate, 0, kept)
+	}
 	out := &Net{
-		Gates:       make([]Gate, 0, kept),
+		Gates:       gates,
 		InputNames:  append([]string(nil), n.InputNames...),
 		OutputNames: append([]string(nil), n.OutputNames...),
 	}

@@ -41,3 +41,56 @@ func TestInternSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state build allocates %.1f times per cycle, want 0", n)
 	}
 }
+
+// TestInternTableRehashAndReset drives the table through several in-place
+// rehashes (no Grow hint), checks every gate is still found afterwards, and
+// checks that a Reset brings the logical size back down while the capacity
+// stays: the next small net must not hash over the large net's table, and
+// the next large one must not allocate.
+func TestInternTableRehashAndReset(t *testing.T) {
+	const n = 3000
+	b := NewBuilder(BuilderOptions{CSE: true})
+	build := func() []NodeID {
+		b.Reset(BuilderOptions{CSE: true})
+		ins := make([]NodeID, n+1)
+		for i := range ins {
+			ins[i] = b.Input("")
+		}
+		ids := make([]NodeID, n)
+		for i := range ids {
+			ids[i] = b.And(ins[i], ins[i+1])
+		}
+		return ids
+	}
+	ids := build()
+	gates := len(b.net.Gates)
+	if slots := len(b.intern.slots); slots*3 < n*4 || slots > 4*n {
+		t.Fatalf("%d gates interned in %d slots", n, slots)
+	}
+	for i, want := range ids {
+		if got := b.And(b.net.Inputs[i+1], b.net.Inputs[i]); got != want {
+			t.Fatalf("gate %d: second request returned node %d, first %d", i, got, want)
+		}
+	}
+	if len(b.net.Gates) != gates {
+		t.Fatalf("re-requesting every gate grew the net from %d to %d gates", gates, len(b.net.Gates))
+	}
+	grown := cap(b.intern.slots)
+
+	b.Reset(BuilderOptions{CSE: true})
+	if got := len(b.intern.slots); got != minInternSlots {
+		t.Fatalf("reset table has %d logical slots, want %d", got, minInternSlots)
+	}
+	if cap(b.intern.slots) != grown {
+		t.Fatalf("reset dropped the table's capacity: %d -> %d", grown, cap(b.intern.slots))
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		b.Reset(BuilderOptions{CSE: true})
+		x := b.Input("")
+		for i := 0; i < n; i++ {
+			x = b.Not(x)
+		}
+	}); allocs != 0 {
+		t.Fatalf("rebuilding within retained capacity allocates %.1f times", allocs)
+	}
+}

@@ -18,7 +18,7 @@ package obs
 
 import (
 	"fmt"
-	"sync"
+	"unsafe"
 
 	"chopper/internal/logic"
 )
@@ -85,6 +85,37 @@ var TestPanicHook func(pressureAware bool)
 // live. On accumulator-shaped cones (multipliers) the natural order is
 // already the aggregated one and the cost model keeps it.
 func ScheduleGates(n *logic.Net, pressureAware bool) []logic.NodeID {
+	return new(Scratch).ScheduleGates(n, pressureAware)
+}
+
+// Scratch is the scheduler's per-net working storage — label, visited and
+// consumer-count tables, the DFS stacks, and the two candidate orders — in
+// dense slices a caller can keep across nets. The zero value is ready to
+// use; it is reset on entry to every method and is not safe for
+// concurrent use.
+type Scratch struct {
+	label     []int
+	visited   []bool
+	stack     []logic.NodeID
+	phase     []bool
+	natural   []logic.NodeID
+	order     []logic.NodeID
+	remaining []int
+	isOut     []bool
+}
+
+// Bytes is the storage the scratch retains.
+func (s *Scratch) Bytes() int {
+	const word, id = int(unsafe.Sizeof(int(0))), int(unsafe.Sizeof(logic.NodeID(0)))
+	return (cap(s.label)+cap(s.remaining))*word +
+		(cap(s.stack)+cap(s.natural)+cap(s.order))*id +
+		cap(s.visited) + cap(s.phase) + cap(s.isOut)
+}
+
+// ScheduleGates is the package-level ScheduleGates on the scratch's
+// tables. The returned order lives in the scratch: it is valid until the
+// next ScheduleGates call on it.
+func (s *Scratch) ScheduleGates(n *logic.Net, pressureAware bool) []logic.NodeID {
 	if TestPanicHook != nil {
 		TestPanicHook(pressureAware)
 	}
@@ -95,19 +126,24 @@ func ScheduleGates(n *logic.Net, pressureAware bool) []logic.NodeID {
 		}
 		return true
 	}
-	natural := make([]logic.NodeID, 0, len(n.Gates))
+	if cap(s.natural) < len(n.Gates) {
+		s.natural = make([]logic.NodeID, 0, len(n.Gates))
+	}
+	natural := s.natural[:0]
 	for i := range n.Gates {
 		if isComp(n.Gates[i].Kind) {
 			natural = append(natural, logic.NodeID(i))
 		}
 	}
+	s.natural = natural
 	if !pressureAware {
 		return natural
 	}
-
-	s := schedPool.Get().(*schedScratch)
-	defer schedPool.Put(s)
-	s.grow(len(n.Gates))
+	if cap(s.label) < len(n.Gates) {
+		s.order = make([]logic.NodeID, 0, len(n.Gates))
+		s.label = make([]int, len(n.Gates))
+		s.visited = make([]bool, len(n.Gates))
+	}
 
 	// Register-need labels (Sethi–Ullman, treating the DAG as a tree;
 	// shared sub-cones are approximated, which is standard practice).
@@ -136,7 +172,7 @@ func ScheduleGates(n *logic.Net, pressureAware bool) []logic.NodeID {
 
 	visited := s.visited[:len(n.Gates)]
 	clear(visited)
-	order := make([]logic.NodeID, 0, len(n.Gates))
+	order := s.order[:0]
 	// Iterative DFS post-order; children visited heavier-label first.
 	stack := s.stack[:0]
 	phase := s.phase[:0]
@@ -177,8 +213,8 @@ func ScheduleGates(n *logic.Net, pressureAware bool) []logic.NodeID {
 			}
 		}
 	}
-	s.stack, s.phase = stack[:0], phase[:0]
-	if MaxLive(n, order) <= MaxLive(n, natural) {
+	s.stack, s.phase, s.order = stack[:0], phase[:0], order
+	if s.MaxLive(n, order) <= s.MaxLive(n, natural) {
 		return order
 	}
 	return natural
@@ -215,33 +251,19 @@ func sortStableByLabel(kids []logic.NodeID, label []int) {
 	}
 }
 
-// schedScratch pools ScheduleGates' per-net working storage. The returned
-// order and the natural order escape to the caller and are excluded.
-type schedScratch struct {
-	label   []int
-	visited []bool
-	stack   []logic.NodeID
-	phase   []bool
-}
-
-var schedPool = sync.Pool{New: func() any { return new(schedScratch) }}
-
-func (s *schedScratch) grow(n int) {
-	if cap(s.label) < n {
-		s.label = make([]int, n)
-		s.visited = make([]bool, n)
-	}
-}
-
 // MaxLive simulates a schedule and returns the maximum number of
 // computation-gate results simultaneously live (still awaiting consumers
 // or referenced by outputs) — the row-buffering pressure the schedule
 // induces. Inputs and constants are excluded: their buffering is governed
 // by O2/O3, not by O1.
-func MaxLive(n *logic.Net, order []logic.NodeID) int {
-	s := liveScratchPool.Get().(*liveScratch)
-	defer liveScratchPool.Put(s)
-	s.grow(len(n.Gates))
+func MaxLive(n *logic.Net, order []logic.NodeID) int { return new(Scratch).MaxLive(n, order) }
+
+// MaxLive is the package-level MaxLive on the scratch's tables.
+func (s *Scratch) MaxLive(n *logic.Net, order []logic.NodeID) int {
+	if cap(s.remaining) < len(n.Gates) {
+		s.remaining = make([]int, len(n.Gates))
+		s.isOut = make([]bool, len(n.Gates))
+	}
 	// remaining starts as the fanout count of every node (computed in
 	// place, where Fanout() would allocate).
 	remaining := s.remaining[:len(n.Gates)]
@@ -287,19 +309,4 @@ func MaxLive(n *logic.Net, order []logic.NodeID) int {
 		}
 	}
 	return maxLive
-}
-
-// liveScratch pools MaxLive's per-net consumer counts and output marks.
-type liveScratch struct {
-	remaining []int
-	isOut     []bool
-}
-
-var liveScratchPool = sync.Pool{New: func() any { return new(liveScratch) }}
-
-func (s *liveScratch) grow(n int) {
-	if cap(s.remaining) < n {
-		s.remaining = make([]int, n)
-		s.isOut = make([]bool, n)
-	}
 }

@@ -31,6 +31,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -103,8 +104,10 @@ type RecoveryStats struct {
 	// ScrubbedRows totals the rows refreshed by retention scrub passes run
 	// before fault-retry attempts.
 	ScrubbedRows int
-	// CheckpointBytes is the largest epoch snapshot taken (arena, bitmaps,
-	// overflow rows and live spill slots).
+	// CheckpointBytes is the largest epoch snapshot taken: the rows that
+	// held data at the snapshot, the bitmaps, overflow rows and live spill
+	// slots. It is a property of the run, not of the pooled subarray that
+	// served it (whose arena keeps the high-water mark of earlier runs).
 	CheckpointBytes int64
 }
 
@@ -161,6 +164,7 @@ type checkpoint struct {
 	arena    []uint64
 	present  []uint64
 	parity   []uint64
+	rowWords int // words of arena the rows marked in present occupy
 	physRows int
 	opIdx    int
 	cDirty   bool
@@ -171,7 +175,7 @@ type checkpoint struct {
 }
 
 func (c *checkpoint) bytes() int64 {
-	n := int64(len(c.arena)+len(c.present)+len(c.parity)) * 8
+	n := int64(c.rowWords+len(c.present)+len(c.parity)) * 8
 	for i := range c.extraRows {
 		n += int64(len(c.extraRows[i].data))*8 + 8
 	}
@@ -185,6 +189,10 @@ func (c *checkpoint) bytes() int64 {
 func (s *Subarray) snapshot(c *checkpoint) {
 	c.arena = append(c.arena[:0], s.arena...)
 	c.present = append(c.present[:0], s.present...)
+	c.rowWords = 0
+	for _, w := range s.present {
+		c.rowWords += bits.OnesCount64(w) * s.words
+	}
 	if s.parTrack {
 		c.parity = append(c.parity[:0], s.parity...)
 	} else {

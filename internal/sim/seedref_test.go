@@ -180,7 +180,7 @@ func (s *seedSub) exec(op *isa.Op, io *HostIO, spill *seedSpill) error {
 		if io == nil || io.WriteData == nil {
 			return fmt.Errorf("sim: WRITE with no host data source (tag %d)", op.Tag)
 		}
-		data := io.WriteData(op.Tag)
+		data := io.WriteData(int(op.Tag))
 		if data == nil {
 			return fmt.Errorf("sim: host has no data for WRITE tag %d", op.Tag)
 		}
@@ -200,7 +200,7 @@ func (s *seedSub) exec(op *isa.Op, io *HostIO, spill *seedSpill) error {
 		}
 		out := make([]uint64, s.words)
 		copy(out, src)
-		io.ReadSink(op.Tag, out)
+		io.ReadSink(int(op.Tag), out)
 		return nil
 	case isa.OpSpillOut:
 		src, err := s.load(idx, op.Src)

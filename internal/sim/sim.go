@@ -646,7 +646,7 @@ func (s *Subarray) Exec(op *isa.Op, io *HostIO, spill *SpillStore) error {
 		if io == nil || io.WriteData == nil {
 			return fmt.Errorf("sim: WRITE with no host data source (tag %d)", op.Tag)
 		}
-		data := io.WriteData(op.Tag)
+		data := io.WriteData(int(op.Tag))
 		if data == nil {
 			return fmt.Errorf("sim: host has no data for WRITE tag %d", op.Tag)
 		}
@@ -667,7 +667,7 @@ func (s *Subarray) Exec(op *isa.Op, io *HostIO, spill *SpillStore) error {
 		}
 		out := s.readBuf
 		copy(out, src)
-		io.ReadSink(op.Tag, out)
+		io.ReadSink(int(op.Tag), out)
 		return nil
 
 	case isa.OpSpillOut:

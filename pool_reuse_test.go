@@ -74,6 +74,31 @@ func TestPoolReuseInterleavedFaultyCleanRuns(t *testing.T) {
 				i, clean.Faults, clean.RecoveryStats)
 		}
 	}
+
+	// A run's RecoveryStats are the run's, not the pooled machine's: after a
+	// kernel with a far larger row footprint has grown the pooled subarray's
+	// arena, the recovered run must report what it reported before —
+	// CheckpointBytes included, which counts the rows a snapshot held, not
+	// the arena's high-water mark.
+	wide, err := Compile(guardMulSrc, Options{Target: Ambit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide.Prog().DRowsUsed < 4*rec.Prog().DRowsUsed {
+		t.Fatalf("the wide kernel uses %d rows against %d; the arena would not outgrow the recovered run",
+			wide.Prog().DRowsUsed, rec.Prog().DRowsUsed)
+	}
+	if _, err := wide.RunRows(recRows(t, wide, lanes), lanes); err != nil {
+		t.Fatal(err)
+	}
+	again, err := rec.RunRowsUnderFault(recRows(t, rec, lanes), lanes, cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.RecoveryStats != recRef.RecoveryStats {
+		t.Fatalf("recovered run after a wider kernel reports different stats (pooled arena size leaked):\n %+v\n %+v",
+			again.RecoveryStats, recRef.RecoveryStats)
+	}
 }
 
 // TestPoolReuseTiledAfterMidRunCancel cancels tiled runs from inside, at a
