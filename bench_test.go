@@ -217,6 +217,31 @@ func BenchmarkCompileCold48(b *testing.B) {
 	}
 }
 
+// BenchmarkVerify4 is one verify cycle of the repo benchmark's run_paths
+// workload per iteration: its four kernels, Verify(4, seed) each. Profile it
+// with -cpuprofile to see how a verification's host time splits between the
+// device passes and the reference they are checked against.
+func BenchmarkVerify4(b *testing.B) {
+	var ks []*chopper.Kernel
+	for _, name := range []string{"DenseNet-16", "WTC-64", "DiffGen-64", "SW-64"} {
+		spec, _ := workloads.Get(name)
+		k, err := chopper.Compile(spec.Src, chopper.Options{Target: chopper.Ambit})
+		if err != nil {
+			b.Fatalf("%s: %v", name, err)
+		}
+		ks = append(ks, k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range ks {
+			if err := k.Verify(4, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkScheduleGates(b *testing.B) {
 	prog, _ := dsl.Parse(benchKernel)
 	ch, _ := typecheck.Check(prog)

@@ -366,6 +366,11 @@ type Kernel struct {
 	// parallel verify/reliability sweeps do with a cached kernel.
 	decodeOnce sync.Once
 	decoded    *sim.Decoded
+
+	// ref caches the lane-batched reference plan of Graph (built once, on
+	// first verification), shared across goroutines like decoded.
+	refOnce sync.Once
+	ref     *dfg.LanePlan
 }
 
 // decodedProg returns the kernel's pre-decoded execution stream, building
@@ -375,19 +380,27 @@ func (k *Kernel) decodedProg() *sim.Decoded {
 	return k.decoded
 }
 
-// machinePool recycles simulation machines (subarray arenas, spill buffers,
-// timing-engine tables) across runs: a verify or reliability sweep reuses
-// one machine per worker instead of reallocating per trial. Machines are
-// reset via Reconfigure on checkout, so no trial state leaks between runs.
-var machinePool = sync.Pool{New: func() any { return new(sim.Machine) }}
-
-func getMachine(cfg sim.MachineConfig) *sim.Machine {
-	m := machinePool.Get().(*sim.Machine)
-	m.Reconfigure(cfg)
-	return m
+// refPlan returns the kernel's lane-batched reference plan, building it on
+// first use.
+func (k *Kernel) refPlan() *dfg.LanePlan {
+	k.refOnce.Do(func() { k.ref = dfg.NewLanePlan(k.Graph) })
+	return k.ref
 }
 
-func putMachine(m *sim.Machine) { machinePool.Put(m) }
+// simWorker is what one worker keeps between runs: the simulation machine
+// (subarray arenas, spill buffers, timing-engine tables) and the arena the
+// reference evaluator checks that machine's output in. A verify or
+// reliability sweep reuses one per worker instead of reallocating per
+// trial: the run takes it for the device pass and returns it, and the
+// comparison that follows on the same goroutine takes it again. Machines
+// are reset via Reconfigure on checkout and the reference arena is
+// overwritten by every evaluation, so no trial state leaks between runs.
+type simWorker struct {
+	m   sim.Machine
+	ref dfg.LaneScratch
+}
+
+var workerPool = sync.Pool{New: func() any { return new(simWorker) }}
 
 // workspace is everything one back-end compile keeps between passes and
 // can hand to the next compile: the logic builder with its interning table
@@ -879,7 +892,9 @@ func (k *Kernel) runRows(ctx context.Context, rows map[string][][]uint64, lanes 
 	// path on a pooled machine: no placed-stream build, no per-trial
 	// machine allocation. The generic stream path (sim.Machine.RunCtx) is
 	// behaviorally identical — the equivalence tests hold the two together.
-	m := getMachine(sim.MachineConfig{
+	w := workerPool.Get().(*simWorker)
+	m := &w.m
+	m.Reconfigure(sim.MachineConfig{
 		Geom:  k.Opts.Geometry,
 		Arch:  k.Opts.Target,
 		Lanes: lanes,
@@ -893,11 +908,11 @@ func (k *Kernel) runRows(ctx context.Context, rows map[string][][]uint64, lanes 
 		t, err = m.RunDecodedCtx(ctx, k.decodedProg(), 0, 0, io, k.Opts.Budget)
 	}
 	if err != nil {
-		putMachine(m)
+		workerPool.Put(w)
 		return nil, err
 	}
 	res := &RunResult{Rows: outRows, TimeNs: t, Stats: m.Stats(), ScratchBytes: m.MemBytes(), RecoveryStats: rs}
-	putMachine(m)
+	workerPool.Put(w)
 	return res, nil
 }
 

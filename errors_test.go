@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"chopper/internal/dfg"
 )
 
 const errAdderSrc = `
@@ -209,5 +211,28 @@ func TestVerifyErrorClass(t *testing.T) {
 	}
 	if !errors.Is(err, ErrVerify) {
 		t.Fatalf("error %v does not match ErrVerify", err)
+	}
+}
+
+// TestReferenceEvalErrorClass: a failure of the reference evaluation itself
+// is an ErrVerify from every sweep that compares against it — Reliability
+// used to return the evaluator's error unclassed.
+func TestReferenceEvalErrorClass(t *testing.T) {
+	k, err := Compile(errAdderSrc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The compiled program still runs; the reference no longer evaluates.
+	g := *k.Graph
+	g.Values = append([]dfg.Value(nil), g.Values...)
+	g.Values[len(g.Values)-1].Kind = dfg.OpKind(99)
+	k.Graph = &g
+
+	verr := k.Verify(1, 5)
+	_, rerr := k.Reliability(1, 5, []FaultConfig{{}})
+	for name, err := range map[string]error{"Verify": verr, "Reliability": rerr} {
+		if !errors.Is(err, ErrVerify) || !strings.Contains(err.Error(), "reference eval: dfg: unknown op 99") {
+			t.Errorf("%s: got %v, want an ErrVerify-classed reference eval failure", name, err)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package chopper
 
 import (
 	"context"
-	"math/big"
 	"math/rand"
 
 	"chopper/internal/fault"
@@ -124,7 +123,7 @@ func (k *Kernel) ReliabilityCtx(ctx context.Context, trials int, seed int64, cfg
 
 	// One pool job per (cfg, trial) cell; cell j writes only cells[j], so
 	// the merge below sees the same data regardless of scheduling. Cells
-	// execute on pooled simulation machines (machinePool) and pooled fault
+	// execute on pooled simulation workers (workerPool) and pooled fault
 	// injectors (injectorPool), so a sweep's steady-state cost is the
 	// functional replay itself, not per-trial allocation.
 	cells := make([]relCell, len(cfgs)*trials)
@@ -147,21 +146,12 @@ func (k *Kernel) ReliabilityCtx(ctx context.Context, trials int, seed int64, cfg
 		for _, o := range k.Outputs {
 			got[o.Name] = transpose.FromVerticalWide(res.Rows[o.Name], o.Width, lanes)
 		}
-		for l := 0; l < lanes; l++ {
-			ref := make(map[string]*big.Int, len(k.Inputs))
-			for name, vals := range inWide {
-				ref[name] = limbsToBig(vals[l])
-			}
-			want, err := k.Graph.Eval(ref)
-			if err != nil {
-				return err
-			}
-			for _, out := range k.Outputs {
-				if limbsToBig(got[out.Name][l]).Cmp(want[out.Name]) != 0 {
-					cell.laneErrors[out.Name]++
-					cell.corrupted = true
-				}
-			}
+		if err := k.diffTrial(trial, inWide, got, lanes, func(_ int, out string, _, _ []uint64) bool {
+			cell.laneErrors[out]++
+			cell.corrupted = true
+			return true
+		}); err != nil {
+			return err
 		}
 		cells[j] = cell
 		return nil

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/rand"
 
+	"chopper/internal/dfg"
 	"chopper/internal/guard"
 	"chopper/internal/pool"
 	"chopper/internal/transpose"
@@ -104,7 +105,7 @@ func (k *Kernel) VerifyUnderFaultCtx(ctx context.Context, trials int, seed int64
 // Trials are independent units of work: inputs come from trialSeed(seed,
 // trial), the lane count from verifyLaneSchedule, so the pool can place
 // them on any worker without changing the outcome. Each trial runs on a
-// pooled simulation machine (see machinePool): workers reuse subarray
+// pooled simulation worker (see workerPool): workers reuse subarray
 // arenas, spill buffers and engine tables across trials instead of
 // reallocating them, with Reconfigure resetting all trial state.
 func (k *Kernel) verifyTrials(ctx context.Context, trials int, seed int64, workers int, run func(trial int, rows map[string][][]uint64, lanes int) (*RunResult, error)) error {
@@ -138,40 +139,94 @@ func (k *Kernel) verifyTrials(ctx context.Context, trials int, seed int64, worke
 	})
 }
 
-// compareTrial checks one trial's outputs lane by lane against the
-// reference dataflow evaluation. It is shared between the solo sweep
-// (verifyTrials) and the batched sweep (VerifyBatchCtx) so the two paths
-// report byte-identical discrepancies.
+// compareTrial checks one trial's outputs against the reference dataflow
+// evaluation and returns the first discrepancy — lowest lane, then
+// k.Outputs order. It is shared between the solo sweep (verifyTrials) and
+// the batched sweep (VerifyBatchCtx) so the two paths report byte-identical
+// discrepancies.
 func (k *Kernel) compareTrial(trial int, inWide, got map[string][][]uint64, lanes int) error {
+	var mismatch error
+	err := k.diffTrial(trial, inWide, got, lanes, func(lane int, out string, got, want []uint64) bool {
+		mismatch = stagef(ErrVerify, "chopper: verify", "trial %d lane %d: output %q = %v, reference says %v",
+			trial, lane, out, limbsToBig(got), limbsToBig(want))
+		return false
+	})
+	if err != nil {
+		return err
+	}
+	return mismatch
+}
+
+// diffTrial evaluates the reference dataflow semantics on one trial's
+// operands — every lane at once, on the lane-batched evaluator, in the
+// worker's retained arena — and calls report for each (lane, output) whose
+// simulated value differs from it: lanes ascending, k.Outputs order within
+// a lane, until report returns false. got and want are little-endian limbs
+// (want may carry more limbs than the output's width needs; the values are
+// compared, not the slices) and are only valid during the call. Verify and
+// Reliability both compare through here, so a reference-evaluation failure
+// is the same ErrVerify-classed error from either.
+func (k *Kernel) diffTrial(trial int, inWide, got map[string][][]uint64, lanes int, report func(lane int, out string, got, want []uint64) bool) error {
+	plan := k.refPlan()
+	w := workerPool.Get().(*simWorker)
+	defer workerPool.Put(w)
+	if err := plan.EvalLanes(&w.ref, inWide, lanes); err != nil {
+		return stagef(ErrVerify, "chopper: verify", "trial %d: reference eval: %v", trial, err)
+	}
+	type column struct {
+		name string
+		got  [][]uint64
+		want dfg.LaneVals
+	}
+	cols := make([]column, len(k.Outputs))
+	for i, o := range k.Outputs {
+		want, ok := plan.Output(&w.ref, o.Name)
+		if !ok {
+			return stagef(ErrVerify, "chopper: verify", "trial %d: reference eval: graph has no output %q", trial, o.Name)
+		}
+		cols[i] = column{name: o.Name, got: got[o.Name], want: want}
+	}
 	for l := 0; l < lanes; l++ {
-		ref := make(map[string]*big.Int, len(k.Inputs))
-		for name, vals := range inWide {
-			ref[name] = limbsToBig(vals[l])
-		}
-		want, err := k.Graph.Eval(ref)
-		if err != nil {
-			return stagef(ErrVerify, "chopper: verify", "trial %d: reference eval: %v", trial, err)
-		}
-		for _, out := range k.Outputs {
-			gotV := limbsToBig(got[out.Name][l])
-			if gotV.Cmp(want[out.Name]) != 0 {
-				return stagef(ErrVerify, "chopper: verify", "trial %d lane %d: output %q = %v, reference says %v",
-					trial, l, out.Name, gotV, want[out.Name])
+		for i := range cols {
+			c := &cols[i]
+			if g, want := c.got[l], c.want.Lane(l); !sameValue(g, want) && !report(l, c.name, g, want) {
+				return nil
 			}
 		}
 	}
 	return nil
 }
 
+// sameValue compares two little-endian limb slices as numbers: limbs one
+// side lacks read as zero.
+func sameValue(a, b []uint64) bool {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	for i, w := range a {
+		if b[i] != w {
+			return false
+		}
+	}
+	for _, w := range b[len(a):] {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // randWideInputs draws one batch of random operand values in wide
-// (limbs-per-lane) layout.
+// (limbs-per-lane) layout. An input's lanes are carved out of one backing
+// array, each clipped to its own limbs.
 func randWideInputs(rng *rand.Rand, inputs []IOSpec, lanes int) map[string][][]uint64 {
 	inWide := make(map[string][][]uint64, len(inputs))
 	for _, in := range inputs {
 		limbs := (in.Width + 63) / 64
 		vals := make([][]uint64, lanes)
+		backing := make([]uint64, lanes*limbs)
 		for l := range vals {
-			v := make([]uint64, limbs)
+			v := backing[l*limbs : (l+1)*limbs : (l+1)*limbs]
 			for i := range v {
 				v[i] = rng.Uint64()
 			}
@@ -199,6 +254,17 @@ func (k *Kernel) clampAnnotated(inWide map[string][][]uint64) {
 		r, ok := k.inputRanges[in.Name]
 		if !ok || r.Lo == nil || r.Hi == nil || r.Lo.Sign() < 0 ||
 			r.Lo.Cmp(r.Hi) > 0 || r.Hi.BitLen() > in.Width {
+			continue
+		}
+		if in.Width <= 64 {
+			// hi fits the width, so the bounds fit a word. A span of 2^64
+			// wraps to zero: the full range, nothing to fold.
+			lo := r.Lo.Uint64()
+			if span := r.Hi.Uint64() - lo + 1; span != 0 {
+				for _, limbs := range inWide[in.Name] {
+					limbs[0] = lo + limbs[0]%span
+				}
+			}
 			continue
 		}
 		span := new(big.Int).Sub(r.Hi, r.Lo)

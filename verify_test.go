@@ -1,10 +1,15 @@
 package chopper
 
 import (
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"chopper/internal/isa"
+	"chopper/internal/workloads"
 )
 
 func TestVerifyAcceptsCorrectKernels(t *testing.T) {
@@ -148,5 +153,120 @@ func TestAsmRoundTrip(t *testing.T) {
 	}
 	if reparsed.DRowsUsed > k.Opts.Geometry.DRows() {
 		t.Errorf("reconstructed DRowsUsed %d exceeds subarray", reparsed.DRowsUsed)
+	}
+}
+
+// sabotageFirstC0 flips one op of a compiled program: the first control-row
+// copy from C0 reads C1 instead.
+func sabotageFirstC0(t *testing.T, k *Kernel) {
+	t.Helper()
+	for i := range k.prog.Ops {
+		op := &k.prog.Ops[i]
+		if op.Kind == isa.OpAAP && op.Src == isa.C0 {
+			op.Src = isa.C1
+			return
+		}
+	}
+	t.Fatal("no control-row copy to sabotage")
+}
+
+// TestVerifyMismatchTextIdentical pins the discrepancy report to the text
+// the per-lane big.Int comparison produced before the lane-batched
+// evaluator replaced it (recorded from the parent commit): lowest trial,
+// lowest lane, k.Outputs order, decimal values — at any worker count, solo
+// and through the coalesced pass.
+func TestVerifyMismatchTextIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		src         string
+		solo, batch string // Verify(7, 17) and the batch's second member, Verify(2, 5)
+	}{
+		{
+			src:   "node main(a: u8, b: u8) returns (z: u8) let z = a + b; tel",
+			solo:  `chopper: verify: trial 0 lane 3: output "z" = 58, reference says 57`,
+			batch: `chopper: verify: trial 0 lane 4: output "z" = 178, reference says 177`,
+		},
+		{
+			src:   "node main(a: u128, b: u128) returns (s: u128, d: u128) let s = a + b; d = a - b; tel",
+			solo:  `chopper: verify: trial 0 lane 0: output "s" = 13209175047010113025449270969486187922, reference says 13209175047010113025449270969486187921`,
+			batch: `chopper: verify: trial 0 lane 1: output "s" = 89984145775192644976395314166782143624, reference says 89984145775192644976395314166782143623`,
+		},
+	} {
+		k, err := Compile(tc.src, Options{Target: Ambit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sabotageFirstC0(t, k)
+		for _, workers := range []int{1, 4} {
+			err := k.VerifyParallel(7, 17, workers)
+			if err == nil || err.Error() != tc.solo {
+				t.Errorf("workers=%d: got %v, want %s", workers, err, tc.solo)
+			}
+			if !errors.Is(err, ErrVerify) {
+				t.Errorf("workers=%d: %v is not ErrVerify", workers, err)
+			}
+		}
+		per, err := k.VerifyBatchCtx(nil, []VerifySpec{{Trials: 7, Seed: 17}, {Trials: 2, Seed: 5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range []string{tc.solo, tc.batch} {
+			if per[i] == nil || per[i].Error() != want {
+				t.Errorf("batch member %d: got %v, want %s", i, per[i], want)
+			}
+		}
+	}
+}
+
+// TestClampAnnotatedOperands pins the operands an @range-annotated kernel's
+// trials draw to what the all-big.Int clamp produced at the parent commit:
+// a narrow range, the full u64 range (a span of 2^64), a range wider than a
+// word (the big.Int route) and a single point.
+func TestClampAnnotatedOperands(t *testing.T) {
+	src := "@range(a, 3, 100)\n@range(b, 0, 18446744073709551615)\n" +
+		"@range(c, 1, 340282366920938463463374607431768211455)\n@range(d, 5, 5)\n" +
+		"node main(a: u8, b: u64, c: u128, d: u16) returns (z: u128) let z = u128(a) + u128(b) + c + u128(d); tel"
+	k, err := Compile(src, Options{Target: Ambit, Narrow: NarrowAnnotated})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(trialSeed(9, 2)))
+	in := randWideInputs(rng, k.Inputs, 65)
+	k.clampAnnotated(in)
+	h := sha256.New()
+	for _, spec := range k.Inputs {
+		for _, v := range in[spec.Name] {
+			fmt.Fprintf(h, "%s %v\n", spec.Name, v)
+		}
+	}
+	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "9a39d130b00e352aaa3aeeaca7dc7cf69a002d1dc8079caab719678061ab3ad0"; got != want {
+		t.Errorf("clamped operands digest %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(in["a"][:6], in["b"][0], in["c"][0], in["d"][64]),
+		"[[20] [63] [82] [41] [28] [49]] [9658662181372580777] [4646899980756320693 2581655659782605505] [5]"; got != want {
+		t.Errorf("clamped operands %s, want %s", got, want)
+	}
+	if err := k.Verify(5, 9); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestVerifyAllocGate holds the verification glue to a few allocations per
+// trial: the reference runs lane-batched in a retained arena, so nothing
+// about a trial allocates per lane or per graph value (248,871 allocations
+// when every lane built a map of big.Ints).
+func TestVerifyAllocGate(t *testing.T) {
+	spec, _ := workloads.Get("DenseNet-16")
+	k, err := Compile(spec.Src, Options{Target: Ambit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify := func() {
+		if err := k.Verify(4, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	verify() // build the plan, grow the arena
+	if allocs := testing.AllocsPerRun(5, verify); allocs > 5000 {
+		t.Errorf("Verify(4) on DenseNet-16 allocates %.0f times, want <= 5000", allocs)
 	}
 }
