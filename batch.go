@@ -97,6 +97,37 @@ func (k *Kernel) checkBatchable(totalLanes int) error {
 	return nil
 }
 
+// combinedRows allocates the shared operand arena: for every input, Width
+// bit-rows of `words` words each, cut from one backing array per input.
+func combinedRows(inputs []IOSpec, words int) map[string][][]uint64 {
+	combined := make(map[string][][]uint64, len(inputs))
+	for _, in := range inputs {
+		rows := make([][]uint64, in.Width)
+		backing := make([]uint64, in.Width*words)
+		for b := range rows {
+			rows[b], backing = backing[:words], backing[words:]
+		}
+		combined[in.Name] = rows
+	}
+	return combined
+}
+
+// spanRows slices one member's lane span out of combined rows. The span's
+// tail word is masked to the member's lane count — the solo path's global
+// tail mask, applied at the member's own boundary — so padding lanes from
+// neighbors (constant-pattern bits land there) never leak into a member's
+// rows. Spans are disjoint, so masking in place on the shared backing is
+// safe.
+func spanRows(rows [][]uint64, sp laneSpan) [][]uint64 {
+	sub := make([][]uint64, len(rows))
+	for b := range rows {
+		w := rows[b][sp.off : sp.off+sp.words]
+		w[sp.words-1] &= sp.mask
+		sub[b] = w
+	}
+	return sub
+}
+
 // RunRowsBatch executes every member in one simulated device pass over a
 // shared arena (see RunRowsBatchCtx).
 func (k *Kernel) RunRowsBatch(batches []LaneBatch) (res []*RunResult, err error) {
@@ -140,17 +171,7 @@ func (k *Kernel) runRowsBatch(ctx context.Context, batches []LaneBatch) ([]*RunR
 	if err := k.checkBatchable(total); err != nil {
 		return nil, err
 	}
-	words := transpose.Words(total)
-
-	combined := make(map[string][][]uint64, len(k.Inputs))
-	for _, in := range k.Inputs {
-		rows := make([][]uint64, in.Width)
-		backing := make([]uint64, in.Width*words)
-		for b := range rows {
-			rows[b], backing = backing[:words], backing[words:]
-		}
-		combined[in.Name] = rows
-	}
+	combined := combinedRows(k.Inputs, transpose.Words(total))
 	for i, b := range batches {
 		for _, in := range k.Inputs {
 			src, ok := b.Rows[in.Name]
@@ -171,24 +192,14 @@ func (k *Kernel) runRowsBatch(ctx context.Context, batches []LaneBatch) ([]*RunR
 	return demuxResults(res, spans), nil
 }
 
-// demuxResults slices each member's lane span out of the combined output
-// rows. The span's tail word is masked to the member's lane count — the
-// solo path's global tail mask, applied at the member's own boundary —
-// so padding lanes from neighbors (constant-pattern bits land there)
-// never leak into a member's rows. Spans are disjoint, so masking in
-// place on the shared backing is safe.
+// demuxResults gives each member its own lane span of the combined output
+// rows (see spanRows) beside the pass's shared time and counters.
 func demuxResults(res *RunResult, spans []laneSpan) []*RunResult {
 	out := make([]*RunResult, len(spans))
 	for i, sp := range spans {
 		rows := make(map[string][][]uint64, len(res.Rows))
 		for name, rs := range res.Rows {
-			sub := make([][]uint64, len(rs))
-			for b := range rs {
-				w := rs[b][sp.off : sp.off+sp.words]
-				w[sp.words-1] &= sp.mask
-				sub[b] = w
-			}
-			rows[name] = sub
+			rows[name] = spanRows(rs, sp)
 		}
 		out[i] = &RunResult{
 			Rows:         rows,
@@ -229,20 +240,12 @@ func (k *Kernel) RunBatchCtx(ctx context.Context, reqs []BatchRun) (outs []map[s
 			return nil, nil, err
 		}
 	}
-	words := transpose.Words(total)
-
-	combined := make(map[string][][]uint64, len(k.Inputs))
 	for _, in := range k.Inputs {
 		if in.Width > 64 {
 			return nil, nil, optionsErrf("input %q is %d bits wide; RunBatch handles up to 64 (use RunRowsBatch)", in.Name, in.Width)
 		}
-		rows := make([][]uint64, in.Width)
-		backing := make([]uint64, in.Width*words)
-		for b := range rows {
-			rows[b], backing = backing[:words], backing[words:]
-		}
-		combined[in.Name] = rows
 	}
+	combined := combinedRows(k.Inputs, transpose.Words(total))
 	for i, r := range reqs {
 		for _, in := range k.Inputs {
 			vals, ok := r.Inputs[in.Name]
@@ -330,17 +333,7 @@ func (k *Kernel) VerifyBatchCtx(ctx context.Context, specs []VerifySpec) (perSpe
 	if err := k.checkBatchable(total); err != nil {
 		return nil, err
 	}
-	words := transpose.Words(total)
-
-	combined := make(map[string][][]uint64, len(k.Inputs))
-	for _, in := range k.Inputs {
-		rows := make([][]uint64, in.Width)
-		backing := make([]uint64, in.Width*words)
-		for b := range rows {
-			rows[b], backing = backing[:words], backing[words:]
-		}
-		combined[in.Name] = rows
-	}
+	combined := combinedRows(k.Inputs, transpose.Words(total))
 	for ri, ref := range refs {
 		for _, in := range k.Inputs {
 			src := transpose.ToVerticalWide(ref.inWide[in.Name], in.Width, ref.lanes)
@@ -361,17 +354,9 @@ func (k *Kernel) VerifyBatchCtx(ctx context.Context, specs []VerifySpec) (perSpe
 			// worker=1 sweep's stopping point.
 			continue
 		}
-		sp := spans[ri]
 		got := make(map[string][][]uint64, len(k.Outputs))
 		for _, o := range k.Outputs {
-			rows := res.Rows[o.Name]
-			sub := make([][]uint64, len(rows))
-			for b := range rows {
-				w := rows[b][sp.off : sp.off+sp.words]
-				w[sp.words-1] &= sp.mask
-				sub[b] = w
-			}
-			got[o.Name] = transpose.FromVerticalWide(sub, o.Width, ref.lanes)
+			got[o.Name] = transpose.FromVerticalWide(spanRows(res.Rows[o.Name], spans[ri]), o.Width, ref.lanes)
 		}
 		perSpec[ref.spec] = k.compareTrial(ref.trial, ref.inWide, got, ref.lanes)
 	}

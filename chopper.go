@@ -477,26 +477,38 @@ func CompileCtx(ctx context.Context, src string, opts Options) (k *Kernel, err e
 	return k, err
 }
 
-func compileSource(ctx context.Context, src string, opts Options) (*Kernel, error) {
+// frontEnd is the one source-to-graph path every compile driver shares:
+// parse and expand, typecheck, resolve the entry node (opts.Entry, else the
+// program's own) and normalize it into a dataflow graph. Failures are
+// classed by stage (ErrParse, ErrTypecheck, ErrNormalize).
+func frontEnd(src string, opts Options) (*dsl.Program, string, *dfg.Graph, error) {
 	prog, err := dsl.ParseAndExpand(src)
 	if err != nil {
-		return nil, stage(ErrParse, "chopper: parse", err)
+		return nil, "", nil, stage(ErrParse, "chopper: parse", err)
 	}
 	checked, err := typecheck.Check(prog)
 	if err != nil {
-		return nil, stage(ErrTypecheck, "chopper: typecheck", err)
+		return nil, "", nil, stage(ErrTypecheck, "chopper: typecheck", err)
 	}
 	entry := opts.Entry
 	if entry == "" {
 		e := prog.Entry()
 		if e == nil {
-			return nil, stagef(ErrNormalize, "chopper: normalize", "no entry node")
+			return nil, "", nil, stagef(ErrNormalize, "chopper: normalize", "no entry node")
 		}
 		entry = e.Name
 	}
 	graph, err := dfg.BuildNode(checked, entry)
 	if err != nil {
-		return nil, stage(ErrNormalize, "chopper: normalize", err)
+		return nil, "", nil, stage(ErrNormalize, "chopper: normalize", err)
+	}
+	return prog, entry, graph, nil
+}
+
+func compileSource(ctx context.Context, src string, opts Options) (*Kernel, error) {
+	prog, entry, graph, err := frontEnd(src, opts)
+	if err != nil {
+		return nil, err
 	}
 	var ranges map[string]narrow.Range
 	if opts.Narrow == NarrowAnnotated {
@@ -997,21 +1009,9 @@ func CompileBaseline(src string, opts Options) (k *Kernel, err error) {
 }
 
 func compileBaselineSource(src string, opts Options) (*Kernel, error) {
-	prog, err := dsl.ParseAndExpand(src)
+	prog, _, graph, err := frontEnd(src, opts)
 	if err != nil {
-		return nil, stage(ErrParse, "chopper: parse", err)
-	}
-	checked, err := typecheck.Check(prog)
-	if err != nil {
-		return nil, stage(ErrTypecheck, "chopper: typecheck", err)
-	}
-	entry := opts.Entry
-	if entry == "" {
-		entry = prog.Entry().Name
-	}
-	graph, err := dfg.BuildNode(checked, entry)
-	if err != nil {
-		return nil, stage(ErrNormalize, "chopper: normalize", err)
+		return nil, err
 	}
 	k, err := compileBaselineGraph(graph, opts)
 	if err != nil {

@@ -5,6 +5,7 @@ package chopper
 // assembly path. Guarded by -short since they shell out to the Go tool.
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -125,5 +126,13 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "rename") {
 		t.Errorf("unknown -opt error does not list valid values:\n%s", out)
+	}
+
+	// The retired benchmark modes are gone, not hidden: the flag package
+	// rejects -bench as undefined (exit status 2).
+	out, err = exec.Command(choppersim, "-bench", src).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "not defined") {
+		t.Errorf("choppersim -bench: %v, want exit status 2 for an undefined flag:\n%s", err, out)
 	}
 }

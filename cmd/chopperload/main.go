@@ -7,9 +7,8 @@
 //	chopperload -addr http://127.0.0.1:8479 -qps 100 -duration 5s \
 //	    -overload-qps 400 -overload-duration 2s
 //
-// With -bench PATH the steady/overload results are written into the
-// tracked benchmark report's serve section (see internal/perfbench),
-// which cmd/benchcheck gates with -min-serve-qps.
+// With -json the serve.LoadReport itself is printed instead of the
+// per-phase summary lines.
 //
 // Exit status: 0 on success, 1 on usage or transport-level failure,
 // 2 when -fail-on-5xx is set and the server returned any 5xx other than
@@ -26,7 +25,6 @@ import (
 	"os"
 	"time"
 
-	"chopper/internal/perfbench"
 	"chopper/internal/serve"
 )
 
@@ -44,8 +42,6 @@ func main() {
 	tenants := flag.Int("tenants", 4, "tenant spread")
 	failOn5xx := flag.Bool("fail-on-5xx", false, "exit 2 if any phase saw a 5xx other than 503-draining")
 	jsonOut := flag.Bool("json", false, "print the full report as JSON")
-	benchPath := flag.String("bench", "", "update this benchmark report's serve section")
-	benchNote := flag.String("bench-note", "", "note recorded with the serve section")
 	flag.Parse()
 
 	// Default Transport keeps only 2 idle conns per host; an open-loop
@@ -92,14 +88,6 @@ func main() {
 		}
 	}
 
-	if *benchPath != "" {
-		if err := updateBench(*benchPath, *benchNote, report); err != nil {
-			fmt.Fprintf(os.Stderr, "chopperload: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("serve section updated in %s\n", *benchPath)
-	}
-
 	if *failOn5xx {
 		for _, p := range report.Phases {
 			if p.ServerErrors > 0 {
@@ -113,61 +101,4 @@ func main() {
 			}
 		}
 	}
-}
-
-// updateBench refreshes the serve section of the tracked benchmark
-// report, preserving every other section (the same refresh pattern the
-// compile and tiled sections use). The homogeneous solo/batched pair,
-// when present, lands in the serve_batch section instead, which
-// cmd/benchcheck gates with -min-batch-speedup / -min-batch-occupancy.
-func updateBench(path, note string, report *serve.LoadReport) error {
-	r, err := perfbench.Load(path)
-	if err != nil {
-		return err
-	}
-	toEntry := func(p serve.LoadPhase) perfbench.ServeEntry {
-		return perfbench.ServeEntry{
-			Phase:            p.Name,
-			OfferedQPS:       p.OfferedQPS,
-			AchievedQPS:      p.AchievedQPS,
-			OKQPS:            p.OKQPS,
-			Requests:         p.Requests,
-			OK:               p.OK,
-			Shed:             p.Shed,
-			ServerErrors:     p.ServerErrors,
-			ShedRate:         p.ShedRate,
-			CacheHitRate:     p.CacheHitRate,
-			P50Ns:            p.P50Ns,
-			P99Ns:            p.P99Ns,
-			P999Ns:           p.P999Ns,
-			InteractiveP99Ns: p.InteractiveP99Ns,
-		}
-	}
-	var entries []perfbench.ServeEntry
-	var solo, batched *perfbench.ServeEntry
-	var meanBatch float64
-	for _, p := range report.Phases {
-		e := toEntry(p)
-		switch p.Name {
-		case "homog-solo":
-			solo = &e
-		case "homog-batched":
-			batched = &e
-			meanBatch = p.MeanBatchSize
-		default:
-			entries = append(entries, e)
-		}
-	}
-	if len(entries) > 0 {
-		r.SetServe(entries, note)
-	}
-	if solo != nil && batched != nil {
-		r.SetServeBatch(&perfbench.ServeBatchSection{
-			Note:          note,
-			MeanBatchSize: meanBatch,
-			Solo:          *solo,
-			Batched:       *batched,
-		})
-	}
-	return r.WriteFile(path)
 }

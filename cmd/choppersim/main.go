@@ -10,36 +10,6 @@
 //	           [-timeout D] [-max-uops N]
 //	           [-in name=v1,v2,... ...] file.chop
 //	choppersim -asm file.pud       # execute raw PUD assembly
-//	choppersim -bench              # run the tracked benchmark suite
-//	choppersim -compile-bench      # run the compile-throughput suite
-//	choppersim -tiled-bench        # run the channel-sharded tiled suite
-//	choppersim -narrow-bench       # run the precision-adaptive suite
-//
-// -bench runs the internal/perfbench suite (paper workloads x all
-// architectures) and writes BENCH_chopper.json (override with -bench-out),
-// preserving the recorded baseline section of an existing file so the
-// before/after comparison survives refreshes. -bench-quick runs a single
-// timed iteration per pair — the CI smoke configuration.
-//
-// -compile-bench refreshes the report's `compile` section (cold-compile
-// ns/op, allocs, gates/s across workloads x architectures x opt levels);
-// combined with -bench both suites run in one invocation. Alone, it
-// rewrites only the compile section of an existing report, leaving the
-// simulator sections untouched.
-//
-// -tiled-bench refreshes the report's `tiled` section: every suite
-// workload runs RunTiled on the bank-oversubscribed tiled geometry at
-// Channels=1 and Channels=4, recording the simulated device makespan,
-// host-transfer time and end-to-end time per configuration (the
-// channel-sharding speedup CI gates on). Like -compile-bench it composes
-// with -bench or refreshes just its own section of an existing report.
-//
-// -narrow-bench refreshes the report's `narrow` section: every suite
-// workload compiles with and without safe-mode narrowing on every
-// architecture, the narrowed kernel is verified bit-exactly, and the
-// emitted micro-op counts plus simulated makespans of both are recorded
-// (the precision-adaptive gains CI gates on). Like the other section
-// flags it composes with -bench or refreshes just its own section.
 //
 // -narrow selects the precision-adaptive compilation mode for single-
 // program runs (see docs/PERFORMANCE.md): safe narrows values to bits
@@ -86,7 +56,6 @@ import (
 	"chopper/internal/dram"
 	"chopper/internal/isa"
 	"chopper/internal/obs"
-	"chopper/internal/perfbench"
 	"chopper/internal/sim"
 	"chopper/internal/transpose"
 )
@@ -126,24 +95,10 @@ func main() {
 	maxRetries := flag.Int("max-retries", 0, "with -recover: replays allowed per epoch; 0 means the default (3), negative means detect-only")
 	timeout := flag.Duration("timeout", 0, "wall-clock deadline for compile+run (e.g. 5s); 0 disables")
 	maxUops := flag.Int("max-uops", 0, "cap on emitted micro-ops; 0 means unlimited")
-	benchMode := flag.Bool("bench", false, "run the tracked benchmark suite and write a report instead of executing a program")
-	benchOut := flag.String("bench-out", "BENCH_chopper.json", "report path for -bench")
-	benchQuick := flag.Bool("bench-quick", false, "with -bench: one timed iteration per pair (CI smoke)")
-	compileBench := flag.Bool("compile-bench", false, "run the compile-throughput suite and record it in the report's compile section")
-	tiledBench := flag.Bool("tiled-bench", false, "run the channel-sharded tiled suite and record it in the report's tiled section")
-	narrowBench := flag.Bool("narrow-bench", false, "run the precision-adaptive compilation suite and record it in the report's narrow section")
 	ins := inputFlags{}
 	flag.Var(ins, "in", "input operand values: name=v1,v2,... (repeatable)")
 	flag.Parse()
 
-	if *benchMode || *compileBench || *tiledBench || *narrowBench {
-		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "usage: choppersim [-bench] [-compile-bench] [-tiled-bench] [-narrow-bench] [-bench-out file] [-bench-quick]")
-			os.Exit(2)
-		}
-		runBench(*benchOut, *benchQuick, *benchMode, *compileBench, *tiledBench, *narrowBench)
-		return
-	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: choppersim [flags] file.chop")
 		os.Exit(2)
@@ -343,143 +298,6 @@ func main() {
 		}
 		fmt.Printf("%-8s out %v\n", out.Name, vals)
 	}
-}
-
-// runBench runs the tracked benchmark suites and writes the report. When
-// outPath already holds a report, its baseline sections are carried over
-// verbatim so refreshing the current numbers never loses the recorded
-// pre-optimization references. sim selects the simulator-throughput suite
-// (-bench), compile the cold-compile suite (-compile-bench), tiled the
-// channel-sharded tiled suite (-tiled-bench), narrow the precision-
-// adaptive suite (-narrow-bench); without -bench, the existing report
-// supplies every section the invocation does not refresh.
-func runBench(outPath string, quick, sim, compile, tiled, narrow bool) {
-	note := "choppersim"
-	if sim {
-		note += " -bench"
-	}
-	if compile {
-		note += " -compile-bench"
-	}
-	if tiled {
-		note += " -tiled-bench"
-	}
-	if narrow {
-		note += " -narrow-bench"
-	}
-	if quick {
-		note += " -bench-quick (single iteration; not comparable across machines)"
-	}
-	prev, prevErr := perfbench.Load(outPath)
-
-	var rep *perfbench.Report
-	if sim {
-		cur, err := perfbench.RunSuite(quick)
-		if err != nil {
-			fatal(err)
-		}
-		rep = perfbench.NewReport(cur, note)
-		if prevErr == nil && len(prev.Baseline) > 0 {
-			rep.Baseline = prev.Baseline
-			rep.BaselineNote = prev.BaselineNote
-		}
-		if prevErr == nil {
-			rep.Compile = prev.Compile
-			rep.Tiled = prev.Tiled
-			rep.Narrow = prev.Narrow
-		}
-	} else {
-		// Section-only refresh: the simulator sections must come from an
-		// existing valid report, since a report without them is invalid.
-		if prevErr != nil {
-			fatal(fmt.Errorf("section refresh without -bench needs an existing report: %w", prevErr))
-		}
-		rep = prev
-	}
-	if compile {
-		cc, err := perfbench.RunCompileSuite(quick)
-		if err != nil {
-			fatal(err)
-		}
-		rep.SetCompile(cc, note)
-	}
-	if tiled {
-		te, err := perfbench.RunTiledSuite(quick)
-		if err != nil {
-			fatal(err)
-		}
-		rep.SetTiled(te, note)
-	}
-	if narrow {
-		ne, err := perfbench.RunNarrowSuite()
-		if err != nil {
-			fatal(err)
-		}
-		rep.SetNarrow(ne, note)
-	}
-	if err := perfbench.Validate(rep); err != nil {
-		fatal(err)
-	}
-	if err := rep.WriteFile(outPath); err != nil {
-		fatal(err)
-	}
-	if sim {
-		fmt.Printf("%-14s %-8s %14s %12s %14s %10s\n", "workload", "arch", "ns/op", "allocs/op", "uops/s", "speedup")
-		for _, r := range rep.Current {
-			sp := "-"
-			if s := rep.Speedup(r.Workload, r.Arch); s > 0 {
-				sp = fmt.Sprintf("%.2fx", s)
-			}
-			fmt.Printf("%-14s %-8s %14.0f %12.0f %14.0f %10s\n",
-				r.Workload, r.Arch, r.NsPerOp, r.AllocsPerOp, r.UopsPerSec, sp)
-		}
-	}
-	if compile && rep.Compile != nil {
-		fmt.Printf("\n%-14s %-8s %-9s %14s %12s %14s %10s\n",
-			"workload", "arch", "opt", "ns/op", "allocs/op", "gates/s", "speedup")
-		for _, r := range rep.Compile.Current {
-			sp := "-"
-			if s := rep.CompileSpeedup(r.Workload, r.Arch, r.Opt); s > 0 {
-				sp = fmt.Sprintf("%.2fx", s)
-			}
-			fmt.Printf("%-14s %-8s %-9s %14.0f %12.0f %14.0f %10s\n",
-				r.Workload, r.Arch, r.Opt, r.NsPerOp, r.AllocsPerOp, r.GatesPerSec, sp)
-		}
-	}
-	if tiled && rep.Tiled != nil {
-		fmt.Printf("\n%-14s %8s %6s %14s %14s %14s %10s\n",
-			"workload", "channels", "tiles", "device-ns", "transfer-ns", "end-to-end-ns", "speedup")
-		for _, e := range rep.Tiled.Entries {
-			sp := "-"
-			if e.Channels > 1 {
-				if s := rep.TiledSpeedup(e.Workload); s > 0 {
-					sp = fmt.Sprintf("%.2fx", s)
-				}
-			}
-			fmt.Printf("%-14s %8d %6d %14.0f %14.0f %14.0f %10s\n",
-				e.Workload, e.Channels, e.Tiles, e.DeviceNs, e.TransferNs, e.EndToEndNs, sp)
-		}
-	}
-	if narrow && rep.Narrow != nil {
-		fmt.Printf("\n%-14s %-8s %10s %10s %10s %10s %12s %12s\n",
-			"workload", "arch", "base-uops", "narrowed", "reduction", "speedup", "decl-bits", "live-bits")
-		for _, e := range rep.Narrow.Entries {
-			fmt.Printf("%-14s %-8s %10d %10d %9.1f%% %9.2fx %12d %12d\n",
-				e.Workload, e.Arch, e.BaseUops, e.NarrowUops, 100*e.UopReduction,
-				e.MakespanSpeedup, e.DeclaredBits, e.LiveBits)
-		}
-	}
-	fmt.Printf("wrote %s (%d current entries, %d baseline entries", outPath, len(rep.Current), len(rep.Baseline))
-	if rep.Compile != nil {
-		fmt.Printf(", %d compile entries", len(rep.Compile.Current))
-	}
-	if rep.Tiled != nil {
-		fmt.Printf(", %d tiled entries", len(rep.Tiled.Entries))
-	}
-	if rep.Narrow != nil {
-		fmt.Printf(", %d narrow entries", len(rep.Narrow.Entries))
-	}
-	fmt.Println(")")
 }
 
 // runAsm assembles and executes a raw micro-op program. Each WRITE tag t

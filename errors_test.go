@@ -45,18 +45,33 @@ func TestSentinelErrorStages(t *testing.T) {
 			not:  []error{ErrParse, ErrTypecheck, ErrCodegen},
 		},
 	}
+	// The three source-level entry points share one front end, so each
+	// classes these failures the way Compile does.
+	drivers := []struct {
+		name    string
+		compile func(string, Options) (*Kernel, error)
+	}{
+		{"Compile", Compile},
+		{"CompileBaseline", CompileBaseline},
+		{"CompileHorizontal", CompileHorizontal},
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Compile(tc.src, tc.opts)
-			if err == nil {
-				t.Fatal("Compile succeeded, want error")
-			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("error %v does not match %v", err, tc.want)
-			}
-			for _, s := range tc.not {
-				if errors.Is(err, s) {
-					t.Errorf("error %v unexpectedly matches %v", err, s)
+			for _, d := range drivers {
+				_, err := d.compile(tc.src, tc.opts)
+				if err == nil {
+					t.Fatalf("%s succeeded, want error", d.name)
+				}
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("%s: error %v does not match %v", d.name, err, tc.want)
+				}
+				if got := ErrorClass(err); got != tc.name {
+					t.Errorf("%s: ErrorClass = %q, want %q", d.name, got, tc.name)
+				}
+				for _, s := range tc.not {
+					if errors.Is(err, s) {
+						t.Errorf("%s: error %v unexpectedly matches %v", d.name, err, s)
+					}
 				}
 			}
 		})

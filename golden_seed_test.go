@@ -20,8 +20,8 @@ import (
 	"chopper/internal/workloads"
 )
 
-// goldenWorkloads is the compared set: the perfbench Table II subset, one
-// workload per paper domain.
+// goldenWorkloads is the compared set: a Table II subset, one workload per
+// paper domain.
 var goldenWorkloads = []string{"DenseNet-16", "WTC-64", "DiffGen-64", "SW-64"}
 
 var goldenTargets = []chopper.Target{chopper.Ambit, chopper.ELP2IM, chopper.SIMDRAM}

@@ -4,13 +4,7 @@ import (
 	"fmt"
 	"math/big"
 
-	"chopper/internal/bitslice"
-	"chopper/internal/codegen"
 	"chopper/internal/dfg"
-	"chopper/internal/dsl"
-	"chopper/internal/guard"
-	"chopper/internal/logic"
-	"chopper/internal/typecheck"
 )
 
 // CompileHorizontal compiles a purely bitwise kernel for the horizontal
@@ -29,43 +23,28 @@ import (
 // The returned kernel's interface has one 1-bit "lane" per packed data
 // bit: running it over `lanes` lanes processes lanes bits of each operand
 // (lanes/width elements).
-func CompileHorizontal(src string, opts Options) (*Kernel, error) {
+//
+// Past the layout conversion this is Compile's back end, so everything
+// that applies there applies here: Options.Harden, every Options.Budget
+// dimension, the @noreuse annotation and the degradation ladder, with
+// failures classed by stage and internal panics surfacing as ErrInternal.
+func CompileHorizontal(src string, opts Options) (k *Kernel, err error) {
+	defer recoverToError(&err)
 	opts = opts.normalize()
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	return cachedCompile("horizontal", src, opts, func() (*Kernel, error) {
-		return compileHorizontalSource(src, opts)
+		prog, entry, graph, err := frontEnd(src, opts)
+		if err != nil {
+			return nil, err
+		}
+		hg, err := horizontalGraph(graph)
+		if err != nil {
+			return nil, err
+		}
+		return compileGraph(nil, prog, entry, hg, opts, nil)
 	})
-}
-
-func compileHorizontalSource(src string, opts Options) (*Kernel, error) {
-	prog, err := dsl.ParseAndExpand(src)
-	if err != nil {
-		return nil, fmt.Errorf("chopper: parse: %w", err)
-	}
-	checked, err := typecheck.Check(prog)
-	if err != nil {
-		return nil, fmt.Errorf("chopper: typecheck: %w", err)
-	}
-	entry := opts.Entry
-	if entry == "" {
-		entry = prog.Entry().Name
-	}
-	graph, err := dfg.BuildNode(checked, entry)
-	if err != nil {
-		return nil, fmt.Errorf("chopper: normalize: %w", err)
-	}
-	hg, err := horizontalGraph(graph)
-	if err != nil {
-		return nil, err
-	}
-	k, err := compileHorizontalGraph(hg, opts)
-	if err != nil {
-		return nil, err
-	}
-	k.Program = prog
-	return k, nil
 }
 
 // horizontalGraph converts a bitwise dataflow graph into its width-1
@@ -115,44 +94,6 @@ func horizontalGraph(g *dfg.Graph) (*dfg.Graph, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-func compileHorizontalGraph(graph *dfg.Graph, opts Options) (*Kernel, error) {
-	opt := opts.Opt
-	net, err := bitslice.Lower(graph, bitslice.Options{Fold: opt.HasReuse()})
-	if err != nil {
-		return nil, fmt.Errorf("chopper: bitslice: %w", err)
-	}
-	leg, err := logic.Legalize(net, opts.Target, logic.BuilderOptions{Fold: opt.HasReuse(), CSE: true})
-	if err != nil {
-		return nil, fmt.Errorf("chopper: legalize: %w", err)
-	}
-	leg = leg.DCE()
-	code, err := codegen.Generate(leg, codegen.Options{
-		Arch:    opts.Target,
-		Variant: opt,
-		DRows:   opts.Geometry.DRows(),
-		MaxOps:  opts.Budget.MaxMicroOps,
-	})
-	if err != nil {
-		if guard.IsGuard(err) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("chopper: codegen: %w", err)
-	}
-	k := &Kernel{
-		Opts: opts, Graph: graph, Net: leg, Code: code,
-		prog: code.Prog, inputTag: code.InputTag, outputTag: code.OutputTag,
-		constPattern: code.ConstPattern,
-	}
-	for _, in := range graph.Inputs {
-		v := graph.Values[in]
-		k.Inputs = append(k.Inputs, IOSpec{Name: v.Name, Width: 1})
-	}
-	for i := range graph.Outputs {
-		k.Outputs = append(k.Outputs, IOSpec{Name: graph.OutputNames[i], Width: 1})
-	}
-	return k, nil
 }
 
 var bigOne = big.NewInt(1)

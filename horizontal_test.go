@@ -1,18 +1,20 @@
 package chopper
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
 
-func TestHorizontalBitwiseKernel(t *testing.T) {
-	// Bulk bitwise over packed rows: the Ambit use case.
-	src := `
+// Bulk bitwise over packed rows: the Ambit use case.
+const horizontalSrc = `
 node main(a: u8, b: u8, m: u8) returns (z: u8)
 let
   z = (a & m) ^ (b | ~m);
 tel`
-	k, err := CompileHorizontal(src, Options{Target: Ambit})
+
+func TestHorizontalBitwiseKernel(t *testing.T) {
+	k, err := CompileHorizontal(horizontalSrc, Options{Target: Ambit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +50,31 @@ tel`
 		if out["z"][l] != want&1 {
 			t.Fatalf("bit %d: z=%d want %d", l, out["z"][l], want&1)
 		}
+	}
+}
+
+// The horizontal layout shares Compile's back end, so the options that
+// shape it apply: hardening triplicates the logic, budgets stop the compile.
+func TestHorizontalHonorsHardenAndBudget(t *testing.T) {
+	plain, err := CompileHorizontal(horizontalSrc, Options{Target: Ambit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hard, err := CompileHorizontal(horizontalSrc, Options{Target: Ambit, Harden: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hard.Prog().Ops) <= len(plain.Prog().Ops) {
+		t.Errorf("hardened kernel has %d micro-ops, plain %d: Harden was dropped",
+			len(hard.Prog().Ops), len(plain.Prog().Ops))
+	}
+	if err := hard.Verify(8, 1); err != nil {
+		t.Errorf("hardened kernel does not verify: %v", err)
+	}
+
+	_, err = CompileHorizontal(horizontalSrc, Options{Target: Ambit, Budget: Budget{MaxNetGates: 1}})
+	if !errors.Is(err, ErrBudget) || ErrorClass(err) != "budget" {
+		t.Errorf("MaxNetGates 1: error %v (class %q), want a budget stop", err, ErrorClass(err))
 	}
 }
 

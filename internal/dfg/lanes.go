@@ -120,7 +120,7 @@ func NewLanePlan(g *Graph) *LanePlan {
 		switch v.Kind {
 		case OpConst:
 			lv.imm = len(p.consts)
-			p.consts = append(p.consts, bigLimbs(maskTo(v.Imm, v.Width), lv.n)...)
+			p.consts = append(p.consts, BigLimbs(maskTo(v.Imm, v.Width), lv.n)...)
 		case OpShl, OpShr:
 			lv.amt = uint64(v.Imm.Int64()) // Eval's uint(Imm.Int64())
 		case OpSra, OpSraV, OpLtS, OpLeS, OpGtS, OpGeS:
@@ -155,8 +155,8 @@ func NewLanePlan(g *Graph) *LanePlan {
 	return p
 }
 
-// bigLimbs writes a non-negative v into n little-endian limbs.
-func bigLimbs(v *big.Int, n int) []uint64 {
+// BigLimbs writes a non-negative v into n little-endian limbs.
+func BigLimbs(v *big.Int, n int) []uint64 {
 	out := make([]uint64, n)
 	t := new(big.Int).Set(v)
 	for i := range out {
@@ -166,7 +166,8 @@ func bigLimbs(v *big.Int, n int) []uint64 {
 	return out
 }
 
-func limbsBig(x []uint64) *big.Int {
+// LimbsBig is the value of the little-endian limbs x.
+func LimbsBig(x []uint64) *big.Int {
 	v := new(big.Int)
 	for i := len(x) - 1; i >= 0; i-- {
 		v.Lsh(v, 64)
@@ -724,13 +725,13 @@ func (p *LanePlan) evalWide(s *LaneScratch, v *laneValue, dst []uint64) {
 			// lane: no Table-II kernel divides that wide.
 			switch {
 			case !isZero(b):
-				x, y := limbsBig(a), limbsBig(b)
+				x, y := LimbsBig(a), LimbsBig(b)
 				if v.kind == OpDivU {
 					x.Div(x, y)
 				} else {
 					x.Mod(x, y)
 				}
-				copy(d, bigLimbs(x, n))
+				copy(d, BigLimbs(x, n))
 			case v.kind == OpModU:
 				copyExt(d, a)
 			default:

@@ -164,7 +164,7 @@ func checkLaneEval(t *testing.T, g *Graph, inputs map[string][][]uint64, lanes i
 	for l := 0; l < lanes; l++ {
 		ref := make(map[string]*big.Int, len(inputs))
 		for name, vals := range inputs {
-			ref[name] = limbsBig(vals[l])
+			ref[name] = LimbsBig(vals[l])
 		}
 		want, err := g.Eval(ref)
 		if err != nil {
@@ -175,7 +175,7 @@ func checkLaneEval(t *testing.T, g *Graph, inputs map[string][][]uint64, lanes i
 			if !ok {
 				t.Fatalf("plan has no output %q", name)
 			}
-			if got := limbsBig(out.Lane(l)); got.Cmp(want[name]) != 0 {
+			if got := LimbsBig(out.Lane(l)); got.Cmp(want[name]) != 0 {
 				v := &g.Values[g.Outputs[i]]
 				t.Fatalf("lane %d of %d, %s = %s%v width %d: lanes say %#x, Eval says %#x",
 					l, lanes, name, v.Kind, v.Args, v.Width, got, want[name])
@@ -379,7 +379,7 @@ func TestLaneEvalErrors(t *testing.T) {
 	for _, in := range []map[string][][]uint64{{}, {"a": {{1}}}} {
 		ref := make(map[string]*big.Int)
 		for name, vals := range in {
-			ref[name] = limbsBig(vals[0])
+			ref[name] = LimbsBig(vals[0])
 		}
 		_, want := g.Eval(ref)
 		got := p.EvalLanes(&s, in, 1)

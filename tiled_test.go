@@ -3,6 +3,8 @@ package chopper
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -15,6 +17,12 @@ import (
 // lanes per tile (8-byte rows), 4 banks.
 func tinyGeom() dram.Geometry {
 	return dram.Geometry{Banks: 4, SubarraysPB: 4, RowsPerSub: 256, RowBytes: 8, ReservedRows: 18}
+}
+
+// paperGeom is the device the paper-workload tiled tests run on: 512-lane
+// tiles (64-byte rows), 4 banks of 8 subarrays.
+func paperGeom() dram.Geometry {
+	return dram.Geometry{Banks: 4, SubarraysPB: 8, RowsPerSub: 1024, RowBytes: 64, ReservedRows: 18}
 }
 
 func TestRunTiledMatchesRunWide(t *testing.T) {
@@ -111,7 +119,7 @@ func TestRunTiledGoldenSerialEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four workload kernels tiled")
 	}
-	geom := dram.Geometry{Banks: 4, SubarraysPB: 8, RowsPerSub: 1024, RowBytes: 64, ReservedRows: 18}
+	geom := paperGeom()
 	timing := dram.TimingFor(Ambit, geom)
 	for _, name := range []string{"DenseNet-16", "WTC-64", "DiffGen-64", "SW-64"} {
 		spec, ok := workloads.Get(name)
@@ -253,36 +261,77 @@ func TestDeterminismRunTiledSharded(t *testing.T) {
 // TestRunTiledShardedFasterThanSerial is the point of the sharding: with
 // the banks oversubscribed (16 tiles on 4 banks at one channel), spreading
 // the same tiles across 4 channels must cut the device makespan well below
-// the serial replay's — and the end-to-end time, transfers included, with it.
+// the serial replay's — and at least halve the end-to-end time, transfers
+// included. The four paper kernels run at 8,192 lanes on paperGeom, the
+// device they have been tracked on since the sharding landed; their
+// end-to-end times are simulated, hence exact, and pinned to the hundredth
+// of a nanosecond.
 func TestRunTiledShardedFasterThanSerial(t *testing.T) {
-	src := "node main(a: u8, b: u8) returns (z: u8) let z = a * b; tel"
-	mk := func(channels int) *TiledResult {
-		k, err := Compile(src, Options{Target: Ambit, Geometry: shardGeom(channels)})
-		if err != nil {
-			t.Fatal(err)
+	paper := func(name string) string {
+		spec, ok := workloads.Get(name)
+		if !ok {
+			t.Fatalf("unknown workload %q", name)
 		}
-		lanes := 16 * tinyGeom().Bitlines()
-		in := map[string][][]uint64{"a": make([][]uint64, lanes), "b": make([][]uint64, lanes)}
-		for l := 0; l < lanes; l++ {
-			in["a"][l] = []uint64{uint64(l) & 0xFF}
-			in["b"][l] = []uint64{uint64(l+3) & 0xFF}
-		}
-		res, err := k.RunTiled(in, lanes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return spec.Src
 	}
-	serial := mk(1)
-	sharded := mk(4)
-	if !reflect.DeepEqual(serial.Outputs, sharded.Outputs) {
-		t.Error("functional outputs depend on the channel count")
+	cases := []struct {
+		name, src       string
+		geom            dram.Geometry
+		serial, sharded string // pinned EndToEndNs at 1 and 4 channels; "" pins nothing
+	}{
+		{name: "mul8", src: "node main(a: u8, b: u8) returns (z: u8) let z = a * b; tel", geom: tinyGeom()},
+		{"DenseNet-16", paper("DenseNet-16"), paperGeom(), "5624023.70", "1406913.76"},
+		{"WTC-64", paper("WTC-64"), paperGeom(), "11826874.03", "2957626.34"},
+		{"DiffGen-64", paper("DiffGen-64"), paperGeom(), "345002.43", "87158.44"},
+		{"SW-64", paper("SW-64"), paperGeom(), "1554811.64", "389610.75"},
 	}
-	if sharded.TimeNs >= 0.5*serial.TimeNs {
-		t.Errorf("4-channel makespan %.0f ns not well under serial %.0f ns", sharded.TimeNs, serial.TimeNs)
-	}
-	if sharded.EndToEndNs >= serial.EndToEndNs {
-		t.Errorf("4-channel end-to-end %.0f ns not under serial %.0f ns", sharded.EndToEndNs, serial.EndToEndNs)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.serial != "" && testing.Short() {
+				t.Skip("runs a workload kernel over 16 tiles twice")
+			}
+			mk := func(channels int) *TiledResult {
+				geom := tc.geom
+				geom.Channels = channels
+				k, err := Compile(tc.src, Options{Target: Ambit, Geometry: geom})
+				if err != nil {
+					t.Fatal(err)
+				}
+				lanes := 16 * geom.Bitlines()
+				res, err := k.RunTiled(randWideInputs(rand.New(rand.NewSource(1)), k.Inputs, lanes), lanes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Tiles != 16 {
+					t.Fatalf("%d tiles, want 16", res.Tiles)
+				}
+				if res.TransferNs <= 0 || res.EndToEndNs != res.TimeNs+res.TransferNs-res.OverlapNs {
+					t.Errorf("%d channels: end-to-end %v is not device %v + transfer %v - overlap %v",
+						channels, res.EndToEndNs, res.TimeNs, res.TransferNs, res.OverlapNs)
+				}
+				return res
+			}
+			serial := mk(1)
+			sharded := mk(4)
+			if !reflect.DeepEqual(serial.Outputs, sharded.Outputs) {
+				t.Error("functional outputs depend on the channel count")
+			}
+			if sharded.TimeNs >= 0.5*serial.TimeNs {
+				t.Errorf("4-channel makespan %.0f ns not well under serial %.0f ns", sharded.TimeNs, serial.TimeNs)
+			}
+			if serial.EndToEndNs < 2*sharded.EndToEndNs {
+				t.Errorf("4-channel end-to-end %.0f ns not 2x under serial %.0f ns", sharded.EndToEndNs, serial.EndToEndNs)
+			}
+			if tc.serial == "" {
+				return
+			}
+			if got := fmt.Sprintf("%.2f", serial.EndToEndNs); got != tc.serial {
+				t.Errorf("1-channel end-to-end %s ns, pinned %s", got, tc.serial)
+			}
+			if got := fmt.Sprintf("%.2f", sharded.EndToEndNs); got != tc.sharded {
+				t.Errorf("4-channel end-to-end %s ns, pinned %s", got, tc.sharded)
+			}
+		})
 	}
 }
 

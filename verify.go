@@ -148,7 +148,7 @@ func (k *Kernel) compareTrial(trial int, inWide, got map[string][][]uint64, lane
 	var mismatch error
 	err := k.diffTrial(trial, inWide, got, lanes, func(lane int, out string, got, want []uint64) bool {
 		mismatch = stagef(ErrVerify, "chopper: verify", "trial %d lane %d: output %q = %v, reference says %v",
-			trial, lane, out, limbsToBig(got), limbsToBig(want))
+			trial, lane, out, dfg.LimbsBig(got), dfg.LimbsBig(want))
 		return false
 	})
 	if err != nil {
@@ -270,31 +270,10 @@ func (k *Kernel) clampAnnotated(inWide map[string][][]uint64) {
 		span := new(big.Int).Sub(r.Hi, r.Lo)
 		span.Add(span, big.NewInt(1))
 		for _, limbs := range inWide[in.Name] {
-			v := limbsToBig(limbs)
+			v := dfg.LimbsBig(limbs)
 			v.Mod(v, span).Add(v, r.Lo)
-			bigToLimbs(v, limbs)
+			copy(limbs, dfg.BigLimbs(v, len(limbs)))
 		}
-	}
-}
-
-func limbsToBig(limbs []uint64) *big.Int {
-	v := new(big.Int)
-	for i := len(limbs) - 1; i >= 0; i-- {
-		v.Lsh(v, 64)
-		v.Or(v, new(big.Int).SetUint64(limbs[i]))
-	}
-	return v
-}
-
-// bigToLimbs writes v back into an existing little-endian limb slice; v
-// must fit (callers only shrink values, never widen them).
-func bigToLimbs(v *big.Int, limbs []uint64) {
-	t := new(big.Int).Set(v)
-	low := new(big.Int)
-	mask := new(big.Int).SetUint64(^uint64(0))
-	for i := range limbs {
-		limbs[i] = low.And(t, mask).Uint64()
-		t.Rsh(t, 64)
 	}
 }
 
