@@ -371,6 +371,19 @@ type Kernel struct {
 	// first verification), shared across goroutines like decoded.
 	refOnce sync.Once
 	ref     *dfg.LanePlan
+
+	// plan caches the tiled runner's tag tables (built once, on first
+	// tiled run, error included): they depend on the kernel alone.
+	planOnce sync.Once
+	plan     *tilePlan
+	planErr  error
+
+	// shards memoizes the channel-shard timings replayShard has computed:
+	// the issue order is a function of the program and the placements,
+	// never of the data, so a shard is scheduled once per kernel. Keyed by
+	// every value a replay reads, so editing Opts between runs recomputes.
+	shardMu sync.Mutex
+	shards  map[shardKey]shardTiming
 }
 
 // decodedProg returns the kernel's pre-decoded execution stream, building

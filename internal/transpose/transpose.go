@@ -7,10 +7,16 @@
 // micro-ops.
 //
 // The core primitive is the classic 64x64 bit-matrix transpose
-// (Hacker's Delight, 7-3), applied blockwise over the lane dimension.
+// (Hacker's Delight, 7-3), applied blockwise over the lane dimension by one
+// scatter and one gather block kernel that run only the stages an
+// operand's live bit-rows need (SIMDRAM accounts transposition per object
+// at the object's own element width; so does this).
 package transpose
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Words returns the number of 64-bit words needed to hold `lanes` bits.
 func Words(lanes int) int { return (lanes + 63) / 64 }
@@ -31,6 +37,139 @@ func Transpose64(m *[64]uint64) {
 	}
 }
 
+// narrowMax is the crossover of the block kernels: the most live bit-rows
+// (k = hi - lo of a limb, the operand's own width when it fits one) a
+// 64-lane block moves without the full 64x64 butterfly. A block of
+// k <= narrowMax rows is packed 64/W lanes to a word (W = k rounded up to a
+// power of two) and transposed by the log2(W) butterfly stages that remain,
+// on W words instead of 64: the stages at and above W only move whole
+// lanes, which the packing (scatter) or unpacking (gather) shift does for
+// free. k == 1 degenerates to one shift-and-mask per lane (W = 1, no stage
+// at all). Above narrowMax W would be 64 — nothing packs, no stage is saved
+// — and Transpose64 runs as it always did.
+//
+// BenchmarkGatherWidth / BenchmarkScatterWidth, us per 1024-lane tile
+// (2 vCPU Xeon @ 2.1 GHz, best of 5 x 20000): Transpose64 for every width
+// took 9.1-11.1 us to gather and 8.3-8.9 us to scatter, flat in the width;
+// these kernels take
+//
+//	width     1    4    8   10   16   32   64
+//	gather  2.8  2.9  3.1  3.9  3.8  5.5  9.2
+//	scatter 1.4  2.0  2.6  3.0  3.2  4.7  7.6
+//
+// With the crossover at 16 instead, width 32 takes the Transpose64 path at
+// 9.8 / 7.5 us: the packed form still wins at its widest, so 32 it is.
+const narrowMax = 32
+
+// swapMask[s] selects the bit positions whose index has bit s clear: the
+// columns stage s of the transpose swaps upward.
+var swapMask = [6]uint64{
+	0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+	0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF,
+}
+
+// butterfly runs transpose stages w-1..0 on the first 1<<w words of m: for
+// every s < w, bit s of a bit's word index trades places with bit s of its
+// position in the word (the six stages of Transpose64 are w == 6; stages
+// commute, so running only the low ones is well defined).
+func butterfly(m *[64]uint64, w int) {
+	for s := w - 1; s >= 0; s-- {
+		j := 1 << uint(s)
+		mask := swapMask[s] << uint(j)
+		for k := 0; k < 1<<uint(w); k = (k + j + 1) &^ j {
+			t := (m[k] ^ m[k+j]<<uint(j)) & mask
+			m[k] ^= t
+			m[k+j] ^= t >> uint(j)
+		}
+	}
+}
+
+// scatterBlock is the one horizontal-to-vertical block kernel: block[i] is
+// one limb of lane i, i < n <= 64, and row b of dst receives, in word
+// `word`, bit b of every lane — bit i from lane i, bits n..63 zero. Limb
+// bits at or above len(dst) (at most 64) are ignored. block is scratch.
+func scatterBlock(dst [][]uint64, word int, block *[64]uint64, n int) {
+	k := len(dst)
+	switch {
+	case k == 1:
+		var r uint64
+		for i, v := range block[:n] {
+			r |= (v & 1) << uint(i)
+		}
+		dst[0][word] = r
+		return
+	case k > narrowMax:
+		clear(block[n:])
+		Transpose64(block)
+	default:
+		w := bits.Len(uint(k - 1))
+		low := 1<<uint(w) - 1
+		keep := uint64(1)<<uint(k) - 1
+		var packed [64]uint64
+		for i, v := range block[:n] {
+			packed[i&low] |= (v & keep) << uint(i&^low)
+		}
+		butterfly(&packed, w)
+		block = &packed
+	}
+	for b, row := range dst {
+		row[word] = block[b]
+	}
+}
+
+// gatherBlock is the one vertical-to-horizontal block kernel, the inverse
+// of scatterBlock: out[i*stride], i < n <= 64, receives the limb whose bit
+// b is bit i of rows[b][word]. A row shorter than word+1 words reads as
+// zero, as do the limb's bits at and above len(rows) (at most 64); every
+// block starts from zeroed scratch, so nothing carries over from the
+// previous block.
+func gatherBlock(out []uint64, stride int, rows [][]uint64, word, n int) {
+	var m [64]uint64
+	for b, row := range rows {
+		if word < len(row) {
+			m[b] = row[word]
+		}
+	}
+	w := 6
+	if k := len(rows); k > narrowMax {
+		Transpose64(&m)
+	} else {
+		w = bits.Len(uint(max(k, 1) - 1))
+		butterfly(&m, w)
+	}
+	// Lane i's limb is the 1<<w-bit field of word i mod 1<<w that starts at
+	// bit i rounded down to a multiple of 1<<w: the whole word when w == 6,
+	// bit i of the one row when w == 0.
+	low := 1<<uint(w) - 1
+	field := uint64(1)<<uint(low+1) - 1
+	for i := 0; i < n; i++ {
+		out[i*stride] = m[i&low] >> uint(i&^low) & field
+	}
+}
+
+// gather runs gatherBlock over every 64-lane block of `lanes` lanes: lane l
+// lands in out[first+l*stride].
+func gather(out []uint64, first, stride int, rows [][]uint64, lanes int) {
+	for base := 0; base < lanes; base += 64 {
+		gatherBlock(out[first+base*stride:], stride, rows, base/64, min(lanes-base, 64))
+	}
+}
+
+// newRows allocates `width` bit-rows of Words(lanes) words on one backing
+// array, each row's capacity clipped to its own words.
+func newRows(width, lanes int) [][]uint64 {
+	if width <= 0 {
+		panic("transpose: non-positive width")
+	}
+	w := Words(lanes)
+	rows := make([][]uint64, width)
+	backing := make([]uint64, width*w)
+	for b := range rows {
+		rows[b], backing = backing[:w:w], backing[w:]
+	}
+	return rows
+}
+
 // ToVertical converts `lanes` elements of `width` bits (width <= 64, one
 // element per entry of elems, low bits significant) into `width` bit-rows of
 // Words(lanes) words each: row b, bit l == bit b of element l.
@@ -38,43 +177,8 @@ func Transpose64(m *[64]uint64) {
 // len(elems) must be at least lanes; extra entries are ignored. Bits of an
 // element at positions >= width are ignored.
 func ToVertical(elems []uint64, width, lanes int) [][]uint64 {
-	if width <= 0 || width > 64 {
-		panic(fmt.Sprintf("transpose: width %d out of range (1..64)", width))
-	}
-	if len(elems) < lanes {
-		panic(fmt.Sprintf("transpose: %d elements for %d lanes", len(elems), lanes))
-	}
-	w := Words(lanes)
-	rows := make([][]uint64, width)
-	backing := make([]uint64, width*w)
-	for b := range rows {
-		rows[b], backing = backing[:w], backing[w:]
-	}
-	var block [64]uint64
-	for base := 0; base < lanes; base += 64 {
-		n := lanes - base
-		if n > 64 {
-			n = 64
-		}
-		for i := 0; i < n; i++ {
-			block[i] = elems[base+i]
-		}
-		for i := n; i < 64; i++ {
-			block[i] = 0
-		}
-		Transpose64(&block)
-		word := base / 64
-		if n == 64 {
-			for b := 0; b < width; b++ {
-				rows[b][word] = block[b]
-			}
-		} else {
-			tailMask := (uint64(1) << uint(n)) - 1
-			for b := 0; b < width; b++ {
-				rows[b][word] = block[b] & tailMask
-			}
-		}
-	}
+	rows := newRows(width, lanes)
+	ToVerticalInto(rows, 0, elems, width, lanes)
 	return rows
 }
 
@@ -104,28 +208,9 @@ func ToVerticalInto(dst [][]uint64, off int, elems []uint64, width, lanes int) {
 	}
 	var block [64]uint64
 	for base := 0; base < lanes; base += 64 {
-		n := lanes - base
-		if n > 64 {
-			n = 64
-		}
-		for i := 0; i < n; i++ {
-			block[i] = elems[base+i]
-		}
-		for i := n; i < 64; i++ {
-			block[i] = 0
-		}
-		Transpose64(&block)
-		word := off + base/64
-		if n == 64 {
-			for b := 0; b < width; b++ {
-				dst[b][word] = block[b]
-			}
-		} else {
-			tailMask := (uint64(1) << uint(n)) - 1
-			for b := 0; b < width; b++ {
-				dst[b][word] = block[b] & tailMask
-			}
-		}
+		n := min(lanes-base, 64)
+		copy(block[:n], elems[base:])
+		scatterBlock(dst[:width], off+base/64, &block, n)
 	}
 }
 
@@ -160,40 +245,14 @@ func PasteRows(dst [][]uint64, off int, src [][]uint64, lanes int) {
 }
 
 // FromVertical is the inverse of ToVertical: it gathers bit l of every row
-// back into element l. Rows beyond len(rows) read as zero, so a narrower
-// result can be widened for free.
+// back into element l. Rows beyond len(rows), and words beyond a row's
+// length, read as zero, so a narrower result can be widened for free.
 func FromVertical(rows [][]uint64, width, lanes int) []uint64 {
 	if width <= 0 || width > 64 {
 		panic(fmt.Sprintf("transpose: width %d out of range (1..64)", width))
 	}
 	elems := make([]uint64, lanes)
-	var block [64]uint64
-	for base := 0; base < lanes; base += 64 {
-		n := lanes - base
-		if n > 64 {
-			n = 64
-		}
-		word := base / 64
-		for b := 0; b < width && b < len(rows); b++ {
-			if word < len(rows[b]) {
-				block[b] = rows[b][word]
-			} else {
-				block[b] = 0
-			}
-		}
-		for b := width; b < 64; b++ {
-			block[b] = 0
-		}
-		if width <= len(rows) {
-			for b := width; b < 64 && b < len(rows); b++ {
-				block[b] = 0
-			}
-		}
-		Transpose64(&block)
-		for i := 0; i < n; i++ {
-			elems[base+i] = block[i]
-		}
-	}
+	gather(elems, 0, 1, rows[:min(width, len(rows))], lanes)
 	return elems
 }
 
@@ -201,15 +260,7 @@ func FromVertical(rows [][]uint64, width, lanes int) []uint64 {
 // 64-bit limbs) into `width` bit-rows. width may exceed 64; limbs beyond
 // an element's length read as zero.
 func ToVerticalWide(elems [][]uint64, width, lanes int) [][]uint64 {
-	if width <= 0 {
-		panic("transpose: non-positive width")
-	}
-	w := Words(lanes)
-	rows := make([][]uint64, width)
-	backing := make([]uint64, width*w)
-	for b := range rows {
-		rows[b], backing = backing[:w:w], backing[w:]
-	}
+	rows := newRows(width, lanes)
 	ToVerticalWideInto(rows, elems, width, lanes)
 	return rows
 }
@@ -228,33 +279,18 @@ func ToVerticalWideInto(dst [][]uint64, elems [][]uint64, width, lanes int) {
 	if len(dst) < width {
 		panic(fmt.Sprintf("transpose: %d destination rows for width %d", len(dst), width))
 	}
-	limbs := (width + 63) / 64
 	var block [64]uint64
-	for limb := 0; limb < limbs; limb++ {
-		lo := limb * 64
-		hi := lo + 64
-		if hi > width {
-			hi = width
-		}
+	for lo := 0; lo < width; lo += 64 {
+		limb := lo / 64
 		for base := 0; base < lanes; base += 64 {
-			n := lanes - base
-			if n > 64 {
-				n = 64
-			}
-			for i := 0; i < n; i++ {
+			n := min(lanes-base, 64)
+			for i, e := range elems[base : base+n] {
 				block[i] = 0
-				if e := elems[base+i]; limb < len(e) {
+				if limb < len(e) {
 					block[i] = e[limb]
 				}
 			}
-			for i := n; i < 64; i++ {
-				block[i] = 0
-			}
-			Transpose64(&block)
-			word := base / 64
-			for b := lo; b < hi; b++ {
-				dst[b][word] = block[b-lo]
-			}
+			scatterBlock(dst[lo:min(lo+64, width)], base/64, &block, n)
 		}
 	}
 }
@@ -287,33 +323,11 @@ func FromVerticalWideInto(dst [][]uint64, backing []uint64, rows [][]uint64, wid
 		panic(fmt.Sprintf("transpose: %d destination elements on %d limbs for %d lanes of %d limbs", len(dst), len(backing), lanes, limbs))
 	}
 	for l := 0; l < lanes; l++ {
-		dst[l], backing = backing[:limbs:limbs], backing[limbs:]
+		dst[l] = backing[l*limbs : (l+1)*limbs : (l+1)*limbs]
 	}
-	var block [64]uint64
+	live := min(width, len(rows))
 	for limb := 0; limb < limbs; limb++ {
-		lo := limb * 64
-		hi := lo + 64
-		if hi > width {
-			hi = width
-		}
-		for base := 0; base < lanes; base += 64 {
-			n := lanes - base
-			if n > 64 {
-				n = 64
-			}
-			word := base / 64
-			for b := 0; b < 64; b++ {
-				block[b] = 0
-			}
-			for b := lo; b < hi && b < len(rows); b++ {
-				if word < len(rows[b]) {
-					block[b-lo] = rows[b][word]
-				}
-			}
-			Transpose64(&block)
-			for i := 0; i < n; i++ {
-				dst[base+i][limb] = block[i]
-			}
-		}
+		lo := min(limb*64, live)
+		gather(backing, limb, limbs, rows[lo:min(lo+64, live)], lanes)
 	}
 }

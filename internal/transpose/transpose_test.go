@@ -400,3 +400,192 @@ func TestWideIntoVariantsPanicOnShortDestinations(t *testing.T) {
 		}()
 	}
 }
+
+// FromVertical's "rows beyond len(rows) read as zero" must hold past the
+// first 64-lane block: the gather used to transpose in place in a block it
+// re-zeroed only below len(rows), so lane 64 of a 4-row result widened to 8
+// bits came back with the previous block's bits in its high nibble.
+func TestFromVerticalWidensPastFirstBlock(t *testing.T) {
+	const lanes = 128
+	elems := make([]uint64, lanes)
+	for i := range elems {
+		elems[i] = uint64(i*5+3) & 0xF
+	}
+	back := FromVertical(ToVertical(elems, 4, lanes), 8, lanes)
+	for i, want := range elems {
+		if back[i] != want {
+			t.Fatalf("lane %d = %#x, want %#x", i, back[i], want)
+		}
+	}
+}
+
+// refScatter and refGather are the transposes the way every entry point
+// used to do them — one full Transpose64 per 64-lane block of every limb,
+// whatever the operand's width — kept as the reference the width-following
+// block kernels are checked against. They honor the same read-as-zero
+// contracts: short or nil elements, short or nil or missing rows.
+func refScatter(elems [][]uint64, width, lanes int) [][]uint64 {
+	rows := make([][]uint64, width)
+	for b := range rows {
+		rows[b] = make([]uint64, Words(lanes))
+	}
+	for b0 := 0; b0 < width; b0 += 64 {
+		for base := 0; base < lanes; base += 64 {
+			var block [64]uint64
+			for i := 0; i < 64 && base+i < lanes; i++ {
+				if e := elems[base+i]; b0/64 < len(e) {
+					block[i] = e[b0/64]
+				}
+			}
+			Transpose64(&block)
+			for b := b0; b < b0+64 && b < width; b++ {
+				rows[b][base/64] = block[b-b0]
+			}
+		}
+	}
+	return rows
+}
+
+func refGather(rows [][]uint64, width, lanes int) [][]uint64 {
+	limbs := (width + 63) / 64
+	elems := make([][]uint64, lanes)
+	for l := range elems {
+		elems[l] = make([]uint64, limbs)
+	}
+	for b0 := 0; b0 < width; b0 += 64 {
+		for base := 0; base < lanes; base += 64 {
+			var block [64]uint64
+			for b := b0; b < b0+64 && b < width && b < len(rows); b++ {
+				if base/64 < len(rows[b]) {
+					block[b-b0] = rows[b][base/64]
+				}
+			}
+			Transpose64(&block)
+			for i := 0; i < 64 && base+i < lanes; i++ {
+				elems[base+i][b0/64] = block[i]
+			}
+		}
+	}
+	return elems
+}
+
+func dirtyRows(n, words int) [][]uint64 {
+	rows := make([][]uint64, n)
+	for b := range rows {
+		rows[b] = make([]uint64, words)
+		for i := range rows[b] {
+			rows[b][i] = 0xdeadbeefdeadbeef
+		}
+	}
+	return rows
+}
+
+func rowsEqual(t *testing.T, what string, width, lanes int, got, want [][]uint64) {
+	t.Helper()
+	for b := range want {
+		for i := range want[b] {
+			if got[b][i] != want[b][i] {
+				t.Fatalf("%s w=%d lanes=%d: row %d word %d = %#x, want %#x", what, width, lanes, b, i, got[b][i], want[b][i])
+			}
+		}
+	}
+}
+
+// TestEntryPointsMatchTranspose64Reference drives every entry point over
+// widths 1..130 x lanes {1, 63, 64, 65, 128, 1000} against the
+// Transpose64-only reference: unmasked element bits above the width,
+// elements with short and nil limb slices, dirty destination buffers, rows
+// that are short, nil or missing, garbage in the rows' tail lanes.
+func TestEntryPointsMatchTranspose64Reference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for width := 1; width <= 130; width++ {
+		for _, lanes := range []int{1, 63, 64, 65, 128, 1000} {
+			limbs := (width + 63) / 64
+			words := Words(lanes)
+			tailMask := ^uint64(0)
+			if r := lanes % 64; r != 0 {
+				tailMask = uint64(1)<<uint(r) - 1
+			}
+
+			// Scatter. Elements carry garbage above the width; a few are
+			// short by a limb or nil and read as zero there.
+			elems := make([][]uint64, lanes)
+			for l := range elems {
+				elems[l] = make([]uint64, limbs)
+				for j := range elems[l] {
+					elems[l][j] = rng.Uint64()
+				}
+				switch rng.Intn(8) {
+				case 0:
+					elems[l] = elems[l][:limbs-1]
+				case 1:
+					elems[l] = nil
+				}
+			}
+			want := refScatter(elems, width, lanes)
+			for b := range want {
+				if want[b][words-1]&^tailMask != 0 {
+					t.Fatalf("reference leaves tail lanes set (w=%d lanes=%d)", width, lanes)
+				}
+			}
+			rowsEqual(t, "ToVerticalWide", width, lanes, ToVerticalWide(elems, width, lanes), want)
+			dst := dirtyRows(width, words)
+			ToVerticalWideInto(dst, elems, width, lanes)
+			rowsEqual(t, "ToVerticalWideInto", width, lanes, dst, want)
+
+			if width <= 64 {
+				flat := make([]uint64, lanes)
+				for l, e := range elems {
+					if len(e) > 0 {
+						flat[l] = e[0]
+					}
+				}
+				rowsEqual(t, "ToVertical", width, lanes, ToVertical(flat, width, lanes), want)
+				const off = 2
+				dst := dirtyRows(width, off+words+1)
+				ToVerticalInto(dst, off, flat, width, lanes)
+				for b := range dst {
+					if dst[b][0] != 0xdeadbeefdeadbeef || dst[b][1] != 0xdeadbeefdeadbeef || dst[b][off+words] != 0xdeadbeefdeadbeef {
+						t.Fatalf("ToVerticalInto w=%d lanes=%d: row %d written outside its span", width, lanes, b)
+					}
+					dst[b] = dst[b][off : off+words]
+				}
+				rowsEqual(t, "ToVerticalInto", width, lanes, dst, want)
+			}
+
+			// Gather. Rows are random in every bit, tail lanes included;
+			// some are short by a word or nil, and the slice may stop
+			// before the width: all of that reads as zero.
+			rows := make([][]uint64, width-rng.Intn(2)*rng.Intn(width))
+			for b := range rows {
+				rows[b] = make([]uint64, words)
+				for i := range rows[b] {
+					rows[b][i] = rng.Uint64()
+				}
+				switch rng.Intn(8) {
+				case 0:
+					rows[b] = rows[b][:words-1]
+				case 1:
+					rows[b] = nil
+				}
+			}
+			wantElems := refGather(rows, width, lanes)
+			rowsEqual(t, "FromVerticalWide", width, lanes, FromVerticalWide(rows, width, lanes), wantElems)
+			backing := make([]uint64, lanes*limbs)
+			for i := range backing {
+				backing[i] = 0xdeadbeefdeadbeef
+			}
+			got := make([][]uint64, lanes)
+			FromVerticalWideInto(got, backing, rows, width, lanes)
+			rowsEqual(t, "FromVerticalWideInto", width, lanes, got, wantElems)
+			if width <= 64 {
+				flat := FromVertical(rows, width, lanes)
+				for l := range wantElems {
+					if flat[l] != wantElems[l][0] {
+						t.Fatalf("FromVertical w=%d lanes=%d: lane %d = %#x, want %#x", width, lanes, l, flat[l], wantElems[l][0])
+					}
+				}
+			}
+		}
+	}
+}

@@ -105,14 +105,21 @@ func TestPoolReuseInterleavedFaultyCleanRuns(t *testing.T) {
 // sweep of guard checkpoints — between tiles, inside a tile's execution
 // loop, inside a shard's emit+replay — so half-used subarrays, spill
 // stores, row buffers and timing engines go back to their pools. Every
-// canceled run must return ErrCanceled and no result, promptly (a bounded
-// number of checkpoints after the cancel), and the clean run that follows
-// must be bit-identical to the reference.
+// canceled run is a kernel's first (a warm kernel has no emission left to
+// cancel), must return ErrCanceled and no result, promptly (a bounded
+// number of checkpoints after the cancel), and may leave only completed
+// replays on the kernel; the two clean runs that follow on it — the first
+// schedules what the canceled one did not store, the second finds
+// everything — must be bit-identical to the reference.
 func TestPoolReuseTiledAfterMidRunCancel(t *testing.T) {
 	src := "node main(a: u8, b: u8) returns (z: u8, c: u1) let z = a * b; c = a < b; tel"
-	k, err := Compile(src, Options{Target: Ambit, Geometry: shardGeom(2)})
-	if err != nil {
-		t.Fatal(err)
+	compile := func() *Kernel {
+		t.Helper()
+		k, err := Compile(src, Options{Target: Ambit, Geometry: shardGeom(2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
 	}
 	lanes := 6*tinyGeom().Bitlines() - 5
 	in := map[string][][]uint64{"a": make([][]uint64, lanes), "b": make([][]uint64, lanes)}
@@ -120,12 +127,12 @@ func TestPoolReuseTiledAfterMidRunCancel(t *testing.T) {
 		in["a"][l] = []uint64{uint64(l*7) & 0xFF}
 		in["b"][l] = []uint64{uint64(l*13+5) & 0xFF}
 	}
-	ref, err := k.RunTiled(in, lanes)
+	ref, err := compile().RunTiled(in, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counter := &checkCtx{Context: context.Background(), live: 1 << 40}
-	if _, err := k.RunTiledCtx(counter, in, lanes); err != nil {
+	if _, err := compile().RunTiledCtx(counter, in, lanes); err != nil {
 		t.Fatal(err)
 	}
 	total := counter.checks.Load()
@@ -134,6 +141,7 @@ func TestPoolReuseTiledAfterMidRunCancel(t *testing.T) {
 	}
 	slack := int64(2*runtime.GOMAXPROCS(0) + 2) // each worker's in-flight job and loop check, plus the pool's own
 	for live := int64(0); live < total; live += 1 + total/12 {
+		k := compile()
 		ctx := &checkCtx{Context: context.Background(), live: live}
 		res, err := k.RunTiledCtx(ctx, in, lanes)
 		if !errors.Is(err, ErrCanceled) {
@@ -145,12 +153,20 @@ func TestPoolReuseTiledAfterMidRunCancel(t *testing.T) {
 		if late := ctx.checks.Load() - live; late > slack {
 			t.Errorf("cancel after %d checkpoints: run consulted %d more before stopping, want <= %d", live, late, slack)
 		}
-		clean, err := k.RunTiled(in, lanes)
-		if err != nil {
-			t.Fatal(err)
+		for key, st := range k.shards {
+			if st.eng.Ops != key.tiles*len(k.prog.Ops) {
+				t.Fatalf("cancel after %d checkpoints stored a %d-tile replay stopped at %d of %d commands",
+					live, key.tiles, st.eng.Ops, key.tiles*len(k.prog.Ops))
+			}
 		}
-		if !reflect.DeepEqual(clean, ref) {
-			t.Fatalf("clean run after a cancel at checkpoint %d differs from the reference (pooled state leaked)", live)
+		for _, pass := range []string{"first", "second"} {
+			clean, err := k.RunTiled(in, lanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(clean, ref) {
+				t.Fatalf("%s clean run after a cancel at checkpoint %d differs from the reference (pooled or memoized state leaked)", pass, live)
+			}
 		}
 	}
 }

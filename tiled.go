@@ -23,7 +23,7 @@ type tileScratch struct {
 	sub   *sim.Subarray
 	spill *sim.SpillStore
 
-	plan *tilePlan   // tag tables of the run in flight
+	plan *tilePlan   // tag tables of the kernel whose run is in flight
 	buf  []uint64    // backing array of rows
 	rows [][]uint64  // row r of plan's layout, one tile-width slice of buf
 	io   *sim.HostIO // serves rows through plan; built once per scratch
@@ -84,8 +84,8 @@ func (ts *tileScratch) bind(p *tilePlan, words int) [][]uint64 {
 // tilePlan is the tile-independent half of a tiled run's host I/O: every
 // tile keeps its vertical rows in one layout (the bit-rows of each input in
 // k.Inputs order, then of each output in k.Outputs order, then one row per
-// constant pattern), so WRITE/READ tags resolve to a row index once per run
-// instead of through a (name, tile) map lookup per transfer.
+// constant pattern), so WRITE/READ tags resolve to a row index once per
+// kernel instead of through a (name, tile) map lookup per transfer.
 type tilePlan struct {
 	inRows, outRows int
 	consts          []uint64 // fill pattern of constant row i
@@ -100,7 +100,14 @@ func rowOf(table []int32, tag int) int32 {
 	return table[tag]
 }
 
+// tilePlan returns the kernel's tag tables, building them (or the error
+// that a tag outside the operands raises) on first use.
 func (k *Kernel) tilePlan() (*tilePlan, error) {
+	k.planOnce.Do(func() { k.plan, k.planErr = k.buildTilePlan() })
+	return k.plan, k.planErr
+}
+
+func (k *Kernel) buildTilePlan() (*tilePlan, error) {
 	p := &tilePlan{}
 	for _, in := range k.Inputs {
 		p.inRows += in.Width
@@ -160,9 +167,9 @@ func tagTable(tags map[string]int, specs []IOSpec, first, minLen int) ([]int32, 
 	return table, nil
 }
 
-// tileEnginePool recycles timing engines across shards and across RunTiled
-// calls; Reconfigure reuses the scheduling slices when the unit count is
-// unchanged, so steady-state replay allocates nothing per shard.
+// tileEnginePool recycles timing engines across the shard replays of
+// kernels' first tiled runs; Reconfigure reuses the scheduling slices when
+// the unit count is unchanged.
 var tileEnginePool sync.Pool
 
 func getTileEngine(g dram.Geometry, t dram.Timing, salp bool) *dram.Engine {
@@ -203,7 +210,10 @@ type TiledResult struct {
 	// stream (min of the geometry's channel count and Tiles).
 	Channels int
 	// Stats are the timing-engine counters, merged across channel shards
-	// in shard order (makespans take the max, counters sum).
+	// in shard order (makespans take the max, counters sum). The issue
+	// order depends on the program and the placements, never on the data,
+	// so Stats and Emit (and with them TimeNs) are facts of the kernel:
+	// its first run of a given shape computes them, later runs reuse them.
 	Stats dram.EngineStats
 	// Emit are the VIRCOE emitter statistics, merged across channel
 	// shards the same way (SpanNs takes the max, counters sum).
@@ -218,6 +228,13 @@ type TiledResult struct {
 // executes functionally on the simulated device. Inputs and outputs use
 // the wide (limb-slice per lane) representation of RunWide; the output
 // lanes of one operand share one backing array.
+//
+// The timing half is computed once per kernel: VIRCOE's order is a
+// function of the program and the placements, so the first run with a
+// given tile count and option set schedules each distinct channel shard
+// and keeps the result on the kernel; later runs pay only for their data
+// (transposes and functional execution) and report the identical Stats,
+// Emit and TimeNs. Options edited on k.Opts between runs are honored.
 //
 // This is the whole-dataset counterpart of RunWide and exercises the same
 // multi-subarray path the benchmark harness measures. The timing replay
@@ -350,43 +367,50 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 	// single shard is exactly a serial replay of the whole stream.
 	timing := dram.TimingFor(k.Opts.Target, geom)
 	shards := min(channels, tiles)
-	type shardTiming struct {
-		eng  dram.EngineStats
-		emit vircoe.Stats
-		err  error
+	// The deal leaves the first tiles%shards shards one tile ahead of the
+	// rest, so a run holds at most two distinct shard sizes; each is timed
+	// once, however many shards share it. counts[0] is the size of shard 0.
+	per, ahead := tiles/shards, tiles%shards
+	counts := []int{per}
+	if ahead > 0 {
+		counts = []int{per + 1, per}
 	}
-	shardRes := make([]shardTiming, shards)
+	timed := make([]struct {
+		shardTiming
+		err error
+	}, len(counts))
 
 	// Timing depends on the program and the placements, never on the data,
-	// so the shards join the tiles in one job set — shards first: on a
-	// one-channel device the serial emit+replay starts at once and rides
-	// under the tile fan-out. A shard's error lands in its slot instead of
-	// going to the pool (which skips indices above a failure), so a tile
-	// error outranks a shard error, lowest index first, at any worker count.
-	if err := pool.RunCtx(ctx, 0, shards+tiles, func(j int) error {
-		if j >= shards {
-			return runTile(j - shards)
+	// so the shard sizes join the tiles in one job set — timing first: on a
+	// cold one-channel kernel the serial emit+replay starts at once and
+	// rides under the tile fan-out. A replay's error lands in its slot
+	// instead of going to the pool (which skips indices above a failure),
+	// so a tile error outranks a shard error, lowest index first, at any
+	// worker count.
+	if err := pool.RunCtx(ctx, 0, len(counts)+tiles, func(j int) error {
+		if j >= len(counts) {
+			return runTile(j - len(counts))
 		}
-		count := tiles / shards
-		if j < tiles%shards {
-			count++
-		}
-		r := &shardRes[j]
-		r.eng, r.emit, r.err = k.replayShard(ctx, count, timing)
+		timed[j].shardTiming, timed[j].err = k.replayShard(ctx, counts[j], timing)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	// Shard results merge in fixed shard order, so the float sums are
-	// byte-identical at any worker count.
+	// Shard results merge shard by shard in fixed shard order, so the float
+	// sums are byte-identical at any worker count — and to a run that
+	// replayed every shard separately.
 	var engStats dram.EngineStats
 	var emitStats vircoe.Stats
-	for s := range shardRes {
-		if err := shardRes[s].err; err != nil {
-			return nil, err
+	for s := 0; s < shards; s++ {
+		r := &timed[len(timed)-1]
+		if s < ahead {
+			r = &timed[0]
 		}
-		engStats.Merge(shardRes[s].eng)
-		emitStats.Merge(shardRes[s].emit)
+		if r.err != nil {
+			return nil, r.err
+		}
+		engStats.Merge(r.eng)
+		emitStats.Merge(r.emit)
 	}
 	deviceNs := engStats.MakespanNs
 
@@ -429,20 +453,60 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 	return res, nil
 }
 
-// replayShard computes the timing of one channel shard of `count` tiles:
-// VIRCOE emits the shard's issue order one command at a time straight into
-// a pooled engine, so the stream is never materialized. ctx is observed
-// every 256 commands, as Engine.RunCtx does, and a stop ends the emission.
-func (k *Kernel) replayShard(ctx context.Context, count int, timing dram.Timing) (dram.EngineStats, vircoe.Stats, error) {
-	geom := k.Opts.Geometry
-	pls, err := vircoe.Placements(geom, count)
-	if err != nil {
-		return dram.EngineStats{}, vircoe.Stats{}, err // unreachable: RunTiledCtx bounds count by the capacity
+// shardKey is every value replayShard reads besides the immutable program:
+// two replays with equal keys are the same computation.
+type shardKey struct {
+	tiles  int
+	geom   dram.Geometry
+	timing dram.Timing
+	salp   bool
+	mode   vircoe.Mode
+}
+
+// shardTiming is what one channel shard's replay yields.
+type shardTiming struct {
+	eng  dram.EngineStats
+	emit vircoe.Stats
+}
+
+// replayShard returns the timing of one channel shard of `count` tiles,
+// scheduling it (emitShard) on the first call per key only: a replay that
+// ran to completion is kept on the kernel — a stopped one is not — and
+// later calls with an equal key return it after observing ctx once.
+// Concurrent first calls may each compute and store; the values are equal.
+func (k *Kernel) replayShard(ctx context.Context, count int, timing dram.Timing) (shardTiming, error) {
+	key := shardKey{count, k.Opts.Geometry, timing, k.Opts.SALP, k.Opts.emitterMode()}
+	k.shardMu.Lock()
+	st, ok := k.shards[key]
+	k.shardMu.Unlock()
+	if ok {
+		return st, guard.Ctx(ctx)
 	}
-	eng := getTileEngine(geom, timing, k.Opts.SALP)
+	st, err := k.emitShard(ctx, key)
+	if err == nil {
+		k.shardMu.Lock()
+		if k.shards == nil {
+			k.shards = make(map[shardKey]shardTiming)
+		}
+		k.shards[key] = st
+		k.shardMu.Unlock()
+	}
+	return st, err
+}
+
+// emitShard computes the timing of one channel shard: VIRCOE emits the
+// shard's issue order one command at a time straight into a pooled engine,
+// so the stream is never materialized. ctx is observed every 256 commands,
+// as Engine.RunCtx does, and a stop ends the emission.
+func (k *Kernel) emitShard(ctx context.Context, key shardKey) (shardTiming, error) {
+	pls, err := vircoe.Placements(key.geom, key.tiles)
+	if err != nil {
+		return shardTiming{}, err // unreachable: RunTiledCtx bounds the tile count by the capacity
+	}
+	eng := getTileEngine(key.geom, key.timing, key.salp)
 	defer putTileEngine(eng)
 	issued := 0
-	emit := vircoe.EmitTo(k.prog, pls, k.Opts.emitterMode(), timing, func(bank, sub int, op *isa.Op) bool {
+	emit := vircoe.EmitTo(k.prog, pls, key.mode, key.timing, func(bank, sub int, op *isa.Op) bool {
 		if issued&255 == 0 {
 			if err = guard.Ctx(ctx); err != nil {
 				return false
@@ -455,5 +519,5 @@ func (k *Kernel) replayShard(ctx context.Context, count int, timing dram.Timing)
 	if err == nil {
 		err = guard.Ctx(ctx)
 	}
-	return eng.Stats(), emit, err
+	return shardTiming{eng.Stats(), emit}, err
 }
