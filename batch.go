@@ -103,10 +103,7 @@ func combinedRows(inputs []IOSpec, words int) map[string][][]uint64 {
 	combined := make(map[string][][]uint64, len(inputs))
 	for _, in := range inputs {
 		rows := make([][]uint64, in.Width)
-		backing := make([]uint64, in.Width*words)
-		for b := range rows {
-			rows[b], backing = backing[:words], backing[words:]
-		}
+		carve(rows, make([]uint64, in.Width*words), words)
 		combined[in.Name] = rows
 	}
 	return combined
@@ -193,20 +190,18 @@ func (k *Kernel) runRowsBatch(ctx context.Context, batches []LaneBatch) ([]*RunR
 }
 
 // demuxResults gives each member its own lane span of the combined output
-// rows (see spanRows) beside the pass's shared time and counters.
+// rows (see spanRows) beside everything else the pass reports: the shared
+// time and counters, and — a batch of one may run a recovery-enabled kernel
+// — the recovery layer's statistics.
 func demuxResults(res *RunResult, spans []laneSpan) []*RunResult {
 	out := make([]*RunResult, len(spans))
 	for i, sp := range spans {
-		rows := make(map[string][][]uint64, len(res.Rows))
+		member := *res
+		member.Rows = make(map[string][][]uint64, len(res.Rows))
 		for name, rs := range res.Rows {
-			rows[name] = spanRows(rs, sp)
+			member.Rows[name] = spanRows(rs, sp)
 		}
-		out[i] = &RunResult{
-			Rows:         rows,
-			TimeNs:       res.TimeNs,
-			Stats:        res.Stats,
-			ScratchBytes: res.ScratchBytes,
-		}
+		out[i] = &member
 	}
 	return out
 }

@@ -254,6 +254,41 @@ func TestBatchRejectsRecoveryKernels(t *testing.T) {
 	}
 }
 
+// TestBatchOfOneKeepsRecoveryStats: a batch of one is a solo run through
+// every batch entry point, so a recovery-enabled kernel must report what
+// the recovery layer did identically three ways — RunBatch used to return
+// all-zero RecoveryStats.
+func TestBatchOfOneKeepsRecoveryStats(t *testing.T) {
+	const lanes = 64
+	k, err := Compile(recAdderSrc, Options{Target: Ambit, Recovery: Recovery{Detector: DetectorVote, EpochUops: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := k.RunRows(recRows(t, k, lanes), lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solo.RecoveryStats.Epochs == 0 || solo.RecoveryStats.WastedUops == 0 || solo.RecoveryStats.CheckpointBytes == 0 {
+		t.Fatalf("solo run reports no recovery activity (%+v); the test is vacuous", solo.RecoveryStats)
+	}
+	rowsOf, err := k.RunRowsBatch([]LaneBatch{{Rows: recRows(t, k, lanes), Lanes: lanes}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, runOf, err := k.RunBatch([]BatchRun{{Inputs: recInputs(lanes), Lanes: lanes}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]*RunResult{"RunRowsBatch": rowsOf[0], "RunBatch": runOf[0]} {
+		if got.RecoveryStats != solo.RecoveryStats {
+			t.Errorf("%s of one: RecoveryStats %+v, solo RunRows %+v", name, got.RecoveryStats, solo.RecoveryStats)
+		}
+		if got.Faults != solo.Faults || got.TimeNs != solo.TimeNs || got.Stats != solo.Stats || !sameRows(got.Rows, solo.Rows) {
+			t.Errorf("%s of one diverged from the solo run beyond RecoveryStats", name)
+		}
+	}
+}
+
 // TestDeterminismBatchPass: the coalesced pass is a pure function of its
 // members — repeated passes are byte-identical (CI runs this under
 // -race -cpu 1,4).

@@ -372,8 +372,9 @@ type Kernel struct {
 	refOnce sync.Once
 	ref     *dfg.LanePlan
 
-	// plan caches the tiled runner's tag tables (built once, on first
-	// tiled run, error included): they depend on the kernel alone.
+	// plan caches the tables that bind operand bit-rows to the program's
+	// WRITE/READ tags (built once, on first run, error included): they
+	// depend on the kernel alone and serve every run path.
 	planOnce sync.Once
 	plan     *tilePlan
 	planErr  error
@@ -409,8 +410,9 @@ func (k *Kernel) refPlan() *dfg.LanePlan {
 // are reset via Reconfigure on checkout and the reference arena is
 // overwritten by every evaluation, so no trial state leaks between runs.
 type simWorker struct {
-	m   sim.Machine
-	ref dfg.LaneScratch
+	m    sim.Machine
+	host hostRows
+	ref  dfg.LaneScratch
 }
 
 var workerPool = sync.Pool{New: func() any { return new(simWorker) }}
@@ -749,87 +751,6 @@ func splitBit(s string) (string, int, error) {
 	return s[:i], bit, nil
 }
 
-// hostIO builds the WRITE source / READ sink for a run over transposed
-// operand rows.
-func (k *Kernel) hostIO(rows map[string][][]uint64, lanes int) (*sim.HostIO, map[string][][]uint64, error) {
-	words := transpose.Words(lanes)
-	mask := ^uint64(0)
-	if r := lanes % 64; r != 0 {
-		mask = (uint64(1) << uint(r)) - 1
-	}
-
-	// tag -> row data for inputs (tags may interleave with constant-row
-	// tags, so this is a sparse map).
-	writeRows := make(map[int][]uint64, len(k.inputTag))
-	for name, tag := range k.inputTag {
-		base, bit, err := splitBit(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		op, ok := rows[base]
-		if !ok {
-			return nil, nil, fmt.Errorf("chopper: missing input operand %q", base)
-		}
-		if bit >= len(op) {
-			return nil, nil, fmt.Errorf("chopper: input %q has %d bit-rows, kernel needs bit %d", base, len(op), bit)
-		}
-		writeRows[tag] = op[bit]
-	}
-
-	outRows := make(map[string][][]uint64)
-	for _, o := range k.Outputs {
-		rs := make([][]uint64, o.Width)
-		for b := range rs {
-			rs[b] = make([]uint64, words)
-		}
-		outRows[o.Name] = rs
-	}
-	outByTag := make(map[int]func([]uint64), len(k.outputTag))
-	for name, tag := range k.outputTag {
-		base, bit, err := splitBit(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		dst := outRows[base]
-		if bit >= len(dst) {
-			return nil, nil, fmt.Errorf("chopper: output bit %q out of range", name)
-		}
-		b := bit
-		outByTag[tag] = func(data []uint64) { copy(dst[b], data) }
-	}
-
-	// Constant-pattern rows are materialized once per run, not once per
-	// WRITE: the simulator copies the payload into the subarray, so a
-	// shared backing row is safe to hand out repeatedly.
-	var constRows map[int][]uint64
-	if len(k.constPattern) > 0 {
-		constRows = make(map[int][]uint64, len(k.constPattern))
-		for tag, pat := range k.constPattern {
-			row := make([]uint64, words)
-			for i := range row {
-				row[i] = pat
-			}
-			row[words-1] &= mask
-			constRows[tag] = row
-		}
-	}
-
-	io := &sim.HostIO{
-		WriteData: func(tag int) []uint64 {
-			if row, ok := writeRows[tag]; ok {
-				return row
-			}
-			return constRows[tag]
-		},
-		ReadSink: func(tag int, data []uint64) {
-			if sink, ok := outByTag[tag]; ok {
-				sink(data)
-			}
-		},
-	}
-	return io, outRows, nil
-}
-
 // RunResult carries a run's outputs and its simulated time.
 type RunResult struct {
 	// Rows holds each output operand in vertical (bit-row) layout.
@@ -896,28 +817,33 @@ func (k *Kernel) runRowsUnderFault(ctx context.Context, rows map[string][][]uint
 		// deterministic too by deriving their seed from the placement.
 		return fault.New(cfg, seed+int64(bank)<<20+int64(sub))
 	})
-	if err != nil {
-		injectorPool.Put(inj)
-		return nil, err
+	if err == nil {
+		res.Faults = inj.Counts()
 	}
-	res.Faults = inj.Counts()
 	injectorPool.Put(inj)
-	return res, nil
+	return res, err
 }
 
 func (k *Kernel) runRows(ctx context.Context, rows map[string][][]uint64, lanes int, hook func(bank, sub int) sim.FaultHook) (*RunResult, error) {
 	if lanes <= 0 {
 		return nil, optionsErrf("lanes must be positive, have %d", lanes)
 	}
-	io, outRows, err := k.hostIO(rows, lanes)
+	// Every single-subarray run — plain, batched, verify trial, fault
+	// trial, recovered — comes through here: the operands bind to the
+	// program's tags through the kernel's plan tables (hostRows, the
+	// binding a tile uses too), and the pre-decoded program runs at
+	// placement (0, 0) of a pooled machine. The recovered and plain forms
+	// step through the same loop in internal/sim; equiv_test.go holds that
+	// loop against a stream of placed ops on a fresh machine.
+	w := workerPool.Get().(*simWorker)
+	defer func() {
+		clear(w.host.rows) // a pooled worker keeps no reference to the caller's rows
+		workerPool.Put(w)
+	}()
+	outRows, err := w.host.bindRows(k, rows, lanes)
 	if err != nil {
 		return nil, err
 	}
-	// Kernels run single-subarray programs through the pre-decoded fast
-	// path on a pooled machine: no placed-stream build, no per-trial
-	// machine allocation. The generic stream path (sim.Machine.RunCtx) is
-	// behaviorally identical — the equivalence tests hold the two together.
-	w := workerPool.Get().(*simWorker)
 	m := &w.m
 	m.Reconfigure(sim.MachineConfig{
 		Geom:  k.Opts.Geometry,
@@ -925,20 +851,11 @@ func (k *Kernel) runRows(ctx context.Context, rows map[string][][]uint64, lanes 
 		Lanes: lanes,
 		Fault: hook,
 	})
-	var t float64
-	var rs RecoveryStats
-	if k.Opts.Recovery.Enabled() {
-		t, rs, err = m.RunRecoveredCtx(ctx, k.decodedProg(), 0, 0, io, k.Opts.Budget, k.Opts.Recovery.policy())
-	} else {
-		t, err = m.RunDecodedCtx(ctx, k.decodedProg(), 0, 0, io, k.Opts.Budget)
-	}
+	t, rs, err := m.RunRecoveredCtx(ctx, k.decodedProg(), 0, 0, w.host.hostIO(), k.Opts.Budget, k.Opts.Recovery.policy())
 	if err != nil {
-		workerPool.Put(w)
 		return nil, err
 	}
-	res := &RunResult{Rows: outRows, TimeNs: t, Stats: m.Stats(), ScratchBytes: m.MemBytes(), RecoveryStats: rs}
-	workerPool.Put(w)
-	return res, nil
+	return &RunResult{Rows: outRows, TimeNs: t, Stats: m.Stats(), ScratchBytes: m.MemBytes(), RecoveryStats: rs}, nil
 }
 
 // Run executes the kernel on operands given as one value per lane (widths

@@ -1,10 +1,16 @@
 package chopper
 
-// Kernel-level golden equivalence: RunRows now goes through the pre-decoded
-// single-subarray fast path (Machine.RunDecodedCtx on a pooled machine).
-// These tests hold it against the generic placed-stream path
-// (sim.Machine.RunCtx on a fresh machine) — functional outputs, timing,
-// stats, guard stop points and fault-injection sequences must all match.
+// Kernel-level golden equivalence. internal/sim has one micro-op body and
+// one guard/execute/issue step; what still differs between its entry points
+// is how an op reaches that step. RunRows hands it a program decoded once
+// per kernel, at the fixed placement (0, 0) of a pooled, reconfigured
+// machine (Machine.RunRecoveredCtx / RunDecodedCtx). These tests drive the
+// same kernel the other way — a fresh machine, an explicit []dram.Placed,
+// every op decoded on the spot and placed by its own record
+// (Machine.RunCtx, the multi-subarray entry point) — and require identical
+// functional outputs, makespan, engine stats, guard stop points and
+// fault-injection sequences. Both sides bind operands through the kernel's
+// one tag-table binding (hostRows); what is compared is the execution.
 
 import (
 	"errors"
@@ -28,10 +34,11 @@ tel`
 
 var equivLanes = []int{1, 63, 64, 65, 128}
 
-// genericRunRows executes the kernel the pre-rewrite way: a fresh machine
-// and an explicit []dram.Placed stream through Machine.RunCtx.
+// genericRunRows executes the kernel as a stream of placed ops: a fresh
+// machine and an explicit []dram.Placed through Machine.RunCtx.
 func genericRunRows(k *Kernel, rows map[string][][]uint64, lanes int, hook func(bank, sub int) sim.FaultHook, b Budget) (*RunResult, error) {
-	io, outRows, err := k.hostIO(rows, lanes)
+	var host hostRows
+	outRows, err := host.bindRows(k, rows, lanes)
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +52,7 @@ func genericRunRows(k *Kernel, rows map[string][][]uint64, lanes int, hook func(
 	for i := range k.prog.Ops {
 		stream[i] = dram.Placed{Bank: 0, Subarray: 0, Op: k.prog.Ops[i]}
 	}
-	t, err := m.RunCtx(nil, stream, io, b)
+	t, err := m.RunCtx(nil, stream, host.hostIO(), b)
 	if err != nil {
 		return nil, err
 	}
@@ -88,8 +95,8 @@ func rowsEqual(t *testing.T, label string, got, want map[string][][]uint64) {
 	}
 }
 
-// TestRunRowsEquivalence holds the fast path and the generic stream path
-// byte-identical across architectures and lane widths, including repeat
+// TestRunRowsEquivalence holds the decoded fixed-placement run and the
+// placed-stream run byte-identical across architectures and lane widths, including repeat
 // runs on the pooled machine.
 func TestRunRowsEquivalence(t *testing.T) {
 	for _, target := range []Target{Ambit, ELP2IM, SIMDRAM} {

@@ -3,11 +3,13 @@ package chopper
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"chopper/internal/dfg"
+	"chopper/internal/transpose"
 )
 
 const errAdderSrc = `
@@ -249,5 +251,75 @@ func TestReferenceEvalErrorClass(t *testing.T) {
 		if !errors.Is(err, ErrVerify) || !strings.Contains(err.Error(), "reference eval: dfg: unknown op 99") {
 			t.Errorf("%s: got %v, want an ErrVerify-classed reference eval failure", name, err)
 		}
+	}
+}
+
+// TestRunRowsOperandErrorsAreDeterministic pins which operand a RunRows
+// call with incomplete inputs names: the first, in k.Inputs order and
+// lowest bit first, that is missing or too short — it used to be whichever
+// the tag map's iteration order reached first — and the three message
+// texts. Only bits the program WRITEs need a bit-row: a narrowed kernel
+// runs on operands that stop at its live bits.
+func TestRunRowsOperandErrorsAreDeterministic(t *testing.T) {
+	const lanes = 64
+	k, err := Compile(equivSrc, Options{Target: Ambit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := equivInputs(lanes, 1)
+	cases := []struct {
+		name string
+		rows map[string][][]uint64
+		want string
+	}{
+		{"nothing", map[string][][]uint64{}, `chopper: missing input operand "a"`},
+		{"only a", map[string][][]uint64{"a": full["a"]}, `chopper: missing input operand "b"`},
+		{"a and c", map[string][][]uint64{"a": full["a"], "c": full["c"]}, `chopper: missing input operand "b"`},
+		{"short b and c", map[string][][]uint64{"a": full["a"], "b": full["b"][:5], "c": full["c"][:2]},
+			`chopper: input "b" has 5 bit-rows, kernel needs bit 5`},
+		{"short a, no b", map[string][][]uint64{"a": full["a"][:0], "c": full["c"]},
+			`chopper: input "a" has 0 bit-rows, kernel needs bit 0`},
+	}
+	for i := 0; i < 100; i++ {
+		for _, tc := range cases {
+			if _, err := k.RunRows(tc.rows, lanes); err == nil || err.Error() != tc.want {
+				t.Fatalf("iteration %d, %s: error %v, want %s", i, tc.name, err, tc.want)
+			}
+		}
+	}
+
+	// A nil bit-row is present to the binding and absent to the simulator.
+	holed := map[string][][]uint64{"a": full["a"], "b": full["b"], "c": append([][]uint64(nil), full["c"]...)}
+	holed["c"][3] = nil
+	_, err = k.RunRows(holed, lanes)
+	if err == nil || !strings.HasSuffix(err.Error(), ": sim: host has no data for WRITE tag "+fmt.Sprint(k.inputTag["c[3]"])) {
+		t.Errorf("nil bit-row: error %v, want the simulator's missing-WRITE-data error for the tag of c[3]", err)
+	}
+
+	// Under @range(a, 0, 15) the program never WRITEs a's high bits, so
+	// four bit-rows are enough — and three are one too few.
+	nk, err := Compile("@range(a, 0, 15)\nnode main(a: u8) returns (z: u8) let z = a + 1; tel", Options{Target: Ambit, Narrow: NarrowAnnotated})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, tagged := nk.inputTag["a[4]"]; tagged {
+		t.Fatal("narrowing kept a WRITE for a[4]; the tolerance case is vacuous")
+	}
+	a := make([]uint64, lanes)
+	for l := range a {
+		a[l] = uint64(l*37) & 15
+	}
+	res, err := nk.RunRows(map[string][][]uint64{"a": transpose.ToVertical(a, 4, lanes)}, lanes)
+	if err != nil {
+		t.Fatalf("narrowed kernel rejected an operand holding exactly its tagged bits: %v", err)
+	}
+	for l, z := range transpose.FromVertical(res.Rows["z"], 8, lanes) {
+		if z != a[l]+1 {
+			t.Fatalf("lane %d: z = %d, want %d", l, z, a[l]+1)
+		}
+	}
+	want := `chopper: input "a" has 3 bit-rows, kernel needs bit 3`
+	if _, err := nk.RunRows(map[string][][]uint64{"a": transpose.ToVertical(a, 3, lanes)}, lanes); err == nil || err.Error() != want {
+		t.Errorf("narrowed kernel on three bit-rows: error %v, want %s", err, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"chopper/internal/dram"
 	"chopper/internal/guard"
 	"chopper/internal/isa"
 )
@@ -11,19 +12,20 @@ import (
 // Decoded is an isa.Program pre-decoded into a flat execution stream: per
 // op, the fields the executor needs are unpacked once and every statically
 // decidable check (C-group destination legality, ROWINIT constant-pattern
-// validation) is hoisted out of the per-op dispatch. A Decoded is immutable
-// after Decode and safe to share across goroutines and trials; it is how a
-// compiled kernel amortizes dispatch cost over thousands of verify /
-// reliability replays.
+// validation) is decided once instead of per execution. A Decoded is
+// immutable after Decode and safe to share across goroutines and trials; it
+// is how a compiled kernel amortizes dispatch cost over thousands of verify
+// / reliability replays.
 type Decoded struct {
 	prog *isa.Program
 	ops  []dop
 }
 
-// dop is one pre-decoded micro-op. fast marks ops whose static checks all
-// passed; ops that would fail them (or whose kind is unknown) run through
-// the generic Exec so the error text, error position and fault-hook
-// sequence stay byte-for-byte identical to the undecoded path.
+// dop is one decoded micro-op, the only form the executor runs. fast marks
+// ops that pass every static check; exec re-runs those checks only for ops
+// without it, at the point of the op where the undecoded simulator always
+// ran them, so error text, error position and fault-hook sequence do not
+// depend on whether an op was decoded ahead of time or on the spot.
 type dop struct {
 	kind  isa.OpKind
 	fast  bool
@@ -35,46 +37,44 @@ type dop struct {
 	imm   uint64
 }
 
-// Decode pre-decodes prog. The result references prog (for the slow-path
-// fallback), so the program must not be mutated afterwards.
+// decode unpacks op into e and decides its static checks.
+func (e *dop) decode(op *isa.Op) {
+	*e = dop{kind: op.Kind, src: op.Src, dst: op.Dst, ndst: int8(op.NDst), tag: int32(op.Tag), imm: op.Imm}
+	switch op.Kind {
+	case isa.OpRowInit:
+		if op.Dst[0].IsCGroup() {
+			// Re-initializing a constant row is allowed (it is how the
+			// architecture maintains them) but must match the constant.
+			want := uint64(0)
+			if op.Dst[0] == isa.C1 {
+				want = ^uint64(0)
+			}
+			if op.Imm != want {
+				return // not fast: exec reports the pattern error
+			}
+			e.cskip = true
+		}
+		e.fast = true
+	case isa.OpAAP:
+		e.fast = true
+		for _, r := range op.Dsts() {
+			if r.IsCGroup() {
+				e.fast = false // exec reports the C-group error at that destination
+			}
+		}
+	case isa.OpWrite:
+		e.fast = !op.Dst[0].IsCGroup()
+	case isa.OpAP, isa.OpRead, isa.OpSpillOut, isa.OpSpillIn:
+		e.fast = true
+	}
+}
+
+// Decode pre-decodes prog. The result references prog (recovery reads its
+// epoch marks), so the program must not be mutated afterwards.
 func Decode(prog *isa.Program) *Decoded {
 	d := &Decoded{prog: prog, ops: make([]dop, len(prog.Ops))}
 	for i := range prog.Ops {
-		op := &prog.Ops[i]
-		e := &d.ops[i]
-		e.kind = op.Kind
-		e.src = op.Src
-		e.dst = op.Dst
-		e.ndst = int8(op.NDst)
-		e.tag = int32(op.Tag)
-		e.imm = op.Imm
-		switch op.Kind {
-		case isa.OpRowInit:
-			if op.Dst[0].IsCGroup() {
-				want := uint64(0)
-				if op.Dst[0] == isa.C1 {
-					want = ^uint64(0)
-				}
-				if op.Imm != want {
-					continue // slow: Exec reports the pattern error
-				}
-				e.cskip = true
-			}
-			e.fast = true
-		case isa.OpAAP:
-			clean := true
-			for _, r := range op.Dsts() {
-				if r.IsCGroup() {
-					clean = false // slow: Exec reports the C-group error
-					break
-				}
-			}
-			e.fast = clean
-		case isa.OpWrite:
-			e.fast = !op.Dst[0].IsCGroup()
-		case isa.OpAP, isa.OpRead, isa.OpSpillOut, isa.OpSpillIn:
-			e.fast = true
-		}
+		d.ops[i].decode(&prog.Ops[i])
 	}
 	return d
 }
@@ -82,35 +82,58 @@ func Decode(prog *isa.Program) *Decoded {
 // Len returns the number of ops in the stream.
 func (d *Decoded) Len() int { return len(d.ops) }
 
-// Prog returns the underlying program.
-func (d *Decoded) Prog() *isa.Program { return d.prog }
+// Exec executes one micro-op against the subarray: it decodes the op on the
+// stack and runs it through the same body as a pre-decoded stream.
+func (s *Subarray) Exec(op *isa.Op, io *HostIO, spill *SpillStore) error {
+	var e dop
+	e.decode(op)
+	return s.exec(&e, io, spill)
+}
 
-// ExecDecoded executes op i of the decoded stream. It is Exec with the
-// statically hoisted checks removed; dynamic conditions (row presence,
-// D-group bounds, host IO availability, spill-slot liveness) are still
-// checked per op, and ops Decode flagged as slow delegate to Exec so every
-// error and hook interaction is identical to the undecoded path.
+// ExecDecoded executes op i of the decoded stream.
 func (s *Subarray) ExecDecoded(d *Decoded, i int, io *HostIO, spill *SpillStore) error {
-	op := &d.ops[i]
-	if !op.fast {
-		return s.Exec(&d.prog.Ops[i], io, spill)
-	}
+	return s.exec(&d.ops[i], io, spill)
+}
+
+// exec is what the six micro-ops do — the one definition under every
+// execution entry point. Dynamic conditions (row presence, D-group bounds,
+// host IO availability, spill-slot liveness) are checked on every op;
+// static ones only for ops decode did not mark fast.
+func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore) error {
 	idx := s.opIdx
 	s.opIdx++
 	switch op.kind {
+	case isa.OpRowInit:
+		if !op.fast {
+			return fmt.Errorf("sim: ROWINIT %s with wrong pattern %#x", op.dst[0], op.imm)
+		}
+		if op.cskip {
+			if slot, ok := s.slot(op.dst[0]); ok && s.isPresent(slot) && !s.cDirty {
+				// The row already holds its constant: skip the redundant
+				// rewrite (and the full-row copy it used to cost).
+				return nil
+			}
+		}
+		s.initRow(op.dst[0], op.imm)
+		return nil
+
 	case isa.OpAAP:
 		src, err := s.load(idx, op.src)
 		if err != nil {
 			return err
 		}
+		// Copy out first: a destination may alias the source's complement.
 		tmp := s.scratch
 		copy(tmp, src)
 		if s.hook != nil {
 			s.hook.AfterCopy(idx, tmp, s.lanes)
 		}
-		for k := 0; k < int(op.ndst); k++ {
-			s.setRow(op.dst[k], tmp)
-			s.stored(idx, op.dst[k])
+		for _, d := range op.dst[:op.ndst] {
+			if !op.fast && d.IsCGroup() {
+				return fmt.Errorf("sim: AAP into constant row %s", d)
+			}
+			s.setRow(d, tmp)
+			s.stored(idx, d)
 		}
 		return nil
 
@@ -134,9 +157,9 @@ func (s *Subarray) ExecDecoded(d *Decoded, i int, io *HostIO, spill *SpillStore)
 		if s.hook != nil {
 			s.hook.AfterCompute(idx, res, s.lanes)
 		}
-		for _, r := range op.dst {
-			s.setRow(r, res)
-			s.stored(idx, r)
+		for _, d := range op.dst {
+			s.setRow(d, res)
+			s.stored(idx, d)
 		}
 		return nil
 
@@ -147,6 +170,9 @@ func (s *Subarray) ExecDecoded(d *Decoded, i int, io *HostIO, spill *SpillStore)
 		data := io.WriteData(int(op.tag))
 		if data == nil {
 			return fmt.Errorf("sim: host has no data for WRITE tag %d", op.tag)
+		}
+		if !op.fast {
+			return fmt.Errorf("sim: WRITE into constant row %s", op.dst[0])
 		}
 		s.setRow(op.dst[0], data)
 		s.stored(idx, op.dst[0])
@@ -187,51 +213,98 @@ func (s *Subarray) ExecDecoded(d *Decoded, i int, io *HostIO, spill *SpillStore)
 		s.setRow(op.dst[0], data)
 		s.stored(idx, op.dst[0])
 		return nil
-
-	case isa.OpRowInit:
-		if op.cskip {
-			if slot, ok := s.slot(op.dst[0]); ok && s.isPresent(slot) && !s.cDirty {
-				return nil
-			}
-		}
-		s.initRow(op.dst[0], op.imm)
-		return nil
 	}
 	return fmt.Errorf("sim: unknown op kind %d", int(op.kind))
 }
 
-// RunDecodedCtx executes a decoded program entirely on one subarray —
-// the single-placement fast path behind the kernel run entry points. It is
-// RunCtx specialized to a constant (bank, sub): the same guard budget
-// checkpoints run per op (sim-steps, then dram-commands, ctx every 256
-// ops), errors carry the same "op %d at bank %d sub %d" wrapping, and every
-// executed op is issued to the timing engine, so makespans, stats and stop
-// points match the generic stream path exactly — without building a
-// []dram.Placed or copying an isa.Op per command.
+// stepper is the one guard → execute → issue step under every run loop,
+// with the counters it checks. A run makes one and steps every op through
+// it, replays included: the counters never rewind, so work a recovered run
+// throws away is charged to the same budget as work it keeps. The same
+// stream therefore exhausts the same dimension at the same op on every
+// run, whichever entry point drives it.
+type stepper struct {
+	ctx context.Context // observed every 256 steps; nil never cancels
+	b   guard.Budget
+	eng *dram.Engine // nil: functional only, nothing is timed
+
+	steps, cmds int // micro-ops executed / commands issued so far
+}
+
+// step runs op — op i of its stream — on unit u: b.MaxSimSteps caps the
+// micro-ops executed and b.MaxDRAMCommands the commands that reach the
+// timing engine, both checked before the op executes, so a guard stop,
+// like a functional error, leaves the offending op unexecuted.
+func (st *stepper) step(u *unit, op *dop, i int, io *HostIO) error {
+	if st.steps&255 == 0 {
+		if err := guard.Ctx(st.ctx); err != nil {
+			return err
+		}
+	}
+	if err := guard.Check(guard.DimSimSteps, st.b.MaxSimSteps, st.steps+1); err != nil {
+		return err
+	}
+	if err := guard.Check(guard.DimDRAMCommands, st.b.MaxDRAMCommands, st.cmds+1); err != nil {
+		return err
+	}
+	if err := u.sub.exec(op, io, u.spill); err != nil {
+		return fmt.Errorf("op %d at bank %d sub %d: %w", i, u.bank, u.subarray, err)
+	}
+	if st.eng != nil {
+		st.eng.IssueOp(u.bank, u.subarray, op.kind, op.imm)
+	}
+	st.steps++
+	st.cmds++
+	return nil
+}
+
+// span steps ops [lo, hi) of d on unit u.
+func (st *stepper) span(u *unit, d *Decoded, lo, hi int, io *HostIO) error {
+	for i := lo; i < hi; i++ {
+		if err := st.step(u, &d.ops[i], i, io); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RunCtx executes a placed op stream functionally and through the timing
+// engine under the guard layer (see stepper), returning the makespan in
+// nanoseconds. The first functional error or guard stop aborts the run.
+// It is the multi-subarray entry point: each op runs where it is placed,
+// and the At variants of io are bound to a subarray once per run.
+func (m *Machine) RunCtx(ctx context.Context, stream []dram.Placed, io *HostIO, b guard.Budget) (float64, error) {
+	st := m.begin(ctx, b)
+	for i := range stream {
+		p := &stream[i]
+		u := m.unit(p.Bank, p.Subarray)
+		var op dop
+		op.decode(&p.Op)
+		if err := st.step(u, &op, i, m.hostIO(u, io)); err != nil {
+			return m.engine.Makespan(), err
+		}
+	}
+	return m.engine.Makespan(), nil
+}
+
+// RunDecodedCtx executes a decoded program entirely on one subarray — the
+// entry point behind the kernel runs. It is RunCtx at a constant (bank,
+// sub), op for op: same checkpoints, same error wrapping, same commands
+// issued, so makespans, stats and stop points are those of the stream —
+// without building a []dram.Placed or decoding an op more than once.
 func (m *Machine) RunDecodedCtx(ctx context.Context, d *Decoded, bank, sub int, io *HostIO, b guard.Budget) (float64, error) {
-	s := m.Sub(bank, sub)
-	spill := m.spillAt(bank, sub)
-	effIO := io
-	if io != nil && (io.WriteDataAt != nil || io.ReadSinkAt != nil) {
-		effIO = adapterIO(io, bank, sub)
-	}
-	eng := m.engine
-	for i := 0; i < len(d.ops); i++ {
-		if i&255 == 0 {
-			if err := guard.Ctx(ctx); err != nil {
-				return eng.Makespan(), err
-			}
-		}
-		if err := guard.Check(guard.DimSimSteps, b.MaxSimSteps, i+1); err != nil {
-			return eng.Makespan(), err
-		}
-		if err := guard.Check(guard.DimDRAMCommands, b.MaxDRAMCommands, i+1); err != nil {
-			return eng.Makespan(), err
-		}
-		if err := s.ExecDecoded(d, i, effIO, spill); err != nil {
-			return eng.Makespan(), fmt.Errorf("op %d at bank %d sub %d: %w", i, bank, sub, err)
-		}
-		eng.IssueOp(bank, sub, d.ops[i].kind, d.ops[i].imm)
-	}
-	return eng.Makespan(), nil
+	st := m.begin(ctx, b)
+	u := m.unit(bank, sub)
+	err := st.span(u, d, 0, len(d.ops), m.hostIO(u, io))
+	return m.engine.Makespan(), err
+}
+
+// RunDecodedCtx is the functional-only form of Machine.RunDecodedCtx for a
+// caller that owns a bare subarray and times the program elsewhere (the
+// tiled runner): the same step with no timing engine and no budget, ctx
+// observed every 256 ops. A bare subarray is its own one-unit device, so
+// errors name bank 0 sub 0.
+func (s *Subarray) RunDecodedCtx(ctx context.Context, d *Decoded, io *HostIO, spill *SpillStore) error {
+	st := stepper{ctx: ctx}
+	return st.span(&unit{sub: s, spill: spill}, d, 0, len(d.ops), io)
 }

@@ -5,6 +5,7 @@ import (
 
 	"chopper/internal/dram"
 	"chopper/internal/fault"
+	"chopper/internal/guard"
 	"chopper/internal/isa"
 )
 
@@ -119,7 +120,7 @@ func TestMachineFaultFactoryDeterministic(t *testing.T) {
 		for i, op := range prog.Ops {
 			stream[i] = dram.Placed{Bank: 0, Subarray: 0, Op: op}
 		}
-		if _, err := m.Run(stream, io); err != nil {
+		if _, err := m.RunCtx(nil, stream, io, guard.Budget{}); err != nil {
 			t.Fatal(err)
 		}
 		return out

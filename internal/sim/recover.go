@@ -30,7 +30,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
@@ -122,9 +121,7 @@ func (r *RecoveryStats) Add(other RecoveryStats) {
 	r.WastedCommands += other.WastedCommands
 	r.DetectorCommands += other.DetectorCommands
 	r.ScrubbedRows += other.ScrubbedRows
-	if other.CheckpointBytes > r.CheckpointBytes {
-		r.CheckpointBytes = other.CheckpointBytes
-	}
+	r.CheckpointBytes = max(r.CheckpointBytes, other.CheckpointBytes)
 }
 
 // EpochHook extends FaultHook with epoch checkpoint/rollback cooperation.
@@ -145,16 +142,22 @@ type EpochHook interface {
 	Scrub(opIdx int) int
 }
 
-// extraRow is one overflow-map row captured in a checkpoint.
-type extraRow struct {
-	r    isa.Row
+// savedRow is one keyed row captured in a checkpoint: an overflow-map row
+// (key = the row id) or a live spill slot (key = the slot).
+type savedRow struct {
+	key  uint64
 	data []uint64
 }
 
-// savedSlot is one live spill slot captured in a checkpoint.
-type savedSlot struct {
-	slot uint64
-	data []uint64
+// save records (key, data) as entry n of list, reusing the buffer a previous
+// epoch's entry n left there.
+func save(list []savedRow, n int, key uint64, data []uint64) []savedRow {
+	if n == len(list) {
+		list = append(list, savedRow{})
+	}
+	list[n].key = key
+	list[n].data = append(list[n].data[:0], data...)
+	return list
 }
 
 // checkpoint is a functional snapshot of one subarray + spill store at an
@@ -170,8 +173,8 @@ type checkpoint struct {
 	cDirty   bool
 	parBad   int
 
-	extraRows  []extraRow
-	spillSlots []savedSlot
+	extraRows  []savedRow
+	spillSlots []savedRow
 }
 
 func (c *checkpoint) bytes() int64 {
@@ -202,15 +205,10 @@ func (s *Subarray) snapshot(c *checkpoint) {
 	c.opIdx = s.opIdx
 	c.cDirty = s.cDirty
 	c.parBad = s.parBad
+	c.extraRows = c.extraRows[:cap(c.extraRows)]
 	n := 0
 	for r, data := range s.extra {
-		if n < len(c.extraRows) {
-			er := &c.extraRows[n]
-			er.r = r
-			er.data = append(er.data[:0], data...)
-		} else {
-			c.extraRows = append(c.extraRows, extraRow{r: r, data: append([]uint64(nil), data...)})
-		}
+		c.extraRows = save(c.extraRows, n, uint64(r), data)
 		n++
 	}
 	c.extraRows = c.extraRows[:n]
@@ -230,35 +228,25 @@ func (s *Subarray) restore(c *checkpoint) {
 	s.opIdx = c.opIdx
 	s.cDirty = c.cDirty
 	s.parBad = c.parBad
-	if s.extra != nil {
-		clear(s.extra)
-	}
+	clear(s.extra)
 	for i := range c.extraRows {
 		er := &c.extraRows[i]
 		if s.extra == nil {
 			s.extra = make(map[isa.Row][]uint64)
 		}
-		dst := make([]uint64, len(er.data))
-		copy(dst, er.data)
-		s.extra[er.r] = dst
+		s.extra[isa.Row(er.key)] = append([]uint64(nil), er.data...)
 	}
 }
 
 // snapshot captures the store's live slots into c.
 func (sp *SpillStore) snapshot(c *checkpoint) {
+	c.spillSlots = c.spillSlots[:cap(c.spillSlots)]
 	n := 0
 	for id, sl := range sp.slots {
-		if !sl.live {
-			continue
+		if sl.live {
+			c.spillSlots = save(c.spillSlots, n, id, sl.data)
+			n++
 		}
-		if n < len(c.spillSlots) {
-			sv := &c.spillSlots[n]
-			sv.slot = id
-			sv.data = append(sv.data[:0], sl.data...)
-		} else {
-			c.spillSlots = append(c.spillSlots, savedSlot{slot: id, data: append([]uint64(nil), sl.data...)})
-		}
-		n++
 	}
 	c.spillSlots = c.spillSlots[:n]
 }
@@ -269,7 +257,7 @@ func (sp *SpillStore) restore(c *checkpoint) {
 	sp.Reset()
 	for i := range c.spillSlots {
 		sv := &c.spillSlots[i]
-		sp.put(sv.slot, sv.data, len(sv.data))
+		sp.put(sv.key, sv.data, len(sv.data))
 	}
 }
 
@@ -312,16 +300,20 @@ func (b *epochIO) clear() {
 	b.payload = b.payload[:0]
 }
 
+// read returns the payload of buffered read i.
+func (b *epochIO) read(i int) []uint64 {
+	end := len(b.payload)
+	if i+1 < len(b.offs) {
+		end = int(b.offs[i+1])
+	}
+	return b.payload[b.offs[i]:end]
+}
+
 // flush releases the committed epoch's buffered reads to the real sink in
 // program order.
 func (b *epochIO) flush() {
 	for i, tag := range b.tags {
-		start := int(b.offs[i])
-		end := len(b.payload)
-		if i+1 < len(b.offs) {
-			end = int(b.offs[i+1])
-		}
-		b.inner.ReadSink(int(tag), b.payload[start:end])
+		b.inner.ReadSink(int(tag), b.read(i))
 	}
 	b.clear()
 }
@@ -402,12 +394,7 @@ func (sc *recoverScratch) digestState(s *Subarray, sp *SpillStore) uint64 {
 	}
 	for i, tag := range sc.eio.tags {
 		word(uint64(uint32(tag)) | 4<<32)
-		start := int(sc.eio.offs[i])
-		end := len(sc.eio.payload)
-		if i+1 < len(sc.eio.offs) {
-			end = int(sc.eio.offs[i+1])
-		}
-		for _, w := range sc.eio.payload[start:end] {
+		for _, w := range sc.eio.read(i) {
 			word(w)
 		}
 	}
@@ -441,13 +428,13 @@ func (m *Machine) RunRecoveredCtx(ctx context.Context, d *Decoded, bank, sub int
 		pol.MaxRetries = 0
 	}
 
-	s := m.Sub(bank, sub)
-	spill := m.spillAt(bank, sub)
-	eng := m.engine
-	effIO := io
-	if io != nil && (io.WriteDataAt != nil || io.ReadSinkAt != nil) {
-		effIO = adapterIO(io, bank, sub)
-	}
+	// One stepper for the whole run: its counters keep counting across
+	// rollbacks, so wasted replay work is charged to the same budget
+	// dimensions as first-try work and recovery cannot loop past a budget.
+	st := m.begin(ctx, b)
+	u := m.unit(bank, sub)
+	s, spill, eng := u.sub, u.spill, m.engine
+	effIO := m.hostIO(u, io)
 
 	sc := recoverPool.Get().(*recoverScratch)
 	defer recoverPool.Put(sc)
@@ -468,47 +455,17 @@ func (m *Machine) RunRecoveredCtx(ctx context.Context, d *Decoded, bank, sub int
 		return eng.Makespan(), rs, err
 	}
 
-	// Global guard counters: they keep counting across rollbacks, so
-	// wasted replay work is charged to the same budget dimensions as
-	// first-try work and recovery cannot loop past a budget.
-	steps, cmds := 0, 0
-	execSpan := func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if steps&255 == 0 {
-				if err := guard.Ctx(ctx); err != nil {
-					return err
-				}
-			}
-			if err := guard.Check(guard.DimSimSteps, b.MaxSimSteps, steps+1); err != nil {
-				return err
-			}
-			if err := guard.Check(guard.DimDRAMCommands, b.MaxDRAMCommands, cmds+1); err != nil {
-				return err
-			}
-			if err := s.ExecDecoded(d, i, runIO, spill); err != nil {
-				return fmt.Errorf("op %d at bank %d sub %d: %w", i, bank, sub, err)
-			}
-			eng.IssueOp(bank, sub, d.ops[i].kind, d.ops[i].imm)
-			steps++
-			cmds++
-		}
-		return nil
-	}
 	// chargeDetector accounts the detector check itself: one AAP (fold the
 	// checked rows into the checksum row) and one AP (majority-compare),
 	// issued to the timing engine so detector overhead shows up in the
 	// makespan and the command budget.
 	chargeDetector := func() error {
-		for j := 0; j < 2; j++ {
-			if err := guard.Check(guard.DimDRAMCommands, b.MaxDRAMCommands, cmds+1); err != nil {
+		for _, kind := range [...]isa.OpKind{isa.OpAAP, isa.OpAP} {
+			if err := guard.Check(guard.DimDRAMCommands, b.MaxDRAMCommands, st.cmds+1); err != nil {
 				return err
 			}
-			kind := isa.OpAAP
-			if j == 1 {
-				kind = isa.OpAP
-			}
 			eng.IssueOp(bank, sub, kind, 0)
-			cmds++
+			st.cmds++
 			rs.DetectorCommands++
 		}
 		return nil
@@ -540,9 +497,7 @@ func (m *Machine) RunRecoveredCtx(ctx context.Context, d *Decoded, bank, sub int
 		if eh != nil {
 			eh.EpochCheckpoint()
 		}
-		if cb := sc.ck.bytes(); cb > rs.CheckpointBytes {
-			rs.CheckpointBytes = cb
-		}
+		rs.CheckpointBytes = max(rs.CheckpointBytes, sc.ck.bytes())
 		sc.digests = sc.digests[:0]
 		detections := 0
 		for attempt := 0; ; attempt++ {
@@ -561,47 +516,37 @@ func (m *Machine) RunRecoveredCtx(ctx context.Context, d *Decoded, bank, sub int
 				if detections > 0 {
 					rs.Retries++
 					if pol.BackoffNs > 0 {
-						sh := detections - 1
-						if sh > 20 {
-							sh = 20
-						}
-						eng.Stall(pol.BackoffNs * float64(uint64(1)<<uint(sh)))
+						eng.Stall(pol.BackoffNs * float64(uint64(1)<<min(detections-1, 20)))
 					}
 				}
 				if err := guard.Ctx(ctx); err != nil {
 					return fin(err)
 				}
 			}
-			if err := execSpan(start, end); err != nil {
+			if err := st.span(u, d, start, end, runIO); err != nil {
 				return fin(err)
 			}
-			commit := false
+			// The detector's verdict: commit accepts the state; a rejection
+			// is a detection unless there was nothing to disagree with yet
+			// (the vote detector's first attempt of an epoch).
+			commit, detected := false, false
 			switch pol.Detector {
 			case DetectParity:
 				s.ParitySweep()
-				if err := chargeDetector(); err != nil {
-					return fin(err)
-				}
-				if s.ParityMismatches() == 0 {
-					commit = true
-				} else {
-					rs.Detections++
-					detections++
-				}
+				commit = s.ParityMismatches() == 0
+				detected = !commit
 			case DetectVote:
 				dg := sc.digestState(s, spill)
-				if err := chargeDetector(); err != nil {
-					return fin(err)
-				}
-				if slices.Contains(sc.digests, dg) {
-					commit = true
-				} else {
-					if len(sc.digests) > 0 {
-						rs.Detections++
-						detections++
-					}
-					sc.digests = append(sc.digests, dg)
-				}
+				commit = slices.Contains(sc.digests, dg)
+				detected = !commit && len(sc.digests) > 0
+				sc.digests = append(sc.digests, dg)
+			}
+			if err := chargeDetector(); err != nil {
+				return fin(err)
+			}
+			if detected {
+				rs.Detections++
+				detections++
 			}
 			if commit {
 				if detections > 0 {

@@ -7,6 +7,15 @@
 // micro-ops here reproduces, lane by lane, the result of the corresponding
 // plain Go computation.
 //
+// There is one way to execute a program. What the six micro-ops do is
+// defined once (Subarray.exec, decode.go), and every run loop drives it
+// through one guard → execute → issue step (stepper): a placed stream
+// (Machine.RunCtx), a decoded program at one placement (RunDecodedCtx),
+// the same under epoch recovery (RunRecoveredCtx, recover.go — the only
+// caller that rewinds) and a bare subarray with no timing at all
+// (Subarray.RunDecodedCtx). The entry points differ in how an op reaches
+// that step, not in what it does there.
+//
 // The row store is a flat preallocated arena indexed by a dense row id
 // (special rows first, then D-group rows) plus a presence bitmap, so the
 // steady-state execution loop performs no map lookups and no allocations;
@@ -137,37 +146,25 @@ func (s *Subarray) Configure(dRows, lanes int) {
 		// Row geometry changed: the arena layout is invalid, restart it at
 		// special-rows-only (it regrows on demand).
 		s.physRows = 0
-		need := numSpecialRows * words
-		if cap(s.arena) < need {
-			s.arena = make([]uint64, need)
-		} else {
-			s.arena = s.arena[:need]
-		}
-		if cap(s.scratch) < words {
-			s.scratch = make([]uint64, words)
-			s.readBuf = make([]uint64, words)
-		} else {
-			s.scratch = s.scratch[:words]
-			s.readBuf = s.readBuf[:words]
-		}
-	} else if s.arena == nil {
-		s.arena = make([]uint64, numSpecialRows*words)
-		s.scratch = make([]uint64, words)
-		s.readBuf = make([]uint64, words)
+		s.arena = grow(s.arena, numSpecialRows*words)
+		s.scratch = grow(s.scratch, words)
+		s.readBuf = grow(s.readBuf, words)
 	}
 	s.lanes, s.words, s.mask, s.dRows = lanes, words, mask, dRows
 	pw := (numSpecialRows + dRows + 63) / 64
-	if cap(s.present) < pw {
-		s.present = make([]uint64, pw)
-	} else {
-		s.present = s.present[:pw]
-	}
-	if cap(s.parity) < pw {
-		s.parity = make([]uint64, pw)
-	} else {
-		s.parity = s.parity[:pw]
-	}
+	s.present = grow(s.present, pw)
+	s.parity = grow(s.parity, pw)
 	s.Reset()
+}
+
+// grow returns buf resized to n words, reallocating only when its capacity
+// falls short; the contents are unspecified (every user overwrites them or
+// guards them behind the presence bitmap).
+func grow(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	return buf[:n]
 }
 
 // Reset returns the subarray to its initial state — constant rows hold
@@ -175,12 +172,8 @@ func (s *Subarray) Configure(dRows, lanes int) {
 // counter is zero and no fault hook is attached — while keeping the arena
 // and scratch buffers allocated for reuse across trials.
 func (s *Subarray) Reset() {
-	for i := range s.present {
-		s.present[i] = 0
-	}
-	if s.extra != nil {
-		clear(s.extra)
-	}
+	clear(s.present)
+	clear(s.extra)
 	s.cDirty = false
 	s.opIdx = 0
 	s.hook = nil
@@ -189,9 +182,6 @@ func (s *Subarray) Reset() {
 	s.initRow(isa.C0, 0)
 	s.initRow(isa.C1, ^uint64(0))
 }
-
-// Lanes returns the SIMD width of the subarray.
-func (s *Subarray) Lanes() int { return s.lanes }
 
 // SetFaultHook attaches a fault model to the subarray (nil detaches).
 func (s *Subarray) SetFaultHook(h FaultHook) { s.hook = h }
@@ -294,21 +284,14 @@ func (s *Subarray) ParitySweep() int {
 	if !s.parTrack {
 		return 0
 	}
-	found := 0
+	before := s.parBad
 	n := s.allocRows()
 	for idx := 0; idx < n; idx++ {
-		if !s.isPresent(idx) {
-			continue
-		}
-		data := s.rowData(idx)
-		w, b := idx>>6, uint(idx&63)
-		if s.parity[w]>>b&1 != rowParity(data) {
-			found++
-			s.setParity(idx, data)
+		if s.isPresent(idx) {
+			s.checkParity(idx, s.rowData(idx))
 		}
 	}
-	s.parBad += found
-	return found
+	return s.parBad - before
 }
 
 // allocRows is the number of rows the arena currently backs.
@@ -326,16 +309,7 @@ func (s *Subarray) ensure(idx int) {
 		return
 	}
 	need := idx - numSpecialRows + 1
-	phys := s.physRows * 2
-	if phys < need {
-		phys = need
-	}
-	if phys < 8 {
-		phys = 8
-	}
-	if phys > s.dRows {
-		phys = s.dRows
-	}
+	phys := min(max(s.physRows*2, need, 8), s.dRows)
 	newLen := (numSpecialRows + phys) * s.words
 	if cap(s.arena) < newLen {
 		na := make([]uint64, newLen)
@@ -355,11 +329,8 @@ func (s *Subarray) peek(r isa.Row) ([]uint64, bool) {
 		}
 		return nil, false
 	}
-	if s.extra != nil {
-		row, ok := s.extra[r]
-		return row, ok
-	}
-	return nil, false
+	row, ok := s.extra[r]
+	return row, ok
 }
 
 // load senses row r as an operand of the op at idx, giving the fault hook
@@ -405,99 +376,82 @@ func (s *Subarray) getRow(r isa.Row) ([]uint64, error) {
 	return row, nil
 }
 
-// setRow stores data into r, maintaining the dual-contact complement
-// invariant. The slice is copied; a freshly initialized row behaves as if
-// zero-filled first (words beyond len(data) read as zero), exactly like
-// the historical map-backed store.
-func (s *Subarray) setRow(r isa.Row, data []uint64) {
+// dest returns the storage a write to row r lands in, marking the row
+// initialized: its arena slot (idx >= 0), or its overflow-map row (idx < 0)
+// when r lies outside the dense range — stores there succeed, preserving
+// the historical map semantics (reads of out-of-range D rows fail with the
+// bound error). held reports whether the row held data before.
+func (s *Subarray) dest(r isa.Row) (dst []uint64, idx int, held bool) {
 	if idx, ok := s.slot(r); ok {
 		s.ensure(idx)
-		dst := s.rowData(idx)
-		if !s.isPresent(idx) {
-			s.markPresent(idx)
-			for i := len(data); i < s.words; i++ {
-				dst[i] = 0
-			}
-		}
-		copy(dst, data)
-		dst[s.words-1] &= s.mask
-		if r.IsCGroup() {
-			s.cDirty = true
-		}
-		if s.parTrack {
-			// Parity is recorded from the row buffer BEFORE the AfterStore
-			// hook can apply stuck-at defects to the stored charge, which is
-			// exactly why those defects are detectable on the next sense.
-			s.setParity(idx, dst)
-		}
-		if comp := r.Complement(); comp != isa.RowNone {
-			cidx, _ := s.slot(comp) // complements are special rows, always dense
-			cdst := s.rowData(cidx)
-			s.markPresent(cidx)
-			for i := range cdst {
-				cdst[i] = ^dst[i]
-			}
-			cdst[s.words-1] &= s.mask
-			if s.parTrack {
-				s.setParity(cidx, cdst)
-			}
-		}
-		return
+		held = s.isPresent(idx)
+		s.markPresent(idx)
+		return s.rowData(idx), idx, held
 	}
-	// Overflow row: preserve the historical map semantics (stores succeed,
-	// reads of out-of-range D rows fail with the bound error).
 	if s.extra == nil {
 		s.extra = make(map[isa.Row][]uint64)
 	}
-	dst, ok := s.extra[r]
-	if !ok {
+	dst, held = s.extra[r]
+	if !held {
 		dst = make([]uint64, s.words)
 		s.extra[r] = dst
 	}
-	copy(dst, data)
+	return dst, -1, held
+}
+
+// latch finishes a write of dst, the storage dest returned for r: it masks
+// the tail word and, for a dense row, records the parity bit and keeps the
+// dual-contact partner complementary — which is how in-DRAM NOT works.
+func (s *Subarray) latch(r isa.Row, dst []uint64, idx int) {
 	dst[s.words-1] &= s.mask
+	if idx < 0 {
+		return
+	}
+	if s.parTrack {
+		// Parity is recorded from the row buffer BEFORE the AfterStore
+		// hook can apply stuck-at defects to the stored charge, which is
+		// exactly why those defects are detectable on the next sense.
+		s.setParity(idx, dst)
+	}
+	if comp := r.Complement(); comp != isa.RowNone {
+		cidx, _ := s.slot(comp) // complements are special rows, always dense
+		cdst := s.rowData(cidx)
+		s.markPresent(cidx)
+		for i := range cdst {
+			cdst[i] = ^dst[i]
+		}
+		cdst[s.words-1] &= s.mask
+		if s.parTrack {
+			s.setParity(cidx, cdst)
+		}
+	}
+}
+
+// setRow stores data into r. The slice is copied; a freshly initialized row
+// behaves as if zero-filled first (words beyond len(data) read as zero),
+// exactly like the historical map-backed store.
+func (s *Subarray) setRow(r isa.Row, data []uint64) {
+	dst, idx, held := s.dest(r)
+	if !held {
+		for i := len(data); i < s.words; i++ {
+			dst[i] = 0
+		}
+	}
+	copy(dst, data)
+	if r.IsCGroup() {
+		s.cDirty = true
+	}
+	s.latch(r, dst, idx)
 }
 
 // initRow fills r with a replicated constant pattern (the ROWINIT
 // semantic) without staging the row through a temporary.
 func (s *Subarray) initRow(r isa.Row, pattern uint64) {
-	if idx, ok := s.slot(r); ok {
-		s.ensure(idx)
-		dst := s.rowData(idx)
-		s.markPresent(idx)
-		for i := range dst {
-			dst[i] = pattern
-		}
-		dst[s.words-1] &= s.mask
-		if s.parTrack {
-			s.setParity(idx, dst)
-		}
-		if comp := r.Complement(); comp != isa.RowNone {
-			cidx, _ := s.slot(comp)
-			cdst := s.rowData(cidx)
-			s.markPresent(cidx)
-			for i := range cdst {
-				cdst[i] = ^dst[i]
-			}
-			cdst[s.words-1] &= s.mask
-			if s.parTrack {
-				s.setParity(cidx, cdst)
-			}
-		}
-		return
-	}
-	if s.extra == nil {
-		s.extra = make(map[isa.Row][]uint64)
-	}
-	dst, ok := s.extra[r]
-	if !ok {
-		dst = make([]uint64, s.words)
-		s.extra[r] = dst
-	}
+	dst, idx, _ := s.dest(r)
 	for i := range dst {
 		dst[i] = pattern
 	}
-	dst[s.words-1] &= s.mask
+	s.latch(r, dst, idx)
 }
 
 // Row returns a copy of the row's contents (nil if uninitialized); intended
@@ -507,9 +461,7 @@ func (s *Subarray) Row(r isa.Row) []uint64 {
 	if !ok {
 		return nil
 	}
-	out := make([]uint64, len(row))
-	copy(out, row)
-	return out
+	return append([]uint64(nil), row...)
 }
 
 // spillSlot is one SSD-backed spill slot; the buffer is retained when the
@@ -553,11 +505,7 @@ func (sp *SpillStore) put(slot uint64, src []uint64, words int) {
 		sl = &spillSlot{}
 		sp.slots[slot] = sl
 	}
-	if cap(sl.data) < words {
-		sl.data = make([]uint64, words)
-	} else {
-		sl.data = sl.data[:words]
-	}
+	sl.data = grow(sl.data, words)
 	copy(sl.data, src)
 	sl.live = true
 }
@@ -571,148 +519,32 @@ func (sp *SpillStore) get(slot uint64) ([]uint64, bool) {
 	return sl.data, true
 }
 
-// Exec executes one micro-op against the subarray.
-func (s *Subarray) Exec(op *isa.Op, io *HostIO, spill *SpillStore) error {
-	idx := s.opIdx
-	s.opIdx++
-	switch op.Kind {
-	case isa.OpRowInit:
-		if op.Dst[0].IsCGroup() {
-			// Re-initializing a constant row is allowed (it is how the
-			// architecture maintains them) but must match the constant.
-			want := uint64(0)
-			if op.Dst[0] == isa.C1 {
-				want = ^uint64(0)
-			}
-			if op.Imm != want {
-				return fmt.Errorf("sim: ROWINIT %s with wrong pattern %#x", op.Dst[0], op.Imm)
-			}
-			if slot, ok := s.slot(op.Dst[0]); ok && s.isPresent(slot) && !s.cDirty {
-				// The row already holds its constant: skip the redundant
-				// rewrite (and the full-row copy it used to cost).
-				return nil
-			}
-		}
-		s.initRow(op.Dst[0], op.Imm)
-		return nil
+// unit is everything a machine keeps for one (bank, subarray) placement:
+// the functional subarray, its spill store, and the adapter that binds the
+// At variants of a run's HostIO to this placement.
+type unit struct {
+	bank, subarray int
+	sub            *Subarray
+	spill          *SpillStore
 
-	case isa.OpAAP:
-		src, err := s.load(idx, op.Src)
-		if err != nil {
-			return err
-		}
-		// Copy out first: a destination may alias the source's complement.
-		tmp := s.scratch
-		copy(tmp, src)
-		if s.hook != nil {
-			s.hook.AfterCopy(idx, tmp, s.lanes)
-		}
-		for _, d := range op.Dsts() {
-			if d.IsCGroup() {
-				return fmt.Errorf("sim: AAP into constant row %s", d)
-			}
-			s.setRow(d, tmp)
-			s.stored(idx, d)
-		}
-		return nil
-
-	case isa.OpAP:
-		a, err := s.load(idx, op.Dst[0])
-		if err != nil {
-			return err
-		}
-		b, err := s.load(idx, op.Dst[1])
-		if err != nil {
-			return err
-		}
-		c, err := s.load(idx, op.Dst[2])
-		if err != nil {
-			return err
-		}
-		res := s.scratch
-		for i := range res {
-			res[i] = (a[i] & b[i]) | (b[i] & c[i]) | (a[i] & c[i])
-		}
-		if s.hook != nil {
-			s.hook.AfterCompute(idx, res, s.lanes)
-		}
-		for _, d := range op.Dst {
-			s.setRow(d, res)
-			s.stored(idx, d)
-		}
-		return nil
-
-	case isa.OpWrite:
-		if io == nil || io.WriteData == nil {
-			return fmt.Errorf("sim: WRITE with no host data source (tag %d)", op.Tag)
-		}
-		data := io.WriteData(int(op.Tag))
-		if data == nil {
-			return fmt.Errorf("sim: host has no data for WRITE tag %d", op.Tag)
-		}
-		if op.Dst[0].IsCGroup() {
-			return fmt.Errorf("sim: WRITE into constant row %s", op.Dst[0])
-		}
-		s.setRow(op.Dst[0], data)
-		s.stored(idx, op.Dst[0])
-		return nil
-
-	case isa.OpRead:
-		src, err := s.load(idx, op.Src)
-		if err != nil {
-			return err
-		}
-		if io == nil || io.ReadSink == nil {
-			return fmt.Errorf("sim: READ with no host sink (tag %d)", op.Tag)
-		}
-		out := s.readBuf
-		copy(out, src)
-		io.ReadSink(int(op.Tag), out)
-		return nil
-
-	case isa.OpSpillOut:
-		src, err := s.load(idx, op.Src)
-		if err != nil {
-			return err
-		}
-		if spill == nil {
-			return fmt.Errorf("sim: spill with no spill store")
-		}
-		spill.put(op.Imm, src, s.words)
-		return nil
-
-	case isa.OpSpillIn:
-		if spill == nil {
-			return fmt.Errorf("sim: spill with no spill store")
-		}
-		data, ok := spill.get(op.Imm)
-		if !ok {
-			return fmt.Errorf("sim: SPILL_IN of unwritten slot %d", op.Imm)
-		}
-		s.setRow(op.Dst[0], data)
-		s.stored(idx, op.Dst[0])
-		return nil
-	}
-	return fmt.Errorf("sim: unknown op kind %d", int(op.Kind))
+	at    *HostIO // adapterIO of the run numbered atRun; built on first use
+	atRun int
 }
 
-// Machine simulates a whole device: many subarrays (created lazily), a
-// shared spill store, the timing engine, and optionally an SSD device
-// charged for spill traffic. Subarrays and spill stores are held in dense
-// slices indexed by (bank, subarray) within the geometry; placements
-// outside it fall back to a map, preserving the historical tolerance.
+// Machine simulates a whole device: many subarray units (created lazily),
+// the timing engine, and optionally an SSD device charged for spill
+// traffic. Units are held in a dense slice indexed by (bank, subarray)
+// within the geometry; placements outside it fall back to a map,
+// preserving the historical tolerance.
 type Machine struct {
 	geom  dram.Geometry
 	lanes int
 
 	engine *dram.Engine
-	ssd    *ssd.Device
 
-	subs   []*Subarray
-	spills []*SpillStore
-	// xsubs/xspills hold beyond-geometry placements (rare; map fallback).
-	xsubs   map[[2]int]*Subarray
-	xspills map[[2]int]*SpillStore
+	units  []*unit
+	xunits map[[2]int]*unit // beyond-geometry placements (rare)
+	runs   int              // runs begun; names the run an adapter belongs to
 
 	fault func(bank, sub int) FaultHook
 }
@@ -750,204 +582,111 @@ func (m *Machine) Reconfigure(cfg MachineConfig) {
 		lanes = cfg.Geom.Bitlines()
 	}
 	timing := dram.TimingFor(cfg.Arch, cfg.Geom)
-	units := cfg.Geom.Banks * cfg.Geom.SubarraysPB
 	if m.engine == nil {
 		m.engine = dram.NewEngine(cfg.Geom, timing, cfg.SALP)
 	} else {
 		m.engine.Reconfigure(cfg.Geom, timing, cfg.SALP)
 	}
-	if cfg.Geom != m.geom || len(m.subs) != units {
-		m.subs = make([]*Subarray, units)
-		m.spills = make([]*SpillStore, units)
+	if n := cfg.Geom.Banks * cfg.Geom.SubarraysPB; cfg.Geom != m.geom || len(m.units) != n {
+		m.units = make([]*unit, n)
 	}
 	m.geom = cfg.Geom
 	m.lanes = lanes
 	m.fault = cfg.Fault
-	m.xsubs, m.xspills = nil, nil
-	dRows := cfg.Geom.DRows()
-	for i, s := range m.subs {
-		if s == nil {
+	m.xunits = nil
+	for _, u := range m.units {
+		if u == nil {
 			continue
 		}
-		s.Configure(dRows, lanes)
+		u.sub.Configure(cfg.Geom.DRows(), lanes)
 		if cfg.Fault != nil {
-			bank := i / cfg.Geom.SubarraysPB
-			sub := i % cfg.Geom.SubarraysPB
-			s.SetFaultHook(cfg.Fault(bank, sub))
+			u.sub.SetFaultHook(cfg.Fault(u.bank, u.subarray))
 		}
-		m.spills[i].Reset()
+		u.spill.Reset()
 	}
-	m.ssd = cfg.SSD
-	if cfg.SSD != nil {
-		rowBytes := cfg.Geom.RowBytes
-		dev := cfg.SSD
+	m.engine.SSDDelay = nil
+	if dev, rowBytes := cfg.SSD, cfg.Geom.RowBytes; dev != nil {
 		m.engine.SSDDelay = func(out bool, slot uint64, startNs float64) float64 {
 			if out {
 				return dev.Write(slot, rowBytes, startNs)
 			}
 			return dev.Read(slot, startNs)
 		}
+	}
+}
+
+// unit returns (creating if needed) the unit at (bank, sub).
+func (m *Machine) unit(bank, sub int) *unit {
+	dense := bank >= 0 && sub >= 0 && bank < m.geom.Banks && sub < m.geom.SubarraysPB
+	i := bank*m.geom.SubarraysPB + sub // the dense index; meaningful only when dense
+	var u *unit
+	if dense {
+		u = m.units[i]
 	} else {
-		m.engine.SSDDelay = nil
+		u = m.xunits[[2]int{bank, sub}]
 	}
-}
-
-// denseIdx maps (bank, sub) to the dense slice index, reporting whether the
-// placement is inside the geometry.
-func (m *Machine) denseIdx(bank, sub int) (int, bool) {
-	if bank < 0 || sub < 0 || bank >= m.geom.Banks || sub >= m.geom.SubarraysPB {
-		return 0, false
+	if u != nil {
+		return u
 	}
-	return bank*m.geom.SubarraysPB + sub, true
-}
-
-func (m *Machine) newSub(bank, sub int) *Subarray {
-	s := NewSubarray(m.geom.DRows(), m.lanes)
+	u = &unit{bank: bank, subarray: sub, sub: NewSubarray(m.geom.DRows(), m.lanes), spill: NewSpillStore()}
 	if m.fault != nil {
-		s.SetFaultHook(m.fault(bank, sub))
+		u.sub.SetFaultHook(m.fault(bank, sub))
 	}
-	return s
+	if dense {
+		m.units[i] = u
+	} else {
+		if m.xunits == nil {
+			m.xunits = make(map[[2]int]*unit)
+		}
+		m.xunits[[2]int{bank, sub}] = u
+	}
+	return u
 }
 
 // Sub returns (creating if needed) the functional subarray at (bank, sub).
-func (m *Machine) Sub(bank, sub int) *Subarray {
-	if i, ok := m.denseIdx(bank, sub); ok {
-		s := m.subs[i]
-		if s == nil {
-			s = m.newSub(bank, sub)
-			m.subs[i] = s
-			m.spills[i] = NewSpillStore()
-		}
-		return s
-	}
-	key := [2]int{bank, sub}
-	s, ok := m.xsubs[key]
-	if !ok {
-		if m.xsubs == nil {
-			m.xsubs = make(map[[2]int]*Subarray)
-			m.xspills = make(map[[2]int]*SpillStore)
-		}
-		s = m.newSub(bank, sub)
-		m.xsubs[key] = s
-		m.xspills[key] = NewSpillStore()
-	}
-	return s
-}
-
-// spillAt returns the spill store of (bank, sub), creating the subarray
-// pair if needed.
-func (m *Machine) spillAt(bank, sub int) *SpillStore {
-	if i, ok := m.denseIdx(bank, sub); ok {
-		if m.spills[i] == nil {
-			m.Sub(bank, sub)
-		}
-		return m.spills[i]
-	}
-	m.Sub(bank, sub)
-	return m.xspills[[2]int{bank, sub}]
-}
+func (m *Machine) Sub(bank, sub int) *Subarray { return m.unit(bank, sub).sub }
 
 // MemBytes reports the reusable storage the machine retains across trials
 // (subarray arenas, spill buffers, engine tables): the peak scratch figure
 // surfaced by choppersim and RunResult.
 func (m *Machine) MemBytes() int64 {
 	n := m.engine.MemBytes()
-	for _, s := range m.subs {
-		if s != nil {
-			n += s.MemBytes()
+	for _, u := range m.units {
+		if u != nil {
+			n += u.sub.MemBytes() + u.spill.MemBytes()
 		}
 	}
-	for _, sp := range m.spills {
-		if sp != nil {
-			n += sp.MemBytes()
-		}
-	}
-	for _, s := range m.xsubs {
-		n += s.MemBytes()
-	}
-	for _, sp := range m.xspills {
-		n += sp.MemBytes()
+	for _, u := range m.xunits {
+		n += u.sub.MemBytes() + u.spill.MemBytes()
 	}
 	return n
 }
 
-// Run executes a placed op stream functionally and through the timing
-// engine, returning the makespan in nanoseconds. The first functional error
-// aborts the run.
-func (m *Machine) Run(stream []dram.Placed, io *HostIO) (float64, error) {
-	return m.RunCtx(nil, stream, io, guard.Budget{})
+// begin starts a run: the stepper every op of it goes through.
+func (m *Machine) begin(ctx context.Context, b guard.Budget) stepper {
+	m.runs++
+	return stepper{ctx: ctx, b: b, eng: m.engine}
 }
 
-// RunCtx is Run under the guard layer: b.MaxSimSteps caps how many
-// micro-ops execute functionally and b.MaxDRAMCommands caps how many
-// reach the timing engine (both checked per op, so the same stream
-// exhausts the same dimension at the same index on every run), and a
-// non-nil ctx is observed every 256 ops for cooperative cancellation.
-// Guard stops, like functional errors, abort before the offending op
-// executes.
-func (m *Machine) RunCtx(ctx context.Context, stream []dram.Placed, io *HostIO, b guard.Budget) (float64, error) {
-	// Per-subarray HostIO adapters for the At variants are built at most
-	// once per (run, subarray) — never per op.
-	useAt := io != nil && (io.WriteDataAt != nil || io.ReadSinkAt != nil)
-	var adapters []*HostIO
-	var xadapters map[[2]int]*HostIO
-	if useAt {
-		adapters = make([]*HostIO, len(m.subs))
+// hostIO returns the HostIO unit u executes against in the current run: io
+// itself, or — when io carries At variants — an adapter binding them to
+// u's placement (the plain WriteData/ReadSink stand in for an absent
+// variant), built at most once per (run, unit), never per op.
+func (m *Machine) hostIO(u *unit, io *HostIO) *HostIO {
+	if io == nil || (io.WriteDataAt == nil && io.ReadSinkAt == nil) {
+		return io
 	}
-	for i := range stream {
-		if i&255 == 0 {
-			if err := guard.Ctx(ctx); err != nil {
-				return m.engine.Makespan(), err
-			}
+	if u.atRun != m.runs {
+		bank, sub := u.bank, u.subarray
+		u.at, u.atRun = &HostIO{WriteData: io.WriteData, ReadSink: io.ReadSink}, m.runs
+		if io.WriteDataAt != nil {
+			u.at.WriteData = func(tag int) []uint64 { return io.WriteDataAt(bank, sub, tag) }
 		}
-		if err := guard.Check(guard.DimSimSteps, b.MaxSimSteps, i+1); err != nil {
-			return m.engine.Makespan(), err
+		if io.ReadSinkAt != nil {
+			u.at.ReadSink = func(tag int, data []uint64) { io.ReadSinkAt(bank, sub, tag, data) }
 		}
-		if err := guard.Check(guard.DimDRAMCommands, b.MaxDRAMCommands, i+1); err != nil {
-			return m.engine.Makespan(), err
-		}
-		p := &stream[i]
-		sub := m.Sub(p.Bank, p.Subarray)
-		effIO := io
-		if useAt {
-			var a *HostIO
-			if di, ok := m.denseIdx(p.Bank, p.Subarray); ok {
-				a = adapters[di]
-				if a == nil {
-					a = adapterIO(io, p.Bank, p.Subarray)
-					adapters[di] = a
-				}
-			} else {
-				a = xadapters[[2]int{p.Bank, p.Subarray}]
-				if a == nil {
-					if xadapters == nil {
-						xadapters = make(map[[2]int]*HostIO)
-					}
-					a = adapterIO(io, p.Bank, p.Subarray)
-					xadapters[[2]int{p.Bank, p.Subarray}] = a
-				}
-			}
-			effIO = a
-		}
-		if err := sub.Exec(&p.Op, effIO, m.spillAt(p.Bank, p.Subarray)); err != nil {
-			return m.engine.Makespan(), fmt.Errorf("op %d at bank %d sub %d: %w", i, p.Bank, p.Subarray, err)
-		}
-		m.engine.Issue(*p)
 	}
-	return m.engine.Makespan(), nil
-}
-
-// adapterIO binds the At variants of io to one subarray, mirroring the
-// plain WriteData/ReadSink fields when the At variant is absent.
-func adapterIO(io *HostIO, bank, sub int) *HostIO {
-	local := &HostIO{WriteData: io.WriteData, ReadSink: io.ReadSink}
-	if io.WriteDataAt != nil {
-		local.WriteData = func(tag int) []uint64 { return io.WriteDataAt(bank, sub, tag) }
-	}
-	if io.ReadSinkAt != nil {
-		local.ReadSink = func(tag int, data []uint64) { io.ReadSinkAt(bank, sub, tag, data) }
-	}
-	return local
+	return u.at
 }
 
 // Stats exposes the timing engine counters.

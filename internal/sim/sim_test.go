@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chopper/internal/dram"
+	"chopper/internal/guard"
 	"chopper/internal/isa"
 	"chopper/internal/ssd"
 )
@@ -201,7 +202,7 @@ func TestMachineRunAndTiming(t *testing.T) {
 		{Bank: 1, Subarray: 0, Op: isa.NewWrite(isa.Row(0), 2)},
 		{Bank: 0, Subarray: 0, Op: isa.NewAAP(isa.Row(0), isa.T0)},
 	}
-	mk, err := m.Run(stream, io)
+	mk, err := m.RunCtx(nil, stream, io, guard.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestMachineWithSSDChargesSpills(t *testing.T) {
 		{Bank: 0, Subarray: 0, Op: isa.NewSpillOut(isa.Row(0), 0)},
 		{Bank: 0, Subarray: 0, Op: isa.NewSpillIn(isa.Row(1), 0)},
 	}
-	mk, err := m.Run(stream, io)
+	mk, err := m.RunCtx(nil, stream, io, guard.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestRunProgram(t *testing.T) {
 func TestFunctionalErrorAborts(t *testing.T) {
 	m := NewMachine(MachineConfig{Geom: dram.DefaultGeometry(), Arch: isa.Ambit, Lanes: 64})
 	stream := []dram.Placed{{Bank: 0, Subarray: 0, Op: isa.NewAAP(isa.Row(0), isa.T0)}}
-	if _, err := m.Run(stream, nil); err == nil {
+	if _, err := m.RunCtx(nil, stream, nil, guard.Budget{}); err == nil {
 		t.Error("uninitialized read did not abort run")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chopper/internal/dram"
+	"chopper/internal/guard"
 	"chopper/internal/isa"
 	"chopper/internal/sim"
 )
@@ -177,7 +178,7 @@ func TestEmitFunctionallyCorrectPerSubarray(t *testing.T) {
 			got[[2]int{bank, sub}] = data[0]
 		},
 	}
-	if _, err := m.Run(stream, io); err != nil {
+	if _, err := m.RunCtx(nil, stream, io, guard.Budget{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 6 {

@@ -14,19 +14,120 @@ import (
 	"chopper/internal/vircoe"
 )
 
+// hostRows is the one host binding under every run: it serves a program's
+// WRITE and READ transfers out of a row table laid out by the kernel's
+// tilePlan, so a tag resolves to its row through tables built once per
+// kernel. A single-subarray run points the table at the caller's rows
+// (bindRows), a tile lays every row out on the binding's own buffer
+// (bindTile). Bindings are pooled with the worker or tile scratch that owns
+// them, so the HostIO closures are built once per binding, not per run.
+type hostRows struct {
+	plan *tilePlan   // tag tables of the kernel whose run is in flight
+	rows [][]uint64  // row r of plan's layout
+	buf  []uint64    // backing array of a tile's rows (bindTile)
+	io   *sim.HostIO // serves rows through plan; built on first use
+}
+
+func (h *hostRows) hostIO() *sim.HostIO {
+	if h.io == nil {
+		h.io = &sim.HostIO{
+			WriteData: func(tag int) []uint64 {
+				if r := rowOf(h.plan.writeRow, tag); r >= 0 {
+					return h.rows[r]
+				}
+				return nil
+			},
+			ReadSink: func(tag int, data []uint64) {
+				if r := rowOf(h.plan.readRow, tag); r >= 0 {
+					copy(h.rows[r], data)
+				}
+			},
+		}
+	}
+	return h.io
+}
+
+// table binds h to plan p and returns its row table, sized for p's layout.
+func (h *hostRows) table(p *tilePlan) [][]uint64 {
+	total := p.inRows + p.outRows + len(p.consts)
+	if cap(h.rows) < total {
+		h.rows = make([][]uint64, total)
+	}
+	h.plan, h.rows = p, h.rows[:total]
+	return h.rows
+}
+
+// carve lays rows out on buf in order, `words` words each.
+func carve(rows [][]uint64, buf []uint64, words int) {
+	for r := range rows {
+		rows[r], buf = buf[:words:words], buf[words:]
+	}
+}
+
+// bindTile lays the plan's rows out at `words` words each on the recycled
+// backing array and returns them. Output rows start zeroed (a bit the
+// program never READs reads as zero); input and constant rows are left for
+// the caller to overwrite in full.
+func (h *hostRows) bindTile(p *tilePlan, words int) [][]uint64 {
+	rows := h.table(p)
+	if cap(h.buf) < len(rows)*words {
+		h.buf = make([]uint64, len(rows)*words)
+	}
+	clear(h.buf[p.inRows*words : (p.inRows+p.outRows)*words])
+	carve(rows, h.buf, words)
+	return rows
+}
+
+// bindRows points the table at one run's vertical operand rows
+// (rows[operand][bit][word]): the caller's input bit-rows, then the rows
+// the run allocates — zeroed output rows, returned per operand for the
+// result, and the filled constant rows. Only bits the program WRITEs need a
+// bit-row (a narrowed kernel leaves high bits untagged); the first operand,
+// in k.Inputs order and lowest bit first, that is missing or too short is
+// the error.
+func (h *hostRows) bindRows(k *Kernel, rows map[string][][]uint64, lanes int) (map[string][][]uint64, error) {
+	p, err := k.tilePlan()
+	if err != nil {
+		return nil, err
+	}
+	tab := h.table(p)
+	r := 0
+	for _, in := range k.Inputs {
+		op, ok := rows[in.Name]
+		for bit := 0; bit < in.Width; bit, r = bit+1, r+1 {
+			switch {
+			case !p.tagged[r]:
+				tab[r] = nil
+			case !ok:
+				return nil, fmt.Errorf("chopper: missing input operand %q", in.Name)
+			case bit >= len(op):
+				return nil, fmt.Errorf("chopper: input %q has %d bit-rows, kernel needs bit %d", in.Name, len(op), bit)
+			default:
+				tab[r] = op[bit]
+			}
+		}
+	}
+	words := transpose.Words(lanes)
+	own := make([][]uint64, len(tab)-p.inRows)
+	carve(own, make([]uint64, len(own)*words), words)
+	copy(tab[p.inRows:], own)
+	p.fillConsts(own[p.outRows:], lanes)
+	outRows := make(map[string][][]uint64, len(k.Outputs))
+	for _, o := range k.Outputs {
+		outRows[o.Name], own = own[:o.Width:o.Width], own[o.Width:]
+	}
+	return outRows, nil
+}
+
 // tileScratch is the per-worker state of one tile run: a subarray, a spill
-// store, and the tile's vertical rows (inputs, outputs, constants) with the
-// HostIO that serves them. It is pooled so repeated RunTiled calls (and the
+// store, and the binding that holds the tile's vertical rows (inputs,
+// outputs, constants). It is pooled so repeated RunTiled calls (and the
 // benchmark harness driving them) reuse arenas instead of reallocating them
 // per tile.
 type tileScratch struct {
 	sub   *sim.Subarray
 	spill *sim.SpillStore
-
-	plan *tilePlan   // tag tables of the kernel whose run is in flight
-	buf  []uint64    // backing array of rows
-	rows [][]uint64  // row r of plan's layout, one tile-width slice of buf
-	io   *sim.HostIO // serves rows through plan; built once per scratch
+	hostRows
 }
 
 var tileScratchPool sync.Pool
@@ -38,21 +139,7 @@ func getTileScratch(dRows, lanes int) *tileScratch {
 		ts.spill.Reset()
 		return ts
 	}
-	ts := &tileScratch{sub: sim.NewSubarray(dRows, lanes), spill: sim.NewSpillStore()}
-	ts.io = &sim.HostIO{
-		WriteData: func(tag int) []uint64 {
-			if r := rowOf(ts.plan.writeRow, tag); r >= 0 {
-				return ts.rows[r]
-			}
-			return nil
-		},
-		ReadSink: func(tag int, data []uint64) {
-			if r := rowOf(ts.plan.readRow, tag); r >= 0 {
-				copy(ts.rows[r], data)
-			}
-		},
-	}
-	return ts
+	return &tileScratch{sub: sim.NewSubarray(dRows, lanes), spill: sim.NewSpillStore()}
 }
 
 func putTileScratch(ts *tileScratch) {
@@ -60,37 +147,31 @@ func putTileScratch(ts *tileScratch) {
 	tileScratchPool.Put(ts)
 }
 
-// bind lays the plan's rows out at `words` words each on the recycled
-// backing array and returns them. Output rows start zeroed (a bit the
-// program never READs reads as zero); input and constant rows are left for
-// the caller to overwrite in full.
-func (ts *tileScratch) bind(p *tilePlan, words int) [][]uint64 {
-	total := p.inRows + p.outRows + len(p.consts)
-	if cap(ts.buf) < total*words {
-		ts.buf = make([]uint64, total*words)
-	}
-	if cap(ts.rows) < total {
-		ts.rows = make([][]uint64, total)
-	}
-	ts.plan, ts.rows = p, ts.rows[:total]
-	buf := ts.buf[:total*words]
-	clear(buf[p.inRows*words : (p.inRows+p.outRows)*words])
-	for r := range ts.rows {
-		ts.rows[r], buf = buf[:words:words], buf[words:]
-	}
-	return ts.rows
-}
-
-// tilePlan is the tile-independent half of a tiled run's host I/O: every
-// tile keeps its vertical rows in one layout (the bit-rows of each input in
+// tilePlan is the run-independent half of a kernel's host I/O: every run
+// keeps its vertical rows in one layout (the bit-rows of each input in
 // k.Inputs order, then of each output in k.Outputs order, then one row per
 // constant pattern), so WRITE/READ tags resolve to a row index once per
-// kernel instead of through a (name, tile) map lookup per transfer.
+// kernel instead of through a map lookup per transfer.
 type tilePlan struct {
 	inRows, outRows int
+	tagged          []bool   // input row r has a WRITE tag (narrowing drops high bits)
 	consts          []uint64 // fill pattern of constant row i
 	writeRow        []int32  // WRITE tag -> row (input bit or constant), -1 if none
 	readRow         []int32  // READ tag -> row (output bit), -1 if none
+}
+
+// fillConsts fills rows, the plan's constant rows, with their patterns,
+// masked to `lanes` lanes. The simulator copies a WRITE payload into the
+// subarray, so one row per pattern serves every WRITE of a run.
+func (p *tilePlan) fillConsts(rows [][]uint64, lanes int) {
+	mask := laneMaskFor(lanes)
+	for i, pat := range p.consts {
+		row := rows[i]
+		for w := range row {
+			row[w] = pat
+		}
+		row[len(row)-1] &= mask
+	}
 }
 
 func rowOf(table []int32, tag int) int32 {
@@ -101,7 +182,7 @@ func rowOf(table []int32, tag int) int32 {
 }
 
 // tilePlan returns the kernel's tag tables, building them (or the error
-// that a tag outside the operands raises) on first use.
+// that a tag outside the operands raises) on first run of any kind.
 func (k *Kernel) tilePlan() (*tilePlan, error) {
 	k.planOnce.Do(func() { k.plan, k.planErr = k.buildTilePlan() })
 	return k.plan, k.planErr
@@ -126,6 +207,12 @@ func (k *Kernel) buildTilePlan() (*tilePlan, error) {
 	}
 	if p.readRow, err = tagTable(k.outputTag, k.Outputs, p.inRows, 0); err != nil {
 		return nil, err
+	}
+	p.tagged = make([]bool, p.inRows)
+	for _, r := range p.writeRow {
+		if r >= 0 {
+			p.tagged[r] = true
+		}
 	}
 	for tag, pat := range k.constPattern {
 		if tag >= 0 {
@@ -326,30 +413,18 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 		lo, n := tl*tileLanes, laneCount(tl)
 		ts := getTileScratch(geom.DRows(), tileLanes)
 		defer putTileScratch(ts)
-		rows := ts.bind(plan, transpose.Words(n))
+		rows := ts.bindTile(plan, transpose.Words(n))
 		for _, in := range k.Inputs {
 			transpose.ToVerticalWideInto(rows, inputs[in.Name][lo:lo+n], in.Width, n)
 			rows = rows[in.Width:]
 		}
-		outRows, constRows := rows[:plan.outRows], rows[plan.outRows:]
-		for i, pat := range plan.consts {
-			row := constRows[i]
-			for w := range row {
-				row[w] = pat
+		outRows := rows[:plan.outRows]
+		plan.fillConsts(rows[plan.outRows:], n)
+		if err := ts.sub.RunDecodedCtx(ctx, d, ts.hostIO(), ts.spill); err != nil {
+			if guard.IsGuard(err) {
+				return err
 			}
-			if r := n % 64; r != 0 {
-				row[len(row)-1] &= (uint64(1) << uint(r)) - 1
-			}
-		}
-		for i := 0; i < d.Len(); i++ {
-			if i&255 == 0 {
-				if err := guard.Ctx(ctx); err != nil {
-					return err
-				}
-			}
-			if err := ts.sub.ExecDecoded(d, i, ts.io, ts.spill); err != nil {
-				return fmt.Errorf("chopper: tile %d op %d: %w", tl, i, err)
-			}
+			return fmt.Errorf("chopper: tile %d: %w", tl, err)
 		}
 		for i, o := range k.Outputs {
 			limbs := (o.Width + 63) / 64
