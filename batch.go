@@ -11,10 +11,16 @@ package chopper
 // This is the amortization SIMDRAM identifies for bit-serial PUD: the
 // fixed per-pass work — transposition and timing replay — is paid once
 // for N requests. chopperd's internal/serve batcher is the main client.
+//
+// One skeleton, Kernel.pass, carries every host-layout verb: Run and
+// RunWide are passes of one member, RunBatch and RunRowsBatch of N, a
+// coalesced VerifyBatch of one member per trial. The verbs differ only in
+// the scatter function they hand it (one value per lane, wide limbs, or
+// rows already vertical) and in how they gather their span of the result.
 
 import (
 	"context"
-	"math/rand"
+	"fmt"
 
 	"chopper/internal/transpose"
 )
@@ -125,11 +131,68 @@ func spanRows(rows [][]uint64, sp laneSpan) [][]uint64 {
 	return sub
 }
 
+// pass is the one skeleton under every host-layout verb — Run, RunWide,
+// RunBatch, RunRowsBatch and the coalesced VerifyBatch: members of counts[i]
+// lanes each are laid out as word-aligned spans of one arena, scatter puts
+// member i's operands into its span, the kernel runs ONCE over the combined
+// lanes, and each member gets its span of the output rows beside the pass's
+// shared time and counters. Everything that can be wrong with a member is
+// found before anything executes: scatter validates before it writes, and
+// its error is the caller's mistake — classed ErrOptions here, naming the
+// member unless it is the only one.
+func (k *Kernel) pass(ctx context.Context, counts []int, scatter func(i int, arena map[string][][]uint64, sp laneSpan) error) ([]*RunResult, error) {
+	if len(counts) == 0 {
+		return nil, optionsErrf("empty batch")
+	}
+	memberErr := func(i int, err error) error {
+		if len(counts) == 1 {
+			return optionsErrf("%v", err)
+		}
+		return optionsErrf("batch member %d: %v", i, err)
+	}
+	for i, lanes := range counts {
+		if lanes <= 0 {
+			return nil, memberErr(i, fmt.Errorf("lanes must be positive, have %d", lanes))
+		}
+	}
+	spans, total := laneSpans(counts)
+	if len(counts) > 1 {
+		if err := k.checkBatchable(total); err != nil {
+			return nil, err
+		}
+	}
+	arena := combinedRows(k.Inputs, transpose.Words(total))
+	for i, sp := range spans {
+		if err := scatter(i, arena, sp); err != nil {
+			return nil, memberErr(i, err)
+		}
+	}
+	res, err := k.runRows(ctx, arena, total, nil)
+	if err != nil {
+		return nil, err
+	}
+	if len(spans) == 1 {
+		// The lone member's span is the arena: the result is already its own
+		// (and, a batch of one may run a recovery-enabled kernel, carries the
+		// recovery layer's statistics).
+		return []*RunResult{res}, nil
+	}
+	out := make([]*RunResult, len(spans))
+	for i, sp := range spans {
+		member := *res
+		member.Rows = make(map[string][][]uint64, len(res.Rows))
+		for name, rs := range res.Rows {
+			member.Rows[name] = spanRows(rs, sp)
+		}
+		out[i] = &member
+	}
+	return out, nil
+}
+
 // RunRowsBatch executes every member in one simulated device pass over a
 // shared arena (see RunRowsBatchCtx).
 func (k *Kernel) RunRowsBatch(batches []LaneBatch) (res []*RunResult, err error) {
-	defer recoverToError(&err)
-	return k.runRowsBatch(nil, batches)
+	return k.RunRowsBatchCtx(nil, batches)
 }
 
 // RunRowsBatchCtx packs the members' vertical operand rows into disjoint
@@ -138,21 +201,9 @@ func (k *Kernel) RunRowsBatch(batches []LaneBatch) (res []*RunResult, err error)
 // Per member the outputs, simulated time and engine counters are byte-
 // identical to a solo RunRowsCtx call (ScratchBytes reflects the shared
 // arena and is the one field that grows with the batch). A single-member
-// batch delegates to the solo path outright.
+// batch delegates to the solo path outright: its rows run where they are.
 func (k *Kernel) RunRowsBatchCtx(ctx context.Context, batches []LaneBatch) (res []*RunResult, err error) {
 	defer recoverToError(&err)
-	return k.runRowsBatch(ctx, batches)
-}
-
-func (k *Kernel) runRowsBatch(ctx context.Context, batches []LaneBatch) ([]*RunResult, error) {
-	if len(batches) == 0 {
-		return nil, optionsErrf("empty batch")
-	}
-	for i, b := range batches {
-		if b.Lanes <= 0 {
-			return nil, optionsErrf("batch member %d: lanes must be positive, have %d", i, b.Lanes)
-		}
-	}
 	if len(batches) == 1 {
 		r, err := k.runRows(ctx, batches[0].Rows, batches[0].Lanes, nil)
 		if err != nil {
@@ -164,46 +215,19 @@ func (k *Kernel) runRowsBatch(ctx context.Context, batches []LaneBatch) ([]*RunR
 	for i, b := range batches {
 		counts[i] = b.Lanes
 	}
-	spans, total := laneSpans(counts)
-	if err := k.checkBatchable(total); err != nil {
-		return nil, err
-	}
-	combined := combinedRows(k.Inputs, transpose.Words(total))
-	for i, b := range batches {
+	return k.pass(ctx, counts, func(i int, arena map[string][][]uint64, sp laneSpan) error {
 		for _, in := range k.Inputs {
-			src, ok := b.Rows[in.Name]
+			src, ok := batches[i].Rows[in.Name]
 			if !ok {
-				return nil, optionsErrf("batch member %d: missing input operand %q", i, in.Name)
+				return fmt.Errorf("missing input operand %q", in.Name)
 			}
 			if len(src) < in.Width {
-				return nil, optionsErrf("batch member %d: input %q has %d bit-rows, kernel needs %d", i, in.Name, len(src), in.Width)
+				return fmt.Errorf("input %q has %d bit-rows, kernel needs %d", in.Name, len(src), in.Width)
 			}
-			transpose.PasteRows(combined[in.Name], spans[i].off, src[:in.Width], b.Lanes)
+			transpose.PasteRows(arena[in.Name], sp.off, src[:in.Width], sp.lanes)
 		}
-	}
-
-	res, err := k.runRows(ctx, combined, total, nil)
-	if err != nil {
-		return nil, err
-	}
-	return demuxResults(res, spans), nil
-}
-
-// demuxResults gives each member its own lane span of the combined output
-// rows (see spanRows) beside everything else the pass reports: the shared
-// time and counters, and — a batch of one may run a recovery-enabled kernel
-// — the recovery layer's statistics.
-func demuxResults(res *RunResult, spans []laneSpan) []*RunResult {
-	out := make([]*RunResult, len(spans))
-	for i, sp := range spans {
-		member := *res
-		member.Rows = make(map[string][][]uint64, len(res.Rows))
-		for name, rs := range res.Rows {
-			member.Rows[name] = spanRows(rs, sp)
-		}
-		out[i] = &member
-	}
-	return out
+		return nil
+	})
 }
 
 // RunBatch is RunBatchCtx without a context.
@@ -215,55 +239,35 @@ func (k *Kernel) RunBatch(reqs []BatchRun) (outs []map[string][]uint64, res []*R
 // simulated device pass: one transpose into a shared arena (each
 // member's operands land directly in its lane span), one program
 // execution, one timing replay. Outputs and per-member results are
-// byte-identical to solo Kernel.Run calls; see RunRowsBatchCtx for the
-// guarantee. Operand widths are limited to 64 bits, like Kernel.Run.
+// byte-identical to solo Kernel.Run calls — Run is this with one member;
+// see RunRowsBatchCtx for the guarantee. Operand widths are limited to 64
+// bits, like Kernel.Run.
 func (k *Kernel) RunBatchCtx(ctx context.Context, reqs []BatchRun) (outs []map[string][]uint64, res []*RunResult, err error) {
 	defer recoverToError(&err)
-	if len(reqs) == 0 {
-		return nil, nil, optionsErrf("empty batch")
+	for _, io := range [][]IOSpec{k.Inputs, k.Outputs} {
+		for _, op := range io {
+			if op.Width > 64 {
+				return nil, nil, optionsErrf("operand %q is %d bits wide; Run and RunBatch handle up to 64 (use RunWide or RunRowsBatch)", op.Name, op.Width)
+			}
+		}
 	}
 	counts := make([]int, len(reqs))
 	for i, r := range reqs {
-		if r.Lanes <= 0 {
-			return nil, nil, optionsErrf("batch member %d: lanes must be positive, have %d", i, r.Lanes)
-		}
 		counts[i] = r.Lanes
 	}
-	spans, total := laneSpans(counts)
-	if len(reqs) > 1 {
-		if err := k.checkBatchable(total); err != nil {
-			return nil, nil, err
-		}
-	}
-	for _, in := range k.Inputs {
-		if in.Width > 64 {
-			return nil, nil, optionsErrf("input %q is %d bits wide; RunBatch handles up to 64 (use RunRowsBatch)", in.Name, in.Width)
-		}
-	}
-	combined := combinedRows(k.Inputs, transpose.Words(total))
-	for i, r := range reqs {
+	res, err = k.pass(ctx, counts, func(i int, arena map[string][][]uint64, sp laneSpan) error {
 		for _, in := range k.Inputs {
-			vals, ok := r.Inputs[in.Name]
-			if !ok {
-				return nil, nil, optionsErrf("batch member %d: missing input %q", i, in.Name)
+			vals, err := laneValues(reqs[i].Inputs, in.Name, sp.lanes)
+			if err != nil {
+				return err
 			}
-			if len(vals) != r.Lanes {
-				return nil, nil, optionsErrf("batch member %d: input %q has %d values, want one per lane (%d)", i, in.Name, len(vals), r.Lanes)
-			}
-			transpose.ToVerticalInto(combined[in.Name], spans[i].off, vals, in.Width, r.Lanes)
+			transpose.ToVerticalInto(arena[in.Name], sp.off, vals, in.Width, sp.lanes)
 		}
-	}
-	for _, o := range k.Outputs {
-		if o.Width > 64 {
-			return nil, nil, optionsErrf("output %q is %d bits wide; RunBatch handles up to 64 (use RunRowsBatch)", o.Name, o.Width)
-		}
-	}
-
-	combinedRes, err := k.runRows(ctx, combined, total, nil)
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	res = demuxResults(combinedRes, spans)
 	outs = make([]map[string][]uint64, len(reqs))
 	for i := range reqs {
 		out := make(map[string][]uint64, len(k.Outputs))
@@ -273,6 +277,40 @@ func (k *Kernel) RunBatchCtx(ctx context.Context, reqs []BatchRun) (outs []map[s
 		outs[i] = out
 	}
 	return outs, res, nil
+}
+
+// laneValues looks a member's operand up and requires one value per lane.
+func laneValues[V any](inputs map[string][]V, name string, lanes int) ([]V, error) {
+	vals, ok := inputs[name]
+	if !ok {
+		return nil, fmt.Errorf("missing input %q", name)
+	}
+	if len(vals) != lanes {
+		return nil, fmt.Errorf("input %q has %d values, want one per lane (%d)", name, len(vals), lanes)
+	}
+	return vals, nil
+}
+
+// scatterWide transposes one member's wide (limbs-per-lane) operands into
+// its span of the arena.
+func (k *Kernel) scatterWide(arena map[string][][]uint64, sp laneSpan, inputs map[string][][]uint64) error {
+	for _, in := range k.Inputs {
+		vals, err := laneValues(inputs, in.Name, sp.lanes)
+		if err != nil {
+			return err
+		}
+		transpose.ToVerticalWideInto(arena[in.Name], sp.off, vals, in.Width, sp.lanes)
+	}
+	return nil
+}
+
+// gatherWide transposes one member's output rows back into wide values.
+func (k *Kernel) gatherWide(rows map[string][][]uint64, lanes int) map[string][][]uint64 {
+	out := make(map[string][][]uint64, len(k.Outputs))
+	for _, o := range k.Outputs {
+		out[o.Name] = transpose.FromVerticalWide(rows[o.Name], o.Width, lanes)
+	}
+	return out
 }
 
 // VerifyBatch is VerifyBatchCtx without a context.
@@ -290,7 +328,8 @@ func (k *Kernel) VerifyBatch(specs []VerifySpec) (perSpec []error, err error) {
 // classed discrepancy from its lowest failing trial. The second return
 // is a pass-level failure (budget, cancellation, malformed batch) that
 // applies to every member — the same program and budget would stop a
-// solo run at the identical point.
+// solo run at the identical point. A single sweep has nothing to share a
+// pass with and runs as VerifyCtx does, one pass per trial.
 func (k *Kernel) VerifyBatchCtx(ctx context.Context, specs []VerifySpec) (perSpec []error, err error) {
 	defer recoverToError(&err)
 	if len(specs) == 0 {
@@ -305,55 +344,30 @@ func (k *Kernel) VerifyBatchCtx(ctx context.Context, specs []VerifySpec) (perSpe
 		return []error{k.VerifyCtx(ctx, specs[0].Trials, specs[0].Seed, 1)}, nil
 	}
 
-	// Expand (spec, trial) pairs into lane spans.
-	type trialRef struct {
-		spec   int
-		trial  int
-		lanes  int
-		inWide map[string][][]uint64
-	}
-	var refs []trialRef
-	var counts []int
+	// Every (spec, trial) pair is one member of the pass.
+	var trials []trial
+	var owner, counts []int
 	for si, sp := range specs {
 		for t := 0; t < sp.Trials; t++ {
-			lanes := verifyLaneSchedule[t%len(verifyLaneSchedule)]
-			rng := rand.New(rand.NewSource(trialSeed(sp.Seed, t)))
-			inWide := randWideInputs(rng, k.Inputs, lanes)
-			k.clampAnnotated(inWide)
-			refs = append(refs, trialRef{spec: si, trial: t, lanes: lanes, inWide: inWide})
-			counts = append(counts, lanes)
+			tr := k.newVerifyTrial(sp.Seed, t)
+			trials = append(trials, tr)
+			owner = append(owner, si)
+			counts = append(counts, tr.lanes)
 		}
 	}
-	spans, total := laneSpans(counts)
-	if err := k.checkBatchable(total); err != nil {
-		return nil, err
-	}
-	combined := combinedRows(k.Inputs, transpose.Words(total))
-	for ri, ref := range refs {
-		for _, in := range k.Inputs {
-			src := transpose.ToVerticalWide(ref.inWide[in.Name], in.Width, ref.lanes)
-			transpose.PasteRows(combined[in.Name], spans[ri].off, src, ref.lanes)
-		}
-	}
-
-	res, err := k.runRows(ctx, combined, total, nil)
+	res, err := k.pass(ctx, counts, func(i int, arena map[string][][]uint64, sp laneSpan) error {
+		return k.scatterWide(arena, sp, trials[i].inWide)
+	})
 	if err != nil {
 		return nil, err
 	}
-
 	perSpec = make([]error, len(specs))
-	for ri, ref := range refs {
-		if perSpec[ref.spec] != nil {
-			// refs are ordered by ascending trial within a spec, so the
-			// recorded error is the lowest failing trial's — the solo
-			// worker=1 sweep's stopping point.
-			continue
+	for i, tr := range trials {
+		// Trials ascend within a spec, so the first error recorded is the
+		// lowest failing trial's — the solo worker=1 sweep's stopping point.
+		if perSpec[owner[i]] == nil {
+			perSpec[owner[i]] = k.compareTrial(tr, res[i].Rows)
 		}
-		got := make(map[string][][]uint64, len(k.Outputs))
-		for _, o := range k.Outputs {
-			got[o.Name] = transpose.FromVerticalWide(spanRows(res.Rows[o.Name], spans[ri]), o.Width, ref.lanes)
-		}
-		perSpec[ref.spec] = k.compareTrial(ref.trial, ref.inWide, got, ref.lanes)
 	}
 	return perSpec, nil
 }

@@ -40,7 +40,6 @@ import (
 	"chopper/internal/narrow"
 	"chopper/internal/obs"
 	"chopper/internal/sim"
-	"chopper/internal/transpose"
 	"chopper/internal/typecheck"
 	"chopper/internal/vircoe"
 )
@@ -774,9 +773,8 @@ type RunResult struct {
 // RunRows executes the kernel on one simulated subarray over operands
 // already in vertical layout (rows[op][bit][word]), with `lanes` SIMD
 // lanes, and returns outputs in vertical layout.
-func (k *Kernel) RunRows(rows map[string][][]uint64, lanes int) (res *RunResult, err error) {
-	defer recoverToError(&err)
-	return k.runRows(nil, rows, lanes, nil)
+func (k *Kernel) RunRows(rows map[string][][]uint64, lanes int) (*RunResult, error) {
+	return k.RunRowsCtx(nil, rows, lanes)
 }
 
 // RunRowsCtx is RunRows under the guard layer: the kernel's compile-time
@@ -790,9 +788,8 @@ func (k *Kernel) RunRowsCtx(ctx context.Context, rows map[string][][]uint64, lan
 // RunRowsUnderFault is RunRows on a faulty subarray: the fault models in
 // cfg, reproducible from seed, perturb the simulated row operations. The
 // result's Faults field counts what was injected.
-func (k *Kernel) RunRowsUnderFault(rows map[string][][]uint64, lanes int, cfg FaultConfig, seed int64) (res *RunResult, err error) {
-	defer recoverToError(&err)
-	return k.runRowsUnderFault(nil, rows, lanes, cfg, seed)
+func (k *Kernel) RunRowsUnderFault(rows map[string][][]uint64, lanes int, cfg FaultConfig, seed int64) (*RunResult, error) {
+	return k.RunRowsUnderFaultCtx(nil, rows, lanes, cfg, seed)
 }
 
 // RunRowsUnderFaultCtx is RunRowsUnderFault under the guard layer (see
@@ -859,57 +856,27 @@ func (k *Kernel) runRows(ctx context.Context, rows map[string][][]uint64, lanes 
 }
 
 // Run executes the kernel on operands given as one value per lane (widths
-// up to 64 bits) and returns outputs the same way. Use RunWide for wider
-// operands.
-func (k *Kernel) Run(inputs map[string][]uint64, lanes int) (out map[string][]uint64, err error) {
-	defer recoverToError(&err)
-	rows := make(map[string][][]uint64, len(inputs))
-	for _, in := range k.Inputs {
-		vals, ok := inputs[in.Name]
-		if !ok {
-			return nil, fmt.Errorf("chopper: missing input %q", in.Name)
-		}
-		if in.Width > 64 {
-			return nil, fmt.Errorf("chopper: input %q is %d bits wide; use RunWide", in.Name, in.Width)
-		}
-		rows[in.Name] = transpose.ToVertical(vals, in.Width, lanes)
-	}
-	res, err := k.RunRows(rows, lanes)
+// up to 64 bits) and returns outputs the same way: a RunBatch of one. Use
+// RunWide for wider operands.
+func (k *Kernel) Run(inputs map[string][]uint64, lanes int) (map[string][]uint64, error) {
+	outs, _, err := k.RunBatchCtx(nil, []BatchRun{{Inputs: inputs, Lanes: lanes}})
 	if err != nil {
 		return nil, err
 	}
-	out = make(map[string][]uint64, len(k.Outputs))
-	for _, o := range k.Outputs {
-		w := o.Width
-		if w > 64 {
-			return nil, fmt.Errorf("chopper: output %q is %d bits wide; use RunWide", o.Name, o.Width)
-		}
-		out[o.Name] = transpose.FromVertical(res.Rows[o.Name], w, lanes)
-	}
-	return out, nil
+	return outs[0], nil
 }
 
 // RunWide is Run for operands of arbitrary width, as little-endian 64-bit
 // limb slices per lane.
 func (k *Kernel) RunWide(inputs map[string][][]uint64, lanes int) (out map[string][][]uint64, err error) {
 	defer recoverToError(&err)
-	rows := make(map[string][][]uint64, len(inputs))
-	for _, in := range k.Inputs {
-		vals, ok := inputs[in.Name]
-		if !ok {
-			return nil, fmt.Errorf("chopper: missing input %q", in.Name)
-		}
-		rows[in.Name] = transpose.ToVerticalWide(vals, in.Width, lanes)
-	}
-	res, err := k.RunRows(rows, lanes)
+	res, err := k.pass(nil, []int{lanes}, func(_ int, arena map[string][][]uint64, sp laneSpan) error {
+		return k.scatterWide(arena, sp, inputs)
+	})
 	if err != nil {
 		return nil, err
 	}
-	out = make(map[string][][]uint64, len(k.Outputs))
-	for _, o := range k.Outputs {
-		out[o.Name] = transpose.FromVerticalWide(res.Rows[o.Name], o.Width, lanes)
-	}
-	return out, nil
+	return k.gatherWide(res[0].Rows, lanes), nil
 }
 
 // Asm renders the generated micro-op program as assembly text.

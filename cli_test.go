@@ -135,4 +135,18 @@ func TestCLIPipeline(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "not defined") {
 		t.Errorf("choppersim -bench: %v, want exit status 2 for an undefined flag:\n%s", err, out)
 	}
+
+	// chopperbench rejects experiment and format names it does not know
+	// (it used to print nothing and exit 0) and still runs the ones it does.
+	chopperbench := buildTool(t, dir, "chopperbench")
+	for _, args := range [][]string{{"-exp", "fig13"}, {"-exp", "table1", "-format", "xml"}} {
+		out, err = exec.Command(chopperbench, args...).CombinedOutput()
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "valid:") {
+			t.Errorf("chopperbench %v: %v, want exit status 2 and the valid values:\n%s", args, err, out)
+		}
+	}
+	out, err = exec.Command(chopperbench, "-exp", "table1").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "Table I") {
+		t.Errorf("chopperbench -exp table1: %v\n%s", err, out)
+	}
 }

@@ -323,3 +323,61 @@ func TestRunRowsOperandErrorsAreDeterministic(t *testing.T) {
 		t.Errorf("narrowed kernel on three bit-rows: error %v, want %s", err, want)
 	}
 }
+
+// TestRunShapeErrorsAreTheCallers pins what Run and RunWide say about a
+// malformed call: an operand with the wrong number of values, a missing
+// operand and an operand too wide for the one-value-per-lane form are the
+// caller's mistakes — ErrOptions, with RunBatch's text minus the member
+// prefix — and are raised before anything executes. Run used to let the
+// transpose panic ("internal") on the first and report the second
+// unclassed, and both ran the whole device pass before rejecting a
+// > 64-bit output.
+func TestRunShapeErrorsAreTheCallers(t *testing.T) {
+	k, err := Compile("node main(a: u8, b: u8) returns (s: u8) let s = a + b; tel", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := func(m map[string][]uint64) map[string][][]uint64 {
+		out := make(map[string][][]uint64, len(m))
+		for name, vals := range m {
+			for _, v := range vals {
+				out[name] = append(out[name], []uint64{v})
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		inputs map[string][]uint64
+		want   string
+	}{
+		{"two values for 64 lanes", map[string][]uint64{"a": {1, 2}, "b": {3, 4}},
+			`chopper: options: input "a" has 2 values, want one per lane (64)`},
+		{"missing operand", map[string][]uint64{"a": make([]uint64, 64)},
+			`chopper: options: missing input "b"`},
+	} {
+		_, runErr := k.Run(tc.inputs, 64)
+		_, wideErr := k.RunWide(wide(tc.inputs), 64)
+		_, _, batchErr := k.RunBatch([]BatchRun{{Inputs: tc.inputs, Lanes: 64}})
+		for verb, err := range map[string]error{"Run": runErr, "RunWide": wideErr, "RunBatch of one": batchErr} {
+			if err == nil || err.Error() != tc.want || ErrorClass(err) != "options" {
+				t.Errorf("%s, %s: error %v (class %q), want %s (class options)", tc.name, verb, err, ErrorClass(err), tc.want)
+			}
+		}
+	}
+
+	// A 65-bit output is rejected up front: a one-step budget would stop
+	// the device pass first if it ran.
+	wk, err := Compile("node main(a: u64) returns (z: u65) let z = u65(a) + 1; tel", Options{Budget: Budget{MaxSimSteps: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = wk.Run(map[string][]uint64{"a": make([]uint64, 64)}, 64)
+	const want = `chopper: options: operand "z" is 65 bits wide; Run and RunBatch handle up to 64 (use RunWide or RunRowsBatch)`
+	if err == nil || err.Error() != want {
+		t.Errorf("65-bit output: error %v, want %s", err, want)
+	}
+	if _, err := wk.RunWide(map[string][][]uint64{"a": make([][]uint64, 64)}, 64); ErrorClass(err) != "budget" {
+		t.Errorf("RunWide of the same kernel: error %v, want the budget stop of a pass that ran", err)
+	}
+}

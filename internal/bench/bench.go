@@ -18,18 +18,12 @@ import (
 	"strings"
 	"sync"
 
-	"chopper/internal/baseline"
-	"chopper/internal/bitslice"
-	"chopper/internal/codegen"
-	"chopper/internal/dfg"
+	"chopper"
 	"chopper/internal/dram"
-	"chopper/internal/dsl"
 	"chopper/internal/hostmodel"
 	"chopper/internal/isa"
-	"chopper/internal/logic"
 	"chopper/internal/obs"
 	"chopper/internal/ssd"
-	"chopper/internal/typecheck"
 	"chopper/internal/vircoe"
 	"chopper/internal/workloads"
 )
@@ -71,139 +65,113 @@ func (c Config) placements() int {
 	return c.Geom.Banks
 }
 
-// Key identifies a compiled artifact for caching.
-type key struct {
-	workload string
-	arch     isa.Arch
-	compiler Compiler
-	variant  obs.Variant
-	rows     int
-}
+// sweepKernels bounds the harness's kernel cache. It holds every kernel the
+// full sweep compiles — 16 workloads x (3 architectures x {4 OBS levels +
+// hands-tuned} + Figure 11's two extra geometries x 2) is under 320 — so no
+// figure recompiles what an earlier one built.
+const sweepKernels = 512
 
-// Harness compiles workloads on demand and measures them. It is safe for
-// concurrent use.
+// Harness measures workloads. It is a client of the public compiler API:
+// every kernel behind every figure comes from chopper.Compile or
+// chopper.CompileBaseline, through one single-flight kernel cache. It is
+// safe for concurrent use.
 type Harness struct {
-	mu    sync.Mutex
-	progs map[key]*compiled
-}
-
-type compiled struct {
-	prog      *isa.Program
-	stats     codegen.Stats
-	baseStats baseline.Stats
-	graph     *dfg.Graph
-	constTags map[int]bool
-	err       error
+	cache *chopper.KernelCache
 }
 
 // NewHarness creates an empty harness.
 func NewHarness() *Harness {
-	return &Harness{progs: make(map[key]*compiled)}
+	return &Harness{cache: chopper.NewKernelCache(sweepKernels)}
 }
 
-func buildGraph(src string) (*dfg.Graph, error) {
-	prog, err := dsl.ParseAndExpand(src)
+// kernel returns (caching) the compiled kernel for a workload. A kernel the
+// compiler could only build below the requested level is an error here: a
+// figure labelled with one OBS variant must never silently report another.
+func (h *Harness) kernel(spec workloads.Spec, arch isa.Arch, comp Compiler, v obs.Variant, geom dram.Geometry) (*chopper.Kernel, error) {
+	opts := chopper.Options{Target: arch, Geometry: geom, Cache: h.cache}.WithOpt(v)
+	compile := chopper.Compile
+	if comp == HandsTuned {
+		compile = chopper.CompileBaseline
+	}
+	k, err := compile(spec.Src, opts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bench: %s/%v/%v: %w", spec.Name, arch, comp, err)
 	}
-	ch, err := typecheck.Check(prog)
-	if err != nil {
-		return nil, err
+	if d := k.Degradation; d != nil {
+		last := d.Events[len(d.Events)-1]
+		return nil, fmt.Errorf("bench: %s/%v/%v: compiler degraded from %v to %v (pass %s: %s); refusing to measure a lower level than the figure names",
+			spec.Name, arch, comp, d.Requested, d.Effective, last.Stage, last.Reason)
 	}
-	return dfg.Build(ch)
-}
-
-// compile returns (caching) the compiled program for a workload.
-func (h *Harness) compile(spec workloads.Spec, arch isa.Arch, comp Compiler, v obs.Variant, geom dram.Geometry) (*compiled, error) {
-	k := key{spec.Name, arch, comp, v, geom.DRows()}
-	h.mu.Lock()
-	if c, ok := h.progs[k]; ok {
-		h.mu.Unlock()
-		return c, c.err
-	}
-	h.mu.Unlock()
-
-	c := &compiled{}
-	graph, err := buildGraph(spec.Src)
-	if err != nil {
-		c.err = err
-	} else {
-		c.graph = graph
-		switch comp {
-		case HandsTuned:
-			res, err := baseline.Generate(graph, baseline.Options{Arch: arch, DRows: geom.DRows()})
-			if err != nil {
-				c.err = err
-			} else {
-				c.prog = res.Prog
-				c.baseStats = res.Stats
-				c.constTags = make(map[int]bool, len(res.ConstPattern))
-				for tag := range res.ConstPattern {
-					c.constTags[tag] = true
-				}
-			}
-		case Chopper:
-			net, err := bitslice.Lower(graph, bitslice.Options{Fold: v.HasReuse()})
-			if err != nil {
-				c.err = err
-				break
-			}
-			leg, err := logic.Legalize(net, arch, logic.BuilderOptions{Fold: v.HasReuse(), CSE: true})
-			if err != nil {
-				c.err = err
-				break
-			}
-			res, err := codegen.Generate(leg.DCE(), codegen.Options{Arch: arch, Variant: v, DRows: geom.DRows()})
-			if err != nil {
-				c.err = err
-			} else {
-				c.prog = res.Prog
-				c.stats = res.Stats
-				c.constTags = make(map[int]bool, len(res.ConstPattern))
-				for tag := range res.ConstPattern {
-					c.constTags[tag] = true
-				}
-			}
-		}
-	}
-	h.mu.Lock()
-	h.progs[k] = c
-	h.mu.Unlock()
-	return c, c.err
+	return k, nil
 }
 
 // PUDTimeNs measures the full-problem execution time of a workload on a
-// PUD architecture under cfg.
+// PUD architecture under cfg, spilling to the Table I drive.
 func (h *Harness) PUDTimeNs(spec workloads.Spec, arch isa.Arch, comp Compiler, v obs.Variant, cfg Config) (float64, error) {
-	c, err := h.compile(spec, arch, comp, v, cfg.Geom)
+	return h.pudTimeNs(spec, arch, comp, v, cfg, ssd.DefaultConfig())
+}
+
+// pudTimeNs is PUDTimeNs on an explicit spill device: waves x the makespan
+// of one wave, CHOPPER kernels issued by VIRCOE and hands-tuned ones by the
+// bbop interface's lockstep broadcast.
+func (h *Harness) pudTimeNs(spec workloads.Spec, arch isa.Arch, comp Compiler, v obs.Variant, cfg Config, drive ssd.Config) (float64, error) {
+	k, err := h.kernel(spec, arch, comp, v, cfg.Geom)
 	if err != nil {
-		return 0, fmt.Errorf("bench: %s/%v/%v: %w", spec.Name, arch, comp, err)
+		return 0, err
 	}
 	lanesPerTile := int64(cfg.Geom.Bitlines())
-	tiles := (spec.TotalLanes + lanesPerTile - 1) / lanesPerTile
-	if tiles < 1 {
-		tiles = 1
+	tiles := max((spec.TotalLanes+lanesPerTile-1)/lanesPerTile, 1)
+	inFlight := min(int64(cfg.placements()), tiles)
+	emit := cfg.emitter(arch)
+	if comp == HandsTuned {
+		emit = vircoe.LockstepTo
 	}
-	inFlight := int64(cfg.placements())
-	if inFlight > tiles {
-		inFlight = tiles
-	}
-	pls, err := vircoe.Placements(cfg.Geom, int(inFlight))
+	ns, err := waveNs(k, cfg, int(inFlight), drive, emit)
 	if err != nil {
 		return 0, fmt.Errorf("bench: %s: %w", spec.Name, err)
 	}
-	timing := dram.TimingFor(arch, cfg.Geom)
+	waves := (tiles + inFlight - 1) / inFlight
+	return ns * float64(waves), nil
+}
+
+// feed produces a wave's issue stream (Figure 5): vircoe.SerialTo and
+// vircoe.LockstepTo are feeds as they stand, Config.emitter makes one of
+// the CHOPPER emitter.
+type feed func(prog *isa.Program, pls []vircoe.Placement, sink vircoe.Sink)
+
+// emitter is VIRCOE under c.Mode, for arch's command timing.
+func (c Config) emitter(arch isa.Arch) feed {
+	timing := dram.TimingFor(arch, c.Geom)
+	return func(prog *isa.Program, pls []vircoe.Placement, sink vircoe.Sink) {
+		vircoe.EmitTo(prog, pls, c.Mode, timing, sink)
+	}
+}
+
+// waveNs is the one place a wave is timed: k's resident program runs on
+// inFlight placements, its issue stream — produced by `emit` — feeds a
+// pooled command-level engine whose spill traffic is charged on a fresh
+// `drive`, and the engine's makespan is the wave's.
+func waveNs(k *chopper.Kernel, cfg Config, inFlight int, drive ssd.Config, emit feed) (float64, error) {
+	pls, err := vircoe.Placements(cfg.Geom, inFlight)
+	if err != nil {
+		return 0, err
+	}
+	timing := dram.TimingFor(k.Opts.Target, cfg.Geom)
 
 	// Workload data resides in the PUD DRAM (it is main memory): input and
 	// output rows move within the subarray (placement copies at AAP cost),
 	// not over the host bus. What does cross the bus: CPU-written constant
 	// rows (the hands-tuned methodology's Figure 7 cost) and SSD spill
 	// traffic.
-	prog := residentProgram(c.prog, c.constTags)
+	prog := residentProgram(k)
 
-	dev := ssd.New(ssd.DefaultConfig())
-	eng := getEngine(cfg.Geom, timing, cfg.SALP)
-	defer putEngine(eng)
+	dev := ssd.New(drive)
+	eng := enginePool.Get().(*dram.Engine)
+	eng.Reconfigure(cfg.Geom, timing, cfg.SALP)
+	defer func() {
+		eng.SSDDelay = nil // the closure below pins this wave's drive
+		enginePool.Put(eng)
+	}()
 	rowBytes := cfg.Geom.RowBytes
 	eng.SSDDelay = func(out bool, slot uint64, start float64) float64 {
 		if out {
@@ -213,55 +181,38 @@ func (h *Harness) PUDTimeNs(spec workloads.Spec, arch isa.Arch, comp Compiler, v
 	}
 	// Issue streams can run to hundreds of millions of ops on the largest
 	// workloads; feed the engine directly rather than materializing them.
-	sink := issueTo(eng)
-	if comp == Chopper {
-		vircoe.EmitTo(prog, pls, cfg.Mode, timing, sink)
-	} else {
-		vircoe.LockstepTo(prog, pls, sink)
-	}
-	waveNs := eng.Makespan()
-	waves := (tiles + inFlight - 1) / inFlight
-	return waveNs * float64(waves), nil
-}
-
-// issueTo returns the sink that feeds an emitter straight into eng.
-func issueTo(eng *dram.Engine) vircoe.Sink {
-	return func(bank, sub int, op *isa.Op) bool {
+	emit(prog, pls, func(bank, sub int, op *isa.Op) bool {
 		eng.IssueOp(bank, sub, op.Kind, op.Imm)
 		return true
-	}
+	})
+	return eng.Makespan(), nil
 }
 
 // enginePool recycles timing engines across measurements: every sweep cell
 // re-arms a pooled engine via Reconfigure instead of allocating fresh
 // scheduling tables (a bank x subarray slice set per engine).
-var enginePool sync.Pool
+var enginePool = sync.Pool{New: func() any { return new(dram.Engine) }}
 
-func getEngine(g dram.Geometry, t dram.Timing, salp bool) *dram.Engine {
-	if v := enginePool.Get(); v != nil {
-		e := v.(*dram.Engine)
-		e.Reconfigure(g, t, salp)
-		return e
-	}
-	return dram.NewEngine(g, t, salp)
-}
-
-func putEngine(e *dram.Engine) {
-	e.SSDDelay = nil
-	enginePool.Put(e)
-}
-
-// residentProgram rewrites input WRITEs and output READs into
+// residentProgram rewrites k's input WRITEs and output READs into
 // intra-subarray placement copies (AAP-class, no bus), keeping constant
 // writes and spill traffic as real transfers. Timing-model use only: the
 // rewritten program is not functionally executable.
-func residentProgram(p *isa.Program, constTags map[int]bool) *isa.Program {
+func residentProgram(k *chopper.Kernel) *isa.Program {
+	// WRITE tags of CPU-written constant rows, from whichever generator
+	// produced the kernel.
+	var constTags map[int]uint64
+	if k.Baseline != nil {
+		constTags = k.Baseline.ConstPattern
+	} else {
+		constTags = k.Code.ConstPattern
+	}
+	p := k.Prog()
 	out := &isa.Program{DRowsUsed: p.DRowsUsed, SpillSlots: p.SpillSlots}
 	out.Ops = make([]isa.Op, len(p.Ops))
 	for i, op := range p.Ops {
 		switch op.Kind {
 		case isa.OpWrite:
-			if !constTags[int(op.Tag)] {
+			if _, isConst := constTags[int(op.Tag)]; !isConst {
 				op = isa.NewAAP(isa.C0, op.Dst[0])
 			}
 		case isa.OpRead:
@@ -310,29 +261,33 @@ type Table struct {
 	Series []string // column order
 }
 
-// Render formats the table with workloads as rows and series as columns.
-func (t *Table) Render() string {
-	byCell := make(map[[2]string]float64, len(t.Rows))
-	var wls []string
-	seenWL := map[string]bool{}
+// grid indexes the rows by (workload, series) cell and returns the
+// workloads in first-seen order and the column order: t.Series, or, when
+// that is empty, the series present, sorted.
+func (t *Table) grid() (byCell map[[2]string]float64, wls, series []string) {
+	byCell = make(map[[2]string]float64, len(t.Rows))
+	seenWL, seen := map[string]bool{}, map[string]bool{}
 	for _, r := range t.Rows {
 		byCell[[2]string{r.Workload, r.Series}] = r.Value
 		if !seenWL[r.Workload] {
 			seenWL[r.Workload] = true
 			wls = append(wls, r.Workload)
 		}
-	}
-	series := t.Series
-	if len(series) == 0 {
-		seen := map[string]bool{}
-		for _, r := range t.Rows {
-			if !seen[r.Series] {
-				seen[r.Series] = true
-				series = append(series, r.Series)
-			}
+		if !seen[r.Series] {
+			seen[r.Series] = true
+			series = append(series, r.Series)
 		}
-		sort.Strings(series)
 	}
+	if len(t.Series) > 0 {
+		return byCell, wls, t.Series
+	}
+	sort.Strings(series)
+	return byCell, wls, series
+}
+
+// Render formats the table with workloads as rows and series as columns.
+func (t *Table) Render() string {
+	byCell, wls, series := t.grid()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s (%s)\n", t.Title, t.Unit)
 	fmt.Fprintf(&sb, "%-14s", "workload")
@@ -360,27 +315,7 @@ func (t *Table) Render() string {
 // CSV renders the table as comma-separated values (workload rows, series
 // columns), for plotting outside Go.
 func (t *Table) CSV() string {
-	byCell := make(map[[2]string]float64, len(t.Rows))
-	var wls []string
-	seenWL := map[string]bool{}
-	for _, r := range t.Rows {
-		byCell[[2]string{r.Workload, r.Series}] = r.Value
-		if !seenWL[r.Workload] {
-			seenWL[r.Workload] = true
-			wls = append(wls, r.Workload)
-		}
-	}
-	series := t.Series
-	if len(series) == 0 {
-		seen := map[string]bool{}
-		for _, r := range t.Rows {
-			if !seen[r.Series] {
-				seen[r.Series] = true
-				series = append(series, r.Series)
-			}
-		}
-		sort.Strings(series)
-	}
+	byCell, wls, series := t.grid()
 	var sb strings.Builder
 	sb.WriteString("workload")
 	for _, s := range series {

@@ -2,8 +2,10 @@ package bench
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"chopper"
 	"chopper/internal/isa"
 	"chopper/internal/obs"
 	"chopper/internal/vircoe"
@@ -232,6 +234,59 @@ func TestCompileErrorSurfaces(t *testing.T) {
 	// Cached error resurfaces.
 	if _, err := h.PUDTimeNs(bad, isa.Ambit, Chopper, obs.Full, DefaultConfig()); err == nil {
 		t.Error("cached compile error swallowed")
+	}
+}
+
+// A figure names the OBS variant it measures, so a kernel the degradation
+// ladder built below that variant is an error, never a number.
+func TestFiguresNeverDegradeSilently(t *testing.T) {
+	obs.TestPanicHook = func(pressureAware bool) {
+		if pressureAware {
+			panic("obs: forced scheduler panic (test hook)")
+		}
+	}
+	defer func() { obs.TestPanicHook = nil }()
+
+	h := NewHarness()
+	spec := workloads.Build("DiffGen", 64)
+	ns, err := h.PUDTimeNs(spec, isa.Ambit, Chopper, obs.Full, DefaultConfig())
+	if err == nil {
+		t.Fatalf("measured %.0f ns on a degraded kernel", ns)
+	}
+	for _, want := range []string{"degraded from rename to bitslice", "forced scheduler panic"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	// Levels the failing pass is not part of still measure.
+	if _, err := h.PUDTimeNs(spec, isa.Ambit, Chopper, obs.Bitslice, DefaultConfig()); err != nil {
+		t.Errorf("bitslice variant: %v", err)
+	}
+}
+
+// Two goroutines asking the harness for the same kernel compile it once.
+func TestHarnessCompilesOncePerKey(t *testing.T) {
+	h := NewHarness()
+	spec := workloads.Build("SW", 64)
+	var wg sync.WaitGroup
+	var kernels [2]*chopper.Kernel
+	for i := range kernels {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k, err := h.kernel(spec, isa.Ambit, Chopper, obs.Full, DefaultConfig().Geom)
+			if err != nil {
+				t.Error(err)
+			}
+			kernels[i] = k
+		}()
+	}
+	wg.Wait()
+	if kernels[0] != kernels[1] {
+		t.Error("the two callers hold different kernels")
+	}
+	if st := h.cache.Stats(); st.Misses != 1 || st.Hits+st.Dedups != 1 {
+		t.Errorf("cache stats %+v, want one miss and one hit-or-shared", st)
 	}
 }
 

@@ -91,11 +91,11 @@ func (h *Harness) Fig9Speedups(sel Selection) (*Table, error) {
 // SpillsInBaseline reports whether the hands-tuned compilation of spec
 // spills (the regime split used when summarizing Figure 9).
 func (h *Harness) SpillsInBaseline(spec workloads.Spec, arch isa.Arch) (bool, error) {
-	c, err := h.compile(spec, arch, HandsTuned, obs.Full, dram.DefaultGeometry())
+	k, err := h.kernel(spec, arch, HandsTuned, obs.Full, dram.DefaultGeometry())
 	if err != nil {
 		return false, err
 	}
-	return c.baseStats.SpilledValues > 0, nil
+	return k.Baseline.Stats.SpilledValues > 0, nil
 }
 
 // Table3 reproduces Table III: lines of code of the hands-tuned
@@ -110,10 +110,12 @@ func (h *Harness) Table3() (*Table, error) {
 	}
 	for _, d := range workloads.Domains {
 		spec := workloads.Build(d, workloads.Configs[d][1])
-		g, err := buildGraph(spec.Src)
+		// The hands-tuned kernel Figure 9 measures supplies the graph.
+		k, err := h.kernel(spec, isa.Ambit, HandsTuned, obs.Full, geom)
 		if err != nil {
 			return nil, err
 		}
+		g := k.Graph
 		// Hands-tuned single-subarray code: one line per multi-bit macro
 		// (bbop call), plus allocation/free per named value and
 		// transposition/write per input — the boilerplate the SIMDRAM

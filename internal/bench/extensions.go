@@ -32,37 +32,19 @@ func (h *Harness) EmissionStudy(sel Selection) (*Table, error) {
 		// stream carries real transfers for the strategies to overlap
 		// (fully optimized code in the fit regime has almost none, and
 		// all bank-parallel strategies coincide on pure computation).
-		c, err := h.compile(spec, isa.Ambit, Chopper, obs.Bitslice, cfg.Geom)
+		k, err := h.kernel(spec, isa.Ambit, Chopper, obs.Bitslice, cfg.Geom)
 		if err != nil {
 			return nil, err
 		}
-		prog := residentProgram(c.prog, c.constTags)
-		pls, err := vircoe.Placements(cfg.Geom, cfg.placements())
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", spec.Name, err)
-		}
-		timing := dram.TimingFor(isa.Ambit, cfg.Geom)
-
-		measure := func(feed func(vircoe.Sink)) float64 {
-			dev := ssd.New(ssd.DefaultConfig())
-			eng := getEngine(cfg.Geom, timing, cfg.SALP)
-			defer putEngine(eng)
-			rowBytes := cfg.Geom.RowBytes
-			eng.SSDDelay = func(out bool, slot uint64, start float64) float64 {
-				if out {
-					return dev.Write(slot, rowBytes, start)
-				}
-				return dev.Read(slot, start)
+		var ns [3]float64 // one wave per strategy: serial, lockstep, VIRCOE
+		for i, emit := range []feed{vircoe.SerialTo, vircoe.LockstepTo, cfg.emitter(isa.Ambit)} {
+			if ns[i], err = waveNs(k, cfg, cfg.placements(), ssd.DefaultConfig(), emit); err != nil {
+				return nil, fmt.Errorf("bench: %s: %w", spec.Name, err)
 			}
-			feed(issueTo(eng))
-			return eng.Makespan()
 		}
-		vir := measure(func(s vircoe.Sink) { vircoe.EmitTo(prog, pls, cfg.Mode, timing, s) })
-		ser := measure(func(s vircoe.Sink) { vircoe.SerialTo(prog, pls, s) })
-		lock := measure(func(s vircoe.Sink) { vircoe.LockstepTo(prog, pls, s) })
 		t.Rows = append(t.Rows,
-			Row{spec.Name, "serial", ser / vir},
-			Row{spec.Name, "lockstep", lock / vir},
+			Row{spec.Name, "serial", ns[0] / ns[2]},
+			Row{spec.Name, "lockstep", ns[1] / ns[2]},
 			Row{spec.Name, "VIRCOE", 1.0})
 	}
 	return t, nil
@@ -124,12 +106,14 @@ func (h *Harness) SSDStudy() (*Table, error) {
 	}
 	for _, domain := range workloads.Domains {
 		spec := workloads.Build(domain, workloads.Configs[domain][3])
-		base, err := h.pudTimeWithSSD(spec, Chopper, cfg, drives[0].readNs, drives[0].progNs)
+		base, err := h.PUDTimeNs(spec, isa.Ambit, Chopper, obs.Full, cfg)
 		if err != nil {
 			return nil, err
 		}
 		for _, d := range drives {
-			hand, err := h.pudTimeWithSSD(spec, HandsTuned, cfg, d.readNs, d.progNs)
+			drive := ssd.DefaultConfig()
+			drive.ReadLatencyNs, drive.ProgramLatencyNs = d.readNs, d.progNs
+			hand, err := h.pudTimeNs(spec, isa.Ambit, HandsTuned, obs.Full, cfg, drive)
 			if err != nil {
 				return nil, err
 			}
@@ -140,55 +124,13 @@ func (h *Harness) SSDStudy() (*Table, error) {
 	return t, nil
 }
 
-// pudTimeWithSSD is PUDTimeNs with custom spill-device latencies.
-func (h *Harness) pudTimeWithSSD(spec workloads.Spec, comp Compiler, cfg Config, readNs, progNs float64) (float64, error) {
-	c, err := h.compile(spec, isa.Ambit, comp, obs.Full, cfg.Geom)
+// PUDEnergyPJ measures the full-problem DRAM energy per element.
+func (h *Harness) PUDEnergyPJ(spec workloads.Spec, arch isa.Arch, comp Compiler, v obs.Variant, cfg Config) (float64, error) {
+	k, err := h.kernel(spec, arch, comp, v, cfg.Geom)
 	if err != nil {
 		return 0, err
 	}
-	lanesPerTile := int64(cfg.Geom.Bitlines())
-	tiles := (spec.TotalLanes + lanesPerTile - 1) / lanesPerTile
-	inFlight := int64(cfg.placements())
-	if inFlight > tiles {
-		inFlight = tiles
-	}
-	pls, err := vircoe.Placements(cfg.Geom, int(inFlight))
-	if err != nil {
-		return 0, fmt.Errorf("bench: %s: %w", spec.Name, err)
-	}
-	timing := dram.TimingFor(isa.Ambit, cfg.Geom)
-	prog := residentProgram(c.prog, c.constTags)
-
-	sc := ssd.DefaultConfig()
-	sc.ReadLatencyNs = readNs
-	sc.ProgramLatencyNs = progNs
-	dev := ssd.New(sc)
-	eng := getEngine(cfg.Geom, timing, cfg.SALP)
-	defer putEngine(eng)
-	rowBytes := cfg.Geom.RowBytes
-	eng.SSDDelay = func(out bool, slot uint64, start float64) float64 {
-		if out {
-			return dev.Write(slot, rowBytes, start)
-		}
-		return dev.Read(slot, start)
-	}
-	sink := issueTo(eng)
-	if comp == Chopper {
-		vircoe.EmitTo(prog, pls, cfg.Mode, timing, sink)
-	} else {
-		vircoe.LockstepTo(prog, pls, sink)
-	}
-	waves := (tiles + inFlight - 1) / inFlight
-	return eng.Makespan() * float64(waves), nil
-}
-
-// PUDEnergyPJ measures the full-problem DRAM energy per element.
-func (h *Harness) PUDEnergyPJ(spec workloads.Spec, arch isa.Arch, comp Compiler, v obs.Variant, cfg Config) (float64, error) {
-	c, err := h.compile(spec, arch, comp, v, cfg.Geom)
-	if err != nil {
-		return 0, fmt.Errorf("bench: %s/%v/%v: %w", spec.Name, arch, comp, err)
-	}
-	prog := residentProgram(c.prog, c.constTags)
+	prog := residentProgram(k)
 	timing := dram.TimingFor(arch, cfg.Geom)
 	var perTile float64
 	for i := range prog.Ops {

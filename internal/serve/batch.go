@@ -10,6 +10,9 @@ package serve
 // one shared arena, runs the micro-op stream once, and demultiplexes
 // each member's output slice — byte-identical to the member's solo run
 // (pinned by chopper's batch tests and this package's identity tests).
+// This file is the window, the membership and the delivery; the pass
+// itself is Server.memberPass in serve.go, the same function a solo
+// request runs through with one member.
 //
 // Admission: the executor goroutine holds exactly ONE admission slot
 // for the whole pass, which is the throughput win — N requests spend
@@ -97,26 +100,6 @@ func batchKey(kind string, class Class, p *reqPlan, req *Request) string {
 		req.Entry, req.Source)
 }
 
-// memberLaneWords is the operand-word footprint one member adds to the
-// shared arena: its lane span for a run, the sum of its trials' lane
-// spans for a verify sweep.
-func memberLaneWords(kind string, req *Request) int {
-	switch kind {
-	case "run":
-		lanes := req.Lanes
-		if lanes == 0 {
-			lanes = 16
-		}
-		return transpose.Words(lanes)
-	default: // verify
-		trials := req.Trials
-		if trials == 0 {
-			trials = 3
-		}
-		return chopper.VerifySpanWords(trials)
-	}
-}
-
 // runBatched is the member side of a coalesced execution: join (or
 // open) the batch for this request's key, then wait for the executor —
 // still racing the request's own deadline, which the window never
@@ -142,7 +125,14 @@ func (s *Server) runBatched(ctx context.Context, kind string, req *Request, plan
 // or opens a fresh batch (and its executor goroutine) when none fits.
 func (s *Server) joinBatch(kind string, class Class, cc ClassConfig, m *batchMember) *svcBatch {
 	key := batchKey(kind, class, m.plan, m.req)
-	words := memberLaneWords(kind, m.req)
+	// The operand words m adds to the shared arena: its lane span for a
+	// run, the sum of its trials' lane spans for a verify sweep. Only the
+	// field batchEligible bounded for this kind is read: a run's Trials is
+	// whatever the client sent.
+	words := transpose.Words(m.req.Lanes)
+	if kind == "verify" {
+		words = chopper.VerifySpanWords(m.req.Trials)
+	}
 	s.bat.mu.Lock()
 	defer s.bat.mu.Unlock()
 	if b, ok := s.bat.open[key]; ok {
@@ -334,114 +324,13 @@ func (s *Server) runBatchPass(b *svcBatch, members []*batchMember) {
 		return
 	}
 
-	resps := make([]*Response, occupancy)
+	reqs, resps := make([]*Request, occupancy), make([]*Response, occupancy)
 	for i, m := range members {
+		reqs[i] = m.req
 		resps[i] = baseResponse(m.req, b.class, m.plan, k, outcome, compileNs)
 		resps[i].BatchSize = occupancy
 	}
-
-	switch b.kind {
-	case "run":
-		s.batchPassRun(runCtx, b, k, members, resps)
-	default:
-		s.batchPassVerify(runCtx, b, k, members, resps)
-	}
-}
-
-// validateRunShape mirrors runKernel's operand validation, message for
-// message, so a malformed member fails identically on either path.
-func validateRunShape(k *chopper.Kernel, inputs map[string][]uint64, lanes int) error {
-	for _, in := range k.Inputs {
-		vals, ok := inputs[in.Name]
-		if !ok {
-			return optionsErrf("missing input %q", in.Name)
-		}
-		if in.Width > 64 {
-			return optionsErrf("input %q is %d bits wide; the service handles up to 64", in.Name, in.Width)
-		}
-		if len(vals) != lanes {
-			return optionsErrf("input %q has %d values, want one per lane (%d)", in.Name, len(vals), lanes)
-		}
-	}
-	for _, o := range k.Outputs {
-		if o.Width > 64 {
-			return optionsErrf("output %q is %d bits wide; the service handles up to 64", o.Name, o.Width)
-		}
-	}
-	return nil
-}
-
-// batchPassRun executes the run-kind pass: malformed members fail
-// individually; the rest share one coalesced RunBatch.
-func (s *Server) batchPassRun(ctx context.Context, b *svcBatch, k *chopper.Kernel, members []*batchMember, resps []*Response) {
-	var reqs []chopper.BatchRun
-	var idx []int
-	for i, m := range members {
-		lanes := m.req.Lanes
-		if lanes == 0 {
-			lanes = 16
-		}
-		if err := validateRunShape(k, m.req.Inputs, lanes); err != nil {
-			b.deliver(m, nil, true, err)
-			continue
-		}
-		reqs = append(reqs, chopper.BatchRun{Inputs: m.req.Inputs, Lanes: lanes})
-		idx = append(idx, i)
-	}
-	if len(reqs) == 0 {
-		return
-	}
-	outs, results, err := k.RunBatchCtx(ctx, reqs)
-	if err != nil {
-		for _, i := range idx {
-			b.deliver(members[i], nil, true, err)
-		}
-		return
-	}
-	for j, i := range idx {
-		resps[i].Outputs = outs[j]
-		resps[i].TimeNs = results[j].TimeNs
-		b.deliver(members[i], resps[i], true, nil)
-	}
-}
-
-// batchPassVerify executes the verify-kind pass: one coalesced sweep
-// serves every trial of every member simultaneously; per-member verify
-// failures stay results (200 with verify_ok=false), like the solo path.
-func (s *Server) batchPassVerify(ctx context.Context, b *svcBatch, k *chopper.Kernel, members []*batchMember, resps []*Response) {
-	specs := make([]chopper.VerifySpec, len(members))
-	for i, m := range members {
-		trials := m.req.Trials
-		if trials == 0 {
-			trials = 3
-		}
-		seed := m.req.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		specs[i] = chopper.VerifySpec{Trials: trials, Seed: seed}
-		resps[i].Trials = trials
-	}
-	perSpec, err := k.VerifyBatchCtx(ctx, specs)
-	if err != nil {
-		for _, m := range members {
-			b.deliver(m, nil, true, err)
-		}
-		return
-	}
-	for i, m := range members {
-		verr := perSpec[i]
-		ok := verr == nil
-		switch {
-		case verr == nil:
-			resps[i].VerifyOK = &ok
-			b.deliver(m, resps[i], true, nil)
-		case chopper.ErrorClass(verr) == "verify":
-			resps[i].VerifyOK = &ok
-			resps[i].VerifyDetail = verr.Error()
-			b.deliver(m, resps[i], true, nil)
-		default:
-			b.deliver(m, nil, true, verr)
-		}
+	for i, err := range s.memberPass(runCtx, b.kind, k, reqs, resps) {
+		b.deliver(members[i], resps[i], true, err) // finishWork reads err first
 	}
 }

@@ -3,11 +3,15 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"chopper/internal/dfg"
 )
 
 // batchedConfig returns a config with coalescing enabled on the Batch
@@ -304,5 +308,127 @@ func TestDeterminismBatchedServe(t *testing.T) {
 				t.Fatalf("rep %d member %d: outputs drifted", rep, i)
 			}
 		}
+	}
+}
+
+// TestSoloIsAPassOfOne holds the solo path and a batched member to one
+// behavior: every case goes through the server twice — opted out of
+// coalescing, and into a batch window it then sits in alone — and must
+// come back with the same status, error class and error text, or the same
+// outputs, simulated time and verdict. Only batch_size may tell them apart.
+func TestSoloIsAPassOfOne(t *testing.T) {
+	s := New(batchedConfig(5*time.Millisecond, 4))
+	h := s.Handler()
+
+	// A kernel whose reference semantics disagree with its program: compile
+	// it through the default tenant's shard, as a request would, and turn
+	// the reference graph's add into a subtract before anything verifies.
+	const subSrc = "node main(a: u8, b: u8) returns (z: u8) let z = a + b + 1; tel"
+	cc := s.ClassConfig(Batch)
+	tn := s.tenantFor("")
+	plan, err := s.planRequest(&Request{Source: subSrc}, tn, cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, _, _, err := compileForPlan(context.Background(), plan, subSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := *k.Graph
+	g.Values = append([]dfg.Value(nil), g.Values...)
+	for i := range g.Values {
+		if g.Values[i].Kind == dfg.OpAdd {
+			g.Values[i].Kind = dfg.OpSub
+		}
+	}
+	k.Graph = &g
+
+	two := []uint64{1, 2}
+	cases := []struct {
+		name, kind string
+		req        Request
+		status     int
+	}{
+		{"missing input", "run", Request{Source: addSrc, Lanes: 2, Inputs: map[string][]uint64{"a": two}}, 400},
+		{"wrong value count", "run", Request{Source: addSrc, Lanes: 3, Inputs: map[string][]uint64{"a": two, "b": two}}, 400},
+		{"65-bit input", "run", Request{Source: "node main(a: u65) returns (z: u8) let z = u8(a); tel", Lanes: 2, Inputs: map[string][]uint64{"a": two}}, 400},
+		{"65-bit output", "run", Request{Source: "node main(a: u8) returns (z: u65) let z = u65(a); tel", Lanes: 2, Inputs: map[string][]uint64{"a": two}}, 400},
+		{"run", "run", Request{Source: addSrc, Lanes: 2, Inputs: map[string][]uint64{"a": two, "b": {250, 255}}}, 200},
+		{"default lanes", "run", Request{Source: addSrc, Inputs: map[string][]uint64{"a": make([]uint64, 16), "b": make([]uint64, 16)}}, 200},
+		{"verify", "verify", Request{Source: addSrc, Trials: 2, Seed: 7}, 200},
+		{"failing verify", "verify", Request{Source: subSrc}, 200},
+	}
+	type outcome struct {
+		Status int
+		ErrorResponse
+		Outputs      map[string][]uint64 `json:"outputs"`
+		TimeNs       float64             `json:"time_ns"`
+		VerifyOK     *bool               `json:"verify_ok"`
+		VerifyDetail string              `json:"verify_detail"`
+		Trials       int                 `json:"trials"`
+		BatchSize    int                 `json:"batch_size"`
+	}
+	for _, tc := range cases {
+		var solo, batched outcome
+		req := tc.req
+		req.NoBatch = true
+		solo.Status = post(t, h, tc.kind, &req, &solo)
+		req.NoBatch = false
+		batched.Status = post(t, h, tc.kind, &req, &batched)
+
+		if solo.Status != tc.status {
+			t.Errorf("%s: solo status %d (%s), want %d", tc.name, solo.Status, solo.Error, tc.status)
+		}
+		if tc.status == 200 && (solo.BatchSize != 0 || batched.BatchSize != 1) {
+			t.Errorf("%s: batch_size solo %d, batched %d; want absent and 1", tc.name, solo.BatchSize, batched.BatchSize)
+		}
+		batched.BatchSize = solo.BatchSize
+		if !reflect.DeepEqual(solo, batched) {
+			t.Errorf("%s: solo and batched member differ:\n solo    %+v\n batched %+v", tc.name, solo, batched)
+		}
+		switch tc.name {
+		case "failing verify":
+			if solo.VerifyOK == nil || *solo.VerifyOK || !strings.Contains(solo.VerifyDetail, "reference says") {
+				t.Errorf("failing verify: verdict %v, detail %q; want a reported mismatch", solo.VerifyOK, solo.VerifyDetail)
+			}
+		case "run":
+			if !reflect.DeepEqual(solo.Outputs["z"], []uint64{251, 1}) {
+				t.Errorf("run: outputs %v, want z = [251 1]", solo.Outputs)
+			}
+		}
+	}
+}
+
+// TestBatchedRunIgnoresTrials: only a verify's `trials` is range-checked,
+// so a run's is whatever the client sent and nothing on the way into a
+// batch window may do work proportional to it (sizing the member's arena
+// span from it once spun the handler, ahead of admission and out of the
+// class deadline's reach).
+func TestBatchedRunIgnoresTrials(t *testing.T) {
+	h := New(batchedConfig(5*time.Millisecond, 4)).Handler()
+	req := Request{Source: addSrc, Lanes: 2, Trials: math.MaxInt64,
+		Inputs: map[string][]uint64{"a": {1, 2}, "b": {250, 255}}}
+
+	var solo, batched Response
+	done := make(chan [2]int, 1)
+	go func() {
+		noBatch := req
+		noBatch.NoBatch = true
+		done <- [2]int{post(t, h, "run", &noBatch, &solo), post(t, h, "run", &req, &batched)}
+	}()
+	select {
+	case codes := <-done:
+		if codes != [2]int{200, 200} {
+			t.Fatalf("statuses %v, want 200 and 200", codes)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a run with an enormous trials field did not return: something sized work from it")
+	}
+	if batched.BatchSize != 1 {
+		t.Errorf("batch_size %d, want 1 (the request went through the window alone)", batched.BatchSize)
+	}
+	if !reflect.DeepEqual(solo.Outputs, batched.Outputs) || solo.TimeNs != batched.TimeNs {
+		t.Errorf("solo and batched run differ: outputs %v / %v, time_ns %v / %v",
+			solo.Outputs, batched.Outputs, solo.TimeNs, batched.TimeNs)
 	}
 }

@@ -40,7 +40,6 @@ import (
 
 	"chopper"
 	"chopper/internal/dram"
-	"chopper/internal/transpose"
 )
 
 // Class is a request QoS class. Classes are admission-control domains:
@@ -386,6 +385,22 @@ type Request struct {
 	NoBatch bool `json:"no_batch,omitempty"`
 }
 
+// resolve fills in the fields the client left out. It runs once, right
+// after decode, so admission, the batcher and the executor all read the
+// request's own values; a client's explicit out-of-range value is left for
+// checkBounds to reject.
+func (r *Request) resolve() {
+	if r.Lanes == 0 {
+		r.Lanes = 16
+	}
+	if r.Trials == 0 {
+		r.Trials = 3
+	}
+	if r.Seed == 0 {
+		r.Seed = 1
+	}
+}
+
 // Response is the JSON body of a successful request.
 type Response struct {
 	Tenant string `json:"tenant,omitempty"`
@@ -536,6 +551,7 @@ func (s *Server) handleWork(kind string) http.HandlerFunc {
 			writeError(w, fmt.Errorf("bad request body: %w", err), "options")
 			return
 		}
+		req.resolve()
 		class, err := ParseClass(req.Class)
 		if err != nil {
 			writeError(w, err, "options")
@@ -706,35 +722,34 @@ func baseResponse(req *Request, class Class, p *reqPlan, k *chopper.Kernel, outc
 	return resp
 }
 
+// checkBounds rejects a run's lane count or a verify's trial count outside
+// the server's limits.
+func (s *Server) checkBounds(kind string, req *Request) error {
+	switch {
+	case kind == "run" && (req.Lanes < 1 || req.Lanes > s.cfg.MaxLanes):
+		return optionsErrf("lanes %d outside [1, %d]", req.Lanes, s.cfg.MaxLanes)
+	case kind == "verify" && (req.Trials < 1 || req.Trials > s.cfg.MaxVerifyTrials):
+		return optionsErrf("trials %d outside [1, %d]", req.Trials, s.cfg.MaxVerifyTrials)
+	}
+	return nil
+}
+
 // batchEligible says whether a request may join a coalesced pass:
 // the class must have a batch window, the request must not opt out, and
 // the kind must be run or verify with in-bounds lane/trial counts
-// (out-of-bounds values take the solo path so their validation errors
-// keep the exact solo ordering and wording).
+// (out-of-bounds values take the solo path, so they are rejected behind
+// admission and never size a shared arena).
 func (s *Server) batchEligible(kind string, cc ClassConfig, req *Request) bool {
 	if cc.BatchWindow <= 0 || cc.MaxBatchSize <= 1 || req.NoBatch {
 		return false
 	}
-	switch kind {
-	case "run":
-		lanes := req.Lanes
-		if lanes == 0 {
-			lanes = 16
-		}
-		return lanes >= 1 && lanes <= s.cfg.MaxLanes
-	case "verify":
-		trials := req.Trials
-		if trials == 0 {
-			trials = 3
-		}
-		return trials >= 1 && trials <= s.cfg.MaxVerifyTrials
-	}
-	return false
+	return (kind == "run" || kind == "verify") && s.checkBounds(kind, req) == nil
 }
 
 // execute runs one admitted request end to end: parse knobs, apply the
 // tenant's breaker plan, compile through the tenant's cache shard, then
-// run or verify as asked.
+// run or verify as asked — as a pass of one member, through the function
+// the batcher calls with N.
 func (s *Server) execute(ctx context.Context, kind string, req *Request, tn *tenant, cc ClassConfig, class Class) (*Response, error) {
 	p, err := s.planRequest(req, tn, cc)
 	if err != nil {
@@ -745,88 +760,107 @@ func (s *Server) execute(ctx context.Context, kind string, req *Request, tn *ten
 		return nil, err
 	}
 	resp := baseResponse(req, class, p, k, outcome, compileNs)
-
-	switch kind {
-	case "compile":
+	if kind == "compile" {
 		return resp, nil
-	case "run":
-		lanes := req.Lanes
-		if lanes == 0 {
-			lanes = 16
-		}
-		if lanes < 1 || lanes > s.cfg.MaxLanes {
-			return nil, optionsErrf("lanes %d outside [1, %d]", lanes, s.cfg.MaxLanes)
-		}
-		out, timeNs, err := runKernel(ctx, k, req.Inputs, lanes)
-		if err != nil {
-			return nil, err
-		}
-		resp.Outputs, resp.TimeNs = out, timeNs
-		return resp, nil
-	case "verify":
-		trials := req.Trials
-		if trials == 0 {
-			trials = 3
-		}
-		if trials < 1 || trials > s.cfg.MaxVerifyTrials {
-			return nil, optionsErrf("trials %d outside [1, %d]", trials, s.cfg.MaxVerifyTrials)
-		}
-		seed := req.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		resp.Trials = trials
-		// Verification runs serially (workers=1): per-request fan-out
-		// would multiply one admission slot into GOMAXPROCS of load.
-		verr := k.VerifyCtx(ctx, trials, seed, 1)
-		ok := verr == nil
-		switch {
-		case verr == nil:
-			resp.VerifyOK = &ok
-			return resp, nil
-		case chopper.ErrorClass(verr) == "verify":
-			// A mismatch is a result, not a transport failure: 200 with
-			// verify_ok=false and the discrepancy detail.
-			resp.VerifyOK = &ok
-			resp.VerifyDetail = verr.Error()
-			return resp, nil
-		default:
-			return nil, verr
-		}
-	default:
-		return nil, &reqError{class: "internal", msg: "unknown endpoint kind " + kind}
 	}
+	if err := s.memberPass(ctx, kind, k, []*Request{req}, []*Response{resp})[0]; err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
-// runKernel is Kernel.Run under a context: operands one value per lane,
-// widths up to 64 bits, outputs the same way.
-func runKernel(ctx context.Context, k *chopper.Kernel, inputs map[string][]uint64, lanes int) (map[string][]uint64, float64, error) {
-	rows := make(map[string][][]uint64, len(k.Inputs))
-	for _, in := range k.Inputs {
-		vals, ok := inputs[in.Name]
+// memberPass executes the run or verify requests reqs — one solo request,
+// or the members of a coalesced batch — against their shared kernel in ONE
+// simulated device pass, and fills in resps[i] for every member that
+// succeeded; errs[i] is member i's failure. A malformed member fails alone,
+// before the pass; a pass-level failure (budget, deadline) fails every
+// member that was in it.
+func (s *Server) memberPass(ctx context.Context, kind string, k *chopper.Kernel, reqs []*Request, resps []*Response) (errs []error) {
+	errs = make([]error, len(reqs))
+	var in []int // members that go into the pass
+	for i, r := range reqs {
+		if errs[i] = s.checkBounds(kind, r); errs[i] == nil && kind == "run" {
+			errs[i] = checkRunShape(k, r)
+		}
+		if errs[i] == nil {
+			in = append(in, i)
+		}
+	}
+	if len(in) == 0 {
+		return errs
+	}
+	failAll := func(err error) []error {
+		for _, i := range in {
+			errs[i] = err
+		}
+		return errs
+	}
+
+	if kind == "run" {
+		members := make([]chopper.BatchRun, len(in))
+		for j, i := range in {
+			members[j] = chopper.BatchRun{Inputs: reqs[i].Inputs, Lanes: reqs[i].Lanes}
+		}
+		outs, results, err := k.RunBatchCtx(ctx, members)
+		if err != nil {
+			return failAll(err)
+		}
+		for j, i := range in {
+			resps[i].Outputs, resps[i].TimeNs = outs[j], results[j].TimeNs
+		}
+		return errs
+	}
+
+	// Verification runs serially inside the pass (a sweep alone runs its
+	// trials on one worker): per-request fan-out would multiply one
+	// admission slot into GOMAXPROCS of load.
+	specs := make([]chopper.VerifySpec, len(in))
+	for j, i := range in {
+		specs[j] = chopper.VerifySpec{Trials: reqs[i].Trials, Seed: reqs[i].Seed}
+	}
+	perSpec, err := k.VerifyBatchCtx(ctx, specs)
+	if err != nil {
+		return failAll(err)
+	}
+	for j, i := range in {
+		verr := perSpec[j]
+		if verr != nil && chopper.ErrorClass(verr) != "verify" {
+			errs[i] = verr
+			continue
+		}
+		// A mismatch is a result, not a transport failure: 200 with
+		// verify_ok=false and the discrepancy detail.
+		ok := verr == nil
+		resps[i].Trials, resps[i].VerifyOK = reqs[i].Trials, &ok
 		if !ok {
-			return nil, 0, optionsErrf("missing input %q", in.Name)
+			resps[i].VerifyDetail = verr.Error()
+		}
+	}
+	return errs
+}
+
+// checkRunShape is the one operand-shape validator: every input present,
+// one value per lane, and no operand wider than the 64 bits a JSON lane
+// value carries.
+func checkRunShape(k *chopper.Kernel, req *Request) error {
+	for _, in := range k.Inputs {
+		vals, ok := req.Inputs[in.Name]
+		if !ok {
+			return optionsErrf("missing input %q", in.Name)
 		}
 		if in.Width > 64 {
-			return nil, 0, optionsErrf("input %q is %d bits wide; the service handles up to 64", in.Name, in.Width)
+			return optionsErrf("input %q is %d bits wide; the service handles up to 64", in.Name, in.Width)
 		}
-		if len(vals) != lanes {
-			return nil, 0, optionsErrf("input %q has %d values, want one per lane (%d)", in.Name, len(vals), lanes)
+		if len(vals) != req.Lanes {
+			return optionsErrf("input %q has %d values, want one per lane (%d)", in.Name, len(vals), req.Lanes)
 		}
-		rows[in.Name] = transpose.ToVertical(vals, in.Width, lanes)
 	}
-	res, err := k.RunRowsCtx(ctx, rows, lanes)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make(map[string][]uint64, len(k.Outputs))
 	for _, o := range k.Outputs {
 		if o.Width > 64 {
-			return nil, 0, optionsErrf("output %q is %d bits wide; the service handles up to 64", o.Name, o.Width)
+			return optionsErrf("output %q is %d bits wide; the service handles up to 64", o.Name, o.Width)
 		}
-		out[o.Name] = transpose.FromVertical(res.Rows[o.Name], o.Width, lanes)
 	}
-	return out, res.TimeNs, nil
+	return nil
 }
 
 func parseTarget(s string) (chopper.Target, error) {

@@ -261,15 +261,16 @@ func FromVertical(rows [][]uint64, width, lanes int) []uint64 {
 // an element's length read as zero.
 func ToVerticalWide(elems [][]uint64, width, lanes int) [][]uint64 {
 	rows := newRows(width, lanes)
-	ToVerticalWideInto(rows, elems, width, lanes)
+	ToVerticalWideInto(rows, 0, elems, width, lanes)
 	return rows
 }
 
-// ToVerticalWideInto is ToVerticalWide writing into caller-allocated rows:
-// dst must hold at least `width` rows of at least Words(lanes) words, and
-// every one of those words is overwritten (lanes beyond `lanes` in the tail
-// word read as zero), so dst may be a recycled buffer.
-func ToVerticalWideInto(dst [][]uint64, elems [][]uint64, width, lanes int) {
+// ToVerticalWideInto is ToVerticalWide writing into caller-allocated rows
+// at a word offset (see ToVerticalInto): dst must hold at least `width`
+// rows of at least off+Words(lanes) words, and every word of the span is
+// overwritten (lanes beyond `lanes` in the tail word read as zero), so dst
+// may be a recycled buffer.
+func ToVerticalWideInto(dst [][]uint64, off int, elems [][]uint64, width, lanes int) {
 	if width <= 0 {
 		panic("transpose: non-positive width")
 	}
@@ -290,7 +291,7 @@ func ToVerticalWideInto(dst [][]uint64, elems [][]uint64, width, lanes int) {
 					block[i] = e[limb]
 				}
 			}
-			scatterBlock(dst[lo:min(lo+64, width)], base/64, &block, n)
+			scatterBlock(dst[lo:min(lo+64, width)], off+base/64, &block, n)
 		}
 	}
 }

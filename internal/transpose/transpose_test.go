@@ -343,7 +343,7 @@ func TestWideIntoVariantsMatchOnDirtyBuffers(t *testing.T) {
 				rows[b][i] = ^uint64(0)
 			}
 		}
-		ToVerticalWideInto(rows, elems, tc.width, tc.lanes)
+		ToVerticalWideInto(rows, 0, elems, tc.width, tc.lanes)
 		for b := 0; b < tc.width; b++ {
 			for i := range want[b] {
 				if rows[b][i] != want[b][i] {
@@ -385,8 +385,8 @@ func TestWideIntoVariantsPanicOnShortDestinations(t *testing.T) {
 	elems := randWide(rand.New(rand.NewSource(14)), 8, 4)
 	rows := ToVerticalWide(elems, 8, 4)
 	for name, f := range map[string]func(){
-		"to: rows":      func() { ToVerticalWideInto(rows[:7], elems, 8, 4) },
-		"to: elements":  func() { ToVerticalWideInto(rows, elems[:3], 8, 4) },
+		"to: rows":      func() { ToVerticalWideInto(rows[:7], 0, elems, 8, 4) },
+		"to: elements":  func() { ToVerticalWideInto(rows, 0, elems[:3], 8, 4) },
 		"from: lanes":   func() { FromVerticalWideInto(make([][]uint64, 3), make([]uint64, 4), rows, 8, 4) },
 		"from: backing": func() { FromVerticalWideInto(make([][]uint64, 4), make([]uint64, 3), rows, 8, 4) },
 	} {
@@ -530,7 +530,7 @@ func TestEntryPointsMatchTranspose64Reference(t *testing.T) {
 			}
 			rowsEqual(t, "ToVerticalWide", width, lanes, ToVerticalWide(elems, width, lanes), want)
 			dst := dirtyRows(width, words)
-			ToVerticalWideInto(dst, elems, width, lanes)
+			ToVerticalWideInto(dst, 0, elems, width, lanes)
 			rowsEqual(t, "ToVerticalWideInto", width, lanes, dst, want)
 
 			if width <= 64 {

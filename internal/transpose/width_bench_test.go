@@ -40,7 +40,7 @@ func BenchmarkScatterWidth(b *testing.B) {
 			rows := ToVerticalWide(elems, width, benchLanes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ToVerticalWideInto(rows, elems, width, benchLanes)
+				ToVerticalWideInto(rows, 0, elems, width, benchLanes)
 			}
 		})
 	}

@@ -2,11 +2,9 @@ package chopper
 
 import (
 	"context"
-	"math/rand"
 
 	"chopper/internal/fault"
 	"chopper/internal/pool"
-	"chopper/internal/transpose"
 )
 
 // FaultConfig parameterizes the deterministic DRAM fault models (TRA
@@ -108,14 +106,7 @@ func (k *Kernel) ReliabilityCtx(ctx context.Context, trials int, seed int64, cfg
 	rep = &ReliabilityReport{Lanes: lanes}
 
 	// Fault-free timing reference.
-	rng := rand.New(rand.NewSource(seed))
-	base := randWideInputs(rng, k.Inputs, lanes)
-	k.clampAnnotated(base)
-	baseRows := make(map[string][][]uint64, len(base))
-	for _, in := range k.Inputs {
-		baseRows[in.Name] = transpose.ToVerticalWide(base[in.Name], in.Width, lanes)
-	}
-	res, err := k.runRows(ctx, baseRows, lanes, nil)
+	res, err := k.runRows(ctx, k.newTrial(0, seed, lanes).rows(k), lanes, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -128,25 +119,14 @@ func (k *Kernel) ReliabilityCtx(ctx context.Context, trials int, seed int64, cfg
 	// functional replay itself, not per-trial allocation.
 	cells := make([]relCell, len(cfgs)*trials)
 	err = pool.RunCtx(ctx, workers, len(cells), func(j int) error {
-		ci, trial := j/trials, j%trials
-		cfg := cfgs[ci]
-		trng := rand.New(rand.NewSource(trialSeed(seed, j)))
-		inWide := randWideInputs(trng, k.Inputs, lanes)
-		k.clampAnnotated(inWide)
-		rows := make(map[string][][]uint64, len(inWide))
-		for _, in := range k.Inputs {
-			rows[in.Name] = transpose.ToVerticalWide(inWide[in.Name], in.Width, lanes)
-		}
-		res, err := k.runRowsUnderFault(ctx, rows, lanes, cfg, seed+int64(ci)<<16+int64(trial))
+		ci, n := j/trials, j%trials
+		t := k.newTrial(n, trialSeed(seed, j), lanes)
+		res, err := k.runRowsUnderFault(ctx, t.rows(k), lanes, cfgs[ci], seed+int64(ci)<<16+int64(n))
 		if err != nil {
 			return err
 		}
 		cell := relCell{laneErrors: make(map[string]int, len(k.Outputs)), injected: res.Faults, recovery: res.RecoveryStats}
-		got := make(map[string][][]uint64, len(k.Outputs))
-		for _, o := range k.Outputs {
-			got[o.Name] = transpose.FromVerticalWide(res.Rows[o.Name], o.Width, lanes)
-		}
-		if err := k.diffTrial(trial, inWide, got, lanes, func(_ int, out string, _, _ []uint64) bool {
+		if err := k.diffTrial(t, res.Rows, func(_ int, out string, _, _ []uint64) bool {
 			cell.laneErrors[out]++
 			cell.corrupted = true
 			return true

@@ -415,7 +415,7 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 		defer putTileScratch(ts)
 		rows := ts.bindTile(plan, transpose.Words(n))
 		for _, in := range k.Inputs {
-			transpose.ToVerticalWideInto(rows, inputs[in.Name][lo:lo+n], in.Width, n)
+			transpose.ToVerticalWideInto(rows, 0, inputs[in.Name][lo:lo+n], in.Width, n)
 			rows = rows[in.Width:]
 		}
 		outRows := rows[:plan.outRows]

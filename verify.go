@@ -100,6 +100,40 @@ func (k *Kernel) VerifyUnderFaultCtx(ctx context.Context, trials int, seed int64
 	})
 }
 
+// trial is one random-input run of a verification or reliability sweep: its
+// number (for messages), its SIMD width, and the operands drawn for it in
+// wide (limbs-per-lane) layout.
+type trial struct {
+	n      int
+	lanes  int
+	inWide map[string][][]uint64
+}
+
+// newTrial draws trial n's operands from seed alone: random values at the
+// operands' widths, folded into the ranges the kernel was compiled under.
+// Every sweep builds its trials here, so none of them can draw differently.
+func (k *Kernel) newTrial(n int, seed int64, lanes int) trial {
+	inWide := randWideInputs(rand.New(rand.NewSource(seed)), k.Inputs, lanes)
+	k.clampAnnotated(inWide)
+	return trial{n: n, lanes: lanes, inWide: inWide}
+}
+
+// newVerifyTrial is trial n of a Verify sweep: the width comes from
+// verifyLaneSchedule, the operands from (seed, n).
+func (k *Kernel) newVerifyTrial(seed int64, n int) trial {
+	return k.newTrial(n, trialSeed(seed, n), verifyLaneSchedule[n%len(verifyLaneSchedule)])
+}
+
+// rows transposes the trial's operands into vertical layout for a pass of
+// its own.
+func (t trial) rows(k *Kernel) map[string][][]uint64 {
+	rows := make(map[string][][]uint64, len(t.inWide))
+	for _, in := range k.Inputs {
+		rows[in.Name] = transpose.ToVerticalWide(t.inWide[in.Name], in.Width, t.lanes)
+	}
+	return rows
+}
+
 // verifyTrials drives `trials` random-input runs through `run` and
 // compares every output lane against the reference dataflow evaluation.
 // Trials are independent units of work: inputs come from trialSeed(seed,
@@ -112,43 +146,31 @@ func (k *Kernel) verifyTrials(ctx context.Context, trials int, seed int64, worke
 	if trials <= 0 {
 		return optionsErrf("trials must be positive, have %d", trials)
 	}
-	return pool.RunCtx(ctx, workers, trials, func(trial int) error {
-		lanes := verifyLaneSchedule[trial%len(verifyLaneSchedule)]
-		rng := rand.New(rand.NewSource(trialSeed(seed, trial)))
-		inWide := randWideInputs(rng, k.Inputs, lanes)
-		k.clampAnnotated(inWide)
-		rows := make(map[string][][]uint64, len(inWide))
-		for _, in := range k.Inputs {
-			rows[in.Name] = transpose.ToVerticalWide(inWide[in.Name], in.Width, lanes)
-		}
-		res, err := run(trial, rows, lanes)
+	return pool.RunCtx(ctx, workers, trials, func(n int) error {
+		t := k.newVerifyTrial(seed, n)
+		res, err := run(n, t.rows(k), t.lanes)
 		if err != nil {
 			if guard.IsGuard(err) {
 				// Budget/cancellation stops keep their sentinel identity
 				// instead of being re-classed as verification failures.
 				return err
 			}
-			return stagef(ErrVerify, "chopper: verify", "trial %d: %v", trial, err)
+			return stagef(ErrVerify, "chopper: verify", "trial %d: %v", n, err)
 		}
-		got := make(map[string][][]uint64, len(k.Outputs))
-		for _, o := range k.Outputs {
-			got[o.Name] = transpose.FromVerticalWide(res.Rows[o.Name], o.Width, lanes)
-		}
-
-		return k.compareTrial(trial, inWide, got, lanes)
+		return k.compareTrial(t, res.Rows)
 	})
 }
 
-// compareTrial checks one trial's outputs against the reference dataflow
-// evaluation and returns the first discrepancy — lowest lane, then
+// compareTrial checks one trial's output rows against the reference
+// dataflow evaluation and returns the first discrepancy — lowest lane, then
 // k.Outputs order. It is shared between the solo sweep (verifyTrials) and
 // the batched sweep (VerifyBatchCtx) so the two paths report byte-identical
 // discrepancies.
-func (k *Kernel) compareTrial(trial int, inWide, got map[string][][]uint64, lanes int) error {
+func (k *Kernel) compareTrial(t trial, rows map[string][][]uint64) error {
 	var mismatch error
-	err := k.diffTrial(trial, inWide, got, lanes, func(lane int, out string, got, want []uint64) bool {
+	err := k.diffTrial(t, rows, func(lane int, out string, got, want []uint64) bool {
 		mismatch = stagef(ErrVerify, "chopper: verify", "trial %d lane %d: output %q = %v, reference says %v",
-			trial, lane, out, dfg.LimbsBig(got), dfg.LimbsBig(want))
+			t.n, lane, out, dfg.LimbsBig(got), dfg.LimbsBig(want))
 		return false
 	})
 	if err != nil {
@@ -157,7 +179,8 @@ func (k *Kernel) compareTrial(trial int, inWide, got map[string][][]uint64, lane
 	return mismatch
 }
 
-// diffTrial evaluates the reference dataflow semantics on one trial's
+// diffTrial is the one checker of a trial: it gathers the run's vertical
+// output rows, evaluates the reference dataflow semantics on the trial's
 // operands — every lane at once, on the lane-batched evaluator, in the
 // worker's retained arena — and calls report for each (lane, output) whose
 // simulated value differs from it: lanes ascending, k.Outputs order within
@@ -166,12 +189,13 @@ func (k *Kernel) compareTrial(trial int, inWide, got map[string][][]uint64, lane
 // compared, not the slices) and are only valid during the call. Verify and
 // Reliability both compare through here, so a reference-evaluation failure
 // is the same ErrVerify-classed error from either.
-func (k *Kernel) diffTrial(trial int, inWide, got map[string][][]uint64, lanes int, report func(lane int, out string, got, want []uint64) bool) error {
+func (k *Kernel) diffTrial(t trial, rows map[string][][]uint64, report func(lane int, out string, got, want []uint64) bool) error {
+	got := k.gatherWide(rows, t.lanes)
 	plan := k.refPlan()
 	w := workerPool.Get().(*simWorker)
 	defer workerPool.Put(w)
-	if err := plan.EvalLanes(&w.ref, inWide, lanes); err != nil {
-		return stagef(ErrVerify, "chopper: verify", "trial %d: reference eval: %v", trial, err)
+	if err := plan.EvalLanes(&w.ref, t.inWide, t.lanes); err != nil {
+		return stagef(ErrVerify, "chopper: verify", "trial %d: reference eval: %v", t.n, err)
 	}
 	type column struct {
 		name string
@@ -182,11 +206,11 @@ func (k *Kernel) diffTrial(trial int, inWide, got map[string][][]uint64, lanes i
 	for i, o := range k.Outputs {
 		want, ok := plan.Output(&w.ref, o.Name)
 		if !ok {
-			return stagef(ErrVerify, "chopper: verify", "trial %d: reference eval: graph has no output %q", trial, o.Name)
+			return stagef(ErrVerify, "chopper: verify", "trial %d: reference eval: graph has no output %q", t.n, o.Name)
 		}
 		cols[i] = column{name: o.Name, got: got[o.Name], want: want}
 	}
-	for l := 0; l < lanes; l++ {
+	for l := 0; l < t.lanes; l++ {
 		for i := range cols {
 			c := &cols[i]
 			if g, want := c.got[l], c.want.Lane(l); !sameValue(g, want) && !report(l, c.name, g, want) {
