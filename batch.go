@@ -13,8 +13,8 @@ package chopper
 // for N requests. chopperd's internal/serve batcher is the main client.
 //
 // One skeleton, Kernel.pass, carries every host-layout verb: Run and
-// RunWide are passes of one member, RunBatch and RunRowsBatch of N, a
-// coalesced VerifyBatch of one member per trial. The verbs differ only in
+// RunWide are passes of one member, RunBatch and RunRowsBatchCtx of N, a
+// coalesced VerifyBatchCtx of one member per trial. The verbs differ only in
 // the scatter function they hand it (one value per lane, wide limbs, or
 // rows already vertical) and in how they gather their span of the result.
 
@@ -132,7 +132,7 @@ func spanRows(rows [][]uint64, sp laneSpan) [][]uint64 {
 }
 
 // pass is the one skeleton under every host-layout verb — Run, RunWide,
-// RunBatch, RunRowsBatch and the coalesced VerifyBatch: members of counts[i]
+// RunBatch, RunRowsBatchCtx and the coalesced VerifyBatchCtx: members of counts[i]
 // lanes each are laid out as word-aligned spans of one arena, scatter puts
 // member i's operands into its span, the kernel runs ONCE over the combined
 // lanes, and each member gets its span of the output rows beside the pass's
@@ -189,12 +189,6 @@ func (k *Kernel) pass(ctx context.Context, counts []int, scatter func(i int, are
 	return out, nil
 }
 
-// RunRowsBatch executes every member in one simulated device pass over a
-// shared arena (see RunRowsBatchCtx).
-func (k *Kernel) RunRowsBatch(batches []LaneBatch) (res []*RunResult, err error) {
-	return k.RunRowsBatchCtx(nil, batches)
-}
-
 // RunRowsBatchCtx packs the members' vertical operand rows into disjoint
 // word-aligned lane spans of one arena, runs the kernel ONCE over the
 // combined lanes, and demultiplexes each member's output rows and stats.
@@ -247,7 +241,7 @@ func (k *Kernel) RunBatchCtx(ctx context.Context, reqs []BatchRun) (outs []map[s
 	for _, io := range [][]IOSpec{k.Inputs, k.Outputs} {
 		for _, op := range io {
 			if op.Width > 64 {
-				return nil, nil, optionsErrf("operand %q is %d bits wide; Run and RunBatch handle up to 64 (use RunWide or RunRowsBatch)", op.Name, op.Width)
+				return nil, nil, optionsErrf("operand %q is %d bits wide; Run and RunBatch handle up to 64 (use RunWide or RunRowsBatchCtx)", op.Name, op.Width)
 			}
 		}
 	}
@@ -311,11 +305,6 @@ func (k *Kernel) gatherWide(rows map[string][][]uint64, lanes int) map[string][]
 		out[o.Name] = transpose.FromVerticalWide(rows[o.Name], o.Width, lanes)
 	}
 	return out
-}
-
-// VerifyBatch is VerifyBatchCtx without a context.
-func (k *Kernel) VerifyBatch(specs []VerifySpec) (perSpec []error, err error) {
-	return k.VerifyBatchCtx(nil, specs)
 }
 
 // VerifyBatchCtx coalesces N independent verification sweeps into ONE

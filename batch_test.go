@@ -87,7 +87,7 @@ func TestBatchByteIdentityPaperWorkloads(t *testing.T) {
 					}
 					solo[i] = r
 				}
-				batched, err := k.RunRowsBatch(members)
+				batched, err := k.RunRowsBatchCtx(nil, members)
 				if err != nil {
 					t.Fatalf("size %d batched: %v", size, err)
 				}
@@ -222,7 +222,7 @@ func TestBatchBudgetStopMatchesSolo(t *testing.T) {
 	if soloErr == nil {
 		t.Fatal("solo run within a 10-step budget: want a budget stop")
 	}
-	_, batchErr := k.RunRowsBatch(members)
+	_, batchErr := k.RunRowsBatchCtx(nil, members)
 	if batchErr == nil {
 		t.Fatal("batched run within a 10-step budget: want a budget stop")
 	}
@@ -243,13 +243,13 @@ func TestBatchRejectsRecoveryKernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := batchMembersFor(k, 2, 1)
-	if _, err := k.RunRowsBatch(members); err == nil {
+	if _, err := k.RunRowsBatchCtx(nil, members); err == nil {
 		t.Error("multi-member batch accepted a recovery-enabled kernel")
 	} else if ErrorClass(err) != "options" {
 		t.Errorf("recovery rejection classifies as %q, want options", ErrorClass(err))
 	}
 	// A single-member batch is a solo run and keeps recovery support.
-	if _, err := k.RunRowsBatch(members[:1]); err != nil {
+	if _, err := k.RunRowsBatchCtx(nil, members[:1]); err != nil {
 		t.Errorf("single-member batch on a recovery kernel: %v", err)
 	}
 }
@@ -271,7 +271,7 @@ func TestBatchOfOneKeepsRecoveryStats(t *testing.T) {
 	if solo.RecoveryStats.Epochs == 0 || solo.RecoveryStats.WastedUops == 0 || solo.RecoveryStats.CheckpointBytes == 0 {
 		t.Fatalf("solo run reports no recovery activity (%+v); the test is vacuous", solo.RecoveryStats)
 	}
-	rowsOf, err := k.RunRowsBatch([]LaneBatch{{Rows: recRows(t, k, lanes), Lanes: lanes}})
+	rowsOf, err := k.RunRowsBatchCtx(nil, []LaneBatch{{Rows: recRows(t, k, lanes), Lanes: lanes}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,12 +298,12 @@ func TestDeterminismBatchPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := batchMembersFor(k, 7, 42)
-	first, err := k.RunRowsBatch(members)
+	first, err := k.RunRowsBatchCtx(nil, members)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 3; rep++ {
-		again, err := k.RunRowsBatch(batchMembersFor(k, 7, 42))
+		again, err := k.RunRowsBatchCtx(nil, batchMembersFor(k, 7, 42))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func TestBatchOversizedRejected(t *testing.T) {
 	// The first member's rows only cover its generated lanes, but lane
 	// validation happens before operand pasting, so the oversize reject
 	// fires first.
-	if _, err := k.RunRowsBatch(members); err == nil {
+	if _, err := k.RunRowsBatchCtx(nil, members); err == nil {
 		t.Error("batch beyond one row's bitlines was accepted")
 	} else if !strings.Contains(err.Error(), "bitlines") {
 		t.Errorf("unexpected error: %v", err)

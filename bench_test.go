@@ -292,7 +292,7 @@ func BenchmarkVerifyUnderFaultWorkers(b *testing.B) {
 		}
 		b.Run("workers="+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := k.VerifyUnderFaultParallel(32, 7, cfg, workers); err != nil {
+				if err := k.VerifyUnderFaultCtx(nil, 32, 7, cfg, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -309,7 +309,7 @@ func BenchmarkReliabilitySweepWorkers(b *testing.B) {
 		}
 		b.Run("workers="+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := bench.ReliabilitySweepParallel(benchKernel, isa.Ambit, rates, 8, 7, workers); err != nil {
+				if _, _, err := bench.ReliabilitySweepCtx(nil, benchKernel, isa.Ambit, rates, 8, 7, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

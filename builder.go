@@ -39,7 +39,7 @@ func (v Value) Width() int { return v.width }
 func NewBuilder() *Builder { return &Builder{} }
 
 func (b *Builder) errf(format string, args ...interface{}) Value {
-	b.errs = append(b.errs, fmt.Errorf(format, args...))
+	b.errs = append(b.errs, fmt.Errorf("builder: "+format, args...))
 	// Return a placeholder so construction can continue; Compile fails.
 	return Value{id: 0, width: 1}
 }
@@ -53,11 +53,11 @@ func (b *Builder) add(v dfg.Value) Value {
 // Input declares a named input of the given width.
 func (b *Builder) Input(name string, width int) Value {
 	if width < 1 || width > 2048 {
-		return b.errf("chopper: input %q has width %d", name, width)
+		return b.errf("input %q has width %d", name, width)
 	}
 	for _, in := range b.g.Inputs {
 		if b.g.Values[in].Name == name {
-			return b.errf("chopper: duplicate input %q", name)
+			return b.errf("duplicate input %q", name)
 		}
 	}
 	v := b.add(dfg.Value{Kind: dfg.OpInput, Width: width, Name: name})
@@ -73,10 +73,10 @@ func (b *Builder) Const(c uint64, width int) Value {
 // ConstBig builds a constant of arbitrary width.
 func (b *Builder) ConstBig(c *big.Int, width int) Value {
 	if width < 1 || width > 2048 {
-		return b.errf("chopper: constant width %d out of range", width)
+		return b.errf("constant width %d out of range", width)
 	}
 	if c.Sign() < 0 || c.BitLen() > width {
-		return b.errf("chopper: constant %v does not fit in %d bits", c, width)
+		return b.errf("constant %v does not fit in %d bits", c, width)
 	}
 	return b.add(dfg.Value{Kind: dfg.OpConst, Width: width, Imm: new(big.Int).Set(c)})
 }
@@ -87,10 +87,10 @@ func (b *Builder) check(v Value) bool {
 
 func (b *Builder) binary(kind dfg.OpKind, x, y Value, resultWidth int) Value {
 	if !b.check(x) || !b.check(y) {
-		return b.errf("chopper: %s over invalid values", kind)
+		return b.errf("%s over invalid values", kind)
 	}
 	if x.width != y.width {
-		return b.errf("chopper: %s operand widths differ (%d vs %d); use Resize", kind, x.width, y.width)
+		return b.errf("%s operand widths differ (%d vs %d); use Resize", kind, x.width, y.width)
 	}
 	return b.add(dfg.Value{Kind: kind, Width: resultWidth, Args: []dfg.ValueID{x.id, y.id}})
 }
@@ -116,7 +116,7 @@ func (b *Builder) Xor(x, y Value) Value { return b.binary(dfg.OpXor, x, y, x.wid
 // Not returns ^x; Neg returns -x.
 func (b *Builder) Not(x Value) Value {
 	if !b.check(x) {
-		return b.errf("chopper: Not over invalid value")
+		return b.errf("Not over invalid value")
 	}
 	return b.add(dfg.Value{Kind: dfg.OpNot, Width: x.width, Args: []dfg.ValueID{x.id}})
 }
@@ -124,7 +124,7 @@ func (b *Builder) Not(x Value) Value {
 // Neg returns the two's-complement negation.
 func (b *Builder) Neg(x Value) Value {
 	if !b.check(x) {
-		return b.errf("chopper: Neg over invalid value")
+		return b.errf("Neg over invalid value")
 	}
 	return b.add(dfg.Value{Kind: dfg.OpNeg, Width: x.width, Args: []dfg.ValueID{x.id}})
 }
@@ -137,7 +137,7 @@ func (b *Builder) Shr(x Value, k int) Value { return b.shift(dfg.OpShr, x, k) }
 
 func (b *Builder) shift(kind dfg.OpKind, x Value, k int) Value {
 	if !b.check(x) || k < 0 {
-		return b.errf("chopper: bad shift")
+		return b.errf("bad shift")
 	}
 	return b.add(dfg.Value{Kind: kind, Width: x.width, Args: []dfg.ValueID{x.id}, Imm: big.NewInt(int64(k))})
 }
@@ -155,13 +155,13 @@ func (b *Builder) GeS(x, y Value) Value { return b.binary(dfg.OpGeS, x, y, 1) }
 // Mux returns c ? t : f (c must be 1 bit wide).
 func (b *Builder) Mux(c, t, f Value) Value {
 	if !b.check(c) || !b.check(t) || !b.check(f) {
-		return b.errf("chopper: Mux over invalid values")
+		return b.errf("Mux over invalid values")
 	}
 	if c.width != 1 {
-		return b.errf("chopper: Mux condition is %d bits wide, want 1", c.width)
+		return b.errf("Mux condition is %d bits wide, want 1", c.width)
 	}
 	if t.width != f.width {
-		return b.errf("chopper: Mux arm widths differ (%d vs %d)", t.width, f.width)
+		return b.errf("Mux arm widths differ (%d vs %d)", t.width, f.width)
 	}
 	return b.add(dfg.Value{Kind: dfg.OpMux, Width: t.width, Args: []dfg.ValueID{c.id, t.id, f.id}})
 }
@@ -181,7 +181,7 @@ func (b *Builder) Mod(x, y Value) Value { return b.binary(dfg.OpModU, x, y, x.wi
 // PopCount returns the number of set bits (result width = operand width).
 func (b *Builder) PopCount(x Value) Value {
 	if !b.check(x) {
-		return b.errf("chopper: PopCount over invalid value")
+		return b.errf("PopCount over invalid value")
 	}
 	return b.add(dfg.Value{Kind: dfg.OpPopCount, Width: x.width, Args: []dfg.ValueID{x.id}})
 }
@@ -189,7 +189,7 @@ func (b *Builder) PopCount(x Value) Value {
 // Resize zero-extends or truncates to width bits.
 func (b *Builder) Resize(x Value, width int) Value {
 	if !b.check(x) || width < 1 || width > 2048 {
-		return b.errf("chopper: bad Resize to %d bits", width)
+		return b.errf("bad Resize to %d bits", width)
 	}
 	return b.add(dfg.Value{Kind: dfg.OpResize, Width: width, Args: []dfg.ValueID{x.id}})
 }
@@ -197,12 +197,12 @@ func (b *Builder) Resize(x Value, width int) Value {
 // Output registers v as a named kernel output.
 func (b *Builder) Output(name string, v Value) {
 	if !b.check(v) {
-		b.errf("chopper: output %q of invalid value", name)
+		b.errf("output %q of invalid value", name)
 		return
 	}
 	for _, n := range b.g.OutputNames {
 		if n == name {
-			b.errf("chopper: duplicate output %q", name)
+			b.errf("duplicate output %q", name)
 			return
 		}
 	}
@@ -210,7 +210,7 @@ func (b *Builder) Output(name string, v Value) {
 	b.g.OutputNames = append(b.g.OutputNames, name)
 }
 
-// Err returns the accumulated construction errors (nil if none).
+// Err returns the first construction error (nil if none).
 func (b *Builder) Err() error {
 	if len(b.errs) == 0 {
 		return nil
@@ -218,32 +218,26 @@ func (b *Builder) Err() error {
 	return b.errs[0]
 }
 
-// Compile finalizes the graph and compiles it.
-func (b *Builder) Compile(opts Options) (*Kernel, error) {
+// graph finalizes the graph under construction: what the compile driver
+// builds a Builder's kernel from. Its failures are graph-construction
+// failures, which the driver classes ErrNormalize.
+func (b *Builder) graph() (*dfg.Graph, error) {
 	if err := b.Err(); err != nil {
 		return nil, err
 	}
 	if len(b.g.Outputs) == 0 {
-		return nil, fmt.Errorf("chopper: builder has no outputs")
+		return nil, fmt.Errorf("builder: no outputs")
 	}
 	g := b.g
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return CompileGraph(&g, opts)
+	return &g, g.Validate()
+}
+
+// Compile finalizes the graph and compiles it.
+func (b *Builder) Compile(opts Options) (*Kernel, error) {
+	return kernelOf(compile(nil, pipeChopper, "", b.graph, opts))
 }
 
 // CompileBaseline compiles the graph with the hands-tuned methodology.
 func (b *Builder) CompileBaseline(opts Options) (*Kernel, error) {
-	if err := b.Err(); err != nil {
-		return nil, err
-	}
-	if len(b.g.Outputs) == 0 {
-		return nil, fmt.Errorf("chopper: builder has no outputs")
-	}
-	g := b.g
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return CompileBaselineGraph(&g, opts)
+	return kernelOf(compile(nil, pipeBaseline, "", b.graph, opts))
 }

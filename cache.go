@@ -2,32 +2,45 @@ package chopper
 
 import (
 	"context"
-	"strconv"
 	"strings"
 
-	"chopper/internal/guard"
 	"chopper/internal/kcache"
 )
 
 // CacheStats is a snapshot of a KernelCache's hit/miss/eviction counters.
 type CacheStats = kcache.Stats
 
-// KernelCache is a bounded, content-addressed cache of compiled kernels.
-// Keys are SHA-256 addresses of (pipeline, normalized source, canonical
-// Options), so a repeat Compile of the same program costs a map lookup
-// instead of the DSL -> bitslice -> OBS -> codegen pipeline. Kernels are
-// immutable after compilation and the cache is safe for concurrent use,
-// so one cache can serve every goroutine of a server.
+// KernelCache is a bounded cache of compiled kernels keyed on (pipeline,
+// normalized source, the Options value), so a repeat Compile of the same
+// program costs a map lookup instead of the DSL -> bitslice -> OBS ->
+// codegen pipeline. Kernels are immutable after compilation and the cache
+// is safe for concurrent use, so one cache can serve every goroutine of a
+// server.
 //
 // Attach a cache via Options.Cache, or use the process-wide SharedCache.
 type KernelCache struct {
-	c *kcache.Cache[*Kernel]
+	c *kcache.Cache[kernelKey, *Kernel]
+}
+
+// kernelKey is what two compiles must agree on to be the same compile. The
+// Options value is the key as it stands (normalized, its Cache pointer
+// cleared), so a field added to Options is part of the key by construction.
+type kernelKey struct {
+	pipeline pipeline
+	src      string // normalizeSource'd
+	opts     Options
+}
+
+// newKernelKey keys one compile; opts must already be normalized.
+func newKernelKey(p pipeline, src string, opts Options) kernelKey {
+	opts.Cache = nil
+	return kernelKey{p, normalizeSource(src), opts}
 }
 
 // NewKernelCache creates a cache bounded to maxEntries compiled kernels
 // (<= 0 means kcache.DefaultEntries). Eviction is LRU.
 func NewKernelCache(maxEntries int) *KernelCache {
-	return &KernelCache{c: kcache.New[*Kernel](maxEntries)}
+	return &KernelCache{c: kcache.New[kernelKey, *Kernel](maxEntries)}
 }
 
 // Stats returns the cache counters (hits, misses, evictions, entries).
@@ -43,7 +56,7 @@ var sharedCache = NewKernelCache(256)
 //	k, err := chopper.Compile(src, opts) // first call compiles, repeats hit
 func SharedCache() *KernelCache { return sharedCache }
 
-// normalizeSource canonicalizes source text for content addressing: CRLF
+// normalizeSource canonicalizes source text for the cache key: CRLF
 // becomes LF and trailing whitespace (per line and surrounding) is
 // dropped, so formatting-only differences still hit.
 func normalizeSource(src string) string {
@@ -55,146 +68,36 @@ func normalizeSource(src string) string {
 	return strings.TrimSpace(strings.Join(lines, "\n"))
 }
 
-// cacheKey builds the content address for one compilation request. opts
-// must already be normalized; pipeline names the entry point ("chopper",
-// "baseline", "horizontal") since the three back-ends produce different
-// kernels from identical source. Options.Cache itself is deliberately
-// not part of the key.
-func cacheKey(pipeline, src string, opts Options) string {
-	g := opts.Geometry
-	return kcache.Key(
-		pipeline,
-		normalizeSource(src),
-		opts.Target.String(),
-		opts.Opt.String(),
-		opts.Entry,
-		strconv.FormatBool(opts.Harden),
-		strconv.Itoa(g.Banks),
-		strconv.Itoa(g.SubarraysPB),
-		strconv.Itoa(g.RowsPerSub),
-		strconv.Itoa(g.RowBytes),
-		strconv.Itoa(g.ReservedRows),
-		strconv.Itoa(g.Channels),
-		// Budgets change what compiles (a capped emission fails where an
-		// uncapped one succeeds), so they are part of the content address.
-		strconv.Itoa(opts.Budget.MaxMicroOps),
-		strconv.Itoa(opts.Budget.MaxDRAMCommands),
-		strconv.Itoa(opts.Budget.MaxNetGates),
-		strconv.Itoa(opts.Budget.MaxSimSteps),
-		// Recovery options live on the kernel (runs consult them), so two
-		// compiles differing only in recovery must not share an entry.
-		strconv.Itoa(int(opts.Recovery.Detector)),
-		strconv.Itoa(opts.Recovery.EpochUops),
-		strconv.Itoa(opts.Recovery.MaxRetries),
-		strconv.FormatInt(opts.Recovery.Backoff.Nanoseconds(), 10),
-		// Timing-replay options also live on the kernel: RunTiled consults
-		// SALP, the emitter mode and the host-transfer model.
-		strconv.FormatBool(opts.SALP),
-		strconv.Itoa(int(opts.Emitter)),
-		// Narrowing changes the emitted program, so the mode is part of
-		// the content address.
-		strconv.Itoa(int(opts.Narrow)),
-		strconv.FormatFloat(opts.Transfer.ChannelBWGBs, 'g', -1, 64),
-		strconv.FormatFloat(opts.Transfer.DMASetupNs, 'g', -1, 64),
-	)
-}
-
 // CacheOutcome reports how a compile interacted with Options.Cache:
 // served from the cache, deduplicated onto another goroutine's in-flight
-// compile of the same content address, or compiled fresh.
-type CacheOutcome int
+// compile of the same key, or compiled fresh. Its String is "none", "miss",
+// "hit" or "shared".
+type CacheOutcome = kcache.Outcome
 
 const (
 	// CacheNone means no cache was attached (Options.Cache == nil).
-	CacheNone CacheOutcome = iota
+	CacheNone = kcache.None
 	// CacheMiss means this call ran the compile pipeline itself (and, on
 	// success, populated the cache).
-	CacheMiss
+	CacheMiss = kcache.Miss
 	// CacheHit means the kernel was already resident.
-	CacheHit
+	CacheHit = kcache.Hit
 	// CacheShared means this call joined a concurrent identical compile
 	// already in flight and shared its result without compiling.
-	CacheShared
+	CacheShared = kcache.Shared
 )
-
-func (o CacheOutcome) String() string {
-	switch o {
-	case CacheMiss:
-		return "miss"
-	case CacheHit:
-		return "hit"
-	case CacheShared:
-		return "shared"
-	default:
-		return "none"
-	}
-}
 
 // CompileCtxCached is CompileCtx reporting how the kernel cache served
 // the call — the entry point for servers that surface cache behavior per
 // request (chopperd's responses carry the outcome, and its hit-rate
 // metrics are built from it). With no cache attached the outcome is
 // CacheNone and the call is a plain CompileCtx.
-func CompileCtxCached(ctx context.Context, src string, opts Options) (k *Kernel, outcome CacheOutcome, err error) {
-	defer recoverToError(&err)
-	opts = opts.normalize()
-	if err := opts.validate(); err != nil {
-		return nil, CacheNone, err
-	}
-	if err := guard.Ctx(ctx); err != nil {
-		return nil, CacheNone, err
-	}
-	return cachedCompileOutcome("chopper", src, opts, func() (*Kernel, error) {
-		return compileSource(ctx, src, opts)
-	})
+func CompileCtxCached(ctx context.Context, src string, opts Options) (*Kernel, CacheOutcome, error) {
+	return compile(ctx, pipeChopper, src, nil, opts)
 }
 
-// CompileBaselineCached is CompileBaseline reporting the cache outcome
-// (see CompileCtxCached).
-func CompileBaselineCached(src string, opts Options) (k *Kernel, outcome CacheOutcome, err error) {
-	defer recoverToError(&err)
-	opts = opts.normalize()
-	if err := opts.validate(); err != nil {
-		return nil, CacheNone, err
-	}
-	return cachedCompileOutcome("baseline", src, opts, func() (*Kernel, error) {
-		return compileBaselineSource(src, opts)
-	})
-}
-
-// cachedCompile wraps a compile function with the content-addressed
-// lookup when opts carries a cache; otherwise it just compiles.
-func cachedCompile(pipeline, src string, opts Options, compile func() (*Kernel, error)) (*Kernel, error) {
-	k, _, err := cachedCompileOutcome(pipeline, src, opts, compile)
-	return k, err
-}
-
-// cachedCompileOutcome is the single-flight core: concurrent compiles of
-// the same content address perform one pipeline run and share the
-// resulting kernel (kernels are immutable after compilation, so sharing
-// is safe — it is what the cache does on a hit anyway). Compile errors
-// are shared with concurrent waiters but never cached, so a transient
-// failure does not poison the key.
-func cachedCompileOutcome(pipeline, src string, opts Options, compile func() (*Kernel, error)) (*Kernel, CacheOutcome, error) {
-	if opts.Cache == nil {
-		k, err := compile()
-		return k, CacheNone, err
-	}
-	key := cacheKey(pipeline, src, opts)
-	k, out, err := opts.Cache.c.Do(key, compile)
-	if err != nil {
-		return nil, mapOutcome(out), err
-	}
-	return k, mapOutcome(out), nil
-}
-
-func mapOutcome(o kcache.Outcome) CacheOutcome {
-	switch o {
-	case kcache.Hit:
-		return CacheHit
-	case kcache.Shared:
-		return CacheShared
-	default:
-		return CacheMiss
-	}
+// CompileBaselineCached is CompileBaseline under the guard layer (see
+// CompileCtx), reporting the cache outcome (see CompileCtxCached).
+func CompileBaselineCached(ctx context.Context, src string, opts Options) (*Kernel, CacheOutcome, error) {
+	return compile(ctx, pipeBaseline, src, nil, opts)
 }

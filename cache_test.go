@@ -1,8 +1,12 @@
 package chopper
 
 import (
+	"reflect"
 	"sync"
 	"testing"
+	"time"
+
+	"chopper/internal/dram"
 )
 
 const cacheSrc = `
@@ -34,33 +38,90 @@ func TestCacheHitReturnsSameKernel(t *testing.T) {
 	}
 }
 
+// TestCacheKeyCoversOptions walks Options by reflection: the key is the
+// Options value, so every leaf field — nested Geometry, Budget and Recovery
+// included, and any field added later — must split the cache when it alone
+// changes to another valid value. The base sets every field explicitly to a
+// value whose successor is valid too, so the walk needs no per-field table.
 func TestCacheKeyCoversOptions(t *testing.T) {
-	c := NewKernelCache(16)
-	base := Options{Target: Ambit, Cache: c}
-	if _, err := Compile(cacheSrc, base); err != nil {
-		t.Fatal(err)
+	geom := dram.DefaultGeometry()
+	geom.Channels = 1
+	opts := Options{
+		Target:   Ambit,
+		Geometry: geom,
+		Budget:   Budget{MaxMicroOps: 1 << 30, MaxDRAMCommands: 1 << 30, MaxNetGates: 1 << 30, MaxSimSteps: 1 << 30},
+		Recovery: Recovery{Detector: DetectorParity, EpochUops: 128, MaxRetries: 2, Backoff: time.Microsecond},
+	}.WithOpt(OptReuse)
+	compile := func(what string) *Kernel {
+		t.Helper()
+		k, err := Compile(cacheSrc, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return k
 	}
-	variants := []Options{
-		{Target: SIMDRAM, Cache: c},
-		{Target: Ambit, Harden: true, Cache: c},
-		base.WithOpt(OptBitslice), // Cache rides along in the copy
+
+	leaves := 0
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), path+v.Type().Field(i).Name
+			switch {
+			case name == "Cache":
+				continue
+			case f.Kind() == reflect.Struct:
+				walk(f, name+".")
+				continue
+			}
+			leaves++
+			// A cache per leaf: the base entry, then the field alone changed.
+			opts.Cache = NewKernelCache(4)
+			base := compile("base")
+			old := reflect.New(f.Type()).Elem()
+			old.Set(f)
+			switch f.Kind() {
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.String:
+				f.SetString("main") // the entry "" resolves to: the same kernel from another Options value
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			default:
+				t.Fatalf("Options.%s: no perturbation for kind %s; teach this test one", name, f.Kind())
+			}
+			k := compile(name)
+			if got := opts.Cache.Stats().Entries; got != 2 || k == base {
+				t.Errorf("Options.%s: changing it alone did not get its own cache entry (%d entries, want 2)", name, got)
+			}
+			if compile(name+" again") != k {
+				t.Errorf("Options.%s: the repeat compile missed", name)
+			}
+			f.Set(old)
+			if compile("base again") != base {
+				t.Errorf("Options.%s: restoring it does not hit the base entry", name)
+			}
+		}
 	}
-	for i, o := range variants {
-		before := c.Stats().Entries
-		if _, err := Compile(cacheSrc, o); err != nil {
+	walk(reflect.ValueOf(&opts).Elem(), "")
+	t.Logf("%d leaf fields of Options join the key", leaves)
+
+	// The Cache pointer alone is not part of the key.
+	elsewhere := opts.normalize()
+	elsewhere.Cache = NewKernelCache(1)
+	if newKernelKey(pipeChopper, cacheSrc, opts.normalize()) != newKernelKey(pipeChopper, cacheSrc, elsewhere) {
+		t.Error("two Options differing only in Cache have different keys")
+	}
+
+	// Nor do two pipelines share an entry for one (source, Options) pair.
+	const bitwise = "node main(a: u8, b: u8) returns (s: u8) let s = a ^ b; tel"
+	opts.Cache, opts.Recovery = NewKernelCache(4), Recovery{}
+	for _, compile := range []func(string, Options) (*Kernel, error){Compile, CompileBaseline, CompileHorizontal} {
+		if _, err := compile(bitwise, opts); err != nil {
 			t.Fatal(err)
 		}
-		if got := c.Stats().Entries; got != before+1 {
-			t.Errorf("variant %d did not get its own cache entry (%d -> %d)", i, before, got)
-		}
 	}
-	// Different pipelines must not collide either.
-	before := c.Stats().Entries
-	if _, err := CompileBaseline(cacheSrc, Options{Target: Ambit, Cache: c}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().Entries; got != before+1 {
-		t.Error("baseline compile collided with the CHOPPER pipeline entry")
+	if got := opts.Cache.Stats().Entries; got != 3 {
+		t.Errorf("the three pipelines made %d entries of one (source, Options) pair, want 3", got)
 	}
 }
 
@@ -128,7 +189,7 @@ func TestCacheConcurrentCompile(t *testing.T) {
 // TestCacheSingleflightCompile pins the thundering-herd contract at the
 // chopper level: N goroutines compiling the identical (source, Options)
 // pair through one shared cache perform exactly one pipeline run — the
-// duplicated work VerifyParallel-style fan-outs used to do — and all
+// duplicated work VerifyCtx-style fan-outs used to do — and all
 // share the same *Kernel. The accounting identity (1 miss, N-1
 // hits+dedups) holds for every interleaving, so the test is exact, not
 // probabilistic.
@@ -185,7 +246,7 @@ func TestCacheOutcomeReporting(t *testing.T) {
 	if _, out, err := CompileCtxCached(nil, cacheSrc, Options{Target: Ambit}); err != nil || out != CacheNone {
 		t.Fatalf("cache-less compile outcome %v (err %v), want none", out, err)
 	}
-	if _, out, err := CompileBaselineCached(cacheSrc, opts); err != nil || out != CacheMiss {
+	if _, out, err := CompileBaselineCached(nil, cacheSrc, opts); err != nil || out != CacheMiss {
 		t.Fatalf("baseline compile outcome %v (err %v), want miss (own pipeline key)", out, err)
 	}
 }

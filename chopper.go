@@ -15,6 +15,13 @@
 //
 //	k, err := chopper.Compile(src, chopper.Options{Target: chopper.Ambit})
 //	out, err := k.Run(map[string][]uint64{"a": {...}, "b": {...}}, lanes)
+//
+// Every verb has two forms: X(args) is the defaults and XCtx(ctx, args,
+// workers) is everything (Compile/CompileCtx, Verify/VerifyCtx,
+// Reliability/ReliabilityCtx, RunTiled/RunTiledCtx, ...). Every compile goes
+// through one driver and one Options value — the value is the kernel-cache
+// key, and a pipeline rejects the options it cannot honour.
+// testdata/api.golden lists the whole exported surface.
 package chopper
 
 import (
@@ -34,14 +41,12 @@ import (
 	"chopper/internal/dsl"
 	"chopper/internal/fault"
 	"chopper/internal/guard"
-	"chopper/internal/hostmodel"
 	"chopper/internal/isa"
 	"chopper/internal/logic"
 	"chopper/internal/narrow"
 	"chopper/internal/obs"
 	"chopper/internal/sim"
 	"chopper/internal/typecheck"
-	"chopper/internal/vircoe"
 )
 
 // Target identifies a Bit-serial SIMD PUD architecture.
@@ -65,37 +70,6 @@ const (
 	OptReuse    = obs.Reuse
 	OptFull     = obs.Rename
 )
-
-// EmitterMode selects the VIRCOE emitter's assumption about the device
-// when RunTiled interleaves the issue stream (see internal/vircoe): the
-// emitter believes either that banks are the parallel units or that every
-// subarray is one. An assumption that disagrees with the timing model's
-// SALP setting reproduces the paper's Figure 12 degradation; the default
-// keeps them consistent.
-type EmitterMode int
-
-const (
-	// EmitterAuto matches the emitter to the timing model: subarray-aware
-	// when Options.SALP is set, bank-aware otherwise.
-	EmitterAuto EmitterMode = iota
-	// EmitterBankAware assumes banks are parallel and same-bank subarrays
-	// serialize (true on any device).
-	EmitterBankAware
-	// EmitterSubarrayAware assumes every subarray is an independent unit
-	// (true only with Subarray-Level Parallelism enabled).
-	EmitterSubarrayAware
-)
-
-func (m EmitterMode) String() string {
-	switch m {
-	case EmitterBankAware:
-		return "bank-aware"
-	case EmitterSubarrayAware:
-		return "subarray-aware"
-	default:
-		return "auto"
-	}
-}
 
 // NarrowMode selects the precision-inference middle end (internal/narrow):
 // a range/demanded-bits analysis over the dataflow graph that shrinks each
@@ -159,26 +133,6 @@ type NarrowReport struct {
 	ReassocChains   int
 }
 
-// HostTransfer configures the host<->DRAM DMA model RunTiled charges for
-// scattering inputs into the subarrays and gathering outputs back. The
-// zero value selects the evaluation default (one DDR4-2400 channel's
-// 19.2 GB/s per channel, 600 ns DMA setup); a non-zero value must carry a
-// positive bandwidth.
-type HostTransfer struct {
-	// ChannelBWGBs is the sustained host<->DRAM bandwidth of one memory
-	// channel in GB/s; an n-channel geometry streams at n times this.
-	ChannelBWGBs float64
-	// DMASetupNs is the fixed per-DMA-direction overhead in nanoseconds
-	// (descriptor programming, doorbell, completion).
-	DMASetupNs float64
-}
-
-// model converts to the internal transfer model. t must already be
-// normalized (zero value replaced by the default).
-func (t HostTransfer) model() hostmodel.Transfer {
-	return hostmodel.Transfer{ChannelBWGBs: t.ChannelBWGBs, DMASetupNs: t.DMASetupNs}
-}
-
 // Options configure compilation.
 type Options struct {
 	// Target selects the PUD architecture. Default Ambit.
@@ -190,15 +144,12 @@ type Options struct {
 	Geometry dram.Geometry
 	// SALP enables Subarray-Level Parallelism in the timing model: tiled
 	// runs schedule each subarray as an independent unit instead of
-	// serializing same-bank subarrays. Off by default (the base device of
-	// the evaluation has no SALP).
+	// serializing same-bank subarrays, and the VIRCOE emitter interleaves
+	// for the device it is given (subarray-aware with SALP, bank-aware
+	// without; the mismatched pairings of the paper's Figure 12 are an
+	// experiment of internal/bench, not a library option). Off by default
+	// (the base device of the evaluation has no SALP).
 	SALP bool
-	// Emitter selects the VIRCOE emitter mode for tiled runs. The
-	// default, EmitterAuto, follows SALP.
-	Emitter EmitterMode
-	// Transfer is the host<->DRAM DMA cost model for tiled runs; the
-	// zero value selects the evaluation default.
-	Transfer HostTransfer
 	// Entry selects the entry node; "" uses "main" or the last node.
 	Entry string
 	// Harden enables triple-modular-redundancy codegen: the legalized
@@ -207,7 +158,7 @@ type Options struct {
 	// bad AAP copy) is outvoted instead of reaching the output. Costs
 	// roughly 3x the micro-ops plus a vote per output bit; quantify with
 	// Kernel.Reliability and see docs/RELIABILITY.md for the trade-offs.
-	// CHOPPER pipeline only (CompileBaseline rejects it).
+	// CHOPPER back end only (CompileBaseline rejects it).
 	Harden bool
 	// Budget caps resource dimensions (micro-ops emitted, logic-net
 	// gates, simulator steps, DRAM commands) at deterministic
@@ -225,20 +176,21 @@ type Options struct {
 	// NarrowOff, compiles every value at its declared width; NarrowSafe
 	// narrows to provably live bits; NarrowAnnotated additionally trusts
 	// @range annotations. Kernel.Narrow reports what the pass did. See
-	// docs/PERFORMANCE.md ("Precision-adaptive compilation").
+	// docs/PERFORMANCE.md ("Precision-adaptive compilation"). CHOPPER back
+	// end only (CompileBaseline rejects it).
 	Narrow NarrowMode
 	// SetOpt marks Opt as explicitly set (distinguishes OptBitslice, which
 	// is the zero value, from "use the default"). Use WithOpt to build
 	// Options fluently, or set both fields.
 	SetOpt bool
 	// Cache, when non-nil, memoizes compilation: Compile, CompileBaseline
-	// and CompileHorizontal first look up the SHA-256 content address of
-	// (normalized source, canonical options) and return the cached kernel
-	// on a hit, skipping the whole pipeline. Kernels are immutable after
-	// compilation, so a cached kernel is safe to share across goroutines.
-	// The Cache field itself is not part of the cache key. See
-	// NewKernelCache and SharedCache; docs/CONCURRENCY.md has the keying
-	// and eviction contract.
+	// and CompileHorizontal first look up (pipeline, normalized source,
+	// this Options value) and return the cached kernel on a hit, skipping
+	// the whole pipeline. Kernels are immutable after compilation, so a
+	// cached kernel is safe to share across goroutines. Every other field
+	// of Options is part of the key by construction; the Cache field
+	// itself is not. See NewKernelCache and SharedCache;
+	// docs/CONCURRENCY.md has the keying and eviction contract.
 	Cache *KernelCache
 }
 
@@ -257,10 +209,6 @@ func (o Options) normalize() Options {
 	if o.Geometry == (dram.Geometry{}) {
 		o.Geometry = dram.DefaultGeometry()
 	}
-	if o.Transfer == (HostTransfer{}) {
-		def := hostmodel.DefaultTransfer()
-		o.Transfer = HostTransfer{ChannelBWGBs: def.ChannelBWGBs, DMASetupNs: def.DMASetupNs}
-	}
 	o.Recovery = o.Recovery.normalize()
 	return o
 }
@@ -274,35 +222,13 @@ func (o Options) validate() error {
 	if o.Opt < OptBitslice || o.Opt > OptFull {
 		return optionsErrf("unknown optimization level %d", int(o.Opt))
 	}
-	if o.Emitter < EmitterAuto || o.Emitter > EmitterSubarrayAware {
-		return optionsErrf("unknown emitter mode %d", int(o.Emitter))
-	}
 	if o.Narrow < NarrowOff || o.Narrow > NarrowAnnotated {
 		return optionsErrf("unknown narrowing mode %d", int(o.Narrow))
-	}
-	if err := o.Transfer.model().Validate(); err != nil {
-		return optionsErrf("%v", err)
 	}
 	if err := o.Recovery.validate(); err != nil {
 		return err
 	}
 	return o.Geometry.Validate()
-}
-
-// emitterMode resolves Options.Emitter onto the internal emitter mode,
-// following SALP when the mode is EmitterAuto.
-func (o Options) emitterMode() vircoe.Mode {
-	switch o.Emitter {
-	case EmitterBankAware:
-		return vircoe.BankAware
-	case EmitterSubarrayAware:
-		return vircoe.SubarrayAware
-	default:
-		if o.SALP {
-			return vircoe.SubarrayAware
-		}
-		return vircoe.BankAware
-	}
 }
 
 // IOSpec describes one operand of a compiled kernel.
@@ -477,7 +403,7 @@ func (k *Kernel) Prog() *isa.Program { return k.prog }
 //
 // With Options.Cache set, a repeat compile of the same (source, Options)
 // pair returns the previously compiled kernel in O(1).
-func Compile(src string, opts Options) (k *Kernel, err error) {
+func Compile(src string, opts Options) (*Kernel, error) {
 	return CompileCtx(nil, src, opts)
 }
 
@@ -486,12 +412,139 @@ func Compile(src string, opts Options) (k *Kernel, err error) {
 // canceled or deadline-expired context stops the compile promptly with
 // ErrCanceled/ErrDeadline; Options.Budget is enforced at the same
 // checkpoints. A nil ctx disables the cancellation checks.
-func CompileCtx(ctx context.Context, src string, opts Options) (k *Kernel, err error) {
-	k, _, err = CompileCtxCached(ctx, src, opts)
-	return k, err
+func CompileCtx(ctx context.Context, src string, opts Options) (*Kernel, error) {
+	return kernelOf(compile(ctx, pipeChopper, src, nil, opts))
 }
 
-// frontEnd is the one source-to-graph path every compile driver shares:
+// CompileBaseline compiles CHOPPER source with the hands-tuned SIMDRAM
+// methodology instead of the CHOPPER back-end — the comparison target of
+// every experiment in the paper. Options.Harden and Options.Narrow act on
+// the whole-program net and graph the methodology never builds, so it
+// rejects them.
+func CompileBaseline(src string, opts Options) (*Kernel, error) {
+	return kernelOf(compile(nil, pipeBaseline, src, nil, opts))
+}
+
+// CompileGraph compiles an already-built dataflow graph (used by workload
+// generators that synthesize graphs directly).
+func CompileGraph(graph *dfg.Graph, opts Options) (*Kernel, error) {
+	return kernelOf(compile(nil, pipeChopper, "", func() (*dfg.Graph, error) { return graph, nil }, opts))
+}
+
+// CompileBaselineGraph is CompileBaseline for an already-built graph.
+func CompileBaselineGraph(graph *dfg.Graph, opts Options) (*Kernel, error) {
+	return kernelOf(compile(nil, pipeBaseline, "", func() (*dfg.Graph, error) { return graph, nil }, opts))
+}
+
+// kernelOf drops the cache outcome of a compile for the entry points that
+// do not report it.
+func kernelOf(k *Kernel, _ CacheOutcome, err error) (*Kernel, error) { return k, err }
+
+// pipeline names the back end a compile takes. The three produce different
+// kernels from identical source, so the pipeline is part of the cache key.
+type pipeline int
+
+const (
+	pipeChopper    pipeline = iota // Compile: bit-slice, OBS, codegen
+	pipeBaseline                   // CompileBaseline: hands-tuned, per multi-bit operation
+	pipeHorizontal                 // CompileHorizontal: pipeChopper over the width-1 graph
+)
+
+// honours rejects the options p's back end has no way to act on: an option
+// dropped in silence is a kernel that is not what the caller asked for. The
+// hands-tuned methodology lowers one multi-bit operation at a time, so it
+// has neither a whole-program net to triplicate nor a use for a graph
+// narrowed below its declared widths.
+func (p pipeline) honours(opts Options) error {
+	switch {
+	case p != pipeBaseline:
+		return nil
+	case opts.Harden:
+		return stagef(ErrCodegen, "chopper: baseline", "Harden is not supported by the hands-tuned methodology")
+	case opts.Narrow != NarrowOff:
+		return stagef(ErrCodegen, "chopper: baseline", "Narrow is not supported by the hands-tuned methodology")
+	}
+	return nil
+}
+
+// compile is the one driver under every Compile* entry point and both
+// Builder methods. It owns the prologue — panic recovery, option defaults,
+// option validation, what the pipeline honours, the first look at ctx, the
+// kernel cache — so all three pipelines observe ctx and every Budget
+// dimension at the same checkpoints, and no entry point can forget a step.
+// The program is DSL source, or, when built is non-nil, a graph made
+// directly (a Builder, a workload generator); built graphs have no text to
+// key on and are not cached.
+func compile(ctx context.Context, p pipeline, src string, built func() (*dfg.Graph, error), opts Options) (k *Kernel, outcome CacheOutcome, err error) {
+	defer recoverToError(&err)
+	opts = opts.normalize()
+	if err := opts.validate(); err != nil {
+		return nil, CacheNone, err
+	}
+	if err := p.honours(opts); err != nil {
+		return nil, CacheNone, err
+	}
+	if err := guard.Ctx(ctx); err != nil {
+		return nil, CacheNone, err
+	}
+	lower := func() (*Kernel, error) { return p.lower(ctx, src, built, opts) }
+	if opts.Cache == nil || built != nil {
+		k, err = lower()
+		return k, CacheNone, err
+	}
+	// Single flight: concurrent compiles of one key perform one pipeline
+	// run and share the kernel (kernels are immutable after compilation, so
+	// sharing is what a hit does anyway). Errors reach concurrent waiters
+	// but are never cached, so a transient failure does not poison the key.
+	return opts.Cache.c.Do(newKernelKey(p, src, opts), lower)
+}
+
+// lower is everything past the prologue: front end (or the built graph),
+// then p's back end.
+func (p pipeline) lower(ctx context.Context, src string, built func() (*dfg.Graph, error), opts Options) (*Kernel, error) {
+	var (
+		prog   *dsl.Program
+		entry  string
+		graph  *dfg.Graph
+		ranges map[string]narrow.Range
+		err    error
+	)
+	if built == nil {
+		prog, entry, graph, err = frontEnd(src, opts)
+	} else if graph, err = built(); err != nil {
+		// A graph that could not be built is the failure dfg.BuildNode
+		// reports for source: same stage, same class.
+		err = stage(ErrNormalize, "chopper: normalize", err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	switch p {
+	case pipeBaseline:
+		return compileBaselineGraph(ctx, prog, graph, opts)
+	case pipeHorizontal:
+		// @range annotations bound an operand's value, not the packed bit
+		// the horizontal layout makes of it: none are trusted here.
+		if graph, err = horizontalGraph(graph); err != nil {
+			return nil, err
+		}
+	case pipeChopper:
+		if prog == nil || opts.Narrow != NarrowAnnotated {
+			break // no annotations to trust, or none asked for
+		}
+		if e := prog.Lookup(entry); e != nil {
+			for name, r := range typecheck.InputRanges(e) {
+				if ranges == nil {
+					ranges = make(map[string]narrow.Range)
+				}
+				ranges[name] = narrow.Range{Lo: r.Lo, Hi: r.Hi}
+			}
+		}
+	}
+	return compileGraph(ctx, prog, entry, graph, opts, ranges)
+}
+
+// frontEnd is the one source-to-graph path every pipeline shares:
 // parse and expand, typecheck, resolve the entry node (opts.Entry, else the
 // program's own) and normalize it into a dataflow graph. Failures are
 // classed by stage (ErrParse, ErrTypecheck, ErrNormalize).
@@ -517,25 +570,6 @@ func frontEnd(src string, opts Options) (*dsl.Program, string, *dfg.Graph, error
 		return nil, "", nil, stage(ErrNormalize, "chopper: normalize", err)
 	}
 	return prog, entry, graph, nil
-}
-
-func compileSource(ctx context.Context, src string, opts Options) (*Kernel, error) {
-	prog, entry, graph, err := frontEnd(src, opts)
-	if err != nil {
-		return nil, err
-	}
-	var ranges map[string]narrow.Range
-	if opts.Narrow == NarrowAnnotated {
-		if e := prog.Lookup(entry); e != nil {
-			for name, r := range typecheck.InputRanges(e) {
-				if ranges == nil {
-					ranges = make(map[string]narrow.Range)
-				}
-				ranges[name] = narrow.Range{Lo: r.Lo, Hi: r.Hi}
-			}
-		}
-	}
-	return compileGraph(ctx, prog, entry, graph, opts, ranges)
 }
 
 // compileGraph drives the graceful-degradation ladder: it attempts the
@@ -711,11 +745,16 @@ func compileGraphAt(ctx context.Context, ws *workspace, prog *dsl.Program, graph
 		return nil, err
 	}
 
-	k := &Kernel{
-		Opts: opts, Program: prog, Graph: graph, Net: leg, Code: code,
-		prog: code.Prog, inputTag: code.InputTag, outputTag: code.OutputTag,
-		constPattern: code.ConstPattern,
-	}
+	k := newKernel(opts, prog, graph)
+	k.Net, k.Code = leg, code
+	k.prog, k.inputTag, k.outputTag, k.constPattern = code.Prog, code.InputTag, code.OutputTag, code.ConstPattern
+	return k, nil
+}
+
+// newKernel starts a kernel with graph's operands as its interface; the
+// back end that called it fills in the program.
+func newKernel(opts Options, prog *dsl.Program, graph *dfg.Graph) *Kernel {
+	k := &Kernel{Opts: opts, Program: prog, Graph: graph}
 	for _, in := range graph.Inputs {
 		v := graph.Values[in]
 		k.Inputs = append(k.Inputs, IOSpec{Name: v.Name, Width: v.Width})
@@ -723,18 +762,7 @@ func compileGraphAt(ctx context.Context, ws *workspace, prog *dsl.Program, graph
 	for i, o := range graph.Outputs {
 		k.Outputs = append(k.Outputs, IOSpec{Name: graph.OutputNames[i], Width: graph.Values[o].Width})
 	}
-	return k, nil
-}
-
-// CompileGraph compiles an already-built dataflow graph (used by workload
-// generators that synthesize graphs directly).
-func CompileGraph(graph *dfg.Graph, opts Options) (k *Kernel, err error) {
-	defer recoverToError(&err)
-	opts = opts.normalize()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	return compileGraph(nil, nil, "", graph, opts, nil)
+	return k
 }
 
 // splitBit parses "name[3]" into ("name", 3).
@@ -897,64 +925,24 @@ func (k *Kernel) Stats() codegen.Stats {
 	return k.Code.Stats
 }
 
-// CompileBaseline compiles CHOPPER source with the hands-tuned SIMDRAM
-// methodology instead of the CHOPPER back-end — the comparison target of
-// every experiment in the paper.
-func CompileBaseline(src string, opts Options) (k *Kernel, err error) {
-	k, _, err = CompileBaselineCached(src, opts)
-	return k, err
-}
-
-func compileBaselineSource(src string, opts Options) (*Kernel, error) {
-	prog, _, graph, err := frontEnd(src, opts)
-	if err != nil {
-		return nil, err
-	}
-	k, err := compileBaselineGraph(graph, opts)
-	if err != nil {
-		return nil, err
-	}
-	k.Program = prog
-	return k, nil
-}
-
-// CompileBaselineGraph is CompileBaseline for an already-built graph.
-func CompileBaselineGraph(graph *dfg.Graph, opts Options) (k *Kernel, err error) {
-	defer recoverToError(&err)
-	opts = opts.normalize()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	return compileBaselineGraph(graph, opts)
-}
-
-func compileBaselineGraph(graph *dfg.Graph, opts Options) (*Kernel, error) {
-	if opts.Harden {
-		return nil, stagef(ErrCodegen, "chopper: baseline", "Harden is not supported by the hands-tuned methodology")
-	}
+// compileBaselineGraph is the hands-tuned back end: baseline.Generate under
+// the same ctx and micro-op budget codegen.Generate observes, checked per
+// multi-bit operation.
+func compileBaselineGraph(ctx context.Context, prog *dsl.Program, graph *dfg.Graph, opts Options) (*Kernel, error) {
 	res, err := baseline.Generate(graph, baseline.Options{
-		Arch:  opts.Target,
-		DRows: opts.Geometry.DRows(),
+		Arch:   opts.Target,
+		DRows:  opts.Geometry.DRows(),
+		MaxOps: opts.Budget.MaxMicroOps,
+		Ctx:    ctx,
 	})
+	if guard.IsGuard(err) {
+		return nil, err
+	}
 	if err != nil {
 		return nil, stage(ErrCodegen, "chopper: baseline", err)
 	}
-	// The baseline generator has no emission-time checkpoint; enforce the
-	// micro-op budget on its finished program instead.
-	if err := guard.Check(guard.DimMicroOps, opts.Budget.MaxMicroOps, len(res.Prog.Ops)); err != nil {
-		return nil, err
-	}
-	k := &Kernel{
-		Opts: opts, Graph: graph, Baseline: res,
-		prog: res.Prog, inputTag: res.InputTag, outputTag: res.OutputTag,
-		constPattern: res.ConstPattern,
-	}
-	for _, in := range graph.Inputs {
-		v := graph.Values[in]
-		k.Inputs = append(k.Inputs, IOSpec{Name: v.Name, Width: v.Width})
-	}
-	for i, o := range graph.Outputs {
-		k.Outputs = append(k.Outputs, IOSpec{Name: graph.OutputNames[i], Width: graph.Values[o].Width})
-	}
+	k := newKernel(opts, prog, graph)
+	k.Baseline = res
+	k.prog, k.inputTag, k.outputTag, k.constPattern = res.Prog, res.InputTag, res.OutputTag, res.ConstPattern
 	return k, nil
 }

@@ -128,10 +128,37 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("unknown -opt error does not list valid values:\n%s", out)
 	}
 
+	// One parser reads target and level names for every tool: chopperc takes
+	// them in any case, as choppersim and chopperd do, and names the valid
+	// values when it refuses one.
+	if out, err := exec.Command(chopperc, "-opt", "RENAME", "-target", "Ambit", "-dump", "stats", src).CombinedOutput(); err != nil {
+		t.Errorf("chopperc -opt RENAME -target Ambit: %v\n%s", err, out)
+	}
+	out, err = exec.Command(chopperc, "-target", "foo", src).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "ambit, elp2im, simdram") {
+		t.Errorf("chopperc -target foo: %v, want an error naming the three targets:\n%s", err, out)
+	}
+	out, err = exec.Command(chopperc, "-opt", "turbo", src).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "bitslice, schedule, reuse, rename") {
+		t.Errorf("chopperc -opt turbo: %v, want an error naming the four levels:\n%s", err, out)
+	}
+
+	// An option the chosen pipeline cannot honour is an error, not a line
+	// claiming a pass "fell back" that never ran.
+	out, err = exec.Command(choppersim, "-baseline", "-narrow", "safe", src).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 ||
+		!strings.Contains(string(out), "Narrow is not supported by the hands-tuned methodology") ||
+		strings.Contains(string(out), "fell back") {
+		t.Errorf("choppersim -baseline -narrow safe: %v, want exit status 1 and the rejection:\n%s", err, out)
+	}
+	if out, err := exec.Command(choppersim, "-baseline", src).CombinedOutput(); err != nil {
+		t.Errorf("choppersim -baseline: %v\n%s", err, out)
+	}
+
 	// The retired benchmark modes are gone, not hidden: the flag package
 	// rejects -bench as undefined (exit status 2).
 	out, err = exec.Command(choppersim, "-bench", src).CombinedOutput()
-	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "not defined") {
 		t.Errorf("choppersim -bench: %v, want exit status 2 for an undefined flag:\n%s", err, out)
 	}

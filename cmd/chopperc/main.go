@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	chopper "chopper"
 	"chopper/internal/dsl"
@@ -40,11 +39,11 @@ func main() {
 		fatal(err)
 	}
 
-	arch, err := parseArch(*target)
+	arch, err := isa.ParseArch(*target)
 	if err != nil {
 		fatal(err)
 	}
-	lv, err := parseOpt(*opt)
+	lv, err := obs.ParseVariant(*opt)
 	if err != nil {
 		fatal(err)
 	}
@@ -126,27 +125,6 @@ func readSource(path string) (string, error) {
 	}
 	b, err := os.ReadFile(path)
 	return string(b), err
-}
-
-func parseArch(s string) (isa.Arch, error) {
-	switch strings.ToLower(s) {
-	case "ambit":
-		return isa.Ambit, nil
-	case "elp2im":
-		return isa.ELP2IM, nil
-	case "simdram":
-		return isa.SIMDRAM, nil
-	}
-	return 0, fmt.Errorf("unknown target %q", s)
-}
-
-func parseOpt(s string) (obs.Variant, error) {
-	for _, v := range obs.AllVariants {
-		if v.String() == s {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown optimization level %q", s)
 }
 
 func fatal(err error) {

@@ -4,35 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"chopper/internal/isa"
-	"chopper/internal/obs"
 )
-
-func TestParseArch(t *testing.T) {
-	cases := map[string]isa.Arch{"ambit": isa.Ambit, "ELP2IM": isa.ELP2IM, "SimDram": isa.SIMDRAM}
-	for s, want := range cases {
-		got, err := parseArch(s)
-		if err != nil || got != want {
-			t.Errorf("parseArch(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := parseArch("pentium"); err == nil {
-		t.Error("bogus arch accepted")
-	}
-}
-
-func TestParseOpt(t *testing.T) {
-	for _, v := range obs.AllVariants {
-		got, err := parseOpt(v.String())
-		if err != nil || got != v {
-			t.Errorf("parseOpt(%q) = %v, %v", v, got, err)
-		}
-	}
-	if _, err := parseOpt("turbo"); err == nil {
-		t.Error("bogus level accepted")
-	}
-}
 
 func TestReadSource(t *testing.T) {
 	dir := t.TempDir()

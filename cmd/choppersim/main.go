@@ -108,10 +108,9 @@ func main() {
 		fatal(err)
 	}
 
-	archs := map[string]isa.Arch{"ambit": isa.Ambit, "elp2im": isa.ELP2IM, "simdram": isa.SIMDRAM}
-	arch, ok := archs[strings.ToLower(*target)]
-	if !ok {
-		fatal(fmt.Errorf("unknown -target %q (valid: ambit, elp2im, simdram)", *target))
+	arch, err := isa.ParseArch(*target)
+	if err != nil {
+		fatal(err)
 	}
 	if *lanes <= 0 {
 		fatal(fmt.Errorf("-lanes must be positive, got %d", *lanes))
@@ -120,17 +119,9 @@ func main() {
 		runAsm(string(srcBytes), arch, *lanes)
 		return
 	}
-	var lv obs.Variant
-	found := false
-	var valid []string
-	for _, v := range obs.AllVariants {
-		valid = append(valid, v.String())
-		if v.String() == *opt {
-			lv, found = v, true
-		}
-	}
-	if !found {
-		fatal(fmt.Errorf("unknown -opt %q (valid: %s)", *opt, strings.Join(valid, ", ")))
+	lv, err := obs.ParseVariant(*opt)
+	if err != nil {
+		fatal(err)
 	}
 
 	// Wire -timeout and -max-uops to the guard layer: the context bounds
@@ -163,13 +154,12 @@ func main() {
 	// the serving-path counters a long-lived embedder would see (a one-shot
 	// invocation records one miss).
 	opts.Cache = chopper.SharedCache()
-	var k *chopper.Kernel
-	compileStart := time.Now()
+	compile := chopper.CompileCtxCached
 	if *baselineFlag {
-		k, err = chopper.CompileBaseline(string(srcBytes), opts)
-	} else {
-		k, err = chopper.CompileCtx(ctx, string(srcBytes), opts)
+		compile = chopper.CompileBaselineCached
 	}
+	compileStart := time.Now()
+	k, _, err := compile(ctx, string(srcBytes), opts)
 	compileWall := time.Since(compileStart)
 	if err != nil {
 		fatalGuard(err)
@@ -241,12 +231,7 @@ func main() {
 			// kernel cache on repeats) anchors the micro-ops-saved figure.
 			wide := opts
 			wide.Narrow = chopper.NarrowOff
-			var base *chopper.Kernel
-			if *baselineFlag {
-				base, err = chopper.CompileBaseline(string(srcBytes), wide)
-			} else {
-				base, err = chopper.CompileCtx(ctx, string(srcBytes), wide)
-			}
+			base, err := chopper.CompileCtx(ctx, string(srcBytes), wide)
 			line := fmt.Sprintf("narrowing (%s): %d declared -> %d live bits across %d values",
 				k.Narrow.Mode, k.Narrow.DeclaredBits, k.Narrow.LiveBits, k.Narrow.Values)
 			if err == nil && len(base.Prog().Ops) > 0 {

@@ -91,6 +91,65 @@ func TestSentinelErrorCodegen(t *testing.T) {
 	}
 }
 
+// An option a pipeline cannot honour is rejected, never dropped: the
+// baseline refuses Narrow in the class and form it refuses Harden, from
+// every entry point that reaches it.
+func TestBaselineRejectsWhatItCannotHonour(t *testing.T) {
+	b := NewBuilder()
+	b.Output("z", b.Add(b.Input("a", 8), b.Input("b", 8)))
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{Harden: true}, "chopper: baseline: Harden is not supported by the hands-tuned methodology"},
+		{Options{Narrow: NarrowSafe}, "chopper: baseline: Narrow is not supported by the hands-tuned methodology"},
+		{Options{Narrow: NarrowAnnotated}, "chopper: baseline: Narrow is not supported by the hands-tuned methodology"},
+	} {
+		_, errSrc := CompileBaseline(errAdderSrc, tc.opts)
+		_, _, errCached := CompileBaselineCached(nil, errAdderSrc, tc.opts)
+		_, errBuilt := b.CompileBaseline(tc.opts)
+		for _, err := range []error{errSrc, errCached, errBuilt} {
+			if err == nil || err.Error() != tc.want || ErrorClass(err) != "codegen" {
+				t.Errorf("%+v: error %v (class %q), want %q (class \"codegen\")", tc.opts, err, ErrorClass(err), tc.want)
+			}
+		}
+	}
+	// The CHOPPER and horizontal back ends honour both.
+	if _, err := Compile(errAdderSrc, Options{Harden: true, Narrow: NarrowSafe}); err != nil {
+		t.Errorf("Compile: %v", err)
+	}
+}
+
+// A Builder's failures are graph-construction failures: classed
+// ErrNormalize, the stage that reports them for source, by both of its
+// compile methods.
+func TestBuilderErrorsAreClassed(t *testing.T) {
+	empty := NewBuilder()
+	empty.Input("a", 8)
+	dup := NewBuilder()
+	dup.Output("z", dup.Add(dup.Input("a", 8), dup.Input("a", 8)))
+	invalid := NewBuilder() // a zero Value handle passes the Builder's checks and fails Graph.Validate
+	invalid.Input("a", 8)
+	invalid.Output("z", invalid.Not(Value{}))
+	for _, tc := range []struct {
+		name string
+		b    *Builder
+		want string
+	}{
+		{"no outputs", empty, "chopper: normalize: builder: no outputs"},
+		{"duplicate input", dup, `chopper: normalize: builder: duplicate input "a"`},
+		{"invalid graph", invalid, "chopper: normalize: dfg: "},
+	} {
+		_, errC := tc.b.Compile(Options{})
+		_, errB := tc.b.CompileBaseline(Options{})
+		for _, err := range []error{errC, errB} {
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) || !errors.Is(err, ErrNormalize) || ErrorClass(err) != "normalize" {
+				t.Errorf("%s: error %v (class %q), want prefix %q, class \"normalize\"", tc.name, err, ErrorClass(err), tc.want)
+			}
+		}
+	}
+}
+
 // Panics inside the pipeline must surface as ErrInternal errors, never as
 // crashes escaping the public API.
 func TestCompileGraphNilRecovers(t *testing.T) {
@@ -373,7 +432,7 @@ func TestRunShapeErrorsAreTheCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = wk.Run(map[string][]uint64{"a": make([]uint64, 64)}, 64)
-	const want = `chopper: options: operand "z" is 65 bits wide; Run and RunBatch handle up to 64 (use RunWide or RunRowsBatch)`
+	const want = `chopper: options: operand "z" is 65 bits wide; Run and RunBatch handle up to 64 (use RunWide or RunRowsBatchCtx)`
 	if err == nil || err.Error() != want {
 		t.Errorf("65-bit output: error %v, want %s", err, want)
 	}

@@ -11,6 +11,7 @@ import (
 	"chopper/internal/codegen"
 	"chopper/internal/isa"
 	"chopper/internal/obs"
+	"chopper/internal/workloads"
 )
 
 const guardAdderSrc = `
@@ -83,6 +84,97 @@ func TestCompileBaselineBudget(t *testing.T) {
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Dimension != DimMicroOps {
 		t.Fatalf("want a %s BudgetError, got %v", DimMicroOps, err)
+	}
+}
+
+// TestCompileBaselineBudgetStopsEarly: the hands-tuned generator checks the
+// micro-op budget after every multi-bit operation, as codegen does after
+// every gate, so a capped compile stops within one operation's routine of
+// its limit instead of generating the whole program (1,157,545 micro-ops on
+// DenseNet-128) and measuring it afterwards.
+func TestCompileBaselineBudgetStopsEarly(t *testing.T) {
+	spec, _ := workloads.Get("DenseNet-128")
+	_, err := CompileBaseline(spec.Src, Options{Budget: Budget{MaxMicroOps: 1000}})
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Dimension != DimMicroOps {
+		t.Fatalf("want a %s BudgetError, got %v", DimMicroOps, err)
+	}
+	// DenseNet's costliest operation is an 8-bit multiply: a few hundred
+	// micro-ops.
+	if over := be.Count - be.Limit; over <= 0 || over > 1000 {
+		t.Fatalf("generation overran the budget by %d micro-ops, want at most one operation's worth: %+v", over, be)
+	}
+}
+
+// pollCtx is a live context that reports cancellation from its n-th Err
+// call on: a deterministic stand-in for a cancel landing mid-compile.
+type pollCtx struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls++; c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCompileBaselineCancelDeadline: the baseline pipeline observes its
+// context like the CHOPPER one — before any work (the cache is never
+// consulted), and between multi-bit operations once generating.
+func TestCompileBaselineCancelDeadline(t *testing.T) {
+	cache := NewKernelCache(4)
+	opts := Options{Cache: cache}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, _, err := CompileBaselineCached(expired, guardAdderSrc, opts); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("expired deadline: error %v does not match ErrDeadline", err)
+	}
+	canceled, cancel2 := context.WithCancel(context.Background())
+	cancel2()
+	if _, _, err := CompileBaselineCached(canceled, guardAdderSrc, opts); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled: error %v does not match ErrCanceled", err)
+	}
+	if s := cache.Stats(); s.Misses != 0 || s.Entries != 0 {
+		t.Fatalf("a dead context reached the cache: %+v", s)
+	}
+
+	// Poll 1 is the driver's prologue; every later one is the generator's
+	// per-operation checkpoint. A cancel seen at poll 3 stops the compile
+	// there: nothing polls again.
+	spec, _ := workloads.Get("DenseNet-128")
+	mid := &pollCtx{Context: context.Background(), cancelAt: 3}
+	if _, _, err := CompileBaselineCached(mid, spec.Src, Options{}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("mid-generation cancel: error %v does not match ErrCanceled", err)
+	}
+	if mid.polls != 3 {
+		t.Fatalf("generation polled its context %d times after a cancel at poll 3", mid.polls)
+	}
+	live := &pollCtx{Context: context.Background(), cancelAt: 1 << 30}
+	k, _, err := CompileBaselineCached(live, spec.Src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ops := k.Graph.OpCount(); live.polls < ops {
+		t.Fatalf("%d context polls over %d multi-bit operations: not one checkpoint per operation", live.polls, ops)
+	}
+}
+
+// TestCompileHorizontalCancelDeadline: the horizontal pipeline has no
+// ctx-taking entry point of its own, but under the shared driver it observes
+// the context it is given like the other two.
+func TestCompileHorizontalCancelDeadline(t *testing.T) {
+	const src = "node main(a: u8, b: u8) returns (z: u8) let z = a ^ b; tel"
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := compile(canceled, pipeHorizontal, src, nil, Options{}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled: error %v does not match ErrCanceled", err)
+	}
+	// Poll 1 is the prologue; the back end's first checkpoint sees poll 2.
+	mid := &pollCtx{Context: context.Background(), cancelAt: 2}
+	if _, _, err := compile(mid, pipeHorizontal, src, nil, Options{}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("cancel past the prologue: error %v does not match ErrCanceled (the back end got no context)", err)
 	}
 }
 

@@ -28,23 +28,8 @@ import (
 // that applies there applies here: Options.Harden, every Options.Budget
 // dimension, the @noreuse annotation and the degradation ladder, with
 // failures classed by stage and internal panics surfacing as ErrInternal.
-func CompileHorizontal(src string, opts Options) (k *Kernel, err error) {
-	defer recoverToError(&err)
-	opts = opts.normalize()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	return cachedCompile("horizontal", src, opts, func() (*Kernel, error) {
-		prog, entry, graph, err := frontEnd(src, opts)
-		if err != nil {
-			return nil, err
-		}
-		hg, err := horizontalGraph(graph)
-		if err != nil {
-			return nil, err
-		}
-		return compileGraph(nil, prog, entry, hg, opts, nil)
-	})
+func CompileHorizontal(src string, opts Options) (*Kernel, error) {
+	return kernelOf(compile(nil, pipeHorizontal, src, nil, opts))
 }
 
 // horizontalGraph converts a bitwise dataflow graph into its width-1

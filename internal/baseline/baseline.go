@@ -19,12 +19,14 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 
 	"chopper/internal/alloc"
 	"chopper/internal/bitslice"
 	"chopper/internal/codegen"
 	"chopper/internal/dfg"
+	"chopper/internal/guard"
 	"chopper/internal/isa"
 	"chopper/internal/logic"
 	"chopper/internal/obs"
@@ -35,6 +37,12 @@ type Options struct {
 	Arch isa.Arch
 	// DRows is the number of usable D-group rows per subarray.
 	DRows int
+	// MaxOps, when positive, caps the generated program's micro-ops (the
+	// guard.DimMicroOps dimension) and Ctx, when non-nil, is observed for
+	// cancellation, as in codegen.Options. Both are checked after every
+	// multi-bit operation, so a stop overruns by at most one routine.
+	MaxOps int
+	Ctx    context.Context
 }
 
 // Stats summarizes the generated program.
@@ -237,6 +245,12 @@ func Generate(g *dfg.Graph, opts Options) (*Result, error) {
 			}
 			nextSlot = ns
 		}
+		if err := guard.Ctx(opts.Ctx); err != nil {
+			return nil, err
+		}
+		if err := guard.Check(guard.DimMicroOps, opts.MaxOps, len(prog.Ops)); err != nil {
+			return nil, err
+		}
 	}
 
 	// Epilog: read results back.
@@ -257,6 +271,9 @@ func Generate(g *dfg.Graph, opts Options) (*Result, error) {
 		}
 	}
 
+	if err := guard.Check(guard.DimMicroOps, opts.MaxOps, len(prog.Ops)); err != nil {
+		return nil, err
+	}
 	prog.SpillSlots = nextSlot
 	prog.DRowsUsed = scan.MaxRows + scratch
 	if err := prog.Validate(opts.DRows); err != nil {

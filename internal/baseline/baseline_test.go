@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"chopper/internal/dfg"
 	"chopper/internal/dram"
 	"chopper/internal/dsl"
+	"chopper/internal/guard"
 	"chopper/internal/isa"
 	"chopper/internal/sim"
 	"chopper/internal/typecheck"
@@ -286,5 +288,41 @@ tel`)
 	}
 	if firstConstWrite < firstAP {
 		t.Errorf("constant written at op %d, before any computation (op %d): not just-in-time", firstConstWrite, firstAP)
+	}
+}
+
+// TestBaselineBudgetCheckedPerOperation: MaxOps is enforced after every
+// multi-bit operation, so a capped generation stops within one operation's
+// routine of the limit. The program is a chain of identical 8-bit adds, so
+// one operation's cost is the uncapped total over the chain length, rounded
+// up.
+func TestBaselineBudgetCheckedPerOperation(t *testing.T) {
+	g := buildGraph(t, `
+node main(a: u8, b: u8) returns (z: u8)
+vars t1: u8, t2: u8, t3: u8, t4: u8, t5: u8, t6: u8, t7: u8;
+let
+  t1 = a + b; t2 = t1 + b; t3 = t2 + b; t4 = t3 + b;
+  t5 = t4 + b; t6 = t5 + b; t7 = t6 + b; z = t7 + b;
+tel`)
+	opts := Options{Arch: isa.Ambit, DRows: dram.DefaultGeometry().DRows()}
+	full, err := Generate(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := len(full.Prog.Ops)
+	perOp := (total + g.OpCount() - 1) / g.OpCount()
+	opts.MaxOps = total / 2
+	_, err = Generate(g, opts)
+	var be *guard.BudgetError
+	if !errors.As(err, &be) || be.Dimension != guard.DimMicroOps {
+		t.Fatalf("want a %s BudgetError, got %v", guard.DimMicroOps, err)
+	}
+	if be.Count <= be.Limit || be.Count > be.Limit+perOp {
+		t.Fatalf("stopped at %d micro-ops under a limit of %d; one operation is at most %d", be.Count, be.Limit, perOp)
+	}
+	// A limit the program fits is no limit.
+	opts.MaxOps = total
+	if _, err := Generate(g, opts); err != nil {
+		t.Fatalf("limit == program length: %v", err)
 	}
 }

@@ -37,7 +37,7 @@ type RecoveryPoint struct {
 	TimeOverhead float64
 }
 
-// RecoveryCoverageSweep measures the coverage-versus-overhead trade-off of
+// RecoveryCoverageSweepCtx measures the coverage-versus-overhead trade-off of
 // the self-healing execution layer on one kernel source: the kernel is
 // compiled unprotected, TMR-hardened, and recovery-enabled with each
 // detector, then every variant runs `trials` random-input runs under each
@@ -51,14 +51,10 @@ type RecoveryPoint struct {
 // static cost on every run; epoch recovery buys comparable coverage for
 // transient faults at ~1x (parity, storage faults only) to ~2x (vote) by
 // paying for redundancy only where the detector demands it.
-func RecoveryCoverageSweep(src string, arch isa.Arch, trials int, seed int64) (*Table, []RecoveryPoint, error) {
-	return RecoveryCoverageSweepCtx(nil, src, arch, trials, seed, 0)
-}
-
-// RecoveryCoverageSweepCtx is RecoveryCoverageSweep under the guard layer
-// with an explicit worker count (<= 0 means GOMAXPROCS); a canceled or
-// deadline-expired context stops the sweep with the guard sentinel and no
-// partial table.
+//
+// The grids run on `workers` workers (<= 0 means GOMAXPROCS); a canceled
+// or deadline-expired ctx (nil disables the checks) stops the sweep with
+// the guard sentinel and no partial table.
 func RecoveryCoverageSweepCtx(ctx context.Context, src string, arch isa.Arch, trials int, seed int64, workers int) (*Table, []RecoveryPoint, error) {
 	wrap := func(what string, err error) error {
 		if guard.IsGuard(err) {

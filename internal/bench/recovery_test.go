@@ -27,7 +27,7 @@ func recoveryCell(t *testing.T, points []RecoveryPoint, model, policy string) Re
 func TestFaultCampaignSmoke(t *testing.T) {
 	// Seed and trial count are chosen so every detector engages on this
 	// deterministic campaign; the run stays cheap enough for -race CI.
-	tbl, points, err := RecoveryCoverageSweep(sweepSrc, isa.Ambit, 12, 42)
+	tbl, points, err := RecoveryCoverageSweepCtx(nil, sweepSrc, isa.Ambit, 12, 42, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRecoveryCoverageAcceptance(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown workload %s", name)
 		}
-		_, points, err := RecoveryCoverageSweep(spec.Src, isa.Ambit, trials, 23)
+		_, points, err := RecoveryCoverageSweepCtx(nil, spec.Src, isa.Ambit, trials, 23, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -9,7 +9,7 @@ import (
 	"chopper/internal/isa"
 )
 
-// ReliabilitySweep measures silent-data-corruption rates for one kernel
+// ReliabilitySweepCtx measures silent-data-corruption rates for one kernel
 // source across a grid of TRA fault rates, compiled both plain and with TMR
 // hardening. It returns a table (series "plain" and "tmr", one row per
 // rate, values = SDC rate over `trials` runs) and the TMR latency overhead
@@ -30,24 +30,12 @@ import (
 // voted version buys back for its ~3x op count.
 //
 // The rates x trials grid is embarrassingly parallel and fans out across
-// GOMAXPROCS workers; results are byte-identical at any worker count. Use
-// ReliabilitySweepParallel to pin the worker count.
-func ReliabilitySweep(src string, arch isa.Arch, rates []float64, trials int, seed int64) (*Table, float64, error) {
-	return ReliabilitySweepParallel(src, arch, rates, trials, seed, 0)
-}
-
-// ReliabilitySweepParallel is ReliabilitySweep with an explicit worker
-// count (<= 0 means GOMAXPROCS).
-func ReliabilitySweepParallel(src string, arch isa.Arch, rates []float64, trials int, seed int64, workers int) (*Table, float64, error) {
-	return ReliabilitySweepCtx(nil, src, arch, rates, trials, seed, workers)
-}
-
-// ReliabilitySweepCtx is ReliabilitySweepParallel under the guard layer:
-// both compiles and both reliability grids observe ctx, so a canceled or
-// deadline-expired context stops the sweep promptly with the
-// chopper.ErrCanceled/ErrDeadline sentinel (unwrapped, so errors.Is works
-// on the return) and a nil table — a half-measured sweep is never
-// reported as a result.
+// `workers` workers (<= 0 means GOMAXPROCS); results are byte-identical at
+// any worker count. Both compiles and both reliability grids observe a
+// non-nil ctx, so a canceled or deadline-expired context stops the sweep
+// promptly with the chopper.ErrCanceled/ErrDeadline sentinel (unwrapped,
+// so errors.Is works on the return) and a nil table — a half-measured
+// sweep is never reported as a result.
 func ReliabilitySweepCtx(ctx context.Context, src string, arch isa.Arch, rates []float64, trials int, seed int64, workers int) (*Table, float64, error) {
 	wrap := func(what string, err error) error {
 		if guard.IsGuard(err) {

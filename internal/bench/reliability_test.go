@@ -19,7 +19,7 @@ tel`
 
 func TestReliabilitySweep(t *testing.T) {
 	rates := []float64{0, 1}
-	tbl, overhead, err := ReliabilitySweep(sweepSrc, isa.Ambit, rates, 6, 7)
+	tbl, overhead, err := ReliabilitySweepCtx(nil, sweepSrc, isa.Ambit, rates, 6, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +123,12 @@ func TestReliabilitySweepCtxDeadline(t *testing.T) {
 // byte-identical at any worker count (CI runs this under -cpu 1,4).
 func TestDeterminismReliabilitySweepAcrossWorkers(t *testing.T) {
 	rates := []float64{0, 0.5, 1}
-	ref, refOverhead, err := ReliabilitySweepParallel(sweepSrc, isa.Ambit, rates, 5, 7, 1)
+	ref, refOverhead, err := ReliabilitySweepCtx(nil, sweepSrc, isa.Ambit, rates, 5, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		tbl, overhead, err := ReliabilitySweepParallel(sweepSrc, isa.Ambit, rates, 5, 7, workers)
+		tbl, overhead, err := ReliabilitySweepCtx(nil, sweepSrc, isa.Ambit, rates, 5, 7, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -310,8 +310,8 @@ type Engine struct {
 	// SSDDelay, when non-nil, is consulted for the extra latency of spill
 	// ops; it receives the direction, the spill slot, and the time the
 	// request reaches the SSD, and returns the extra nanoseconds beyond
-	// the DRAM/bus component. Wired to the ssd package by the simulator so
-	// this package stays dependency-light.
+	// the DRAM/bus component. Wired to the ssd package by the engine's owner
+	// (internal/bench's wave timing) so this package stays dependency-light.
 	SSDDelay func(out bool, slot uint64, startNs float64) float64
 
 	stats EngineStats

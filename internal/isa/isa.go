@@ -15,7 +15,10 @@
 //     activate up to three rows at once (a TRA).
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Row identifies a row within a subarray. Non-negative values address the
 // D-group (row index within the data region); negative values address the
@@ -281,6 +284,17 @@ func (a Arch) String() string {
 
 // AllArchs lists every supported architecture in evaluation order.
 var AllArchs = []Arch{Ambit, ELP2IM, SIMDRAM}
+
+// ParseArch is String's inverse, case-insensitive: the one place a target
+// name typed on a command line or sent in a request is read.
+func ParseArch(s string) (Arch, error) {
+	for _, a := range AllArchs {
+		if strings.EqualFold(s, a.String()) {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown target %q (valid: %s)", s, strings.ToLower(strings.Join(archNames[:], ", ")))
+}
 
 // SupportsMajority reports whether the architecture exposes 3-input
 // majority as a directly programmable primitive (true only for SIMDRAM;

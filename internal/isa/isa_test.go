@@ -196,3 +196,20 @@ func TestArchProperties(t *testing.T) {
 		t.Error("arch names wrong")
 	}
 }
+
+func TestParseArch(t *testing.T) {
+	for s, want := range map[string]Arch{"ambit": Ambit, "ELP2IM": ELP2IM, "SimDram": SIMDRAM} {
+		if got, err := ParseArch(s); err != nil || got != want {
+			t.Errorf("ParseArch(%q) = %v, %v", s, got, err)
+		}
+	}
+	for _, a := range AllArchs {
+		if got, err := ParseArch(a.String()); err != nil || got != a {
+			t.Errorf("ParseArch(%q) = %v, %v: not String's inverse", a, got, err)
+		}
+	}
+	_, err := ParseArch("pentium")
+	if err == nil || !strings.Contains(err.Error(), "ambit, elp2im, simdram") {
+		t.Errorf("bogus arch: error %v does not list the valid names", err)
+	}
+}

@@ -1,11 +1,11 @@
-// Package kcache implements a content-addressed, bounded LRU cache with
-// single-flight computation.
+// Package kcache implements a bounded LRU cache with single-flight
+// computation.
 //
-// Keys are SHA-256 content addresses built from the canonical parts of
-// whatever produced the value (for compiled kernels: the normalized
-// source text plus every Options field that affects code generation), so
-// two semantically identical compile requests collide on purpose and the
-// second one costs a map lookup instead of the full pipeline. Do adds
+// Keys are comparable values holding the canonical parts of whatever
+// produced the value (for compiled kernels: the pipeline, the normalized
+// source text and the Options value itself), so two semantically identical
+// compile requests collide on purpose and the second one costs a map
+// lookup instead of the full pipeline. Do adds
 // the thundering-herd defense a server needs: N concurrent requests for
 // the same missing key perform one computation and share its result.
 // The cache is safe for concurrent use and keeps hit/miss/eviction/dedup
@@ -14,29 +14,12 @@ package kcache
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"fmt"
+	"errors"
 	"sync"
 )
 
 // DefaultEntries is the bound used when New is given a non-positive size.
 const DefaultEntries = 128
-
-// Key hashes the given components into a content address. Components are
-// length-prefixed before hashing so ("ab","c") and ("a","bc") cannot
-// collide.
-func Key(parts ...string) string {
-	h := sha256.New()
-	var n [8]byte
-	for _, p := range parts {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
@@ -47,22 +30,22 @@ type Stats struct {
 	Entries   int    // entries currently resident
 }
 
-// Cache is a bounded LRU cache from content address to V. The zero value
+// Cache is a bounded LRU cache from K to V. The zero value
 // is not usable; construct with New.
-type Cache[V any] struct {
+type Cache[K comparable, V any] struct {
 	mu        sync.Mutex
 	max       int
 	ll        *list.List // front = most recently used
-	items     map[string]*list.Element
-	flights   map[string]*flight[V]
+	items     map[K]*list.Element
+	flights   map[K]*flight[V]
 	hits      uint64
 	misses    uint64
 	evictions uint64
 	dedups    uint64
 }
 
-type entry[V any] struct {
-	key string
+type entry[K comparable, V any] struct {
+	key K
 	val V
 }
 
@@ -75,26 +58,26 @@ type flight[V any] struct {
 }
 
 // New creates a cache bounded to max entries (<= 0 means DefaultEntries).
-func New[V any](max int) *Cache[V] {
+func New[K comparable, V any](max int) *Cache[K, V] {
 	if max <= 0 {
 		max = DefaultEntries
 	}
-	return &Cache[V]{
+	return &Cache[K, V]{
 		max:     max,
 		ll:      list.New(),
-		items:   make(map[string]*list.Element, max),
-		flights: make(map[string]*flight[V]),
+		items:   make(map[K]*list.Element, max),
+		flights: make(map[K]*flight[V]),
 	}
 }
 
 // Get returns the value stored under key, marking it most recently used.
-func (c *Cache[V]) Get(key string) (V, bool) {
+func (c *Cache[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.hits++
 		c.ll.MoveToFront(el)
-		return el.Value.(*entry[V]).val, true
+		return el.Value.(*entry[K, V]).val, true
 	}
 	c.misses++
 	var zero V
@@ -104,15 +87,15 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // Put stores val under key, evicting the least recently used entry if the
 // cache is full. Re-putting an existing key refreshes its value and
 // recency without evicting.
-func (c *Cache[V]) Put(key string, val V) {
+func (c *Cache[K, V]) Put(key K, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.putLocked(key, val)
 }
 
-func (c *Cache[V]) putLocked(key string, val V) {
+func (c *Cache[K, V]) putLocked(key K, val V) {
 	if el, ok := c.items[key]; ok {
-		el.Value.(*entry[V]).val = val
+		el.Value.(*entry[K, V]).val = val
 		c.ll.MoveToFront(el)
 		return
 	}
@@ -120,11 +103,11 @@ func (c *Cache[V]) putLocked(key string, val V) {
 		oldest := c.ll.Back()
 		if oldest != nil {
 			c.ll.Remove(oldest)
-			delete(c.items, oldest.Value.(*entry[V]).key)
+			delete(c.items, oldest.Value.(*entry[K, V]).key)
 			c.evictions++
 		}
 	}
-	c.items[key] = c.ll.PushFront(&entry[V]{key: key, val: val})
+	c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, val: val})
 }
 
 // Do returns the value stored under key, computing it with fn on a miss.
@@ -136,12 +119,12 @@ func (c *Cache[V]) putLocked(key string, val V) {
 // waiters, never a deadlock.
 //
 // The returned Outcome says how the call was served.
-func (c *Cache[V]) Do(key string, fn func() (V, error)) (V, Outcome, error) {
+func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, Outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.hits++
 		c.ll.MoveToFront(el)
-		v := el.Value.(*entry[V]).val
+		v := el.Value.(*entry[K, V]).val
 		c.mu.Unlock()
 		return v, Hit, nil
 	}
@@ -172,7 +155,7 @@ func (c *Cache[V]) Do(key string, fn func() (V, error)) (V, Outcome, error) {
 			// Release the waiters before the panic unwinds through the
 			// caller's recovery; they get an error, not a hung channel.
 			var zero V
-			finish(zero, fmt.Errorf("kcache: computation for %s panicked", key))
+			finish(zero, errors.New("kcache: computation panicked"))
 		}
 	}()
 	val, err := fn()
@@ -185,8 +168,11 @@ func (c *Cache[V]) Do(key string, fn func() (V, error)) (V, Outcome, error) {
 type Outcome int
 
 const (
+	// None is the zero value: no cache took part (Do never returns it; a
+	// caller that may run without a cache reports it for that case).
+	None Outcome = iota
 	// Miss means this caller ran the computation itself.
-	Miss Outcome = iota
+	Miss
 	// Hit means the value was already resident.
 	Hit
 	// Shared means this caller joined another caller's in-flight
@@ -196,24 +182,19 @@ const (
 
 func (o Outcome) String() string {
 	switch o {
+	case Miss:
+		return "miss"
 	case Hit:
 		return "hit"
 	case Shared:
 		return "shared"
 	default:
-		return "miss"
+		return "none"
 	}
 }
 
-// Len returns the number of resident entries.
-func (c *Cache[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Stats returns a snapshot of the counters.
-func (c *Cache[V]) Stats() Stats {
+func (c *Cache[K, V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Dedups: c.dedups, Entries: c.ll.Len()}

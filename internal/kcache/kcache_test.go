@@ -2,40 +2,37 @@ package kcache
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-func TestKeyIsPositional(t *testing.T) {
-	if Key("ab", "c") == Key("a", "bc") {
-		t.Fatal("length prefixing failed: shifted parts collide")
-	}
-	if Key("x") != Key("x") {
-		t.Fatal("Key is not deterministic")
-	}
-	if len(Key()) != 64 {
-		t.Fatalf("key length %d, want 64 hex chars", len(Key()))
-	}
+// key is the shape of key the cache's clients use: a comparable struct of
+// the parts that produced the value (the kernel cache keys on pipeline,
+// source and the Options value; the service's batcher on its eight parts).
+type key struct {
+	name string
+	n    int
 }
 
+func k(name string) key { return key{name: name, n: len(name)} }
+
 func TestLRUEvictionOrder(t *testing.T) {
-	c := New[int](2)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	if _, ok := c.Get("a"); !ok { // refresh a; b becomes oldest
+	c := New[key, int](2)
+	c.Put(k("a"), 1)
+	c.Put(k("b"), 2)
+	if _, ok := c.Get(k("a")); !ok { // refresh a; b becomes oldest
 		t.Fatal("a missing")
 	}
-	c.Put("c", 3) // evicts b
-	if _, ok := c.Get("b"); ok {
+	c.Put(k("c"), 3) // evicts b
+	if _, ok := c.Get(k("b")); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if v, ok := c.Get("a"); !ok || v != 1 {
+	if v, ok := c.Get(k("a")); !ok || v != 1 {
 		t.Fatalf("a = %d,%v", v, ok)
 	}
-	if v, ok := c.Get("c"); !ok || v != 3 {
+	if v, ok := c.Get(k("c")); !ok || v != 3 {
 		t.Fatalf("c = %d,%v", v, ok)
 	}
 	s := c.Stats()
@@ -50,13 +47,13 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestPutExistingRefreshes(t *testing.T) {
-	c := New[string](2)
-	c.Put("k", "v1")
-	c.Put("k", "v2")
-	if c.Len() != 1 {
-		t.Fatalf("len %d, want 1 (re-put must not duplicate)", c.Len())
+	c := New[key, string](2)
+	c.Put(k("k"), "v1")
+	c.Put(k("k"), "v2")
+	if c.Stats().Entries != 1 {
+		t.Fatalf("len %d, want 1 (re-put must not duplicate)", c.Stats().Entries)
 	}
-	if v, _ := c.Get("k"); v != "v2" {
+	if v, _ := c.Get(k("k")); v != "v2" {
 		t.Fatalf("got %q, want refreshed v2", v)
 	}
 	if s := c.Stats(); s.Evictions != 0 {
@@ -65,12 +62,12 @@ func TestPutExistingRefreshes(t *testing.T) {
 }
 
 func TestDefaultBound(t *testing.T) {
-	c := New[int](0)
+	c := New[key, int](0)
 	for i := 0; i < DefaultEntries+10; i++ {
-		c.Put(fmt.Sprint(i), i)
+		c.Put(key{n: i}, i)
 	}
-	if c.Len() != DefaultEntries {
-		t.Fatalf("len %d, want %d", c.Len(), DefaultEntries)
+	if c.Stats().Entries != DefaultEntries {
+		t.Fatalf("len %d, want %d", c.Stats().Entries, DefaultEntries)
 	}
 }
 
@@ -80,7 +77,7 @@ func TestDefaultBound(t *testing.T) {
 // and exactly one underlying computation runs.
 func TestDoSingleflightBarrier(t *testing.T) {
 	const n = 16
-	c := New[int](8)
+	c := New[key, int](8)
 	var computes atomic.Int64
 	var arrived sync.WaitGroup // goroutines that have reached their Do call
 	arrived.Add(n)
@@ -97,7 +94,7 @@ func TestDoSingleflightBarrier(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			arrived.Done()
-			v, o, err := c.Do("k", fn)
+			v, o, err := c.Do(k("k"), fn)
 			if err != nil {
 				t.Errorf("Do: %v", err)
 			}
@@ -125,7 +122,7 @@ func TestDoSingleflightBarrier(t *testing.T) {
 		t.Fatalf("stats %+v: want 1 miss and %d hits+dedups", s, n-1)
 	}
 	// The result is now resident: a late caller hits without computing.
-	if v, o, err := c.Do("k", fn); err != nil || v != 42 || o != Hit {
+	if v, o, err := c.Do(k("k"), fn); err != nil || v != 42 || o != Hit {
 		t.Fatalf("late Do = %d,%v,%v, want 42,Hit,nil", v, o, err)
 	}
 	if computes.Load() != 1 {
@@ -134,15 +131,15 @@ func TestDoSingleflightBarrier(t *testing.T) {
 }
 
 func TestDoErrorSharedNotCached(t *testing.T) {
-	c := New[int](8)
+	c := New[key, int](8)
 	boom := errors.New("boom")
 	var computes atomic.Int64
-	_, o, err := c.Do("k", func() (int, error) { computes.Add(1); return 0, boom })
+	_, o, err := c.Do(k("k"), func() (int, error) { computes.Add(1); return 0, boom })
 	if !errors.Is(err, boom) || o != Miss {
 		t.Fatalf("first Do = %v,%v, want boom,Miss", o, err)
 	}
 	// Errors are not cached: the next Do retries and can succeed.
-	v, o, err := c.Do("k", func() (int, error) { computes.Add(1); return 7, nil })
+	v, o, err := c.Do(k("k"), func() (int, error) { computes.Add(1); return 7, nil })
 	if err != nil || v != 7 || o != Miss {
 		t.Fatalf("retry Do = %d,%v,%v, want 7,Miss,nil", v, o, err)
 	}
@@ -152,14 +149,14 @@ func TestDoErrorSharedNotCached(t *testing.T) {
 }
 
 func TestDoPanicReleasesWaiters(t *testing.T) {
-	c := New[int](8)
+	c := New[key, int](8)
 	var inFlight sync.WaitGroup
 	inFlight.Add(1)
 	release := make(chan struct{})
 	waiterDone := make(chan error, 1)
 	go func() {
 		defer func() { recover() }()
-		c.Do("k", func() (int, error) {
+		c.Do(k("k"), func() (int, error) {
 			inFlight.Done()
 			<-release
 			panic("kaboom")
@@ -167,7 +164,7 @@ func TestDoPanicReleasesWaiters(t *testing.T) {
 	}()
 	inFlight.Wait()
 	go func() {
-		_, _, err := c.Do("k", func() (int, error) { return 1, nil })
+		_, _, err := c.Do(k("k"), func() (int, error) { return 1, nil })
 		waiterDone <- err
 	}()
 	// Wait until the waiter has joined the flight (Dedups ticks on join)
@@ -180,7 +177,7 @@ func TestDoPanicReleasesWaiters(t *testing.T) {
 		t.Fatal("waiter on a panicked flight got a nil error")
 	}
 	// The flight is cleaned up: a fresh Do computes normally.
-	if v, _, err := c.Do("k", func() (int, error) { return 9, nil }); err != nil || v != 9 {
+	if v, _, err := c.Do(k("k"), func() (int, error) { return 9, nil }); err != nil || v != 9 {
 		t.Fatalf("post-panic Do = %d,%v", v, err)
 	}
 }
@@ -188,16 +185,16 @@ func TestDoPanicReleasesWaiters(t *testing.T) {
 func TestConcurrentAccess(t *testing.T) {
 	// Exercised further by `go test -race`: hammer the cache from many
 	// goroutines and make sure counters stay coherent.
-	c := New[int](32)
+	c := New[key, int](32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				k := fmt.Sprint(i % 48)
+				k := key{n: i % 48}
 				if v, ok := c.Get(k); ok && v != i%48 {
-					t.Errorf("key %s holds %d", k, v)
+					t.Errorf("key %v holds %d", k, v)
 				}
 				c.Put(k, i%48)
 			}

@@ -18,6 +18,7 @@ package obs
 
 import (
 	"fmt"
+	"strings"
 	"unsafe"
 
 	"chopper/internal/logic"
@@ -48,6 +49,18 @@ func (v Variant) String() string {
 
 // AllVariants lists the breakdown levels in cumulative order.
 var AllVariants = []Variant{Bitslice, Schedule, Reuse, Rename}
+
+// ParseVariant is String's inverse, case-insensitive: the one place an
+// optimization-level name typed on a command line or sent in a request is
+// read.
+func ParseVariant(s string) (Variant, error) {
+	for _, v := range AllVariants {
+		if strings.EqualFold(s, v.String()) {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown optimization level %q (valid: %s)", s, strings.Join(variantNames[:], ", "))
+}
 
 // Full is the complete CHOPPER optimization level.
 const Full = Rename

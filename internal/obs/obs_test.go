@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -156,5 +157,19 @@ func TestScheduleEmptyNet(t *testing.T) {
 	n := b.Net()
 	if got := ScheduleGates(n, true); len(got) != 0 {
 		t.Errorf("passthrough net scheduled %d gates", len(got))
+	}
+}
+
+func TestParseVariant(t *testing.T) {
+	for _, v := range AllVariants {
+		for _, s := range []string{v.String(), strings.ToUpper(v.String())} {
+			if got, err := ParseVariant(s); err != nil || got != v {
+				t.Errorf("ParseVariant(%q) = %v, %v", s, got, err)
+			}
+		}
+	}
+	_, err := ParseVariant("turbo")
+	if err == nil || !strings.Contains(err.Error(), "bitslice, schedule, reuse, rename") {
+		t.Errorf("bogus level: error %v does not list the valid names", err)
 	}
 }

@@ -37,13 +37,11 @@ package serve
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
 	"chopper"
 	"chopper/internal/guard"
-	"chopper/internal/kcache"
 	"chopper/internal/transpose"
 )
 
@@ -51,7 +49,7 @@ import (
 // key. Lock ordering: batcher.mu before svcBatch.mu.
 type batcher struct {
 	mu   sync.Mutex
-	open map[string]*svcBatch
+	open map[batchKey]*svcBatch
 }
 
 // batchMember is one request waiting inside a batch. The handler
@@ -74,7 +72,7 @@ type batchMember struct {
 
 // svcBatch is one forming-or-executing coalesced pass.
 type svcBatch struct {
-	key   string
+	key   batchKey
 	kind  string
 	class Class
 
@@ -91,13 +89,22 @@ type svcBatch struct {
 	full      chan struct{} // closed when the batch reaches MaxBatchSize
 }
 
-// batchKey hashes everything that must agree for two requests to share
-// one compiled kernel and one device pass.
-func batchKey(kind string, class Class, p *reqPlan, req *Request) string {
-	return kcache.Key("serve-batch", kind, class.String(),
-		strconv.Itoa(int(p.target)), p.effOpt.String(),
-		strconv.FormatBool(p.baseline), strconv.FormatBool(p.opts.Harden),
-		req.Entry, req.Source)
+// batchKey is everything that must agree for two requests to share one
+// compiled kernel and one device pass; the struct itself indexes the open
+// batches, so a part added here cannot be left out of the comparison.
+type batchKey struct {
+	kind     string
+	class    Class
+	target   chopper.Target
+	effOpt   chopper.OptLevel
+	baseline bool
+	harden   bool
+	entry    string
+	source   string
+}
+
+func keyOf(kind string, class Class, p *reqPlan, req *Request) batchKey {
+	return batchKey{kind, class, p.target, p.effOpt, p.baseline, p.opts.Harden, req.Entry, req.Source}
 }
 
 // runBatched is the member side of a coalesced execution: join (or
@@ -124,7 +131,7 @@ func (s *Server) runBatched(ctx context.Context, kind string, req *Request, plan
 // joinBatch adds m to the open batch for its key, sealing full batches,
 // or opens a fresh batch (and its executor goroutine) when none fits.
 func (s *Server) joinBatch(kind string, class Class, cc ClassConfig, m *batchMember) *svcBatch {
-	key := batchKey(kind, class, m.plan, m.req)
+	key := keyOf(kind, class, m.plan, m.req)
 	// The operand words m adds to the shared arena: its lane span for a
 	// run, the sum of its trials' lane spans for a verify sweep. Only the
 	// field batchEligible bounded for this kind is read: a run's Trials is

@@ -432,3 +432,82 @@ func TestBatchedRunIgnoresTrials(t *testing.T) {
 			solo.Outputs, batched.Outputs, solo.TimeNs, batched.TimeNs)
 	}
 }
+
+// TestBatchKeyCoversItsParts: the struct that indexes the open batches is
+// the compatibility key, so two requests differing in any one of its parts
+// never share a pass. The walk is over the struct's own fields: a part
+// added to batchKey needs a row here before this test passes again.
+func TestBatchKeyCoversItsParts(t *testing.T) {
+	s := New(batchedConfig(150*time.Millisecond, 2))
+	type in struct {
+		kind  string
+		class Class
+		req   Request
+	}
+	keyFor := func(v in) batchKey {
+		t.Helper()
+		p, err := s.planRequest(&v.req, s.tenantFor(v.req.Tenant), s.cfg.Classes[v.class])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return keyOf(v.kind, v.class, p, &v.req)
+	}
+	base := in{kind: "run", class: Batch, req: Request{Source: addSrc}}
+	change := map[string]func(*in){
+		"kind":     func(v *in) { v.kind = "verify" },
+		"class":    func(v *in) { v.class = Interactive },
+		"target":   func(v *in) { v.req.Target = "simdram" },
+		"effOpt":   func(v *in) { v.req.Opt = "reuse" },
+		"baseline": func(v *in) { v.req.Baseline = true },
+		"harden":   func(v *in) { v.req.Harden = true },
+		"entry":    func(v *in) { v.req.Entry = "main" },
+		"source":   func(v *in) { v.req.Source = addSrc + " " },
+	}
+	want := reflect.ValueOf(keyFor(base))
+	for i := 0; i < want.NumField(); i++ {
+		name := want.Type().Field(i).Name
+		f, ok := change[name]
+		if !ok {
+			t.Errorf("batchKey.%s: no request in this test differs in it alone", name)
+			continue
+		}
+		v := base
+		f(&v)
+		got := reflect.ValueOf(keyFor(v))
+		for j := 0; j < got.NumField(); j++ {
+			if same := got.Field(j).Equal(want.Field(j)); same == (i == j) {
+				t.Errorf("changing %s alone: key part %s equal = %v", name, got.Type().Field(j).Name, same)
+			}
+		}
+	}
+	if keyFor(base) != keyFor(in{kind: "run", class: Batch, req: Request{Source: addSrc, Tenant: "other", Lanes: 9, Seed: 4}}) {
+		t.Error("tenant, lanes or seed split the key; identical programs from different tenants must coalesce")
+	}
+
+	// On the wire: a pair differing in one part runs as two passes of one,
+	// an identical pair as one pass of two.
+	h := s.Handler()
+	ab := map[string][]uint64{"a": {1, 2}, "b": {3, 4}}
+	pair := func(name string, other Request) {
+		t.Helper()
+		one := Request{Source: addSrc, Lanes: 2, Inputs: ab}
+		other.Lanes, other.Inputs = 2, ab
+		codes, resps := postConcurrently(t, h, "run", []*Request{&one, &other})
+		wantSize := 1
+		if name == "" {
+			wantSize = 2
+		}
+		for i := range resps {
+			if codes[i] != http.StatusOK || resps[i].BatchSize != wantSize {
+				t.Errorf("pair differing in %q: member %d status %d batch_size %d, want 200 and %d", name, i, codes[i], resps[i].BatchSize, wantSize)
+			}
+		}
+	}
+	pair("", Request{Source: addSrc})
+	pair("target", Request{Source: addSrc, Target: "simdram"})
+	pair("opt", Request{Source: addSrc, Opt: "reuse"})
+	pair("baseline", Request{Source: addSrc, Baseline: true})
+	pair("harden", Request{Source: addSrc, Harden: true})
+	pair("entry", Request{Source: addSrc, Entry: "main"})
+	pair("source", Request{Source: addSrc + " "})
+}

@@ -24,19 +24,27 @@ type LoadSource struct {
 	Inputs []chopper.IOSpec
 }
 
-// DefaultSources is a small deterministic workload mix: distinct enough
-// to exercise cache misses, repeated enough to exercise hits and the
-// single-flight path, and cheap enough that interactive deadlines hold
-// on CI hardware.
-func DefaultSources() []LoadSource {
-	ab8 := []chopper.IOSpec{{Name: "a", Width: 8}, {Name: "b", Width: 8}}
-	return []LoadSource{
-		{Name: "add8", Source: "node main(a: u8, b: u8) returns (z: u8) let z = a + b; tel", Inputs: ab8},
-		{Name: "sub8", Source: "node main(a: u8, b: u8) returns (z: u8) let z = a - b; tel", Inputs: ab8},
-		{Name: "logic8", Source: "node main(a: u8, b: u8) returns (z: u8) let z = (a ^ b) & (a | b); tel", Inputs: ab8},
-		{Name: "mac8", Source: "node main(a: u8, b: u8) returns (z: u8) let z = a * b + a; tel", Inputs: ab8},
-	}
+var ab8 = []chopper.IOSpec{{Name: "a", Width: 8}, {Name: "b", Width: 8}}
+
+// loadSources is the generator's workload mix, small and deterministic:
+// distinct enough to exercise cache misses, repeated enough to exercise
+// hits and the single-flight path, and cheap enough that interactive
+// deadlines hold on CI hardware.
+var loadSources = []LoadSource{
+	{Name: "add8", Source: "node main(a: u8, b: u8) returns (z: u8) let z = a + b; tel", Inputs: ab8},
+	{Name: "sub8", Source: "node main(a: u8, b: u8) returns (z: u8) let z = a - b; tel", Inputs: ab8},
+	{Name: "logic8", Source: "node main(a: u8, b: u8) returns (z: u8) let z = (a ^ b) & (a | b); tel", Inputs: ab8},
+	{Name: "mac8", Source: "node main(a: u8, b: u8) returns (z: u8) let z = a * b + a; tel", Inputs: ab8},
 }
+
+// loadClassWeights draws a request's QoS class, 2:3:1
+// interactive:batch:best-effort.
+var loadClassWeights = [numClasses]int{Interactive: 2, Batch: 3, BestEffort: 1}
+
+// loadMaxOutstanding caps the generator's own concurrency so an
+// unresponsive server cannot leak unbounded goroutines. Open-loop dispatch
+// is preserved until the cap binds.
+const loadMaxOutstanding = 256
 
 // LoadConfig configures a deterministic open-loop load run. The seed
 // fixes the request sequence (class, tenant, source, kind, operands)
@@ -62,15 +70,6 @@ type LoadConfig struct {
 	Lanes int
 	// Tenants spreads requests over this many tenant shards (default 4).
 	Tenants int
-	// MaxOutstanding caps the generator's own concurrency so an
-	// unresponsive server cannot leak unbounded goroutines (default 256).
-	// Open-loop dispatch is preserved until the cap binds.
-	MaxOutstanding int
-	// Sources is the workload mix (default DefaultSources).
-	Sources []LoadSource
-	// ClassWeights draws the QoS class (default 2:3:1
-	// interactive:batch:best-effort). All zero selects the default.
-	ClassWeights [numClasses]int
 }
 
 func (cfg LoadConfig) normalize() LoadConfig {
@@ -88,15 +87,6 @@ func (cfg LoadConfig) normalize() LoadConfig {
 	}
 	if cfg.Tenants <= 0 {
 		cfg.Tenants = 4
-	}
-	if cfg.MaxOutstanding <= 0 {
-		cfg.MaxOutstanding = 256
-	}
-	if len(cfg.Sources) == 0 {
-		cfg.Sources = DefaultSources()
-	}
-	if cfg.ClassWeights == ([numClasses]int{}) {
-		cfg.ClassWeights = [numClasses]int{Interactive: 2, Batch: 3, BestEffort: 1}
 	}
 	return cfg
 }
@@ -242,17 +232,17 @@ type genReq struct {
 func generate(rng *rand.Rand, cfg LoadConfig, heavy bool) genReq {
 	// Class by weight.
 	total := 0
-	for _, w := range cfg.ClassWeights {
+	for _, w := range loadClassWeights {
 		total += w
 	}
 	pick := rng.Intn(total)
 	class := Batch
 	for c := Class(0); c < numClasses; c++ {
-		if pick < cfg.ClassWeights[c] {
+		if pick < loadClassWeights[c] {
 			class = c
 			break
 		}
-		pick -= cfg.ClassWeights[c]
+		pick -= loadClassWeights[c]
 	}
 	if heavy {
 		req := &Request{
@@ -268,7 +258,7 @@ func generate(rng *rand.Rand, cfg LoadConfig, heavy bool) genReq {
 		}
 		return genReq{kind: kind, req: req}
 	}
-	src := cfg.Sources[rng.Intn(len(cfg.Sources))]
+	src := loadSources[rng.Intn(len(loadSources))]
 	req := &Request{
 		Tenant: fmt.Sprintf("tenant-%d", rng.Intn(cfg.Tenants)),
 		Class:  class.String(),
@@ -424,7 +414,7 @@ func runLoadPhase(ctx context.Context, target LoadTarget, cfg LoadConfig, rng *r
 		n = 1
 	}
 	lc := &loadCollector{statuses: make(map[int]int), classLat: make(map[string][]float64)}
-	sem := make(chan struct{}, cfg.MaxOutstanding)
+	sem := make(chan struct{}, loadMaxOutstanding)
 	var wg sync.WaitGroup
 	start := time.Now()
 	next := start

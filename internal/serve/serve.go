@@ -1,7 +1,7 @@
 // Package serve is chopperd's engine: a production-hardened, multi-tenant
 // compile-and-execute HTTP service over the chopper library, where every
 // robustness mechanism the library grew — guard budgets and deadlines, the
-// content-addressed kernel cache, the graceful-degradation ladder, the
+// kernel cache, the graceful-degradation ladder, the
 // stage-classed sentinel errors — becomes a per-request contract.
 //
 //   - Admission control and QoS: requests declare a class (interactive /
@@ -40,6 +40,8 @@ import (
 
 	"chopper"
 	"chopper/internal/dram"
+	"chopper/internal/isa"
+	"chopper/internal/obs"
 )
 
 // Class is a request QoS class. Classes are admission-control domains:
@@ -294,7 +296,7 @@ func New(cfg Config) *Server {
 		met:         newMetrics(),
 		tenants:     make(map[string]*tenant),
 		drainCh:     make(chan struct{}),
-		bat:         batcher{open: make(map[string]*svcBatch)},
+		bat:         batcher{open: make(map[batchKey]*svcBatch)},
 		laneWordCap: dram.DefaultGeometry().Bitlines() / 64,
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -670,22 +672,13 @@ func (s *Server) planRequest(req *Request, tn *tenant, cc ClassConfig) (*reqPlan
 // compileForPlan compiles the source under a plan, through the plan's
 // cache shard.
 func compileForPlan(ctx context.Context, p *reqPlan, source string) (*chopper.Kernel, chopper.CacheOutcome, int64, error) {
-	var (
-		k       *chopper.Kernel
-		outcome chopper.CacheOutcome
-		err     error
-	)
-	compileStart := time.Now()
+	compile := chopper.CompileCtxCached
 	if p.baseline {
-		k, outcome, err = chopper.CompileBaselineCached(source, p.opts)
-	} else {
-		k, outcome, err = chopper.CompileCtxCached(ctx, source, p.opts)
+		compile = chopper.CompileBaselineCached
 	}
-	compileNs := time.Since(compileStart).Nanoseconds()
-	if err != nil {
-		return nil, outcome, compileNs, err
-	}
-	return k, outcome, compileNs, nil
+	compileStart := time.Now()
+	k, outcome, err := compile(ctx, source, p.opts)
+	return k, outcome, time.Since(compileStart).Nanoseconds(), err
 }
 
 // baseResponse builds the compile-fact part of a response: pipeline,
@@ -863,30 +856,30 @@ func checkRunShape(k *chopper.Kernel, req *Request) error {
 	return nil
 }
 
+// parseTarget and parseOpt read a request's target and level names through
+// the library's parsers; the service's own conventions stay here: an absent
+// field selects the default, "full" is accepted for the top level, and a
+// bad name is an options-classed (400) failure.
 func parseTarget(s string) (chopper.Target, error) {
-	switch strings.ToLower(s) {
-	case "", "ambit":
+	if s == "" {
 		return chopper.Ambit, nil
-	case "elp2im":
-		return chopper.ELP2IM, nil
-	case "simdram":
-		return chopper.SIMDRAM, nil
 	}
-	return 0, optionsErrf("unknown target %q (valid: ambit, elp2im, simdram)", s)
+	t, err := isa.ParseArch(s)
+	if err != nil {
+		return 0, optionsErrf("%v", err)
+	}
+	return t, nil
 }
 
 func parseOpt(s string) (chopper.OptLevel, error) {
-	switch strings.ToLower(s) {
-	case "", "rename", "full":
+	if s == "" || strings.EqualFold(s, "full") {
 		return chopper.OptFull, nil
-	case "reuse":
-		return chopper.OptReuse, nil
-	case "schedule":
-		return chopper.OptSchedule, nil
-	case "bitslice":
-		return chopper.OptBitslice, nil
 	}
-	return 0, optionsErrf("unknown opt level %q (valid: bitslice, schedule, reuse, rename)", s)
+	lv, err := obs.ParseVariant(s)
+	if err != nil {
+		return 0, optionsErrf("%v", err)
+	}
+	return lv, nil
 }
 
 // workCtx derives a request context that ends when the client goes away,

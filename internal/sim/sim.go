@@ -1,6 +1,6 @@
 // Package sim executes PUD micro-op programs functionally — on a bit-matrix
-// model of DRAM subarrays — and, through the dram timing engine and the ssd
-// device model, computes how long the execution takes.
+// model of DRAM subarrays — and, through the dram timing engine, computes
+// how long the execution takes.
 //
 // The functional model is the ground truth for the whole compiler test
 // suite: a kernel is only considered correctly compiled when running its
@@ -31,7 +31,6 @@ import (
 	"chopper/internal/dram"
 	"chopper/internal/guard"
 	"chopper/internal/isa"
-	"chopper/internal/ssd"
 )
 
 // HostIO supplies WRITE payloads and consumes READ results. Tags identify
@@ -531,9 +530,8 @@ type unit struct {
 	atRun int
 }
 
-// Machine simulates a whole device: many subarray units (created lazily),
-// the timing engine, and optionally an SSD device charged for spill
-// traffic. Units are held in a dense slice indexed by (bank, subarray)
+// Machine simulates a whole device: many subarray units (created lazily)
+// and the timing engine. Units are held in a dense slice indexed by (bank, subarray)
 // within the geometry; placements outside it fall back to a map,
 // preserving the historical tolerance.
 type Machine struct {
@@ -553,11 +551,7 @@ type Machine struct {
 type MachineConfig struct {
 	Geom  dram.Geometry
 	Arch  isa.Arch
-	SALP  bool
 	Lanes int // functional lanes per subarray; 0 means Geom.Bitlines()
-
-	// SSD, when non-nil, charges spill traffic to the device.
-	SSD *ssd.Device
 
 	// Fault, when non-nil, supplies a fault model per subarray (each
 	// subarray must get its own hook: hooks are stateful and not safe
@@ -582,10 +576,13 @@ func (m *Machine) Reconfigure(cfg MachineConfig) {
 		lanes = cfg.Geom.Bitlines()
 	}
 	timing := dram.TimingFor(cfg.Arch, cfg.Geom)
+	// The machine's engine is the base device: no SALP and spill ops at
+	// their DRAM/bus cost alone. Tiled runs (which honour SALP) and the SSD
+	// study replay on engines of their own (tiled.go, internal/bench).
 	if m.engine == nil {
-		m.engine = dram.NewEngine(cfg.Geom, timing, cfg.SALP)
+		m.engine = dram.NewEngine(cfg.Geom, timing, false)
 	} else {
-		m.engine.Reconfigure(cfg.Geom, timing, cfg.SALP)
+		m.engine.Reconfigure(cfg.Geom, timing, false)
 	}
 	if n := cfg.Geom.Banks * cfg.Geom.SubarraysPB; cfg.Geom != m.geom || len(m.units) != n {
 		m.units = make([]*unit, n)
@@ -603,15 +600,6 @@ func (m *Machine) Reconfigure(cfg MachineConfig) {
 			u.sub.SetFaultHook(cfg.Fault(u.bank, u.subarray))
 		}
 		u.spill.Reset()
-	}
-	m.engine.SSDDelay = nil
-	if dev, rowBytes := cfg.SSD, cfg.Geom.RowBytes; dev != nil {
-		m.engine.SSDDelay = func(out bool, slot uint64, startNs float64) float64 {
-			if out {
-				return dev.Write(slot, rowBytes, startNs)
-			}
-			return dev.Read(slot, startNs)
-		}
 	}
 }
 

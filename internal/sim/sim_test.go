@@ -7,7 +7,6 @@ import (
 	"chopper/internal/dram"
 	"chopper/internal/guard"
 	"chopper/internal/isa"
-	"chopper/internal/ssd"
 )
 
 func row(val uint64, words int) []uint64 {
@@ -214,31 +213,6 @@ func TestMachineRunAndTiming(t *testing.T) {
 	}
 	if m.Sub(1, 0).Row(isa.Row(0))[0] != 2 {
 		t.Error("bank 1 state wrong")
-	}
-}
-
-func TestMachineWithSSDChargesSpills(t *testing.T) {
-	g := dram.DefaultGeometry()
-	dev := ssd.New(ssd.DefaultConfig())
-	m := NewMachine(MachineConfig{Geom: g, Arch: isa.Ambit, Lanes: 64, SSD: dev})
-	io := &HostIO{WriteData: func(int) []uint64 { return []uint64{7} }}
-	stream := []dram.Placed{
-		{Bank: 0, Subarray: 0, Op: isa.NewWrite(isa.Row(0), 0)},
-		{Bank: 0, Subarray: 0, Op: isa.NewSpillOut(isa.Row(0), 0)},
-		{Bank: 0, Subarray: 0, Op: isa.NewSpillIn(isa.Row(1), 0)},
-	}
-	mk, err := m.RunCtx(nil, stream, io, guard.Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mk < ssd.DefaultConfig().ProgramLatencyNs {
-		t.Errorf("makespan %.0f does not include SSD program latency", mk)
-	}
-	if dev.Stats().Programs == 0 || dev.Stats().Reads == 0 {
-		t.Error("SSD not charged")
-	}
-	if m.Sub(0, 0).Row(isa.Row(1))[0] != 7 {
-		t.Error("spill round trip lost data")
 	}
 }
 

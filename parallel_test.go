@@ -27,7 +27,7 @@ func TestDeterminismVerifyAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range detWorkerCounts() {
-		if err := k.VerifyParallel(10, 33, w); err != nil {
+		if err := k.VerifyCtx(nil, 10, 33, w); err != nil {
 			t.Errorf("workers=%d: %v", w, err)
 		}
 	}
@@ -42,13 +42,13 @@ func TestDeterminismVerifyUnderFaultAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := FaultConfig{TRAFlipRate: 1, MaxFaults: 1}
-	ref := k.VerifyUnderFaultParallel(8, 17, cfg, 1)
+	ref := k.VerifyUnderFaultCtx(nil, 8, 17, cfg, 1)
 	if ref == nil {
 		t.Fatal("unhardened kernel survived guaranteed faults (test is vacuous)")
 	}
 	for _, w := range detWorkerCounts() {
 		for rep := 0; rep < 3; rep++ {
-			err := k.VerifyUnderFaultParallel(8, 17, cfg, w)
+			err := k.VerifyUnderFaultCtx(nil, 8, 17, cfg, w)
 			if err == nil || err.Error() != ref.Error() {
 				t.Fatalf("workers=%d rep=%d: error %q, want %q", w, rep, err, ref)
 			}
@@ -61,7 +61,7 @@ func TestDeterminismVerifyUnderFaultAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range detWorkerCounts() {
-		if err := hard.VerifyUnderFaultParallel(8, 17, cfg, w); err != nil {
+		if err := hard.VerifyUnderFaultCtx(nil, 8, 17, cfg, w); err != nil {
 			t.Errorf("hardened, workers=%d: %v", w, err)
 		}
 	}
@@ -77,12 +77,12 @@ func TestDeterminismReliabilityAcrossWorkers(t *testing.T) {
 		{TRAFlipRate: 0.3},
 		{TRAFlipRate: 1, MaxFaults: 1},
 	}
-	ref, err := k.ReliabilityParallel(6, 41, cfgs, 1)
+	ref, err := k.ReliabilityCtx(nil, 6, 41, cfgs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range detWorkerCounts() {
-		rep, err := k.ReliabilityParallel(6, 41, cfgs, w)
+		rep, err := k.ReliabilityCtx(nil, 6, 41, cfgs, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

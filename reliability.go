@@ -74,9 +74,9 @@ type ReliabilityReport struct {
 // The cfgs x trials grid fans out across GOMAXPROCS workers; every cell
 // derives its inputs and fault pattern from (seed, cfg index, trial)
 // alone, so the report is byte-identical at any worker count. Use
-// ReliabilityParallel to pin the worker count.
+// ReliabilityCtx to pin the worker count.
 func (k *Kernel) Reliability(trials int, seed int64, cfgs []FaultConfig) (*ReliabilityReport, error) {
-	return k.ReliabilityParallel(trials, seed, cfgs, 0)
+	return k.ReliabilityCtx(nil, trials, seed, cfgs, 0)
 }
 
 // relCell is the outcome of one (fault config, trial) grid cell.
@@ -87,16 +87,12 @@ type relCell struct {
 	recovery   RecoveryStats
 }
 
-// ReliabilityParallel is Reliability with an explicit worker count (<= 0
-// means GOMAXPROCS). Any worker count produces the same report.
-func (k *Kernel) ReliabilityParallel(trials int, seed int64, cfgs []FaultConfig, workers int) (rep *ReliabilityReport, err error) {
-	return k.ReliabilityCtx(nil, trials, seed, cfgs, workers)
-}
-
-// ReliabilityCtx is ReliabilityParallel under the guard layer: workers
-// observe ctx between grid cells, so a canceled or deadline-expired
-// context stops the sweep promptly with ErrCanceled/ErrDeadline and a nil
-// report — a partially measured grid is never returned as a complete one.
+// ReliabilityCtx is Reliability with an explicit worker count (<= 0 means
+// GOMAXPROCS; any count produces the same report) under the guard layer:
+// workers observe a non-nil ctx between grid cells, so a canceled or
+// deadline-expired context stops the sweep promptly with
+// ErrCanceled/ErrDeadline and a nil report — a partially measured grid is
+// never returned as a complete one.
 func (k *Kernel) ReliabilityCtx(ctx context.Context, trials int, seed int64, cfgs []FaultConfig, workers int) (rep *ReliabilityReport, err error) {
 	defer recoverToError(&err)
 	if trials <= 0 {

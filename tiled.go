@@ -7,6 +7,7 @@ import (
 
 	"chopper/internal/dram"
 	"chopper/internal/guard"
+	"chopper/internal/hostmodel"
 	"chopper/internal/isa"
 	"chopper/internal/pool"
 	"chopper/internal/sim"
@@ -281,7 +282,8 @@ type TiledResult struct {
 	TimeNs float64
 	// TransferNs is the host<->DRAM DMA time: scattering every input tile
 	// into the subarrays plus gathering every output tile back, at the
-	// aggregate bandwidth of the geometry's channels (Options.Transfer).
+	// aggregate bandwidth of the geometry's channels (the Table-I DMA model,
+	// hostmodel.DefaultTransfer).
 	TransferNs float64
 	// OverlapNs is the portion of TransferNs hidden behind device compute:
 	// with more than one tile, the DMA of one tile pipelines against the
@@ -325,9 +327,9 @@ type TiledResult struct {
 //
 // This is the whole-dataset counterpart of RunWide and exercises the same
 // multi-subarray path the benchmark harness measures. The timing replay
-// honors Options.SALP and Options.Emitter (the serial path used to pin
-// salp=false and the bank-aware emitter regardless of Options), and the
-// result separates device makespan from host-transfer time.
+// honors Options.SALP — the emitter is subarray-aware with it and
+// bank-aware without — and the result separates device makespan from
+// host-transfer time.
 func (k *Kernel) RunTiled(inputs map[string][][]uint64, lanes int) (*TiledResult, error) {
 	return k.RunTiledCtx(nil, inputs, lanes)
 }
@@ -495,7 +497,7 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 	// (streaming, minus the fixed DMA setup) pipelines against device
 	// compute — tile t+1 scatters while tile t computes — so all but a
 	// 1/tiles fraction of it can hide behind the makespan.
-	tr := k.Opts.Transfer.model()
+	tr := hostmodel.DefaultTransfer()
 	scatterNs := tr.TimeNs(inBytes, channels)
 	gatherNs := tr.TimeNs(outBytes, channels)
 	var wireNs float64
@@ -535,7 +537,6 @@ type shardKey struct {
 	geom   dram.Geometry
 	timing dram.Timing
 	salp   bool
-	mode   vircoe.Mode
 }
 
 // shardTiming is what one channel shard's replay yields.
@@ -550,7 +551,7 @@ type shardTiming struct {
 // later calls with an equal key return it after observing ctx once.
 // Concurrent first calls may each compute and store; the values are equal.
 func (k *Kernel) replayShard(ctx context.Context, count int, timing dram.Timing) (shardTiming, error) {
-	key := shardKey{count, k.Opts.Geometry, timing, k.Opts.SALP, k.Opts.emitterMode()}
+	key := shardKey{count, k.Opts.Geometry, timing, k.Opts.SALP}
 	k.shardMu.Lock()
 	st, ok := k.shards[key]
 	k.shardMu.Unlock()
@@ -580,8 +581,14 @@ func (k *Kernel) emitShard(ctx context.Context, key shardKey) (shardTiming, erro
 	}
 	eng := getTileEngine(key.geom, key.timing, key.salp)
 	defer putTileEngine(eng)
+	// The emitter believes what the device is: every subarray a unit of its
+	// own under SALP, same-bank subarrays serialized without it.
+	mode := vircoe.BankAware
+	if key.salp {
+		mode = vircoe.SubarrayAware
+	}
 	issued := 0
-	emit := vircoe.EmitTo(k.prog, pls, key.mode, key.timing, func(bank, sub int, op *isa.Op) bool {
+	emit := vircoe.EmitTo(k.prog, pls, mode, key.timing, func(bank, sub int, op *isa.Op) bool {
 		if issued&255 == 0 {
 			if err = guard.Ctx(ctx); err != nil {
 				return false

@@ -41,7 +41,11 @@ func shardOracle(t *testing.T, k *Kernel, tiles int) (dram.EngineStats, vircoe.S
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream, st := vircoe.Emit(k.prog, pls, k.Opts.emitterMode(), timing)
+		mode := vircoe.BankAware
+		if k.Opts.SALP {
+			mode = vircoe.SubarrayAware
+		}
+		stream, st := vircoe.Emit(k.prog, pls, mode, timing)
 		e := dram.NewEngine(geom, timing, k.Opts.SALP)
 		if _, err := e.RunCtx(nil, stream, 0); err != nil {
 			t.Fatal(err)
@@ -109,39 +113,31 @@ func TestRunTiledMemoFollowsOpts(t *testing.T) {
 		}
 		return res
 	}
-	compile := func(salp bool, emitter EmitterMode) *Kernel {
+	compile := func(salp bool) *Kernel {
 		t.Helper()
-		k, err := Compile(memoSrc, Options{Target: Ambit, Geometry: shardGeom(1), SALP: salp, Emitter: emitter})
+		k, err := Compile(memoSrc, Options{Target: Ambit, Geometry: shardGeom(1), SALP: salp})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return k
 	}
-	k := compile(false, EmitterAuto)
-	seen := []*TiledResult{run(k)}
-	for _, st := range []struct {
-		salp    bool
-		emitter EmitterMode
-	}{{true, EmitterAuto}, {true, EmitterBankAware}, {false, EmitterSubarrayAware}} {
-		k.Opts.SALP, k.Opts.Emitter = st.salp, st.emitter
-		got, want := run(k), run(compile(st.salp, st.emitter))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("SALP=%v Emitter=%v: edited kernel differs from a freshly compiled one:\n got %+v %+v\nwant %+v %+v",
-				st.salp, st.emitter, got.Stats, got.Emit, want.Stats, want.Emit)
-		}
-		for _, prev := range seen {
-			if got.Stats == prev.Stats && got.Emit == prev.Emit {
-				t.Fatalf("SALP=%v Emitter=%v: timing equals an earlier option set's; the step tests nothing", st.salp, st.emitter)
-			}
-		}
-		seen = append(seen, got)
+	k := compile(false)
+	first := run(k)
+	k.Opts.SALP = true
+	got, want := run(k), run(compile(true))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("SALP: edited kernel differs from a freshly compiled one:\n got %+v %+v\nwant %+v %+v",
+			got.Stats, got.Emit, want.Stats, want.Emit)
 	}
-	k.Opts.SALP, k.Opts.Emitter = false, EmitterAuto
-	if again := run(k); !reflect.DeepEqual(again, seen[0]) {
-		t.Fatal("flipping the options back does not give the first result back")
+	if got.Stats == first.Stats && got.Emit == first.Emit {
+		t.Fatal("SALP: timing equals the SALP-free run's; the step tests nothing")
 	}
-	if len(k.shards) != len(seen) {
-		t.Errorf("memo holds %d entries after %d option sets", len(k.shards), len(seen))
+	k.Opts.SALP = false
+	if again := run(k); !reflect.DeepEqual(again, first) {
+		t.Fatal("flipping the option back does not give the first result back")
+	}
+	if len(k.shards) != 2 {
+		t.Errorf("memo holds %d entries after 2 option sets", len(k.shards))
 	}
 }
 

@@ -45,26 +45,22 @@ func trialSeed(seed int64, trial int) int64 {
 //
 // Trials fan out across GOMAXPROCS workers; results are byte-identical at
 // any worker count because each trial derives its inputs from (seed,
-// trial) alone. Use VerifyParallel to pin the worker count.
+// trial) alone. Use VerifyCtx to pin the worker count.
 //
 // This is the library-level version of the test suite's central invariant,
 // exposed so downstream users can validate kernels they generate (for
 // example after extending the synthesis library).
 func (k *Kernel) Verify(trials int, seed int64) error {
-	return k.VerifyParallel(trials, seed, 0)
+	return k.VerifyCtx(nil, trials, seed, 0)
 }
 
-// VerifyParallel is Verify with an explicit worker count (<= 0 means
-// GOMAXPROCS). Any worker count returns the same result.
-func (k *Kernel) VerifyParallel(trials int, seed int64, workers int) (err error) {
-	return k.VerifyCtx(nil, trials, seed, workers)
-}
-
-// VerifyCtx is VerifyParallel under the guard layer: workers observe ctx
-// between trials (and the simulator observes it between micro-ops), so a
-// canceled or deadline-expired context stops the sweep promptly with
-// ErrCanceled/ErrDeadline — never reporting the partial sweep as a pass.
-// The kernel's Options.Budget is enforced inside every trial.
+// VerifyCtx is Verify with everything said: an explicit worker count (<= 0
+// means GOMAXPROCS; any count returns the same result) under the guard
+// layer. Workers observe a non-nil ctx between trials (and the simulator
+// observes it between micro-ops), so a canceled or deadline-expired context
+// stops the sweep promptly with ErrCanceled/ErrDeadline — never reporting
+// the partial sweep as a pass. The kernel's Options.Budget is enforced
+// inside every trial.
 func (k *Kernel) VerifyCtx(ctx context.Context, trials int, seed int64, workers int) (err error) {
 	defer recoverToError(&err)
 	return k.verifyTrials(ctx, trials, seed, workers, func(_ int, rows map[string][][]uint64, lanes int) (*RunResult, error) {
@@ -81,18 +77,11 @@ func (k *Kernel) VerifyCtx(ctx context.Context, trials int, seed int64, workers 
 // that survive single intermediate-row faults which break their unhardened
 // counterparts.
 func (k *Kernel) VerifyUnderFault(trials int, seed int64, cfg FaultConfig) error {
-	return k.VerifyUnderFaultParallel(trials, seed, cfg, 0)
+	return k.VerifyUnderFaultCtx(nil, trials, seed, cfg, 0)
 }
 
-// VerifyUnderFaultParallel is VerifyUnderFault with an explicit worker
-// count (<= 0 means GOMAXPROCS). Any worker count returns the same
-// result.
-func (k *Kernel) VerifyUnderFaultParallel(trials int, seed int64, cfg FaultConfig, workers int) (err error) {
-	return k.VerifyUnderFaultCtx(nil, trials, seed, cfg, workers)
-}
-
-// VerifyUnderFaultCtx is VerifyUnderFaultParallel under the guard layer
-// (see VerifyCtx for the cancellation contract).
+// VerifyUnderFaultCtx is VerifyUnderFault with an explicit worker count
+// under the guard layer (see VerifyCtx for both contracts).
 func (k *Kernel) VerifyUnderFaultCtx(ctx context.Context, trials int, seed int64, cfg FaultConfig, workers int) (err error) {
 	defer recoverToError(&err)
 	return k.verifyTrials(ctx, trials, seed, workers, func(trial int, rows map[string][][]uint64, lanes int) (*RunResult, error) {

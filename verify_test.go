@@ -197,7 +197,7 @@ func TestVerifyMismatchTextIdentical(t *testing.T) {
 		}
 		sabotageFirstC0(t, k)
 		for _, workers := range []int{1, 4} {
-			err := k.VerifyParallel(7, 17, workers)
+			err := k.VerifyCtx(nil, 7, 17, workers)
 			if err == nil || err.Error() != tc.solo {
 				t.Errorf("workers=%d: got %v, want %s", workers, err, tc.solo)
 			}
