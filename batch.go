@@ -167,7 +167,7 @@ func (k *Kernel) pass(ctx context.Context, counts []int, scatter func(i int, are
 			return nil, memberErr(i, err)
 		}
 	}
-	res, err := k.runRows(ctx, arena, total, nil)
+	res, err := k.runRows(ctx, arena, total, nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +199,7 @@ func (k *Kernel) pass(ctx context.Context, counts []int, scatter func(i int, are
 func (k *Kernel) RunRowsBatchCtx(ctx context.Context, batches []LaneBatch) (res []*RunResult, err error) {
 	defer recoverToError(&err)
 	if len(batches) == 1 {
-		r, err := k.runRows(ctx, batches[0].Rows, batches[0].Lanes, nil)
+		r, err := k.runRows(ctx, batches[0].Rows, batches[0].Lanes, nil, 0)
 		if err != nil {
 			return nil, err
 		}

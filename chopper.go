@@ -326,21 +326,33 @@ func (k *Kernel) refPlan() *dfg.LanePlan {
 	return k.ref
 }
 
-// simWorker is what one worker keeps between runs: the simulation machine
-// (subarray arenas, spill buffers, timing-engine tables) and the arena the
-// reference evaluator checks that machine's output in. A verify or
-// reliability sweep reuses one per worker instead of reallocating per
-// trial: the run takes it for the device pass and returns it, and the
-// comparison that follows on the same goroutine takes it again. Machines
-// are reset via Reconfigure on checkout and the reference arena is
-// overwritten by every evaluation, so no trial state leaks between runs.
+// simWorker is the run path's one pooled state, what one worker keeps
+// between runs: the simulation machine (subarray arena, spill buffers,
+// timing-engine tables, recovery scratch), the binding of a run's rows to
+// the program's tags, a fault trial's injector, and the arena the reference
+// evaluator checks the machine's output in. Every single-subarray run and
+// every tile of a tiled run checks one out for its device pass, and a
+// trial's comparison, on the same goroutine, takes one again. The machine
+// is reset via Reconfigure and the injector via Reset on every run, and the
+// reference arena is overwritten by every evaluation, so no run's state
+// leaks into the next.
 type simWorker struct {
 	m    sim.Machine
 	host hostRows
+	inj  *fault.Injector // built by the worker's first fault trial
 	ref  dfg.LaneScratch
 }
 
 var workerPool = sync.Pool{New: func() any { return new(simWorker) }}
+
+func getWorker() *simWorker { return workerPool.Get().(*simWorker) }
+
+// putWorker returns w to the pool holding no reference to a caller's rows.
+func putWorker(w *simWorker) {
+	clear(w.host.rows)
+	w.host.plan = nil
+	workerPool.Put(w)
+}
 
 // workspace is everything one back-end compile keeps between passes and
 // can hand to the next compile: the logic builder with its interning table
@@ -810,7 +822,7 @@ func (k *Kernel) RunRows(rows map[string][][]uint64, lanes int) (*RunResult, err
 // ctx is observed between micro-ops for cooperative cancellation.
 func (k *Kernel) RunRowsCtx(ctx context.Context, rows map[string][][]uint64, lanes int) (res *RunResult, err error) {
 	defer recoverToError(&err)
-	return k.runRows(ctx, rows, lanes, nil)
+	return k.runRows(ctx, rows, lanes, nil, 0)
 }
 
 // RunRowsUnderFault is RunRows on a faulty subarray: the fault models in
@@ -824,63 +836,45 @@ func (k *Kernel) RunRowsUnderFault(rows map[string][][]uint64, lanes int, cfg Fa
 // RunRowsCtx).
 func (k *Kernel) RunRowsUnderFaultCtx(ctx context.Context, rows map[string][][]uint64, lanes int, cfg FaultConfig, seed int64) (res *RunResult, err error) {
 	defer recoverToError(&err)
-	return k.runRowsUnderFault(ctx, rows, lanes, cfg, seed)
+	return k.runRows(ctx, rows, lanes, &cfg, seed)
 }
 
-// injectorPool recycles fault injectors across fault trials; Reset makes a
-// pooled injector indistinguishable from a fresh fault.New.
-var injectorPool = sync.Pool{New: func() any { return fault.New(FaultConfig{}, 0) }}
-
-func (k *Kernel) runRowsUnderFault(ctx context.Context, rows map[string][][]uint64, lanes int, cfg FaultConfig, seed int64) (*RunResult, error) {
-	inj := injectorPool.Get().(*fault.Injector)
-	inj.Reset(cfg, seed)
-	res, err := k.runRows(ctx, rows, lanes, func(bank, sub int) sim.FaultHook {
-		if bank == 0 && sub == 0 {
-			return inj
-		}
-		// Single-subarray kernels never get here; keep extra subarrays
-		// deterministic too by deriving their seed from the placement.
-		return fault.New(cfg, seed+int64(bank)<<20+int64(sub))
-	})
-	if err == nil {
-		res.Faults = inj.Counts()
-	}
-	injectorPool.Put(inj)
-	return res, err
-}
-
-func (k *Kernel) runRows(ctx context.Context, rows map[string][][]uint64, lanes int, hook func(bank, sub int) sim.FaultHook) (*RunResult, error) {
+// runRows is every single-subarray run — plain, batched, verify trial,
+// fault trial (fc non-nil: the worker's injector, reset to (*fc, seed),
+// perturbs the run), recovered: the operands bind to the program's tags
+// through the kernel's plan tables (hostRows, the binding a tile uses too),
+// and the pre-decoded program runs at placement (0, 0) of a pooled
+// worker's machine. equiv_test.go holds that run against a reference loop
+// that shares only the micro-op body with it.
+func (k *Kernel) runRows(ctx context.Context, rows map[string][][]uint64, lanes int, fc *FaultConfig, seed int64) (*RunResult, error) {
 	if lanes <= 0 {
 		return nil, optionsErrf("lanes must be positive, have %d", lanes)
 	}
-	// Every single-subarray run — plain, batched, verify trial, fault
-	// trial, recovered — comes through here: the operands bind to the
-	// program's tags through the kernel's plan tables (hostRows, the
-	// binding a tile uses too), and the pre-decoded program runs at
-	// placement (0, 0) of a pooled machine. The recovered and plain forms
-	// step through the same loop in internal/sim; equiv_test.go holds that
-	// loop against a stream of placed ops on a fresh machine.
-	w := workerPool.Get().(*simWorker)
-	defer func() {
-		clear(w.host.rows) // a pooled worker keeps no reference to the caller's rows
-		workerPool.Put(w)
-	}()
+	w := getWorker()
+	defer putWorker(w)
 	outRows, err := w.host.bindRows(k, rows, lanes)
 	if err != nil {
 		return nil, err
 	}
+	cfg := sim.MachineConfig{Geom: k.Opts.Geometry, Arch: k.Opts.Target, Lanes: lanes}
+	if fc != nil {
+		if w.inj == nil {
+			w.inj = fault.New(*fc, seed)
+		}
+		w.inj.Reset(*fc, seed)
+		cfg.Fault = w.inj
+	}
 	m := &w.m
-	m.Reconfigure(sim.MachineConfig{
-		Geom:  k.Opts.Geometry,
-		Arch:  k.Opts.Target,
-		Lanes: lanes,
-		Fault: hook,
-	})
+	m.Reconfigure(cfg)
 	t, rs, err := m.RunRecoveredCtx(ctx, k.decodedProg(), 0, 0, w.host.hostIO(), k.Opts.Budget, k.Opts.Recovery.policy())
 	if err != nil {
 		return nil, err
 	}
-	return &RunResult{Rows: outRows, TimeNs: t, Stats: m.Stats(), ScratchBytes: m.MemBytes(), RecoveryStats: rs}, nil
+	res := &RunResult{Rows: outRows, TimeNs: t, Stats: m.Stats(), ScratchBytes: m.MemBytes(), RecoveryStats: rs}
+	if fc != nil {
+		res.Faults = w.inj.Counts()
+	}
+	return res, nil
 }
 
 // Run executes the kernel on operands given as one value per lane (widths

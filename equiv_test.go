@@ -1,23 +1,25 @@
 package chopper
 
 // Kernel-level golden equivalence. internal/sim has one micro-op body and
-// one guard/execute/issue step; what still differs between its entry points
-// is how an op reaches that step. RunRows hands it a program decoded once
-// per kernel, at the fixed placement (0, 0) of a pooled, reconfigured
-// machine (Machine.RunRecoveredCtx / RunDecodedCtx). These tests drive the
-// same kernel the other way — a fresh machine, an explicit []dram.Placed,
-// every op decoded on the spot and placed by its own record
-// (Machine.RunCtx, the multi-subarray entry point) — and require identical
-// functional outputs, makespan, engine stats, guard stop points and
-// fault-injection sequences. Both sides bind operands through the kernel's
-// one tag-table binding (hostRows); what is compared is the execution.
+// one guard/execute/issue step; RunRows hands that step a program decoded
+// once per kernel, at placement (0, 0) of a pooled, reconfigured machine
+// (Machine.RunRecoveredCtx). These tests drive the same kernel through a
+// reference loop that shares only the micro-op body with it — a fresh
+// subarray executing every op decoded on the spot (Subarray.Exec), then a
+// fresh engine charging it (dram.Engine.Issue), with both budget checks
+// before each op — and require identical functional outputs, makespan,
+// engine stats, guard stop points and fault-injection sequences. Both sides
+// bind operands through the kernel's one tag-table binding (hostRows); what
+// is compared is the execution.
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"chopper/internal/dram"
 	"chopper/internal/fault"
+	"chopper/internal/guard"
 	"chopper/internal/sim"
 	"chopper/internal/transpose"
 )
@@ -34,29 +36,33 @@ tel`
 
 var equivLanes = []int{1, 63, 64, 65, 128}
 
-// genericRunRows executes the kernel as a stream of placed ops: a fresh
-// machine and an explicit []dram.Placed through Machine.RunCtx.
-func genericRunRows(k *Kernel, rows map[string][][]uint64, lanes int, hook func(bank, sub int) sim.FaultHook, b Budget) (*RunResult, error) {
+// genericRunRows executes the kernel on the reference loop: per op, the
+// budget checks, Subarray.Exec on a fresh subarray (with hook attached),
+// then Engine.Issue on a fresh engine.
+func genericRunRows(k *Kernel, rows map[string][][]uint64, lanes int, hook sim.FaultHook, b Budget) (*RunResult, error) {
 	var host hostRows
 	outRows, err := host.bindRows(k, rows, lanes)
 	if err != nil {
 		return nil, err
 	}
-	m := sim.NewMachine(sim.MachineConfig{
-		Geom:  k.Opts.Geometry,
-		Arch:  k.Opts.Target,
-		Lanes: lanes,
-		Fault: hook,
-	})
-	stream := make([]dram.Placed, len(k.prog.Ops))
+	g := k.Opts.Geometry
+	sub, spill := sim.NewSubarray(g.DRows(), lanes), sim.NewSpillStore()
+	sub.SetFaultHook(hook)
+	eng := dram.NewEngine(g, dram.TimingFor(k.Opts.Target, g), false)
+	io := host.hostIO()
 	for i := range k.prog.Ops {
-		stream[i] = dram.Placed{Bank: 0, Subarray: 0, Op: k.prog.Ops[i]}
+		if err := guard.Check(guard.DimSimSteps, b.MaxSimSteps, i+1); err != nil {
+			return nil, err
+		}
+		if err := guard.Check(guard.DimDRAMCommands, b.MaxDRAMCommands, i+1); err != nil {
+			return nil, err
+		}
+		if err := sub.Exec(&k.prog.Ops[i], io, spill); err != nil {
+			return nil, fmt.Errorf("op %d at bank 0 sub 0: %w", i, err)
+		}
+		eng.Issue(dram.Placed{Op: k.prog.Ops[i]})
 	}
-	t, err := m.RunCtx(nil, stream, host.hostIO(), b)
-	if err != nil {
-		return nil, err
-	}
-	return &RunResult{Rows: outRows, TimeNs: t, Stats: m.Stats()}, nil
+	return &RunResult{Rows: outRows, TimeNs: eng.Makespan(), Stats: eng.Stats()}, nil
 }
 
 func equivInputs(lanes int, seed uint64) map[string][][]uint64 {
@@ -95,9 +101,9 @@ func rowsEqual(t *testing.T, label string, got, want map[string][][]uint64) {
 	}
 }
 
-// TestRunRowsEquivalence holds the decoded fixed-placement run and the
-// placed-stream run byte-identical across architectures and lane widths, including repeat
-// runs on the pooled machine.
+// TestRunRowsEquivalence holds the pooled machine's run and the reference
+// loop byte-identical across architectures and lane widths, including
+// repeat runs on the pooled machine.
 func TestRunRowsEquivalence(t *testing.T) {
 	for _, target := range []Target{Ambit, ELP2IM, SIMDRAM} {
 		k, err := Compile(equivSrc, Options{Target: target})
@@ -168,7 +174,7 @@ func TestRunRowsBudgetEquivalence(t *testing.T) {
 
 // TestRunRowsFaultEquivalence holds the fault-injected fast path against
 // the generic path with an identical fresh injector: same outputs, same
-// injected-fault counts, across the injector pool's reuse.
+// injected-fault counts, across the pooled workers' injector reuse.
 func TestRunRowsFaultEquivalence(t *testing.T) {
 	cfg := FaultConfig{
 		TRAFlipRate:  0.05,
@@ -187,12 +193,7 @@ func TestRunRowsFaultEquivalence(t *testing.T) {
 					t.Fatalf("%v lanes=%d seed=%d: fast: %v", target, lanes, seed, err)
 				}
 				inj := fault.New(cfg, seed)
-				ref, err := genericRunRows(k, rows, lanes, func(bank, sub int) sim.FaultHook {
-					if bank == 0 && sub == 0 {
-						return inj
-					}
-					return fault.New(cfg, seed+int64(bank)<<20+int64(sub))
-				}, Budget{})
+				ref, err := genericRunRows(k, rows, lanes, inj, Budget{})
 				if err != nil {
 					t.Fatalf("%v lanes=%d seed=%d: generic: %v", target, lanes, seed, err)
 				}

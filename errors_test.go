@@ -165,6 +165,39 @@ func TestCompileGraphNilRecovers(t *testing.T) {
 	}
 }
 
+// TestPanicInWorkerIsInternalAtAnyWorkerCount: a panic inside a pool
+// worker is the same ErrInternal error at 1 worker and at 4 (at 4 it used
+// to crash the process).
+func TestPanicInWorkerIsInternalAtAnyWorkerCount(t *testing.T) {
+	k, err := Compile(errAdderSrc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Opts.Geometry.ReservedRows = k.Opts.Geometry.RowsPerSub // no data rows: every trial's subarray panics
+	const want = "chopper: internal: sim: bad subarray dims dRows=0 lanes=64"
+	for _, workers := range []int{1, 4} {
+		err := k.VerifyCtx(nil, 8, 1, workers)
+		if !errors.Is(err, ErrInternal) || err.Error() != want {
+			t.Errorf("workers=%d: error %v, want ErrInternal %q", workers, err, want)
+		}
+	}
+}
+
+// TestRunTiledPanicIsInternal: RunTiled recovers its panics into
+// ErrInternal like every other entry point.
+func TestRunTiledPanicIsInternal(t *testing.T) {
+	k, err := Compile(errAdderSrc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Opts.Geometry.RowBytes = 0 // zero lanes per tile: the tile count divides by zero
+	in := map[string][][]uint64{"a": {{1}}, "b": {{2}}}
+	res, err := k.RunTiled(in, 1)
+	if res != nil || !errors.Is(err, ErrInternal) {
+		t.Fatalf("RunTiled = %v, %v; want ErrInternal", res, err)
+	}
+}
+
 func TestRunRejectsBadLanes(t *testing.T) {
 	k, err := Compile(errAdderSrc, Options{})
 	if err != nil {

@@ -18,6 +18,7 @@ package pool
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -57,11 +58,14 @@ func Run(workers, n int, fn func(i int) error) error {
 //
 // The deterministic error contract is preserved: if any item failed, the
 // error of the LOWEST failing index wins, exactly as in Run, regardless
-// of worker count. The cancellation sentinel is returned only when no
-// item error was recorded, so a partial run is never reported as
-// complete: a nil result still means every index ran. A context that is
-// already dead on entry returns its sentinel before item 0 starts, at
-// any worker count.
+// of worker count. An item that panics fails at its index too: when the
+// lowest failing index panicked, its panic is re-raised on the caller's
+// goroutine — what the inline path does — so a caller that recovers
+// panics sees the same value at 1 worker and at 32. The cancellation
+// sentinel is returned only when no item failed, so a partial run is never
+// reported as complete: a nil result still means every index ran. A
+// context that is already dead on entry returns its sentinel before item 0
+// starts, at any worker count.
 func RunCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return guard.Ctx(ctx)
@@ -108,7 +112,7 @@ func RunCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 				if int64(i) > minFailAtomic.Load() {
 					continue
 				}
-				if err := fn(i); err != nil {
+				if err := call(fn, i); err != nil {
 					errs[i] = err
 					for {
 						cur := minFailAtomic.Load()
@@ -122,9 +126,28 @@ func RunCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	}
 	wg.Wait()
 	for _, err := range errs {
+		if p, ok := err.(panicked); ok {
+			panic(p.v)
+		}
 		if err != nil {
 			return err
 		}
 	}
 	return guard.Ctx(ctx)
+}
+
+// panicked is the failure of an item that panicked on a pool goroutine,
+// carrying the value RunCtx re-raises on the caller's.
+type panicked struct{ v any }
+
+func (p panicked) Error() string { return fmt.Sprint("pool: panic: ", p.v) }
+
+// call runs fn(i), recording a panic as the item's failure.
+func call(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = panicked{r}
+		}
+	}()
+	return fn(i)
 }

@@ -155,3 +155,38 @@ func TestRunEmptyAndSize(t *testing.T) {
 		t.Errorf("Size(5) = %d", got)
 	}
 }
+
+func TestRunPanicFailsAtItsIndex(t *testing.T) {
+	// A panicking item is a failure at its index: whichever of the panics
+	// and errors has the lowest index reaches the caller — a panic on the
+	// caller's goroutine, as the inline path raises it — at any worker count.
+	for _, workers := range []int{1, 4} {
+		for _, tc := range []struct {
+			errAt int
+			want  string
+		}{{3, "error: fail at 3"}, {30, "panic: at 10"}} {
+			var got string
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						got = fmt.Sprint("panic: ", r)
+					}
+				}()
+				if err := Run(workers, 64, func(i int) error {
+					switch i {
+					case tc.errAt:
+						return fmt.Errorf("fail at %d", i)
+					case 10, 20:
+						panic(fmt.Sprintf("at %d", i))
+					}
+					return nil
+				}); err != nil {
+					got = "error: " + err.Error()
+				}
+			}()
+			if got != tc.want {
+				t.Errorf("workers=%d error at %d: got %q, want %q", workers, tc.errAt, got, tc.want)
+			}
+		}
+	}
+}

@@ -222,20 +222,23 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore) error {
 // it, replays included: the counters never rewind, so work a recovered run
 // throws away is charged to the same budget as work it keeps. The same
 // stream therefore exhausts the same dimension at the same op on every
-// run, whichever entry point drives it.
+// run, whichever loop drives it.
 type stepper struct {
-	ctx context.Context // observed every 256 steps; nil never cancels
-	b   guard.Budget
-	eng *dram.Engine // nil: functional only, nothing is timed
+	ctx       context.Context // observed every 256 steps; nil never cancels
+	b         guard.Budget
+	m         *Machine
+	eng       *dram.Engine // nil: functional only, nothing is timed
+	bank, sub int          // the placement the engine charges and errors name
 
 	steps, cmds int // micro-ops executed / commands issued so far
 }
 
-// step runs op — op i of its stream — on unit u: b.MaxSimSteps caps the
-// micro-ops executed and b.MaxDRAMCommands the commands that reach the
-// timing engine, both checked before the op executes, so a guard stop,
-// like a functional error, leaves the offending op unexecuted.
-func (st *stepper) step(u *unit, op *dop, i int, io *HostIO) error {
+// step runs op — op i of its stream — on the machine's subarray:
+// b.MaxSimSteps caps the micro-ops executed and b.MaxDRAMCommands the
+// commands that reach the timing engine, both checked before the op
+// executes, so a guard stop, like a functional error, leaves the offending
+// op unexecuted.
+func (st *stepper) step(op *dop, i int, io *HostIO) error {
 	if st.steps&255 == 0 {
 		if err := guard.Ctx(st.ctx); err != nil {
 			return err
@@ -247,64 +250,32 @@ func (st *stepper) step(u *unit, op *dop, i int, io *HostIO) error {
 	if err := guard.Check(guard.DimDRAMCommands, st.b.MaxDRAMCommands, st.cmds+1); err != nil {
 		return err
 	}
-	if err := u.sub.exec(op, io, u.spill); err != nil {
-		return fmt.Errorf("op %d at bank %d sub %d: %w", i, u.bank, u.subarray, err)
+	if err := st.m.sub.exec(op, io, &st.m.spill); err != nil {
+		return fmt.Errorf("op %d at bank %d sub %d: %w", i, st.bank, st.sub, err)
 	}
 	if st.eng != nil {
-		st.eng.IssueOp(u.bank, u.subarray, op.kind, op.imm)
+		st.eng.IssueOp(st.bank, st.sub, op.kind, op.imm)
 	}
 	st.steps++
 	st.cmds++
 	return nil
 }
 
-// span steps ops [lo, hi) of d on unit u.
-func (st *stepper) span(u *unit, d *Decoded, lo, hi int, io *HostIO) error {
+// span steps ops [lo, hi) of d.
+func (st *stepper) span(d *Decoded, lo, hi int, io *HostIO) error {
 	for i := lo; i < hi; i++ {
-		if err := st.step(u, &d.ops[i], i, io); err != nil {
+		if err := st.step(&d.ops[i], i, io); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// RunCtx executes a placed op stream functionally and through the timing
-// engine under the guard layer (see stepper), returning the makespan in
-// nanoseconds. The first functional error or guard stop aborts the run.
-// It is the multi-subarray entry point: each op runs where it is placed,
-// and the At variants of io are bound to a subarray once per run.
-func (m *Machine) RunCtx(ctx context.Context, stream []dram.Placed, io *HostIO, b guard.Budget) (float64, error) {
-	st := m.begin(ctx, b)
-	for i := range stream {
-		p := &stream[i]
-		u := m.unit(p.Bank, p.Subarray)
-		var op dop
-		op.decode(&p.Op)
-		if err := st.step(u, &op, i, m.hostIO(u, io)); err != nil {
-			return m.engine.Makespan(), err
-		}
-	}
-	return m.engine.Makespan(), nil
-}
-
-// RunDecodedCtx executes a decoded program entirely on one subarray — the
-// entry point behind the kernel runs. It is RunCtx at a constant (bank,
-// sub), op for op: same checkpoints, same error wrapping, same commands
-// issued, so makespans, stats and stop points are those of the stream —
-// without building a []dram.Placed or decoding an op more than once.
-func (m *Machine) RunDecodedCtx(ctx context.Context, d *Decoded, bank, sub int, io *HostIO, b guard.Budget) (float64, error) {
-	st := m.begin(ctx, b)
-	u := m.unit(bank, sub)
-	err := st.span(u, d, 0, len(d.ops), m.hostIO(u, io))
-	return m.engine.Makespan(), err
-}
-
-// RunDecodedCtx is the functional-only form of Machine.RunDecodedCtx for a
-// caller that owns a bare subarray and times the program elsewhere (the
-// tiled runner): the same step with no timing engine and no budget, ctx
-// observed every 256 ops. A bare subarray is its own one-unit device, so
-// errors name bank 0 sub 0.
-func (s *Subarray) RunDecodedCtx(ctx context.Context, d *Decoded, io *HostIO, spill *SpillStore) error {
-	st := stepper{ctx: ctx}
-	return st.span(&unit{sub: s, spill: spill}, d, 0, len(d.ops), io)
+// RunFunctionalCtx executes d on the machine's subarray with no timing
+// engine and no budget, ctx observed every 256 ops: the loop of a caller
+// that times the program elsewhere (the tiled runner, whose timing comes
+// from the per-kernel shard memo). Errors name bank 0 sub 0.
+func (m *Machine) RunFunctionalCtx(ctx context.Context, d *Decoded, io *HostIO) error {
+	st := stepper{ctx: ctx, m: m}
+	return st.span(d, 0, len(d.ops), io)
 }

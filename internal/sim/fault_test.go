@@ -94,7 +94,7 @@ func TestFaultHookInvocations(t *testing.T) {
 	}
 }
 
-// A TRA fault model attached through the Machine factory corrupts exactly
+// A TRA fault model attached through MachineConfig.Fault corrupts exactly
 // the seeded lane, reproducibly.
 func TestMachineFaultFactoryDeterministic(t *testing.T) {
 	cfg := fault.Config{TRAFlipRate: 1, MaxFaults: 1}
@@ -103,7 +103,7 @@ func TestMachineFaultFactoryDeterministic(t *testing.T) {
 			Geom:  dram.DefaultGeometry(),
 			Arch:  isa.Ambit,
 			Lanes: 64,
-			Fault: func(bank, sub int) FaultHook { return fault.New(cfg, seed) },
+			Fault: fault.New(cfg, seed),
 		})
 		var out uint64
 		io := &HostIO{
@@ -115,12 +115,7 @@ func TestMachineFaultFactoryDeterministic(t *testing.T) {
 			},
 			ReadSink: func(tag int, data []uint64) { out = data[0] },
 		}
-		prog := andProgram()
-		stream := make([]dram.Placed, len(prog.Ops))
-		for i, op := range prog.Ops {
-			stream[i] = dram.Placed{Bank: 0, Subarray: 0, Op: op}
-		}
-		if _, err := m.RunCtx(nil, stream, io, guard.Budget{}); err != nil {
+		if _, _, err := m.RunRecoveredCtx(nil, Decode(andProgram()), 0, 0, io, guard.Budget{}, RecoveryPolicy{}); err != nil {
 			t.Fatal(err)
 		}
 		return out

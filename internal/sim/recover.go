@@ -2,7 +2,7 @@
 //
 // A recovered run splits the program into epochs at scheduler-chosen cut
 // points (isa.Program.EpochMarks, with a fixed-stride fallback), snapshots
-// the subarray and spill state at each boundary into a pooled checkpoint,
+// the subarray and spill state at each boundary into the machine's checkpoint,
 // runs a cheap online detector at the end of every epoch, and on a
 // detector mismatch rolls back, scrubs retention state, applies a
 // deterministic exponential backoff, and replays the epoch under a salted
@@ -33,7 +33,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"chopper/internal/guard"
 	"chopper/internal/isa"
@@ -43,8 +42,7 @@ import (
 type DetectorKind int
 
 const (
-	// DetectNone disables recovery (RunRecoveredCtx degenerates to
-	// RunDecodedCtx).
+	// DetectNone disables recovery (RunRecoveredCtx is the plain run).
 	DetectNone DetectorKind = iota
 	// DetectParity arms per-row parity tracking with an end-of-epoch sweep.
 	DetectParity
@@ -318,9 +316,9 @@ func (b *epochIO) flush() {
 	b.clear()
 }
 
-// recoverScratch is the pooled per-run working set of a recovered run: the
+// recoverScratch is the machine's working set for recovered runs: the
 // epoch checkpoint, the read buffer, the digest history and the sort
-// scratch. One checkout per run; zero allocation across epochs once warm.
+// scratch. Zero allocation across epochs and runs once warm.
 type recoverScratch struct {
 	ck      checkpoint
 	eio     epochIO
@@ -328,8 +326,6 @@ type recoverScratch struct {
 	rowKeys []int64
 	slotIDs []uint64
 }
-
-var recoverPool = sync.Pool{New: func() any { return new(recoverScratch) }}
 
 // mix64 is the splitmix64 finalizer (the digest's word mixer).
 func mix64(x uint64) uint64 {
@@ -401,25 +397,32 @@ func (sc *recoverScratch) digestState(s *Subarray, sp *SpillStore) uint64 {
 	return h
 }
 
-// RunRecoveredCtx executes a decoded single-subarray program under the
-// detect-and-recover policy pol: epoch checkpoints, an online detector per
-// epoch, and bounded rollback/scrub/backoff/replay on mismatch. It is
-// RunDecodedCtx plus the recovery layer — with DetectNone it IS
-// RunDecodedCtx — and observes the same guard contract: ctx every 256
-// executed ops, b.MaxSimSteps/b.MaxDRAMCommands checked before every op
-// (replays and detector checks included, so recovery is always bounded by
-// the run's budget and deadline).
+// RunRecoveredCtx executes a decoded program on the machine's subarray,
+// placed at (bank, sub), through the timing engine under the guard layer:
+// ctx every 256 executed ops, b.MaxSimSteps/b.MaxDRAMCommands checked
+// before every op. It returns the makespan in nanoseconds; the first
+// functional error or guard stop aborts the run. With the zero policy that
+// is the whole run — the plain run behind every kernel run.
 //
-// Epoch cut points come from the program's EpochMarks (snapping the target
-// stride forward to a gate boundary); programs without marks fall back to
-// fixed-stride cuts. On exhausted retries the run accepts the last
-// attempt's state and counts the epoch in RecoveryStats.Uncorrected —
+// A detector in pol adds the detect-and-recover layer: epoch checkpoints,
+// an online detector per epoch, and bounded rollback/scrub/backoff/replay
+// on mismatch, under the same guard contract (replays and detector checks
+// included, so recovery is always bounded by the run's budget and
+// deadline). Epoch cut points come from the program's EpochMarks (snapping
+// the target stride forward to a gate boundary); programs without marks
+// fall back to fixed-stride cuts. On exhausted retries the run accepts the
+// last attempt's state and counts the epoch in RecoveryStats.Uncorrected —
 // graceful degradation, mirroring the compile-time ladder.
 func (m *Machine) RunRecoveredCtx(ctx context.Context, d *Decoded, bank, sub int, io *HostIO, b guard.Budget, pol RecoveryPolicy) (float64, RecoveryStats, error) {
+	// One stepper for the whole run: its counters keep counting across
+	// rollbacks, so wasted replay work is charged to the same budget
+	// dimensions as first-try work and recovery cannot loop past a budget.
+	st := stepper{ctx: ctx, b: b, m: m, eng: &m.engine, bank: bank, sub: sub}
+	s, spill, eng := &m.sub, &m.spill, &m.engine
 	var rs RecoveryStats
 	if pol.Detector == DetectNone {
-		t, err := m.RunDecodedCtx(ctx, d, bank, sub, io, b)
-		return t, rs, err
+		err := st.span(d, 0, len(d.ops), io)
+		return eng.Makespan(), rs, err
 	}
 	if pol.EpochUops <= 0 {
 		pol.EpochUops = 256
@@ -428,19 +431,10 @@ func (m *Machine) RunRecoveredCtx(ctx context.Context, d *Decoded, bank, sub int
 		pol.MaxRetries = 0
 	}
 
-	// One stepper for the whole run: its counters keep counting across
-	// rollbacks, so wasted replay work is charged to the same budget
-	// dimensions as first-try work and recovery cannot loop past a budget.
-	st := m.begin(ctx, b)
-	u := m.unit(bank, sub)
-	s, spill, eng := u.sub, u.spill, m.engine
-	effIO := m.hostIO(u, io)
-
-	sc := recoverPool.Get().(*recoverScratch)
-	defer recoverPool.Put(sc)
-	sc.eio.init(effIO)
+	sc := &m.rec
+	sc.eio.init(io)
 	runIO := &sc.eio.io
-	if effIO == nil {
+	if io == nil {
 		runIO = nil
 	}
 
@@ -523,7 +517,7 @@ func (m *Machine) RunRecoveredCtx(ctx context.Context, d *Decoded, bank, sub int
 					return fin(err)
 				}
 			}
-			if err := st.span(u, d, start, end, runIO); err != nil {
+			if err := st.span(d, start, end, runIO); err != nil {
 				return fin(err)
 			}
 			// The detector's verdict: commit accepts the state; a rejection

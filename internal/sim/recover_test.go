@@ -38,16 +38,7 @@ func recProgram(blocks int) *isa.Program {
 func recPattern(tag int) uint64 { return 0x1111111111111111 * uint64(tag%15+1) }
 
 func recMachine(hook FaultHook) *Machine {
-	cfg := MachineConfig{Geom: dram.DefaultGeometry(), Arch: isa.Ambit, Lanes: 64}
-	if hook != nil {
-		cfg.Fault = func(bank, sub int) FaultHook {
-			if bank == 0 && sub == 0 {
-				return hook
-			}
-			return nil
-		}
-	}
-	return NewMachine(cfg)
+	return NewMachine(MachineConfig{Geom: dram.DefaultGeometry(), Arch: isa.Ambit, Lanes: 64, Fault: hook})
 }
 
 type readLog struct {
@@ -338,13 +329,13 @@ func TestRecoveryMachineReuseAcrossRuns(t *testing.T) {
 	if rs1.Detections == 0 {
 		t.Fatal("first run saw no fault; reuse test is vacuous")
 	}
-	if m.Sub(0, 0).parTrack {
+	if m.sub.parTrack {
 		t.Fatal("parity tracking left armed after the recovered run")
 	}
 	// Plain decoded run on the same machine: must behave as always.
 	m.Reconfigure(MachineConfig{Geom: dram.DefaultGeometry(), Arch: isa.Ambit, Lanes: 64})
 	var log2 readLog
-	if _, err := m.RunDecodedCtx(context.Background(), Decode(prog), 0, 0, recIO(&log2), guard.Budget{}); err != nil {
+	if _, _, err := runRecovered(t, m, prog, recIO(&log2), guard.Budget{}, RecoveryPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	checkReads(t, &log2, blocks)
@@ -421,10 +412,10 @@ func TestRecoveryRollsBackSpillAndOverflowRows(t *testing.T) {
 			t.Fatalf("detector %d: %v", pol.Detector, err)
 		}
 		for _, r := range rows {
-			st.rows = append(st.rows, m.Sub(0, 0).Row(r))
+			st.rows = append(st.rows, m.sub.Row(r))
 		}
 		st.spill = map[uint64][]uint64{}
-		for id, sl := range m.unit(0, 0).spill.slots {
+		for id, sl := range m.spill.slots {
 			if sl.live {
 				st.spill[id] = append([]uint64(nil), sl.data...)
 			}

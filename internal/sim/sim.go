@@ -8,23 +8,22 @@
 // plain Go computation.
 //
 // There is one way to execute a program. What the six micro-ops do is
-// defined once (Subarray.exec, decode.go), and every run loop drives it
-// through one guard → execute → issue step (stepper): a placed stream
-// (Machine.RunCtx), a decoded program at one placement (RunDecodedCtx),
-// the same under epoch recovery (RunRecoveredCtx, recover.go — the only
-// caller that rewinds) and a bare subarray with no timing at all
-// (Subarray.RunDecodedCtx). The entry points differ in how an op reaches
-// that step, not in what it does there.
+// defined once (Subarray.exec, decode.go), and both run loops drive it
+// through one guard → execute → issue step (stepper) on a Machine — one
+// subarray at the (bank, sub) a run names: Machine.RunRecoveredCtx
+// (recover.go; with the zero RecoveryPolicy it is the plain run, and it is
+// the only loop that rewinds) and Machine.RunFunctionalCtx, the same step
+// with no timing and no budget for a caller that times the program
+// elsewhere (the tiled runner).
 //
 // The row store is a flat preallocated arena indexed by a dense row id
 // (special rows first, then D-group rows) plus a presence bitmap, so the
 // steady-state execution loop performs no map lookups and no allocations;
 // see docs/PERFORMANCE.md for the layout and the pooling rules that let
-// verify/reliability sweeps reuse subarrays across trials via Reset.
+// verify/reliability sweeps reuse machines across trials via Reconfigure.
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 
@@ -35,8 +34,7 @@ import (
 
 // HostIO supplies WRITE payloads and consumes READ results. Tags identify
 // logical rows: the compiler assigns a tag to every input bit-row and every
-// output bit-row. For multi-subarray runs (each subarray processing its own
-// data tile), the At variants take precedence when non-nil.
+// output bit-row.
 //
 // The slice passed to ReadSink is a reusable scratch buffer owned by the
 // subarray: it is valid only for the duration of the call, and a sink that
@@ -46,11 +44,6 @@ type HostIO struct {
 	WriteData func(tag int) []uint64
 	// ReadSink receives the row payload of a READ with the given tag.
 	ReadSink func(tag int, data []uint64)
-
-	// WriteDataAt, when set, supplies per-subarray payloads.
-	WriteDataAt func(bank, sub, tag int) []uint64
-	// ReadSinkAt, when set, consumes per-subarray results.
-	ReadSinkAt func(bank, sub, tag int, data []uint64)
 }
 
 // FaultHook observes — and may perturb — a subarray's row operations. It
@@ -58,6 +51,7 @@ type HostIO struct {
 // charge-sharing flips, copy corruption, stuck bitlines, retention decay)
 // attach to the functional simulator; a nil hook costs nothing. All data
 // slices are the subarray's live row storage and may be mutated in place.
+// Hooks are stateful: give each subarray its own.
 type FaultHook interface {
 	// BeforeLoad runs when row r is about to be sensed as an operand
 	// (retention decay materializes here).
@@ -477,8 +471,8 @@ type SpillStore struct {
 	slots map[uint64]*spillSlot
 }
 
-// NewSpillStore creates an empty store.
-func NewSpillStore() *SpillStore { return &SpillStore{slots: make(map[uint64]*spillSlot)} }
+// NewSpillStore creates an empty store (the zero value is one too).
+func NewSpillStore() *SpillStore { return new(SpillStore) }
 
 // Reset logically empties the store (every slot reads as unwritten) while
 // keeping slot buffers allocated for trial reuse.
@@ -501,6 +495,9 @@ func (sp *SpillStore) MemBytes() int64 {
 func (sp *SpillStore) put(slot uint64, src []uint64, words int) {
 	sl := sp.slots[slot]
 	if sl == nil {
+		if sp.slots == nil {
+			sp.slots = make(map[uint64]*spillSlot)
+		}
 		sl = &spillSlot{}
 		sp.slots[slot] = sl
 	}
@@ -518,45 +515,28 @@ func (sp *SpillStore) get(slot uint64) ([]uint64, bool) {
 	return sl.data, true
 }
 
-// unit is everything a machine keeps for one (bank, subarray) placement:
-// the functional subarray, its spill store, and the adapter that binds the
-// At variants of a run's HostIO to this placement.
-type unit struct {
-	bank, subarray int
-	sub            *Subarray
-	spill          *SpillStore
-
-	at    *HostIO // adapterIO of the run numbered atRun; built on first use
-	atRun int
-}
-
-// Machine simulates a whole device: many subarray units (created lazily)
-// and the timing engine. Units are held in a dense slice indexed by (bank, subarray)
-// within the geometry; placements outside it fall back to a map,
-// preserving the historical tolerance.
+// Machine is one simulated subarray with everything a run of it keeps: the
+// functional state, its spill store, the timing engine and the recovery
+// scratch. A run names the (bank, sub) the subarray sits at, which is only
+// what the engine charges and what errors report; Reconfigure starts the
+// next run from fresh state. Multi-subarray execution is the compiler's
+// (VIRCOE's issue order) and the timing model's business, not the
+// functional simulator's: a tiled run executes its tiles on a machine each.
 type Machine struct {
-	geom  dram.Geometry
-	lanes int
-
-	engine *dram.Engine
-
-	units  []*unit
-	xunits map[[2]int]*unit // beyond-geometry placements (rare)
-	runs   int              // runs begun; names the run an adapter belongs to
-
-	fault func(bank, sub int) FaultHook
+	sub    Subarray
+	spill  SpillStore
+	engine dram.Engine
+	rec    recoverScratch
 }
 
 // MachineConfig configures a Machine.
 type MachineConfig struct {
 	Geom  dram.Geometry
 	Arch  isa.Arch
-	Lanes int // functional lanes per subarray; 0 means Geom.Bitlines()
+	Lanes int // functional lanes; 0 means Geom.Bitlines()
 
-	// Fault, when non-nil, supplies a fault model per subarray (each
-	// subarray must get its own hook: hooks are stateful and not safe
-	// for sharing). A nil return leaves that subarray fault-free.
-	Fault func(bank, sub int) FaultHook
+	// Fault, when non-nil, is the subarray's fault model (see FaultHook).
+	Fault FaultHook
 }
 
 // NewMachine builds a machine.
@@ -566,123 +546,38 @@ func NewMachine(cfg MachineConfig) *Machine {
 	return m
 }
 
-// Reconfigure resets the machine for a new run under cfg, reusing every
-// allocated subarray arena, spill buffer and engine table the new shape
-// permits. It is the trial-reuse entry point the verify/reliability sweeps
-// pool machines through.
+// Reconfigure resets the machine for a new run under cfg, reusing the
+// subarray arena, spill buffers, engine tables and recovery scratch the new
+// shape permits. It is the trial-reuse entry point the verify/reliability
+// sweeps pool machines through.
 func (m *Machine) Reconfigure(cfg MachineConfig) {
 	lanes := cfg.Lanes
 	if lanes == 0 {
 		lanes = cfg.Geom.Bitlines()
 	}
-	timing := dram.TimingFor(cfg.Arch, cfg.Geom)
 	// The machine's engine is the base device: no SALP and spill ops at
 	// their DRAM/bus cost alone. Tiled runs (which honour SALP) and the SSD
 	// study replay on engines of their own (tiled.go, internal/bench).
-	if m.engine == nil {
-		m.engine = dram.NewEngine(cfg.Geom, timing, false)
-	} else {
-		m.engine.Reconfigure(cfg.Geom, timing, false)
-	}
-	if n := cfg.Geom.Banks * cfg.Geom.SubarraysPB; cfg.Geom != m.geom || len(m.units) != n {
-		m.units = make([]*unit, n)
-	}
-	m.geom = cfg.Geom
-	m.lanes = lanes
-	m.fault = cfg.Fault
-	m.xunits = nil
-	for _, u := range m.units {
-		if u == nil {
-			continue
-		}
-		u.sub.Configure(cfg.Geom.DRows(), lanes)
-		if cfg.Fault != nil {
-			u.sub.SetFaultHook(cfg.Fault(u.bank, u.subarray))
-		}
-		u.spill.Reset()
-	}
+	m.engine.Reconfigure(cfg.Geom, dram.TimingFor(cfg.Arch, cfg.Geom), false)
+	m.sub.Configure(cfg.Geom.DRows(), lanes)
+	m.sub.SetFaultHook(cfg.Fault)
+	m.spill.Reset()
 }
-
-// unit returns (creating if needed) the unit at (bank, sub).
-func (m *Machine) unit(bank, sub int) *unit {
-	dense := bank >= 0 && sub >= 0 && bank < m.geom.Banks && sub < m.geom.SubarraysPB
-	i := bank*m.geom.SubarraysPB + sub // the dense index; meaningful only when dense
-	var u *unit
-	if dense {
-		u = m.units[i]
-	} else {
-		u = m.xunits[[2]int{bank, sub}]
-	}
-	if u != nil {
-		return u
-	}
-	u = &unit{bank: bank, subarray: sub, sub: NewSubarray(m.geom.DRows(), m.lanes), spill: NewSpillStore()}
-	if m.fault != nil {
-		u.sub.SetFaultHook(m.fault(bank, sub))
-	}
-	if dense {
-		m.units[i] = u
-	} else {
-		if m.xunits == nil {
-			m.xunits = make(map[[2]int]*unit)
-		}
-		m.xunits[[2]int{bank, sub}] = u
-	}
-	return u
-}
-
-// Sub returns (creating if needed) the functional subarray at (bank, sub).
-func (m *Machine) Sub(bank, sub int) *Subarray { return m.unit(bank, sub).sub }
 
 // MemBytes reports the reusable storage the machine retains across trials
-// (subarray arenas, spill buffers, engine tables): the peak scratch figure
+// (subarray arena, spill buffers, engine tables): the peak scratch figure
 // surfaced by choppersim and RunResult.
 func (m *Machine) MemBytes() int64 {
-	n := m.engine.MemBytes()
-	for _, u := range m.units {
-		if u != nil {
-			n += u.sub.MemBytes() + u.spill.MemBytes()
-		}
-	}
-	for _, u := range m.xunits {
-		n += u.sub.MemBytes() + u.spill.MemBytes()
-	}
-	return n
-}
-
-// begin starts a run: the stepper every op of it goes through.
-func (m *Machine) begin(ctx context.Context, b guard.Budget) stepper {
-	m.runs++
-	return stepper{ctx: ctx, b: b, eng: m.engine}
-}
-
-// hostIO returns the HostIO unit u executes against in the current run: io
-// itself, or — when io carries At variants — an adapter binding them to
-// u's placement (the plain WriteData/ReadSink stand in for an absent
-// variant), built at most once per (run, unit), never per op.
-func (m *Machine) hostIO(u *unit, io *HostIO) *HostIO {
-	if io == nil || (io.WriteDataAt == nil && io.ReadSinkAt == nil) {
-		return io
-	}
-	if u.atRun != m.runs {
-		bank, sub := u.bank, u.subarray
-		u.at, u.atRun = &HostIO{WriteData: io.WriteData, ReadSink: io.ReadSink}, m.runs
-		if io.WriteDataAt != nil {
-			u.at.WriteData = func(tag int) []uint64 { return io.WriteDataAt(bank, sub, tag) }
-		}
-		if io.ReadSinkAt != nil {
-			u.at.ReadSink = func(tag int, data []uint64) { io.ReadSinkAt(bank, sub, tag, data) }
-		}
-	}
-	return u.at
+	return m.engine.MemBytes() + m.sub.MemBytes() + m.spill.MemBytes()
 }
 
 // Stats exposes the timing engine counters.
 func (m *Machine) Stats() dram.EngineStats { return m.engine.Stats() }
 
-// RunProgram is a convenience for single-subarray programs: it places every
-// op at bank 0, subarray 0 and runs it on a fresh machine.
+// RunProgram is a convenience for single-subarray programs: it runs prog at
+// bank 0, subarray 0 of a fresh machine.
 func RunProgram(prog *isa.Program, arch isa.Arch, geom dram.Geometry, lanes int, io *HostIO) (float64, error) {
 	m := NewMachine(MachineConfig{Geom: geom, Arch: arch, Lanes: lanes})
-	return m.RunDecodedCtx(nil, Decode(prog), 0, 0, io, guard.Budget{})
+	t, _, err := m.RunRecoveredCtx(nil, Decode(prog), 0, 0, io, guard.Budget{}, RecoveryPolicy{})
+	return t, err
 }

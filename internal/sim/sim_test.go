@@ -192,27 +192,93 @@ func TestRowInitWrongConstantRejected(t *testing.T) {
 	}
 }
 
+// TestMachineRunAndTiming runs a stream placed on two subarrays the way a
+// multi-subarray caller does: a subarray per placement executes the op,
+// and one engine charges it where it is placed.
 func TestMachineRunAndTiming(t *testing.T) {
 	g := dram.DefaultGeometry()
-	m := NewMachine(MachineConfig{Geom: g, Arch: isa.Ambit, Lanes: 64})
+	eng := dram.NewEngine(g, dram.TimingFor(isa.Ambit, g), false)
+	subs := map[[2]int]*Subarray{}
 	io := &HostIO{WriteData: func(tag int) []uint64 { return []uint64{uint64(tag)} }}
 	stream := []dram.Placed{
 		{Bank: 0, Subarray: 0, Op: isa.NewWrite(isa.Row(0), 1)},
 		{Bank: 1, Subarray: 0, Op: isa.NewWrite(isa.Row(0), 2)},
 		{Bank: 0, Subarray: 0, Op: isa.NewAAP(isa.Row(0), isa.T0)},
 	}
-	mk, err := m.RunCtx(nil, stream, io, guard.Budget{})
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range stream {
+		s := subs[[2]int{p.Bank, p.Subarray}]
+		if s == nil {
+			s = NewSubarray(g.DRows(), 64)
+			subs[[2]int{p.Bank, p.Subarray}] = s
+		}
+		if err := s.Exec(&p.Op, io, nil); err != nil {
+			t.Fatal(err)
+		}
+		eng.Issue(p)
 	}
-	if mk <= 0 {
+	if eng.Makespan() <= 0 {
 		t.Error("zero makespan")
 	}
-	if m.Sub(0, 0).Row(isa.T0)[0] != 1 {
+	if eng.Stats().DistinctUnit != 2 {
+		t.Errorf("charged %d units, want 2", eng.Stats().DistinctUnit)
+	}
+	if subs[[2]int{0, 0}].Row(isa.T0)[0] != 1 {
 		t.Error("bank 0 state wrong")
 	}
-	if m.Sub(1, 0).Row(isa.Row(0))[0] != 2 {
+	if subs[[2]int{1, 0}].Row(isa.Row(0))[0] != 2 {
 		t.Error("bank 1 state wrong")
+	}
+}
+
+// TestMachinePlacement holds the machine to its one-subarray contract: the
+// (bank, sub) a run names is what the engine charges and what errors
+// report, nothing more — the same run at (3, 5) costs what it costs at
+// (0, 0), on exactly one engine unit — and a Reconfigure starts the next
+// run, wherever it is placed, from fresh state.
+func TestMachinePlacement(t *testing.T) {
+	cfg := MachineConfig{Geom: dram.DefaultGeometry(), Arch: isa.Ambit, Lanes: 64}
+	m := NewMachine(cfg)
+	io := steadyIO(1)
+	run := func(p *isa.Program, bank, sub int) error {
+		m.Reconfigure(cfg)
+		_, _, err := m.RunRecoveredCtx(nil, Decode(p), bank, sub, io, guard.Budget{}, RecoveryPolicy{})
+		return err
+	}
+	var stats [2]dram.EngineStats
+	for i, at := range [][2]int{{0, 0}, {3, 5}} {
+		if err := run(steadyProgram(), at[0], at[1]); err != nil {
+			t.Fatalf("run at %v: %v", at, err)
+		}
+		stats[i] = m.Stats()
+		if stats[i].DistinctUnit != 1 {
+			t.Errorf("run at %v charged %d engine units, want 1", at, stats[i].DistinctUnit)
+		}
+	}
+	if stats[0] != stats[1] {
+		t.Errorf("the run at (3, 5) costs differently from the run at (0, 0):\n%+v\n%+v", stats[1], stats[0])
+	}
+
+	bad := &isa.Program{Ops: []isa.Op{isa.NewWrite(isa.Row(0), 0), isa.NewAAP(isa.Row(1), isa.T0)}}
+	if err := run(bad, 3, 5); err == nil || !strings.HasPrefix(err.Error(), "op 1 at bank 3 sub 5: ") {
+		t.Errorf("error %v does not name op 1 at bank 3 sub 5", err)
+	}
+
+	// steadyProgram leaves D0 written and spill slot 3 live; after a
+	// Reconfigure, a run elsewhere sees neither.
+	for _, probe := range []struct {
+		op   isa.Op
+		want string
+	}{
+		{isa.NewRead(isa.Row(0), 0), "uninitialized"},
+		{isa.NewSpillIn(isa.Row(1), 3), "unwritten slot 3"},
+	} {
+		if err := run(steadyProgram(), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		err := run(&isa.Program{Ops: []isa.Op{probe.op}}, 2, 1)
+		if err == nil || !strings.HasPrefix(err.Error(), "op 0 at bank 2 sub 1: ") || !strings.Contains(err.Error(), probe.want) {
+			t.Errorf("%v after Reconfigure: error %v, want op 0 at bank 2 sub 1 and %q", probe.op, err, probe.want)
+		}
 	}
 }
 
@@ -239,8 +305,8 @@ func TestRunProgram(t *testing.T) {
 
 func TestFunctionalErrorAborts(t *testing.T) {
 	m := NewMachine(MachineConfig{Geom: dram.DefaultGeometry(), Arch: isa.Ambit, Lanes: 64})
-	stream := []dram.Placed{{Bank: 0, Subarray: 0, Op: isa.NewAAP(isa.Row(0), isa.T0)}}
-	if _, err := m.RunCtx(nil, stream, nil, guard.Budget{}); err == nil {
+	prog := &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.Row(0), isa.T0)}}
+	if _, _, err := m.RunRecoveredCtx(nil, Decode(prog), 0, 0, nil, guard.Budget{}, RecoveryPolicy{}); err == nil {
 		t.Error("uninitialized read did not abort run")
 	}
 }

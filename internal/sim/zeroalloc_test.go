@@ -79,24 +79,25 @@ func TestExecDecodedZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRunDecodedCtxZeroAlloc asserts the full Machine entry point — guard
-// checkpoints included — is allocation-free once warm.
+// TestRunDecodedCtxZeroAlloc asserts the full Machine entry point — the
+// plain run, RunRecoveredCtx with the zero policy, guard checkpoints
+// included — is allocation-free once warm.
 func TestRunDecodedCtxZeroAlloc(t *testing.T) {
 	g := dram.DefaultGeometry()
 	m := NewMachine(MachineConfig{Geom: g, Arch: isa.Ambit, Lanes: 96})
 	d := Decode(steadyProgram())
-	io := steadyIO(m.Sub(0, 0).words)
+	io := steadyIO(m.sub.words)
 	ctx := context.Background()
 	b := guard.Budget{}
 
 	run := func() {
-		if _, err := m.RunDecodedCtx(ctx, d, 0, 0, io, b); err != nil {
+		if _, _, err := m.RunRecoveredCtx(ctx, d, 0, 0, io, b, RecoveryPolicy{}); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 	}
 	run()
 	if n := testing.AllocsPerRun(100, run); n != 0 {
-		t.Fatalf("steady-state RunDecodedCtx allocates %v allocs/run, want 0", n)
+		t.Fatalf("steady-state plain run allocates %v allocs/run, want 0", n)
 	}
 }
 

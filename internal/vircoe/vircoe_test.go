@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"chopper/internal/dram"
-	"chopper/internal/guard"
 	"chopper/internal/isa"
 	"chopper/internal/sim"
 )
@@ -168,18 +167,25 @@ func TestEmitFunctionallyCorrectPerSubarray(t *testing.T) {
 	ps := mustPlacements(t, g, 6)
 	stream, _ := Emit(prog, ps, BankAware, dram.TimingFor(isa.Ambit, g))
 
-	m := sim.NewMachine(sim.MachineConfig{Geom: g, Arch: isa.Ambit, Lanes: 64})
+	// Each placement executes its ops on a subarray of its own, with host
+	// data bound to that placement.
 	got := make(map[[2]int]uint64)
-	io := &sim.HostIO{
-		WriteDataAt: func(bank, sub, tag int) []uint64 {
-			return []uint64{uint64(bank*100 + sub + 7)}
-		},
-		ReadSinkAt: func(bank, sub, tag int, data []uint64) {
-			got[[2]int{bank, sub}] = data[0]
-		},
-	}
-	if _, err := m.RunCtx(nil, stream, io, guard.Budget{}); err != nil {
-		t.Fatal(err)
+	subs := make(map[[2]int]*sim.Subarray)
+	for i := range stream {
+		p := &stream[i]
+		at := [2]int{p.Bank, p.Subarray}
+		s := subs[at]
+		if s == nil {
+			s = sim.NewSubarray(g.DRows(), 64)
+			subs[at] = s
+		}
+		io := &sim.HostIO{
+			WriteData: func(tag int) []uint64 { return []uint64{uint64(at[0]*100 + at[1] + 7)} },
+			ReadSink:  func(tag int, data []uint64) { got[at] = data[0] },
+		}
+		if err := s.Exec(&p.Op, io, nil); err != nil {
+			t.Fatalf("op %d at %v: %v", i, at, err)
+		}
 	}
 	if len(got) != 6 {
 		t.Fatalf("read back %d tiles, want 6", len(got))

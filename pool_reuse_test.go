@@ -8,13 +8,16 @@ import (
 	"testing"
 )
 
-// TestPoolReuseInterleavedFaultyCleanRuns hammers the shared machine and
-// injector pools with alternating faulty-recovered, faulty-plain and clean
-// runs. Every clean run must be bit-identical to the reference and report
-// zero faults and zero recovery activity; every faulty run must reproduce
-// its own first result. This is the regression net for pooled-Reset state
-// leaks (stuck-at column tables, retention timestamps, epoch checkpoints,
-// parity tracking).
+// TestPoolReuseInterleavedFaultyCleanRuns hammers the one worker pool —
+// machines, injectors, host bindings — with alternating faulty-plain,
+// faulty-recovered and clean runs, each followed by a tiled run on another
+// geometry and lane count, whose tiles check out the same workers. Every
+// clean and tiled run must be bit-identical to its reference and every
+// clean run must report zero faults and zero recovery activity; every
+// faulty run must reproduce its own first result. This is the regression
+// net for pooled-Reset state leaks (stuck-at column tables, retention
+// timestamps, epoch checkpoints, parity tracking, fault hooks, subarray and
+// engine shapes).
 func TestPoolReuseInterleavedFaultyCleanRuns(t *testing.T) {
 	const lanes = 64
 	plain, err := Compile(recAdderSrc, Options{Target: Ambit})
@@ -30,6 +33,31 @@ func TestPoolReuseInterleavedFaultyCleanRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// Two 512-lane tiles, the second partial, against a+b computed here.
+	tiled, err := Compile(recAdderSrc, Options{Target: SIMDRAM, Geometry: paperGeom()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiledLanes := 2*paperGeom().Bitlines() - 100
+	tiledIn := map[string][][]uint64{}
+	for name, vals := range recInputs(tiledLanes) {
+		for _, v := range vals {
+			tiledIn[name] = append(tiledIn[name], []uint64{v})
+		}
+	}
+	runTiled := func(round int, after string) {
+		t.Helper()
+		res, err := tiled.RunTiled(tiledIn, tiledLanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l, got := range res.Outputs["s"] {
+			if want := (tiledIn["a"][l][0] + tiledIn["b"][l][0]) & 0xff; got[0] != want {
+				t.Fatalf("round %d: tiled run after the %s run: lane %d = %d, want %d (pooled worker state leaked)", round, after, l, got[0], want)
+			}
+		}
+	}
 	cfg := FaultConfig{
 		TRAFlipRate:   0.01,
 		RetentionRate: 0.2,
@@ -42,14 +70,17 @@ func TestPoolReuseInterleavedFaultyCleanRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		runTiled(i, "faulty")
 		rr, err := rec.RunRowsUnderFault(recRows(t, rec, lanes), lanes, cfg, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
+		runTiled(i, "recovered")
 		clean, err := plain.RunRows(recRows(t, plain, lanes), lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
+		runTiled(i, "clean")
 		if i == 0 {
 			faultyRef, recRef = fr, rr
 			if fr.Faults.Total() == 0 {

@@ -102,7 +102,7 @@ func (k *Kernel) ReliabilityCtx(ctx context.Context, trials int, seed int64, cfg
 	rep = &ReliabilityReport{Lanes: lanes}
 
 	// Fault-free timing reference.
-	res, err := k.runRows(ctx, k.newTrial(0, seed, lanes).rows(k), lanes, nil)
+	res, err := k.runRows(ctx, k.newTrial(0, seed, lanes).rows(k), lanes, nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -110,14 +110,14 @@ func (k *Kernel) ReliabilityCtx(ctx context.Context, trials int, seed int64, cfg
 
 	// One pool job per (cfg, trial) cell; cell j writes only cells[j], so
 	// the merge below sees the same data regardless of scheduling. Cells
-	// execute on pooled simulation workers (workerPool) and pooled fault
-	// injectors (injectorPool), so a sweep's steady-state cost is the
+	// execute on pooled simulation workers (simWorker), each resetting its
+	// own fault injector per cell, so a sweep's steady-state cost is the
 	// functional replay itself, not per-trial allocation.
 	cells := make([]relCell, len(cfgs)*trials)
 	err = pool.RunCtx(ctx, workers, len(cells), func(j int) error {
 		ci, n := j/trials, j%trials
 		t := k.newTrial(n, trialSeed(seed, j), lanes)
-		res, err := k.runRowsUnderFault(ctx, t.rows(k), lanes, cfgs[ci], seed+int64(ci)<<16+int64(n))
+		res, err := k.runRows(ctx, t.rows(k), lanes, &cfgs[ci], seed+int64(ci)<<16+int64(n))
 		if err != nil {
 			return err
 		}

@@ -3,7 +3,6 @@ package chopper
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"chopper/internal/dram"
 	"chopper/internal/guard"
@@ -20,8 +19,8 @@ import (
 // tilePlan, so a tag resolves to its row through tables built once per
 // kernel. A single-subarray run points the table at the caller's rows
 // (bindRows), a tile lays every row out on the binding's own buffer
-// (bindTile). Bindings are pooled with the worker or tile scratch that owns
-// them, so the HostIO closures are built once per binding, not per run.
+// (bindTile). Bindings are pooled with the simWorker that owns them, so the
+// HostIO closures are built once per binding, not per run.
 type hostRows struct {
 	plan *tilePlan   // tag tables of the kernel whose run is in flight
 	rows [][]uint64  // row r of plan's layout
@@ -118,34 +117,6 @@ func (h *hostRows) bindRows(k *Kernel, rows map[string][][]uint64, lanes int) (m
 		outRows[o.Name], own = own[:o.Width:o.Width], own[o.Width:]
 	}
 	return outRows, nil
-}
-
-// tileScratch is the per-worker state of one tile run: a subarray, a spill
-// store, and the binding that holds the tile's vertical rows (inputs,
-// outputs, constants). It is pooled so repeated RunTiled calls (and the
-// benchmark harness driving them) reuse arenas instead of reallocating them
-// per tile.
-type tileScratch struct {
-	sub   *sim.Subarray
-	spill *sim.SpillStore
-	hostRows
-}
-
-var tileScratchPool sync.Pool
-
-func getTileScratch(dRows, lanes int) *tileScratch {
-	if v := tileScratchPool.Get(); v != nil {
-		ts := v.(*tileScratch)
-		ts.sub.Configure(dRows, lanes)
-		ts.spill.Reset()
-		return ts
-	}
-	return &tileScratch{sub: sim.NewSubarray(dRows, lanes), spill: sim.NewSpillStore()}
-}
-
-func putTileScratch(ts *tileScratch) {
-	ts.plan = nil
-	tileScratchPool.Put(ts)
 }
 
 // tilePlan is the run-independent half of a kernel's host I/O: every run
@@ -255,22 +226,6 @@ func tagTable(tags map[string]int, specs []IOSpec, first, minLen int) ([]int32, 
 	return table, nil
 }
 
-// tileEnginePool recycles timing engines across the shard replays of
-// kernels' first tiled runs; Reconfigure reuses the scheduling slices when
-// the unit count is unchanged.
-var tileEnginePool sync.Pool
-
-func getTileEngine(g dram.Geometry, t dram.Timing, salp bool) *dram.Engine {
-	if v := tileEnginePool.Get(); v != nil {
-		e := v.(*dram.Engine)
-		e.Reconfigure(g, t, salp)
-		return e
-	}
-	return dram.NewEngine(g, t, salp)
-}
-
-func putTileEngine(e *dram.Engine) { tileEnginePool.Put(e) }
-
 // TiledResult carries a tiled run's outputs and timing.
 type TiledResult struct {
 	// Outputs, per operand, one limb-slice per lane (lane order matches
@@ -342,7 +297,8 @@ func (k *Kernel) RunTiled(inputs map[string][][]uint64, lanes int) (*TiledResult
 // deterministically — the total work (tiles x program length) is known
 // before anything runs — so the stop is identical at every worker count
 // and every channel count instead of depending on which shard trips it.
-func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, lanes int) (*TiledResult, error) {
+func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, lanes int) (res *TiledResult, err error) {
+	defer recoverToError(&err)
 	if lanes <= 0 {
 		return nil, optionsErrf("lanes must be positive, have %d", lanes)
 	}
@@ -413,16 +369,17 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 	d := k.decodedProg()
 	runTile := func(tl int) error {
 		lo, n := tl*tileLanes, laneCount(tl)
-		ts := getTileScratch(geom.DRows(), tileLanes)
-		defer putTileScratch(ts)
-		rows := ts.bindTile(plan, transpose.Words(n))
+		w := getWorker()
+		defer putWorker(w)
+		w.m.Reconfigure(sim.MachineConfig{Geom: geom, Arch: k.Opts.Target})
+		rows := w.host.bindTile(plan, transpose.Words(n))
 		for _, in := range k.Inputs {
 			transpose.ToVerticalWideInto(rows, 0, inputs[in.Name][lo:lo+n], in.Width, n)
 			rows = rows[in.Width:]
 		}
 		outRows := rows[:plan.outRows]
 		plan.fillConsts(rows[plan.outRows:], n)
-		if err := ts.sub.RunDecodedCtx(ctx, d, ts.hostIO(), ts.spill); err != nil {
+		if err := w.m.RunFunctionalCtx(ctx, d, w.host.hostIO()); err != nil {
 			if guard.IsGuard(err) {
 				return err
 			}
@@ -513,7 +470,7 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 	}
 	transferNs := scatterNs + gatherNs
 
-	res := &TiledResult{
+	res = &TiledResult{
 		Outputs:    make(map[string][][]uint64, len(k.Outputs)),
 		TimeNs:     deviceNs,
 		TransferNs: transferNs,
@@ -571,16 +528,16 @@ func (k *Kernel) replayShard(ctx context.Context, count int, timing dram.Timing)
 }
 
 // emitShard computes the timing of one channel shard: VIRCOE emits the
-// shard's issue order one command at a time straight into a pooled engine,
-// so the stream is never materialized. ctx is observed every 256 commands,
-// as Engine.RunCtx does, and a stop ends the emission.
+// shard's issue order one command at a time straight into an engine of its
+// own, so the stream is never materialized (only a kernel's first run of a
+// shape gets here: later runs find the result in the memo). ctx is observed
+// every 256 commands, as Engine.RunCtx does, and a stop ends the emission.
 func (k *Kernel) emitShard(ctx context.Context, key shardKey) (shardTiming, error) {
 	pls, err := vircoe.Placements(key.geom, key.tiles)
 	if err != nil {
 		return shardTiming{}, err // unreachable: RunTiledCtx bounds the tile count by the capacity
 	}
-	eng := getTileEngine(key.geom, key.timing, key.salp)
-	defer putTileEngine(eng)
+	eng := dram.NewEngine(key.geom, key.timing, key.salp)
 	// The emitter believes what the device is: every subarray a unit of its
 	// own under SALP, same-bank subarrays serialized without it.
 	mode := vircoe.BankAware

@@ -64,7 +64,7 @@ func (k *Kernel) Verify(trials int, seed int64) error {
 func (k *Kernel) VerifyCtx(ctx context.Context, trials int, seed int64, workers int) (err error) {
 	defer recoverToError(&err)
 	return k.verifyTrials(ctx, trials, seed, workers, func(_ int, rows map[string][][]uint64, lanes int) (*RunResult, error) {
-		return k.runRows(ctx, rows, lanes, nil)
+		return k.runRows(ctx, rows, lanes, nil, 0)
 	})
 }
 
@@ -85,7 +85,7 @@ func (k *Kernel) VerifyUnderFault(trials int, seed int64, cfg FaultConfig) error
 func (k *Kernel) VerifyUnderFaultCtx(ctx context.Context, trials int, seed int64, cfg FaultConfig, workers int) (err error) {
 	defer recoverToError(&err)
 	return k.verifyTrials(ctx, trials, seed, workers, func(trial int, rows map[string][][]uint64, lanes int) (*RunResult, error) {
-		return k.runRowsUnderFault(ctx, rows, lanes, cfg, seed+int64(trial))
+		return k.runRows(ctx, rows, lanes, &cfg, seed+int64(trial))
 	})
 }
 
@@ -128,7 +128,7 @@ func (t trial) rows(k *Kernel) map[string][][]uint64 {
 // Trials are independent units of work: inputs come from trialSeed(seed,
 // trial), the lane count from verifyLaneSchedule, so the pool can place
 // them on any worker without changing the outcome. Each trial runs on a
-// pooled simulation worker (see workerPool): workers reuse subarray
+// pooled simulation worker (see simWorker): workers reuse subarray
 // arenas, spill buffers and engine tables across trials instead of
 // reallocating them, with Reconfigure resetting all trial state.
 func (k *Kernel) verifyTrials(ctx context.Context, trials int, seed int64, workers int, run func(trial int, rows map[string][][]uint64, lanes int) (*RunResult, error)) error {
@@ -181,8 +181,8 @@ func (k *Kernel) compareTrial(t trial, rows map[string][][]uint64) error {
 func (k *Kernel) diffTrial(t trial, rows map[string][][]uint64, report func(lane int, out string, got, want []uint64) bool) error {
 	got := k.gatherWide(rows, t.lanes)
 	plan := k.refPlan()
-	w := workerPool.Get().(*simWorker)
-	defer workerPool.Put(w)
+	w := getWorker()
+	defer putWorker(w)
 	if err := plan.EvalLanes(&w.ref, t.inWide, t.lanes); err != nil {
 		return stagef(ErrVerify, "chopper: verify", "trial %d: reference eval: %v", t.n, err)
 	}
