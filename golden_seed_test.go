@@ -1,37 +1,148 @@
-package chopper_test
+package chopper
 
-// The golden-equivalence suite for the dense-index middle-end rewrite:
-// every program the rewritten compiler emits must be byte-for-byte
-// identical to what the frozen pre-change snapshot (internal/seedcompile)
-// emits for the same graph, across targets, optimization levels,
-// hardening, budget truncation, and the degradation ladder. The fast path
-// is allowed to change how the answer is computed, never the answer.
+// The golden suite for the dense-index middle-end rewrite: every program
+// the compiler emits on the cases below must be byte-for-byte what the
+// frozen pre-rewrite compiler (internal/seedcompile) emitted for the same
+// graph, across targets, optimization levels, hardening, budget truncation
+// and the degradation ladder. testdata/golden_programs.sha256 holds one
+// digest per case, recorded from the frozen compiler's results; each case
+// checks the current compiler against both.
+//
+// Regenerate with: go test -run TestGoldenSeed -update .
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
-	"reflect"
+	"os"
+	"sort"
+	"strings"
 	"testing"
 
-	"chopper"
+	"chopper/internal/isa"
 	"chopper/internal/obs"
 	"chopper/internal/seedcompile"
 	seedobs "chopper/internal/seedcompile/obs"
 	"chopper/internal/workloads"
 )
 
+const goldenPrograms = "testdata/golden_programs.sha256"
+
 // goldenWorkloads is the compared set: a Table II subset, one workload per
 // paper domain.
 var goldenWorkloads = []string{"DenseNet-16", "WTC-64", "DiffGen-64", "SW-64"}
 
-var goldenTargets = []chopper.Target{chopper.Ambit, chopper.ELP2IM, chopper.SIMDRAM}
+var goldenTargets = []Target{Ambit, ELP2IM, SIMDRAM}
 
-var goldenOpts = []chopper.OptLevel{chopper.OptBitslice, chopper.OptSchedule, chopper.OptReuse, chopper.OptFull}
+// goldenFile is the digest file: case name -> recorded value.
+type goldenFile map[string]string
 
-// seedCompile runs the frozen pipeline on the kernel's own graph with the
-// kernel's effective configuration, at the given optimization level.
-func seedCompile(k *chopper.Kernel, opt chopper.OptLevel) (*seedcompile.Result, error) {
-	return seedcompile.Compile(k.Graph, seedcompile.Options{
+func loadGolden(t *testing.T) goldenFile {
+	t.Helper()
+	g := goldenFile{}
+	f, err := os.Open(goldenPrograms)
+	if errors.Is(err, os.ErrNotExist) && *update {
+		return g
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, val, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", goldenPrograms, line)
+		}
+		g[name] = val
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func (g goldenFile) write(t *testing.T) {
+	t.Helper()
+	names := make([]string, 0, len(g))
+	for name := range g {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var sb strings.Builder
+	sb.WriteString("# Golden program digests (golden_seed_test.go): SHA-256 of each case's program\n")
+	sb.WriteString("# text, row/slot accounting, host tags and legalized net; budget cases are\n")
+	sb.WriteString("# dimension, limit and count. Regenerate: go test -run TestGoldenSeed -update .\n")
+	for _, name := range names {
+		fmt.Fprintf(&sb, "%s %s\n", name, g[name])
+	}
+	if err := os.WriteFile(goldenPrograms, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// check compares one case's value with the file, or records it under -update.
+func (g goldenFile) check(t *testing.T, name, got string) {
+	t.Helper()
+	if *update {
+		g[name] = got
+		return
+	}
+	want, ok := g[name]
+	if !ok {
+		t.Fatalf("%s has no entry %q; regenerate with -update", goldenPrograms, name)
+	}
+	if got != want {
+		t.Fatalf("%s: got %s, %s records %s", name, got, goldenPrograms, want)
+	}
+}
+
+// goldenDigest hashes every fact the golden suite pins: the program text,
+// its row/slot accounting, the host ABI tags in sorted order, and the
+// legalized net's gates and interface (each rendered with fmt.Sprint).
+func goldenDigest(prog *isa.Program, inTag, outTag map[string]int, consts map[int]uint64, gates, iface string) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\nrows %d slots %d\n", prog.Format(), prog.DRowsUsed, prog.SpillSlots)
+	for _, tags := range []map[string]int{inTag, outTag} {
+		names := make([]string, 0, len(tags))
+		for name := range tags {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(h, "%s=%d\n", name, tags[name])
+		}
+	}
+	ct := make([]int, 0, len(consts))
+	for tag := range consts {
+		ct = append(ct, tag)
+	}
+	sort.Ints(ct)
+	for _, tag := range ct {
+		fmt.Fprintf(h, "const %d=%#x\n", tag, consts[tag])
+	}
+	fmt.Fprintf(h, "%s\n%s\n", gates, iface)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func kernelDigest(k *Kernel) string {
+	n := k.Net
+	return goldenDigest(k.Prog(), k.Code.InputTag, k.Code.OutputTag, k.Code.ConstPattern,
+		fmt.Sprint(n.Gates), fmt.Sprint(n.Inputs, n.InputNames, n.Outputs, n.OutputNames))
+}
+
+// seedDigest runs the frozen pipeline on the kernel's own graph with the
+// kernel's effective configuration, at the given optimization level, and
+// digests its result.
+func seedDigest(t *testing.T, k *Kernel, opt OptLevel) string {
+	t.Helper()
+	seed, err := seedcompile.Compile(k.Graph, seedcompile.Options{
 		Arch:        k.Opts.Target,
 		Opt:         seedobs.Variant(int(opt)),
 		DRows:       k.Opts.Geometry.DRows(),
@@ -39,139 +150,125 @@ func seedCompile(k *chopper.Kernel, opt chopper.OptLevel) (*seedcompile.Result, 
 		MaxNetGates: k.Opts.Budget.MaxNetGates,
 		MaxMicroOps: k.Opts.Budget.MaxMicroOps,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := seed.Net
+	return goldenDigest(seed.Code.Prog, seed.Code.InputTag, seed.Code.OutputTag, seed.Code.ConstPattern,
+		fmt.Sprint(n.Gates), fmt.Sprint(n.Inputs, n.InputNames, n.Outputs, n.OutputNames))
 }
 
-// assertGolden fails unless the kernel and the seed result are identical:
-// same program bytes, same row/slot accounting, same host ABI tags, and
-// the same legalized net underneath.
-func assertGolden(t *testing.T, k *chopper.Kernel, seed *seedcompile.Result) {
+// checkKernel holds one compiled case against the frozen compiler's digest
+// and the recorded one.
+func (g goldenFile) checkKernel(t *testing.T, name string, k *Kernel, opt OptLevel) {
 	t.Helper()
-	got, want := k.Prog(), seed.Code.Prog
-	if g, w := got.Format(), want.Format(); g != w {
-		i := 0
-		for i < len(g) && i < len(w) && g[i] == w[i] {
-			i++
-		}
-		t.Fatalf("program text diverges from seed at byte %d (len %d vs %d):\n fast: %.80q\n seed: %.80q",
-			i, len(g), len(w), g[max(0, i-40):], w[max(0, i-40):])
+	seed := seedDigest(t, k, opt)
+	if got := kernelDigest(k); got != seed {
+		t.Fatalf("%s: program digest %s, frozen compiler %s", name, got, seed)
 	}
-	if got.DRowsUsed != want.DRowsUsed || got.SpillSlots != want.SpillSlots {
-		t.Fatalf("row/slot accounting diverges: DRowsUsed %d/%d, SpillSlots %d/%d",
-			got.DRowsUsed, want.DRowsUsed, got.SpillSlots, want.SpillSlots)
-	}
-	if !reflect.DeepEqual(k.Code.InputTag, seed.Code.InputTag) {
-		t.Fatalf("InputTag diverges:\n fast: %v\n seed: %v", k.Code.InputTag, seed.Code.InputTag)
-	}
-	if !reflect.DeepEqual(k.Code.OutputTag, seed.Code.OutputTag) {
-		t.Fatalf("OutputTag diverges:\n fast: %v\n seed: %v", k.Code.OutputTag, seed.Code.OutputTag)
-	}
-	if len(k.Code.ConstPattern) != 0 || len(seed.Code.ConstPattern) != 0 {
-		if !reflect.DeepEqual(k.Code.ConstPattern, seed.Code.ConstPattern) {
-			t.Fatalf("ConstPattern diverges:\n fast: %v\n seed: %v", k.Code.ConstPattern, seed.Code.ConstPattern)
-		}
-	}
-	if g, w := fmt.Sprint(k.Net.Gates), fmt.Sprint(seed.Net.Gates); g != w {
-		t.Fatalf("legalized net diverges: %d vs %d gates", len(k.Net.Gates), len(seed.Net.Gates))
-	}
-	if g, w := fmt.Sprint(k.Net.Inputs, k.Net.InputNames, k.Net.Outputs, k.Net.OutputNames),
-		fmt.Sprint(seed.Net.Inputs, seed.Net.InputNames, seed.Net.Outputs, seed.Net.OutputNames); g != w {
-		t.Fatalf("legalized net interface diverges:\n fast: %s\n seed: %s", g, w)
-	}
+	g.check(t, name, seed)
 }
 
-// TestGoldenSeedEquivalence compares the emitted program on every
-// workload × target × optimization level of the paper's breakdown ladder.
+// TestGoldenSeedEquivalence pins the emitted program on every workload ×
+// target × optimization level of the paper's breakdown ladder.
 func TestGoldenSeedEquivalence(t *testing.T) {
+	g := loadGolden(t)
 	for _, wl := range goldenWorkloads {
 		spec, ok := workloads.Get(wl)
 		if !ok {
 			t.Fatalf("unknown workload %q", wl)
 		}
 		for _, arch := range goldenTargets {
-			for _, opt := range goldenOpts {
-				t.Run(fmt.Sprintf("%s/%s/%s", wl, arch, opt), func(t *testing.T) {
-					k, err := chopper.Compile(spec.Src, chopper.Options{Target: arch}.WithOpt(opt))
+			for _, opt := range allOpts {
+				name := fmt.Sprintf("%s/%s/%s", wl, arch, opt)
+				t.Run(name, func(t *testing.T) {
+					k, err := Compile(spec.Src, Options{Target: arch}.WithOpt(opt))
 					if err != nil {
 						t.Fatal(err)
 					}
-					seed, err := seedCompile(k, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertGolden(t, k, seed)
+					g.checkKernel(t, "plain/"+name, k, opt)
 				})
 			}
 		}
 	}
+	if *update {
+		g.write(t)
+	}
 }
 
-// TestGoldenSeedEquivalenceHarden repeats the comparison with TMR
-// hardening on, at both ends of the opt ladder.
+// TestGoldenSeedEquivalenceHarden repeats it with TMR hardening on, at both
+// ends of the opt ladder.
 func TestGoldenSeedEquivalenceHarden(t *testing.T) {
+	g := loadGolden(t)
 	for _, wl := range []string{"DiffGen-64", "SW-64"} {
 		spec, _ := workloads.Get(wl)
 		for _, arch := range goldenTargets {
-			for _, opt := range []chopper.OptLevel{chopper.OptBitslice, chopper.OptFull} {
-				t.Run(fmt.Sprintf("%s/%s/%s", wl, arch, opt), func(t *testing.T) {
-					k, err := chopper.Compile(spec.Src, chopper.Options{Target: arch, Harden: true}.WithOpt(opt))
+			for _, opt := range []OptLevel{OptBitslice, OptFull} {
+				name := fmt.Sprintf("%s/%s/%s", wl, arch, opt)
+				t.Run(name, func(t *testing.T) {
+					k, err := Compile(spec.Src, Options{Target: arch, Harden: true}.WithOpt(opt))
 					if err != nil {
 						t.Fatal(err)
 					}
-					seed, err := seedCompile(k, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertGolden(t, k, seed)
+					g.checkKernel(t, "harden/"+name, k, opt)
 				})
 			}
 		}
 	}
+	if *update {
+		g.write(t)
+	}
 }
 
-// TestGoldenSeedBudgets compares budget-truncated compiles: both sides
-// must trip the same guard dimension at the same count.
+// TestGoldenSeedBudgets pins budget-truncated compiles: each must trip the
+// recorded guard dimension at the recorded count.
 func TestGoldenSeedBudgets(t *testing.T) {
+	g := loadGolden(t)
 	spec, _ := workloads.Get("SW-64")
 	cases := []struct {
 		name   string
-		budget chopper.Budget
+		budget Budget
 	}{
-		{"micro-ops", chopper.Budget{MaxMicroOps: 100}},
-		{"net-gates", chopper.Budget{MaxNetGates: 100}},
+		{"micro-ops", Budget{MaxMicroOps: 100}},
+		{"net-gates", Budget{MaxNetGates: 100}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := chopper.Compile(spec.Src, chopper.Options{Target: chopper.Ambit, Budget: tc.budget})
-			var fastBE *chopper.BudgetError
-			if !errors.As(err, &fastBE) {
-				t.Fatalf("fast compile: want *BudgetError, got %v", err)
+			_, err := Compile(spec.Src, Options{Target: Ambit, Budget: tc.budget})
+			var be *BudgetError
+			if !errors.As(err, &be) {
+				t.Fatalf("want *BudgetError, got %v", err)
 			}
-			// Build the graph once without a budget to feed the seed side.
-			full, err := chopper.Compile(spec.Src, chopper.Options{Target: chopper.Ambit})
+			// Build the graph once without a budget to feed the frozen side.
+			full, err := Compile(spec.Src, Options{Target: Ambit})
 			if err != nil {
 				t.Fatal(err)
 			}
 			_, err = seedcompile.Compile(full.Graph, seedcompile.Options{
-				Arch:        chopper.Ambit,
+				Arch:        Ambit,
 				Opt:         seedobs.Rename,
 				DRows:       full.Opts.Geometry.DRows(),
 				MaxNetGates: tc.budget.MaxNetGates,
 				MaxMicroOps: tc.budget.MaxMicroOps,
 			})
-			var seedBE *chopper.BudgetError
+			var seedBE *BudgetError
 			if !errors.As(err, &seedBE) {
-				t.Fatalf("seed compile: want *BudgetError, got %v", err)
+				t.Fatalf("frozen compile: want *BudgetError, got %v", err)
 			}
-			if fastBE.Dimension != seedBE.Dimension || fastBE.Limit != seedBE.Limit || fastBE.Count != seedBE.Count {
-				t.Fatalf("budget errors diverge:\n fast: %v\n seed: %v", fastBE, seedBE)
+			if *be != *seedBE {
+				t.Fatalf("budget errors diverge:\n got:    %v\n frozen: %v", be, seedBE)
 			}
+			g.check(t, "budget/"+tc.name, fmt.Sprintf("%s %d %d", seedBE.Dimension, seedBE.Limit, seedBE.Count))
 		})
+	}
+	if *update {
+		g.write(t)
 	}
 }
 
 // TestGoldenSeedDegradation forces the scheduled OBS passes to panic so
-// the ladder lands on OptBitslice, and checks the degraded program equals
-// the seed pipeline run directly at bitslice level.
+// the ladder lands on OptBitslice, and pins the degraded program, which
+// must be the bitslice-level program.
 func TestGoldenSeedDegradation(t *testing.T) {
 	obs.TestPanicHook = func(pressureAware bool) {
 		if pressureAware {
@@ -180,21 +277,21 @@ func TestGoldenSeedDegradation(t *testing.T) {
 	}
 	defer func() { obs.TestPanicHook = nil }()
 
+	g := loadGolden(t)
 	spec, _ := workloads.Get("DiffGen-64")
 	for _, arch := range goldenTargets {
 		t.Run(arch.String(), func(t *testing.T) {
-			k, err := chopper.Compile(spec.Src, chopper.Options{Target: arch})
+			k, err := Compile(spec.Src, Options{Target: arch})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if k.Degradation == nil || k.Degradation.Effective != chopper.OptBitslice {
+			if k.Degradation == nil || k.Degradation.Effective != OptBitslice {
 				t.Fatalf("expected degradation to OptBitslice, got %+v", k.Degradation)
 			}
-			seed, err := seedCompile(k, chopper.OptBitslice)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertGolden(t, k, seed)
+			g.checkKernel(t, "degraded/"+arch.String(), k, OptBitslice)
 		})
+	}
+	if *update {
+		g.write(t)
 	}
 }
