@@ -1,10 +1,10 @@
 package chopper_test
 
-// Determinism of the parallel bitslicing path at the full-compiler level:
-// repeated compiles of a many-component workload must emit byte-identical
-// programs regardless of worker scheduling, and must match a compile that
-// is forced onto the serial path (a cache-carrying compile). CI runs this
-// under -race with -cpu 1,4.
+// Determinism of the compiler under concurrency: compiles running at the
+// same time, each on its own workspace from the free list, must emit
+// byte-identical programs, and so must a cache-carrying compile (which
+// takes the kernel cache's single-flight path). CI runs this under -race
+// with -cpu 1,4.
 
 import (
 	"fmt"
@@ -15,10 +15,10 @@ import (
 	"chopper/internal/workloads"
 )
 
-// TestDeterminismParallelCompile compiles DiffGen-64 (128 independent DFG
-// components, the workload that actually engages parallel lowering) many
-// times concurrently and requires every emitted program to be identical.
-func TestDeterminismParallelCompile(t *testing.T) {
+// TestDeterminismConcurrentCompile compiles DiffGen-64 (128 independent
+// DFG components) eight times concurrently and once through a kernel cache,
+// and requires every emitted program to equal a lone compile's.
+func TestDeterminismConcurrentCompile(t *testing.T) {
 	spec, ok := workloads.Get("DiffGen-64")
 	if !ok {
 		t.Fatal("unknown workload DiffGen-64")
@@ -31,17 +31,15 @@ func TestDeterminismParallelCompile(t *testing.T) {
 			}
 			want := ref.Prog().Format()
 
-			// A cache-carrying compile takes the serial path; its output
-			// must agree with the parallel one.
-			serial, err := chopper.Compile(spec.Src, chopper.Options{
+			cached, err := chopper.Compile(spec.Src, chopper.Options{
 				Target: chopper.Ambit,
 				Cache:  chopper.NewKernelCache(4),
 			}.WithOpt(opt))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := serial.Prog().Format(); got != want {
-				t.Fatal("serial (cached) compile differs from parallel compile")
+			if got := cached.Prog().Format(); got != want {
+				t.Fatal("a cache-carrying compile differs from a lone compile")
 			}
 
 			var wg sync.WaitGroup
@@ -56,7 +54,7 @@ func TestDeterminismParallelCompile(t *testing.T) {
 						return
 					}
 					if got := k.Prog().Format(); got != want {
-						errs[i] = fmt.Errorf("compile %d produced a different program (%d vs %d bytes)", i, len(got), len(want))
+						errs[i] = fmt.Errorf("concurrent compile %d differs from a lone compile (%d vs %d bytes)", i, len(got), len(want))
 					}
 				}(i)
 			}

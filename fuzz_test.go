@@ -3,6 +3,8 @@ package chopper
 import (
 	"strings"
 	"testing"
+
+	"chopper/internal/prove"
 )
 
 // FuzzCompile drives arbitrary source through the full pipeline (parse,
@@ -11,7 +13,8 @@ import (
 // kernel — it never panics, whatever the input. The recover guards convert
 // any internal panic into an ErrInternal error, and the parser's recursion
 // depth limit keeps hostile nesting from overflowing the stack (which Go
-// could not recover).
+// could not recover). Every kernel it does return must be proved against
+// its net by internal/prove: the back end preserves each output's function.
 func FuzzCompile(f *testing.F) {
 	seeds := []string{
 		"",
@@ -54,6 +57,12 @@ func FuzzCompile(f *testing.F) {
 			}
 			if err != nil && k != nil {
 				t.Fatalf("Compile returned both kernel and error for %q: %v", src, err)
+			}
+			if k == nil {
+				continue
+			}
+			if r := prove.Check(k.Code, k.Net); r.Verdict != prove.Proved {
+				t.Fatalf("%+v: the program for %q is not proved against its net: %v", opts, src, r)
 			}
 		}
 	})

@@ -1,7 +1,6 @@
 package chopper
 
 import (
-	"fmt"
 	"math/big"
 
 	"chopper/internal/dfg"
@@ -34,7 +33,8 @@ func CompileHorizontal(src string, opts Options) (*Kernel, error) {
 
 // horizontalGraph converts a bitwise dataflow graph into its width-1
 // equivalent: each operand becomes a single "bit" whose row carries the
-// packed elements. Non-positionwise operations are rejected.
+// packed elements. Non-positionwise operations are rejected, as ErrCodegen:
+// the program is legal, the layout cannot hold it.
 func horizontalGraph(g *dfg.Graph) (*dfg.Graph, error) {
 	out := &dfg.Graph{}
 	for i := range g.Values {
@@ -55,10 +55,10 @@ func horizontalGraph(g *dfg.Graph) (*dfg.Graph, error) {
 				}
 			}
 			if v.Imm.Sign() != 0 && !allOnes {
-				return nil, fmt.Errorf("chopper: constant %v is not uniform; the horizontal layout only holds all-0/all-1 constants", v.Imm)
+				return nil, stagef(ErrCodegen, "chopper: horizontal", "constant %v is not uniform; the horizontal layout only holds all-0/all-1 constants", v.Imm)
 			}
 		default:
-			return nil, fmt.Errorf("chopper: operation %s needs carries or per-bit wiring across bitlines; it requires the vertical layout (use Compile)", v.Kind)
+			return nil, stagef(ErrCodegen, "chopper: horizontal", "operation %s needs carries or per-bit wiring across bitlines; it requires the vertical layout (use Compile)", v.Kind)
 		}
 		nv := dfg.Value{Kind: v.Kind, Width: 1, Name: v.Name}
 		if v.Kind == dfg.OpConst {
@@ -76,7 +76,7 @@ func horizontalGraph(g *dfg.Graph) (*dfg.Graph, error) {
 	out.Outputs = append([]dfg.ValueID(nil), g.Outputs...)
 	out.OutputNames = append([]string(nil), g.OutputNames...)
 	if err := out.Validate(); err != nil {
-		return nil, err
+		return nil, stage(ErrCodegen, "chopper: horizontal", err)
 	}
 	return out, nil
 }

@@ -104,10 +104,16 @@ func TestHorizontalRejectsArithmetic(t *testing.T) {
 		"non-unif": "node main(a: u8) returns (z: u8) let z = a ^ 0x5A; tel",
 	}
 	for name, src := range cases {
-		if _, err := CompileHorizontal(src, Options{Target: Ambit}); err == nil {
+		_, err := CompileHorizontal(src, Options{Target: Ambit})
+		switch {
+		case err == nil:
 			t.Errorf("%s: accepted in horizontal layout", name)
-		} else if name != "non-unif" && !strings.Contains(err.Error(), "vertical layout") {
+		case name != "non-unif" && !strings.Contains(err.Error(), "vertical layout"):
 			t.Errorf("%s: unhelpful error %v", name, err)
+		case !errors.Is(err, ErrCodegen):
+			// A legal program the layout cannot hold is a back-end
+			// rejection, classed like the baseline's unsupported options.
+			t.Errorf("%s: error %v is class %q, want codegen", name, err, ErrorClass(err))
 		}
 	}
 }

@@ -1,0 +1,567 @@
+package prove
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"chopper"
+	"chopper/internal/codegen"
+	"chopper/internal/dram"
+	"chopper/internal/isa"
+	"chopper/internal/logic"
+	"chopper/internal/sim"
+	"chopper/internal/workloads"
+)
+
+// config is one compile configuration of the prover table.
+type config struct {
+	group string // the report line it counts on
+	name  string
+	src   string
+	opts  chopper.Options
+	horiz bool // CompileHorizontal
+	// variants adds the hardened kernel (proved against this config's
+	// unhardened net) and the NarrowSafe one.
+	variants bool
+	// size ranks how large the config's programs are, for scheduling.
+	size int
+}
+
+// The sources of the root package's horizontal_test.go.
+var horizontalSrcs = []string{
+	"node main(a: u8, b: u8, m: u8) returns (z: u8) let z = (a & m) ^ (b | ~m); tel",
+	"node main(a: u8) returns (z: u8) let z = a ^ 0xFF; tel",
+	"node main(a: u32, b: u32) returns (z: u32) let z = a & b; tel",
+}
+
+// proverTable is the prover's coverage: the 16 Table-II kernels × 3
+// architectures × 4 optimization levels × {plain, hardened, narrow-safe};
+// the horizontal sources × 3 architectures; and three kernels on a 40-row
+// subarray, so the spill paths are proved too. short keeps the first
+// configuration of each Table-II domain.
+func proverTable(short bool) []config {
+	var cfgs []config
+	for _, spec := range workloads.All() {
+		if short && spec.Config != workloads.Configs[spec.Domain][0] {
+			continue
+		}
+		rank := slices.Index(workloads.Configs[spec.Domain], spec.Config)
+		for _, arch := range isa.AllArchs {
+			for _, opt := range []chopper.OptLevel{chopper.OptBitslice, chopper.OptSchedule, chopper.OptReuse, chopper.OptFull} {
+				cfgs = append(cfgs, config{group: "PROVE", name: fmt.Sprintf("%s/%s/%s", spec.Name, arch, opt),
+					src: spec.Src, opts: chopper.Options{Target: arch}.WithOpt(opt), variants: true,
+					size: 4*rank + int(chopper.OptFull-opt)})
+			}
+		}
+	}
+	for i, src := range horizontalSrcs {
+		for _, arch := range isa.AllArchs {
+			cfgs = append(cfgs, config{group: "PROVE-HORIZONTAL", name: fmt.Sprintf("horizontal-%d/%s", i, arch),
+				src: src, opts: chopper.Options{Target: arch}, horiz: true})
+		}
+	}
+	small := dram.DefaultGeometry().WithRowsPerSub(40)
+	for _, wl := range []string{"DenseNet-16", "WTC-64", "SW-64"} {
+		spec, _ := workloads.Get(wl)
+		cfgs = append(cfgs, config{group: "PROVE-SPILL", name: wl + "/40-rows",
+			src: spec.Src, opts: chopper.Options{Geometry: small}})
+	}
+	return cfgs
+}
+
+// outcome is what one config's kernels came to.
+type outcome struct {
+	proved   []Verdict
+	mutants  map[string][]Verdict
+	programs int // programs run in lockstep with sim
+	agreed   int // of which agreed with it op by op
+	errs     []string
+}
+
+func (o *outcome) errorf(format string, args ...any) {
+	o.errs = append(o.errs, fmt.Sprintf(format, args...))
+}
+
+// run compiles cfg's kernels, proves each against its net, cross-checks
+// each program with sim, and mutates each unhardened one: TMR masks a
+// single-site mutant by design.
+func (cfg config) run() *outcome {
+	o := &outcome{mutants: map[string][]Verdict{}}
+	comp := chopper.Compile
+	if cfg.horiz {
+		comp = chopper.CompileHorizontal
+	}
+	kernel := func(name string, opts chopper.Options, net *logic.Net, mutate bool) *logic.Net {
+		k, err := comp(cfg.src, opts)
+		if err != nil {
+			o.errorf("%s: %v", name, err)
+			return nil
+		}
+		if net == nil {
+			net = k.Net
+		}
+		r := Check(k.Code, net)
+		o.proved = append(o.proved, r.Verdict)
+		if r.Verdict != Proved {
+			o.errorf("%s: %v", name, r)
+		}
+		dRows := k.Opts.Geometry.DRows()
+		o.crossCheck(name, k.Code, dRows, randomInputs(net, 1), -1)
+		if !mutate {
+			return net
+		}
+		for _, mu := range mutants {
+			mc, ok := mu.mutate(k.Code, net, dRows)
+			if !ok {
+				continue
+			}
+			r := Check(mc, net)
+			o.mutants[mu.name] = append(o.mutants[mu.name], r.Verdict)
+			what := name + ", " + mu.name + " mutant"
+			if r.Verdict != Refuted {
+				o.errorf("%s: %v, want refuted", what, r)
+				continue
+			}
+			// The counterexample is the cross-check's input: sim must
+			// stop where the prover did, or read the refuted output
+			// differently from the net's Eval on exactly the lanes
+			// reported.
+			in := r.Inputs
+			if in == nil {
+				in = randomInputs(net, 1)
+			}
+			reads, ok := o.crossCheck(what, mc, dRows, in, r.Op)
+			if !ok || r.Op >= 0 {
+				continue
+			}
+			want, err := net.Eval(netInputs(net, in))
+			if err != nil {
+				o.errorf("%s: %v", what, err)
+				continue
+			}
+			if d := reads[mc.OutputTag[r.Output]] ^ want[r.Output]; d != r.Lanes {
+				o.errorf("%s: the counterexample run on sim differs from Net.Eval on lanes %#x, the prover said %#x", what, d, r.Lanes)
+			}
+		}
+		return net
+	}
+	net := kernel(cfg.name, cfg.opts, nil, true)
+	if cfg.variants && net != nil {
+		hard, narrow := cfg.opts, cfg.opts
+		hard.Harden = true
+		narrow.Narrow = chopper.NarrowSafe
+		kernel(cfg.name+"/harden", hard, net, false)
+		kernel(cfg.name+"/narrow", narrow, nil, true)
+	}
+	return o
+}
+
+// raceDetector is set by race_test.go in -race builds.
+var raceDetector bool
+
+// TestProveTable proves every kernel of the prover table against its net
+// and reports each group in the form "PROVE: 576 / 576 proved, 0 refuted,
+// 0 unproven". Every program is also run in lockstep with the simulator,
+// and every unhardened one is mutated four ways: each mutant must be
+// refuted, and its counterexample must be real on sim.
+func TestProveTable(t *testing.T) {
+	cfgs := proverTable(testing.Short() || raceDetector)
+	outs := make([]*outcome, len(cfgs))
+	// Largest first for half the workers and smallest first for the
+	// others, so two of the largest programs (a hardened WTC-512 at
+	// bitslice is 5M micro-ops) are rarely in memory at once.
+	queue := make([]int, len(cfgs))
+	for i := range queue {
+		queue[i] = i
+	}
+	sort.SliceStable(queue, func(a, b int) bool { return cfgs[queue[a]].size > cfgs[queue[b]].size })
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func(big bool) {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				if len(queue) == 0 {
+					mu.Unlock()
+					return
+				}
+				var i int
+				if big {
+					i, queue = queue[0], queue[1:]
+				} else {
+					i, queue = queue[len(queue)-1], queue[:len(queue)-1]
+				}
+				mu.Unlock()
+				outs[i] = cfgs[i].run()
+			}
+		}(w%2 == 0)
+	}
+	wg.Wait()
+
+	type tally struct{ n, proved, refuted, unproven int }
+	var keys []string // report lines, in order
+	counts := map[string]*tally{}
+	count := func(key string, vs []Verdict) {
+		if len(vs) == 0 {
+			return
+		}
+		c := counts[key]
+		if c == nil {
+			c = &tally{}
+			counts[key] = c
+			keys = append(keys, key)
+		}
+		for _, v := range vs {
+			c.n++
+			switch v {
+			case Proved:
+				c.proved++
+			case Refuted:
+				c.refuted++
+			default:
+				c.unproven++
+			}
+		}
+	}
+	var programs, agreed int
+	for i, o := range outs {
+		for _, e := range o.errs {
+			t.Error(e)
+		}
+		count(cfgs[i].group, o.proved)
+		programs += o.programs
+		agreed += o.agreed
+	}
+	for _, mu := range mutants {
+		for _, o := range outs {
+			count("MUTANT-"+mu.name, o.mutants[mu.name])
+		}
+	}
+	for _, key := range keys {
+		c := counts[key]
+		if strings.HasPrefix(key, "MUTANT-") {
+			fmt.Printf("%s: %d / %d refuted\n", key, c.refuted, c.n)
+		} else {
+			fmt.Printf("%s: %d / %d proved, %d refuted, %d unproven\n", key, c.proved, c.n, c.refuted, c.unproven)
+		}
+	}
+	fmt.Printf("SIM-LOCKSTEP: %d / %d programs agree with sim op by op\n", agreed, programs)
+}
+
+// mutant is a seeded back-end bug. sites lists the ops it can strike,
+// likeliest first; at puts it at one of them.
+type mutant struct {
+	name  string
+	sites func(ops []isa.Op) []int
+	at    func(code *codegen.Result, i int) ([]isa.Op, bool)
+}
+
+var mutants = []mutant{
+	// The wrong row picked for a TRA operand: another live D row copied in.
+	{"OPERAND", operandSites, swapOperand},
+	// A refill the allocator forgot.
+	{"SPILL-IN", func(ops []isa.Op) []int { return find(ops, false, isSpillIn) }, deleteAt},
+	// A dual-contact row read from the wrong side: a NOT lost or invented.
+	{"DCC", func(ops []isa.Op) []int { return find(ops, true, readsDCC) }, flipDCC},
+	// A store that was live, elided: an AP whose result is read later.
+	{"STORE", func(ops []isa.Op) []int { return find(ops, true, isAP) }, deleteAt},
+}
+
+// maxSites bounds the sites tried per mutant and program.
+const maxSites = 8
+
+func isSpillIn(op *isa.Op) bool { return op.Kind == isa.OpSpillIn }
+func isAP(op *isa.Op) bool      { return op.Kind == isa.OpAP }
+func readsDCC(op *isa.Op) bool  { return op.Kind != isa.OpAP && op.Src.Complement() != isa.RowNone }
+
+// find lists the indices of the ops keep accepts, last first if backward.
+func find(ops []isa.Op, backward bool, keep func(*isa.Op) bool) []int {
+	var out []int
+	for k := range ops {
+		i := k
+		if backward {
+			i = len(ops) - 1 - k
+		}
+		if keep(&ops[i]) {
+			if out = append(out, i); len(out) == maxSites {
+				break
+			}
+		}
+	}
+	return out
+}
+
+// operandSites lists, from the last AP back, the AAPs that copy an AP
+// operand in from a row other than a constant.
+func operandSites(ops []isa.Op) []int {
+	var out []int
+	for _, ap := range find(ops, true, isAP) {
+		for _, t := range ops[ap].Dst {
+			if j := lastWriter(ops[:ap], t); j >= 0 && ops[j].Kind == isa.OpAAP && !ops[j].Src.IsCGroup() {
+				out = append(out, j)
+			}
+		}
+	}
+	return out
+}
+
+// lastWriter is the index of the last op in ops that stores to row r, or -1.
+func lastWriter(ops []isa.Op, r isa.Row) int {
+	for i := len(ops) - 1; i >= 0; i-- {
+		for _, d := range ops[i].Dst[:ops[i].NDst] {
+			if d == r || d.Complement() == r {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// swapOperand makes the AAP at i copy another live D row, one holding a
+// different value, instead of its source.
+func swapOperand(code *codegen.Result, i int) ([]isa.Op, bool) {
+	ops := code.Prog.Ops
+	m := newMachine(code)
+	for k := 0; k < i; k++ {
+		if m.step(&ops[k]) != nil {
+			return nil, false
+		}
+	}
+	src, _ := m.get(ops[i].Src)
+	for s := numSpecial; s < len(m.rows); s++ {
+		if v := m.rows[s]; v != logic.None && v != src {
+			out := append([]isa.Op(nil), ops...)
+			out[i].Src = isa.Row(s - numSpecial)
+			return out, true
+		}
+	}
+	return nil, false
+}
+
+func flipDCC(code *codegen.Result, i int) ([]isa.Op, bool) {
+	out := append([]isa.Op(nil), code.Prog.Ops...)
+	out[i].Src = out[i].Src.Complement()
+	return out, true
+}
+
+func deleteAt(code *codegen.Result, i int) ([]isa.Op, bool) {
+	ops := code.Prog.Ops
+	out := make([]isa.Op, 0, len(ops)-1)
+	return append(append(out, ops[:i]...), ops[i+1:]...), true
+}
+
+// mutate returns code with mu at the first of its sites that a 64-lane
+// simulator run tells apart from net, or false. A mutant no input tells
+// apart — an elided store whose value a constant pins, a NOT under a
+// don't-care — is not a bug, and no oracle can refute it.
+func (mu mutant) mutate(code *codegen.Result, net *logic.Net, dRows int) (*codegen.Result, bool) {
+	in := randomInputs(net, 7)
+	want, err := net.Eval(in)
+	if err != nil {
+		return nil, false
+	}
+	for _, i := range mu.sites(code.Prog.Ops) {
+		ops, ok := mu.at(code, i)
+		if !ok {
+			continue
+		}
+		mc := *code
+		mc.Prog = &isa.Program{Ops: ops, DRowsUsed: code.Prog.DRowsUsed, SpillSlots: code.Prog.SpillSlots}
+		if !agrees(&mc, dRows, in, want) {
+			return &mc, true
+		}
+	}
+	return nil, false
+}
+
+// agrees reports whether code runs on sim over in and reads want.
+func agrees(code *codegen.Result, dRows int, in, want map[string]uint64) bool {
+	sub, spill := sim.NewSubarray(dRows, 64), sim.NewSpillStore()
+	reads := map[int]uint64{}
+	io := hostIO(code, in, reads)
+	for i := range code.Prog.Ops {
+		if sub.Exec(&code.Prog.Ops[i], io, spill) != nil {
+			return false
+		}
+	}
+	for name, v := range want {
+		if reads[code.OutputTag[name]] != v {
+			return false
+		}
+	}
+	return true
+}
+
+// randomInputs draws 64 lanes for each of net's inputs, lane l with a
+// density of ones of (l+1)/65: the low lanes reach the rare branches
+// (SW's few = n < 50) that uniform lanes never take.
+func randomInputs(net *logic.Net, seed int64) map[string]uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	in := make(map[string]uint64, len(net.InputNames))
+	for _, n := range net.InputNames {
+		var v uint64
+		for l := 0; l < 64; l++ {
+			if rng.Intn(65) <= l {
+				v |= 1 << l
+			}
+		}
+		in[n] = v
+	}
+	return in
+}
+
+// netInputs is in restricted to net's inputs, which is what Eval takes.
+func netInputs(net *logic.Net, in map[string]uint64) map[string]uint64 {
+	out := make(map[string]uint64, len(net.InputNames))
+	for _, n := range net.InputNames {
+		out[n] = in[n]
+	}
+	return out
+}
+
+// hostIO binds a program's WRITE tags to 64-lane input words and records
+// what each READ tag carried.
+func hostIO(code *codegen.Result, in map[string]uint64, reads map[int]uint64) *sim.HostIO {
+	name := make(map[int]string, len(code.InputTag))
+	for n, tag := range code.InputTag {
+		name[tag] = n
+	}
+	return &sim.HostIO{
+		WriteData: func(tag int) []uint64 {
+			if n, ok := name[tag]; ok {
+				return []uint64{in[n]}
+			}
+			if p, ok := code.ConstPattern[tag]; ok {
+				return []uint64{p}
+			}
+			return nil
+		},
+		ReadSink: func(tag int, data []uint64) { reads[tag] = data[0] },
+	}
+}
+
+// crossCheck runs code's program on the symbolic machine and on
+// sim.Subarray.Exec over the 64 lanes of in, in lockstep. After every op,
+// each row the op stored (its dual-contact partner included) and each READ
+// payload must hold on sim what its symbolic value evaluates to under logic
+// Eval, and both runs must stop at op stop (-1: never). It returns what
+// sim's READs carried, and false after recording a disagreement.
+func (o *outcome) crossCheck(name string, code *codegen.Result, dRows int, in map[string]uint64, stop int) (map[int]uint64, bool) {
+	o.programs++
+	ops := code.Prog.Ops
+	// The symbolic run first: per op, the values of what it stored.
+	m := newMachine(code)
+	size := 0
+	for i := range ops {
+		_, n := stored(&ops[i])
+		size += n + 1
+	}
+	vals := make([]logic.NodeID, 0, size)
+	off := make([]int32, 0, len(ops)+1)
+	symStop := -1
+	for i := range ops {
+		off = append(off, int32(len(vals)))
+		if m.step(&ops[i]) != nil {
+			symStop = i
+			break
+		}
+		if ops[i].Kind == isa.OpRead {
+			vals = append(vals, m.reads[int(ops[i].Tag)])
+		}
+		rows, n := stored(&ops[i])
+		for _, r := range rows[:n] {
+			s, _ := slot(r)
+			vals = append(vals, m.rows[s])
+		}
+	}
+	if symStop != stop {
+		o.errorf("%s: symbolic run stops at op %d, want %d", name, symStop, stop)
+		return nil, false
+	}
+	ev, err := evalAll(m.b, in)
+	if err != nil {
+		o.errorf("%s: %v", name, err)
+		return nil, false
+	}
+
+	sub, spill := sim.NewSubarray(dRows, 64), sim.NewSpillStore()
+	reads := map[int]uint64{}
+	io := hostIO(code, in, reads)
+	for i := range ops {
+		op := &ops[i]
+		err := sub.Exec(op, io, spill)
+		if i == stop {
+			if err == nil {
+				o.errorf("%s: op %d (%s): symbolic run stops, sim runs on", name, i, op)
+				return nil, false
+			}
+			o.agreed++
+			return reads, true
+		}
+		if err != nil {
+			o.errorf("%s: op %d (%s): sim stops (%v), symbolic run goes on", name, i, op, err)
+			return nil, false
+		}
+		v := vals[off[i]:]
+		if op.Kind == isa.OpRead {
+			if got, want := reads[int(op.Tag)], ev[v[0]]; got != want {
+				o.errorf("%s: op %d (%s): sim reads %#x, symbolic %#x", name, i, op, got, want)
+				return nil, false
+			}
+			continue
+		}
+		rows, n := stored(op)
+		for k, r := range rows[:n] {
+			if got := sub.Row(r); len(got) != 1 || got[0] != ev[v[k]] {
+				o.errorf("%s: op %d (%s): row %s holds %#x on sim, symbolic %#x", name, i, op, r, got, ev[v[k]])
+				return nil, false
+			}
+		}
+	}
+	o.agreed++
+	return reads, true
+}
+
+// stored lists the n rows op writes, each dual-contact partner after its
+// row.
+func stored(op *isa.Op) (rows [6]isa.Row, n int) {
+	dsts := op.Dst[:op.NDst]
+	if op.Kind == isa.OpAP {
+		dsts = op.Dst[:]
+	}
+	for _, r := range dsts {
+		rows[n] = r
+		n++
+		if c := r.Complement(); c != isa.RowNone {
+			rows[n] = c
+			n++
+		}
+	}
+	return rows, n
+}
+
+// evalAll is the value of every node of b over in, through logic Eval.
+func evalAll(b *logic.Builder, in map[string]uint64) ([]uint64, error) {
+	n := b.Net()
+	for id := range n.Gates {
+		b.Output(strconv.Itoa(id), logic.NodeID(id))
+	}
+	out, err := b.Net().Eval(netInputs(n, in))
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]uint64, len(n.Gates))
+	for id := range vals {
+		vals[id] = out[strconv.Itoa(id)]
+	}
+	return vals, nil
+}
