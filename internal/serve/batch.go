@@ -180,6 +180,9 @@ func (s *Server) joinBatch(kind string, class Class, cc ClassConfig, m *batchMem
 		full:      make(chan struct{}),
 	}
 	s.bat.open[key] = b
+	// Counted before it starts: a member may withdraw and return before
+	// the executor runs, and Shutdown must still wait for it.
+	s.inflight.Add(1)
 	go s.batchExec(b)
 	return b
 }
@@ -255,7 +258,6 @@ func (b *svcBatch) deliverErr(err error, executed bool) {
 // for the batch to fill / the window to close / a drain to flush it,
 // then run the coalesced pass and deliver every member's result.
 func (s *Server) batchExec(b *svcBatch) {
-	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	defer b.cancelAll()
 	defer func() {

@@ -154,6 +154,40 @@ func TestShutdownHardCancelsStuckWork(t *testing.T) {
 	}
 }
 
+// TestDrainRejectionIsOnTheLedger: an arrival during a drain whose class
+// is known is counted like a queued request the drain released — one
+// drain rejection and one 503 for its class — while a rejection before the
+// class is known (an undecodable body, an unknown class) stays off the
+// per-class ledger.
+func TestDrainRejectionIsOnTheLedger(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	s.BeginDrain()
+	rec := <-postAsync(h, "compile", &Request{Source: addSrc, Class: "interactive"})
+	var er ErrorResponse
+	if json.Unmarshal(rec.Body.Bytes(), &er); rec.Code != http.StatusServiceUnavailable || er.ErrorClass != "draining" || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("arrival during drain: %d %q Retry-After %q, want 503 draining with Retry-After", rec.Code, er.ErrorClass, rec.Header().Get("Retry-After"))
+	}
+	if rec = <-postAsync(h, "compile", &Request{Source: addSrc, Class: "gold"}); rec.Code != http.StatusBadRequest {
+		t.Fatalf("unknown class during drain: %d, want 400", rec.Code)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader([]byte("{nope"))))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("undecodable body during drain: %d, want 400", rec.Code)
+	}
+	m := scrape(t, h)
+	if got := m[`chopperd_requests_total{class="interactive",code="503"}`]; got != 1 {
+		t.Errorf("requests_total{interactive,503} = %d, want 1", got)
+	}
+	if got := m[`chopperd_drain_rejected_total{class="interactive"}`]; got != 1 {
+		t.Errorf("drain_rejected_total{interactive} = %d, want 1", got)
+	}
+	if got := m.sum(`chopperd_requests_total{`); got != 1 {
+		t.Errorf("requests_total sums to %d over every class and code, want 1: pre-class rejections are off the ledger", got)
+	}
+}
+
 func TestDrainIsIdempotent(t *testing.T) {
 	s := New(Config{})
 	s.BeginDrain()

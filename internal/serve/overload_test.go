@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"context"
-	"math/rand"
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestOverloadShedsDeterministically is the acceptance proof for
@@ -85,108 +82,5 @@ func TestOverloadShedsDeterministically(t *testing.T) {
 	s.met.mu.Unlock()
 	if shed != uint64(burst) || admittedN != uint64(inflight+queue) || fiveHundreds != 0 {
 		t.Fatalf("metrics: shed %d admitted %d 500s %d, want %d/%d/0", shed, admittedN, fiveHundreds, burst, inflight+queue)
-	}
-}
-
-// TestLoadGenSteadyPhase exercises the seeded open-loop generator
-// end to end against an in-process server: the report must show healthy
-// throughput, zero server errors, cache reuse, and an interactive p99
-// inside the class deadline — the QoS contract the service exists to
-// keep.
-func TestLoadGenSteadyPhase(t *testing.T) {
-	if testing.Short() {
-		t.Skip("load generation in -short mode")
-	}
-	s := New(Config{})
-	report, err := RunLoad(context.Background(), HandlerTarget{Handler: s.Handler()}, LoadConfig{
-		Seed:     42,
-		QPS:      80,
-		Duration: 1500 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := report.Phase("steady")
-	if p == nil {
-		t.Fatal("no steady phase in report")
-	}
-	if p.Requests < 50 {
-		t.Fatalf("only %d requests dispatched", p.Requests)
-	}
-	if p.ServerErrors != 0 || p.TransportErrors != 0 {
-		t.Fatalf("steady phase errors: %d server, %d transport (statuses %v)", p.ServerErrors, p.TransportErrors, p.Statuses)
-	}
-	if p.OK == 0 {
-		t.Fatalf("no request succeeded: statuses %v", p.Statuses)
-	}
-	if p.CacheHitRate == 0 {
-		t.Fatal("no cache reuse across a repeated workload mix")
-	}
-	deadline := DefaultClassConfig(Interactive).Deadline
-	if p.InteractiveP99Ns > 0 && p.InteractiveP99Ns > float64(deadline.Nanoseconds()) {
-		t.Fatalf("interactive p99 %v exceeds the class deadline %v", time.Duration(p.InteractiveP99Ns), deadline)
-	}
-	if p.P50Ns <= 0 || p.P99Ns < p.P50Ns || p.P999Ns < p.P99Ns {
-		t.Fatalf("quantiles out of order: p50 %v p99 %v p999 %v", p.P50Ns, p.P99Ns, p.P999Ns)
-	}
-}
-
-// TestLoadGenOverloadPhase runs the forced-overload phase against a
-// deliberately tiny server: sheds must appear and every failure must be
-// a 429 or a queue-deadline 408 — never a 5xx.
-func TestLoadGenOverloadPhase(t *testing.T) {
-	if testing.Short() {
-		t.Skip("load generation in -short mode")
-	}
-	cfg := Config{}
-	for c := Class(0); c < numClasses; c++ {
-		cc := DefaultClassConfig(c)
-		cc.MaxInflight, cc.MaxQueue = 1, 1
-		cfg.Classes[c] = cc
-	}
-	s := New(cfg)
-
-	// Hold every admitted request briefly so offered load outruns
-	// capacity regardless of machine speed.
-	s.testHookAdmitted = func(Class, string) { time.Sleep(20 * time.Millisecond) }
-
-	report, err := RunLoad(context.Background(), HandlerTarget{Handler: s.Handler()}, LoadConfig{
-		Seed:             7,
-		QPS:              30,
-		Duration:         300 * time.Millisecond,
-		OverloadQPS:      400,
-		OverloadDuration: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := report.Phase("overload")
-	if p == nil {
-		t.Fatal("no overload phase in report")
-	}
-	if p.Shed == 0 {
-		t.Fatalf("overload at 400 qps against capacity ~50/s shed nothing: %v", p.Statuses)
-	}
-	if p.ServerErrors != 0 || p.TransportErrors != 0 {
-		t.Fatalf("overload produced %d server / %d transport errors, want 0 (statuses %v)",
-			p.ServerErrors, p.TransportErrors, p.Statuses)
-	}
-	for code := range p.Statuses {
-		switch code {
-		case http.StatusOK, http.StatusTooManyRequests, http.StatusRequestTimeout:
-		default:
-			t.Fatalf("overload produced status %d (statuses %v); only 200/429/408 are acceptable", code, p.Statuses)
-		}
-	}
-	// Determinism of the schedule: the same seed regenerates the same
-	// request sequence (content, not timing).
-	rng1, rng2 := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
-	lcfg := LoadConfig{}.normalize()
-	for i := 0; i < 100; i++ {
-		heavy := i%2 == 0
-		a, b := generate(rng1, lcfg, heavy), generate(rng2, lcfg, heavy)
-		if a.kind != b.kind || a.req.Tenant != b.req.Tenant || a.req.Class != b.req.Class || a.req.Source != b.req.Source {
-			t.Fatalf("request %d diverged across same-seed generators", i)
-		}
 	}
 }

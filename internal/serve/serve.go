@@ -382,8 +382,8 @@ type Request struct {
 	// Seed seeds verification inputs (default 1).
 	Seed int64 `json:"seed,omitempty"`
 	// NoBatch opts this request out of coalescing even when its class has
-	// a batch window (used by load generators to measure the solo path,
-	// and by clients that want strict request isolation).
+	// a batch window (for clients that want strict request isolation, and
+	// for comparing a batched member with its solo run).
 	NoBatch bool `json:"no_batch,omitempty"`
 }
 
@@ -525,26 +525,40 @@ func optionsErrf(format string, args ...any) error {
 	return &reqError{class: "options", msg: fmt.Sprintf(format, args...)}
 }
 
+// handleWork serves one work endpoint. Every request whose class is known
+// is answered through finishWork and so lands in exactly one per-class
+// ledger bucket (admitted, shed, drain-rejected, queue-timeout) and one
+// requests_total{class,code} series. Rejections before the class is known
+// (405, an undecodable body, an unknown class) have no class to count
+// under and stay outside the ledger.
 func (s *Server) handleWork(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
+		var (
+			class    Class
+			tn       *tenant
+			start    time.Time
+			admitted bool
+		)
 		// Panic recovery at the handler boundary: the chopper API already
 		// recovers its own panics to ErrInternal; this is the last line
-		// for serve-layer bugs. 500, never a crashed process.
+		// for serve-layer bugs. 500, never a crashed process; after
+		// admission, finished like any executed failure.
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.met.panicked()
-				writeError(w, fmt.Errorf("internal: %v", rec), "internal")
+				err := &reqError{class: "internal", msg: fmt.Sprintf("internal: %v", rec)}
+				if admitted {
+					s.finishWork(w, class, tn, start, nil, true, err)
+					return
+				}
+				writeError(w, err, "internal")
 			}
 		}()
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		if s.Draining() {
-			writeError(w, errDraining, "draining")
 			return
 		}
 		var req Request
@@ -554,18 +568,21 @@ func (s *Server) handleWork(kind string) http.HandlerFunc {
 			return
 		}
 		req.resolve()
-		class, err := ParseClass(req.Class)
-		if err != nil {
+		var err error
+		if class, err = ParseClass(req.Class); err != nil {
 			writeError(w, err, "options")
 			return
 		}
 		cc := s.cfg.Classes[class]
-		tn := s.tenantFor(req.Tenant)
+		tn, start = s.tenantFor(req.Tenant), time.Now()
+		if s.Draining() {
+			s.finishWork(w, class, tn, start, nil, false, errDraining)
+			return
+		}
 
 		// The class deadline starts at arrival: queue wait spends it.
 		ctx, cancel := s.workCtx(r.Context(), cc.Deadline)
 		defer cancel()
-		start := time.Now()
 
 		if s.batchEligible(kind, cc, &req) {
 			if plan, perr := s.planRequest(&req, tn, cc); perr == nil {
@@ -582,6 +599,7 @@ func (s *Server) handleWork(kind string) http.HandlerFunc {
 			return
 		}
 		s.met.admitted(class)
+		admitted = true
 		defer s.adm[class].release()
 		if h := s.testHookAdmitted; h != nil {
 			h(class, kind)
@@ -918,28 +936,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&sb, "chopperd_inflight{class=%q} %d\n", c, inflight)
 		fmt.Fprintf(&sb, "chopperd_queued{class=%q} %d\n", c, queued)
 	}
-	var cache chopper.CacheStats
-	var trippedTenants, levels int
-	s.mu.Lock()
-	shards := make([]*tenant, 0, len(s.tenants)+1)
-	for _, t := range s.tenants {
-		shards = append(shards, t)
-	}
-	shards = append(shards, s.overflow)
-	nTenants := len(s.tenants)
-	s.mu.Unlock()
-	for _, t := range shards {
-		st := t.cache.Stats()
-		cache.Hits += st.Hits
-		cache.Misses += st.Misses
-		cache.Evictions += st.Evictions
-		cache.Dedups += st.Dedups
-		cache.Entries += st.Entries
-		if lvl, _ := t.brk.state(); lvl > 0 {
-			trippedTenants++
-			levels += lvl
-		}
-	}
+	cache, nTenants, trippedTenants, levels := s.shardSnapshot()
 	fmt.Fprintf(&sb, "chopperd_cache_hits_total %d\n", cache.Hits)
 	fmt.Fprintf(&sb, "chopperd_cache_misses_total %d\n", cache.Misses)
 	fmt.Fprintf(&sb, "chopperd_cache_dedups_total %d\n", cache.Dedups)
@@ -958,26 +955,38 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, sb.String())
 }
 
-// CacheStats aggregates the kernel-cache counters across every tenant
-// shard (exposed for chopperload's hit-rate reporting and tests).
-func (s *Server) CacheStats() chopper.CacheStats {
-	var sum chopper.CacheStats
+// shardSnapshot sums the kernel-cache counters over every tenant shard,
+// the overflow shard included, and counts the tenants and the tripped
+// breakers with the sum of their levels.
+func (s *Server) shardSnapshot() (cache chopper.CacheStats, tenants, tripped, levels int) {
 	s.mu.Lock()
 	shards := make([]*tenant, 0, len(s.tenants)+1)
 	for _, t := range s.tenants {
 		shards = append(shards, t)
 	}
 	shards = append(shards, s.overflow)
+	tenants = len(s.tenants)
 	s.mu.Unlock()
 	for _, t := range shards {
 		st := t.cache.Stats()
-		sum.Hits += st.Hits
-		sum.Misses += st.Misses
-		sum.Evictions += st.Evictions
-		sum.Dedups += st.Dedups
-		sum.Entries += st.Entries
+		cache.Hits += st.Hits
+		cache.Misses += st.Misses
+		cache.Evictions += st.Evictions
+		cache.Dedups += st.Dedups
+		cache.Entries += st.Entries
+		if lvl, _ := t.brk.state(); lvl > 0 {
+			tripped++
+			levels += lvl
+		}
 	}
-	return sum
+	return cache, tenants, tripped, levels
+}
+
+// CacheStats aggregates the kernel-cache counters across every tenant
+// shard (read by the repo benchmark's service workloads and by tests).
+func (s *Server) CacheStats() chopper.CacheStats {
+	cache, _, _, _ := s.shardSnapshot()
+	return cache
 }
 
 // ClassConfig returns the effective (normalized) configuration of one

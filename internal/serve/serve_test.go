@@ -194,7 +194,7 @@ func TestDeadlineClassifiesAs408(t *testing.T) {
 }
 
 func TestHandlerPanicRecovery(t *testing.T) {
-	s := New(Config{})
+	s := New(Config{BreakerTripAfter: 1})
 	s.testHookAdmitted = func(Class, string) { panic("injected handler bug") }
 	var er ErrorResponse
 	code := post(t, s.Handler(), "compile", &Request{Source: addSrc}, &er)
@@ -204,11 +204,27 @@ func TestHandlerPanicRecovery(t *testing.T) {
 	if s.inflight.Load() != 0 {
 		t.Fatal("panicked handler leaked an inflight count")
 	}
-	// The process survived; the next request works.
+	// The admitted request is finished like any executed failure: its 500
+	// is on the ledger beside its admission.
+	_, body := get(t, s.Handler(), "/metrics")
+	for _, series := range []string{
+		`chopperd_admitted_total{class="batch"} 1`,
+		`chopperd_requests_total{class="batch",code="500"} 1`,
+		"chopperd_handler_panics_total 1",
+	} {
+		if !strings.Contains(body, series+"\n") {
+			t.Errorf("/metrics after a handler panic missing %q\n%s", series, body)
+		}
+	}
+	// The process survived; the next request works, one level down: the
+	// tenant's breaker observed the panic as an internal failure.
 	s.testHookAdmitted = nil
 	var resp Response
 	if code := post(t, s.Handler(), "compile", &Request{Source: addSrc}, &resp); code != http.StatusOK {
 		t.Fatalf("request after panic: status %d", code)
+	}
+	if resp.BreakerLevel != 1 {
+		t.Fatalf("breaker level %d after a panic at BreakerTripAfter 1, want 1", resp.BreakerLevel)
 	}
 }
 
