@@ -844,8 +844,13 @@ func (k *Kernel) RunRowsUnderFaultCtx(ctx context.Context, rows map[string][][]u
 // perturbs the run), recovered: the operands bind to the program's tags
 // through the kernel's plan tables (hostRows, the binding a tile uses too),
 // and the pre-decoded program runs at placement (0, 0) of a pooled
-// worker's machine. equiv_test.go holds that run against a reference loop
-// that shares only the micro-op body with it.
+// worker's machine. Only a recovered run, whose retries and backoff stalls
+// are part of its makespan, drives the machine's timing engine; any other
+// run executes functionally under the same per-op budget and ctx checks and
+// takes its timing from the kernel's shard memo — the issue order is the
+// program's, so the engine would recompute the same stats every run.
+// equiv_test.go holds both against a reference loop that shares only the
+// micro-op body with them.
 func (k *Kernel) runRows(ctx context.Context, rows map[string][][]uint64, lanes int, fc *FaultConfig, seed int64) (*RunResult, error) {
 	if lanes <= 0 {
 		return nil, optionsErrf("lanes must be positive, have %d", lanes)
@@ -866,11 +871,25 @@ func (k *Kernel) runRows(ctx context.Context, rows map[string][][]uint64, lanes 
 	}
 	m := &w.m
 	m.Reconfigure(cfg)
-	t, rs, err := m.RunRecoveredCtx(ctx, k.decodedProg(), 0, 0, w.host.hostIO(), k.Opts.Budget, k.Opts.Recovery.policy())
-	if err != nil {
-		return nil, err
+	d, io, res := k.decodedProg(), w.host.hostIO(), &RunResult{Rows: outRows}
+	if pol := k.Opts.Recovery.policy(); pol.Detector != sim.DetectNone {
+		if res.TimeNs, res.RecoveryStats, err = m.RunRecoveredCtx(ctx, d, 0, 0, io, k.Opts.Budget, pol); err != nil {
+			return nil, err
+		}
+		res.Stats = m.Stats()
+	} else {
+		if err := m.RunFunctionalCtx(ctx, d, io, k.Opts.Budget); err != nil {
+			return nil, err
+		}
+		// The machine's engine is the one-tile shard at (0, 0) without
+		// SALP. A nil ctx: the run is done, and its timing is owed.
+		st, err := k.replayShard(nil, 1, dram.TimingFor(k.Opts.Target, k.Opts.Geometry), false)
+		if err != nil {
+			return nil, err
+		}
+		res.TimeNs, res.Stats = st.eng.MakespanNs, st.eng
 	}
-	res := &RunResult{Rows: outRows, TimeNs: t, Stats: m.Stats(), ScratchBytes: m.MemBytes(), RecoveryStats: rs}
+	res.ScratchBytes = m.MemBytes()
 	if fc != nil {
 		res.Faults = w.inj.Counts()
 	}

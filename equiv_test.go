@@ -1,18 +1,21 @@
 package chopper
 
 // Kernel-level golden equivalence. internal/sim has one micro-op body and
-// one guard/execute/issue step; RunRows hands that step a program decoded
-// once per kernel, at placement (0, 0) of a pooled, reconfigured machine
-// (Machine.RunRecoveredCtx). These tests drive the same kernel through a
+// one guard/execute/issue loop; RunRows hands that loop a program decoded
+// once per kernel, at placement (0, 0) of a pooled, reconfigured machine,
+// and runs it functionally (Machine.RunFunctionalCtx), taking the timing
+// from the kernel's shard memo. These tests drive the same kernel through a
 // reference loop that shares only the micro-op body with it — a fresh
 // subarray executing every op decoded on the spot (Subarray.Exec), then a
 // fresh engine charging it (dram.Engine.Issue), with both budget checks
 // before each op — and require identical functional outputs, makespan,
-// engine stats, guard stop points and fault-injection sequences. Both sides
+// engine stats, guard stop points and fault-injection sequences, on the run
+// that fills the memo (cold) and on every run after it (warm). Both sides
 // bind operands through the kernel's one tag-table binding (hostRows); what
 // is compared is the execution.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -20,8 +23,10 @@ import (
 	"chopper/internal/dram"
 	"chopper/internal/fault"
 	"chopper/internal/guard"
+	"chopper/internal/isa"
 	"chopper/internal/sim"
 	"chopper/internal/transpose"
+	"chopper/internal/workloads"
 )
 
 const equivSrc = `
@@ -134,14 +139,55 @@ func TestRunRowsEquivalence(t *testing.T) {
 	}
 }
 
+// TestRunRowsWarmEquivalence: on every Table-II kernel and target, the run
+// that fills the kernel's memo and the one that finds it report the
+// reference loop's outputs, makespan and engine stats, from one memo entry.
+func TestRunRowsWarmEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and runs 48 workload kernels")
+	}
+	const lanes = 64
+	for _, spec := range workloads.All() {
+		for _, target := range []Target{Ambit, ELP2IM, SIMDRAM} {
+			k := compileWorkload(t, spec.Name, Options{Target: target})
+			wide := wideInputs(k, lanes)
+			rows := make(map[string][][]uint64, len(k.Inputs))
+			for _, in := range k.Inputs {
+				rows[in.Name] = transpose.ToVerticalWide(wide[in.Name], in.Width, lanes)
+			}
+			ref, err := genericRunRows(k, rows, lanes, nil, Budget{})
+			if err != nil {
+				t.Fatalf("%s %v: reference: %v", spec.Name, target, err)
+			}
+			for _, run := range []string{"cold", "warm"} {
+				got, err := k.RunRows(rows, lanes)
+				if err != nil {
+					t.Fatalf("%s %v %s: %v", spec.Name, target, run, err)
+				}
+				label := fmt.Sprintf("%s %v %s", spec.Name, target, run)
+				rowsEqual(t, label, got.Rows, ref.Rows)
+				if got.TimeNs != ref.TimeNs || got.Stats != ref.Stats {
+					t.Fatalf("%s: timing diverged\n got %v %+v\nwant %v %+v", label, got.TimeNs, got.Stats, ref.TimeNs, ref.Stats)
+				}
+			}
+			if len(k.shards) != 1 {
+				t.Errorf("%s %v: memo holds %d entries, want the one-tile shard", spec.Name, target, len(k.shards))
+			}
+		}
+	}
+}
+
 // TestRunRowsBudgetEquivalence checks that guard budgets stop both paths at
-// the same op with the same *BudgetError.
+// the same op with the same *BudgetError, on a kernel whose memo is empty
+// (cold) and on one whose memo holds the run's timing (warm: the budget is
+// set on the kernel after a run without it).
 func TestRunRowsBudgetEquivalence(t *testing.T) {
 	base, err := Compile(equivSrc, Options{Target: Ambit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	nOps := len(base.prog.Ops)
+	rows := equivInputs(64, 3)
 	for _, b := range []Budget{
 		{MaxSimSteps: 1},
 		{MaxSimSteps: nOps / 2},
@@ -149,25 +195,113 @@ func TestRunRowsBudgetEquivalence(t *testing.T) {
 		{MaxDRAMCommands: 7},
 		{MaxDRAMCommands: nOps / 3},
 	} {
-		k, err := Compile(equivSrc, Options{Target: Ambit, Budget: b})
+		cold, err := Compile(equivSrc, Options{Target: Ambit, Budget: b})
 		if err != nil {
 			t.Fatalf("budget %+v: compile: %v", b, err)
 		}
-		rows := equivInputs(64, 3)
-		_, fastErr := k.RunRows(rows, 64)
-		_, refErr := genericRunRows(k, rows, 64, nil, b)
-		if fastErr == nil || refErr == nil {
-			t.Fatalf("budget %+v: expected stops, got fast=%v generic=%v", b, fastErr, refErr)
+		warm, err := Compile(equivSrc, Options{Target: Ambit})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !errors.Is(fastErr, ErrBudget) {
-			t.Fatalf("budget %+v: fast error %v does not match ErrBudget", b, fastErr)
+		if _, err := warm.RunRows(rows, 64); err != nil {
+			t.Fatal(err)
 		}
-		var fe, re *BudgetError
-		if !errors.As(fastErr, &fe) || !errors.As(refErr, &re) {
-			t.Fatalf("budget %+v: not BudgetErrors: fast=%v generic=%v", b, fastErr, refErr)
+		warm.Opts.Budget = b
+		_, refErr := genericRunRows(cold, rows, 64, nil, b)
+		var re *BudgetError
+		if !errors.As(refErr, &re) {
+			t.Fatalf("budget %+v: reference error %v is not a BudgetError", b, refErr)
 		}
-		if *fe != *re {
-			t.Fatalf("budget %+v: stop points differ: fast=%+v generic=%+v", b, *fe, *re)
+		for _, k := range []*Kernel{cold, warm} {
+			_, fastErr := k.RunRows(rows, 64)
+			if !errors.Is(fastErr, ErrBudget) {
+				t.Fatalf("budget %+v: fast error %v does not match ErrBudget", b, fastErr)
+			}
+			var fe *BudgetError
+			if !errors.As(fastErr, &fe) || *fe != *re {
+				t.Fatalf("budget %+v: stop points differ: fast=%v reference=%+v", b, fastErr, *re)
+			}
+		}
+	}
+}
+
+// TestRunRowsFunctionalErrorPrecedence: an op that fails functionally
+// before a budget's limit stops the run with its own error, and a limit
+// that falls on it stops the run with the budget's — cold and warm, as in
+// the reference loop.
+func TestRunRowsFunctionalErrorPrecedence(t *testing.T) {
+	rows := equivInputs(64, 5)
+	broken := func() *Kernel {
+		k, err := Compile(equivSrc, Options{Target: Ambit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Op 20 now senses a row nothing writes.
+		k.prog.Ops[20] = isa.NewAAP(isa.Row(k.Opts.Geometry.DRows()-1), isa.T0)
+		return k
+	}
+	warm := broken()
+	warm.replayShard(nil, 1, dram.TimingFor(Ambit, warm.Opts.Geometry), false)
+	for _, b := range []Budget{{}, {MaxSimSteps: 25}, {MaxDRAMCommands: 21}, {MaxSimSteps: 20}, {MaxDRAMCommands: 20}} {
+		cold := broken()
+		_, refErr := genericRunRows(cold, rows, 64, nil, b)
+		for _, k := range []*Kernel{cold, warm} {
+			k.Opts.Budget = b
+			_, err := k.RunRows(rows, 64)
+			if err == nil || refErr == nil || err.Error() != refErr.Error() {
+				t.Fatalf("budget %+v: error %v, reference %v", b, err, refErr)
+			}
+		}
+		if wantBudget := b.MaxSimSteps == 20 || b.MaxDRAMCommands == 20; errors.Is(refErr, ErrBudget) != wantBudget {
+			t.Fatalf("budget %+v: reference stopped with %v", b, refErr)
+		}
+	}
+}
+
+// TestRunRowsCtxEquivalence: a run observes its context at the same ops
+// whether it fills the memo or finds it — once every 256 ops, never for
+// the timing — so a context that cancels at its n-th look stops a cold and
+// a warm run alike, and one that never cancels is consulted as often.
+func TestRunRowsCtxEquivalence(t *testing.T) {
+	fresh := func() *Kernel {
+		k, err := Compile(equivSrc, Options{Target: Ambit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	rows := equivInputs(64, 7)
+	warm := fresh()
+	if _, err := warm.RunRows(rows, 64); err != nil {
+		t.Fatal(err)
+	}
+	looks := int64((len(warm.prog.Ops) + 255) / 256)
+	if looks < 3 {
+		t.Fatalf("a %d-op program is too short to cancel mid-run", len(warm.prog.Ops))
+	}
+	for _, run := range []string{"cold", "warm"} {
+		kernel := func() *Kernel {
+			if run == "warm" {
+				return warm
+			}
+			return fresh()
+		}
+		live := &checkCtx{Context: context.Background(), live: 1 << 40}
+		if _, err := kernel().RunRowsCtx(live, rows, 64); err != nil {
+			t.Fatal(err)
+		}
+		if got := live.checks.Load(); got != looks {
+			t.Errorf("%s: a full run consulted ctx %d times, want %d", run, got, looks)
+		}
+		for n := int64(0); n < looks; n++ {
+			ctx := &checkCtx{Context: context.Background(), live: n}
+			res, err := kernel().RunRowsCtx(ctx, rows, 64)
+			if !errors.Is(err, ErrCanceled) || res != nil {
+				t.Fatalf("%s: cancel at look %d: %v, %v", run, n, res, err)
+			}
+			if got := ctx.checks.Load(); got != n+1 {
+				t.Errorf("%s: cancel at look %d consulted ctx %d times", run, n, got)
+			}
 		}
 	}
 }

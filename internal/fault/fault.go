@@ -108,7 +108,7 @@ type Injector struct {
 	cfg    Config
 	seed   uint64
 	spent  int
-	last   map[isa.Row]int // op index of each row's most recent access
+	last   clock // op index of each row's most recent access
 	counts Counts
 
 	// attemptSalt is folded into every transient roll. Zero for attempt 0
@@ -116,16 +116,97 @@ type Injector struct {
 	// byte the fault pattern a recovery-free run would.
 	attemptSalt uint64
 
-	// Epoch checkpoint storage (EpochCheckpoint/EpochRestore). The map is
-	// reused across epochs, so steady-state snapshots allocate nothing.
-	ckLast   map[isa.Row]int
+	// Epoch checkpoint storage (EpochCheckpoint/EpochRestore), reused
+	// across epochs, so steady-state snapshots allocate nothing.
+	ckLast   clock
 	ckSpent  int
 	ckCounts Counts
 }
 
+// clock is the injector's per-row access clock. It runs on every sense and
+// store, so rows with a dense index — the special rows, then D rows below
+// maxDenseRow, the simulator's arena layout — keep it in a table (1 + the
+// op index; 0 for a row never accessed; op indices restart every trial and
+// stay far below 2^31) and only exotic rows in a map.
+type clock struct {
+	dense []int32
+	extra map[isa.Row]int
+}
+
+const maxDenseRow = 1 << 16
+
+// index is r's table slot, -1 for an exotic row.
+func index(r isa.Row) int {
+	switch {
+	case r >= 0 && r < maxDenseRow:
+		return int(-isa.DCC1N) + int(r)
+	case r < 0 && r >= isa.DCC1N:
+		return -1 - int(r)
+	}
+	return -1
+}
+
+func (c *clock) get(r isa.Row) (int, bool) {
+	if i := index(r); i >= 0 {
+		if i < len(c.dense) && c.dense[i] != 0 {
+			return int(c.dense[i]) - 1, true
+		}
+		return 0, false
+	}
+	t, ok := c.extra[r]
+	return t, ok
+}
+
+func (c *clock) set(r isa.Row, opIdx int) {
+	if i := index(r); i >= 0 {
+		if i >= len(c.dense) {
+			c.dense = append(c.dense, make([]int32, i+1-len(c.dense))...)
+		}
+		c.dense[i] = int32(opIdx) + 1
+		return
+	}
+	if c.extra == nil {
+		c.extra = make(map[isa.Row]int)
+	}
+	c.extra[r] = opIdx
+}
+
+// setAll restarts every accessed row's clock at opIdx and returns how many
+// rows that is.
+func (c *clock) setAll(opIdx int) int {
+	n := len(c.extra)
+	for i, t := range c.dense {
+		if t != 0 {
+			c.dense[i] = int32(opIdx) + 1
+			n++
+		}
+	}
+	for r := range c.extra {
+		c.extra[r] = opIdx
+	}
+	return n
+}
+
+func (c *clock) reset() {
+	clear(c.dense)
+	clear(c.extra)
+}
+
+// copyFrom makes c a copy of src, reusing c's storage.
+func (c *clock) copyFrom(src *clock) {
+	c.dense = append(c.dense[:0], src.dense...)
+	clear(c.extra)
+	for r, t := range src.extra {
+		if c.extra == nil {
+			c.extra = make(map[isa.Row]int, len(src.extra))
+		}
+		c.extra[r] = t
+	}
+}
+
 // New creates an injector for cfg, reproducible from seed.
 func New(cfg Config, seed int64) *Injector {
-	in := &Injector{last: make(map[isa.Row]int)}
+	in := &Injector{}
 	in.Reset(cfg, seed)
 	return in
 }
@@ -139,12 +220,10 @@ func (in *Injector) Reset(cfg Config, seed int64) {
 	in.cfg = cfg
 	in.seed = mix(uint64(seed) ^ 0x9e3779b97f4a7c15)
 	in.spent = 0
-	clear(in.last)
+	in.last.reset()
 	in.counts = Counts{}
 	in.attemptSalt = 0
-	if in.ckLast != nil {
-		clear(in.ckLast)
-	}
+	in.ckLast.reset()
 	in.ckSpent = 0
 	in.ckCounts = Counts{}
 }
@@ -200,7 +279,7 @@ func flipLane(data []uint64, h uint64, lanes int) {
 // the row's access time (sensing restores the charge).
 func (in *Injector) BeforeLoad(opIdx int, r isa.Row, data []uint64, lanes int) {
 	if in.cfg.RefreshOps > 0 && in.cfg.RetentionRate > 0 {
-		if lastT, seen := in.last[r]; seen && opIdx-lastT > in.cfg.RefreshOps && in.budget(opIdx) {
+		if lastT, seen := in.last.get(r); seen && opIdx-lastT > in.cfg.RefreshOps && in.budget(opIdx) {
 			h := in.roll(kindDecay, opIdx, uint64(int64(r)))
 			if fires(in.cfg.RetentionRate, h) {
 				flipLane(data, mix(h), lanes)
@@ -209,13 +288,13 @@ func (in *Injector) BeforeLoad(opIdx int, r isa.Row, data []uint64, lanes int) {
 			}
 		}
 	}
-	in.last[r] = opIdx
+	in.last.set(r, opIdx)
 }
 
 // AfterCompute perturbs a TRA (AP) result before it latches back into the
 // participating rows: a charge-sharing upset flips one lane's consensus.
 func (in *Injector) AfterCompute(opIdx int, data []uint64, lanes int) {
-	if !in.budget(opIdx) {
+	if in.cfg.TRAFlipRate <= 0 || !in.budget(opIdx) { // a zero rate never fires
 		return
 	}
 	h := in.roll(kindTRA, opIdx, 0)
@@ -230,7 +309,7 @@ func (in *Injector) AfterCompute(opIdx int, data []uint64, lanes int) {
 // AfterCopy perturbs an AAP payload in the row buffer before it is stored
 // into the destination rows.
 func (in *Injector) AfterCopy(opIdx int, data []uint64, lanes int) {
-	if !in.budget(opIdx) {
+	if in.cfg.CopyFlipRate <= 0 || !in.budget(opIdx) { // a zero rate never fires
 		return
 	}
 	h := in.roll(kindCopy, opIdx, 0)
@@ -248,14 +327,7 @@ func (in *Injector) AfterCopy(opIdx int, data []uint64, lanes int) {
 // draws exactly the fault pattern a recovery-free run would. Snapshot
 // storage is reused across epochs; the steady state allocates nothing.
 func (in *Injector) EpochCheckpoint() {
-	if in.ckLast == nil {
-		in.ckLast = make(map[isa.Row]int, len(in.last))
-	} else {
-		clear(in.ckLast)
-	}
-	for r, t := range in.last {
-		in.ckLast[r] = t
-	}
+	in.ckLast.copyFrom(&in.last)
 	in.ckSpent = in.spent
 	in.ckCounts = in.counts
 	in.attemptSalt = 0
@@ -269,10 +341,7 @@ func (in *Injector) EpochCheckpoint() {
 // re-apply identically on every attempt — which is what makes them
 // detectable but uncorrectable by replay.
 func (in *Injector) EpochRestore(attempt int) {
-	clear(in.last)
-	for r, t := range in.ckLast {
-		in.last[r] = t
-	}
+	in.last.copyFrom(&in.ckLast)
 	in.spent = in.ckSpent
 	in.counts = in.ckCounts
 	if attempt == 0 {
@@ -288,10 +357,7 @@ func (in *Injector) EpochRestore(attempt int) {
 // idle past the refresh threshold again. Returns the number of rows
 // refreshed.
 func (in *Injector) Scrub(opIdx int) int {
-	for r := range in.last {
-		in.last[r] = opIdx
-	}
-	return len(in.last)
+	return in.last.setAll(opIdx)
 }
 
 // AfterStore applies persistent bitline defects to a freshly stored row
@@ -310,5 +376,5 @@ func (in *Injector) AfterStore(opIdx int, r isa.Row, data []uint64, lanes int) {
 			}
 		}
 	}
-	in.last[r] = opIdx
+	in.last.set(r, opIdx)
 }

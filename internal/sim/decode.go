@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"chopper/internal/dram"
 	"chopper/internal/guard"
@@ -15,10 +16,39 @@ import (
 // validation) is decided once instead of per execution. A Decoded is
 // immutable after Decode and safe to share across goroutines and trials; it
 // is how a compiled kernel amortizes dispatch cost over thousands of verify
-// / reliability replays.
+// / reliability replays. Row operands are resolved to arena slots, and
+// reads of rows an earlier op always defines are proven (see exec).
 type Decoded struct {
-	prog *isa.Program
-	ops  []dop
+	prog  *isa.Program
+	ops   []dop
+	maxD  int  // highest D row an operand names; -1 if none
+	dense bool // every operand has a slot, below maxPlanRow
+}
+
+// maxPlanRow bounds the D rows of a stream Decode proves: a higher one (no
+// subarray this simulator models has it) leaves the stream unplanned.
+const maxPlanRow = 1 << 20
+
+// opnd is one row operand of a decoded op.
+type opnd struct {
+	row    isa.Row
+	slot   int32 // arena slot (see Subarray); -1 for rows no arena holds (exotic)
+	comp   int8  // slot of the dual-contact partner; -1 if none
+	proven bool  // a read whose row an earlier op of the stream always defines
+}
+
+func resolve(r isa.Row) opnd {
+	switch {
+	case r >= 0 && r <= math.MaxInt32-numSpecialRows:
+		return opnd{row: r, slot: numSpecialRows + int32(r), comp: -1}
+	case r < 0 && r >= isa.DCC1N: // special rows occupy -1..-10
+		o := opnd{row: r, slot: -1 - int32(r), comp: -1}
+		if c := r.Complement(); c != isa.RowNone {
+			o.comp = int8(-1 - c)
+		}
+		return o
+	}
+	return opnd{row: r, slot: -1, comp: -1}
 }
 
 // dop is one decoded micro-op, the only form the executor runs. fast marks
@@ -27,19 +57,22 @@ type Decoded struct {
 // ran them, so error text, error position and fault-hook sequence do not
 // depend on whether an op was decoded ahead of time or on the spot.
 type dop struct {
+	imm   uint64
+	opd   [4]opnd // the source row, then the three destination rows
+	tag   int32
 	kind  isa.OpKind
 	fast  bool
 	cskip bool // ROWINIT of a C-group row with the correct pattern
-	ndst  int8
-	src   isa.Row
-	dst   [3]isa.Row
-	tag   int32
-	imm   uint64
+	ndst  uint8
 }
 
 // decode unpacks op into e and decides its static checks.
 func (e *dop) decode(op *isa.Op) {
-	*e = dop{kind: op.Kind, src: op.Src, dst: op.Dst, ndst: int8(op.NDst), tag: int32(op.Tag), imm: op.Imm}
+	*e = dop{kind: op.Kind, ndst: op.NDst, tag: op.Tag, imm: op.Imm}
+	e.opd[0] = resolve(op.Src)
+	for i, r := range op.Dst {
+		e.opd[1+i] = resolve(r)
+	}
 	switch op.Kind {
 	case isa.OpRowInit:
 		if op.Dst[0].IsCGroup() {
@@ -69,12 +102,56 @@ func (e *dop) decode(op *isa.Op) {
 	}
 }
 
+// operands returns the rows e senses and the rows it stores, in exec's
+// order (an AP senses its three rows, then stores into them).
+func (e *dop) operands() (reads, writes []opnd) {
+	switch e.kind {
+	case isa.OpAAP:
+		return e.opd[:1], e.opd[1 : 1+e.ndst]
+	case isa.OpAP:
+		return e.opd[1:], e.opd[1:]
+	case isa.OpRead, isa.OpSpillOut:
+		return e.opd[:1], nil
+	case isa.OpWrite, isa.OpRowInit, isa.OpSpillIn:
+		return nil, e.opd[1:2]
+	}
+	return nil, nil
+}
+
 // Decode pre-decodes prog. The result references prog (recovery reads its
 // epoch marks), so the program must not be mutated afterwards.
+//
+// The same pass proves reads: every op that completes defines the rows it
+// stores (and their partners), and a whole-stream run stops at the first
+// op that does not, so when op i executes every op before it has defined
+// its rows. C0 and C1 hold their constants from reset on.
 func Decode(prog *isa.Program) *Decoded {
-	d := &Decoded{prog: prog, ops: make([]dop, len(prog.Ops))}
-	for i := range prog.Ops {
-		d.ops[i].decode(&prog.Ops[i])
+	d := &Decoded{prog: prog, ops: make([]dop, len(prog.Ops)), maxD: -1, dense: true}
+	def := make([]bool, numSpecialRows) // by slot
+	def[0], def[1] = true, true
+	note := func(o *opnd) {
+		d.dense = d.dense && o.slot >= 0 && o.row < maxPlanRow
+		d.maxD = max(d.maxD, int(o.row))
+	}
+	for i := range d.ops {
+		e := &d.ops[i]
+		e.decode(&prog.Ops[i])
+		reads, writes := e.operands()
+		for j := range reads {
+			note(&reads[j])
+			reads[j].proven = d.dense && int(reads[j].slot) < len(def) && def[reads[j].slot]
+		}
+		for _, o := range writes {
+			if note(&o); d.dense {
+				for len(def) <= int(o.slot) {
+					def = append(def, false)
+				}
+				def[o.slot] = true
+				if o.comp >= 0 {
+					def[o.comp] = true
+				}
+			}
+		}
 	}
 	return d
 }
@@ -87,139 +164,139 @@ func (d *Decoded) Len() int { return len(d.ops) }
 func (s *Subarray) Exec(op *isa.Op, io *HostIO, spill *SpillStore) error {
 	var e dop
 	e.decode(op)
-	return s.exec(&e, io, spill)
+	return s.exec(&e, io, spill, false)
 }
 
-// ExecDecoded executes op i of the decoded stream.
+// ExecDecoded executes op i of the decoded stream. Like Exec it may be
+// called on any op in any order, so it checks every read.
 func (s *Subarray) ExecDecoded(d *Decoded, i int, io *HostIO, spill *SpillStore) error {
-	return s.exec(&d.ops[i], io, spill)
+	return s.exec(&d.ops[i], io, spill, false)
 }
 
 // exec is what the six micro-ops do — the one definition under every
-// execution entry point. Dynamic conditions (row presence, D-group bounds,
-// host IO availability, spill-slot liveness) are checked on every op;
-// static ones only for ops decode did not mark fast.
-func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore) error {
+// execution entry point: sense the rows the op reads, form the value it
+// stores, store it. Dynamic conditions (row presence, D-group bounds, host
+// IO availability, spill-slot liveness) are checked on every op; static
+// ones only for ops decode did not mark fast. planned is the whole-stream
+// loops' licence (Subarray.plan): every resolved slot is backed, and a
+// proven read skips the presence check. Unproven reads are always checked.
+func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) error {
 	idx := s.opIdx
 	s.opIdx++
-	switch op.kind {
-	case isa.OpRowInit:
-		if !op.fast {
-			return fmt.Errorf("sim: ROWINIT %s with wrong pattern %#x", op.dst[0], op.imm)
-		}
-		if op.cskip {
-			if slot, ok := s.slot(op.dst[0]); ok && s.isPresent(slot) && !s.cDirty {
-				// The row already holds its constant: skip the redundant
-				// rewrite (and the full-row copy it used to cost).
-				return nil
+	// A planned op nothing observes (no fault hook, no parity tracking)
+	// senses a proven row and stores a plain one without the general path.
+	quiet := planned && s.hook == nil && !s.parTrack
+	reads, writes := op.operands()
+	var in [3][]uint64
+	for j := range reads {
+		if o := &reads[j]; quiet && o.proven {
+			in[j] = s.rowData(int(o.slot))
+		} else {
+			var err error
+			if in[j], err = s.load(idx, o, planned); err != nil {
+				return err
 			}
 		}
-		s.initRow(op.dst[0], op.imm)
+	}
+	var val []uint64 // what the op stores into writes
+	switch op.kind {
+	case isa.OpRowInit:
+		dst := &writes[0]
+		if !op.fast {
+			return fmt.Errorf("sim: ROWINIT %s with wrong pattern %#x", dst.row, op.imm)
+		}
+		if op.cskip && s.isPresent(int(dst.slot)) && !s.cDirty {
+			// The row already holds its constant: skip the redundant
+			// rewrite (and the full-row copy it used to cost).
+			return nil
+		}
+		s.initRow(dst, op.imm)
 		return nil
 
 	case isa.OpAAP:
-		src, err := s.load(idx, op.src)
-		if err != nil {
-			return err
+		val = in[0]
+		if op.ndst > 1 || s.hook != nil {
+			// Copy out first: a later destination may alias the source's
+			// complement, and the hook perturbs the copy, not the source.
+			val = s.scratch
+			copy(val, in[0])
 		}
-		// Copy out first: a destination may alias the source's complement.
-		tmp := s.scratch
-		copy(tmp, src)
 		if s.hook != nil {
-			s.hook.AfterCopy(idx, tmp, s.lanes)
+			s.hook.AfterCopy(idx, val, s.lanes)
 		}
-		for _, d := range op.dst[:op.ndst] {
-			if !op.fast && d.IsCGroup() {
-				return fmt.Errorf("sim: AAP into constant row %s", d)
-			}
-			s.setRow(d, tmp)
-			s.stored(idx, d)
-		}
-		return nil
 
 	case isa.OpAP:
-		a, err := s.load(idx, op.dst[0])
-		if err != nil {
-			return err
-		}
-		b, err := s.load(idx, op.dst[1])
-		if err != nil {
-			return err
-		}
-		c, err := s.load(idx, op.dst[2])
-		if err != nil {
-			return err
-		}
-		res := s.scratch
-		for i := range res {
-			res[i] = (a[i] & b[i]) | (b[i] & c[i]) | (a[i] & c[i])
+		a, b, c := in[0], in[1], in[2]
+		val = s.scratch
+		for i := range val {
+			val[i] = (a[i] & b[i]) | (b[i] & c[i]) | (a[i] & c[i])
 		}
 		if s.hook != nil {
-			s.hook.AfterCompute(idx, res, s.lanes)
+			s.hook.AfterCompute(idx, val, s.lanes)
 		}
-		for _, d := range op.dst {
-			s.setRow(d, res)
-			s.stored(idx, d)
-		}
-		return nil
 
 	case isa.OpWrite:
 		if io == nil || io.WriteData == nil {
 			return fmt.Errorf("sim: WRITE with no host data source (tag %d)", op.tag)
 		}
-		data := io.WriteData(int(op.tag))
-		if data == nil {
+		if val = io.WriteData(int(op.tag)); val == nil {
 			return fmt.Errorf("sim: host has no data for WRITE tag %d", op.tag)
 		}
 		if !op.fast {
-			return fmt.Errorf("sim: WRITE into constant row %s", op.dst[0])
+			return fmt.Errorf("sim: WRITE into constant row %s", writes[0].row)
 		}
-		s.setRow(op.dst[0], data)
-		s.stored(idx, op.dst[0])
-		return nil
 
 	case isa.OpRead:
-		src, err := s.load(idx, op.src)
-		if err != nil {
-			return err
-		}
 		if io == nil || io.ReadSink == nil {
 			return fmt.Errorf("sim: READ with no host sink (tag %d)", op.tag)
 		}
 		out := s.readBuf
-		copy(out, src)
+		copy(out, in[0])
 		io.ReadSink(int(op.tag), out)
 		return nil
 
 	case isa.OpSpillOut:
-		src, err := s.load(idx, op.src)
-		if err != nil {
-			return err
-		}
 		if spill == nil {
 			return fmt.Errorf("sim: spill with no spill store")
 		}
-		spill.put(op.imm, src, s.words)
+		spill.put(op.imm, in[0], s.words)
 		return nil
 
 	case isa.OpSpillIn:
 		if spill == nil {
 			return fmt.Errorf("sim: spill with no spill store")
 		}
-		data, ok := spill.get(op.imm)
-		if !ok {
+		var ok bool
+		if val, ok = spill.get(op.imm); !ok {
 			return fmt.Errorf("sim: SPILL_IN of unwritten slot %d", op.imm)
 		}
-		s.setRow(op.dst[0], data)
-		s.stored(idx, op.dst[0])
-		return nil
+
+	default:
+		return fmt.Errorf("sim: unknown op kind %d", int(op.kind))
 	}
-	return fmt.Errorf("sim: unknown op kind %d", int(op.kind))
+	for j := range writes {
+		o := &writes[j]
+		if !op.fast && o.row.IsCGroup() {
+			return fmt.Errorf("sim: AAP into constant row %s", o.row)
+		}
+		if quiet && o.slot > 1 && o.comp < 0 && len(val) == s.words {
+			// A full row into a row with no partner, outside the C-group:
+			// all of setRow that applies.
+			dst := s.rowData(int(o.slot))
+			s.markPresent(int(o.slot))
+			copy(dst, val)
+			dst[len(dst)-1] &= s.mask
+		} else if dst := s.setRow(o, val); s.hook != nil {
+			// Persistent bitline defects corrupt the stored contents.
+			s.hook.AfterStore(idx, o.row, dst, s.lanes)
+		}
+	}
+	return nil
 }
 
-// stepper is the one guard → execute → issue step under every run loop,
-// with the counters it checks. A run makes one and steps every op through
-// it, replays included: the counters never rewind, so work a recovered run
+// stepper is the one guard → execute → issue loop under every run, with
+// the counters it checks. A run makes one and steps every op through it,
+// replays included: the counters never rewind, so work a recovered run
 // throws away is charged to the same budget as work it keeps. The same
 // stream therefore exhausts the same dimension at the same op on every
 // run, whichever loop drives it.
@@ -229,53 +306,51 @@ type stepper struct {
 	m         *Machine
 	eng       *dram.Engine // nil: functional only, nothing is timed
 	bank, sub int          // the placement the engine charges and errors name
+	planned   bool         // the stream is planned on m's subarray (see exec)
 
 	steps, cmds int // micro-ops executed / commands issued so far
 }
 
-// step runs op — op i of its stream — on the machine's subarray:
-// b.MaxSimSteps caps the micro-ops executed and b.MaxDRAMCommands the
-// commands that reach the timing engine, both checked before the op
-// executes, so a guard stop, like a functional error, leaves the offending
-// op unexecuted.
-func (st *stepper) step(op *dop, i int, io *HostIO) error {
-	if st.steps&255 == 0 {
-		if err := guard.Ctx(st.ctx); err != nil {
-			return err
-		}
-	}
-	if err := guard.Check(guard.DimSimSteps, st.b.MaxSimSteps, st.steps+1); err != nil {
-		return err
-	}
-	if err := guard.Check(guard.DimDRAMCommands, st.b.MaxDRAMCommands, st.cmds+1); err != nil {
-		return err
-	}
-	if err := st.m.sub.exec(op, io, &st.m.spill); err != nil {
-		return fmt.Errorf("op %d at bank %d sub %d: %w", i, st.bank, st.sub, err)
-	}
-	if st.eng != nil {
-		st.eng.IssueOp(st.bank, st.sub, op.kind, op.imm)
-	}
-	st.steps++
-	st.cmds++
-	return nil
-}
-
-// span steps ops [lo, hi) of d.
+// span steps ops [lo, hi) of d on the machine's subarray, each one guard
+// → execute → issue: b.MaxSimSteps caps the micro-ops executed and
+// b.MaxDRAMCommands the commands that reach the timing engine, both checked
+// before the op executes, so a guard stop, like a functional error, leaves
+// the offending op unexecuted. A functional run counts the commands it
+// would issue.
 func (st *stepper) span(d *Decoded, lo, hi int, io *HostIO) error {
+	sub, spill := &st.m.sub, &st.m.spill
 	for i := lo; i < hi; i++ {
-		if err := st.step(&d.ops[i], i, io); err != nil {
+		if st.steps&255 == 0 {
+			if err := guard.Ctx(st.ctx); err != nil {
+				return err
+			}
+		}
+		if err := guard.Check(guard.DimSimSteps, st.b.MaxSimSteps, st.steps+1); err != nil {
 			return err
 		}
+		if err := guard.Check(guard.DimDRAMCommands, st.b.MaxDRAMCommands, st.cmds+1); err != nil {
+			return err
+		}
+		op := &d.ops[i]
+		if err := sub.exec(op, io, spill, st.planned); err != nil {
+			return fmt.Errorf("op %d at bank %d sub %d: %w", i, st.bank, st.sub, err)
+		}
+		if st.eng != nil {
+			st.eng.IssueOp(st.bank, st.sub, op.kind, op.imm)
+		}
+		st.steps++
+		st.cmds++
 	}
 	return nil
 }
 
-// RunFunctionalCtx executes d on the machine's subarray with no timing
-// engine and no budget, ctx observed every 256 ops: the loop of a caller
-// that times the program elsewhere (the tiled runner, whose timing comes
-// from the per-kernel shard memo). Errors name bank 0 sub 0.
-func (m *Machine) RunFunctionalCtx(ctx context.Context, d *Decoded, io *HostIO) error {
-	st := stepper{ctx: ctx, m: m}
+// RunFunctionalCtx is RunRecoveredCtx's plain run without the timing
+// engine — ctx every 256 ops, b before every op, the same stop at the same
+// op — for a caller that times the program elsewhere: the issue order is a
+// function of the program and its placement, never of the data (the root
+// package's shard memo; the tiled runner passes the zero budget, having
+// pre-checked it). Errors name bank 0 sub 0.
+func (m *Machine) RunFunctionalCtx(ctx context.Context, d *Decoded, io *HostIO, b guard.Budget) error {
+	st := stepper{ctx: ctx, b: b, m: m, planned: m.sub.plan(d)}
 	return st.span(d, 0, len(d.ops), io)
 }

@@ -417,7 +417,8 @@ func (m *Machine) RunRecoveredCtx(ctx context.Context, d *Decoded, bank, sub int
 	// One stepper for the whole run: its counters keep counting across
 	// rollbacks, so wasted replay work is charged to the same budget
 	// dimensions as first-try work and recovery cannot loop past a budget.
-	st := stepper{ctx: ctx, b: b, m: m, eng: &m.engine, bank: bank, sub: sub}
+	// A replay restores its epoch's start, so it may trust the proofs too.
+	st := stepper{ctx: ctx, b: b, m: m, eng: &m.engine, bank: bank, sub: sub, planned: m.sub.plan(d)}
 	s, spill, eng := &m.sub, &m.spill, &m.engine
 	var rs RecoveryStats
 	if pol.Detector == DetectNone {

@@ -9,16 +9,16 @@
 //
 // There is one way to execute a program. What the six micro-ops do is
 // defined once (Subarray.exec, decode.go), and both run loops drive it
-// through one guard → execute → issue step (stepper) on a Machine — one
+// through one guard → execute → issue loop (stepper) on a Machine — one
 // subarray at the (bank, sub) a run names: Machine.RunRecoveredCtx
-// (recover.go; with the zero RecoveryPolicy it is the plain run, and it is
-// the only loop that rewinds) and Machine.RunFunctionalCtx, the same step
-// with no timing and no budget for a caller that times the program
-// elsewhere (the tiled runner).
+// (recover.go; the only loop that rewinds and the only timed one) and
+// Machine.RunFunctionalCtx, the same loop for a caller that times the
+// program elsewhere (the kernel's memo: its issue order is the program's).
 //
 // The row store is a flat preallocated arena indexed by a dense row id
-// (special rows first, then D-group rows) plus a presence bitmap, so the
-// steady-state execution loop performs no map lookups and no allocations;
+// (special rows first, then D-group rows) plus a presence bitmap. Decode
+// resolves each operand's slot and proves the reads earlier ops define, so
+// a whole-stream run sizes the arena once and checks only unproven reads;
 // see docs/PERFORMANCE.md for the layout and the pooling rules that let
 // verify/reliability sweeps reuse machines across trials via Reconfigure.
 package sim
@@ -139,10 +139,12 @@ func (s *Subarray) Configure(dRows, lanes int) {
 		// Row geometry changed: the arena layout is invalid, restart it at
 		// special-rows-only (it regrows on demand).
 		s.physRows = 0
-		s.arena = grow(s.arena, numSpecialRows*words)
 		s.scratch = grow(s.scratch, words)
 		s.readBuf = grow(s.readBuf, words)
 	}
+	// The presence bitmap covers dRows: back no row past them.
+	s.physRows = min(s.physRows, dRows)
+	s.arena = grow(s.arena, (numSpecialRows+s.physRows)*words)
 	s.lanes, s.words, s.mask, s.dRows = lanes, words, mask, dRows
 	pw := (numSpecialRows + dRows + 63) / 64
 	s.present = grow(s.present, pw)
@@ -172,8 +174,9 @@ func (s *Subarray) Reset() {
 	s.hook = nil
 	s.parTrack = false
 	s.parBad = 0
-	s.initRow(isa.C0, 0)
-	s.initRow(isa.C1, ^uint64(0))
+	c0, c1 := resolve(isa.C0), resolve(isa.C1)
+	s.initRow(&c0, 0)
+	s.initRow(&c1, ^uint64(0))
 }
 
 // SetFaultHook attaches a fault model to the subarray (nil detaches).
@@ -191,20 +194,11 @@ func (s *Subarray) MemBytes() int64 {
 	return n
 }
 
-// slot maps a row to its dense arena slot. ok is false for rows outside
-// the dense range (exotic negatives, D rows beyond dRows), which live in
-// the overflow map instead.
-func (s *Subarray) slot(r isa.Row) (int, bool) {
-	if r >= 0 {
-		if int(r) >= s.dRows {
-			return 0, false
-		}
-		return numSpecialRows + int(r), true
-	}
-	if r >= isa.DCC1N { // special rows occupy -1..-10
-		return -1 - int(r), true
-	}
-	return 0, false
+// at is row operand o's arena slot; ok is false for rows outside the dense
+// range (exotic negatives, D rows beyond dRows): they live in the map.
+func (s *Subarray) at(o *opnd) (int, bool) {
+	idx := int(o.slot)
+	return idx, idx >= 0 && idx < numSpecialRows+s.dRows
 }
 
 func (s *Subarray) isPresent(idx int) bool { return s.present[idx>>6]&(1<<uint(idx&63)) != 0 }
@@ -314,91 +308,103 @@ func (s *Subarray) ensure(idx int) {
 	s.physRows = phys
 }
 
-// peek returns the live storage of row r if it is initialized.
-func (s *Subarray) peek(r isa.Row) ([]uint64, bool) {
-	if idx, ok := s.slot(r); ok {
+// peek returns the live storage of row operand o if it is initialized.
+func (s *Subarray) peek(o *opnd) ([]uint64, bool) {
+	if idx, ok := s.at(o); ok {
 		if idx < s.allocRows() && s.isPresent(idx) {
 			return s.rowData(idx), true
 		}
 		return nil, false
 	}
-	row, ok := s.extra[r]
+	row, ok := s.extra[o.row]
 	return row, ok
 }
 
-// load senses row r as an operand of the op at idx, giving the fault hook
-// its chance to materialize retention decay in the stored charge.
-func (s *Subarray) load(idx int, r isa.Row) ([]uint64, error) {
-	row, err := s.getRow(r)
-	if err != nil {
-		return nil, err
+// plan reports whether a whole-stream run of d may trust its proofs (exec):
+// d names only rows the subarray holds, backed here, once, up to d's highest.
+func (s *Subarray) plan(d *Decoded) bool {
+	if !d.dense || d.maxD >= s.dRows {
+		return false
+	}
+	s.ensure(numSpecialRows + d.maxD)
+	return true
+}
+
+// load senses row operand o of the op at idx, giving the fault hook its
+// chance to materialize retention decay in the stored charge.
+func (s *Subarray) load(idx int, o *opnd, planned bool) ([]uint64, error) {
+	var row []uint64
+	if planned && o.proven {
+		row = s.rowData(int(o.slot))
+	} else {
+		var err error
+		if row, err = s.getRow(o); err != nil {
+			return nil, err
+		}
 	}
 	if s.hook != nil {
-		s.hook.BeforeLoad(idx, r, row, s.lanes)
+		s.hook.BeforeLoad(idx, o.row, row, s.lanes)
 	}
 	if s.parTrack {
 		// The hook has materialized any retention decay: a sensed row whose
 		// contents no longer match the parity recorded at store time is a
 		// detected storage fault.
-		if si, ok := s.slot(r); ok {
+		if si, ok := s.at(o); ok {
 			s.checkParity(si, row)
 		}
 	}
 	return row, nil
 }
 
-// stored notifies the hook that row r was just (re)written, letting
-// persistent bitline defects corrupt the stored contents.
-func (s *Subarray) stored(idx int, r isa.Row) {
-	if s.hook == nil {
-		return
+func (s *Subarray) getRow(o *opnd) ([]uint64, error) {
+	if o.row.IsDGroup() && int(o.row) >= s.dRows {
+		return nil, fmt.Errorf("sim: row %s beyond D-group size %d", o.row, s.dRows)
 	}
-	if row, ok := s.peek(r); ok {
-		s.hook.AfterStore(idx, r, row, s.lanes)
-	}
-}
-
-func (s *Subarray) getRow(r isa.Row) ([]uint64, error) {
-	if r.IsDGroup() && int(r) >= s.dRows {
-		return nil, fmt.Errorf("sim: row %s beyond D-group size %d", r, s.dRows)
-	}
-	row, ok := s.peek(r)
+	row, ok := s.peek(o)
 	if !ok {
-		return nil, fmt.Errorf("sim: read of uninitialized row %s", r)
+		return nil, fmt.Errorf("sim: read of uninitialized row %s", o.row)
 	}
 	return row, nil
 }
 
-// dest returns the storage a write to row r lands in, marking the row
-// initialized: its arena slot (idx >= 0), or its overflow-map row (idx < 0)
-// when r lies outside the dense range — stores there succeed, preserving
-// the historical map semantics (reads of out-of-range D rows fail with the
-// bound error). held reports whether the row held data before.
-func (s *Subarray) dest(r isa.Row) (dst []uint64, idx int, held bool) {
-	if idx, ok := s.slot(r); ok {
+// setRow stores data into row operand o and returns the row's storage: its
+// arena slot, marked initialized, or its overflow-map row when the row lies
+// outside the dense range — stores there succeed, preserving the historical
+// map semantics (reads of out-of-range D rows fail with the bound error).
+// The slice is copied; a freshly initialized row behaves as if zero-filled
+// first (words beyond len(data) read as zero), exactly like the historical
+// map-backed store. A dense row records its parity bit and keeps its
+// dual-contact partner complementary — which is how in-DRAM NOT works.
+func (s *Subarray) setRow(o *opnd, data []uint64) []uint64 {
+	idx, dense := s.at(o)
+	var dst []uint64
+	var held bool
+	if dense {
 		s.ensure(idx)
 		held = s.isPresent(idx)
 		s.markPresent(idx)
-		return s.rowData(idx), idx, held
+		dst = s.rowData(idx)
+	} else {
+		if s.extra == nil {
+			s.extra = make(map[isa.Row][]uint64)
+		}
+		if dst, held = s.extra[o.row]; !held {
+			dst = make([]uint64, s.words)
+			s.extra[o.row] = dst
+		}
 	}
-	if s.extra == nil {
-		s.extra = make(map[isa.Row][]uint64)
-	}
-	dst, held = s.extra[r]
 	if !held {
-		dst = make([]uint64, s.words)
-		s.extra[r] = dst
+		for i := len(data); i < s.words; i++ {
+			dst[i] = 0
+		}
 	}
-	return dst, -1, held
-}
-
-// latch finishes a write of dst, the storage dest returned for r: it masks
-// the tail word and, for a dense row, records the parity bit and keeps the
-// dual-contact partner complementary — which is how in-DRAM NOT works.
-func (s *Subarray) latch(r isa.Row, dst []uint64, idx int) {
+	copy(dst, data)
 	dst[s.words-1] &= s.mask
-	if idx < 0 {
-		return
+	if o.row.IsCGroup() {
+		s.cDirty = true
+	}
+	if !dense {
+		return dst
 	}
 	if s.parTrack {
 		// Parity is recorded from the row buffer BEFORE the AfterStore
@@ -406,8 +412,8 @@ func (s *Subarray) latch(r isa.Row, dst []uint64, idx int) {
 		// exactly why those defects are detectable on the next sense.
 		s.setParity(idx, dst)
 	}
-	if comp := r.Complement(); comp != isa.RowNone {
-		cidx, _ := s.slot(comp) // complements are special rows, always dense
+	if o.comp >= 0 { // partners are special rows, always backed
+		cidx := int(o.comp)
 		cdst := s.rowData(cidx)
 		s.markPresent(cidx)
 		for i := range cdst {
@@ -418,39 +424,25 @@ func (s *Subarray) latch(r isa.Row, dst []uint64, idx int) {
 			s.setParity(cidx, cdst)
 		}
 	}
+	return dst
 }
 
-// setRow stores data into r. The slice is copied; a freshly initialized row
-// behaves as if zero-filled first (words beyond len(data) read as zero),
-// exactly like the historical map-backed store.
-func (s *Subarray) setRow(r isa.Row, data []uint64) {
-	dst, idx, held := s.dest(r)
-	if !held {
-		for i := len(data); i < s.words; i++ {
-			dst[i] = 0
-		}
+// initRow stores a replicated constant pattern into row operand o (the
+// ROWINIT semantic). Only a store outside ROWINIT dirties a C-group row.
+func (s *Subarray) initRow(o *opnd, pattern uint64) {
+	for i := range s.scratch {
+		s.scratch[i] = pattern
 	}
-	copy(dst, data)
-	if r.IsCGroup() {
-		s.cDirty = true
-	}
-	s.latch(r, dst, idx)
-}
-
-// initRow fills r with a replicated constant pattern (the ROWINIT
-// semantic) without staging the row through a temporary.
-func (s *Subarray) initRow(r isa.Row, pattern uint64) {
-	dst, idx, _ := s.dest(r)
-	for i := range dst {
-		dst[i] = pattern
-	}
-	s.latch(r, dst, idx)
+	dirty := s.cDirty
+	s.setRow(o, s.scratch)
+	s.cDirty = dirty
 }
 
 // Row returns a copy of the row's contents (nil if uninitialized); intended
 // for tests and debugging dumps.
 func (s *Subarray) Row(r isa.Row) []uint64 {
-	row, ok := s.peek(r)
+	o := resolve(r)
+	row, ok := s.peek(&o)
 	if !ok {
 		return nil
 	}

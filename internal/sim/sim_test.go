@@ -310,3 +310,37 @@ func TestFunctionalErrorAborts(t *testing.T) {
 		t.Error("uninitialized read did not abort run")
 	}
 }
+
+// TestConfigureSmallerSubarray: a subarray reconfigured to fewer D rows at
+// the same row width (a pooled machine passing from one kernel's geometry
+// to a smaller one's) backs no row past its new size, so the walks over
+// its backed rows — parity arming, the parity sweep, the vote digest —
+// stay inside its presence bitmap.
+func TestConfigureSmallerSubarray(t *testing.T) {
+	s := NewSubarray(1006, 64)
+	exec(t, s, isa.NewRowInit(isa.Row(600), 0xF0), nil, nil)
+	s.Configure(64, 64)
+	s.SetParityTracking(true)
+	if n := s.ParitySweep(); n != 0 {
+		t.Errorf("a fresh subarray's sweep found %d mismatches", n)
+	}
+	if r := s.Row(isa.Row(600)); r != nil {
+		t.Errorf("row 600 survived the shrink: %x", r)
+	}
+
+	big := dram.DefaultGeometry()
+	small := planGeom(64)
+	m := NewMachine(MachineConfig{Geom: big, Arch: isa.Ambit, Lanes: 64})
+	far := &isa.Program{Ops: []isa.Op{isa.NewRowInit(isa.Row(900), 1)}}
+	if _, _, err := m.RunRecoveredCtx(nil, Decode(far), 0, 0, nil, guard.Budget{}, RecoveryPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, det := range []DetectorKind{DetectParity, DetectVote} {
+		m.Reconfigure(MachineConfig{Geom: small, Arch: isa.Ambit, Lanes: 64})
+		var log readLog
+		if _, _, err := runRecovered(t, m, recProgram(3), recIO(&log), guard.Budget{}, RecoveryPolicy{Detector: det}); err != nil {
+			t.Fatalf("detector %d: %v", det, err)
+		}
+		checkReads(t, &log, 3)
+	}
+}

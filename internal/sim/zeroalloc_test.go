@@ -101,6 +101,29 @@ func TestRunDecodedCtxZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRunFunctionalCtxZeroAlloc: the functional loop — the single-subarray
+// run that takes its timing from elsewhere — is allocation-free once warm
+// and issues nothing to the machine's engine.
+func TestRunFunctionalCtxZeroAlloc(t *testing.T) {
+	g := dram.DefaultGeometry()
+	m := NewMachine(MachineConfig{Geom: g, Arch: isa.Ambit, Lanes: 96})
+	d := Decode(steadyProgram())
+	io := steadyIO(m.sub.words)
+	b := guard.Budget{MaxSimSteps: 1 << 20, MaxDRAMCommands: 1 << 20}
+	run := func() {
+		if err := m.RunFunctionalCtx(context.Background(), d, io, b); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Fatalf("steady-state functional run allocates %v allocs/run, want 0", n)
+	}
+	if st := m.Stats(); st != (dram.EngineStats{}) {
+		t.Fatalf("the functional loop reached the engine: %+v", st)
+	}
+}
+
 // TestResetKeepsZeroAlloc proves trial-style reuse (Reset between replays,
 // as verify and reliability loops do) stays allocation-free after the first
 // post-reset replay re-touches the arena.

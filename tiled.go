@@ -379,7 +379,7 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 		}
 		outRows := rows[:plan.outRows]
 		plan.fillConsts(rows[plan.outRows:], n)
-		if err := w.m.RunFunctionalCtx(ctx, d, w.host.hostIO()); err != nil {
+		if err := w.m.RunFunctionalCtx(ctx, d, w.host.hostIO(), guard.Budget{}); err != nil {
 			if guard.IsGuard(err) {
 				return err
 			}
@@ -425,7 +425,7 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 		if j >= len(counts) {
 			return runTile(j - len(counts))
 		}
-		timed[j].shardTiming, timed[j].err = k.replayShard(ctx, counts[j], timing)
+		timed[j].shardTiming, timed[j].err = k.replayShard(ctx, counts[j], timing, k.Opts.SALP)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -507,8 +507,11 @@ type shardTiming struct {
 // ran to completion is kept on the kernel — a stopped one is not — and
 // later calls with an equal key return it after observing ctx once.
 // Concurrent first calls may each compute and store; the values are equal.
-func (k *Kernel) replayShard(ctx context.Context, count int, timing dram.Timing) (shardTiming, error) {
-	key := shardKey{count, k.Opts.Geometry, timing, k.Opts.SALP}
+// A single-subarray run is the one-tile shard without SALP: its only
+// placement is (0, 0), so the emitter issues the program in order into an
+// engine configured like the run's machine.
+func (k *Kernel) replayShard(ctx context.Context, count int, timing dram.Timing, salp bool) (shardTiming, error) {
+	key := shardKey{count, k.Opts.Geometry, timing, salp}
 	k.shardMu.Lock()
 	st, ok := k.shards[key]
 	k.shardMu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"chopper/internal/dram"
+	"chopper/internal/transpose"
 	"chopper/internal/vircoe"
 )
 
@@ -150,13 +151,13 @@ func TestRunTiledShardMemoGate(t *testing.T) {
 	}
 	const tiles = 8
 	timing := dram.TimingFor(Ambit, k.Opts.Geometry)
-	want, err := k.replayShard(nil, tiles, timing)
+	want, err := k.replayShard(nil, tiles, timing, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := &checkCtx{Context: context.Background(), live: 1 << 40}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if got, err := k.replayShard(ctx, tiles, timing); err != nil || got != want {
+		if got, err := k.replayShard(ctx, tiles, timing, false); err != nil || got != want {
 			t.Fatalf("hit returned %+v, %v; want %+v", got, err, want)
 		}
 	}); allocs != 0 {
@@ -167,6 +168,47 @@ func TestRunTiledShardMemoGate(t *testing.T) {
 	}
 	if len(k.shards) != 1 {
 		t.Errorf("memo holds %d entries for one key", len(k.shards))
+	}
+}
+
+// TestRunRowsTimingMemoGate holds what timing a warm single-subarray run
+// does: none. Its makespan and stats are the memo's one-tile shard —
+// planted here with values no engine produces, so a run that timed itself
+// would report something else — and the memo gains no entry.
+func TestRunRowsTimingMemoGate(t *testing.T) {
+	k, err := Compile(memoSrc, Options{Target: Ambit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := memoInputs(64)
+	rows := map[string][][]uint64{}
+	for _, op := range k.Inputs {
+		rows[op.Name] = transpose.ToVerticalWide(in[op.Name], op.Width, 64)
+	}
+	if _, err := k.RunRows(rows, 64); err != nil {
+		t.Fatal(err)
+	}
+	key := shardKey{1, k.Opts.Geometry, dram.TimingFor(Ambit, k.Opts.Geometry), false}
+	planted, ok := k.shards[key]
+	if !ok || len(k.shards) != 1 {
+		t.Fatalf("a cold run left %d memo entries, none the one-tile shard", len(k.shards))
+	}
+	planted.eng.Ops, planted.eng.MakespanNs = -1, 12345
+	k.shards[key] = planted
+	for _, run := range []func() (*RunResult, error){
+		func() (*RunResult, error) { return k.RunRows(rows, 64) },
+		func() (*RunResult, error) { return k.RunRowsUnderFault(rows, 64, FaultConfig{TRAFlipRate: 0.5}, 3) },
+	} {
+		res, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats != planted.eng || res.TimeNs != 12345 {
+			t.Fatalf("a warm run reported %v %+v, not the memo's %+v", res.TimeNs, res.Stats, planted.eng)
+		}
+	}
+	if len(k.shards) != 1 {
+		t.Errorf("warm runs left %d memo entries", len(k.shards))
 	}
 }
 

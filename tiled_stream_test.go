@@ -149,7 +149,7 @@ func TestReplayShardStopsEmissionOnCancel(t *testing.T) {
 	}
 	timing := dram.TimingFor(Ambit, k.Opts.Geometry)
 	ctx := &checkCtx{Context: context.Background(), live: 2}
-	stopped, err := k.replayShard(ctx, tiles, timing)
+	stopped, err := k.replayShard(ctx, tiles, timing, false)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("error %v does not match ErrCanceled", err)
 	}
@@ -167,7 +167,7 @@ func TestReplayShardStopsEmissionOnCancel(t *testing.T) {
 	}
 	total := tiles * len(k.prog.Ops)
 	miss := &checkCtx{Context: context.Background(), live: 1 << 40}
-	want, err := k.replayShard(miss, tiles, timing)
+	want, err := k.replayShard(miss, tiles, timing, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestReplayShardStopsEmissionOnCancel(t *testing.T) {
 		t.Errorf("replay after a canceled one consulted %d checkpoints, want the %d of a full emission", got, emitting)
 	}
 	hit := &checkCtx{Context: context.Background(), live: 1 << 40}
-	got, err := k.replayShard(hit, tiles, timing)
+	got, err := k.replayShard(hit, tiles, timing, false)
 	if err != nil || got != want {
 		t.Fatalf("memo hit: %+v, %v; want %+v", got, err, want)
 	}
@@ -186,7 +186,7 @@ func TestReplayShardStopsEmissionOnCancel(t *testing.T) {
 		t.Errorf("memo hit consulted %d checkpoints, want 1 (it emitted again)", n)
 	}
 	// A hit still observes its context.
-	if _, err := k.replayShard(&checkCtx{Context: context.Background()}, tiles, timing); !errors.Is(err, ErrCanceled) {
+	if _, err := k.replayShard(&checkCtx{Context: context.Background()}, tiles, timing, false); !errors.Is(err, ErrCanceled) {
 		t.Errorf("memo hit under a canceled context: error %v does not match ErrCanceled", err)
 	}
 }
