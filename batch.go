@@ -167,7 +167,7 @@ func (k *Kernel) pass(ctx context.Context, counts []int, scatter func(i int, are
 			return nil, memberErr(i, err)
 		}
 	}
-	res, err := k.runRows(ctx, arena, total, nil, 0)
+	res, err := k.runRows(ctx, arena, total, FaultConfig{}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +199,7 @@ func (k *Kernel) pass(ctx context.Context, counts []int, scatter func(i int, are
 func (k *Kernel) RunRowsBatchCtx(ctx context.Context, batches []LaneBatch) (res []*RunResult, err error) {
 	defer recoverToError(&err)
 	if len(batches) == 1 {
-		r, err := k.runRows(ctx, batches[0].Rows, batches[0].Lanes, nil, 0)
+		r, err := k.runRows(ctx, batches[0].Rows, batches[0].Lanes, FaultConfig{}, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -330,7 +330,7 @@ func (k *Kernel) VerifyBatchCtx(ctx context.Context, specs []VerifySpec) (perSpe
 		}
 	}
 	if len(specs) == 1 {
-		return []error{k.VerifyCtx(ctx, specs[0].Trials, specs[0].Seed, 1)}, nil
+		return []error{k.VerifyCtx(ctx, specs[0].Trials, specs[0].Seed, 1, FaultConfig{})}, nil
 	}
 
 	// Every (spec, trial) pair is one member of the pass.

@@ -168,7 +168,7 @@ func TestBatchVerifyMatchesSolo(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sp := range specs {
-		want := k.VerifyCtx(nil, sp.Trials, sp.Seed, 1)
+		want := k.VerifyCtx(nil, sp.Trials, sp.Seed, 1, FaultConfig{})
 		if (perSpec[i] == nil) != (want == nil) {
 			t.Errorf("member %d: batched %v, solo %v", i, perSpec[i], want)
 		}
@@ -197,7 +197,7 @@ func TestBatchVerifyMatchesSolo(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sp := range specs {
-		want := k.VerifyCtx(nil, sp.Trials, sp.Seed, 1)
+		want := k.VerifyCtx(nil, sp.Trials, sp.Seed, 1, FaultConfig{})
 		switch {
 		case want == nil && perSpec[i] == nil:
 		case want == nil || perSpec[i] == nil:

@@ -292,7 +292,7 @@ func BenchmarkVerifyUnderFaultWorkers(b *testing.B) {
 		}
 		b.Run("workers="+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := k.VerifyUnderFaultCtx(nil, 32, 7, cfg, workers); err != nil {
+				if err := k.VerifyCtx(nil, 32, 7, workers, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

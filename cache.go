@@ -17,7 +17,7 @@ type CacheStats = kcache.Stats
 // is safe for concurrent use, so one cache can serve every goroutine of a
 // server.
 //
-// Attach a cache via Options.Cache, or use the process-wide SharedCache.
+// Attach a cache via Options.Cache.
 type KernelCache struct {
 	c *kcache.Cache[kernelKey, *Kernel]
 }
@@ -45,16 +45,6 @@ func NewKernelCache(maxEntries int) *KernelCache {
 
 // Stats returns the cache counters (hits, misses, evictions, entries).
 func (kc *KernelCache) Stats() CacheStats { return kc.c.Stats() }
-
-// sharedCache is the process-wide kernel cache for server-style callers
-// that compile the same sources over and over from many goroutines.
-var sharedCache = NewKernelCache(256)
-
-// SharedCache returns the process-wide kernel cache. Typical use:
-//
-//	opts := chopper.Options{Target: chopper.Ambit, Cache: chopper.SharedCache()}
-//	k, err := chopper.Compile(src, opts) // first call compiles, repeats hit
-func SharedCache() *KernelCache { return sharedCache }
 
 // normalizeSource canonicalizes source text for the cache key: CRLF
 // becomes LF and trailing whitespace (per line and surrounding) is
@@ -87,17 +77,20 @@ const (
 	CacheShared = kcache.Shared
 )
 
-// CompileCtxCached is CompileCtx reporting how the kernel cache served
-// the call — the entry point for servers that surface cache behavior per
-// request (chopperd's responses carry the outcome, and its hit-rate
-// metrics are built from it). With no cache attached the outcome is
-// CacheNone and the call is a plain CompileCtx.
+// CompileCtxCached is Compile with everything said. Under the guard layer a
+// non-nil ctx is observed at pipeline checkpoints (including inside codegen
+// emission), so a canceled or deadline-expired context stops the compile
+// promptly with ErrCanceled/ErrDeadline; Options.Budget is enforced at the
+// same checkpoints, and a nil ctx disables the cancellation checks. The
+// outcome reports how the kernel cache served the call — servers surface it
+// per request (chopperd's responses carry it, and its hit-rate metrics are
+// built from it); with no cache attached it is CacheNone.
 func CompileCtxCached(ctx context.Context, src string, opts Options) (*Kernel, CacheOutcome, error) {
 	return compile(ctx, pipeChopper, src, nil, opts)
 }
 
-// CompileBaselineCached is CompileBaseline under the guard layer (see
-// CompileCtx), reporting the cache outcome (see CompileCtxCached).
+// CompileBaselineCached is CompileBaseline under the guard layer, reporting
+// the cache outcome (see CompileCtxCached).
 func CompileBaselineCached(ctx context.Context, src string, opts Options) (*Kernel, CacheOutcome, error) {
 	return compile(ctx, pipeBaseline, src, nil, opts)
 }

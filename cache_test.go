@@ -250,19 +250,3 @@ func TestCacheOutcomeReporting(t *testing.T) {
 		t.Fatalf("baseline compile outcome %v (err %v), want miss (own pipeline key)", out, err)
 	}
 }
-
-func TestSharedCacheIsWired(t *testing.T) {
-	before := SharedCache().Stats()
-	opts := Options{Target: Ambit, Cache: SharedCache()}
-	src := "node main(a: u4) returns (z: u4) let z = a ^ 10:u4; tel"
-	if _, err := Compile(src, opts); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compile(src, opts); err != nil {
-		t.Fatal(err)
-	}
-	after := SharedCache().Stats()
-	if after.Hits < before.Hits+1 {
-		t.Fatalf("shared cache saw no hit: %+v -> %+v", before, after)
-	}
-}

@@ -16,12 +16,14 @@
 //	k, err := chopper.Compile(src, chopper.Options{Target: chopper.Ambit})
 //	out, err := k.Run(map[string][]uint64{"a": {...}, "b": {...}}, lanes)
 //
-// Every verb has two forms: X(args) is the defaults and XCtx(ctx, args,
-// workers) is everything (Compile/CompileCtx, Verify/VerifyCtx,
-// Reliability/ReliabilityCtx, RunTiled/RunTiledCtx, ...). Every compile goes
-// through one driver and one Options value — the value is the kernel-cache
-// key, and a pipeline rejects the options it cannot honour.
-// testdata/api.golden lists the whole exported surface.
+// Each verb has one form that takes everything, ctx first (CompileCtxCached,
+// RunRowsCtx, RunBatchCtx, RunTiledCtx, VerifyCtx, ReliabilityCtx). Fault
+// injection is one of its arguments — the zero FaultConfig is a fault-free
+// run — not a second family of verbs. The ctx-free forms that remain
+// (Compile, RunRows, RunRowsUnderFault, Verify, ...) are one-line defaults
+// over it. Every compile goes through one driver and one Options value — the
+// value is the kernel-cache key, and a pipeline rejects the options it cannot
+// honour. testdata/api.golden lists the whole exported surface.
 package chopper
 
 import (
@@ -137,7 +139,8 @@ type NarrowReport struct {
 type Options struct {
 	// Target selects the PUD architecture. Default Ambit.
 	Target Target
-	// Opt selects the optimization level. Default OptFull.
+	// Opt selects the optimization level. The zero value means the default,
+	// OptFull.
 	Opt OptLevel
 	// Geometry describes the DRAM device. Zero value = evaluation default
 	// (16 banks, 64 subarrays/bank, 1024 rows, 8 KB rows, 1 channel).
@@ -157,7 +160,7 @@ type Options struct {
 	// single corrupted intermediate row (a TRA charge-sharing flip, a
 	// bad AAP copy) is outvoted instead of reaching the output. Costs
 	// roughly 3x the micro-ops plus a vote per output bit; quantify with
-	// Kernel.Reliability and see docs/RELIABILITY.md for the trade-offs.
+	// Kernel.ReliabilityCtx and see docs/RELIABILITY.md for the trade-offs.
 	// CHOPPER back end only (CompileBaseline rejects it).
 	Harden bool
 	// Budget caps resource dimensions (micro-ops emitted, logic-net
@@ -169,7 +172,7 @@ type Options struct {
 	// online error detector, retention scrubbing and bounded
 	// retry/backoff replay. The zero value disables it (runs stay
 	// byte-identical to a recovery-free build); RunResult.RecoveryStats
-	// reports what the layer did. Single-subarray runs only (RunTiled
+	// reports what the layer did. Single-subarray runs only (RunTiledCtx
 	// rejects it). See docs/RELIABILITY.md.
 	Recovery Recovery
 	// Narrow selects the precision-inference middle end. The default,
@@ -179,32 +182,26 @@ type Options struct {
 	// docs/PERFORMANCE.md ("Precision-adaptive compilation"). CHOPPER back
 	// end only (CompileBaseline rejects it).
 	Narrow NarrowMode
-	// SetOpt marks Opt as explicitly set (distinguishes OptBitslice, which
-	// is the zero value, from "use the default"). Use WithOpt to build
-	// Options fluently, or set both fields.
-	SetOpt bool
 	// Cache, when non-nil, memoizes compilation: Compile, CompileBaseline
 	// and CompileHorizontal first look up (pipeline, normalized source,
 	// this Options value) and return the cached kernel on a hit, skipping
 	// the whole pipeline. Kernels are immutable after compilation, so a
 	// cached kernel is safe to share across goroutines. Every other field
 	// of Options is part of the key by construction; the Cache field
-	// itself is not. See NewKernelCache and SharedCache;
-	// docs/CONCURRENCY.md has the keying and eviction contract.
+	// itself is not. See NewKernelCache; docs/CONCURRENCY.md has the keying
+	// and eviction contract.
 	Cache *KernelCache
 }
 
 // WithOpt returns o with the optimization level set.
 func (o Options) WithOpt(lv OptLevel) Options {
 	o.Opt = lv
-	o.SetOpt = true
 	return o
 }
 
 func (o Options) normalize() Options {
-	if !o.SetOpt {
+	if o.Opt == 0 {
 		o.Opt = OptFull
-		o.SetOpt = true
 	}
 	if o.Geometry == (dram.Geometry{}) {
 		o.Geometry = dram.DefaultGeometry()
@@ -414,18 +411,10 @@ func (k *Kernel) Prog() *isa.Program { return k.prog }
 // internal panics surface as ErrInternal errors, never as crashes.
 //
 // With Options.Cache set, a repeat compile of the same (source, Options)
-// pair returns the previously compiled kernel in O(1).
+// pair returns the previously compiled kernel in O(1). CompileCtxCached is
+// the form that takes a ctx.
 func Compile(src string, opts Options) (*Kernel, error) {
-	return CompileCtx(nil, src, opts)
-}
-
-// CompileCtx is Compile under the guard layer: a non-nil ctx is observed
-// at pipeline checkpoints (including inside codegen emission), so a
-// canceled or deadline-expired context stops the compile promptly with
-// ErrCanceled/ErrDeadline; Options.Budget is enforced at the same
-// checkpoints. A nil ctx disables the cancellation checks.
-func CompileCtx(ctx context.Context, src string, opts Options) (*Kernel, error) {
-	return kernelOf(compile(ctx, pipeChopper, src, nil, opts))
+	return kernelOf(compile(nil, pipeChopper, src, nil, opts))
 }
 
 // CompileBaseline compiles CHOPPER source with the hands-tuned SIMDRAM
@@ -435,17 +424,6 @@ func CompileCtx(ctx context.Context, src string, opts Options) (*Kernel, error) 
 // rejects them.
 func CompileBaseline(src string, opts Options) (*Kernel, error) {
 	return kernelOf(compile(nil, pipeBaseline, src, nil, opts))
-}
-
-// CompileGraph compiles an already-built dataflow graph (used by workload
-// generators that synthesize graphs directly).
-func CompileGraph(graph *dfg.Graph, opts Options) (*Kernel, error) {
-	return kernelOf(compile(nil, pipeChopper, "", func() (*dfg.Graph, error) { return graph, nil }, opts))
-}
-
-// CompileBaselineGraph is CompileBaseline for an already-built graph.
-func CompileBaselineGraph(graph *dfg.Graph, opts Options) (*Kernel, error) {
-	return kernelOf(compile(nil, pipeBaseline, "", func() (*dfg.Graph, error) { return graph, nil }, opts))
 }
 
 // kernelOf drops the cache outcome of a compile for the entry points that
@@ -484,9 +462,8 @@ func (p pipeline) honours(opts Options) error {
 // option validation, what the pipeline honours, the first look at ctx, the
 // kernel cache — so all three pipelines observe ctx and every Budget
 // dimension at the same checkpoints, and no entry point can forget a step.
-// The program is DSL source, or, when built is non-nil, a graph made
-// directly (a Builder, a workload generator); built graphs have no text to
-// key on and are not cached.
+// The program is DSL source, or, when built is non-nil, a graph a Builder
+// made; built graphs have no text to key on and are not cached.
 func compile(ctx context.Context, p pipeline, src string, built func() (*dfg.Graph, error), opts Options) (k *Kernel, outcome CacheOutcome, err error) {
 	defer recoverToError(&err)
 	opts = opts.normalize()
@@ -798,7 +775,8 @@ type RunResult struct {
 	TimeNs float64
 	// Stats are the timing-engine counters.
 	Stats dram.EngineStats
-	// Faults counts injected fault events (RunRowsUnderFault only).
+	// Faults counts injected fault events; all-zero for a run whose
+	// FaultConfig is the zero value (or injects nothing).
 	Faults FaultCounts
 	// ScratchBytes is the peak reusable simulator storage the run held
 	// (subarray arenas, spill buffers, engine tables) — the working-set
@@ -814,33 +792,27 @@ type RunResult struct {
 // already in vertical layout (rows[op][bit][word]), with `lanes` SIMD
 // lanes, and returns outputs in vertical layout.
 func (k *Kernel) RunRows(rows map[string][][]uint64, lanes int) (*RunResult, error) {
-	return k.RunRowsCtx(nil, rows, lanes)
+	return k.RunRowsCtx(nil, rows, lanes, FaultConfig{}, 0)
 }
 
-// RunRowsCtx is RunRows under the guard layer: the kernel's compile-time
-// Options.Budget caps simulator steps and DRAM commands, and a non-nil
-// ctx is observed between micro-ops for cooperative cancellation.
-func (k *Kernel) RunRowsCtx(ctx context.Context, rows map[string][][]uint64, lanes int) (res *RunResult, err error) {
-	defer recoverToError(&err)
-	return k.runRows(ctx, rows, lanes, nil, 0)
-}
-
-// RunRowsUnderFault is RunRows on a faulty subarray: the fault models in
-// cfg, reproducible from seed, perturb the simulated row operations. The
-// result's Faults field counts what was injected.
+// RunRowsUnderFault is RunRows on a faulty subarray (see RunRowsCtx).
 func (k *Kernel) RunRowsUnderFault(rows map[string][][]uint64, lanes int, cfg FaultConfig, seed int64) (*RunResult, error) {
-	return k.RunRowsUnderFaultCtx(nil, rows, lanes, cfg, seed)
+	return k.RunRowsCtx(nil, rows, lanes, cfg, seed)
 }
 
-// RunRowsUnderFaultCtx is RunRowsUnderFault under the guard layer (see
-// RunRowsCtx).
-func (k *Kernel) RunRowsUnderFaultCtx(ctx context.Context, rows map[string][][]uint64, lanes int, cfg FaultConfig, seed int64) (res *RunResult, err error) {
+// RunRowsCtx is RunRows with everything said. The kernel's compile-time
+// Options.Budget caps simulator steps and DRAM commands, and a non-nil ctx
+// is observed between micro-ops for cooperative cancellation. The fault
+// models in fault, reproducible from seed, perturb the simulated row
+// operations, and the result's Faults field counts what was injected; the
+// zero FaultConfig is a fault-free run (seed is then unused).
+func (k *Kernel) RunRowsCtx(ctx context.Context, rows map[string][][]uint64, lanes int, fault FaultConfig, seed int64) (res *RunResult, err error) {
 	defer recoverToError(&err)
-	return k.runRows(ctx, rows, lanes, &cfg, seed)
+	return k.runRows(ctx, rows, lanes, fault, seed)
 }
 
 // runRows is every single-subarray run — plain, batched, verify trial,
-// fault trial (fc non-nil: the worker's injector, reset to (*fc, seed),
+// fault trial (fc enabled: the worker's injector, reset to (fc, seed),
 // perturbs the run), recovered: the operands bind to the program's tags
 // through the kernel's plan tables (hostRows, the binding a tile uses too),
 // and the pre-decoded program runs at placement (0, 0) of a pooled
@@ -851,7 +823,7 @@ func (k *Kernel) RunRowsUnderFaultCtx(ctx context.Context, rows map[string][][]u
 // program's, so the engine would recompute the same stats every run.
 // equiv_test.go holds both against a reference loop that shares only the
 // micro-op body with them.
-func (k *Kernel) runRows(ctx context.Context, rows map[string][][]uint64, lanes int, fc *FaultConfig, seed int64) (*RunResult, error) {
+func (k *Kernel) runRows(ctx context.Context, rows map[string][][]uint64, lanes int, fc FaultConfig, seed int64) (*RunResult, error) {
 	if lanes <= 0 {
 		return nil, optionsErrf("lanes must be positive, have %d", lanes)
 	}
@@ -862,11 +834,12 @@ func (k *Kernel) runRows(ctx context.Context, rows map[string][][]uint64, lanes 
 		return nil, err
 	}
 	cfg := sim.MachineConfig{Geom: k.Opts.Geometry, Arch: k.Opts.Target, Lanes: lanes}
-	if fc != nil {
+	injected := fc.Enabled()
+	if injected {
 		if w.inj == nil {
-			w.inj = fault.New(*fc, seed)
+			w.inj = fault.New(fc, seed)
 		}
-		w.inj.Reset(*fc, seed)
+		w.inj.Reset(fc, seed)
 		cfg.Fault = w.inj
 	}
 	m := &w.m
@@ -890,7 +863,7 @@ func (k *Kernel) runRows(ctx context.Context, rows map[string][][]uint64, lanes 
 		res.TimeNs, res.Stats = st.eng.MakespanNs, st.eng
 	}
 	res.ScratchBytes = m.MemBytes()
-	if fc != nil {
+	if injected {
 		res.Faults = w.inj.Counts()
 	}
 	return res, nil

@@ -458,9 +458,36 @@ func trimSemi(s string) string {
 	return s
 }
 
+// TestOptFieldIsHonoured: setting Options.Opt alone selects the level — the
+// levels number from 1, so only the zero OptLevel means "the default"
+// (OptFull). On fig3Src reuse and rename emit different programs, so a
+// dropped Opt shows as a rename program.
+func TestOptFieldIsHonoured(t *testing.T) {
+	compile := func(opts Options) *Kernel {
+		t.Helper()
+		k, err := Compile(fig3Src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	set := compile(Options{Target: Ambit, Opt: OptReuse})
+	fluent := compile(Options{Target: Ambit}.WithOpt(OptReuse))
+	def := compile(Options{Target: Ambit})
+	if def.Asm() == fluent.Asm() {
+		t.Fatal("reuse and rename emit the same program for fig3Src; the test is vacuous")
+	}
+	if set.Asm() != fluent.Asm() || set.Opts.Opt != OptReuse {
+		t.Errorf("Options{Opt: OptReuse} compiled at %v, not as WithOpt(OptReuse)", set.Opts.Opt)
+	}
+	if def.Opts.Opt != OptFull {
+		t.Errorf("the zero Opt compiled at %v, want %v", def.Opts.Opt, OptFull)
+	}
+}
+
 func TestVariantsObeyHierarchy(t *testing.T) {
 	for i, lv := range obs.AllVariants {
-		if int(lv) != i {
+		if int(lv) != i+1 {
 			t.Errorf("variant order broken at %d", i)
 		}
 	}

@@ -150,10 +150,6 @@ func main() {
 		fatal(fmt.Errorf("unknown -narrow %q (valid: off, safe, annotated)", *narrowMode))
 	}
 	opts.Narrow = nm
-	// Compile through the process-wide kernel cache so the summary reports
-	// the serving-path counters a long-lived embedder would see (a one-shot
-	// invocation records one miss).
-	opts.Cache = chopper.SharedCache()
 	compile := chopper.CompileCtxCached
 	if *baselineFlag {
 		compile = chopper.CompileBaselineCached
@@ -195,13 +191,8 @@ func main() {
 		rows[in.Name] = transpose.ToVertical(vals, w, *lanes)
 	}
 
-	var res *chopper.RunResult
 	wallStart := time.Now()
-	if *faultRate > 0 {
-		res, err = k.RunRowsUnderFaultCtx(ctx, rows, *lanes, chopper.FaultConfig{TRAFlipRate: *faultRate}, *faultSeed)
-	} else {
-		res, err = k.RunRowsCtx(ctx, rows, *lanes)
-	}
+	res, err := k.RunRowsCtx(ctx, rows, *lanes, chopper.FaultConfig{TRAFlipRate: *faultRate}, *faultSeed)
 	wall := time.Since(wallStart)
 	if err != nil {
 		fatalGuard(err)
@@ -219,19 +210,17 @@ func main() {
 		if k.Net != nil {
 			gates = len(k.Net.Gates)
 		}
-		stats := chopper.SharedCache().Stats()
-		fmt.Printf("compile: %.2f ms wall, %.0f gates/s; kernel cache: %d hits / %d misses\n",
-			cs*1e3, float64(gates)/cs, stats.Hits, stats.Misses)
+		fmt.Printf("compile: %.2f ms wall, %.0f gates/s\n", cs*1e3, float64(gates)/cs)
 	}
 	if nm != chopper.NarrowOff {
 		if k.Narrow == nil {
 			fmt.Printf("narrowing (%s): pass fell back; program is the narrowing-off lowering\n", nm)
 		} else {
-			// A narrowing-off compile of the same program (served from the
-			// kernel cache on repeats) anchors the micro-ops-saved figure.
+			// A narrowing-off compile of the same program anchors the
+			// micro-ops-saved figure.
 			wide := opts
 			wide.Narrow = chopper.NarrowOff
-			base, err := chopper.CompileCtx(ctx, string(srcBytes), wide)
+			base, _, err := compile(ctx, string(srcBytes), wide)
 			line := fmt.Sprintf("narrowing (%s): %d declared -> %d live bits across %d values",
 				k.Narrow.Mode, k.Narrow.DeclaredBits, k.Narrow.LiveBits, k.Narrow.Values)
 			if err == nil && len(base.Prog().Ops) > 0 {

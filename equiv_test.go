@@ -287,7 +287,7 @@ func TestRunRowsCtxEquivalence(t *testing.T) {
 			return fresh()
 		}
 		live := &checkCtx{Context: context.Background(), live: 1 << 40}
-		if _, err := kernel().RunRowsCtx(live, rows, 64); err != nil {
+		if _, err := kernel().RunRowsCtx(live, rows, 64, FaultConfig{}, 0); err != nil {
 			t.Fatal(err)
 		}
 		if got := live.checks.Load(); got != looks {
@@ -295,7 +295,7 @@ func TestRunRowsCtxEquivalence(t *testing.T) {
 		}
 		for n := int64(0); n < looks; n++ {
 			ctx := &checkCtx{Context: context.Background(), live: n}
-			res, err := kernel().RunRowsCtx(ctx, rows, 64)
+			res, err := kernel().RunRowsCtx(ctx, rows, 64, FaultConfig{}, 0)
 			if !errors.Is(err, ErrCanceled) || res != nil {
 				t.Fatalf("%s: cancel at look %d: %v, %v", run, n, res, err)
 			}

@@ -150,12 +150,18 @@ func TestBuilderErrorsAreClassed(t *testing.T) {
 	}
 }
 
+// compileBuilt compiles a graph made directly — the route a Builder takes —
+// through the CHOPPER pipeline.
+func compileBuilt(g *dfg.Graph, opts Options) (*Kernel, error) {
+	return kernelOf(compile(nil, pipeChopper, "", func() (*dfg.Graph, error) { return g, nil }, opts))
+}
+
 // Panics inside the pipeline must surface as ErrInternal errors, never as
-// crashes escaping the public API.
+// crashes escaping the public API: a nil built graph panics in the back end.
 func TestCompileGraphNilRecovers(t *testing.T) {
-	_, err := CompileGraph(nil, Options{})
+	_, err := compileBuilt(nil, Options{})
 	if err == nil {
-		t.Fatal("CompileGraph(nil) succeeded")
+		t.Fatal("compiling a nil graph succeeded")
 	}
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("error %v does not match ErrInternal", err)
@@ -176,14 +182,14 @@ func TestPanicInWorkerIsInternalAtAnyWorkerCount(t *testing.T) {
 	k.Opts.Geometry.ReservedRows = k.Opts.Geometry.RowsPerSub // no data rows: every trial's subarray panics
 	const want = "chopper: internal: sim: bad subarray dims dRows=0 lanes=64"
 	for _, workers := range []int{1, 4} {
-		err := k.VerifyCtx(nil, 8, 1, workers)
+		err := k.VerifyCtx(nil, 8, 1, workers, FaultConfig{})
 		if !errors.Is(err, ErrInternal) || err.Error() != want {
 			t.Errorf("workers=%d: error %v, want ErrInternal %q", workers, err, want)
 		}
 	}
 }
 
-// TestRunTiledPanicIsInternal: RunTiled recovers its panics into
+// TestRunTiledPanicIsInternal: RunTiledCtx recovers its panics into
 // ErrInternal like every other entry point.
 func TestRunTiledPanicIsInternal(t *testing.T) {
 	k, err := Compile(errAdderSrc, Options{})
@@ -192,9 +198,9 @@ func TestRunTiledPanicIsInternal(t *testing.T) {
 	}
 	k.Opts.Geometry.RowBytes = 0 // zero lanes per tile: the tile count divides by zero
 	in := map[string][][]uint64{"a": {{1}}, "b": {{2}}}
-	res, err := k.RunTiled(in, 1)
+	res, err := k.RunTiledCtx(nil, in, 1)
 	if res != nil || !errors.Is(err, ErrInternal) {
-		t.Fatalf("RunTiled = %v, %v; want ErrInternal", res, err)
+		t.Fatalf("RunTiledCtx = %v, %v; want ErrInternal", res, err)
 	}
 }
 
@@ -279,17 +285,17 @@ func TestErrorClassMatrix(t *testing.T) {
 		{"deadline", func() error {
 			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 			defer cancel()
-			_, err := CompileCtx(ctx, errAdderSrc, Options{})
+			_, _, err := CompileCtxCached(ctx, errAdderSrc, Options{})
 			return err
 		}},
 		{"canceled", func() error {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, err := CompileCtx(ctx, errAdderSrc, Options{})
+			_, _, err := CompileCtxCached(ctx, errAdderSrc, Options{})
 			return err
 		}},
 		{"internal", func() error {
-			_, err := CompileGraph(nil, Options{})
+			_, err := compileBuilt(nil, Options{})
 			return err
 		}},
 		{"verify", func() error {
@@ -297,7 +303,7 @@ func TestErrorClassMatrix(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			return k.VerifyUnderFault(1, 5, FaultConfig{TRAFlipRate: 1, MaxFaults: 1})
+			return k.VerifyCtx(nil, 1, 5, 0, FaultConfig{TRAFlipRate: 1, MaxFaults: 1})
 		}},
 	}
 	for _, tc := range real {
@@ -314,9 +320,10 @@ func TestVerifyErrorClass(t *testing.T) {
 	}
 	// A certain single fault corrupts the unhardened adder, and the
 	// resulting mismatch is classed ErrVerify.
-	err = k.VerifyUnderFault(1, 5, FaultConfig{TRAFlipRate: 1, MaxFaults: 1})
-	if err == nil {
-		t.Fatal("VerifyUnderFault passed under a guaranteed fault")
+	err = k.VerifyCtx(nil, 1, 5, 0, FaultConfig{TRAFlipRate: 1, MaxFaults: 1})
+	const want = `chopper: verify: trial 0 lane 40: output "s" = 132, reference says 131`
+	if err == nil || err.Error() != want {
+		t.Fatalf("VerifyCtx under a guaranteed fault: error %v, want %s", err, want)
 	}
 	if !errors.Is(err, ErrVerify) {
 		t.Fatalf("error %v does not match ErrVerify", err)
@@ -324,7 +331,7 @@ func TestVerifyErrorClass(t *testing.T) {
 }
 
 // TestReferenceEvalErrorClass: a failure of the reference evaluation itself
-// is an ErrVerify from every sweep that compares against it — Reliability
+// is an ErrVerify from every sweep that compares against it — ReliabilityCtx
 // used to return the evaluator's error unclassed.
 func TestReferenceEvalErrorClass(t *testing.T) {
 	k, err := Compile(errAdderSrc, Options{})
@@ -338,8 +345,8 @@ func TestReferenceEvalErrorClass(t *testing.T) {
 	k.Graph = &g
 
 	verr := k.Verify(1, 5)
-	_, rerr := k.Reliability(1, 5, []FaultConfig{{}})
-	for name, err := range map[string]error{"Verify": verr, "Reliability": rerr} {
+	_, rerr := k.ReliabilityCtx(nil, 1, 5, []FaultConfig{{}}, 0)
+	for name, err := range map[string]error{"Verify": verr, "ReliabilityCtx": rerr} {
 		if !errors.Is(err, ErrVerify) || !strings.Contains(err.Error(), "reference eval: dfg: unknown op 99") {
 			t.Errorf("%s: got %v, want an ErrVerify-classed reference eval failure", name, err)
 		}
@@ -350,7 +357,8 @@ func TestReferenceEvalErrorClass(t *testing.T) {
 // call with incomplete inputs names: the first, in k.Inputs order and
 // lowest bit first, that is missing or too short — it used to be whichever
 // the tag map's iteration order reached first — and the three message
-// texts. Only bits the program WRITEs need a bit-row: a narrowed kernel
+// texts, each the caller's mistake (class options, as Run reports the same
+// mistake). Only bits the program WRITEs need a bit-row: a narrowed kernel
 // runs on operands that stop at its live bits.
 func TestRunRowsOperandErrorsAreDeterministic(t *testing.T) {
 	const lanes = 64
@@ -364,18 +372,18 @@ func TestRunRowsOperandErrorsAreDeterministic(t *testing.T) {
 		rows map[string][][]uint64
 		want string
 	}{
-		{"nothing", map[string][][]uint64{}, `chopper: missing input operand "a"`},
-		{"only a", map[string][][]uint64{"a": full["a"]}, `chopper: missing input operand "b"`},
-		{"a and c", map[string][][]uint64{"a": full["a"], "c": full["c"]}, `chopper: missing input operand "b"`},
+		{"nothing", map[string][][]uint64{}, `chopper: options: missing input operand "a"`},
+		{"only a", map[string][][]uint64{"a": full["a"]}, `chopper: options: missing input operand "b"`},
+		{"a and c", map[string][][]uint64{"a": full["a"], "c": full["c"]}, `chopper: options: missing input operand "b"`},
 		{"short b and c", map[string][][]uint64{"a": full["a"], "b": full["b"][:5], "c": full["c"][:2]},
-			`chopper: input "b" has 5 bit-rows, kernel needs bit 5`},
+			`chopper: options: input "b" has 5 bit-rows, kernel needs bit 5`},
 		{"short a, no b", map[string][][]uint64{"a": full["a"][:0], "c": full["c"]},
-			`chopper: input "a" has 0 bit-rows, kernel needs bit 0`},
+			`chopper: options: input "a" has 0 bit-rows, kernel needs bit 0`},
 	}
 	for i := 0; i < 100; i++ {
 		for _, tc := range cases {
-			if _, err := k.RunRows(tc.rows, lanes); err == nil || err.Error() != tc.want {
-				t.Fatalf("iteration %d, %s: error %v, want %s", i, tc.name, err, tc.want)
+			if _, err := k.RunRows(tc.rows, lanes); err == nil || err.Error() != tc.want || ErrorClass(err) != "options" {
+				t.Fatalf("iteration %d, %s: error %v (class %q), want %s (class options)", i, tc.name, err, ErrorClass(err), tc.want)
 			}
 		}
 	}
@@ -410,9 +418,9 @@ func TestRunRowsOperandErrorsAreDeterministic(t *testing.T) {
 			t.Fatalf("lane %d: z = %d, want %d", l, z, a[l]+1)
 		}
 	}
-	want := `chopper: input "a" has 3 bit-rows, kernel needs bit 3`
-	if _, err := nk.RunRows(map[string][][]uint64{"a": transpose.ToVertical(a, 3, lanes)}, lanes); err == nil || err.Error() != want {
-		t.Errorf("narrowed kernel on three bit-rows: error %v, want %s", err, want)
+	want := `chopper: options: input "a" has 3 bit-rows, kernel needs bit 3`
+	if _, err := nk.RunRows(map[string][][]uint64{"a": transpose.ToVertical(a, 3, lanes)}, lanes); err == nil || err.Error() != want || ErrorClass(err) != "options" {
+		t.Errorf("narrowed kernel on three bit-rows: error %v (class %q), want %s (class options)", err, ErrorClass(err), want)
 	}
 }
 

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,7 +45,7 @@ func main() {
 		enables[i] = []uint64{uint64(1 - i%3%2)} // pattern of 1,0,1,1,0,1...
 	}
 
-	res, err := k.RunTiled(map[string][][]uint64{"pix": pixels, "en": enables}, lanes)
+	res, err := k.RunTiledCtx(context.Background(), map[string][][]uint64{"pix": pixels, "en": enables}, lanes)
 	if err != nil {
 		log.Fatal(err)
 	}

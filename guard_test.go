@@ -181,13 +181,13 @@ func TestCompileHorizontalCancelDeadline(t *testing.T) {
 func TestCompileCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := CompileCtx(ctx, guardAdderSrc, Options{})
+	_, _, err := CompileCtxCached(ctx, guardAdderSrc, Options{})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("error %v does not match ErrDeadline", err)
 	}
 	c2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	_, err = CompileCtx(c2, guardAdderSrc, Options{})
+	_, _, err = CompileCtxCached(c2, guardAdderSrc, Options{})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("error %v does not match ErrCanceled", err)
 	}
@@ -210,11 +210,11 @@ func TestOptionsValidation(t *testing.T) {
 	if err := k.Verify(-3, 1); !errors.Is(err, ErrOptions) {
 		t.Fatalf("Verify(-3 trials): %v does not match ErrOptions", err)
 	}
-	if _, err := k.Reliability(0, 1, []FaultConfig{{}}); !errors.Is(err, ErrOptions) {
-		t.Fatalf("Reliability(0 trials): %v does not match ErrOptions", err)
+	if _, err := k.ReliabilityCtx(nil, 0, 1, []FaultConfig{{}}, 0); !errors.Is(err, ErrOptions) {
+		t.Fatalf("ReliabilityCtx(0 trials): %v does not match ErrOptions", err)
 	}
-	if _, err := k.RunTiled(map[string][][]uint64{}, 0); !errors.Is(err, ErrOptions) {
-		t.Fatalf("RunTiled(0 lanes): %v does not match ErrOptions", err)
+	if _, err := k.RunTiledCtx(nil, map[string][][]uint64{}, 0); !errors.Is(err, ErrOptions) {
+		t.Fatalf("RunTiledCtx(0 lanes): %v does not match ErrOptions", err)
 	}
 }
 
@@ -228,7 +228,7 @@ func TestVerifyBudgetDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var msgs []string
 	for _, workers := range []int{1, 4} {
-		err := k.VerifyCtx(nil, 8, 42, workers)
+		err := k.VerifyCtx(nil, 8, 42, workers, FaultConfig{})
 		if !errors.Is(err, ErrBudget) {
 			t.Fatalf("workers=%d: %v does not match ErrBudget", workers, err)
 		}
@@ -255,7 +255,7 @@ func TestVerifyCtxCancelPromptNoLeak(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- k.VerifyCtx(ctx, 100000, 7, 4) }()
+	go func() { done <- k.VerifyCtx(ctx, 100000, 7, 4, FaultConfig{}) }()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
 	select {
@@ -279,7 +279,7 @@ func TestVerifyCtxPreExpiredDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	for _, workers := range []int{1, 4} {
-		if err := k.VerifyCtx(ctx, 16, 1, workers); !errors.Is(err, ErrDeadline) {
+		if err := k.VerifyCtx(ctx, 16, 1, workers, FaultConfig{}); !errors.Is(err, ErrDeadline) {
 			t.Fatalf("workers=%d: %v does not match ErrDeadline", workers, err)
 		}
 	}

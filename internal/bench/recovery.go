@@ -73,7 +73,7 @@ func RecoveryCoverageSweepCtx(ctx context.Context, src string, arch isa.Arch, tr
 		case "vote":
 			opts.Recovery = chopper.Recovery{Detector: chopper.DetectorVote}
 		}
-		k, err := chopper.CompileCtx(ctx, src, opts)
+		k, _, err := chopper.CompileCtxCached(ctx, src, opts)
 		if err != nil {
 			return nil, nil, wrap("compile "+pol, err)
 		}

@@ -22,7 +22,7 @@ import (
 // a fixed per-op fault rate with unbounded faults, TMR can come out WORSE:
 // the hardened program executes ~3x the ops, so it absorbs ~3x the faults,
 // and its majority voters are themselves unprotected single points of
-// failure. Use Kernel.Reliability directly with uncapped FaultConfigs to
+// failure. Use Kernel.ReliabilityCtx directly with uncapped FaultConfigs to
 // measure that regime.
 //
 // This is the experiment behind docs/RELIABILITY.md's trade-off numbers:
@@ -43,11 +43,11 @@ func ReliabilitySweepCtx(ctx context.Context, src string, arch isa.Arch, rates [
 		}
 		return fmt.Errorf("bench: reliability: %s: %w", what, err)
 	}
-	plain, err := chopper.CompileCtx(ctx, src, chopper.Options{Target: arch})
+	plain, _, err := chopper.CompileCtxCached(ctx, src, chopper.Options{Target: arch})
 	if err != nil {
 		return nil, 0, wrap("compile", err)
 	}
-	hard, err := chopper.CompileCtx(ctx, src, chopper.Options{Target: arch, Harden: true})
+	hard, _, err := chopper.CompileCtxCached(ctx, src, chopper.Options{Target: arch, Harden: true})
 	if err != nil {
 		return nil, 0, wrap("harden", err)
 	}

@@ -25,11 +25,13 @@ import (
 )
 
 // Variant is a cumulative optimization level, per Table IV of the paper.
+// The levels number from 1, so the zero Variant names no level: a caller's
+// "use the default".
 type Variant int
 
 const (
 	// Bitslice: bit-slicing only, no OBS optimizations.
-	Bitslice Variant = iota
+	Bitslice Variant = iota + 1
 	// Schedule: + O1 bit-sliced code scheduling.
 	Schedule
 	// Reuse: + O2 bit-sliced instruction selection (constant reuse).
@@ -41,8 +43,8 @@ const (
 var variantNames = [...]string{"bitslice", "schedule", "reuse", "rename"}
 
 func (v Variant) String() string {
-	if int(v) < len(variantNames) {
-		return variantNames[v]
+	if v >= Bitslice && v <= Rename {
+		return variantNames[v-Bitslice]
 	}
 	return fmt.Sprintf("variant?%d", int(v))
 }

@@ -193,8 +193,8 @@ func FuzzNarrowEquivalence(f *testing.F) {
 	f.Add([]byte{0x1d, 0x1d, 0x1d, 0x1d, 0x1d, 0x1d, 0x1d, 0x1d, 0x1d, 0x1d}) // resize-heavy
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, ranges := narrow.GenGraph(data)
-		off, errOff := CompileGraph(g, Options{})
-		on, errOn := CompileGraph(g, Options{Narrow: NarrowSafe})
+		off, errOff := compileBuilt(g, Options{})
+		on, errOn := compileBuilt(g, Options{Narrow: NarrowSafe})
 		if (errOff == nil) != (errOn == nil) {
 			t.Fatalf("compile disagreement: off=%v on=%v", errOff, errOn)
 		}

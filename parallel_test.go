@@ -27,7 +27,7 @@ func TestDeterminismVerifyAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range detWorkerCounts() {
-		if err := k.VerifyCtx(nil, 10, 33, w); err != nil {
+		if err := k.VerifyCtx(nil, 10, 33, w, FaultConfig{}); err != nil {
 			t.Errorf("workers=%d: %v", w, err)
 		}
 	}
@@ -42,13 +42,13 @@ func TestDeterminismVerifyUnderFaultAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := FaultConfig{TRAFlipRate: 1, MaxFaults: 1}
-	ref := k.VerifyUnderFaultCtx(nil, 8, 17, cfg, 1)
+	ref := k.VerifyCtx(nil, 8, 17, 1, cfg)
 	if ref == nil {
 		t.Fatal("unhardened kernel survived guaranteed faults (test is vacuous)")
 	}
 	for _, w := range detWorkerCounts() {
 		for rep := 0; rep < 3; rep++ {
-			err := k.VerifyUnderFaultCtx(nil, 8, 17, cfg, w)
+			err := k.VerifyCtx(nil, 8, 17, w, cfg)
 			if err == nil || err.Error() != ref.Error() {
 				t.Fatalf("workers=%d rep=%d: error %q, want %q", w, rep, err, ref)
 			}
@@ -61,7 +61,7 @@ func TestDeterminismVerifyUnderFaultAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range detWorkerCounts() {
-		if err := hard.VerifyUnderFaultCtx(nil, 8, 17, cfg, w); err != nil {
+		if err := hard.VerifyCtx(nil, 8, 17, w, cfg); err != nil {
 			t.Errorf("hardened, workers=%d: %v", w, err)
 		}
 	}
@@ -105,22 +105,22 @@ func TestDeterminismRunTiled(t *testing.T) {
 		in["a"][l] = []uint64{uint64(l*7) % 256}
 		in["b"][l] = []uint64{uint64(l*13) % 256}
 	}
-	r1, err := k.RunTiled(in, lanes)
+	r1, err := k.RunTiledCtx(nil, in, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Tiles != 2 {
 		t.Fatalf("expected 2 tiles, got %d", r1.Tiles)
 	}
-	r2, err := k.RunTiled(in, lanes)
+	r2, err := k.RunTiledCtx(nil, in, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r1.Outputs, r2.Outputs) {
-		t.Fatal("repeat RunTiled diverged")
+		t.Fatal("repeat RunTiledCtx diverged")
 	}
 	if r1.TimeNs != r2.TimeNs || r1.Stats != r2.Stats {
-		t.Fatal("repeat RunTiled timing diverged")
+		t.Fatal("repeat RunTiledCtx timing diverged")
 	}
 	for l := 0; l < lanes; l++ {
 		want := (in["a"][l][0] + in["b"][l][0]) % 256

@@ -48,7 +48,7 @@ func TestPoolReuseInterleavedFaultyCleanRuns(t *testing.T) {
 	}
 	runTiled := func(round int, after string) {
 		t.Helper()
-		res, err := tiled.RunTiled(tiledIn, tiledLanes)
+		res, err := tiled.RunTiledCtx(nil, tiledIn, tiledLanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestPoolReuseTiledAfterMidRunCancel(t *testing.T) {
 		in["a"][l] = []uint64{uint64(l*7) & 0xFF}
 		in["b"][l] = []uint64{uint64(l*13+5) & 0xFF}
 	}
-	ref, err := compile().RunTiled(in, lanes)
+	ref, err := compile().RunTiledCtx(nil, in, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestPoolReuseTiledAfterMidRunCancel(t *testing.T) {
 			}
 		}
 		for _, pass := range []string{"first", "second"} {
-			clean, err := k.RunTiled(in, lanes)
+			clean, err := k.RunTiledCtx(nil, in, lanes)
 			if err != nil {
 				t.Fatal(err)
 			}

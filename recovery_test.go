@@ -162,8 +162,8 @@ func TestRecoveryRunTiledRejected(t *testing.T) {
 		}
 		wide[name] = per
 	}
-	if _, err := k.RunTiled(wide, lanes); !errors.Is(err, ErrOptions) {
-		t.Fatalf("RunTiled with recovery should fail with ErrOptions, got %v", err)
+	if _, err := k.RunTiledCtx(nil, wide, lanes); !errors.Is(err, ErrOptions) {
+		t.Fatalf("RunTiledCtx with recovery should fail with ErrOptions, got %v", err)
 	}
 }
 
@@ -208,7 +208,7 @@ func TestRecoveryDeadlineMidRetry(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err = k.RunRowsUnderFaultCtx(ctx, recRows(t, k, lanes), lanes,
+	_, err = k.RunRowsCtx(ctx, recRows(t, k, lanes), lanes,
 		FaultConfig{StuckColumns: []StuckColumn{{Lane: 5, High: true}}}, 7)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
@@ -229,7 +229,7 @@ func TestRecoveryCancelMidRetry(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = k.RunRowsCtx(ctx, recRows(t, k, lanes), lanes)
+	_, err = k.RunRowsCtx(ctx, recRows(t, k, lanes), lanes, FaultConfig{}, 0)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

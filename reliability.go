@@ -63,22 +63,6 @@ type ReliabilityReport struct {
 	Points []ReliabilityPoint
 }
 
-// Reliability measures the kernel under every fault configuration in cfgs:
-// for each, `trials` runs over random inputs (64 lanes each, reproducible
-// from seed) execute on the faulty functional simulator and every output
-// lane is compared bit-exactly against the reference dataflow semantics.
-// Unlike VerifyUnderFault, which stops at the first discrepancy, this
-// counts all of them — it is the measurement harness behind the
-// reliability sweeps in internal/bench.
-//
-// The cfgs x trials grid fans out across GOMAXPROCS workers; every cell
-// derives its inputs and fault pattern from (seed, cfg index, trial)
-// alone, so the report is byte-identical at any worker count. Use
-// ReliabilityCtx to pin the worker count.
-func (k *Kernel) Reliability(trials int, seed int64, cfgs []FaultConfig) (*ReliabilityReport, error) {
-	return k.ReliabilityCtx(nil, trials, seed, cfgs, 0)
-}
-
 // relCell is the outcome of one (fault config, trial) grid cell.
 type relCell struct {
 	laneErrors map[string]int
@@ -87,12 +71,21 @@ type relCell struct {
 	recovery   RecoveryStats
 }
 
-// ReliabilityCtx is Reliability with an explicit worker count (<= 0 means
-// GOMAXPROCS; any count produces the same report) under the guard layer:
-// workers observe a non-nil ctx between grid cells, so a canceled or
-// deadline-expired context stops the sweep promptly with
-// ErrCanceled/ErrDeadline and a nil report — a partially measured grid is
-// never returned as a complete one.
+// ReliabilityCtx measures the kernel under every fault configuration in
+// cfgs: for each, `trials` runs over random inputs (64 lanes each,
+// reproducible from seed) execute on the faulty functional simulator and
+// every output lane is compared bit-exactly against the reference dataflow
+// semantics. Unlike VerifyCtx, which stops at the first discrepancy, this
+// counts all of them — it is the measurement harness behind the reliability
+// sweeps in internal/bench.
+//
+// The cfgs x trials grid fans out across `workers` goroutines (<= 0 means
+// GOMAXPROCS); every cell derives its inputs and fault pattern from (seed,
+// cfg index, trial) alone, so the report is byte-identical at any worker
+// count. Under the guard layer, workers observe a non-nil ctx between grid
+// cells, so a canceled or deadline-expired context stops the sweep promptly
+// with ErrCanceled/ErrDeadline and a nil report — a partially measured grid
+// is never returned as a complete one.
 func (k *Kernel) ReliabilityCtx(ctx context.Context, trials int, seed int64, cfgs []FaultConfig, workers int) (rep *ReliabilityReport, err error) {
 	defer recoverToError(&err)
 	if trials <= 0 {
@@ -102,7 +95,7 @@ func (k *Kernel) ReliabilityCtx(ctx context.Context, trials int, seed int64, cfg
 	rep = &ReliabilityReport{Lanes: lanes}
 
 	// Fault-free timing reference.
-	res, err := k.runRows(ctx, k.newTrial(0, seed, lanes).rows(k), lanes, nil, 0)
+	res, err := k.runRows(ctx, k.newTrial(0, seed, lanes).rows(k), lanes, FaultConfig{}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +110,7 @@ func (k *Kernel) ReliabilityCtx(ctx context.Context, trials int, seed int64, cfg
 	err = pool.RunCtx(ctx, workers, len(cells), func(j int) error {
 		ci, n := j/trials, j%trials
 		t := k.newTrial(n, trialSeed(seed, j), lanes)
-		res, err := k.runRows(ctx, t.rows(k), lanes, &cfgs[ci], seed+int64(ci)<<16+int64(n))
+		res, err := k.runRows(ctx, t.rows(k), lanes, cfgs[ci], seed+int64(ci)<<16+int64(n))
 		if err != nil {
 			return err
 		}

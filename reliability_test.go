@@ -1,7 +1,11 @@
 package chopper
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"reflect"
 	"testing"
 
 	"chopper/internal/transpose"
@@ -21,67 +25,121 @@ func compileRel(t *testing.T, harden bool) *Kernel {
 	return k
 }
 
+// relRows is the fault tests' fixed operand pair in vertical layout.
+func relRows(lanes int) map[string][][]uint64 {
+	a, b := make([]uint64, lanes), make([]uint64, lanes)
+	for l := 0; l < lanes; l++ {
+		a[l] = uint64(l * 7 % 256)
+		b[l] = uint64(l * 13 % 256)
+	}
+	return map[string][][]uint64{"a": transpose.ToVertical(a, 8, lanes), "b": transpose.ToVertical(b, 8, lanes)}
+}
+
+// rowsDigest is the SHA-256 of a run's output rows, k.Outputs order, each
+// word little-endian.
+func rowsDigest(k *Kernel, rows map[string][][]uint64) string {
+	h := sha256.New()
+	for _, o := range k.Outputs {
+		for _, row := range rows[o.Name] {
+			for _, w := range row {
+				binary.Write(h, binary.LittleEndian, w)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // Identical Config + seed must reproduce identical corruption, lane for
-// lane — the acceptance bar for the deterministic fault models.
+// lane — the acceptance bar for the deterministic fault models. The counts
+// and the output digest are pinned, and RunRowsUnderFault and RunRowsCtx
+// must both give them.
 func TestFaultInjectionDeterministic(t *testing.T) {
 	k := compileRel(t, false)
 	const lanes = 64
 	cfg := FaultConfig{TRAFlipRate: 0.05, CopyFlipRate: 0.02, RetentionRate: 0.1, RefreshOps: 32}
+	const wantDigest = "461aa26632d69eb76c25ffb0e61bec1230d32f2ed75800944ee8db38e157fc22"
+	wantFaults := FaultCounts{TRAFlips: 2, CopyFlips: 3}
 
-	inputs := map[string][]uint64{"a": make([]uint64, lanes), "b": make([]uint64, lanes)}
-	for l := 0; l < lanes; l++ {
-		inputs["a"][l] = uint64(l * 7 % 256)
-		inputs["b"][l] = uint64(l * 13 % 256)
+	r1, err := k.RunRowsUnderFault(relRows(lanes), lanes, cfg, 99)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func() (*RunResult, error) {
-		rows := map[string][][]uint64{
-			"a": transpose.ToVertical(inputs["a"], 8, lanes),
-			"b": transpose.ToVertical(inputs["b"], 8, lanes),
+	r2, err := k.RunRowsCtx(nil, relRows(lanes), lanes, cfg, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range []*RunResult{r1, r2} {
+		if r.Faults != wantFaults {
+			t.Errorf("run %d: fault counts %+v, want %+v", i, r.Faults, wantFaults)
 		}
-		return k.RunRowsUnderFault(rows, lanes, cfg, 99)
-	}
-	r1, err := run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Faults != r2.Faults {
-		t.Fatalf("fault counts diverged: %+v vs %+v", r1.Faults, r2.Faults)
-	}
-	if r1.Faults.Total() == 0 {
-		t.Fatal("no faults injected at these rates (test is vacuous)")
-	}
-	for name, rows1 := range r1.Rows {
-		for b := range rows1 {
-			for w := range rows1[b] {
-				if rows1[b][w] != r2.Rows[name][b][w] {
-					t.Fatalf("output %s bit %d word %d diverged: %#x vs %#x",
-						name, b, w, rows1[b][w], r2.Rows[name][b][w])
-				}
-			}
+		if got := rowsDigest(k, r.Rows); got != wantDigest {
+			t.Errorf("run %d: output digest %s, want %s", i, got, wantDigest)
 		}
 	}
 }
 
 // The robustness win: a guaranteed single TRA fault breaks the unhardened
-// adder, while the TMR-hardened build of the same source survives it.
+// adder, while the TMR-hardened build of the same source survives it. The
+// plain kernel's first discrepancy is pinned.
 func TestHardenSurvivesSingleFault(t *testing.T) {
 	plain := compileRel(t, false)
 	hard := compileRel(t, true)
 
 	cfg := FaultConfig{TRAFlipRate: 1, MaxFaults: 1}
-	err := plain.VerifyUnderFault(4, 17, cfg)
-	if err == nil {
-		t.Fatal("unhardened kernel survived a guaranteed TRA fault")
+	err := plain.VerifyCtx(nil, 4, 17, 0, cfg)
+	const want = `chopper: verify: trial 0 lane 23: output "s" = 118, reference says 116`
+	if err == nil || err.Error() != want {
+		t.Fatalf("unhardened kernel under a guaranteed TRA fault: error %v, want %s", err, want)
 	}
 	if !errors.Is(err, ErrVerify) {
 		t.Fatalf("corruption error %v does not match ErrVerify", err)
 	}
-	if err := hard.VerifyUnderFault(4, 17, cfg); err != nil {
+	if err := hard.VerifyCtx(nil, 4, 17, 0, cfg); err != nil {
 		t.Fatalf("hardened kernel corrupted by a single TRA fault: %v", err)
+	}
+}
+
+// The zero FaultConfig is the fault-free run: VerifyCtx and RunRowsCtx given
+// it agree with Verify and RunRows, and inject nothing whatever the seed.
+func TestZeroFaultConfigIsFaultFree(t *testing.T) {
+	k := compileRel(t, false)
+	if got, want := k.VerifyCtx(nil, 5, 17, 0, FaultConfig{}), k.Verify(5, 17); !reflect.DeepEqual(got, want) {
+		t.Errorf("VerifyCtx with the zero FaultConfig = %v, Verify = %v", got, want)
+	}
+	const lanes = 64
+	want, err := k.RunRows(relRows(lanes), lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := k.RunRowsCtx(nil, relRows(lanes), lanes, FaultConfig{}, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Faults != (FaultCounts{}) {
+		t.Errorf("zero FaultConfig injected %+v", got.Faults)
+	}
+	if !reflect.DeepEqual(got.Rows, want.Rows) || got.TimeNs != want.TimeNs || got.Stats != want.Stats {
+		t.Errorf("zero FaultConfig run differs from RunRows: %v ns %+v vs %v ns %+v", got.TimeNs, got.Stats, want.TimeNs, want.Stats)
+	}
+}
+
+// A config holding only stuck-at columns has no transient rate, and still
+// injects: the stuck lane is forced on every row store, and the sweep
+// reports the corruption (both pinned).
+func TestStuckColumnsAloneInject(t *testing.T) {
+	k := compileRel(t, false)
+	cfg := FaultConfig{StuckColumns: []StuckColumn{{Lane: 3, High: true}}}
+	const lanes = 64
+	res, err := k.RunRowsCtx(nil, relRows(lanes), lanes, cfg, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (FaultCounts{StuckLanes: 60}); res.Faults != want {
+		t.Errorf("stuck-column run: faults %+v, want %+v", res.Faults, want)
+	}
+	const want = `chopper: verify: trial 0 lane 3: output "s" = 255, reference says 57`
+	if err := k.VerifyCtx(nil, 4, 17, 0, cfg); err == nil || err.Error() != want {
+		t.Errorf("stuck-column sweep: error %v, want %s", err, want)
 	}
 }
 
@@ -107,11 +165,11 @@ func TestReliabilityReport(t *testing.T) {
 		{TRAFlipRate: 1, MaxFaults: 1}, // guaranteed single fault
 	}
 	const trials = 6
-	pr, err := plain.Reliability(trials, 41, cfgs)
+	pr, err := plain.ReliabilityCtx(nil, trials, 41, cfgs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hr, err := hard.Reliability(trials, 41, cfgs)
+	hr, err := hard.ReliabilityCtx(nil, trials, 41, cfgs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

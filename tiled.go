@@ -99,9 +99,9 @@ func (h *hostRows) bindRows(k *Kernel, rows map[string][][]uint64, lanes int) (m
 			case !p.tagged[r]:
 				tab[r] = nil
 			case !ok:
-				return nil, fmt.Errorf("chopper: missing input operand %q", in.Name)
+				return nil, optionsErrf("missing input operand %q", in.Name)
 			case bit >= len(op):
-				return nil, fmt.Errorf("chopper: input %q has %d bit-rows, kernel needs bit %d", in.Name, len(op), bit)
+				return nil, optionsErrf("input %q has %d bit-rows, kernel needs bit %d", in.Name, len(op), bit)
 			default:
 				tab[r] = op[bit]
 			}
@@ -264,7 +264,7 @@ type TiledResult struct {
 	Emit vircoe.Stats
 }
 
-// RunTiled executes the kernel over a dataset of any number of lanes: the
+// RunTiledCtx executes the kernel over a dataset of any number of lanes: the
 // lanes are split into subarray-sized tiles, the tiles are placed across
 // channels and banks (one per bank, wrapping onto further subarrays), the
 // issue order of each channel is produced by VIRCOE and streamed, command
@@ -285,18 +285,15 @@ type TiledResult struct {
 // honors Options.SALP — the emitter is subarray-aware with it and
 // bank-aware without — and the result separates device makespan from
 // host-transfer time.
-func (k *Kernel) RunTiled(inputs map[string][][]uint64, lanes int) (*TiledResult, error) {
-	return k.RunTiledCtx(nil, inputs, lanes)
-}
-
-// RunTiledCtx is RunTiled under the guard layer: workers observe ctx
-// between tiles and inside each tile's execution loop, the kernel's
-// Options.Budget caps total functional steps (sim-steps) and timing-engine
-// commands (dram-commands), and budget/deadline stops surface with their
-// sentinel identity at any worker count. Both budgets are pre-checked
-// deterministically — the total work (tiles x program length) is known
-// before anything runs — so the stop is identical at every worker count
-// and every channel count instead of depending on which shard trips it.
+//
+// Under the guard layer, workers observe a non-nil ctx between tiles and
+// inside each tile's execution loop, the kernel's Options.Budget caps total
+// functional steps (sim-steps) and timing-engine commands (dram-commands),
+// and budget/deadline stops surface with their sentinel identity at any
+// worker count. Both budgets are pre-checked deterministically — the total
+// work (tiles x program length) is known before anything runs — so the stop
+// is identical at every worker count and every channel count instead of
+// depending on which shard trips it.
 func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, lanes int) (res *TiledResult, err error) {
 	defer recoverToError(&err)
 	if lanes <= 0 {
@@ -305,7 +302,7 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 	if k.Opts.Recovery.Enabled() {
 		// Epoch recovery checkpoints one subarray's state; the tiled
 		// multi-subarray path has no per-tile rollback story yet.
-		return nil, optionsErrf("recovery (detector %s) is single-subarray only; RunTiled does not support it", k.Opts.Recovery.Detector)
+		return nil, optionsErrf("recovery (detector %s) is single-subarray only; tiled execution does not support it", k.Opts.Recovery.Detector)
 	}
 	geom := k.Opts.Geometry
 	tileLanes := geom.Bitlines()
@@ -313,11 +310,11 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 	channels := geom.ChannelCount()
 	maxTiles := channels * geom.Banks * geom.SubarraysPB
 	if tiles > maxTiles {
-		return nil, fmt.Errorf("chopper: %d lanes need %d tiles; device holds %d", lanes, tiles, maxTiles)
+		return nil, optionsErrf("%d lanes need %d tiles; device holds %d", lanes, tiles, maxTiles)
 	}
 	for _, in := range k.Inputs {
 		if len(inputs[in.Name]) < lanes {
-			return nil, fmt.Errorf("chopper: input %q has %d lanes, need %d", in.Name, len(inputs[in.Name]), lanes)
+			return nil, optionsErrf("input %q has %d lanes, need %d", in.Name, len(inputs[in.Name]), lanes)
 		}
 	}
 	// The functional work is tiles x program length, known before anything

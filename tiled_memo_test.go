@@ -72,7 +72,7 @@ func TestRunTiledMemoMatchesOracle(t *testing.T) {
 			var first *TiledResult
 			for run, tiles := range []int{16, 5, 16} {
 				lanes := tiles*tinyGeom().Bitlines() - 7
-				res, err := k.RunTiled(memoInputs(lanes), lanes)
+				res, err := k.RunTiledCtx(nil, memoInputs(lanes), lanes)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -108,7 +108,7 @@ func TestRunTiledMemoFollowsOpts(t *testing.T) {
 	in := memoInputs(lanes)
 	run := func(k *Kernel) *TiledResult {
 		t.Helper()
-		res, err := k.RunTiled(in, lanes)
+		res, err := k.RunTiledCtx(nil, in, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestDeterminismTiledColdKernelConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := lone.RunTiled(in, lanes)
+	want, err := lone.RunTiledCtx(nil, in, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}

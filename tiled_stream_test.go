@@ -207,7 +207,7 @@ func TestRunTiledRejectsTagOutsideOperands(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.inputTag[bad] = 0
-		if res, err := k.RunTiled(in, lanes); err == nil || res != nil {
+		if res, err := k.RunTiledCtx(nil, in, lanes); err == nil || res != nil {
 			t.Errorf("input tag %q: got result %v, error %v; want an error", bad, res, err)
 		}
 	}

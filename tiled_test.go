@@ -38,7 +38,7 @@ func TestRunTiledMatchesRunWide(t *testing.T) {
 		aw[l] = []uint64{uint64(l*7) & 0xFF}
 		bw[l] = []uint64{uint64(l*13+5) & 0xFF}
 	}
-	res, err := k.RunTiled(map[string][][]uint64{"a": aw, "b": bw}, lanes)
+	res, err := k.RunTiledCtx(nil, map[string][][]uint64{"a": aw, "b": bw}, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRunTiledFasterThanImpliedSerial(t *testing.T) {
 			aw[l] = []uint64{uint64(l) & 0xFF}
 			bw[l] = []uint64{uint64(l+3) & 0xFF}
 		}
-		res, err := k.RunTiled(map[string][][]uint64{"a": aw, "b": bw}, lanes)
+		res, err := k.RunTiledCtx(nil, map[string][][]uint64{"a": aw, "b": bw}, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,12 +93,15 @@ func TestRunTiledRejectsOversizedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both are the caller's mistake: class options, like Run's shape errors.
 	huge := tinyGeom().Banks*tinyGeom().SubarraysPB*tinyGeom().Bitlines() + 1
-	if _, err := k.RunTiled(map[string][][]uint64{"a": make([][]uint64, huge)}, huge); err == nil {
-		t.Error("oversized dataset accepted")
+	_, err = k.RunTiledCtx(nil, map[string][][]uint64{"a": make([][]uint64, huge)}, huge)
+	if want := "chopper: options: 1025 lanes need 17 tiles; device holds 16"; err == nil || err.Error() != want || ErrorClass(err) != "options" {
+		t.Errorf("oversized dataset: error %v (class %q), want %s (class options)", err, ErrorClass(err), want)
 	}
-	if _, err := k.RunTiled(map[string][][]uint64{"a": {{1}}}, 5); err == nil {
-		t.Error("short input accepted")
+	_, err = k.RunTiledCtx(nil, map[string][][]uint64{"a": {{1}}}, 5)
+	if want := `chopper: options: input "a" has 1 lanes, need 5`; err == nil || err.Error() != want || ErrorClass(err) != "options" {
+		t.Errorf("short input: error %v (class %q), want %s (class options)", err, ErrorClass(err), want)
 	}
 }
 
@@ -147,7 +150,7 @@ func TestRunTiledGoldenSerialEquivalence(t *testing.T) {
 			}
 			in[op.Name] = vals
 		}
-		res, err := k.RunTiled(in, lanes)
+		res, err := k.RunTiledCtx(nil, in, lanes)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -155,7 +158,7 @@ func TestRunTiledGoldenSerialEquivalence(t *testing.T) {
 			t.Fatalf("%s: %d shards on a 1-channel geometry", name, res.Channels)
 		}
 
-		// The reference replay: exactly what RunTiled did before sharding.
+		// The reference replay: exactly what RunTiledCtx did before sharding.
 		pls, err := vircoe.Placements(geom, res.Tiles)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -198,26 +201,26 @@ func TestDeterminismRunTiledSharded(t *testing.T) {
 		in["a"][l] = []uint64{uint64(l*7) & 0xFF}
 		in["b"][l] = []uint64{uint64(l*13+5) & 0xFF}
 	}
-	r1, err := k.RunTiled(in, lanes)
+	r1, err := k.RunTiledCtx(nil, in, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Channels != 4 {
 		t.Fatalf("sharded over %d channels, want 4", r1.Channels)
 	}
-	r2, err := k.RunTiled(in, lanes)
+	r2, err := k.RunTiledCtx(nil, in, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r1.Outputs, r2.Outputs) {
-		t.Fatal("repeat sharded RunTiled outputs diverged")
+		t.Fatal("repeat sharded RunTiledCtx outputs diverged")
 	}
 	if r1.TimeNs != r2.TimeNs || r1.TransferNs != r2.TransferNs ||
 		r1.OverlapNs != r2.OverlapNs || r1.EndToEndNs != r2.EndToEndNs {
-		t.Fatalf("repeat sharded RunTiled timing diverged: %+v vs %+v", r1, r2)
+		t.Fatalf("repeat sharded RunTiledCtx timing diverged: %+v vs %+v", r1, r2)
 	}
 	if r1.Stats != r2.Stats || r1.Emit != r2.Emit {
-		t.Fatal("repeat sharded RunTiled stats diverged")
+		t.Fatal("repeat sharded RunTiledCtx stats diverged")
 	}
 	if r1.EndToEndNs != r1.TimeNs+r1.TransferNs-r1.OverlapNs {
 		t.Fatalf("end-to-end identity broken: %+v", r1)
@@ -245,7 +248,7 @@ func TestDeterminismRunTiledSharded(t *testing.T) {
 		wantEmit.Merge(emitStats)
 	}
 	for i := 0; i < 8; i++ {
-		r, err := k.RunTiled(in, lanes)
+		r, err := k.RunTiledCtx(nil, in, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +301,7 @@ func TestRunTiledShardedFasterThanSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 				lanes := 16 * geom.Bitlines()
-				res, err := k.RunTiled(randWideInputs(rand.New(rand.NewSource(1)), k.Inputs, lanes), lanes)
+				res, err := k.RunTiledCtx(nil, randWideInputs(rand.New(rand.NewSource(1)), k.Inputs, lanes), lanes)
 				if err != nil {
 					t.Fatal(err)
 				}

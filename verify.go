@@ -51,41 +51,49 @@ func trialSeed(seed int64, trial int) int64 {
 // exposed so downstream users can validate kernels they generate (for
 // example after extending the synthesis library).
 func (k *Kernel) Verify(trials int, seed int64) error {
-	return k.VerifyCtx(nil, trials, seed, 0)
+	return k.VerifyCtx(nil, trials, seed, 0, FaultConfig{})
 }
 
 // VerifyCtx is Verify with everything said: an explicit worker count (<= 0
 // means GOMAXPROCS; any count returns the same result) under the guard
-// layer. Workers observe a non-nil ctx between trials (and the simulator
-// observes it between micro-ops), so a canceled or deadline-expired context
-// stops the sweep promptly with ErrCanceled/ErrDeadline — never reporting
-// the partial sweep as a pass. The kernel's Options.Budget is enforced
-// inside every trial.
-func (k *Kernel) VerifyCtx(ctx context.Context, trials int, seed int64, workers int) (err error) {
-	defer recoverToError(&err)
-	return k.verifyTrials(ctx, trials, seed, workers, func(_ int, rows map[string][][]uint64, lanes int) (*RunResult, error) {
-		return k.runRows(ctx, rows, lanes, nil, 0)
-	})
-}
-
-// VerifyUnderFault is Verify on a faulty DRAM substrate: every trial runs
-// with the fault models of cfg injected (trial t uses seed+t as the
-// injection seed, so each trial draws an independent but reproducible
-// fault pattern). A returned ErrVerify-classed error means the faults
-// caused silent data corruption the kernel could not mask; nil means every
-// trial survived bit-exact. Compile with Options.Harden to make kernels
-// that survive single intermediate-row faults which break their unhardened
+// layer, on a substrate with the fault models of fault injected. Workers
+// observe a non-nil ctx between trials (and the simulator observes it
+// between micro-ops), so a canceled or deadline-expired context stops the
+// sweep promptly with ErrCanceled/ErrDeadline — never reporting the partial
+// sweep as a pass. The kernel's Options.Budget is enforced inside every
+// trial.
+//
+// The zero FaultConfig is Verify's fault-free substrate. Otherwise trial t
+// injects with seed+t, so each trial draws an independent but reproducible
+// fault pattern; an ErrVerify-classed error then means the faults caused
+// silent data corruption the kernel could not mask, and nil means every
+// trial survived bit-exact. Compile with Options.Harden to make kernels that
+// survive single intermediate-row faults which break their unhardened
 // counterparts.
-func (k *Kernel) VerifyUnderFault(trials int, seed int64, cfg FaultConfig) error {
-	return k.VerifyUnderFaultCtx(nil, trials, seed, cfg, 0)
-}
-
-// VerifyUnderFaultCtx is VerifyUnderFault with an explicit worker count
-// under the guard layer (see VerifyCtx for both contracts).
-func (k *Kernel) VerifyUnderFaultCtx(ctx context.Context, trials int, seed int64, cfg FaultConfig, workers int) (err error) {
+//
+// Trials are independent units of work: inputs come from trialSeed(seed,
+// trial), the lane count from verifyLaneSchedule, so the pool can place them
+// on any worker without changing the outcome. Each trial runs on a pooled
+// simulation worker (see simWorker), which reuses subarray arenas, spill
+// buffers and engine tables across trials, with Reconfigure resetting all
+// trial state.
+func (k *Kernel) VerifyCtx(ctx context.Context, trials int, seed int64, workers int, fault FaultConfig) (err error) {
 	defer recoverToError(&err)
-	return k.verifyTrials(ctx, trials, seed, workers, func(trial int, rows map[string][][]uint64, lanes int) (*RunResult, error) {
-		return k.runRows(ctx, rows, lanes, &cfg, seed+int64(trial))
+	if trials <= 0 {
+		return optionsErrf("trials must be positive, have %d", trials)
+	}
+	return pool.RunCtx(ctx, workers, trials, func(n int) error {
+		t := k.newVerifyTrial(seed, n)
+		res, err := k.runRows(ctx, t.rows(k), t.lanes, fault, seed+int64(n))
+		if err != nil {
+			if guard.IsGuard(err) {
+				// Budget/cancellation stops keep their sentinel identity
+				// instead of being re-classed as verification failures.
+				return err
+			}
+			return stagef(ErrVerify, "chopper: verify", "trial %d: %v", n, err)
+		}
+		return k.compareTrial(t, res.Rows)
 	})
 }
 
@@ -123,36 +131,9 @@ func (t trial) rows(k *Kernel) map[string][][]uint64 {
 	return rows
 }
 
-// verifyTrials drives `trials` random-input runs through `run` and
-// compares every output lane against the reference dataflow evaluation.
-// Trials are independent units of work: inputs come from trialSeed(seed,
-// trial), the lane count from verifyLaneSchedule, so the pool can place
-// them on any worker without changing the outcome. Each trial runs on a
-// pooled simulation worker (see simWorker): workers reuse subarray
-// arenas, spill buffers and engine tables across trials instead of
-// reallocating them, with Reconfigure resetting all trial state.
-func (k *Kernel) verifyTrials(ctx context.Context, trials int, seed int64, workers int, run func(trial int, rows map[string][][]uint64, lanes int) (*RunResult, error)) error {
-	if trials <= 0 {
-		return optionsErrf("trials must be positive, have %d", trials)
-	}
-	return pool.RunCtx(ctx, workers, trials, func(n int) error {
-		t := k.newVerifyTrial(seed, n)
-		res, err := run(n, t.rows(k), t.lanes)
-		if err != nil {
-			if guard.IsGuard(err) {
-				// Budget/cancellation stops keep their sentinel identity
-				// instead of being re-classed as verification failures.
-				return err
-			}
-			return stagef(ErrVerify, "chopper: verify", "trial %d: %v", n, err)
-		}
-		return k.compareTrial(t, res.Rows)
-	})
-}
-
 // compareTrial checks one trial's output rows against the reference
 // dataflow evaluation and returns the first discrepancy — lowest lane, then
-// k.Outputs order. It is shared between the solo sweep (verifyTrials) and
+// k.Outputs order. It is shared between the solo sweep (VerifyCtx) and
 // the batched sweep (VerifyBatchCtx) so the two paths report byte-identical
 // discrepancies.
 func (k *Kernel) compareTrial(t trial, rows map[string][][]uint64) error {
@@ -175,8 +156,8 @@ func (k *Kernel) compareTrial(t trial, rows map[string][][]uint64) error {
 // simulated value differs from it: lanes ascending, k.Outputs order within
 // a lane, until report returns false. got and want are little-endian limbs
 // (want may carry more limbs than the output's width needs; the values are
-// compared, not the slices) and are only valid during the call. Verify and
-// Reliability both compare through here, so a reference-evaluation failure
+// compared, not the slices) and are only valid during the call. VerifyCtx and
+// ReliabilityCtx both compare through here, so a reference-evaluation failure
 // is the same ErrVerify-classed error from either.
 func (k *Kernel) diffTrial(t trial, rows map[string][][]uint64, report func(lane int, out string, got, want []uint64) bool) error {
 	got := k.gatherWide(rows, t.lanes)
@@ -288,15 +269,4 @@ func (k *Kernel) clampAnnotated(inWide map[string][][]uint64) {
 			copy(limbs, dfg.BigLimbs(v, len(limbs)))
 		}
 	}
-}
-
-// TransposeCost reports the host-side transposition work for one tile of
-// the kernel (rows to produce, bytes to move), a quantity front-of-house
-// tooling displays; the compiled program's WRITE count matches it.
-func (k *Kernel) TransposeCost(lanes int) (rows int, bytes int64) {
-	words := transpose.Words(lanes)
-	for _, in := range k.Inputs {
-		rows += in.Width
-	}
-	return rows, int64(rows) * int64(words) * 8
 }

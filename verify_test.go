@@ -124,20 +124,6 @@ func TestVerifyCatchesBrokenPrograms(t *testing.T) {
 	}
 }
 
-func TestTransposeCost(t *testing.T) {
-	k, err := Compile("node main(a: u8, b: u16) returns (z: u16) let z = u16(a) + b; tel", Options{Target: Ambit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, bytes := k.TransposeCost(65536)
-	if rows != 24 {
-		t.Errorf("rows = %d, want 24", rows)
-	}
-	if bytes != 24*8192 {
-		t.Errorf("bytes = %d", bytes)
-	}
-}
-
 func TestAsmRoundTrip(t *testing.T) {
 	// The assembly chopperc prints must re-assemble into the same program.
 	k, err := Compile(fig3Src, Options{Target: SIMDRAM})
@@ -197,7 +183,7 @@ func TestVerifyMismatchTextIdentical(t *testing.T) {
 		}
 		sabotageFirstC0(t, k)
 		for _, workers := range []int{1, 4} {
-			err := k.VerifyCtx(nil, 7, 17, workers)
+			err := k.VerifyCtx(nil, 7, 17, workers, FaultConfig{})
 			if err == nil || err.Error() != tc.solo {
 				t.Errorf("workers=%d: got %v, want %s", workers, err, tc.solo)
 			}

@@ -159,7 +159,7 @@ func TestWorkspaceReuseAfterFailedCompile(t *testing.T) {
 	}
 
 	counter := &checkCtx{Context: context.Background(), live: 1 << 40}
-	if _, err := CompileCtx(counter, guardMulSrc, Options{Target: Ambit}); err != nil {
+	if _, _, err := CompileCtxCached(counter, guardMulSrc, Options{Target: Ambit}); err != nil {
 		t.Fatal(err)
 	}
 	total := counter.checks.Load()
@@ -167,7 +167,7 @@ func TestWorkspaceReuseAfterFailedCompile(t *testing.T) {
 		t.Fatalf("a full compile consults only %d checkpoints; the cancel sweep is vacuous", total)
 	}
 	for live := int64(0); live < total; live += 1 + total/12 {
-		k, err := CompileCtx(&checkCtx{Context: context.Background(), live: live}, guardMulSrc, Options{Target: Ambit})
+		k, _, err := CompileCtxCached(&checkCtx{Context: context.Background(), live: live}, guardMulSrc, Options{Target: Ambit})
 		if !errors.Is(err, ErrCanceled) || k != nil {
 			t.Fatalf("cancel after %d checkpoints: kernel %v, error %v", live, k != nil, err)
 		}
