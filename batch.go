@@ -205,20 +205,23 @@ func (k *Kernel) RunRowsBatchCtx(ctx context.Context, batches []LaneBatch) (res 
 		}
 		return []*RunResult{r}, nil
 	}
+	p, err := k.tilePlan()
+	if err != nil {
+		return nil, err
+	}
 	counts := make([]int, len(batches))
 	for i, b := range batches {
 		counts[i] = b.Lanes
 	}
 	return k.pass(ctx, counts, func(i int, arena map[string][][]uint64, sp laneSpan) error {
+		rows := batches[i].Rows
+		if err := p.checkRows(k.Inputs, rows, sp.lanes); err != nil {
+			return err
+		}
 		for _, in := range k.Inputs {
-			src, ok := batches[i].Rows[in.Name]
-			if !ok {
-				return fmt.Errorf("missing input operand %q", in.Name)
-			}
-			if len(src) < in.Width {
-				return fmt.Errorf("input %q has %d bit-rows, kernel needs %d", in.Name, len(src), in.Width)
-			}
-			transpose.PasteRows(arena[in.Name], sp.off, src[:in.Width], sp.lanes)
+			// Bits past an operand's rows are untagged: they stay zero.
+			src := rows[in.Name]
+			transpose.PasteRows(arena[in.Name], sp.off, src[:min(len(src), in.Width)], sp.lanes)
 		}
 		return nil
 	})

@@ -16,6 +16,7 @@ package chopper_test
 
 import (
 	"chopper"
+	"math/rand"
 	"testing"
 
 	"chopper/internal/bench"
@@ -26,6 +27,7 @@ import (
 	"chopper/internal/isa"
 	"chopper/internal/logic"
 	"chopper/internal/obs"
+	"chopper/internal/transpose"
 	"chopper/internal/typecheck"
 	"chopper/internal/vircoe"
 	"chopper/internal/workloads"
@@ -236,6 +238,78 @@ func BenchmarkVerify4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, k := range ks {
 			if err := k.Verify(4, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkRunPaths20 is one cycle of the repo benchmark's run_paths
+// workload per iteration: its four kernels on Ambit at 128 lanes, each
+// through RunWide, RunRowsUnderFault, a parity-recovered RunRows, a
+// RunBatch of 16 members of 8 lanes and Verify(4) — 20 operations, the
+// compiler none of them. Profile it with -cpuprofile to see where a run's
+// host time goes.
+func BenchmarkRunPaths20(b *testing.B) {
+	const lanes, members = 128, 16
+	type runKernel struct {
+		k, kr *chopper.Kernel
+		in    map[string][][]uint64
+		rows  map[string][][]uint64
+		batch []chopper.BatchRun
+	}
+	rng := rand.New(rand.NewSource(1))
+	var ks []runKernel
+	for _, name := range []string{"DenseNet-16", "WTC-64", "DiffGen-64", "SW-64"} {
+		spec, _ := workloads.Get(name)
+		k, err := chopper.Compile(spec.Src, chopper.Options{Target: chopper.Ambit})
+		if err != nil {
+			b.Fatalf("%s: %v", name, err)
+		}
+		kr, err := chopper.Compile(spec.Src, chopper.Options{Target: chopper.Ambit, Recovery: chopper.Recovery{Detector: chopper.DetectorParity}})
+		if err != nil {
+			b.Fatalf("%s: %v", name, err)
+		}
+		rk := runKernel{k: k, kr: kr, in: map[string][][]uint64{}, rows: map[string][][]uint64{}, batch: make([]chopper.BatchRun, members)}
+		for m := range rk.batch {
+			rk.batch[m] = chopper.BatchRun{Inputs: map[string][]uint64{}, Lanes: lanes / members}
+		}
+		for _, in := range k.Inputs {
+			vals := make([][]uint64, lanes)
+			for l := range vals {
+				vals[l] = make([]uint64, (in.Width+63)/64)
+				for w := range vals[l] {
+					vals[l][w] = rng.Uint64()
+				}
+				if r := in.Width % 64; r != 0 {
+					vals[l][len(vals[l])-1] &= 1<<r - 1
+				}
+				m := l / (lanes / members)
+				rk.batch[m].Inputs[in.Name] = append(rk.batch[m].Inputs[in.Name], vals[l][0])
+			}
+			rk.in[in.Name] = vals
+			rk.rows[in.Name] = transpose.ToVerticalWide(vals, in.Width, lanes)
+		}
+		ks = append(ks, rk)
+	}
+	fault := chopper.FaultConfig{TRAFlipRate: 1e-4}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, rk := range ks {
+			if _, err := rk.k.RunWide(rk.in, lanes); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rk.k.RunRowsUnderFault(rk.rows, lanes, fault, int64(j)); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rk.kr.RunRows(rk.rows, lanes); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := rk.k.RunBatch(rk.batch); err != nil {
+				b.Fatal(err)
+			}
+			if err := rk.k.Verify(4, int64(j)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,7 +3,6 @@ package chopper
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -388,12 +387,13 @@ func TestRunRowsOperandErrorsAreDeterministic(t *testing.T) {
 		}
 	}
 
-	// A nil bit-row is present to the binding and absent to the simulator.
+	// A nil bit-row is a row of no words: the shape check rejects it before
+	// anything executes (the simulator's WRITE used to be what failed).
 	holed := map[string][][]uint64{"a": full["a"], "b": full["b"], "c": append([][]uint64(nil), full["c"]...)}
 	holed["c"][3] = nil
 	_, err = k.RunRows(holed, lanes)
-	if err == nil || !strings.HasSuffix(err.Error(), ": sim: host has no data for WRITE tag "+fmt.Sprint(k.inputTag["c[3]"])) {
-		t.Errorf("nil bit-row: error %v, want the simulator's missing-WRITE-data error for the tag of c[3]", err)
+	if want := `chopper: options: input "c" bit 3 has 0 words, 64 lanes need 1`; err == nil || err.Error() != want || ErrorClass(err) != "options" {
+		t.Errorf("nil bit-row: error %v (class %q), want %s (class options)", err, ErrorClass(err), want)
 	}
 
 	// Under @range(a, 0, 15) the program never WRITEs a's high bits, so
@@ -421,6 +421,78 @@ func TestRunRowsOperandErrorsAreDeterministic(t *testing.T) {
 	want := `chopper: options: input "a" has 3 bit-rows, kernel needs bit 3`
 	if _, err := nk.RunRows(map[string][][]uint64{"a": transpose.ToVertical(a, 3, lanes)}, lanes); err == nil || err.Error() != want || ErrorClass(err) != "options" {
 		t.Errorf("narrowed kernel on three bit-rows: error %v (class %q), want %s (class options)", err, ErrorClass(err), want)
+	}
+}
+
+// TestShortBitRowsAreTheCallers: RunRows and RunRowsBatchCtx share one
+// shape check. A tagged bit-row shorter than its lanes need is the caller's
+// mistake, named by operand, bit and words (both verbs used to zero-extend
+// it, computing the lanes past it from zeros); a longer one is fine; and the
+// batch runs a narrowed kernel on the operands RunRows accepts (it used to
+// require every bit-row).
+func TestShortBitRowsAreTheCallers(t *testing.T) {
+	const lanes = 128
+	k, err := Compile(errAdderSrc, Options{Target: Ambit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]uint64, lanes)
+	for l := range vals {
+		vals[l] = uint64(l*29+7) & 0xff
+	}
+	full := map[string][][]uint64{"a": transpose.ToVertical(vals, 8, lanes), "b": transpose.ToVertical(vals, 8, lanes)}
+	short := map[string][][]uint64{"a": make([][]uint64, 8), "b": full["b"]}
+	long := map[string][][]uint64{"a": make([][]uint64, 8), "b": full["b"]}
+	for bit, row := range full["a"] {
+		short["a"][bit] = row[:1]
+		long["a"][bit] = append(append([]uint64(nil), row...), ^uint64(0))
+	}
+	const want = `input "a" bit 0 has 1 words, 128 lanes need 2`
+	if _, err := k.RunRows(short, lanes); err == nil || err.Error() != "chopper: options: "+want || ErrorClass(err) != "options" {
+		t.Errorf("RunRows on 1-word bit-rows: error %v (class %q), want %s (class options)", err, ErrorClass(err), want)
+	}
+	_, err = k.RunRowsBatchCtx(nil, []LaneBatch{{Rows: full, Lanes: lanes}, {Rows: short, Lanes: lanes}})
+	if err == nil || err.Error() != "chopper: options: batch member 1: "+want || ErrorClass(err) != "options" {
+		t.Errorf("batch with a 1-word member: error %v (class %q), want member 1's %s (class options)", err, ErrorClass(err), want)
+	}
+	ref, err := k.RunRows(full, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := k.RunRowsBatchCtx(nil, []LaneBatch{{Rows: long, Lanes: lanes}, {Rows: long, Lanes: lanes}})
+	if err != nil {
+		t.Fatalf("batch of 3-word bit-rows: %v", err)
+	}
+	solo, err := k.RunRows(long, lanes)
+	if err != nil {
+		t.Fatalf("RunRows of 3-word bit-rows: %v", err)
+	}
+	for i, res := range []*RunResult{solo, got[0], got[1]} {
+		if !sameRows(res.Rows, ref.Rows) {
+			t.Errorf("run %d of 3-word bit-rows: outputs differ from the exact rows'", i)
+		}
+	}
+
+	nk, err := Compile("@range(a, 0, 15)\nnode main(a: u8) returns (z: u8) let z = a + 1; tel", Options{Target: Ambit, Narrow: NarrowAnnotated})
+	if err != nil {
+		t.Fatal(err)
+	}
+	four := map[string][][]uint64{"a": transpose.ToVertical(vals, 8, lanes)[:4]}
+	res, err := nk.RunRowsBatchCtx(nil, []LaneBatch{{Rows: four, Lanes: lanes}, {Rows: four, Lanes: lanes}})
+	if err != nil {
+		t.Fatalf("batch of a narrowed kernel's four tagged bit-rows: %v", err)
+	}
+	for m, r := range res {
+		for l, z := range transpose.FromVertical(r.Rows["z"], 8, lanes) {
+			if z != vals[l]&15+1 {
+				t.Fatalf("member %d lane %d: z = %d, want %d", m, l, z, vals[l]&15+1)
+			}
+		}
+	}
+	three := map[string][][]uint64{"a": four["a"][:3]}
+	_, err = nk.RunRowsBatchCtx(nil, []LaneBatch{{Rows: four, Lanes: lanes}, {Rows: three, Lanes: lanes}})
+	if wantN := `chopper: options: batch member 1: input "a" has 3 bit-rows, kernel needs bit 3`; err == nil || err.Error() != wantN {
+		t.Errorf("batch with three bit-rows: error %v, want %s", err, wantN)
 	}
 }
 

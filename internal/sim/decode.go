@@ -55,14 +55,15 @@ func resolve(r isa.Row) opnd {
 // ops that pass every static check; exec re-runs those checks only for ops
 // without it, at the point of the op where the undecoded simulator always
 // ran them, so error text, error position and fault-hook sequence do not
-// depend on whether an op was decoded ahead of time or on the spot.
+// depend on whether an op was decoded ahead of time or on the spot. The
+// record is 64 bytes (TestDecodedOpSize).
 type dop struct {
 	imm   uint64
 	opd   [4]opnd // the source row, then the three destination rows
 	tag   int32
 	kind  isa.OpKind
 	fast  bool
-	cskip bool // ROWINIT of a C-group row with the correct pattern
+	rowOp bool // a planned run takes the row-op body (Decode)
 	ndst  uint8
 }
 
@@ -85,7 +86,6 @@ func (e *dop) decode(op *isa.Op) {
 			if op.Imm != want {
 				return // not fast: exec reports the pattern error
 			}
-			e.cskip = true
 		}
 		e.fast = true
 	case isa.OpAAP:
@@ -124,7 +124,9 @@ func (e *dop) operands() (reads, writes []opnd) {
 // The same pass proves reads: every op that completes defines the rows it
 // stores (and their partners), and a whole-stream run stops at the first
 // op that does not, so when op i executes every op before it has defined
-// its rows. C0 and C1 hold their constants from reset on.
+// its rows. C0 and C1 hold their constants from reset on. It also marks
+// the row ops: each AAP or AP that passes its static checks, reads only
+// proven rows and stores only into dense rows outside the C-group.
 func Decode(prog *isa.Program) *Decoded {
 	d := &Decoded{prog: prog, ops: make([]dop, len(prog.Ops)), maxD: -1, dense: true}
 	def := make([]bool, numSpecialRows) // by slot
@@ -137,11 +139,14 @@ func Decode(prog *isa.Program) *Decoded {
 		e := &d.ops[i]
 		e.decode(&prog.Ops[i])
 		reads, writes := e.operands()
+		e.rowOp = e.fast && (e.kind == isa.OpAAP || e.kind == isa.OpAP)
 		for j := range reads {
 			note(&reads[j])
 			reads[j].proven = d.dense && int(reads[j].slot) < len(def) && def[reads[j].slot]
+			e.rowOp = e.rowOp && reads[j].proven
 		}
 		for _, o := range writes {
+			e.rowOp = e.rowOp && o.slot > 1 // C0 and C1 are slots 0 and 1
 			if note(&o); d.dense {
 				for len(def) <= int(o.slot) {
 					def = append(def, false)
@@ -178,24 +183,61 @@ func (s *Subarray) ExecDecoded(d *Decoded, i int, io *HostIO, spill *SpillStore)
 // stores, store it. Dynamic conditions (row presence, D-group bounds, host
 // IO availability, spill-slot liveness) are checked on every op; static
 // ones only for ops decode did not mark fast. planned is the whole-stream
-// loops' licence (Subarray.plan): every resolved slot is backed, and a
-// proven read skips the presence check. Unproven reads are always checked.
+// loops' licence (Subarray.plan): every resolved slot is backed, a row op
+// runs as one body over its slots, and a proven read skips the presence
+// check. Unproven reads are always checked.
 func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) error {
 	idx := s.opIdx
 	s.opIdx++
-	// A planned op nothing observes (no fault hook, no parity tracking)
-	// senses a proven row and stores a plain one without the general path.
-	quiet := planned && s.hook == nil && !s.parTrack
+	if planned && op.rowOp {
+		// Nothing to check: sense the slots, form the value, store it. The
+		// hook and parity tracking are all that watch a row op.
+		watched := s.hook != nil || s.parTrack
+		var val []uint64
+		if op.kind == isa.OpAAP {
+			if val = s.rowData(int(op.opd[0].slot)); watched {
+				s.sensed(idx, &op.opd[0], val)
+			}
+			val = s.copied(idx, op, val)
+		} else {
+			for j := 1; j <= 3 && watched; j++ {
+				s.sensed(idx, &op.opd[j], s.rowData(int(op.opd[j].slot)))
+			}
+			a, b, c := s.rowData(int(op.opd[1].slot)), s.rowData(int(op.opd[2].slot)), s.rowData(int(op.opd[3].slot))
+			if s.hook == nil && op.opd[1].comp < 0 && op.opd[2].comp < 0 && op.opd[3].comp < 0 {
+				// Nothing observes the value and no row has a partner: the
+				// majority lands in place. The rows are present and masked
+				// (majority keeps that); parity is all there is to record.
+				a, b, c = a[:len(a)], b[:len(a)], c[:len(a)]
+				for i := range a {
+					a[i] = maj(a[i], b[i], c[i])
+					b[i], c[i] = a[i], a[i]
+				}
+				for j := 1; j <= 3 && s.parTrack; j++ {
+					s.paired(&op.opd[j], a)
+				}
+				return nil
+			}
+			val = s.majority(idx, a, b, c)
+		}
+		for j := 1; j <= int(op.ndst); j++ {
+			o := &op.opd[j]
+			dst := s.put(o, val)
+			if s.parTrack || o.comp >= 0 {
+				s.paired(o, dst)
+			}
+			if s.hook != nil {
+				s.hook.AfterStore(idx, o.row, dst, s.lanes)
+			}
+		}
+		return nil
+	}
 	reads, writes := op.operands()
 	var in [3][]uint64
 	for j := range reads {
-		if o := &reads[j]; quiet && o.proven {
-			in[j] = s.rowData(int(o.slot))
-		} else {
-			var err error
-			if in[j], err = s.load(idx, o, planned); err != nil {
-				return err
-			}
+		var err error
+		if in[j], err = s.load(idx, &reads[j], planned); err != nil {
+			return err
 		}
 	}
 	var val []uint64 // what the op stores into writes
@@ -205,35 +247,17 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 		if !op.fast {
 			return fmt.Errorf("sim: ROWINIT %s with wrong pattern %#x", dst.row, op.imm)
 		}
-		if op.cskip && s.isPresent(int(dst.slot)) && !s.cDirty {
-			// The row already holds its constant: skip the redundant
-			// rewrite (and the full-row copy it used to cost).
-			return nil
+		if dst.row.IsCGroup() && s.hook == nil && s.isPresent(int(dst.slot)) && !s.cDirty {
+			return nil // the row holds its constant: no store, no hook has touched it
 		}
 		s.initRow(dst, op.imm)
 		return nil
 
 	case isa.OpAAP:
-		val = in[0]
-		if op.ndst > 1 || s.hook != nil {
-			// Copy out first: a later destination may alias the source's
-			// complement, and the hook perturbs the copy, not the source.
-			val = s.scratch
-			copy(val, in[0])
-		}
-		if s.hook != nil {
-			s.hook.AfterCopy(idx, val, s.lanes)
-		}
+		val = s.copied(idx, op, in[0])
 
 	case isa.OpAP:
-		a, b, c := in[0], in[1], in[2]
-		val = s.scratch
-		for i := range val {
-			val[i] = (a[i] & b[i]) | (b[i] & c[i]) | (a[i] & c[i])
-		}
-		if s.hook != nil {
-			s.hook.AfterCompute(idx, val, s.lanes)
-		}
+		val = s.majority(idx, in[0], in[1], in[2])
 
 	case isa.OpWrite:
 		if io == nil || io.WriteData == nil {
@@ -279,19 +303,48 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 		if !op.fast && o.row.IsCGroup() {
 			return fmt.Errorf("sim: AAP into constant row %s", o.row)
 		}
-		if quiet && o.slot > 1 && o.comp < 0 && len(val) == s.words {
-			// A full row into a row with no partner, outside the C-group:
-			// all of setRow that applies.
-			dst := s.rowData(int(o.slot))
-			s.markPresent(int(o.slot))
-			copy(dst, val)
-			dst[len(dst)-1] &= s.mask
-		} else if dst := s.setRow(o, val); s.hook != nil {
+		if dst := s.setRow(o, val); s.hook != nil {
 			// Persistent bitline defects corrupt the stored contents.
 			s.hook.AfterStore(idx, o.row, dst, s.lanes)
 		}
 	}
 	return nil
+}
+
+// copied is the value an AAP of src stores: src itself, or a staged copy
+// when a later destination may alias the source's complement or the hook
+// perturbs the copy (never the source).
+func (s *Subarray) copied(idx int, op *dop, src []uint64) []uint64 {
+	if op.ndst > 1 || s.hook != nil {
+		return s.staged(idx, src)
+	}
+	return src
+}
+
+// staged is copied's staged copy (apart, so copied inlines).
+func (s *Subarray) staged(idx int, src []uint64) []uint64 {
+	val := s.scratch
+	copy(val, src)
+	if s.hook != nil {
+		s.hook.AfterCopy(idx, val, s.lanes)
+	}
+	return val
+}
+
+// maj is the bitwise majority of three words: what a triple-row activation
+// leaves in each of its rows.
+func maj(a, b, c uint64) uint64 { return a&b | b&c | a&c }
+
+// majority is the value an AP of rows a, b and c stores.
+func (s *Subarray) majority(idx int, a, b, c []uint64) []uint64 {
+	val := s.scratch
+	for i := range val {
+		val[i] = maj(a[i], b[i], c[i])
+	}
+	if s.hook != nil {
+		s.hook.AfterCompute(idx, val, s.lanes)
+	}
+	return val
 }
 
 // stepper is the one guard → execute → issue loop under every run, with
@@ -311,15 +364,17 @@ type stepper struct {
 	steps, cmds int // micro-ops executed / commands issued so far
 }
 
-// span steps ops [lo, hi) of d on the machine's subarray, each one guard
-// → execute → issue: b.MaxSimSteps caps the micro-ops executed and
-// b.MaxDRAMCommands the commands that reach the timing engine, both checked
-// before the op executes, so a guard stop, like a functional error, leaves
-// the offending op unexecuted. A functional run counts the commands it
-// would issue.
+// span steps ops [lo, hi) of d on the machine's subarray, guard → execute
+// → issue: b.MaxSimSteps caps the micro-ops executed and b.MaxDRAMCommands
+// the commands that reach the timing engine, as if checked before every
+// op, so a guard stop, like a functional error, leaves the offending op
+// unexecuted. A functional run counts the commands it would issue. The
+// checks, in their order, open each chunk of ops, which ends at the nearest
+// of hi, the next ctx checkpoint (every 256 steps) and the first op a
+// budget stops: a stop lands on the op, with the error, of per-op checks.
 func (st *stepper) span(d *Decoded, lo, hi int, io *HostIO) error {
 	sub, spill := &st.m.sub, &st.m.spill
-	for i := lo; i < hi; i++ {
+	for i := lo; i < hi; {
 		if st.steps&255 == 0 {
 			if err := guard.Ctx(st.ctx); err != nil {
 				return err
@@ -331,15 +386,24 @@ func (st *stepper) span(d *Decoded, lo, hi int, io *HostIO) error {
 		if err := guard.Check(guard.DimDRAMCommands, st.b.MaxDRAMCommands, st.cmds+1); err != nil {
 			return err
 		}
-		op := &d.ops[i]
-		if err := sub.exec(op, io, spill, st.planned); err != nil {
-			return fmt.Errorf("op %d at bank %d sub %d: %w", i, st.bank, st.sub, err)
+		n := min(hi-i, 256-(st.steps&255)) // the checks passed: n >= 1
+		if limit := st.b.MaxSimSteps; limit > 0 {
+			n = min(n, limit-st.steps)
 		}
-		if st.eng != nil {
-			st.eng.IssueOp(st.bank, st.sub, op.kind, op.imm)
+		if limit := st.b.MaxDRAMCommands; limit > 0 {
+			n = min(n, limit-st.cmds)
 		}
-		st.steps++
-		st.cmds++
+		for end := i + n; i < end; i++ {
+			op := &d.ops[i]
+			if err := sub.exec(op, io, spill, st.planned); err != nil {
+				return fmt.Errorf("op %d at bank %d sub %d: %w", i, st.bank, st.sub, err)
+			}
+			if st.eng != nil {
+				st.eng.IssueOp(st.bank, st.sub, op.kind, op.imm)
+			}
+		}
+		st.steps += n
+		st.cmds += n
 	}
 	return nil
 }

@@ -350,8 +350,7 @@ func (sc *recoverScratch) digestState(s *Subarray, sp *SpillStore) uint64 {
 	if s.cDirty {
 		word(1)
 	}
-	n := s.allocRows()
-	for idx := 0; idx < n; idx++ {
+	for idx := range s.allocRows() {
 		if !s.isPresent(idx) {
 			continue
 		}

@@ -17,10 +17,12 @@
 //
 // The row store is a flat preallocated arena indexed by a dense row id
 // (special rows first, then D-group rows) plus a presence bitmap. Decode
-// resolves each operand's slot and proves the reads earlier ops define, so
-// a whole-stream run sizes the arena once and checks only unproven reads;
-// see docs/PERFORMANCE.md for the layout and the pooling rules that let
-// verify/reliability sweeps reuse machines across trials via Reconfigure.
+// resolves each operand's slot, proves the reads earlier ops define and
+// marks the row ops (AAP/AP with nothing left to check), so a whole-stream
+// run sizes the arena once, runs a row op as one body over its slots and
+// checks its guards per chunk of ops; see docs/PERFORMANCE.md for the
+// layout and the pooling rules that let verify/reliability sweeps reuse
+// machines across trials via Reconfigure.
 package sim
 
 import (
@@ -217,11 +219,7 @@ func rowParity(data []uint64) uint64 {
 // setParity records the parity bit of a freshly stored dense row.
 func (s *Subarray) setParity(idx int, data []uint64) {
 	w, b := idx>>6, uint(idx&63)
-	if rowParity(data) == 1 {
-		s.parity[w] |= 1 << b
-	} else {
-		s.parity[w] &^= 1 << b
-	}
+	s.parity[w] = s.parity[w]&^(1<<b) | rowParity(data)<<b
 }
 
 // checkParity compares a sensed row against its recorded parity bit,
@@ -246,8 +244,7 @@ func (s *Subarray) SetParityTracking(on bool) {
 	if !on {
 		return
 	}
-	n := s.allocRows()
-	for idx := 0; idx < n; idx++ {
+	for idx := range s.allocRows() {
 		if s.isPresent(idx) {
 			s.setParity(idx, s.rowData(idx))
 		}
@@ -272,8 +269,7 @@ func (s *Subarray) ParitySweep() int {
 		return 0
 	}
 	before := s.parBad
-	n := s.allocRows()
-	for idx := 0; idx < n; idx++ {
+	for idx := range s.allocRows() {
 		if s.isPresent(idx) {
 			s.checkParity(idx, s.rowData(idx))
 		}
@@ -286,7 +282,8 @@ func (s *Subarray) allocRows() int { return numSpecialRows + s.physRows }
 
 // rowData returns the arena storage of a backed slot.
 func (s *Subarray) rowData(idx int) []uint64 {
-	return s.arena[idx*s.words : (idx+1)*s.words : (idx+1)*s.words]
+	lo := idx * s.words
+	return s.arena[lo : lo+s.words : lo+s.words]
 }
 
 // ensure grows the arena so slot idx is backed. Growth is geometric, so a
@@ -330,18 +327,25 @@ func (s *Subarray) plan(d *Decoded) bool {
 	return true
 }
 
-// load senses row operand o of the op at idx, giving the fault hook its
-// chance to materialize retention decay in the stored charge.
+// load senses row operand o of the op at idx: a planned run's proven read
+// is there to sense, any other is checked first.
 func (s *Subarray) load(idx int, o *opnd, planned bool) ([]uint64, error) {
-	var row []uint64
 	if planned && o.proven {
-		row = s.rowData(int(o.slot))
-	} else {
-		var err error
-		if row, err = s.getRow(o); err != nil {
-			return nil, err
-		}
+		return s.sensed(idx, o, s.rowData(int(o.slot))), nil
 	}
+	if o.row.IsDGroup() && int(o.row) >= s.dRows {
+		return nil, fmt.Errorf("sim: row %s beyond D-group size %d", o.row, s.dRows)
+	}
+	row, ok := s.peek(o)
+	if !ok {
+		return nil, fmt.Errorf("sim: read of uninitialized row %s", o.row)
+	}
+	return s.sensed(idx, o, row), nil
+}
+
+// sensed gives the fault hook its chance to materialize retention decay in
+// row, the sensed storage of operand o, then checks the row's parity.
+func (s *Subarray) sensed(idx int, o *opnd, row []uint64) []uint64 {
 	if s.hook != nil {
 		s.hook.BeforeLoad(idx, o.row, row, s.lanes)
 	}
@@ -353,18 +357,7 @@ func (s *Subarray) load(idx int, o *opnd, planned bool) ([]uint64, error) {
 			s.checkParity(si, row)
 		}
 	}
-	return row, nil
-}
-
-func (s *Subarray) getRow(o *opnd) ([]uint64, error) {
-	if o.row.IsDGroup() && int(o.row) >= s.dRows {
-		return nil, fmt.Errorf("sim: row %s beyond D-group size %d", o.row, s.dRows)
-	}
-	row, ok := s.peek(o)
-	if !ok {
-		return nil, fmt.Errorf("sim: read of uninitialized row %s", o.row)
-	}
-	return row, nil
+	return row
 }
 
 // setRow stores data into row operand o and returns the row's storage: its
@@ -373,58 +366,66 @@ func (s *Subarray) getRow(o *opnd) ([]uint64, error) {
 // map semantics (reads of out-of-range D rows fail with the bound error).
 // The slice is copied; a freshly initialized row behaves as if zero-filled
 // first (words beyond len(data) read as zero), exactly like the historical
-// map-backed store. A dense row records its parity bit and keeps its
-// dual-contact partner complementary — which is how in-DRAM NOT works.
+// map-backed store. A dense row is stored by put and paired.
 func (s *Subarray) setRow(o *opnd, data []uint64) []uint64 {
 	idx, dense := s.at(o)
-	var dst []uint64
-	var held bool
-	if dense {
-		s.ensure(idx)
-		held = s.isPresent(idx)
-		s.markPresent(idx)
-		dst = s.rowData(idx)
-	} else {
-		if s.extra == nil {
-			s.extra = make(map[isa.Row][]uint64)
-		}
-		if dst, held = s.extra[o.row]; !held {
-			dst = make([]uint64, s.words)
-			s.extra[o.row] = dst
-		}
-	}
-	if !held {
-		for i := len(data); i < s.words; i++ {
-			dst[i] = 0
-		}
-	}
-	copy(dst, data)
-	dst[s.words-1] &= s.mask
 	if o.row.IsCGroup() {
 		s.cDirty = true
 	}
-	if !dense {
+	if dense {
+		s.ensure(idx)
+		if !s.isPresent(idx) {
+			clear(s.rowData(idx)[min(len(data), s.words):])
+		}
+		dst := s.put(o, data)
+		s.paired(o, dst)
 		return dst
 	}
+	if s.extra == nil {
+		s.extra = make(map[isa.Row][]uint64)
+	}
+	dst, held := s.extra[o.row]
+	if !held {
+		dst = make([]uint64, s.words)
+		s.extra[o.row] = dst
+	}
+	copy(dst, data)
+	dst[s.words-1] &= s.mask
+	return dst
+}
+
+// put and paired are every store into the arena. put copies data into the
+// backed dense row operand o, masked, marks the row present and returns its
+// storage; paired records the row's parity bit and keeps its dual-contact
+// partner complementary — which is how in-DRAM NOT works — and may be
+// skipped when there is neither to do.
+func (s *Subarray) put(o *opnd, data []uint64) []uint64 {
+	dst := s.rowData(int(o.slot))
+	copy(dst, data)
+	dst[len(dst)-1] &= s.mask
+	s.markPresent(int(o.slot))
+	return dst
+}
+
+func (s *Subarray) paired(o *opnd, dst []uint64) {
 	if s.parTrack {
 		// Parity is recorded from the row buffer BEFORE the AfterStore
 		// hook can apply stuck-at defects to the stored charge, which is
 		// exactly why those defects are detectable on the next sense.
-		s.setParity(idx, dst)
+		s.setParity(int(o.slot), dst)
 	}
 	if o.comp >= 0 { // partners are special rows, always backed
 		cidx := int(o.comp)
-		cdst := s.rowData(cidx)
-		s.markPresent(cidx)
+		cdst := s.rowData(cidx)[:len(dst)]
 		for i := range cdst {
 			cdst[i] = ^dst[i]
 		}
-		cdst[s.words-1] &= s.mask
+		cdst[len(cdst)-1] &= s.mask
+		s.markPresent(cidx)
 		if s.parTrack {
 			s.setParity(cidx, cdst)
 		}
 	}
-	return dst
 }
 
 // initRow stores a replicated constant pattern into row operand o (the

@@ -9,11 +9,21 @@ package sim
 import (
 	"context"
 	"testing"
+	"unsafe"
 
 	"chopper/internal/dram"
 	"chopper/internal/guard"
 	"chopper/internal/isa"
 )
+
+// TestDecodedOpSize pins the decoded micro-op record at 64 bytes, one cache
+// line: the executor strides the decoded stream op by op, so a mark added
+// on top of the record (rather than packed into it) is paid on every op.
+func TestDecodedOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(dop{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(dop{}) = %d, want 64", got)
+	}
+}
 
 // steadyProgram covers every op kind on its fast path: AAP (single- and
 // multi-destination), AP, WRITE, READ, SPILL_OUT, SPILL_IN, and ROWINIT on

@@ -78,31 +78,50 @@ func (h *hostRows) bindTile(p *tilePlan, words int) [][]uint64 {
 	return rows
 }
 
-// bindRows points the table at one run's vertical operand rows
-// (rows[operand][bit][word]): the caller's input bit-rows, then the rows
-// the run allocates — zeroed output rows, returned per operand for the
-// result, and the filled constant rows. Only bits the program WRITEs need a
-// bit-row (a narrowed kernel leaves high bits untagged); the first operand,
-// in k.Inputs order and lowest bit first, that is missing or too short is
-// the error.
+// checkRows is the shape check of one run's vertical operand rows
+// (rows[operand][bit][word]), RunRows's and RunRowsBatchCtx's alike. A bit
+// the program WRITEs needs a bit-row of at least transpose.Words(lanes)
+// words, while an untagged bit (a narrowed kernel leaves high bits
+// untagged) may be absent; longer rows are fine. The first offender, in
+// k.Inputs order and lowest bit first, is the error.
+func (p *tilePlan) checkRows(inputs []IOSpec, rows map[string][][]uint64, lanes int) error {
+	words, r := transpose.Words(lanes), 0
+	for _, in := range inputs {
+		op, ok := rows[in.Name]
+		for bit := 0; bit < in.Width; bit, r = bit+1, r+1 {
+			switch {
+			case !p.tagged[r]:
+			case !ok:
+				return fmt.Errorf("missing input operand %q", in.Name)
+			case bit >= len(op):
+				return fmt.Errorf("input %q has %d bit-rows, kernel needs bit %d", in.Name, len(op), bit)
+			case len(op[bit]) < words:
+				return fmt.Errorf("input %q bit %d has %d words, %d lanes need %d", in.Name, bit, len(op[bit]), lanes, words)
+			}
+		}
+	}
+	return nil
+}
+
+// bindRows points the table at one run's vertical operand rows, checked
+// by checkRows: the caller's input bit-rows, then the rows the run
+// allocates — zeroed output rows, returned per operand for the result, and
+// the filled constant rows.
 func (h *hostRows) bindRows(k *Kernel, rows map[string][][]uint64, lanes int) (map[string][][]uint64, error) {
 	p, err := k.tilePlan()
 	if err != nil {
 		return nil, err
 	}
+	if err := p.checkRows(k.Inputs, rows, lanes); err != nil {
+		return nil, optionsErrf("%v", err)
+	}
 	tab := h.table(p)
 	r := 0
 	for _, in := range k.Inputs {
-		op, ok := rows[in.Name]
+		op := rows[in.Name]
 		for bit := 0; bit < in.Width; bit, r = bit+1, r+1 {
-			switch {
-			case !p.tagged[r]:
-				tab[r] = nil
-			case !ok:
-				return nil, optionsErrf("missing input operand %q", in.Name)
-			case bit >= len(op):
-				return nil, optionsErrf("input %q has %d bit-rows, kernel needs bit %d", in.Name, len(op), bit)
-			default:
+			tab[r] = nil
+			if p.tagged[r] {
 				tab[r] = op[bit]
 			}
 		}
