@@ -3,8 +3,8 @@ package chopper
 // Batched execution: several independent requests against the same kernel
 // ride ONE simulated device pass. Bit-serial PUD execution makes this
 // exact, not approximate — every micro-op acts bitwise per lane, so
-// packing request operands into disjoint, word-aligned lane spans of a
-// shared arena and running the program once produces, per request, the
+// packing request operands into disjoint, word-aligned lane spans of the
+// pass's rows and running the program once produces, per request, the
 // same output bits, the same simulated time and the same engine counters
 // as running each request alone (the op stream, and therefore the timing
 // replay and every budget checkpoint, does not depend on the lane count).
@@ -12,11 +12,17 @@ package chopper
 // fixed per-pass work — transposition and timing replay — is paid once
 // for N requests. chopperd's internal/serve batcher is the main client.
 //
-// One skeleton, Kernel.pass, carries every host-layout verb: Run and
-// RunWide are passes of one member, RunBatch and RunRowsBatchCtx of N, a
-// coalesced VerifyBatchCtx of one member per trial. The verbs differ only in
-// the scatter function they hand it (one value per lane, wide limbs, or
-// rows already vertical) and in how they gather their span of the result.
+// One skeleton, Kernel.pass, carries every verb but a tile: RunRowsCtx,
+// Run and RunWide are passes of one member, RunBatch and RunRowsBatchCtx
+// of N, a verify or reliability trial of one, a coalesced VerifyBatchCtx
+// of one member per trial. Every pass lays its rows out in the kernel's
+// plan on the pooled worker's own buffer (hostRows.bind, the binding a
+// tile uses too); the verbs differ only in how they scatter a member's
+// operands into its span of the input rows (rows pasted, one value per
+// lane, or wide limbs) and how they gather its span of the output rows
+// (copied out as rows, transposed to wide lanes, or compared against the
+// reference in place). Operands are copied in and outputs copied out, so
+// no pooled state references caller memory.
 
 import (
 	"context"
@@ -60,9 +66,9 @@ func VerifySpanWords(trials int) int {
 	return w
 }
 
-// laneSpan is one member's word-aligned slice of the shared arena.
+// laneSpan is one member's word-aligned slice of the pass's rows.
 type laneSpan struct {
-	off   int    // word offset into every combined row
+	off   int    // word offset into every row
 	words int    // transpose.Words(lanes)
 	lanes int    // the member's SIMD width
 	mask  uint64 // last-word mask for the member's lane count
@@ -76,8 +82,8 @@ func laneMaskFor(lanes int) uint64 {
 }
 
 // laneSpans lays members out word-aligned and returns the combined lane
-// count: the last member's lanes end the arena, so the simulator's
-// global tail mask coincides with the last member's mask.
+// count: the last member's lanes end the rows, so the simulator's global
+// tail mask coincides with the last member's mask.
 func laneSpans(counts []int) ([]laneSpan, int) {
 	spans := make([]laneSpan, len(counts))
 	off := 0
@@ -103,46 +109,32 @@ func (k *Kernel) checkBatchable(totalLanes int) error {
 	return nil
 }
 
-// combinedRows allocates the shared operand arena: for every input, Width
-// bit-rows of `words` words each, cut from one backing array per input.
-func combinedRows(inputs []IOSpec, words int) map[string][][]uint64 {
-	combined := make(map[string][][]uint64, len(inputs))
-	for _, in := range inputs {
-		rows := make([][]uint64, in.Width)
-		carve(rows, make([]uint64, in.Width*words), words)
-		combined[in.Name] = rows
-	}
-	return combined
-}
+// scatterFunc puts member i's operands into its span sp of a pass's input
+// rows, on the pass's worker w.
+type scatterFunc func(w *simWorker, i int, in [][]uint64, sp laneSpan) error
 
-// spanRows slices one member's lane span out of combined rows. The span's
-// tail word is masked to the member's lane count — the solo path's global
-// tail mask, applied at the member's own boundary — so padding lanes from
-// neighbors (constant-pattern bits land there) never leak into a member's
-// rows. Spans are disjoint, so masking in place on the shared backing is
-// safe.
-func spanRows(rows [][]uint64, sp laneSpan) [][]uint64 {
-	sub := make([][]uint64, len(rows))
-	for b := range rows {
-		w := rows[b][sp.off : sp.off+sp.words]
-		w[sp.words-1] &= sp.mask
-		sub[b] = w
-	}
-	return sub
-}
-
-// pass is the one skeleton under every host-layout verb — Run, RunWide,
-// RunBatch, RunRowsBatchCtx and the coalesced VerifyBatchCtx: members of counts[i]
-// lanes each are laid out as word-aligned spans of one arena, scatter puts
-// member i's operands into its span, the kernel runs ONCE over the combined
-// lanes, and each member gets its span of the output rows beside the pass's
-// shared time and counters. Everything that can be wrong with a member is
-// found before anything executes: scatter validates before it writes, and
+// pass is the one skeleton under every verb but a tile. Members of
+// counts[i] lanes each are laid out as word-aligned spans of one lane
+// range, and on one pooled worker:
+//
+//  1. the plan layout is bound at the combined lane count (hostRows.bind,
+//     which also fills the constant rows for it);
+//  2. scatter puts member i's operands into its span of the input rows;
+//  3. the kernel runs once over the combined lanes (execute), under the
+//     fault models of fc seeded with seed;
+//  4. gather reads every member's span of the output rows, before the
+//     worker goes back to the pool.
+//
+// Everything that can be wrong with a member is found before anything
+// executes: scatter checks a member's operands as it copies them in, and
 // its error is the caller's mistake — classed ErrOptions here, naming the
-// member unless it is the only one.
-func (k *Kernel) pass(ctx context.Context, counts []int, scatter func(i int, arena map[string][][]uint64, sp laneSpan) error) ([]*RunResult, error) {
+// member unless it is the only one. The result is the pass's time,
+// counters, fault counts and scratch, shared by every member; its Rows are
+// the gather's business.
+func (k *Kernel) pass(ctx context.Context, counts []int, fc FaultConfig, seed int64, scatter scatterFunc,
+	gather func(w *simWorker, out [][]uint64, spans []laneSpan)) (RunResult, error) {
 	if len(counts) == 0 {
-		return nil, optionsErrf("empty batch")
+		return RunResult{}, optionsErrf("empty batch")
 	}
 	memberErr := func(i int, err error) error {
 		if len(counts) == 1 {
@@ -152,59 +144,90 @@ func (k *Kernel) pass(ctx context.Context, counts []int, scatter func(i int, are
 	}
 	for i, lanes := range counts {
 		if lanes <= 0 {
-			return nil, memberErr(i, fmt.Errorf("lanes must be positive, have %d", lanes))
+			return RunResult{}, memberErr(i, fmt.Errorf("lanes must be positive, have %d", lanes))
 		}
 	}
 	spans, total := laneSpans(counts)
 	if len(counts) > 1 {
 		if err := k.checkBatchable(total); err != nil {
-			return nil, err
+			return RunResult{}, err
 		}
 	}
-	arena := combinedRows(k.Inputs, transpose.Words(total))
+	p, err := k.tilePlan()
+	if err != nil {
+		return RunResult{}, err
+	}
+	w := getWorker()
+	defer putWorker(w)
+	in, out := w.host.bind(p, total)
 	for i, sp := range spans {
-		if err := scatter(i, arena, sp); err != nil {
-			return nil, memberErr(i, err)
+		if err := scatter(w, i, in, sp); err != nil {
+			return RunResult{}, memberErr(i, err)
 		}
 	}
-	res, err := k.runRows(ctx, arena, total, FaultConfig{}, 0)
+	res, err := k.execute(ctx, w, total, fc, seed)
+	if err != nil {
+		return RunResult{}, err
+	}
+	gather(w, out, spans)
+	return res, nil
+}
+
+// rowsPass is a pass whose members get their output rows: the output
+// region is copied out once, and member i's result views its span of the
+// copy beside the pass's shared time and counters.
+func (k *Kernel) rowsPass(ctx context.Context, counts []int, fc FaultConfig, seed int64, scatter scatterFunc) ([]*RunResult, error) {
+	var rows []map[string][][]uint64
+	res, err := k.pass(ctx, counts, fc, seed, scatter, func(_ *simWorker, out [][]uint64, spans []laneSpan) {
+		rows = k.keepRows(out, spans)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if len(spans) == 1 {
-		// The lone member's span is the arena: the result is already its own
-		// (and, a batch of one may run a recovery-enabled kernel, carries the
-		// recovery layer's statistics).
-		return []*RunResult{res}, nil
+	members := make([]*RunResult, len(rows))
+	for i := range rows {
+		m := res
+		m.Rows = rows[i]
+		members[i] = &m
 	}
-	out := make([]*RunResult, len(spans))
-	for i, sp := range spans {
-		member := *res
-		member.Rows = make(map[string][][]uint64, len(res.Rows))
-		for name, rs := range res.Rows {
-			member.Rows[name] = spanRows(rs, sp)
-		}
-		out[i] = &member
-	}
-	return out, nil
+	return members, nil
 }
 
-// RunRowsBatchCtx packs the members' vertical operand rows into disjoint
-// word-aligned lane spans of one arena, runs the kernel ONCE over the
-// combined lanes, and demultiplexes each member's output rows and stats.
-// Per member the outputs, simulated time and engine counters are byte-
-// identical to a solo RunRowsCtx call (ScratchBytes reflects the shared
-// arena and is the one field that grows with the batch). A single-member
-// batch delegates to the solo path outright: its rows run where they are.
-func (k *Kernel) RunRowsBatchCtx(ctx context.Context, batches []LaneBatch) (res []*RunResult, err error) {
-	defer recoverToError(&err)
-	if len(batches) == 1 {
-		r, err := k.runRows(ctx, batches[0].Rows, batches[0].Lanes, FaultConfig{}, 0)
-		if err != nil {
-			return nil, err
-		}
-		return []*RunResult{r}, nil
+// keepRows copies a pass's output rows out once and cuts each member's
+// outputs, per operand in k.Outputs order, from its span of the copy. A
+// span's tail word is masked to the member's lane count — the solo run's
+// tail mask, applied at the member's own boundary — so padding lanes
+// (constant-pattern bits land there) never leak into a member's rows, and
+// every row's capacity ends with its span.
+func (k *Kernel) keepRows(out [][]uint64, spans []laneSpan) []map[string][][]uint64 {
+	last := spans[len(spans)-1]
+	words := last.off + last.words
+	buf := make([]uint64, len(out)*words)
+	for r, row := range out {
+		copy(buf[r*words:], row)
 	}
+	views := make([][]uint64, len(spans)*len(out))
+	members := make([]map[string][][]uint64, len(spans))
+	for i, sp := range spans {
+		rows := views[i*len(out) : (i+1)*len(out)]
+		for r := range rows {
+			lo, hi := r*words+sp.off, r*words+sp.off+sp.words
+			rows[r] = buf[lo:hi:hi]
+			rows[r][sp.words-1] &= sp.mask
+		}
+		m := make(map[string][][]uint64, len(k.Outputs))
+		for _, o := range k.Outputs {
+			m[o.Name], rows = rows[:o.Width:o.Width], rows[o.Width:]
+		}
+		members[i] = m
+	}
+	return members
+}
+
+// laneBatches runs members whose operands arrive as vertical rows
+// (RunRowsCtx, RunRowsBatchCtx): each is checked and pasted into its span,
+// and gets its output rows back.
+func (k *Kernel) laneBatches(ctx context.Context, batches []LaneBatch, fc FaultConfig, seed int64) ([]*RunResult, error) {
 	p, err := k.tilePlan()
 	if err != nil {
 		return nil, err
@@ -213,18 +236,21 @@ func (k *Kernel) RunRowsBatchCtx(ctx context.Context, batches []LaneBatch) (res 
 	for i, b := range batches {
 		counts[i] = b.Lanes
 	}
-	return k.pass(ctx, counts, func(i int, arena map[string][][]uint64, sp laneSpan) error {
-		rows := batches[i].Rows
-		if err := p.checkRows(k.Inputs, rows, sp.lanes); err != nil {
-			return err
-		}
-		for _, in := range k.Inputs {
-			// Bits past an operand's rows are untagged: they stay zero.
-			src := rows[in.Name]
-			transpose.PasteRows(arena[in.Name], sp.off, src[:min(len(src), in.Width)], sp.lanes)
-		}
-		return nil
+	return k.rowsPass(ctx, counts, fc, seed, func(_ *simWorker, i int, in [][]uint64, sp laneSpan) error {
+		return p.pasteRows(k.Inputs, in, batches[i].Rows, sp)
 	})
+}
+
+// RunRowsBatchCtx packs the members' vertical operand rows into disjoint
+// word-aligned lane spans of one pass, runs the kernel ONCE over the
+// combined lanes, and demultiplexes each member's output rows and stats.
+// Per member the outputs, simulated time and engine counters are byte-
+// identical to a solo RunRowsCtx call (ScratchBytes reflects the shared
+// pass and is the one field that grows with the batch). A single-member
+// batch is a solo run.
+func (k *Kernel) RunRowsBatchCtx(ctx context.Context, batches []LaneBatch) (res []*RunResult, err error) {
+	defer recoverToError(&err)
+	return k.laneBatches(ctx, batches, FaultConfig{}, 0)
 }
 
 // RunBatch is RunBatchCtx without a context.
@@ -233,7 +259,7 @@ func (k *Kernel) RunBatch(reqs []BatchRun) (outs []map[string][]uint64, res []*R
 }
 
 // RunBatchCtx executes N independent Run-shaped requests in one
-// simulated device pass: one transpose into a shared arena (each
+// simulated device pass: one transpose into the pass's rows (each
 // member's operands land directly in its lane span), one program
 // execution, one timing replay. Outputs and per-member results are
 // byte-identical to solo Kernel.Run calls — Run is this with one member;
@@ -252,13 +278,14 @@ func (k *Kernel) RunBatchCtx(ctx context.Context, reqs []BatchRun) (outs []map[s
 	for i, r := range reqs {
 		counts[i] = r.Lanes
 	}
-	res, err = k.pass(ctx, counts, func(i int, arena map[string][][]uint64, sp laneSpan) error {
-		for _, in := range k.Inputs {
-			vals, err := laneValues(reqs[i].Inputs, in.Name, sp.lanes)
+	res, err = k.rowsPass(ctx, counts, FaultConfig{}, 0, func(_ *simWorker, i int, in [][]uint64, sp laneSpan) error {
+		for _, spec := range k.Inputs {
+			vals, err := laneValues(reqs[i].Inputs, spec.Name, sp.lanes)
 			if err != nil {
 				return err
 			}
-			transpose.ToVerticalInto(arena[in.Name], sp.off, vals, in.Width, sp.lanes)
+			transpose.ToVerticalInto(in, sp.off, vals, spec.Width, sp.lanes)
+			in = in[spec.Width:]
 		}
 		return nil
 	})
@@ -288,26 +315,38 @@ func laneValues[V any](inputs map[string][]V, name string, lanes int) ([]V, erro
 	return vals, nil
 }
 
-// scatterWide transposes one member's wide (limbs-per-lane) operands into
-// its span of the arena.
-func (k *Kernel) scatterWide(arena map[string][][]uint64, sp laneSpan, inputs map[string][][]uint64) error {
-	for _, in := range k.Inputs {
-		vals, err := laneValues(inputs, in.Name, sp.lanes)
-		if err != nil {
-			return err
-		}
-		transpose.ToVerticalWideInto(arena[in.Name], sp.off, vals, in.Width, sp.lanes)
+// scatterWide is the one wide (limbs-per-lane) scatter, RunWide's, every
+// trial's and every tile's: lanes lo..lo+n-1 of each input, in k.Inputs
+// order, are transposed into the input rows at word offset off. Every
+// input must hold at least lo+n lanes.
+func (k *Kernel) scatterWide(in [][]uint64, off int, inputs map[string][][]uint64, lo, n int) {
+	for _, spec := range k.Inputs {
+		transpose.ToVerticalWideInto(in, off, inputs[spec.Name][lo:lo+n], spec.Width, n)
+		in = in[spec.Width:]
 	}
-	return nil
 }
 
-// gatherWide transposes one member's output rows back into wide values.
-func (k *Kernel) gatherWide(rows map[string][][]uint64, lanes int) map[string][][]uint64 {
-	out := make(map[string][][]uint64, len(k.Outputs))
-	for _, o := range k.Outputs {
-		out[o.Name] = transpose.FromVerticalWide(rows[o.Name], o.Width, lanes)
+// trialPass runs trials as the members of one pass, laid out in a row of
+// trial lanes on the pass's worker: each member's operands are drawn there
+// as it is scattered, and check sees each trial — its operands attached —
+// with its span of the output rows, on the worker whose reference arena
+// and scratch it compares in, before the worker goes back to the pool.
+func (k *Kernel) trialPass(ctx context.Context, trials []trial, fc FaultConfig, seed int64, check func(i int, t trial, w *simWorker, out [][]uint64, sp laneSpan)) (RunResult, error) {
+	counts, base, total := make([]int, len(trials)), make([]int, len(trials)), 0
+	for i, t := range trials {
+		counts[i], base[i] = t.lanes, total
+		total += t.lanes
 	}
-	return out
+	return k.pass(ctx, counts, fc, seed, func(w *simWorker, i int, in [][]uint64, sp laneSpan) error {
+		k.scatterWide(in, sp.off, w.trial.draw(k, trials[i], base[i], total), 0, sp.lanes)
+		return nil
+	}, func(w *simWorker, out [][]uint64, spans []laneSpan) {
+		for i, sp := range spans {
+			t := trials[i]
+			t.inWide = w.trial.operands(k.Inputs, base[i], t.lanes)
+			check(i, t, w, out, sp)
+		}
+	})
 }
 
 // VerifyBatchCtx coalesces N independent verification sweeps into ONE
@@ -338,28 +377,22 @@ func (k *Kernel) VerifyBatchCtx(ctx context.Context, specs []VerifySpec) (perSpe
 
 	// Every (spec, trial) pair is one member of the pass.
 	var trials []trial
-	var owner, counts []int
+	var owner []int
 	for si, sp := range specs {
 		for t := 0; t < sp.Trials; t++ {
-			tr := k.newVerifyTrial(sp.Seed, t)
-			trials = append(trials, tr)
+			trials = append(trials, newVerifyTrial(sp.Seed, t))
 			owner = append(owner, si)
-			counts = append(counts, tr.lanes)
 		}
 	}
-	res, err := k.pass(ctx, counts, func(i int, arena map[string][][]uint64, sp laneSpan) error {
-		return k.scatterWide(arena, sp, trials[i].inWide)
-	})
-	if err != nil {
-		return nil, err
-	}
 	perSpec = make([]error, len(specs))
-	for i, tr := range trials {
+	if _, err := k.trialPass(ctx, trials, FaultConfig{}, 0, func(i int, t trial, w *simWorker, out [][]uint64, sp laneSpan) {
 		// Trials ascend within a spec, so the first error recorded is the
 		// lowest failing trial's — the solo worker=1 sweep's stopping point.
 		if perSpec[owner[i]] == nil {
-			perSpec[owner[i]] = k.compareTrial(tr, res[i].Rows)
+			perSpec[owner[i]] = k.compareTrial(w, t, out, sp)
 		}
+	}); err != nil {
+		return nil, err
 	}
 	return perSpec, nil
 }

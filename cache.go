@@ -38,7 +38,7 @@ func newKernelKey(p pipeline, src string, opts Options) kernelKey {
 }
 
 // NewKernelCache creates a cache bounded to maxEntries compiled kernels
-// (<= 0 means kcache.DefaultEntries). Eviction is LRU.
+// (<= 0 means 128). Eviction is LRU.
 func NewKernelCache(maxEntries int) *KernelCache {
 	return &KernelCache{c: kcache.New[kernelKey, *Kernel](maxEntries)}
 }

@@ -48,6 +48,7 @@ import (
 	"chopper/internal/narrow"
 	"chopper/internal/obs"
 	"chopper/internal/sim"
+	"chopper/internal/transpose"
 	"chopper/internal/typecheck"
 )
 
@@ -325,28 +326,29 @@ func (k *Kernel) refPlan() *dfg.LanePlan {
 
 // simWorker is the run path's one pooled state, what one worker keeps
 // between runs: the simulation machine (subarray arena, spill buffers,
-// timing-engine tables, recovery scratch), the binding of a run's rows to
-// the program's tags, a fault trial's injector, and the arena the reference
-// evaluator checks the machine's output in. Every single-subarray run and
-// every tile of a tiled run checks one out for its device pass, and a
-// trial's comparison, on the same goroutine, takes one again. The machine
-// is reset via Reconfigure and the injector via Reset on every run, and the
-// reference arena is overwritten by every evaluation, so no run's state
-// leaks into the next.
+// timing-engine tables, recovery scratch), the rows of a run laid out in
+// the kernel's plan, a fault trial's injector, and the reference arena and
+// scratch a trial draws its operands into and checks its outputs in. Every
+// pass and every tile of a tiled run checks one out, and a trial compares
+// on it before giving it back. The machine is reset via Reconfigure and the
+// injector via Reset on every run, and the rest is overwritten by every
+// use, so no run's state leaks into the next. All of it is the worker's own
+// memory: no pooled state references caller memory.
 type simWorker struct {
-	m    sim.Machine
-	host hostRows
-	inj  *fault.Injector // built by the worker's first fault trial
-	ref  dfg.LaneScratch
+	m     sim.Machine
+	host  hostRows
+	inj   *fault.Injector // built by the worker's first fault trial
+	ref   dfg.LaneScratch
+	trial trialScratch
 }
 
 var workerPool = sync.Pool{New: func() any { return new(simWorker) }}
 
 func getWorker() *simWorker { return workerPool.Get().(*simWorker) }
 
-// putWorker returns w to the pool holding no reference to a caller's rows.
+// putWorker returns w to the pool, letting go of the kernel whose run it
+// served.
 func putWorker(w *simWorker) {
-	clear(w.host.rows)
 	w.host.plan = nil
 	workerPool.Put(w)
 }
@@ -808,31 +810,25 @@ func (k *Kernel) RunRowsUnderFault(rows map[string][][]uint64, lanes int, cfg Fa
 // zero FaultConfig is a fault-free run (seed is then unused).
 func (k *Kernel) RunRowsCtx(ctx context.Context, rows map[string][][]uint64, lanes int, fault FaultConfig, seed int64) (res *RunResult, err error) {
 	defer recoverToError(&err)
-	return k.runRows(ctx, rows, lanes, fault, seed)
-}
-
-// runRows is every single-subarray run — plain, batched, verify trial,
-// fault trial (fc enabled: the worker's injector, reset to (fc, seed),
-// perturbs the run), recovered: the operands bind to the program's tags
-// through the kernel's plan tables (hostRows, the binding a tile uses too),
-// and the pre-decoded program runs at placement (0, 0) of a pooled
-// worker's machine. Only a recovered run, whose retries and backoff stalls
-// are part of its makespan, drives the machine's timing engine; any other
-// run executes functionally under the same per-op budget and ctx checks and
-// takes its timing from the kernel's shard memo — the issue order is the
-// program's, so the engine would recompute the same stats every run.
-// equiv_test.go holds both against a reference loop that shares only the
-// micro-op body with them.
-func (k *Kernel) runRows(ctx context.Context, rows map[string][][]uint64, lanes int, fc FaultConfig, seed int64) (*RunResult, error) {
-	if lanes <= 0 {
-		return nil, optionsErrf("lanes must be positive, have %d", lanes)
-	}
-	w := getWorker()
-	defer putWorker(w)
-	outRows, err := w.host.bindRows(k, rows, lanes)
+	members, err := k.laneBatches(ctx, []LaneBatch{{Rows: rows, Lanes: lanes}}, fault, seed)
 	if err != nil {
 		return nil, err
 	}
+	return members[0], nil
+}
+
+// execute is the device half of every pass — plain, batched, verify trial,
+// fault trial (fc enabled: the worker's injector, reset to (fc, seed),
+// perturbs the run), recovered: the pre-decoded program runs over `lanes`
+// lanes at placement (0, 0) of w's machine, its transfers served by the
+// rows w's host binding holds. Only a recovered run, whose retries and
+// backoff stalls are part of its makespan, drives the machine's timing
+// engine; any other run executes functionally under the same per-op budget
+// and ctx checks and takes its timing from the kernel's shard memo — the
+// issue order is the program's, so the engine would recompute the same
+// stats every run. equiv_test.go holds both against a reference loop that
+// shares only the micro-op body with them.
+func (k *Kernel) execute(ctx context.Context, w *simWorker, lanes int, fc FaultConfig, seed int64) (RunResult, error) {
 	cfg := sim.MachineConfig{Geom: k.Opts.Geometry, Arch: k.Opts.Target, Lanes: lanes}
 	injected := fc.Enabled()
 	if injected {
@@ -844,21 +840,22 @@ func (k *Kernel) runRows(ctx context.Context, rows map[string][][]uint64, lanes 
 	}
 	m := &w.m
 	m.Reconfigure(cfg)
-	d, io, res := k.decodedProg(), w.host.hostIO(), &RunResult{Rows: outRows}
+	d, io, res := k.decodedProg(), w.host.hostIO(), RunResult{}
 	if pol := k.Opts.Recovery.policy(); pol.Detector != sim.DetectNone {
+		var err error
 		if res.TimeNs, res.RecoveryStats, err = m.RunRecoveredCtx(ctx, d, 0, 0, io, k.Opts.Budget, pol); err != nil {
-			return nil, err
+			return RunResult{}, err
 		}
 		res.Stats = m.Stats()
 	} else {
 		if err := m.RunFunctionalCtx(ctx, d, io, k.Opts.Budget); err != nil {
-			return nil, err
+			return RunResult{}, err
 		}
 		// The machine's engine is the one-tile shard at (0, 0) without
 		// SALP. A nil ctx: the run is done, and its timing is owed.
 		st, err := k.replayShard(nil, 1, dram.TimingFor(k.Opts.Target, k.Opts.Geometry), false)
 		if err != nil {
-			return nil, err
+			return RunResult{}, err
 		}
 		res.TimeNs, res.Stats = st.eng.MakespanNs, st.eng
 	}
@@ -884,13 +881,23 @@ func (k *Kernel) Run(inputs map[string][]uint64, lanes int) (map[string][]uint64
 // limb slices per lane.
 func (k *Kernel) RunWide(inputs map[string][][]uint64, lanes int) (out map[string][][]uint64, err error) {
 	defer recoverToError(&err)
-	res, err := k.pass(nil, []int{lanes}, func(_ int, arena map[string][][]uint64, sp laneSpan) error {
-		return k.scatterWide(arena, sp, inputs)
-	})
-	if err != nil {
+	if _, err := k.pass(nil, []int{lanes}, FaultConfig{}, 0, func(_ *simWorker, _ int, in [][]uint64, sp laneSpan) error {
+		for _, spec := range k.Inputs {
+			if _, err := laneValues(inputs, spec.Name, sp.lanes); err != nil {
+				return err
+			}
+		}
+		k.scatterWide(in, sp.off, inputs, 0, sp.lanes)
+		return nil
+	}, func(_ *simWorker, rows [][]uint64, _ []laneSpan) {
+		out = make(map[string][][]uint64, len(k.Outputs))
+		for _, o := range k.Outputs {
+			out[o.Name], rows = transpose.FromVerticalWide(rows[:o.Width], o.Width, lanes), rows[o.Width:]
+		}
+	}); err != nil {
 		return nil, err
 	}
-	return k.gatherWide(res[0].Rows, lanes), nil
+	return out, nil
 }
 
 // Asm renders the generated micro-op program as assembly text.

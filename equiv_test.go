@@ -45,10 +45,15 @@ var equivLanes = []int{1, 63, 64, 65, 128}
 // budget checks, Subarray.Exec on a fresh subarray (with hook attached),
 // then Engine.Issue on a fresh engine.
 func genericRunRows(k *Kernel, rows map[string][][]uint64, lanes int, hook sim.FaultHook, b Budget) (*RunResult, error) {
-	var host hostRows
-	outRows, err := host.bindRows(k, rows, lanes)
+	p, err := k.tilePlan()
 	if err != nil {
 		return nil, err
+	}
+	var host hostRows
+	in, out := host.bind(p, lanes)
+	spans, _ := laneSpans([]int{lanes})
+	if err := p.pasteRows(k.Inputs, in, rows, spans[0]); err != nil {
+		return nil, optionsErrf("%v", err)
 	}
 	g := k.Opts.Geometry
 	sub, spill := sim.NewSubarray(g.DRows(), lanes), sim.NewSpillStore()
@@ -67,7 +72,7 @@ func genericRunRows(k *Kernel, rows map[string][][]uint64, lanes int, hook sim.F
 		}
 		eng.Issue(dram.Placed{Op: k.prog.Ops[i]})
 	}
-	return &RunResult{Rows: outRows, TimeNs: eng.Makespan(), Stats: eng.Stats()}, nil
+	return &RunResult{Rows: k.keepRows(out, spans)[0], TimeNs: eng.Makespan(), Stats: eng.Stats()}, nil
 }
 
 func equivInputs(lanes int, seed uint64) map[string][][]uint64 {

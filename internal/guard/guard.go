@@ -69,9 +69,6 @@ type Budget struct {
 	MaxSimSteps int
 }
 
-// IsZero reports whether no dimension is limited.
-func (b Budget) IsZero() bool { return b == Budget{} }
-
 // Validate rejects negative limits, naming the offending dimension.
 func (b Budget) Validate() error {
 	for _, d := range []struct {

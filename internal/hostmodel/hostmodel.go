@@ -102,9 +102,6 @@ type Cost struct {
 	Ops   float64 // element operations
 }
 
-// TimeNsFor is TimeNs over a Cost.
-func (m Machine) TimeNsFor(c Cost) float64 { return m.TimeNs(c.Bytes, c.Ops) }
-
 // Transfer models the host<->DRAM DMA path that scatters a tiled
 // workload's inputs into the subarrays and gathers its outputs back: a
 // per-channel sustained bandwidth plus a fixed per-DMA setup cost

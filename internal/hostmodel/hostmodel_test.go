@@ -32,8 +32,8 @@ func TestRooflineRegimes(t *testing.T) {
 
 func TestGPUFasterThanCPUOnStreaming(t *testing.T) {
 	c := Cost{Bytes: 4e9, Ops: 1e9}
-	cpu := Skylake().TimeNsFor(c)
-	gpu := TitanV().TimeNsFor(c)
+	cpu := Skylake().TimeNs(c.Bytes, c.Ops)
+	gpu := TitanV().TimeNs(c.Bytes, c.Ops)
 	if gpu >= cpu {
 		t.Errorf("GPU (%.0f) not faster than CPU (%.0f) on a streaming workload", gpu, cpu)
 	}

@@ -23,8 +23,8 @@ const DefaultEntries = 128
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
-	Hits      uint64 // Get/Do calls that found the key resident
-	Misses    uint64 // Get/Do calls that did not (Do counts one per computation)
+	Hits      uint64 // Do calls that found the key resident
+	Misses    uint64 // Do calls that ran the computation
 	Evictions uint64 // entries dropped by the LRU bound
 	Dedups    uint64 // Do calls that joined another caller's in-flight computation
 	Entries   int    // entries currently resident
@@ -70,46 +70,6 @@ func New[K comparable, V any](max int) *Cache[K, V] {
 	}
 }
 
-// Get returns the value stored under key, marking it most recently used.
-func (c *Cache[K, V]) Get(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.hits++
-		c.ll.MoveToFront(el)
-		return el.Value.(*entry[K, V]).val, true
-	}
-	c.misses++
-	var zero V
-	return zero, false
-}
-
-// Put stores val under key, evicting the least recently used entry if the
-// cache is full. Re-putting an existing key refreshes its value and
-// recency without evicting.
-func (c *Cache[K, V]) Put(key K, val V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(key, val)
-}
-
-func (c *Cache[K, V]) putLocked(key K, val V) {
-	if el, ok := c.items[key]; ok {
-		el.Value.(*entry[K, V]).val = val
-		c.ll.MoveToFront(el)
-		return
-	}
-	if c.ll.Len() >= c.max {
-		oldest := c.ll.Back()
-		if oldest != nil {
-			c.ll.Remove(oldest)
-			delete(c.items, oldest.Value.(*entry[K, V]).key)
-			c.evictions++
-		}
-	}
-	c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, val: val})
-}
-
 // Do returns the value stored under key, computing it with fn on a miss.
 // Concurrent Do calls for the same missing key are deduplicated: exactly
 // one caller runs fn while the rest block and share its result (including
@@ -142,8 +102,15 @@ func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, Outcome, error) {
 	finish := func(val V, err error) {
 		c.mu.Lock()
 		delete(c.flights, key)
+		// A computation runs only for a key neither resident nor in
+		// flight, so a success is a new entry.
 		if err == nil {
-			c.putLocked(key, val)
+			if oldest := c.ll.Back(); oldest != nil && c.ll.Len() >= c.max {
+				c.ll.Remove(oldest)
+				delete(c.items, oldest.Value.(*entry[K, V]).key)
+				c.evictions++
+			}
+			c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, val: val})
 		}
 		c.mu.Unlock()
 		f.val, f.err = val, err

@@ -18,53 +18,47 @@ type key struct {
 
 func k(name string) key { return key{name: name, n: len(name)} }
 
+// do is Do with a computation that returns v.
+func do[V any](t *testing.T, c *Cache[key, V], name string, v V) (V, Outcome) {
+	t.Helper()
+	got, o, err := c.Do(k(name), func() (V, error) { return v, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, o
+}
+
 func TestLRUEvictionOrder(t *testing.T) {
 	c := New[key, int](2)
-	c.Put(k("a"), 1)
-	c.Put(k("b"), 2)
-	if _, ok := c.Get(k("a")); !ok { // refresh a; b becomes oldest
+	do(t, c, "a", 1)
+	do(t, c, "b", 2)
+	if _, o := do(t, c, "a", -1); o != Hit { // refresh a; b becomes oldest
 		t.Fatal("a missing")
 	}
-	c.Put(k("c"), 3) // evicts b
-	if _, ok := c.Get(k("b")); ok {
-		t.Fatal("b should have been evicted")
+	do(t, c, "c", 3) // evicts b
+	if v, o := do(t, c, "a", -1); o != Hit || v != 1 {
+		t.Fatalf("a = %d,%v", v, o)
 	}
-	if v, ok := c.Get(k("a")); !ok || v != 1 {
-		t.Fatalf("a = %d,%v", v, ok)
-	}
-	if v, ok := c.Get(k("c")); !ok || v != 3 {
-		t.Fatalf("c = %d,%v", v, ok)
+	if v, o := do(t, c, "c", -1); o != Hit || v != 3 {
+		t.Fatalf("c = %d,%v", v, o)
 	}
 	s := c.Stats()
 	if s.Evictions != 1 || s.Entries != 2 {
 		t.Fatalf("stats %+v, want 1 eviction, 2 entries", s)
 	}
-	// Get: a hit, b miss, a hit, c hit = 3 hits 1 miss... plus the b hit
-	// check above (miss). Recount: hits a, a, c = 3; misses b = 1.
-	if s.Hits != 3 || s.Misses != 1 {
-		t.Fatalf("stats %+v, want 3 hits 1 miss", s)
+	// Misses a, b, c; hits a, a, c.
+	if s.Hits != 3 || s.Misses != 3 {
+		t.Fatalf("stats %+v, want 3 hits 3 misses", s)
 	}
-}
-
-func TestPutExistingRefreshes(t *testing.T) {
-	c := New[key, string](2)
-	c.Put(k("k"), "v1")
-	c.Put(k("k"), "v2")
-	if c.Stats().Entries != 1 {
-		t.Fatalf("len %d, want 1 (re-put must not duplicate)", c.Stats().Entries)
-	}
-	if v, _ := c.Get(k("k")); v != "v2" {
-		t.Fatalf("got %q, want refreshed v2", v)
-	}
-	if s := c.Stats(); s.Evictions != 0 {
-		t.Fatalf("re-put evicted: %+v", s)
+	if v, o := do(t, c, "b", 4); o != Miss || v != 4 {
+		t.Fatalf("b = %d,%v: it should have been evicted and computed again", v, o)
 	}
 }
 
 func TestDefaultBound(t *testing.T) {
 	c := New[key, int](0)
 	for i := 0; i < DefaultEntries+10; i++ {
-		c.Put(key{n: i}, i)
+		c.Do(key{n: i}, func() (int, error) { return i, nil })
 	}
 	if c.Stats().Entries != DefaultEntries {
 		t.Fatalf("len %d, want %d", c.Stats().Entries, DefaultEntries)
@@ -193,16 +187,15 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := key{n: i % 48}
-				if v, ok := c.Get(k); ok && v != i%48 {
-					t.Errorf("key %v holds %d", k, v)
+				if v, _, err := c.Do(k, func() (int, error) { return i % 48, nil }); err != nil || v != i%48 {
+					t.Errorf("key %v holds %d, %v", k, v, err)
 				}
-				c.Put(k, i%48)
 			}
 		}(g)
 	}
 	wg.Wait()
 	s := c.Stats()
-	if s.Hits+s.Misses != 8*200 {
+	if s.Hits+s.Misses+s.Dedups != 8*200 {
 		t.Fatalf("counter drift: %+v", s)
 	}
 	if s.Entries > 32 {

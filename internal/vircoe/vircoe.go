@@ -107,7 +107,8 @@ func (s *Stats) Merge(o Stats) {
 type Sink func(bank, sub int, op *isa.Op) bool
 
 // collect returns a Sink that materializes the stream, presized to the
-// emitters' exact output length.
+// emitters' exact output length (Emit's, and the tests' for SerialTo and
+// LockstepTo).
 func collect(stream *[]dram.Placed, prog *isa.Program, placements []Placement) Sink {
 	*stream = make([]dram.Placed, 0, len(prog.Ops)*len(placements))
 	return func(bank, sub int, op *isa.Op) bool {
@@ -116,16 +117,9 @@ func collect(stream *[]dram.Placed, prog *isa.Program, placements []Placement) S
 	}
 }
 
-// Serial is the naive broadcast: the whole program for each subarray in
-// turn — the emission order of the baseline methodology and of CHOPPER
-// without VIRCOE.
-func Serial(prog *isa.Program, placements []Placement) []dram.Placed {
-	var stream []dram.Placed
-	SerialTo(prog, placements, collect(&stream, prog, placements))
-	return stream
-}
-
-// SerialTo streams the naive broadcast into sink.
+// SerialTo streams the naive broadcast into sink: the whole program for
+// each subarray in turn — the emission order of the baseline methodology
+// and of CHOPPER without VIRCOE.
 func SerialTo(prog *isa.Program, placements []Placement, sink Sink) {
 	for _, p := range placements {
 		for i := range prog.Ops {
@@ -136,18 +130,12 @@ func SerialTo(prog *isa.Program, placements []Placement, sink Sink) {
 	}
 }
 
-// Lockstep is the hands-tuned methodology's bank-parallel broadcast: each
-// micro-op is issued for every subarray before the next micro-op — how a
-// bbop macro over a multi-bank array executes. Computation overlaps across
-// banks (Table I: all architectures exploit BLP), but transfer phases and
-// compute phases still alternate in lockstep, with no cross-phase overlap.
-func Lockstep(prog *isa.Program, placements []Placement) []dram.Placed {
-	var stream []dram.Placed
-	LockstepTo(prog, placements, collect(&stream, prog, placements))
-	return stream
-}
-
-// LockstepTo streams the lockstep broadcast into sink.
+// LockstepTo streams the hands-tuned methodology's bank-parallel broadcast
+// into sink: each micro-op is issued for every subarray before the next
+// micro-op — how a bbop macro over a multi-bank array executes. Computation
+// overlaps across banks (Table I: all architectures exploit BLP), but
+// transfer phases and compute phases still alternate in lockstep, with no
+// cross-phase overlap.
 func LockstepTo(prog *isa.Program, placements []Placement, sink Sink) {
 	for i := range prog.Ops {
 		for _, p := range placements {

@@ -25,6 +25,13 @@ func testProgram(writes, computesPer int) *isa.Program {
 	return p
 }
 
+// serialStream materializes the naive broadcast.
+func serialStream(prog *isa.Program, ps []Placement) []dram.Placed {
+	var stream []dram.Placed
+	SerialTo(prog, ps, collect(&stream, prog, ps))
+	return stream
+}
+
 func makespan(t *testing.T, stream []dram.Placed, salp bool) float64 {
 	t.Helper()
 	g := dram.DefaultGeometry()
@@ -98,7 +105,7 @@ func TestVircoeBeatsSerialBroadcast(t *testing.T) {
 	ps := mustPlacements(t, g, 16)
 	tm := dram.TimingFor(isa.Ambit, g)
 
-	serial := makespan(t, Serial(prog, ps), false)
+	serial := makespan(t, serialStream(prog, ps), false)
 	inter, st := Emit(prog, ps, BankAware, tm)
 	vir := makespan(t, inter, false)
 	if vir >= serial {
@@ -201,7 +208,7 @@ func TestEmitFunctionallyCorrectPerSubarray(t *testing.T) {
 func TestSerialStreamShape(t *testing.T) {
 	prog := testProgram(2, 1)
 	ps := []Placement{{0, 0}, {1, 0}}
-	stream := Serial(prog, ps)
+	stream := serialStream(prog, ps)
 	if len(stream) != 2*len(prog.Ops) {
 		t.Fatalf("stream len %d", len(stream))
 	}
@@ -311,16 +318,18 @@ func TestEmitHeapMatchesReference(t *testing.T) {
 	}
 }
 
-// The materializing emitters allocate their stream once, at its exact
-// length, instead of growing it by append.
+// The materializing sink allocates a stream once, at its exact length,
+// instead of growing it by append, whichever emitter feeds it.
 func TestMaterializedStreamsArePresized(t *testing.T) {
 	prog := testProgram(5, 2)
 	g := dram.DefaultGeometry()
 	ps := mustPlacements(t, g, 20)
 	want := len(prog.Ops) * len(ps)
 	emitted, _ := Emit(prog, ps, BankAware, dram.TimingFor(isa.Ambit, g))
+	var lockstep []dram.Placed
+	LockstepTo(prog, ps, collect(&lockstep, prog, ps))
 	for name, stream := range map[string][]dram.Placed{
-		"Emit": emitted, "Serial": Serial(prog, ps), "Lockstep": Lockstep(prog, ps),
+		"Emit": emitted, "SerialTo": serialStream(prog, ps), "LockstepTo": lockstep,
 	} {
 		if len(stream) != want || cap(stream) != want {
 			t.Errorf("%s: len %d cap %d, want both %d", name, len(stream), cap(stream), want)

@@ -132,6 +132,84 @@ func TestPoolReuseInterleavedFaultyCleanRuns(t *testing.T) {
 	}
 }
 
+// TestPoolReuseResultsOwnTheirRows: a run copies its operands in and its
+// outputs out, so no pooled worker holds a caller's memory and no result is
+// a view of a worker. A RunRows result stays bit-identical while further
+// runs on the same goroutine — RunRows on other inputs, RunBatch, RunWide —
+// check out the pooled worker it ran on; the run leaves its caller's rows
+// as they were; and bit-rows longer than Words(lanes), with garbage above
+// the lane count in their tail word, give the outputs exact rows give.
+func TestPoolReuseResultsOwnTheirRows(t *testing.T) {
+	const lanes = 100 // a partial tail word
+	k, err := Compile(equivSrc, Options{Target: Ambit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := func(rows map[string][][]uint64) map[string][][]uint64 {
+		c := make(map[string][][]uint64, len(rows))
+		for name, op := range rows {
+			for _, row := range op {
+				c[name] = append(c[name], append([]uint64(nil), row...))
+			}
+		}
+		return c
+	}
+	rows := equivInputs(lanes, 1)
+	callers := clone(rows)
+	first, err := k.RunRows(rows, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := clone(first.Rows)
+
+	other, err := k.RunRows(equivInputs(lanes, 2), lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sameRows(other.Rows, want) {
+		t.Fatal("other inputs give the same outputs; the test is vacuous")
+	}
+	vals, wide := map[string][]uint64{}, map[string][][]uint64{}
+	for _, in := range k.Inputs {
+		for l := 0; l < lanes; l++ {
+			v := uint64(l*37+len(in.Name)*11) & 0xff
+			vals[in.Name] = append(vals[in.Name], v)
+			wide[in.Name] = append(wide[in.Name], []uint64{v})
+		}
+	}
+	if _, _, err := k.RunBatch([]BatchRun{{Inputs: vals, Lanes: lanes}, {Inputs: vals, Lanes: lanes}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.RunWide(wide, lanes); err != nil {
+		t.Fatal(err)
+	}
+	if !sameRows(first.Rows, want) {
+		t.Error("a RunRows result changed under later runs on the pooled worker: it is a view of the worker")
+	}
+	if !sameRows(rows, callers) {
+		t.Error("RunRows wrote into its caller's input rows")
+	}
+
+	long := clone(rows)
+	for _, op := range long {
+		for bit, row := range op {
+			row[len(row)-1] |= ^laneMaskFor(lanes)
+			op[bit] = append(row, ^uint64(0))
+		}
+	}
+	callers = clone(long)
+	got, err := k.RunRows(long, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameRows(got.Rows, want) {
+		t.Error("rows longer than Words(lanes), garbage above the lane count, give other outputs than exact rows")
+	}
+	if !sameRows(long, callers) {
+		t.Error("RunRows wrote into its caller's longer input rows")
+	}
+}
+
 // TestPoolReuseTiledAfterMidRunCancel cancels tiled runs from inside, at a
 // sweep of guard checkpoints — between tiles, inside a tile's execution
 // loop, inside a shard's emit+replay — so half-used subarrays, spill

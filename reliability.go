@@ -95,7 +95,7 @@ func (k *Kernel) ReliabilityCtx(ctx context.Context, trials int, seed int64, cfg
 	rep = &ReliabilityReport{Lanes: lanes}
 
 	// Fault-free timing reference.
-	res, err := k.runRows(ctx, k.newTrial(0, seed, lanes).rows(k), lanes, FaultConfig{}, 0)
+	res, err := k.trialPass(ctx, []trial{{lanes: lanes, seed: seed}}, FaultConfig{}, 0, func(int, trial, *simWorker, [][]uint64, laneSpan) {})
 	if err != nil {
 		return nil, err
 	}
@@ -109,19 +109,22 @@ func (k *Kernel) ReliabilityCtx(ctx context.Context, trials int, seed int64, cfg
 	cells := make([]relCell, len(cfgs)*trials)
 	err = pool.RunCtx(ctx, workers, len(cells), func(j int) error {
 		ci, n := j/trials, j%trials
-		t := k.newTrial(n, trialSeed(seed, j), lanes)
-		res, err := k.runRows(ctx, t.rows(k), lanes, cfgs[ci], seed+int64(ci)<<16+int64(n))
+		cell := relCell{laneErrors: make(map[string]int, len(k.Outputs))}
+		var diffErr error
+		res, err := k.trialPass(ctx, []trial{{n: n, lanes: lanes, seed: trialSeed(seed, j)}}, cfgs[ci], seed+int64(ci)<<16+int64(n), func(_ int, t trial, w *simWorker, out [][]uint64, sp laneSpan) {
+			diffErr = k.diffTrial(w, t, out, sp, func(_ int, out string, _, _ []uint64) bool {
+				cell.laneErrors[out]++
+				cell.corrupted = true
+				return true
+			})
+		})
 		if err != nil {
 			return err
 		}
-		cell := relCell{laneErrors: make(map[string]int, len(k.Outputs)), injected: res.Faults, recovery: res.RecoveryStats}
-		if err := k.diffTrial(t, res.Rows, func(_ int, out string, _, _ []uint64) bool {
-			cell.laneErrors[out]++
-			cell.corrupted = true
-			return true
-		}); err != nil {
-			return err
+		if diffErr != nil {
+			return diffErr
 		}
+		cell.injected, cell.recovery = res.Faults, res.RecoveryStats
 		cells[j] = cell
 		return nil
 	})

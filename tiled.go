@@ -15,16 +15,16 @@ import (
 )
 
 // hostRows is the one host binding under every run: it serves a program's
-// WRITE and READ transfers out of a row table laid out by the kernel's
-// tilePlan, so a tag resolves to its row through tables built once per
-// kernel. A single-subarray run points the table at the caller's rows
-// (bindRows), a tile lays every row out on the binding's own buffer
-// (bindTile). Bindings are pooled with the simWorker that owns them, so the
-// HostIO closures are built once per binding, not per run.
+// WRITE and READ transfers out of rows laid out by the kernel's tilePlan on
+// a backing array of its own, so a tag resolves to its row through tables
+// built once per kernel. Every pass and every tile binds through bind, and
+// a verb copies its operands in and its outputs out: no binding ever points
+// at a caller's memory. Bindings are pooled with the simWorker that owns
+// them, so the HostIO closures are built once per binding, not per run.
 type hostRows struct {
 	plan *tilePlan   // tag tables of the kernel whose run is in flight
-	rows [][]uint64  // row r of plan's layout
-	buf  []uint64    // backing array of a tile's rows (bindTile)
+	rows [][]uint64  // row r of plan's layout, carved from buf
+	buf  []uint64    // backing array of the rows, recycled across runs
 	io   *sim.HostIO // serves rows through plan; built on first use
 }
 
@@ -47,99 +47,72 @@ func (h *hostRows) hostIO() *sim.HostIO {
 	return h.io
 }
 
-// table binds h to plan p and returns its row table, sized for p's layout.
-func (h *hostRows) table(p *tilePlan) [][]uint64 {
-	total := p.inRows + p.outRows + len(p.consts)
-	if cap(h.rows) < total {
-		h.rows = make([][]uint64, total)
-	}
-	h.plan, h.rows = p, h.rows[:total]
-	return h.rows
-}
-
-// carve lays rows out on buf in order, `words` words each.
-func carve(rows [][]uint64, buf []uint64, words int) {
-	for r := range rows {
-		rows[r], buf = buf[:words:words], buf[words:]
-	}
-}
-
-// bindTile lays the plan's rows out at `words` words each on the recycled
-// backing array and returns them. Output rows start zeroed (a bit the
-// program never READs reads as zero); input and constant rows are left for
-// the caller to overwrite in full.
-func (h *hostRows) bindTile(p *tilePlan, words int) [][]uint64 {
-	rows := h.table(p)
-	if cap(h.buf) < len(rows)*words {
-		h.buf = make([]uint64, len(rows)*words)
-	}
+// bind lays plan p's rows out at transpose.Words(lanes) words each on the
+// recycled backing array and returns the input and output regions. Output
+// rows start zeroed (a bit the program never READs reads as zero) and each
+// constant row holds its pattern, masked to `lanes` lanes (the simulator
+// copies a WRITE payload, so one row per pattern serves every WRITE); input
+// rows are left for the caller to overwrite — every word of every row the
+// program WRITEs.
+func (h *hostRows) bind(p *tilePlan, lanes int) (in, out [][]uint64) {
+	words, total := transpose.Words(lanes), p.inRows+p.outRows+len(p.consts)
+	h.plan, h.rows, h.buf = p, sized(h.rows, total), sized(h.buf, total*words)
 	clear(h.buf[p.inRows*words : (p.inRows+p.outRows)*words])
-	carve(rows, h.buf, words)
-	return rows
+	buf := h.buf
+	for r := range h.rows {
+		h.rows[r], buf = buf[:words:words], buf[words:]
+	}
+	for i, pat := range p.consts {
+		row := h.rows[p.inRows+p.outRows+i]
+		for w := range row {
+			row[w] = pat
+		}
+		row[words-1] &= laneMaskFor(lanes)
+	}
+	return h.rows[:p.inRows], h.rows[p.inRows : p.inRows+p.outRows]
 }
 
-// checkRows is the shape check of one run's vertical operand rows
-// (rows[operand][bit][word]), RunRows's and RunRowsBatchCtx's alike. A bit
+// sized returns buf resized to n entries, reallocating only when its
+// capacity falls short; the contents are the caller's to overwrite.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// pasteRows is the scatter of operands the caller hands over as vertical
+// rows (rows[operand][bit][word]), RunRowsCtx's and RunRowsBatchCtx's
+// alike: each operand is shape-checked, then copied into span sp of the
+// input rows with each row's tail word masked to the member's lanes. A bit
 // the program WRITEs needs a bit-row of at least transpose.Words(lanes)
 // words, while an untagged bit (a narrowed kernel leaves high bits
-// untagged) may be absent; longer rows are fine. The first offender, in
-// k.Inputs order and lowest bit first, is the error.
-func (p *tilePlan) checkRows(inputs []IOSpec, rows map[string][][]uint64, lanes int) error {
-	words, r := transpose.Words(lanes), 0
-	for _, in := range inputs {
-		op, ok := rows[in.Name]
-		for bit := 0; bit < in.Width; bit, r = bit+1, r+1 {
+// untagged) may be absent, since the program never reads it; longer rows
+// are fine. The first offender, in k.Inputs order and lowest bit first, is
+// the error.
+func (p *tilePlan) pasteRows(inputs []IOSpec, in [][]uint64, rows map[string][][]uint64, sp laneSpan) error {
+	words, r := transpose.Words(sp.lanes), 0
+	for _, spec := range inputs {
+		op, ok := rows[spec.Name]
+		for bit := 0; bit < spec.Width; bit, r = bit+1, r+1 {
 			switch {
 			case !p.tagged[r]:
 			case !ok:
-				return fmt.Errorf("missing input operand %q", in.Name)
+				return fmt.Errorf("missing input operand %q", spec.Name)
 			case bit >= len(op):
-				return fmt.Errorf("input %q has %d bit-rows, kernel needs bit %d", in.Name, len(op), bit)
+				return fmt.Errorf("input %q has %d bit-rows, kernel needs bit %d", spec.Name, len(op), bit)
 			case len(op[bit]) < words:
-				return fmt.Errorf("input %q bit %d has %d words, %d lanes need %d", in.Name, bit, len(op[bit]), lanes, words)
+				return fmt.Errorf("input %q bit %d has %d words, %d lanes need %d", spec.Name, bit, len(op[bit]), sp.lanes, words)
 			}
 		}
+		transpose.PasteRows(in, sp.off, op[:min(len(op), spec.Width)], sp.lanes)
+		in = in[spec.Width:]
 	}
 	return nil
 }
 
-// bindRows points the table at one run's vertical operand rows, checked
-// by checkRows: the caller's input bit-rows, then the rows the run
-// allocates — zeroed output rows, returned per operand for the result, and
-// the filled constant rows.
-func (h *hostRows) bindRows(k *Kernel, rows map[string][][]uint64, lanes int) (map[string][][]uint64, error) {
-	p, err := k.tilePlan()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.checkRows(k.Inputs, rows, lanes); err != nil {
-		return nil, optionsErrf("%v", err)
-	}
-	tab := h.table(p)
-	r := 0
-	for _, in := range k.Inputs {
-		op := rows[in.Name]
-		for bit := 0; bit < in.Width; bit, r = bit+1, r+1 {
-			tab[r] = nil
-			if p.tagged[r] {
-				tab[r] = op[bit]
-			}
-		}
-	}
-	words := transpose.Words(lanes)
-	own := make([][]uint64, len(tab)-p.inRows)
-	carve(own, make([]uint64, len(own)*words), words)
-	copy(tab[p.inRows:], own)
-	p.fillConsts(own[p.outRows:], lanes)
-	outRows := make(map[string][][]uint64, len(k.Outputs))
-	for _, o := range k.Outputs {
-		outRows[o.Name], own = own[:o.Width:o.Width], own[o.Width:]
-	}
-	return outRows, nil
-}
-
-// tilePlan is the run-independent half of a kernel's host I/O: every run
-// keeps its vertical rows in one layout (the bit-rows of each input in
+// tilePlan is the run-independent half of a kernel's host I/O: every pass
+// and every tile keeps its vertical rows in one layout (the bit-rows of each input in
 // k.Inputs order, then of each output in k.Outputs order, then one row per
 // constant pattern), so WRITE/READ tags resolve to a row index once per
 // kernel instead of through a map lookup per transfer.
@@ -149,20 +122,6 @@ type tilePlan struct {
 	consts          []uint64 // fill pattern of constant row i
 	writeRow        []int32  // WRITE tag -> row (input bit or constant), -1 if none
 	readRow         []int32  // READ tag -> row (output bit), -1 if none
-}
-
-// fillConsts fills rows, the plan's constant rows, with their patterns,
-// masked to `lanes` lanes. The simulator copies a WRITE payload into the
-// subarray, so one row per pattern serves every WRITE of a run.
-func (p *tilePlan) fillConsts(rows [][]uint64, lanes int) {
-	mask := laneMaskFor(lanes)
-	for i, pat := range p.consts {
-		row := rows[i]
-		for w := range row {
-			row[w] = pat
-		}
-		row[len(row)-1] &= mask
-	}
 }
 
 func rowOf(table []int32, tag int) int32 {
@@ -388,13 +347,8 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 		w := getWorker()
 		defer putWorker(w)
 		w.m.Reconfigure(sim.MachineConfig{Geom: geom, Arch: k.Opts.Target})
-		rows := w.host.bindTile(plan, transpose.Words(n))
-		for _, in := range k.Inputs {
-			transpose.ToVerticalWideInto(rows, 0, inputs[in.Name][lo:lo+n], in.Width, n)
-			rows = rows[in.Width:]
-		}
-		outRows := rows[:plan.outRows]
-		plan.fillConsts(rows[plan.outRows:], n)
+		in, outRows := w.host.bind(plan, n)
+		k.scatterWide(in, 0, inputs, lo, n)
 		if err := w.m.RunFunctionalCtx(ctx, d, w.host.hostIO(), guard.Budget{}); err != nil {
 			if guard.IsGuard(err) {
 				return err

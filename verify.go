@@ -83,9 +83,10 @@ func (k *Kernel) VerifyCtx(ctx context.Context, trials int, seed int64, workers 
 		return optionsErrf("trials must be positive, have %d", trials)
 	}
 	return pool.RunCtx(ctx, workers, trials, func(n int) error {
-		t := k.newVerifyTrial(seed, n)
-		res, err := k.runRows(ctx, t.rows(k), t.lanes, fault, seed+int64(n))
-		if err != nil {
+		var mismatch error
+		if _, err := k.trialPass(ctx, []trial{newVerifyTrial(seed, n)}, fault, seed+int64(n), func(_ int, t trial, w *simWorker, out [][]uint64, sp laneSpan) {
+			mismatch = k.compareTrial(w, t, out, sp)
+		}); err != nil {
 			if guard.IsGuard(err) {
 				// Budget/cancellation stops keep their sentinel identity
 				// instead of being re-classed as verification failures.
@@ -93,52 +94,35 @@ func (k *Kernel) VerifyCtx(ctx context.Context, trials int, seed int64, workers 
 			}
 			return stagef(ErrVerify, "chopper: verify", "trial %d: %v", n, err)
 		}
-		return k.compareTrial(t, res.Rows)
+		return mismatch
 	})
 }
 
-// trial is one random-input run of a verification or reliability sweep: its
-// number (for messages), its SIMD width, and the operands drawn for it in
-// wide (limbs-per-lane) layout.
+// trial is one random-input run of a verification or reliability sweep:
+// its number (for messages), its SIMD width, the seed its operands are
+// drawn from, and — while the pass that runs it holds its worker — the
+// operands themselves in wide (limbs-per-lane) layout, on that worker.
 type trial struct {
 	n      int
 	lanes  int
+	seed   int64
 	inWide map[string][][]uint64
-}
-
-// newTrial draws trial n's operands from seed alone: random values at the
-// operands' widths, folded into the ranges the kernel was compiled under.
-// Every sweep builds its trials here, so none of them can draw differently.
-func (k *Kernel) newTrial(n int, seed int64, lanes int) trial {
-	inWide := randWideInputs(rand.New(rand.NewSource(seed)), k.Inputs, lanes)
-	k.clampAnnotated(inWide)
-	return trial{n: n, lanes: lanes, inWide: inWide}
 }
 
 // newVerifyTrial is trial n of a Verify sweep: the width comes from
 // verifyLaneSchedule, the operands from (seed, n).
-func (k *Kernel) newVerifyTrial(seed int64, n int) trial {
-	return k.newTrial(n, trialSeed(seed, n), verifyLaneSchedule[n%len(verifyLaneSchedule)])
+func newVerifyTrial(seed int64, n int) trial {
+	return trial{n: n, lanes: verifyLaneSchedule[n%len(verifyLaneSchedule)], seed: trialSeed(seed, n)}
 }
 
-// rows transposes the trial's operands into vertical layout for a pass of
-// its own.
-func (t trial) rows(k *Kernel) map[string][][]uint64 {
-	rows := make(map[string][][]uint64, len(t.inWide))
-	for _, in := range k.Inputs {
-		rows[in.Name] = transpose.ToVerticalWide(t.inWide[in.Name], in.Width, t.lanes)
-	}
-	return rows
-}
-
-// compareTrial checks one trial's output rows against the reference
-// dataflow evaluation and returns the first discrepancy — lowest lane, then
-// k.Outputs order. It is shared between the solo sweep (VerifyCtx) and
-// the batched sweep (VerifyBatchCtx) so the two paths report byte-identical
-// discrepancies.
-func (k *Kernel) compareTrial(t trial, rows map[string][][]uint64) error {
+// compareTrial checks one trial's span of a pass's output rows against the
+// reference dataflow evaluation and returns the first discrepancy — lowest
+// lane, then k.Outputs order. It is shared between the solo sweep
+// (VerifyCtx) and the batched sweep (VerifyBatchCtx) so the two paths
+// report byte-identical discrepancies.
+func (k *Kernel) compareTrial(w *simWorker, t trial, out [][]uint64, sp laneSpan) error {
 	var mismatch error
-	err := k.diffTrial(t, rows, func(lane int, out string, got, want []uint64) bool {
+	err := k.diffTrial(w, t, out, sp, func(lane int, out string, got, want []uint64) bool {
 		mismatch = stagef(ErrVerify, "chopper: verify", "trial %d lane %d: output %q = %v, reference says %v",
 			t.n, lane, out, dfg.LimbsBig(got), dfg.LimbsBig(want))
 		return false
@@ -149,41 +133,36 @@ func (k *Kernel) compareTrial(t trial, rows map[string][][]uint64) error {
 	return mismatch
 }
 
-// diffTrial is the one checker of a trial: it gathers the run's vertical
-// output rows, evaluates the reference dataflow semantics on the trial's
-// operands — every lane at once, on the lane-batched evaluator, in the
-// worker's retained arena — and calls report for each (lane, output) whose
-// simulated value differs from it: lanes ascending, k.Outputs order within
-// a lane, until report returns false. got and want are little-endian limbs
-// (want may carry more limbs than the output's width needs; the values are
-// compared, not the slices) and are only valid during the call. VerifyCtx and
-// ReliabilityCtx both compare through here, so a reference-evaluation failure
-// is the same ErrVerify-classed error from either.
-func (k *Kernel) diffTrial(t trial, rows map[string][][]uint64, report func(lane int, out string, got, want []uint64) bool) error {
-	got := k.gatherWide(rows, t.lanes)
+// diffTrial is the one checker of a trial, run on the worker of the pass
+// that executed it: it evaluates the reference dataflow semantics on the
+// trial's operands — every lane at once, on the lane-batched evaluator, in
+// the worker's reference arena — gathers the trial's span sp of the output
+// rows into the worker's scratch, and calls report for each (lane, output)
+// whose simulated value differs from the reference: lanes ascending,
+// k.Outputs order within a lane, until report returns false. got and want
+// are little-endian limbs (want may carry more limbs than the output's
+// width needs; the values are compared, not the slices) and are only valid
+// during the call. VerifyCtx and ReliabilityCtx both compare through here,
+// so a reference-evaluation failure is the same ErrVerify-classed error
+// from either.
+func (k *Kernel) diffTrial(w *simWorker, t trial, out [][]uint64, sp laneSpan, report func(lane int, out string, got, want []uint64) bool) error {
 	plan := k.refPlan()
-	w := getWorker()
-	defer putWorker(w)
 	if err := plan.EvalLanes(&w.ref, t.inWide, t.lanes); err != nil {
 		return stagef(ErrVerify, "chopper: verify", "trial %d: reference eval: %v", t.n, err)
 	}
-	type column struct {
-		name string
-		got  [][]uint64
-		want dfg.LaneVals
-	}
-	cols := make([]column, len(k.Outputs))
-	for i, o := range k.Outputs {
+	s := &w.trial
+	s.wants = s.wants[:0]
+	for _, o := range k.Outputs {
 		want, ok := plan.Output(&w.ref, o.Name)
 		if !ok {
 			return stagef(ErrVerify, "chopper: verify", "trial %d: reference eval: graph has no output %q", t.n, o.Name)
 		}
-		cols[i] = column{name: o.Name, got: got[o.Name], want: want}
+		s.wants = append(s.wants, want)
 	}
+	got := s.gather(k.Outputs, out, sp)
 	for l := 0; l < t.lanes; l++ {
-		for i := range cols {
-			c := &cols[i]
-			if g, want := c.got[l], c.want.Lane(l); !sameValue(g, want) && !report(l, c.name, g, want) {
+		for i, o := range k.Outputs {
+			if g, want := got[i*t.lanes+l], s.wants[i].Lane(l); !sameValue(g, want) && !report(l, o.Name, g, want) {
 				return nil
 			}
 		}
@@ -210,63 +189,126 @@ func sameValue(a, b []uint64) bool {
 	return true
 }
 
-// randWideInputs draws one batch of random operand values in wide
-// (limbs-per-lane) layout. An input's lanes are carved out of one backing
-// array, each clipped to its own limbs.
-func randWideInputs(rng *rand.Rand, inputs []IOSpec, lanes int) map[string][][]uint64 {
-	inWide := make(map[string][][]uint64, len(inputs))
-	for _, in := range inputs {
-		limbs := (in.Width + 63) / 64
-		vals := make([][]uint64, lanes)
-		backing := make([]uint64, lanes*limbs)
+// trialScratch is a worker's storage for the trials of one pass, in wide
+// (limbs-per-lane) layout: every trial's operands, each trial's block of
+// lanes at its base lane (trialPass lays the trials out in a row), and one
+// trial's simulated outputs with their reference values for the comparison.
+// It grows to the largest pass it has served, and a pass overwrites what it
+// uses.
+type trialScratch struct {
+	rng   *rand.Rand
+	in    map[string][][]uint64 // one trial's operands: views of lanes
+	lanes [][]uint64            // operand lanes, views of limbs
+	limbs []uint64
+
+	rows     [][]uint64 // one output's bit-rows, cut to a trial's span
+	got      [][]uint64 // output i's lane l is got[i*lanes+l], a view of gotLimbs
+	gotLimbs []uint64
+	wants    []dfg.LaneVals
+}
+
+// draw fills in trial t's operands, whose lanes start at lane base of a
+// pass of total trial lanes, and returns them (see operands): random values
+// at the operands' widths drawn from t.seed alone — input by input, lane by
+// lane, limb by limb — and folded into the ranges the kernel was compiled
+// under. Every sweep draws its trials here, so none of them can draw
+// differently.
+func (s *trialScratch) draw(k *Kernel, t trial, base, total int) map[string][][]uint64 {
+	limbs := 0
+	for _, in := range k.Inputs {
+		limbs += (in.Width + 63) / 64
+	}
+	// Sized for the whole pass, so no later trial of it moves an earlier one.
+	s.lanes, s.limbs = sized(s.lanes, len(k.Inputs)*total), sized(s.limbs, limbs*total)
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(0))
+	}
+	s.rng.Seed(t.seed)
+	lanes, backing := s.lanes[base*len(k.Inputs):], s.limbs[base*limbs:]
+	for _, in := range k.Inputs {
+		n := (in.Width + 63) / 64
+		vals := lanes[:t.lanes]
 		for l := range vals {
-			v := backing[l*limbs : (l+1)*limbs : (l+1)*limbs]
+			v := backing[l*n : (l+1)*n : (l+1)*n]
 			for i := range v {
-				v[i] = rng.Uint64()
+				v[i] = s.rng.Uint64()
 			}
 			if r := in.Width % 64; r != 0 {
-				v[limbs-1] &= (uint64(1) << uint(r)) - 1
+				v[n-1] &= (uint64(1) << uint(r)) - 1
 			}
 			vals[l] = v
 		}
-		inWide[in.Name] = vals
+		k.clampAnnotated(in, vals)
+		lanes, backing = lanes[t.lanes:], backing[t.lanes*n:]
 	}
-	return inWide
+	return s.operands(k.Inputs, base, t.lanes)
 }
 
-// clampAnnotated folds randomly drawn inputs into their @range bounds. A
-// kernel compiled with annotated narrowing is only contractually correct
-// for inputs the annotations admit, so its verification sweeps must draw
-// from that set: each raw draw x becomes lo + (x mod (hi-lo+1)), keeping
-// trials deterministic in the seed. Kernels without annotations (and every
-// safe-mode kernel) pass through untouched.
-func (k *Kernel) clampAnnotated(inWide map[string][][]uint64) {
-	if len(k.inputRanges) == 0 {
+// operands returns the operands of the trial of `lanes` lanes drawn at lane
+// base, keyed by input name; the map is the scratch's, valid until the next
+// call.
+func (s *trialScratch) operands(inputs []IOSpec, base, lanes int) map[string][][]uint64 {
+	if s.in == nil {
+		s.in = make(map[string][][]uint64, len(inputs))
+	}
+	vals := s.lanes[base*len(inputs):]
+	for _, in := range inputs {
+		s.in[in.Name], vals = vals[:lanes:lanes], vals[lanes:]
+	}
+	return s.in
+}
+
+// gather transposes every output's bit-rows, cut to span sp, back into wide
+// values: output i's lane l is the returned slice's entry i*sp.lanes+l,
+// valid until the next gather.
+func (s *trialScratch) gather(outputs []IOSpec, out [][]uint64, sp laneSpan) [][]uint64 {
+	limbs := 0
+	for _, o := range outputs {
+		limbs += (o.Width + 63) / 64
+	}
+	s.got, s.gotLimbs = sized(s.got, len(outputs)*sp.lanes), sized(s.gotLimbs, limbs*sp.lanes)
+	got, backing := s.got, s.gotLimbs
+	for i, o := range outputs {
+		s.rows = s.rows[:0]
+		for _, row := range out[:o.Width] {
+			s.rows = append(s.rows, row[sp.off:sp.off+sp.words])
+		}
+		out = out[o.Width:]
+		n := sp.lanes * ((o.Width + 63) / 64)
+		transpose.FromVerticalWideInto(got[i*sp.lanes:(i+1)*sp.lanes], backing[:n], s.rows, o.Width, sp.lanes)
+		backing = backing[n:]
+	}
+	return got
+}
+
+// clampAnnotated folds randomly drawn lanes of input `in` into its @range
+// bounds. A kernel compiled with annotated narrowing is only contractually
+// correct for inputs the annotations admit, so its verification sweeps must
+// draw from that set: each raw draw x becomes lo + (x mod (hi-lo+1)),
+// keeping trials deterministic in the seed. Inputs without annotations (and
+// every safe-mode kernel's) pass through untouched.
+func (k *Kernel) clampAnnotated(in IOSpec, vals [][]uint64) {
+	r, ok := k.inputRanges[in.Name]
+	if !ok || r.Lo == nil || r.Hi == nil || r.Lo.Sign() < 0 ||
+		r.Lo.Cmp(r.Hi) > 0 || r.Hi.BitLen() > in.Width {
 		return
 	}
-	for _, in := range k.Inputs {
-		r, ok := k.inputRanges[in.Name]
-		if !ok || r.Lo == nil || r.Hi == nil || r.Lo.Sign() < 0 ||
-			r.Lo.Cmp(r.Hi) > 0 || r.Hi.BitLen() > in.Width {
-			continue
-		}
-		if in.Width <= 64 {
-			// hi fits the width, so the bounds fit a word. A span of 2^64
-			// wraps to zero: the full range, nothing to fold.
-			lo := r.Lo.Uint64()
-			if span := r.Hi.Uint64() - lo + 1; span != 0 {
-				for _, limbs := range inWide[in.Name] {
-					limbs[0] = lo + limbs[0]%span
-				}
+	if in.Width <= 64 {
+		// hi fits the width, so the bounds fit a word. A span of 2^64
+		// wraps to zero: the full range, nothing to fold.
+		lo := r.Lo.Uint64()
+		if span := r.Hi.Uint64() - lo + 1; span != 0 {
+			for _, limbs := range vals {
+				limbs[0] = lo + limbs[0]%span
 			}
-			continue
 		}
-		span := new(big.Int).Sub(r.Hi, r.Lo)
-		span.Add(span, big.NewInt(1))
-		for _, limbs := range inWide[in.Name] {
-			v := dfg.LimbsBig(limbs)
-			v.Mod(v, span).Add(v, r.Lo)
-			copy(limbs, dfg.BigLimbs(v, len(limbs)))
-		}
+		return
+	}
+	span := new(big.Int).Sub(r.Hi, r.Lo)
+	span.Add(span, big.NewInt(1))
+	for _, limbs := range vals {
+		v := dfg.LimbsBig(limbs)
+		v.Mod(v, span).Add(v, r.Lo)
+		copy(limbs, dfg.BigLimbs(v, len(limbs)))
 	}
 }

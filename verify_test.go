@@ -5,12 +5,37 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"chopper/internal/isa"
 	"chopper/internal/workloads"
 )
+
+// randWideInputs draws one batch of random operand values in wide
+// (limbs-per-lane) layout, in the order a trial draws its operands (input by
+// input, lane by lane, limb by limb), unclamped.
+func randWideInputs(rng *rand.Rand, inputs []IOSpec, lanes int) map[string][][]uint64 {
+	inWide := make(map[string][][]uint64, len(inputs))
+	for _, in := range inputs {
+		limbs := (in.Width + 63) / 64
+		vals := make([][]uint64, lanes)
+		backing := make([]uint64, lanes*limbs)
+		for l := range vals {
+			v := backing[l*limbs : (l+1)*limbs : (l+1)*limbs]
+			for i := range v {
+				v[i] = rng.Uint64()
+			}
+			if r := in.Width % 64; r != 0 {
+				v[limbs-1] &= (uint64(1) << uint(r)) - 1
+			}
+			vals[l] = v
+		}
+		inWide[in.Name] = vals
+	}
+	return inWide
+}
 
 func TestVerifyAcceptsCorrectKernels(t *testing.T) {
 	for _, src := range []string{
@@ -215,9 +240,8 @@ func TestClampAnnotatedOperands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(trialSeed(9, 2)))
-	in := randWideInputs(rng, k.Inputs, 65)
-	k.clampAnnotated(in)
+	var s trialScratch
+	in := s.draw(k, trial{lanes: 65, seed: trialSeed(9, 2)}, 0, 65)
 	h := sha256.New()
 	for _, spec := range k.Inputs {
 		for _, v := range in[spec.Name] {
@@ -239,7 +263,11 @@ func TestClampAnnotatedOperands(t *testing.T) {
 // TestVerifyAllocGate holds the verification glue to a few allocations per
 // trial: the reference runs lane-batched in a retained arena, so nothing
 // about a trial allocates per lane or per graph value (248,871 allocations
-// when every lane built a map of big.Ints).
+// when every lane built a map of big.Ints). In bytes, a warm 64-lane trial
+// on WTC-64 (32 inputs, 192 outputs) draws its operands, compares its
+// outputs and binds its rows in its worker's memory, and allocates no more
+// than 64 KiB (605,903 B when a trial allocated its operands, transposed
+// them into rows of its own and gathered its outputs into a slice per lane).
 func TestVerifyAllocGate(t *testing.T) {
 	spec, _ := workloads.Get("DenseNet-16")
 	k, err := Compile(spec.Src, Options{Target: Ambit})
@@ -254,5 +282,28 @@ func TestVerifyAllocGate(t *testing.T) {
 	verify() // build the plan, grow the arena
 	if allocs := testing.AllocsPerRun(5, verify); allocs > 5000 {
 		t.Errorf("Verify(4) on DenseNet-16 allocates %.0f times, want <= 5000", allocs)
+	}
+
+	spec, _ = workloads.Get("WTC-64")
+	if k, err = Compile(spec.Src, Options{Target: Ambit}); err != nil {
+		t.Fatal(err)
+	}
+	trial := func() {
+		if err := k.VerifyCtx(nil, 1, 1, 1, FaultConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trial()
+	runtime.GC() // the pooled worker survives one collection; warm it again
+	trial()
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		trial()
+	}
+	runtime.ReadMemStats(&after)
+	if perTrial := (after.TotalAlloc - before.TotalAlloc) / runs; perTrial > 64<<10 {
+		t.Errorf("a warm 64-lane WTC-64 trial allocates %d B, want <= %d", perTrial, 64<<10)
 	}
 }
