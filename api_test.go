@@ -23,7 +23,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/api.golden and testdata/golden_programs.sha256 from the source")
+var update = flag.Bool("update", false, "rewrite testdata/api.golden and the golden digest files from the source")
 
 // parseDir parses the non-test Go files of one package directory.
 func parseDir(t *testing.T, fset *token.FileSet, dir string) []*ast.File {

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 
@@ -30,19 +29,27 @@ import (
 
 const goldenPrograms = "testdata/golden_programs.sha256"
 
+const goldenProgramsHeader = `# Golden program digests (golden_seed_test.go): SHA-256 of each case's program
+# text, row/slot accounting, host tags and legalized net; budget cases are
+# dimension, limit and count. Regenerate: go test -run TestGoldenSeed -update .
+`
+
 // goldenWorkloads is the compared set: a Table II subset, one workload per
 // paper domain.
 var goldenWorkloads = []string{"DenseNet-16", "WTC-64", "DiffGen-64", "SW-64"}
 
 var goldenTargets = []Target{Ambit, ELP2IM, SIMDRAM}
 
-// goldenFile is the digest file: case name -> recorded value.
-type goldenFile map[string]string
+// goldenFile is one digest file: case name -> recorded value.
+type goldenFile struct {
+	path string
+	vals map[string]string
+}
 
-func loadGolden(t *testing.T) goldenFile {
+func loadGolden(t *testing.T, path string) goldenFile {
 	t.Helper()
-	g := goldenFile{}
-	f, err := os.Open(goldenPrograms)
+	g := goldenFile{path: path, vals: map[string]string{}}
+	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) && *update {
 		return g
 	}
@@ -58,9 +65,9 @@ func loadGolden(t *testing.T) goldenFile {
 		}
 		name, val, ok := strings.Cut(line, " ")
 		if !ok {
-			t.Fatalf("%s: malformed line %q", goldenPrograms, line)
+			t.Fatalf("%s: malformed line %q", path, line)
 		}
-		g[name] = val
+		g.vals[name] = val
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -68,21 +75,16 @@ func loadGolden(t *testing.T) goldenFile {
 	return g
 }
 
-func (g goldenFile) write(t *testing.T) {
+// write rewrites the file: the header's comment lines, then every case in
+// name order.
+func (g goldenFile) write(t *testing.T, header string) {
 	t.Helper()
-	names := make([]string, 0, len(g))
-	for name := range g {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var sb strings.Builder
-	sb.WriteString("# Golden program digests (golden_seed_test.go): SHA-256 of each case's program\n")
-	sb.WriteString("# text, row/slot accounting, host tags and legalized net; budget cases are\n")
-	sb.WriteString("# dimension, limit and count. Regenerate: go test -run TestGoldenSeed -update .\n")
-	for _, name := range names {
-		fmt.Fprintf(&sb, "%s %s\n", name, g[name])
+	sb.WriteString(header)
+	for _, name := range sortedKeys(g.vals) {
+		fmt.Fprintf(&sb, "%s %s\n", name, g.vals[name])
 	}
-	if err := os.WriteFile(goldenPrograms, []byte(sb.String()), 0o644); err != nil {
+	if err := os.WriteFile(g.path, []byte(sb.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -91,15 +93,15 @@ func (g goldenFile) write(t *testing.T) {
 func (g goldenFile) check(t *testing.T, name, got string) {
 	t.Helper()
 	if *update {
-		g[name] = got
+		g.vals[name] = got
 		return
 	}
-	want, ok := g[name]
+	want, ok := g.vals[name]
 	if !ok {
-		t.Fatalf("%s has no entry %q; regenerate with -update", goldenPrograms, name)
+		t.Fatalf("%s has no entry %q; regenerate with -update", g.path, name)
 	}
 	if got != want {
-		t.Fatalf("%s: got %s, %s records %s", name, got, goldenPrograms, want)
+		t.Fatalf("%s: got %s, %s records %s", name, got, g.path, want)
 	}
 }
 
@@ -110,25 +112,7 @@ func goldenDigest(k *Kernel) string {
 	h := sha256.New()
 	prog, n := k.Prog(), k.Net
 	fmt.Fprintf(h, "%s\nrows %d slots %d\n", prog.Format(), prog.DRowsUsed, prog.SpillSlots)
-	for _, tags := range []map[string]int{k.Code.InputTag, k.Code.OutputTag} {
-		names := make([]string, 0, len(tags))
-		for name := range tags {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(h, "%s=%d\n", name, tags[name])
-		}
-	}
-	consts := k.Code.ConstPattern
-	ct := make([]int, 0, len(consts))
-	for tag := range consts {
-		ct = append(ct, tag)
-	}
-	sort.Ints(ct)
-	for _, tag := range ct {
-		fmt.Fprintf(h, "const %d=%#x\n", tag, consts[tag])
-	}
+	hashHostABI(h, k.Code.InputTag, k.Code.OutputTag, k.Code.ConstPattern)
 	fmt.Fprintf(h, "%s\n%s\n", fmt.Sprint(n.Gates), fmt.Sprint(n.Inputs, n.InputNames, n.Outputs, n.OutputNames))
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -136,7 +120,7 @@ func goldenDigest(k *Kernel) string {
 // TestGoldenSeedEquivalence pins the emitted program on every workload ×
 // target × optimization level of the paper's breakdown ladder.
 func TestGoldenSeedEquivalence(t *testing.T) {
-	g := loadGolden(t)
+	g := loadGolden(t, goldenPrograms)
 	for _, wl := range goldenWorkloads {
 		spec, ok := workloads.Get(wl)
 		if !ok {
@@ -156,14 +140,14 @@ func TestGoldenSeedEquivalence(t *testing.T) {
 		}
 	}
 	if *update {
-		g.write(t)
+		g.write(t, goldenProgramsHeader)
 	}
 }
 
 // TestGoldenSeedEquivalenceHarden repeats it with TMR hardening on, at both
 // ends of the opt ladder.
 func TestGoldenSeedEquivalenceHarden(t *testing.T) {
-	g := loadGolden(t)
+	g := loadGolden(t, goldenPrograms)
 	for _, wl := range []string{"DiffGen-64", "SW-64"} {
 		spec, _ := workloads.Get(wl)
 		for _, arch := range goldenTargets {
@@ -180,14 +164,14 @@ func TestGoldenSeedEquivalenceHarden(t *testing.T) {
 		}
 	}
 	if *update {
-		g.write(t)
+		g.write(t, goldenProgramsHeader)
 	}
 }
 
 // TestGoldenSeedBudgets pins budget-truncated compiles: each must trip the
 // recorded guard dimension at the recorded count.
 func TestGoldenSeedBudgets(t *testing.T) {
-	g := loadGolden(t)
+	g := loadGolden(t, goldenPrograms)
 	spec, _ := workloads.Get("SW-64")
 	cases := []struct {
 		name   string
@@ -207,7 +191,7 @@ func TestGoldenSeedBudgets(t *testing.T) {
 		})
 	}
 	if *update {
-		g.write(t)
+		g.write(t, goldenProgramsHeader)
 	}
 }
 
@@ -222,7 +206,7 @@ func TestGoldenSeedDegradation(t *testing.T) {
 	}
 	defer func() { obs.TestPanicHook = nil }()
 
-	g := loadGolden(t)
+	g := loadGolden(t, goldenPrograms)
 	spec, _ := workloads.Get("DiffGen-64")
 	for _, arch := range goldenTargets {
 		t.Run(arch.String(), func(t *testing.T) {
@@ -237,6 +221,6 @@ func TestGoldenSeedDegradation(t *testing.T) {
 		})
 	}
 	if *update {
-		g.write(t)
+		g.write(t, goldenProgramsHeader)
 	}
 }
