@@ -219,6 +219,27 @@ func BenchmarkCompileCold48(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileBaseline4 is the hands-tuned compile of the four paper
+// kernels on Ambit per iteration, one CompileBaseline each: the baseline
+// item of the repo benchmark's compile_variants cycle. Profile it with
+// -cpuprofile to see where a baseline compile's host time goes.
+func BenchmarkCompileBaseline4(b *testing.B) {
+	var srcs []string
+	for _, name := range []string{"DenseNet-16", "WTC-64", "DiffGen-64", "SW-64"} {
+		spec, _ := workloads.Get(name)
+		srcs = append(srcs, spec.Src)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, src := range srcs {
+			if _, err := chopper.CompileBaseline(src, chopper.Options{Target: chopper.Ambit}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkVerify4 is one verify cycle of the repo benchmark's run_paths
 // workload per iteration: its four kernels, Verify(4, seed) each. Profile it
 // with -cpuprofile to see how a verification's host time splits between the

@@ -112,7 +112,8 @@ func (p *RowPool) Size() int { return p.n }
 
 // Interval is a live range over instruction positions [Start, End]
 // (inclusive), Rows wide (a full-size operand occupies Width rows; CHOPPER
-// intervals are 1 row).
+// intervals are 1 row). ID indexes LinearScanResult.Assignments, so it is
+// non-negative.
 type Interval struct {
 	ID    int
 	Start int
@@ -129,7 +130,9 @@ type Assignment struct {
 
 // LinearScanResult summarizes an allocation.
 type LinearScanResult struct {
-	Assignments map[int]Assignment
+	// Assignments is indexed by interval ID; the zero Assignment (no rows,
+	// not spilled) marks an ID no interval carries.
+	Assignments []Assignment
 	MaxRows     int // high-water mark of rows in use
 	Spilled     int // number of spilled intervals
 	SpillRows   int // total rows' worth of spilled data
@@ -143,7 +146,14 @@ type LinearScanResult struct {
 // is exhausted the interval with the furthest end point among the active
 // set (or the new one) is spilled.
 func LinearScan(intervals []Interval, rows int) LinearScanResult {
-	res := LinearScanResult{Assignments: make(map[int]Assignment, len(intervals))}
+	maxID, total := -1, 0
+	for _, iv := range intervals {
+		maxID = max(maxID, iv.ID)
+		total += max(iv.Rows, 1)
+	}
+	res := LinearScanResult{Assignments: make([]Assignment, maxID+1)}
+	// Every interval's rows are carved from one array.
+	backing := make([]isa.Row, total)
 	ivs := append([]Interval(nil), intervals...)
 	sort.SliceStable(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
 
@@ -204,7 +214,8 @@ func LinearScan(intervals []Interval, rows int) LinearScanResult {
 		if iv.Rows == 0 {
 			continue
 		}
-		got := make([]isa.Row, iv.Rows)
+		got := backing[:iv.Rows:iv.Rows]
+		backing = backing[iv.Rows:]
 		for i := range got {
 			r, ok := pool.Alloc()
 			if !ok {

@@ -159,3 +159,36 @@ func TestLinearScanDefaultRows(t *testing.T) {
 		t.Errorf("max rows = %d", res.MaxRows)
 	}
 }
+
+// TestLinearScanDenseAssignments: Assignments is indexed by interval ID,
+// an ID no interval carries reads as the zero Assignment, and each
+// interval's rows are its own slice of the one backing array.
+func TestLinearScanDenseAssignments(t *testing.T) {
+	ivs := []Interval{
+		{ID: 5, Start: 0, End: 4, Rows: 2},
+		{ID: 2, Start: 1, End: 3, Rows: 3},
+		{ID: 0, Start: 2, End: 6, Rows: 1},
+	}
+	res := LinearScan(ivs, 8)
+	if len(res.Assignments) != 6 {
+		t.Fatalf("%d assignments for a highest ID of 5", len(res.Assignments))
+	}
+	for _, id := range []int{1, 3, 4} {
+		if as := res.Assignments[id]; as.Rows != nil || as.Spilled {
+			t.Errorf("ID %d has no interval but reads %+v", id, as)
+		}
+	}
+	seen := map[isa.Row]bool{}
+	for _, iv := range ivs {
+		as := res.Assignments[iv.ID]
+		if as.ID != iv.ID || as.Spilled || len(as.Rows) != iv.Rows || cap(as.Rows) != iv.Rows {
+			t.Fatalf("interval %d: %+v (cap %d)", iv.ID, as, cap(as.Rows))
+		}
+		for _, r := range as.Rows {
+			if seen[r] {
+				t.Fatalf("row %v handed to two intervals live at position 2", r)
+			}
+			seen[r] = true
+		}
+	}
+}

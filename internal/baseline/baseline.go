@@ -16,6 +16,10 @@
 //     (within one operation the code is as tight as CHOPPER's — the
 //     hands-tuned codes are expertly written), but no optimization crosses
 //     operation boundaries.
+//
+// As SIMDRAM generates an operation's µProgram once and binds each bbop's
+// operand rows when it runs, Generate synthesizes one routine per operation
+// signature and relocates it to every instance's rows (see routine).
 package baseline
 
 import (
@@ -67,18 +71,40 @@ type Result struct {
 	Stats        Stats
 }
 
-// valueLoc locates one full-width value: rows or spill slots per bit.
+// valueLoc locates one full-width value: a row per bit, or, when it is
+// spilled, the consecutive spill slots from slot0.
 type valueLoc struct {
 	rows    []isa.Row
-	slots   []int
+	slot0   int
 	spilled bool
 }
 
 func (l *valueLoc) ext(bit int) codegen.ExtLoc {
 	if l.spilled {
-		return codegen.ExtLoc{Slot: l.slots[bit], Spilled: true}
+		return codegen.ExtLoc{Slot: l.slot0 + bit, Spilled: true}
 	}
 	return codegen.ExtLoc{Row: l.rows[bit]}
+}
+
+// generator is one Generate call: the allocation both of its walks read,
+// the routine memo, and the program and host interface the second walk
+// writes.
+type generator struct {
+	g        *dfg.Graph
+	arch     isa.Arch
+	lastUse  []int
+	locs     []valueLoc
+	poolRows int
+	scratch  int
+	stage    isa.Row // staging row inside the scratch region
+
+	memo map[routineKey]*routine
+	ws   opScratch
+	bind []codegen.ExtLoc // the binding of the operation at hand
+
+	prog    *isa.Program
+	res     *Result
+	nextTag int
 }
 
 // Generate compiles the dataflow graph with the hands-tuned methodology.
@@ -151,129 +177,79 @@ func Generate(g *dfg.Graph, opts Options) (*Result, error) {
 		OutputTag:    make(map[string]int),
 		ConstPattern: make(map[int]uint64),
 	}
-	prog := &isa.Program{}
 	st := &res.Stats
 	st.ScratchRows = scratch
 	st.OperandRows = scan.MaxRows
 	st.SpilledValues = scan.Spilled
 	st.SpilledRows = scan.SpillRows
 
-	// Assign slots to spilled values.
+	// Spilled values take consecutive slots in value order; the routines'
+	// own spill slots come after them.
 	nextSlot := 0
 	locs := make([]valueLoc, len(g.Values))
-	for i := range g.Values {
-		as, ok := scan.Assignments[i]
-		if !ok {
-			continue
-		}
-		if as.Spilled {
-			w := g.Values[i].Width
-			slots := make([]int, w)
-			for b := range slots {
-				slots[b] = nextSlot
-				nextSlot++
-			}
-			locs[i] = valueLoc{slots: slots, spilled: true}
-		} else {
+	for i, as := range scan.Assignments {
+		switch {
+		case as.Spilled:
+			locs[i] = valueLoc{slot0: nextSlot, spilled: true}
+			nextSlot += g.Values[i].Width
+		case as.Rows != nil:
 			locs[i] = valueLoc{rows: as.Rows}
 		}
 	}
-
-	stage := isa.Row(opts.DRows - 1) // staging row inside the scratch region
-	nextTag := 0
-
-	writeValue := func(i int) {
-		v := &g.Values[i]
-		l := &locs[i]
-		for b := 0; b < v.Width; b++ {
-			tag := nextTag
-			nextTag++
-			switch v.Kind {
-			case dfg.OpInput:
-				res.InputTag[fmt.Sprintf("%s[%d]", v.Name, b)] = tag
-			case dfg.OpConst:
-				pat := uint64(0)
-				if v.Imm.Bit(b) == 1 {
-					pat = ^uint64(0)
-				}
-				res.ConstPattern[tag] = pat
-				st.ConstWrites++
-			}
-			if l.spilled {
-				prog.Append(isa.NewWrite(stage, tag))
-				prog.Append(isa.NewSpillOut(stage, uint64(l.slots[b])))
-			} else {
-				prog.Append(isa.NewWrite(l.rows[b], tag))
-			}
-			st.Writes++
-		}
+	gn := &generator{
+		g: g, arch: opts.Arch, lastUse: lastUse, locs: locs,
+		poolRows: poolRows, scratch: scratch, stage: isa.Row(opts.DRows - 1),
+		memo: make(map[routineKey]*routine), res: res,
 	}
 
-	// Prolog: transpose-and-write every input at full width.
-	for i := range g.Values {
-		if lastUse[i] >= 0 && g.Values[i].Kind == dfg.OpInput {
-			writeValue(i)
-		}
-	}
-	constWritten := make([]bool, len(g.Values))
-	var ws opScratch
-
-	// Operations in program order; constant rows are CPU-written right
-	// before the first operation consuming them.
-	for i := range g.Values {
-		v := &g.Values[i]
-		if lastUse[i] < 0 {
-			continue
-		}
-		for _, a := range v.Args {
-			if g.Values[a].Kind == dfg.OpConst && !constWritten[a] {
-				writeValue(int(a))
-				constWritten[a] = true
-			}
-		}
-		switch v.Kind {
-		case dfg.OpInput, dfg.OpConst:
-			continue
+	// First walk: resolve every operation's routine and size the stream,
+	// checking ctx and the budget after each multi-bit operation at the
+	// length the stream has there.
+	routines := make([]*routine, len(g.Values))
+	n := 0
+	err := gn.visit(func(v int) { n += gn.transfers(v) }, func(v int) error {
+		switch g.Values[v].Kind {
 		case dfg.OpShl, dfg.OpShr, dfg.OpResize:
-			if err := emitRewire(prog, g, i, locs, stage, st); err != nil {
-				return nil, err
-			}
+			n += gn.rewireLen(v)
 		default:
-			ns, err := emitOp(&ws, prog, g, i, locs, opts, poolRows, scratch, nextSlot, st)
+			r, err := gn.routineFor(v)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			nextSlot = ns
+			routines[v] = r
+			n += len(r.ops)
 		}
 		if err := guard.Ctx(opts.Ctx); err != nil {
-			return nil, err
+			return err
 		}
-		if err := guard.Check(guard.DimMicroOps, opts.MaxOps, len(prog.Ops)); err != nil {
-			return nil, err
-		}
-	}
-
-	// Epilog: read results back.
-	readTag := 0
-	for oi, o := range g.Outputs {
-		v := &g.Values[o]
-		l := &locs[o]
-		for b := 0; b < v.Width; b++ {
-			res.OutputTag[fmt.Sprintf("%s[%d]", g.OutputNames[oi], b)] = readTag
-			if l.spilled {
-				prog.Append(isa.NewSpillIn(stage, uint64(l.slots[b])))
-				prog.Append(isa.NewRead(stage, readTag))
-			} else {
-				prog.Append(isa.NewRead(l.rows[b], readTag))
-			}
-			st.Reads++
-			readTag++
-		}
-	}
-
-	if err := guard.Check(guard.DimMicroOps, opts.MaxOps, len(prog.Ops)); err != nil {
+		return guard.Check(guard.DimMicroOps, opts.MaxOps, n)
+	})
+	if err != nil {
 		return nil, err
 	}
+	for _, o := range g.Outputs {
+		n += gn.transfers(int(o))
+	}
+	if err := guard.Check(guard.DimMicroOps, opts.MaxOps, n); err != nil {
+		return nil, err
+	}
+
+	// Second walk: write the stream into a slice of exactly that length.
+	prog := &isa.Program{Ops: make([]isa.Op, 0, n)}
+	gn.prog = prog
+	_ = gn.visit(gn.writeValue, func(v int) error { // never fails: every routine is resolved
+		if r := routines[v]; r != nil {
+			nextSlot = gn.emitRoutine(r, v, nextSlot)
+		} else {
+			gn.emitRewire(v)
+		}
+		return nil
+	})
+	gn.readOutputs()
+	if len(prog.Ops) != n {
+		panic(fmt.Sprintf("baseline: stream sized at %d micro-ops, %d written", n, len(prog.Ops)))
+	}
+
 	prog.SpillSlots = nextSlot
 	prog.DRowsUsed = scan.MaxRows + scratch
 	if err := prog.Validate(opts.DRows); err != nil {
@@ -284,20 +260,133 @@ func Generate(g *dfg.Graph, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// emitRewire handles shifts and resizes: in the multi-bit abstraction these
-// are full-width row copies (bbop-style), zero-filling vacated positions.
-func emitRewire(prog *isa.Program, g *dfg.Graph, vi int, locs []valueLoc, stage isa.Row, st *Stats) error {
-	v := &g.Values[vi]
-	src := &locs[v.Args[0]]
-	dst := &locs[vi]
-	srcW := g.Values[v.Args[0]].Width
-	shift := 0
+// visit walks the stream's parts in program order: a write of every live
+// input (the prolog), then for each live multi-bit operation a write of
+// every constant it is the first to consume (constant rows are CPU-written
+// just in time) and the operation itself. It stops at op's first error.
+// The epilog's reads are the caller's.
+func (gn *generator) visit(write func(v int), op func(v int) error) error {
+	g := gn.g
+	for i := range g.Values {
+		if gn.lastUse[i] >= 0 && g.Values[i].Kind == dfg.OpInput {
+			write(i)
+		}
+	}
+	constWritten := make([]bool, len(g.Values))
+	for i := range g.Values {
+		v := &g.Values[i]
+		if gn.lastUse[i] < 0 || v.Kind == dfg.OpInput || v.Kind == dfg.OpConst {
+			continue
+		}
+		for _, a := range v.Args {
+			if g.Values[a].Kind == dfg.OpConst && !constWritten[a] {
+				write(int(a))
+				constWritten[a] = true
+			}
+		}
+		if err := op(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// transfers is the number of micro-ops that move value v between host and
+// subarray: one per bit, two when it is spilled and passes through the
+// staging row.
+func (gn *generator) transfers(v int) int {
+	n := gn.g.Values[v].Width
+	if gn.locs[v].spilled {
+		n *= 2
+	}
+	return n
+}
+
+// writeValue writes value i from the host at full width.
+func (gn *generator) writeValue(i int) {
+	v := &gn.g.Values[i]
+	l := &gn.locs[i]
+	st := &gn.res.Stats
+	for b := 0; b < v.Width; b++ {
+		tag := gn.nextTag
+		gn.nextTag++
+		switch v.Kind {
+		case dfg.OpInput:
+			gn.res.InputTag[fmt.Sprintf("%s[%d]", v.Name, b)] = tag
+		case dfg.OpConst:
+			pat := uint64(0)
+			if v.Imm.Bit(b) == 1 {
+				pat = ^uint64(0)
+			}
+			gn.res.ConstPattern[tag] = pat
+			st.ConstWrites++
+		}
+		if l.spilled {
+			gn.prog.Append(isa.NewWrite(gn.stage, tag))
+			gn.prog.Append(isa.NewSpillOut(gn.stage, uint64(l.slot0+b)))
+		} else {
+			gn.prog.Append(isa.NewWrite(l.rows[b], tag))
+		}
+		st.Writes++
+	}
+}
+
+// readOutputs is the epilog: every output read back to the host.
+func (gn *generator) readOutputs() {
+	readTag := 0
+	for oi, o := range gn.g.Outputs {
+		v := &gn.g.Values[o]
+		l := &gn.locs[o]
+		for b := 0; b < v.Width; b++ {
+			gn.res.OutputTag[fmt.Sprintf("%s[%d]", gn.g.OutputNames[oi], b)] = readTag
+			if l.spilled {
+				gn.prog.Append(isa.NewSpillIn(gn.stage, uint64(l.slot0+b)))
+				gn.prog.Append(isa.NewRead(gn.stage, readTag))
+			} else {
+				gn.prog.Append(isa.NewRead(l.rows[b], readTag))
+			}
+			gn.res.Stats.Reads++
+			readTag++
+		}
+	}
+}
+
+// rewireShift is how many positions a shift or resize moves bits up.
+func rewireShift(v *dfg.Value) int {
 	switch v.Kind {
 	case dfg.OpShl:
-		shift = int(v.Imm.Int64())
+		return int(v.Imm.Int64())
 	case dfg.OpShr:
-		shift = -int(v.Imm.Int64())
+		return -int(v.Imm.Int64())
 	}
+	return 0
+}
+
+// rewireLen is the number of micro-ops emitRewire writes for value vi: one
+// move per bit, plus a pass through the staging row when the source bit or
+// the destination is spilled.
+func (gn *generator) rewireLen(vi int) int {
+	v := &gn.g.Values[vi]
+	src, dst := &gn.locs[v.Args[0]], &gn.locs[vi]
+	srcW := gn.g.Values[v.Args[0]].Width
+	shift := rewireShift(v)
+	n := v.Width
+	for b := 0; b < v.Width; b++ {
+		if sb := b - shift; dst.spilled || src.spilled && sb >= 0 && sb < srcW {
+			n++
+		}
+	}
+	return n
+}
+
+// emitRewire handles shifts and resizes: in the multi-bit abstraction these
+// are full-width row copies (bbop-style), zero-filling vacated positions.
+func (gn *generator) emitRewire(vi int) {
+	v := &gn.g.Values[vi]
+	src, dst := &gn.locs[v.Args[0]], &gn.locs[vi]
+	srcW := gn.g.Values[v.Args[0]].Width
+	shift := rewireShift(v)
+	prog, s := gn.prog, &gn.res.Stats.PerOpStats
 	for b := 0; b < v.Width; b++ {
 		sb := b - shift
 		// Move source bit sb (or constant zero) into destination bit b.
@@ -306,96 +395,237 @@ func emitRewire(prog *isa.Program, g *dfg.Graph, vi int, locs []valueLoc, stage 
 		case sb < 0 || sb >= srcW:
 			from = isa.C0
 		case src.spilled:
-			prog.Append(isa.NewSpillIn(stage, uint64(src.slots[sb])))
-			from = stage
+			prog.Append(isa.NewSpillIn(gn.stage, uint64(src.slot0+sb)))
+			from = gn.stage
 		default:
 			from = src.rows[sb]
 		}
 		if dst.spilled {
-			if from != stage {
-				prog.Append(isa.NewAAP(from, stage))
-				st.PerOpStats.AAPs++
+			if from != gn.stage {
+				prog.Append(isa.NewAAP(from, gn.stage))
+				s.AAPs++
 			}
-			prog.Append(isa.NewSpillOut(stage, uint64(dst.slots[b])))
+			prog.Append(isa.NewSpillOut(gn.stage, uint64(dst.slot0+b)))
 		} else {
 			prog.Append(isa.NewAAP(from, dst.rows[b]))
-			st.PerOpStats.AAPs++
+			s.AAPs++
 		}
 	}
-	return nil
 }
 
-// opScratch is the working storage emitOp's passes reuse from one
-// operation of a Generate call to the next.
+// opScratch is the working storage synth's passes reuse from one routine
+// of a Generate call to the next.
 type opScratch struct {
 	logic logic.Scratch
 	code  codegen.Scratch
 }
 
-// emitOp expands one multi-bit operation into its hand-quality micro-op
+// routineKey is an operation's signature: everything its routine depends
+// on within one Generate call, whose arch and scratch size are fixed.
+type routineKey struct {
+	kind  dfg.OpKind
+	width int
+	args  [3]int // operand widths, 0 past the kind's arity
+	imm   string // Imm's decimal text, "" for nil
+	spill uint8  // bit i: operand i is spilled; resultSpilled: the result is
+}
+
+const resultSpilled = 1 << 3
+
+// routine is one signature's micro-op routine, generated once on
+// placeholders: bit j of the operands, then of the result, is row j, or
+// slot j when its value is spilled, and the scratch pool and the routine's
+// own spill slots both start at n, the number of those bits. Every
+// instance of the signature, the first included, is a relocation of it.
+//
+// Relocation is exact because codegen never branches on the number of an
+// external row or slot, only on whether it is pinned or spilled: the
+// routine generated on placeholders and relocated is the routine generated
+// on the real binding (FuzzRoutineRelocation).
+type routine struct {
+	ops   []isa.Op
+	n     int
+	intra int // spill slots the routine takes for its own temporaries
+	stats codegen.Stats
+}
+
+// routineFor returns operation vi's routine, synthesizing it at the first
+// instance of its signature.
+func (gn *generator) routineFor(vi int) (*routine, error) {
+	v := &gn.g.Values[vi]
+	key := routineKey{kind: v.Kind, width: v.Width}
+	for ai, a := range v.Args {
+		key.args[ai] = gn.g.Values[a].Width
+		if gn.locs[a].spilled {
+			key.spill |= 1 << ai
+		}
+	}
+	if gn.locs[vi].spilled {
+		key.spill |= resultSpilled
+	}
+	if v.Imm != nil {
+		key.imm = v.Imm.String()
+	}
+	if r, ok := gn.memo[key]; ok {
+		return r, nil
+	}
+	r, err := newRoutine(&gn.ws, vi, v, key.args[:len(v.Args)], gn.bindOp(vi), gn.arch, gn.scratch)
+	if err != nil {
+		return nil, err
+	}
+	gn.memo[key] = r
+	return r, nil
+}
+
+// bindOp sets gn.bind to where operation vi's operand bits, then its
+// result bits, live, and returns it.
+func (gn *generator) bindOp(vi int) []codegen.ExtLoc {
+	v := &gn.g.Values[vi]
+	b := gn.bind[:0]
+	for _, a := range v.Args {
+		for bit := 0; bit < gn.g.Values[a].Width; bit++ {
+			b = append(b, gn.locs[a].ext(bit))
+		}
+	}
+	for bit := 0; bit < v.Width; bit++ {
+		b = append(b, gn.locs[vi].ext(bit))
+	}
+	gn.bind = b
+	return b
+}
+
+// emitRoutine writes operation vi's instance of r and returns the next
+// free spill slot.
+func (gn *generator) emitRoutine(r *routine, vi, slotBase int) int {
+	var next int
+	gn.prog.Ops, next = r.relocate(gn.prog.Ops, gn.bindOp(vi), gn.poolRows, slotBase)
+	s := &gn.res.Stats.PerOpStats
+	s.AAPs += r.stats.AAPs
+	s.APs += r.stats.APs
+	s.SpillOuts += r.stats.SpillOuts
+	s.SpillIns += r.stats.SpillIns
+	s.Writes += r.stats.Writes
+	return next
+}
+
+// newRoutine synthesizes operation v's routine on placeholders laid out
+// like bind: bit j is row j, or slot j where bind[j] is spilled.
+func newRoutine(ws *opScratch, vi int, v *dfg.Value, argW []int, bind []codegen.ExtLoc, arch isa.Arch, scratch int) (*routine, error) {
+	n := len(bind)
+	ph := make([]codegen.ExtLoc, n)
+	for j, b := range bind {
+		if b.Spilled {
+			ph[j] = codegen.ExtLoc{Slot: j, Spilled: true}
+		} else {
+			ph[j] = codegen.ExtLoc{Row: isa.Row(j)}
+		}
+	}
+	res, err := synth(ws, vi, v, argW, ph, arch, scratch, n, n)
+	if err != nil {
+		return nil, err
+	}
+	return &routine{ops: res.Prog.Ops, n: n, intra: res.NextSlot - n, stats: res.Stats}, nil
+}
+
+// relocate appends r bound to bind, the instance's operand bits then its
+// result bits, to ops: row j < n becomes bind[j]'s row and slot j < n its
+// slot, a scratch row moves from the pool at n to the pool at poolRows,
+// one of the routine's own slots from n to slotBase, and the C- and
+// B-group rows stay. It returns the extended ops and the next free slot,
+// which it computes as codegen.Generate does on the real binding.
+func (r *routine) relocate(ops []isa.Op, bind []codegen.ExtLoc, poolRows, slotBase int) ([]isa.Op, int) {
+	poolShift := isa.Row(poolRows - r.n)
+	row := func(x isa.Row) isa.Row {
+		switch {
+		case x < 0:
+			return x
+		case int(x) < r.n:
+			return bind[x].Row
+		}
+		return x + poolShift
+	}
+	start := len(ops)
+	ops = append(ops, r.ops...)
+	for i := start; i < len(ops); i++ {
+		op := &ops[i]
+		op.Src = row(op.Src)
+		for d, x := range op.Dst {
+			op.Dst[d] = row(x)
+		}
+		if op.Kind == isa.OpSpillOut || op.Kind == isa.OpSpillIn {
+			if s := int(op.Imm); s < r.n {
+				op.Imm = uint64(bind[s].Slot)
+			} else {
+				op.Imm = uint64(s - r.n + slotBase)
+			}
+		}
+	}
+	next := slotBase + r.intra
+	for _, b := range bind {
+		if b.Spilled && b.Slot+1 > next {
+			next = b.Slot + 1
+		}
+	}
+	return ops, next
+}
+
+// synth expands one multi-bit operation into its hand-quality micro-op
 // routine by synthesizing the operation's logic net in isolation (operands
 // opaque, so no cross-operand or constant folding — the multi-bit
-// granularity barrier) and generating code with the operands bound to their
-// full-width rows.
-func emitOp(ws *opScratch, prog *isa.Program, g *dfg.Graph, vi int, locs []valueLoc, opts Options, poolRows, scratch, slotBase int, st *Stats) (int, error) {
-	v := &g.Values[vi]
-
+// granularity barrier) and generating code with its operand bits, then its
+// result bits, at ext. argW are the operand widths; temporaries take the
+// scratch rows from poolBase and spill to slots from slotBase. vi names
+// the operation in errors.
+func synth(ws *opScratch, vi int, v *dfg.Value, argW []int, ext []codegen.ExtLoc, arch isa.Arch, scratch, poolBase, slotBase int) (*codegen.Result, error) {
 	// Build the single-op graph.
 	sub := &dfg.Graph{}
 	extIn := make(map[string]codegen.ExtLoc)
-	for ai, a := range v.Args {
-		av := &g.Values[a]
+	for ai, w := range argW {
 		name := fmt.Sprintf("in%d", ai)
-		sub.Values = append(sub.Values, dfg.Value{Kind: dfg.OpInput, Width: av.Width, Name: name})
+		sub.Values = append(sub.Values, dfg.Value{Kind: dfg.OpInput, Width: w, Name: name})
 		sub.Inputs = append(sub.Inputs, dfg.ValueID(ai))
-		for b := 0; b < av.Width; b++ {
-			extIn[fmt.Sprintf("%s[%d]", name, b)] = locs[a].ext(b)
+		for b := 0; b < w; b++ {
+			extIn[fmt.Sprintf("%s[%d]", name, b)] = ext[0]
+			ext = ext[1:]
 		}
 	}
 	opv := dfg.Value{Kind: v.Kind, Width: v.Width, Imm: v.Imm}
-	for ai := range v.Args {
+	for ai := range argW {
 		opv.Args = append(opv.Args, dfg.ValueID(ai))
 	}
 	sub.Values = append(sub.Values, opv)
 	sub.Outputs = []dfg.ValueID{dfg.ValueID(len(sub.Values) - 1)}
 	sub.OutputNames = []string{"out"}
 	if err := sub.Validate(); err != nil {
-		return 0, fmt.Errorf("baseline: op %d (%s): %w", vi, v.Kind, err)
+		return nil, fmt.Errorf("baseline: op %d (%s): %w", vi, v.Kind, err)
 	}
 
 	net, err := bitslice.LowerOn(&ws.logic, sub, bitslice.Options{Fold: true})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	leg, err := ws.logic.Legalize(net, opts.Arch, logic.BuilderOptions{Fold: true, CSE: true})
+	leg, err := ws.logic.Legalize(net, arch, logic.BuilderOptions{Fold: true, CSE: true})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	leg = ws.logic.DCETemp(leg)
 
 	extOut := make(map[string]codegen.ExtLoc, v.Width)
 	for b := 0; b < v.Width; b++ {
-		extOut[fmt.Sprintf("out[%d]", b)] = locs[vi].ext(b)
+		extOut[fmt.Sprintf("out[%d]", b)] = ext[b]
 	}
 	res, err := codegen.Generate(leg, codegen.Options{
-		Arch:     opts.Arch,
+		Arch:     arch,
 		Variant:  obs.Rename, // hands-tuned quality within one operation
 		DRows:    scratch,
-		PoolBase: poolRows,
+		PoolBase: poolBase,
 		SlotBase: slotBase,
 		ExtIn:    extIn,
 		ExtOut:   extOut,
 		Scratch:  &ws.code,
 	})
 	if err != nil {
-		return 0, fmt.Errorf("baseline: op %d (%s): %w", vi, v.Kind, err)
+		return nil, fmt.Errorf("baseline: op %d (%s): %w", vi, v.Kind, err)
 	}
-	prog.Append(res.Prog.Ops...)
-	s := &st.PerOpStats
-	s.AAPs += res.Stats.AAPs
-	s.APs += res.Stats.APs
-	s.SpillOuts += res.Stats.SpillOuts
-	s.SpillIns += res.Stats.SpillIns
-	s.Writes += res.Stats.Writes
-	return res.NextSlot, nil
+	return res, nil
 }

@@ -99,6 +99,36 @@ func TestCompileAllocGate(t *testing.T) {
 	}
 }
 
+// TestCompileBaselineAllocGate holds a warm hands-tuned compile to twice the
+// program it returns: the stream is written once at its exact length, and
+// each operation signature's routine is synthesized once per compile, not
+// once per operation.
+func TestCompileBaselineAllocGate(t *testing.T) {
+	spec, _ := workloads.Get("WTC-64")
+	var k *Kernel
+	compile := func() {
+		var err error
+		if k, err = CompileBaseline(spec.Src, Options{Target: Ambit}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compile()
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		compile()
+	}
+	runtime.ReadMemStats(&after)
+	perCompile := (after.TotalAlloc - before.TotalAlloc) / runs
+
+	prog := uint64(len(k.Prog().Ops)) * 32
+	t.Logf("%d B/compile for a %d B program (%d ops)", perCompile, prog, len(k.Prog().Ops))
+	if limit := 2 * prog; perCompile > limit {
+		t.Errorf("a baseline compile allocates %d B, over 2x the %d B program it returns", perCompile, prog)
+	}
+}
+
 // TestInternTableFollowsNet compiles a 175k-gate kernel and then a 576-gate
 // one on the same workspace: the second build must hash over a table sized
 // to itself, not over the capacity the first left behind, and must emit
