@@ -65,6 +65,16 @@ func TestCLIPipeline(t *testing.T) {
 	if !strings.Contains(string(out), "executed") {
 		t.Errorf("asm run output: %s", out)
 	}
+	// Text naming a row the subarray lacks is rejected, at the op that names
+	// it, before anything runs.
+	badAsm := filepath.Join(dir, "bad.pud")
+	if err := os.WriteFile(badAsm, []byte("WRITE -> D0 (tag 1)\nREAD D0 (tag 1)\nAAP D0 -> -\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err = exec.Command(choppersim, "-asm", "-lanes", "8", badAsm).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "op 2 (AAP D0 -> -): missing destination row") || strings.Contains(string(out), "READ tag") {
+		t.Errorf("choppersim -asm on a row the subarray lacks: %v\n%s", err, out)
+	}
 
 	// choppersim with explicit per-lane inputs: min(9,4)+1 = 5.
 	out, err = exec.Command(choppersim, "-lanes", "2", "-show", "2",

@@ -283,8 +283,8 @@ func runAsm(text string, arch isa.Arch, lanes int) {
 		fatal(err)
 	}
 	geom := dram.DefaultGeometry()
-	if prog.DRowsUsed > geom.DRows() {
-		fatal(fmt.Errorf("program uses %d D rows; subarray has %d", prog.DRowsUsed, geom.DRows()))
+	if err := prog.Validate(geom.DRows()); err != nil {
+		fatal(err)
 	}
 	words := (lanes + 63) / 64
 	io := &sim.HostIO{

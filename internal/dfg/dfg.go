@@ -112,21 +112,6 @@ func (g *Graph) OpCount() int {
 	return n
 }
 
-// Uses computes the use count of every value (argument references plus
-// output references) — the occurrence statistics OBS-1 ranks by.
-func (g *Graph) Uses() []int {
-	uses := make([]int, len(g.Values))
-	for i := range g.Values {
-		for _, a := range g.Values[i].Args {
-			uses[a]++
-		}
-	}
-	for _, o := range g.Outputs {
-		uses[o]++
-	}
-	return uses
-}
-
 // Validate checks topological order and arities.
 func (g *Graph) Validate() error {
 	arity := func(k OpKind) int {

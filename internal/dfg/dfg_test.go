@@ -151,9 +151,6 @@ let
   t = a + b;
   z = t * t;
 tel`)
-	uses := g.Uses()
-	// Find the add value; it must be used twice (t*t) — but hash-consing
-	// means mul(t,t) references it twice.
 	var addID ValueID = -1
 	for i := range g.Values {
 		if g.Values[i].Kind == OpAdd {
@@ -162,9 +159,6 @@ tel`)
 	}
 	if addID < 0 {
 		t.Fatal("no add value")
-	}
-	if uses[addID] != 2 {
-		t.Errorf("add used %d times, want 2", uses[addID])
 	}
 	if g.OpCount() != 2 {
 		t.Errorf("op count = %d, want 2 (add, mul)", g.OpCount())

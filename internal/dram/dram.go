@@ -277,10 +277,10 @@ type Placed struct {
 // Ops must be presented in issue order; the engine preserves per-subarray
 // program order regardless of resource availability.
 //
-// Scheduling state lives in dense slices sized from the Geometry (one slot
-// per bank x subarray), so issuing a command performs no map operations and
-// no allocation; placements outside the geometry fall back to maps,
-// preserving the historical tolerance for out-of-range banks.
+// Every placement must be one of the Geometry's subarrays: scheduling state
+// lives in slices sized from it (one slot per bank x subarray), so issuing a
+// command performs no map operations and no allocation, and issuing one
+// elsewhere panics.
 type Engine struct {
 	geom   Geometry
 	timing Timing
@@ -297,8 +297,6 @@ type Engine struct {
 	unit   []float64 // next-free time per unit (bank, or subarray with SALP)
 	subSeq []float64 // per-subarray completion (program order)
 	seen   []bool    // unit ever issued to (drives DistinctUnit)
-	// Overflow state for placements outside the geometry (lazily built).
-	xunit, xsubSeq map[unitKey]float64
 
 	// Per-OpKind latency/bus/energy tables, precomputed from the Timing so
 	// the issue path does no switch dispatch.
@@ -320,8 +318,6 @@ type Engine struct {
 // numOpKinds bounds the per-kind lookup tables (OpRowInit is the largest
 // micro-op kind; unknown kinds cost zero, as Timing.OpLatency always said).
 const numOpKinds = int(isa.OpRowInit) + 1
-
-type unitKey struct{ bank, sub int }
 
 // EngineStats aggregates what the engine observed; used by the breakdown
 // experiments.
@@ -409,7 +405,6 @@ func (e *Engine) Reset() {
 		e.subSeq[i] = 0
 		e.seen[i] = false
 	}
-	e.xunit, e.xsubSeq = nil, nil
 	e.stats = EngineStats{}
 }
 
@@ -434,31 +429,18 @@ func (e *Engine) IssueOp(bank, sub int, kind isa.OpKind, imm uint64) float64 {
 		lat, bus, energy, transfer = e.latByKind[k], e.busByKind[k], e.energyByKind[k], e.xferByKind[k]
 	}
 
-	dense := bank >= 0 && sub >= 0 && bank < e.geom.Banks && sub < e.geom.SubarraysPB
-	var ui, si int
-	var uk, sk unitKey
-	var uVal, sVal float64
-	var unitSeen bool
-	if dense {
-		si = bank*e.geom.SubarraysPB + sub
-		ui = si
-		if !e.salp {
-			ui = bank * e.geom.SubarraysPB
-		}
-		uVal, sVal, unitSeen = e.unit[ui], e.subSeq[si], e.seen[ui]
-	} else {
-		uk = unitKey{bank, 0}
-		if e.salp {
-			uk.sub = sub
-		}
-		sk = unitKey{bank, sub}
-		uVal, sVal = e.xunit[uk], e.xsubSeq[sk]
-		_, unitSeen = e.xunit[uk]
+	if bank < 0 || sub < 0 || bank >= e.geom.Banks || sub >= e.geom.SubarraysPB {
+		panic(fmt.Sprintf("dram: bank %d sub %d outside the geometry's %d banks x %d subarrays", bank, sub, e.geom.Banks, e.geom.SubarraysPB))
+	}
+	si := bank*e.geom.SubarraysPB + sub
+	ui := si
+	if !e.salp {
+		ui = bank * e.geom.SubarraysPB
 	}
 
-	start := uVal
-	if sVal > start {
-		start = sVal
+	start := e.unit[ui]
+	if s := e.subSeq[si]; s > start {
+		start = s
 	}
 	if s := e.lastStart + e.IssueGapNs; s > start && e.stats.Ops > 0 {
 		start = s
@@ -488,21 +470,12 @@ func (e *Engine) IssueOp(bank, sub int, kind isa.OpKind, imm uint64) float64 {
 
 	end := start + lat + ssdNs
 	e.lastStart = start
-	if !unitSeen {
+	if !e.seen[ui] {
 		e.stats.DistinctUnit++
 	}
-	if dense {
-		e.unit[ui] = end
-		e.seen[ui] = true
-		e.subSeq[si] = end
-	} else {
-		if e.xunit == nil {
-			e.xunit = make(map[unitKey]float64)
-			e.xsubSeq = make(map[unitKey]float64)
-		}
-		e.xunit[uk] = end
-		e.xsubSeq[sk] = end
-	}
+	e.unit[ui] = end
+	e.seen[ui] = true
+	e.subSeq[si] = end
 	if end > e.now {
 		e.now = end
 	}

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -337,6 +338,26 @@ func TestEngineStatsMergeCoversEveryField(t *testing.T) {
 		}
 		if sum != want {
 			t.Errorf("field %s: merging it twice gave %+v, want %+v", typ.Field(i).Name, sum, want)
+		}
+	}
+}
+
+// TestIssueOutsideGeometryPanics: the engine schedules the geometry's
+// subarrays only. A command placed anywhere else panics, including (0,
+// SubarraysPB), whose slot would otherwise alias bank 1's first subarray.
+func TestIssueOutsideGeometryPanics(t *testing.T) {
+	g := DefaultGeometry()
+	g.Banks, g.SubarraysPB = 2, 4
+	for _, salp := range []bool{false, true} {
+		for _, at := range [][2]int{{2, 0}, {0, 4}, {-1, 0}, {0, -1}} {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "outside the geometry") {
+						t.Errorf("salp %v: issue at %v: recovered %v, want the geometry panic", salp, at, r)
+					}
+				}()
+				NewEngine(g, TimingFor(isa.Ambit, g), salp).IssueOp(at[0], at[1], isa.OpAAP, 0)
+			}()
 		}
 	}
 }

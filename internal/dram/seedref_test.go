@@ -115,8 +115,11 @@ func (e *seedEngine) issue(p Placed) float64 {
 
 func (e *seedEngine) makespan() float64 { return e.now * (1 + RefreshOverhead) }
 
-// genStream builds a random placed command stream, including placements
-// beyond the geometry (the overflow-map path) and unknown op kinds.
+// unitKey is the seed engine's map key: a bank, and the subarray under SALP.
+type unitKey struct{ bank, sub int }
+
+// genStream builds a random placed command stream over the geometry's
+// subarrays, including unknown op kinds.
 func genStream(rng *rand.Rand, g Geometry, n int) []Placed {
 	ops := []isa.Op{
 		isa.NewAAP(isa.Row(0), isa.Row(1)),
@@ -130,12 +133,7 @@ func genStream(rng *rand.Rand, g Geometry, n int) []Placed {
 	}
 	stream := make([]Placed, n)
 	for i := range stream {
-		bank := rng.Intn(g.Banks)
-		sub := rng.Intn(g.SubarraysPB)
-		if rng.Intn(20) == 0 { // beyond-geometry placement
-			bank = g.Banks + rng.Intn(3)
-		}
-		stream[i] = Placed{Bank: bank, Subarray: sub, Op: ops[rng.Intn(len(ops))]}
+		stream[i] = Placed{Bank: rng.Intn(g.Banks), Subarray: rng.Intn(g.SubarraysPB), Op: ops[rng.Intn(len(ops))]}
 	}
 	return stream
 }

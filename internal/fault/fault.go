@@ -124,85 +124,55 @@ type Injector struct {
 }
 
 // clock is the injector's per-row access clock. It runs on every sense and
-// store, so rows with a dense index — the special rows, then D rows below
-// maxDenseRow, the simulator's arena layout — keep it in a table (1 + the
-// op index; 0 for a row never accessed; op indices restart every trial and
-// stay far below 2^31) and only exotic rows in a map.
+// store of a subarray row — a special row or a D row, the only rows the
+// simulator has — so it is one table in the simulator's arena layout (the
+// special rows, then the D rows), holding 1 + the op index of the row's
+// last access, 0 for a row never accessed (op indices restart every trial
+// and stay far below 2^31).
 type clock struct {
 	dense []int32
-	extra map[isa.Row]int
 }
 
-const maxDenseRow = 1 << 16
-
-// index is r's table slot, -1 for an exotic row.
+// index is r's table slot.
 func index(r isa.Row) int {
-	switch {
-	case r >= 0 && r < maxDenseRow:
-		return int(-isa.DCC1N) + int(r)
-	case r < 0 && r >= isa.DCC1N:
+	if r < 0 {
 		return -1 - int(r)
 	}
-	return -1
+	return int(-isa.DCC1N) + int(r)
 }
 
 func (c *clock) get(r isa.Row) (int, bool) {
-	if i := index(r); i >= 0 {
-		if i < len(c.dense) && c.dense[i] != 0 {
-			return int(c.dense[i]) - 1, true
-		}
-		return 0, false
+	if i := index(r); i < len(c.dense) && c.dense[i] != 0 {
+		return int(c.dense[i]) - 1, true
 	}
-	t, ok := c.extra[r]
-	return t, ok
+	return 0, false
 }
 
 func (c *clock) set(r isa.Row, opIdx int) {
-	if i := index(r); i >= 0 {
-		if i >= len(c.dense) {
-			c.dense = append(c.dense, make([]int32, i+1-len(c.dense))...)
-		}
-		c.dense[i] = int32(opIdx) + 1
-		return
+	i := index(r)
+	if i >= len(c.dense) {
+		c.dense = append(c.dense, make([]int32, i+1-len(c.dense))...)
 	}
-	if c.extra == nil {
-		c.extra = make(map[isa.Row]int)
-	}
-	c.extra[r] = opIdx
+	c.dense[i] = int32(opIdx) + 1
 }
 
 // setAll restarts every accessed row's clock at opIdx and returns how many
 // rows that is.
 func (c *clock) setAll(opIdx int) int {
-	n := len(c.extra)
+	n := 0
 	for i, t := range c.dense {
 		if t != 0 {
 			c.dense[i] = int32(opIdx) + 1
 			n++
 		}
 	}
-	for r := range c.extra {
-		c.extra[r] = opIdx
-	}
 	return n
 }
 
-func (c *clock) reset() {
-	clear(c.dense)
-	clear(c.extra)
-}
+func (c *clock) reset() { clear(c.dense) }
 
 // copyFrom makes c a copy of src, reusing c's storage.
-func (c *clock) copyFrom(src *clock) {
-	c.dense = append(c.dense[:0], src.dense...)
-	clear(c.extra)
-	for r, t := range src.extra {
-		if c.extra == nil {
-			c.extra = make(map[isa.Row]int, len(src.extra))
-		}
-		c.extra[r] = t
-	}
-}
+func (c *clock) copyFrom(src *clock) { c.dense = append(c.dense[:0], src.dense...) }
 
 // New creates an injector for cfg, reproducible from seed.
 func New(cfg Config, seed int64) *Injector {

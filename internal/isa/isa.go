@@ -230,9 +230,6 @@ func (o *Op) IsTransfer() bool {
 	return false
 }
 
-// IsCompute reports whether the op is in-subarray work (AAP/AP/ROWINIT).
-func (o *Op) IsCompute() bool { return !o.IsTransfer() }
-
 // String renders the op in assembly syntax.
 func (o Op) String() string {
 	switch o.Kind {
@@ -335,20 +332,9 @@ func (p *Program) Counts() map[OpKind]int {
 	return m
 }
 
-// NumTransfers returns the number of bus-occupying ops.
-func (p *Program) NumTransfers() int {
-	n := 0
-	for i := range p.Ops {
-		if p.Ops[i].IsTransfer() {
-			n++
-		}
-	}
-	return n
-}
-
-// Validate checks structural invariants: AAP destinations are rows, AP
-// operands are B-group rows, D-group references stay below dRows, and spill
-// ops carry slot ids below SpillSlots.
+// Validate checks structural invariants: every row operand is a row of the
+// subarray (a C-group or B-group row, or a D-group row below dRows), AP
+// operands are B-group rows, and spill ops carry slot ids below SpillSlots.
 func (p *Program) Validate(dRows int) error {
 	for i := range p.Ops {
 		if err := p.Ops[i].validate(dRows, p.SpillSlots); err != nil {
@@ -365,16 +351,19 @@ func (p *Program) Validate(dRows int) error {
 	return nil
 }
 
-// rowBad reports whether row operand r is missing or lies beyond the dRows
-// D-group rows an op may address.
+// rowBad reports whether row operand r is missing, names no row, or lies
+// beyond the dRows D-group rows an op may address.
 func rowBad(r Row, dRows int) bool {
-	return r == RowNone || r.IsDGroup() && int(r) >= dRows
+	return r < DCC1N || r.IsDGroup() && int(r) >= dRows
 }
 
 // rowError words what rowBad found.
 func rowError(r Row, what string, dRows int) error {
-	if r == RowNone {
+	switch {
+	case r == RowNone:
 		return fmt.Errorf("missing %s row", what)
+	case r < DCC1N:
+		return fmt.Errorf("%s %s is not a row", what, r)
 	}
 	return fmt.Errorf("%s row %s exceeds D-group size %d", what, r, dRows)
 }

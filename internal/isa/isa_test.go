@@ -109,7 +109,7 @@ func TestOpConstructorsAndStrings(t *testing.T) {
 	if r.Kind != OpRead || !r.IsTransfer() {
 		t.Errorf("bad READ: %+v", r)
 	}
-	if ap.IsTransfer() || !ap.IsCompute() {
+	if ap.IsTransfer() {
 		t.Errorf("AP misclassified")
 	}
 	so := NewSpillOut(Row(1), 9)
@@ -150,6 +150,17 @@ func TestProgramValidate(t *testing.T) {
 		t.Error("out-of-range D row not caught")
 	}
 
+	// Every id below the special rows names no row, wherever it appears.
+	for _, op := range []Op{NewAAP(Row(0), Row(-20)), NewAAP(Row(-11), T0), NewWrite(Row(-20), 0), NewRead(Row(-20), 0), NewRowInit(Row(-11), 0)} {
+		err := (&Program{Ops: []Op{op}}).Validate(10)
+		if err == nil || !strings.Contains(err.Error(), "is not a row") {
+			t.Errorf("%v: error %v, want it named as no row", op, err)
+		}
+	}
+	if err := (&Program{Ops: []Op{NewWrite(RowNone, 0)}}).Validate(10); err == nil || !strings.Contains(err.Error(), "missing destination row") {
+		t.Errorf("missing row: error %v", err)
+	}
+
 	badTRA := &Program{Ops: []Op{NewAP(T0, T1, T2)}}
 	badTRA.Ops[0].Dst[2] = Row(3)
 	if err := badTRA.Validate(10); err == nil {
@@ -176,9 +187,6 @@ func TestProgramCounts(t *testing.T) {
 	c := p.Counts()
 	if c[OpWrite] != 2 || c[OpAAP] != 1 || c[OpAP] != 1 || c[OpRead] != 1 {
 		t.Errorf("bad counts: %v", c)
-	}
-	if p.NumTransfers() != 3 {
-		t.Errorf("NumTransfers = %d, want 3", p.NumTransfers())
 	}
 }
 

@@ -26,20 +26,6 @@ func (b *Builder) ConstWord(v uint64, w int) Word {
 	return word
 }
 
-// ConstWordBig builds a constant word of arbitrary width from little-endian
-// 64-bit limbs.
-func (b *Builder) ConstWordBig(limbs []uint64, w int) Word {
-	word := make(Word, w)
-	for i := range word {
-		var bit bool
-		if li := i / 64; li < len(limbs) {
-			bit = limbs[li]>>uint(i%64)&1 == 1
-		}
-		word[i] = b.Const(bit)
-	}
-	return word
-}
-
 // OutputWord registers every bit of word as outputs "base[i]".
 func (b *Builder) OutputWord(base string, word Word) {
 	for i, id := range word {
@@ -122,12 +108,6 @@ func (b *Builder) SubBorrow(x, y Word) (Word, NodeID) {
 func (b *Builder) Neg(x Word) Word {
 	zero := b.ConstWord(0, len(x))
 	return b.Sub(zero, x)
-}
-
-// Inc returns x + 1.
-func (b *Builder) Inc(x Word) Word {
-	s, _ := b.AddCarry(x, b.ConstWord(1, len(x)), b.Const(false))
-	return s
 }
 
 // BitwiseAnd / BitwiseOr / BitwiseXor / BitwiseNot apply per-bit ops; widths

@@ -32,7 +32,7 @@ const maxPlanRow = 1 << 20
 // opnd is one row operand of a decoded op.
 type opnd struct {
 	row    isa.Row
-	slot   int32 // arena slot (see Subarray); -1 for rows no arena holds (exotic)
+	slot   int32 // arena slot (see Subarray); -1 for an id no subarray has
 	comp   int8  // slot of the dual-contact partner; -1 if none
 	proven bool  // a read whose row an earlier op of the stream always defines
 }
@@ -180,12 +180,12 @@ func (s *Subarray) ExecDecoded(d *Decoded, i int, io *HostIO, spill *SpillStore)
 
 // exec is what the six micro-ops do — the one definition under every
 // execution entry point: sense the rows the op reads, form the value it
-// stores, store it. Dynamic conditions (row presence, D-group bounds, host
-// IO availability, spill-slot liveness) are checked on every op; static
-// ones only for ops decode did not mark fast. planned is the whole-stream
-// loops' licence (Subarray.plan): every resolved slot is backed, a row op
-// runs as one body over its slots, and a proven read skips the presence
-// check. Unproven reads are always checked.
+// stores, store it. Dynamic conditions (rows the subarray has, row
+// presence, host IO availability, spill-slot liveness) are checked on every
+// op; static ones only for ops decode did not mark fast. planned is the
+// whole-stream loops' licence (Subarray.plan): every operand is a backed row
+// of the subarray, a row op runs as one body over its slots, and a proven
+// read skips the presence check. Unproven reads are always checked.
 func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) error {
 	idx := s.opIdx
 	s.opIdx++
@@ -233,6 +233,14 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 		return nil
 	}
 	reads, writes := op.operands()
+	if !planned {
+		if err := s.outside(reads); err != nil {
+			return err
+		}
+		if err := s.outside(writes); err != nil {
+			return err
+		}
+	}
 	var in [3][]uint64
 	for j := range reads {
 		var err error

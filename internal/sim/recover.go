@@ -30,6 +30,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
@@ -102,9 +103,9 @@ type RecoveryStats struct {
 	// before fault-retry attempts.
 	ScrubbedRows int
 	// CheckpointBytes is the largest epoch snapshot taken: the rows that
-	// held data at the snapshot, the bitmaps, overflow rows and live spill
-	// slots. It is a property of the run, not of the pooled subarray that
-	// served it (whose arena keeps the high-water mark of earlier runs).
+	// held data at the snapshot, the bitmaps and the live spill slots. It
+	// is a property of the run, not of the pooled subarray that served it
+	// (whose arena keeps the high-water mark of earlier runs).
 	CheckpointBytes int64
 }
 
@@ -140,8 +141,7 @@ type EpochHook interface {
 	Scrub(opIdx int) int
 }
 
-// savedRow is one keyed row captured in a checkpoint: an overflow-map row
-// (key = the row id) or a live spill slot (key = the slot).
+// savedRow is one live spill slot captured in a checkpoint (key = the slot).
 type savedRow struct {
 	key  uint64
 	data []uint64
@@ -171,15 +171,11 @@ type checkpoint struct {
 	cDirty   bool
 	parBad   int
 
-	extraRows  []savedRow
 	spillSlots []savedRow
 }
 
 func (c *checkpoint) bytes() int64 {
 	n := int64(c.rowWords+len(c.present)+len(c.parity)) * 8
-	for i := range c.extraRows {
-		n += int64(len(c.extraRows[i].data))*8 + 8
-	}
 	for i := range c.spillSlots {
 		n += int64(len(c.spillSlots[i].data))*8 + 8
 	}
@@ -203,13 +199,6 @@ func (s *Subarray) snapshot(c *checkpoint) {
 	c.opIdx = s.opIdx
 	c.cDirty = s.cDirty
 	c.parBad = s.parBad
-	c.extraRows = c.extraRows[:cap(c.extraRows)]
-	n := 0
-	for r, data := range s.extra {
-		c.extraRows = save(c.extraRows, n, uint64(r), data)
-		n++
-	}
-	c.extraRows = c.extraRows[:n]
 }
 
 // restore rewinds the subarray to the snapshot in c. The arena may have
@@ -226,14 +215,6 @@ func (s *Subarray) restore(c *checkpoint) {
 	s.opIdx = c.opIdx
 	s.cDirty = c.cDirty
 	s.parBad = c.parBad
-	clear(s.extra)
-	for i := range c.extraRows {
-		er := &c.extraRows[i]
-		if s.extra == nil {
-			s.extra = make(map[isa.Row][]uint64)
-		}
-		s.extra[isa.Row(er.key)] = append([]uint64(nil), er.data...)
-	}
 }
 
 // snapshot captures the store's live slots into c.
@@ -323,7 +304,6 @@ type recoverScratch struct {
 	ck      checkpoint
 	eio     epochIO
 	digests []uint64
-	rowKeys []int64
 	slotIDs []uint64
 }
 
@@ -338,8 +318,8 @@ func mix64(x uint64) uint64 {
 }
 
 // digestState hashes the complete functional state an epoch leaves behind:
-// every stored dense row (by slot), overflow rows (sorted), live spill
-// slots (sorted), the C-dirty flag and the epoch's buffered host reads.
+// every stored row (by slot), live spill slots (sorted), the C-dirty flag
+// and the epoch's buffered host reads.
 // Two attempts that produce the same digest are functionally
 // interchangeable; the vote detector commits on the first agreement.
 func (sc *recoverScratch) digestState(s *Subarray, sp *SpillStore) uint64 {
@@ -357,19 +337,6 @@ func (sc *recoverScratch) digestState(s *Subarray, sp *SpillStore) uint64 {
 		word(uint64(idx) | 1<<32)
 		for _, w := range s.rowData(idx) {
 			word(w)
-		}
-	}
-	if len(s.extra) > 0 {
-		sc.rowKeys = sc.rowKeys[:0]
-		for r := range s.extra {
-			sc.rowKeys = append(sc.rowKeys, int64(r))
-		}
-		slices.Sort(sc.rowKeys)
-		for _, r := range sc.rowKeys {
-			word(uint64(r) | 2<<32)
-			for _, w := range s.extra[isa.Row(r)] {
-				word(w)
-			}
 		}
 	}
 	sc.slotIDs = sc.slotIDs[:0]
@@ -400,7 +367,8 @@ func (sc *recoverScratch) digestState(s *Subarray, sp *SpillStore) uint64 {
 // placed at (bank, sub), through the timing engine under the guard layer:
 // ctx every 256 executed ops, b.MaxSimSteps/b.MaxDRAMCommands checked
 // before every op. It returns the makespan in nanoseconds; the first
-// functional error or guard stop aborts the run. With the zero policy that
+// functional error or guard stop aborts the run; a (bank, sub) outside the
+// machine's geometry fails before the first op. With the zero policy that
 // is the whole run — the plain run behind every kernel run.
 //
 // A detector in pol adds the detect-and-recover layer: epoch checkpoints,
@@ -413,6 +381,9 @@ func (sc *recoverScratch) digestState(s *Subarray, sp *SpillStore) uint64 {
 // last attempt's state and counts the epoch in RecoveryStats.Uncorrected —
 // graceful degradation, mirroring the compile-time ladder.
 func (m *Machine) RunRecoveredCtx(ctx context.Context, d *Decoded, bank, sub int, io *HostIO, b guard.Budget, pol RecoveryPolicy) (float64, RecoveryStats, error) {
+	if bank < 0 || bank >= m.geom.Banks || sub < 0 || sub >= m.geom.SubarraysPB {
+		return 0, RecoveryStats{}, fmt.Errorf("sim: bank %d sub %d outside the geometry's %d banks x %d subarrays", bank, sub, m.geom.Banks, m.geom.SubarraysPB)
+	}
 	// One stepper for the whole run: its counters keep counting across
 	// rollbacks, so wasted replay work is charged to the same budget
 	// dimensions as first-try work and recovery cannot loop past a budget.

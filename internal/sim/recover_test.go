@@ -341,24 +341,18 @@ func TestRecoveryMachineReuseAcrossRuns(t *testing.T) {
 	checkReads(t, &log2, blocks)
 }
 
-// spillOverflowProgram is three epochs over the state recProgram never
-// touches: spill slots and overflow-map rows (a D row beyond dRows, which
-// can be stored but never sensed, and an exotic negative row, which can be
-// both). Epoch 0 leaves a live slot and two overflow rows behind; epoch 1
-// reads the slot and the exotic row BEFORE overwriting all three, adds a
-// second slot and a third overflow row, and ends in the AP a flakyHook
-// corrupts; epoch 2 reads everything back. A rollback that fails to rewind
-// a slot or an overflow row replays epoch 1 over its own leftovers, and the
-// reads tagged 10 and 11 deliver the wrong epoch's data.
-func spillOverflowProgram(dRows int) (p *isa.Program, faultOp int, overflow []isa.Row) {
-	over, over2, exotic := isa.Row(dRows+3), isa.Row(dRows+4), isa.Row(-20)
+// spillProgram is three epochs over the state recProgram never touches:
+// spill slots. Epoch 0 leaves a live slot behind; epoch 1 reads the slot
+// BEFORE overwriting it, adds a second slot, and ends in the AP a flakyHook
+// corrupts; epoch 2 reads both slots back. A rollback that fails to rewind
+// a slot replays epoch 1 over its own leftovers, and the read tagged 10
+// delivers the wrong epoch's data.
+func spillProgram() (p *isa.Program, faultOp int) {
 	p = &isa.Program{DRowsUsed: 4}
 	mark := func() { p.EpochMarks = append(p.EpochMarks, len(p.Ops)) }
 	p.Append(
 		isa.NewWrite(isa.Row(0), 0),
 		isa.NewSpillOut(isa.Row(0), 7),
-		isa.NewAAP(isa.Row(0), over),
-		isa.NewAAP(isa.Row(0), exotic),
 		isa.NewRead(isa.Row(0), 0),
 	)
 	mark()
@@ -366,13 +360,8 @@ func spillOverflowProgram(dRows int) (p *isa.Program, faultOp int, overflow []is
 		isa.NewWrite(isa.Row(1), 1),
 		isa.NewSpillIn(isa.Row(2), 7),
 		isa.NewRead(isa.Row(2), 10),
-		isa.NewAAP(exotic, isa.Row(3)),
-		isa.NewRead(isa.Row(3), 11),
 		isa.NewSpillOut(isa.Row(1), 7),
 		isa.NewSpillOut(isa.Row(1), 9),
-		isa.NewAAP(isa.Row(1), over),
-		isa.NewAAP(isa.Row(1), exotic),
-		isa.NewAAP(isa.Row(1), over2),
 		isa.NewAAP(isa.Row(1), isa.T0),
 		isa.NewAAP(isa.Row(1), isa.T1),
 		isa.NewAAP(isa.C0, isa.T2),
@@ -386,19 +375,17 @@ func spillOverflowProgram(dRows int) (p *isa.Program, faultOp int, overflow []is
 		isa.NewRead(isa.Row(2), 20),
 		isa.NewSpillIn(isa.Row(2), 9),
 		isa.NewRead(isa.Row(2), 21),
-		isa.NewAAP(exotic, isa.Row(3)),
-		isa.NewRead(isa.Row(3), 22),
 	)
 	mark()
-	return p, faultOp, []isa.Row{over, over2, exotic}
+	return p, faultOp
 }
 
-// TestRecoveryRollsBackSpillAndOverflowRows holds a recovered run whose
-// rolled-back epoch holds live spill slots and overflow-map rows against
-// the fault-free plain run: host reads, spill contents and row dumps.
-func TestRecoveryRollsBackSpillAndOverflowRows(t *testing.T) {
-	prog, faultOp, overflow := spillOverflowProgram(dram.DefaultGeometry().DRows())
-	rows := append([]isa.Row{isa.Row(0), isa.Row(1), isa.Row(2), isa.Row(3), isa.T0, isa.T1, isa.T2}, overflow...)
+// TestRecoveryRollsBackSpillSlots holds a recovered run whose rolled-back
+// epoch holds live spill slots against the fault-free plain run: host
+// reads, spill contents and row dumps.
+func TestRecoveryRollsBackSpillSlots(t *testing.T) {
+	prog, faultOp := spillProgram()
+	rows := []isa.Row{isa.Row(0), isa.Row(1), isa.Row(2), isa.T0, isa.T1, isa.T2}
 	type state struct {
 		log   readLog
 		rows  [][]uint64
@@ -423,14 +410,14 @@ func TestRecoveryRollsBackSpillAndOverflowRows(t *testing.T) {
 		return st, rs
 	}
 	want, _ := run(nil, RecoveryPolicy{})
-	if len(want.spill) != 2 || want.rows[len(rows)-1] == nil || want.rows[len(rows)-3] == nil {
-		t.Fatalf("fault-free run left spill %v, rows %v: the program no longer exercises spill slots and overflow rows", want.spill, want.rows)
+	if len(want.spill) != 2 {
+		t.Fatalf("fault-free run left spill %v: the program no longer exercises two spill slots", want.spill)
 	}
-	if want.log.data[1] != recPattern(0) || want.log.data[2] != recPattern(0) {
-		t.Fatalf("epoch 1 read %#x / %#x from the slot and the exotic row, want epoch 0's %#x", want.log.data[1], want.log.data[2], recPattern(0))
+	if want.log.data[1] != recPattern(0) {
+		t.Fatalf("epoch 1 read %#x from the slot, want epoch 0's %#x", want.log.data[1], recPattern(0))
 	}
 
-	got, rs := run(&flakyHook{fireOp: faultOp}, RecoveryPolicy{Detector: DetectVote, EpochUops: 5, MaxRetries: 3})
+	got, rs := run(&flakyHook{fireOp: faultOp}, RecoveryPolicy{Detector: DetectVote, EpochUops: 3, MaxRetries: 3})
 	if rs.Epochs != 3 || rs.Detections != 1 || rs.Corrected != 1 || rs.Uncorrected != 0 {
 		t.Fatalf("stats = %+v, want three epochs with one detected and corrected", rs)
 	}

@@ -77,14 +77,17 @@ const numSpecialRows = 10
 // pairs are kept complementary on every write, which is how in-DRAM NOT
 // works on Ambit-style substrates.
 //
+// Its rows are the device's: the ten special rows (C-group and B-group) and
+// dRows D-group rows. An op that names any other row — a D row at or past
+// dRows, a negative id that is no special row — fails at that op, before it
+// senses or stores anything.
+//
 // Storage is a flat arena of (numSpecialRows + physRows) x words uint64s.
 // Special rows occupy the first ten slots; D-group row r lives at slot
 // numSpecialRows+r. The arena grows geometrically with the highest D row
 // touched, so a program using 50 rows never pays for the subarray's full
 // 1006-row address space, and a pooled subarray reaches steady state (zero
-// allocations per op) after its first trial. Rows outside the dense range
-// (exotic negative ids, D rows beyond dRows) fall back to a map, preserving
-// the historical write-then-fail-on-read semantics byte for byte.
+// allocations per op) after its first trial.
 type Subarray struct {
 	lanes int
 	words int
@@ -94,8 +97,7 @@ type Subarray struct {
 	arena    []uint64 // (numSpecialRows+physRows) rows x words
 	physRows int      // D rows currently backed by the arena
 	present  []uint64 // presence bitmap over numSpecialRows+dRows slots
-	extra    map[isa.Row][]uint64
-	cDirty   bool // a C-group row was overwritten outside ROWINIT
+	cDirty   bool     // a C-group row was overwritten outside ROWINIT
 
 	scratch []uint64 // AAP copy / AP majority staging buffer
 	readBuf []uint64 // READ payload buffer handed to ReadSink
@@ -107,8 +109,6 @@ type Subarray struct {
 	// decayed) and is counted in parBad. Compute faults corrupt the data
 	// BEFORE the store records its parity, so they are invisible here by
 	// construction — that asymmetry is the detector's documented trade-off.
-	// Overflow (extra-map) rows are outside the dense bitline array model
-	// and are not tracked.
 	parTrack bool
 	parity   []uint64 // per-slot parity bitmap, valid where present
 	parBad   int      // mismatches observed since the tracker was armed
@@ -170,7 +170,6 @@ func grow(buf []uint64, n int) []uint64 {
 // and scratch buffers allocated for reuse across trials.
 func (s *Subarray) Reset() {
 	clear(s.present)
-	clear(s.extra)
 	s.cDirty = false
 	s.opIdx = 0
 	s.hook = nil
@@ -188,19 +187,22 @@ func (s *Subarray) SetFaultHook(h FaultHook) { s.hook = h }
 // presence bitmap and scratch buffers) — the quantity choppersim reports as
 // peak scratch.
 func (s *Subarray) MemBytes() int64 {
-	n := int64(cap(s.arena)+cap(s.scratch)+cap(s.readBuf)) * 8
-	n += int64(cap(s.present)+cap(s.parity)) * 8
-	for _, row := range s.extra {
-		n += int64(cap(row)) * 8
-	}
-	return n
+	return int64(cap(s.arena)+cap(s.scratch)+cap(s.readBuf)+cap(s.present)+cap(s.parity)) * 8
 }
 
-// at is row operand o's arena slot; ok is false for rows outside the dense
-// range (exotic negatives, D rows beyond dRows): they live in the map.
-func (s *Subarray) at(o *opnd) (int, bool) {
-	idx := int(o.slot)
-	return idx, idx >= 0 && idx < numSpecialRows+s.dRows
+// outside is the error of the first row operand in opds the subarray does
+// not have: a D row at or past dRows, or a negative id that is no special
+// row. Every other operand has its arena slot.
+func (s *Subarray) outside(opds []opnd) error {
+	for j := range opds {
+		switch o := &opds[j]; {
+		case o.row.IsDGroup() && int(o.row) >= s.dRows:
+			return fmt.Errorf("sim: row %s beyond D-group size %d", o.row, s.dRows)
+		case o.slot < 0:
+			return fmt.Errorf("sim: no row %s in the subarray", o.row)
+		}
+	}
+	return nil
 }
 
 func (s *Subarray) isPresent(idx int) bool { return s.present[idx>>6]&(1<<uint(idx&63)) != 0 }
@@ -305,17 +307,8 @@ func (s *Subarray) ensure(idx int) {
 	s.physRows = phys
 }
 
-// peek returns the live storage of row operand o if it is initialized.
-func (s *Subarray) peek(o *opnd) ([]uint64, bool) {
-	if idx, ok := s.at(o); ok {
-		if idx < s.allocRows() && s.isPresent(idx) {
-			return s.rowData(idx), true
-		}
-		return nil, false
-	}
-	row, ok := s.extra[o.row]
-	return row, ok
-}
+// defined reports whether the row at slot idx holds data.
+func (s *Subarray) defined(idx int) bool { return idx < s.allocRows() && s.isPresent(idx) }
 
 // plan reports whether a whole-stream run of d may trust its proofs (exec):
 // d names only rows the subarray holds, backed here, once, up to d's highest.
@@ -327,20 +320,13 @@ func (s *Subarray) plan(d *Decoded) bool {
 	return true
 }
 
-// load senses row operand o of the op at idx: a planned run's proven read
-// is there to sense, any other is checked first.
+// load senses row operand o of the op at idx, a row of the subarray: a
+// planned run's proven read is there to sense, any other is checked first.
 func (s *Subarray) load(idx int, o *opnd, planned bool) ([]uint64, error) {
-	if planned && o.proven {
-		return s.sensed(idx, o, s.rowData(int(o.slot))), nil
-	}
-	if o.row.IsDGroup() && int(o.row) >= s.dRows {
-		return nil, fmt.Errorf("sim: row %s beyond D-group size %d", o.row, s.dRows)
-	}
-	row, ok := s.peek(o)
-	if !ok {
+	if !(planned && o.proven) && !s.defined(int(o.slot)) {
 		return nil, fmt.Errorf("sim: read of uninitialized row %s", o.row)
 	}
-	return s.sensed(idx, o, row), nil
+	return s.sensed(idx, o, s.rowData(int(o.slot))), nil
 }
 
 // sensed gives the fault hook its chance to materialize retention decay in
@@ -353,49 +339,31 @@ func (s *Subarray) sensed(idx int, o *opnd, row []uint64) []uint64 {
 		// The hook has materialized any retention decay: a sensed row whose
 		// contents no longer match the parity recorded at store time is a
 		// detected storage fault.
-		if si, ok := s.at(o); ok {
-			s.checkParity(si, row)
-		}
+		s.checkParity(int(o.slot), row)
 	}
 	return row
 }
 
-// setRow stores data into row operand o and returns the row's storage: its
-// arena slot, marked initialized, or its overflow-map row when the row lies
-// outside the dense range — stores there succeed, preserving the historical
-// map semantics (reads of out-of-range D rows fail with the bound error).
-// The slice is copied; a freshly initialized row behaves as if zero-filled
-// first (words beyond len(data) read as zero), exactly like the historical
-// map-backed store. A dense row is stored by put and paired.
+// setRow stores data into row operand o, a row of the subarray, and returns
+// the row's storage: its arena slot, backed and marked initialized. The
+// slice is copied; a freshly initialized row behaves as if zero-filled first
+// (words beyond len(data) read as zero). The store is put and paired.
 func (s *Subarray) setRow(o *opnd, data []uint64) []uint64 {
-	idx, dense := s.at(o)
+	idx := int(o.slot)
 	if o.row.IsCGroup() {
 		s.cDirty = true
 	}
-	if dense {
-		s.ensure(idx)
-		if !s.isPresent(idx) {
-			clear(s.rowData(idx)[min(len(data), s.words):])
-		}
-		dst := s.put(o, data)
-		s.paired(o, dst)
-		return dst
+	s.ensure(idx)
+	if !s.isPresent(idx) {
+		clear(s.rowData(idx)[min(len(data), s.words):])
 	}
-	if s.extra == nil {
-		s.extra = make(map[isa.Row][]uint64)
-	}
-	dst, held := s.extra[o.row]
-	if !held {
-		dst = make([]uint64, s.words)
-		s.extra[o.row] = dst
-	}
-	copy(dst, data)
-	dst[s.words-1] &= s.mask
+	dst := s.put(o, data)
+	s.paired(o, dst)
 	return dst
 }
 
 // put and paired are every store into the arena. put copies data into the
-// backed dense row operand o, masked, marks the row present and returns its
+// backed row operand o, masked, marks the row present and returns its
 // storage; paired records the row's parity bit and keeps its dual-contact
 // partner complementary — which is how in-DRAM NOT works — and may be
 // skipped when there is neither to do.
@@ -439,15 +407,14 @@ func (s *Subarray) initRow(o *opnd, pattern uint64) {
 	s.cDirty = dirty
 }
 
-// Row returns a copy of the row's contents (nil if uninitialized); intended
-// for tests and debugging dumps.
+// Row returns a copy of the row's contents (nil if uninitialized or not a
+// row of the subarray); intended for tests and debugging dumps.
 func (s *Subarray) Row(r isa.Row) []uint64 {
 	o := resolve(r)
-	row, ok := s.peek(&o)
-	if !ok {
+	if s.outside([]opnd{o}) != nil || !s.defined(int(o.slot)) {
 		return nil
 	}
-	return append([]uint64(nil), row...)
+	return append([]uint64(nil), s.rowData(int(o.slot))...)
 }
 
 // spillSlot is one SSD-backed spill slot; the buffer is retained when the
@@ -510,12 +477,13 @@ func (sp *SpillStore) get(slot uint64) ([]uint64, bool) {
 
 // Machine is one simulated subarray with everything a run of it keeps: the
 // functional state, its spill store, the timing engine and the recovery
-// scratch. A run names the (bank, sub) the subarray sits at, which is only
-// what the engine charges and what errors report; Reconfigure starts the
-// next run from fresh state. Multi-subarray execution is the compiler's
+// scratch. A run names the (bank, sub) the subarray sits at, one of the
+// geometry's, which is only what the engine charges and what errors report;
+// Reconfigure starts the next run from fresh state. Multi-subarray execution is the compiler's
 // (VIRCOE's issue order) and the timing model's business, not the
 // functional simulator's: a tiled run executes its tiles on a machine each.
 type Machine struct {
+	geom   dram.Geometry
 	sub    Subarray
 	spill  SpillStore
 	engine dram.Engine
@@ -551,6 +519,7 @@ func (m *Machine) Reconfigure(cfg MachineConfig) {
 	// The machine's engine is the base device: no SALP and spill ops at
 	// their DRAM/bus cost alone. Tiled runs (which honour SALP) and the SSD
 	// study replay on engines of their own (tiled.go, internal/bench).
+	m.geom = cfg.Geom
 	m.engine.Reconfigure(cfg.Geom, dram.TimingFor(cfg.Arch, cfg.Geom), false)
 	m.sub.Configure(cfg.Geom.DRows(), lanes)
 	m.sub.SetFaultHook(cfg.Fault)

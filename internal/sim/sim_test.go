@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -342,5 +344,128 @@ func TestConfigureSmallerSubarray(t *testing.T) {
 			t.Fatalf("detector %d: %v", det, err)
 		}
 		checkReads(t, &log, 3)
+	}
+}
+
+// TestDeviceContract holds the simulator to the rows and subarrays the
+// device has. An op that names a row the subarray lacks — a D row at or
+// past dRows, an id that is no row — fails at that op on every execution
+// path, with the row in its text: it stores nothing, no hook sees it, and
+// the READs before it are delivered. A run placed outside the geometry
+// fails before its first op.
+func TestDeviceContract(t *testing.T) {
+	const dRows = 8
+	geom := dram.Geometry{Banks: 2, SubarraysPB: 4, RowsPerSub: dRows, RowBytes: 8}
+	past, none := isa.Row(dRows), isa.Row(-20)
+	pastErr, noneErr := "sim: row D8 beyond D-group size 8", "sim: no row R?-20 in the subarray"
+	bad := []struct {
+		op   isa.Op
+		want string
+	}{
+		{isa.NewAAP(isa.Row(0), past), pastErr},
+		{isa.NewAAP(isa.Row(0), isa.T0, none), noneErr},
+		{isa.NewWrite(past, 1), pastErr},
+		{isa.NewWrite(none, 1), noneErr},
+		{isa.NewRowInit(past, 5), pastErr},
+		{isa.NewRowInit(none, 5), noneErr},
+		{isa.NewSpillIn(past, 0), pastErr},
+		{isa.NewSpillIn(none, 0), noneErr},
+		{isa.NewRead(none, 2), noneErr},
+	}
+	prefix := []isa.Op{isa.NewWrite(isa.Row(0), 1), isa.NewSpillOut(isa.Row(0), 0), isa.NewRead(isa.Row(0), 1)}
+	stepwise := func(decoded bool) func(*Machine, *isa.Program, *HostIO) error {
+		return func(m *Machine, p *isa.Program, io *HostIO) error {
+			d := Decode(p)
+			for i := range p.Ops {
+				var err error
+				if decoded {
+					err = m.sub.ExecDecoded(d, i, io, &m.spill)
+				} else {
+					err = m.sub.Exec(&p.Ops[i], io, &m.spill)
+				}
+				if err != nil {
+					return fmt.Errorf("op %d at bank 0 sub 0: %w", i, err)
+				}
+			}
+			return nil
+		}
+	}
+	recovered := func(det DetectorKind) func(*Machine, *isa.Program, *HostIO) error {
+		return func(m *Machine, p *isa.Program, io *HostIO) error {
+			_, _, err := m.RunRecoveredCtx(nil, Decode(p), 0, 0, io, guard.Budget{}, RecoveryPolicy{Detector: det, EpochUops: len(prefix)})
+			return err
+		}
+	}
+	paths := []struct {
+		name string
+		run  func(*Machine, *isa.Program, *HostIO) error
+	}{
+		{"Exec", stepwise(false)},
+		{"ExecDecoded", stepwise(true)},
+		{"RunFunctionalCtx", func(m *Machine, p *isa.Program, io *HostIO) error {
+			return m.RunFunctionalCtx(nil, Decode(p), io, guard.Budget{})
+		}},
+		{"RunRecoveredCtx", recovered(DetectNone)},
+		{"RunRecoveredCtx/parity", recovered(DetectParity)},
+		{"RunRecoveredCtx/vote", recovered(DetectVote)},
+	}
+	// run executes p on a fresh machine and returns the error, the READs
+	// delivered, the hook calls and every row of the subarray.
+	run := func(path func(*Machine, *isa.Program, *HostIO) error, p *isa.Program) (string, []string, []string, [][]uint64) {
+		h := &traceHook{}
+		m := NewMachine(MachineConfig{Geom: geom, Arch: isa.Ambit, Lanes: 64, Fault: h})
+		var reads []string
+		msg := ""
+		if err := path(m, p, testIO(1, 42, &reads)); err != nil {
+			msg = err.Error()
+		}
+		var rows [][]uint64
+		for r := isa.DCC1N; r < dRows; r++ {
+			rows = append(rows, m.sub.Row(r))
+		}
+		return msg, reads, h.events, rows
+	}
+	for _, path := range paths {
+		_, wantReads, _, wantRows := run(path.run, &isa.Program{Ops: prefix})
+		for _, tc := range bad {
+			p := &isa.Program{Ops: append(slices.Clone(prefix), tc.op, isa.NewRead(isa.Row(0), 3))}
+			msg, reads, trace, rows := run(path.run, p)
+			if want := "op 3 at bank 0 sub 0: " + tc.want; msg != want {
+				t.Errorf("%s %v: error %q, want %q", path.name, tc.op, msg, want)
+			}
+			if !slices.Equal(reads, wantReads) {
+				t.Errorf("%s %v: READs %q, want the prefix's %q", path.name, tc.op, reads, wantReads)
+			}
+			if i := slices.IndexFunc(trace, func(e string) bool { return strings.Contains(e, " op3 ") }); i >= 0 {
+				t.Errorf("%s %v: a hook saw the failing op: %s", path.name, tc.op, trace[i])
+			}
+			if !slices.EqualFunc(rows, wantRows, eqWords) {
+				t.Errorf("%s %v: the subarray's rows changed:\n got %x\nwant %x", path.name, tc.op, rows, wantRows)
+			}
+		}
+	}
+
+	m := NewMachine(MachineConfig{Geom: geom, Arch: isa.Ambit, Lanes: 64})
+	good := Decode(&isa.Program{Ops: prefix})
+	for _, det := range []DetectorKind{DetectNone, DetectVote} {
+		for _, at := range [][2]int{{geom.Banks, 0}, {0, geom.SubarraysPB}, {-1, 0}, {geom.Banks - 1, geom.SubarraysPB - 1}} {
+			m.Reconfigure(MachineConfig{Geom: geom, Arch: isa.Ambit, Lanes: 64})
+			var reads []string
+			_, _, err := m.RunRecoveredCtx(nil, good, at[0], at[1], testIO(1, 42, &reads), guard.Budget{}, RecoveryPolicy{Detector: det})
+			want := fmt.Sprintf("sim: bank %d sub %d outside the geometry's 2 banks x 4 subarrays", at[0], at[1])
+			if at[0] == geom.Banks-1 {
+				want = ""
+			}
+			got := ""
+			if err != nil {
+				got = err.Error()
+			}
+			if got != want {
+				t.Errorf("detector %d at %v: error %q, want %q", det, at, got, want)
+			}
+			if ran := len(reads) > 0 || m.Stats().Ops > 0; ran != (want == "") {
+				t.Errorf("detector %d at %v: ran %v (%d READs, %d commands)", det, at, ran, len(reads), m.Stats().Ops)
+			}
+		}
 	}
 }
