@@ -354,7 +354,7 @@ func putWorker(w *simWorker) {
 }
 
 // workspace is everything one back-end compile keeps between passes and
-// can hand to the next compile: the logic builder with its interning table
+// can hand to the next compile: the logic builder with its hashing buckets
 // and gate buffers, the net-rewrite id maps, the scheduler's tables, and
 // codegen's per-node tables and op staging buffer. Every pass resets what
 // it uses on entry, so a workspace abandoned mid-compile (error, panic,

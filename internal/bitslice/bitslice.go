@@ -49,11 +49,7 @@ func Lower(g *dfg.Graph, opts Options) (*logic.Net, error) {
 // another temporary net, which is long enough to legalize it.
 func LowerOn(s *logic.Scratch, g *dfg.Graph, opts Options) (*logic.Net, error) {
 	b := s.Builder(logic.BuilderOptions{Fold: opts.Fold, CSE: true})
-	// Size the interning table to the net about to be built. The Table-II
-	// kernels build 0.8 to 3.1 gates per bit of value width; at 3/2 the
-	// table lands between a quarter and three fifths full on all of them
-	// with no rehash, and a multiplier-heavy graph that outgrows the
-	// estimate rehashes in place.
+	// The Table-II kernels build 0.8 to 3.1 gates per bit of value width.
 	bitsTotal := 0
 	for i := range g.Values {
 		bitsTotal += g.Values[i].Width

@@ -1,8 +1,8 @@
 package dsl
 
 import (
-	"fmt"
 	"math/big"
+	"strconv"
 )
 
 // Expand performs the macro-expansion phase of the front end: forall loops
@@ -81,7 +81,7 @@ func ParseAndExpand(src string) (*Program, error) {
 }
 
 // ElemName returns the scalarized name of array element base[i].
-func ElemName(base string, i int) string { return fmt.Sprintf("%s__%d", base, i) }
+func ElemName(base string, i int) string { return base + "__" + strconv.Itoa(i) }
 
 type expander struct {
 	node   *Node
@@ -195,6 +195,9 @@ func (e *expander) expandEquation(eq *Equation, env map[string]int) error {
 
 // constIndex evaluates an index expression to a constant under env.
 func (e *expander) constIndex(idx Expr, env map[string]int, count int, base string) (int, error) {
+	if v, ok := smallConst(idx, env); ok && v >= 0 && v < int64(count) {
+		return int(v), nil
+	}
 	v, err := evalConst(idx, env)
 	if err != nil {
 		return 0, err
@@ -203,6 +206,37 @@ func (e *expander) constIndex(idx Expr, env map[string]int, count int, base stri
 		return 0, errf(idx.ExprPos(), "index %s out of range for %s[%d]", v, base, count)
 	}
 	return int(v.Int64()), nil
+}
+
+// smallConst is evalConst on int64 for the indices that need nothing
+// more: literals, loop variables and + - * of them, every value within
+// ±2^31 so no step overflows. Otherwise ok is false and evalConst, which
+// also words every error, decides.
+func smallConst(x Expr, env map[string]int) (v int64, ok bool) {
+	const lim = 1 << 31
+	switch x := x.(type) {
+	case *IntLit:
+		v, ok = x.Value.Int64(), x.Value.IsInt64()
+	case *Ident:
+		var i int
+		i, ok = env[x.Name]
+		v = int64(i)
+	case *Binary:
+		a, okA := smallConst(x.X, env)
+		b, okB := smallConst(x.Y, env)
+		ok = okA && okB
+		switch x.Op {
+		case OpAdd:
+			v = a + b
+		case OpSub:
+			v = a - b
+		case OpMul:
+			v = a * b
+		default:
+			ok = false
+		}
+	}
+	return v, ok && v > -lim && v < lim
 }
 
 // evalConst evaluates an expression of literals and loop variables.

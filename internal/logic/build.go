@@ -2,7 +2,7 @@ package logic
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 )
 
 // BuilderOptions control the local simplifications the Builder applies as
@@ -25,16 +25,27 @@ type BuilderOptions struct {
 }
 
 // Builder constructs Nets incrementally. The structural-hashing and
-// negation caches live in dense, reusable storage (an open-addressed
-// interning table and NodeID-indexed slices) rather than Go maps, and a
-// Reset keeps every buffer's capacity, so a retained builder (see Scratch)
+// negation caches live in reusable storage indexed by NodeID, and a Reset
+// keeps every buffer's capacity, so a retained builder (see Scratch)
 // compiles in steady state without per-gate allocation.
+//
+// Structural hashing files each computation gate beside its newest
+// operand, max(Args): buckets[k] holds the first four gates whose newest
+// operand is node k. That node is almost always one created moments ago,
+// so its bucket is still in cache, where a table hashed over the whole
+// net misses on nearly every probe. A gate whose bucket is full goes to
+// the over map, which a lookup reads only past a full bucket: an operand
+// feeding hundreds of gates (a multiplier's broadcast bit) would make a
+// per-node chain as long as its fanout.
 type Builder struct {
-	opts   BuilderOptions
-	net    Net
-	intern internTable
-	zero   NodeID
-	one    NodeID
+	opts    BuilderOptions
+	net     Net
+	buckets []bucket
+	over    map[Gate]NodeID
+	// overPeak is the most gates over has held, for Scratch.Bytes.
+	overPeak int
+	zero     NodeID
+	one      NodeID
 	// nots[x] is the cached NOT of node x (for ~~x = x); notOf[id] is the
 	// node id negates. None when absent; maintained only under Fold, with
 	// length kept equal to len(net.Gates).
@@ -42,88 +53,9 @@ type Builder struct {
 	notOf []NodeID
 }
 
-// internTable is an open-addressed (linear probing, power-of-two sized)
-// hash table interning computation gates for CSE. A slot is 8 bytes — the
-// node id and half of the gate's hash — and a matching fingerprint is
-// confirmed against the gate itself, so the table holds no copy of the
-// key. len(slots) is the logical size and follows the net being built;
-// cap(slots) is whatever the largest net so far needed and is kept. A
-// retained table must not hash across its high-water capacity: every
-// probe of a sparse table is a cache miss, which is the cost the table
-// exists to avoid.
-type internTable struct {
-	slots []internSlot
-	n     int
-}
-
-type internSlot struct {
-	idP1 int32  // NodeID + 1; 0 marks an empty slot
-	fp   uint32 // high half of hashGate(kind, args)
-}
-
-// minInternSlots is the logical size a reset table starts from.
-const minInternSlots = 256
-
-func hashGate(kind GateKind, a [3]NodeID) uint64 {
-	h := uint64(kind) + 1
-	h = h*0x9E3779B97F4A7C15 + uint64(uint32(a[0]))
-	h = h*0x9E3779B97F4A7C15 + uint64(uint32(a[1]))
-	h = h*0x9E3779B97F4A7C15 + uint64(uint32(a[2]))
-	h ^= h >> 29
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 32
-	return h
-}
-
-// lookup returns the interned id for (kind, args) among gates, or None
-// with the probe slot where it belongs; h is hashGate(kind, args).
-func (t *internTable) lookup(gates []Gate, h uint64, kind GateKind, args [3]NodeID) (NodeID, int) {
-	fp := uint32(h >> 32)
-	mask := uint64(len(t.slots) - 1)
-	i := h & mask
-	for {
-		s := t.slots[i]
-		if s.idP1 == 0 {
-			return None, int(i)
-		}
-		if s.fp == fp {
-			if g := &gates[s.idP1-1]; g.Kind == kind && g.Args == args {
-				return NodeID(s.idP1 - 1), int(i)
-			}
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// place stores id under hash h at the first free slot of its probe run.
-func (t *internTable) place(h uint64, id NodeID) {
-	mask := uint64(len(t.slots) - 1)
-	i := h & mask
-	for t.slots[i].idP1 != 0 {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = internSlot{idP1: int32(id) + 1, fp: uint32(h >> 32)}
-}
-
-// resize empties the table at a logical size of size slots (a power of
-// two), reusing retained capacity: only the slots about to be probed are
-// cleared, never the high-water capacity.
-func (t *internTable) resize(size int) {
-	if cap(t.slots) < size {
-		t.slots = make([]internSlot, size)
-	} else {
-		t.slots = t.slots[:size]
-		clear(t.slots)
-	}
-	t.n = 0
-}
-
-func nextPow2(n int) int {
-	if n < 16 {
-		return 16
-	}
-	return 1 << bits.Len(uint(n-1))
-}
+// bucket lists the gates filed under one node, in creation order. A gate
+// is newer than its operands, so id 0 cannot be filed and marks the end.
+type bucket [4]NodeID
 
 // NewBuilder creates a builder with the given options.
 func NewBuilder(opts BuilderOptions) *Builder {
@@ -147,83 +79,66 @@ func (b *Builder) Reset(opts BuilderOptions) {
 	b.net.OutputNames = b.net.OutputNames[:0]
 	b.net.inIdx = nil
 	b.net.inDup = ""
-	b.intern.resize(minInternSlots)
+	b.buckets = b.buckets[:0]
+	clear(b.over)
 	b.zero, b.one = None, None
 	b.nots = b.nots[:0]
 	b.notOf = b.notOf[:0]
 }
 
 // Grow hints the expected gate count, pre-sizing the gate slice and the
-// interning table so building up to that many gates neither reallocates
-// nor rehashes. The table's logical size follows the hint, not the
-// capacity earlier nets left behind.
+// per-node tables so building up to that many gates does not reallocate.
 func (b *Builder) Grow(gates int) {
-	if cap(b.net.Gates) < gates {
-		g := make([]Gate, len(b.net.Gates), gates)
-		copy(g, b.net.Gates)
-		b.net.Gates = g
+	n := max(0, gates-len(b.net.Gates))
+	b.net.Gates = slices.Grow(b.net.Gates, n)
+	if b.opts.CSE {
+		b.buckets = slices.Grow(b.buckets, n)
 	}
-	if want := nextPow2(gates * 2); len(b.intern.slots) < want {
-		b.rehash(want)
-	}
-	if b.opts.Fold && cap(b.nots) < gates {
-		ns := make([]NodeID, len(b.nots), gates)
-		copy(ns, b.nots)
-		b.nots = ns
-		no := make([]NodeID, len(b.notOf), gates)
-		copy(no, b.notOf)
-		b.notOf = no
-	}
-}
-
-// rehash rebuilds the interning table at a logical size of size slots.
-// Under CSE the table holds exactly the net's non-input gates, so it is
-// rebuilt from the gate list, in place, with no second table.
-func (b *Builder) rehash(size int) {
-	b.intern.resize(size)
-	if !b.opts.CSE {
-		return
-	}
-	for id := range b.net.Gates {
-		if g := &b.net.Gates[id]; g.Kind != GInput {
-			b.intern.place(hashGate(g.Kind, g.Args), NodeID(id))
-			b.intern.n++
-		}
+	if b.opts.Fold {
+		b.nots = slices.Grow(b.nots, n)
+		b.notOf = slices.Grow(b.notOf, n)
 	}
 }
 
 var noArgs = [3]NodeID{None, None, None}
 
 // raw appends (or, under CSE, interns) the gate; unused args are None.
+// Inputs and constants have no operand to file under: inputs are never
+// shared, and Const keeps one node per value itself.
 func (b *Builder) raw(kind GateKind, args [3]NodeID) NodeID {
 	g := Gate{Kind: kind, Args: args}
-	if b.opts.CSE && kind != GInput {
-		h := hashGate(kind, g.Args)
-		id, slot := b.intern.lookup(b.net.Gates, h, kind, g.Args)
-		if id != None {
-			return id
-		}
-		id = NodeID(len(b.net.Gates))
-		b.append(g)
-		// Past 3/4 load the table doubles; the rebuild picks the new gate
-		// up from the gate list.
-		t := &b.intern
-		if (t.n+1)*4 >= len(t.slots)*3 {
-			b.rehash(len(t.slots) * 2)
-		} else {
-			t.slots[slot] = internSlot{idP1: int32(id) + 1, fp: uint32(h >> 32)}
-			t.n++
-		}
-		return id
-	}
 	id := NodeID(len(b.net.Gates))
+	if k := max(args[0], args[1], args[2]); b.opts.CSE && k != None {
+		bk := &b.buckets[k]
+		for i, e := range bk {
+			if e == 0 {
+				bk[i] = id // before append, which may move the buckets
+				b.append(g)
+				return id
+			}
+			if b.net.Gates[e] == g {
+				return e
+			}
+		}
+		if e, ok := b.over[g]; ok {
+			return e
+		}
+		if b.over == nil {
+			b.over = make(map[Gate]NodeID)
+		}
+		b.over[g] = id
+		b.overPeak = max(b.overPeak, len(b.over))
+	}
 	b.append(g)
 	return id
 }
 
-// append adds the gate, keeping the negation caches in step under Fold.
+// append adds the gate, keeping the per-node tables in step with it.
 func (b *Builder) append(g Gate) {
 	b.net.Gates = append(b.net.Gates, g)
+	if b.opts.CSE {
+		b.buckets = append(b.buckets, bucket{})
+	}
 	if b.opts.Fold {
 		b.nots = append(b.nots, None)
 		b.notOf = append(b.notOf, None)

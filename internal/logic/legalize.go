@@ -53,9 +53,7 @@ func (s *Scratch) Legalize(n *Net, arch isa.Arch, opts BuilderOptions) (*Net, er
 	gs := NativeGates(arch)
 	opts.Target = &gs
 	b := s.Builder(opts)
-	// A legalized net runs to about 1.9x its source (XOR and MAJ expand on
-	// AND/OR targets); sized to that, the table neither rehashes mid-build
-	// nor spreads over capacity a larger net left behind.
+	// XOR and MAJ expand on AND/OR targets: 1.0 to 2.6x the source.
 	b.Grow(2 * len(n.Gates))
 	if cap(s.remap) < len(n.Gates) {
 		s.remap = make([]NodeID, len(n.Gates))

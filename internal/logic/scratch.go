@@ -3,10 +3,10 @@ package logic
 import "unsafe"
 
 // Scratch is the logic package's share of a compile workspace: one
-// Builder (gate slice, interning table, negation caches) and the dense
-// per-node tables the net rewrites walk — legalization's old-to-new id
-// map, DCE's mark/remap/stack, TMR's three replica maps — plus a gate
-// buffer for nets that live only between two passes. A caller that keeps
+// Builder (gate slice, hashing buckets and overflow, negation caches) and
+// the dense per-node tables the net rewrites walk — legalization's
+// old-to-new id map, DCE's mark/remap/stack, TMR's three replica maps —
+// plus a gate buffer for nets that live only between two passes. A caller that keeps
 // a Scratch across compiles re-grows none of it.
 //
 // Every method resets what it uses on entry and never on exit, so a
@@ -38,15 +38,14 @@ func (s *Scratch) Bytes() int {
 		id   = int(unsafe.Sizeof(NodeID(0)))
 		str  = int(unsafe.Sizeof(""))
 	)
+	// A map slot holds a gate and an id; the table is at most 7/8 full
+	// and grows by doubling, so it spends at most 48 B a gate.
+	const overGate = 48
 	n := &s.b.net
 	return (cap(n.Gates)+cap(s.temp))*gate +
-		cap(s.b.intern.slots)*int(unsafe.Sizeof(internSlot{})) +
+		cap(s.b.buckets)*int(unsafe.Sizeof(bucket{})) + s.b.overPeak*overGate +
 		(cap(n.Inputs)+cap(n.Outputs)+cap(s.b.nots)+cap(s.b.notOf)+cap(s.remap)+
 			cap(s.dce.remap)+cap(s.dce.stack)+cap(s.rep[0])+cap(s.rep[1])+cap(s.rep[2]))*id +
 		(cap(n.InputNames)+cap(n.OutputNames))*str +
 		cap(s.dce.live)
 }
-
-// InternSlots is the logical size of the builder's interning table as
-// the last build left it (a test hook for the table-follows-the-net rule).
-func (s *Scratch) InternSlots() int { return len(s.b.intern.slots) }

@@ -109,20 +109,21 @@ func ScheduleGates(n *logic.Net, pressureAware bool) []logic.NodeID {
 // use; it is reset on entry to every method and is not safe for
 // concurrent use.
 type Scratch struct {
-	label     []int
+	label     []int32
 	visited   []bool
 	stack     []logic.NodeID
 	phase     []bool
 	natural   []logic.NodeID
 	order     []logic.NodeID
-	remaining []int
+	fanout    []int32
+	remaining []int32
 	isOut     []bool
 }
 
 // Bytes is the storage the scratch retains.
 func (s *Scratch) Bytes() int {
-	const word, id = int(unsafe.Sizeof(int(0))), int(unsafe.Sizeof(logic.NodeID(0)))
-	return (cap(s.label)+cap(s.remaining))*word +
+	const word, id = int(unsafe.Sizeof(int32(0))), int(unsafe.Sizeof(logic.NodeID(0)))
+	return (cap(s.label)+cap(s.fanout)+cap(s.remaining))*word +
 		(cap(s.stack)+cap(s.natural)+cap(s.order))*id +
 		cap(s.visited) + cap(s.phase) + cap(s.isOut)
 }
@@ -156,7 +157,7 @@ func (s *Scratch) ScheduleGates(n *logic.Net, pressureAware bool) []logic.NodeID
 	}
 	if cap(s.label) < len(n.Gates) {
 		s.order = make([]logic.NodeID, 0, len(n.Gates))
-		s.label = make([]int, len(n.Gates))
+		s.label = make([]int32, len(n.Gates))
 		s.visited = make([]bool, len(n.Gates))
 	}
 
@@ -170,15 +171,15 @@ func (s *Scratch) ScheduleGates(n *logic.Net, pressureAware bool) []logic.NodeID
 			continue
 		}
 		// Gather child labels, descending (arity <= 3: sort by hand).
-		var ls [3]int
+		var ls [3]int32
 		ar := g.Kind.Arity()
 		for a := 0; a < ar; a++ {
 			ls[a] = label[g.Args[a]]
 		}
 		sortDesc3(ls[:ar])
-		need := 1
+		need := int32(1)
 		for k, l := range ls[:ar] {
-			if v := l + k; v > need {
+			if v := l + int32(k); v > need {
 				need = v
 			}
 		}
@@ -229,14 +230,15 @@ func (s *Scratch) ScheduleGates(n *logic.Net, pressureAware bool) []logic.NodeID
 		}
 	}
 	s.stack, s.phase, s.order = stack[:0], phase[:0], order
-	if s.MaxLive(n, order) <= s.MaxLive(n, natural) {
+	s.countFanout(n)
+	if s.maxLive(n, order) <= s.maxLive(n, natural) {
 		return order
 	}
 	return natural
 }
 
-// sortDesc3 sorts at most three ints descending.
-func sortDesc3(ls []int) {
+// sortDesc3 sorts at most three labels descending.
+func sortDesc3(ls []int32) {
 	switch len(ls) {
 	case 2:
 		if ls[1] > ls[0] {
@@ -258,7 +260,7 @@ func sortDesc3(ls []int) {
 // sortStableByLabel stably sorts at most three node ids ascending by
 // label (insertion sort, preserving argument order on ties — the same
 // order sort.SliceStable produced).
-func sortStableByLabel(kids []logic.NodeID, label []int) {
+func sortStableByLabel(kids []logic.NodeID, label []int32) {
 	for i := 1; i < len(kids); i++ {
 		for j := i; j > 0 && label[kids[j]] < label[kids[j-1]]; j-- {
 			kids[j], kids[j-1] = kids[j-1], kids[j]
@@ -275,34 +277,45 @@ func MaxLive(n *logic.Net, order []logic.NodeID) int { return new(Scratch).MaxLi
 
 // MaxLive is the package-level MaxLive on the scratch's tables.
 func (s *Scratch) MaxLive(n *logic.Net, order []logic.NodeID) int {
-	if cap(s.remaining) < len(n.Gates) {
-		s.remaining = make([]int, len(n.Gates))
+	s.countFanout(n)
+	return s.maxLive(n, order)
+}
+
+// countFanout fills fanout with every node's consumer count, outputs
+// included, and isOut with the output marks.
+func (s *Scratch) countFanout(n *logic.Net) {
+	if cap(s.fanout) < len(n.Gates) {
+		s.fanout = make([]int32, len(n.Gates))
+		s.remaining = make([]int32, len(n.Gates))
 		s.isOut = make([]bool, len(n.Gates))
 	}
-	// remaining starts as the fanout count of every node (computed in
-	// place, where Fanout() would allocate).
-	remaining := s.remaining[:len(n.Gates)]
-	clear(remaining)
+	fanout := s.fanout[:len(n.Gates)]
+	clear(fanout)
 	for i := range n.Gates {
 		g := &n.Gates[i]
 		for a := 0; a < g.Kind.Arity(); a++ {
-			remaining[g.Args[a]]++
+			fanout[g.Args[a]]++
 		}
 	}
+	outputs := s.isOut[:len(n.Gates)]
+	clear(outputs)
 	for _, o := range n.Outputs {
-		remaining[o]++
+		fanout[o]++
+		outputs[o] = true
 	}
+}
+
+// maxLive simulates order against the fanout countFanout left for n.
+func (s *Scratch) maxLive(n *logic.Net, order []logic.NodeID) int {
+	remaining := s.remaining[:len(n.Gates)]
+	copy(remaining, s.fanout)
+	outputs := s.isOut[:len(n.Gates)]
 	isComp := func(id logic.NodeID) bool {
 		switch n.Gates[id].Kind {
 		case logic.GInput, logic.GConst0, logic.GConst1:
 			return false
 		}
 		return true
-	}
-	outputs := s.isOut[:len(n.Gates)]
-	clear(outputs)
-	for _, o := range n.Outputs {
-		outputs[o] = true
 	}
 	live := 0
 	maxLive := 0
