@@ -98,6 +98,9 @@ type metrics struct {
 	mu      sync.Mutex
 	byClass [numClasses]classMetrics
 	panics  uint64
+	// decodeFallbacks counts bodies the wire codec's canonical path
+	// declined and encoding/json decoded.
+	decodeFallbacks uint64
 }
 
 func newMetrics() *metrics {
@@ -157,6 +160,12 @@ func (m *metrics) batchExecuted(c Class, n int) {
 	m.mu.Unlock()
 }
 
+func (m *metrics) fellBack() {
+	m.mu.Lock()
+	m.decodeFallbacks++
+	m.mu.Unlock()
+}
+
 func (m *metrics) panicked() {
 	m.mu.Lock()
 	m.panics++
@@ -199,6 +208,7 @@ func (m *metrics) render(sb *strings.Builder) {
 		fmt.Fprintf(sb, "chopperd_batch_occupancy_count{class=%q} %d\n", c, cm.batchPasses)
 	}
 	fmt.Fprintf(sb, "chopperd_handler_panics_total %d\n", m.panics)
+	fmt.Fprintf(sb, "chopperd_fallback_total{kind=\"json_decode\"} %d\n", m.decodeFallbacks)
 }
 
 // byClassQuantile reads the latency quantile; split out so render holds

@@ -27,10 +27,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -563,7 +564,7 @@ func (s *Server) handleWork(kind string) http.HandlerFunc {
 		}
 		var req Request
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := s.decodeBody(r.Body, &req); err != nil {
 			writeError(w, fmt.Errorf("bad request body: %w", err), "options")
 			return
 		}
@@ -608,6 +609,22 @@ func (s *Server) handleWork(kind string) http.HandlerFunc {
 		resp, err := s.execute(ctx, kind, &req, tn, cc, class)
 		s.finishWork(w, class, tn, start, resp, true, err)
 	}
+}
+
+// decodeBody reads the whole body into a pooled buffer — all of it, not
+// just its first JSON value, so the MaxBytesReader around it bounds the
+// body entire — and decodes it, counting a fallback to encoding/json.
+func (s *Server) decodeBody(body io.Reader, req *Request) error {
+	buf := wireBufs.Get().(*bytes.Buffer)
+	defer putWire(buf)
+	if _, err := buf.ReadFrom(body); err != nil {
+		return err
+	}
+	fellBack, err := decodeRequest(buf.Bytes(), req)
+	if fellBack {
+		s.met.fellBack()
+	}
+	return err
 }
 
 // finishWork is the shared request epilogue: breaker observation and
@@ -904,19 +921,33 @@ func parseOpt(s string) (chopper.OptLevel, error) {
 // the class deadline expires, or the server hard-cancels in-flight work
 // at the drain deadline.
 func (s *Server) workCtx(parent context.Context, deadline time.Duration) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(parent)
-	stop := context.AfterFunc(s.baseCtx, cancel)
+	var ctx context.Context
+	var cancel context.CancelFunc
 	if deadline > 0 {
-		dctx, dcancel := context.WithTimeout(ctx, deadline)
-		return dctx, func() { dcancel(); cancel(); stop() }
+		ctx, cancel = context.WithTimeout(parent, deadline)
+	} else {
+		ctx, cancel = context.WithCancel(parent)
 	}
-	return ctx, func() { cancel(); stop() }
+	stop := context.AfterFunc(s.baseCtx, cancel)
+	return ctx, func() { stop(); cancel() }
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// wireValue is a body writeJSON sends: a *Response or an *ErrorResponse.
+type wireValue interface {
+	appendJSON(b []byte) []byte
+}
+
+// writeJSON writes v as json.Encoder would; like Encode's error, a value
+// that cannot be encoded leaves the body empty.
+func writeJSON(w http.ResponseWriter, status int, v wireValue) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	buf := wireBufs.Get().(*bytes.Buffer)
+	buf.Write(v.appendJSON(buf.AvailableBuffer())) // keeps the storage if the append outgrew buf
+	if buf.Len() > 0 {
+		w.Write(buf.Bytes())
+	}
+	putWire(buf)
 }
 
 func writeError(w http.ResponseWriter, err error, class string) {
