@@ -708,9 +708,10 @@ func compileGraphAt(ctx context.Context, ws *workspace, prog *dsl.Program, graph
 		return nil, err
 	}
 
-	// codegen.Generate validates the program it stages (isa.Program.Validate
-	// as the inter-pass invariant): a structurally broken program from a
-	// buggy pass degrades instead of shipping.
+	// codegen.Generate validates the program it stages (isa.Program.Validate's
+	// checks, each gate's ops as they are emitted, as the inter-pass
+	// invariant): a structurally broken program from a buggy pass degrades
+	// instead of shipping.
 	var code *codegen.Result
 	if err := protect("codegen", func() error {
 		c, err := codegen.Generate(leg, codegen.Options{

@@ -7,6 +7,28 @@ import (
 	"chopper/internal/prove"
 )
 
+// fuzzCompileSeeds is FuzzCompile's seed corpus: well-formed kernels,
+// malformed and hostile sources, and one that exceeds the gate budget.
+var fuzzCompileSeeds = []string{
+	"",
+	"node main(a: u8, b: u8) returns (s: u8) let s = a + b; tel",
+	"node main(a: u8, b: u8) returns (s: u8, d: u8) let s = a + b; d = a - b; tel",
+	"node main(a: u16) returns (z: u16) vars t: u16; let t = a * a; z = t ^ a; tel",
+	"node main(a: u8, b: u8, p: u1) returns (c: u8) let c = p ? a : b; tel",
+	"node main(a: u8) returns (z: u8) let z = mux(a < 3:u8, a, ~a); tel",
+	"node main(a: u8 returns",
+	"node main() returns () tel",
+	"node node node ((((",
+	"let tel vars returns",
+	strings.Repeat("(", 2000) + "1" + strings.Repeat(")", 2000),
+	"node main(a: u8) returns (z: u8) let z = " + strings.Repeat("~", 3000) + "a; tel",
+	"node main(a: u128, b: u128) returns (z: u128) let z = a + b; tel",
+	"\x00\xff\xfe garbage \x80",
+	// A 32-bit multiply lowers to thousands of gates: known to blow
+	// the small gate budget below, exercising the ErrBudget path.
+	"node main(a: u32, b: u32) returns (z: u32) let z = a * b; tel",
+}
+
 // FuzzCompile drives arbitrary source through the full pipeline (parse,
 // typecheck, normalize, codegen). The contract under fuzzing is the
 // robustness invariant of the public API: Compile returns an error or a
@@ -16,26 +38,7 @@ import (
 // could not recover). Every kernel it does return must be proved against
 // its net by internal/prove: the back end preserves each output's function.
 func FuzzCompile(f *testing.F) {
-	seeds := []string{
-		"",
-		"node main(a: u8, b: u8) returns (s: u8) let s = a + b; tel",
-		"node main(a: u8, b: u8) returns (s: u8, d: u8) let s = a + b; d = a - b; tel",
-		"node main(a: u16) returns (z: u16) vars t: u16; let t = a * a; z = t ^ a; tel",
-		"node main(a: u8, b: u8, p: u1) returns (c: u8) let c = p ? a : b; tel",
-		"node main(a: u8) returns (z: u8) let z = mux(a < 3:u8, a, ~a); tel",
-		"node main(a: u8 returns",
-		"node main() returns () tel",
-		"node node node ((((",
-		"let tel vars returns",
-		strings.Repeat("(", 2000) + "1" + strings.Repeat(")", 2000),
-		"node main(a: u8) returns (z: u8) let z = " + strings.Repeat("~", 3000) + "a; tel",
-		"node main(a: u128, b: u128) returns (z: u128) let z = a + b; tel",
-		"\x00\xff\xfe garbage \x80",
-		// A 32-bit multiply lowers to thousands of gates: known to blow
-		// the small gate budget below, exercising the ErrBudget path.
-		"node main(a: u32, b: u32) returns (z: u32) let z = a * b; tel",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzCompileSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

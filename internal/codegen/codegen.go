@@ -240,7 +240,10 @@ type emitter struct {
 	inputTag  map[string]int
 	nextTag   int
 	nextSlot  int
+	extSlots  int // one past the highest ExtIn/ExtOut spill slot
 	constPats map[int]uint64
+
+	checked int // ops [0, checked) passed isa's per-op check
 
 	outPos int // schedule position at which outputs are consumed
 
@@ -277,15 +280,15 @@ func (e *emitter) setLoc(n logic.NodeID, l location) {
 // a fallback pipeline treat it as a failed self-check, not as a bad input.
 var ErrInvalidProgram = errors.New("codegen: generated program failed validation")
 
-// TestBreakHook, when non-nil, is handed every finished program just
-// before Generate validates it. It exists so tests of the compiler's
-// graceful degradation ladder can force a structurally broken program on
-// demand; production code never sets it.
+// TestBreakHook, when non-nil, is handed every finished program, which
+// Generate then sweeps whole with isa.Program.Validate. It exists so tests
+// of the compiler's graceful degradation ladder can force a structurally
+// broken program on demand; production code never sets it.
 var TestBreakHook func(variant obs.Variant, prog *isa.Program)
 
 // Generate compiles the net into a single-subarray program. The program
-// is validated (isa.Program.Validate against PoolBase+DRows) before it is
-// returned.
+// is validated (isa's per-op check against PoolBase+DRows as each gate's
+// ops are emitted, the epoch marks at the end) before it is returned.
 func Generate(net *logic.Net, opts Options) (*Result, error) {
 	if err := net.CheckGateSet(logic.NativeGates(opts.Arch)); err != nil {
 		return nil, fmt.Errorf("codegen: net not legalized for %v: %w", opts.Arch, err)
@@ -366,6 +369,16 @@ func Generate(net *logic.Net, opts Options) (*Result, error) {
 	}
 	e.nextTag = len(net.Inputs)
 	e.nextSlot = opts.SlotBase
+	for _, ext := range opts.ExtIn {
+		if ext.Spilled {
+			e.extSlots = max(e.extSlots, ext.Slot+1)
+		}
+	}
+	for _, ext := range opts.ExtOut {
+		if ext.Spilled {
+			e.extSlots = max(e.extSlots, ext.Slot+1)
+		}
+	}
 
 	// Consumption positions: one entry per (gate, distinct arg); outputs
 	// consume at outPos. Two passes build a CSR layout (counts, prefix
@@ -453,6 +466,9 @@ func Generate(net *logic.Net, opts Options) (*Result, error) {
 				return nil, err
 			}
 		}
+		if err := e.checkOps(max(e.nextSlot, e.extSlots)); err != nil {
+			return nil, err
+		}
 		if err := guard.Check(guard.DimMicroOps, opts.MaxOps, len(e.prog.Ops)); err != nil {
 			return nil, err
 		}
@@ -491,28 +507,22 @@ func Generate(net *logic.Net, opts Options) (*Result, error) {
 
 	e.stats.MaxLiveRows = e.pool.MaxUsed()
 	e.prog.DRowsUsed = e.pool.MaxUsed()
-	maxSlot := e.nextSlot
-	for name, ext := range opts.ExtOut {
-		if ext.Spilled && ext.Slot+1 > maxSlot {
-			maxSlot = ext.Slot + 1
-		}
-		_ = name
-	}
-	for name, ext := range opts.ExtIn {
-		if ext.Spilled && ext.Slot+1 > maxSlot {
-			maxSlot = ext.Slot + 1
-		}
-		_ = name
-	}
+	maxSlot := max(e.nextSlot, e.extSlots)
 	e.prog.SpillSlots = maxSlot
 	res.NextSlot = maxSlot
-	// Keep whatever the staging buffers grew to, then validate the staged
-	// program and hand out exact-length copies.
+	if err := e.checkOps(maxSlot); err != nil {
+		return nil, err
+	}
+	// Keep whatever the staging buffers grew to, then hand out exact-length
+	// copies. Every op passed isa's per-op check as it was emitted; only a
+	// program the test hook rewrote is swept again whole.
 	s.ops, s.marks = e.prog.Ops[:0], e.prog.EpochMarks[:0]
+	err := e.prog.ValidateMarks()
 	if TestBreakHook != nil {
 		TestBreakHook(opts.Variant, &e.prog)
+		err = e.prog.Validate(opts.PoolBase + opts.DRows)
 	}
-	if err := e.prog.Validate(opts.PoolBase + opts.DRows); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidProgram, err)
 	}
 	res.Prog = &isa.Program{
@@ -527,6 +537,18 @@ func Generate(net *logic.Net, opts Options) (*Result, error) {
 
 // emit appends one micro-op to the staged program.
 func (e *emitter) emit(op isa.Op) { e.prog.Ops = append(e.prog.Ops, op) }
+
+// checkOps runs isa's per-op check (Program.ValidateOps, Validate's own
+// check and wording) over the ops emitted since the last call, while they
+// are still in cache, bounding spill slots by slots, the bound known now.
+// The bound only grows, so what passes here passes the whole-program sweep.
+func (e *emitter) checkOps(slots int) error {
+	if err := e.prog.ValidateOps(e.checked, len(e.prog.Ops), e.opts.PoolBase+e.opts.DRows, slots); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidProgram, err)
+	}
+	e.checked = len(e.prog.Ops)
+	return nil
+}
 
 // markEpoch records the current op count as a legal recovery cut point.
 // It is called after each scheduled gate's expansion (and its eager reads)

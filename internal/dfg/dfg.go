@@ -333,19 +333,22 @@ type builder struct {
 
 // valueKey is the comparable identity of a value for hash-consing. Args
 // are padded with -1 (never a real id); every kind has a fixed arity, so
-// padding cannot collide. Imm is keyed by its decimal text ("" for nil —
-// big.Int.String never returns the empty string).
+// padding cannot collide. An Imm that fits in 64 bits is keyed by its
+// value, a wider one by its decimal text (never empty, so never equal to
+// the bigImm of a narrow one); hasImm tells a nil Imm from zero. Only
+// non-input values are keyed, and they carry no Name.
 type valueKey struct {
 	kind       OpKind
+	hasImm     bool
 	a0, a1, a2 ValueID
 	width      int
-	imm        string
-	name       string
+	imm        uint64
+	bigImm     string
 }
 
 func (b *builder) add(v Value) ValueID {
 	if v.Kind != OpInput {
-		key := valueKey{kind: v.Kind, a0: -1, a1: -1, a2: -1, width: v.Width, name: v.Name}
+		key := valueKey{kind: v.Kind, a0: -1, a1: -1, a2: -1, width: v.Width}
 		switch len(v.Args) {
 		case 3:
 			key.a2 = v.Args[2]
@@ -357,7 +360,12 @@ func (b *builder) add(v Value) ValueID {
 			key.a0 = v.Args[0]
 		}
 		if v.Imm != nil {
-			key.imm = v.Imm.String()
+			key.hasImm = true
+			if v.Imm.IsUint64() {
+				key.imm = v.Imm.Uint64()
+			} else {
+				key.bigImm = v.Imm.String()
+			}
 		}
 		if id, ok := b.hash[key]; ok {
 			return id
@@ -420,13 +428,13 @@ func (b *builder) instantiate(ch *typecheck.Checked, node *dsl.Node, args []Valu
 		return nil, fmt.Errorf("dfg: node %q exceeds inline depth %d", node.Name, maxInlineDepth)
 	}
 	// defs: variable -> defining equation; env: variable -> built value.
-	defs := make(map[string]*dsl.Equation)
+	defs := make(map[string]*dsl.Equation, len(node.Eqs))
 	for _, eq := range node.Eqs {
 		for _, lhs := range eq.Lhs {
 			defs[lhs] = eq
 		}
 	}
-	env := make(map[string]ValueID, len(args))
+	env := make(map[string]ValueID, len(args)+len(defs))
 	for i, p := range node.Params {
 		env[p.Name] = args[i]
 	}

@@ -147,14 +147,29 @@ func (p *Program) Entry() *Node {
 	return p.Nodes[len(p.Nodes)-1]
 }
 
-// Expr is an expression.
+// Expr is an expression. Every expression carries a type slot:
+// typecheck.Check writes the type it derives into it, and the dataflow
+// builder reads it back, so no side table maps expressions to types.
 type Expr interface {
 	ExprPos() Pos
 	String() string
+	// ExprType is the type Check annotated the expression with (zero
+	// before Check, or for an expression Check never reached).
+	ExprType() Type
+	SetExprType(Type)
 }
+
+// typed is the type slot each expression node embeds. Expand shares
+// unchanged Ident and IntLit nodes between unrolled loop copies, so a
+// shared node holds the type Check gave its last occurrence.
+type typed struct{ ty Type }
+
+func (t *typed) ExprType() Type      { return t.ty }
+func (t *typed) SetExprType(ty Type) { t.ty = ty }
 
 // Ident references a variable.
 type Ident struct {
+	typed
 	Name string
 	Pos  Pos
 }
@@ -165,6 +180,7 @@ func (e *Ident) String() string { return e.Name }
 // IntLit is an integer literal, optionally width-ascribed ("42:u8").
 // Values may exceed 64 bits (hex literals for wide constants).
 type IntLit struct {
+	typed
 	Value *big.Int
 	// Width is the ascribed width in bits; 0 means "adopt from context".
 	Width int
@@ -196,6 +212,7 @@ func (o UnOp) String() string {
 
 // Unary applies a unary operator.
 type Unary struct {
+	typed
 	Op  UnOp
 	X   Expr
 	Pos Pos
@@ -236,6 +253,7 @@ func (o BinOp) IsShift() bool { return o == OpShl || o == OpShr }
 
 // Binary applies a binary operator.
 type Binary struct {
+	typed
 	Op   BinOp
 	X, Y Expr
 	Pos  Pos
@@ -246,6 +264,7 @@ func (e *Binary) String() string { return fmt.Sprintf("(%s %s %s)", e.X, e.Op, e
 
 // Cond is the ternary conditional c ? t : f (per-lane multiplexer).
 type Cond struct {
+	typed
 	C, T, F Expr
 	Pos     Pos
 }
@@ -257,6 +276,7 @@ func (e *Cond) String() string { return fmt.Sprintf("(%s ? %s : %s)", e.C, e.T, 
 // expression after loop-variable substitution; dsl.Expand turns every
 // Index into a scalar Ident (or an IntLit, for const tables).
 type Index struct {
+	typed
 	Name string
 	Idx  Expr
 	Pos  Pos
@@ -268,6 +288,7 @@ func (e *Index) String() string { return fmt.Sprintf("%s[%s]", e.Name, e.Idx) }
 // Call instantiates another node (or a builtin such as mux/min/max/absdiff/
 // popcount) on arguments.
 type Call struct {
+	typed
 	Name string
 	Args []Expr
 	Pos  Pos

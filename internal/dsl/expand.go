@@ -85,15 +85,22 @@ func ElemName(base string, i int) string { return base + "__" + strconv.Itoa(i) 
 
 type expander struct {
 	node   *Node
-	arrays map[string]Type        // array-typed variables
+	arrays map[string]array       // array-typed variables
 	tables map[string]*ConstTable // const tables
 	out    *Node
+}
+
+// array is one array variable: its type and the scalarized names of its
+// elements, built once and reused for every x[i] reference.
+type array struct {
+	Type
+	elems []string
 }
 
 func expandNode(n *Node) (*Node, error) {
 	e := &expander{
 		node:   n,
-		arrays: make(map[string]Type),
+		arrays: make(map[string]array),
 		tables: make(map[string]*ConstTable),
 		out: &Node{
 			Name:  n.Name,
@@ -114,14 +121,16 @@ func expandNode(n *Node) (*Node, error) {
 				out = append(out, p)
 				continue
 			}
-			e.arrays[p.Name] = p.Type
-			for i := 0; i < p.Type.Count; i++ {
+			elems := make([]string, p.Type.Count)
+			for i := range elems {
+				elems[i] = ElemName(p.Name, i)
 				out = append(out, Param{
-					Name: ElemName(p.Name, i),
+					Name: elems[i],
 					Type: Type{Bits: p.Type.Bits},
 					Pos:  p.Pos,
 				})
 			}
+			e.arrays[p.Name] = array{Type: p.Type, elems: elems}
 		}
 		return out
 	}
@@ -173,15 +182,15 @@ func (e *expander) expandEquation(eq *Equation, env map[string]int) error {
 			out.Lhs = append(out.Lhs, name)
 			continue
 		}
-		ty, isArr := e.arrays[name]
+		arr, isArr := e.arrays[name]
 		if !isArr {
 			return errf(eq.Pos, "indexing non-array %q on the left-hand side", name)
 		}
-		iv, err := e.constIndex(idx, env, ty.Count, name)
+		iv, err := e.constIndex(idx, env, arr.Count, name)
 		if err != nil {
 			return err
 		}
-		out.Lhs = append(out.Lhs, ElemName(name, iv))
+		out.Lhs = append(out.Lhs, arr.elems[iv])
 	}
 	out.LhsIdx = make([]Expr, len(out.Lhs))
 	rhs, err := e.expandExpr(eq.Rhs, env)
@@ -316,15 +325,15 @@ func (e *expander) expandExpr(x Expr, env map[string]int) (Expr, error) {
 			}
 			return &IntLit{Value: ct.Values[iv], Width: ct.Type.Bits, Pos: x.Pos}, nil
 		}
-		ty, ok := e.arrays[x.Name]
+		arr, ok := e.arrays[x.Name]
 		if !ok {
 			return nil, errf(x.Pos, "indexing %q, which is not an array or const table", x.Name)
 		}
-		iv, err := e.constIndex(x.Idx, env, ty.Count, x.Name)
+		iv, err := e.constIndex(x.Idx, env, arr.Count, x.Name)
 		if err != nil {
 			return nil, err
 		}
-		return &Ident{Name: ElemName(x.Name, iv), Pos: x.Pos}, nil
+		return &Ident{Name: arr.elems[iv], Pos: x.Pos}, nil
 	case *Unary:
 		sub, err := e.expandExpr(x.X, env)
 		if err != nil {

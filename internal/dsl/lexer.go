@@ -1,9 +1,6 @@
 package dsl
 
-import (
-	"strings"
-	"unicode"
-)
+import "unicode"
 
 // Lexer tokenizes CHOPPER source text. Comments run from "//" to end of
 // line; whitespace is insignificant.
@@ -86,43 +83,45 @@ func (l *Lexer) Next() (Token, error) {
 	}
 	c := l.peek()
 
+	// Token texts are slices of the source, not copies.
+	from := l.off
 	switch {
 	case isIdentStart(c):
-		var sb strings.Builder
 		for l.off < len(l.src) && isIdentCont(l.peek()) {
-			sb.WriteByte(l.advance())
+			l.advance()
 		}
-		text := sb.String()
+		text := l.src[from:l.off]
 		if k, ok := keywords[text]; ok {
 			return Token{Kind: k, Text: text, Pos: start}, nil
 		}
 		return Token{Kind: TokIdent, Text: text, Pos: start}, nil
 
 	case unicode.IsDigit(rune(c)):
-		var sb strings.Builder
-		sb.WriteByte(l.advance())
-		if sb.String() == "0" && (l.peek() == 'x' || l.peek() == 'X') {
-			sb.WriteByte(l.advance())
+		l.advance()
+		if c == '0' && (l.peek() == 'x' || l.peek() == 'X') {
+			l.advance()
 			for l.off < len(l.src) && isHex(l.peek()) {
-				sb.WriteByte(l.advance())
+				l.advance()
 			}
-			if sb.Len() == 2 {
+			if l.off-from == 2 {
 				return Token{}, errf(start, "malformed hex literal")
 			}
 		} else {
 			for l.off < len(l.src) && (unicode.IsDigit(rune(l.peek())) || l.peek() == '_') {
-				sb.WriteByte(l.advance())
+				l.advance()
 			}
 		}
-		return Token{Kind: TokInt, Text: sb.String(), Pos: start}, nil
+		return Token{Kind: TokInt, Text: l.src[from:l.off], Pos: start}, nil
 	}
 
 	two := func(k TokKind) (Token, error) {
-		t := string(l.advance()) + string(l.advance())
-		return Token{Kind: k, Text: t, Pos: start}, nil
+		l.advance()
+		l.advance()
+		return Token{Kind: k, Text: l.src[from:l.off], Pos: start}, nil
 	}
 	one := func(k TokKind) (Token, error) {
-		return Token{Kind: k, Text: string(l.advance()), Pos: start}, nil
+		l.advance()
+		return Token{Kind: k, Text: l.src[from:l.off], Pos: start}, nil
 	}
 
 	switch c {

@@ -334,13 +334,33 @@ func (p *Program) Counts() map[OpKind]int {
 
 // Validate checks structural invariants: every row operand is a row of the
 // subarray (a C-group or B-group row, or a D-group row below dRows), AP
-// operands are B-group rows, and spill ops carry slot ids below SpillSlots.
+// operands are B-group rows, spill ops carry slot ids below SpillSlots, and
+// the epoch marks are strictly increasing in (0, len(Ops)]. It is
+// ValidateOps over the whole stream, then ValidateMarks.
 func (p *Program) Validate(dRows int) error {
-	for i := range p.Ops {
-		if err := p.Ops[i].validate(dRows, p.SpillSlots); err != nil {
+	if err := p.ValidateOps(0, len(p.Ops), dRows, p.SpillSlots); err != nil {
+		return err
+	}
+	return p.ValidateMarks()
+}
+
+// ValidateOps checks ops [from, to) the way Validate checks every op, with
+// spill slots bounded by spillSlots, and words the first failure exactly as
+// Validate does. A producer can check each cluster of ops as it emits them,
+// against the slot bound it has so far: the bound only grows, so an op it
+// passes also passes the whole-program sweep.
+func (p *Program) ValidateOps(from, to, dRows, spillSlots int) error {
+	for i := from; i < to; i++ {
+		if err := p.Ops[i].validate(dRows, spillSlots); err != nil {
 			return fmt.Errorf("isa: op %d (%s): %w", i, p.Ops[i], err)
 		}
 	}
+	return nil
+}
+
+// ValidateMarks checks that the epoch marks are strictly increasing in
+// (0, len(Ops)].
+func (p *Program) ValidateMarks() error {
 	prev := 0
 	for _, m := range p.EpochMarks {
 		if m <= prev || m > len(p.Ops) {

@@ -133,23 +133,6 @@ func (n *Net) OpGates() int {
 	return c
 }
 
-// Fanout computes, for every node, how many gate arguments and outputs
-// reference it. This is the "occurrence statistics" the OBS-1 scheduler
-// ranks variables by.
-func (n *Net) Fanout() []int {
-	f := make([]int, len(n.Gates))
-	for i := range n.Gates {
-		g := &n.Gates[i]
-		for a := 0; a < g.Kind.Arity(); a++ {
-			f[g.Args[a]]++
-		}
-	}
-	for _, o := range n.Outputs {
-		f[o]++
-	}
-	return f
-}
-
 // Validate checks structural invariants: topological argument order, arity,
 // and output references.
 func (n *Net) Validate() error {

@@ -1,6 +1,6 @@
 package logic
 
-import "fmt"
+import "strconv"
 
 // Word is a multi-bit value as a vector of net nodes, least-significant bit
 // first. Words are what the bit-slicing pass manipulates: every arithmetic
@@ -12,7 +12,7 @@ type Word []NodeID
 func (b *Builder) InputWord(base string, w int) Word {
 	word := make(Word, w)
 	for i := range word {
-		word[i] = b.Input(fmt.Sprintf("%s[%d]", base, i))
+		word[i] = b.Input(bitName(base, i))
 	}
 	return word
 }
@@ -29,8 +29,13 @@ func (b *Builder) ConstWord(v uint64, w int) Word {
 // OutputWord registers every bit of word as outputs "base[i]".
 func (b *Builder) OutputWord(base string, word Word) {
 	for i, id := range word {
-		b.Output(fmt.Sprintf("%s[%d]", base, i), id)
+		b.Output(bitName(base, i), id)
 	}
+}
+
+// bitName is the port name "base[i]" of bit i of a word.
+func bitName(base string, i int) string {
+	return base + "[" + strconv.Itoa(i) + "]"
 }
 
 // Extend returns word widened (zero- or sign-extended) or truncated to w bits.

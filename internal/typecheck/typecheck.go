@@ -1,7 +1,8 @@
 // Package typecheck validates CHOPPER programs: single assignment, declared
 // variables, operator width rules, node call signatures, and absence of
-// recursion. It annotates every expression with its bit-vector type so the
-// dataflow-graph builder can lower without re-deriving widths.
+// recursion. It annotates every expression with its bit-vector type, in
+// the expression's own type slot (dsl.Expr.ExprType), so the dataflow-graph
+// builder can lower without re-deriving widths.
 //
 // Width rules (deliberately strict — width changes must be explicit):
 //
@@ -23,31 +24,27 @@ import (
 	"chopper/internal/dsl"
 )
 
-// Checked is a type-annotated program.
+// Checked is a type-annotated program: every expression Check reached
+// carries its type in its own slot.
 type Checked struct {
-	Prog  *dsl.Program
-	Types map[dsl.Expr]dsl.Type
-	// VarTypes maps "node.var" to the declared type.
-	VarTypes map[string]dsl.Type
+	Prog *dsl.Program
 }
 
 // TypeOf returns the annotated type of e (zero Type if unknown).
-func (c *Checked) TypeOf(e dsl.Expr) dsl.Type { return c.Types[e] }
+func (c *Checked) TypeOf(e dsl.Expr) dsl.Type { return e.ExprType() }
 
 type checker struct {
 	prog    *dsl.Program
-	types   map[dsl.Expr]dsl.Type
-	vars    map[string]dsl.Type
 	inStack map[string]bool // recursion detection
 	done    map[string]bool
 }
 
-// Check validates prog and returns the annotated result.
+// Check validates prog and annotates its expressions in place. The program
+// belongs to the caller's compile: a second Check of the same program
+// writes the same annotations again.
 func Check(prog *dsl.Program) (*Checked, error) {
 	c := &checker{
 		prog:    prog,
-		types:   make(map[dsl.Expr]dsl.Type),
-		vars:    make(map[string]dsl.Type),
 		inStack: make(map[string]bool),
 		done:    make(map[string]bool),
 	}
@@ -56,7 +53,7 @@ func Check(prog *dsl.Program) (*Checked, error) {
 			return nil, err
 		}
 	}
-	return &Checked{Prog: prog, Types: c.types, VarTypes: c.vars}, nil
+	return &Checked{Prog: prog}, nil
 }
 
 // conversionWidth reports whether name is a uN conversion pseudo-function.
@@ -110,7 +107,6 @@ func (c *checker) checkNode(n *dsl.Node) error {
 			return fmt.Errorf("%s: %q shadows a builtin", p.Pos, p.Name)
 		}
 		env[p.Name] = p.Type
-		c.vars[n.Name+"."+p.Name] = p.Type
 		return nil
 	}
 	params := make(map[string]bool)
@@ -231,7 +227,7 @@ func (c *checker) checkExpr(n *dsl.Node, env map[string]dsl.Type, e dsl.Expr, ex
 	if err != nil {
 		return dsl.Type{}, err
 	}
-	c.types[e] = t
+	e.SetExprType(t)
 	return t, nil
 }
 
@@ -277,7 +273,7 @@ func (c *checker) typeExpr(n *dsl.Node, env map[string]dsl.Type, e dsl.Expr, exp
 				if !lit.Value.IsInt64() || lit.Value.Int64() < 0 {
 					return dsl.Type{}, fmt.Errorf("%s: shift amount %s out of range", lit.Pos, lit.Value)
 				}
-				c.types[e.Y] = dsl.Type{Bits: 32}
+				lit.SetExprType(dsl.Type{Bits: 32})
 				return lt, nil
 			}
 			// A computed amount (barrel shift); any width is allowed,
@@ -417,7 +413,7 @@ func (c *checker) typeExpr(n *dsl.Node, env map[string]dsl.Type, e dsl.Expr, exp
 					if !lit.Value.IsInt64() || lit.Value.Int64() < 0 {
 						return dsl.Type{}, fmt.Errorf("%s: shift amount %s out of range", lit.Pos, lit.Value)
 					}
-					c.types[e.Args[1]] = dsl.Type{Bits: 32}
+					lit.SetExprType(dsl.Type{Bits: 32})
 				} else if _, err := c.checkExpr(n, env, e.Args[1], 0); err != nil {
 					return dsl.Type{}, err
 				}

@@ -66,10 +66,11 @@ func sameKernel(a, b *Kernel) error {
 }
 
 // TestCompileAllocGate holds the cold compile to its output: one compile
-// may allocate a small multiple of the program and the net it returns (the
-// front end's trees, the name strings, the host-tag maps) — not an op
-// buffer sized for the worst case at 64 bytes a slot, and not the interning
-// table, CSR arrays and gate slices a previous compile already grew.
+// may allocate 1.5x the program and the net it returns (the front end's
+// trees, the name strings, the host-tag maps; DenseNet-64 reads 1.45x) —
+// not an op buffer sized for the worst case at 64 bytes a slot, not a side
+// table of expression types, and not the interning table, CSR arrays and
+// gate slices a previous compile already grew.
 func TestCompileAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a 65k-gate workload kernel several times")
@@ -94,8 +95,8 @@ func TestCompileAllocGate(t *testing.T) {
 
 	kept := uint64(len(k.Prog().Ops))*32 + uint64(len(k.Net.Gates))*16
 	t.Logf("%d B/compile; the kernel keeps %d B (%d ops, %d gates)", perCompile, kept, len(k.Prog().Ops), len(k.Net.Gates))
-	if limit := 3 * kept; perCompile > limit {
-		t.Errorf("a cold compile allocates %d B, over 3x the %d B of program and net it returns", perCompile, kept)
+	if limit := kept * 3 / 2; perCompile > limit {
+		t.Errorf("a cold compile allocates %d B, over 1.5x the %d B of program and net it returns", perCompile, kept)
 	}
 }
 
