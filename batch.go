@@ -14,8 +14,9 @@ package chopper
 //
 // One skeleton, Kernel.pass, carries every verb but a tile: RunRowsCtx,
 // Run and RunWide are passes of one member, RunBatch and RunRowsBatchCtx
-// of N, a verify or reliability trial of one, a coalesced VerifyBatchCtx
-// of one member per trial. Every pass lays its rows out in the kernel's
+// of N, a reliability trial of one, and a fault-free verify sweep —
+// VerifyCtx's or a coalesced VerifyBatchCtx's — of one member per trial,
+// as many trials as a row holds. Every pass lays its rows out in the kernel's
 // plan on the pooled worker's own buffer (hostRows.bind, the binding a
 // tile uses too); the verbs differ only in how they scatter a member's
 // operands into its span of the input rows (rows pasted, one value per
@@ -57,7 +58,9 @@ type VerifySpec struct {
 // verification sweep of `trials` trials occupies — the sum over trials
 // of the words their scheduled lane counts need. Admission-side batchers
 // use it to keep a batch's combined lanes within one row's bitlines
-// without knowing the trial schedule.
+// without knowing the trial schedule. It is the count verification packs
+// by: fault-free trials fill a pass while their words fit one row
+// (Kernel.verifyPasses), so a batch kept within a row is one pass.
 func VerifySpanWords(trials int) int {
 	w := 0
 	for t := 0; t < trials; t++ {
@@ -349,18 +352,19 @@ func (k *Kernel) trialPass(ctx context.Context, trials []trial, fc FaultConfig, 
 	})
 }
 
-// VerifyBatchCtx coalesces N independent verification sweeps into ONE
-// simulated device pass. Every (spec, trial) pair expands into a lane
+// VerifyBatchCtx coalesces N independent verification sweeps into shared
+// simulated device passes. Every (spec, trial) pair expands into a lane
 // span — the trial's inputs and lane count derive from (seed, trial)
-// exactly as in VerifyCtx — the program runs once over the combined
-// lanes, and each trial's outputs are compared against the reference
-// dataflow evaluation. perSpec[i] is what a solo VerifyCtx(trials_i,
-// seed_i, 1) call would return for member i: nil, or the ErrVerify-
-// classed discrepancy from its lowest failing trial. The second return
-// is a pass-level failure (budget, cancellation, malformed batch) that
-// applies to every member — the same program and budget would stop a
-// solo run at the identical point. A single sweep has nothing to share a
-// pass with and runs as VerifyCtx does, one pass per trial.
+// exactly as in VerifyCtx — the spans fill passes by the one rule VerifyCtx
+// packs its own trials by (a row's words; see VerifySpanWords), and each
+// trial's outputs are compared against the reference dataflow evaluation.
+// perSpec[i] is what a solo VerifyCtx(trials_i, seed_i) call would return
+// for member i when that is a discrepancy: nil, or the ErrVerify-classed
+// error from its lowest failing trial. The second return is a pass-level
+// failure (budget, cancellation, malformed batch) that applies to every
+// member — the same program and budget would stop a solo run at the
+// identical point. The passes run one after another on the caller's
+// goroutine.
 func (k *Kernel) VerifyBatchCtx(ctx context.Context, specs []VerifySpec) (perSpec []error, err error) {
 	defer recoverToError(&err)
 	if len(specs) == 0 {
@@ -371,11 +375,6 @@ func (k *Kernel) VerifyBatchCtx(ctx context.Context, specs []VerifySpec) (perSpe
 			return nil, optionsErrf("verify batch member %d: trials must be positive, have %d", i, sp.Trials)
 		}
 	}
-	if len(specs) == 1 {
-		return []error{k.VerifyCtx(ctx, specs[0].Trials, specs[0].Seed, 1, FaultConfig{})}, nil
-	}
-
-	// Every (spec, trial) pair is one member of the pass.
 	var trials []trial
 	var owner []int
 	for si, sp := range specs {
@@ -385,12 +384,13 @@ func (k *Kernel) VerifyBatchCtx(ctx context.Context, specs []VerifySpec) (perSpe
 		}
 	}
 	perSpec = make([]error, len(specs))
-	if _, err := k.trialPass(ctx, trials, FaultConfig{}, 0, func(i int, t trial, w *simWorker, out [][]uint64, sp laneSpan) {
+	if err := k.verifyPasses(ctx, 1, trials, FaultConfig{}, 0, func(i int, t trial, w *simWorker, out [][]uint64, sp laneSpan) error {
 		// Trials ascend within a spec, so the first error recorded is the
-		// lowest failing trial's — the solo worker=1 sweep's stopping point.
+		// lowest failing trial's — the solo sweep's answer.
 		if perSpec[owner[i]] == nil {
 			perSpec[owner[i]] = k.compareTrial(w, t, out, sp)
 		}
+		return nil
 	}); err != nil {
 		return nil, err
 	}

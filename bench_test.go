@@ -265,12 +265,13 @@ func BenchmarkVerify4(b *testing.B) {
 	}
 }
 
-// BenchmarkRunPaths20 is one cycle of the repo benchmark's run_paths
-// workload per iteration: its four kernels on Ambit at 128 lanes, each
-// through RunWide, RunRowsUnderFault, a parity-recovered RunRows, a
-// RunBatch of 16 members of 8 lanes and Verify(4) — 20 operations, the
-// compiler none of them. Profile it with -cpuprofile to see where a run's
-// host time goes.
+// BenchmarkRunPaths20 is the repo benchmark's run_paths workload: its four
+// kernels on Ambit at 128 lanes, each through RunWide, RunRowsUnderFault, a
+// parity-recovered RunRows, a RunBatch of 16 members of 8 lanes and
+// Verify(4) — 20 operations, the compiler none of them. Sub-benchmark "all"
+// is one whole cycle per iteration; "wide", "fault", "recovered", "batch"
+// and "verify" run one verb on the four kernels per iteration. Profile it
+// with -cpuprofile to see where a run's host time goes.
 func BenchmarkRunPaths20(b *testing.B) {
 	const lanes, members = 128, 16
 	type runKernel struct {
@@ -314,26 +315,40 @@ func BenchmarkRunPaths20(b *testing.B) {
 		ks = append(ks, rk)
 	}
 	fault := chopper.FaultConfig{TRAFlipRate: 1e-4}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j, rk := range ks {
-			if _, err := rk.k.RunWide(rk.in, lanes); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := rk.k.RunRowsUnderFault(rk.rows, lanes, fault, int64(j)); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := rk.kr.RunRows(rk.rows, lanes); err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := rk.k.RunBatch(rk.batch); err != nil {
-				b.Fatal(err)
-			}
-			if err := rk.k.Verify(4, int64(j)); err != nil {
-				b.Fatal(err)
+	verbs := []struct {
+		name string
+		run  func(j int, rk runKernel) error
+	}{
+		{"wide", func(_ int, rk runKernel) error { _, err := rk.k.RunWide(rk.in, lanes); return err }},
+		{"fault", func(j int, rk runKernel) error {
+			_, err := rk.k.RunRowsUnderFault(rk.rows, lanes, fault, int64(j))
+			return err
+		}},
+		{"recovered", func(_ int, rk runKernel) error { _, err := rk.kr.RunRows(rk.rows, lanes); return err }},
+		{"batch", func(_ int, rk runKernel) error { _, _, err := rk.k.RunBatch(rk.batch); return err }},
+		{"verify", func(j int, rk runKernel) error { return rk.k.Verify(4, int64(j)) }},
+	}
+	bench := func(verbs ...func(int, runKernel) error) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j, rk := range ks {
+					for _, run := range verbs {
+						if err := run(j, rk); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
 			}
 		}
+	}
+	all := make([]func(int, runKernel) error, len(verbs))
+	for i, v := range verbs {
+		all[i] = v.run
+	}
+	b.Run("all", bench(all...))
+	for _, v := range verbs {
+		b.Run(v.name, bench(v.run))
 	}
 }
 

@@ -172,18 +172,28 @@ func TestCompileGraphNilRecovers(t *testing.T) {
 
 // TestPanicInWorkerIsInternalAtAnyWorkerCount: a panic inside a pool
 // worker is the same ErrInternal error at 1 worker and at 4 (at 4 it used
-// to crash the process).
+// to crash the process). The eight fault-free trials share one pass, whose
+// word-aligned spans end at lane 639; a fault configuration that injects
+// nothing (a stuck column past every lane) keeps one pass per trial, so at
+// 4 workers the panics happen on pool goroutines and trial 0's wins.
 func TestPanicInWorkerIsInternalAtAnyWorkerCount(t *testing.T) {
 	k, err := Compile(errAdderSrc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	k.Opts.Geometry.ReservedRows = k.Opts.Geometry.RowsPerSub // no data rows: every trial's subarray panics
-	const want = "chopper: internal: sim: bad subarray dims dRows=0 lanes=64"
-	for _, workers := range []int{1, 4} {
-		err := k.VerifyCtx(nil, 8, 1, workers, FaultConfig{})
-		if !errors.Is(err, ErrInternal) || err.Error() != want {
-			t.Errorf("workers=%d: error %v, want ErrInternal %q", workers, err, want)
+	for _, tc := range []struct {
+		fault FaultConfig
+		want  string
+	}{
+		{FaultConfig{}, "chopper: internal: sim: bad subarray dims dRows=0 lanes=639"},
+		{FaultConfig{StuckColumns: []StuckColumn{{Lane: 1 << 20}}}, "chopper: internal: sim: bad subarray dims dRows=0 lanes=64"},
+	} {
+		for _, workers := range []int{1, 4} {
+			err := k.VerifyCtx(nil, 8, 1, workers, tc.fault)
+			if !errors.Is(err, ErrInternal) || err.Error() != tc.want {
+				t.Errorf("workers=%d fault=%+v: error %v, want ErrInternal %q", workers, tc.fault, err, tc.want)
+			}
 		}
 	}
 }

@@ -198,6 +198,25 @@ func (in *Injector) Reset(cfg Config, seed int64) {
 	in.ckCounts = Counts{}
 }
 
+// Events is the simulator events the injector's enabled models need (the
+// sim.FaultHook subscription): loads and stores when retention decay or
+// stuck columns are on — those models and the access clocks decay reads
+// live there — copies and computes when their flip rate is non-zero. Every
+// other call would change neither the data nor the injector.
+func (in *Injector) Events() isa.Events {
+	var ev isa.Events
+	if (in.cfg.RetentionRate > 0 && in.cfg.RefreshOps > 0) || len(in.cfg.StuckColumns) > 0 {
+		ev |= isa.EvLoad | isa.EvStore
+	}
+	if in.cfg.CopyFlipRate > 0 {
+		ev |= isa.EvCopy
+	}
+	if in.cfg.TRAFlipRate > 0 {
+		ev |= isa.EvCompute
+	}
+	return ev
+}
+
 // Counts returns the faults injected so far.
 func (in *Injector) Counts() Counts { return in.counts }
 

@@ -149,6 +149,26 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OP?%d", int(k))
 }
 
+// Events is a set of the row events micro-ops raise on a subarray: the
+// points where a fault model may observe or perturb the data
+// (sim.FaultHook). A model subscribes to the events its enabled effects
+// need, and the simulator raises no other.
+type Events uint8
+
+const (
+	// EvLoad: a row is about to be sensed as an operand.
+	EvLoad Events = 1 << iota
+	// EvCompute: a TRA (AP) result is about to latch into its rows.
+	EvCompute
+	// EvCopy: an AAP payload is in the row buffer, about to be stored.
+	EvCopy
+	// EvStore: a row has just been stored.
+	EvStore
+
+	// EvAll is every event.
+	EvAll = EvLoad | EvCompute | EvCopy | EvStore
+)
+
 // Op is a single PUD micro-operation targeted at one subarray. The record
 // is 32 bytes (TestOpSize): programs run to millions of ops and every
 // compile stage and simulator front end strides the stream, so its width

@@ -191,8 +191,8 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 	s.opIdx++
 	if planned && op.rowOp {
 		// Nothing to check: sense the slots, form the value, store it. The
-		// hook and parity tracking are all that watch a row op.
-		watched := s.hook != nil || s.parTrack
+		// hook's events and parity tracking are all that watch a row op.
+		watched := s.events&isa.EvLoad != 0 || s.parTrack
 		var val []uint64
 		if op.kind == isa.OpAAP {
 			if val = s.rowData(int(op.opd[0].slot)); watched {
@@ -204,7 +204,7 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 				s.sensed(idx, &op.opd[j], s.rowData(int(op.opd[j].slot)))
 			}
 			a, b, c := s.rowData(int(op.opd[1].slot)), s.rowData(int(op.opd[2].slot)), s.rowData(int(op.opd[3].slot))
-			if s.hook == nil && op.opd[1].comp < 0 && op.opd[2].comp < 0 && op.opd[3].comp < 0 {
+			if s.events&(isa.EvCompute|isa.EvStore) == 0 && op.opd[1].comp < 0 && op.opd[2].comp < 0 && op.opd[3].comp < 0 {
 				// Nothing observes the value and no row has a partner: the
 				// majority lands in place. The rows are present and masked
 				// (majority keeps that); parity is all there is to record.
@@ -226,7 +226,7 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 			if s.parTrack || o.comp >= 0 {
 				s.paired(o, dst)
 			}
-			if s.hook != nil {
+			if s.events&isa.EvStore != 0 {
 				s.hook.AfterStore(idx, o.row, dst, s.lanes)
 			}
 		}
@@ -255,8 +255,10 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 		if !op.fast {
 			return fmt.Errorf("sim: ROWINIT %s with wrong pattern %#x", dst.row, op.imm)
 		}
-		if dst.row.IsCGroup() && s.hook == nil && s.isPresent(int(dst.slot)) && !s.cDirty {
-			return nil // the row holds its constant: no store, no hook has touched it
+		if dst.row.IsCGroup() && s.events&isa.EvLoad == 0 && s.isPresent(int(dst.slot)) && !s.cDirty {
+			// The row holds its constant: no op stored into it and no hook
+			// heard it sensed (decay). A ROWINIT raises no store event.
+			return nil
 		}
 		s.initRow(dst, op.imm)
 		return nil
@@ -311,7 +313,7 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 		if !op.fast && o.row.IsCGroup() {
 			return fmt.Errorf("sim: AAP into constant row %s", o.row)
 		}
-		if dst := s.setRow(o, val); s.hook != nil {
+		if dst := s.setRow(o, val); s.events&isa.EvStore != 0 {
 			// Persistent bitline defects corrupt the stored contents.
 			s.hook.AfterStore(idx, o.row, dst, s.lanes)
 		}
@@ -323,7 +325,7 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 // when a later destination may alias the source's complement or the hook
 // perturbs the copy (never the source).
 func (s *Subarray) copied(idx int, op *dop, src []uint64) []uint64 {
-	if op.ndst > 1 || s.hook != nil {
+	if op.ndst > 1 || s.events&isa.EvCopy != 0 {
 		return s.staged(idx, src)
 	}
 	return src
@@ -333,7 +335,7 @@ func (s *Subarray) copied(idx int, op *dop, src []uint64) []uint64 {
 func (s *Subarray) staged(idx int, src []uint64) []uint64 {
 	val := s.scratch
 	copy(val, src)
-	if s.hook != nil {
+	if s.events&isa.EvCopy != 0 {
 		s.hook.AfterCopy(idx, val, s.lanes)
 	}
 	return val
@@ -349,7 +351,7 @@ func (s *Subarray) majority(idx int, a, b, c []uint64) []uint64 {
 	for i := range val {
 		val[i] = maj(a[i], b[i], c[i])
 	}
-	if s.hook != nil {
+	if s.events&isa.EvCompute != 0 {
 		s.hook.AfterCompute(idx, val, s.lanes)
 	}
 	return val

@@ -9,11 +9,15 @@ import (
 	"chopper/internal/isa"
 )
 
-// recordingHook logs every hook invocation without perturbing anything.
+// recordingHook logs every hook invocation it subscribes to without
+// perturbing anything.
 type recordingHook struct {
+	sub                             isa.Events
 	loads, computes, copies, stores int
 	lastOp                          int
 }
+
+func (h *recordingHook) Events() isa.Events { return h.sub }
 
 func (h *recordingHook) BeforeLoad(opIdx int, r isa.Row, data []uint64, lanes int) {
 	h.loads++
@@ -69,7 +73,7 @@ func runAnd(t *testing.T, hook FaultHook) uint64 {
 }
 
 func TestFaultHookInvocations(t *testing.T) {
-	h := &recordingHook{}
+	h := &recordingHook{sub: isa.EvAll}
 	out := runAnd(t, h)
 	want := uint64(0xff00ff00ff00ff00 & 0xffff0000ffff0000)
 	if out != want {
@@ -91,6 +95,73 @@ func TestFaultHookInvocations(t *testing.T) {
 	}
 	if h.lastOp != 6 {
 		t.Errorf("last op index = %d, want 6", h.lastOp)
+	}
+}
+
+// TestFaultHookSubscription: a hook is called for the events it subscribes
+// to and for no other, on the checked path (Exec) and on a planned run.
+func TestFaultHookSubscription(t *testing.T) {
+	all := recordingHook{loads: 7, computes: 1, copies: 3, stores: 8}
+	for _, ev := range []isa.Events{0, isa.EvLoad, isa.EvCompute, isa.EvCopy, isa.EvStore, isa.EvLoad | isa.EvStore} {
+		want := recordingHook{sub: ev}
+		for _, e := range []struct {
+			ev  isa.Events
+			n   *int
+			all int
+		}{{isa.EvLoad, &want.loads, all.loads}, {isa.EvCompute, &want.computes, all.computes}, {isa.EvCopy, &want.copies, all.copies}, {isa.EvStore, &want.stores, all.stores}} {
+			if ev&e.ev != 0 {
+				*e.n = e.all
+			}
+		}
+		count := func(h *recordingHook) recordingHook {
+			return recordingHook{sub: h.sub, loads: h.loads, computes: h.computes, copies: h.copies, stores: h.stores}
+		}
+		checked := &recordingHook{sub: ev}
+		runAnd(t, checked)
+		planned := &recordingHook{sub: ev}
+		m := NewMachine(MachineConfig{Geom: dram.DefaultGeometry(), Arch: isa.Ambit, Lanes: 64, Fault: planned})
+		io := &HostIO{WriteData: func(int) []uint64 { return []uint64{5} }, ReadSink: func(int, []uint64) {}}
+		if err := m.RunFunctionalCtx(nil, Decode(andProgram()), io, guard.Budget{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []*recordingHook{checked, planned} {
+			if count(got) != want {
+				t.Errorf("events %04b: calls %+v, want %+v", ev, count(got), want)
+			}
+		}
+	}
+}
+
+// decayOnce flips lane 0 of the first row it senses.
+type decayOnce struct{ done bool }
+
+func (*decayOnce) Events() isa.Events { return isa.EvLoad }
+func (h *decayOnce) BeforeLoad(_ int, _ isa.Row, data []uint64, _ int) {
+	if !h.done {
+		data[0] ^= 1
+		h.done = true
+	}
+}
+func (*decayOnce) AfterCompute(int, []uint64, int)        {}
+func (*decayOnce) AfterCopy(int, []uint64, int)           {}
+func (*decayOnce) AfterStore(int, isa.Row, []uint64, int) {}
+
+// TestRowInitSkipHeedsHook: a ROWINIT of a C-group row that holds its
+// constant stores nothing only when no hook hears loads: one that does may
+// have decayed the row, which the store restores.
+func TestRowInitSkipHeedsHook(t *testing.T) {
+	s := NewSubarray(8, 64)
+	s.SetFaultHook(&decayOnce{})
+	var out uint64
+	io := &HostIO{ReadSink: func(_ int, data []uint64) { out = data[0] }}
+	prog := []isa.Op{isa.NewAAP(isa.C0, isa.T0), isa.NewRowInit(isa.C0, 0), isa.NewAAP(isa.C0, isa.T1), isa.NewRead(isa.T1, 0)}
+	for i := range prog {
+		if err := s.Exec(&prog[i], io, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out != 0 {
+		t.Errorf("C0 read %#x after its ROWINIT, want 0", out)
 	}
 }
 

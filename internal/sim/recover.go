@@ -410,6 +410,12 @@ func (m *Machine) RunRecoveredCtx(ctx context.Context, d *Decoded, bank, sub int
 	}
 
 	eh, _ := s.hook.(EpochHook)
+	if eh != nil {
+		// Its checkpoints carry, and its scrubs count, the state every
+		// event builds (the access clocks of fault.Injector). The mask
+		// stays widened until a hook is next attached.
+		s.events = isa.EvAll
+	}
 	if pol.Detector == DetectParity {
 		s.SetParityTracking(true)
 	}

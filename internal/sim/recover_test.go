@@ -86,6 +86,7 @@ type flakyHook struct {
 	ckFired bool
 }
 
+func (h *flakyHook) Events() isa.Events                                        { return isa.EvAll }
 func (h *flakyHook) BeforeLoad(opIdx int, r isa.Row, data []uint64, lanes int) {}
 func (h *flakyHook) AfterCompute(opIdx int, data []uint64, lanes int) {
 	if !h.inStore {

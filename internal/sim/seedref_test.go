@@ -263,6 +263,7 @@ func (h *traceHook) perturb(data []uint64, lanes int) {
 	}
 }
 
+func (h *traceHook) Events() isa.Events { return isa.EvAll }
 func (h *traceHook) BeforeLoad(opIdx int, r isa.Row, data []uint64, lanes int) {
 	h.record("load", opIdx, r, data, lanes)
 }

@@ -54,7 +54,16 @@ type HostIO struct {
 // attach to the functional simulator; a nil hook costs nothing. All data
 // slices are the subarray's live row storage and may be mutated in place.
 // Hooks are stateful: give each subarray its own.
+//
+// A hook is called only for the events it subscribes to (Events, read
+// when the hook is attached): a subscription that leaves out an event
+// whose call would not change the data or the hook's state skips work
+// without changing any result. A recovered run (RunRecoveredCtx) raises
+// every event to an EpochHook, whose checkpoints and scrubs read the
+// state all of them build.
 type FaultHook interface {
+	// Events is the set of events the hook observes.
+	Events() isa.Events
 	// BeforeLoad runs when row r is about to be sensed as an operand
 	// (retention decay materializes here).
 	BeforeLoad(opIdx int, r isa.Row, data []uint64, lanes int)
@@ -113,8 +122,9 @@ type Subarray struct {
 	parity   []uint64 // per-slot parity bitmap, valid where present
 	parBad   int      // mismatches observed since the tracker was armed
 
-	hook  FaultHook
-	opIdx int // ops executed so far; the index passed to the hook
+	hook   FaultHook
+	events isa.Events // what hook subscribes to; none without a hook
+	opIdx  int        // ops executed so far; the index passed to the hook
 }
 
 // NewSubarray creates a subarray with dRows data rows and `lanes` bitlines.
@@ -172,7 +182,7 @@ func (s *Subarray) Reset() {
 	clear(s.present)
 	s.cDirty = false
 	s.opIdx = 0
-	s.hook = nil
+	s.SetFaultHook(nil)
 	s.parTrack = false
 	s.parBad = 0
 	c0, c1 := resolve(isa.C0), resolve(isa.C1)
@@ -180,8 +190,14 @@ func (s *Subarray) Reset() {
 	s.initRow(&c1, ^uint64(0))
 }
 
-// SetFaultHook attaches a fault model to the subarray (nil detaches).
-func (s *Subarray) SetFaultHook(h FaultHook) { s.hook = h }
+// SetFaultHook attaches a fault model to the subarray (nil detaches) and
+// caches the events it subscribes to.
+func (s *Subarray) SetFaultHook(h FaultHook) {
+	s.hook, s.events = h, 0
+	if h != nil {
+		s.events = h.Events()
+	}
+}
 
 // MemBytes reports the bytes of reusable storage the subarray holds (arena,
 // presence bitmap and scratch buffers) — the quantity choppersim reports as
@@ -332,7 +348,7 @@ func (s *Subarray) load(idx int, o *opnd, planned bool) ([]uint64, error) {
 // sensed gives the fault hook its chance to materialize retention decay in
 // row, the sensed storage of operand o, then checks the row's parity.
 func (s *Subarray) sensed(idx int, o *opnd, row []uint64) []uint64 {
-	if s.hook != nil {
+	if s.events&isa.EvLoad != 0 {
 		s.hook.BeforeLoad(idx, o.row, row, s.lanes)
 	}
 	if s.parTrack {

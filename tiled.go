@@ -457,45 +457,62 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 	return res, nil
 }
 
-// shardKey is every value replayShard reads besides the immutable program:
-// two replays with equal keys are the same computation.
+// shardKey is every value a memo entry's computation reads besides the
+// immutable program: two entries with equal keys are the same computation.
+// A shard's replay leaves pol and words zero; a clean recovered run's
+// entry (Kernel.execute) names its policy and its lane words, the one
+// lane-dependent figure of such a run being its CheckpointBytes.
 type shardKey struct {
 	tiles  int
 	geom   dram.Geometry
 	timing dram.Timing
 	salp   bool
+	pol    sim.RecoveryPolicy
+	words  int
 }
 
-// shardTiming is what one channel shard's replay yields.
+// shardTiming is what one channel shard's replay, or one clean recovered
+// run, yields.
 type shardTiming struct {
 	eng  dram.EngineStats
 	emit vircoe.Stats
+	rec  sim.RecoveryStats
+}
+
+// memo returns the kernel's memo entry for key, if it has one.
+func (k *Kernel) memo(key shardKey) (shardTiming, bool) {
+	k.shardMu.Lock()
+	defer k.shardMu.Unlock()
+	st, ok := k.shards[key]
+	return st, ok
+}
+
+// remember stores a memo entry. Concurrent first runs of a key may each
+// compute and store it; the values are equal.
+func (k *Kernel) remember(key shardKey, st shardTiming) {
+	k.shardMu.Lock()
+	defer k.shardMu.Unlock()
+	if k.shards == nil {
+		k.shards = make(map[shardKey]shardTiming)
+	}
+	k.shards[key] = st
 }
 
 // replayShard returns the timing of one channel shard of `count` tiles,
 // scheduling it (emitShard) on the first call per key only: a replay that
 // ran to completion is kept on the kernel — a stopped one is not — and
 // later calls with an equal key return it after observing ctx once.
-// Concurrent first calls may each compute and store; the values are equal.
 // A single-subarray run is the one-tile shard without SALP: its only
 // placement is (0, 0), so the emitter issues the program in order into an
 // engine configured like the run's machine.
 func (k *Kernel) replayShard(ctx context.Context, count int, timing dram.Timing, salp bool) (shardTiming, error) {
-	key := shardKey{count, k.Opts.Geometry, timing, salp}
-	k.shardMu.Lock()
-	st, ok := k.shards[key]
-	k.shardMu.Unlock()
-	if ok {
+	key := shardKey{tiles: count, geom: k.Opts.Geometry, timing: timing, salp: salp}
+	if st, ok := k.memo(key); ok {
 		return st, guard.Ctx(ctx)
 	}
 	st, err := k.emitShard(ctx, key)
 	if err == nil {
-		k.shardMu.Lock()
-		if k.shards == nil {
-			k.shards = make(map[shardKey]shardTiming)
-		}
-		k.shards[key] = st
-		k.shardMu.Unlock()
+		k.remember(key, st)
 	}
 	return st, err
 }
@@ -531,5 +548,5 @@ func (k *Kernel) emitShard(ctx context.Context, key shardKey) (shardTiming, erro
 	if err == nil {
 		err = guard.Ctx(ctx)
 	}
-	return shardTiming{eng.Stats(), emit}, err
+	return shardTiming{eng: eng.Stats(), emit: emit}, err
 }

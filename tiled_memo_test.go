@@ -188,7 +188,7 @@ func TestRunRowsTimingMemoGate(t *testing.T) {
 	if _, err := k.RunRows(rows, 64); err != nil {
 		t.Fatal(err)
 	}
-	key := shardKey{1, k.Opts.Geometry, dram.TimingFor(Ambit, k.Opts.Geometry), false}
+	key := shardKey{tiles: 1, geom: k.Opts.Geometry, timing: dram.TimingFor(Ambit, k.Opts.Geometry)}
 	planted, ok := k.shards[key]
 	if !ok || len(k.shards) != 1 {
 		t.Fatalf("a cold run left %d memo entries, none the one-tile shard", len(k.shards))

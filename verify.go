@@ -73,28 +73,65 @@ func (k *Kernel) Verify(trials int, seed int64) error {
 //
 // Trials are independent units of work: inputs come from trialSeed(seed,
 // trial), the lane count from verifyLaneSchedule, so the pool can place them
-// on any worker without changing the outcome. Each trial runs on a pooled
-// simulation worker (see simWorker), which reuses subarray arenas, spill
-// buffers and engine tables across trials, with Reconfigure resetting all
-// trial state.
+// on any worker without changing the outcome. Without fault injection and
+// recovery, trials share device passes (verifyPasses); otherwise each trial
+// is a pass of its own. Each pass runs on a pooled simulation worker (see
+// simWorker), which reuses subarray arenas, spill buffers and engine tables
+// across passes, with Reconfigure resetting all run state.
 func (k *Kernel) VerifyCtx(ctx context.Context, trials int, seed int64, workers int, fault FaultConfig) (err error) {
 	defer recoverToError(&err)
 	if trials <= 0 {
 		return optionsErrf("trials must be positive, have %d", trials)
 	}
-	return pool.RunCtx(ctx, workers, trials, func(n int) error {
-		var mismatch error
-		if _, err := k.trialPass(ctx, []trial{newVerifyTrial(seed, n)}, fault, seed+int64(n), func(_ int, t trial, w *simWorker, out [][]uint64, sp laneSpan) {
-			mismatch = k.compareTrial(w, t, out, sp)
+	ts := make([]trial, trials)
+	for n := range ts {
+		ts[n] = newVerifyTrial(seed, n)
+	}
+	return k.verifyPasses(ctx, workers, ts, fault, seed, func(_ int, t trial, w *simWorker, out [][]uint64, sp laneSpan) error {
+		return k.compareTrial(w, t, out, sp)
+	})
+}
+
+// verifyPasses runs trials — in ascending order within each sweep they
+// belong to — in device passes fanned out over workers, and calls check
+// with each trial's index in trials, the trial, and its span of its pass's
+// output rows. Without fault injection and recovery, trials share passes:
+// consecutive trials fill a pass while the words their lanes occupy fit
+// one row (the VerifySpanWords count), whatever the worker count, since
+// bit-serial execution is exact per lane. With either, every trial is a
+// pass of its own, and trial n's faults are seeded with seed+n.
+//
+// A pass stops checking its trials at the first error check returns, and
+// that error is the pass's. It returns the error of the lowest failing
+// pass: a guard stop as it is, any other failure of a pass classed
+// ErrVerify and naming its first trial.
+func (k *Kernel) verifyPasses(ctx context.Context, workers int, trials []trial, fc FaultConfig, seed int64, check func(i int, t trial, w *simWorker, out [][]uint64, sp laneSpan) error) error {
+	starts := []int{0} // pass p runs trials[starts[p]:starts[p+1]]
+	shared := !fc.Enabled() && !k.Opts.Recovery.Enabled()
+	rowWords, words := k.Opts.Geometry.Bitlines()/64, 0
+	for i, t := range trials {
+		w := transpose.Words(t.lanes)
+		if i > 0 && (!shared || words+w > rowWords) {
+			starts, words = append(starts, i), 0
+		}
+		words += w
+	}
+	starts = append(starts, len(trials))
+	return pool.RunCtx(ctx, workers, len(starts)-1, func(p int) error {
+		lo, first := starts[p], error(nil)
+		if _, err := k.trialPass(ctx, trials[lo:starts[p+1]], fc, seed+int64(trials[lo].n), func(i int, t trial, w *simWorker, out [][]uint64, sp laneSpan) {
+			if first == nil {
+				first = check(lo+i, t, w, out, sp)
+			}
 		}); err != nil {
 			if guard.IsGuard(err) {
 				// Budget/cancellation stops keep their sentinel identity
 				// instead of being re-classed as verification failures.
 				return err
 			}
-			return stagef(ErrVerify, "chopper: verify", "trial %d: %v", n, err)
+			return stagef(ErrVerify, "chopper: verify", "trial %d: %v", trials[lo].n, err)
 		}
-		return mismatch
+		return first
 	})
 }
 
