@@ -22,14 +22,12 @@ import (
 	"chopper/internal/bench"
 	"chopper/internal/bitslice"
 	"chopper/internal/dfg"
-	"chopper/internal/dram"
 	"chopper/internal/dsl"
 	"chopper/internal/isa"
 	"chopper/internal/logic"
 	"chopper/internal/obs"
 	"chopper/internal/transpose"
 	"chopper/internal/typecheck"
-	"chopper/internal/vircoe"
 	"chopper/internal/workloads"
 )
 
@@ -362,23 +360,6 @@ func BenchmarkScheduleGates(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		obs.ScheduleGates(leg, true)
-	}
-}
-
-func BenchmarkVircoeEmit(b *testing.B) {
-	k, err := chopper.Compile(benchKernel, chopper.Options{Target: chopper.Ambit})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := k.Opts.Geometry
-	pls, err := vircoe.Placements(g, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	timing := dram.TimingFor(chopper.Ambit, g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vircoe.Emit(k.Prog(), pls, vircoe.BankAware, timing)
 	}
 }
 

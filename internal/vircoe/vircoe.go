@@ -46,6 +46,10 @@ func (m Mode) String() string {
 	return "subarray-aware"
 }
 
+// numOpKinds bounds the per-kind latency tables (OpRowInit is the largest
+// micro-op kind).
+const numOpKinds = int(isa.OpRowInit) + 1
+
 // Placement identifies a subarray instance running a copy of the program.
 type Placement struct {
 	Bank     int
@@ -158,11 +162,32 @@ func Emit(prog *isa.Program, placements []Placement, mode Mode, t dram.Timing) (
 
 // EmitTo streams the VIRCOE-interleaved issue order into sink. When sink
 // stops the emission the returned Stats cover the ops emitted so far.
+//
+// Every step issues the next op of the placement that can start earliest,
+// ties going to the placement that has waited longest (the lowest issue
+// stamp; before its first issue, its position in placements). Issuing sets
+// the placement's own sequence time and its unit's free time to the same
+// end, and latencies are non-negative, so unit free times only grow and
+// every placement of unit u can start at unitFree[u] when its next op
+// computes, or max(unitFree[u], busFree) when it transfers. Among one
+// unit's placements whose next ops are of one class the longest-waiting
+// therefore wins, so each unit keeps its placements in two FIFO queues by
+// the class of their next op, and only the queue heads compete, through
+// three heaps over units whose keys change when that unit issues:
+//   - compute heads, keyed (unitFree, stamp);
+//   - busy transfer heads, unitFree > busFree, keyed (unitFree, stamp);
+//   - ready transfer heads, unitFree <= busFree, keyed by stamp alone, all
+//     starting at busFree.
+//
+// busFree only grows, so a busy head turns ready at most once per issue of
+// its unit, and a step costs O(log units) amortized, whatever the mode.
 func EmitTo(prog *isa.Program, placements []Placement, mode Mode, t dram.Timing, sink Sink) Stats {
 	n := len(placements)
 	ops := prog.Ops
-	pcs := make([]int, n)
 	st := Stats{Subarrays: n}
+	if n == 0 || len(ops) == 0 {
+		return st
+	}
 
 	// Map each placement to a dense unit index (its bank, or its own
 	// bank x subarray slot when subarray-aware) so the inner loop is pure
@@ -174,82 +199,107 @@ func EmitTo(prog *isa.Program, placements []Placement, mode Mode, t dram.Timing,
 		}
 		return p
 	}
-	var lo, hi Placement
-	if n > 0 {
-		lo, hi = unitOf(placements[0]), unitOf(placements[0])
-	}
+	lo, hi := unitOf(placements[0]), unitOf(placements[0])
 	for _, p := range placements {
 		u := unitOf(p)
 		lo.Bank, hi.Bank = min(lo.Bank, u.Bank), max(hi.Bank, u.Bank)
 		lo.Subarray, hi.Subarray = min(lo.Subarray, u.Subarray), max(hi.Subarray, u.Subarray)
 	}
 	subSpan := hi.Subarray - lo.Subarray + 1
+	units := (hi.Bank - lo.Bank + 1) * subSpan
 	unitIdx := make([]int, n)
 	for i, p := range placements {
 		u := unitOf(p)
 		unitIdx[i] = (u.Bank-lo.Bank)*subSpan + u.Subarray - lo.Subarray
 	}
 
+	// Latencies depend on the op's kind alone, so they are looked up per
+	// kind, as the timing engine does; unknown kinds cost nothing.
+	var opLat, busLat [numOpKinds]float64
+	for k := range opLat {
+		op := isa.Op{Kind: isa.OpKind(k)}
+		opLat[k], busLat[k] = t.OpLatency(&op), t.BusLatency(&op)
+	}
+	class := func(pc int) int { // a queue's class: 1 transfers, 0 computes
+		if ops[pc].IsTransfer() {
+			return 1
+		}
+		return 0
+	}
+
 	// Emitter-internal device model (mirrors the dram engine's resources).
-	var busFree float64
-	unitFree := make([]float64, (hi.Bank-lo.Bank+1)*subSpan)
-	subSeq := make([]float64, n)
-	var lastStart float64
+	var busFree, lastStart float64
+	unitFree := make([]float64, units)
 	const issueGap = 0.833
 
-	// isXfer caches the per-op transfer classification once.
-	isXfer := make([]bool, len(ops))
-	opLat := make([]float64, len(ops))
-	busLat := make([]float64, len(ops))
-	for i := range ops {
-		isXfer[i] = ops[i].IsTransfer()
-		opLat[i] = t.OpLatency(&ops[i])
-		busLat[i] = t.BusLatency(&ops[i])
+	// Queue q = 2*unit + class is a linked list through next, -1 ending it
+	// and marking an empty queue's head.
+	pcs := make([]int, n)
+	stamp := make([]int, n)
+	next := make([]int, n)
+	head := make([]int, 2*units)
+	tail := make([]int, 2*units)
+	for q := range head {
+		head[q] = -1
+	}
+	enqueue := func(q, i int) {
+		next[i] = -1
+		if head[q] < 0 {
+			head[q] = i
+		} else {
+			next[tail[q]] = i
+		}
+		tail[q] = i
+	}
+	for i := range placements {
+		stamp[i] = i
+		enqueue(2*unitIdx[i]+class(0), i)
 	}
 
-	// Placements are kept in a min-heap on their estimated next start
-	// time. Estimates are lazily refreshed: resource-free times only ever
-	// increase, so a popped entry whose true start exceeds its key is
-	// simply re-pushed with the fresh key — when a pop matches its key,
-	// it is the true minimum.
-	estimate := func(i int) float64 {
-		start := subSeq[i]
-		if u := unitFree[unitIdx[i]]; u > start {
-			start = u
+	// At time zero every unit and the bus are free: transfer heads are ready.
+	compute, busy, ready := newUnitHeap(units), newUnitHeap(units), newUnitHeap(units)
+	for u := 0; u < units; u++ {
+		if h := head[2*u]; h >= 0 {
+			compute.set(u, 0, stamp[h])
 		}
-		if isXfer[pcs[i]] && busFree > start {
-			start = busFree
+		if h := head[2*u+1]; h >= 0 {
+			ready.set(u, 0, stamp[h])
 		}
-		return start
 	}
-	h := &startHeap{}
-	for i := 0; i < n; i++ {
-		h.push(heapEntry{key: 0, seq: i, idx: i})
-	}
+
 	seq := n
-
-	remaining := n * len(ops)
 	lastEmitted := -1
-	for remaining > 0 {
-		var best int
-		var bestStart float64
-		for {
-			e := h.pop()
-			cur := estimate(e.idx)
-			if cur > e.key {
-				e.key = cur
-				h.push(e)
-				continue
-			}
-			best = e.idx
-			bestStart = cur
-			break
+	for {
+		from, bestStart, bestSeq := (*unitHeap)(nil), 0.0, 0
+		if len(compute.a) > 0 {
+			from, bestStart, bestSeq = compute, compute.a[0].key, compute.a[0].seq
 		}
+		if len(busy.a) > 0 {
+			if e := busy.a[0]; from == nil || e.key < bestStart || e.key == bestStart && e.seq < bestSeq {
+				from, bestStart, bestSeq = busy, e.key, e.seq
+			}
+		}
+		if len(ready.a) > 0 {
+			if e := ready.a[0]; from == nil || busFree < bestStart || busFree == bestStart && e.seq < bestSeq {
+				from, bestStart = ready, busFree
+			}
+		}
+		if from == nil {
+			return st
+		}
+		u := from.a[0].unit
+		q := 2 * u
+		if from != compute {
+			q++
+		}
+		best := head[q]
+
 		if s := lastStart + issueGap; s > bestStart && st.Ops > 0 {
 			bestStart = s
 		}
 		pc := pcs[best]
-		if !sink(placements[best].Bank, placements[best].Subarray, &ops[pc]) {
+		op := &ops[pc]
+		if !sink(placements[best].Bank, placements[best].Subarray, op) {
 			return st
 		}
 		if lastEmitted >= 0 && best != lastEmitted && pcs[lastEmitted] < len(ops) {
@@ -257,37 +307,78 @@ func EmitTo(prog *isa.Program, placements []Placement, mode Mode, t dram.Timing,
 		}
 		lastEmitted = best
 
-		if isXfer[pc] {
-			st.Transfers++
-			busFree = bestStart + busLat[pc]
-			st.BusBusyNs += busLat[pc]
+		var lat float64
+		if k := int(op.Kind); k < numOpKinds {
+			lat = opLat[k]
 		}
-		end := bestStart + opLat[pc]
-		unitFree[unitIdx[best]] = end
-		subSeq[best] = end
+		xfer := op.IsTransfer()
+		if xfer {
+			st.Transfers++
+			busFree = bestStart + busLat[op.Kind]
+			st.BusBusyNs += busLat[op.Kind]
+		}
+		end := bestStart + lat
+		unitFree[u] = end
 		lastStart = bestStart
 		if end > st.SpanNs {
 			st.SpanNs = end
 		}
-		pcs[best]++
 		st.Ops++
-		remaining--
+		pcs[best]++
+		stamp[best] = seq
+		seq++
+		head[q] = next[best]
 		if pcs[best] < len(ops) {
-			h.push(heapEntry{key: estimate(best), seq: seq, idx: best})
-			seq++
+			enqueue(2*u+class(pcs[best]), best)
+		}
+		// Refile unit u: its free time grew, and its queue heads may differ.
+		if h := head[2*u]; h >= 0 {
+			compute.set(u, end, stamp[h])
+		} else {
+			compute.remove(u)
+		}
+		if h := head[2*u+1]; h < 0 {
+			busy.remove(u)
+			ready.remove(u)
+		} else if end > busFree {
+			ready.remove(u)
+			busy.set(u, end, stamp[h])
+		} else {
+			busy.remove(u)
+			ready.set(u, 0, stamp[h])
+		}
+		if xfer { // the bus frees later: units free by then turn ready
+			for len(busy.a) > 0 && busy.a[0].key <= busFree {
+				e := busy.a[0]
+				busy.remove(e.unit)
+				ready.set(e.unit, 0, e.seq)
+			}
 		}
 	}
-	return st
+}
+
+// unitHeap is a min-heap of units ordered by (key, seq) that knows where
+// each unit sits (pos[u], -1 when absent), so a unit's entry is changed in
+// place and never goes stale.
+type unitHeap struct {
+	a   []heapEntry
+	pos []int
 }
 
 type heapEntry struct {
-	key float64
-	seq int // FIFO tie-break: on equal keys the longest-waiting placement wins
-	idx int
+	key  float64
+	seq  int // issue stamp of the unit's queue head: on equal keys the longest-waiting wins
+	unit int
 }
 
-// less orders by start estimate, then FIFO, so equal-key placements are
-// served round-robin (starving none, which matters under in-order issue).
+func newUnitHeap(units int) *unitHeap {
+	h := &unitHeap{a: make([]heapEntry, 0, units), pos: make([]int, units)}
+	for u := range h.pos {
+		h.pos[u] = -1
+	}
+	return h
+}
+
 func (a heapEntry) less(b heapEntry) bool {
 	if a.key != b.key {
 		return a.key < b.key
@@ -295,43 +386,55 @@ func (a heapEntry) less(b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-// startHeap is a binary min-heap of placement start estimates; hand-rolled
-// (rather than container/heap) to avoid interface boxing in the hot loop.
-type startHeap struct{ a []heapEntry }
-
-func (h *startHeap) push(e heapEntry) {
-	h.a = append(h.a, e)
-	i := len(h.a) - 1
+// set files unit u under (key, seq), in place or as a new entry. The hole
+// at u's slot first walks down the smaller children to a leaf, one
+// comparison a level, and the entry then rises from there to its place,
+// shifting the entries it passes down. That places an entry wherever it
+// belongs, and costs least for a key that grew — an issuing unit's, which
+// usually belongs near the bottom.
+func (h *unitHeap) set(u int, key float64, seq int) {
+	i := h.pos[u]
+	if i < 0 {
+		i = len(h.a)
+		h.a = h.a[:i+1] // a has room for every unit
+	}
+	a, pos, e := h.a, h.pos, heapEntry{key: key, seq: seq, unit: u}
+	for c := 2*i + 1; c < len(a); c = 2*i + 1 {
+		if c+1 < len(a) && a[c+1].less(a[c]) {
+			c++
+		}
+		a[i] = a[c]
+		pos[a[i].unit] = i
+		i = c
+	}
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.a[i].less(h.a[p]) {
+		if !e.less(a[p]) {
 			break
 		}
-		h.a[p], h.a[i] = h.a[i], h.a[p]
+		a[i] = a[p]
+		pos[a[i].unit] = i
 		i = p
+	}
+	a[i] = e
+	pos[u] = i
+}
+
+// remove takes unit u out of the heap if it is there.
+func (h *unitHeap) remove(u int) {
+	if h.pos[u] >= 0 {
+		h.delete(u)
 	}
 }
 
-func (h *startHeap) pop() heapEntry {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
+// delete refiles the last entry in u's slot.
+func (h *unitHeap) delete(u int) {
+	i, last := h.pos[u], len(h.a)-1
+	h.pos[u] = -1
+	e := h.a[last]
 	h.a = h.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < last && h.a[l].less(h.a[m]) {
-			m = l
-		}
-		if r < last && h.a[r].less(h.a[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h.a[i], h.a[m] = h.a[m], h.a[i]
-		i = m
+	if i != last {
+		h.pos[e.unit] = i
+		h.set(e.unit, e.key, e.seq)
 	}
-	return top
 }
