@@ -49,6 +49,18 @@ func TestCLIPipeline(t *testing.T) {
 		}
 	}
 
+	// chopperc: the live dump keeps its schedule lines and adds the order
+	// codegen emitted from, with the one-shot producers chained into it.
+	out, err = exec.Command(chopperc, "-dump", "live", src).CombinedOutput()
+	if err != nil {
+		t.Fatalf("chopperc live: %v\n%s", err, out)
+	}
+	for _, want := range []string{"(natural order):", "(OBS-1 scheduled):", "(codegen order):", "one-shot producers chained (OBS-3):", "stores elided (OBS-3):"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("live output missing %q:\n%s", want, out)
+		}
+	}
+
 	// chopperc -> assembly -> choppersim -asm round trip.
 	asm, err := exec.Command(chopperc, src).Output()
 	if err != nil {

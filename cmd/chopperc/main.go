@@ -90,6 +90,18 @@ func main() {
 		fmt.Printf("computation gates:        %d\n", len(scheduled))
 		fmt.Printf("buffering pressure (natural order):   %d rows\n", obs.MaxLive(k.Net, natural))
 		fmt.Printf("buffering pressure (OBS-1 scheduled): %d rows\n", obs.MaxLive(k.Net, scheduled))
+		// The order codegen emitted from: the level's schedule, chained at
+		// OBS-3 unless its pressure alone overflows the D rows.
+		if k.Degradation != nil {
+			lv = k.Degradation.Effective
+		}
+		var s obs.Scratch
+		used, chained := s.ScheduleGates(k.Net, lv.HasSchedule()), 0
+		if lv.HasRename() && s.Live() <= k.Opts.Geometry.DRows() {
+			used, chained = s.Chain(k.Net, used)
+		}
+		fmt.Printf("buffering pressure (codegen order):   %d rows\n", obs.MaxLive(k.Net, used))
+		fmt.Printf("one-shot producers chained (OBS-3):   %d\n", chained)
 		if k.Code != nil {
 			fmt.Printf("D-group high-water mark (generated):  %d rows\n", k.Code.Stats.MaxLiveRows)
 			fmt.Printf("stores elided (OBS-3):                %d\n", k.Code.Stats.StoresElided)

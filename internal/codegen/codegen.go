@@ -2,7 +2,9 @@
 // micro-op program for one subarray. It is where the three OBS
 // optimizations become row traffic:
 //
-//   - the gate execution order comes from obs.ScheduleGates (O1);
+//   - the gate execution order comes from obs.ScheduleGates (O1), and with
+//     O3 from obs.Scratch.Chain, which puts each one-shot bitslice right
+//     before its consumer;
 //   - constant bitslices are sourced from the C-group rows instead of CPU
 //     writes when O2 is enabled, and are host-written, buffered rows when
 //     it is not;
@@ -286,6 +288,10 @@ var ErrInvalidProgram = errors.New("codegen: generated program failed validation
 // broken program on demand; production code never sets it.
 var TestBreakHook func(variant obs.Variant, prog *isa.Program)
 
+// chainOneShots runs obs.Scratch.Chain on the O3 schedule. Only tests turn
+// it off, to compare against the program the unchained order yields.
+var chainOneShots = true
+
 // Generate compiles the net into a single-subarray program. The program
 // is validated (isa's per-op check against PoolBase+DRows as each gate's
 // ops are emitted, the epoch marks at the end) before it is returned.
@@ -301,6 +307,15 @@ func Generate(net *logic.Net, opts Options) (*Result, error) {
 		s = new(Scratch)
 	}
 	order := s.sched.ScheduleGates(net, opts.Variant.HasSchedule())
+	// Chain's guard counts computed bitslices only, but the D rows also
+	// hold multi-use inputs, and a dropped input costs a host WRITE to
+	// bring back. Where the computed bitslices alone overflow the rows,
+	// moves that lengthen inputs' live ranges evict more (SW-512 at 1024
+	// rows: 2,027 µops fewer, 258 more input WRITEs), so the order is not
+	// chained there.
+	if opts.Variant.HasRename() && chainOneShots && s.sched.Live() <= opts.DRows {
+		order, _ = s.sched.Chain(net, order)
+	}
 	s.prepare(len(net.Gates), len(net.Outputs))
 	s.pool.Reset(opts.PoolBase, opts.DRows)
 

@@ -336,3 +336,49 @@ func TestGenerateValidatesStagedProgram(t *testing.T) {
 		t.Fatalf("Result holds %d op slots for %d ops; want an exact-length copy", got, len(first.Prog.Ops))
 	}
 }
+
+// Ambit XOR as (a|b) & ~(a&b), written ~(a&b) & (a|b) so that the
+// schedule emits the OR first, then a&b and its NOT, then the final AND,
+// the OR's one consumer. (The builder would order the AND's operands by
+// id, and the schedule would then chain the OR itself.) O3 chains the OR
+// right before the AND, so its result never leaves the compute rows: the
+// program loses its store to a D row and its refill, exactly two AAPs,
+// and still computes XOR.
+func TestChainXorLosesTwoAAPs(t *testing.T) {
+	const a, c, or, and, not, xor = 0, 1, 2, 3, 4, 5
+	gate := func(k logic.GateKind, args ...logic.NodeID) logic.Gate {
+		g := logic.Gate{Kind: k, Args: [3]logic.NodeID{logic.None, logic.None, logic.None}}
+		copy(g.Args[:], args)
+		return g
+	}
+	net := &logic.Net{
+		Gates: []logic.Gate{
+			gate(logic.GInput), gate(logic.GInput),
+			gate(logic.GOr, a, c), gate(logic.GAnd, a, c), gate(logic.GNot, and), gate(logic.GAnd, not, or),
+		},
+		Inputs: []logic.NodeID{a, c}, InputNames: []string{"a", "c"},
+		Outputs: []logic.NodeID{xor}, OutputNames: []string{"x"},
+	}
+	if order := obs.ScheduleGates(net, true); order[0] != or {
+		t.Fatalf("schedule %v does not start with the OR", order)
+	}
+	gen := func(chain bool) *Result {
+		t.Helper()
+		defer SetChain(chain)()
+		res, err := Generate(net, Options{Arch: isa.Ambit, Variant: obs.Rename, DRows: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain, chained := gen(false), gen(true)
+	if d := len(plain.Prog.Ops) - len(chained.Prog.Ops); d != 2 {
+		t.Errorf("chaining saved %d micro-ops, want 2\nunchained:\n%s\nchained:\n%s", d, plain.Prog.Format(), chained.Prog.Format())
+	}
+	if d := plain.Stats.AAPs - chained.Stats.AAPs; d != 2 {
+		t.Errorf("chaining saved %d AAPs, want 2", d)
+	}
+	for _, in := range []map[string]uint64{{"a": 0x0f0f, "c": 0x00ff}, {"a": ^uint64(0), "c": 0x1234}} {
+		runOn(t, net, isa.Ambit, obs.Rename, 8, in)
+	}
+}

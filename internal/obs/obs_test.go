@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -100,31 +102,37 @@ func TestScheduleReducesPressureOnChains(t *testing.T) {
 	}
 }
 
+// randomNet builds a seeded random net of 60 AND/OR/NOT/MAJ gates over
+// three inputs, with four outputs.
+func randomNet(seed int64) *logic.Net {
+	rng := rand.New(rand.NewSource(seed))
+	b := logic.NewOptBuilder()
+	nodes := []logic.NodeID{b.Input("x"), b.Input("y"), b.Input("z")}
+	for i := 0; i < 60; i++ {
+		pick := func() logic.NodeID { return nodes[rng.Intn(len(nodes))] }
+		var id logic.NodeID
+		switch rng.Intn(4) {
+		case 0:
+			id = b.And(pick(), pick())
+		case 1:
+			id = b.Or(pick(), pick())
+		case 2:
+			id = b.Not(pick())
+		case 3:
+			id = b.Maj(pick(), pick(), pick())
+		}
+		nodes = append(nodes, id)
+	}
+	for i := 0; i < 4; i++ {
+		b.Output("o", nodes[len(nodes)-1-i*3])
+	}
+	return b.Net().DCE()
+}
+
 func TestScheduleNeverWorseThanNatural(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(3))}
 	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := logic.NewOptBuilder()
-		nodes := []logic.NodeID{b.Input("x"), b.Input("y"), b.Input("z")}
-		for i := 0; i < 60; i++ {
-			pick := func() logic.NodeID { return nodes[rng.Intn(len(nodes))] }
-			var id logic.NodeID
-			switch rng.Intn(4) {
-			case 0:
-				id = b.And(pick(), pick())
-			case 1:
-				id = b.Or(pick(), pick())
-			case 2:
-				id = b.Not(pick())
-			case 3:
-				id = b.Maj(pick(), pick(), pick())
-			}
-			nodes = append(nodes, id)
-		}
-		for i := 0; i < 4; i++ {
-			b.Output("o", nodes[len(nodes)-1-i*3])
-		}
-		n := b.Net().DCE()
+		n := randomNet(seed)
 		return MaxLive(n, ScheduleGates(n, true)) <= MaxLive(n, ScheduleGates(n, false))
 	}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -172,4 +180,158 @@ func TestParseVariant(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "bitslice, schedule, reuse, rename") {
 		t.Errorf("bogus level: error %v does not list the valid names", err)
 	}
+}
+
+// checkChain holds Chain's output to its contract on one input order: a
+// permutation of order that keeps every gate after its operands, with no
+// more buffering pressure, in which every producer Chain took out of
+// place sits directly before its one consumer. Gates that do not sit
+// right before their one consumer (chain roots) keep order's relative
+// order, so a producer that moved anywhere else would show up there.
+func checkChain(n *logic.Net, order []logic.NodeID) error {
+	in := slices.Clone(order)
+	var s Scratch
+	out, moved := s.Chain(n, order)
+	if !slices.Equal(order, in) {
+		return fmt.Errorf("Chain rewrote its input order")
+	}
+	if len(out) != len(in) {
+		return fmt.Errorf("chained order has %d gates, input %d", len(out), len(in))
+	}
+	if moved == 0 && !slices.Equal(out, in) {
+		return fmt.Errorf("moved 0 producers but changed the order")
+	}
+	fanout := make([]int, len(n.Gates))
+	consumer := make([]logic.NodeID, len(n.Gates))
+	for i := range n.Gates {
+		g := &n.Gates[i]
+		for a := 0; a < g.Kind.Arity(); a++ {
+			fanout[g.Args[a]]++
+			consumer[g.Args[a]] = logic.NodeID(i)
+		}
+	}
+	for _, o := range n.Outputs {
+		fanout[o]++
+	}
+	at := make(map[logic.NodeID]int, len(out))
+	for i, id := range out {
+		if _, dup := at[id]; dup {
+			return fmt.Errorf("gate %d emitted twice", id)
+		}
+		at[id] = i
+	}
+	for _, id := range in {
+		if _, ok := at[id]; !ok {
+			return fmt.Errorf("gate %d dropped", id)
+		}
+	}
+	for i, id := range out {
+		g := &n.Gates[id]
+		for a := 0; a < g.Kind.Arity(); a++ {
+			if p, ok := at[g.Args[a]]; ok && p >= i {
+				return fmt.Errorf("gate %d at %d before its operand %d at %d", id, i, g.Args[a], p)
+			}
+		}
+	}
+	if got, was := MaxLive(n, out), MaxLive(n, in); got > was {
+		return fmt.Errorf("chaining raised MaxLive %d -> %d", was, got)
+	}
+	chained := func(i int) bool {
+		id := out[i]
+		return isTRA(n.Gates[id].Kind) && fanout[id] == 1 && i+1 < len(out) && out[i+1] == consumer[id]
+	}
+	var rootsIn, rootsOut []logic.NodeID
+	for i := range in {
+		if !chained(i) {
+			rootsOut = append(rootsOut, out[i])
+		}
+	}
+	for _, id := range in {
+		if !chained(at[id]) {
+			rootsIn = append(rootsIn, id)
+		}
+	}
+	if !slices.Equal(rootsIn, rootsOut) {
+		return fmt.Errorf("a gate not right before its consumer moved")
+	}
+	return nil
+}
+
+func TestChainOrderProperties(t *testing.T) {
+	moved := 0
+	for seed := int64(0); seed < 200; seed++ {
+		n := randomNet(seed)
+		for _, aware := range []bool{false, true} {
+			order := ScheduleGates(n, aware)
+			if err := checkChain(n, order); err != nil {
+				t.Fatalf("seed %d, pressureAware %v: %v", seed, aware, err)
+			}
+			_, m := new(Scratch).Chain(n, order)
+			moved += m
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no random net had a producer to move")
+	}
+}
+
+// Chain on the scheduler's own order reuses its tables and MaxLive; the
+// result must equal Chain on a copy of that order, which recomputes them.
+func TestChainReusesSchedule(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		n := randomNet(seed)
+		var s Scratch
+		own, m1 := s.Chain(n, s.ScheduleGates(n, true))
+		own = slices.Clone(own)
+		copied, m2 := new(Scratch).Chain(n, slices.Clone(ScheduleGates(n, true)))
+		if !slices.Equal(own, copied) || m1 != m2 {
+			t.Fatalf("seed %d: reused tables chain %v (%d moved), fresh %v (%d moved)", seed, own, m1, copied, m2)
+		}
+	}
+}
+
+// An OR consumed only by a gate two steps later moves right before it.
+func TestChainMovesOneShotProducer(t *testing.T) {
+	b := logic.NewBuilder(logic.BuilderOptions{})
+	x, y := b.Input("x"), b.Input("y")
+	o := b.Or(x, y)
+	a := b.And(x, y)
+	na := b.Not(a)
+	z := b.And(o, na)
+	b.Output("z", z)
+	n := b.Net()
+	order := ScheduleGates(n, false)
+	got, moved := new(Scratch).Chain(n, order)
+	if want := []logic.NodeID{a, na, o, z}; !slices.Equal(got, want) || moved != 1 {
+		t.Fatalf("Chain(%v) = %v, %d moved; want %v, 1 moved", order, got, moved, want)
+	}
+
+	// With two one-shot operands, the later one is the chain operand.
+	b = logic.NewBuilder(logic.BuilderOptions{})
+	x, y = b.Input("x"), b.Input("y")
+	p1 := b.And(x, y)
+	p2 := b.Or(x, y)
+	f := b.Not(x)
+	c := b.And(p1, p2)
+	b.Output("f", f)
+	b.Output("c", c)
+	n = b.Net()
+	order = ScheduleGates(n, false)
+	got, moved = new(Scratch).Chain(n, order)
+	if want := []logic.NodeID{p1, f, p2, c}; !slices.Equal(got, want) || moved != 1 {
+		t.Fatalf("Chain(%v) = %v, %d moved; want %v, 1 moved", order, got, moved, want)
+	}
+}
+
+func FuzzChainOrder(f *testing.F) {
+	for _, seed := range []int64{0, 1, 7, 42} {
+		f.Add(seed, false)
+		f.Add(seed, true)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, aware bool) {
+		n := randomNet(seed)
+		if err := checkChain(n, ScheduleGates(n, aware)); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

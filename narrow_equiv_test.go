@@ -34,13 +34,13 @@ func TestNarrowedWorkloadsVerify(t *testing.T) {
 	}
 	pins := map[string]map[Target]pin{
 		"DenseNet-16": {
-			Ambit:   {18771, 10510, "1409235.28", "788890.10"}, // 44% fewer uops, 1.79x
-			ELP2IM:  {base: 18771, narrowed: 10510},
-			SIMDRAM: {base: 17739, narrowed: 9703},
+			Ambit:   {17066, 9658, "1269992.74", "719309.67"}, // 43% fewer uops, 1.77x
+			ELP2IM:  {base: 17066, narrowed: 9658},
+			SIMDRAM: {base: 15580, narrowed: 8540},
 		},
 		"WTC-64": {
-			Ambit:   {base: 40352, narrowed: 33504},
-			ELP2IM:  {base: 40352, narrowed: 33504},
+			Ambit:   {base: 40352, narrowed: 32192},
+			ELP2IM:  {base: 40352, narrowed: 32192},
 			SIMDRAM: {27520, 21696, "2243643.23", "1810811.53"}, // 21% fewer uops, 1.24x
 		},
 		"DiffGen-64": {
@@ -49,9 +49,9 @@ func TestNarrowedWorkloadsVerify(t *testing.T) {
 			SIMDRAM: {base: 1408, narrowed: 1408},
 		},
 		"SW-64": {
-			Ambit:   {base: 5297, narrowed: 5297},
-			ELP2IM:  {base: 5297, narrowed: 5297},
-			SIMDRAM: {base: 5297, narrowed: 5297},
+			Ambit:   {base: 4995, narrowed: 4995},
+			ELP2IM:  {base: 4995, narrowed: 4995},
+			SIMDRAM: {base: 4995, narrowed: 4995},
 		},
 	}
 	// Timing does not depend on operand values, so any operands do.

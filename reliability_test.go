@@ -57,8 +57,8 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 	k := compileRel(t, false)
 	const lanes = 64
 	cfg := FaultConfig{TRAFlipRate: 0.05, CopyFlipRate: 0.02, RetentionRate: 0.1, RefreshOps: 32}
-	const wantDigest = "461aa26632d69eb76c25ffb0e61bec1230d32f2ed75800944ee8db38e157fc22"
-	wantFaults := FaultCounts{TRAFlips: 2, CopyFlips: 3}
+	const wantDigest = "ddb136fc6a3f2c3628bc6f9e05250a9566b67e5e1994ebf2e6125bb5c9257341"
+	wantFaults := FaultCounts{TRAFlips: 4, CopyFlips: 4}
 
 	r1, err := k.RunRowsUnderFault(relRows(lanes), lanes, cfg, 99)
 	if err != nil {

@@ -154,8 +154,8 @@ func TestRunShortcutsMatchFullPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameRun(t, "SW-64 vote zero operands", got, want)
-		if got.RecoveryStats.ScrubbedRows != 3085 {
-			t.Errorf("SW-64 vote zero operands: ScrubbedRows %d, want 3085", got.RecoveryStats.ScrubbedRows)
+		if got.RecoveryStats.ScrubbedRows != 2474 {
+			t.Errorf("SW-64 vote zero operands: ScrubbedRows %d, want 2474", got.RecoveryStats.ScrubbedRows)
 		}
 	})
 
