@@ -165,7 +165,7 @@ func BenchmarkCompileFrontend(b *testing.B) {
 func BenchmarkCompileBitslice(b *testing.B) {
 	prog, _ := dsl.Parse(benchKernel)
 	ch, _ := typecheck.Check(prog)
-	g, err := dfg.Build(ch)
+	g, err := dfg.BuildNode(ch, ch.Prog.Entry().Name)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func BenchmarkRunPaths20(b *testing.B) {
 func BenchmarkScheduleGates(b *testing.B) {
 	prog, _ := dsl.Parse(benchKernel)
 	ch, _ := typecheck.Check(prog)
-	g, _ := dfg.Build(ch)
+	g, _ := dfg.BuildNode(ch, ch.Prog.Entry().Name)
 	net, _ := bitslice.Lower(g, bitslice.Options{Fold: true})
 	leg, _ := logic.Legalize(net, isa.Ambit, logic.BuilderOptions{Fold: true, CSE: true})
 	leg = leg.DCE()

@@ -95,20 +95,11 @@ func (p *RowPool) Free(r isa.Row) {
 	p.free = append(p.free, r)
 }
 
-// InUse reports whether r is currently allocated.
-func (p *RowPool) InUse(r isa.Row) bool {
-	i := p.offset(r)
-	return i >= 0 && p.inUse[i]
-}
-
 // Live returns the number of currently allocated rows.
 func (p *RowPool) Live() int { return p.n - len(p.free) }
 
 // MaxUsed returns the high-water mark of simultaneously allocated rows.
 func (p *RowPool) MaxUsed() int { return p.maxUsed }
-
-// Size returns the pool capacity.
-func (p *RowPool) Size() int { return p.n }
 
 // Interval is a live range over instruction positions [Start, End]
 // (inclusive), Rows wide (a full-size operand occupies Width rows; CHOPPER
@@ -123,7 +114,6 @@ type Interval struct {
 
 // Assignment is the result of linear scan for one interval.
 type Assignment struct {
-	ID      int
 	Rows    []isa.Row // one row per value row; nil if spilled
 	Spilled bool
 }
@@ -196,7 +186,7 @@ func LinearScan(intervals []Interval, rows int) LinearScanResult {
 				}
 			}
 			if victim < 0 {
-				res.Assignments[iv.ID] = Assignment{ID: iv.ID, Spilled: true}
+				res.Assignments[iv.ID] = Assignment{Spilled: true}
 				res.Spilled++
 				res.SpillRows += iv.Rows
 				iv.Rows = 0 // nothing to allocate
@@ -207,7 +197,7 @@ func LinearScan(intervals []Interval, rows int) LinearScanResult {
 				pool.Free(r)
 			}
 			actives = append(actives[:victim], actives[victim+1:]...)
-			res.Assignments[v.iv.ID] = Assignment{ID: v.iv.ID, Spilled: true}
+			res.Assignments[v.iv.ID] = Assignment{Spilled: true}
 			res.Spilled++
 			res.SpillRows += v.iv.Rows
 		}
@@ -224,7 +214,7 @@ func LinearScan(intervals []Interval, rows int) LinearScanResult {
 			got[i] = r
 		}
 		actives = append(actives, active{iv, got})
-		res.Assignments[iv.ID] = Assignment{ID: iv.ID, Rows: got}
+		res.Assignments[iv.ID] = Assignment{Rows: got}
 		if pool.Live() > res.MaxRows {
 			res.MaxRows = pool.Live()
 		}

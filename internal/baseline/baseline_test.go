@@ -26,7 +26,7 @@ func buildGraph(t *testing.T, src string) *dfg.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := dfg.Build(ch)
+	g, err := dfg.BuildNode(ch, ch.Prog.Entry().Name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func lower(t *testing.T, src string, opts Options) (*dfg.Graph, *logic.Net) {
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	g, err := dfg.Build(ch)
+	g, err := dfg.BuildNode(ch, ch.Prog.Entry().Name)
 	if err != nil {
 		t.Fatalf("dfg: %v", err)
 	}

@@ -396,11 +396,11 @@ func Generate(net *logic.Net, opts Options) (*Result, error) {
 	}
 
 	// Consumption positions: one entry per (gate, distinct arg); outputs
-	// consume at outPos. Two passes build a CSR layout (counts, prefix
-	// sum, fill) where per-node append slices would allocate.
-	clear(s.useOff)
-	countUse := func(count func(arg logic.NodeID)) {
-		for _, gid := range order {
+	// consume at outPos. Two passes over the same walk build a CSR layout
+	// (counts, prefix sum, fill) where per-node append slices would
+	// allocate.
+	eachUse := func(use func(pos int, arg logic.NodeID)) {
+		for pos, gid := range order {
 			g := &net.Gates[gid]
 			var seen [3]logic.NodeID
 			ns := 0
@@ -415,15 +415,16 @@ func Generate(net *logic.Net, opts Options) (*Result, error) {
 				if !dup {
 					seen[ns] = arg
 					ns++
-					count(arg)
+					use(pos, arg)
 				}
 			}
 		}
+		for _, o := range net.Outputs {
+			use(e.outPos, o)
+		}
 	}
-	countUse(func(arg logic.NodeID) { s.useOff[arg+1]++ })
-	for _, o := range net.Outputs {
-		s.useOff[o+1]++
-	}
+	clear(s.useOff)
+	eachUse(func(_ int, arg logic.NodeID) { s.useOff[arg+1]++ })
 	for i := 0; i < len(net.Gates); i++ {
 		s.useOff[i+1] += s.useOff[i]
 	}
@@ -433,30 +434,10 @@ func Generate(net *logic.Net, opts Options) (*Result, error) {
 	}
 	s.useBuf = s.useBuf[:totalUses]
 	copy(s.cur, s.useOff)
-	for pos, gid := range order {
-		g := &net.Gates[gid]
-		var seen [3]logic.NodeID
-		ns := 0
-		for a := 0; a < g.Kind.Arity(); a++ {
-			arg := g.Args[a]
-			dup := false
-			for k := 0; k < ns; k++ {
-				if seen[k] == arg {
-					dup = true
-				}
-			}
-			if !dup {
-				seen[ns] = arg
-				ns++
-				s.useBuf[s.cur[arg]] = pos
-				s.cur[arg]++
-			}
-		}
-	}
-	for _, o := range net.Outputs {
-		s.useBuf[s.cur[o]] = e.outPos
-		s.cur[o]++
-	}
+	eachUse(func(pos int, arg logic.NodeID) {
+		s.useBuf[s.cur[arg]] = pos
+		s.cur[arg]++
+	})
 	copy(s.useIdx, s.useOff[:len(net.Gates)])
 
 	res := &Result{

@@ -17,7 +17,7 @@ import (
 // adderNet builds a w-bit adder legalized for arch.
 func adderNet(t *testing.T, w int, arch isa.Arch, fold bool) *logic.Net {
 	t.Helper()
-	b := logic.NewBuilder(logic.BuilderOptions{Fold: fold, CSE: true})
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: fold, CSE: true})
 	x := b.InputWord("x", w)
 	y := b.InputWord("y", w)
 	b.OutputWord("z", b.Add(x, y))
@@ -94,7 +94,7 @@ func TestGenerateCorrectAllVariantsAllArchs(t *testing.T) {
 }
 
 func TestGenerateRejectsUnlegalizedNet(t *testing.T) {
-	b := logic.NewOptBuilder()
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
 	x := b.Input("x")
 	y := b.Input("y")
 	b.Output("z", b.Xor(x, y))
@@ -137,7 +137,7 @@ func TestRenameShortensPrograms(t *testing.T) {
 func TestReuseEliminatesConstWrites(t *testing.T) {
 	// A net with explicit constant operands: x + 0b1010 (unfolded).
 	build := func(fold bool) *logic.Net {
-		b := logic.NewBuilder(logic.BuilderOptions{Fold: fold, CSE: true})
+		b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: fold, CSE: true})
 		x := b.InputWord("x", 8)
 		c := b.ConstWord(0xAA, 8)
 		b.OutputWord("z", b.Add(x, c))
@@ -169,7 +169,7 @@ func TestReuseEliminatesConstWrites(t *testing.T) {
 
 func TestSpillInsertedAndCorrect(t *testing.T) {
 	// High-pressure net: interleave products so many values stay live.
-	b := logic.NewOptBuilder()
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
 	x := b.InputWord("x", 8)
 	y := b.InputWord("y", 8)
 	var words []logic.Word
@@ -209,7 +209,7 @@ func TestSpillInsertedAndCorrect(t *testing.T) {
 func TestInputDropsPreferredOverSpills(t *testing.T) {
 	// Inputs are cheap to evict (host re-writes them); verify drops happen
 	// before SSD spills when inputs dominate the resident set.
-	b := logic.NewOptBuilder()
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
 	var bits []logic.NodeID
 	for i := 0; i < 40; i++ {
 		bits = append(bits, b.Input(fmt.Sprintf("x%d[0]", i)))
@@ -244,7 +244,7 @@ func TestInputDropsPreferredOverSpills(t *testing.T) {
 func TestDirectWritesForOneShotInputs(t *testing.T) {
 	// A bitwise net: every input bit has exactly one use, so with O3 all
 	// of them can be host-written straight into the compute rows.
-	b := logic.NewOptBuilder()
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
 	x := b.InputWord("x", 8)
 	y := b.InputWord("y", 8)
 	b.OutputWord("z", b.BitwiseAnd(x, y))
@@ -288,7 +288,7 @@ func TestProgramValidates(t *testing.T) {
 func TestNotChains(t *testing.T) {
 	// Deep NOT chains exercise the DCC pairs and their eviction. Folding
 	// is disabled so consecutive NOTs are not cancelled.
-	b := logic.NewBuilder(logic.BuilderOptions{Fold: false, CSE: true})
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: false, CSE: true})
 	x := b.Input("x[0]")
 	y := b.Input("y[0]")
 	n1 := b.Not(x)

@@ -380,17 +380,9 @@ func (b *builder) add(v Value) ValueID {
 	return id
 }
 
-// Build flattens the checked program, using its entry node, into a graph.
-// Entry parameters become graph inputs; entry returns become outputs.
-func Build(ch *typecheck.Checked) (*Graph, error) {
-	entry := ch.Prog.Entry()
-	if entry == nil {
-		return nil, fmt.Errorf("dfg: program has no entry node")
-	}
-	return BuildNode(ch, entry.Name)
-}
-
-// BuildNode flattens the named node as the entry point.
+// BuildNode flattens the checked program into a graph, with the named node
+// as the entry point: its parameters become graph inputs and its returns
+// become outputs.
 func BuildNode(ch *typecheck.Checked, name string) (*Graph, error) {
 	entry := ch.Prog.Lookup(name)
 	if entry == nil {

@@ -20,7 +20,7 @@ func build(t *testing.T, src string) *Graph {
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	g, err := Build(ch)
+	g, err := BuildNode(ch, ch.Prog.Entry().Name)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -107,7 +107,7 @@ tel`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(ch); err == nil || !strings.Contains(err.Error(), "cycle") {
+	if _, err := BuildNode(ch, ch.Prog.Entry().Name); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("cycle not detected: %v", err)
 	}
 }

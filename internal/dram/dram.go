@@ -14,7 +14,6 @@ package dram
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"chopper/internal/guard"
 	"chopper/internal/isa"
@@ -511,15 +510,9 @@ func (e *Engine) Stall(ns float64) {
 	e.stats.StallNs += ns
 }
 
-// Run issues a whole stream and returns the makespan in nanoseconds,
-// including refresh dilation.
-func (e *Engine) Run(stream []Placed) float64 {
-	ns, _ := e.RunCtx(nil, stream, 0)
-	return ns
-}
-
-// RunCtx is Run under the guard layer: maxCommands > 0 caps how many
-// commands the stream may issue (the guard.DimDRAMCommands budget
+// RunCtx issues a whole stream and returns the makespan in nanoseconds,
+// including refresh dilation, under the guard layer: maxCommands > 0 caps
+// how many commands the stream may issue (the guard.DimDRAMCommands budget
 // dimension, checked per command so the cap is exact and deterministic),
 // and a non-nil ctx is observed every 256 commands for cooperative
 // cancellation. The returned makespan covers the commands issued before
@@ -550,13 +543,4 @@ func (e *Engine) Stats() EngineStats {
 	s := e.stats
 	s.MakespanNs = e.Makespan()
 	return s
-}
-
-// Duration converts a nanosecond figure into a time.Duration, saturating on
-// overflow (useful only for display).
-func Duration(ns float64) time.Duration {
-	if ns > float64(1<<62) {
-		return time.Duration(1 << 62)
-	}
-	return time.Duration(ns)
 }

@@ -156,9 +156,9 @@ func TestEngineBankLevelParallelism(t *testing.T) {
 		return s
 	}
 	e1 := NewEngine(g, tm, false)
-	t1 := e1.Run(mkStream(1))
+	t1, _ := e1.RunCtx(nil, mkStream(1), 0)
 	e2 := NewEngine(g, tm, false)
-	t2 := e2.Run(mkStream(2))
+	t2, _ := e2.RunCtx(nil, mkStream(2), 0)
 	if t2 > t1*1.01 {
 		t.Errorf("2-bank compute (%.0f ns) slower than 1-bank (%.0f ns): BLP broken", t2, t1)
 	}
@@ -174,7 +174,7 @@ func TestEngineBusSerialization(t *testing.T) {
 		s = append(s, Placed{Bank: i % 8, Subarray: 0, Op: isa.NewWrite(isa.Row(0), i)})
 	}
 	e := NewEngine(g, tm, false)
-	mk := e.Run(s)
+	mk, _ := e.RunCtx(nil, s, 0)
 	lower := float64(n) * tm.RowXferNs
 	if mk < lower {
 		t.Errorf("makespan %.0f ns below bus lower bound %.0f ns", mk, lower)
@@ -196,7 +196,7 @@ func TestEngineTransferComputeOverlap(t *testing.T) {
 		serial = append(serial, Placed{Bank: 0, Subarray: 0, Op: isa.NewAP(isa.T0, isa.T1, isa.T2)})
 	}
 	eS := NewEngine(g, tm, false)
-	tS := eS.Run(serial)
+	tS, _ := eS.RunCtx(nil, serial, 0)
 
 	// Interleaved across two banks: bank 0 computes while bank 1 receives.
 	var inter []Placed
@@ -205,7 +205,7 @@ func TestEngineTransferComputeOverlap(t *testing.T) {
 		inter = append(inter, Placed{Bank: 0, Subarray: 0, Op: isa.NewAP(isa.T0, isa.T1, isa.T2)})
 	}
 	eI := NewEngine(g, tm, false)
-	tI := eI.Run(inter)
+	tI, _ := eI.RunCtx(nil, inter, 0)
 	if tI >= tS {
 		t.Errorf("interleaved (%.0f ns) not faster than serial (%.0f ns)", tI, tS)
 	}
@@ -220,9 +220,9 @@ func TestEngineSALP(t *testing.T) {
 		s = append(s, Placed{Bank: 0, Subarray: i % 2, Op: isa.NewAP(isa.T0, isa.T1, isa.T2)})
 	}
 	eNo := NewEngine(g, tm, false)
-	tNo := eNo.Run(s)
+	tNo, _ := eNo.RunCtx(nil, s, 0)
 	eYes := NewEngine(g, tm, true)
-	tYes := eYes.Run(s)
+	tYes, _ := eYes.RunCtx(nil, s, 0)
 	if tYes >= tNo*0.75 {
 		t.Errorf("SALP (%.0f ns) should be well below no-SALP (%.0f ns)", tYes, tNo)
 	}
@@ -274,10 +274,10 @@ func TestEngineStats(t *testing.T) {
 	g := DefaultGeometry()
 	tm := TimingFor(isa.Ambit, g)
 	e := NewEngine(g, tm, false)
-	e.Run([]Placed{
+	e.RunCtx(nil, []Placed{
 		{Bank: 0, Subarray: 0, Op: isa.NewWrite(isa.Row(0), 0)},
 		{Bank: 0, Subarray: 0, Op: isa.NewAP(isa.T0, isa.T1, isa.T2)},
-	})
+	}, 0)
 	st := e.Stats()
 	if st.Ops != 2 || st.Transfers != 1 {
 		t.Errorf("stats: %+v", st)

@@ -123,17 +123,6 @@ func DefaultTransfer() Transfer {
 	return Transfer{ChannelBWGBs: 19.2, DMASetupNs: 600}
 }
 
-// Validate rejects degenerate transfer models.
-func (t Transfer) Validate() error {
-	if t.ChannelBWGBs <= 0 {
-		return fmt.Errorf("hostmodel: non-positive channel bandwidth %g GB/s", t.ChannelBWGBs)
-	}
-	if t.DMASetupNs < 0 {
-		return fmt.Errorf("hostmodel: negative DMA setup %g ns", t.DMASetupNs)
-	}
-	return nil
-}
-
 // TimeNs returns the time to move `bytes` over `channels` parallel
 // channels: one DMA setup plus the streaming time at the aggregate
 // bandwidth. Zero bytes cost zero (no DMA is issued); channel counts

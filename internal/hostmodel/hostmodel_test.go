@@ -83,15 +83,10 @@ func TestTimeNsCheckedZeroValue(t *testing.T) {
 	}
 }
 
-func TestTransferValidate(t *testing.T) {
-	if err := DefaultTransfer().Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := (Transfer{ChannelBWGBs: 0, DMASetupNs: 0}).Validate(); err == nil {
-		t.Error("zero bandwidth accepted")
-	}
-	if err := (Transfer{ChannelBWGBs: 19.2, DMASetupNs: -1}).Validate(); err == nil {
-		t.Error("negative DMA setup accepted")
+func TestDefaultTransfer(t *testing.T) {
+	// 19,200 bytes over one 19.2 GB/s channel: 1000 ns wire + 600 ns setup.
+	if got, want := DefaultTransfer().TimeNs(19_200, 1), 1600.0; got != want {
+		t.Errorf("default transfer: %g ns, want %g", got, want)
 	}
 }
 

@@ -50,12 +50,6 @@ const (
 	RowNone Row = -128
 )
 
-// NumBRows is the number of addressable B-group rows.
-const NumBRows = 8
-
-// BRows lists every B-group row in a canonical order.
-var BRows = [NumBRows]Row{T0, T1, T2, T3, DCC0, DCC0N, DCC1, DCC1N}
-
 // IsDGroup reports whether r addresses a regular data row.
 func (r Row) IsDGroup() bool { return r >= 0 }
 
@@ -312,11 +306,6 @@ func ParseArch(s string) (Arch, error) {
 	}
 	return 0, fmt.Errorf("unknown target %q (valid: %s)", s, strings.ToLower(strings.Join(archNames[:], ", ")))
 }
-
-// SupportsMajority reports whether the architecture exposes 3-input
-// majority as a directly programmable primitive (true only for SIMDRAM;
-// Ambit and ELP2IM expose AND/OR/NOT).
-func (a Arch) SupportsMajority() bool { return a == SIMDRAM }
 
 // Program is a straight-line micro-op sequence for a single subarray,
 // together with the row-resource footprint it requires.

@@ -57,16 +57,6 @@ type Builder struct {
 // is newer than its operands, so id 0 cannot be filed and marks the end.
 type bucket [4]NodeID
 
-// NewBuilder creates a builder with the given options.
-func NewBuilder(opts BuilderOptions) *Builder {
-	b := &Builder{}
-	b.Reset(opts)
-	return b
-}
-
-// NewOptBuilder returns a builder with all local simplifications enabled.
-func NewOptBuilder() *Builder { return NewBuilder(BuilderOptions{Fold: true, CSE: true}) }
-
 // Reset re-initializes the builder for a fresh net under opts, keeping
 // every internal buffer's capacity. It invalidates the net a previous
 // Net call returned, which shares those buffers.

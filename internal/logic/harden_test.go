@@ -11,7 +11,7 @@ import (
 // gate set (AND/OR/NOT).
 func buildAdder4(t *testing.T) *Net {
 	t.Helper()
-	b := NewOptBuilder()
+	b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
 	a := b.InputWord("a", 4)
 	c := b.InputWord("b", 4)
 	b.OutputWord("z", b.Add(a, c))

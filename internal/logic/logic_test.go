@@ -58,7 +58,7 @@ func randVals(rng *rand.Rand, n, width int) []uint64 {
 }
 
 func TestBuilderConstantFolding(t *testing.T) {
-	b := NewOptBuilder()
+	b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
 	x := b.Input("x")
 	zero := b.Const(false)
 	one := b.Const(true)
@@ -101,7 +101,7 @@ func TestBuilderConstantFolding(t *testing.T) {
 }
 
 func TestBuilderCSE(t *testing.T) {
-	b := NewOptBuilder()
+	b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
 	x := b.Input("x")
 	y := b.Input("y")
 	a1 := b.And(x, y)
@@ -117,7 +117,7 @@ func TestBuilderCSE(t *testing.T) {
 }
 
 func TestBuilderNoFoldKeepsGates(t *testing.T) {
-	b := NewBuilder(BuilderOptions{Fold: false, CSE: false})
+	b := new(Scratch).Builder(BuilderOptions{Fold: false, CSE: false})
 	x := b.Input("x")
 	one := b.Const(true)
 	got := b.And(x, one)
@@ -133,7 +133,7 @@ func TestBuilderNoFoldKeepsGates(t *testing.T) {
 
 func buildBinop(t *testing.T, w int, f func(b *Builder, x, y Word) Word) *Net {
 	t.Helper()
-	b := NewOptBuilder()
+	b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
 	x := b.InputWord("x", w)
 	y := b.InputWord("y", w)
 	b.OutputWord("z", f(b, x, y))
@@ -215,7 +215,7 @@ func TestComparisons(t *testing.T) {
 	}
 	for _, p := range preds {
 		t.Run(p.name, func(t *testing.T) {
-			b := NewOptBuilder()
+			b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
 			x := b.InputWord("x", w)
 			y := b.InputWord("y", w)
 			b.Output("z[0]", p.f(b, x, y))
@@ -244,7 +244,7 @@ func TestComparisons(t *testing.T) {
 func TestMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, w := range []int{4, 8, 12} {
-		b := NewOptBuilder()
+		b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
 		x := b.InputWord("x", w)
 		y := b.InputWord("y", w)
 		b.OutputWord("z", b.Mul(x, y, 2*w))
@@ -268,7 +268,7 @@ func TestShifts(t *testing.T) {
 	w := 16
 	xs := randVals(rng, 64, w)
 	for _, k := range []int{0, 1, 5, 15, 16, 20} {
-		b := NewOptBuilder()
+		b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
 		x := b.InputWord("x", w)
 		b.OutputWord("l", b.ShiftLeft(x, k))
 		b.OutputWord("r", b.ShiftRight(x, k, false))
@@ -296,7 +296,7 @@ func TestShifts(t *testing.T) {
 func TestPopCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, w := range []int{1, 7, 16, 33} {
-		b := NewOptBuilder()
+		b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
 		x := b.InputWord("x", w)
 		pc := b.PopCount(x)
 		b.OutputWord("z", pc)
@@ -324,7 +324,7 @@ func popcount(v uint64) int {
 func TestMuxWord(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	w := 12
-	b := NewOptBuilder()
+	b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
 	c := b.Input("c[0]")
 	x := b.InputWord("x", w)
 	y := b.InputWord("y", w)
@@ -350,7 +350,7 @@ func TestLegalizePreservesSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	w := 10
 	build := func() *Net {
-		b := NewOptBuilder()
+		b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
 		x := b.InputWord("x", w)
 		y := b.InputWord("y", w)
 		sum := b.Add(x, y)
@@ -383,7 +383,7 @@ func TestLegalizePreservesSemantics(t *testing.T) {
 }
 
 func TestLegalizeGateSets(t *testing.T) {
-	b := NewOptBuilder()
+	b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
 	x := b.Input("x")
 	y := b.Input("y")
 	z := b.Input("z")
@@ -422,7 +422,7 @@ func TestSIMDRAMAdderCheaperThanAmbit(t *testing.T) {
 	// The reason SIMDRAM exists: MAJ-native synthesis needs fewer in-DRAM
 	// steps per full adder than AND/OR/NOT synthesis.
 	w := 32
-	b := NewOptBuilder()
+	b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
 	x := b.InputWord("x", w)
 	y := b.InputWord("y", w)
 	b.OutputWord("z", b.Add(x, y))
@@ -441,20 +441,20 @@ func TestSIMDRAMAdderCheaperThanAmbit(t *testing.T) {
 }
 
 func TestDCE(t *testing.T) {
-	b := NewOptBuilder()
+	b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
 	x := b.Input("x")
 	y := b.Input("y")
 	used := b.And(x, y)
 	_ = b.Or(x, y) // dead
 	b.Output("z", used)
 	n := b.Net()
-	before := n.NumGates()
+	before := len(n.Gates)
 	after := n.DCE()
 	if err := after.Validate(); err != nil {
 		t.Fatalf("DCE produced invalid net: %v", err)
 	}
-	if after.NumGates() >= before {
-		t.Errorf("DCE removed nothing: %d -> %d", before, after.NumGates())
+	if len(after.Gates) >= before {
+		t.Errorf("DCE removed nothing: %d -> %d", before, len(after.Gates))
 	}
 	res, err := after.Eval(map[string]uint64{"x": 0b1100, "y": 0b1010})
 	if err != nil {
@@ -479,7 +479,7 @@ func TestQuickAdderAllArchs(t *testing.T) {
 			mask = ^uint64(0)
 		}
 		x, y := xr&mask, yr&mask
-		b := NewOptBuilder()
+		b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
 		xw := b.InputWord("x", w)
 		yw := b.InputWord("y", w)
 		b.OutputWord("z", b.Add(xw, yw))
@@ -529,7 +529,7 @@ func TestQuickDCEPreserves(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(37))}
 	prop := func(seed int64, xv, yv uint64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		b := NewOptBuilder()
+		b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
 		nodes := []NodeID{b.Input("x"), b.Input("y")}
 		for i := 0; i < 30; i++ {
 			pick := func() NodeID { return nodes[rng.Intn(len(nodes))] }
@@ -593,7 +593,7 @@ func TestValidateCatchesBadNets(t *testing.T) {
 func TestDivMod(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, w := range []int{4, 9, 16} {
-		b := NewOptBuilder()
+		b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
 		x := b.InputWord("x", w)
 		y := b.InputWord("y", w)
 		q, r := b.DivMod(x, y)

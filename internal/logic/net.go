@@ -106,9 +106,6 @@ func (n *Net) buildInputIndex() {
 	n.inIdx = idx
 }
 
-// NumGates returns the total gate count.
-func (n *Net) NumGates() int { return len(n.Gates) }
-
 // Counts tallies gates by kind.
 func (n *Net) Counts() map[GateKind]int {
 	m := make(map[GateKind]int)

@@ -34,7 +34,7 @@ func buildSteadyNet(b *Builder) {
 // cleared by reallocation, a negation cache regrown) shows up as a
 // non-zero count.
 func TestInternSteadyStateAllocs(t *testing.T) {
-	b := NewBuilder(BuilderOptions{})
+	b := new(Scratch).Builder(BuilderOptions{})
 	b.Grow(1024)
 	buildSteadyNet(b) // warm-up sizes every buffer
 	if n := testing.AllocsPerRun(20, func() { buildSteadyNet(b) }); n != 0 {

@@ -16,7 +16,7 @@ import (
 // words need not be buffered), with a 1-bit result so output rows do not
 // mask the scheduling effect.
 func chainNet(w int) *logic.Net {
-	b := logic.NewOptBuilder()
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
 	a := b.InputWord("a", w)
 	bb := b.InputWord("b", w)
 	c := b.InputWord("c", w)
@@ -106,7 +106,7 @@ func TestScheduleReducesPressureOnChains(t *testing.T) {
 // three inputs, with four outputs.
 func randomNet(seed int64) *logic.Net {
 	rng := rand.New(rand.NewSource(seed))
-	b := logic.NewOptBuilder()
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
 	nodes := []logic.NodeID{b.Input("x"), b.Input("y"), b.Input("z")}
 	for i := 0; i < 60; i++ {
 		pick := func() logic.NodeID { return nodes[rng.Intn(len(nodes))] }
@@ -143,7 +143,7 @@ func TestScheduleNeverWorseThanNatural(t *testing.T) {
 func TestMaxLiveSimple(t *testing.T) {
 	// x&y and x|y both feeding a final and: natural order holds both
 	// intermediates live at once.
-	b := logic.NewOptBuilder()
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
 	x := b.Input("x")
 	y := b.Input("y")
 	a1 := b.And(x, y)
@@ -159,7 +159,7 @@ func TestMaxLiveSimple(t *testing.T) {
 }
 
 func TestScheduleEmptyNet(t *testing.T) {
-	b := logic.NewOptBuilder()
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
 	x := b.Input("x")
 	b.Output("z", x)
 	n := b.Net()
@@ -292,7 +292,7 @@ func TestChainReusesSchedule(t *testing.T) {
 
 // An OR consumed only by a gate two steps later moves right before it.
 func TestChainMovesOneShotProducer(t *testing.T) {
-	b := logic.NewBuilder(logic.BuilderOptions{})
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{})
 	x, y := b.Input("x"), b.Input("y")
 	o := b.Or(x, y)
 	a := b.And(x, y)
@@ -307,7 +307,7 @@ func TestChainMovesOneShotProducer(t *testing.T) {
 	}
 
 	// With two one-shot operands, the later one is the chain operand.
-	b = logic.NewBuilder(logic.BuilderOptions{})
+	b = new(logic.Scratch).Builder(logic.BuilderOptions{})
 	x, y = b.Input("x"), b.Input("y")
 	p1 := b.And(x, y)
 	p2 := b.Or(x, y)

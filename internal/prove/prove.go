@@ -229,7 +229,7 @@ type machine struct {
 
 func newMachine(code *codegen.Result) *machine {
 	m := &machine{
-		b:      logic.NewBuilder(logic.BuilderOptions{Fold: true, CSE: true}),
+		b:      new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true}),
 		code:   code,
 		rows:   make([]logic.NodeID, numSpecial+code.Prog.DRowsUsed),
 		spill:  make(map[uint64]logic.NodeID),

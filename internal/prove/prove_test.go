@@ -11,7 +11,7 @@ import (
 
 // andNet is z = a & b.
 func andNet() *logic.Net {
-	b := logic.NewOptBuilder()
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
 	b.Output("z", b.And(b.Input("a"), b.Input("b")))
 	return b.Net()
 }

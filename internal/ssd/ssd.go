@@ -55,17 +55,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats aggregates device activity.
-type Stats struct {
-	Reads       int
-	Programs    int
-	BytesRead   int64
-	BytesWrite  int64
-	BusyNs      float64 // total die-busy time
-	QueueWaitNs float64 // total time requests waited for their die
-	MaxQueueNs  float64
-}
-
 // Device is a queueing model of the drive. Each (channel, chip, die) tuple
 // is a serial service unit; the channel interface is a second, shared
 // resource. Requests carry an arrival time and experience queueing delay
@@ -76,12 +65,9 @@ type Device struct {
 	cfg Config
 
 	mu       sync.Mutex
-	dieFree  []float64 // next-free time per die
-	chanFree []float64 // next-free time per channel
-	stats    Stats
-
-	slotLen map[uint64]int // bytes stored per spill slot
-	used    int64
+	dieFree  []float64      // next-free time per die
+	chanFree []float64      // next-free time per channel
+	slotLen  map[uint64]int // bytes stored per spill slot
 }
 
 // New creates a Device. It panics on an invalid config; use
@@ -98,9 +84,6 @@ func New(cfg Config) *Device {
 		slotLen:  make(map[uint64]int),
 	}
 }
-
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
 
 func (d *Device) dieFor(slot uint64) (die, channel int) {
 	nd := len(d.dieFree)
@@ -153,63 +136,12 @@ func (d *Device) access(slot uint64, bytes int, arrivalNs float64, write bool) f
 	if d.chanFree[ch] > start {
 		start = d.chanFree[ch]
 	}
-	wait := start - arrivalNs
 	end := start + xfer + flash
 
 	d.dieFree[die] = end
 	d.chanFree[ch] = start + xfer // channel freed after the burst
-
-	d.stats.BusyNs += xfer + flash
-	d.stats.QueueWaitNs += wait
-	if wait > d.stats.MaxQueueNs {
-		d.stats.MaxQueueNs = wait
-	}
 	if write {
-		d.stats.Programs += pages
-		d.stats.BytesWrite += int64(bytes)
-		if _, seen := d.slotLen[slot]; !seen {
-			d.used += int64(pages * d.cfg.PageBytes)
-		}
 		d.slotLen[slot] = bytes
-	} else {
-		d.stats.Reads += pages
-		d.stats.BytesRead += int64(bytes)
 	}
 	return end - arrivalNs
-}
-
-// UsedBytes reports the footprint of live spill slots.
-func (d *Device) UsedBytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.used
-}
-
-// Overfull reports whether spill data exceeds the drive capacity.
-func (d *Device) Overfull() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.used > d.cfg.CapacityBytes
-}
-
-// Stats returns a snapshot of device activity.
-func (d *Device) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
-
-// Reset clears all state but keeps the configuration.
-func (d *Device) Reset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i := range d.dieFree {
-		d.dieFree[i] = 0
-	}
-	for i := range d.chanFree {
-		d.chanFree[i] = 0
-	}
-	d.stats = Stats{}
-	d.slotLen = make(map[uint64]int)
-	d.used = 0
 }

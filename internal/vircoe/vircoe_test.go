@@ -39,7 +39,8 @@ func makespan(t *testing.T, stream []dram.Placed, salp bool) float64 {
 	t.Helper()
 	g := dram.DefaultGeometry()
 	eng := dram.NewEngine(g, dram.TimingFor(isa.Ambit, g), salp)
-	return eng.Run(stream)
+	ns, _ := eng.RunCtx(nil, stream, 0)
+	return ns
 }
 
 func TestPlacements(t *testing.T) {
@@ -140,7 +141,8 @@ func TestModeVsSALP(t *testing.T) {
 
 	mk := func(stream []dram.Placed, salp bool) float64 {
 		eng := dram.NewEngine(g, tm, salp)
-		return eng.Run(stream)
+		ns, _ := eng.RunCtx(nil, stream, 0)
+		return ns
 	}
 	bankNoSALP := mk(bankStream, false)
 	subNoSALP := mk(subStream, false)

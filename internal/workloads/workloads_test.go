@@ -21,7 +21,7 @@ func graphOf(t *testing.T, src string) *dfg.Graph {
 	if err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}
-	g, err := dfg.Build(ch)
+	g, err := dfg.BuildNode(ch, ch.Prog.Entry().Name)
 	if err != nil {
 		t.Fatalf("dfg: %v", err)
 	}
