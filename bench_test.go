@@ -355,7 +355,7 @@ func BenchmarkScheduleGates(b *testing.B) {
 	ch, _ := typecheck.Check(prog)
 	g, _ := dfg.BuildNode(ch, ch.Prog.Entry().Name)
 	net, _ := bitslice.Lower(g, bitslice.Options{Fold: true})
-	leg, _ := logic.Legalize(net, isa.Ambit, logic.BuilderOptions{Fold: true, CSE: true})
+	leg, _ := logic.Legalize(net, isa.Ambit, logic.BuilderOptions{Fold: true})
 	leg = leg.DCE()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

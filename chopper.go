@@ -675,7 +675,7 @@ func compileGraphAt(ctx context.Context, ws *workspace, prog *dsl.Program, graph
 	// workspace at its exact size.
 	var leg *logic.Net
 	if err := protect("legalize", func() error {
-		l, err := ws.logic.Legalize(net, opts.Target, logic.BuilderOptions{Fold: opt.HasReuse(), CSE: true})
+		l, err := ws.logic.Legalize(net, opts.Target, logic.BuilderOptions{Fold: opt.HasReuse()})
 		if err != nil {
 			return stage(ErrCodegen, "chopper: legalize", err)
 		}

@@ -6,13 +6,14 @@ package chopper
 // and runs it functionally (Machine.RunFunctionalCtx), taking the timing
 // from the kernel's shard memo. These tests drive the same kernel through a
 // reference loop that shares only the micro-op body with it — a fresh
-// subarray executing every op decoded on the spot (Subarray.Exec), then a
-// fresh engine charging it (dram.Engine.Issue), with both budget checks
-// before each op — and require identical functional outputs, makespan,
-// engine stats, guard stop points and fault-injection sequences, on the run
-// that fills the memo (cold) and on every run after it (warm). Both sides
-// bind operands through the kernel's one tag-table binding (hostRows); what
-// is compared is the execution.
+// subarray stepping the program's ops one at a time (Subarray.ExecDecoded
+// over sim.Decode of the program, every read checked), then a fresh engine
+// charging each (dram.Engine.Issue), with both budget checks before each op
+// — and require identical functional outputs, makespan, engine stats, guard
+// stop points and fault-injection sequences, on the run that fills the memo
+// (cold) and on every run after it (warm). Both sides bind operands
+// through the kernel's one tag-table binding (hostRows); what is compared is
+// the execution.
 
 import (
 	"context"
@@ -42,8 +43,8 @@ tel`
 var equivLanes = []int{1, 63, 64, 65, 128}
 
 // genericRunRows executes the kernel on the reference loop: per op, the
-// budget checks, Subarray.Exec on a fresh subarray (with hook attached),
-// then Engine.Issue on a fresh engine.
+// budget checks, Subarray.ExecDecoded on a fresh subarray (with hook
+// attached), then Engine.Issue on a fresh engine.
 func genericRunRows(k *Kernel, rows map[string][][]uint64, lanes int, hook sim.FaultHook, b Budget) (*RunResult, error) {
 	p, err := k.tilePlan()
 	if err != nil {
@@ -60,6 +61,7 @@ func genericRunRows(k *Kernel, rows map[string][][]uint64, lanes int, hook sim.F
 	sub.SetFaultHook(hook)
 	eng := dram.NewEngine(g, dram.TimingFor(k.Opts.Target, g), false)
 	io := host.hostIO()
+	d := sim.Decode(k.prog)
 	for i := range k.prog.Ops {
 		if err := guard.Check(guard.DimSimSteps, b.MaxSimSteps, i+1); err != nil {
 			return nil, err
@@ -67,7 +69,7 @@ func genericRunRows(k *Kernel, rows map[string][][]uint64, lanes int, hook sim.F
 		if err := guard.Check(guard.DimDRAMCommands, b.MaxDRAMCommands, i+1); err != nil {
 			return nil, err
 		}
-		if err := sub.Exec(&k.prog.Ops[i], io, spill); err != nil {
+		if err := sub.ExecDecoded(d, i, io, spill); err != nil {
 			return nil, fmt.Errorf("op %d at bank 0 sub 0: %w", i, err)
 		}
 		eng.Issue(dram.Placed{Op: k.prog.Ops[i]})

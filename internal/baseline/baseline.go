@@ -604,7 +604,7 @@ func synth(ws *opScratch, vi int, v *dfg.Value, argW []int, ext []codegen.ExtLoc
 	if err != nil {
 		return nil, err
 	}
-	leg, err := ws.logic.Legalize(net, arch, logic.BuilderOptions{Fold: true, CSE: true})
+	leg, err := ws.logic.Legalize(net, arch, logic.BuilderOptions{Fold: true})
 	if err != nil {
 		return nil, err
 	}

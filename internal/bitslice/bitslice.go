@@ -48,7 +48,7 @@ func Lower(g *dfg.Graph, opts Options) (*logic.Net, error) {
 // scratch (logic.Scratch.DCETemp): it is valid until the scratch sweeps
 // another temporary net, which is long enough to legalize it.
 func LowerOn(s *logic.Scratch, g *dfg.Graph, opts Options) (*logic.Net, error) {
-	b := s.Builder(logic.BuilderOptions{Fold: opts.Fold, CSE: true})
+	b := s.Builder(logic.BuilderOptions{Fold: opts.Fold})
 	// The Table-II kernels build 0.8 to 3.1 gates per bit of value width.
 	bitsTotal := 0
 	for i := range g.Values {

@@ -56,7 +56,7 @@ func evalBoth(t *testing.T, g *dfg.Graph, n *logic.Net, rng *rand.Rand) {
 
 	nets := map[string]*logic.Net{"generic": n}
 	for _, arch := range isa.AllArchs {
-		leg, err := logic.Legalize(n, arch, logic.BuilderOptions{Fold: true, CSE: true})
+		leg, err := logic.Legalize(n, arch, logic.BuilderOptions{Fold: true})
 		if err != nil {
 			t.Fatalf("legalize %v: %v", arch, err)
 		}

@@ -17,12 +17,12 @@ import (
 // adderNet builds a w-bit adder legalized for arch.
 func adderNet(t *testing.T, w int, arch isa.Arch, fold bool) *logic.Net {
 	t.Helper()
-	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: fold, CSE: true})
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: fold})
 	x := b.InputWord("x", w)
 	y := b.InputWord("y", w)
 	b.OutputWord("z", b.Add(x, y))
 	n := b.Net()
-	leg, err := logic.Legalize(n, arch, logic.BuilderOptions{Fold: fold, CSE: true})
+	leg, err := logic.Legalize(n, arch, logic.BuilderOptions{Fold: fold})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestGenerateCorrectAllVariantsAllArchs(t *testing.T) {
 }
 
 func TestGenerateRejectsUnlegalizedNet(t *testing.T) {
-	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true})
 	x := b.Input("x")
 	y := b.Input("y")
 	b.Output("z", b.Xor(x, y))
@@ -137,12 +137,12 @@ func TestRenameShortensPrograms(t *testing.T) {
 func TestReuseEliminatesConstWrites(t *testing.T) {
 	// A net with explicit constant operands: x + 0b1010 (unfolded).
 	build := func(fold bool) *logic.Net {
-		b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: fold, CSE: true})
+		b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: fold})
 		x := b.InputWord("x", 8)
 		c := b.ConstWord(0xAA, 8)
 		b.OutputWord("z", b.Add(x, c))
 		n := b.Net()
-		leg, err := logic.Legalize(n, isa.Ambit, logic.BuilderOptions{Fold: fold, CSE: true})
+		leg, err := logic.Legalize(n, isa.Ambit, logic.BuilderOptions{Fold: fold})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestReuseEliminatesConstWrites(t *testing.T) {
 
 func TestSpillInsertedAndCorrect(t *testing.T) {
 	// High-pressure net: interleave products so many values stay live.
-	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true})
 	x := b.InputWord("x", 8)
 	y := b.InputWord("y", 8)
 	var words []logic.Word
@@ -182,7 +182,7 @@ func TestSpillInsertedAndCorrect(t *testing.T) {
 	}
 	b.OutputWord("z", acc)
 	n := b.Net()
-	leg, err := logic.Legalize(n, isa.Ambit, logic.BuilderOptions{Fold: true, CSE: true})
+	leg, err := logic.Legalize(n, isa.Ambit, logic.BuilderOptions{Fold: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestSpillInsertedAndCorrect(t *testing.T) {
 func TestInputDropsPreferredOverSpills(t *testing.T) {
 	// Inputs are cheap to evict (host re-writes them); verify drops happen
 	// before SSD spills when inputs dominate the resident set.
-	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true})
 	var bits []logic.NodeID
 	for i := 0; i < 40; i++ {
 		bits = append(bits, b.Input(fmt.Sprintf("x%d[0]", i)))
@@ -225,7 +225,7 @@ func TestInputDropsPreferredOverSpills(t *testing.T) {
 	}
 	b.Output("z[0]", b.And(acc, acc2))
 	n := b.Net()
-	leg, err := logic.Legalize(n, isa.Ambit, logic.BuilderOptions{Fold: true, CSE: true})
+	leg, err := logic.Legalize(n, isa.Ambit, logic.BuilderOptions{Fold: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,12 +244,12 @@ func TestInputDropsPreferredOverSpills(t *testing.T) {
 func TestDirectWritesForOneShotInputs(t *testing.T) {
 	// A bitwise net: every input bit has exactly one use, so with O3 all
 	// of them can be host-written straight into the compute rows.
-	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true})
 	x := b.InputWord("x", 8)
 	y := b.InputWord("y", 8)
 	b.OutputWord("z", b.BitwiseAnd(x, y))
 	raw := b.Net()
-	leg, err0 := logic.Legalize(raw, isa.Ambit, logic.BuilderOptions{Fold: true, CSE: true})
+	leg, err0 := logic.Legalize(raw, isa.Ambit, logic.BuilderOptions{Fold: true})
 	if err0 != nil {
 		t.Fatal(err0)
 	}
@@ -288,7 +288,7 @@ func TestProgramValidates(t *testing.T) {
 func TestNotChains(t *testing.T) {
 	// Deep NOT chains exercise the DCC pairs and their eviction. Folding
 	// is disabled so consecutive NOTs are not cancelled.
-	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: false, CSE: true})
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: false})
 	x := b.Input("x[0]")
 	y := b.Input("y[0]")
 	n1 := b.Not(x)

@@ -9,14 +9,15 @@ import (
 // gates are created. CHOPPER-bitslice (the no-optimization variant in the
 // paper's breakdown) disables constant folding; structural hashing is part
 // of bit-slicing itself (shared sub-expressions in the dataflow graph stay
-// shared) and remains on in every variant.
+// shared), so every Builder applies it: identical gates share one node.
 type BuilderOptions struct {
 	// Fold enables constant folding and algebraic identities
 	// (x&0=0, x|1=1, ~~x=x, maj with constant arm, ...). This is the
 	// builder-level half of OBS-2 "bit-sliced instruction selection":
 	// exploiting bit-level patterns such as sparsity of constant operands.
 	Fold bool
-	// CSE enables structural hashing (identical gates share one node).
+	// CSE is accepted and ignored: structural hashing is always on.
+	// benchmark/staged.go still sets it.
 	CSE bool
 	// Target, when non-nil, restricts fold rewrites to gates the target
 	// architecture can execute; used when (re)building during
@@ -81,9 +82,7 @@ func (b *Builder) Reset(opts BuilderOptions) {
 func (b *Builder) Grow(gates int) {
 	n := max(0, gates-len(b.net.Gates))
 	b.net.Gates = slices.Grow(b.net.Gates, n)
-	if b.opts.CSE {
-		b.buckets = slices.Grow(b.buckets, n)
-	}
+	b.buckets = slices.Grow(b.buckets, n)
 	if b.opts.Fold {
 		b.nots = slices.Grow(b.nots, n)
 		b.notOf = slices.Grow(b.notOf, n)
@@ -92,13 +91,13 @@ func (b *Builder) Grow(gates int) {
 
 var noArgs = [3]NodeID{None, None, None}
 
-// raw appends (or, under CSE, interns) the gate; unused args are None.
+// raw interns the gate; unused args are None.
 // Inputs and constants have no operand to file under: inputs are never
 // shared, and Const keeps one node per value itself.
 func (b *Builder) raw(kind GateKind, args [3]NodeID) NodeID {
 	g := Gate{Kind: kind, Args: args}
 	id := NodeID(len(b.net.Gates))
-	if k := max(args[0], args[1], args[2]); b.opts.CSE && k != None {
+	if k := max(args[0], args[1], args[2]); k != None {
 		bk := &b.buckets[k]
 		for i, e := range bk {
 			if e == 0 {
@@ -126,9 +125,7 @@ func (b *Builder) raw(kind GateKind, args [3]NodeID) NodeID {
 // append adds the gate, keeping the per-node tables in step with it.
 func (b *Builder) append(g Gate) {
 	b.net.Gates = append(b.net.Gates, g)
-	if b.opts.CSE {
-		b.buckets = append(b.buckets, bucket{})
-	}
+	b.buckets = append(b.buckets, bucket{})
 	if b.opts.Fold {
 		b.nots = append(b.nots, None)
 		b.notOf = append(b.notOf, None)

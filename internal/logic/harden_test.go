@@ -11,11 +11,11 @@ import (
 // gate set (AND/OR/NOT).
 func buildAdder4(t *testing.T) *Net {
 	t.Helper()
-	b := new(Scratch).Builder(BuilderOptions{Fold: true, CSE: true})
+	b := new(Scratch).Builder(BuilderOptions{Fold: true})
 	a := b.InputWord("a", 4)
 	c := b.InputWord("b", 4)
 	b.OutputWord("z", b.Add(a, c))
-	leg, err := Legalize(b.Net(), isa.Ambit, BuilderOptions{Fold: true, CSE: true})
+	leg, err := Legalize(b.Net(), isa.Ambit, BuilderOptions{Fold: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestTMRPreservesSemantics(t *testing.T) {
 	for _, arch := range isa.AllArchs {
 		gs := NativeGates(arch)
 		base := buildAdder4(t)
-		leg, err := Legalize(base, arch, BuilderOptions{Fold: true, CSE: true})
+		leg, err := Legalize(base, arch, BuilderOptions{Fold: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,12 +3,12 @@ package logic
 import "testing"
 
 // buildSteadyNet drives one Reset+build cycle over a fixed medium circuit
-// with folding and CSE on — the steady-state interning loop the compile
+// with folding on — the steady-state interning loop the compile
 // fast path runs per kernel. It deliberately never calls Net(), so every
 // slice and the structural-hashing buckets keep their capacity across
 // cycles.
 func buildSteadyNet(b *Builder) {
-	b.Reset(BuilderOptions{Fold: true, CSE: true})
+	b.Reset(BuilderOptions{Fold: true})
 	var ins [64]NodeID
 	for i := range ins {
 		ins[i] = b.Input("")

@@ -96,7 +96,7 @@ func hubProgram() []byte {
 	return prog
 }
 
-// FuzzStructuralHash builds random gate sequences on a CSE builder, with
+// FuzzStructuralHash builds random gate sequences on a builder, with
 // folding on and off, for no target and for Ambit's and SIMDRAM's gate
 // sets, and checks the builder against a plain map[Gate]NodeID:
 //
@@ -130,7 +130,7 @@ func FuzzStructuralHash(f *testing.F) {
 		var b Builder
 		for _, fold := range []bool{false, true} {
 			for _, target := range targets {
-				opts := BuilderOptions{Fold: fold, CSE: true, Target: target}
+				opts := BuilderOptions{Fold: fold, Target: target}
 				nodes := buildHashProgram(&b, opts, prog, nil)
 				checkHashed(t, opts, prog, nodes, b.net.Gates)
 				gates := append([]Gate(nil), b.net.Gates...)
@@ -278,7 +278,7 @@ func forEachOp(prog []byte, nodes []NodeID, fn func(j int, code byte, a [3]NodeI
 // 10,000 gates need, must be reused without allocating.
 func TestStructuralHashWarmRebuildAllocs(t *testing.T) {
 	prog := hubProgram()
-	opts := BuilderOptions{Fold: true, CSE: true}
+	opts := BuilderOptions{Fold: true}
 	var b Builder
 	nodes := buildHashProgram(&b, opts, prog, nil)
 	if len(b.over) < 9000 {

@@ -16,7 +16,7 @@ import (
 // words need not be buffered), with a 1-bit result so output rows do not
 // mask the scheduling effect.
 func chainNet(w int) *logic.Net {
-	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true})
 	a := b.InputWord("a", w)
 	bb := b.InputWord("b", w)
 	c := b.InputWord("c", w)
@@ -106,7 +106,7 @@ func TestScheduleReducesPressureOnChains(t *testing.T) {
 // three inputs, with four outputs.
 func randomNet(seed int64) *logic.Net {
 	rng := rand.New(rand.NewSource(seed))
-	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true})
 	nodes := []logic.NodeID{b.Input("x"), b.Input("y"), b.Input("z")}
 	for i := 0; i < 60; i++ {
 		pick := func() logic.NodeID { return nodes[rng.Intn(len(nodes))] }
@@ -143,7 +143,7 @@ func TestScheduleNeverWorseThanNatural(t *testing.T) {
 func TestMaxLiveSimple(t *testing.T) {
 	// x&y and x|y both feeding a final and: natural order holds both
 	// intermediates live at once.
-	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true})
 	x := b.Input("x")
 	y := b.Input("y")
 	a1 := b.And(x, y)
@@ -159,7 +159,7 @@ func TestMaxLiveSimple(t *testing.T) {
 }
 
 func TestScheduleEmptyNet(t *testing.T) {
-	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true})
 	x := b.Input("x")
 	b.Output("z", x)
 	n := b.Net()

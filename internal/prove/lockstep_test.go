@@ -1,0 +1,347 @@
+package prove
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"chopper"
+	"chopper/internal/codegen"
+	"chopper/internal/dram"
+	"chopper/internal/guard"
+	"chopper/internal/isa"
+	"chopper/internal/logic"
+	"chopper/internal/sim"
+)
+
+// lockstep is a sim.FaultHook that holds a run of a program on sim's
+// planned loop — Machine.RunFunctionalCtx over the program decoded once,
+// the path every product run takes — to the program's run on the symbolic
+// machine, op by op, over 64 lanes. The symbolic run records, per op, the
+// value of each row it stores (a dual-contact partner after its row);
+// logic Eval gives every value's lanes. Replaying those stores, the hook
+// knows what each row holds before each op. It compares each row sim
+// senses (EvLoad), each row it stores (EvStore; the partner as the
+// complement of what sim stored) and each READ payload (HostIO.ReadSink)
+// with the symbolic value at that op, and counts each op's stores: an op
+// that stores fewer rows than its symbolic twin is named at that op. A
+// ROWINIT raises no store event; the rows it fills are checked where they
+// are sensed.
+type lockstep struct {
+	// inner, when set, hears every event it subscribes to before the
+	// check, and may perturb the run (TestLockstepSensitivity).
+	inner sim.FaultHook
+	ops   []isa.Op
+	vals  []logic.NodeID // per op, the values of the rows it stores
+	off   []int32        // op i's values start at vals[off[i]]; one entry per recorded op, plus the end
+	ev    []uint64       // every node's value over the 64 lanes
+	rows  []logic.NodeID // by slot, the symbolic value of each row before op settled
+	reads map[int]uint64 // what sim's READs carried, by tag
+
+	last    int    // the op of the last event
+	stores  int    // the store events op last raised
+	settled int    // ops before it whose stores are checked and replayed
+	fail    string // the first disagreement
+}
+
+// newLockstep runs code's program on the symbolic machine over in and
+// returns the hook that holds a sim run of the program to it, with the op
+// the symbolic run stops at (-1: none).
+func newLockstep(code *codegen.Result, in map[string]uint64) (*lockstep, int, error) {
+	ops := code.Prog.Ops
+	m := newMachine(code)
+	size := 0
+	for i := range ops {
+		_, n := stored(&ops[i])
+		size += n
+	}
+	h := &lockstep{ops: ops, vals: make([]logic.NodeID, 0, size), off: make([]int32, 0, len(ops)+1),
+		rows: slices.Clone(m.rows), reads: map[int]uint64{}, last: -1}
+	stop := -1
+	for i := range ops {
+		op := &ops[i]
+		if m.step(op) != nil {
+			stop = i
+			break
+		}
+		h.off = append(h.off, int32(len(h.vals)))
+		rows, n := stored(op)
+		for _, r := range rows[:n] {
+			s, _ := slot(r)
+			h.vals = append(h.vals, m.rows[s])
+		}
+	}
+	h.off = append(h.off, int32(len(h.vals)))
+	ev, err := evalAll(m.b, in)
+	h.ev = ev
+	return h, stop, err
+}
+
+// run executes code's program, decoded as d, on m's planned loop over in
+// with h attached, and returns the op sim stops at (-1: none) and why.
+func (h *lockstep) run(m *sim.Machine, geom dram.Geometry, code *codegen.Result, d *sim.Decoded, in map[string]uint64) (int, error) {
+	m.Reconfigure(sim.MachineConfig{Geom: geom, Lanes: 64, Fault: h})
+	io := hostIO(code, in, h.reads)
+	sink := io.ReadSink
+	io.ReadSink = func(tag int, data []uint64) {
+		sink(tag, data)
+		h.read(data[0])
+	}
+	err := m.RunFunctionalCtx(nil, d, io, guard.Budget{})
+	stop, end := -1, len(h.ops)
+	if err != nil {
+		// Every error of a run names its op ("op i at bank b sub s: ...").
+		if _, perr := fmt.Sscanf(err.Error(), "op %d ", &stop); perr != nil && h.fail == "" {
+			h.fail = fmt.Sprintf("sim fails at no op: %v", err)
+		}
+		end = max(stop, 0)
+	}
+	h.settle(min(end, h.recorded()))
+	return stop, err
+}
+
+// recorded is the number of ops the symbolic run completed.
+func (h *lockstep) recorded() int { return len(h.off) - 1 }
+
+func (h *lockstep) failf(i int, format string, args ...any) {
+	if h.fail == "" {
+		h.fail = fmt.Sprintf("op %d (%s): ", i, &h.ops[i]) + fmt.Sprintf(format, args...)
+	}
+}
+
+// enter notes an event of op i, settling the ops before it, and reports
+// whether it is to be checked: op i is one the symbolic run completed, and
+// nothing disagreed yet.
+func (h *lockstep) enter(i int) bool {
+	if i != h.last {
+		h.settle(min(i, h.recorded()))
+		h.last, h.stores = i, 0
+	}
+	return i < h.recorded() && h.fail == ""
+}
+
+// settle checks that each op in [h.settled, to) raised as many store events
+// as its symbolic twin stores rows (of those ops, only op h.last raised
+// events), and replays its stores into h.rows.
+func (h *lockstep) settle(to int) {
+	for i := h.settled; i < to; i++ {
+		op := &h.ops[i]
+		got := 0
+		if i == h.last {
+			got = h.stores
+		}
+		if want := storeEvents(op); got != want {
+			h.failf(i, "sim stores %d rows, symbolic %d", got, want)
+		}
+		rows, n := stored(op)
+		for k, r := range rows[:n] {
+			s, _ := slot(r)
+			for s >= len(h.rows) {
+				h.rows = append(h.rows, logic.None)
+			}
+			h.rows[s] = h.vals[int(h.off[i])+k]
+		}
+	}
+	h.settled = max(h.settled, to)
+}
+
+// holds is what row r holds on the symbolic run after the settled ops.
+func (h *lockstep) holds(r isa.Row) uint64 {
+	s, _ := slot(r)
+	return h.ev[h.rows[s]]
+}
+
+func (h *lockstep) Events() isa.Events {
+	ev := isa.EvLoad | isa.EvStore
+	if h.inner != nil {
+		ev |= h.inner.Events()
+	}
+	return ev
+}
+
+func (h *lockstep) BeforeLoad(i int, r isa.Row, data []uint64, lanes int) {
+	if h.inner != nil && h.inner.Events()&isa.EvLoad != 0 {
+		h.inner.BeforeLoad(i, r, data, lanes)
+	}
+	if !h.enter(i) {
+		return
+	}
+	rows, n := sensed(&h.ops[i])
+	if index(rows[:n], r) < 0 {
+		h.failf(i, "sim senses row %s, symbolic does not", r)
+	} else if want := h.holds(r); data[0] != want {
+		h.failf(i, "sim senses row %s as %#x, symbolic %#x", r, data[0], want)
+	}
+}
+
+func (h *lockstep) AfterCompute(i int, data []uint64, lanes int) {
+	if h.inner != nil && h.inner.Events()&isa.EvCompute != 0 {
+		h.inner.AfterCompute(i, data, lanes)
+	}
+}
+
+func (h *lockstep) AfterCopy(i int, data []uint64, lanes int) {
+	if h.inner != nil && h.inner.Events()&isa.EvCopy != 0 {
+		h.inner.AfterCopy(i, data, lanes)
+	}
+}
+
+func (h *lockstep) AfterStore(i int, r isa.Row, data []uint64, lanes int) {
+	if h.inner != nil && h.inner.Events()&isa.EvStore != 0 {
+		h.inner.AfterStore(i, r, data, lanes)
+	}
+	if !h.enter(i) {
+		return
+	}
+	h.stores++
+	rows, n := stored(&h.ops[i])
+	v := h.vals[h.off[i]:]
+	switch k := index(rows[:n], r); {
+	case k < 0:
+		h.failf(i, "sim stores row %s, symbolic does not", r)
+	case data[0] != h.ev[v[k]]:
+		h.failf(i, "row %s holds %#x on sim, symbolic %#x", r, data[0], h.ev[v[k]])
+	case k+1 < n && rows[k+1] == r.Complement() && ^data[0] != h.ev[v[k+1]]:
+		h.failf(i, "row %s, the partner of %s, holds %#x on sim, symbolic %#x", rows[k+1], r, ^data[0], h.ev[v[k+1]])
+	}
+}
+
+// read checks a READ payload against the row its op sensed.
+func (h *lockstep) read(got uint64) {
+	if i := h.last; i < h.recorded() && h.fail == "" {
+		if want := h.holds(h.ops[i].Src); got != want {
+			h.failf(i, "sim reads %#x, symbolic %#x", got, want)
+		}
+	}
+}
+
+// sensed lists the n rows op senses, in the order sim senses them.
+func sensed(op *isa.Op) (rows [3]isa.Row, n int) {
+	switch op.Kind {
+	case isa.OpAAP, isa.OpRead, isa.OpSpillOut:
+		rows[0] = op.Src
+		return rows, 1
+	case isa.OpAP:
+		return op.Dst, 3
+	}
+	return rows, 0
+}
+
+// storeEvents is the number of store events sim raises for op: one per
+// row it stores, none for a ROWINIT.
+func storeEvents(op *isa.Op) int {
+	switch op.Kind {
+	case isa.OpAAP, isa.OpWrite, isa.OpSpillIn:
+		return int(op.NDst)
+	case isa.OpAP:
+		return 3
+	}
+	return 0
+}
+
+// index is the position of r in rows, or -1.
+func index(rows []isa.Row, r isa.Row) int {
+	for k, x := range rows {
+		if x == r {
+			return k
+		}
+	}
+	return -1
+}
+
+// restoreAPRow puts one of an AP's three stored rows back to its old value:
+// the third row of the first AP whose majority changes it.
+type restoreAPRow struct {
+	ops []isa.Op
+	old uint64
+	at  int // the op perturbed; -1 until then
+}
+
+func (*restoreAPRow) Events() isa.Events { return isa.EvLoad | isa.EvStore }
+func (p *restoreAPRow) BeforeLoad(i int, r isa.Row, data []uint64, _ int) {
+	if p.at < 0 && p.ops[i].Kind == isa.OpAP && r == p.ops[i].Dst[2] {
+		p.old = data[0]
+	}
+}
+func (*restoreAPRow) AfterCompute(int, []uint64, int) {}
+func (*restoreAPRow) AfterCopy(int, []uint64, int)    {}
+func (p *restoreAPRow) AfterStore(i int, r isa.Row, data []uint64, _ int) {
+	if p.at < 0 && p.ops[i].Kind == isa.OpAP && r == p.ops[i].Dst[2] && data[0] != p.old {
+		data[0], p.at = p.old, i
+	}
+}
+
+// uncomplemented leaves a dual-contact partner uncomplemented: the first op
+// that senses the partner of the dual-contact row stored last senses what
+// that row was stored with.
+type uncomplemented struct {
+	row isa.Row // the partner of the dual-contact row stored last
+	val uint64  // what that row was stored with
+	at  int     // the op perturbed; -1 until then
+}
+
+func (*uncomplemented) Events() isa.Events { return isa.EvLoad | isa.EvStore }
+func (p *uncomplemented) BeforeLoad(i int, r isa.Row, data []uint64, _ int) {
+	if p.at < 0 && r == p.row {
+		data[0], p.at = p.val, i
+	}
+}
+func (*uncomplemented) AfterCompute(int, []uint64, int) {}
+func (*uncomplemented) AfterCopy(int, []uint64, int)    {}
+func (p *uncomplemented) AfterStore(_ int, r isa.Row, data []uint64, _ int) {
+	if c := r.Complement(); p.at < 0 && c != isa.RowNone {
+		p.row, p.val = c, data[0]
+	}
+}
+
+// TestLockstepSensitivity: the lockstep passes an unperturbed run and
+// names the op of each perturbation the simulator could suffer — one of an
+// AP's three rows left at its old value, a dual-contact partner left
+// uncomplemented (seen by the first op that senses it).
+func TestLockstepSensitivity(t *testing.T) {
+	k, err := chopper.Compile("node main(a: u8, b: u8, c: u8) returns (z: u8) let z = (a + b) ^ ~c; tel", chopper.Options{Target: chopper.Ambit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := randomInputs(k.Net, 1)
+	m := sim.NewMachine(sim.MachineConfig{Geom: k.Opts.Geometry, Lanes: 64})
+	run := func(inner sim.FaultHook) *lockstep {
+		h, stop, err := newLockstep(k.Code, in)
+		if err != nil || stop >= 0 {
+			t.Fatalf("symbolic run: stop %d, %v", stop, err)
+		}
+		h.inner = inner
+		if stop, err := h.run(m, k.Opts.Geometry, k.Code, sim.Decode(k.Code.Prog), in); stop >= 0 {
+			t.Fatalf("sim stops at op %d: %v", stop, err)
+		}
+		return h
+	}
+	if h := run(nil); h.fail != "" {
+		t.Fatalf("unperturbed run: %s", h.fail)
+	}
+	ops := k.Code.Prog.Ops
+	ap := &restoreAPRow{ops: ops, at: -1}
+	dcc := &uncomplemented{row: isa.RowNone, at: -1}
+	for _, c := range []struct {
+		name string
+		p    sim.FaultHook
+		site func() (int, string) // the op perturbed and what the report says of it
+	}{
+		{"AP row restored", ap, func() (int, string) {
+			return ap.at, fmt.Sprintf("row %s holds", ops[max(ap.at, 0)].Dst[2])
+		}},
+		{"DCC partner uncomplemented", dcc, func() (int, string) {
+			return dcc.at, fmt.Sprintf("sim senses row %s as", dcc.row)
+		}},
+	} {
+		h := run(c.p)
+		at, text := c.site()
+		if at < 0 {
+			t.Fatalf("%s: the program gave the perturbation no site", c.name)
+		}
+		if prefix := fmt.Sprintf("op %d (", at); !strings.HasPrefix(h.fail, prefix) || !strings.Contains(h.fail, text) {
+			t.Errorf("%s at op %d: the lockstep reports %q, want op %d and %q", c.name, at, h.fail, at, text)
+		}
+	}
+}

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"chopper/internal/codegen"
+	"chopper/internal/dram"
 	"chopper/internal/isa"
 	"chopper/internal/logic"
 )
 
 // andNet is z = a & b.
 func andNet() *logic.Net {
-	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true, CSE: true})
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true})
 	b.Output("z", b.And(b.Input("a"), b.Input("b")))
 	return b.Net()
 }
@@ -82,7 +83,9 @@ func TestProveVerdicts(t *testing.T) {
 			if r.Inputs != nil {
 				// The counterexample is real on sim.
 				o := &outcome{}
-				reads, ok := o.crossCheck(tc.name, code, 8, r.Inputs, -1)
+				geom := dram.DefaultGeometry()
+				geom.RowsPerSub = geom.ReservedRows + 8 // 8 D rows
+				reads, ok := o.crossCheck(tc.name, code, nil, geom, r.Inputs, -1)
 				if !ok {
 					t.Fatal(o.errs)
 				}

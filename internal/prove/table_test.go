@@ -14,6 +14,7 @@ import (
 	"chopper"
 	"chopper/internal/codegen"
 	"chopper/internal/dram"
+	"chopper/internal/guard"
 	"chopper/internal/isa"
 	"chopper/internal/logic"
 	"chopper/internal/sim"
@@ -83,6 +84,7 @@ type outcome struct {
 	programs int // programs run in lockstep with sim
 	agreed   int // of which agreed with it op by op
 	errs     []string
+	m        *sim.Machine // the runs' simulator (machine)
 }
 
 func (o *outcome) errorf(format string, args ...any) {
@@ -112,13 +114,13 @@ func (cfg config) run() *outcome {
 		if r.Verdict != Proved {
 			o.errorf("%s: %v", name, r)
 		}
-		dRows := k.Opts.Geometry.DRows()
-		o.crossCheck(name, k.Code, dRows, randomInputs(net, 1), -1)
+		geom := k.Opts.Geometry
+		o.crossCheck(name, k.Code, nil, geom, randomInputs(net, 1), -1)
 		if !mutate {
 			return net
 		}
 		for _, mu := range mutants {
-			mc, ok := mu.mutate(k.Code, net, dRows)
+			mc, md, ok := o.mutate(mu, k.Code, net, geom)
 			if !ok {
 				continue
 			}
@@ -137,7 +139,7 @@ func (cfg config) run() *outcome {
 			if in == nil {
 				in = randomInputs(net, 1)
 			}
-			reads, ok := o.crossCheck(what, mc, dRows, in, r.Op)
+			reads, ok := o.crossCheck(what, mc, md, geom, in, r.Op)
 			if !ok || r.Op >= 0 {
 				continue
 			}
@@ -160,6 +162,7 @@ func (cfg config) run() *outcome {
 		kernel(cfg.name+"/harden", hard, net, false)
 		kernel(cfg.name+"/narrow", narrow, nil, true)
 	}
+	o.m = nil // it holds the last lockstep, and the outcome outlives the run
 	return o
 }
 
@@ -360,14 +363,15 @@ func deleteAt(code *codegen.Result, i int) ([]isa.Op, bool) {
 }
 
 // mutate returns code with mu at the first of its sites that a 64-lane
-// simulator run tells apart from net, or false. A mutant no input tells
-// apart — an elided store whose value a constant pins, a NOT under a
-// don't-care — is not a bug, and no oracle can refute it.
-func (mu mutant) mutate(code *codegen.Result, net *logic.Net, dRows int) (*codegen.Result, bool) {
+// simulator run tells apart from net, with its program decoded, or false.
+// A mutant no input tells apart — an elided store whose value a constant
+// pins, a NOT under a don't-care — is not a bug, and no oracle can refute
+// it.
+func (o *outcome) mutate(mu mutant, code *codegen.Result, net *logic.Net, geom dram.Geometry) (*codegen.Result, *sim.Decoded, bool) {
 	in := randomInputs(net, 7)
 	want, err := net.Eval(in)
 	if err != nil {
-		return nil, false
+		return nil, nil, false
 	}
 	for _, i := range mu.sites(code.Prog.Ops) {
 		ops, ok := mu.at(code, i)
@@ -376,22 +380,21 @@ func (mu mutant) mutate(code *codegen.Result, net *logic.Net, dRows int) (*codeg
 		}
 		mc := *code
 		mc.Prog = &isa.Program{Ops: ops, DRowsUsed: code.Prog.DRowsUsed, SpillSlots: code.Prog.SpillSlots}
-		if !agrees(&mc, dRows, in, want) {
-			return &mc, true
+		if d := sim.Decode(mc.Prog); !o.agrees(&mc, d, geom, in, want) {
+			return &mc, d, true
 		}
 	}
-	return nil, false
+	return nil, nil, false
 }
 
-// agrees reports whether code runs on sim over in and reads want.
-func agrees(code *codegen.Result, dRows int, in, want map[string]uint64) bool {
-	sub, spill := sim.NewSubarray(dRows, 64), sim.NewSpillStore()
+// agrees reports whether code, its program decoded as d, runs on sim's
+// planned loop over in and reads want.
+func (o *outcome) agrees(code *codegen.Result, d *sim.Decoded, geom dram.Geometry, in, want map[string]uint64) bool {
+	m := o.machine()
+	m.Reconfigure(sim.MachineConfig{Geom: geom, Lanes: 64})
 	reads := map[int]uint64{}
-	io := hostIO(code, in, reads)
-	for i := range code.Prog.Ops {
-		if sub.Exec(&code.Prog.Ops[i], io, spill) != nil {
-			return false
-		}
+	if m.RunFunctionalCtx(nil, d, hostIO(code, in, reads), guard.Budget{}) != nil {
+		return false
 	}
 	for name, v := range want {
 		if reads[code.OutputTag[name]] != v {
@@ -449,86 +452,50 @@ func hostIO(code *codegen.Result, in map[string]uint64, reads map[int]uint64) *s
 	}
 }
 
-// crossCheck runs code's program on the symbolic machine and on
-// sim.Subarray.Exec over the 64 lanes of in, in lockstep. After every op,
-// each row the op stored (its dual-contact partner included) and each READ
-// payload must hold on sim what its symbolic value evaluates to under logic
-// Eval, and both runs must stop at op stop (-1: never). It returns what
-// sim's READs carried, and false after recording a disagreement.
-func (o *outcome) crossCheck(name string, code *codegen.Result, dRows int, in map[string]uint64, stop int) (map[int]uint64, bool) {
+// crossCheck runs code's program on the symbolic machine and, decoded as d
+// (nil: decoded here), on sim's planned loop over the 64 lanes of in, in
+// lockstep (see lockstep): each row an op senses or stores on sim, and each
+// READ payload, must be what its symbolic value evaluates to under logic
+// Eval at that op, and both runs must stop at op stop (-1: never). It
+// returns what sim's READs carried, and false after recording a
+// disagreement.
+func (o *outcome) crossCheck(name string, code *codegen.Result, d *sim.Decoded, geom dram.Geometry, in map[string]uint64, stop int) (map[int]uint64, bool) {
 	o.programs++
-	ops := code.Prog.Ops
-	// The symbolic run first: per op, the values of what it stored.
-	m := newMachine(code)
-	size := 0
-	for i := range ops {
-		_, n := stored(&ops[i])
-		size += n + 1
-	}
-	vals := make([]logic.NodeID, 0, size)
-	off := make([]int32, 0, len(ops)+1)
-	symStop := -1
-	for i := range ops {
-		off = append(off, int32(len(vals)))
-		if m.step(&ops[i]) != nil {
-			symStop = i
-			break
-		}
-		if ops[i].Kind == isa.OpRead {
-			vals = append(vals, m.reads[int(ops[i].Tag)])
-		}
-		rows, n := stored(&ops[i])
-		for _, r := range rows[:n] {
-			s, _ := slot(r)
-			vals = append(vals, m.rows[s])
-		}
+	h, symStop, err := newLockstep(code, in)
+	if err != nil {
+		o.errorf("%s: %v", name, err)
+		return nil, false
 	}
 	if symStop != stop {
 		o.errorf("%s: symbolic run stops at op %d, want %d", name, symStop, stop)
 		return nil, false
 	}
-	ev, err := evalAll(m.b, in)
-	if err != nil {
-		o.errorf("%s: %v", name, err)
+	if d == nil {
+		// Decoded only now, when the symbolic run's tables are garbage.
+		d = sim.Decode(code.Prog)
+	}
+	simStop, err := h.run(o.machine(), geom, code, d, in)
+	switch {
+	case h.fail != "":
+		o.errorf("%s: %s", name, h.fail)
+		return nil, false
+	case simStop >= 0 && (stop < 0 || simStop < stop):
+		o.errorf("%s: op %d (%s): sim stops (%v), symbolic run goes on", name, simStop, &code.Prog.Ops[simStop], err)
+		return nil, false
+	case simStop != stop:
+		o.errorf("%s: op %d (%s): symbolic run stops, sim runs on", name, stop, &code.Prog.Ops[stop])
 		return nil, false
 	}
-
-	sub, spill := sim.NewSubarray(dRows, 64), sim.NewSpillStore()
-	reads := map[int]uint64{}
-	io := hostIO(code, in, reads)
-	for i := range ops {
-		op := &ops[i]
-		err := sub.Exec(op, io, spill)
-		if i == stop {
-			if err == nil {
-				o.errorf("%s: op %d (%s): symbolic run stops, sim runs on", name, i, op)
-				return nil, false
-			}
-			o.agreed++
-			return reads, true
-		}
-		if err != nil {
-			o.errorf("%s: op %d (%s): sim stops (%v), symbolic run goes on", name, i, op, err)
-			return nil, false
-		}
-		v := vals[off[i]:]
-		if op.Kind == isa.OpRead {
-			if got, want := reads[int(op.Tag)], ev[v[0]]; got != want {
-				o.errorf("%s: op %d (%s): sim reads %#x, symbolic %#x", name, i, op, got, want)
-				return nil, false
-			}
-			continue
-		}
-		rows, n := stored(op)
-		for k, r := range rows[:n] {
-			if got := sub.Row(r); len(got) != 1 || got[0] != ev[v[k]] {
-				o.errorf("%s: op %d (%s): row %s holds %#x on sim, symbolic %#x", name, i, op, r, got, ev[v[k]])
-				return nil, false
-			}
-		}
-	}
 	o.agreed++
-	return reads, true
+	return h.reads, true
+}
+
+// machine is the outcome's simulator, reconfigured by each run.
+func (o *outcome) machine() *sim.Machine {
+	if o.m == nil {
+		o.m = sim.NewMachine(sim.MachineConfig{Geom: dram.DefaultGeometry(), Lanes: 64})
+	}
+	return o.m
 }
 
 // stored lists the n rows op writes, each dual-contact partner after its
@@ -549,19 +516,21 @@ func stored(op *isa.Op) (rows [6]isa.Row, n int) {
 	return rows, n
 }
 
-// evalAll is the value of every node of b over in, through logic Eval.
+// evalAll is the value of every node of b over in, through logic Eval of
+// b's net with every node an output.
 func evalAll(b *logic.Builder, in map[string]uint64) ([]uint64, error) {
 	n := b.Net()
+	n.Outputs, n.OutputNames = make([]logic.NodeID, len(n.Gates)), make([]string, len(n.Gates))
 	for id := range n.Gates {
-		b.Output(strconv.Itoa(id), logic.NodeID(id))
+		n.Outputs[id], n.OutputNames[id] = logic.NodeID(id), strconv.Itoa(id)
 	}
-	out, err := b.Net().Eval(netInputs(n, in))
+	out, err := n.Eval(netInputs(n, in))
 	if err != nil {
 		return nil, err
 	}
 	vals := make([]uint64, len(n.Gates))
-	for id := range vals {
-		vals[id] = out[strconv.Itoa(id)]
+	for id, name := range n.OutputNames {
+		vals[id] = out[name]
 	}
 	return vals, nil
 }

@@ -53,10 +53,9 @@ func resolve(r isa.Row) opnd {
 
 // dop is one decoded micro-op, the only form the executor runs. fast marks
 // ops that pass every static check; exec re-runs those checks only for ops
-// without it, at the point of the op where the undecoded simulator always
-// ran them, so error text, error position and fault-hook sequence do not
-// depend on whether an op was decoded ahead of time or on the spot. The
-// record is 64 bytes (TestDecodedOpSize).
+// without it, at the point of the op where the seed simulator ran them, so
+// error text, error position and fault-hook sequence are the seed's
+// (seedref_test.go). The record is 64 bytes (TestDecodedOpSize).
 type dop struct {
 	imm   uint64
 	opd   [4]opnd // the source row, then the three destination rows
@@ -164,16 +163,9 @@ func Decode(prog *isa.Program) *Decoded {
 // Len returns the number of ops in the stream.
 func (d *Decoded) Len() int { return len(d.ops) }
 
-// Exec executes one micro-op against the subarray: it decodes the op on the
-// stack and runs it through the same body as a pre-decoded stream.
-func (s *Subarray) Exec(op *isa.Op, io *HostIO, spill *SpillStore) error {
-	var e dop
-	e.decode(op)
-	return s.exec(&e, io, spill, false)
-}
-
-// ExecDecoded executes op i of the decoded stream. Like Exec it may be
-// called on any op in any order, so it checks every read.
+// ExecDecoded executes op i of the decoded stream on the subarray. It may
+// be called on any op in any order, so it checks every read: it runs the
+// body of a whole-stream run without that run's licence (see exec).
 func (s *Subarray) ExecDecoded(d *Decoded, i int, io *HostIO, spill *SpillStore) error {
 	return s.exec(&d.ops[i], io, spill, false)
 }

@@ -63,9 +63,9 @@ func runAnd(t *testing.T, hook FaultHook) uint64 {
 		ReadSink: func(tag int, data []uint64) { out = data[0] },
 	}
 	spill := NewSpillStore()
-	prog := andProgram()
-	for i := range prog.Ops {
-		if err := s.Exec(&prog.Ops[i], io, spill); err != nil {
+	d := Decode(andProgram())
+	for i := range d.Len() {
+		if err := s.ExecDecoded(d, i, io, spill); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
@@ -99,7 +99,8 @@ func TestFaultHookInvocations(t *testing.T) {
 }
 
 // TestFaultHookSubscription: a hook is called for the events it subscribes
-// to and for no other, on the checked path (Exec) and on a planned run.
+// to and for no other, on the checked path (ExecDecoded) and on a planned
+// run.
 func TestFaultHookSubscription(t *testing.T) {
 	all := recordingHook{loads: 7, computes: 1, copies: 3, stores: 8}
 	for _, ev := range []isa.Events{0, isa.EvLoad, isa.EvCompute, isa.EvCopy, isa.EvStore, isa.EvLoad | isa.EvStore} {
@@ -154,9 +155,9 @@ func TestRowInitSkipHeedsHook(t *testing.T) {
 	s.SetFaultHook(&decayOnce{})
 	var out uint64
 	io := &HostIO{ReadSink: func(_ int, data []uint64) { out = data[0] }}
-	prog := []isa.Op{isa.NewAAP(isa.C0, isa.T0), isa.NewRowInit(isa.C0, 0), isa.NewAAP(isa.C0, isa.T1), isa.NewRead(isa.T1, 0)}
-	for i := range prog {
-		if err := s.Exec(&prog[i], io, nil); err != nil {
+	d := Decode(&isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C0, isa.T0), isa.NewRowInit(isa.C0, 0), isa.NewAAP(isa.C0, isa.T1), isa.NewRead(isa.T1, 0)}})
+	for i := range d.Len() {
+		if err := s.ExecDecoded(d, i, io, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,9 +2,9 @@ package sim
 
 // This file carries a verbatim copy of the pre-arena (map-backed) Subarray
 // implementation as a reference model, and drives randomized micro-op
-// programs through reference, Exec, ExecDecoded and a Reset-reused
-// subarray in lockstep, asserting byte-identical results, errors, ReadSink
-// payloads and fault-hook call sequences. It is the golden equivalence
+// programs through reference, ExecDecoded and a Reset-reused subarray in
+// lockstep, asserting byte-identical results, errors, ReadSink payloads and
+// fault-hook call sequences. It is the golden equivalence
 // suite for the zero-allocation rewrite: any drift in semantics — error
 // text, error position, hook ordering, complement maintenance, the read of
 // a D row past the D-group — fails here. Stores outside the device are
@@ -420,13 +420,12 @@ func interestingRows(prog *isa.Program) []isa.Row {
 type execMode int
 
 const (
-	modeExec execMode = iota
-	modeDecoded
-	modeReused // Configure/Reset-recycled subarray, decoded dispatch
+	modeDecoded execMode = iota
+	modeReused           // Configure/Reset-recycled subarray, decoded dispatch
 )
 
 func (m execMode) String() string {
-	return [...]string{"Exec", "ExecDecoded", "ReusedDecoded"}[m]
+	return [...]string{"ExecDecoded", "ReusedDecoded"}[m]
 }
 
 // runNew executes prog on the arena-backed implementation in the given
@@ -445,19 +444,10 @@ func runNew(t *testing.T, prog *isa.Program, dRows, lanes int, mode execMode, re
 	var reads []string
 	io := testIO(s.words, 42, &reads)
 	spill := NewSpillStore()
-	var d *Decoded
-	if mode != modeExec {
-		d = Decode(prog)
-	}
+	d := Decode(prog)
 	errs := make([]string, 0, len(prog.Ops))
 	for i := range prog.Ops {
-		var err error
-		if mode == modeExec {
-			err = s.Exec(&prog.Ops[i], io, spill)
-		} else {
-			err = s.ExecDecoded(d, i, io, spill)
-		}
-		if err != nil {
+		if err := s.ExecDecoded(d, i, io, spill); err != nil {
 			errs = append(errs, err.Error())
 		} else {
 			errs = append(errs, "")
@@ -473,8 +463,7 @@ func runNew(t *testing.T, prog *isa.Program, dRows, lanes int, mode execMode, re
 var equivalenceLanes = []int{1, 63, 64, 65, 128}
 
 // TestSeedEquivalence is the golden suite: randomized programs through the
-// seed reference and all three new dispatch paths must agree on every
-// observable. The reused-subarray mode recycles one Subarray across all
+// seed reference and both dispatch modes must agree on every observable. The reused-subarray mode recycles one Subarray across all
 // programs and lane widths, proving Reset/Configure leak no state.
 func TestSeedEquivalence(t *testing.T) {
 	recycled := NewSubarray(8, 32) // deliberately mismatched initial shape
@@ -484,7 +473,7 @@ func TestSeedEquivalence(t *testing.T) {
 		prog := genProgram(rng, 80+rng.Intn(80), dRows)
 		for _, lanes := range equivalenceLanes {
 			wantErrs, wantReads, wantTrace, wantRows := runSeedRef(prog, dRows, lanes)
-			for _, mode := range []execMode{modeExec, modeDecoded, modeReused} {
+			for _, mode := range []execMode{modeDecoded, modeReused} {
 				name := fmt.Sprintf("seed%d/lanes%d/%v", progSeed, lanes, mode)
 				gotErrs, gotReads, gotTrace, gotRows := runNew(t, prog, dRows, lanes, mode, recycled)
 				if !eqStrings(wantErrs, gotErrs) {
@@ -560,16 +549,14 @@ func TestSeedEquivalenceOverflowRows(t *testing.T) {
 			wantErrs[i] = msg
 		}
 		wantRows[isa.Row(99)], wantRows[isa.Row(50)] = nil, nil
-		for _, mode := range []execMode{modeExec, modeDecoded} {
-			gotErrs, gotReads, gotTrace, gotRows := runNew(t, prog, 4, lanes, mode, nil)
-			if !slices.Equal(wantErrs, gotErrs) || !slices.Equal(wantReads, gotReads) || !slices.Equal(wantTrace, gotTrace) {
-				t.Fatalf("lanes %d %v: diverged\nwant: %q %q %q\ngot:  %q %q %q",
-					lanes, mode, wantErrs, wantReads, wantTrace, gotErrs, gotReads, gotTrace)
-			}
-			for r, want := range wantRows {
-				if !eqWords(want, gotRows[r]) {
-					t.Fatalf("lanes %d %v: row %v diverged", lanes, mode, r)
-				}
+		gotErrs, gotReads, gotTrace, gotRows := runNew(t, prog, 4, lanes, modeDecoded, nil)
+		if !slices.Equal(wantErrs, gotErrs) || !slices.Equal(wantReads, gotReads) || !slices.Equal(wantTrace, gotTrace) {
+			t.Fatalf("lanes %d: diverged\nwant: %q %q %q\ngot:  %q %q %q",
+				lanes, wantErrs, wantReads, wantTrace, gotErrs, gotReads, gotTrace)
+		}
+		for r, want := range wantRows {
+			if !eqWords(want, gotRows[r]) {
+				t.Fatalf("lanes %d: row %v diverged", lanes, r)
 			}
 		}
 	}

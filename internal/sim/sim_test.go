@@ -44,9 +44,14 @@ func TestLaneMasking(t *testing.T) {
 	}
 }
 
+// execOp executes op on s as a one-op stream, decoded and stepped.
+func execOp(s *Subarray, op isa.Op, io *HostIO, sp *SpillStore) error {
+	return s.ExecDecoded(Decode(&isa.Program{Ops: []isa.Op{op}}), 0, io, sp)
+}
+
 func exec(t *testing.T, s *Subarray, op isa.Op, io *HostIO, sp *SpillStore) {
 	t.Helper()
-	if err := s.Exec(&op, io, sp); err != nil {
+	if err := execOp(s, op, io, sp); err != nil {
 		t.Fatalf("%v: %v", op, err)
 	}
 }
@@ -179,7 +184,7 @@ func TestErrors(t *testing.T) {
 		{"row out of range", isa.NewAAP(isa.Row(99), isa.T0), nil, "beyond"},
 	}
 	for _, tc := range cases {
-		err := s.Exec(&tc.op, tc.io, NewSpillStore())
+		err := execOp(s, tc.op, tc.io, NewSpillStore())
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
 		}
@@ -188,15 +193,15 @@ func TestErrors(t *testing.T) {
 
 func TestRowInitWrongConstantRejected(t *testing.T) {
 	s := NewSubarray(4, 64)
-	op := isa.NewRowInit(isa.C0, 5)
-	if err := s.Exec(&op, nil, nil); err == nil {
+	if err := execOp(s, isa.NewRowInit(isa.C0, 5), nil, nil); err == nil {
 		t.Error("ROWINIT C0 with nonzero pattern accepted")
 	}
 }
 
 // TestMachineRunAndTiming runs a stream placed on two subarrays the way a
-// multi-subarray caller does: a subarray per placement executes the op,
-// and one engine charges it where it is placed.
+// multi-subarray caller does: the stream's ops are decoded once, a
+// subarray per placement executes each op, and one engine charges it where
+// it is placed.
 func TestMachineRunAndTiming(t *testing.T) {
 	g := dram.DefaultGeometry()
 	eng := dram.NewEngine(g, dram.TimingFor(isa.Ambit, g), false)
@@ -207,13 +212,14 @@ func TestMachineRunAndTiming(t *testing.T) {
 		{Bank: 1, Subarray: 0, Op: isa.NewWrite(isa.Row(0), 2)},
 		{Bank: 0, Subarray: 0, Op: isa.NewAAP(isa.Row(0), isa.T0)},
 	}
-	for _, p := range stream {
+	d := Decode(&isa.Program{Ops: []isa.Op{stream[0].Op, stream[1].Op, stream[2].Op}})
+	for i, p := range stream {
 		s := subs[[2]int{p.Bank, p.Subarray}]
 		if s == nil {
 			s = NewSubarray(g.DRows(), 64)
 			subs[[2]int{p.Bank, p.Subarray}] = s
 		}
-		if err := s.Exec(&p.Op, io, nil); err != nil {
+		if err := s.ExecDecoded(d, i, io, nil); err != nil {
 			t.Fatal(err)
 		}
 		eng.Issue(p)
@@ -373,22 +379,14 @@ func TestDeviceContract(t *testing.T) {
 		{isa.NewRead(none, 2), noneErr},
 	}
 	prefix := []isa.Op{isa.NewWrite(isa.Row(0), 1), isa.NewSpillOut(isa.Row(0), 0), isa.NewRead(isa.Row(0), 1)}
-	stepwise := func(decoded bool) func(*Machine, *isa.Program, *HostIO) error {
-		return func(m *Machine, p *isa.Program, io *HostIO) error {
-			d := Decode(p)
-			for i := range p.Ops {
-				var err error
-				if decoded {
-					err = m.sub.ExecDecoded(d, i, io, &m.spill)
-				} else {
-					err = m.sub.Exec(&p.Ops[i], io, &m.spill)
-				}
-				if err != nil {
-					return fmt.Errorf("op %d at bank 0 sub 0: %w", i, err)
-				}
+	stepwise := func(m *Machine, p *isa.Program, io *HostIO) error {
+		d := Decode(p)
+		for i := range p.Ops {
+			if err := m.sub.ExecDecoded(d, i, io, &m.spill); err != nil {
+				return fmt.Errorf("op %d at bank 0 sub 0: %w", i, err)
 			}
-			return nil
 		}
+		return nil
 	}
 	recovered := func(det DetectorKind) func(*Machine, *isa.Program, *HostIO) error {
 		return func(m *Machine, p *isa.Program, io *HostIO) error {
@@ -400,8 +398,7 @@ func TestDeviceContract(t *testing.T) {
 		name string
 		run  func(*Machine, *isa.Program, *HostIO) error
 	}{
-		{"Exec", stepwise(false)},
-		{"ExecDecoded", stepwise(true)},
+		{"ExecDecoded", stepwise},
 		{"RunFunctionalCtx", func(m *Machine, p *isa.Program, io *HostIO) error {
 			return m.RunFunctionalCtx(nil, Decode(p), io, guard.Budget{})
 		}},

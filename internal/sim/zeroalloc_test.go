@@ -1,7 +1,7 @@
 package sim
 
 // The acceptance bar for the arena/pre-decode rewrite: once a subarray,
-// spill store and timing engine are warm, the decoded Exec + IssueOp loop
+// spill store and timing engine are warm, the ExecDecoded + IssueOp loop
 // must not allocate at all. testing.AllocsPerRun gates this so a future
 // change that reintroduces a per-op make/map write fails the suite rather
 // than silently regressing throughput.

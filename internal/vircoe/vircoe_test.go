@@ -179,8 +179,13 @@ func TestEmitFunctionallyCorrectPerSubarray(t *testing.T) {
 	ps := mustPlacements(t, g, 6)
 	stream, _ := Emit(prog, ps, BankAware, dram.TimingFor(isa.Ambit, g))
 
-	// Each placement executes its ops on a subarray of its own, with host
-	// data bound to that placement.
+	// The stream's ops are decoded once; each placement executes its ops on
+	// a subarray of its own, with host data bound to that placement.
+	ops := make([]isa.Op, len(stream))
+	for i := range stream {
+		ops[i] = stream[i].Op
+	}
+	d := sim.Decode(&isa.Program{Ops: ops, DRowsUsed: prog.DRowsUsed})
 	got := make(map[[2]int]uint64)
 	subs := make(map[[2]int]*sim.Subarray)
 	for i := range stream {
@@ -195,7 +200,7 @@ func TestEmitFunctionallyCorrectPerSubarray(t *testing.T) {
 			WriteData: func(tag int) []uint64 { return []uint64{uint64(at[0]*100 + at[1] + 7)} },
 			ReadSink:  func(tag int, data []uint64) { got[at] = data[0] },
 		}
-		if err := s.Exec(&p.Op, io, nil); err != nil {
+		if err := s.ExecDecoded(d, i, io, nil); err != nil {
 			t.Fatalf("op %d at %v: %v", i, at, err)
 		}
 	}

@@ -246,7 +246,7 @@ func TestWorkspaceFreeListBounds(t *testing.T) {
 	}
 
 	huge := new(workspace)
-	huge.logic.Builder(logic.BuilderOptions{CSE: true}).Grow(workspaceMaxBytes / 16)
+	huge.logic.Builder(logic.BuilderOptions{}).Grow(workspaceMaxBytes / 16)
 	if got := huge.logic.Bytes(); got <= workspaceMaxBytes {
 		t.Fatalf("test workspace retains %d B, not over the %d B ceiling", got, workspaceMaxBytes)
 	}
