@@ -425,6 +425,47 @@ func BenchmarkCompileCached(b *testing.B) {
 	b.ReportMetric(float64(s.Hits)/float64(s.Hits+s.Misses), "hit-rate")
 }
 
+// BenchmarkFirstRun times the first clean RunWide of each Table-II kernel
+// on Ambit at 128 lanes after a fresh compile (the compile is not timed):
+// the run that builds what a kernel keeps for its runs, then runs. Run it
+// with -benchtime 10x or so; each iteration compiles the kernel again.
+func BenchmarkFirstRun(b *testing.B) {
+	const lanes = 128
+	for _, spec := range workloads.All() {
+		b.Run(spec.Name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			var in map[string][][]uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				k, err := chopper.Compile(spec.Src, chopper.Options{Target: chopper.Ambit})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if in == nil {
+					in = make(map[string][][]uint64, len(k.Inputs))
+					for _, op := range k.Inputs {
+						vals := make([][]uint64, lanes)
+						for l := range vals {
+							vals[l] = make([]uint64, (op.Width+63)/64)
+							for w := range vals[l] {
+								vals[l][w] = rng.Uint64()
+							}
+							if r := op.Width % 64; r != 0 {
+								vals[l][len(vals[l])-1] &= 1<<r - 1
+							}
+						}
+						in[op.Name] = vals
+					}
+				}
+				b.StartTimer()
+				if _, err := k.RunWide(in, lanes); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkFunctionalSim(b *testing.B) {
 	k, err := chopper.Compile(benchKernel, chopper.Options{Target: chopper.Ambit})
 	if err != nil {

@@ -283,12 +283,16 @@ type Kernel struct {
 	// trials clamp their generated inputs into these ranges.
 	inputRanges map[string]narrow.Range
 
-	// decoded caches the pre-decoded execution stream of prog (built once,
-	// on first run). Kernels are immutable after compilation, so the cache
-	// is safe to share across goroutines — which is exactly what the
-	// parallel verify/reliability sweeps do with a cached kernel.
-	decodeOnce sync.Once
-	decoded    *sim.Decoded
+	// translated caches prog translated for clean runs, and decoded its
+	// pre-decoded execution stream for every other run (each built once,
+	// on first use: a kernel that only runs clean never decodes). Kernels
+	// are immutable after compilation, so the caches are safe to share
+	// across goroutines — which is exactly what the parallel
+	// verify/reliability sweeps do with a cached kernel.
+	translateOnce sync.Once
+	translated    *sim.Translated
+	decodeOnce    sync.Once
+	decoded       *sim.Decoded
 
 	// ref caches the lane-batched reference plan of Graph (built once, on
 	// first verification), shared across goroutines like decoded.
@@ -315,6 +319,24 @@ type Kernel struct {
 func (k *Kernel) decodedProg() *sim.Decoded {
 	k.decodeOnce.Do(func() { k.decoded = sim.Decode(k.prog) })
 	return k.decoded
+}
+
+// translatedProg returns the kernel's translation for clean runs (nil if
+// sim.Translate does not accept the program), building it on first use.
+func (k *Kernel) translatedProg() *sim.Translated {
+	k.translateOnce.Do(func() { k.translated = sim.Translate(k.prog) })
+	return k.translated
+}
+
+// runFunctional runs the kernel's program on m under budget b without the
+// timing engine: translated where m.Translatable says that run is the
+// interpreted one (nothing watches the rows and b stops no op), on the
+// interpreter otherwise.
+func (k *Kernel) runFunctional(ctx context.Context, m *sim.Machine, io *sim.HostIO, b guard.Budget) error {
+	if t := k.translatedProg(); m.Translatable(t, b) {
+		return m.RunTranslatedCtx(ctx, t, io)
+	}
+	return m.RunFunctionalCtx(ctx, k.decodedProg(), io, b)
 }
 
 // refPlan returns the kernel's lane-batched reference plan, building it on
@@ -820,15 +842,16 @@ func (k *Kernel) RunRowsCtx(ctx context.Context, rows map[string][][]uint64, lan
 
 // execute is the device half of every pass — plain, batched, verify trial,
 // fault trial (fc enabled: the worker's injector, reset to (fc, seed),
-// perturbs the run), recovered: the pre-decoded program runs over `lanes`
-// lanes at placement (0, 0) of w's machine, its transfers served by the
-// rows w's host binding holds. Only a recovered run, whose retries and
-// backoff stalls are part of its makespan, drives the machine's timing
-// engine; any other run executes functionally under the same per-op budget
-// and ctx checks and takes its timing from the kernel's shard memo — the
-// issue order is the program's, so the engine would recompute the same
-// stats every run. equiv_test.go holds both against a reference loop that
-// shares only the micro-op body with them.
+// perturbs the run), recovered: the program runs over `lanes` lanes at
+// placement (0, 0) of w's machine, its transfers served by the rows w's
+// host binding holds. Only a recovered run, whose retries and backoff
+// stalls are part of its makespan, drives the machine's timing engine; any
+// other run executes functionally (runFunctional: translated when clean)
+// under the same per-op budget and ctx checks and takes its timing from
+// the kernel's shard memo — the issue order is the program's, so the
+// engine would recompute the same stats every run. equiv_test.go holds
+// both against a reference loop that shares only the micro-op body with
+// them.
 //
 // A recovered run with no fault hook detects nothing — parity never
 // mismatches and vote digests always agree — so its outputs are the plain
@@ -849,7 +872,7 @@ func (k *Kernel) execute(ctx context.Context, w *simWorker, lanes int, fc FaultC
 	}
 	m := &w.m
 	m.Reconfigure(cfg)
-	d, io, res := k.decodedProg(), w.host.hostIO(), RunResult{}
+	io, res := w.host.hostIO(), RunResult{}
 	// The machine's engine is the one-tile shard at (0, 0) without SALP.
 	key := shardKey{tiles: 1, geom: k.Opts.Geometry, timing: dram.TimingFor(k.Opts.Target, k.Opts.Geometry)}
 	pol := k.Opts.Recovery.policy()
@@ -862,7 +885,7 @@ func (k *Kernel) execute(ctx context.Context, w *simWorker, lanes int, fc FaultC
 	}
 	if recovered && (injected || !memo || !k.fits(st.rec)) {
 		var err error
-		if res.TimeNs, res.RecoveryStats, err = m.RunRecoveredCtx(ctx, d, 0, 0, io, k.Opts.Budget, pol); err != nil {
+		if res.TimeNs, res.RecoveryStats, err = m.RunRecoveredCtx(ctx, k.decodedProg(), 0, 0, io, k.Opts.Budget, pol); err != nil {
 			return RunResult{}, err
 		}
 		res.Stats = m.Stats()
@@ -870,7 +893,7 @@ func (k *Kernel) execute(ctx context.Context, w *simWorker, lanes int, fc FaultC
 			k.remember(key, shardTiming{eng: res.Stats, rec: res.RecoveryStats})
 		}
 	} else {
-		if err := m.RunFunctionalCtx(ctx, d, io, k.Opts.Budget); err != nil {
+		if err := k.runFunctional(ctx, m, io, k.Opts.Budget); err != nil {
 			return RunResult{}, err
 		}
 		if !recovered {

@@ -1,10 +1,12 @@
 package chopper
 
 // Kernel-level golden equivalence. internal/sim has one micro-op body and
-// one guard/execute/issue loop; RunRows hands that loop a program decoded
-// once per kernel, at placement (0, 0) of a pooled, reconfigured machine,
-// and runs it functionally (Machine.RunFunctionalCtx), taking the timing
-// from the kernel's shard memo. These tests drive the same kernel through a
+// one guard/execute/issue loop, and a translation for clean runs; RunRows
+// runs the kernel's program at placement (0, 0) of a pooled, reconfigured
+// machine functionally — translated once per kernel when nothing watches
+// the rows (Machine.RunTranslatedCtx), decoded once per kernel on the loop
+// (Machine.RunFunctionalCtx) under a fault hook or a budget that stops it —
+// taking the timing from the kernel's shard memo. These tests drive the same kernel through a
 // reference loop that shares only the micro-op body with it — a fresh
 // subarray stepping the program's ops one at a time (Subarray.ExecDecoded
 // over sim.Decode of the program, every read checked), then a fresh engine

@@ -363,7 +363,8 @@ func deleteAt(code *codegen.Result, i int) ([]isa.Op, bool) {
 }
 
 // mutate returns code with mu at the first of its sites that a 64-lane
-// simulator run tells apart from net, with its program decoded, or false.
+// simulator run tells apart from net, with its program decoded for the
+// lockstep, or false. Only that site's program is decoded.
 // A mutant no input tells apart — an elided store whose value a constant
 // pins, a NOT under a don't-care — is not a bug, and no oracle can refute
 // it.
@@ -380,20 +381,28 @@ func (o *outcome) mutate(mu mutant, code *codegen.Result, net *logic.Net, geom d
 		}
 		mc := *code
 		mc.Prog = &isa.Program{Ops: ops, DRowsUsed: code.Prog.DRowsUsed, SpillSlots: code.Prog.SpillSlots}
-		if d := sim.Decode(mc.Prog); !o.agrees(&mc, d, geom, in, want) {
-			return &mc, d, true
+		if !o.agrees(&mc, geom, in, want) {
+			return &mc, sim.Decode(mc.Prog), true
 		}
 	}
 	return nil, nil, false
 }
 
-// agrees reports whether code, its program decoded as d, runs on sim's
-// planned loop over in and reads want.
-func (o *outcome) agrees(code *codegen.Result, d *sim.Decoded, geom dram.Geometry, in, want map[string]uint64) bool {
+// agrees reports whether code runs on sim over in and reads want: on its
+// translation where sim.Translate accepts the program, as the product's
+// clean runs do, and decoded on the interpreter otherwise.
+func (o *outcome) agrees(code *codegen.Result, geom dram.Geometry, in, want map[string]uint64) bool {
 	m := o.machine()
 	m.Reconfigure(sim.MachineConfig{Geom: geom, Lanes: 64})
 	reads := map[int]uint64{}
-	if m.RunFunctionalCtx(nil, d, hostIO(code, in, reads), guard.Budget{}) != nil {
+	io := hostIO(code, in, reads)
+	var err error
+	if t := sim.Translate(code.Prog); m.Translatable(t, guard.Budget{}) {
+		err = m.RunTranslatedCtx(nil, t, io)
+	} else {
+		err = m.RunFunctionalCtx(nil, sim.Decode(code.Prog), io, guard.Budget{})
+	}
+	if err != nil {
 		return false
 	}
 	for name, v := range want {

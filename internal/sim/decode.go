@@ -42,14 +42,22 @@ func resolve(r isa.Row) opnd {
 	case r >= 0 && r <= math.MaxInt32-numSpecialRows:
 		return opnd{row: r, slot: numSpecialRows + int32(r), comp: -1}
 	case r < 0 && r >= isa.DCC1N: // special rows occupy -1..-10
-		o := opnd{row: r, slot: -1 - int32(r), comp: -1}
-		if c := r.Complement(); c != isa.RowNone {
-			o.comp = int8(-1 - c)
-		}
-		return o
+		return specialOpnds[-1-r]
 	}
 	return opnd{row: r, slot: -1, comp: -1}
 }
+
+// specialOpnds is resolve of each special row, by slot.
+var specialOpnds = func() (t [numSpecialRows]opnd) {
+	for i := range t {
+		r := isa.Row(-1 - i)
+		t[i] = opnd{row: r, slot: int32(i), comp: -1}
+		if c := r.Complement(); c != isa.RowNone {
+			t[i].comp = int8(-1 - c)
+		}
+	}
+	return t
+}()
 
 // dop is one decoded micro-op, the only form the executor runs. fast marks
 // ops that pass every static check; exec re-runs those checks only for ops
@@ -262,11 +270,9 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 		val = s.majority(idx, in[0], in[1], in[2])
 
 	case isa.OpWrite:
-		if io == nil || io.WriteData == nil {
-			return fmt.Errorf("sim: WRITE with no host data source (tag %d)", op.tag)
-		}
-		if val = io.WriteData(int(op.tag)); val == nil {
-			return fmt.Errorf("sim: host has no data for WRITE tag %d", op.tag)
+		var err error
+		if val, err = written(io, op.tag); err != nil {
+			return err
 		}
 		if !op.fast {
 			return fmt.Errorf("sim: WRITE into constant row %s", writes[0].row)
@@ -274,7 +280,7 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 
 	case isa.OpRead:
 		if io == nil || io.ReadSink == nil {
-			return fmt.Errorf("sim: READ with no host sink (tag %d)", op.tag)
+			return errNoSink(op.tag)
 		}
 		out := s.readBuf
 		copy(out, in[0])
@@ -312,6 +318,21 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 	}
 	return nil
 }
+
+// written is the payload the host supplies for a WRITE of tag, or the
+// error of a host that has none.
+func written(io *HostIO, tag int32) ([]uint64, error) {
+	if io == nil || io.WriteData == nil {
+		return nil, fmt.Errorf("sim: WRITE with no host data source (tag %d)", tag)
+	}
+	if val := io.WriteData(int(tag)); val != nil {
+		return val, nil
+	}
+	return nil, fmt.Errorf("sim: host has no data for WRITE tag %d", tag)
+}
+
+// errNoSink is the error of a READ of tag from a host with no sink.
+func errNoSink(tag int32) error { return fmt.Errorf("sim: READ with no host sink (tag %d)", tag) }
 
 // copied is the value an AAP of src stores: src itself, or a staged copy
 // when a later destination may alias the source's complement or the hook

@@ -7,13 +7,23 @@
 // micro-ops here reproduces, lane by lane, the result of the corresponding
 // plain Go computation.
 //
-// There is one way to execute a program. What the six micro-ops do is
-// defined once (Subarray.exec, decode.go), and both run loops drive it
-// through one guard → execute → issue loop (stepper) on a Machine — one
-// subarray at the (bank, sub) a run names: Machine.RunRecoveredCtx
-// (recover.go; the only loop that rewinds and the only timed one) and
-// Machine.RunFunctionalCtx, the same loop for a caller that times the
-// program elsewhere (the kernel's memo: its issue order is the program's).
+// There are two executors, and one rule picks between them. The
+// interpreter defines what the six micro-ops do to rows (Subarray.exec,
+// decode.go), and both its run loops drive that body through one guard →
+// execute → issue loop (stepper) on a Machine — one subarray at the (bank,
+// sub) a run names: Machine.RunRecoveredCtx (recover.go; the only loop that
+// rewinds and the only timed one) and Machine.RunFunctionalCtx, the same
+// loop for a caller that times the program elsewhere (the kernel's memo:
+// its issue order is the program's). It is the only executor fault hooks,
+// parity tracking and budgets observe, and the reference the other is
+// tested against. The translation (translate.go) runs a clean pass: it
+// resolves every copy of the program to a rename once per program and
+// runs only the ANDs, majorities and host transfers left, in a register
+// file (Machine.RunTranslatedCtx). Machine.Translatable is the rule: the
+// translation runs only where nothing watches the rows — no fault hook, no
+// parity tracking, every row the program names on the subarray, no budget
+// stop inside the stream — and there it is the interpreted run, call for
+// call and error for error.
 //
 // The row store is a flat preallocated arena indexed by a dense row id
 // (special rows first, then D-group rows) plus a presence bitmap. Decode
@@ -504,6 +514,7 @@ type Machine struct {
 	spill  SpillStore
 	engine dram.Engine
 	rec    recoverScratch
+	regs   []uint64 // a translated run's register file (RunTranslatedCtx)
 }
 
 // MachineConfig configures a Machine.
@@ -543,10 +554,11 @@ func (m *Machine) Reconfigure(cfg MachineConfig) {
 }
 
 // MemBytes reports the reusable storage the machine retains across trials
-// (subarray arena, spill buffers, engine tables): the peak scratch figure
-// surfaced by choppersim and RunResult.
+// (subarray arena, spill buffers, engine tables, a translated run's
+// register file): the peak scratch figure surfaced by choppersim and
+// RunResult.
 func (m *Machine) MemBytes() int64 {
-	return m.engine.MemBytes() + m.sub.MemBytes() + m.spill.MemBytes()
+	return m.engine.MemBytes() + m.sub.MemBytes() + m.spill.MemBytes() + int64(cap(m.regs))*8
 }
 
 // Stats exposes the timing engine counters.

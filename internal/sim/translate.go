@@ -1,0 +1,389 @@
+package sim
+
+import (
+	"context"
+	"fmt"
+
+	"chopper/internal/guard"
+	"chopper/internal/isa"
+)
+
+// Translated is an isa.Program translated for clean runs: a run that no
+// fault hook and no parity tracker watches, whose rows therefore matter
+// only for the values they carry. The program is straight-line and its
+// data movement does not depend on the data, so which value each row holds
+// before each op is known once per program. Translate resolves every copy
+// — AAP, SPILL_OUT/SPILL_IN, ROWINIT, the complement a dual-contact
+// partner takes on — to a rename of the value it moves, and keeps only
+// the ops that compute or cross the host boundary: one AND or MAJ per AP
+// (its operands' complements folded in), a load per WRITE and a sink call
+// per READ. The values live in a register file sized to the most that are
+// live at once. A Translated is immutable and safe to share.
+type Translated struct {
+	ins []tins
+	// cuts[k] is the first instruction of source op 256k or later, for
+	// each ctx checkpoint k of an interpreted run; the last entry is
+	// len(ins).
+	cuts []int32
+	regs int // registers a run uses, register 0 (the zero row) included
+	maxD int // highest D row an operand names; -1 if none
+	n    int // source ops
+}
+
+// Instruction kinds of a translation.
+const (
+	tAnd  = iota // dst = a & b
+	tMaj         // dst = maj(a, b, c)
+	tLoad        // dst = the payload of WRITE tag b (source op c); a the row's previous value
+	tRead        // ReadSink(tag b, a) (source op c)
+
+	tDead = 0xff // a node allocate drops
+)
+
+// tins is one translated instruction. Operands are registers; bit j of neg
+// complements operand j (a, b, c) as it is read, as sensing a dual-contact
+// partner does. A register of -1 is no operand. The record is 20 bytes
+// (TestTranslatedOpSize).
+type tins struct {
+	kind    uint8
+	neg     uint8
+	dst     int32
+	a, b, c int32
+}
+
+// vref names a value a row can hold: value id<<1, plus 1 for its
+// complement. Value 0 is the zero row (C0's constant); its complement is
+// C1's. A negative vref is no value: the row is undefined.
+type vref int32
+
+// tnode is an instruction before register allocation: its operands are
+// values. The value node i defines is i+1.
+type tnode struct {
+	kind uint8
+	opd  [3]vref // tAnd: a, b; tMaj: a, b, c; tLoad: the previous value (or -1); tRead: the source
+	arg  int32   // tLoad, tRead: tag
+	op   int32   // source op
+}
+
+// translator is Translate's state: the value each row slot and each spill
+// slot holds, and the instructions so far.
+type translator struct {
+	slot  []vref // by arena slot
+	spill map[uint64]vref
+	nodes []tnode
+}
+
+// Translate translates prog for clean runs (see Translated), or returns
+// nil for a program whose run it cannot prove: an op decode does not mark
+// fast, a read of a row no earlier op defines, a SPILL_IN of a slot no
+// earlier op spills, a ROWINIT of a pattern other than C0's or C1's (no
+// compiled program has one), an operand with no arena slot or a D row at or
+// past maxPlanRow, an unknown kind. Those are the ops at which an interpreted
+// run may fail on its own account; a translated run fails only where the
+// host fails it (a nil HostIO, callback or payload) or ctx does. The per-op
+// checks are decode's and the slots resolve's, so what is legal has one
+// definition.
+func Translate(prog *isa.Program) *Translated {
+	n := 0 // ops that may emit an instruction
+	for i := range prog.Ops {
+		if k := prog.Ops[i].Kind; k == isa.OpAP || k == isa.OpWrite || k == isa.OpRead {
+			n++
+		}
+	}
+	tr := translator{slot: make([]vref, numSpecialRows), nodes: make([]tnode, 0, n)}
+	for i := range tr.slot {
+		tr.slot[i] = -1
+	}
+	tr.slot[0], tr.slot[1] = 0, 1 // C0, C1: the zero row and its complement
+	maxD := -1
+	var e dop
+	for i := range prog.Ops {
+		e.decode(&prog.Ops[i])
+		if !e.fast {
+			return nil
+		}
+		reads, writes := e.operands()
+		var in [3]vref
+		for j := range reads {
+			o := &reads[j]
+			if o.slot < 0 || o.row >= maxPlanRow || int(o.slot) >= len(tr.slot) || tr.slot[o.slot] < 0 {
+				return nil
+			}
+			maxD, in[j] = max(maxD, int(o.row)), tr.slot[o.slot]
+		}
+		for _, o := range writes {
+			if o.slot < 0 || o.row >= maxPlanRow {
+				return nil
+			}
+			maxD = max(maxD, int(o.row))
+		}
+		var v vref // the value the op stores into writes
+		switch e.kind {
+		case isa.OpRowInit:
+			switch e.imm {
+			case 0:
+				v = 0 // the zero row
+			case ^uint64(0):
+				v = 1 // its complement
+			default:
+				return nil
+			}
+		case isa.OpAAP:
+			v = in[0]
+		case isa.OpAP:
+			v = tr.majority(in, i)
+		case isa.OpWrite:
+			v = tr.emit(tnode{kind: tLoad, opd: [3]vref{tr.value(writes[0].slot), -1, -1}, arg: e.tag, op: int32(i)})
+		case isa.OpRead:
+			tr.emit(tnode{kind: tRead, opd: [3]vref{in[0], -1, -1}, arg: e.tag, op: int32(i)})
+		case isa.OpSpillOut:
+			if tr.spill == nil {
+				tr.spill = make(map[uint64]vref)
+			}
+			tr.spill[e.imm] = in[0]
+		case isa.OpSpillIn:
+			var ok bool
+			if v, ok = tr.spill[e.imm]; !ok {
+				return nil
+			}
+		default:
+			return nil
+		}
+		for _, o := range writes {
+			tr.store(o, v)
+		}
+	}
+	t := tr.allocate(len(prog.Ops))
+	t.maxD = maxD
+	return t
+}
+
+// value is what slot holds, -1 if nothing.
+func (tr *translator) value(slot int32) vref {
+	if int(slot) < len(tr.slot) {
+		return tr.slot[slot]
+	}
+	return -1
+}
+
+// store records that row operand o now holds v, and its dual-contact
+// partner, if it has one, v's complement.
+func (tr *translator) store(o opnd, v vref) {
+	for len(tr.slot) <= int(o.slot) {
+		tr.slot = append(tr.slot, -1)
+	}
+	tr.slot[o.slot] = v
+	if o.comp >= 0 {
+		tr.slot[o.comp] = v ^ 1
+	}
+}
+
+// emit appends nd and returns the value it defines.
+func (tr *translator) emit(nd tnode) vref {
+	tr.nodes = append(tr.nodes, nd)
+	return vref(len(tr.nodes)) << 1
+}
+
+// majority is the value an AP of rows holding in stores at source op i. A
+// value sensed twice is the majority, and one sensed beside its own
+// complement leaves the third operand's. Beside the zero row it is the AND
+// of the other two, and beside its complement their OR, which is the
+// complement of the AND of theirs: one kind serves every AP that senses a
+// constant row, which is how Ambit-style AND and OR are built.
+func (tr *translator) majority(in [3]vref, i int) vref {
+	a, b, c := in[0], in[1], in[2]
+	switch {
+	case a == b || a == c:
+		return a
+	case b == c:
+		return b
+	case a == b^1:
+		return c
+	case a == c^1:
+		return b
+	case b == c^1:
+		return a
+	}
+	for j, z := range in {
+		if z>>1 == 0 {
+			x, y := in[(j+1)%3]^z, in[(j+2)%3]^z
+			return tr.emit(tnode{kind: tAnd, opd: [3]vref{x, y, -1}, op: int32(i)}) ^ z
+		}
+	}
+	return tr.emit(tnode{kind: tMaj, opd: in, op: int32(i)})
+}
+
+// operands is the number of operands nd reads.
+func (nd *tnode) operands() int {
+	switch nd.kind {
+	case tAnd:
+		return 2
+	case tMaj:
+		return 3
+	case tLoad:
+		if nd.opd[0] < 0 {
+			return 0
+		}
+		return 1
+	case tRead:
+		return 1
+	}
+	return 0
+}
+
+// allocate drops the instructions whose values nothing reads (a load
+// stays: its WriteData call is part of the run) and assigns registers by
+// linear scan: a value's register is free after its last use, and the
+// instruction of that use may define its result into it (every kind reads
+// a word of its operands before it writes that word). n is the number of
+// source ops.
+func (tr *translator) allocate(n int) *Translated {
+	nodes := tr.nodes
+	// last[id] is the node of value id's last use, -1 if none.
+	last := make([]int32, len(nodes)+1)
+	for i := range last {
+		last[i] = -1
+	}
+	kept := 0
+	for i := len(nodes) - 1; i >= 0; i-- {
+		nd := &nodes[i]
+		if nd.kind != tLoad && nd.kind != tRead && last[i+1] < 0 {
+			nd.kind = tDead
+			continue
+		}
+		kept++
+		for _, u := range nd.opd[:nd.operands()] {
+			if id := u >> 1; last[id] < 0 {
+				last[id] = int32(i)
+			}
+		}
+	}
+	t := &Translated{ins: make([]tins, 0, kept), cuts: make([]int32, 0, (n+255)/256+1), regs: 1, n: n}
+	reg := make([]int32, len(nodes)+1) // by value id; the zero row is register 0
+	var free []int32
+	for i := range nodes {
+		nd := &nodes[i]
+		if nd.kind == tDead {
+			continue
+		}
+		in := tins{kind: nd.kind, dst: -1, a: -1, b: nd.arg, c: nd.op}
+		opd := nd.opd[:nd.operands()]
+		regs := [3]*int32{&in.a, &in.b, &in.c}
+		for j, u := range opd {
+			*regs[j] = reg[u>>1]
+			in.neg |= uint8(u&1) << j
+		}
+		for _, u := range opd {
+			if id := u >> 1; id != 0 && last[id] == int32(i) {
+				free = append(free, reg[id])
+				last[id] = -1
+			}
+		}
+		if nd.kind != tRead {
+			if k := len(free); k > 0 {
+				in.dst, free = free[k-1], free[:k-1]
+			} else {
+				in.dst = int32(t.regs)
+				t.regs++
+			}
+			if reg[i+1] = in.dst; last[i+1] < 0 {
+				free = append(free, in.dst) // a load nothing reads
+			}
+		}
+		for len(t.cuts)*256 <= int(nd.op) {
+			t.cuts = append(t.cuts, int32(len(t.ins)))
+		}
+		t.ins = append(t.ins, in)
+	}
+	for len(t.cuts) <= (n+255)/256 {
+		t.cuts = append(t.cuts, int32(len(t.ins)))
+	}
+	return t
+}
+
+// Translatable reports whether RunTranslatedCtx of t (nil: a program
+// Translate did not accept) on m is its program's RunFunctionalCtx under
+// budget b: nothing watches the rows — no fault hook, no parity tracking —
+// the subarray has every row t names, and b stops no op of the stream.
+// It is the one choice between the two executors.
+func (m *Machine) Translatable(t *Translated, b guard.Budget) bool {
+	s := &m.sub
+	return t != nil && s.hook == nil && !s.parTrack && t.maxD < s.dRows &&
+		guard.Check(guard.DimSimSteps, b.MaxSimSteps, t.n) == nil &&
+		guard.Check(guard.DimDRAMCommands, b.MaxDRAMCommands, t.n) == nil
+}
+
+// RunTranslatedCtx runs translation t on m as RunFunctionalCtx runs its
+// program from m's reset state, where m.Translatable(t, b) holds: the same
+// READ payloads, WriteData and ReadSink calls in the same order, ctx
+// observed before source ops 0, 256, 512, ..., and the same error at the
+// same op. It leaves the subarray's rows as they were; the values live in
+// m's register file.
+func (m *Machine) RunTranslatedCtx(ctx context.Context, t *Translated, io *HostIO) error {
+	if !m.Translatable(t, guard.Budget{}) {
+		return fmt.Errorf("sim: a translated run needs a translation and a subarray that holds its rows and nothing watches")
+	}
+	s := &m.sub
+	w, mask := s.words, s.mask
+	m.regs = grow(m.regs, t.regs*w)
+	regs := m.regs
+	clear(regs[:w]) // register 0: the zero row
+	reg := func(r int32) []uint64 { return regs[int(r)*w:][:w] }
+	for k := 0; k+1 < len(t.cuts); k++ {
+		if err := guard.Ctx(ctx); err != nil {
+			return err
+		}
+		for i := t.cuts[k]; i < t.cuts[k+1]; i++ {
+			in := &t.ins[i]
+			switch in.kind {
+			case tAnd:
+				d, a, b := reg(in.dst), reg(in.a), reg(in.b)
+				na, nb := negMask(in.neg, 0), negMask(in.neg, 1)
+				a, b = a[:len(d)], b[:len(d)]
+				for j := range d {
+					d[j] = (a[j] ^ na) & (b[j] ^ nb)
+				}
+				d[len(d)-1] &= mask
+			case tMaj:
+				d, a, b, c := reg(in.dst), reg(in.a), reg(in.b), reg(in.c)
+				na, nb, nc := negMask(in.neg, 0), negMask(in.neg, 1), negMask(in.neg, 2)
+				a, b, c = a[:len(d)], b[:len(d)], c[:len(d)]
+				for j := range d {
+					d[j] = maj(a[j]^na, b[j]^nb, c[j]^nc)
+				}
+				d[len(d)-1] &= mask
+			case tLoad:
+				data, err := written(io, in.b)
+				if err != nil {
+					return fmt.Errorf("op %d at bank 0 sub 0: %w", in.c, err)
+				}
+				d := reg(in.dst)
+				n := copy(d, data)
+				if in.a < 0 {
+					clear(d[n:])
+				} else if p, na := reg(in.a), negMask(in.neg, 0); n < w {
+					// A short payload leaves the rest of the row as it was.
+					for j := n; j < w; j++ {
+						d[j] = p[j] ^ na
+					}
+				}
+				d[w-1] &= mask
+			case tRead:
+				if io == nil || io.ReadSink == nil {
+					return fmt.Errorf("op %d at bank 0 sub 0: %w", in.c, errNoSink(in.b))
+				}
+				out, a, na := s.readBuf, reg(in.a), negMask(in.neg, 0)
+				for j := range out {
+					out[j] = a[j] ^ na
+				}
+				out[w-1] &= mask
+				io.ReadSink(int(in.b), out)
+			}
+		}
+	}
+	return nil
+}
+
+// negMask is the word operand j of an instruction with complement bits neg
+// is XORed with: all ones if it is complemented, else zero.
+func negMask(neg uint8, j uint) uint64 { return -uint64(neg >> j & 1) }

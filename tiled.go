@@ -341,7 +341,6 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 	// the final outputs — and shares nothing writable with the other tiles,
 	// which keeps the fan-out race-free and the result identical at any
 	// worker count.
-	d := k.decodedProg()
 	runTile := func(tl int) error {
 		lo, n := tl*tileLanes, laneCount(tl)
 		w := getWorker()
@@ -349,7 +348,7 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 		w.m.Reconfigure(sim.MachineConfig{Geom: geom, Arch: k.Opts.Target})
 		in, outRows := w.host.bind(plan, n)
 		k.scatterWide(in, 0, inputs, lo, n)
-		if err := w.m.RunFunctionalCtx(ctx, d, w.host.hostIO(), guard.Budget{}); err != nil {
+		if err := k.runFunctional(ctx, &w.m, w.host.hostIO(), guard.Budget{}); err != nil {
 			if guard.IsGuard(err) {
 				return err
 			}
