@@ -13,10 +13,10 @@ package chopper
 // for N requests. chopperd's internal/serve batcher is the main client.
 //
 // One skeleton, Kernel.pass, carries every verb but a tile: RunRowsCtx,
-// Run and RunWide are passes of one member, RunBatch and RunRowsBatchCtx
-// of N, a reliability trial of one, and a fault-free verify sweep —
-// VerifyCtx's or a coalesced VerifyBatchCtx's — of one member per trial,
-// as many trials as a row holds. Every pass lays its rows out in the kernel's
+// Run and RunWide are passes of one member, RunBatch of N, a reliability
+// trial of one, and a fault-free verify sweep — VerifyCtx's or a coalesced
+// VerifyBatchCtx's — of one member per trial, as many trials as a row
+// holds. Every pass lays its rows out in the kernel's
 // plan on the pooled worker's own buffer (hostRows.bind, the binding a
 // tile uses too); the verbs differ only in how they scatter a member's
 // operands into its span of the input rows (rows pasted, one value per
@@ -37,13 +37,6 @@ import (
 type BatchRun struct {
 	Inputs map[string][]uint64
 	Lanes  int
-}
-
-// LaneBatch is one member of a coalesced run over operands already in
-// vertical (bit-row) layout, exactly like Kernel.RunRows.
-type LaneBatch struct {
-	Rows  map[string][][]uint64
-	Lanes int
 }
 
 // VerifySpec is one member of a coalesced verification sweep: the
@@ -227,35 +220,6 @@ func (k *Kernel) keepRows(out [][]uint64, spans []laneSpan) []map[string][][]uin
 	return members
 }
 
-// laneBatches runs members whose operands arrive as vertical rows
-// (RunRowsCtx, RunRowsBatchCtx): each is checked and pasted into its span,
-// and gets its output rows back.
-func (k *Kernel) laneBatches(ctx context.Context, batches []LaneBatch, fc FaultConfig, seed int64) ([]*RunResult, error) {
-	p, err := k.tilePlan()
-	if err != nil {
-		return nil, err
-	}
-	counts := make([]int, len(batches))
-	for i, b := range batches {
-		counts[i] = b.Lanes
-	}
-	return k.rowsPass(ctx, counts, fc, seed, func(_ *simWorker, i int, in [][]uint64, sp laneSpan) error {
-		return p.pasteRows(k.Inputs, in, batches[i].Rows, sp)
-	})
-}
-
-// RunRowsBatchCtx packs the members' vertical operand rows into disjoint
-// word-aligned lane spans of one pass, runs the kernel ONCE over the
-// combined lanes, and demultiplexes each member's output rows and stats.
-// Per member the outputs, simulated time and engine counters are byte-
-// identical to a solo RunRowsCtx call (ScratchBytes reflects the shared
-// pass and is the one field that grows with the batch). A single-member
-// batch is a solo run.
-func (k *Kernel) RunRowsBatchCtx(ctx context.Context, batches []LaneBatch) (res []*RunResult, err error) {
-	defer recoverToError(&err)
-	return k.laneBatches(ctx, batches, FaultConfig{}, 0)
-}
-
 // RunBatch is RunBatchCtx without a context.
 func (k *Kernel) RunBatch(reqs []BatchRun) (outs []map[string][]uint64, res []*RunResult, err error) {
 	return k.RunBatchCtx(nil, reqs)
@@ -263,17 +227,18 @@ func (k *Kernel) RunBatch(reqs []BatchRun) (outs []map[string][]uint64, res []*R
 
 // RunBatchCtx executes N independent Run-shaped requests in one
 // simulated device pass: one transpose into the pass's rows (each
-// member's operands land directly in its lane span), one program
-// execution, one timing replay. Outputs and per-member results are
-// byte-identical to solo Kernel.Run calls — Run is this with one member;
-// see RunRowsBatchCtx for the guarantee. Operand widths are limited to 64
-// bits, like Kernel.Run.
+// member's operands land directly in disjoint word-aligned lane spans), one
+// program execution, one timing replay. Per member the outputs, output
+// rows, simulated time and engine counters are byte-identical to a solo
+// run of the same operands — Run is this with one member (ScratchBytes
+// reflects the shared pass and is the one field that grows with the
+// batch). Operand widths are limited to 64 bits, like Kernel.Run.
 func (k *Kernel) RunBatchCtx(ctx context.Context, reqs []BatchRun) (outs []map[string][]uint64, res []*RunResult, err error) {
 	defer recoverToError(&err)
 	for _, io := range [][]IOSpec{k.Inputs, k.Outputs} {
 		for _, op := range io {
 			if op.Width > 64 {
-				return nil, nil, optionsErrf("operand %q is %d bits wide; Run and RunBatch handle up to 64 (use RunWide or RunRowsBatchCtx)", op.Name, op.Width)
+				return nil, nil, optionsErrf("operand %q is %d bits wide; Run and RunBatch handle up to 64 (use RunWide or RunRowsCtx)", op.Name, op.Width)
 			}
 		}
 	}

@@ -25,19 +25,35 @@ func paperWorkloadSources() []workloads.Spec {
 	return specs
 }
 
-func batchMembersFor(k *Kernel, n int, seed int64) []LaneBatch {
-	members := make([]LaneBatch, n)
+// batchMembersFor draws n RunBatch members of k's operands (each at most
+// 64 bits wide), their lane counts cycling through batchLaneSchedule.
+func batchMembersFor(k *Kernel, n int, seed int64) []BatchRun {
+	members := make([]BatchRun, n)
 	for i := range members {
 		lanes := batchLaneSchedule[i%len(batchLaneSchedule)]
 		rng := rand.New(rand.NewSource(seed + int64(i)))
 		inWide := randWideInputs(rng, k.Inputs, lanes)
-		rows := make(map[string][][]uint64, len(k.Inputs))
+		inputs := make(map[string][]uint64, len(k.Inputs))
 		for _, in := range k.Inputs {
-			rows[in.Name] = transpose.ToVerticalWide(inWide[in.Name], in.Width, lanes)
+			vals := make([]uint64, lanes)
+			for l, v := range inWide[in.Name] {
+				vals[l] = v[0]
+			}
+			inputs[in.Name] = vals
 		}
-		members[i] = LaneBatch{Rows: rows, Lanes: lanes}
+		members[i] = BatchRun{Inputs: inputs, Lanes: lanes}
 	}
 	return members
+}
+
+// soloRows runs member m alone through RunRows, its operands transposed to
+// vertical rows.
+func soloRows(k *Kernel, m BatchRun) (*RunResult, error) {
+	rows := make(map[string][][]uint64, len(k.Inputs))
+	for _, in := range k.Inputs {
+		rows[in.Name] = transpose.ToVertical(m.Inputs[in.Name], in.Width, m.Lanes)
+	}
+	return k.RunRows(rows, m.Lanes)
 }
 
 func sameRows(a, b map[string][][]uint64) bool {
@@ -64,10 +80,10 @@ func sameRows(a, b map[string][][]uint64) bool {
 }
 
 // TestBatchByteIdentityPaperWorkloads pins the coalesced pass's core
-// contract on all four paper workloads: at batch sizes 1, 2, 7 and 16
-// (chopperd's CI max-batch), every member's output rows, simulated time
-// and engine counters are byte-identical to a solo run of the same
-// operands.
+// contract on all four paper workloads, whose operands fit RunBatch's 64
+// bits: at batch sizes 1, 2, 7 and 16 (chopperd's CI max-batch), every
+// member's output rows, simulated time and engine counters are
+// byte-identical to a solo RunRows of the same operands.
 func TestBatchByteIdentityPaperWorkloads(t *testing.T) {
 	for _, spec := range paperWorkloadSources() {
 		spec := spec
@@ -81,13 +97,13 @@ func TestBatchByteIdentityPaperWorkloads(t *testing.T) {
 				members := batchMembersFor(k, size, int64(size)*1000+7)
 				solo := make([]*RunResult, size)
 				for i, m := range members {
-					r, err := k.RunRows(m.Rows, m.Lanes)
+					r, err := soloRows(k, m)
 					if err != nil {
 						t.Fatalf("size %d solo member %d: %v", size, i, err)
 					}
 					solo[i] = r
 				}
-				batched, err := k.RunRowsBatchCtx(nil, members)
+				_, batched, err := k.RunBatchCtx(nil, members)
 				if err != nil {
 					t.Fatalf("size %d batched: %v", size, err)
 				}
@@ -218,11 +234,11 @@ func TestBatchBudgetStopMatchesSolo(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := batchMembersFor(k, 3, 5)
-	_, soloErr := k.RunRows(members[0].Rows, members[0].Lanes)
+	_, soloErr := soloRows(k, members[0])
 	if soloErr == nil {
 		t.Fatal("solo run within a 10-step budget: want a budget stop")
 	}
-	_, batchErr := k.RunRowsBatchCtx(nil, members)
+	_, _, batchErr := k.RunBatchCtx(nil, members)
 	if batchErr == nil {
 		t.Fatal("batched run within a 10-step budget: want a budget stop")
 	}
@@ -243,20 +259,20 @@ func TestBatchRejectsRecoveryKernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := batchMembersFor(k, 2, 1)
-	if _, err := k.RunRowsBatchCtx(nil, members); err == nil {
+	if _, _, err := k.RunBatchCtx(nil, members); err == nil {
 		t.Error("multi-member batch accepted a recovery-enabled kernel")
 	} else if ErrorClass(err) != "options" {
 		t.Errorf("recovery rejection classifies as %q, want options", ErrorClass(err))
 	}
 	// A single-member batch is a solo run and keeps recovery support.
-	if _, err := k.RunRowsBatchCtx(nil, members[:1]); err != nil {
+	if _, _, err := k.RunBatchCtx(nil, members[:1]); err != nil {
 		t.Errorf("single-member batch on a recovery kernel: %v", err)
 	}
 }
 
-// TestBatchOfOneKeepsRecoveryStats: a batch of one is a solo run through
-// every batch entry point, so a recovery-enabled kernel must report what
-// the recovery layer did identically three ways — RunBatch used to return
+// TestBatchOfOneKeepsRecoveryStats: a batch of one is a solo run, so a
+// recovery-enabled kernel must report what the recovery layer did
+// identically through RunBatch and RunRows — RunBatch used to return
 // all-zero RecoveryStats.
 func TestBatchOfOneKeepsRecoveryStats(t *testing.T) {
 	const lanes = 64
@@ -271,21 +287,14 @@ func TestBatchOfOneKeepsRecoveryStats(t *testing.T) {
 	if solo.RecoveryStats.Epochs == 0 || solo.RecoveryStats.WastedUops == 0 || solo.RecoveryStats.CheckpointBytes == 0 {
 		t.Fatalf("solo run reports no recovery activity (%+v); the test is vacuous", solo.RecoveryStats)
 	}
-	rowsOf, err := k.RunRowsBatchCtx(nil, []LaneBatch{{Rows: recRows(t, k, lanes), Lanes: lanes}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	_, runOf, err := k.RunBatch([]BatchRun{{Inputs: recInputs(lanes), Lanes: lanes}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, got := range map[string]*RunResult{"RunRowsBatch": rowsOf[0], "RunBatch": runOf[0]} {
-		if got.RecoveryStats != solo.RecoveryStats {
-			t.Errorf("%s of one: RecoveryStats %+v, solo RunRows %+v", name, got.RecoveryStats, solo.RecoveryStats)
-		}
-		if got.Faults != solo.Faults || got.TimeNs != solo.TimeNs || got.Stats != solo.Stats || !sameRows(got.Rows, solo.Rows) {
-			t.Errorf("%s of one diverged from the solo run beyond RecoveryStats", name)
-		}
+	if got := runOf[0]; got.RecoveryStats != solo.RecoveryStats {
+		t.Errorf("RunBatch of one: RecoveryStats %+v, solo RunRows %+v", got.RecoveryStats, solo.RecoveryStats)
+	} else if got.Faults != solo.Faults || got.TimeNs != solo.TimeNs || got.Stats != solo.Stats || !sameRows(got.Rows, solo.Rows) {
+		t.Error("RunBatch of one diverged from the solo run beyond RecoveryStats")
 	}
 }
 
@@ -298,12 +307,12 @@ func TestDeterminismBatchPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := batchMembersFor(k, 7, 42)
-	first, err := k.RunRowsBatchCtx(nil, members)
+	_, first, err := k.RunBatchCtx(nil, members)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 3; rep++ {
-		again, err := k.RunRowsBatchCtx(nil, batchMembersFor(k, 7, 42))
+		_, again, err := k.RunBatchCtx(nil, batchMembersFor(k, 7, 42))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,14 +332,14 @@ func TestBatchOversizedRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	bl := k.Opts.Geometry.Bitlines()
-	members := []LaneBatch{
-		{Rows: batchMembersFor(k, 1, 1)[0].Rows, Lanes: bl},
+	members := []BatchRun{
+		{Inputs: batchMembersFor(k, 1, 1)[0].Inputs, Lanes: bl},
 		batchMembersFor(k, 1, 2)[0],
 	}
-	// The first member's rows only cover its generated lanes, but lane
-	// validation happens before operand pasting, so the oversize reject
+	// The first member's operands only cover its generated lanes, but lane
+	// validation happens before operand scattering, so the oversize reject
 	// fires first.
-	if _, err := k.RunRowsBatchCtx(nil, members); err == nil {
+	if _, _, err := k.RunBatchCtx(nil, members); err == nil {
 		t.Error("batch beyond one row's bitlines was accepted")
 	} else if !strings.Contains(err.Error(), "bitlines") {
 		t.Errorf("unexpected error: %v", err)

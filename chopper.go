@@ -833,7 +833,13 @@ func (k *Kernel) RunRowsUnderFault(rows map[string][][]uint64, lanes int, cfg Fa
 // zero FaultConfig is a fault-free run (seed is then unused).
 func (k *Kernel) RunRowsCtx(ctx context.Context, rows map[string][][]uint64, lanes int, fault FaultConfig, seed int64) (res *RunResult, err error) {
 	defer recoverToError(&err)
-	members, err := k.laneBatches(ctx, []LaneBatch{{Rows: rows, Lanes: lanes}}, fault, seed)
+	p, err := k.tilePlan()
+	if err != nil {
+		return nil, err
+	}
+	members, err := k.rowsPass(ctx, []int{lanes}, fault, seed, func(_ *simWorker, _ int, in [][]uint64, sp laneSpan) error {
+		return p.pasteRows(k.Inputs, in, rows, sp)
+	})
 	if err != nil {
 		return nil, err
 	}

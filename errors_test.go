@@ -434,12 +434,10 @@ func TestRunRowsOperandErrorsAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestShortBitRowsAreTheCallers: RunRows and RunRowsBatchCtx share one
-// shape check. A tagged bit-row shorter than its lanes need is the caller's
-// mistake, named by operand, bit and words (both verbs used to zero-extend
-// it, computing the lanes past it from zeros); a longer one is fine; and the
-// batch runs a narrowed kernel on the operands RunRows accepts (it used to
-// require every bit-row).
+// TestShortBitRowsAreTheCallers: a tagged bit-row shorter than its lanes
+// need is RunRows' caller's mistake, named by operand, bit and words (it
+// used to be zero-extended, computing the lanes past it from zeros), and a
+// longer one is fine.
 func TestShortBitRowsAreTheCallers(t *testing.T) {
 	const lanes = 128
 	k, err := Compile(errAdderSrc, Options{Target: Ambit})
@@ -461,48 +459,16 @@ func TestShortBitRowsAreTheCallers(t *testing.T) {
 	if _, err := k.RunRows(short, lanes); err == nil || err.Error() != "chopper: options: "+want || ErrorClass(err) != "options" {
 		t.Errorf("RunRows on 1-word bit-rows: error %v (class %q), want %s (class options)", err, ErrorClass(err), want)
 	}
-	_, err = k.RunRowsBatchCtx(nil, []LaneBatch{{Rows: full, Lanes: lanes}, {Rows: short, Lanes: lanes}})
-	if err == nil || err.Error() != "chopper: options: batch member 1: "+want || ErrorClass(err) != "options" {
-		t.Errorf("batch with a 1-word member: error %v (class %q), want member 1's %s (class options)", err, ErrorClass(err), want)
-	}
 	ref, err := k.RunRows(full, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := k.RunRowsBatchCtx(nil, []LaneBatch{{Rows: long, Lanes: lanes}, {Rows: long, Lanes: lanes}})
-	if err != nil {
-		t.Fatalf("batch of 3-word bit-rows: %v", err)
-	}
-	solo, err := k.RunRows(long, lanes)
+	got, err := k.RunRows(long, lanes)
 	if err != nil {
 		t.Fatalf("RunRows of 3-word bit-rows: %v", err)
 	}
-	for i, res := range []*RunResult{solo, got[0], got[1]} {
-		if !sameRows(res.Rows, ref.Rows) {
-			t.Errorf("run %d of 3-word bit-rows: outputs differ from the exact rows'", i)
-		}
-	}
-
-	nk, err := Compile("@range(a, 0, 15)\nnode main(a: u8) returns (z: u8) let z = a + 1; tel", Options{Target: Ambit, Narrow: NarrowAnnotated})
-	if err != nil {
-		t.Fatal(err)
-	}
-	four := map[string][][]uint64{"a": transpose.ToVertical(vals, 8, lanes)[:4]}
-	res, err := nk.RunRowsBatchCtx(nil, []LaneBatch{{Rows: four, Lanes: lanes}, {Rows: four, Lanes: lanes}})
-	if err != nil {
-		t.Fatalf("batch of a narrowed kernel's four tagged bit-rows: %v", err)
-	}
-	for m, r := range res {
-		for l, z := range transpose.FromVertical(r.Rows["z"], 8, lanes) {
-			if z != vals[l]&15+1 {
-				t.Fatalf("member %d lane %d: z = %d, want %d", m, l, z, vals[l]&15+1)
-			}
-		}
-	}
-	three := map[string][][]uint64{"a": four["a"][:3]}
-	_, err = nk.RunRowsBatchCtx(nil, []LaneBatch{{Rows: four, Lanes: lanes}, {Rows: three, Lanes: lanes}})
-	if wantN := `chopper: options: batch member 1: input "a" has 3 bit-rows, kernel needs bit 3`; err == nil || err.Error() != wantN {
-		t.Errorf("batch with three bit-rows: error %v, want %s", err, wantN)
+	if !sameRows(got.Rows, ref.Rows) {
+		t.Error("RunRows of 3-word bit-rows: outputs differ from the exact rows'")
 	}
 }
 
@@ -555,7 +521,7 @@ func TestRunShapeErrorsAreTheCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = wk.Run(map[string][]uint64{"a": make([]uint64, 64)}, 64)
-	const want = `chopper: options: operand "z" is 65 bits wide; Run and RunBatch handle up to 64 (use RunWide or RunRowsBatchCtx)`
+	const want = `chopper: options: operand "z" is 65 bits wide; Run and RunBatch handle up to 64 (use RunWide or RunRowsCtx)`
 	if err == nil || err.Error() != want {
 		t.Errorf("65-bit output: error %v, want %s", err, want)
 	}

@@ -82,12 +82,10 @@ func newLockstep(code *codegen.Result, in map[string]uint64) (*lockstep, int, er
 // with h attached, and returns the op sim stops at (-1: none) and why.
 func (h *lockstep) run(m *sim.Machine, geom dram.Geometry, code *codegen.Result, d *sim.Decoded, in map[string]uint64) (int, error) {
 	m.Reconfigure(sim.MachineConfig{Geom: geom, Lanes: 64, Fault: h})
-	io := hostIO(code, in, h.reads)
-	sink := io.ReadSink
-	io.ReadSink = func(tag int, data []uint64) {
-		sink(tag, data)
+	io := hostIO(code, in, 1, func(tag int, data []uint64) {
+		h.reads[tag] = data[0]
 		h.read(data[0])
-	}
+	})
 	err := m.RunFunctionalCtx(nil, d, io, guard.Budget{})
 	stop, end := -1, len(h.ops)
 	if err != nil {

@@ -79,12 +79,15 @@ func proverTable(short bool) []config {
 
 // outcome is what one config's kernels came to.
 type outcome struct {
-	proved   []Verdict
-	mutants  map[string][]Verdict
-	programs int // programs run in lockstep with sim
-	agreed   int // of which agreed with it op by op
-	errs     []string
-	m        *sim.Machine // the runs' simulator (machine)
+	proved     []Verdict
+	mutants    map[string][]Verdict
+	programs   int  // programs run in lockstep with sim
+	agreed     int  // of which agreed with it op by op
+	products   int  // product programs, each held to its translated clean runs
+	translated int  // of which sim.Translate accepted and whose runs read what the lockstep verified
+	spills     bool // some translated program has a SPILL_IN
+	errs       []string
+	m          *sim.Machine // the runs' simulator (machine)
 }
 
 func (o *outcome) errorf(format string, args ...any) {
@@ -92,7 +95,8 @@ func (o *outcome) errorf(format string, args ...any) {
 }
 
 // run compiles cfg's kernels, proves each against its net, cross-checks
-// each program with sim, and mutates each unhardened one: TMR masks a
+// each program with sim, holds its translated clean runs to what the
+// cross-check verified, and mutates each unhardened one: TMR masks a
 // single-site mutant by design.
 func (cfg config) run() *outcome {
 	o := &outcome{mutants: map[string][]Verdict{}}
@@ -115,7 +119,11 @@ func (cfg config) run() *outcome {
 			o.errorf("%s: %v", name, r)
 		}
 		geom := k.Opts.Geometry
-		o.crossCheck(name, k.Code, nil, geom, randomInputs(net, 1), -1)
+		in := randomInputs(net, 1)
+		o.products++
+		if reads, ok := o.crossCheck(name, k.Code, nil, geom, in, -1); ok {
+			o.checkTranslated(name, k, in, reads)
+		}
 		if !mutate {
 			return net
 		}
@@ -172,8 +180,10 @@ var raceDetector bool
 // TestProveTable proves every kernel of the prover table against its net
 // and reports each group in the form "PROVE: 576 / 576 proved, 0 refuted,
 // 0 unproven". Every program is also run in lockstep with the simulator,
-// and every unhardened one is mutated four ways: each mutant must be
-// refuted, and its counterexample must be real on sim.
+// its translation — every clean product run's executor — is held to the
+// READ payloads the lockstep verified, and every unhardened one is mutated
+// four ways: each mutant must be refuted, and its counterexample must be
+// real on sim.
 func TestProveTable(t *testing.T) {
 	cfgs := proverTable(testing.Short() || raceDetector)
 	outs := make([]*outcome, len(cfgs))
@@ -235,7 +245,8 @@ func TestProveTable(t *testing.T) {
 			}
 		}
 	}
-	var programs, agreed int
+	var programs, agreed, products, translated int
+	spills := false
 	for i, o := range outs {
 		for _, e := range o.errs {
 			t.Error(e)
@@ -243,6 +254,9 @@ func TestProveTable(t *testing.T) {
 		count(cfgs[i].group, o.proved)
 		programs += o.programs
 		agreed += o.agreed
+		products += o.products
+		translated += o.translated
+		spills = spills || o.spills
 	}
 	for _, mu := range mutants {
 		for _, o := range outs {
@@ -258,6 +272,10 @@ func TestProveTable(t *testing.T) {
 		}
 	}
 	fmt.Printf("SIM-LOCKSTEP: %d / %d programs agree with sim op by op\n", agreed, programs)
+	fmt.Printf("SIM-TRANSLATED: %d / %d programs translate and read the verified payloads at lanes %v\n", translated, products, translatedLanes)
+	if !spills {
+		t.Error("no translated program spills; the SPILL renames went untested")
+	}
 }
 
 // mutant is a seeded back-end bug. sites lists the ops it can strike,
@@ -395,7 +413,7 @@ func (o *outcome) agrees(code *codegen.Result, geom dram.Geometry, in, want map[
 	m := o.machine()
 	m.Reconfigure(sim.MachineConfig{Geom: geom, Lanes: 64})
 	reads := map[int]uint64{}
-	io := hostIO(code, in, reads)
+	io := hostIO(code, in, 1, func(tag int, data []uint64) { reads[tag] = data[0] })
 	var err error
 	if t := sim.Translate(code.Prog); m.Translatable(t, guard.Budget{}) {
 		err = m.RunTranslatedCtx(nil, t, io)
@@ -411,6 +429,62 @@ func (o *outcome) agrees(code *codegen.Result, geom dram.Geometry, in, want map[
 		}
 	}
 	return true
+}
+
+// translatedLanes are the lane counts a translated run is checked at:
+// either side of a word, and a row of 1,024 bitlines.
+var translatedLanes = []int{1, 63, 65, 128, 1024}
+
+// checkTranslated holds k's translation, which every clean product run
+// executes, to the proved net: sim.Translate must accept the program, a
+// clean run under k's budget must take the translation, and at each of
+// translatedLanes a run over in, its 64-lane word repeated in every word of
+// every WRITE, must READ reads — the payloads the lockstep verified against
+// the net — in every word, the last masked to the lanes. (Lanes never mix:
+// every row operation is bitwise.)
+func (o *outcome) checkTranslated(name string, k *chopper.Kernel, in map[string]uint64, reads map[int]uint64) {
+	ops := k.Code.Prog.Ops
+	tr := sim.Translate(k.Code.Prog)
+	if tr == nil {
+		o.errorf("%s: sim.Translate rejects the %d-op program", name, len(ops))
+		return
+	}
+	m := o.machine()
+	for _, lanes := range translatedLanes {
+		m.Reconfigure(sim.MachineConfig{Geom: k.Opts.Geometry, Arch: k.Opts.Target, Lanes: lanes})
+		if !m.Translatable(tr, k.Opts.Budget) {
+			o.errorf("%s: lanes %d: a clean run under budget %+v does not take the translation", name, lanes, k.Opts.Budget)
+			return
+		}
+		words := (lanes + 63) / 64
+		mask := ^uint64(0) >> (63 - (lanes-1)%64)
+		got, bad := map[int]bool{}, ""
+		io := hostIO(k.Code, in, words, func(tag int, data []uint64) {
+			want, ok := reads[tag]
+			got[tag] = true
+			for w, v := range data {
+				if w == words-1 {
+					want &= mask
+				}
+				if bad == "" && (!ok || v != want) {
+					bad = fmt.Sprintf("READ tag %d word %d: %#x, verified %#x (read by the lockstep: %v)", tag, w, v, want, ok)
+				}
+			}
+		})
+		if err := m.RunTranslatedCtx(nil, tr, io); err != nil {
+			o.errorf("%s: lanes %d: translated: %v", name, lanes, err)
+			return
+		}
+		if bad == "" && len(got) != len(reads) {
+			bad = fmt.Sprintf("%d READ tags, the lockstep read %d", len(got), len(reads))
+		}
+		if bad != "" {
+			o.errorf("%s: lanes %d: translated run: %s", name, lanes, bad)
+			return
+		}
+	}
+	o.translated++
+	o.spills = o.spills || len(find(ops, false, isSpillIn)) > 0
 }
 
 // randomInputs draws 64 lanes for each of net's inputs, lane l with a
@@ -440,24 +514,29 @@ func netInputs(net *logic.Net, in map[string]uint64) map[string]uint64 {
 	return out
 }
 
-// hostIO binds a program's WRITE tags to 64-lane input words and records
-// what each READ tag carried.
-func hostIO(code *codegen.Result, in map[string]uint64, reads map[int]uint64) *sim.HostIO {
+// hostIO binds a program's WRITE tags to the 64-lane input words of in (a
+// constant's to its pattern), each repeated in every one of words words,
+// and hands each READ to sink.
+func hostIO(code *codegen.Result, in map[string]uint64, words int, sink func(tag int, data []uint64)) *sim.HostIO {
 	name := make(map[int]string, len(code.InputTag))
 	for n, tag := range code.InputTag {
 		name[tag] = n
 	}
 	return &sim.HostIO{
 		WriteData: func(tag int) []uint64 {
+			var v uint64
 			if n, ok := name[tag]; ok {
-				return []uint64{in[n]}
+				v = in[n]
+			} else if v, ok = code.ConstPattern[tag]; !ok {
+				return nil
 			}
-			if p, ok := code.ConstPattern[tag]; ok {
-				return []uint64{p}
+			row := make([]uint64, words)
+			for w := range row {
+				row[w] = v
 			}
-			return nil
+			return row
 		},
-		ReadSink: func(tag int, data []uint64) { reads[tag] = data[0] },
+		ReadSink: sink,
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 // decidable check (C-group destination legality, ROWINIT constant-pattern
 // validation) is decided once instead of per execution. A Decoded is
 // immutable after Decode and safe to share across goroutines and trials; it
-// is how a compiled kernel amortizes dispatch cost over thousands of verify
-// / reliability replays. Row operands are resolved to arena slots, and
+// is how a compiled kernel amortizes dispatch cost over the runs a
+// translation cannot take (see Machine.Translatable): fault runs, recovered
+// runs and budget-stopped runs. Row operands are resolved to arena slots, and
 // reads of rows an earlier op always defines are proven (see exec).
 type Decoded struct {
 	prog  *isa.Program
@@ -203,22 +204,7 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 			for j := 1; j <= 3 && watched; j++ {
 				s.sensed(idx, &op.opd[j], s.rowData(int(op.opd[j].slot)))
 			}
-			a, b, c := s.rowData(int(op.opd[1].slot)), s.rowData(int(op.opd[2].slot)), s.rowData(int(op.opd[3].slot))
-			if s.events&(isa.EvCompute|isa.EvStore) == 0 && op.opd[1].comp < 0 && op.opd[2].comp < 0 && op.opd[3].comp < 0 {
-				// Nothing observes the value and no row has a partner: the
-				// majority lands in place. The rows are present and masked
-				// (majority keeps that); parity is all there is to record.
-				a, b, c = a[:len(a)], b[:len(a)], c[:len(a)]
-				for i := range a {
-					a[i] = maj(a[i], b[i], c[i])
-					b[i], c[i] = a[i], a[i]
-				}
-				for j := 1; j <= 3 && s.parTrack; j++ {
-					s.paired(&op.opd[j], a)
-				}
-				return nil
-			}
-			val = s.majority(idx, a, b, c)
+			val = s.majority(idx, s.rowData(int(op.opd[1].slot)), s.rowData(int(op.opd[2].slot)), s.rowData(int(op.opd[3].slot)))
 		}
 		for j := 1; j <= int(op.ndst); j++ {
 			o := &op.opd[j]

@@ -369,7 +369,7 @@ func (sc *recoverScratch) digestState(s *Subarray, sp *SpillStore) uint64 {
 // before every op. It returns the makespan in nanoseconds; the first
 // functional error or guard stop aborts the run; a (bank, sub) outside the
 // machine's geometry fails before the first op. With the zero policy that
-// is the whole run — the plain run behind every kernel run.
+// is the whole run — sim.RunProgram's timed run of a program.
 //
 // A detector in pol adds the detect-and-recover layer: epoch checkpoints,
 // an online detector per epoch, and bounded rollback/scrub/backoff/replay

@@ -81,14 +81,13 @@ func sized[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// pasteRows is the scatter of operands the caller hands over as vertical
-// rows (rows[operand][bit][word]), RunRowsCtx's and RunRowsBatchCtx's
-// alike: each operand is shape-checked, then copied into span sp of the
-// input rows with each row's tail word masked to the member's lanes. A bit
-// the program WRITEs needs a bit-row of at least transpose.Words(lanes)
-// words, while an untagged bit (a narrowed kernel leaves high bits
-// untagged) may be absent, since the program never reads it; longer rows
-// are fine. The first offender, in k.Inputs order and lowest bit first, is
+// pasteRows is RunRowsCtx's scatter of operands the caller hands over as
+// vertical rows (rows[operand][bit][word]): each operand is shape-checked,
+// then copied into span sp of the input rows with each row's tail word
+// masked to the member's lanes. A bit the program WRITEs needs a bit-row of
+// at least transpose.Words(lanes) words, while an untagged bit (a narrowed
+// kernel leaves high bits untagged) may be absent, since the program never
+// reads it; longer rows are fine. The first offender, in k.Inputs order and lowest bit first, is
 // the error.
 func (p *tilePlan) pasteRows(inputs []IOSpec, in [][]uint64, rows map[string][][]uint64, sp laneSpan) error {
 	words, r := transpose.Words(sp.lanes), 0
