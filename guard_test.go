@@ -11,6 +11,7 @@ import (
 	"chopper/internal/codegen"
 	"chopper/internal/isa"
 	"chopper/internal/obs"
+	"chopper/internal/transpose"
 	"chopper/internal/workloads"
 )
 
@@ -301,33 +302,49 @@ func TestReliabilityCtxCanceledReturnsNoReport(t *testing.T) {
 	}
 }
 
+// TestRunTiledBudgets: RunTiledCtx's up-front budget check reports the
+// stop a per-op run of the same ops makes — the lower positive limit's
+// dimension (sim-steps on a tie), at limit+1 — which, at one tile, is
+// RunRowsCtx's stop.
 func TestRunTiledBudgets(t *testing.T) {
-	k, err := Compile(guardAdderSrc, Options{Budget: Budget{MaxSimSteps: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	lanes := 100
 	inputs := map[string][][]uint64{"a": make([][]uint64, lanes), "b": make([][]uint64, lanes)}
 	for l := 0; l < lanes; l++ {
 		inputs["a"][l] = []uint64{uint64(l) & 0xff}
 		inputs["b"][l] = []uint64{uint64(2*l) & 0xff}
 	}
-	_, err = k.RunTiledCtx(nil, inputs, lanes)
-	var be *BudgetError
-	if !errors.As(err, &be) || be.Dimension != DimSimSteps {
-		t.Fatalf("want a %s BudgetError, got %v", DimSimSteps, err)
+	rows := map[string][][]uint64{}
+	for name, in := range inputs {
+		rows[name] = transpose.ToVerticalWide(in, 8, lanes)
 	}
-
-	k2, err := Compile(guardAdderSrc, Options{Budget: Budget{MaxDRAMCommands: 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = k2.RunTiledCtx(nil, inputs, lanes)
-	if !errors.As(err, &be) || be.Dimension != DimDRAMCommands {
-		t.Fatalf("want a %s BudgetError, got %v", DimDRAMCommands, err)
-	}
-	if be.Limit != 10 || be.Count != 11 {
-		t.Fatalf("timing-engine stop not exact: %+v", be)
+	for _, tc := range []struct {
+		budget       Budget
+		dim          string
+		limit, count int
+	}{
+		{Budget{MaxSimSteps: 8}, DimSimSteps, 8, 9},
+		{Budget{MaxDRAMCommands: 10}, DimDRAMCommands, 10, 11},
+		{Budget{MaxSimSteps: 30, MaxDRAMCommands: 10}, DimDRAMCommands, 10, 11},
+		{Budget{MaxSimSteps: 10, MaxDRAMCommands: 30}, DimSimSteps, 10, 11},
+		{Budget{MaxSimSteps: 10, MaxDRAMCommands: 10}, DimSimSteps, 10, 11},
+	} {
+		k, err := Compile(guardAdderSrc, Options{Budget: tc.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &BudgetError{Dimension: tc.dim, Limit: tc.limit, Count: tc.count}
+		for _, run := range []struct {
+			name string
+			f    func() error
+		}{
+			{"RunTiledCtx", func() error { _, err := k.RunTiledCtx(nil, inputs, lanes); return err }},
+			{"RunRowsCtx", func() error { _, err := k.RunRowsCtx(nil, rows, lanes, FaultConfig{}, 0); return err }},
+		} {
+			var be *BudgetError
+			if err := run.f(); !errors.As(err, &be) || *be != *want {
+				t.Errorf("%+v: %s stopped with %v, want %v", tc.budget, run.name, err, want)
+			}
+		}
 	}
 }
 

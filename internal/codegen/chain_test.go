@@ -25,15 +25,19 @@ func spills(p *isa.Program) int {
 	return n
 }
 
+// raceDetector is set by race_test.go in -race builds.
+var raceDetector bool
+
 // TestChainNeverLonger holds obs.Scratch.Chain to its purpose on the
 // compiler's own programs: at O3 the program codegen emits from the
 // chained order is no longer, and spills no more, than the one the
 // unchained order yields. It covers every Table-II kernel on every
 // target, plain, hardened and narrowed, at 512, 1024 and 2048 rows per
 // subarray, and the hands-tuned baseline, whose routines compile at O3
-// too. -short keeps the 64-wide kernels. Nothing is generated twice: the
-// chained program at the default 1,024 rows is the one the compile
-// emitted, and the baseline lowers the graph that compile parsed.
+// too. -short, and any -race build, keeps the 64-wide kernels. Nothing
+// is generated twice: the chained program at the default 1,024 rows is
+// the one the compile emitted, and the baseline lowers the graph that
+// compile parsed.
 func TestChainNeverLonger(t *testing.T) {
 	variants := []struct {
 		name string
@@ -60,7 +64,7 @@ func TestChainNeverLonger(t *testing.T) {
 	// One scratch serves every codegen call, as a compile workspace's does.
 	sc := new(codegen.Scratch)
 	for _, w := range workloads.All() {
-		if testing.Short() && w.Config != 64 {
+		if (testing.Short() || raceDetector) && w.Config != 64 {
 			continue
 		}
 		// The graph does not depend on the target or the variant: the

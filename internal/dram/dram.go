@@ -129,9 +129,8 @@ type Timing struct {
 	TRP  float64 // PRECHARGE period
 	TRC  float64 // full row cycle (TRAS + TRP)
 
-	AAP     float64 // row-copy (ACTIVATE-ACTIVATE-PRECHARGE)
-	AP      float64 // triple-row activation compute step
-	RowInit float64 // constant-row initialization (a single AAP from C-group)
+	AAP float64 // row-copy (ACTIVATE-ACTIVATE-PRECHARGE)
+	AP  float64 // triple-row activation compute step
 
 	// RowXferNs is the pure bus-transfer time for one row (RowBytes over
 	// the DDR4-2400 channel), excluding the activation overhead, which is
@@ -208,7 +207,6 @@ func TimingFor(arch isa.Arch, g Geometry) Timing {
 	default:
 		panic(fmt.Sprintf("dram: unknown arch %v", arch))
 	}
-	t.RowInit = t.AAP
 	t.XferEnergyPJ = actPJ + ioPJ
 	return t
 }
@@ -222,8 +220,6 @@ func (t Timing) OpLatency(op *isa.Op) float64 {
 		return t.AAP
 	case isa.OpAP:
 		return t.AP
-	case isa.OpRowInit:
-		return t.RowInit
 	case isa.OpWrite, isa.OpRead, isa.OpSpillOut, isa.OpSpillIn:
 		return t.RowXferNs + t.XferOverheadNs
 	}
@@ -234,7 +230,7 @@ func (t Timing) OpLatency(op *isa.Op) float64 {
 // any SSD component).
 func (t Timing) OpEnergyPJ(op *isa.Op) float64 {
 	switch op.Kind {
-	case isa.OpAAP, isa.OpRowInit:
+	case isa.OpAAP:
 		return t.AAPEnergyPJ
 	case isa.OpAP:
 		return t.APEnergyPJ
@@ -298,11 +294,12 @@ type Engine struct {
 	seen   []bool    // unit ever issued to (drives DistinctUnit)
 
 	// Per-OpKind latency/bus/energy tables, precomputed from the Timing so
-	// the issue path does no switch dispatch.
-	latByKind    [numOpKinds]float64
-	busByKind    [numOpKinds]float64
-	energyByKind [numOpKinds]float64
-	xferByKind   [numOpKinds]bool
+	// the issue path does no switch dispatch (an unknown kind costs zero,
+	// as in Timing.OpLatency).
+	latByKind    [isa.NumOpKinds]float64
+	busByKind    [isa.NumOpKinds]float64
+	energyByKind [isa.NumOpKinds]float64
+	xferByKind   [isa.NumOpKinds]bool
 
 	// SSDDelay, when non-nil, is consulted for the extra latency of spill
 	// ops; it receives the direction, the spill slot, and the time the
@@ -313,10 +310,6 @@ type Engine struct {
 
 	stats EngineStats
 }
-
-// numOpKinds bounds the per-kind lookup tables (OpRowInit is the largest
-// micro-op kind; unknown kinds cost zero, as Timing.OpLatency always said).
-const numOpKinds = int(isa.OpRowInit) + 1
 
 // EngineStats aggregates what the engine observed; used by the breakdown
 // experiments.
@@ -385,7 +378,7 @@ func (e *Engine) Reconfigure(g Geometry, t Timing, salp bool) {
 	e.geom, e.timing, e.salp = g, t, salp
 	e.IssueGapNs = 0.833 // one DDR4-2400 clock
 	e.SSDDelay = nil
-	for k := 0; k < numOpKinds; k++ {
+	for k := range isa.NumOpKinds {
 		op := isa.Op{Kind: isa.OpKind(k)}
 		e.latByKind[k] = t.OpLatency(&op)
 		e.busByKind[k] = t.BusLatency(&op)
@@ -424,7 +417,7 @@ func (e *Engine) Issue(p Placed) float64 {
 func (e *Engine) IssueOp(bank, sub int, kind isa.OpKind, imm uint64) float64 {
 	var lat, bus, energy float64
 	var transfer bool
-	if k := int(kind); k >= 0 && k < numOpKinds {
+	if k := int(kind); k < isa.NumOpKinds {
 		lat, bus, energy, transfer = e.latByKind[k], e.busByKind[k], e.energyByKind[k], e.xferByKind[k]
 	}
 

@@ -128,7 +128,7 @@ func genStream(rng *rand.Rand, g Geometry, n int) []Placed {
 		isa.NewRead(isa.Row(2), 2),
 		isa.NewSpillOut(isa.Row(3), 7),
 		isa.NewSpillIn(isa.Row(3), 7),
-		isa.NewRowInit(isa.Row(4), 0),
+		isa.NewCopy(isa.C0, isa.Row(4)),
 		{Kind: isa.OpKind(99)}, // unknown kind: zero-latency, like the seed
 	}
 	stream := make([]Placed, n)

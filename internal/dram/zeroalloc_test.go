@@ -20,7 +20,7 @@ func TestIssueZeroAlloc(t *testing.T) {
 		isa.NewRead(isa.Row(2), 2),
 		isa.NewSpillOut(isa.Row(3), 7),
 		isa.NewSpillIn(isa.Row(3), 7),
-		isa.NewRowInit(isa.Row(4), 0),
+		isa.NewCopy(isa.C0, isa.Row(4)),
 	}
 	run := func() {
 		for b := 0; b < 4; b++ {

@@ -166,18 +166,6 @@ func ParseOp(line string) (Op, error) {
 			return Op{}, err
 		}
 		return NewSpillIn(d, slot), nil
-
-	case "ROWINIT":
-		var dst string
-		var pat uint64
-		if _, err := fmt.Sscanf(line, "ROWINIT -> %s (0x%x)", &dst, &pat); err != nil {
-			return fail()
-		}
-		d, err := ParseRow(dst)
-		if err != nil {
-			return Op{}, err
-		}
-		return NewRowInit(d, pat), nil
 	}
 	return fail()
 }

@@ -33,7 +33,6 @@ func TestParseOpRoundTrip(t *testing.T) {
 		NewRead(Row(99), 7),
 		NewSpillOut(Row(5), 11),
 		NewSpillIn(Row(6), 11),
-		NewRowInit(Row(1), 0xDEAD),
 	}
 	for _, op := range ops {
 		got, err := ParseOp(op.String())
@@ -57,7 +56,7 @@ func TestParseOpRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
 		"", "NOP", "AAP D0", "AAP D0 -> ", "AAP -> T0",
 		"AP T0,T1", "AP T0,T1,T2,T3", "WRITE D0", "READ (tag 3)",
-		"AAP D0 -> T0 T1 T2 T3",
+		"AAP D0 -> T0 T1 T2 T3", "ROWINIT -> D1 (0xdead)",
 	} {
 		if _, err := ParseOp(bad); err == nil {
 			t.Errorf("ParseOp(%q) accepted", bad)

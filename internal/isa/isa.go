@@ -128,13 +128,13 @@ const (
 	// OpSpillIn fetches a previously spilled row from the SSD and writes
 	// it into Dst[0]. Timing-wise an SSD read plus an OpWrite.
 	OpSpillIn
-
-	// OpRowInit initializes Dst[0] with the constant pattern in Imm
-	// (used only at program setup for the C-group).
-	OpRowInit
 )
 
-var opKindNames = [...]string{"AAP", "AP", "WRITE", "READ", "SPILL_OUT", "SPILL_IN", "ROWINIT"}
+// NumOpKinds is the number of op kinds: the size of a table indexed by
+// OpKind.
+const NumOpKinds = int(OpSpillIn) + 1
+
+var opKindNames = [NumOpKinds]string{"AAP", "AP", "WRITE", "READ", "SPILL_OUT", "SPILL_IN"}
 
 func (k OpKind) String() string {
 	if int(k) < len(opKindNames) {
@@ -170,18 +170,15 @@ const (
 // beyond the two bytes after NDst.
 type Op struct {
 	Kind OpKind
-	NDst uint8 // number of valid entries in Dst
-	Src  Row   // source row (AAP, READ, SPILL_OUT)
-	Dst  [3]Ow // destination rows; see OpKind docs
+	NDst uint8  // number of valid entries in Dst
+	Src  Row    // source row (AAP, READ, SPILL_OUT)
+	Dst  [3]Row // destination rows; see OpKind docs
 
 	// Tag carries the host-transfer payload identity (which logical input
 	// row a WRITE carries); used by VIRCOE and the simulator.
 	Tag int32
-	Imm uint64 // constant pattern for ROWINIT; spill slot id for spills
+	Imm uint64 // spill slot id for spills
 }
-
-// Ow is an alias kept distinct to catch accidental misuse in array literals.
-type Ow = Row
 
 // NewAAP builds a row-copy op from src into one, two or three destinations.
 func NewAAP(src Row, dst ...Row) Op {
@@ -225,12 +222,6 @@ func NewSpillIn(dst Row, slot uint64) Op {
 	return Op{Kind: OpSpillIn, Src: RowNone, Dst: [3]Row{dst, RowNone, RowNone}, NDst: 1, Imm: slot}
 }
 
-// NewRowInit builds a constant-row initialization op. pattern is replicated
-// across the row (0 => all zeros, ^uint64(0) => all ones).
-func NewRowInit(dst Row, pattern uint64) Op {
-	return Op{Kind: OpRowInit, Src: RowNone, Dst: [3]Row{dst, RowNone, RowNone}, NDst: 1, Imm: pattern}
-}
-
 // Dsts returns the valid destination rows as a slice (aliasing op storage).
 func (o *Op) Dsts() []Row { return o.Dst[:o.NDst] }
 
@@ -263,8 +254,6 @@ func (o Op) String() string {
 		return fmt.Sprintf("SPILL_OUT %s (slot %d)", o.Src, o.Imm)
 	case OpSpillIn:
 		return fmt.Sprintf("SPILL_IN -> %s (slot %d)", o.Dst[0], o.Imm)
-	case OpRowInit:
-		return fmt.Sprintf("ROWINIT -> %s (0x%x)", o.Dst[0], o.Imm)
 	}
 	return "?"
 }
@@ -421,7 +410,7 @@ func (o *Op) validate(dRows, spillSlots int) error {
 				return fmt.Errorf("TRA operand %s outside B-group", d)
 			}
 		}
-	case OpWrite, OpSpillIn, OpRowInit:
+	case OpWrite, OpSpillIn:
 		if rowBad(o.Dst[0], dRows) {
 			return rowError(o.Dst[0], "destination", dRows)
 		}

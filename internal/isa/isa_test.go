@@ -114,10 +114,6 @@ func TestOpConstructorsAndStrings(t *testing.T) {
 	if !so.IsTransfer() || !si.IsTransfer() {
 		t.Errorf("spills must be transfers")
 	}
-	ri := NewRowInit(C0, 0)
-	if ri.Kind != OpRowInit || ri.IsTransfer() {
-		t.Errorf("bad ROWINIT: %+v", ri)
-	}
 }
 
 func TestNewAAPPanicsOnBadArity(t *testing.T) {
@@ -148,7 +144,7 @@ func TestProgramValidate(t *testing.T) {
 	}
 
 	// Every id below the special rows names no row, wherever it appears.
-	for _, op := range []Op{NewAAP(Row(0), Row(-20)), NewAAP(Row(-11), T0), NewWrite(Row(-20), 0), NewRead(Row(-20), 0), NewRowInit(Row(-11), 0)} {
+	for _, op := range []Op{NewAAP(Row(0), Row(-20)), NewAAP(Row(-11), T0), NewWrite(Row(-20), 0), NewRead(Row(-20), 0), NewSpillIn(Row(-11), 0)} {
 		err := (&Program{Ops: []Op{op}}).Validate(10)
 		if err == nil || !strings.Contains(err.Error(), "is not a row") {
 			t.Errorf("%v: error %v, want it named as no row", op, err)

@@ -8,7 +8,7 @@ import "testing"
 func splitProgram() (p *Program, ends []int) {
 	ap := NewAP(T0, T1, T2)
 	clusters := [][]Op{
-		{NewRowInit(C0, 0), NewRowInit(C1, ^uint64(0))},
+		{NewCopy(C0, T2), NewCopy(C1, T1)},
 		{NewWrite(Row(0), 0), NewWrite(Row(1), 1)},
 		{NewCopy(Row(0), T0), NewCopy(Row(1), T1), NewCopy(C0, T2), ap, NewCopy(T0, Row(2))},
 		{NewSpillOut(Row(2), 0)},
@@ -76,7 +76,7 @@ func TestValidateSplitMatchesWhole(t *testing.T) {
 		"multi-dst AAP outside": NewAAP(Row(0), T0, Row(3)),
 		"spill slot at bound":   NewSpillIn(Row(1), uint64(clean.SpillSlots)),
 		"spill slot over bound": NewSpillOut(Row(1), uint64(clean.SpillSlots+5)),
-		"unknown kind":          {Kind: OpRowInit + 9, Src: RowNone},
+		"unknown kind":          {Kind: OpKind(NumOpKinds), Src: RowNone},
 	}
 	for name, op := range bad {
 		for pos := range clean.Ops {
@@ -87,7 +87,7 @@ func TestValidateSplitMatchesWhole(t *testing.T) {
 					if pos == len(p.Ops)-1 {
 						continue
 					}
-					p.Ops[len(p.Ops)-1] = Op{Kind: OpRowInit + 1}
+					p.Ops[len(p.Ops)-1] = Op{Kind: OpKind(NumOpKinds + 1)}
 				}
 				want := p.Validate(dRows)
 				if want == nil {

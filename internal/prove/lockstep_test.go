@@ -25,9 +25,7 @@ import (
 // senses (EvLoad), each row it stores (EvStore; the partner as the
 // complement of what sim stored) and each READ payload (HostIO.ReadSink)
 // with the symbolic value at that op, and counts each op's stores: an op
-// that stores fewer rows than its symbolic twin is named at that op. A
-// ROWINIT raises no store event; the rows it fills are checked where they
-// are sensed.
+// that stores fewer rows than its symbolic twin is named at that op.
 type lockstep struct {
 	// inner, when set, hears every event it subscribes to before the
 	// check, and may perturb the run (TestLockstepSensitivity).
@@ -227,7 +225,7 @@ func sensed(op *isa.Op) (rows [3]isa.Row, n int) {
 }
 
 // storeEvents is the number of store events sim raises for op: one per
-// row it stores, none for a ROWINIT.
+// row it stores.
 func storeEvents(op *isa.Op) int {
 	switch op.Kind {
 	case isa.OpAAP, isa.OpWrite, isa.OpSpillIn:

@@ -11,7 +11,7 @@
 // target gate set), over the MAJ/NOT/copy domain of SIMDRAM's µPrograms.
 // The ops mean what internal/sim's µop body makes them mean:
 //
-//	ROWINIT, C0, C1       constants
+//	C0, C1                constants
 //	WRITE tag             the input literal InputTag names, or a ConstPattern constant
 //	AAP src -> d...       a copy; a write to a DCC row sets its partner to the NOT
 //	AP a,b,c              MAJ(a, b, c), stored to all three rows
@@ -312,11 +312,6 @@ func (m *machine) step(op *isa.Op) error {
 		}
 		if err == nil {
 			v = m.b.Maj(a[0], a[1], a[2])
-		}
-	case isa.OpRowInit:
-		v, err = m.constant(op.Imm)
-		if d := op.Dst[0]; err == nil && d.IsCGroup() && (d == isa.C1) != (op.Imm != 0) {
-			err = fmt.Errorf("ROWINIT %s with wrong pattern %#x", d, op.Imm)
 		}
 	case isa.OpWrite:
 		name, in := m.inName[int(op.Tag)]

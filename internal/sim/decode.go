@@ -12,12 +12,12 @@ import (
 
 // Decoded is an isa.Program pre-decoded into a flat execution stream: per
 // op, the fields the executor needs are unpacked once and every statically
-// decidable check (C-group destination legality, ROWINIT constant-pattern
-// validation) is decided once instead of per execution. A Decoded is
-// immutable after Decode and safe to share across goroutines and trials; it
-// is how a compiled kernel amortizes dispatch cost over the runs a
-// translation cannot take (see Machine.Translatable): fault runs, recovered
-// runs and budget-stopped runs. Row operands are resolved to arena slots, and
+// decidable check (C-group destination legality) is decided once instead
+// of per execution. A Decoded is immutable after Decode and safe to share
+// across goroutines and trials; it is how a compiled kernel amortizes
+// dispatch cost over the runs a translation cannot take (see
+// Machine.Translatable): fault runs, recovered runs and budget-stopped
+// runs. Row operands are resolved to arena slots, and
 // reads of rows an earlier op always defines are proven (see exec).
 type Decoded struct {
 	prog  *isa.Program
@@ -83,19 +83,6 @@ func (e *dop) decode(op *isa.Op) {
 		e.opd[1+i] = resolve(r)
 	}
 	switch op.Kind {
-	case isa.OpRowInit:
-		if op.Dst[0].IsCGroup() {
-			// Re-initializing a constant row is allowed (it is how the
-			// architecture maintains them) but must match the constant.
-			want := uint64(0)
-			if op.Dst[0] == isa.C1 {
-				want = ^uint64(0)
-			}
-			if op.Imm != want {
-				return // not fast: exec reports the pattern error
-			}
-		}
-		e.fast = true
 	case isa.OpAAP:
 		e.fast = true
 		for _, r := range op.Dsts() {
@@ -120,7 +107,7 @@ func (e *dop) operands() (reads, writes []opnd) {
 		return e.opd[1:], e.opd[1:]
 	case isa.OpRead, isa.OpSpillOut:
 		return e.opd[:1], nil
-	case isa.OpWrite, isa.OpRowInit, isa.OpSpillIn:
+	case isa.OpWrite, isa.OpSpillIn:
 		return nil, e.opd[1:2]
 	}
 	return nil, nil
@@ -236,19 +223,6 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 	}
 	var val []uint64 // what the op stores into writes
 	switch op.kind {
-	case isa.OpRowInit:
-		dst := &writes[0]
-		if !op.fast {
-			return fmt.Errorf("sim: ROWINIT %s with wrong pattern %#x", dst.row, op.imm)
-		}
-		if dst.row.IsCGroup() && s.events&isa.EvLoad == 0 && s.isPresent(int(dst.slot)) && !s.cDirty {
-			// The row holds its constant: no op stored into it and no hook
-			// heard it sensed (decay). A ROWINIT raises no store event.
-			return nil
-		}
-		s.initRow(dst, op.imm)
-		return nil
-
 	case isa.OpAAP:
 		val = s.copied(idx, op, in[0])
 

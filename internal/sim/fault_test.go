@@ -133,39 +133,6 @@ func TestFaultHookSubscription(t *testing.T) {
 	}
 }
 
-// decayOnce flips lane 0 of the first row it senses.
-type decayOnce struct{ done bool }
-
-func (*decayOnce) Events() isa.Events { return isa.EvLoad }
-func (h *decayOnce) BeforeLoad(_ int, _ isa.Row, data []uint64, _ int) {
-	if !h.done {
-		data[0] ^= 1
-		h.done = true
-	}
-}
-func (*decayOnce) AfterCompute(int, []uint64, int)        {}
-func (*decayOnce) AfterCopy(int, []uint64, int)           {}
-func (*decayOnce) AfterStore(int, isa.Row, []uint64, int) {}
-
-// TestRowInitSkipHeedsHook: a ROWINIT of a C-group row that holds its
-// constant stores nothing only when no hook hears loads: one that does may
-// have decayed the row, which the store restores.
-func TestRowInitSkipHeedsHook(t *testing.T) {
-	s := NewSubarray(8, 64)
-	s.SetFaultHook(&decayOnce{})
-	var out uint64
-	io := &HostIO{ReadSink: func(_ int, data []uint64) { out = data[0] }}
-	d := Decode(&isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C0, isa.T0), isa.NewRowInit(isa.C0, 0), isa.NewAAP(isa.C0, isa.T1), isa.NewRead(isa.T1, 0)}})
-	for i := range d.Len() {
-		if err := s.ExecDecoded(d, i, io, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if out != 0 {
-		t.Errorf("C0 read %#x after its ROWINIT, want 0", out)
-	}
-}
-
 // A TRA fault model attached through MachineConfig.Fault corrupts exactly
 // the seeded lane, reproducibly.
 func TestMachineFaultFactoryDeterministic(t *testing.T) {

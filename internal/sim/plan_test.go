@@ -137,10 +137,10 @@ func mismatch(got, want outcome, epoch bool) string {
 // planStreams returns seedref's random program for seed four ways: as
 // generated (its rows past dRows leave it unplanned: the checked path),
 // with those rows folded into range (planned), that with every op removed
-// that can only fail (a wrong-pattern C-group ROWINIT, an AAP or WRITE into
-// the C-group, a WRITE of the tag with no data), so the planned run goes
-// deep before an undefined read or an unwritten spill slot stops it, and
-// that with the ops the reference fails removed too, so it runs to the end.
+// that can only fail (an AAP or WRITE into the C-group, a WRITE of the tag
+// with no data), so the planned run goes deep before an undefined read or
+// an unwritten spill slot stops it, and that with the ops the reference
+// fails removed too, so it runs to the end.
 // (The ops removed last fail before they change anything.)
 func planStreams(seed int64) (int, []*isa.Program) {
 	rng := rand.New(rand.NewSource(seed))

@@ -168,7 +168,6 @@ type checkpoint struct {
 	rowWords int // words of arena the rows marked in present occupy
 	physRows int
 	opIdx    int
-	cDirty   bool
 	parBad   int
 
 	spillSlots []savedRow
@@ -197,7 +196,6 @@ func (s *Subarray) snapshot(c *checkpoint) {
 	}
 	c.physRows = s.physRows
 	c.opIdx = s.opIdx
-	c.cDirty = s.cDirty
 	c.parBad = s.parBad
 }
 
@@ -213,7 +211,6 @@ func (s *Subarray) restore(c *checkpoint) {
 	}
 	s.physRows = c.physRows
 	s.opIdx = c.opIdx
-	s.cDirty = c.cDirty
 	s.parBad = c.parBad
 }
 
@@ -318,17 +315,14 @@ func mix64(x uint64) uint64 {
 }
 
 // digestState hashes the complete functional state an epoch leaves behind:
-// every stored row (by slot), live spill slots (sorted), the C-dirty flag
-// and the epoch's buffered host reads.
+// every stored row (by slot), live spill slots (sorted) and the epoch's
+// buffered host reads.
 // Two attempts that produce the same digest are functionally
 // interchangeable; the vote detector commits on the first agreement.
 func (sc *recoverScratch) digestState(s *Subarray, sp *SpillStore) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	word := func(x uint64) {
 		h = mix64(h ^ x)
-	}
-	if s.cDirty {
-		word(1)
 	}
 	for idx := range s.allocRows() {
 		if !s.isPresent(idx) {

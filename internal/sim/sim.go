@@ -71,6 +71,10 @@ type HostIO struct {
 // without changing any result. A recovered run (RunRecoveredCtx) raises
 // every event to an EpochHook, whose checkpoints and scrubs read the
 // state all of them build.
+//
+// One store raises no event: the complement a store into a dual-contact
+// row writes into its partner (Subarray.paired). A hook first sees the
+// partner when it is next sensed.
 type FaultHook interface {
 	// Events is the set of events the hook observes.
 	Events() isa.Events
@@ -116,7 +120,6 @@ type Subarray struct {
 	arena    []uint64 // (numSpecialRows+physRows) rows x words
 	physRows int      // D rows currently backed by the arena
 	present  []uint64 // presence bitmap over numSpecialRows+dRows slots
-	cDirty   bool     // a C-group row was overwritten outside ROWINIT
 
 	scratch []uint64 // AAP copy / AP majority staging buffer
 	readBuf []uint64 // READ payload buffer handed to ReadSink
@@ -190,14 +193,13 @@ func grow(buf []uint64, n int) []uint64 {
 // and scratch buffers allocated for reuse across trials.
 func (s *Subarray) Reset() {
 	clear(s.present)
-	s.cDirty = false
 	s.opIdx = 0
 	s.SetFaultHook(nil)
 	s.parTrack = false
 	s.parBad = 0
 	c0, c1 := resolve(isa.C0), resolve(isa.C1)
-	s.initRow(&c0, 0)
-	s.initRow(&c1, ^uint64(0))
+	s.fillRow(&c0, 0)
+	s.fillRow(&c1, ^uint64(0))
 }
 
 // SetFaultHook attaches a fault model to the subarray (nil detaches) and
@@ -235,7 +237,7 @@ func (s *Subarray) isPresent(idx int) bool { return s.present[idx>>6]&(1<<uint(i
 func (s *Subarray) markPresent(idx int)    { s.present[idx>>6] |= 1 << uint(idx&63) }
 
 // rowParity is the XOR reduction of every bit of a row (masked words only,
-// which setRow/initRow guarantee).
+// which setRow/fillRow guarantee).
 func rowParity(data []uint64) uint64 {
 	var x uint64
 	for _, w := range data {
@@ -376,9 +378,6 @@ func (s *Subarray) sensed(idx int, o *opnd, row []uint64) []uint64 {
 // (words beyond len(data) read as zero). The store is put and paired.
 func (s *Subarray) setRow(o *opnd, data []uint64) []uint64 {
 	idx := int(o.slot)
-	if o.row.IsCGroup() {
-		s.cDirty = true
-	}
 	s.ensure(idx)
 	if !s.isPresent(idx) {
 		clear(s.rowData(idx)[min(len(data), s.words):])
@@ -422,15 +421,12 @@ func (s *Subarray) paired(o *opnd, dst []uint64) {
 	}
 }
 
-// initRow stores a replicated constant pattern into row operand o (the
-// ROWINIT semantic). Only a store outside ROWINIT dirties a C-group row.
-func (s *Subarray) initRow(o *opnd, pattern uint64) {
+// fillRow stores pattern, replicated across the row, into row operand o.
+func (s *Subarray) fillRow(o *opnd, pattern uint64) {
 	for i := range s.scratch {
 		s.scratch[i] = pattern
 	}
-	dirty := s.cDirty
 	s.setRow(o, s.scratch)
-	s.cDirty = dirty
 }
 
 // Row returns a copy of the row's contents (nil if uninitialized or not a

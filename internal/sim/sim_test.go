@@ -191,13 +191,6 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-func TestRowInitWrongConstantRejected(t *testing.T) {
-	s := NewSubarray(4, 64)
-	if err := execOp(s, isa.NewRowInit(isa.C0, 5), nil, nil); err == nil {
-		t.Error("ROWINIT C0 with nonzero pattern accepted")
-	}
-}
-
 // TestMachineRunAndTiming runs a stream placed on two subarrays the way a
 // multi-subarray caller does: the stream's ops are decoded once, a
 // subarray per placement executes each op, and one engine charges it where
@@ -326,7 +319,7 @@ func TestFunctionalErrorAborts(t *testing.T) {
 // stay inside its presence bitmap.
 func TestConfigureSmallerSubarray(t *testing.T) {
 	s := NewSubarray(1006, 64)
-	exec(t, s, isa.NewRowInit(isa.Row(600), 0xF0), nil, nil)
+	exec(t, s, isa.NewCopy(isa.C1, isa.Row(600)), nil, nil)
 	s.Configure(64, 64)
 	s.SetParityTracking(true)
 	if n := s.ParitySweep(); n != 0 {
@@ -339,7 +332,7 @@ func TestConfigureSmallerSubarray(t *testing.T) {
 	big := dram.DefaultGeometry()
 	small := planGeom(64)
 	m := NewMachine(MachineConfig{Geom: big, Arch: isa.Ambit, Lanes: 64})
-	far := &isa.Program{Ops: []isa.Op{isa.NewRowInit(isa.Row(900), 1)}}
+	far := &isa.Program{Ops: []isa.Op{isa.NewCopy(isa.C1, isa.Row(900))}}
 	if _, _, err := m.RunRecoveredCtx(nil, Decode(far), 0, 0, nil, guard.Budget{}, RecoveryPolicy{}); err != nil {
 		t.Fatal(err)
 	}
@@ -372,8 +365,6 @@ func TestDeviceContract(t *testing.T) {
 		{isa.NewAAP(isa.Row(0), isa.T0, none), noneErr},
 		{isa.NewWrite(past, 1), pastErr},
 		{isa.NewWrite(none, 1), noneErr},
-		{isa.NewRowInit(past, 5), pastErr},
-		{isa.NewRowInit(none, 5), noneErr},
 		{isa.NewSpillIn(past, 0), pastErr},
 		{isa.NewSpillIn(none, 0), noneErr},
 		{isa.NewRead(none, 2), noneErr},

@@ -13,7 +13,7 @@ import (
 // only for the values they carry. The program is straight-line and its
 // data movement does not depend on the data, so which value each row holds
 // before each op is known once per program. Translate resolves every copy
-// — AAP, SPILL_OUT/SPILL_IN, ROWINIT, the complement a dual-contact
+// — AAP, SPILL_OUT/SPILL_IN, the complement a dual-contact
 // partner takes on — to a rename of the value it moves, and keeps only
 // the ops that compute or cross the host boundary: one AND or MAJ per AP
 // (its operands' complements folded in), a load per WRITE and a sink call
@@ -76,9 +76,8 @@ type translator struct {
 // Translate translates prog for clean runs (see Translated), or returns
 // nil for a program whose run it cannot prove: an op decode does not mark
 // fast, a read of a row no earlier op defines, a SPILL_IN of a slot no
-// earlier op spills, a ROWINIT of a pattern other than C0's or C1's (no
-// compiled program has one), an operand with no arena slot or a D row at or
-// past maxPlanRow, an unknown kind. Those are the ops at which an interpreted
+// earlier op spills, an operand with no arena slot or a D row at or past
+// maxPlanRow, an unknown kind. Those are the ops at which an interpreted
 // run may fail on its own account; a translated run fails only where the
 // host fails it (a nil HostIO, callback or payload) or ctx does. The per-op
 // checks are decode's and the slots resolve's, so what is legal has one
@@ -119,15 +118,6 @@ func Translate(prog *isa.Program) *Translated {
 		}
 		var v vref // the value the op stores into writes
 		switch e.kind {
-		case isa.OpRowInit:
-			switch e.imm {
-			case 0:
-				v = 0 // the zero row
-			case ^uint64(0):
-				v = 1 // its complement
-			default:
-				return nil
-			}
 		case isa.OpAAP:
 			v = in[0]
 		case isa.OpAP:

@@ -272,8 +272,6 @@ func TestTranslateResolvesCopies(t *testing.T) {
 		{"uninitialized read", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.Row(3), isa.T0)}}},
 		{"unwritten spill slot", &isa.Program{Ops: []isa.Op{isa.NewSpillIn(isa.Row(0), 1)}}},
 		{"AAP into C0", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, isa.C0)}}},
-		{"wrong C-group pattern", &isa.Program{Ops: []isa.Op{isa.NewRowInit(isa.C1, 0)}}},
-		{"ROWINIT of no constant row's pattern", &isa.Program{Ops: []isa.Op{isa.NewRowInit(isa.Row(0), 0xAAAA)}}},
 		{"no such row", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, isa.Row(-20))}}},
 		{"unknown kind", &isa.Program{Ops: []isa.Op{{Kind: isa.OpKind(99)}}}},
 	} {

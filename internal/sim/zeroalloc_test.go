@@ -26,15 +26,11 @@ func TestDecodedOpSize(t *testing.T) {
 }
 
 // steadyProgram covers every op kind on its fast path: AAP (single- and
-// multi-destination), AP, WRITE, READ, SPILL_OUT, SPILL_IN, and ROWINIT on
-// both a D-group row and an already-correct C-group row (the skip path).
+// multi-destination), AP, WRITE, READ, SPILL_OUT and SPILL_IN.
 func steadyProgram() *isa.Program {
 	p := &isa.Program{Ops: []isa.Op{
 		isa.NewWrite(isa.Row(0), 0),
 		isa.NewWrite(isa.Row(1), 1),
-		isa.NewRowInit(isa.Row(2), 0xAAAA),
-		isa.NewRowInit(isa.C0, 0),          // correct pattern: skip path
-		isa.NewRowInit(isa.C1, ^uint64(0)), // correct pattern: skip path
 		isa.NewAAP(isa.Row(0), isa.T0),
 		{Kind: isa.OpAAP, Src: isa.Row(1), Dst: [3]isa.Row{isa.T1, isa.T2, isa.RowNone}, NDst: 2},
 		isa.NewAP(isa.T0, isa.T1, isa.T2),

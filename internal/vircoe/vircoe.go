@@ -46,10 +46,6 @@ func (m Mode) String() string {
 	return "subarray-aware"
 }
 
-// numOpKinds bounds the per-kind latency tables (OpRowInit is the largest
-// micro-op kind).
-const numOpKinds = int(isa.OpRowInit) + 1
-
 // Placement identifies a subarray instance running a copy of the program.
 type Placement struct {
 	Bank     int
@@ -215,7 +211,7 @@ func EmitTo(prog *isa.Program, placements []Placement, mode Mode, t dram.Timing,
 
 	// Latencies depend on the op's kind alone, so they are looked up per
 	// kind, as the timing engine does; unknown kinds cost nothing.
-	var opLat, busLat [numOpKinds]float64
+	var opLat, busLat [isa.NumOpKinds]float64
 	for k := range opLat {
 		op := isa.Op{Kind: isa.OpKind(k)}
 		opLat[k], busLat[k] = t.OpLatency(&op), t.BusLatency(&op)
@@ -308,7 +304,7 @@ func EmitTo(prog *isa.Program, placements []Placement, mode Mode, t dram.Timing,
 		lastEmitted = best
 
 		var lat float64
-		if k := int(op.Kind); k < numOpKinds {
+		if k := int(op.Kind); k < isa.NumOpKinds {
 			lat = opLat[k]
 		}
 		xfer := op.IsTransfer()

@@ -366,7 +366,7 @@ func randomProgram(r *rand.Rand, maxOps int) *isa.Program {
 		case 3:
 			p.Append(isa.NewSpillIn(row, uint64(i)))
 		case 4:
-			p.Append(isa.NewRowInit(row, 0))
+			p.Append(isa.NewCopy(isa.C0, row))
 		case 5:
 			p.Append(isa.NewAP(isa.T0, isa.T1, isa.T2))
 		default:

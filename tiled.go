@@ -294,19 +294,19 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 			return nil, optionsErrf("input %q has %d lanes, need %d", in.Name, len(inputs[in.Name]), lanes)
 		}
 	}
-	// The functional work is tiles x program length, known before anything
-	// runs: enforce the sim-steps budget up front so the stop is identical
-	// at every worker count instead of depending on which tile trips it.
-	if err := guard.Check(guard.DimSimSteps, k.Opts.Budget.MaxSimSteps, tiles*len(k.prog.Ops)); err != nil {
-		return nil, err
+	// The functional steps and the commands VIRCOE emits are both tiles x
+	// program length, known before anything runs. A per-op run of that
+	// many ops stops at the lower positive limit (sim-steps on a tie), on
+	// its op limit+1; report that stop up front, so it is identical at
+	// every worker and channel count instead of depending on which tile
+	// or shard trips it.
+	b := k.Opts.Budget
+	dim, limit := guard.DimSimSteps, b.MaxSimSteps
+	if c := b.MaxDRAMCommands; c > 0 && (limit <= 0 || c < limit) {
+		dim, limit = guard.DimDRAMCommands, c
 	}
-	// Same for the dram-commands budget: VIRCOE emits each program op once
-	// per tile, so the total command count is tiles x program length no
-	// matter how the stream is sharded. The serial engine checked this per
-	// command and stopped at count = limit+1; reproduce that exact stop
-	// here so the error is byte-identical at any channel count.
-	if maxC := k.Opts.Budget.MaxDRAMCommands; maxC > 0 && tiles*len(k.prog.Ops) > maxC {
-		return nil, guard.Check(guard.DimDRAMCommands, maxC, maxC+1)
+	if limit > 0 && tiles*len(k.prog.Ops) > limit {
+		return nil, guard.Check(dim, limit, limit+1)
 	}
 
 	plan, err := k.tilePlan()
