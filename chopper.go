@@ -283,14 +283,18 @@ type Kernel struct {
 	// trials clamp their generated inputs into these ranges.
 	inputRanges map[string]narrow.Range
 
-	// translated caches prog translated for clean runs, and decoded its
-	// pre-decoded execution stream for every other run (each built once,
-	// on first use: a kernel that only runs clean never decodes). Kernels
-	// are immutable after compilation, so the caches are safe to share
-	// across goroutines — which is exactly what the parallel
-	// verify/reliability sweeps do with a cached kernel.
+	// translated caches prog translated for clean runs, flipped the
+	// translation with its APs mapped for runs whose only fault model is
+	// TRA flips, and decoded its pre-decoded execution stream for every
+	// other run (each built once, on first use: a kernel that only runs
+	// clean or TRA-faulted never decodes). Kernels are immutable after
+	// compilation, so the caches are safe to share across goroutines —
+	// which is exactly what the parallel verify/reliability sweeps do with
+	// a cached kernel.
 	translateOnce sync.Once
 	translated    *sim.Translated
+	flipOnce      sync.Once
+	flipped       *sim.Translated
 	decodeOnce    sync.Once
 	decoded       *sim.Decoded
 
@@ -328,12 +332,24 @@ func (k *Kernel) translatedProg() *sim.Translated {
 	return k.translated
 }
 
+// flippedProg returns the kernel's translation for runs whose only fault
+// model is TRA flips (sim.TranslateTRAs), building it on first use.
+func (k *Kernel) flippedProg() *sim.Translated {
+	k.flipOnce.Do(func() { k.flipped = sim.TranslateTRAs(k.prog, k.translatedProg()) })
+	return k.flipped
+}
+
 // runFunctional runs the kernel's program on m under budget b without the
 // timing engine: translated where m.Translatable says that run is the
-// interpreted one (nothing watches the rows and b stops no op), on the
-// interpreter otherwise.
-func (k *Kernel) runFunctional(ctx context.Context, m *sim.Machine, io *sim.HostIO, b guard.Budget) error {
-	if t := k.translatedProg(); m.Translatable(t, b) {
+// interpreted one (nothing watches the rows but, when flips is set, m's
+// fault.Injector of TRA flips alone, and b stops no op), on the interpreter
+// otherwise.
+func (k *Kernel) runFunctional(ctx context.Context, m *sim.Machine, io *sim.HostIO, b guard.Budget, flips bool) error {
+	t := k.translatedProg()
+	if flips {
+		t = k.flippedProg()
+	}
+	if m.Translatable(t, b) {
 		return m.RunTranslatedCtx(ctx, t, io)
 	}
 	return m.RunFunctionalCtx(ctx, k.decodedProg(), io, b)
@@ -830,9 +846,13 @@ func (k *Kernel) RunRowsUnderFault(rows map[string][][]uint64, lanes int, cfg Fa
 // is observed between micro-ops for cooperative cancellation. The fault
 // models in fault, reproducible from seed, perturb the simulated row
 // operations, and the result's Faults field counts what was injected; the
-// zero FaultConfig is a fault-free run (seed is then unused).
+// zero FaultConfig is a fault-free run (seed is then unused), and a
+// negative or NaN rate or a negative count in it is an ErrOptions error.
 func (k *Kernel) RunRowsCtx(ctx context.Context, rows map[string][][]uint64, lanes int, fault FaultConfig, seed int64) (res *RunResult, err error) {
 	defer recoverToError(&err)
+	if err := checkFault(fault); err != nil {
+		return nil, err
+	}
 	p, err := k.tilePlan()
 	if err != nil {
 		return nil, err
@@ -852,7 +872,8 @@ func (k *Kernel) RunRowsCtx(ctx context.Context, rows map[string][][]uint64, lan
 // placement (0, 0) of w's machine, its transfers served by the rows w's
 // host binding holds. Only a recovered run, whose retries and backoff
 // stalls are part of its makespan, drives the machine's timing engine; any
-// other run executes functionally (runFunctional: translated when clean)
+// other run executes functionally (runFunctional: translated when clean
+// or when its only fault model is TRA flips)
 // under the same per-op budget and ctx checks and takes its timing from
 // the kernel's shard memo — the issue order is the program's, so the
 // engine would recompute the same stats every run. equiv_test.go holds
@@ -899,7 +920,7 @@ func (k *Kernel) execute(ctx context.Context, w *simWorker, lanes int, fc FaultC
 			k.remember(key, shardTiming{eng: res.Stats, rec: res.RecoveryStats})
 		}
 	} else {
-		if err := k.runFunctional(ctx, m, io, k.Opts.Budget); err != nil {
+		if err := k.runFunctional(ctx, m, io, k.Opts.Budget, injected && w.inj.Events() == isa.EvCompute); err != nil {
 			return RunResult{}, err
 		}
 		if !recovered {

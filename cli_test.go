@@ -133,21 +133,30 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("clamping failed:\n%s", out)
 	}
 
-	// Unknown -target / -opt exit with a one-line error listing the
-	// valid values instead of silently defaulting.
+	// Unknown -target / -opt exit with status 2 and a one-line error
+	// listing the valid values instead of silently defaulting.
 	out, err = exec.Command(choppersim, "-target", "hbmpim", src).CombinedOutput()
-	if err == nil {
-		t.Error("choppersim accepted an unknown -target")
+	if exit := (*exec.ExitError)(nil); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("choppersim -target hbmpim: %v, want exit status 2", err)
 	}
 	if !strings.Contains(string(out), "ambit") || !strings.Contains(string(out), "simdram") {
 		t.Errorf("unknown -target error does not list valid values:\n%s", out)
 	}
 	out, err = exec.Command(choppersim, "-opt", "turbo", src).CombinedOutput()
-	if err == nil {
-		t.Error("choppersim accepted an unknown -opt")
+	if exit := (*exec.ExitError)(nil); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("choppersim -opt turbo: %v, want exit status 2", err)
 	}
 	if !strings.Contains(string(out), "rename") {
 		t.Errorf("unknown -opt error does not list valid values:\n%s", out)
+	}
+
+	// A fault rate no run can honour is refused the same way, not run
+	// fault-free.
+	for _, rate := range []string{"-0.5", "NaN"} {
+		out, err := exec.Command(choppersim, "-fault-rate", rate, src).CombinedOutput()
+		if exit := (*exec.ExitError)(nil); !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "TRAFlipRate") {
+			t.Errorf("choppersim -fault-rate %s: %v, want exit status 2 naming the rate:\n%s", rate, err, out)
+		}
 	}
 
 	// One parser reads target and level names for every tool: chopperc takes

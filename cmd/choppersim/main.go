@@ -36,6 +36,11 @@
 // or deadline stop exits with status 3 and a one-line diagnostic naming
 // the exhausted dimension and its limit.
 //
+// A flag value the tool cannot use — an unknown -target, -opt, -recover or
+// -narrow, a non-positive -lanes, a negative -max-uops, a -fault-rate that
+// is negative or NaN — exits with status 2, as the flag package does for
+// an undefined flag; any other failure with status 1.
+//
 // Inputs not supplied default to a deterministic ramp (lane index modulo
 // the operand's range), so quick experiments need no flags at all. In -asm
 // mode WRITE tags are fed lane-index ramps XORed with the tag, and READ
@@ -110,10 +115,14 @@ func main() {
 
 	arch, err := isa.ParseArch(*target)
 	if err != nil {
-		fatal(err)
+		badFlag(err)
 	}
 	if *lanes <= 0 {
-		fatal(fmt.Errorf("-lanes must be positive, got %d", *lanes))
+		badFlag(fmt.Errorf("-lanes must be positive, got %d", *lanes))
+	}
+	faults := chopper.FaultConfig{TRAFlipRate: *faultRate}
+	if err := faults.Validate(); err != nil {
+		badFlag(fmt.Errorf("-fault-rate: %v", err))
 	}
 	if *asmMode {
 		runAsm(string(srcBytes), arch, *lanes)
@@ -121,7 +130,7 @@ func main() {
 	}
 	lv, err := obs.ParseVariant(*opt)
 	if err != nil {
-		fatal(err)
+		badFlag(err)
 	}
 
 	// Wire -timeout and -max-uops to the guard layer: the context bounds
@@ -133,7 +142,7 @@ func main() {
 		defer cancel()
 	}
 	if *maxUops < 0 {
-		fatal(fmt.Errorf("-max-uops must be non-negative, got %d", *maxUops))
+		badFlag(fmt.Errorf("-max-uops must be non-negative, got %d", *maxUops))
 	}
 
 	opts := chopper.Options{Target: arch, Harden: *harden}.WithOpt(lv)
@@ -141,13 +150,13 @@ func main() {
 	detectors := map[string]chopper.Detector{"none": chopper.DetectorNone, "parity": chopper.DetectorParity, "vote": chopper.DetectorVote}
 	det, ok := detectors[strings.ToLower(*recoverMode)]
 	if !ok {
-		fatal(fmt.Errorf("unknown -recover %q (valid: none, parity, vote)", *recoverMode))
+		badFlag(fmt.Errorf("unknown -recover %q (valid: none, parity, vote)", *recoverMode))
 	}
 	opts.Recovery = chopper.Recovery{Detector: det, EpochUops: *epochUops, MaxRetries: *maxRetries}
 	narrows := map[string]chopper.NarrowMode{"off": chopper.NarrowOff, "safe": chopper.NarrowSafe, "annotated": chopper.NarrowAnnotated}
 	nm, ok := narrows[strings.ToLower(*narrowMode)]
 	if !ok {
-		fatal(fmt.Errorf("unknown -narrow %q (valid: off, safe, annotated)", *narrowMode))
+		badFlag(fmt.Errorf("unknown -narrow %q (valid: off, safe, annotated)", *narrowMode))
 	}
 	opts.Narrow = nm
 	compile := chopper.CompileCtxCached
@@ -192,7 +201,7 @@ func main() {
 	}
 
 	wallStart := time.Now()
-	res, err := k.RunRowsCtx(ctx, rows, *lanes, chopper.FaultConfig{TRAFlipRate: *faultRate}, *faultSeed)
+	res, err := k.RunRowsCtx(ctx, rows, *lanes, faults, *faultSeed)
 	wall := time.Since(wallStart)
 	if err != nil {
 		fatalGuard(err)
@@ -311,6 +320,12 @@ func runAsm(text string, arch isa.Arch, lanes int) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "choppersim:", err)
 	os.Exit(1)
+}
+
+// badFlag is fatal for a flag value the tool cannot use: exit status 2.
+func badFlag(err error) {
+	fmt.Fprintln(os.Stderr, "choppersim:", err)
+	os.Exit(2)
 }
 
 // fatalGuard is fatal with a one-line diagnostic for guard-layer stops:

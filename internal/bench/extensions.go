@@ -87,7 +87,10 @@ func (h *Harness) EnergyStudy(sel Selection) (*Table, error) {
 // It answers "how much of the spill-regime gap is the storage device":
 // hands-tuned improves with faster storage but stays behind, because
 // CHOPPER's bit-granularity footprints avoid the device altogether.
-func (h *Harness) SSDStudy() (*Table, error) {
+func (h *Harness) SSDStudy() (*Table, error) { return h.ssdStudy(workloads.Domains) }
+
+// ssdStudy is SSDStudy over the largest configuration of each of domains.
+func (h *Harness) ssdStudy(domains []string) (*Table, error) {
 	cfg := DefaultConfig()
 	t := &Table{
 		Title: "SSD sensitivity: spill-regime time vs storage speed (Ambit)",
@@ -104,7 +107,7 @@ func (h *Harness) SSDStudy() (*Table, error) {
 		{"NVMe", 20_000, 100_000},   // mainstream TLC NVMe
 		{"XL-Flash", 4_000, 30_000}, // low-latency storage class
 	}
-	for _, domain := range workloads.Domains {
+	for _, domain := range domains {
 		spec := workloads.Build(domain, workloads.Configs[domain][3])
 		base, err := h.PUDTimeNs(spec, isa.Ambit, Chopper, obs.Full, cfg)
 		if err != nil {

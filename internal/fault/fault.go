@@ -27,6 +27,8 @@
 package fault
 
 import (
+	"fmt"
+
 	"chopper/internal/isa"
 )
 
@@ -69,6 +71,29 @@ type Config struct {
 	// FirstOp suppresses transient injection before the given op index,
 	// so single faults can be aimed at a chosen point of the program.
 	FirstOp int
+}
+
+// Validate reports a setting no run can honour: a rate that is negative or
+// NaN, or a negative MaxFaults, FirstOp or RefreshOps. Enabled reads such
+// a model as off, so a run would go fault-free without a word.
+func (c Config) Validate() error {
+	for _, r := range []struct {
+		name string
+		rate float64
+	}{{"TRAFlipRate", c.TRAFlipRate}, {"CopyFlipRate", c.CopyFlipRate}, {"RetentionRate", c.RetentionRate}} {
+		if !(r.rate >= 0) {
+			return fmt.Errorf("fault %s %v is not a probability", r.name, r.rate)
+		}
+	}
+	for _, n := range []struct {
+		name string
+		n    int
+	}{{"MaxFaults", c.MaxFaults}, {"FirstOp", c.FirstOp}, {"RefreshOps", c.RefreshOps}} {
+		if n.n < 0 {
+			return fmt.Errorf("fault %s must be non-negative, have %d", n.name, n.n)
+		}
+	}
+	return nil
 }
 
 // Enabled reports whether any fault model is active.
@@ -283,16 +308,26 @@ func (in *Injector) BeforeLoad(opIdx int, r isa.Row, data []uint64, lanes int) {
 // AfterCompute perturbs a TRA (AP) result before it latches back into the
 // participating rows: a charge-sharing upset flips one lane's consensus.
 func (in *Injector) AfterCompute(opIdx int, data []uint64, lanes int) {
+	if lane := in.TRAFlip(opIdx, lanes); lane >= 0 {
+		data[lane/64] ^= 1 << uint(lane%64)
+	}
+}
+
+// TRAFlip is AfterCompute's draw (the sim.TRAFlipper method): the lane the
+// TRA result of op opIdx loses, or -1, counted as injected. The draw is a
+// hash of (seed, opIdx), gated by FirstOp and MaxFaults, so which results
+// a run flips follows from its op stream before it runs.
+func (in *Injector) TRAFlip(opIdx, lanes int) int {
 	if in.cfg.TRAFlipRate <= 0 || !in.budget(opIdx) { // a zero rate never fires
-		return
+		return -1
 	}
 	h := in.roll(kindTRA, opIdx, 0)
 	if !fires(in.cfg.TRAFlipRate, h) {
-		return
+		return -1
 	}
-	flipLane(data, mix(h), lanes)
 	in.spent++
 	in.counts.TRAFlips++
+	return int(mix(h) % uint64(lanes))
 }
 
 // AfterCopy perturbs an AAP payload in the row buffer before it is stored

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -604,21 +603,36 @@ func stored(op *isa.Op) (rows [6]isa.Row, n int) {
 	return rows, n
 }
 
-// evalAll is the value of every node of b over in, through logic Eval of
-// b's net with every node an output.
+// evalAll is the value of every node of b over in, by node index: each
+// gate of b's net evaluated as logic's Eval does, inputs missing from in
+// reading zero.
 func evalAll(b *logic.Builder, in map[string]uint64) ([]uint64, error) {
 	n := b.Net()
-	n.Outputs, n.OutputNames = make([]logic.NodeID, len(n.Gates)), make([]string, len(n.Gates))
-	for id := range n.Gates {
-		n.Outputs[id], n.OutputNames[id] = logic.NodeID(id), strconv.Itoa(id)
-	}
-	out, err := n.Eval(netInputs(n, in))
-	if err != nil {
-		return nil, err
-	}
 	vals := make([]uint64, len(n.Gates))
-	for id, name := range n.OutputNames {
-		vals[id] = out[name]
+	for i, id := range n.Inputs {
+		vals[id] = in[n.InputNames[i]]
+	}
+	for i, g := range n.Gates {
+		switch g.Kind {
+		case logic.GInput:
+		case logic.GConst0:
+			vals[i] = 0
+		case logic.GConst1:
+			vals[i] = ^uint64(0)
+		case logic.GNot:
+			vals[i] = ^vals[g.Args[0]]
+		case logic.GAnd:
+			vals[i] = vals[g.Args[0]] & vals[g.Args[1]]
+		case logic.GOr:
+			vals[i] = vals[g.Args[0]] | vals[g.Args[1]]
+		case logic.GXor:
+			vals[i] = vals[g.Args[0]] ^ vals[g.Args[1]]
+		case logic.GMaj:
+			a, b, c := vals[g.Args[0]], vals[g.Args[1]], vals[g.Args[2]]
+			vals[i] = a&b | b&c | a&c
+		default:
+			return nil, fmt.Errorf("logic: gate %d has unknown kind %d", i, int(g.Kind))
+		}
 	}
 	return vals, nil
 }

@@ -75,6 +75,10 @@ type HostIO struct {
 // One store raises no event: the complement a store into a dual-contact
 // row writes into its partner (Subarray.paired). A hook first sees the
 // partner when it is next sensed.
+//
+// A run with a hook is interpreted, unless the hook is a TRAFlipper that
+// subscribes to isa.EvCompute alone: such a run may take the translation
+// (Machine.Translatable), which has no rows to pass to a callback.
 type FaultHook interface {
 	// Events is the set of events the hook observes.
 	Events() isa.Events
@@ -89,6 +93,20 @@ type FaultHook interface {
 	// AfterStore runs on a row's stored contents (persistent bitline
 	// effects apply here).
 	AfterStore(opIdx int, r isa.Row, data []uint64, lanes int)
+}
+
+// TRAFlipper is a FaultHook whose AfterCompute flips at most one lane of a
+// TRA result and decides which, if any, from the op index and the draws
+// before it alone, never from the data. Subscribed to isa.EvCompute alone,
+// it lets a run take the translation: the run draws every AP's flip before
+// it starts, in op order, and applies each to the value the AP computes
+// (fault.Injector with TRA flips alone is one).
+type TRAFlipper interface {
+	FaultHook
+	// TRAFlip is AfterCompute's draw for the AP at op opIdx of a run over
+	// lanes lanes: the lane it flips, or -1. It changes the hook's state as
+	// that AfterCompute call would.
+	TRAFlip(opIdx, lanes int) int
 }
 
 // numSpecialRows is the number of dense arena slots reserved for the
@@ -135,9 +153,10 @@ type Subarray struct {
 	parity   []uint64 // per-slot parity bitmap, valid where present
 	parBad   int      // mismatches observed since the tracker was armed
 
-	hook   FaultHook
-	events isa.Events // what hook subscribes to; none without a hook
-	opIdx  int        // ops executed so far; the index passed to the hook
+	hook    FaultHook
+	flipper TRAFlipper // hook, if it is one
+	events  isa.Events // what hook subscribes to; none without a hook
+	opIdx   int        // ops executed so far; the index passed to the hook
 }
 
 // NewSubarray creates a subarray with dRows data rows and `lanes` bitlines.
@@ -206,6 +225,7 @@ func (s *Subarray) Reset() {
 // caches the events it subscribes to.
 func (s *Subarray) SetFaultHook(h FaultHook) {
 	s.hook, s.events = h, 0
+	s.flipper, _ = h.(TRAFlipper)
 	if h != nil {
 		s.events = h.Events()
 	}
@@ -511,6 +531,7 @@ type Machine struct {
 	engine dram.Engine
 	rec    recoverScratch
 	regs   []uint64 // a translated run's register file (RunTranslatedCtx)
+	flips  []tflip  // and the TRA flips it applies
 }
 
 // MachineConfig configures a Machine.
@@ -551,10 +572,10 @@ func (m *Machine) Reconfigure(cfg MachineConfig) {
 
 // MemBytes reports the reusable storage the machine retains across trials
 // (subarray arena, spill buffers, engine tables, a translated run's
-// register file): the peak scratch figure surfaced by choppersim and
-// RunResult.
+// register file and flips): the peak scratch figure surfaced by choppersim
+// and RunResult.
 func (m *Machine) MemBytes() int64 {
-	return m.engine.MemBytes() + m.sub.MemBytes() + m.spill.MemBytes() + int64(cap(m.regs))*8
+	return m.engine.MemBytes() + m.sub.MemBytes() + m.spill.MemBytes() + int64(cap(m.regs))*8 + int64(cap(m.flips))*8
 }
 
 // Stats exposes the timing engine counters.

@@ -19,6 +19,10 @@ import (
 // (its operands' complements folded in), a load per WRITE and a sink call
 // per READ. The values live in a register file sized to the most that are
 // live at once. A Translated is immutable and safe to share.
+//
+// TranslateTRAs's translation also maps each AP to the instruction that
+// computes the value it stores, so that a run a TRAFlipper watches can
+// flip that value where the interpreter's AfterCompute would.
 type Translated struct {
 	ins []tins
 	// cuts[k] is the first instruction of source op 256k or later, for
@@ -28,6 +32,12 @@ type Translated struct {
 	regs int // registers a run uses, register 0 (the zero row) included
 	maxD int // highest D row an operand names; -1 if none
 	n    int // source ops
+
+	// apOp[k] is the source op of the program's k-th AP, and apIns[k] the
+	// instruction that computes the value it stores, -1 if no kept
+	// instruction does (nothing reads the value). Both nil unless
+	// TranslateTRAs built the translation.
+	apOp, apIns []int32
 }
 
 // Instruction kinds of a translation.
@@ -66,11 +76,18 @@ type tnode struct {
 }
 
 // translator is Translate's state: the value each row slot and each spill
-// slot holds, and the instructions so far.
+// slot holds, and the instructions so far. With record set (TranslateTRAs)
+// it also notes, for each AP, its source op and the node that computes the
+// value it stores; then no AP is folded into a value an earlier op
+// computed, and folds lists the APs Translate would have folded.
 type translator struct {
 	slot  []vref // by arena slot
 	spill map[uint64]vref
 	nodes []tnode
+
+	record       bool
+	apOp, apNode []int32
+	folds        []int32 // source ops
 }
 
 // Translate translates prog for clean runs (see Translated), or returns
@@ -83,13 +100,64 @@ type translator struct {
 // checks are decode's and the slots resolve's, so what is legal has one
 // definition.
 func Translate(prog *isa.Program) *Translated {
+	return (&translator{}).translate(prog)
+}
+
+// TranslateTRAs is the translation of prog for runs whose only fault hook is
+// a TRAFlipper: t, prog's translation (Translate), with each AP mapped to
+// the instruction that computes the value it stores, or nil where t is.
+// Where t folded an AP into a value an earlier op computed — an AP of a row
+// beside its own copy or complement — that AP has no instruction a flip
+// could land on, so prog is translated again with every AP given one (a
+// MAJ or AND of its operands, which computes the value the fold named);
+// otherwise the result shares t's instructions.
+func TranslateTRAs(prog *isa.Program, t *Translated) *Translated {
+	if t == nil {
+		return nil
+	}
+	tr := &translator{record: true}
+	u := tr.translate(prog)
+	if len(tr.folds) == 0 {
+		// Nothing folded: the same nodes as t's, so the same instructions.
+		u.ins, u.cuts = t.ins, t.cuts
+	}
+	return u
+}
+
+// APFates sorts the APs of prog, by source op, by what its translation
+// does with the value each stores: live, an instruction computes it and
+// the run reads it; dead, nothing reads it; folded, Translate names a
+// value an earlier op computed instead (TranslateTRAs gives the AP an
+// instruction). All are nil where Translate rejects prog.
+func APFates(prog *isa.Program) (live, dead, folded []int) {
+	tr := &translator{record: true}
+	t := tr.translate(prog)
+	if t == nil {
+		return nil, nil, nil
+	}
+	folds := tr.folds
+	for k, op := range t.apOp {
+		switch {
+		case len(folds) > 0 && folds[0] == op:
+			folded, folds = append(folded, int(op)), folds[1:]
+		case t.apIns[k] < 0:
+			dead = append(dead, int(op))
+		default:
+			live = append(live, int(op))
+		}
+	}
+	return live, dead, folded
+}
+
+// translate is Translate on tr.
+func (tr *translator) translate(prog *isa.Program) *Translated {
 	n := 0 // ops that may emit an instruction
 	for i := range prog.Ops {
 		if k := prog.Ops[i].Kind; k == isa.OpAP || k == isa.OpWrite || k == isa.OpRead {
 			n++
 		}
 	}
-	tr := translator{slot: make([]vref, numSpecialRows), nodes: make([]tnode, 0, n)}
+	tr.slot, tr.nodes = make([]vref, numSpecialRows), make([]tnode, 0, n)
 	for i := range tr.slot {
 		tr.slot[i] = -1
 	}
@@ -121,6 +189,9 @@ func Translate(prog *isa.Program) *Translated {
 		case isa.OpAAP:
 			v = in[0]
 		case isa.OpAP:
+			if tr.record { // majority emits this AP's node
+				tr.apOp, tr.apNode = append(tr.apOp, int32(i)), append(tr.apNode, int32(len(tr.nodes)))
+			}
 			v = tr.majority(in, i)
 		case isa.OpWrite:
 			v = tr.emit(tnode{kind: tLoad, opd: [3]vref{tr.value(writes[0].slot), -1, -1}, arg: e.tag, op: int32(i)})
@@ -176,23 +247,17 @@ func (tr *translator) emit(nd tnode) vref {
 
 // majority is the value an AP of rows holding in stores at source op i. A
 // value sensed twice is the majority, and one sensed beside its own
-// complement leaves the third operand's. Beside the zero row it is the AND
-// of the other two, and beside its complement their OR, which is the
-// complement of the AND of theirs: one kind serves every AP that senses a
-// constant row, which is how Ambit-style AND and OR are built.
+// complement leaves the third operand's: that AP is folded, unless tr
+// records. Beside the zero row it is the AND of the other two, and beside
+// its complement their OR, which is the complement of the AND of theirs:
+// one kind serves every AP that senses a constant row, which is how
+// Ambit-style AND and OR are built.
 func (tr *translator) majority(in [3]vref, i int) vref {
-	a, b, c := in[0], in[1], in[2]
-	switch {
-	case a == b || a == c:
-		return a
-	case b == c:
-		return b
-	case a == b^1:
-		return c
-	case a == c^1:
-		return b
-	case b == c^1:
-		return a
+	if v, ok := folded(in); ok {
+		if !tr.record {
+			return v
+		}
+		tr.folds = append(tr.folds, int32(i))
 	}
 	for j, z := range in {
 		if z>>1 == 0 {
@@ -201,6 +266,25 @@ func (tr *translator) majority(in [3]vref, i int) vref {
 		}
 	}
 	return tr.emit(tnode{kind: tMaj, opd: in, op: int32(i)})
+}
+
+// folded is the value an AP of rows holding in stores where one of them
+// decides it: one sensed twice, or beside its own complement.
+func folded(in [3]vref) (vref, bool) {
+	a, b, c := in[0], in[1], in[2]
+	switch {
+	case a == b || a == c:
+		return a, true
+	case b == c:
+		return b, true
+	case a == b^1:
+		return c, true
+	case a == c^1:
+		return b, true
+	case b == c^1:
+		return a, true
+	}
+	return 0, false
 }
 
 // operands is the number of operands nd reads.
@@ -251,8 +335,18 @@ func (tr *translator) allocate(n int) *Translated {
 	t := &Translated{ins: make([]tins, 0, kept), cuts: make([]int32, 0, (n+255)/256+1), regs: 1, n: n}
 	reg := make([]int32, len(nodes)+1) // by value id; the zero row is register 0
 	var free []int32
+	var at []int32 // recording: the instruction of each node, -1 if dropped
+	if tr.record {
+		at = make([]int32, len(nodes))
+	}
 	for i := range nodes {
 		nd := &nodes[i]
+		if at != nil {
+			at[i] = -1
+			if nd.kind != tDead {
+				at[i] = int32(len(t.ins))
+			}
+		}
 		if nd.kind == tDead {
 			continue
 		}
@@ -288,20 +382,31 @@ func (tr *translator) allocate(n int) *Translated {
 	for len(t.cuts) <= (n+255)/256 {
 		t.cuts = append(t.cuts, int32(len(t.ins)))
 	}
+	if tr.record {
+		t.apOp, t.apIns = tr.apOp, tr.apNode
+		for k, nd := range t.apIns {
+			t.apIns[k] = at[nd]
+		}
+	}
 	return t
 }
 
 // Translatable reports whether RunTranslatedCtx of t (nil: a program
 // Translate did not accept) on m is its program's RunFunctionalCtx under
-// budget b: nothing watches the rows — no fault hook, no parity tracking —
-// the subarray has every row t names, and b stops no op of the stream.
-// It is the one choice between the two executors.
+// budget b: nothing watches the rows but, where t is TranslateTRAs's, a
+// TRAFlipper subscribed to computes alone — no other fault hook, no parity
+// tracking — the subarray has every row t names, and b stops no op of the
+// stream. It is the one choice between the two executors.
 func (m *Machine) Translatable(t *Translated, b guard.Budget) bool {
 	s := &m.sub
-	return t != nil && s.hook == nil && !s.parTrack && t.maxD < s.dRows &&
+	return t != nil && !s.parTrack && t.maxD < s.dRows &&
+		(s.hook == nil || t.apOp != nil && s.flipper != nil && s.events == isa.EvCompute) &&
 		guard.Check(guard.DimSimSteps, b.MaxSimSteps, t.n) == nil &&
 		guard.Check(guard.DimDRAMCommands, b.MaxDRAMCommands, t.n) == nil
 }
+
+// tflip is a lane flip of the value instruction ins computes.
+type tflip struct{ ins, lane int32 }
 
 // RunTranslatedCtx runs translation t on m as RunFunctionalCtx runs its
 // program from m's reset state, where m.Translatable(t, b) holds: the same
@@ -309,66 +414,102 @@ func (m *Machine) Translatable(t *Translated, b guard.Budget) bool {
 // observed before source ops 0, 256, 512, ..., and the same error at the
 // same op. It leaves the subarray's rows as they were; the values live in
 // m's register file.
+//
+// Under a TRAFlipper the flips are drawn first, AP by AP in op order as the
+// interpreter's AfterCompute calls would draw them, and each lands on the
+// value of the AP's instruction right after it runs, before anything reads
+// that value: the interpreter's flip of the TRA result before it latches
+// into the three rows. A flip of a value nothing reads is drawn and counted
+// and changes nothing else.
 func (m *Machine) RunTranslatedCtx(ctx context.Context, t *Translated, io *HostIO) error {
 	if !m.Translatable(t, guard.Budget{}) {
-		return fmt.Errorf("sim: a translated run needs a translation and a subarray that holds its rows and nothing watches")
+		return fmt.Errorf("sim: a translated run needs a translation and a subarray that holds its rows and nothing but a TRA-flip hook watches")
 	}
 	s := &m.sub
-	w, mask := s.words, s.mask
+	w := s.words
 	m.regs = grow(m.regs, t.regs*w)
-	regs := m.regs
-	clear(regs[:w]) // register 0: the zero row
-	reg := func(r int32) []uint64 { return regs[int(r)*w:][:w] }
+	clear(m.regs[:w]) // register 0: the zero row
+	m.flips = m.flips[:0]
+	if s.hook != nil {
+		for k, op := range t.apOp {
+			if lane := s.flipper.TRAFlip(int(op), s.lanes); lane >= 0 && t.apIns[k] >= 0 {
+				m.flips = append(m.flips, tflip{ins: t.apIns[k], lane: int32(lane)})
+			}
+		}
+	}
+	flips := m.flips
 	for k := 0; k+1 < len(t.cuts); k++ {
 		if err := guard.Ctx(ctx); err != nil {
 			return err
 		}
-		for i := t.cuts[k]; i < t.cuts[k+1]; i++ {
-			in := &t.ins[i]
-			switch in.kind {
-			case tAnd:
-				d, a, b := reg(in.dst), reg(in.a), reg(in.b)
-				na, nb := negMask(in.neg, 0), negMask(in.neg, 1)
-				a, b = a[:len(d)], b[:len(d)]
-				for j := range d {
-					d[j] = (a[j] ^ na) & (b[j] ^ nb)
-				}
-				d[len(d)-1] &= mask
-			case tMaj:
-				d, a, b, c := reg(in.dst), reg(in.a), reg(in.b), reg(in.c)
-				na, nb, nc := negMask(in.neg, 0), negMask(in.neg, 1), negMask(in.neg, 2)
-				a, b, c = a[:len(d)], b[:len(d)], c[:len(d)]
-				for j := range d {
-					d[j] = maj(a[j]^na, b[j]^nb, c[j]^nc)
-				}
-				d[len(d)-1] &= mask
-			case tLoad:
-				data, err := written(io, in.b)
-				if err != nil {
-					return fmt.Errorf("op %d at bank 0 sub 0: %w", in.c, err)
-				}
-				d := reg(in.dst)
-				n := copy(d, data)
-				if in.a < 0 {
-					clear(d[n:])
-				} else if p, na := reg(in.a), negMask(in.neg, 0); n < w {
-					// A short payload leaves the rest of the row as it was.
-					for j := n; j < w; j++ {
-						d[j] = p[j] ^ na
-					}
-				}
-				d[w-1] &= mask
-			case tRead:
-				if io == nil || io.ReadSink == nil {
-					return fmt.Errorf("op %d at bank 0 sub 0: %w", in.c, errNoSink(in.b))
-				}
-				out, a, na := s.readBuf, reg(in.a), negMask(in.neg, 0)
-				for j := range out {
-					out[j] = a[j] ^ na
-				}
-				out[w-1] &= mask
-				io.ReadSink(int(in.b), out)
+		for lo, hi := t.cuts[k], t.cuts[k+1]; lo < hi; {
+			end := hi
+			if len(flips) > 0 && flips[0].ins < hi {
+				end = flips[0].ins + 1
 			}
+			if err := m.runIns(t, lo, end, io); err != nil {
+				return err
+			}
+			for ; len(flips) > 0 && flips[0].ins < end; flips = flips[1:] {
+				l := flips[0].lane
+				m.regs[int(t.ins[flips[0].ins].dst)*w+int(l/64)] ^= 1 << uint(l%64)
+			}
+			lo = end
+		}
+	}
+	return nil
+}
+
+// runIns runs instructions [lo, hi) of t in m's register file.
+func (m *Machine) runIns(t *Translated, lo, hi int32, io *HostIO) error {
+	s := &m.sub
+	w, mask, regs := s.words, s.mask, m.regs
+	reg := func(r int32) []uint64 { return regs[int(r)*w:][:w] }
+	for i := lo; i < hi; i++ {
+		in := &t.ins[i]
+		switch in.kind {
+		case tAnd:
+			d, a, b := reg(in.dst), reg(in.a), reg(in.b)
+			na, nb := negMask(in.neg, 0), negMask(in.neg, 1)
+			a, b = a[:len(d)], b[:len(d)]
+			for j := range d {
+				d[j] = (a[j] ^ na) & (b[j] ^ nb)
+			}
+			d[len(d)-1] &= mask
+		case tMaj:
+			d, a, b, c := reg(in.dst), reg(in.a), reg(in.b), reg(in.c)
+			na, nb, nc := negMask(in.neg, 0), negMask(in.neg, 1), negMask(in.neg, 2)
+			a, b, c = a[:len(d)], b[:len(d)], c[:len(d)]
+			for j := range d {
+				d[j] = maj(a[j]^na, b[j]^nb, c[j]^nc)
+			}
+			d[len(d)-1] &= mask
+		case tLoad:
+			data, err := written(io, in.b)
+			if err != nil {
+				return fmt.Errorf("op %d at bank 0 sub 0: %w", in.c, err)
+			}
+			d := reg(in.dst)
+			n := copy(d, data)
+			if in.a < 0 {
+				clear(d[n:])
+			} else if p, na := reg(in.a), negMask(in.neg, 0); n < w {
+				// A short payload leaves the rest of the row as it was.
+				for j := n; j < w; j++ {
+					d[j] = p[j] ^ na
+				}
+			}
+			d[w-1] &= mask
+		case tRead:
+			if io == nil || io.ReadSink == nil {
+				return fmt.Errorf("op %d at bank 0 sub 0: %w", in.c, errNoSink(in.b))
+			}
+			out, a, na := s.readBuf, reg(in.a), negMask(in.neg, 0)
+			for j := range out {
+				out[j] = a[j] ^ na
+			}
+			out[w-1] &= mask
+			io.ReadSink(int(in.b), out)
 		}
 	}
 	return nil

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"chopper/internal/fault"
 	"chopper/internal/guard"
 	"chopper/internal/isa"
 )
@@ -336,4 +337,68 @@ func TestRunTranslatedZeroAlloc(t *testing.T) {
 	if grew, regs := m.MemBytes()-before, int64(tr.regs*m.sub.words*8); grew < regs {
 		t.Fatalf("MemBytes grew %d bytes over a run with a %d-byte register file", grew, regs)
 	}
+}
+
+// TestTRAFlipsTranslatedMatchInterpreter: under a fault.Injector of TRA
+// flips alone, a run of TranslateTRAs's translation is the interpreted run
+// of its program under the same injector — the same host calls and READ
+// payloads, the same error, ctx looks and fault counts — across the random
+// corpus at rates 0.05 and 1, and with one fault (rate 1, MaxFaults 1) at
+// each AP in turn, live, dead or folded. The corpus must hold all three.
+func TestTRAFlipsTranslatedMatchInterpreter(t *testing.T) {
+	var fates [3]int
+	for seed := int64(0); seed < 8; seed++ {
+		dRows, progs := transStreams(seed)
+		for v, prog := range progs {
+			if Translate(prog) == nil {
+				prog, _ = translatedPart(prog)
+			}
+			tr := TranslateTRAs(prog, Translate(prog))
+			live, dead, folded := APFates(prog)
+			fates[0], fates[1], fates[2] = fates[0]+len(live), fates[1]+len(dead), fates[2]+len(folded)
+			cfgs := []fault.Config{{TRAFlipRate: 0.05}, {TRAFlipRate: 1}}
+			for _, op := range slices.Concat(live, dead, folded) {
+				cfgs = append(cfgs, fault.Config{TRAFlipRate: 1, MaxFaults: 1, FirstOp: op})
+			}
+			for _, lanes := range []int{1, 65, 130} {
+				for c, cfg := range cfgs {
+					got, want := runFlips(prog, tr, dRows, lanes, cfg, seed+int64(c))
+					if got != want {
+						t.Fatalf("seed %d variant %d lanes %d %+v:\n got %s\nwant %s", seed, v, lanes, cfg, got, want)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d live, %d dead and %d folded APs", fates[0], fates[1], fates[2])
+	if fates[0] == 0 || fates[1] == 0 || fates[2] == 0 {
+		t.Fatalf("the corpus has %d live, %d dead and %d folded APs; it needs each", fates[0], fates[1], fates[2])
+	}
+}
+
+// runFlips runs prog on the interpreter and its TRA translation t, each on
+// a fresh machine under a fresh injector of cfg and seed and the full host,
+// and describes each run: its outcome and the faults it drew.
+func runFlips(prog *isa.Program, t *Translated, dRows, lanes int, cfg fault.Config, seed int64) (got, want string) {
+	run := func(do func(*Machine, context.Context, *HostIO) error) string {
+		inj := fault.New(cfg, seed)
+		m := NewMachine(MachineConfig{Geom: planGeom(dRows), Arch: isa.Ambit, Lanes: lanes, Fault: inj})
+		ctx := &countCtx{Context: context.Background(), live: 1 << 30}
+		var o transOutcome
+		if err := do(m, ctx, transHosts[0].io(m.sub.words, &o.calls)); err != nil {
+			o.err = err.Error()
+		}
+		o.looks = ctx.looks
+		return fmt.Sprintf("%v, faults %+v", o, inj.Counts())
+	}
+	want = run(func(m *Machine, ctx context.Context, io *HostIO) error {
+		return m.RunFunctionalCtx(ctx, Decode(prog), io, guard.Budget{})
+	})
+	got = run(func(m *Machine, ctx context.Context, io *HostIO) error {
+		if !m.Translatable(t, guard.Budget{}) {
+			return fmt.Errorf("not translatable")
+		}
+		return m.RunTranslatedCtx(ctx, t, io)
+	})
+	return got, want
 }

@@ -316,19 +316,32 @@ func FromVerticalWide(rows [][]uint64, width, lanes int) [][]uint64 {
 // range of the final output through it. Rows beyond len(rows), and words
 // beyond a row's length, read as zero.
 func FromVerticalWideInto(dst [][]uint64, backing []uint64, rows [][]uint64, width, lanes int) {
-	if width <= 0 {
-		panic("transpose: non-positive width")
-	}
 	limbs := (width + 63) / 64
-	if len(dst) < lanes || len(backing) < lanes*limbs {
-		panic(fmt.Sprintf("transpose: %d destination elements on %d limbs for %d lanes of %d limbs", len(dst), len(backing), lanes, limbs))
+	if len(dst) < lanes {
+		panic(fmt.Sprintf("transpose: %d destination elements for %d lanes", len(dst), lanes))
 	}
+	FromVerticalFlat(backing, limbs, rows, width, lanes)
 	for l := 0; l < lanes; l++ {
 		dst[l] = backing[l*limbs : (l+1)*limbs : (l+1)*limbs]
 	}
+}
+
+// FromVerticalFlat gathers bit-rows into lane-major storage with no slice
+// per lane: lane l's ceil(width/64) limbs land at dst[l*stride:], and the
+// limbs after them up to stride are zeroed, so lane l is the number
+// dst[l*stride:(l+1)*stride] holds. dst must hold lanes*stride limbs, and
+// stride must be at least ceil(width/64). Rows beyond len(rows), and words
+// beyond a row's length, read as zero.
+func FromVerticalFlat(dst []uint64, stride int, rows [][]uint64, width, lanes int) {
+	if width <= 0 {
+		panic("transpose: non-positive width")
+	}
+	if limbs := (width + 63) / 64; stride < limbs || len(dst) < lanes*stride {
+		panic(fmt.Sprintf("transpose: %d limbs at stride %d for %d lanes of %d limbs", len(dst), stride, lanes, limbs))
+	}
 	live := min(width, len(rows))
-	for limb := 0; limb < limbs; limb++ {
+	for limb := 0; limb < stride; limb++ {
 		lo := min(limb*64, live)
-		gather(backing, limb, limbs, rows[lo:min(lo+64, live)], lanes)
+		gather(dst, limb, stride, rows[lo:min(lo+64, live)], lanes)
 	}
 }

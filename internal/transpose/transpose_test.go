@@ -389,6 +389,8 @@ func TestWideIntoVariantsPanicOnShortDestinations(t *testing.T) {
 		"to: elements":  func() { ToVerticalWideInto(rows, 0, elems[:3], 8, 4) },
 		"from: lanes":   func() { FromVerticalWideInto(make([][]uint64, 3), make([]uint64, 4), rows, 8, 4) },
 		"from: backing": func() { FromVerticalWideInto(make([][]uint64, 4), make([]uint64, 3), rows, 8, 4) },
+		"flat: limbs":   func() { FromVerticalFlat(make([]uint64, 7), 2, rows, 8, 4) },
+		"flat: stride":  func() { FromVerticalFlat(make([]uint64, 8), 1, rows, 65, 4) },
 	} {
 		func() {
 			defer func() {
@@ -578,6 +580,20 @@ func TestEntryPointsMatchTranspose64Reference(t *testing.T) {
 			got := make([][]uint64, lanes)
 			FromVerticalWideInto(got, backing, rows, width, lanes)
 			rowsEqual(t, "FromVerticalWideInto", width, lanes, got, wantElems)
+			// Flat, one limb wider than the width needs: the pad reads zero.
+			stride := limbs + 1
+			flat := make([]uint64, lanes*stride)
+			for i := range flat {
+				flat[i] = 0xdeadbeefdeadbeef
+			}
+			FromVerticalFlat(flat, stride, rows, width, lanes)
+			for l := range got {
+				got[l] = flat[l*stride : l*stride+limbs]
+				if pad := flat[l*stride+limbs]; pad != 0 {
+					t.Fatalf("FromVerticalFlat w=%d lanes=%d: lane %d pad limb %#x", width, lanes, l, pad)
+				}
+			}
+			rowsEqual(t, "FromVerticalFlat", width, lanes, got, wantElems)
 			if width <= 64 {
 				flat := FromVertical(rows, width, lanes)
 				for l := range wantElems {

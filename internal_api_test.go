@@ -95,6 +95,7 @@ var internalAllowlist = map[string]string{
 	"logic.Net.EvalFaulty":     "the per-fault oracle the hardening tests hold TMR nets against",
 	"narrow.GenGraph":          "fuzz generator for random range-annotated graphs, shared by the narrow and root equivalence tests",
 	"sim.Subarray.Row":         "the sim tests read a row of a subarray back with it",
+	"sim.APFates":              "the root package's TRA-fault differential test aims single faults at a live and a folded AP with it",
 	"workloads.Spec.Config":    tableIICoords,
 	"workloads.Spec.Domain":    tableIICoords,
 

@@ -20,6 +20,15 @@ type FaultCounts = fault.Counts
 // FaultConfig.StuckColumns.
 type StuckColumn = fault.StuckColumn
 
+// checkFault is the ErrOptions error of a fault configuration no run can
+// honour (fault.Config.Validate), or nil.
+func checkFault(fc FaultConfig) error {
+	if err := fc.Validate(); err != nil {
+		return optionsErrf("%v", err)
+	}
+	return nil
+}
+
 // ReliabilityPoint is the measured behavior of a kernel under one fault
 // configuration.
 type ReliabilityPoint struct {
@@ -79,6 +88,9 @@ type relCell struct {
 // counts all of them — it is the measurement harness behind the reliability
 // sweeps in internal/bench.
 //
+// A configuration with a negative or NaN rate or a negative count is an
+// ErrOptions error, before anything runs.
+//
 // The cfgs x trials grid fans out across `workers` goroutines (<= 0 means
 // GOMAXPROCS); every cell derives its inputs and fault pattern from (seed,
 // cfg index, trial) alone, so the report is byte-identical at any worker
@@ -90,6 +102,11 @@ func (k *Kernel) ReliabilityCtx(ctx context.Context, trials int, seed int64, cfg
 	defer recoverToError(&err)
 	if trials <= 0 {
 		return nil, optionsErrf("trials must be positive, have %d", trials)
+	}
+	for _, fc := range cfgs {
+		if err := checkFault(fc); err != nil {
+			return nil, err
+		}
 	}
 	const lanes = 64
 	rep = &ReliabilityReport{Lanes: lanes}

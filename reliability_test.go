@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -192,4 +193,58 @@ func TestReliabilityReport(t *testing.T) {
 	}
 	t.Logf("TMR overhead: %.2fx latency, SDC %0.2f -> %0.2f",
 		hr.TimeNs/pr.TimeNs, pr.Points[1].SDCRate(), hr.Points[1].SDCRate())
+}
+
+// TestInvalidFaultConfigRejected: a fault setting no run can honour — a
+// negative or NaN rate, a negative MaxFaults, FirstOp or RefreshOps — is an
+// ErrOptions error from every verb that takes one, not a fault-free run;
+// the zero config and the boundary values still run.
+func TestInvalidFaultConfigRejected(t *testing.T) {
+	k := compileRel(t, false)
+	const lanes = 8
+	rows := map[string][][]uint64{
+		"a": transpose.ToVertical(make([]uint64, lanes), 8, lanes),
+		"b": transpose.ToVertical(make([]uint64, lanes), 8, lanes),
+	}
+	verbs := map[string]func(FaultConfig) error{
+		"RunRowsCtx": func(fc FaultConfig) error {
+			_, err := k.RunRowsCtx(nil, rows, lanes, fc, 1)
+			return err
+		},
+		"VerifyCtx": func(fc FaultConfig) error {
+			err := k.VerifyCtx(nil, 2, 1, 1, fc)
+			if errors.Is(err, ErrVerify) {
+				return nil // the faults corrupted a lane: it ran
+			}
+			return err
+		},
+		"ReliabilityCtx": func(fc FaultConfig) error {
+			_, err := k.ReliabilityCtx(nil, 1, 1, []FaultConfig{{}, fc}, 1)
+			return err
+		},
+	}
+	for _, tc := range []struct {
+		name string
+		fc   FaultConfig
+		bad  bool
+	}{
+		{"zero", FaultConfig{}, false},
+		{"boundaries", FaultConfig{TRAFlipRate: 1, CopyFlipRate: 0, RetentionRate: 1, RefreshOps: 0, MaxFaults: 0, FirstOp: 0}, false},
+		{"negative TRA rate", FaultConfig{TRAFlipRate: -0.5}, true},
+		{"NaN TRA rate", FaultConfig{TRAFlipRate: math.NaN()}, true},
+		{"negative copy rate", FaultConfig{CopyFlipRate: -1e-9}, true},
+		{"NaN copy rate", FaultConfig{CopyFlipRate: math.NaN()}, true},
+		{"negative retention rate", FaultConfig{RetentionRate: -1, RefreshOps: 10}, true},
+		{"NaN retention rate", FaultConfig{RetentionRate: math.NaN(), RefreshOps: 10}, true},
+		{"negative MaxFaults", FaultConfig{TRAFlipRate: 0.1, MaxFaults: -1}, true},
+		{"negative FirstOp", FaultConfig{TRAFlipRate: 0.1, FirstOp: -1}, true},
+		{"negative RefreshOps", FaultConfig{RetentionRate: 0.1, RefreshOps: -5}, true},
+	} {
+		for name, verb := range verbs {
+			err := verb(tc.fc)
+			if tc.bad != errors.Is(err, ErrOptions) || !tc.bad && err != nil {
+				t.Errorf("%s: %s(%+v) = %v, want an ErrOptions error: %v", tc.name, name, tc.fc, err, tc.bad)
+			}
+		}
+	}
 }

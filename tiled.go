@@ -347,7 +347,7 @@ func (k *Kernel) RunTiledCtx(ctx context.Context, inputs map[string][][]uint64, 
 		w.m.Reconfigure(sim.MachineConfig{Geom: geom, Arch: k.Opts.Target})
 		in, outRows := w.host.bind(plan, n)
 		k.scatterWide(in, 0, inputs, lo, n)
-		if err := k.runFunctional(ctx, &w.m, w.host.hostIO(), guard.Budget{}); err != nil {
+		if err := k.runFunctional(ctx, &w.m, w.host.hostIO(), guard.Budget{}, false); err != nil {
 			if guard.IsGuard(err) {
 				return err
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/big"
 	"math/rand"
+	"slices"
 
 	"chopper/internal/dfg"
 	"chopper/internal/guard"
@@ -63,13 +64,14 @@ func (k *Kernel) Verify(trials int, seed int64) error {
 // sweep as a pass. The kernel's Options.Budget is enforced inside every
 // trial.
 //
-// The zero FaultConfig is Verify's fault-free substrate. Otherwise trial t
-// injects with seed+t, so each trial draws an independent but reproducible
-// fault pattern; an ErrVerify-classed error then means the faults caused
-// silent data corruption the kernel could not mask, and nil means every
-// trial survived bit-exact. Compile with Options.Harden to make kernels that
-// survive single intermediate-row faults which break their unhardened
-// counterparts.
+// The zero FaultConfig is Verify's fault-free substrate, and one with a
+// negative or NaN rate or a negative count is an ErrOptions error.
+// Otherwise trial t injects with seed+t, so each trial draws an independent
+// but reproducible fault pattern; an ErrVerify-classed error then means the
+// faults caused silent data corruption the kernel could not mask, and nil
+// means every trial survived bit-exact. Compile with Options.Harden to make
+// kernels that survive single intermediate-row faults which break their
+// unhardened counterparts.
 //
 // Trials are independent units of work: inputs come from trialSeed(seed,
 // trial), the lane count from verifyLaneSchedule, so the pool can place them
@@ -82,6 +84,9 @@ func (k *Kernel) VerifyCtx(ctx context.Context, trials int, seed int64, workers 
 	defer recoverToError(&err)
 	if trials <= 0 {
 		return optionsErrf("trials must be positive, have %d", trials)
+	}
+	if err := checkFault(fault); err != nil {
+		return err
 	}
 	ts := make([]trial, trials)
 	for n := range ts {
@@ -174,14 +179,15 @@ func (k *Kernel) compareTrial(w *simWorker, t trial, out [][]uint64, sp laneSpan
 // that executed it: it evaluates the reference dataflow semantics on the
 // trial's operands — every lane at once, on the lane-batched evaluator, in
 // the worker's reference arena — gathers the trial's span sp of the output
-// rows into the worker's scratch, and calls report for each (lane, output)
-// whose simulated value differs from the reference: lanes ascending,
-// k.Outputs order within a lane, until report returns false. got and want
-// are little-endian limbs (want may carry more limbs than the output's
-// width needs; the values are compared, not the slices) and are only valid
-// during the call. VerifyCtx and ReliabilityCtx both compare through here,
-// so a reference-evaluation failure is the same ErrVerify-classed error
-// from either.
+// rows into the worker's scratch, lane-major at the reference's stride, and
+// compares each output with its reference whole. Only where one differs
+// does it call report for each (lane, output) whose simulated value
+// differs from the reference: lanes ascending, k.Outputs order within a
+// lane, until report returns false. got and want are little-endian limbs
+// (want may carry more limbs than the output's width needs; the values are
+// compared, not the slices) and are only valid during the call. VerifyCtx
+// and ReliabilityCtx both compare through here, so a reference-evaluation
+// failure is the same ErrVerify-classed error from either.
 func (k *Kernel) diffTrial(w *simWorker, t trial, out [][]uint64, sp laneSpan, report func(lane int, out string, got, want []uint64) bool) error {
 	plan := k.refPlan()
 	if err := plan.EvalLanes(&w.ref, t.inWide, t.lanes); err != nil {
@@ -196,10 +202,19 @@ func (k *Kernel) diffTrial(w *simWorker, t trial, out [][]uint64, sp laneSpan, r
 		}
 		s.wants = append(s.wants, want)
 	}
-	got := s.gather(k.Outputs, out, sp)
+	s.gather(k.Outputs, out, sp)
+	same := true
+	for i, g := range s.got {
+		same = same && g.stride == s.wants[i].N && slices.Equal(s.flat[g.off:g.off+sp.lanes*g.stride], s.wants[i].V)
+	}
+	if same {
+		return nil
+	}
 	for l := 0; l < t.lanes; l++ {
 		for i, o := range k.Outputs {
-			if g, want := got[i*t.lanes+l], s.wants[i].Lane(l); !sameValue(g, want) && !report(l, o.Name, g, want) {
+			g := s.got[i]
+			got := s.flat[g.off+l*g.stride:][:g.limbs]
+			if want := s.wants[i].Lane(l); !sameValue(got, want) && !report(l, o.Name, got, want) {
 				return nil
 			}
 		}
@@ -238,11 +253,15 @@ type trialScratch struct {
 	lanes [][]uint64            // operand lanes, views of limbs
 	limbs []uint64
 
-	rows     [][]uint64 // one output's bit-rows, cut to a trial's span
-	got      [][]uint64 // output i's lane l is got[i*lanes+l], a view of gotLimbs
-	gotLimbs []uint64
-	wants    []dfg.LaneVals
+	rows  [][]uint64 // one output's bit-rows, cut to a trial's span
+	flat  []uint64   // every output of one trial, lane-major (see gather)
+	got   []gotOutput
+	wants []dfg.LaneVals
 }
+
+// gotOutput is where gather put output i of a trial: lane l's limbs at
+// flat[off+l*stride:][:limbs], zero up to stride.
+type gotOutput struct{ off, stride, limbs int }
 
 // draw fills in trial t's operands, whose lanes start at lane base of a
 // pass of total trial lanes, and returns them (see operands): random values
@@ -295,27 +314,28 @@ func (s *trialScratch) operands(inputs []IOSpec, base, lanes int) map[string][][
 	return s.in
 }
 
-// gather transposes every output's bit-rows, cut to span sp, back into wide
-// values: output i's lane l is the returned slice's entry i*sp.lanes+l,
-// valid until the next gather.
-func (s *trialScratch) gather(outputs []IOSpec, out [][]uint64, sp laneSpan) [][]uint64 {
-	limbs := 0
-	for _, o := range outputs {
-		limbs += (o.Width + 63) / 64
+// gather transposes every output's bit-rows, cut to span sp, back into
+// lane-major limbs in flat, output i as s.got[i] says: at the stride of its
+// reference s.wants[i] where that holds the output's limbs, so a whole
+// output compares word for word with the reference's V.
+func (s *trialScratch) gather(outputs []IOSpec, out [][]uint64, sp laneSpan) {
+	s.got = s.got[:0]
+	n := 0
+	for i, o := range outputs {
+		limbs := (o.Width + 63) / 64
+		g := gotOutput{off: n, stride: max(limbs, s.wants[i].N), limbs: limbs}
+		s.got, n = append(s.got, g), n+sp.lanes*g.stride
 	}
-	s.got, s.gotLimbs = sized(s.got, len(outputs)*sp.lanes), sized(s.gotLimbs, limbs*sp.lanes)
-	got, backing := s.got, s.gotLimbs
+	s.flat = sized(s.flat, n)
 	for i, o := range outputs {
 		s.rows = s.rows[:0]
 		for _, row := range out[:o.Width] {
 			s.rows = append(s.rows, row[sp.off:sp.off+sp.words])
 		}
 		out = out[o.Width:]
-		n := sp.lanes * ((o.Width + 63) / 64)
-		transpose.FromVerticalWideInto(got[i*sp.lanes:(i+1)*sp.lanes], backing[:n], s.rows, o.Width, sp.lanes)
-		backing = backing[n:]
+		g := s.got[i]
+		transpose.FromVerticalFlat(s.flat[g.off:g.off+sp.lanes*g.stride], g.stride, s.rows, o.Width, sp.lanes)
 	}
-	return got
 }
 
 // clampAnnotated folds randomly drawn lanes of input `in` into its @range
