@@ -266,8 +266,16 @@ func mix(x uint64) uint64 {
 // roll draws the event hash for (op, kind, row-salt). The attempt salt is
 // zero outside epoch retries, so the draw is unchanged for ordinary runs.
 func (in *Injector) roll(kind uint64, opIdx int, salt uint64) uint64 {
-	return mix(in.seed ^ in.attemptSalt ^ mix(uint64(opIdx)+1) ^ mix(kind<<32^salt))
+	return in.rollAt(mix(kind<<32^salt), opIdx)
 }
+
+// rollAt is roll with its (kind, row-salt) part mixed: key.
+func (in *Injector) rollAt(key uint64, opIdx int) uint64 {
+	return mix(in.seed ^ in.attemptSalt ^ mix(uint64(opIdx)+1) ^ key)
+}
+
+// traKey is roll's (kind, row-salt) part for a TRA flip.
+var traKey = mix(kindTRA << 32)
 
 // fires converts the hash's top 53 bits into a uniform [0,1) draw.
 func fires(p float64, h uint64) bool {
@@ -308,20 +316,32 @@ func (in *Injector) BeforeLoad(opIdx int, r isa.Row, data []uint64, lanes int) {
 // AfterCompute perturbs a TRA (AP) result before it latches back into the
 // participating rows: a charge-sharing upset flips one lane's consensus.
 func (in *Injector) AfterCompute(opIdx int, data []uint64, lanes int) {
-	if lane := in.TRAFlip(opIdx, lanes); lane >= 0 {
+	if lane := in.traFlip(opIdx, lanes); lane >= 0 {
 		data[lane/64] ^= 1 << uint(lane%64)
 	}
 }
 
-// TRAFlip is AfterCompute's draw (the sim.TRAFlipper method): the lane the
-// TRA result of op opIdx loses, or -1, counted as injected. The draw is a
-// hash of (seed, opIdx), gated by FirstOp and MaxFaults, so which results
-// a run flips follows from its op stream before it runs.
-func (in *Injector) TRAFlip(opIdx, lanes int) int {
+// NextTRAFlip is the sim.TRAFlipper method: AfterCompute's draws for the
+// APs at ops[k:], in order, up to the first that flips a lane, whose index
+// in ops and lane it returns (len(ops) and -1 if none does). The draw is a
+// hash of (seed, op index), gated by FirstOp and MaxFaults, so which
+// results a run flips follows from its op stream before it runs.
+func (in *Injector) NextTRAFlip(ops []int32, k, lanes int) (int, int) {
+	for ; k < len(ops) && (in.cfg.MaxFaults <= 0 || in.spent < in.cfg.MaxFaults); k++ {
+		if lane := in.traFlip(int(ops[k]), lanes); lane >= 0 {
+			return k, lane
+		}
+	}
+	return len(ops), -1
+}
+
+// traFlip is AfterCompute's draw for the AP at opIdx: the lane its result
+// loses, or -1, counted as injected.
+func (in *Injector) traFlip(opIdx, lanes int) int {
 	if in.cfg.TRAFlipRate <= 0 || !in.budget(opIdx) { // a zero rate never fires
 		return -1
 	}
-	h := in.roll(kindTRA, opIdx, 0)
+	h := in.rollAt(traKey, opIdx)
 	if !fires(in.cfg.TRAFlipRate, h) {
 		return -1
 	}

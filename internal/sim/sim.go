@@ -103,10 +103,11 @@ type FaultHook interface {
 // (fault.Injector with TRA flips alone is one).
 type TRAFlipper interface {
 	FaultHook
-	// TRAFlip is AfterCompute's draw for the AP at op opIdx of a run over
-	// lanes lanes: the lane it flips, or -1. It changes the hook's state as
-	// that AfterCompute call would.
-	TRAFlip(opIdx, lanes int) int
+	// NextTRAFlip makes AfterCompute's draws for the APs at ops[k:] of a run
+	// over lanes lanes (ops ascending), in order, changing the hook's state
+	// as those calls would, up to the first that flips a lane: it returns
+	// that AP's index in ops and the lane, or len(ops) and -1.
+	NextTRAFlip(ops []int32, k, lanes int) (int, int)
 }
 
 // numSpecialRows is the number of dense arena slots reserved for the

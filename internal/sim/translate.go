@@ -430,11 +430,13 @@ func (m *Machine) RunTranslatedCtx(ctx context.Context, t *Translated, io *HostI
 	m.regs = grow(m.regs, t.regs*w)
 	clear(m.regs[:w]) // register 0: the zero row
 	m.flips = m.flips[:0]
-	if s.hook != nil {
-		for k, op := range t.apOp {
-			if lane := s.flipper.TRAFlip(int(op), s.lanes); lane >= 0 && t.apIns[k] >= 0 {
-				m.flips = append(m.flips, tflip{ins: t.apIns[k], lane: int32(lane)})
-			}
+	for k := 0; s.hook != nil; k++ {
+		var lane int
+		if k, lane = s.flipper.NextTRAFlip(t.apOp, k, s.lanes); k == len(t.apOp) {
+			break
+		}
+		if t.apIns[k] >= 0 {
+			m.flips = append(m.flips, tflip{ins: t.apIns[k], lane: int32(lane)})
 		}
 	}
 	flips := m.flips
