@@ -326,9 +326,10 @@ func (k *Kernel) decodedProg() *sim.Decoded {
 }
 
 // translatedProg returns the kernel's translation for clean runs (nil if
-// sim.Translate does not accept the program), building it on first use.
+// sim.Translate does not accept the program: its runs take the
+// interpreter), building it on first use.
 func (k *Kernel) translatedProg() *sim.Translated {
-	k.translateOnce.Do(func() { k.translated = sim.Translate(k.prog) })
+	k.translateOnce.Do(func() { k.translated, _ = sim.Translate(k.prog) })
 	return k.translated
 }
 

@@ -11,30 +11,28 @@ import (
 	"chopper/internal/dram"
 	"chopper/internal/guard"
 	"chopper/internal/isa"
-	"chopper/internal/logic"
 	"chopper/internal/sim"
 )
 
 // lockstep is a sim.FaultHook that holds a run of a program on sim's
 // planned loop — Machine.RunFunctionalCtx over the program decoded once,
-// the path every product run takes — to the program's run on the symbolic
-// machine, op by op, over 64 lanes. The symbolic run records, per op, the
-// value of each row it stores (a dual-contact partner after its row);
-// logic Eval gives every value's lanes. Replaying those stores, the hook
-// knows what each row holds before each op. It compares each row sim
-// senses (EvLoad), each row it stores (EvStore; the partner as the
-// complement of what sim stored) and each READ payload (HostIO.ReadSink)
-// with the symbolic value at that op, and counts each op's stores: an op
-// that stores fewer rows than its symbolic twin is named at that op.
+// the path every product run takes — to the program's run on the word
+// reference (ref), op by op, over 64 lanes. The reference run records, per
+// op, the word of each row it stores (a dual-contact partner after its
+// row). Replaying those stores, the hook knows what each row holds before
+// each op. It compares each row sim senses (EvLoad), each row it stores
+// (EvStore; the partner as the complement of what sim stored) and each
+// READ payload (HostIO.ReadSink) with the reference's word at that op, and
+// counts each op's stores: an op that stores fewer rows than its reference
+// twin is named at that op.
 type lockstep struct {
 	// inner, when set, hears every event it subscribes to before the
 	// check, and may perturb the run (TestLockstepSensitivity).
 	inner sim.FaultHook
 	ops   []isa.Op
-	vals  []logic.NodeID // per op, the values of the rows it stores
-	off   []int32        // op i's values start at vals[off[i]]; one entry per recorded op, plus the end
-	ev    []uint64       // every node's value over the 64 lanes
-	rows  []logic.NodeID // by slot, the symbolic value of each row before op settled
+	vals  []uint64       // per op, the words of the rows it stores
+	off   []int32        // op i's words start at vals[off[i]]; one entry per recorded op, plus the end
+	rows  []uint64       // by slot, the reference's word of each row before op settled
 	reads map[int]uint64 // what sim's READs carried, by tag
 
 	last    int    // the op of the last event
@@ -43,18 +41,18 @@ type lockstep struct {
 	fail    string // the first disagreement
 }
 
-// newLockstep runs code's program on the symbolic machine over in and
+// newLockstep runs code's program on the word reference over in and
 // returns the hook that holds a sim run of the program to it, with the op
-// the symbolic run stops at (-1: none).
-func newLockstep(code *codegen.Result, in map[string]uint64) (*lockstep, int, error) {
+// the reference run stops at (-1: none).
+func newLockstep(code *codegen.Result, in map[string]uint64) (*lockstep, int) {
 	ops := code.Prog.Ops
-	m := newMachine(code)
+	m := newRef(code, in)
 	size := 0
 	for i := range ops {
 		_, n := stored(&ops[i])
 		size += n
 	}
-	h := &lockstep{ops: ops, vals: make([]logic.NodeID, 0, size), off: make([]int32, 0, len(ops)+1),
+	h := &lockstep{ops: ops, vals: make([]uint64, 0, size), off: make([]int32, 0, len(ops)+1),
 		rows: slices.Clone(m.rows), reads: map[int]uint64{}, last: -1}
 	stop := -1
 	for i := range ops {
@@ -71,9 +69,7 @@ func newLockstep(code *codegen.Result, in map[string]uint64) (*lockstep, int, er
 		}
 	}
 	h.off = append(h.off, int32(len(h.vals)))
-	ev, err := evalAll(m.b, in)
-	h.ev = ev
-	return h, stop, err
+	return h, stop
 }
 
 // run executes code's program, decoded as d, on m's planned loop over in
@@ -97,7 +93,7 @@ func (h *lockstep) run(m *sim.Machine, geom dram.Geometry, code *codegen.Result,
 	return stop, err
 }
 
-// recorded is the number of ops the symbolic run completed.
+// recorded is the number of ops the reference run completed.
 func (h *lockstep) recorded() int { return len(h.off) - 1 }
 
 func (h *lockstep) failf(i int, format string, args ...any) {
@@ -107,7 +103,7 @@ func (h *lockstep) failf(i int, format string, args ...any) {
 }
 
 // enter notes an event of op i, settling the ops before it, and reports
-// whether it is to be checked: op i is one the symbolic run completed, and
+// whether it is to be checked: op i is one the reference run completed, and
 // nothing disagreed yet.
 func (h *lockstep) enter(i int) bool {
 	if i != h.last {
@@ -118,7 +114,7 @@ func (h *lockstep) enter(i int) bool {
 }
 
 // settle checks that each op in [h.settled, to) raised as many store events
-// as its symbolic twin stores rows (of those ops, only op h.last raised
+// as its reference twin stores rows (of those ops, only op h.last raised
 // events), and replays its stores into h.rows.
 func (h *lockstep) settle(to int) {
 	for i := h.settled; i < to; i++ {
@@ -128,13 +124,13 @@ func (h *lockstep) settle(to int) {
 			got = h.stores
 		}
 		if want := storeEvents(op); got != want {
-			h.failf(i, "sim stores %d rows, symbolic %d", got, want)
+			h.failf(i, "sim stores %d rows, the reference %d", got, want)
 		}
 		rows, n := stored(op)
 		for k, r := range rows[:n] {
 			s, _ := slot(r)
 			for s >= len(h.rows) {
-				h.rows = append(h.rows, logic.None)
+				h.rows = append(h.rows, 0)
 			}
 			h.rows[s] = h.vals[int(h.off[i])+k]
 		}
@@ -142,10 +138,10 @@ func (h *lockstep) settle(to int) {
 	h.settled = max(h.settled, to)
 }
 
-// holds is what row r holds on the symbolic run after the settled ops.
+// holds is what row r holds on the reference run after the settled ops.
 func (h *lockstep) holds(r isa.Row) uint64 {
 	s, _ := slot(r)
-	return h.ev[h.rows[s]]
+	return h.rows[s]
 }
 
 func (h *lockstep) Events() isa.Events {
@@ -165,9 +161,9 @@ func (h *lockstep) BeforeLoad(i int, r isa.Row, data []uint64, lanes int) {
 	}
 	rows, n := sensed(&h.ops[i])
 	if index(rows[:n], r) < 0 {
-		h.failf(i, "sim senses row %s, symbolic does not", r)
+		h.failf(i, "sim senses row %s, the reference does not", r)
 	} else if want := h.holds(r); data[0] != want {
-		h.failf(i, "sim senses row %s as %#x, symbolic %#x", r, data[0], want)
+		h.failf(i, "sim senses row %s as %#x, the reference %#x", r, data[0], want)
 	}
 }
 
@@ -195,11 +191,11 @@ func (h *lockstep) AfterStore(i int, r isa.Row, data []uint64, lanes int) {
 	v := h.vals[h.off[i]:]
 	switch k := index(rows[:n], r); {
 	case k < 0:
-		h.failf(i, "sim stores row %s, symbolic does not", r)
-	case data[0] != h.ev[v[k]]:
-		h.failf(i, "row %s holds %#x on sim, symbolic %#x", r, data[0], h.ev[v[k]])
-	case k+1 < n && rows[k+1] == r.Complement() && ^data[0] != h.ev[v[k+1]]:
-		h.failf(i, "row %s, the partner of %s, holds %#x on sim, symbolic %#x", rows[k+1], r, ^data[0], h.ev[v[k+1]])
+		h.failf(i, "sim stores row %s, the reference does not", r)
+	case data[0] != v[k]:
+		h.failf(i, "row %s holds %#x on sim, the reference %#x", r, data[0], v[k])
+	case k+1 < n && rows[k+1] == r.Complement() && ^data[0] != v[k+1]:
+		h.failf(i, "row %s, the partner of %s, holds %#x on sim, the reference %#x", rows[k+1], r, ^data[0], v[k+1])
 	}
 }
 
@@ -207,7 +203,7 @@ func (h *lockstep) AfterStore(i int, r isa.Row, data []uint64, lanes int) {
 func (h *lockstep) read(got uint64) {
 	if i := h.last; i < h.recorded() && h.fail == "" {
 		if want := h.holds(h.ops[i].Src); got != want {
-			h.failf(i, "sim reads %#x, symbolic %#x", got, want)
+			h.failf(i, "sim reads %#x, the reference %#x", got, want)
 		}
 	}
 }
@@ -303,9 +299,9 @@ func TestLockstepSensitivity(t *testing.T) {
 	in := randomInputs(k.Net, 1)
 	m := sim.NewMachine(sim.MachineConfig{Geom: k.Opts.Geometry, Lanes: 64})
 	run := func(inner sim.FaultHook) *lockstep {
-		h, stop, err := newLockstep(k.Code, in)
-		if err != nil || stop >= 0 {
-			t.Fatalf("symbolic run: stop %d, %v", stop, err)
+		h, stop := newLockstep(k.Code, in)
+		if stop >= 0 {
+			t.Fatalf("the reference run stops at op %d", stop)
 		}
 		h.inner = inner
 		if stop, err := h.run(m, k.Opts.Geometry, k.Code, sim.Decode(k.Code.Prog), in); stop >= 0 {
@@ -340,4 +336,148 @@ func TestLockstepSensitivity(t *testing.T) {
 			t.Errorf("%s at op %d: the lockstep reports %q, want op %d and %q", c.name, at, h.fail, at, text)
 		}
 	}
+}
+
+// numSpecial is the number of C- and B-group rows (isa.C0 .. isa.DCC1N),
+// which take the first row slots; D-group row r is slot numSpecial+r.
+const numSpecial = 10
+
+func slot(r isa.Row) (int, bool) {
+	if r >= 0 {
+		return numSpecial + int(r), true
+	}
+	if r >= isa.DCC1N {
+		return -1 - int(r), true
+	}
+	return 0, false
+}
+
+// ref is the lockstep's reference subarray: what each µop means, written
+// apart from sim (the oracle must not share the code it checks) over 64
+// lanes. It holds each row's word by slot (def marks the rows some op
+// stored), the spill slots, and the program's host interface over the
+// input words in.
+//
+//	C0, C1                zero and all ones
+//	WRITE tag             the input word InputTag names, or a uniform ConstPattern
+//	AAP src -> d...       a copy; a write to a DCC row sets its partner to the NOT
+//	AP a,b,c              MAJ(a, b, c), stored to all three rows
+//	SPILL_OUT, SPILL_IN   through a slot map
+//	READ tag              of a tag OutputTag names
+type ref struct {
+	code   *codegen.Result
+	in     map[string]uint64
+	rows   []uint64
+	def    []bool
+	spill  map[uint64]uint64
+	inName map[int]string
+	outTag map[int]bool
+}
+
+func newRef(code *codegen.Result, in map[string]uint64) *ref {
+	n := numSpecial + code.Prog.DRowsUsed
+	m := &ref{code: code, in: in, rows: make([]uint64, n), def: make([]bool, n), spill: map[uint64]uint64{},
+		inName: make(map[int]string, len(code.InputTag)), outTag: make(map[int]bool, len(code.OutputTag))}
+	c1, _ := slot(isa.C1)
+	m.rows[c1] = ^uint64(0)
+	m.def[0], m.def[c1] = true, true
+	for name, tag := range code.InputTag {
+		m.inName[tag] = name
+	}
+	for _, tag := range code.OutputTag {
+		m.outTag[tag] = true
+	}
+	return m
+}
+
+func (m *ref) get(r isa.Row) (uint64, error) {
+	if i, ok := slot(r); ok && i < len(m.rows) && m.def[i] {
+		return m.rows[i], nil
+	}
+	return 0, fmt.Errorf("read of undefined row %s", r)
+}
+
+// set stores v in r, and its NOT in r's dual-contact partner.
+func (m *ref) set(r isa.Row, v uint64) error {
+	i, ok := slot(r)
+	if !ok {
+		return fmt.Errorf("write to row %s outside the subarray", r)
+	}
+	for i >= len(m.rows) {
+		m.rows, m.def = append(m.rows, 0), append(m.def, false)
+	}
+	m.rows[i], m.def[i] = v, true
+	if c := r.Complement(); c != isa.RowNone {
+		ci, _ := slot(c)
+		m.rows[ci], m.def[ci] = ^v, true
+	}
+	return nil
+}
+
+// step executes one op: first the value it moves, then where the value
+// goes. It fails where sim's µop body fails, and on what has no place in
+// the proof: a non-uniform row pattern, a READ of a tag no output has.
+func (m *ref) step(op *isa.Op) error {
+	var v uint64
+	var err error
+	switch op.Kind {
+	case isa.OpAAP, isa.OpRead, isa.OpSpillOut:
+		v, err = m.get(op.Src)
+	case isa.OpAP:
+		var a [3]uint64
+		for i := 0; i < 3 && err == nil; i++ {
+			a[i], err = m.get(op.Dst[i])
+		}
+		v = a[0]&a[1] | a[1]&a[2] | a[0]&a[2]
+	case isa.OpWrite:
+		name, in := m.inName[int(op.Tag)]
+		pat, c := m.code.ConstPattern[int(op.Tag)]
+		switch {
+		case in:
+			v = m.in[name]
+		case !c:
+			err = fmt.Errorf("WRITE of unknown tag %d", op.Tag)
+		case pat != 0 && pat != ^uint64(0):
+			err = fmt.Errorf("non-uniform row pattern %#x", pat)
+		default:
+			v = pat
+		}
+	case isa.OpSpillIn:
+		var ok bool
+		if v, ok = m.spill[op.Imm]; !ok {
+			err = fmt.Errorf("SPILL_IN of unwritten slot %d", op.Imm)
+		}
+	default:
+		err = fmt.Errorf("unknown op kind %d", int(op.Kind))
+	}
+	if err != nil {
+		return err
+	}
+
+	switch op.Kind {
+	case isa.OpRead:
+		if !m.outTag[int(op.Tag)] {
+			return fmt.Errorf("READ of unknown tag %d", op.Tag)
+		}
+		return nil
+	case isa.OpSpillOut:
+		m.spill[op.Imm] = v
+		return nil
+	}
+	dsts := op.Dst[:1]
+	switch op.Kind {
+	case isa.OpAAP:
+		dsts = op.Dsts()
+	case isa.OpAP:
+		dsts = op.Dst[:]
+	}
+	for _, d := range dsts {
+		if d.IsCGroup() && (op.Kind == isa.OpAAP || op.Kind == isa.OpWrite) {
+			return fmt.Errorf("%s into constant row %s", op.Kind, d)
+		}
+		if err := m.set(d, v); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -6,27 +6,30 @@
 // method is translation validation: Pnueli, Siegel and Singerman, TACAS
 // 1998).
 //
-// The program runs on a symbolic subarray whose rows hold logic.NodeIDs of
-// one hash-consing builder (constant folding and structural hashing on, no
-// target gate set), over the MAJ/NOT/copy domain of SIMDRAM's µPrograms.
-// The ops mean what internal/sim's µop body makes them mean:
+// What Check proves is the program's sim.Translate translation, the form
+// every clean run executes: copies, spills and dual-contact partners
+// resolved to renames, and one AND, OR or MAJ per AP that computes. Its
+// instructions are interned into one hash-consing builder (constant folding
+// and structural hashing on, no target gate set) over a register file of
+// node ids (sim.Walk):
 //
-//	C0, C1                constants
-//	WRITE tag             the input literal InputTag names, or a ConstPattern constant
-//	AAP src -> d...       a copy; a write to a DCC row sets its partner to the NOT
-//	AP a,b,c              MAJ(a, b, c), stored to all three rows
-//	SPILL_OUT, SPILL_IN   through a slot map
+//	register 0            the constant zero; a complemented operand is its NOT
+//	AND, OR, MAJ          the builder's And, Or and Maj
+//	load of WRITE tag     the input literal InputTag names, or a ConstPattern constant
 //	READ tag              the candidate for the output OutputTag names
 //
 // The net is then re-interned gate by gate into the same builder. Equal ids
 // are equal functions for every input and every lane count. Where the ids
 // of an output differ, both cones are simulated on random vectors (64 per
 // word): a difference refutes the program with a counterexample, none
-// leaves it unproven. A read of an undefined row or an unwritten spill
-// slot, an unknown tag, or an output that is never READ refutes it too.
+// leaves it unproven. A program Translate rejects (a read of an undefined
+// row, an unwritten spill slot, a copy or WRITE into a constant row), an
+// unknown tag, a non-uniform constant row, or an output that is never READ
+// refutes it too.
 package prove
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -35,6 +38,7 @@ import (
 	"chopper/internal/codegen"
 	"chopper/internal/isa"
 	"chopper/internal/logic"
+	"chopper/internal/sim"
 )
 
 // Verdict is the outcome of a check: Proved (every output computes its net
@@ -91,27 +95,45 @@ func Check(code *codegen.Result, net *logic.Net) Result {
 	if err := net.Validate(); err != nil {
 		return Result{Verdict: Unproven, Op: -1, Reason: err.Error()}
 	}
-	m := newMachine(code)
-	m.b.Grow(2 * len(net.Gates))
+	b := new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true})
+	b.Grow(2 * len(net.Gates))
 	// The net's inputs are declared before anything uses them, so each
-	// WRITE of a net input and each GInput gate meet at one literal.
+	// load of a net input and each GInput gate meet at one literal.
+	inputs := make(map[string]logic.NodeID, len(net.InputNames))
 	for _, name := range net.InputNames {
-		m.input(name)
-	}
-	for i := range code.Prog.Ops {
-		if err := m.step(&code.Prog.Ops[i]); err != nil {
-			return Result{Verdict: Refuted, Op: i, Reason: err.Error()}
+		if _, ok := inputs[name]; !ok {
+			inputs[name] = b.Input(name)
 		}
 	}
+	inName := make(map[int]string, len(code.InputTag))
+	for name, tag := range code.InputTag {
+		inName[tag] = name
+	}
+	t, err := sim.Translate(code.Prog)
+	if op, reason := firstFault(code, inName, err); op >= 0 {
+		return Result{Verdict: Refuted, Op: op, Reason: reason}
+	}
+	reads := make(map[int]logic.NodeID, len(code.OutputTag))
+	sim.Walk(t, b.Const(false), b.Not, b.And, b.Or, b.Maj,
+		func(tag int) logic.NodeID {
+			name, ok := inName[tag]
+			if !ok {
+				return b.Const(code.ConstPattern[tag] != 0)
+			}
+			if _, ok := inputs[name]; !ok {
+				inputs[name] = b.Input(name) // an input the net does not have
+			}
+			return inputs[name]
+		},
+		func(tag int, v logic.NodeID) { reads[tag] = v })
 
 	ids := make([]logic.NodeID, len(net.Gates))
 	for i := range ids {
 		ids[i] = logic.None
 	}
 	for i, in := range net.Inputs {
-		ids[in] = m.input(net.InputNames[i])
+		ids[in] = inputs[net.InputNames[i]]
 	}
-	b := m.b
 	for i, g := range net.Gates {
 		a := g.Args
 		switch g.Kind {
@@ -145,7 +167,7 @@ func Check(code *codegen.Result, net *logic.Net) Result {
 		if !ok {
 			return Result{Verdict: Refuted, Op: -1, Output: name, Reason: "has no READ tag"}
 		}
-		got, ok := m.reads[tag]
+		got, ok := reads[tag]
 		if !ok {
 			return Result{Verdict: Refuted, Op: -1, Output: name, Reason: fmt.Sprintf("is never READ (tag %d)", tag)}
 		}
@@ -199,168 +221,42 @@ func simulate(n, net *logic.Net, diff []int) Result {
 		Reason: fmt.Sprintf("differs from the net in form; %d random vectors agree", 64*simWords)}
 }
 
-// numSpecial is the number of C- and B-group rows (isa.C0 .. isa.DCC1N),
-// which take the first row slots; D-group row r is slot numSpecial+r.
-const numSpecial = 10
-
-func slot(r isa.Row) (int, bool) {
-	if r >= 0 {
-		return numSpecial + int(r), true
+// firstFault is the first op at which code's program cannot run, and why,
+// or -1: the first WRITE or READ whose tag code's host interface (inName:
+// the input names by tag) does not have, or whose constant row is not
+// uniform, which has no value in the Boolean domain; or the op of
+// Translate's error terr, whichever comes first. Within one op the value
+// is formed first: a WRITE's tag, then the rows a READ senses.
+func firstFault(code *codegen.Result, inName map[int]string, terr error) (int, string) {
+	ops := code.Prog.Ops
+	stop := len(ops)
+	var te *sim.TranslateError
+	if errors.As(terr, &te) {
+		stop = te.Op
 	}
-	if r >= isa.DCC1N {
-		return -1 - int(r), true
-	}
-	return 0, false
-}
-
-// machine is the symbolic subarray: the builder every value lives in, the
-// rows (by slot; None = never written), the spill slots, the literals, the
-// program's host tags, and what each READ tag last carried.
-type machine struct {
-	b      *logic.Builder
-	code   *codegen.Result
-	rows   []logic.NodeID
-	spill  map[uint64]logic.NodeID
-	inputs map[string]logic.NodeID
-	inName map[int]string
-	outTag map[int]bool
-	reads  map[int]logic.NodeID
-}
-
-func newMachine(code *codegen.Result) *machine {
-	m := &machine{
-		b:      new(logic.Scratch).Builder(logic.BuilderOptions{Fold: true}),
-		code:   code,
-		rows:   make([]logic.NodeID, numSpecial+code.Prog.DRowsUsed),
-		spill:  make(map[uint64]logic.NodeID),
-		inputs: make(map[string]logic.NodeID),
-		inName: make(map[int]string, len(code.InputTag)),
-		outTag: make(map[int]bool, len(code.OutputTag)),
-		reads:  make(map[int]logic.NodeID, len(code.OutputTag)),
-	}
-	for i := range m.rows {
-		m.rows[i] = logic.None
-	}
-	m.rows[-1-int(isa.C0)] = m.b.Const(false)
-	m.rows[-1-int(isa.C1)] = m.b.Const(true)
-	for name, tag := range code.InputTag {
-		m.inName[tag] = name
-	}
+	outTag := make(map[int]bool, len(code.OutputTag))
 	for _, tag := range code.OutputTag {
-		m.outTag[tag] = true
+		outTag[tag] = true
 	}
-	return m
-}
-
-// input returns the literal of the named input, declaring it on first use.
-func (m *machine) input(name string) logic.NodeID {
-	id, ok := m.inputs[name]
-	if !ok {
-		id = m.b.Input(name)
-		m.inputs[name] = id
-	}
-	return id
-}
-
-func (m *machine) get(r isa.Row) (logic.NodeID, error) {
-	if i, ok := slot(r); ok && i < len(m.rows) && m.rows[i] != logic.None {
-		return m.rows[i], nil
-	}
-	return logic.None, fmt.Errorf("read of undefined row %s", r)
-}
-
-// set stores v in r, and its NOT in r's dual-contact partner.
-func (m *machine) set(r isa.Row, v logic.NodeID) error {
-	i, ok := slot(r)
-	if !ok {
-		return fmt.Errorf("write to row %s outside the subarray", r)
-	}
-	for i >= len(m.rows) {
-		m.rows = append(m.rows, logic.None)
-	}
-	m.rows[i] = v
-	if c := r.Complement(); c != isa.RowNone {
-		ci, _ := slot(c)
-		m.rows[ci] = m.b.Not(v)
-	}
-	return nil
-}
-
-// constant is the value of a row filled with pattern: only uniform rows
-// have one.
-func (m *machine) constant(pattern uint64) (logic.NodeID, error) {
-	if pattern != 0 && pattern != ^uint64(0) {
-		return logic.None, fmt.Errorf("non-uniform row pattern %#x", pattern)
-	}
-	return m.b.Const(pattern != 0), nil
-}
-
-// step executes one op symbolically: first the value it moves, then where
-// the value goes. It fails where sim's µop body fails, and on what has no
-// value in the symbolic domain or no place in the program's interface: a
-// non-uniform row pattern, a READ of a tag no output has.
-func (m *machine) step(op *isa.Op) error {
-	var v logic.NodeID
-	var err error
-	switch op.Kind {
-	case isa.OpAAP, isa.OpRead, isa.OpSpillOut:
-		v, err = m.get(op.Src)
-	case isa.OpAP:
-		var a [3]logic.NodeID
-		for i := 0; i < 3 && err == nil; i++ {
-			a[i], err = m.get(op.Dst[i])
-		}
-		if err == nil {
-			v = m.b.Maj(a[0], a[1], a[2])
-		}
-	case isa.OpWrite:
-		name, in := m.inName[int(op.Tag)]
-		pat, c := m.code.ConstPattern[int(op.Tag)]
+	for i := range ops[:min(stop+1, len(ops))] {
+		op, bad := &ops[i], ""
+		tag := int(op.Tag)
+		pat, c := code.ConstPattern[tag]
 		switch {
-		case in:
-			v = m.input(name)
-		case c:
-			v, err = m.constant(pat)
-		default:
-			err = fmt.Errorf("WRITE of unknown tag %d", op.Tag)
+		case op.Kind == isa.OpRead && !outTag[tag]:
+			bad = fmt.Sprintf("READ of unknown tag %d", tag)
+		case op.Kind != isa.OpWrite || inName[tag] != "":
+		case !c:
+			bad = fmt.Sprintf("WRITE of unknown tag %d", tag)
+		case pat != 0 && pat != ^uint64(0):
+			bad = fmt.Sprintf("non-uniform row pattern %#x", pat)
 		}
-	case isa.OpSpillIn:
-		var ok bool
-		if v, ok = m.spill[op.Imm]; !ok {
-			err = fmt.Errorf("SPILL_IN of unwritten slot %d", op.Imm)
-		}
-	default:
-		err = fmt.Errorf("unknown op kind %d", int(op.Kind))
-	}
-	if err != nil {
-		return err
-	}
-
-	switch op.Kind {
-	case isa.OpRead:
-		if !m.outTag[int(op.Tag)] {
-			return fmt.Errorf("READ of unknown tag %d", op.Tag)
-		}
-		m.reads[int(op.Tag)] = v
-		return nil
-	case isa.OpSpillOut:
-		m.spill[op.Imm] = v
-		return nil
-	}
-	dsts := op.Dst[:1]
-	switch op.Kind {
-	case isa.OpAAP:
-		dsts = op.Dsts()
-	case isa.OpAP:
-		dsts = op.Dst[:]
-	}
-	for _, d := range dsts {
-		if d.IsCGroup() && (op.Kind == isa.OpAAP || op.Kind == isa.OpWrite) {
-			return fmt.Errorf("%s into constant row %s", op.Kind, d)
-		}
-		if err := m.set(d, v); err != nil {
-			return err
+		if bad != "" && (i < stop || op.Kind == isa.OpWrite) {
+			return i, bad
 		}
 	}
-	return nil
+	if te != nil {
+		return te.Op, te.Reason
+	}
+	return -1, ""
 }

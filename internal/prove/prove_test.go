@@ -69,6 +69,9 @@ func TestProveVerdicts(t *testing.T) {
 		{"unwritten slot", prog(load, []isa.Op{isa.NewSpillIn(isa.T1, 1)}, and, read), Refuted, 4, "SPILL_IN of unwritten slot 1"},
 		{"unknown write tag", prog([]isa.Op{isa.NewWrite(0, 7)}), Refuted, 0, "WRITE of unknown tag 7"},
 		{"unknown read tag", prog(load, and, []isa.Op{isa.NewRead(isa.T0, 5)}), Refuted, 6, "READ of unknown tag 5"},
+		// The earlier of a bad tag and a run's own fault is reported.
+		{"unknown tag before undefined row", prog([]isa.Op{isa.NewWrite(0, 7), isa.NewCopy(3, isa.T0)}), Refuted, 0, "WRITE of unknown tag 7"},
+		{"undefined row before unknown tag", prog([]isa.Op{isa.NewCopy(3, isa.T0), isa.NewRead(isa.T0, 5)}), Refuted, 0, "read of undefined row D3"},
 		{"never read", prog(load, and), Refuted, -1, "output z is never READ"},
 		{"write into C1", prog([]isa.Op{isa.NewWrite(isa.C1, 0)}), Refuted, 0, "WRITE into constant row C1"},
 	}

@@ -3,6 +3,7 @@ package prove
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"slices"
 	"sort"
@@ -178,11 +179,12 @@ var raceDetector bool
 
 // TestProveTable proves every kernel of the prover table against its net
 // and reports each group in the form "PROVE: 576 / 576 proved, 0 refuted,
-// 0 unproven". Every program is also run in lockstep with the simulator,
-// its translation — every clean product run's executor — is held to the
-// READ payloads the lockstep verified, and every unhardened one is mutated
-// four ways: each mutant must be refuted, and its counterexample must be
-// real on sim.
+// 0 unproven"; in full (not -short, not -race) the report must be
+// testdata/table.golden. Every program is also run in lockstep with the
+// simulator, its translation — every clean product run's executor — is held
+// to the READ payloads the lockstep verified, and every unhardened one is
+// mutated four ways: each mutant must be refuted, and its counterexample
+// must be real on sim.
 func TestProveTable(t *testing.T) {
 	cfgs := proverTable(testing.Short() || raceDetector)
 	outs := make([]*outcome, len(cfgs))
@@ -262,27 +264,42 @@ func TestProveTable(t *testing.T) {
 			count("MUTANT-"+mu.name, o.mutants[mu.name])
 		}
 	}
+	var lines []string
 	for _, key := range keys {
 		c := counts[key]
 		if strings.HasPrefix(key, "MUTANT-") {
-			fmt.Printf("%s: %d / %d refuted\n", key, c.refuted, c.n)
+			lines = append(lines, fmt.Sprintf("%s: %d / %d refuted", key, c.refuted, c.n))
 		} else {
-			fmt.Printf("%s: %d / %d proved, %d refuted, %d unproven\n", key, c.proved, c.n, c.refuted, c.unproven)
+			lines = append(lines, fmt.Sprintf("%s: %d / %d proved, %d refuted, %d unproven", key, c.proved, c.n, c.refuted, c.unproven))
 		}
 	}
-	fmt.Printf("SIM-LOCKSTEP: %d / %d programs agree with sim op by op\n", agreed, programs)
-	fmt.Printf("SIM-TRANSLATED: %d / %d programs translate and read the verified payloads at lanes %v\n", translated, products, translatedLanes)
+	lines = append(lines, fmt.Sprintf("SIM-LOCKSTEP: %d / %d programs agree with sim op by op", agreed, programs),
+		fmt.Sprintf("SIM-TRANSLATED: %d / %d programs translate and read the verified payloads at lanes %v", translated, products, translatedLanes))
+	table := strings.Join(lines, "\n") + "\n"
+	fmt.Print(table)
 	if !spills {
 		t.Error("no translated program spills; the SPILL renames went untested")
+	}
+	// The full table is pinned: a program, a mutant site or a translation
+	// lost shows as a count that moved.
+	if !testing.Short() && !raceDetector {
+		want, err := os.ReadFile("testdata/table.golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if table != string(want) {
+			t.Errorf("the table differs from testdata/table.golden:\n got:\n%s\nwant:\n%s", table, want)
+		}
 	}
 }
 
 // mutant is a seeded back-end bug. sites lists the ops it can strike,
-// likeliest first; at puts it at one of them.
+// likeliest first; at puts it at one of them, for a run over the input
+// words in.
 type mutant struct {
 	name  string
 	sites func(ops []isa.Op) []int
-	at    func(code *codegen.Result, i int) ([]isa.Op, bool)
+	at    func(code *codegen.Result, i int, in map[string]uint64) ([]isa.Op, bool)
 }
 
 var mutants = []mutant{
@@ -347,10 +364,10 @@ func lastWriter(ops []isa.Op, r isa.Row) int {
 }
 
 // swapOperand makes the AAP at i copy another live D row, one holding a
-// different value, instead of its source.
-func swapOperand(code *codegen.Result, i int) ([]isa.Op, bool) {
+// different word over in, instead of its source.
+func swapOperand(code *codegen.Result, i int, in map[string]uint64) ([]isa.Op, bool) {
 	ops := code.Prog.Ops
-	m := newMachine(code)
+	m := newRef(code, in)
 	for k := 0; k < i; k++ {
 		if m.step(&ops[k]) != nil {
 			return nil, false
@@ -358,7 +375,7 @@ func swapOperand(code *codegen.Result, i int) ([]isa.Op, bool) {
 	}
 	src, _ := m.get(ops[i].Src)
 	for s := numSpecial; s < len(m.rows); s++ {
-		if v := m.rows[s]; v != logic.None && v != src {
+		if m.def[s] && m.rows[s] != src {
 			out := append([]isa.Op(nil), ops...)
 			out[i].Src = isa.Row(s - numSpecial)
 			return out, true
@@ -367,13 +384,13 @@ func swapOperand(code *codegen.Result, i int) ([]isa.Op, bool) {
 	return nil, false
 }
 
-func flipDCC(code *codegen.Result, i int) ([]isa.Op, bool) {
+func flipDCC(code *codegen.Result, i int, _ map[string]uint64) ([]isa.Op, bool) {
 	out := append([]isa.Op(nil), code.Prog.Ops...)
 	out[i].Src = out[i].Src.Complement()
 	return out, true
 }
 
-func deleteAt(code *codegen.Result, i int) ([]isa.Op, bool) {
+func deleteAt(code *codegen.Result, i int, _ map[string]uint64) ([]isa.Op, bool) {
 	ops := code.Prog.Ops
 	out := make([]isa.Op, 0, len(ops)-1)
 	return append(append(out, ops[:i]...), ops[i+1:]...), true
@@ -392,7 +409,7 @@ func (o *outcome) mutate(mu mutant, code *codegen.Result, net *logic.Net, geom d
 		return nil, nil, false
 	}
 	for _, i := range mu.sites(code.Prog.Ops) {
-		ops, ok := mu.at(code, i)
+		ops, ok := mu.at(code, i, in)
 		if !ok {
 			continue
 		}
@@ -414,7 +431,7 @@ func (o *outcome) agrees(code *codegen.Result, geom dram.Geometry, in, want map[
 	reads := map[int]uint64{}
 	io := hostIO(code, in, 1, func(tag int, data []uint64) { reads[tag] = data[0] })
 	var err error
-	if t := sim.Translate(code.Prog); m.Translatable(t, guard.Budget{}) {
+	if t, _ := sim.Translate(code.Prog); m.Translatable(t, guard.Budget{}) {
 		err = m.RunTranslatedCtx(nil, t, io)
 	} else {
 		err = m.RunFunctionalCtx(nil, sim.Decode(code.Prog), io, guard.Budget{})
@@ -443,9 +460,9 @@ var translatedLanes = []int{1, 63, 65, 128, 1024}
 // every row operation is bitwise.)
 func (o *outcome) checkTranslated(name string, k *chopper.Kernel, in map[string]uint64, reads map[int]uint64) {
 	ops := k.Code.Prog.Ops
-	tr := sim.Translate(k.Code.Prog)
-	if tr == nil {
-		o.errorf("%s: sim.Translate rejects the %d-op program", name, len(ops))
+	tr, err := sim.Translate(k.Code.Prog)
+	if err != nil {
+		o.errorf("%s: sim.Translate rejects the %d-op program: %v", name, len(ops), err)
 		return
 	}
 	m := o.machine()
@@ -539,26 +556,20 @@ func hostIO(code *codegen.Result, in map[string]uint64, words int, sink func(tag
 	}
 }
 
-// crossCheck runs code's program on the symbolic machine and, decoded as d
+// crossCheck runs code's program on the word reference and, decoded as d
 // (nil: decoded here), on sim's planned loop over the 64 lanes of in, in
 // lockstep (see lockstep): each row an op senses or stores on sim, and each
-// READ payload, must be what its symbolic value evaluates to under logic
-// Eval at that op, and both runs must stop at op stop (-1: never). It
-// returns what sim's READs carried, and false after recording a
-// disagreement.
+// READ payload, must be the reference's word at that op, and both runs
+// must stop at op stop (-1: never). It returns what sim's READs carried,
+// and false after recording a disagreement.
 func (o *outcome) crossCheck(name string, code *codegen.Result, d *sim.Decoded, geom dram.Geometry, in map[string]uint64, stop int) (map[int]uint64, bool) {
 	o.programs++
-	h, symStop, err := newLockstep(code, in)
-	if err != nil {
-		o.errorf("%s: %v", name, err)
-		return nil, false
-	}
-	if symStop != stop {
-		o.errorf("%s: symbolic run stops at op %d, want %d", name, symStop, stop)
+	h, refStop := newLockstep(code, in)
+	if refStop != stop {
+		o.errorf("%s: the reference run stops at op %d, want %d", name, refStop, stop)
 		return nil, false
 	}
 	if d == nil {
-		// Decoded only now, when the symbolic run's tables are garbage.
 		d = sim.Decode(code.Prog)
 	}
 	simStop, err := h.run(o.machine(), geom, code, d, in)
@@ -567,10 +578,10 @@ func (o *outcome) crossCheck(name string, code *codegen.Result, d *sim.Decoded, 
 		o.errorf("%s: %s", name, h.fail)
 		return nil, false
 	case simStop >= 0 && (stop < 0 || simStop < stop):
-		o.errorf("%s: op %d (%s): sim stops (%v), symbolic run goes on", name, simStop, &code.Prog.Ops[simStop], err)
+		o.errorf("%s: op %d (%s): sim stops (%v), the reference run goes on", name, simStop, &code.Prog.Ops[simStop], err)
 		return nil, false
 	case simStop != stop:
-		o.errorf("%s: op %d (%s): symbolic run stops, sim runs on", name, stop, &code.Prog.Ops[stop])
+		o.errorf("%s: op %d (%s): the reference run stops, sim runs on", name, stop, &code.Prog.Ops[stop])
 		return nil, false
 	}
 	o.agreed++
@@ -601,38 +612,4 @@ func stored(op *isa.Op) (rows [6]isa.Row, n int) {
 		}
 	}
 	return rows, n
-}
-
-// evalAll is the value of every node of b over in, by node index: each
-// gate of b's net evaluated as logic's Eval does, inputs missing from in
-// reading zero.
-func evalAll(b *logic.Builder, in map[string]uint64) ([]uint64, error) {
-	n := b.Net()
-	vals := make([]uint64, len(n.Gates))
-	for i, id := range n.Inputs {
-		vals[id] = in[n.InputNames[i]]
-	}
-	for i, g := range n.Gates {
-		switch g.Kind {
-		case logic.GInput:
-		case logic.GConst0:
-			vals[i] = 0
-		case logic.GConst1:
-			vals[i] = ^uint64(0)
-		case logic.GNot:
-			vals[i] = ^vals[g.Args[0]]
-		case logic.GAnd:
-			vals[i] = vals[g.Args[0]] & vals[g.Args[1]]
-		case logic.GOr:
-			vals[i] = vals[g.Args[0]] | vals[g.Args[1]]
-		case logic.GXor:
-			vals[i] = vals[g.Args[0]] ^ vals[g.Args[1]]
-		case logic.GMaj:
-			a, b, c := vals[g.Args[0]], vals[g.Args[1]], vals[g.Args[2]]
-			vals[i] = a&b | b&c | a&c
-		default:
-			return nil, fmt.Errorf("logic: gate %d has unknown kind %d", i, int(g.Kind))
-		}
-	}
-	return vals, nil
 }

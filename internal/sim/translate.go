@@ -15,8 +15,8 @@ import (
 // before each op is known once per program. Translate resolves every copy
 // — AAP, SPILL_OUT/SPILL_IN, the complement a dual-contact
 // partner takes on — to a rename of the value it moves, and keeps only
-// the ops that compute or cross the host boundary: one AND or MAJ per AP
-// (its operands' complements folded in), a load per WRITE and a sink call
+// the ops that compute or cross the host boundary: one AND, OR or MAJ per
+// AP (its operands' complements folded in), a load per WRITE and a sink call
 // per READ. The values live in a register file sized to the most that are
 // live at once. A Translated is immutable and safe to share.
 //
@@ -43,6 +43,7 @@ type Translated struct {
 // Instruction kinds of a translation.
 const (
 	tAnd  = iota // dst = a & b
+	tOr          // dst = a | b
 	tMaj         // dst = maj(a, b, c)
 	tLoad        // dst = the payload of WRITE tag b (source op c); a the row's previous value
 	tRead        // ReadSink(tag b, a) (source op c)
@@ -70,7 +71,7 @@ type vref int32
 // values. The value node i defines is i+1.
 type tnode struct {
 	kind uint8
-	opd  [3]vref // tAnd: a, b; tMaj: a, b, c; tLoad: the previous value (or -1); tRead: the source
+	opd  [3]vref // tAnd, tOr: a, b; tMaj: a, b, c; tLoad: the previous value (or -1); tRead: the source
 	arg  int32   // tLoad, tRead: tag
 	op   int32   // source op
 }
@@ -90,16 +91,28 @@ type translator struct {
 	folds        []int32 // source ops
 }
 
-// Translate translates prog for clean runs (see Translated), or returns
-// nil for a program whose run it cannot prove: an op decode does not mark
-// fast, a read of a row no earlier op defines, a SPILL_IN of a slot no
-// earlier op spills, an operand with no arena slot or a D row at or past
-// maxPlanRow, an unknown kind. Those are the ops at which an interpreted
-// run may fail on its own account; a translated run fails only where the
-// host fails it (a nil HostIO, callback or payload) or ctx does. The per-op
-// checks are decode's and the slots resolve's, so what is legal has one
-// definition.
-func Translate(prog *isa.Program) *Translated {
+// TranslateError is why Translate rejects a program: the first op an
+// interpreted run of it may fail at on its own account, and what is wrong
+// there, in words.
+type TranslateError struct {
+	Op     int
+	Reason string
+}
+
+func (e *TranslateError) Error() string {
+	return fmt.Sprintf("sim: op %d does not translate: %s", e.Op, e.Reason)
+}
+
+// Translate translates prog for clean runs (see Translated), or returns a
+// *TranslateError for a program whose run it cannot prove: a read of a row
+// no earlier op defines or of no row at all, a SPILL_IN of a slot no
+// earlier op spills, an AAP or WRITE into a constant row, a store to no
+// row of the subarray or to a D row at or past maxPlanRow, an unknown
+// kind. Those are the ops at which an interpreted run may fail on its own
+// account; a translated run fails only where the host fails it (a nil
+// HostIO, callback or payload) or ctx does. The rows resolve as decode
+// resolves them, so what is legal has one definition.
+func Translate(prog *isa.Program) (*Translated, error) {
 	return (&translator{}).translate(prog)
 }
 
@@ -109,14 +122,14 @@ func Translate(prog *isa.Program) *Translated {
 // Where t folded an AP into a value an earlier op computed — an AP of a row
 // beside its own copy or complement — that AP has no instruction a flip
 // could land on, so prog is translated again with every AP given one (a
-// MAJ or AND of its operands, which computes the value the fold named);
-// otherwise the result shares t's instructions.
+// MAJ, AND or OR of its operands, which computes the value the fold
+// named); otherwise the result shares t's instructions.
 func TranslateTRAs(prog *isa.Program, t *Translated) *Translated {
 	if t == nil {
 		return nil
 	}
 	tr := &translator{record: true}
-	u := tr.translate(prog)
+	u, _ := tr.translate(prog)
 	if len(tr.folds) == 0 {
 		// Nothing folded: the same nodes as t's, so the same instructions.
 		u.ins, u.cuts = t.ins, t.cuts
@@ -131,8 +144,8 @@ func TranslateTRAs(prog *isa.Program, t *Translated) *Translated {
 // instruction). All are nil where Translate rejects prog.
 func APFates(prog *isa.Program) (live, dead, folded []int) {
 	tr := &translator{record: true}
-	t := tr.translate(prog)
-	if t == nil {
+	t, err := tr.translate(prog)
+	if err != nil {
 		return nil, nil, nil
 	}
 	folds := tr.folds
@@ -149,8 +162,14 @@ func APFates(prog *isa.Program) (live, dead, folded []int) {
 	return live, dead, folded
 }
 
-// translate is Translate on tr.
-func (tr *translator) translate(prog *isa.Program) *Translated {
+// reject is Translate's error at source op i.
+func reject(i int, format string, args ...any) (*Translated, error) {
+	return nil, &TranslateError{Op: i, Reason: fmt.Sprintf(format, args...)}
+}
+
+// translate is Translate on tr. An op's value is formed before anything is
+// stored, so where one op is wrong twice the reason names its operand.
+func (tr *translator) translate(prog *isa.Program) (*Translated, error) {
 	n := 0 // ops that may emit an instruction
 	for i := range prog.Ops {
 		if k := prog.Ops[i].Kind; k == isa.OpAP || k == isa.OpWrite || k == isa.OpRead {
@@ -166,21 +185,12 @@ func (tr *translator) translate(prog *isa.Program) *Translated {
 	var e dop
 	for i := range prog.Ops {
 		e.decode(&prog.Ops[i])
-		if !e.fast {
-			return nil
-		}
 		reads, writes := e.operands()
 		var in [3]vref
 		for j := range reads {
 			o := &reads[j]
-			if o.slot < 0 || o.row >= maxPlanRow || int(o.slot) >= len(tr.slot) || tr.slot[o.slot] < 0 {
-				return nil
-			}
-			maxD, in[j] = max(maxD, int(o.row)), tr.slot[o.slot]
-		}
-		for _, o := range writes {
-			if o.slot < 0 || o.row >= maxPlanRow {
-				return nil
+			if in[j] = tr.value(o.slot); in[j] < 0 {
+				return reject(i, "read of undefined row %s", o.row)
 			}
 			maxD = max(maxD, int(o.row))
 		}
@@ -205,23 +215,30 @@ func (tr *translator) translate(prog *isa.Program) *Translated {
 		case isa.OpSpillIn:
 			var ok bool
 			if v, ok = tr.spill[e.imm]; !ok {
-				return nil
+				return reject(i, "SPILL_IN of unwritten slot %d", e.imm)
 			}
 		default:
-			return nil
+			return reject(i, "unknown op kind %d", int(e.kind))
 		}
 		for _, o := range writes {
+			switch {
+			case !e.fast && o.row.IsCGroup(): // an AAP or WRITE into C0 or C1, as exec reports it
+				return reject(i, "%s into constant row %s", e.kind, o.row)
+			case o.slot < 0 || o.row >= maxPlanRow:
+				return reject(i, "write to row %s outside the subarray", o.row)
+			}
+			maxD = max(maxD, int(o.row))
 			tr.store(o, v)
 		}
 	}
 	t := tr.allocate(len(prog.Ops))
 	t.maxD = maxD
-	return t
+	return t, nil
 }
 
-// value is what slot holds, -1 if nothing.
+// value is what slot holds, -1 if nothing (or no slot).
 func (tr *translator) value(slot int32) vref {
-	if int(slot) < len(tr.slot) {
+	if slot >= 0 && int(slot) < len(tr.slot) {
 		return tr.slot[slot]
 	}
 	return -1
@@ -249,9 +266,7 @@ func (tr *translator) emit(nd tnode) vref {
 // value sensed twice is the majority, and one sensed beside its own
 // complement leaves the third operand's: that AP is folded, unless tr
 // records. Beside the zero row it is the AND of the other two, and beside
-// its complement their OR, which is the complement of the AND of theirs:
-// one kind serves every AP that senses a constant row, which is how
-// Ambit-style AND and OR are built.
+// its complement their OR: how Ambit-style AND and OR are built.
 func (tr *translator) majority(in [3]vref, i int) vref {
 	if v, ok := folded(in); ok {
 		if !tr.record {
@@ -261,8 +276,8 @@ func (tr *translator) majority(in [3]vref, i int) vref {
 	}
 	for j, z := range in {
 		if z>>1 == 0 {
-			x, y := in[(j+1)%3]^z, in[(j+2)%3]^z
-			return tr.emit(tnode{kind: tAnd, opd: [3]vref{x, y, -1}, op: int32(i)}) ^ z
+			kind := [2]uint8{tAnd, tOr}[z] // beside C0, beside C1
+			return tr.emit(tnode{kind: kind, opd: [3]vref{in[(j+1)%3], in[(j+2)%3], -1}, op: int32(i)})
 		}
 	}
 	return tr.emit(tnode{kind: tMaj, opd: in, op: int32(i)})
@@ -290,7 +305,7 @@ func folded(in [3]vref) (vref, bool) {
 // operands is the number of operands nd reads.
 func (nd *tnode) operands() int {
 	switch nd.kind {
-	case tAnd:
+	case tAnd, tOr:
 		return 2
 	case tMaj:
 		return 3
@@ -470,12 +485,18 @@ func (m *Machine) runIns(t *Translated, lo, hi int32, io *HostIO) error {
 	for i := lo; i < hi; i++ {
 		in := &t.ins[i]
 		switch in.kind {
-		case tAnd:
+		case tAnd, tOr:
 			d, a, b := reg(in.dst), reg(in.a), reg(in.b)
 			na, nb := negMask(in.neg, 0), negMask(in.neg, 1)
 			a, b = a[:len(d)], b[:len(d)]
-			for j := range d {
-				d[j] = (a[j] ^ na) & (b[j] ^ nb)
+			if in.kind == tAnd {
+				for j := range d {
+					d[j] = (a[j] ^ na) & (b[j] ^ nb)
+				}
+			} else {
+				for j := range d {
+					d[j] = (a[j] ^ na) | (b[j] ^ nb)
+				}
 			}
 			d[len(d)-1] &= mask
 		case tMaj:
@@ -520,3 +541,35 @@ func (m *Machine) runIns(t *Translated, lo, hi int32, io *HostIO) error {
 // negMask is the word operand j of an instruction with complement bits neg
 // is XORed with: all ones if it is complemented, else zero.
 func negMask(neg uint8, j uint) uint64 { return -uint64(neg >> j & 1) }
+
+// Walk runs t's instructions in order over values of type V, as
+// RunTranslatedCtx runs them over rows of lanes: register 0 holds zero, a
+// complemented operand is not of its register, an AND, OR or MAJ applies
+// and, or or maj, a load holds what load gives its WRITE tag (a whole
+// row), and read takes the value of each READ with its tag.
+func Walk[V any](t *Translated, zero V, not func(V) V, and, or func(V, V) V, maj func(V, V, V) V,
+	load func(tag int) V, read func(tag int, v V)) {
+	regs := make([]V, t.regs)
+	regs[0] = zero
+	for i := range t.ins {
+		in := &t.ins[i]
+		opd := func(j uint, r int32) V {
+			if in.neg>>j&1 != 0 {
+				return not(regs[r])
+			}
+			return regs[r]
+		}
+		switch in.kind {
+		case tAnd:
+			regs[in.dst] = and(opd(0, in.a), opd(1, in.b))
+		case tOr:
+			regs[in.dst] = or(opd(0, in.a), opd(1, in.b))
+		case tMaj:
+			regs[in.dst] = maj(opd(0, in.a), opd(1, in.b), opd(2, in.c))
+		case tLoad:
+			regs[in.dst] = load(int(in.b))
+		case tRead:
+			read(int(in.b), opd(0, in.a))
+		}
+	}
+}

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -147,10 +148,10 @@ func runBoth(prog *isa.Program, t *Translated, dRows, lanes int, h transHost, li
 // leave the program so far one Translate accepts, and its translation.
 func translatedPart(prog *isa.Program) (*isa.Program, *Translated) {
 	p := &isa.Program{DRowsUsed: prog.DRowsUsed, SpillSlots: prog.SpillSlots}
-	t := Translate(p)
+	t, _ := Translate(p)
 	for _, op := range prog.Ops {
 		p.Ops = append(p.Ops, op)
-		if next := Translate(p); next != nil {
+		if next, err := Translate(p); err == nil {
 			t = next
 		} else {
 			p.Ops = p.Ops[:len(p.Ops)-1]
@@ -179,8 +180,8 @@ func transStreams(seed int64) (int, []*isa.Program) {
 func checkTranslated(t *testing.T, seed int64, laneCounts []int) (accepted, total int) {
 	dRows, progs := transStreams(seed)
 	for v, prog := range progs {
-		tr := Translate(prog)
-		if tr != nil {
+		tr, err := Translate(prog)
+		if err == nil {
 			accepted++
 		} else {
 			prog, tr = translatedPart(prog)
@@ -250,34 +251,36 @@ func TestTranslateResolvesCopies(t *testing.T) {
 		isa.NewAAP(isa.Row(4), isa.Row(5)),
 		isa.NewRead(isa.Row(5), 2),
 	}}
-	tr := Translate(prog)
-	if tr == nil {
-		t.Fatal("rejected")
+	tr, err := Translate(prog)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var kinds []uint8
 	for _, in := range tr.ins {
 		kinds = append(kinds, in.kind)
 	}
-	if want := []uint8{tLoad, tLoad, tAnd, tRead}; !slices.Equal(kinds, want) {
+	if want := []uint8{tLoad, tLoad, tOr, tRead}; !slices.Equal(kinds, want) {
 		t.Fatalf("instruction kinds %v, want %v", kinds, want)
 	}
-	// The AP beside C1 is row 0 OR NOT row 1: the complement of the AND
-	// of NOT row 0 and row 1, which the READ complements back.
-	if and, read := tr.ins[2], tr.ins[3]; and.neg != 0b01 || read.neg != 1 || read.a != and.dst {
-		t.Fatalf("AND %+v, READ %+v: want NOT row 0 AND row 1, read complemented", and, read)
+	// The AP beside C1 is row 0 OR NOT row 1, which the READ reads as is.
+	if or, read := tr.ins[2], tr.ins[3]; or.neg != 0b10 || read.neg != 0 || read.a != or.dst {
+		t.Fatalf("OR %+v, READ %+v: want row 0 OR NOT row 1, read uncomplemented", or, read)
 	}
 	for _, tc := range []struct {
 		name string
 		prog *isa.Program
+		want string // the reason Translate gives at the last op
 	}{
-		{"uninitialized read", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.Row(3), isa.T0)}}},
-		{"unwritten spill slot", &isa.Program{Ops: []isa.Op{isa.NewSpillIn(isa.Row(0), 1)}}},
-		{"AAP into C0", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, isa.C0)}}},
-		{"no such row", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, isa.Row(-20))}}},
-		{"unknown kind", &isa.Program{Ops: []isa.Op{{Kind: isa.OpKind(99)}}}},
+		{"uninitialized read", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.Row(3), isa.T0)}}, "read of undefined row D3"},
+		{"unwritten spill slot", &isa.Program{Ops: []isa.Op{isa.NewWrite(isa.Row(0), 0), isa.NewSpillIn(isa.Row(0), 1)}}, "SPILL_IN of unwritten slot 1"},
+		{"AAP into C0", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, isa.C0)}}, "AAP into constant row C0"},
+		{"no such row", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, isa.T0), isa.NewAAP(isa.C1, isa.Row(-20))}}, "write to row R?-20 outside the subarray"},
+		{"unknown kind", &isa.Program{Ops: []isa.Op{{Kind: isa.OpKind(99)}}}, "unknown op kind 99"},
 	} {
-		if Translate(tc.prog) != nil {
-			t.Errorf("%s: accepted", tc.name)
+		tr, err := Translate(tc.prog)
+		var te *TranslateError
+		if op := len(tc.prog.Ops) - 1; tr != nil || !errors.As(err, &te) || te.Op != op || te.Reason != tc.want {
+			t.Errorf("%s: %v, %v; want a rejection at op %d: %s", tc.name, tr, err, op, tc.want)
 		}
 	}
 }
@@ -318,7 +321,7 @@ func TestTranslatableOnlyWhenUnwatched(t *testing.T) {
 // register file is the machine's, and MemBytes counts it.
 func TestRunTranslatedZeroAlloc(t *testing.T) {
 	dRows, progs := transStreams(1)
-	tr := Translate(progs[len(progs)-1])
+	tr, _ := Translate(progs[len(progs)-1])
 	if tr == nil || len(tr.ins) < 100 || len(tr.cuts) < 3 {
 		t.Fatal("the stream is too short to gate")
 	}
@@ -350,10 +353,11 @@ func TestTRAFlipsTranslatedMatchInterpreter(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		dRows, progs := transStreams(seed)
 		for v, prog := range progs {
-			if Translate(prog) == nil {
-				prog, _ = translatedPart(prog)
+			clean, err := Translate(prog)
+			if err != nil {
+				prog, clean = translatedPart(prog)
 			}
-			tr := TranslateTRAs(prog, Translate(prog))
+			tr := TranslateTRAs(prog, clean)
 			live, dead, folded := APFates(prog)
 			fates[0], fates[1], fates[2] = fates[0]+len(live), fates[1]+len(dead), fates[2]+len(folded)
 			cfgs := []fault.Config{{TRAFlipRate: 0.05}, {TRAFlipRate: 1}}

@@ -96,6 +96,7 @@ var internalAllowlist = map[string]string{
 	"narrow.GenGraph":          "fuzz generator for random range-annotated graphs, shared by the narrow and root equivalence tests",
 	"sim.Subarray.Row":         "the sim tests read a row of a subarray back with it",
 	"sim.APFates":              "the root package's TRA-fault differential test aims single faults at a live and a folded AP with it",
+	"sim.Walk":                 "how internal/prove reads the translation it proves, instruction by instruction; ROADMAP 13 puts the proof on the product path",
 	"workloads.Spec.Config":    tableIICoords,
 	"workloads.Spec.Domain":    tableIICoords,
 

@@ -37,7 +37,7 @@ func TestCleanKernelNeverDecodes(t *testing.T) {
 		return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / ops
 	}
 	t.Logf("DenseNet-128, %.0f ops: isa.Op %d B/op, translation %.1f B/op, AP-mapped translation %.1f B/op more, decoded stream %.1f B/op",
-		ops, unsafe.Sizeof(isa.Op{}), perOp(func() any { return sim.Translate(k.prog) }),
+		ops, unsafe.Sizeof(isa.Op{}), perOp(func() any { tr, _ := sim.Translate(k.prog); return tr }),
 		perOp(func() any { return sim.TranslateTRAs(k.prog, k.translatedProg()) }), perOp(func() any { return sim.Decode(k.prog) }))
 	if _, err := k.RunWide(wideInputs(k, lanes), lanes); err != nil {
 		t.Fatal(err)
