@@ -11,14 +11,13 @@ import (
 )
 
 // Decoded is an isa.Program pre-decoded into a flat execution stream: per
-// op, the fields the executor needs are unpacked once and every statically
-// decidable check (C-group destination legality) is decided once instead
-// of per execution. A Decoded is immutable after Decode and safe to share
-// across goroutines and trials; it is how a compiled kernel amortizes
-// dispatch cost over the runs a translation cannot take (see
-// Machine.Translatable): fault runs, recovered runs and budget-stopped
-// runs. Row operands are resolved to arena slots, and
-// reads of rows an earlier op always defines are proven (see exec).
+// op, the fields the executor needs are unpacked once. A Decoded is
+// immutable after Decode and safe to share across goroutines and trials;
+// it is how a compiled kernel amortizes dispatch cost over the runs a
+// translation cannot take (see Machine.Translatable): fault runs,
+// recovered runs and budget-stopped runs. Row operands are resolved to
+// arena slots, and reads of rows an earlier op always defines are proven
+// (see exec).
 type Decoded struct {
 	prog  *isa.Program
 	ops   []dop
@@ -60,57 +59,46 @@ var specialOpnds = func() (t [numSpecialRows]opnd) {
 	return t
 }()
 
-// dop is one decoded micro-op, the only form the executor runs. fast marks
-// ops that pass every static check; exec re-runs those checks only for ops
-// without it, at the point of the op where the seed simulator ran them, so
-// error text, error position and fault-hook sequence are the seed's
-// (seedref_test.go). The record is 64 bytes (TestDecodedOpSize).
+// dop is one decoded micro-op, the only form the executor runs. The record
+// is 64 bytes (TestDecodedOpSize).
 type dop struct {
 	imm   uint64
-	opd   [4]opnd // the source row, then the three destination rows
+	opd   [4]opnd // the source row, then the three destination rows: rows(op) resolved
 	tag   int32
 	kind  isa.OpKind
-	fast  bool
 	rowOp bool // a planned run takes the row-op body (Decode)
 	ndst  uint8
 }
 
-// decode unpacks op into e and decides its static checks.
-func (e *dop) decode(op *isa.Op) {
-	*e = dop{kind: op.Kind, ndst: op.NDst, tag: op.Tag, imm: op.Imm}
-	e.opd[0] = resolve(op.Src)
-	for i, r := range op.Dst {
-		e.opd[1+i] = resolve(r)
-	}
-	switch op.Kind {
-	case isa.OpAAP:
-		e.fast = true
-		for _, r := range op.Dsts() {
-			if r.IsCGroup() {
-				e.fast = false // exec reports the C-group error at that destination
-			}
-		}
-	case isa.OpWrite:
-		e.fast = !op.Dst[0].IsCGroup()
-	case isa.OpAP, isa.OpRead, isa.OpSpillOut, isa.OpSpillIn:
-		e.fast = true
-	}
-}
+// rows is op's row operands in the order roles reads them: Src, then Dst.
+func rows(op *isa.Op) [4]isa.Row { return [4]isa.Row{op.Src, op.Dst[0], op.Dst[1], op.Dst[2]} }
 
-// operands returns the rows e senses and the rows it stores, in exec's
-// order (an AP senses its three rows, then stores into them).
-func (e *dop) operands() (reads, writes []opnd) {
-	switch e.kind {
+// roles is the one rule of which of an op's row operands (opd, in rows'
+// order) it senses and which it stores, for its kind k and destination
+// count ndst, in exec's order: an AAP senses Src and stores Dst[:ndst], an
+// AP senses Dst[0..2] and then stores into them, a READ or SPILL_OUT
+// senses Src, and a WRITE or SPILL_IN stores Dst[0]. An unknown kind names
+// no row. exec and Translate both read it.
+func roles[T any](opd *[4]T, k isa.OpKind, ndst uint8) (reads, writes []T) {
+	switch k {
 	case isa.OpAAP:
-		return e.opd[:1], e.opd[1 : 1+e.ndst]
+		return opd[:1], opd[1 : 1+ndst]
 	case isa.OpAP:
-		return e.opd[1:], e.opd[1:]
+		return opd[1:], opd[1:]
 	case isa.OpRead, isa.OpSpillOut:
-		return e.opd[:1], nil
+		return opd[:1], nil
 	case isa.OpWrite, isa.OpSpillIn:
-		return nil, e.opd[1:2]
+		return nil, opd[1:2]
 	}
 	return nil, nil
+}
+
+// constStore is the one rule of which stores are illegal whatever the
+// data: an AAP or WRITE (kind k) into C0 or C1, the constant rows. exec
+// fails at such a destination, before storing into it, and Translate
+// rejects the op there.
+func constStore(k isa.OpKind, r isa.Row) bool {
+	return (k == isa.OpAAP || k == isa.OpWrite) && r.IsCGroup()
 }
 
 // Decode pre-decodes prog. The result references prog (recovery reads its
@@ -120,8 +108,8 @@ func (e *dop) operands() (reads, writes []opnd) {
 // stores (and their partners), and a whole-stream run stops at the first
 // op that does not, so when op i executes every op before it has defined
 // its rows. C0 and C1 hold their constants from reset on. It also marks
-// the row ops: each AAP or AP that passes its static checks, reads only
-// proven rows and stores only into dense rows outside the C-group.
+// the row ops: each AAP or AP that reads only proven rows and stores only
+// into dense rows outside the C-group.
 func Decode(prog *isa.Program) *Decoded {
 	d := &Decoded{prog: prog, ops: make([]dop, len(prog.Ops)), maxD: -1, dense: true}
 	def := make([]bool, numSpecialRows) // by slot
@@ -131,10 +119,13 @@ func Decode(prog *isa.Program) *Decoded {
 		d.maxD = max(d.maxD, int(o.row))
 	}
 	for i := range d.ops {
-		e := &d.ops[i]
-		e.decode(&prog.Ops[i])
-		reads, writes := e.operands()
-		e.rowOp = e.fast && (e.kind == isa.OpAAP || e.kind == isa.OpAP)
+		op, e := &prog.Ops[i], &d.ops[i]
+		*e = dop{kind: op.Kind, ndst: op.NDst, tag: op.Tag, imm: op.Imm}
+		for j, r := range rows(op) {
+			e.opd[j] = resolve(r)
+		}
+		reads, writes := roles(&e.opd, e.kind, e.ndst)
+		e.rowOp = e.kind == isa.OpAAP || e.kind == isa.OpAP
 		for j := range reads {
 			note(&reads[j])
 			reads[j].proven = d.dense && int(reads[j].slot) < len(def) && def[reads[j].slot]
@@ -168,9 +159,9 @@ func (s *Subarray) ExecDecoded(d *Decoded, i int, io *HostIO, spill *SpillStore)
 
 // exec is what the six micro-ops do — the one definition under every
 // execution entry point: sense the rows the op reads, form the value it
-// stores, store it. Dynamic conditions (rows the subarray has, row
-// presence, host IO availability, spill-slot liveness) are checked on every
-// op; static ones only for ops decode did not mark fast. planned is the
+// stores, store it. What an op may fail on (rows the subarray has, row
+// presence, host IO availability, spill-slot liveness, a store into a
+// constant row) is checked on every op. planned is the
 // whole-stream loops' licence (Subarray.plan): every operand is a backed row
 // of the subarray, a row op runs as one body over its slots, and a proven
 // read skips the presence check. Unproven reads are always checked.
@@ -205,7 +196,7 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 		}
 		return nil
 	}
-	reads, writes := op.operands()
+	reads, writes := roles(&op.opd, op.kind, op.ndst)
 	if !planned {
 		if err := s.outside(reads); err != nil {
 			return err
@@ -233,9 +224,6 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 		var err error
 		if val, err = written(io, op.tag); err != nil {
 			return err
-		}
-		if !op.fast {
-			return fmt.Errorf("sim: WRITE into constant row %s", writes[0].row)
 		}
 
 	case isa.OpRead:
@@ -268,8 +256,8 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 	}
 	for j := range writes {
 		o := &writes[j]
-		if !op.fast && o.row.IsCGroup() {
-			return fmt.Errorf("sim: AAP into constant row %s", o.row)
+		if constStore(op.kind, o.row) {
+			return fmt.Errorf("sim: %s into constant row %s", op.kind, o.row)
 		}
 		if dst := s.setRow(o, val); s.events&isa.EvStore != 0 {
 			// Persistent bitline defects corrupt the stored contents.

@@ -160,8 +160,10 @@ func planStreams(seed int64) (int, []*isa.Program) {
 		for j := range op.Dst {
 			op.Dst[j] = fold(op.Dst[j])
 		}
-		var e dop
-		if e.decode(op); e.fast && !(op.Kind == isa.OpWrite && op.Tag == 5) {
+		opd := rows(op)
+		_, writes := roles(&opd, op.Kind, op.NDst)
+		constant := slices.ContainsFunc(writes, func(r isa.Row) bool { return constStore(op.Kind, r) })
+		if !constant && !(op.Kind == isa.OpWrite && op.Tag == 5) {
 			clean.Ops = append(clean.Ops, *op)
 		}
 	}
@@ -250,7 +252,8 @@ func TestPlannedBodyMutant(t *testing.T) {
 			mut := &Decoded{prog: d.prog, ops: slices.Clone(d.ops), maxD: d.maxD, dense: d.dense}
 			at := -1
 			for i := range mut.ops {
-				reads, _ := mut.ops[i].operands()
+				e := &mut.ops[i]
+				reads, _ := roles(&e.opd, e.kind, e.ndst)
 				if j := slices.IndexFunc(reads, func(o opnd) bool { return !o.proven }); j >= 0 {
 					reads[j].proven = true
 					at = i
@@ -278,7 +281,7 @@ func TestPlannedBodyMutant(t *testing.T) {
 func TestDecodeProvesPartners(t *testing.T) {
 	for _, r := range []isa.Row{isa.DCC0, isa.DCC0N, isa.DCC1, isa.DCC1N} {
 		d := Decode(&isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, r), isa.NewRead(r.Complement(), 0)}})
-		if reads, _ := d.ops[1].operands(); !d.dense || !reads[0].proven {
+		if reads, _ := roles(&d.ops[1].opd, isa.OpRead, 0); !d.dense || !reads[0].proven {
 			t.Errorf("%v: the read of its partner is not proven", r)
 		}
 	}

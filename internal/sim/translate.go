@@ -110,8 +110,10 @@ func (e *TranslateError) Error() string {
 // row of the subarray or to a D row at or past maxPlanRow, an unknown
 // kind. Those are the ops at which an interpreted run may fail on its own
 // account; a translated run fails only where the host fails it (a nil
-// HostIO, callback or payload) or ctx does. The rows resolve as decode
-// resolves them, so what is legal has one definition.
+// HostIO, callback or payload) or ctx does. It reads each isa.Op as exec
+// reads its decoded form: the rows it senses and stores are roles', and a
+// store into a constant row is constStore's, so what an op touches and
+// what is illegal have one definition each.
 func Translate(prog *isa.Program) (*Translated, error) {
 	return (&translator{}).translate(prog)
 }
@@ -182,20 +184,19 @@ func (tr *translator) translate(prog *isa.Program) (*Translated, error) {
 	}
 	tr.slot[0], tr.slot[1] = 0, 1 // C0, C1: the zero row and its complement
 	maxD := -1
-	var e dop
 	for i := range prog.Ops {
-		e.decode(&prog.Ops[i])
-		reads, writes := e.operands()
+		op := &prog.Ops[i]
+		opd := rows(op)
+		reads, writes := roles(&opd, op.Kind, op.NDst)
 		var in [3]vref
-		for j := range reads {
-			o := &reads[j]
-			if in[j] = tr.value(o.slot); in[j] < 0 {
-				return reject(i, "read of undefined row %s", o.row)
+		for j, r := range reads {
+			if in[j] = tr.value(resolve(r).slot); in[j] < 0 {
+				return reject(i, "read of undefined row %s", r)
 			}
-			maxD = max(maxD, int(o.row))
+			maxD = max(maxD, int(r))
 		}
 		var v vref // the value the op stores into writes
-		switch e.kind {
+		switch op.Kind {
 		case isa.OpAAP:
 			v = in[0]
 		case isa.OpAP:
@@ -204,30 +205,31 @@ func (tr *translator) translate(prog *isa.Program) (*Translated, error) {
 			}
 			v = tr.majority(in, i)
 		case isa.OpWrite:
-			v = tr.emit(tnode{kind: tLoad, opd: [3]vref{tr.value(writes[0].slot), -1, -1}, arg: e.tag, op: int32(i)})
+			v = tr.emit(tnode{kind: tLoad, opd: [3]vref{tr.value(resolve(writes[0]).slot), -1, -1}, arg: op.Tag, op: int32(i)})
 		case isa.OpRead:
-			tr.emit(tnode{kind: tRead, opd: [3]vref{in[0], -1, -1}, arg: e.tag, op: int32(i)})
+			tr.emit(tnode{kind: tRead, opd: [3]vref{in[0], -1, -1}, arg: op.Tag, op: int32(i)})
 		case isa.OpSpillOut:
 			if tr.spill == nil {
 				tr.spill = make(map[uint64]vref)
 			}
-			tr.spill[e.imm] = in[0]
+			tr.spill[op.Imm] = in[0]
 		case isa.OpSpillIn:
 			var ok bool
-			if v, ok = tr.spill[e.imm]; !ok {
-				return reject(i, "SPILL_IN of unwritten slot %d", e.imm)
+			if v, ok = tr.spill[op.Imm]; !ok {
+				return reject(i, "SPILL_IN of unwritten slot %d", op.Imm)
 			}
 		default:
-			return reject(i, "unknown op kind %d", int(e.kind))
+			return reject(i, "unknown op kind %d", int(op.Kind))
 		}
-		for _, o := range writes {
+		for _, r := range writes {
+			o := resolve(r)
 			switch {
-			case !e.fast && o.row.IsCGroup(): // an AAP or WRITE into C0 or C1, as exec reports it
-				return reject(i, "%s into constant row %s", e.kind, o.row)
-			case o.slot < 0 || o.row >= maxPlanRow:
-				return reject(i, "write to row %s outside the subarray", o.row)
+			case constStore(op.Kind, r):
+				return reject(i, "%s into constant row %s", op.Kind, r)
+			case o.slot < 0 || r >= maxPlanRow:
+				return reject(i, "write to row %s outside the subarray", r)
 			}
-			maxD = max(maxD, int(o.row))
+			maxD = max(maxD, int(r))
 			tr.store(o, v)
 		}
 	}
@@ -302,8 +304,8 @@ func folded(in [3]vref) (vref, bool) {
 	return 0, false
 }
 
-// operands is the number of operands nd reads.
-func (nd *tnode) operands() int {
+// arity is the number of operands nd reads.
+func (nd *tnode) arity() int {
 	switch nd.kind {
 	case tAnd, tOr:
 		return 2
@@ -341,7 +343,7 @@ func (tr *translator) allocate(n int) *Translated {
 			continue
 		}
 		kept++
-		for _, u := range nd.opd[:nd.operands()] {
+		for _, u := range nd.opd[:nd.arity()] {
 			if id := u >> 1; last[id] < 0 {
 				last[id] = int32(i)
 			}
@@ -366,7 +368,7 @@ func (tr *translator) allocate(n int) *Translated {
 			continue
 		}
 		in := tins{kind: nd.kind, dst: -1, a: -1, b: nd.arg, c: nd.op}
-		opd := nd.opd[:nd.operands()]
+		opd := nd.opd[:nd.arity()]
 		regs := [3]*int32{&in.a, &in.b, &in.c}
 		for j, u := range opd {
 			*regs[j] = reg[u>>1]

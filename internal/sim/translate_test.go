@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -173,10 +174,28 @@ func transStreams(seed int64) (int, []*isa.Program) {
 	return dRows, append(progs, long)
 }
 
+// checkRejected holds Translate's rejection err of prog to the
+// interpreter: prog's run under the full host on a dRows-row subarray
+// fails at the op the rejection names.
+func checkRejected(t *testing.T, name string, prog *isa.Program, dRows int, err error) {
+	t.Helper()
+	var te *TranslateError
+	if !errors.As(err, &te) {
+		t.Fatalf("%s: Translate returned %v, want a *TranslateError", name, err)
+	}
+	m := NewMachine(MachineConfig{Geom: planGeom(dRows), Arch: isa.Ambit, Lanes: 64})
+	var calls []string
+	run := m.RunFunctionalCtx(context.Background(), Decode(prog), transHosts[0].io(m.sub.words, &calls), guard.Budget{})
+	if run == nil || !strings.HasPrefix(run.Error(), fmt.Sprintf("op %d ", te.Op)) {
+		t.Fatalf("%s: Translate rejects op %d (%s), but the interpreted run ends in %v", name, te.Op, te.Reason, run)
+	}
+}
+
 // checkTranslated holds the translated runs of transStreams(seed)'s
 // accepted programs, and of the accepted part of each rejected one, against the interpreter at each lane count, under every host, with
-// ctx live throughout and canceled at each look. It returns how many of
-// the programs Translate accepted, and of how many.
+// ctx live throughout and canceled at each look; and each rejection to
+// the op its interpreted run fails at (checkRejected). It returns how many
+// of the programs Translate accepted, and of how many.
 func checkTranslated(t *testing.T, seed int64, laneCounts []int) (accepted, total int) {
 	dRows, progs := transStreams(seed)
 	for v, prog := range progs {
@@ -184,6 +203,7 @@ func checkTranslated(t *testing.T, seed int64, laneCounts []int) (accepted, tota
 		if err == nil {
 			accepted++
 		} else {
+			checkRejected(t, fmt.Sprintf("seed %d variant %d", seed, v), prog, dRows, err)
 			prog, tr = translatedPart(prog)
 		}
 		for _, lanes := range laneCounts {
@@ -236,7 +256,9 @@ func FuzzTranslate(f *testing.F) {
 
 // TestTranslateResolvesCopies: a translation keeps an op that computes or
 // crosses the host boundary and drops every copy, and reads a dual-contact
-// partner as the complement of what its pair was given.
+// partner as the complement of what its pair was given. A program it
+// rejects names the op and the reason, and its interpreted run fails at
+// that op: the table holds the rejections the random corpus never makes.
 func TestTranslateResolvesCopies(t *testing.T) {
 	prog := &isa.Program{Ops: []isa.Op{
 		isa.NewWrite(isa.Row(0), 0),
@@ -274,14 +296,19 @@ func TestTranslateResolvesCopies(t *testing.T) {
 		{"uninitialized read", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.Row(3), isa.T0)}}, "read of undefined row D3"},
 		{"unwritten spill slot", &isa.Program{Ops: []isa.Op{isa.NewWrite(isa.Row(0), 0), isa.NewSpillIn(isa.Row(0), 1)}}, "SPILL_IN of unwritten slot 1"},
 		{"AAP into C0", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, isa.C0)}}, "AAP into constant row C0"},
+		{"WRITE into C1", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, isa.T0), isa.NewWrite(isa.C1, 0)}}, "WRITE into constant row C1"},
+		{"AAP into C0 at its second destination", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, isa.T0, isa.C0)}}, "AAP into constant row C0"},
 		{"no such row", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, isa.T0), isa.NewAAP(isa.C1, isa.Row(-20))}}, "write to row R?-20 outside the subarray"},
+		{"D row past the plan", &isa.Program{Ops: []isa.Op{isa.NewWrite(isa.Row(maxPlanRow), 0)}}, "write to row D1048576 outside the subarray"},
 		{"unknown kind", &isa.Program{Ops: []isa.Op{{Kind: isa.OpKind(99)}}}, "unknown op kind 99"},
 	} {
 		tr, err := Translate(tc.prog)
 		var te *TranslateError
 		if op := len(tc.prog.Ops) - 1; tr != nil || !errors.As(err, &te) || te.Op != op || te.Reason != tc.want {
 			t.Errorf("%s: %v, %v; want a rejection at op %d: %s", tc.name, tr, err, op, tc.want)
+			continue
 		}
+		checkRejected(t, tc.name, tc.prog, 8, err)
 	}
 }
 
