@@ -171,6 +171,10 @@ const (
 // ordinary DRAM cells), so compute time dilates the same way.
 const RefreshOverhead = ddr4TRFC / ddr4TREFI
 
+// IssueGapNs is the minimum spacing between consecutive command issues:
+// one DDR4-2400 clock. The engine and VIRCOE's emitter both space by it.
+const IssueGapNs = 0.833
+
 // TimingFor returns the command timing table for arch. The relative costs
 // follow the source papers: Ambit's AAP takes roughly two back-to-back row
 // activations plus a precharge; its AP (TRA) is one row cycle. ELP2IM
@@ -281,10 +285,6 @@ type Engine struct {
 	timing Timing
 	salp   bool
 
-	// IssueGapNs is the minimum spacing between consecutive command
-	// issues (one DDR4-2400 clock by default).
-	IssueGapNs float64
-
 	busFree   float64
 	lastStart float64
 	now       float64
@@ -367,7 +367,7 @@ func NewEngine(g Geometry, t Timing, salp bool) *Engine {
 
 // Reconfigure re-arms the engine for a new run under a (possibly different)
 // geometry/timing pair, reusing the scheduling slices when the unit count
-// is unchanged. IssueGapNs and SSDDelay return to their NewEngine defaults.
+// is unchanged. SSDDelay returns to its NewEngine default.
 func (e *Engine) Reconfigure(g Geometry, t Timing, salp bool) {
 	units := g.Banks * g.SubarraysPB
 	if len(e.unit) != units {
@@ -376,7 +376,6 @@ func (e *Engine) Reconfigure(g Geometry, t Timing, salp bool) {
 		e.seen = make([]bool, units)
 	}
 	e.geom, e.timing, e.salp = g, t, salp
-	e.IssueGapNs = 0.833 // one DDR4-2400 clock
 	e.SSDDelay = nil
 	for k := range isa.NumOpKinds {
 		op := isa.Op{Kind: isa.OpKind(k)}
@@ -434,7 +433,7 @@ func (e *Engine) IssueOp(bank, sub int, kind isa.OpKind, imm uint64) float64 {
 	if s := e.subSeq[si]; s > start {
 		start = s
 	}
-	if s := e.lastStart + e.IssueGapNs; s > start && e.stats.Ops > 0 {
+	if s := e.lastStart + IssueGapNs; s > start && e.stats.Ops > 0 {
 		start = s
 	}
 

@@ -187,8 +187,7 @@ func ParseProgram(text string) (*Program, error) {
 			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
 		}
 		p.Ops = append(p.Ops, op)
-		rows := append([]Row{op.Src}, op.Dst[:]...)
-		for _, r := range rows {
+		for _, r := range op.Rows() {
 			if r.IsDGroup() && int(r) > maxRow {
 				maxRow = int(r)
 			}

@@ -332,9 +332,10 @@ func (p *Program) Counts() map[OpKind]int {
 
 // Validate checks structural invariants: every row operand is a row of the
 // subarray (a C-group or B-group row, or a D-group row below dRows), AP
-// operands are B-group rows, spill ops carry slot ids below SpillSlots, and
-// the epoch marks are strictly increasing in (0, len(Ops)]. It is
-// ValidateOps over the whole stream, then ValidateMarks.
+// operands are B-group rows, no AAP or WRITE stores into C0 or C1, spill
+// ops carry slot ids below SpillSlots, and the epoch marks are strictly
+// increasing in (0, len(Ops)]. It is ValidateOps over the whole stream,
+// then ValidateMarks.
 func (p *Program) Validate(dRows int) error {
 	if err := p.ValidateOps(0, len(p.Ops), dRows, p.SpillSlots); err != nil {
 		return err
@@ -386,45 +387,85 @@ func rowError(r Row, what string, dRows int) error {
 	return fmt.Errorf("%s row %s exceeds D-group size %d", what, r, dRows)
 }
 
-// validate is Validate for one op; the caller adds the op's position.
-func (o *Op) validate(dRows, spillSlots int) error {
-	switch o.Kind {
+// Rows is the op's four row fields in the order Roles reads them: Src,
+// then Dst[0..2].
+func (o *Op) Rows() [4]Row { return [4]Row{o.Src, o.Dst[0], o.Dst[1], o.Dst[2]} }
+
+// Roles is the one rule of which of an op's row operands (opd, in Rows'
+// order) it senses and which it stores, for its kind k and destination
+// count ndst, in the order an executor takes them: an AAP senses Src and
+// stores Dst[:ndst], an AP senses Dst[0..2] and then stores into them, a
+// READ or SPILL_OUT senses Src, and a WRITE or SPILL_IN stores Dst[0]. An
+// unknown kind names no row. T is a row or any per-row record an executor
+// resolves it to.
+func Roles[T any](opd *[4]T, k OpKind, ndst uint8) (reads, writes []T) {
+	switch k {
 	case OpAAP:
-		if rowBad(o.Src, dRows) {
-			return rowError(o.Src, "source", dRows)
-		}
-		if o.NDst < 1 || o.NDst > 3 {
-			return fmt.Errorf("AAP with %d destinations", o.NDst)
-		}
-		for _, d := range o.Dsts() {
-			if rowBad(d, dRows) {
-				return rowError(d, "destination", dRows)
-			}
-			if o.NDst > 1 && !d.IsBGroup() {
-				return fmt.Errorf("multi-destination AAP outside B-group")
-			}
-		}
+		return opd[:1], opd[1 : 1+ndst]
 	case OpAP:
-		for _, d := range o.Dst {
-			if !d.IsBGroup() {
-				return fmt.Errorf("TRA operand %s outside B-group", d)
-			}
-		}
-	case OpWrite, OpSpillIn:
-		if rowBad(o.Dst[0], dRows) {
-			return rowError(o.Dst[0], "destination", dRows)
-		}
+		return opd[1:], opd[1:]
 	case OpRead, OpSpillOut:
-		if rowBad(o.Src, dRows) {
-			return rowError(o.Src, "source", dRows)
-		}
-	default:
-		return fmt.Errorf("unknown kind %d", int(o.Kind))
+		return opd[:1], nil
+	case OpWrite, OpSpillIn:
+		return nil, opd[1:2]
 	}
-	if o.Kind == OpSpillOut || o.Kind == OpSpillIn {
+	return nil, nil
+}
+
+// ConstStore is the one rule of which stores are illegal whatever the
+// data: an AAP or WRITE (kind k) into C0 or C1, the constant rows.
+// Validate rejects such an op; the simulator fails at such a destination,
+// before storing into it, and its translation rejects the op there.
+func ConstStore(k OpKind, r Row) bool {
+	return (k == OpAAP || k == OpWrite) && r.IsCGroup()
+}
+
+// validate is Validate for one op; the caller adds the op's position. It
+// checks the rows Roles names: each must be a row of the subarray, an AP's
+// and a multi-destination AAP's in the B-group, and no store may be
+// ConstStore's. A B-group row passes every check, so it is tested first:
+// codegen.Generate checks every op it emits.
+func (o *Op) validate(dRows, spillSlots int) error {
+	if o.Kind == OpAAP && (o.NDst < 1 || o.NDst > 3) {
+		return fmt.Errorf("AAP with %d destinations", o.NDst)
+	}
+	rows := o.Rows()
+	reads, writes := Roles(&rows, o.Kind, o.NDst)
+	for _, r := range reads {
+		if r.IsBGroup() { // valid in every role
+			continue
+		}
+		if o.Kind == OpAP {
+			return fmt.Errorf("TRA operand %s outside B-group", r)
+		}
+		if rowBad(r, dRows) {
+			return rowError(r, "source", dRows)
+		}
+	}
+	if o.Kind == OpAP {
+		return nil // it stores into the rows it senses
+	}
+	for _, r := range writes {
+		if r.IsBGroup() {
+			continue
+		}
+		switch {
+		case rowBad(r, dRows):
+			return rowError(r, "destination", dRows)
+		case len(writes) > 1:
+			return fmt.Errorf("multi-destination AAP outside B-group")
+		case ConstStore(o.Kind, r):
+			return fmt.Errorf("%s into constant row %s", o.Kind, r)
+		}
+	}
+	switch o.Kind {
+	case OpAAP, OpWrite, OpRead:
+	case OpSpillOut, OpSpillIn:
 		if int(o.Imm) >= spillSlots {
 			return fmt.Errorf("spill slot %d out of range %d", o.Imm, spillSlots)
 		}
+	default:
+		return fmt.Errorf("unknown kind %d", int(o.Kind))
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -168,6 +169,91 @@ func TestProgramValidate(t *testing.T) {
 	badSpill := &Program{Ops: []Op{NewSpillOut(Row(0), 3)}, SpillSlots: 2}
 	if err := badSpill.Validate(10); err == nil {
 		t.Error("out-of-range spill slot not caught")
+	}
+}
+
+// TestRolesMatchValidate holds Roles and Validate to one table of which
+// row fields (0 Src, 1..3 Dst[0..2]) each op kind senses and stores. For
+// every kind and every field it puts a row that is never valid there —
+// RowNone, a D row past dRows, an id below DCC1N — and Validate must
+// reject the op exactly when the table names the field. Stores into C0 or
+// C1 are rejected at every AAP and WRITE destination, copies out of them
+// are not, and an AP takes B-group rows only.
+func TestRolesMatchValidate(t *testing.T) {
+	const dRows = 8
+	cases := []struct {
+		op            Op
+		reads, writes []int
+	}{
+		{NewCopy(Row(0), Row(1)), []int{0}, []int{1}},
+		{NewAAP(Row(0), T0, T1), []int{0}, []int{1, 2}},
+		{NewAAP(Row(0), T0, T1, T2), []int{0}, []int{1, 2, 3}},
+		{NewAP(T0, T1, T2), []int{1, 2, 3}, []int{1, 2, 3}},
+		{NewWrite(Row(0), 0), nil, []int{1}},
+		{NewRead(Row(0), 0), []int{0}, nil},
+		{NewSpillOut(Row(0), 0), []int{0}, nil},
+		{NewSpillIn(Row(0), 0), nil, []int{1}},
+	}
+	validate := func(op Op) error { return (&Program{Ops: []Op{op}, SpillSlots: 1}).Validate(dRows) }
+	fields := [4]int{0, 1, 2, 3}
+	kinds := make(map[OpKind]bool)
+	for _, c := range cases {
+		kinds[c.op.Kind] = true
+		reads, writes := Roles(&fields, c.op.Kind, c.op.NDst)
+		if !slices.Equal(reads, c.reads) || !slices.Equal(writes, c.writes) {
+			t.Errorf("%v: Roles names reads %v writes %v, want %v and %v", c.op, reads, writes, c.reads, c.writes)
+		}
+		if err := validate(c.op); err != nil {
+			t.Fatalf("%v: valid op rejected: %v", c.op, err)
+		}
+		for j := range fields {
+			named := slices.Contains(c.reads, j) || slices.Contains(c.writes, j)
+			for _, bad := range []Row{RowNone, Row(dRows), DCC1N - 1} {
+				op := c.op
+				switch j {
+				case 0:
+					op.Src = bad
+				default:
+					op.Dst[j-1] = bad
+				}
+				if err := validate(op); (err != nil) != named {
+					t.Errorf("%v with %v in field %d: error %v, want rejected %v", c.op, bad, j, err, named)
+				}
+			}
+		}
+		for _, j := range c.writes {
+			for _, r := range []Row{C0, C1, Row(0)} {
+				op := c.op
+				op.Dst[j-1] = r
+				err := validate(op)
+				switch k := op.Kind; {
+				case k == OpAP || k == OpAAP && op.NDst > 1:
+					if err == nil || !strings.Contains(err.Error(), "B-group") {
+						t.Errorf("%v: error %v, want a B-group rejection", op, err)
+					}
+				case r.IsCGroup() && (k == OpAAP || k == OpWrite):
+					if want := "into constant row " + r.String(); err == nil || !strings.Contains(err.Error(), want) {
+						t.Errorf("%v: error %v, want %q", op, err, want)
+					}
+				case err != nil:
+					t.Errorf("%v: valid op rejected: %v", op, err)
+				}
+			}
+		}
+	}
+	if len(kinds) != NumOpKinds {
+		t.Errorf("table covers %d of %d op kinds", len(kinds), NumOpKinds)
+	}
+	for _, op := range []Op{NewCopy(C0, Row(1)), NewCopy(C1, T0), NewAAP(C1, T0, T1, T2)} {
+		if err := validate(op); err != nil {
+			t.Errorf("%v: copy out of a constant row rejected: %v", op, err)
+		}
+	}
+	if reads, writes := Roles(&fields, OpKind(NumOpKinds), 1); reads != nil || writes != nil {
+		t.Errorf("unknown kind: Roles names %v and %v", reads, writes)
+	}
+	if err := validate(Op{Kind: OpKind(NumOpKinds)}); err == nil || !strings.Contains(err.Error(), "unknown kind") {
+		t.Errorf("unknown kind: error %v", err)
 	}
 }
 

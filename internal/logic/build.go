@@ -19,10 +19,6 @@ type BuilderOptions struct {
 	// CSE is accepted and ignored: structural hashing is always on.
 	// benchmark/staged.go still sets it.
 	CSE bool
-	// Target, when non-nil, restricts fold rewrites to gates the target
-	// architecture can execute; used when (re)building during
-	// legalization so simplification never reintroduces foreign gates.
-	Target *GateSet
 }
 
 // Builder constructs Nets incrementally. The structural-hashing and
@@ -153,9 +149,6 @@ func (b *Builder) Const(v bool) NodeID {
 	}
 	return b.zero
 }
-
-func (b *Builder) allowAnd() bool { return b.opts.Target == nil || b.opts.Target.And }
-func (b *Builder) allowOr() bool  { return b.opts.Target == nil || b.opts.Target.Or }
 
 // isNotOf reports whether y is the negation of x (in either direction).
 func (b *Builder) isNotOf(x, y NodeID) bool {
@@ -288,23 +281,18 @@ func (b *Builder) Xor(x, y NodeID) NodeID {
 // Maj returns the 3-input majority MAJ(x, y, z).
 func (b *Builder) Maj(x, y, z NodeID) NodeID {
 	if b.opts.Fold {
-		// A constant arm reduces majority to AND/OR (kept as MAJ when
-		// the target architecture has no native AND/OR: a MAJ with a
-		// C-group operand row *is* that architecture's AND/OR).
+		// A constant arm reduces majority to AND/OR, which every
+		// target has.
 		if _, ok := b.isConst(x); ok {
 			x, z = z, x
 		} else if _, ok := b.isConst(y); ok {
 			y, z = z, y
 		}
 		if v, ok := b.isConst(z); ok {
-			if v && b.allowOr() {
+			if v {
 				return b.Or(x, y)
 			}
-			if !v && b.allowAnd() {
-				return b.And(x, y)
-			}
-			// Keep the constant in the last arm and fall through to
-			// gate creation (identity folds below still apply).
+			return b.And(x, y)
 		}
 		if x == y {
 			return x

@@ -6,29 +6,28 @@ import (
 	"chopper/internal/isa"
 )
 
-// GateSet describes which computation gates an architecture executes
-// natively (inputs and constants are always representable: constants live in
-// the C-group rows).
+// GateSet is a target's native gate set. Every target executes AND and OR
+// (a triple-row activation beside a C-group control row) and NOT
+// (dual-contact cells), and none executes XOR; they differ in whether a
+// triple-row activation over three *data* rows, MAJ, is native. Inputs and
+// constants are always representable: constants live in the C-group rows.
 type GateSet struct {
-	And, Or, Not, Xor, Maj bool
+	Maj bool
 }
 
 // NativeGates returns the gate set of arch.
 //
-// Ambit exposes AND/OR (triple-row activation with a C-group control row)
-// and NOT (dual-contact cells). ELP2IM implements the same logical gate set
-// with cheaper row-buffer-level operations. SIMDRAM additionally programs
-// the triple-row activation with three *data* operands, adding MAJ to the
-// gate set — the source of its advantage on carry chains (a full-adder
-// carry is one MAJ instead of four AND/OR gates). AND/OR remain native on
-// SIMDRAM too: they are MAJ with a C-group control row, exactly as on
-// Ambit.
+// Ambit and ELP2IM (which implements the same gates with cheaper
+// row-buffer-level operations) have AND/OR/NOT only. SIMDRAM programs the
+// triple-row activation with three data operands, adding MAJ — the source
+// of its advantage on carry chains (a full-adder carry is one MAJ instead
+// of four AND/OR gates).
 func NativeGates(arch isa.Arch) GateSet {
 	switch arch {
 	case isa.Ambit, isa.ELP2IM:
-		return GateSet{And: true, Or: true, Not: true}
+		return GateSet{}
 	case isa.SIMDRAM:
-		return GateSet{And: true, Or: true, Not: true, Maj: true}
+		return GateSet{Maj: true}
 	}
 	panic(fmt.Sprintf("logic: unknown arch %v", arch))
 }
@@ -51,9 +50,9 @@ func Legalize(n *Net, arch isa.Arch, opts BuilderOptions) (*Net, error) {
 // input order and names.
 func (s *Scratch) Legalize(n *Net, arch isa.Arch, opts BuilderOptions) (*Net, error) {
 	gs := NativeGates(arch)
-	opts.Target = &gs
 	b := s.Builder(opts)
-	// XOR and MAJ expand on AND/OR targets: 1.0 to 2.6x the source.
+	// XOR, and MAJ off SIMDRAM, expand to AND/OR/NOT: 1.0 to 2.6x the
+	// source.
 	b.Grow(2 * len(n.Gates))
 	if cap(s.remap) < len(n.Gates) {
 		s.remap = make([]NodeID, len(n.Gates))
@@ -81,31 +80,12 @@ func (s *Scratch) Legalize(n *Net, arch isa.Arch, opts BuilderOptions) (*Net, er
 		case GNot:
 			id = b.Not(remap[g.Args[0]])
 		case GAnd:
-			x, y := remap[g.Args[0]], remap[g.Args[1]]
-			if gs.And {
-				id = b.And(x, y)
-			} else {
-				id = b.Maj(x, y, b.Const(false))
-			}
+			id = b.And(remap[g.Args[0]], remap[g.Args[1]])
 		case GOr:
-			x, y := remap[g.Args[0]], remap[g.Args[1]]
-			if gs.Or {
-				id = b.Or(x, y)
-			} else {
-				id = b.Maj(x, y, b.Const(true))
-			}
+			id = b.Or(remap[g.Args[0]], remap[g.Args[1]])
 		case GXor:
 			x, y := remap[g.Args[0]], remap[g.Args[1]]
-			switch {
-			case gs.Xor:
-				id = b.Xor(x, y)
-			case gs.And:
-				id = b.And(b.Or(x, y), b.Not(b.And(x, y)))
-			default:
-				or := b.Maj(x, y, b.Const(true))
-				nand := b.Not(b.Maj(x, y, b.Const(false)))
-				id = b.Maj(or, nand, b.Const(false))
-			}
+			id = b.And(b.Or(x, y), b.Not(b.And(x, y)))
 		case GMaj:
 			x, y, z := remap[g.Args[0]], remap[g.Args[1]], remap[g.Args[2]]
 			if gs.Maj {
@@ -128,24 +108,12 @@ func (s *Scratch) Legalize(n *Net, arch isa.Arch, opts BuilderOptions) (*Net, er
 	return out, nil
 }
 
-// CheckGateSet verifies every computation gate is native to gs.
+// CheckGateSet verifies every computation gate is native to gs: no XOR,
+// and MAJ only where gs has it.
 func (n *Net) CheckGateSet(gs GateSet) error {
 	for i := range n.Gates {
-		ok := true
-		switch n.Gates[i].Kind {
-		case GAnd:
-			ok = gs.And
-		case GOr:
-			ok = gs.Or
-		case GNot:
-			ok = gs.Not
-		case GXor:
-			ok = gs.Xor
-		case GMaj:
-			ok = gs.Maj
-		}
-		if !ok {
-			return fmt.Errorf("logic: gate %d (%s) not in native gate set", i, n.Gates[i].Kind)
+		if k := n.Gates[i].Kind; k == GXor || k == GMaj && !gs.Maj {
+			return fmt.Errorf("logic: gate %d (%s) not in native gate set", i, k)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package logic
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -382,39 +383,63 @@ func TestLegalizePreservesSemantics(t *testing.T) {
 	}
 }
 
+// TestLegalizeGateSets legalizes every source gate kind — AND, OR, NOT,
+// XOR, MAJ, and MAJ with a constant arm — for every target, with folding
+// on and off. Each result must be native to the target's gate set, hold
+// MAJ only on SIMDRAM and never XOR, and compute its source on random
+// 64-lane words.
 func TestLegalizeGateSets(t *testing.T) {
-	b := new(Scratch).Builder(BuilderOptions{Fold: true})
-	x := b.Input("x")
-	y := b.Input("y")
-	z := b.Input("z")
-	b.Output("m", b.Maj(x, y, z))
-	b.Output("o", b.Xor(x, y))
-	n := b.Net()
-
-	amb, err := Legalize(n, isa.Ambit, BuilderOptions{Fold: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range amb.Gates {
-		if k := amb.Gates[i].Kind; k == GXor || k == GMaj {
-			t.Errorf("Ambit net contains %s gate", k)
+	src := new(Scratch).Builder(BuilderOptions{}) // no folding: every gate stays as asked
+	x, y, z := src.Input("x"), src.Input("y"), src.Input("z")
+	src.Output("and", src.And(x, y))
+	src.Output("or", src.Or(x, y))
+	src.Output("not", src.Not(x))
+	src.Output("xor", src.Xor(x, y))
+	src.Output("maj", src.Maj(x, y, z))
+	src.Output("maj0", src.Maj(x, y, src.Const(false)))
+	src.Output("maj1", src.Maj(src.Const(true), y, z))
+	n := src.Net()
+	rng := rand.New(rand.NewSource(48))
+	for _, arch := range isa.AllArchs {
+		gs := NativeGates(arch)
+		if err := n.CheckGateSet(gs); err == nil {
+			t.Errorf("%v: a net with XOR passed CheckGateSet", arch)
 		}
-	}
-	sd, err := Legalize(n, isa.SIMDRAM, BuilderOptions{Fold: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	majs := 0
-	for i := range sd.Gates {
-		switch sd.Gates[i].Kind {
-		case GXor:
-			t.Error("SIMDRAM net contains xor gate")
-		case GMaj:
-			majs++
+		for _, fold := range []bool{false, true} {
+			leg, err := Legalize(n, arch, BuilderOptions{Fold: fold})
+			if err != nil {
+				t.Fatalf("%v fold=%v: %v", arch, fold, err)
+			}
+			if err := leg.CheckGateSet(gs); err != nil {
+				t.Errorf("%v fold=%v: %v", arch, fold, err)
+			}
+			majs := 0
+			for i := range leg.Gates {
+				switch leg.Gates[i].Kind {
+				case GXor:
+					t.Errorf("%v fold=%v: legalized net contains an xor gate", arch, fold)
+				case GMaj:
+					majs++
+				}
+			}
+			if (majs > 0) != (arch == isa.SIMDRAM) {
+				t.Errorf("%v fold=%v: legalized net has %d MAJ gates", arch, fold, majs)
+			}
+			for range 8 {
+				in := map[string]uint64{"x": rng.Uint64(), "y": rng.Uint64(), "z": rng.Uint64()}
+				want, err := n.Eval(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := leg.Eval(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !maps.Equal(got, want) {
+					t.Fatalf("%v fold=%v on %v: got %v, want %v", arch, fold, in, got, want)
+				}
+			}
 		}
-	}
-	if majs == 0 {
-		t.Error("SIMDRAM net lost its native MAJ gate")
 	}
 }
 

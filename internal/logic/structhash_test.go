@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"chopper/internal/isa"
 )
 
 // Op codes of a structural-hashing program (see buildHashProgram).
@@ -97,8 +95,8 @@ func hubProgram() []byte {
 }
 
 // FuzzStructuralHash builds random gate sequences on a builder, with
-// folding on and off, for no target and for Ambit's and SIMDRAM's gate
-// sets, and checks the builder against a plain map[Gate]NodeID:
+// folding on and off, and checks the builder against a plain
+// map[Gate]NodeID:
 //
 //   - no gate appears twice in the net, and every operand precedes it;
 //   - with folding off the requested gate is known, so each op's id and
@@ -122,28 +120,23 @@ func FuzzStructuralHash(f *testing.F) {
 	}
 	f.Add(hubProgram())
 
-	targets := []*GateSet{nil, ptr(NativeGates(isa.Ambit)), ptr(NativeGates(isa.SIMDRAM))}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 1<<17 {
 			return
 		}
 		var b Builder
 		for _, fold := range []bool{false, true} {
-			for _, target := range targets {
-				opts := BuilderOptions{Fold: fold, Target: target}
-				nodes := buildHashProgram(&b, opts, prog, nil)
-				checkHashed(t, opts, prog, nodes, b.net.Gates)
-				gates := append([]Gate(nil), b.net.Gates...)
-				again := buildHashProgram(&b, opts, prog, nil)
-				if !slices.Equal(nodes, again) || !slices.Equal(gates, b.net.Gates) {
-					t.Fatalf("fold=%v target=%v: rebuilding after a Reset gave different nodes or gates", fold, target)
-				}
+			opts := BuilderOptions{Fold: fold}
+			nodes := buildHashProgram(&b, opts, prog, nil)
+			checkHashed(t, opts, prog, nodes, b.net.Gates)
+			gates := append([]Gate(nil), b.net.Gates...)
+			again := buildHashProgram(&b, opts, prog, nil)
+			if !slices.Equal(nodes, again) || !slices.Equal(gates, b.net.Gates) {
+				t.Fatalf("fold=%v: rebuilding after a Reset gave different nodes or gates", fold)
 			}
 		}
 	})
 }
-
-func ptr[T any](v T) *T { return &v }
 
 // checkHashed checks one build of prog (see FuzzStructuralHash).
 func checkHashed(t *testing.T, opts BuilderOptions, prog []byte, nodes []NodeID, gates []Gate) {

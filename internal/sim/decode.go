@@ -63,42 +63,11 @@ var specialOpnds = func() (t [numSpecialRows]opnd) {
 // is 64 bytes (TestDecodedOpSize).
 type dop struct {
 	imm   uint64
-	opd   [4]opnd // the source row, then the three destination rows: rows(op) resolved
+	opd   [4]opnd // the source row, then the three destination rows: op.Rows() resolved
 	tag   int32
 	kind  isa.OpKind
 	rowOp bool // a planned run takes the row-op body (Decode)
 	ndst  uint8
-}
-
-// rows is op's row operands in the order roles reads them: Src, then Dst.
-func rows(op *isa.Op) [4]isa.Row { return [4]isa.Row{op.Src, op.Dst[0], op.Dst[1], op.Dst[2]} }
-
-// roles is the one rule of which of an op's row operands (opd, in rows'
-// order) it senses and which it stores, for its kind k and destination
-// count ndst, in exec's order: an AAP senses Src and stores Dst[:ndst], an
-// AP senses Dst[0..2] and then stores into them, a READ or SPILL_OUT
-// senses Src, and a WRITE or SPILL_IN stores Dst[0]. An unknown kind names
-// no row. exec and Translate both read it.
-func roles[T any](opd *[4]T, k isa.OpKind, ndst uint8) (reads, writes []T) {
-	switch k {
-	case isa.OpAAP:
-		return opd[:1], opd[1 : 1+ndst]
-	case isa.OpAP:
-		return opd[1:], opd[1:]
-	case isa.OpRead, isa.OpSpillOut:
-		return opd[:1], nil
-	case isa.OpWrite, isa.OpSpillIn:
-		return nil, opd[1:2]
-	}
-	return nil, nil
-}
-
-// constStore is the one rule of which stores are illegal whatever the
-// data: an AAP or WRITE (kind k) into C0 or C1, the constant rows. exec
-// fails at such a destination, before storing into it, and Translate
-// rejects the op there.
-func constStore(k isa.OpKind, r isa.Row) bool {
-	return (k == isa.OpAAP || k == isa.OpWrite) && r.IsCGroup()
 }
 
 // Decode pre-decodes prog. The result references prog (recovery reads its
@@ -121,10 +90,10 @@ func Decode(prog *isa.Program) *Decoded {
 	for i := range d.ops {
 		op, e := &prog.Ops[i], &d.ops[i]
 		*e = dop{kind: op.Kind, ndst: op.NDst, tag: op.Tag, imm: op.Imm}
-		for j, r := range rows(op) {
+		for j, r := range op.Rows() {
 			e.opd[j] = resolve(r)
 		}
-		reads, writes := roles(&e.opd, e.kind, e.ndst)
+		reads, writes := isa.Roles(&e.opd, e.kind, e.ndst)
 		e.rowOp = e.kind == isa.OpAAP || e.kind == isa.OpAP
 		for j := range reads {
 			note(&reads[j])
@@ -196,7 +165,7 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 		}
 		return nil
 	}
-	reads, writes := roles(&op.opd, op.kind, op.ndst)
+	reads, writes := isa.Roles(&op.opd, op.kind, op.ndst)
 	if !planned {
 		if err := s.outside(reads); err != nil {
 			return err
@@ -256,7 +225,7 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 	}
 	for j := range writes {
 		o := &writes[j]
-		if constStore(op.kind, o.row) {
+		if isa.ConstStore(op.kind, o.row) {
 			return fmt.Errorf("sim: %s into constant row %s", op.kind, o.row)
 		}
 		if dst := s.setRow(o, val); s.events&isa.EvStore != 0 {

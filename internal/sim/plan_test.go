@@ -160,9 +160,9 @@ func planStreams(seed int64) (int, []*isa.Program) {
 		for j := range op.Dst {
 			op.Dst[j] = fold(op.Dst[j])
 		}
-		opd := rows(op)
-		_, writes := roles(&opd, op.Kind, op.NDst)
-		constant := slices.ContainsFunc(writes, func(r isa.Row) bool { return constStore(op.Kind, r) })
+		opd := op.Rows()
+		_, writes := isa.Roles(&opd, op.Kind, op.NDst)
+		constant := slices.ContainsFunc(writes, func(r isa.Row) bool { return isa.ConstStore(op.Kind, r) })
 		if !constant && !(op.Kind == isa.OpWrite && op.Tag == 5) {
 			clean.Ops = append(clean.Ops, *op)
 		}
@@ -253,7 +253,7 @@ func TestPlannedBodyMutant(t *testing.T) {
 			at := -1
 			for i := range mut.ops {
 				e := &mut.ops[i]
-				reads, _ := roles(&e.opd, e.kind, e.ndst)
+				reads, _ := isa.Roles(&e.opd, e.kind, e.ndst)
 				if j := slices.IndexFunc(reads, func(o opnd) bool { return !o.proven }); j >= 0 {
 					reads[j].proven = true
 					at = i
@@ -281,7 +281,7 @@ func TestPlannedBodyMutant(t *testing.T) {
 func TestDecodeProvesPartners(t *testing.T) {
 	for _, r := range []isa.Row{isa.DCC0, isa.DCC0N, isa.DCC1, isa.DCC1N} {
 		d := Decode(&isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, r), isa.NewRead(r.Complement(), 0)}})
-		if reads, _ := roles(&d.ops[1].opd, isa.OpRead, 0); !d.dense || !reads[0].proven {
+		if reads, _ := isa.Roles(&d.ops[1].opd, isa.OpRead, 0); !d.dense || !reads[0].proven {
 			t.Errorf("%v: the read of its partner is not proven", r)
 		}
 	}

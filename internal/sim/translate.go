@@ -111,9 +111,9 @@ func (e *TranslateError) Error() string {
 // kind. Those are the ops at which an interpreted run may fail on its own
 // account; a translated run fails only where the host fails it (a nil
 // HostIO, callback or payload) or ctx does. It reads each isa.Op as exec
-// reads its decoded form: the rows it senses and stores are roles', and a
-// store into a constant row is constStore's, so what an op touches and
-// what is illegal have one definition each.
+// reads its decoded form: the rows it senses and stores are isa.Roles', and
+// a store into a constant row is isa.ConstStore's, so what an op touches
+// and what is illegal have one definition each.
 func Translate(prog *isa.Program) (*Translated, error) {
 	return (&translator{}).translate(prog)
 }
@@ -186,8 +186,8 @@ func (tr *translator) translate(prog *isa.Program) (*Translated, error) {
 	maxD := -1
 	for i := range prog.Ops {
 		op := &prog.Ops[i]
-		opd := rows(op)
-		reads, writes := roles(&opd, op.Kind, op.NDst)
+		opd := op.Rows()
+		reads, writes := isa.Roles(&opd, op.Kind, op.NDst)
 		var in [3]vref
 		for j, r := range reads {
 			if in[j] = tr.value(resolve(r).slot); in[j] < 0 {
@@ -224,7 +224,7 @@ func (tr *translator) translate(prog *isa.Program) (*Translated, error) {
 		for _, r := range writes {
 			o := resolve(r)
 			switch {
-			case constStore(op.Kind, r):
+			case isa.ConstStore(op.Kind, r):
 				return reject(i, "%s into constant row %s", op.Kind, r)
 			case o.slot < 0 || r >= maxPlanRow:
 				return reject(i, "write to row %s outside the subarray", r)

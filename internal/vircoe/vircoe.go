@@ -226,7 +226,6 @@ func EmitTo(prog *isa.Program, placements []Placement, mode Mode, t dram.Timing,
 	// Emitter-internal device model (mirrors the dram engine's resources).
 	var busFree, lastStart float64
 	unitFree := make([]float64, units)
-	const issueGap = 0.833
 
 	// Queue q = 2*unit + class is a linked list through next, -1 ending it
 	// and marking an empty queue's head.
@@ -290,7 +289,7 @@ func EmitTo(prog *isa.Program, placements []Placement, mode Mode, t dram.Timing,
 		}
 		best := head[q]
 
-		if s := lastStart + issueGap; s > bestStart && st.Ops > 0 {
+		if s := lastStart + dram.IssueGapNs; s > bestStart && st.Ops > 0 {
 			bestStart = s
 		}
 		pc := pcs[best]
