@@ -684,7 +684,39 @@ func compileGraph(ctx context.Context, prog *dsl.Program, entry string, graph *d
 // graph is the kernel's interface and golden reference; lower is the
 // graph actually lowered (the narrowed graph when precision inference ran,
 // otherwise graph itself).
+//
+// At the folding levels the legalized net's complement-dual gates are
+// merged (logic.Scratch.MergeDuals). Where the merged net's program
+// spills, the spill allocator rather than the gate count decides its
+// length, so the back end runs again on the unmerged net, and the merged
+// program stands only if it is no longer and spills no more.
 func compileGraphAt(ctx context.Context, ws *workspace, prog *dsl.Program, graph, lower *dfg.Graph, opts Options, opt OptLevel) (*Kernel, error) {
+	leg, code, merged, err := lowerGraph(ctx, ws, lower, opts, opt, opt.HasReuse())
+	if err != nil {
+		return nil, err
+	}
+	if merged && spills(code) > 0 {
+		leg0, code0, _, err := lowerGraph(ctx, ws, lower, opts, opt, false)
+		if err != nil {
+			return nil, err
+		}
+		if len(code.Prog.Ops) > len(code0.Prog.Ops) || spills(code) > spills(code0) {
+			leg, code = leg0, code0
+		}
+	}
+	k := newKernel(opts, prog, graph)
+	k.Net, k.Code = leg, code
+	k.prog, k.inputTag, k.outputTag, k.constPattern = code.Prog, code.InputTag, code.OutputTag, code.ConstPattern
+	return k, nil
+}
+
+// spills counts a program's SSD spill traffic, both directions.
+func spills(code *codegen.Result) int { return code.Stats.SpillOuts + code.Stats.SpillIns }
+
+// lowerGraph bit-slices lower, legalizes it for the target, merges its
+// complement-dual gates if merge is set, hardens it if asked, and
+// generates its program. merged reports whether the merge changed the net.
+func lowerGraph(ctx context.Context, ws *workspace, lower *dfg.Graph, opts Options, opt OptLevel, merge bool) (leg *logic.Net, code *codegen.Result, merged bool, err error) {
 	b := opts.Budget
 
 	// The bit-sliced net lives in the workspace until it is legalized;
@@ -701,30 +733,34 @@ func compileGraphAt(ctx context.Context, ws *workspace, prog *dsl.Program, graph
 		net = n
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
 	if err := guard.Check(guard.DimNetGates, b.MaxNetGates, len(net.Gates)); err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
 	if err := guard.Ctx(ctx); err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
 
-	// The legalized net is the kernel's: DCE copies it out of the
-	// workspace at its exact size.
-	var leg *logic.Net
+	// The legalized net is the kernel's: DCE, or the merge, copies it out
+	// of the workspace at its exact size. Hardened kernels triplicate the
+	// merged net.
 	if err := protect("legalize", func() error {
 		l, err := ws.logic.Legalize(net, opts.Target, logic.BuilderOptions{Fold: opt.HasReuse()})
 		if err != nil {
 			return stage(ErrCodegen, "chopper: legalize", err)
 		}
-		leg = ws.logic.DCE(l)
+		if merge {
+			leg, merged = ws.logic.MergeDuals(l)
+		} else {
+			leg = ws.logic.DCE(l)
+		}
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
 	if err := leg.Validate(); err != nil {
-		return nil, checkFailure("legalize", err)
+		return nil, nil, false, checkFailure("legalize", err)
 	}
 	if opts.Harden {
 		// TMR checks its input's gate set and validates the net it builds;
@@ -737,21 +773,20 @@ func compileGraphAt(ctx context.Context, ws *workspace, prog *dsl.Program, graph
 			leg = h
 			return nil
 		}); err != nil {
-			return nil, err
+			return nil, nil, false, err
 		}
 	}
 	if err := guard.Check(guard.DimNetGates, b.MaxNetGates, len(leg.Gates)); err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
 	if err := guard.Ctx(ctx); err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
 
 	// codegen.Generate validates the program it stages (isa.Program.Validate's
 	// checks, each gate's ops as they are emitted, as the inter-pass
 	// invariant): a structurally broken program from a buggy pass degrades
 	// instead of shipping.
-	var code *codegen.Result
 	if err := protect("codegen", func() error {
 		c, err := codegen.Generate(leg, codegen.Options{
 			Arch:    opts.Target,
@@ -773,13 +808,10 @@ func compileGraphAt(ctx context.Context, ws *workspace, prog *dsl.Program, graph
 		code = c
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
 
-	k := newKernel(opts, prog, graph)
-	k.Net, k.Code = leg, code
-	k.prog, k.inputTag, k.outputTag, k.constPattern = code.Prog, code.InputTag, code.OutputTag, code.ConstPattern
-	return k, nil
+	return leg, code, merged, nil
 }
 
 // newKernel starts a kernel with graph's operands as its interface; the

@@ -162,3 +162,49 @@ func checkFaultRuns(t *testing.T, name string, k *Kernel, fates map[string]int) 
 	}
 	return runs, flips
 }
+
+// TestFaultCountsPinned pins the faults RunRowsUnderFault injects, summed
+// over eight seeds, on four kernels at OptSchedule under five fault
+// configurations, rates 5e-324 to 1. The figures are the float-compare
+// draw's (x/2^53 < p), which the injector's integer threshold replaced:
+// the draw it makes is exactly that one. Fault draws depend on the op
+// stream and not on the data, so the inputs do not matter.
+func TestFaultCountsPinned(t *testing.T) {
+	const lanes = 128
+	cfgs := []FaultConfig{
+		{TRAFlipRate: 1e-4},
+		{TRAFlipRate: 0.003, CopyFlipRate: 0.002},
+		{RetentionRate: 0.3, RefreshOps: 40},
+		{TRAFlipRate: 1, MaxFaults: 5},
+		{TRAFlipRate: 5e-324, CopyFlipRate: 5e-324},
+	}
+	want := map[string][5]FaultCounts{
+		"DenseNet-16": {{TRAFlips: 3}, {TRAFlips: 212, CopyFlips: 631}, {DecayFlips: 5879}, {TRAFlips: 40}, {}},
+		"WTC-64":      {{TRAFlips: 22}, {TRAFlips: 560, CopyFlips: 1606}, {DecayFlips: 39420}, {TRAFlips: 40}, {}},
+		"DiffGen-64":  {{TRAFlips: 1}, {TRAFlips: 48, CopyFlips: 108}, {DecayFlips: 1673}, {TRAFlips: 40}, {}},
+		"SW-64":       {{TRAFlips: 3}, {TRAFlips: 62, CopyFlips: 136}, {DecayFlips: 1280}, {TRAFlips: 40}, {}},
+	}
+	for name, counts := range want {
+		spec, _ := workloads.Get(name)
+		k, err := Compile(spec.Src, Options{Target: Ambit, Opt: OptSchedule})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := randomRows(k, lanes, 1)
+		for i, cfg := range cfgs {
+			var got FaultCounts
+			for seed := range int64(8) {
+				res, err := k.RunRowsUnderFault(rows, lanes, cfg, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.TRAFlips += res.Faults.TRAFlips
+				got.CopyFlips += res.Faults.CopyFlips
+				got.DecayFlips += res.Faults.DecayFlips
+			}
+			if got != counts[i] {
+				t.Errorf("%s under %+v: injected %+v, want %+v", name, cfg, got, counts[i])
+			}
+		}
+	}
+}

@@ -2,14 +2,18 @@ package codegen_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	chopper "chopper"
 	"chopper/internal/baseline"
+	"chopper/internal/bitslice"
 	"chopper/internal/codegen"
 	"chopper/internal/dfg"
 	"chopper/internal/dram"
 	"chopper/internal/isa"
+	"chopper/internal/logic"
+	"chopper/internal/narrow"
 	"chopper/internal/obs"
 	"chopper/internal/workloads"
 )
@@ -118,4 +122,131 @@ func TestChainNeverLonger(t *testing.T) {
 	if shorter == 0 {
 		t.Error("no program got shorter: the chained order is not reaching codegen")
 	}
+}
+
+// TestMergeNeverLonger holds logic.Scratch.MergeDuals to its purpose on
+// the compiler's own programs: at OptReuse and OptFull the program a
+// compile emits is no longer, and spills no more, than the one the
+// unmerged net yields. It covers every Table-II kernel on every target,
+// plain, hardened and narrowed, on devices of 512, 1024 and 2048 rows per
+// subarray; -short, and any -race build, keeps the 64-wide kernels.
+//
+// The unmerged net is rebuilt from the kernel's graph the way the compile
+// builds it (bitslice, Legalize, DCE, TMR), and so is the merged one
+// (MergeDuals in place of DCE). The kernel's net must be one of the two:
+// the merged one, or the unmerged one where the merged program spilled
+// and was not better. A kernel whose two nets are equal needs no programs
+// compared.
+func TestMergeNeverLonger(t *testing.T) {
+	variants := []struct {
+		name string
+		opts chopper.Options
+	}{
+		{"plain", chopper.Options{}},
+		{"harden", chopper.Options{Harden: true}},
+		{"narrow-safe", chopper.Options{Narrow: chopper.NarrowSafe}},
+	}
+	rows := []int{512, 1024, 2048}
+	archs := []isa.Arch{isa.Ambit, isa.ELP2IM, isa.SIMDRAM}
+	levels := []chopper.OptLevel{chopper.OptReuse, chopper.OptFull}
+	merged, shorter, kept := 0, 0, 0
+	ls := new(logic.Scratch)
+	sc := new(codegen.Scratch)
+	for _, w := range workloads.All() {
+		if (testing.Short() || raceDetector) && w.Config != 64 {
+			continue
+		}
+		for _, arch := range archs {
+			for _, lv := range levels {
+				for _, v := range variants {
+					cfg := fmt.Sprintf("%s/%v/%v/%s", w.Name, arch, lv, v.name)
+					compile := func(r int) *chopper.Kernel {
+						opts := v.opts
+						opts.Target = arch
+						opts.Geometry = dram.DefaultGeometry()
+						opts.Geometry.RowsPerSub = r
+						k, err := chopper.Compile(w.Src, opts.WithOpt(lv))
+						if err != nil {
+							t.Fatalf("%s/rows%d: %v", cfg, r, err)
+						}
+						if k.Degradation != nil {
+							t.Fatalf("%s/rows%d: compile degraded: %+v", cfg, r, k.Degradation)
+						}
+						return k
+					}
+					k := compile(dram.DefaultGeometry().RowsPerSub)
+					lower := k.Graph
+					if k.Narrow != nil {
+						var err error
+						if lower, _, err = narrow.Run(k.Graph, narrow.Opts{}); err != nil {
+							t.Fatalf("%s: narrow: %v", cfg, err)
+						}
+					}
+					var nets [2]*logic.Net // unmerged, merged
+					for i := range nets {
+						n, err := bitslice.LowerOn(ls, lower, bitslice.Options{Fold: true})
+						if err != nil {
+							t.Fatalf("%s: %v", cfg, err)
+						}
+						l, err := ls.Legalize(n, arch, logic.BuilderOptions{Fold: true})
+						if err != nil {
+							t.Fatalf("%s: %v", cfg, err)
+						}
+						if i == 0 {
+							nets[i] = ls.DCE(l)
+						} else {
+							nets[i], _ = ls.MergeDuals(l)
+						}
+						if v.opts.Harden {
+							if nets[i], err = ls.TMR(nets[i], logic.NativeGates(arch)); err != nil {
+								t.Fatalf("%s: %v", cfg, err)
+							}
+						}
+					}
+					same := func(a, b *logic.Net) bool {
+						return slices.Equal(a.Gates, b.Gates) && slices.Equal(a.Outputs, b.Outputs)
+					}
+					if same(nets[0], nets[1]) {
+						if !same(k.Net, nets[0]) {
+							t.Fatalf("%s: the rebuilt net (%d gates) is not the kernel's (%d)", cfg, len(nets[0].Gates), len(k.Net.Gates))
+						}
+						continue
+					}
+					merged++
+					for _, r := range rows {
+						name := fmt.Sprintf("%s/rows%d", cfg, r)
+						kr := k
+						if r != dram.DefaultGeometry().RowsPerSub {
+							kr = compile(r)
+						}
+						switch {
+						case same(kr.Net, nets[1]):
+							kept++
+						case !same(kr.Net, nets[0]):
+							t.Fatalf("%s: the kernel's net (%d gates) is neither rebuilt net (%d, %d)", name, len(kr.Net.Gates), len(nets[0].Gates), len(nets[1].Gates))
+						}
+						res, err := codegen.Generate(nets[0], codegen.Options{
+							Arch: arch, Variant: lv, DRows: r - dram.DefaultGeometry().ReservedRows, Scratch: sc,
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						p, m := res.Prog, kr.Code.Prog
+						if len(m.Ops) > len(p.Ops) {
+							t.Errorf("%s: compiled program %d micro-ops, unmerged %d", name, len(m.Ops), len(p.Ops))
+						} else if len(m.Ops) < len(p.Ops) {
+							shorter++
+						}
+						if sm, sp := spills(m), spills(p); sm > sp {
+							t.Errorf("%s: compiled program spills %d times, unmerged %d", name, sm, sp)
+						}
+					}
+				}
+			}
+		}
+	}
+	if shorter == 0 {
+		t.Error("no program got shorter: the merge is not reaching codegen")
+	}
+	t.Logf("%d merged nets; over their row counts, %d compiles kept the merged net and %d programs got shorter", merged, kept, shorter)
 }

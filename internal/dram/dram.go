@@ -389,12 +389,15 @@ func (e *Engine) Reconfigure(g Geometry, t Timing, salp bool) {
 
 // Reset rewinds the engine to time zero with empty stats, keeping the
 // geometry, timing tables and scheduling slices for reuse across trials.
+// Only an issued command writes the per-unit slices, so an engine that
+// issued none since its last reset skips clearing them: a machine resets
+// its engine on every pass, and only a recovered run issues on it.
 func (e *Engine) Reset() {
 	e.busFree, e.lastStart, e.now = 0, 0, 0
-	for i := range e.unit {
-		e.unit[i] = 0
-		e.subSeq[i] = 0
-		e.seen[i] = false
+	if e.stats.Ops > 0 {
+		clear(e.unit)
+		clear(e.subSeq)
+		clear(e.seen)
 	}
 	e.stats = EngineStats{}
 }

@@ -290,6 +290,29 @@ func TestEngineStats(t *testing.T) {
 	}
 }
 
+// TestEngineResetAfterIssue: Reset skips clearing the per-unit slices only
+// when nothing was issued since the last one, so a command issued after a
+// Reset completes when it would on a fresh engine, whichever unit ran
+// before.
+func TestEngineResetAfterIssue(t *testing.T) {
+	g := DefaultGeometry()
+	tm := TimingFor(isa.Ambit, g)
+	ap := isa.NewAP(isa.T0, isa.T1, isa.T2)
+	want := NewEngine(g, tm, true).IssueOp(3, 5, ap.Kind, 0)
+	e := NewEngine(g, tm, true)
+	e.Reset() // nothing issued: a no-op
+	for range 4 {
+		e.IssueOp(3, 5, ap.Kind, 0)
+	}
+	e.Reset()
+	if st := e.Stats(); st != (EngineStats{}) {
+		t.Fatalf("stats after Reset: %+v", st)
+	}
+	if got := e.IssueOp(3, 5, ap.Kind, 0); got != want {
+		t.Fatalf("first command after Reset completes at %v, on a fresh engine at %v", got, want)
+	}
+}
+
 func TestChannelCount(t *testing.T) {
 	g := DefaultGeometry()
 	if g.Channels != 0 || g.ChannelCount() != 1 {

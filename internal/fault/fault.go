@@ -28,6 +28,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 
 	"chopper/internal/isa"
 )
@@ -136,6 +137,10 @@ type Injector struct {
 	last   clock // op index of each row's most recent access
 	counts Counts
 
+	// traAt, copyAt and decayAt are the draw thresholds (threshold) of the
+	// three transient models, fixed at Reset.
+	traAt, copyAt, decayAt uint64
+
 	// attemptSalt is folded into every transient roll. Zero for attempt 0
 	// of every epoch, so a recovery run that never retries draws byte for
 	// byte the fault pattern a recovery-free run would.
@@ -214,6 +219,7 @@ func New(cfg Config, seed int64) *Injector {
 func (in *Injector) Reset(cfg Config, seed int64) {
 	in.cfg = cfg
 	in.seed = mix(uint64(seed) ^ 0x9e3779b97f4a7c15)
+	in.traAt, in.copyAt, in.decayAt = threshold(cfg.TRAFlipRate), threshold(cfg.CopyFlipRate), threshold(cfg.RetentionRate)
 	in.spent = 0
 	in.last.reset()
 	in.counts = Counts{}
@@ -277,10 +283,23 @@ func (in *Injector) rollAt(key uint64, opIdx int) uint64 {
 // traKey is roll's (kind, row-salt) part for a TRA flip.
 var traKey = mix(kindTRA << 32)
 
-// fires converts the hash's top 53 bits into a uniform [0,1) draw.
-func fires(p float64, h uint64) bool {
-	return p > 0 && float64(h>>11)/(1<<53) < p
+// A draw is the hash's top 53 bits, x, read as the uniform [0,1) value
+// x/2^53; an event of rate p fires when x/2^53 < p. Both sides are exact
+// in float64 (x < 2^53, and p·2^53 only shifts p's exponent), so for an
+// integer x the test is x < ceil(p·2^53): threshold is that bound, and
+// fires compares integers.
+func threshold(p float64) uint64 {
+	switch {
+	case !(p > 0): // zero, negative or NaN: never fires
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
+
+// fires reports whether the draw of hash h falls under threshold at.
+func fires(at, h uint64) bool { return h>>11 < at }
 
 // budget reports whether a transient fault may fire at opIdx.
 func (in *Injector) budget(opIdx int) bool {
@@ -303,7 +322,7 @@ func (in *Injector) BeforeLoad(opIdx int, r isa.Row, data []uint64, lanes int) {
 	if in.cfg.RefreshOps > 0 && in.cfg.RetentionRate > 0 {
 		if lastT, seen := in.last.get(r); seen && opIdx-lastT > in.cfg.RefreshOps && in.budget(opIdx) {
 			h := in.roll(kindDecay, opIdx, uint64(int64(r)))
-			if fires(in.cfg.RetentionRate, h) {
+			if fires(in.decayAt, h) {
 				flipLane(data, mix(h), lanes)
 				in.spent++
 				in.counts.DecayFlips++
@@ -342,7 +361,7 @@ func (in *Injector) traFlip(opIdx, lanes int) int {
 		return -1
 	}
 	h := in.rollAt(traKey, opIdx)
-	if !fires(in.cfg.TRAFlipRate, h) {
+	if !fires(in.traAt, h) {
 		return -1
 	}
 	in.spent++
@@ -357,7 +376,7 @@ func (in *Injector) AfterCopy(opIdx int, data []uint64, lanes int) {
 		return
 	}
 	h := in.roll(kindCopy, opIdx, 0)
-	if !fires(in.cfg.CopyFlipRate, h) {
+	if !fires(in.copyAt, h) {
 		return
 	}
 	flipLane(data, mix(h), lanes)

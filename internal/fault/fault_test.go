@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math/rand"
 	"testing"
 
 	"chopper/internal/isa"
@@ -241,5 +242,38 @@ func TestResetClearsEpochState(t *testing.T) {
 	if gotData[0] != wantData[0] || gotData[1] != wantData[1] || gotCounts != wantCounts {
 		t.Fatalf("reset injector diverged from fresh New: %#x/%+v vs %#x/%+v",
 			gotData, gotCounts, wantData, wantCounts)
+	}
+}
+
+// TestThresholdMatchesFloatDraw holds fires to the float compare it
+// replaced, x/2^53 < p for the hash's top 53 bits x, at the threshold and
+// one either side of it and on random hashes, for rates from the least
+// positive float64 to above one.
+func TestThresholdMatchesFloatDraw(t *testing.T) {
+	floatForm := func(p float64, h uint64) bool { return p > 0 && float64(h>>11)/(1<<53) < p }
+	rng := rand.New(rand.NewSource(45))
+	for _, p := range []float64{5e-324, 1e-4, 0.5, 1, 2} {
+		at := threshold(p)
+		for _, x := range []uint64{at - 1, at, at + 1} {
+			if x >= 1<<53 { // at-1 wraps for at 0; no draw reaches 2^53
+				continue
+			}
+			for _, low := range []uint64{0, 1<<11 - 1, rng.Uint64() & (1<<11 - 1)} {
+				h := x<<11 | low
+				if got, want := fires(at, h), floatForm(p, h); got != want {
+					t.Errorf("p=%g x=%d (threshold %d): fires %v, float compare %v", p, x, at, got, want)
+				}
+			}
+		}
+		for range 10000 {
+			if h := rng.Uint64(); fires(at, h) != floatForm(p, h) {
+				t.Fatalf("p=%g h=%#x: fires %v, float compare %v", p, h, fires(at, h), floatForm(p, h))
+			}
+		}
+	}
+	for _, p := range []float64{0, -1} {
+		if at := threshold(p); at != 0 {
+			t.Errorf("rate %g: threshold %d, want 0 (never fires)", p, at)
+		}
 	}
 }

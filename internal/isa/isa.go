@@ -413,11 +413,12 @@ func Roles[T any](opd *[4]T, k OpKind, ndst uint8) (reads, writes []T) {
 }
 
 // ConstStore is the one rule of which stores are illegal whatever the
-// data: an AAP or WRITE (kind k) into C0 or C1, the constant rows.
-// Validate rejects such an op; the simulator fails at such a destination,
-// before storing into it, and its translation rejects the op there.
+// data: any store but an AP's (an AAP, WRITE or SPILL_IN, kind k) into C0
+// or C1, the constant rows. Validate rejects such an op; the simulator
+// fails at such a destination, before storing into it, and its
+// translation rejects the op there. An AP's operands are B-group rows.
 func ConstStore(k OpKind, r Row) bool {
-	return (k == OpAAP || k == OpWrite) && r.IsCGroup()
+	return k != OpAP && r.IsCGroup()
 }
 
 // validate is Validate for one op; the caller adds the op's position. It

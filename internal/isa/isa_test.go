@@ -177,8 +177,9 @@ func TestProgramValidate(t *testing.T) {
 // every kind and every field it puts a row that is never valid there —
 // RowNone, a D row past dRows, an id below DCC1N — and Validate must
 // reject the op exactly when the table names the field. Stores into C0 or
-// C1 are rejected at every AAP and WRITE destination, copies out of them
-// are not, and an AP takes B-group rows only.
+// C1 are rejected at every AAP, WRITE and SPILL_IN destination, copies
+// out of them are not, and an AP takes B-group rows only. A SPILL_IN into
+// C0 would make later copies of the constant row read spilled data.
 func TestRolesMatchValidate(t *testing.T) {
 	const dRows = 8
 	cases := []struct {
@@ -231,7 +232,7 @@ func TestRolesMatchValidate(t *testing.T) {
 					if err == nil || !strings.Contains(err.Error(), "B-group") {
 						t.Errorf("%v: error %v, want a B-group rejection", op, err)
 					}
-				case r.IsCGroup() && (k == OpAAP || k == OpWrite):
+				case r.IsCGroup():
 					if want := "into constant row " + r.String(); err == nil || !strings.Contains(err.Error(), want) {
 						t.Errorf("%v: error %v, want %q", op, err, want)
 					}
@@ -248,6 +249,10 @@ func TestRolesMatchValidate(t *testing.T) {
 		if err := validate(op); err != nil {
 			t.Errorf("%v: copy out of a constant row rejected: %v", op, err)
 		}
+	}
+	spilled := &Program{Ops: []Op{NewWrite(Row(0), 0), NewSpillOut(Row(0), 0), NewSpillIn(C0, 0), NewCopy(C0, Row(1)), NewRead(Row(1), 0)}, SpillSlots: 1}
+	if err := spilled.Validate(dRows); err == nil || !strings.Contains(err.Error(), "op 2") || !strings.Contains(err.Error(), "SPILL_IN into constant row C0") {
+		t.Errorf("SPILL_IN into C0: error %v, want op 2 rejected", err)
 	}
 	if reads, writes := Roles(&fields, OpKind(NumOpKinds), 1); reads != nil || writes != nil {
 		t.Errorf("unknown kind: Roles names %v and %v", reads, writes)

@@ -118,6 +118,42 @@ func (b *Builder) raw(kind GateKind, args [3]NodeID) NodeID {
 	return id
 }
 
+// find returns the interned gate equal to g (a computation gate), or
+// None: raw's probe without the insert.
+func (b *Builder) find(g Gate) NodeID {
+	for _, e := range &b.buckets[max(g.Args[0], g.Args[1], g.Args[2])] {
+		if e == 0 {
+			return None
+		}
+		if b.net.Gates[e] == g {
+			return e
+		}
+	}
+	if e, ok := b.over[g]; ok && b.net.Gates[e] == g {
+		return e
+	}
+	return None
+}
+
+// file indexes gate id under its current content, after an in-place
+// rewrite changed it. The entry under its old content stays and matches
+// no probe again, since a probe compares current contents.
+func (b *Builder) file(id NodeID) {
+	g := b.net.Gates[id]
+	bk := &b.buckets[max(g.Args[0], g.Args[1], g.Args[2])]
+	for i, e := range bk {
+		if e == 0 {
+			bk[i] = id
+			return
+		}
+	}
+	if b.over == nil {
+		b.over = make(map[Gate]NodeID)
+	}
+	b.over[g] = id
+	b.overPeak = max(b.overPeak, len(b.over))
+}
+
 // append adds the gate, keeping the per-node tables in step with it.
 func (b *Builder) append(g Gate) {
 	b.net.Gates = append(b.net.Gates, g)
@@ -159,6 +195,15 @@ func (b *Builder) isNotOf(x, y NodeID) bool {
 		return true
 	}
 	return false
+}
+
+// complement returns x's existing complement under Fold: x's own NOT
+// gate, or the node x negates. None when neither exists.
+func (b *Builder) complement(x NodeID) NodeID {
+	if n := b.nots[x]; n != None {
+		return n
+	}
+	return b.notOf[x]
 }
 
 func (b *Builder) isConst(id NodeID) (val, ok bool) {
@@ -315,16 +360,21 @@ func (b *Builder) Maj(x, y, z NodeID) NodeID {
 		}
 	}
 	// Sort all three for CSE (majority is fully symmetric).
-	if y < x {
-		x, y = y, x
+	return b.raw(GMaj, sort3([3]NodeID{x, y, z}))
+}
+
+// sort3 orders a majority gate's arguments.
+func sort3(a [3]NodeID) [3]NodeID {
+	if a[1] < a[0] {
+		a[0], a[1] = a[1], a[0]
 	}
-	if z < y {
-		y, z = z, y
+	if a[2] < a[1] {
+		a[1], a[2] = a[2], a[1]
 	}
-	if y < x {
-		x, y = y, x
+	if a[1] < a[0] {
+		a[0], a[1] = a[1], a[0]
 	}
-	return b.raw(GMaj, [3]NodeID{x, y, z})
+	return a
 }
 
 // Mux returns c ? t : f, built from AND/OR/NOT.

@@ -197,7 +197,7 @@ func (s *Scratch) DCETemp(n *Net) *Net {
 func (s *Scratch) sweep(n *Net, gates []Gate) *Net {
 	d := &s.dce
 	d.reset(len(n.Gates))
-	live, remap := d.live, d.remap
+	live := d.live
 	stack := d.stack
 	for _, o := range n.Outputs {
 		if live[o] {
@@ -218,6 +218,15 @@ func (s *Scratch) sweep(n *Net, gates []Gate) *Net {
 		}
 	}
 	d.stack = stack[:0]
+	return s.copyOut(n, gates, nil)
+}
+
+// copyOut copies the gates the dce scratch marks live, and every input,
+// into gates (reallocated when too small) in their order, renumbered.
+// Under a non-nil rewrite (MergeDuals') a consumer reads the node that
+// replaces its operand.
+func (s *Scratch) copyOut(n *Net, gates []Gate, rw *dualScratch) *Net {
+	live, remap := s.dce.live, s.dce.remap
 	for _, in := range n.Inputs {
 		live[in] = true
 	}
@@ -241,8 +250,8 @@ func (s *Scratch) sweep(n *Net, gates []Gate) *Net {
 			continue
 		}
 		g := n.Gates[i]
-		for a := 0; a < g.Kind.Arity(); a++ {
-			g.Args[a] = remap[g.Args[a]]
+		for a := range g.Kind.Arity() {
+			g.Args[a] = remap[rw.at(g.Args[a])]
 		}
 		remap[i] = NodeID(len(out.Gates))
 		out.Gates = append(out.Gates, g)
@@ -253,7 +262,7 @@ func (s *Scratch) sweep(n *Net, gates []Gate) *Net {
 	}
 	out.Outputs = make([]NodeID, len(n.Outputs))
 	for i, o := range n.Outputs {
-		out.Outputs[i] = remap[o]
+		out.Outputs[i] = remap[rw.at(o)]
 	}
 	out.buildInputIndex()
 	return out

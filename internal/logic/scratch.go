@@ -5,7 +5,8 @@ import "unsafe"
 // Scratch is the logic package's share of a compile workspace: one
 // Builder (gate slice, hashing buckets and overflow, negation caches) and
 // the dense per-node tables the net rewrites walk — legalization's
-// old-to-new id map, DCE's mark/remap/stack, TMR's three replica maps —
+// old-to-new id map, DCE's mark/remap/stack, MergeDuals' consumer counts
+// and rewrite, TMR's three replica maps —
 // plus a gate buffer for nets that live only between two passes. A caller that keeps
 // a Scratch across compiles re-grows none of it.
 //
@@ -20,6 +21,7 @@ type Scratch struct {
 	temp  []Gate   // DCETemp's output
 	remap []NodeID // Legalize: source id -> rebuilt id
 	dce   dceScratch
+	dual  dualScratch
 	rep   [3][]NodeID // TMR: source id -> replica id
 }
 
@@ -45,7 +47,8 @@ func (s *Scratch) Bytes() int {
 	return (cap(n.Gates)+cap(s.temp))*gate +
 		cap(s.b.buckets)*int(unsafe.Sizeof(bucket{})) + s.b.overPeak*overGate +
 		(cap(n.Inputs)+cap(n.Outputs)+cap(s.b.nots)+cap(s.b.notOf)+cap(s.remap)+
-			cap(s.dce.remap)+cap(s.dce.stack)+cap(s.rep[0])+cap(s.rep[1])+cap(s.rep[2]))*id +
+			cap(s.dce.remap)+cap(s.dce.stack)+
+			cap(s.dual.fan)+cap(s.dual.sub)+cap(s.rep[0])+cap(s.rep[1])+cap(s.rep[2]))*id +
 		(cap(n.InputNames)+cap(n.OutputNames))*str +
 		cap(s.dce.live)
 }

@@ -472,7 +472,7 @@ func (m *ref) step(op *isa.Op) error {
 		dsts = op.Dst[:]
 	}
 	for _, d := range dsts {
-		if d.IsCGroup() && (op.Kind == isa.OpAAP || op.Kind == isa.OpWrite) {
+		if d.IsCGroup() && op.Kind != isa.OpAP {
 			return fmt.Errorf("%s into constant row %s", op.Kind, d)
 		}
 		if err := m.set(d, v); err != nil {

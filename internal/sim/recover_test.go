@@ -114,6 +114,35 @@ func runRecovered(t *testing.T, m *Machine, prog *isa.Program, io *HostIO, b gua
 	return m.RunRecoveredCtx(context.Background(), Decode(prog), 0, 0, io, b, pol)
 }
 
+// TestReconfigureAfterRecoveredRun: a recovered run is the one run that
+// issues on the machine's engine. Reconfigure after it leaves the engine's
+// stats at zero, and a second run on the same unit takes the makespan the
+// first took, so the units that run touched start again from time zero.
+func TestReconfigureAfterRecoveredRun(t *testing.T) {
+	prog := recProgram(3)
+	cfg := MachineConfig{Geom: dram.DefaultGeometry(), Arch: isa.Ambit, Lanes: 64}
+	m := NewMachine(cfg)
+	var log readLog
+	first, _, err := m.RunRecoveredCtx(context.Background(), Decode(prog), 3, 5, recIO(&log), guard.Budget{}, RecoveryPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats().Ops == 0 {
+		t.Fatal("the recovered run issued nothing on the engine")
+	}
+	m.Reconfigure(cfg)
+	if st := m.Stats(); st != (dram.EngineStats{}) {
+		t.Fatalf("stats after Reconfigure: %+v, want zero", st)
+	}
+	second, _, err := m.RunRecoveredCtx(context.Background(), Decode(prog), 3, 5, recIO(&log), guard.Budget{}, RecoveryPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second != first {
+		t.Fatalf("second run's makespan %v, first's %v", second, first)
+	}
+}
+
 func TestRecoveryZeroFaultEquivalence(t *testing.T) {
 	const blocks = 5
 	prog := recProgram(blocks)

@@ -310,6 +310,22 @@ func TestTranslateResolvesCopies(t *testing.T) {
 		}
 		checkRejected(t, tc.name, tc.prog, 8, err)
 	}
+
+	// A SPILL_IN into C0 stores like a WRITE: rejected where it stores, so
+	// the copy out of C0 after it never reads the spilled row.
+	spilled := &isa.Program{Ops: []isa.Op{isa.NewWrite(isa.Row(0), 0), isa.NewSpillOut(isa.Row(0), 0),
+		isa.NewSpillIn(isa.C0, 0), isa.NewAAP(isa.C0, isa.Row(1)), isa.NewRead(isa.Row(1), 0)}, SpillSlots: 1}
+	const reason = "SPILL_IN into constant row C0"
+	tr, err = Translate(spilled)
+	if te := (*TranslateError)(nil); tr != nil || !errors.As(err, &te) || te.Op != 2 || te.Reason != reason {
+		t.Errorf("SPILL_IN into C0: %v, %v; want a rejection at op 2: %s", tr, err, reason)
+	}
+	m := NewMachine(MachineConfig{Geom: planGeom(8), Arch: isa.Ambit, Lanes: 64})
+	var calls []string
+	if run := m.RunFunctionalCtx(context.Background(), Decode(spilled), transHosts[0].io(m.sub.words, &calls), guard.Budget{}); run == nil ||
+		!strings.HasPrefix(run.Error(), "op 2 ") || !strings.Contains(run.Error(), reason) {
+		t.Errorf("SPILL_IN into C0: the interpreted run ends in %v, want op 2: %s", run, reason)
+	}
 }
 
 // TestTranslatableOnlyWhenUnwatched: a fault hook, parity tracking, a row

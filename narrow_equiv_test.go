@@ -34,9 +34,9 @@ func TestNarrowedWorkloadsVerify(t *testing.T) {
 	}
 	pins := map[string]map[Target]pin{
 		"DenseNet-16": {
-			Ambit:   {17066, 9658, "1269992.74", "719309.67"}, // 43% fewer uops, 1.77x
-			ELP2IM:  {base: 17066, narrowed: 9658},
-			SIMDRAM: {base: 15580, narrowed: 8540},
+			Ambit:   {16272, 9171, "1211535.25", "683382.88"}, // 44% fewer uops, 1.77x
+			ELP2IM:  {base: 16272, narrowed: 9171},
+			SIMDRAM: {base: 14790, narrowed: 8056},
 		},
 		"WTC-64": {
 			Ambit:   {base: 40352, narrowed: 32192},

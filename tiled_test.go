@@ -283,7 +283,7 @@ func TestRunTiledShardedFasterThanSerial(t *testing.T) {
 		serial, sharded string // pinned EndToEndNs at 1 and 4 channels; "" pins nothing
 	}{
 		{name: "mul8", src: "node main(a: u8, b: u8) returns (z: u8) let z = a * b; tel", geom: tinyGeom()},
-		{"DenseNet-16", paper("DenseNet-16"), paperGeom(), "5067053.54", "1267671.22"},
+		{"DenseNet-16", paper("DenseNet-16"), paperGeom(), "4833223.60", "1209213.74"},
 		{"WTC-64", paper("WTC-64"), paperGeom(), "11826874.03", "2957626.34"},
 		{"DiffGen-64", paper("DiffGen-64"), paperGeom(), "345002.43", "87158.44"},
 		{"SW-64", paper("SW-64"), paperGeom(), "1456157.68", "364947.26"},
