@@ -3,9 +3,9 @@ package chopper
 import (
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
+	"chopper/internal/isa"
 	"chopper/internal/transpose"
 	"chopper/internal/workloads"
 )
@@ -190,24 +190,25 @@ func TestBatchVerifyMatchesSolo(t *testing.T) {
 		}
 	}
 
-	// Sabotage one control-row copy so verification fails, then require
-	// the batched sweep to report the identical discrepancy per member.
+	// Sabotage one control-row copy of a fresh kernel, before anything it
+	// caches for its runs is built from the program, so verification
+	// fails; then require every member of the batched sweep to fail with
+	// the solo sweep's discrepancy.
+	k, err = Compile(src, Options{Target: Ambit})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sabotaged := false
 	for i := range k.prog.Ops {
-		op := &k.prog.Ops[i]
-		if op.Kind == 0 /* AAP */ && op.Src.IsCGroup() && !sabotaged {
-			if op.Src.String() == "C0" {
-				op.Src = op.Src - 1
-				sabotaged = true
-			}
+		if op := &k.prog.Ops[i]; op.Kind == isa.OpAAP && op.Src == isa.C0 {
+			op.Src = isa.C1
+			sabotaged = true
+			break
 		}
 	}
 	if !sabotaged {
 		t.Skip("no control-row copy to sabotage")
 	}
-	// Invalidate the cached pre-decoded stream after tampering.
-	k.decodeOnce = sync.Once{}
-	k.decoded = nil
 	perSpec, err = k.VerifyBatchCtx(nil, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -215,9 +216,10 @@ func TestBatchVerifyMatchesSolo(t *testing.T) {
 	for i, sp := range specs {
 		want := k.VerifyCtx(nil, sp.Trials, sp.Seed, 1, FaultConfig{})
 		switch {
-		case want == nil && perSpec[i] == nil:
-		case want == nil || perSpec[i] == nil:
-			t.Errorf("member %d: batched %v, solo %v", i, perSpec[i], want)
+		case perSpec[i] == nil:
+			t.Errorf("member %d: the batched sweep passed a sabotaged kernel (solo: %v)", i, want)
+		case want == nil:
+			t.Errorf("member %d: the solo sweep passed a sabotaged kernel (batched: %v)", i, perSpec[i])
 		case perSpec[i].Error() != want.Error():
 			t.Errorf("member %d:\n  batched: %v\n  solo:    %v", i, perSpec[i], want)
 		}

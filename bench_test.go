@@ -23,9 +23,11 @@ import (
 	"chopper/internal/bitslice"
 	"chopper/internal/dfg"
 	"chopper/internal/dsl"
+	"chopper/internal/guard"
 	"chopper/internal/isa"
 	"chopper/internal/logic"
 	"chopper/internal/obs"
+	"chopper/internal/sim"
 	"chopper/internal/transpose"
 	"chopper/internal/typecheck"
 	"chopper/internal/workloads"
@@ -348,6 +350,81 @@ func BenchmarkRunPaths20(b *testing.B) {
 	for _, v := range verbs {
 		b.Run(v.name, bench(v.run))
 	}
+}
+
+// BenchmarkInterpreted times the interpreter on the runs a translation
+// cannot take, on Ambit at OptFull. "planned/<kernel>" is one
+// RunFunctionalCtx of the kernel's decoded program at 128 lanes with no
+// hook: the planned body from end to end. "reliability" is a 16-trial
+// copy-fault ReliabilityCtx of DenseNet-16 on one worker, and "recovered"
+// a parity-recovered RunRowsCtx of DenseNet-16 at 128 lanes under copy
+// faults: a faulted recovered run is never memoized, so each runs the
+// interpreter through the timing engine as a kernel's first recovered run
+// does. To read a few-percent change, pin it (taskset -c 1, -cpu 1) and
+// alternate a parent-built and a change-built test binary.
+func BenchmarkInterpreted(b *testing.B) {
+	const lanes = 128
+	copyFaults := chopper.FaultConfig{CopyFlipRate: 1e-3}
+	compile := func(name string, opts chopper.Options) *chopper.Kernel {
+		spec, _ := workloads.Get(name)
+		k, err := chopper.Compile(spec.Src, opts)
+		if err != nil {
+			b.Fatalf("%s: %v", name, err)
+		}
+		return k
+	}
+	for _, name := range []string{"DenseNet-16", "WTC-64", "SW-64"} {
+		k := compile(name, chopper.Options{Target: chopper.Ambit})
+		cfg := sim.MachineConfig{Geom: k.Opts.Geometry, Arch: isa.Ambit, Lanes: lanes}
+		d, m := sim.Decode(k.Prog()), sim.NewMachine(cfg)
+		row := make([]uint64, (lanes+63)/64)
+		for i := range row {
+			row[i] = uint64(i+1) * 0x9e3779b97f4a7c15
+		}
+		io := &sim.HostIO{WriteData: func(int) []uint64 { return row }, ReadSink: func(int, []uint64) {}}
+		b.Run("planned/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.Reconfigure(cfg)
+				if err := m.RunFunctionalCtx(nil, d, io, guard.Budget{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	k := compile("DenseNet-16", chopper.Options{Target: chopper.Ambit})
+	b.Run("reliability", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := k.ReliabilityCtx(nil, 16, int64(i), []chopper.FaultConfig{copyFaults}, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	kr := compile("DenseNet-16", chopper.Options{Target: chopper.Ambit, Recovery: chopper.Recovery{Detector: chopper.DetectorParity}})
+	rng := rand.New(rand.NewSource(1))
+	rows := map[string][][]uint64{}
+	for _, in := range kr.Inputs {
+		vals := make([][]uint64, lanes)
+		for l := range vals {
+			vals[l] = make([]uint64, (in.Width+63)/64)
+			for w := range vals[l] {
+				vals[l][w] = rng.Uint64()
+			}
+			if r := in.Width % 64; r != 0 {
+				vals[l][len(vals[l])-1] &= 1<<r - 1
+			}
+		}
+		rows[in.Name] = transpose.ToVerticalWide(vals, in.Width, lanes)
+	}
+	b.Run("recovered", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := kr.RunRowsCtx(nil, rows, lanes, copyFaults, int64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkScheduleGates(b *testing.B) {

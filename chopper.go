@@ -285,12 +285,13 @@ type Kernel struct {
 
 	// translated caches prog translated for clean runs, flipped the
 	// translation with its APs mapped for runs whose only fault model is
-	// TRA flips, and decoded its pre-decoded execution stream for every
-	// other run (each built once, on first use: a kernel that only runs
-	// clean or TRA-faulted never decodes). Kernels are immutable after
-	// compilation, so the caches are safe to share across goroutines —
-	// which is exactly what the parallel verify/reliability sweeps do with
-	// a cached kernel.
+	// TRA flips, and decoded prog with the whole-stream proof the
+	// interpreter trusts for every other run (a few words: the interpreter
+	// runs prog's own ops). Each is built once, on first use: a kernel that
+	// only runs clean or TRA-faulted never decodes. Kernels are immutable
+	// after compilation, so the caches are safe to share across goroutines
+	// — which is exactly what the parallel verify/reliability sweeps do
+	// with a cached kernel.
 	translateOnce sync.Once
 	translated    *sim.Translated
 	flipOnce      sync.Once
@@ -318,8 +319,8 @@ type Kernel struct {
 	shards  map[shardKey]shardTiming
 }
 
-// decodedProg returns the kernel's pre-decoded execution stream, building
-// it on first use.
+// decodedProg returns the kernel's program with its whole-stream proof
+// (sim.Decode), what the interpreter runs, building it on first use.
 func (k *Kernel) decodedProg() *sim.Decoded {
 	k.decodeOnce.Do(func() { k.decoded = sim.Decode(k.prog) })
 	return k.decoded

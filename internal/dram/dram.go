@@ -414,8 +414,8 @@ func (e *Engine) Issue(p Placed) float64 {
 }
 
 // IssueOp is Issue without the Placed wrapper: schedulers that already hold
-// the op's kind and immediate (the pre-decoded execution stream) issue
-// through it without copying a whole isa.Op per command.
+// the op's kind and immediate (the interpreter's run loop) issue through
+// it without copying a whole isa.Op per command.
 func (e *Engine) IssueOp(bank, sub int, kind isa.OpKind, imm uint64) float64 {
 	var lat, bus, energy float64
 	var transfer bool

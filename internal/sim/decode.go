@@ -3,169 +3,159 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"chopper/internal/dram"
 	"chopper/internal/guard"
 	"chopper/internal/isa"
 )
 
-// Decoded is an isa.Program pre-decoded into a flat execution stream: per
-// op, the fields the executor needs are unpacked once. A Decoded is
-// immutable after Decode and safe to share across goroutines and trials;
-// it is how a compiled kernel amortizes dispatch cost over the runs a
+// Decoded is an isa.Program with the proof a whole-stream run trusts:
+// the interpreter runs the program's own ops, and Decode says once, for
+// the whole stream, whether there is anything left to check in their rows
+// (see exec). A Decoded is immutable after Decode and safe to share across
+// goroutines and trials; it is what a compiled kernel keeps for the runs a
 // translation cannot take (see Machine.Translatable): fault runs,
-// recovered runs and budget-stopped runs. Row operands are resolved to
-// arena slots, and reads of rows an earlier op always defines are proven
-// (see exec).
+// recovered runs and budget-stopped runs. It holds nothing per op.
 type Decoded struct {
-	prog  *isa.Program
-	ops   []dop
-	maxD  int  // highest D row an operand names; -1 if none
-	dense bool // every operand has a slot, below maxPlanRow
+	prog   *isa.Program
+	maxD   int  // where proven, the highest D row an operand names; -1 if none
+	proven bool // see Decode
 }
 
 // maxPlanRow bounds the D rows of a stream Decode proves: a higher one (no
-// subarray this simulator models has it) leaves the stream unplanned.
+// subarray this simulator models has it) leaves the stream unproven.
 const maxPlanRow = 1 << 20
 
-// opnd is one row operand of a decoded op.
-type opnd struct {
-	row    isa.Row
-	slot   int32 // arena slot (see Subarray); -1 for an id no subarray has
-	comp   int8  // slot of the dual-contact partner; -1 if none
-	proven bool  // a read whose row an earlier op of the stream always defines
-}
+// slotOf is the arena slot of row r (see Subarray), numSpecialRows+r: the
+// special rows -1..-10 fill slots 9..0 and D row r follows them. An id
+// below the special rows, which no subarray has, has a negative slot.
+func slotOf(r isa.Row) int { return numSpecialRows + int(r) }
 
-func resolve(r isa.Row) opnd {
-	switch {
-	case r >= 0 && r <= math.MaxInt32-numSpecialRows:
-		return opnd{row: r, slot: numSpecialRows + int32(r), comp: -1}
-	case r < 0 && r >= isa.DCC1N: // special rows occupy -1..-10
-		return specialOpnds[-1-r]
+// partner is the slot of the dual-contact partner of the row at slot i, -1
+// if it has none.
+func partner(i int) int {
+	if uint(i) < numSpecialRows {
+		return int(partners[i])
 	}
-	return opnd{row: r, slot: -1, comp: -1}
+	return -1
 }
 
-// specialOpnds is resolve of each special row, by slot.
-var specialOpnds = func() (t [numSpecialRows]opnd) {
+// partners is partner of each special row's slot, by isa.Row.Complement.
+var partners = func() (t [numSpecialRows]int8) {
 	for i := range t {
-		r := isa.Row(-1 - i)
-		t[i] = opnd{row: r, slot: int32(i), comp: -1}
-		if c := r.Complement(); c != isa.RowNone {
-			t[i].comp = int8(-1 - c)
+		t[i] = -1
+		if c := isa.Row(i - numSpecialRows).Complement(); c != isa.RowNone {
+			t[i] = int8(slotOf(c))
 		}
 	}
 	return t
 }()
 
-// dop is one decoded micro-op, the only form the executor runs. The record
-// is 64 bytes (TestDecodedOpSize).
-type dop struct {
-	imm   uint64
-	opd   [4]opnd // the source row, then the three destination rows: op.Rows() resolved
-	tag   int32
-	kind  isa.OpKind
-	rowOp bool // a planned run takes the row-op body (Decode)
-	ndst  uint8
-}
-
-// Decode pre-decodes prog. The result references prog (recovery reads its
-// epoch marks), so the program must not be mutated afterwards.
+// Decode returns prog with its whole-stream proof. The result references
+// prog, so the program must not be mutated afterwards.
 //
-// The same pass proves reads: every op that completes defines the rows it
-// stores (and their partners), and a whole-stream run stops at the first
-// op that does not, so when op i executes every op before it has defined
-// its rows. C0 and C1 hold their constants from reset on. It also marks
-// the row ops: each AAP or AP that reads only proven rows and stores only
-// into dense rows outside the C-group.
+// The proof holds where three things do, for every op, of the rows
+// isa.Roles names: each has a slot, below maxPlanRow; each read is of a row
+// an earlier op defines (a store defines its row and the row's
+// dual-contact partner; C0 and C1 hold their constants from reset on); and
+// no store is into C0 or C1. A whole-stream run stops at the first op
+// that fails, so when op i of a proven stream executes every op before it
+// has defined its rows. A stream that is not proven fails at the first op
+// the proof fails at, if its run gets there: programs are straight-line.
 func Decode(prog *isa.Program) *Decoded {
-	d := &Decoded{prog: prog, ops: make([]dop, len(prog.Ops)), maxD: -1, dense: true}
+	d := &Decoded{prog: prog, maxD: -1}
 	def := make([]bool, numSpecialRows) // by slot
-	def[0], def[1] = true, true
-	note := func(o *opnd) {
-		d.dense = d.dense && o.slot >= 0 && o.row < maxPlanRow
-		d.maxD = max(d.maxD, int(o.row))
-	}
-	for i := range d.ops {
-		op, e := &prog.Ops[i], &d.ops[i]
-		*e = dop{kind: op.Kind, ndst: op.NDst, tag: op.Tag, imm: op.Imm}
-		for j, r := range op.Rows() {
-			e.opd[j] = resolve(r)
+	def[slotOf(isa.C0)], def[slotOf(isa.C1)] = true, true
+	for i := range prog.Ops {
+		op := &prog.Ops[i]
+		rows := op.Rows()
+		reads, writes := isa.Roles(&rows, op.Kind, op.NDst)
+		for _, r := range reads {
+			// A defined row is C0, C1 or a row a store named: it is in range.
+			if j := slotOf(r); j < 0 || j >= len(def) || !def[j] {
+				return d
+			}
 		}
-		reads, writes := isa.Roles(&e.opd, e.kind, e.ndst)
-		e.rowOp = e.kind == isa.OpAAP || e.kind == isa.OpAP
-		for j := range reads {
-			note(&reads[j])
-			reads[j].proven = d.dense && int(reads[j].slot) < len(def) && def[reads[j].slot]
-			e.rowOp = e.rowOp && reads[j].proven
-		}
-		for _, o := range writes {
-			e.rowOp = e.rowOp && o.slot > 1 // C0 and C1 are slots 0 and 1
-			if note(&o); d.dense {
-				for len(def) <= int(o.slot) {
-					def = append(def, false)
-				}
-				def[o.slot] = true
-				if o.comp >= 0 {
-					def[o.comp] = true
-				}
+		for _, r := range writes {
+			j := slotOf(r)
+			if j < 0 || r >= maxPlanRow || r.IsCGroup() {
+				return d
+			}
+			d.maxD = max(d.maxD, int(r))
+			for len(def) <= j {
+				def = append(def, false)
+			}
+			def[j] = true
+			if c := partner(j); c >= 0 {
+				def[c] = true
 			}
 		}
 	}
+	d.proven = true
 	return d
 }
 
 // Len returns the number of ops in the stream.
-func (d *Decoded) Len() int { return len(d.ops) }
+func (d *Decoded) Len() int { return len(d.prog.Ops) }
 
 // ExecDecoded executes op i of the decoded stream on the subarray. It may
-// be called on any op in any order, so it checks every read: it runs the
-// body of a whole-stream run without that run's licence (see exec).
+// be called on any op in any order, so it checks everything: it runs exec
+// without a whole-stream run's licence.
 func (s *Subarray) ExecDecoded(d *Decoded, i int, io *HostIO, spill *SpillStore) error {
-	return s.exec(&d.ops[i], io, spill, false)
+	return s.exec(&d.prog.Ops[i], io, spill, false)
 }
 
 // exec is what the six micro-ops do — the one definition under every
 // execution entry point: sense the rows the op reads, form the value it
-// stores, store it. What an op may fail on (rows the subarray has, row
-// presence, host IO availability, spill-slot liveness, a store into a
-// constant row) is checked on every op. planned is the
-// whole-stream loops' licence (Subarray.plan): every operand is a backed row
-// of the subarray, a row op runs as one body over its slots, and a proven
-// read skips the presence check. Unproven reads are always checked.
-func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) error {
+// stores, store it. The rows are the ones isa.Roles names, read from the
+// program's own op as Translate reads them. What an op may fail on (rows
+// the subarray has, row presence, host IO availability, spill-slot
+// liveness, a store into a constant row) is checked on every op, unless
+// planned: the whole-stream loops' licence (Subarray.plan), granted where
+// the stream is proven and the subarray has every row it names, backed. A
+// planned run checks no operand's row and no read's presence, and runs
+// every AAP and AP as one body over the slots of its rows (an AAP's Src
+// and Dst[:NDst], an AP's Dst: the rows Roles names for them); the host
+// and the spill store are all it has left to check.
+func (s *Subarray) exec(op *isa.Op, io *HostIO, spill *SpillStore, planned bool) error {
 	idx := s.opIdx
 	s.opIdx++
-	if planned && op.rowOp {
+	if planned && (op.Kind == isa.OpAAP || op.Kind == isa.OpAP) {
 		// Nothing to check: sense the slots, form the value, store it. The
 		// hook's events and parity tracking are all that watch a row op.
 		watched := s.events&isa.EvLoad != 0 || s.parTrack
 		var val []uint64
-		if op.kind == isa.OpAAP {
-			if val = s.rowData(int(op.opd[0].slot)); watched {
-				s.sensed(idx, &op.opd[0], val)
+		dsts := op.Dst[:]
+		if op.Kind == isa.OpAAP {
+			i := slotOf(op.Src)
+			if val = s.rowData(i); watched {
+				s.sensed(idx, op.Src, i, val)
 			}
-			val = s.copied(idx, op, val)
+			val = s.copied(idx, op.NDst, val)
+			dsts = op.Dst[:op.NDst]
 		} else {
-			for j := 1; j <= 3 && watched; j++ {
-				s.sensed(idx, &op.opd[j], s.rowData(int(op.opd[j].slot)))
+			a, b, c := slotOf(op.Dst[0]), slotOf(op.Dst[1]), slotOf(op.Dst[2])
+			if watched {
+				s.sensed(idx, op.Dst[0], a, s.rowData(a))
+				s.sensed(idx, op.Dst[1], b, s.rowData(b))
+				s.sensed(idx, op.Dst[2], c, s.rowData(c))
 			}
-			val = s.majority(idx, s.rowData(int(op.opd[1].slot)), s.rowData(int(op.opd[2].slot)), s.rowData(int(op.opd[3].slot)))
+			val = s.majority(idx, s.rowData(a), s.rowData(b), s.rowData(c))
 		}
-		for j := 1; j <= int(op.ndst); j++ {
-			o := &op.opd[j]
-			dst := s.put(o, val)
-			if s.parTrack || o.comp >= 0 {
-				s.paired(o, dst)
+		for _, r := range dsts {
+			i := slotOf(r)
+			dst := s.put(i, val)
+			if s.parTrack || partner(i) >= 0 {
+				s.paired(i, dst)
 			}
 			if s.events&isa.EvStore != 0 {
-				s.hook.AfterStore(idx, o.row, dst, s.lanes)
+				s.hook.AfterStore(idx, r, dst, s.lanes)
 			}
 		}
 		return nil
 	}
-	reads, writes := isa.Roles(&op.opd, op.kind, op.ndst)
+	rows := op.Rows()
+	reads, writes := isa.Roles(&rows, op.Kind, op.NDst)
 	if !planned {
 		if err := s.outside(reads); err != nil {
 			return err
@@ -175,40 +165,41 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 		}
 	}
 	var in [3][]uint64
-	for j := range reads {
-		var err error
-		if in[j], err = s.load(idx, &reads[j], planned); err != nil {
-			return err
+	for j, r := range reads {
+		i := slotOf(r)
+		if !planned && !s.defined(i) {
+			return fmt.Errorf("sim: read of uninitialized row %s", r)
 		}
+		in[j] = s.sensed(idx, r, i, s.rowData(i))
 	}
 	var val []uint64 // what the op stores into writes
-	switch op.kind {
+	switch op.Kind {
 	case isa.OpAAP:
-		val = s.copied(idx, op, in[0])
+		val = s.copied(idx, op.NDst, in[0])
 
 	case isa.OpAP:
 		val = s.majority(idx, in[0], in[1], in[2])
 
 	case isa.OpWrite:
 		var err error
-		if val, err = written(io, op.tag); err != nil {
+		if val, err = written(io, op.Tag); err != nil {
 			return err
 		}
 
 	case isa.OpRead:
 		if io == nil || io.ReadSink == nil {
-			return errNoSink(op.tag)
+			return errNoSink(op.Tag)
 		}
 		out := s.readBuf
 		copy(out, in[0])
-		io.ReadSink(int(op.tag), out)
+		io.ReadSink(int(op.Tag), out)
 		return nil
 
 	case isa.OpSpillOut:
 		if spill == nil {
 			return fmt.Errorf("sim: spill with no spill store")
 		}
-		spill.put(op.imm, in[0], s.words)
+		spill.put(op.Imm, in[0], s.words)
 		return nil
 
 	case isa.OpSpillIn:
@@ -216,21 +207,20 @@ func (s *Subarray) exec(op *dop, io *HostIO, spill *SpillStore, planned bool) er
 			return fmt.Errorf("sim: spill with no spill store")
 		}
 		var ok bool
-		if val, ok = spill.get(op.imm); !ok {
-			return fmt.Errorf("sim: SPILL_IN of unwritten slot %d", op.imm)
+		if val, ok = spill.get(op.Imm); !ok {
+			return fmt.Errorf("sim: SPILL_IN of unwritten slot %d", op.Imm)
 		}
 
 	default:
-		return fmt.Errorf("sim: unknown op kind %d", int(op.kind))
+		return fmt.Errorf("sim: unknown op kind %d", int(op.Kind))
 	}
-	for j := range writes {
-		o := &writes[j]
-		if isa.ConstStore(op.kind, o.row) {
-			return fmt.Errorf("sim: %s into constant row %s", op.kind, o.row)
+	for _, r := range writes {
+		if isa.ConstStore(op.Kind, r) {
+			return fmt.Errorf("sim: %s into constant row %s", op.Kind, r)
 		}
-		if dst := s.setRow(o, val); s.events&isa.EvStore != 0 {
+		if dst := s.setRow(slotOf(r), val); s.events&isa.EvStore != 0 {
 			// Persistent bitline defects corrupt the stored contents.
-			s.hook.AfterStore(idx, o.row, dst, s.lanes)
+			s.hook.AfterStore(idx, r, dst, s.lanes)
 		}
 	}
 	return nil
@@ -254,8 +244,8 @@ func errNoSink(tag int32) error { return fmt.Errorf("sim: READ with no host sink
 // copied is the value an AAP of src stores: src itself, or a staged copy
 // when a later destination may alias the source's complement or the hook
 // perturbs the copy (never the source).
-func (s *Subarray) copied(idx int, op *dop, src []uint64) []uint64 {
-	if op.ndst > 1 || s.events&isa.EvCopy != 0 {
+func (s *Subarray) copied(idx int, ndst uint8, src []uint64) []uint64 {
+	if ndst > 1 || s.events&isa.EvCopy != 0 {
 		return s.staged(idx, src)
 	}
 	return src
@@ -313,7 +303,7 @@ type stepper struct {
 // of hi, the next ctx checkpoint (every 256 steps) and the first op a
 // budget stops: a stop lands on the op, with the error, of per-op checks.
 func (st *stepper) span(d *Decoded, lo, hi int, io *HostIO) error {
-	sub, spill := &st.m.sub, &st.m.spill
+	sub, spill, ops := &st.m.sub, &st.m.spill, d.prog.Ops
 	for i := lo; i < hi; {
 		if st.steps&255 == 0 {
 			if err := guard.Ctx(st.ctx); err != nil {
@@ -334,12 +324,12 @@ func (st *stepper) span(d *Decoded, lo, hi int, io *HostIO) error {
 			n = min(n, limit-st.cmds)
 		}
 		for end := i + n; i < end; i++ {
-			op := &d.ops[i]
+			op := &ops[i]
 			if err := sub.exec(op, io, spill, st.planned); err != nil {
 				return fmt.Errorf("op %d at bank %d sub %d: %w", i, st.bank, st.sub, err)
 			}
 			if st.eng != nil {
-				st.eng.IssueOp(st.bank, st.sub, op.kind, op.imm)
+				st.eng.IssueOp(st.bank, st.sub, op.Kind, op.Imm)
 			}
 		}
 		st.steps += n
@@ -356,5 +346,5 @@ func (st *stepper) span(d *Decoded, lo, hi int, io *HostIO) error {
 // pre-checked it). Errors name bank 0 sub 0.
 func (m *Machine) RunFunctionalCtx(ctx context.Context, d *Decoded, io *HostIO, b guard.Budget) error {
 	st := stepper{ctx: ctx, b: b, m: m, planned: m.sub.plan(d)}
-	return st.span(d, 0, len(d.ops), io)
+	return st.span(d, 0, len(d.prog.Ops), io)
 }

