@@ -226,7 +226,10 @@ func (o Options) validate() error {
 	if err := o.Recovery.validate(); err != nil {
 		return err
 	}
-	return o.Geometry.Validate()
+	if err := o.Geometry.Validate(); err != nil {
+		return stage(ErrOptions, "chopper: options", err)
+	}
+	return nil
 }
 
 // IOSpec describes one operand of a compiled kernel.
@@ -393,13 +396,15 @@ func putWorker(w *simWorker) {
 	workerPool.Put(w)
 }
 
-// workspace is everything one back-end compile keeps between passes and
-// can hand to the next compile: the logic builder with its hashing buckets
-// and gate buffers, the net-rewrite id maps, the scheduler's tables, and
-// codegen's per-node tables and op staging buffer. Every pass resets what
-// it uses on entry, so a workspace abandoned mid-compile (error, panic,
-// cancellation) is as good as a fresh one.
+// workspace is everything one compile keeps between passes and can hand
+// to the next compile: the front end's hash-consing table and value
+// staging, the logic builder with its hashing buckets and gate buffers,
+// the net-rewrite id maps, the scheduler's tables, and codegen's per-node
+// tables and op staging buffer. Every pass resets what it uses on entry,
+// so a workspace abandoned mid-compile (error, panic, cancellation) is as
+// good as a fresh one.
 type workspace struct {
+	dfg   dfg.Scratch
 	logic logic.Scratch
 	code  codegen.Scratch
 }
@@ -435,7 +440,7 @@ func getWorkspace() *workspace {
 }
 
 func putWorkspace(ws *workspace) {
-	if ws.logic.Bytes()+ws.code.Bytes() > workspaceMaxBytes {
+	if ws.dfg.Bytes()+ws.logic.Bytes()+ws.code.Bytes() > workspaceMaxBytes {
 		return
 	}
 	workspaces.Lock()
@@ -531,8 +536,10 @@ func compile(ctx context.Context, p pipeline, src string, built func() (*dfg.Gra
 }
 
 // lower is everything past the prologue: front end (or the built graph),
-// then p's back end.
+// then p's back end, on one workspace.
 func (p pipeline) lower(ctx context.Context, src string, built func() (*dfg.Graph, error), opts Options) (*Kernel, error) {
+	ws := getWorkspace()
+	defer putWorkspace(ws)
 	var (
 		prog   *dsl.Program
 		entry  string
@@ -541,7 +548,7 @@ func (p pipeline) lower(ctx context.Context, src string, built func() (*dfg.Grap
 		err    error
 	)
 	if built == nil {
-		prog, entry, graph, err = frontEnd(src, opts)
+		prog, entry, graph, err = frontEnd(&ws.dfg, src, opts)
 	} else if graph, err = built(); err != nil {
 		// A graph that could not be built is the failure dfg.BuildNode
 		// reports for source: same stage, same class.
@@ -572,14 +579,14 @@ func (p pipeline) lower(ctx context.Context, src string, built func() (*dfg.Grap
 			}
 		}
 	}
-	return compileGraph(ctx, prog, entry, graph, opts, ranges)
+	return compileGraph(ctx, ws, prog, entry, graph, opts, ranges)
 }
 
 // frontEnd is the one source-to-graph path every pipeline shares:
 // parse and expand, typecheck, resolve the entry node (opts.Entry, else the
-// program's own) and normalize it into a dataflow graph. Failures are
+// program's own) and normalize it into a dataflow graph on s. Failures are
 // classed by stage (ErrParse, ErrTypecheck, ErrNormalize).
-func frontEnd(src string, opts Options) (*dsl.Program, string, *dfg.Graph, error) {
+func frontEnd(s *dfg.Scratch, src string, opts Options) (*dsl.Program, string, *dfg.Graph, error) {
 	prog, err := dsl.ParseAndExpand(src)
 	if err != nil {
 		return nil, "", nil, stage(ErrParse, "chopper: parse", err)
@@ -596,7 +603,7 @@ func frontEnd(src string, opts Options) (*dsl.Program, string, *dfg.Graph, error
 		}
 		entry = e.Name
 	}
-	graph, err := dfg.BuildNode(checked, entry)
+	graph, err := s.BuildNode(checked, entry)
 	if err != nil {
 		return nil, "", nil, stage(ErrNormalize, "chopper: normalize", err)
 	}
@@ -611,7 +618,7 @@ func frontEnd(src string, opts Options) (*dsl.Program, string, *dfg.Graph, error
 // are recorded in a DegradationReport on the kernel. Ordinary input
 // errors and guard stops (budget, cancellation) fail directly — retrying
 // cannot fix the former and must not mask the latter.
-func compileGraph(ctx context.Context, prog *dsl.Program, entry string, graph *dfg.Graph, opts Options, ranges map[string]narrow.Range) (*Kernel, error) {
+func compileGraph(ctx context.Context, ws *workspace, prog *dsl.Program, entry string, graph *dfg.Graph, opts Options, ranges map[string]narrow.Range) (*Kernel, error) {
 	// Honour the @noreuse annotation: the OBS-2 hook that lets programmers
 	// "transparently decide whether this optimization shall be enforced".
 	opt := opts.Opt
@@ -649,8 +656,6 @@ func compileGraph(ctx context.Context, prog *dsl.Program, entry string, graph *d
 		}
 	}
 
-	ws := getWorkspace()
-	defer putWorkspace(ws)
 	report := &DegradationReport{Requested: opt}
 	for lv := opt; ; lv-- {
 		k, err := compileGraphAt(ctx, ws, prog, graph, lower, opts, lv)

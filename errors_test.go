@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"chopper/internal/dfg"
+	"chopper/internal/dram"
 	"chopper/internal/transpose"
 )
 
@@ -227,6 +228,21 @@ func TestRunRejectsBadLanes(t *testing.T) {
 	}
 	if !errors.Is(err, ErrOptions) {
 		t.Fatalf("error %v does not match ErrOptions", err)
+	}
+}
+
+// TestGeometryPastRowWidthIsOptionsError: a subarray with more data rows
+// than an isa.Row can name is the caller's mistake, rejected before the
+// pipeline runs.
+func TestGeometryPastRowWidthIsOptionsError(t *testing.T) {
+	geom := dram.DefaultGeometry()
+	geom.RowsPerSub = 1<<15 + geom.ReservedRows + 1
+	if _, err := Compile(errAdderSrc, Options{Geometry: geom}); !errors.Is(err, ErrOptions) {
+		t.Fatalf("%d data rows: %v does not match ErrOptions", geom.DRows(), err)
+	}
+	geom.RowsPerSub--
+	if _, err := Compile(errAdderSrc, Options{Geometry: geom}); err != nil {
+		t.Fatalf("%d data rows: %v", geom.DRows(), err)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"unsafe"
 
@@ -101,7 +102,7 @@ type Scratch struct {
 	// exact-length copies, so neither a kernel nor a kernel cache holds
 	// the staging capacity.
 	ops   []isa.Op
-	marks []int
+	marks []int32
 }
 
 // Bytes is the storage the scratch retains, for a workspace's size
@@ -109,9 +110,9 @@ type Scratch struct {
 func (s *Scratch) Bytes() int {
 	const word = int(unsafe.Sizeof(int(0)))
 	ints := cap(s.useOff) + cap(s.useBuf) + cap(s.useIdx) + cap(s.cur) + cap(s.nodeTag) +
-		cap(s.constTag) + cap(s.slotOf) + cap(s.outOff) + cap(s.outBuf) + cap(s.resPos) + cap(s.marks)
+		cap(s.constTag) + cap(s.slotOf) + cap(s.outOff) + cap(s.outBuf) + cap(s.resPos)
 	bools := cap(s.isConst) + cap(s.isInput) + cap(s.external) + cap(s.outDone)
-	return ints*word + bools +
+	return ints*word + bools + cap(s.marks)*int(unsafe.Sizeof(int32(0))) +
 		cap(s.loc)*int(unsafe.Sizeof(location{})) +
 		cap(s.resList)*int(unsafe.Sizeof(logic.NodeID(0))) +
 		cap(s.ops)*int(unsafe.Sizeof(isa.Op{})) +
@@ -288,6 +289,9 @@ var ErrInvalidProgram = errors.New("codegen: generated program failed validation
 // broken program on demand; production code never sets it.
 var TestBreakHook func(variant obs.Variant, prog *isa.Program)
 
+// maxDRows is how many D rows an isa.Row can name: D0 to D32767.
+const maxDRows = math.MaxInt16 + 1
+
 // chainOneShots runs obs.Scratch.Chain on the O3 schedule. Only tests turn
 // it off, to compare against the program the unchained order yields.
 var chainOneShots = true
@@ -301,6 +305,9 @@ func Generate(net *logic.Net, opts Options) (*Result, error) {
 	}
 	if opts.DRows < 4 {
 		return nil, fmt.Errorf("codegen: need at least 4 D-group rows, have %d", opts.DRows)
+	}
+	if top := opts.PoolBase + opts.DRows; top > maxDRows {
+		return nil, fmt.Errorf("codegen: D rows up to D%d, past the %d an isa.Row can name", top-1, maxDRows)
 	}
 	s := opts.Scratch
 	if s == nil {
@@ -338,7 +345,7 @@ func Generate(net *logic.Net, opts Options) (*Result, error) {
 		s.ops = make([]isa.Op, 0, est)
 	}
 	if cap(s.marks) < len(order)+1 {
-		s.marks = make([]int, 0, len(order)+1)
+		s.marks = make([]int32, 0, len(order)+1)
 	}
 	e.prog.Ops, e.prog.EpochMarks = s.ops[:0], s.marks[:0]
 	// CSR index of the output positions each node feeds, so results can
@@ -468,7 +475,9 @@ func Generate(net *logic.Net, opts Options) (*Result, error) {
 		if err := guard.Check(guard.DimMicroOps, opts.MaxOps, len(e.prog.Ops)); err != nil {
 			return nil, err
 		}
-		e.markEpoch()
+		if err := e.markEpoch(); err != nil {
+			return nil, err
+		}
 	}
 	for i, o := range net.Outputs {
 		if e.s.outDone[i] {
@@ -499,7 +508,9 @@ func Generate(net *logic.Net, opts Options) (*Result, error) {
 	if err := guard.Check(guard.DimMicroOps, opts.MaxOps, len(e.prog.Ops)); err != nil {
 		return nil, err
 	}
-	e.markEpoch()
+	if err := e.markEpoch(); err != nil {
+		return nil, err
+	}
 
 	e.stats.MaxLiveRows = e.pool.MaxUsed()
 	e.prog.DRowsUsed = e.pool.MaxUsed()
@@ -550,16 +561,21 @@ func (e *emitter) checkOps(slots int) error {
 // It is called after each scheduled gate's expansion (and its eager reads)
 // retires, so an epoch boundary chosen by the recovery runtime never lands
 // inside the micro-op cluster of a single logic gate. Consecutive gates
-// that emitted no ops collapse into one mark.
-func (e *emitter) markEpoch() {
+// that emitted no ops collapse into one mark. A mark is an int32, so a
+// program longer than math.MaxInt32 ops is rejected here.
+func (e *emitter) markEpoch() error {
 	n := len(e.prog.Ops)
+	if n > math.MaxInt32 {
+		return fmt.Errorf("codegen: %d micro-ops, more than an epoch mark can index", n)
+	}
 	if n == 0 {
-		return
+		return nil
 	}
-	if l := len(e.prog.EpochMarks); l > 0 && e.prog.EpochMarks[l-1] == n {
-		return
+	if l := len(e.prog.EpochMarks); l > 0 && int(e.prog.EpochMarks[l-1]) == n {
+		return nil
 	}
-	e.prog.EpochMarks = append(e.prog.EpochMarks, n)
+	e.prog.EpochMarks = append(e.prog.EpochMarks, int32(n))
+	return nil
 }
 
 // eagerRead retires outputs whose value just became final: the gate at pos

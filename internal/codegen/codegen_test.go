@@ -111,6 +111,27 @@ func TestGenerateRejectsTinyPool(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsRowsPastRowWidth holds the pool to the D rows an
+// isa.Row can name, counting the caller's rows below PoolBase: the
+// allocator's rows are isa.Row(i), which must not wrap.
+func TestGenerateRejectsRowsPastRowWidth(t *testing.T) {
+	net := adderNet(t, 4, isa.Ambit, true)
+	for _, tc := range []struct {
+		base, rows int
+		ok         bool
+	}{
+		{0, 1 << 15, true},
+		{0, 1<<15 + 1, false},
+		{100, 1<<15 - 100, true},
+		{100, 1<<15 - 99, false},
+	} {
+		_, err := Generate(net, Options{Arch: isa.Ambit, Variant: obs.Rename, PoolBase: tc.base, DRows: tc.rows})
+		if ok := err == nil; ok != tc.ok {
+			t.Errorf("PoolBase %d, DRows %d: err = %v, want accepted = %v", tc.base, tc.rows, err, tc.ok)
+		}
+	}
+}
+
 func TestRenameShortensPrograms(t *testing.T) {
 	for _, arch := range isa.AllArchs {
 		net := adderNet(t, 16, arch, true)

@@ -10,6 +10,8 @@ package dfg
 import (
 	"fmt"
 	"math/big"
+	"slices"
+	"unsafe"
 
 	"chopper/internal/dsl"
 	"chopper/internal/typecheck"
@@ -325,30 +327,106 @@ func (g *Graph) Eval(inputs map[string]*big.Int) (map[string]*big.Int, error) {
 	return out, nil
 }
 
-// builder constructs graphs with hash-consing.
-type builder struct {
-	g    Graph
-	hash map[valueKey]ValueID
+// Scratch is the dfg package's share of a compile workspace: the
+// hash-consing table and the value staging a build grows. A caller that
+// keeps a Scratch across compiles re-grows neither; the graph a build
+// returns owns exact-length copies and shares nothing with the scratch.
+// Each build clears the table on entry and truncates the staging, so a
+// Scratch abandoned by a failed or panicking build is safe to reuse. The zero value is ready to
+// use; a Scratch is not safe for concurrent use.
+type Scratch struct {
+	hash   map[valueKey]ValueID
+	peak   int               // the most entries hash has held: a cleared map keeps its slots
+	wide   map[string]uint64 // decimal text of an Imm wider than 64 bits -> its number
+	values []Value
 }
 
-// valueKey is the comparable identity of a value for hash-consing. Args
-// are padded with -1 (never a real id); every kind has a fixed arity, so
-// padding cannot collide. An Imm that fits in 64 bits is keyed by its
-// value, a wider one by its decimal text (never empty, so never equal to
-// the bigImm of a narrow one); hasImm tells a nil Imm from zero. Only
-// non-input values are keyed, and they carry no Name.
-type valueKey struct {
-	kind       OpKind
-	hasImm     bool
-	a0, a1, a2 ValueID
-	width      int
-	imm        uint64
-	bigImm     string
+// BuildNode flattens the checked program into a graph, with the named node
+// as the entry point: its parameters become graph inputs and its returns
+// become outputs. It is (*Scratch).BuildNode on a scratch of its own.
+func BuildNode(ch *typecheck.Checked, name string) (*Graph, error) {
+	return new(Scratch).BuildNode(ch, name)
 }
+
+// BuildNode is the package-level BuildNode on the scratch's table and
+// staging.
+func (s *Scratch) BuildNode(ch *typecheck.Checked, name string) (*Graph, error) {
+	entry := ch.Prog.Lookup(name)
+	if entry == nil {
+		return nil, fmt.Errorf("dfg: no node named %q", name)
+	}
+	if s.hash == nil {
+		s.hash = make(map[valueKey]ValueID)
+	}
+	clear(s.hash)
+	clear(s.wide)
+	b := &builder{s: s, g: Graph{Values: s.values[:0]}}
+	args := make([]ValueID, len(entry.Params))
+	for i, p := range entry.Params {
+		id := b.add(Value{Kind: OpInput, Width: p.Type.Bits, Name: p.Name})
+		b.g.Inputs = append(b.g.Inputs, id)
+		args[i] = id
+	}
+	outs, err := b.instantiate(ch, entry, args, 0)
+	// Keep what the table and the staging grew to, even on failure, and
+	// let go of the staged args, immediates and names: the graph owns a
+	// copy.
+	staged := b.g.Values
+	s.peak, s.values = max(s.peak, len(s.hash)), staged[:0]
+	defer clear(staged)
+	if err != nil {
+		return nil, err
+	}
+	b.g.Values = slices.Clone(staged)
+	for i, o := range outs {
+		b.g.Outputs = append(b.g.Outputs, o)
+		b.g.OutputNames = append(b.g.OutputNames, entry.Returns[i].Name)
+	}
+	g := b.g
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return &g, nil
+}
+
+// Bytes is the storage the scratch retains, for a workspace's size
+// ceiling. A map slot holds a key and an id; the table is at most 7/8
+// full and grows by doubling, so it spends at most twice a slot an entry.
+// Wide immediates' text is not counted.
+func (s *Scratch) Bytes() int {
+	const slot = int(unsafe.Sizeof(valueKey{}) + unsafe.Sizeof(ValueID(0)))
+	return 2*slot*s.peak + cap(s.values)*int(unsafe.Sizeof(Value{}))
+}
+
+// builder constructs one graph with hash-consing on a Scratch.
+type builder struct {
+	s *Scratch
+	g Graph
+}
+
+// valueKey is the comparable identity of a value for hash-consing, 32
+// bytes. Args are padded with -1 (never a real id); every kind has a fixed
+// arity, so padding cannot collide. imm is an Imm that fits in 64 bits, by
+// its value, or a wider one by its number in Scratch.wide; immKind tells
+// the three apart. Only non-input values are keyed, and they carry no
+// Name.
+type valueKey struct {
+	imm        uint64
+	a0, a1, a2 ValueID
+	width      int32
+	kind       uint8
+	immKind    uint8 // 0 (no Imm), immNarrow or immWide
+}
+
+const (
+	immNarrow = 1 + iota
+	immWide
+)
 
 func (b *builder) add(v Value) ValueID {
+	id := ValueID(len(b.g.Values))
 	if v.Kind != OpInput {
-		key := valueKey{kind: v.Kind, a0: -1, a1: -1, a2: -1, width: v.Width}
+		key := valueKey{kind: uint8(v.Kind), a0: -1, a1: -1, a2: -1, width: int32(v.Width)}
 		switch len(v.Args) {
 		case 3:
 			key.a2 = v.Args[2]
@@ -360,54 +438,33 @@ func (b *builder) add(v Value) ValueID {
 			key.a0 = v.Args[0]
 		}
 		if v.Imm != nil {
-			key.hasImm = true
-			if v.Imm.IsUint64() {
-				key.imm = v.Imm.Uint64()
-			} else {
-				key.bigImm = v.Imm.String()
+			key.immKind, key.imm = immNarrow, v.Imm.Uint64()
+			if !v.Imm.IsUint64() {
+				key.immKind, key.imm = immWide, b.s.wideImm(v.Imm)
 			}
 		}
-		if id, ok := b.hash[key]; ok {
-			return id
+		if old, ok := b.s.hash[key]; ok {
+			return old
 		}
-		id := ValueID(len(b.g.Values))
-		b.g.Values = append(b.g.Values, v)
-		b.hash[key] = id
-		return id
+		b.s.hash[key] = id
 	}
-	id := ValueID(len(b.g.Values))
 	b.g.Values = append(b.g.Values, v)
 	return id
 }
 
-// BuildNode flattens the checked program into a graph, with the named node
-// as the entry point: its parameters become graph inputs and its returns
-// become outputs.
-func BuildNode(ch *typecheck.Checked, name string) (*Graph, error) {
-	entry := ch.Prog.Lookup(name)
-	if entry == nil {
-		return nil, fmt.Errorf("dfg: no node named %q", name)
+// wideImm numbers an immediate wider than 64 bits by its decimal text:
+// equal values get one number.
+func (s *Scratch) wideImm(x *big.Int) uint64 {
+	text := x.String()
+	n, ok := s.wide[text]
+	if !ok {
+		if s.wide == nil {
+			s.wide = make(map[string]uint64)
+		}
+		n = uint64(len(s.wide))
+		s.wide[text] = n
 	}
-	b := &builder{hash: make(map[valueKey]ValueID)}
-	args := make([]ValueID, len(entry.Params))
-	for i, p := range entry.Params {
-		id := b.add(Value{Kind: OpInput, Width: p.Type.Bits, Name: p.Name})
-		b.g.Inputs = append(b.g.Inputs, id)
-		args[i] = id
-	}
-	outs, err := b.instantiate(ch, entry, args, 0)
-	if err != nil {
-		return nil, err
-	}
-	for i, o := range outs {
-		b.g.Outputs = append(b.g.Outputs, o)
-		b.g.OutputNames = append(b.g.OutputNames, entry.Returns[i].Name)
-	}
-	g := b.g
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return &g, nil
+	return n
 }
 
 const maxInlineDepth = 64

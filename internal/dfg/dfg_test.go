@@ -3,6 +3,7 @@ package dfg
 import (
 	"math/big"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -180,6 +181,57 @@ tel`)
 	}
 	if adds != 1 {
 		t.Errorf("identical adds not shared: %d", adds)
+	}
+}
+
+// TestScratchReuse builds a sequence of programs on one Scratch, a failed
+// build among them: each graph must equal what a fresh scratch builds, and
+// stay so after the scratch builds the next one. The wide-immediate
+// program keys two equal 2^100 constants as one, and neither 2^100 + 1 nor
+// a 0 (the number the side table gives the first wide immediate) as it.
+func TestScratchReuse(t *testing.T) {
+	srcs := []string{
+		"node f(a: u8, b: u8) returns (z: u8, w: u8) let z = a + b; w = (a + b) * 3; tel",
+		"node f(a: u8) returns (z: u8) vars x: u8, y: u8; let x = y + 1; y = x + 1; z = x; tel",
+		`node f(a: u128) returns (x: u128, y: u128, w: u128, v: u128)
+let
+  x = a + 1267650600228229401496703205376;
+  y = a + 1267650600228229401496703205376;
+  w = a + 1267650600228229401496703205377;
+  v = a + 0;
+tel`,
+		"node f(a: u4) returns (z: u4) let z = a ^ 5; tel",
+	}
+	var s Scratch
+	var built, fresh []*Graph
+	for i, src := range srcs {
+		prog, err := dsl.Parse(src)
+		if err != nil {
+			t.Fatalf("source %d: %v", i, err)
+		}
+		ch, err := typecheck.Check(prog)
+		if err != nil {
+			t.Fatalf("source %d: %v", i, err)
+		}
+		want, wantErr := BuildNode(ch, "f")
+		got, err := s.BuildNode(ch, "f")
+		if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("source %d on a used scratch: %v, %v; fresh: %v, %v", i, got, err, want, wantErr)
+		}
+		if got != nil {
+			built, fresh = append(built, got), append(fresh, want)
+		}
+	}
+	if consts := built[1].NumValues() - built[1].OpCount() - 1; consts != 3 {
+		t.Errorf("wide program: %d constants, want 3 (2^100, 2^100+1, 0)", consts)
+	}
+	for i, g := range built {
+		if !reflect.DeepEqual(g, fresh[i]) {
+			t.Errorf("graph %d changed when the scratch built later ones", i)
+		}
+	}
+	if got := evalOne(t, built[1], map[string]int64{"a": 1}, "v"); got.Int64() != 1 {
+		t.Errorf("wide program: v = %v, want 1", got)
 	}
 }
 

@@ -14,6 +14,7 @@ package dram
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"chopper/internal/guard"
 	"chopper/internal/isa"
@@ -107,7 +108,8 @@ func (g Geometry) DRows() int { return g.RowsPerSub - g.ReservedRows }
 // Bitlines returns the SIMD width of one subarray in lanes (bitlines).
 func (g Geometry) Bitlines() int { return g.RowBytes * 8 }
 
-// Validate rejects degenerate geometries.
+// Validate rejects degenerate geometries, and one whose data rows an
+// isa.Row (16 bits) cannot all name: D0 to D32767 at most.
 func (g Geometry) Validate() error {
 	if g.Banks <= 0 || g.SubarraysPB <= 0 || g.RowBytes <= 0 {
 		return fmt.Errorf("dram: non-positive geometry %+v", g)
@@ -117,6 +119,9 @@ func (g Geometry) Validate() error {
 	}
 	if g.DRows() <= 0 {
 		return fmt.Errorf("dram: no data rows left (rows=%d reserved=%d)", g.RowsPerSub, g.ReservedRows)
+	}
+	if g.DRows() > math.MaxInt16+1 {
+		return fmt.Errorf("dram: %d data rows per subarray, more than the %d an isa.Row can name", g.DRows(), math.MaxInt16+1)
 	}
 	return nil
 }

@@ -94,6 +94,15 @@ func TestGeometryValidateRejectsBad(t *testing.T) {
 	if err := bad2.Validate(); err == nil {
 		t.Error("no data rows accepted")
 	}
+	// An isa.Row names D0 to D32767: one data row more cannot be addressed.
+	edge := Geometry{Banks: 1, SubarraysPB: 1, RowsPerSub: 1<<15 + 18, RowBytes: 8, ReservedRows: 18}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("%d data rows rejected: %v", edge.DRows(), err)
+	}
+	edge.RowsPerSub++
+	if err := edge.Validate(); err == nil || !strings.Contains(err.Error(), "isa.Row") {
+		t.Errorf("%d data rows: Validate = %v, want a row-width error", edge.DRows(), err)
+	}
 }
 
 func TestTimingOrdering(t *testing.T) {

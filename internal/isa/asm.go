@@ -49,7 +49,7 @@ func ParseRow(s string) (Row, error) {
 		return RowNone, nil
 	}
 	if strings.HasPrefix(s, "D") {
-		n, err := strconv.ParseInt(s[1:], 10, 32)
+		n, err := strconv.ParseInt(s[1:], 10, 16) // a Row's width
 		if err != nil || n < 0 {
 			return RowNone, fmt.Errorf("isa: bad row %q", s)
 		}

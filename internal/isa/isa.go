@@ -22,9 +22,10 @@ import (
 
 // Row identifies a row within a subarray. Non-negative values address the
 // D-group (row index within the data region); negative values address the
-// C-group and B-group through the named constants below. Four bytes: a
-// subarray has at most a few thousand rows, and an Op carries four of them.
-type Row int32
+// C-group and B-group through the named constants below. Two bytes: a
+// subarray has at most a few thousand rows (dram.Geometry.Validate bounds
+// them by 1<<15), and an Op carries four of them.
+type Row int16
 
 // Special (non-D-group) row addresses. The numeric values are arbitrary but
 // stable; they only need to be distinct from valid D-group indices (>= 0).
@@ -164,10 +165,11 @@ const (
 )
 
 // Op is a single PUD micro-operation targeted at one subarray. The record
-// is 32 bytes (TestOpSize): programs run to millions of ops and every
-// compile stage and simulator front end strides the stream, so its width
-// is the pipeline's memory traffic. Field order packs it without padding
-// beyond the two bytes after NDst.
+// is 24 bytes (TestOpSize): programs run to millions of ops and every
+// compile stage and simulator front end strides the stream, and a kernel
+// keeps its program for life, so its width is the pipeline's memory
+// traffic and most of what a kernel retains. Field order packs it without
+// padding: Kind@0, NDst@1, Src@2, Dst@4, Tag@12, Imm@16.
 type Op struct {
 	Kind OpKind
 	NDst uint8  // number of valid entries in Dst
@@ -314,8 +316,10 @@ type Program struct {
 	// never splits the multi-op lowering of a single logic gate. Nil means
 	// the producer recorded none (hand-built or baseline programs) and the
 	// recovery runtime falls back to fixed-stride cuts. Marks carry no
-	// execution semantics and do not appear in the assembly dump.
-	EpochMarks []int
+	// execution semantics and do not appear in the assembly dump. They are
+	// op indices, four bytes each: codegen.Generate rejects a program of
+	// more than math.MaxInt32 ops.
+	EpochMarks []int32
 }
 
 // Append adds ops to the program.
@@ -361,7 +365,8 @@ func (p *Program) ValidateOps(from, to, dRows, spillSlots int) error {
 // (0, len(Ops)].
 func (p *Program) ValidateMarks() error {
 	prev := 0
-	for _, m := range p.EpochMarks {
+	for _, m32 := range p.EpochMarks {
+		m := int(m32)
 		if m <= prev || m > len(p.Ops) {
 			return fmt.Errorf("isa: epoch mark %d not strictly increasing in (0, %d]", m, len(p.Ops))
 		}

@@ -7,12 +7,29 @@ import (
 	"unsafe"
 )
 
-// TestOpSize pins the micro-op record at 32 bytes: the op stream is the
-// widest thing the compiler and the simulators stride, so a field added
-// without thought doubles every stage's memory traffic.
+// TestOpSize pins the micro-op record at 24 bytes, its fields unpadded:
+// the op stream is the widest thing the compiler and the simulators stride
+// and most of what a kernel keeps, so a field added without thought, or a
+// Row wider than 16 bits, widens every stage's memory traffic by a third.
 func TestOpSize(t *testing.T) {
-	if got := unsafe.Sizeof(Op{}); got != 32 {
-		t.Fatalf("unsafe.Sizeof(isa.Op{}) = %d, want 32", got)
+	if got := unsafe.Sizeof(Op{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(isa.Op{}) = %d, want 24", got)
+	}
+	var op Op
+	for _, f := range []struct {
+		name     string
+		got, off uintptr
+	}{
+		{"Kind", unsafe.Offsetof(op.Kind), 0},
+		{"NDst", unsafe.Offsetof(op.NDst), 1},
+		{"Src", unsafe.Offsetof(op.Src), 2},
+		{"Dst", unsafe.Offsetof(op.Dst), 4},
+		{"Tag", unsafe.Offsetof(op.Tag), 12},
+		{"Imm", unsafe.Offsetof(op.Imm), 16},
+	} {
+		if f.got != f.off {
+			t.Errorf("isa.Op.%s at offset %d, want %d", f.name, f.got, f.off)
+		}
 	}
 }
 
@@ -25,6 +42,7 @@ func TestNewCopyIsSingleDestinationAAP(t *testing.T) {
 func TestParseRejectsOutOfRangeOperands(t *testing.T) {
 	for _, line := range []string{
 		"AAP D4294967296 -> T0",
+		"AAP D32768 -> T0", // past a Row's 16 bits
 		"WRITE -> D3 (tag 4294967296)",
 		"READ D3 (tag 2147483648)",
 	} {

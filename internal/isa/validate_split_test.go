@@ -5,7 +5,7 @@ import "testing"
 // splitProgram is a small valid program laid out the way the code generator
 // emits one: clusters of ops per gate, an epoch mark after each, spill
 // slots allocated in order (each first written by a SPILL_OUT).
-func splitProgram() (p *Program, ends []int) {
+func splitProgram() (p *Program, ends []int32) {
 	ap := NewAP(T0, T1, T2)
 	clusters := [][]Op{
 		{NewCopy(C0, T2), NewCopy(C1, T1)},
@@ -21,7 +21,7 @@ func splitProgram() (p *Program, ends []int) {
 	p = &Program{SpillSlots: 2}
 	for _, c := range clusters {
 		p.Ops = append(p.Ops, c...)
-		ends = append(ends, len(p.Ops))
+		ends = append(ends, int32(len(p.Ops)))
 	}
 	p.EpochMarks = ends
 	return p, ends
@@ -30,9 +30,10 @@ func splitProgram() (p *Program, ends []int) {
 // validateSplit checks p cluster by cluster, as codegen.Generate does while
 // emitting: ValidateOps over each range with the slot bound slots(end),
 // then ValidateMarks.
-func validateSplit(p *Program, ends []int, dRows int, slots func(end int) int) error {
+func validateSplit(p *Program, ends []int32, dRows int, slots func(end int) int) error {
 	from := 0
-	for _, to := range ends {
+	for _, end := range ends {
+		to := int(end)
 		if err := p.ValidateOps(from, to, dRows, slots(to)); err != nil {
 			return err
 		}
@@ -105,7 +106,7 @@ func TestValidateSplitMatchesWhole(t *testing.T) {
 	}
 
 	// A bad epoch mark is ValidateMarks' to report, after every op passed.
-	p := &Program{Ops: clean.Ops, SpillSlots: clean.SpillSlots, EpochMarks: []int{3, 3}}
+	p := &Program{Ops: clean.Ops, SpillSlots: clean.SpillSlots, EpochMarks: []int32{3, 3}}
 	want, got := p.Validate(dRows), validateSplit(p, ends, dRows, final)
 	if want == nil || got == nil || got.Error() != want.Error() {
 		t.Errorf("bad epoch mark: split check says %v, Validate %v", got, want)

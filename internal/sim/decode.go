@@ -22,10 +22,6 @@ type Decoded struct {
 	proven bool // see Decode
 }
 
-// maxPlanRow bounds the D rows of a stream Decode proves: a higher one (no
-// subarray this simulator models has it) leaves the stream unproven.
-const maxPlanRow = 1 << 20
-
 // slotOf is the arena slot of row r (see Subarray), numSpecialRows+r: the
 // special rows -1..-10 fill slots 9..0 and D row r follows them. An id
 // below the special rows, which no subarray has, has a negative slot.
@@ -55,13 +51,13 @@ var partners = func() (t [numSpecialRows]int8) {
 // prog, so the program must not be mutated afterwards.
 //
 // The proof holds where three things do, for every op, of the rows
-// isa.Roles names: each has a slot, below maxPlanRow; each read is of a row
-// an earlier op defines (a store defines its row and the row's
-// dual-contact partner; C0 and C1 hold their constants from reset on); and
-// no store is into C0 or C1. A whole-stream run stops at the first op
-// that fails, so when op i of a proven stream executes every op before it
-// has defined its rows. A stream that is not proven fails at the first op
-// the proof fails at, if its run gets there: programs are straight-line.
+// isa.Roles names: each has a slot; each read is of a row an earlier op
+// defines (a store defines its row and the row's dual-contact partner; C0
+// and C1 hold their constants from reset on); and no store is into C0 or
+// C1. A whole-stream run stops at the first op that fails, so when op i of
+// a proven stream executes every op before it has defined its rows. A
+// stream that is not proven fails at the first op the proof fails at, if
+// its run gets there: programs are straight-line.
 func Decode(prog *isa.Program) *Decoded {
 	d := &Decoded{prog: prog, maxD: -1}
 	def := make([]bool, numSpecialRows) // by slot
@@ -78,7 +74,7 @@ func Decode(prog *isa.Program) *Decoded {
 		}
 		for _, r := range writes {
 			j := slotOf(r)
-			if j < 0 || r >= maxPlanRow || r.IsCGroup() {
+			if j < 0 || r.IsCGroup() {
 				return d
 			}
 			d.maxD = max(d.maxD, int(r))

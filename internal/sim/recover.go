@@ -443,8 +443,8 @@ func (m *Machine) RunRecoveredCtx(ctx context.Context, d *Decoded, bank, sub int
 			return n
 		}
 		if len(marks) > 0 {
-			if i := sort.SearchInts(marks, target); i < len(marks) {
-				return marks[i]
+			if i := sort.Search(len(marks), func(i int) bool { return int(marks[i]) >= target }); i < len(marks) {
+				return int(marks[i])
 			}
 			return n
 		}

@@ -30,7 +30,7 @@ func recProgram(blocks int) *isa.Program {
 			isa.NewAP(isa.T0, isa.T1, isa.T2),
 			isa.NewRead(isa.T0, i),
 		)
-		p.EpochMarks = append(p.EpochMarks, len(p.Ops))
+		p.EpochMarks = append(p.EpochMarks, int32(len(p.Ops)))
 	}
 	return p
 }
@@ -379,7 +379,7 @@ func TestRecoveryMachineReuseAcrossRuns(t *testing.T) {
 // delivers the wrong epoch's data.
 func spillProgram() (p *isa.Program, faultOp int) {
 	p = &isa.Program{DRowsUsed: 4}
-	mark := func() { p.EpochMarks = append(p.EpochMarks, len(p.Ops)) }
+	mark := func() { p.EpochMarks = append(p.EpochMarks, int32(len(p.Ops))) }
 	p.Append(
 		isa.NewWrite(isa.Row(0), 0),
 		isa.NewSpillOut(isa.Row(0), 7),

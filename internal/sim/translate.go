@@ -107,13 +107,13 @@ func (e *TranslateError) Error() string {
 // *TranslateError for a program whose run it cannot prove: a read of a row
 // no earlier op defines or of no row at all, a SPILL_IN of a slot no
 // earlier op spills, an AAP or WRITE into a constant row, a store to no
-// row of the subarray or to a D row at or past maxPlanRow, an unknown
-// kind. Those are the ops at which an interpreted run may fail on its own
-// account; a translated run fails only where the host fails it (a nil
-// HostIO, callback or payload) or ctx does. It reads each isa.Op as exec
-// reads its decoded form: the rows it senses and stores are isa.Roles', and
-// a store into a constant row is isa.ConstStore's, so what an op touches
-// and what is illegal have one definition each.
+// row of the subarray, an unknown kind. Those are the ops at which an
+// interpreted run may fail on its own account; a translated run fails only
+// where the host fails it (a nil HostIO, callback or payload) or ctx does.
+// It reads each isa.Op as exec reads its decoded form: the rows it senses
+// and stores are isa.Roles', and a store into a constant row is
+// isa.ConstStore's, so what an op touches and what is illegal have one
+// definition each.
 func Translate(prog *isa.Program) (*Translated, error) {
 	return (&translator{}).translate(prog)
 }
@@ -226,7 +226,7 @@ func (tr *translator) translate(prog *isa.Program) (*Translated, error) {
 			switch {
 			case isa.ConstStore(op.Kind, r):
 				return reject(i, "%s into constant row %s", op.Kind, r)
-			case j < 0 || r >= maxPlanRow:
+			case j < 0:
 				return reject(i, "write to row %s outside the subarray", r)
 			}
 			maxD = max(maxD, int(r))

@@ -299,7 +299,6 @@ func TestTranslateResolvesCopies(t *testing.T) {
 		{"WRITE into C1", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, isa.T0), isa.NewWrite(isa.C1, 0)}}, "WRITE into constant row C1"},
 		{"AAP into C0 at its second destination", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, isa.T0, isa.C0)}}, "AAP into constant row C0"},
 		{"no such row", &isa.Program{Ops: []isa.Op{isa.NewAAP(isa.C1, isa.T0), isa.NewAAP(isa.C1, isa.Row(-20))}}, "write to row R?-20 outside the subarray"},
-		{"D row past the plan", &isa.Program{Ops: []isa.Op{isa.NewWrite(isa.Row(maxPlanRow), 0)}}, "write to row D1048576 outside the subarray"},
 		{"unknown kind", &isa.Program{Ops: []isa.Op{{Kind: isa.OpKind(99)}}}, "unknown op kind 99"},
 	} {
 		tr, err := Translate(tc.prog)

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"chopper/internal/codegen"
 	"chopper/internal/dfg"
@@ -66,11 +67,12 @@ func sameKernel(a, b *Kernel) error {
 }
 
 // TestCompileAllocGate holds the cold compile to its output: one compile
-// may allocate 1.5x the program and the net it returns (the front end's
-// trees, the name strings, the host-tag maps; DenseNet-64 reads 1.45x) —
-// not an op buffer sized for the worst case at 64 bytes a slot, not a side
-// table of expression types, and not the interning table, CSR arrays and
-// gate slices a previous compile already grew.
+// may allocate 1.5x the program and the net it returns, each at its real
+// record size (the front end's trees, the name strings, the host-tag maps;
+// DenseNet-64 reads 1.33x) — not an op buffer sized for the worst case at
+// 64 bytes a slot, not a side table of expression types, and not the
+// hash-consing tables, CSR arrays and gate slices a previous compile
+// already grew.
 func TestCompileAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a 65k-gate workload kernel several times")
@@ -93,12 +95,16 @@ func TestCompileAllocGate(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perCompile := (after.TotalAlloc - before.TotalAlloc) / runs
 
-	kept := uint64(len(k.Prog().Ops))*32 + uint64(len(k.Net.Gates))*16
+	kept := uint64(len(k.Prog().Ops))*opBytes + uint64(len(k.Net.Gates))*uint64(unsafe.Sizeof(logic.Gate{}))
 	t.Logf("%d B/compile; the kernel keeps %d B (%d ops, %d gates)", perCompile, kept, len(k.Prog().Ops), len(k.Net.Gates))
 	if limit := kept * 3 / 2; perCompile > limit {
 		t.Errorf("a cold compile allocates %d B, over 1.5x the %d B of program and net it returns", perCompile, kept)
 	}
 }
+
+// opBytes is the size of one micro-op record, the unit of what a kernel
+// keeps.
+const opBytes = uint64(unsafe.Sizeof(isa.Op{}))
 
 // TestCompileBaselineAllocGate holds a warm hands-tuned compile to twice the
 // program it returns: the stream is written once at its exact length, and
@@ -123,7 +129,7 @@ func TestCompileBaselineAllocGate(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perCompile := (after.TotalAlloc - before.TotalAlloc) / runs
 
-	prog := uint64(len(k.Prog().Ops)) * 32
+	prog := uint64(len(k.Prog().Ops)) * opBytes
 	t.Logf("%d B/compile for a %d B program (%d ops)", perCompile, prog, len(k.Prog().Ops))
 	if limit := 2 * prog; perCompile > limit {
 		t.Errorf("a baseline compile allocates %d B, over 2x the %d B program it returns", perCompile, prog)
